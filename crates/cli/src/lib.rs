@@ -136,7 +136,7 @@ use neupims_sched::{
     calibration_drift, CostModelKind, MhaLatencyEstimator, TraceDrivenCostModel, TraceMemo,
     TraceSnapshot, COST_MODEL_NAMES, DEFAULT_DRIFT_TOLERANCE,
 };
-use neupims_types::{LlmConfig, Phase};
+use neupims_types::{request_id, LlmConfig, Phase};
 use neupims_workload::{arrival_stream, Dataset};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -693,7 +693,7 @@ fn cmd_serve(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std:
     for (i, &at) in arrivals.iter().enumerate() {
         let input = opts.dataset.sample_input(&mut rng);
         let output = opts.dataset.sample_output(&mut rng).min(128);
-        serving.submit(i as u32, input, output, at)?;
+        serving.submit(request_id(i)?, input, output, at)?;
     }
     let out = serving.run()?;
     println!("| metric | value |");
@@ -824,7 +824,7 @@ fn cmd_fleet(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std:
     let arrivals = arrival_stream(&mut rng, opts.rate, opts.requests);
     for (i, &at) in arrivals.iter().enumerate() {
         fleet.submit(FleetRequest {
-            id: i as u32,
+            id: request_id(i)?,
             input_len: opts.dataset.sample_input(&mut rng),
             output_len: opts.dataset.sample_output(&mut rng).min(128),
             arrival: at,
@@ -1059,7 +1059,7 @@ fn cmd_orchestrate(
         }
         orch.submit(OrchRequest {
             req: FleetRequest {
-                id: i as u32,
+                id: request_id(i)?,
                 input_len,
                 output_len,
                 arrival: at,

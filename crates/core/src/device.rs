@@ -43,9 +43,11 @@ use neupims_npu::VectorCost;
 use neupims_pim::PimCalibration;
 use neupims_sched::{
     assign_min_load, assign_round_robin, AnalyticCostModel, CostModelKind, MhaCostModel,
-    MhaLatencyEstimator, TraceDrivenCostModel, TraceMemo,
+    MhaLatencyEstimator, TraceDrivenCostModel, TraceHardware, TraceMemo,
 };
-use neupims_types::{config::InterconnectConfig, LlmConfig, NeuPimsConfig, Phase, SimError};
+use neupims_types::{
+    config::InterconnectConfig, ChannelId, LlmConfig, NeuPimsConfig, Phase, RequestId, SimError,
+};
 
 use crate::metrics::IterationBreakdown;
 
@@ -139,6 +141,31 @@ pub struct Device {
     /// its clones) hands out, so distinct command streams are simulated
     /// once per context-length bucket device-wide.
     trace_memo: TraceMemo,
+    /// The replay hardware of trace-driven models, fingerprinted once at
+    /// construction instead of once per decode iteration.
+    trace_hw: TraceHardware,
+}
+
+/// One decode batch, priced once: each request's context length, MHA
+/// cost estimate, and PIM channel, index-aligned.
+#[derive(Debug, Default)]
+struct PricedBatch {
+    seq_lens: Vec<u64>,
+    costs: Vec<f64>,
+    channels: Vec<ChannelId>,
+}
+
+impl PricedBatch {
+    /// The sub-batch of the requests at `ids` (batch indices), in order.
+    fn pick(&self, ids: &[RequestId]) -> Self {
+        let mut sub = Self::default();
+        for id in ids {
+            sub.seq_lens.push(self.seq_lens[id.index()]);
+            sub.costs.push(self.costs[id.index()]);
+            sub.channels.push(self.channels[id.index()]);
+        }
+        sub
+    }
 }
 
 /// Per-sub-batch stage costs, all in cycles or bytes (per decoder layer).
@@ -208,6 +235,7 @@ impl Device {
             mode,
             cost: CostModelKind::Analytic,
             trace_memo: TraceMemo::new(),
+            trace_hw: TraceHardware::new(&cfg),
         }
     }
 
@@ -287,8 +315,8 @@ impl Device {
         }
         Some(match kind {
             CostModelKind::Analytic => Box::new(AnalyticCostModel::new(self.estimator(model, tp))),
-            CostModelKind::TraceDriven => Box::new(TraceDrivenCostModel::with_memo(
-                &self.cfg,
+            CostModelKind::TraceDriven => Box::new(TraceDrivenCostModel::on_hardware(
+                self.trace_hw,
                 KvGeometry::with_tp(model, &self.cfg.mem, tp),
                 self.mode.dual_row_buffer(),
                 self.trace_memo.clone(),
@@ -318,14 +346,13 @@ impl Device {
         &self,
         model: &LlmConfig,
         tp: u32,
-        seq_lens: &[u64],
-        assignment: &[neupims_types::ChannelId],
-        estimator: &dyn MhaCostModel,
+        geo: &KvGeometry,
+        batch: &PricedBatch,
     ) -> Result<SubCosts, SimError> {
+        let seq_lens = &batch.seq_lens;
         let cb: CompiledBlock =
             compile_block(&self.cfg.npu, model, tp, seq_lens, Phase::Generation)?;
         let es = model.dtype.size_bytes();
-        let geo = estimator.geometry();
         let m = seq_lens.len() as u64;
         let vc = VectorCost::new(&self.cfg.npu);
 
@@ -333,8 +360,8 @@ impl Device {
         let mut pim_loads = vec![0.0f64; channels];
         let mut turnaround = vec![0.0f64; channels];
         let bus_per_channel = self.cfg.mem.bus_bytes_per_cycle as f64;
-        for (&seq, ch) in seq_lens.iter().zip(assignment) {
-            pim_loads[ch.index()] += estimator.estimate(seq);
+        for ((&seq, &cost), ch) in seq_lens.iter().zip(&batch.costs).zip(&batch.channels) {
+            pim_loads[ch.index()] += cost;
             // Blocked-mode per-head turnaround: drain logits to the vector
             // units, softmax, write them back (GWRITE), plus a row-cycle of
             // resynchronization — all serial with the channel's GEMV work.
@@ -419,26 +446,16 @@ impl Device {
         (d_qkv + d_mha + d_pf, bus)
     }
 
-    fn assign(&self, seqs: &[u64], estimator: &dyn MhaCostModel) -> Vec<neupims_types::ChannelId> {
-        match self.mode {
-            DeviceMode::NeuPims { gmlbp: true, .. } => {
-                assign_min_load(seqs, self.cfg.mem.channels, estimator)
-            }
-            _ => assign_round_robin(seqs, self.cfg.mem.channels),
-        }
-    }
-
     fn fill_common(
         &self,
         out: &mut IterationBreakdown,
-        estimator: &dyn MhaCostModel,
+        geo: &KvGeometry,
         seq_lens: &[u64],
         layers: u64,
     ) {
         if !self.mode.uses_pim() {
             return;
         }
-        let geo = estimator.geometry();
         let tiles: u64 = seq_lens.iter().map(|&q| geo.mha_tiles(q)).sum();
         let gwrites: u64 = seq_lens.iter().map(|&q| geo.mha_gwrites(q)).sum();
         out.pim_tiles = tiles * layers;
@@ -452,14 +469,13 @@ impl Device {
         model: &LlmConfig,
         tp: u32,
         layers: u64,
-        seq_lens: &[u64],
-        estimator: &dyn MhaCostModel,
+        geo: &KvGeometry,
+        batch: &PricedBatch,
     ) -> Result<IterationBreakdown, SimError> {
-        let assignment = self.assign(seq_lens, estimator);
-        let s = self.sub_costs(model, tp, seq_lens, &assignment, estimator)?;
+        let s = self.sub_costs(model, tp, geo, batch)?;
         let (layer_cycles, layer_bus) = self.serial_layer(&s);
         let mut out = IterationBreakdown {
-            tokens: seq_lens.len() as u64,
+            tokens: batch.seq_lens.len() as u64,
             pim_busy: vec![0; self.cfg.mem.channels as usize],
             total_cycles: layer_cycles * layers,
             npu_flops: s.flops * layers,
@@ -474,40 +490,33 @@ impl Device {
                 *b = (*load * layers as f64) as u64;
             }
         }
-        self.fill_common(&mut out, estimator, seq_lens, layers);
+        self.fill_common(&mut out, geo, &batch.seq_lens, layers);
         Ok(out)
     }
 
+    /// The interleaved (Algorithm 3) arm, or `None` when the split leaves
+    /// a sub-batch empty and only serial execution remains.
     fn sbi_iteration(
         &self,
         model: &LlmConfig,
         tp: u32,
         layers: u64,
-        seq_lens: &[u64],
-        estimator: &dyn MhaCostModel,
-    ) -> Result<IterationBreakdown, SimError> {
+        geo: &KvGeometry,
+        batch: &PricedBatch,
+    ) -> Result<Option<IterationBreakdown>, SimError> {
         // Algorithm 3 operates on per-channel request lists; reconstruct
         // them from the assignment, split, then cost each sub-batch.
-        let assignment = self.assign(seq_lens, estimator);
-        let mut per_channel: Vec<Vec<neupims_types::RequestId>> =
-            vec![Vec::new(); self.cfg.mem.channels as usize];
-        for (i, ch) in assignment.iter().enumerate() {
-            per_channel[ch.index()].push(neupims_types::RequestId::new(i as u32));
+        let mut per_channel: Vec<Vec<RequestId>> = vec![Vec::new(); self.cfg.mem.channels as usize];
+        for (i, ch) in batch.channels.iter().enumerate() {
+            per_channel[ch.index()].push(RequestId::new(i as u32));
         }
         let sb = neupims_sched::partition_sub_batches(&per_channel);
-        let pick = |ids: &[neupims_types::RequestId]| -> (Vec<u64>, Vec<neupims_types::ChannelId>) {
-            let seqs = ids.iter().map(|r| seq_lens[r.0 as usize]).collect();
-            let chans = ids.iter().map(|r| assignment[r.0 as usize]).collect();
-            (seqs, chans)
-        };
-        let (seqs_a, chan_a) = pick(&sb.sb1);
-        let (seqs_b, chan_b) = pick(&sb.sb2);
-        if seqs_a.is_empty() || seqs_b.is_empty() {
-            // Degenerate split; fall back to serial execution.
-            return self.serial_iteration(model, tp, layers, seq_lens, estimator);
+        let (batch_a, batch_b) = (batch.pick(&sb.sb1), batch.pick(&sb.sb2));
+        if batch_a.seq_lens.is_empty() || batch_b.seq_lens.is_empty() {
+            return Ok(None);
         }
-        let a = self.sub_costs(model, tp, &seqs_a, &chan_a, estimator)?;
-        let b = self.sub_costs(model, tp, &seqs_b, &chan_b, estimator)?;
+        let a = self.sub_costs(model, tp, geo, &batch_a)?;
+        let b = self.sub_costs(model, tp, geo, &batch_b)?;
 
         // Steady-state bottleneck law. Same-stage pairs run adjacently on
         // the NPU, so the second of a pair reuses the SPM-resident slice of
@@ -547,7 +556,7 @@ impl Device {
         let total = steady * layers.saturating_sub(1).max(1) + fill;
 
         let mut out = IterationBreakdown {
-            tokens: seq_lens.len() as u64,
+            tokens: batch.seq_lens.len() as u64,
             pim_busy: vec![0; self.cfg.mem.channels as usize],
             total_cycles: total,
             npu_flops: (a.flops + b.flops) * layers,
@@ -560,8 +569,8 @@ impl Device {
         for (i, busy) in out.pim_busy.iter_mut().enumerate() {
             *busy = ((a.pim_loads[i] + b.pim_loads[i]) * layers as f64) as u64;
         }
-        self.fill_common(&mut out, estimator, seq_lens, layers);
-        Ok(out)
+        self.fill_common(&mut out, geo, &batch.seq_lens, layers);
+        Ok(Some(out))
     }
 
     /// Prices the summarization (prefill) phase for a set of prompts on a
@@ -630,24 +639,40 @@ impl Device {
         if layers == 0 {
             return Err(SimError::InvalidShape("zero resident layers".into()));
         }
+        // Price every request once: GMLBP balancing, the serial arm and
+        // both sub-batch interleaving arms all read these costs.
         let estimator = self.active_cost_model(model, tp);
-        let estimator: &dyn MhaCostModel = &*estimator;
+        let geo = estimator.geometry();
+        let costs: Vec<f64> = seq_lens.iter().map(|&s| estimator.estimate(s)).collect();
+        let channels = match self.mode {
+            DeviceMode::NeuPims { gmlbp: true, .. } => {
+                assign_min_load(seq_lens, &costs, self.cfg.mem.channels)
+            }
+            _ => assign_round_robin(seq_lens, self.cfg.mem.channels),
+        };
+        let batch = PricedBatch {
+            seq_lens: seq_lens.to_vec(),
+            costs,
+            channels,
+        };
         let layers = layers as u64;
 
         let policy = match self.mode {
             DeviceMode::NeuPims { sbi, .. } if seq_lens.len() >= 2 => sbi,
             _ => SbiPolicy::Off,
         };
+        let serial = || self.serial_iteration(model, tp, layers, geo, &batch);
         match policy {
-            SbiPolicy::Off => self.serial_iteration(model, tp, layers, seq_lens, estimator),
-            SbiPolicy::Always => self.sbi_iteration(model, tp, layers, seq_lens, estimator),
+            SbiPolicy::Off => serial(),
+            SbiPolicy::Always => match self.sbi_iteration(model, tp, layers, geo, &batch)? {
+                Some(sbi) => Ok(sbi),
+                None => serial(),
+            },
             SbiPolicy::Adaptive => {
-                let serial = self.serial_iteration(model, tp, layers, seq_lens, estimator)?;
-                let sbi = self.sbi_iteration(model, tp, layers, seq_lens, estimator)?;
-                Ok(if sbi.total_cycles < serial.total_cycles {
-                    sbi
-                } else {
-                    serial
+                let serial = serial()?;
+                Ok(match self.sbi_iteration(model, tp, layers, geo, &batch)? {
+                    Some(sbi) if sbi.total_cycles < serial.total_cycles => sbi,
+                    _ => serial,
                 })
             }
         }

@@ -64,9 +64,11 @@
 //! let slots: Vec<_> = (0..2)
 //!     .map(|_| ServingSim::new(GpuRooflineBackend::a100(), LlmConfig::gpt3_7b(), cfg.clone()))
 //!     .collect();
+//! // 100 ms to first token and 50 ms per output token (at 1 GHz): a
+//! // budget GPU-roofline replicas meet, so the run earns goodput.
 //! let tenants = vec![TenantClass::new(
 //!     "chat",
-//!     SloTargets { ttft: 10_000_000, tpot: 1_000_000.0 },
+//!     SloTargets { ttft: 100_000_000, tpot: 50_000_000.0 },
 //!     200,
 //!     1.0,
 //! )];

@@ -27,7 +27,7 @@ use neupims_core::serving::{ServingConfig, ServingSim, SloTargets};
 use neupims_core::sharding::ShardedBackend;
 use neupims_pim::calibrate;
 use neupims_sched::{CostModelKind, TraceMemo};
-use neupims_types::NeuPimsConfig;
+use neupims_types::{request_id, NeuPimsConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -430,7 +430,7 @@ fn run_serving(
         };
         fleet
             .submit(FleetRequest {
-                id: i as u32,
+                id: request_id(i).map_err(sim_err)?,
                 input_len: req.input_len,
                 output_len: output,
                 arrival: req.arrival,
@@ -574,7 +574,7 @@ fn run_orchestrated(
         };
         orch.submit(OrchRequest {
             req: FleetRequest {
-                id: i as u32,
+                id: request_id(i).map_err(sim_err)?,
                 input_len: req.input_len,
                 output_len: output,
                 arrival: req.arrival,

@@ -14,21 +14,20 @@ use crate::cost::MhaCostModel;
 /// Assigns each request (by context length) to a channel, greedily
 /// minimizing the maximum estimated channel load (Algorithm 2).
 ///
-/// Generic over [`MhaCostModel`], so the balance target can be the
-/// Algorithm 1 closed form ([`MhaLatencyEstimator`](crate::estimator::MhaLatencyEstimator)
-/// implements the trait directly) or the trace-driven cycle model.
+/// `costs[i]` is request `i`'s estimated MHA latency — from any
+/// [`MhaCostModel`], so the balance target can be the Algorithm 1 closed
+/// form or the trace-driven cycle model. Callers price each request once
+/// and share the costs with whatever else consumes them (the device's
+/// per-channel PIM loads, both sub-batch interleaving arms).
 ///
 /// Returns one [`ChannelId`] per input request, index-aligned.
 ///
 /// # Panics
 ///
-/// Panics if `channels == 0`.
-pub fn assign_min_load<C: MhaCostModel + ?Sized>(
-    seq_lens: &[u64],
-    channels: u32,
-    estimator: &C,
-) -> Vec<ChannelId> {
+/// Panics if `channels == 0` or `costs` and `seq_lens` differ in length.
+pub fn assign_min_load(seq_lens: &[u64], costs: &[f64], channels: u32) -> Vec<ChannelId> {
     assert!(channels > 0, "at least one channel required");
+    assert_eq!(seq_lens.len(), costs.len(), "one cost per request");
     let mut loads = vec![0.0f64; channels as usize];
     // Sort indices by descending length (LPT order).
     let mut order: Vec<usize> = (0..seq_lens.len()).collect();
@@ -42,7 +41,7 @@ pub fn assign_min_load<C: MhaCostModel + ?Sized>(
             .min_by(|a, b| a.1.partial_cmp(b.1).expect("loads are finite"))
             .expect("non-empty loads");
         assignment[i] = ChannelId::new(min_idx as u32);
-        loads[min_idx] += estimator.estimate(seq_lens[i]);
+        loads[min_idx] += costs[i];
     }
     assignment
 }
@@ -85,6 +84,10 @@ mod tests {
         MhaLatencyEstimator::new(geo, 280.0, 50.0)
     }
 
+    fn costs(seqs: &[u64]) -> Vec<f64> {
+        seqs.iter().map(|&s| estimator().estimate(s)).collect()
+    }
+
     fn max_load(seqs: &[u64], assign: &[ChannelId], chans: u32) -> f64 {
         channel_loads(seqs, assign, chans, &estimator())
             .into_iter()
@@ -94,7 +97,7 @@ mod tests {
     #[test]
     fn all_requests_assigned_in_range() {
         let seqs: Vec<u64> = (1..100).map(|i| (i * 37) % 900 + 1).collect();
-        let a = assign_min_load(&seqs, 8, &estimator());
+        let a = assign_min_load(&seqs, &costs(&seqs), 8);
         assert_eq!(a.len(), seqs.len());
         assert!(a.iter().all(|c| c.0 < 8));
     }
@@ -104,8 +107,7 @@ mod tests {
         // Skewed lengths: a few giants among many small requests.
         let mut seqs = vec![2048u64, 1900, 1800, 1700];
         seqs.extend(std::iter::repeat_n(32u64, 60));
-        let e = estimator();
-        let greedy = assign_min_load(&seqs, 8, &e);
+        let greedy = assign_min_load(&seqs, &costs(&seqs), 8);
         let rr = assign_round_robin(&seqs, 8);
         let g = max_load(&seqs, &greedy, 8);
         let r = max_load(&seqs, &rr, 8);
@@ -117,7 +119,7 @@ mod tests {
     fn greedy_is_near_optimal_on_uniform_input() {
         let seqs = vec![128u64; 64];
         let e = estimator();
-        let a = assign_min_load(&seqs, 8, &e);
+        let a = assign_min_load(&seqs, &costs(&seqs), 8);
         let loads = channel_loads(&seqs, &a, 8, &e);
         let (min, max) = loads
             .iter()
@@ -135,12 +137,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one channel")]
     fn zero_channels_panics() {
-        assign_min_load(&[1], 0, &estimator());
+        assign_min_load(&[1], &[1.0], 0);
     }
 
     #[test]
     fn empty_input_is_fine() {
-        assert!(assign_min_load(&[], 4, &estimator()).is_empty());
+        assert!(assign_min_load(&[], &[], 4).is_empty());
         assert!(assign_round_robin(&[], 4).is_empty());
     }
 }

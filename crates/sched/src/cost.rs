@@ -25,7 +25,7 @@
 //! [`DEFAULT_DRIFT_TOLERANCE`]).
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -248,6 +248,73 @@ impl MhaCostModel for AnalyticCostModel {
 /// across different configs never serve each other's cycles.
 type TraceKey = (u64, u64, u64, u64, bool, u64, u64);
 
+/// A memo key next to its hash, computed once per lookup: bits 48..52
+/// pick the shard and the shard's map reuses the whole hash (its
+/// [`PassThroughHasher`] never rehashes). The map's bucket index reads the
+/// low bits and its tag byte the top seven, so neither overlaps the shard
+/// bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct HashedKey {
+    hash: u64,
+    key: TraceKey,
+}
+
+impl HashedKey {
+    fn new(key: TraceKey) -> Self {
+        let (embed, heads, page_elems, banks, dual, fingerprint, bucket) = key;
+        let mut h = 0u64;
+        for word in [
+            embed,
+            heads,
+            page_elems,
+            banks,
+            dual as u64,
+            fingerprint,
+            bucket,
+        ] {
+            h = (h.rotate_left(5) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+        // MurmurHash3's 64-bit finalizer: every key bit reaches every hash
+        // bit, so the bucket alone spreads entries over shards and slots.
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+        h ^= h >> 33;
+        Self { hash: h, key }
+    }
+
+    fn shard(&self) -> usize {
+        (self.hash >> 48) as usize % MEMO_SHARDS
+    }
+}
+
+impl Hash for HashedKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// The shard maps' hasher: hands back the [`HashedKey`] hash it is fed.
+#[derive(Default)]
+struct PassThroughHasher(u64);
+
+impl Hasher for PassThroughHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("memo keys hash as one u64");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+type ShardMap = HashMap<HashedKey, MemoEntry, BuildHasherDefault<PassThroughHasher>>;
+
 /// Shards the key space of one [`TraceMemo`]. 16 shards keep warm lookups
 /// from parallel fleet workers on disjoint reader-writer locks for any
 /// realistic worker count, at negligible memory cost.
@@ -303,7 +370,7 @@ struct MemoPersist {
 
 #[derive(Debug)]
 struct TraceMemoShared {
-    shards: [RwLock<HashMap<TraceKey, MemoEntry>>; MEMO_SHARDS],
+    shards: [RwLock<ShardMap>; MEMO_SHARDS],
     /// Merged channel activity of every replayed stream. Touched only on
     /// cold replays, so it never contends with warm lookups.
     stats: Mutex<ChannelStats>,
@@ -318,7 +385,7 @@ struct TraceMemoShared {
 impl Default for TraceMemoShared {
     fn default() -> Self {
         Self {
-            shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
+            shards: std::array::from_fn(|_| RwLock::new(ShardMap::default())),
             stats: Mutex::new(ChannelStats::default()),
             replays: AtomicU64::new(0),
             memo_hits: AtomicU64::new(0),
@@ -429,15 +496,13 @@ impl TraceMemo {
         }
     }
 
-    fn shard(&self, key: &TraceKey) -> &RwLock<HashMap<TraceKey, MemoEntry>> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.0.shards[h.finish() as usize % MEMO_SHARDS]
+    fn shard(&self, key: &HashedKey) -> &RwLock<ShardMap> {
+        &self.0.shards[key.shard()]
     }
 
     /// Whether a key is already memoized (or being replayed right now) —
     /// the warmup pass skips these.
-    fn contains(&self, key: &TraceKey) -> bool {
+    fn contains(&self, key: &HashedKey) -> bool {
         self.shard(key)
             .read()
             .expect("memo shard poisoned")
@@ -447,7 +512,7 @@ impl TraceMemo {
     /// The warm path: the key's cycles if ready, counting the hit. Never
     /// blocks on in-flight replays (callers fall through to
     /// [`Self::lookup_or_lead`]).
-    fn lookup_fast(&self, key: &TraceKey) -> Option<f64> {
+    fn lookup_fast(&self, key: &HashedKey) -> Option<f64> {
         let guard = self.shard(key).read().expect("memo shard poisoned");
         match guard.get(key) {
             Some(MemoEntry::Ready {
@@ -464,7 +529,7 @@ impl TraceMemo {
     /// The slow path: resolves a key to ready cycles, an in-flight replay
     /// to wait on, or leadership of a fresh flight (the caller must
     /// replay and [`Self::complete`]).
-    fn lookup_or_lead(&self, key: TraceKey) -> MemoLookup {
+    fn lookup_or_lead(&self, key: HashedKey) -> MemoLookup {
         let mut guard = self.shard(&key).write().expect("memo shard poisoned");
         match guard.get_mut(&key) {
             Some(MemoEntry::Ready { cycles, from_disk }) => {
@@ -487,14 +552,14 @@ impl TraceMemo {
 
     /// Publishes a led replay: merges its channel stats, persists it,
     /// replaces the in-flight entry, and wakes the waiters.
-    fn complete(&self, key: TraceKey, flight: &Flight, cycles: f64, stats: &ChannelStats) {
+    fn complete(&self, key: HashedKey, flight: &Flight, cycles: f64, stats: &ChannelStats) {
         self.0
             .stats
             .lock()
             .expect("memo stats poisoned")
             .merge(stats);
         self.0.replays.fetch_add(1, Ordering::Relaxed);
-        self.append_to_cache(&key, cycles);
+        self.append_to_cache(&key.key, cycles);
         let mut guard = self.shard(&key).write().expect("memo shard poisoned");
         guard.insert(
             key,
@@ -578,6 +643,7 @@ impl TraceMemo {
             }
             match parse_cache_line(line) {
                 Some((key, cycles)) => {
+                    let key = HashedKey::new(key);
                     self.shard(&key)
                         .write()
                         .expect("memo shard poisoned")
@@ -663,13 +729,47 @@ fn parse_cache_line(line: &str) -> Option<(TraceKey, f64)> {
 #[derive(Debug, Clone)]
 pub struct TraceDrivenCostModel {
     geometry: KvGeometry,
+    hw: TraceHardware,
+    dual: bool,
+    memo: TraceMemo,
+}
+
+/// The hardware a trace replay runs on — memory organization, DRAM timing
+/// and PIM datapath — with its fingerprint computed once. The fingerprint
+/// is part of every memo key and names the on-disk `memo-<fp>.txt` cache
+/// files, so a device building many models over one configuration hashes
+/// it once, not once per model.
+#[derive(Debug, Clone, Copy)]
+pub struct TraceHardware {
     mem: MemConfig,
     timing: HbmTiming,
     pim: PimConfig,
-    dual: bool,
-    /// Hash of `(mem, timing, pim)`, part of every memo key.
-    config_fingerprint: u64,
-    memo: TraceMemo,
+    fingerprint: u64,
+}
+
+impl TraceHardware {
+    /// Captures and fingerprints the replay-relevant part of `cfg`.
+    pub fn new(cfg: &NeuPimsConfig) -> Self {
+        // The replay depends on the whole hardware description, not just
+        // the geometry; fingerprint it into the memo key so one memo can
+        // be shared across models without cross-config collisions. The
+        // config structs are plain numeric records, so their Debug forms
+        // are faithful fingerprint material.
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        format!("{:?}{:?}{:?}", cfg.mem, cfg.timing, cfg.pim).hash(&mut h);
+        Self {
+            mem: cfg.mem,
+            timing: cfg.timing,
+            pim: cfg.pim,
+            fingerprint: h.finish(),
+        }
+    }
+
+    /// Hash of `(mem, timing, pim)`: part of every memo key and the name
+    /// of this hardware's replay-cache file.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
 }
 
 impl TraceDrivenCostModel {
@@ -689,20 +789,20 @@ impl TraceDrivenCostModel {
         dual_row_buffer: bool,
         memo: TraceMemo,
     ) -> Self {
-        // The replay depends on the whole hardware description, not just
-        // the geometry; fingerprint it into the memo key so one memo can
-        // be shared across models without cross-config collisions. The
-        // config structs are plain numeric records, so their Debug forms
-        // are faithful fingerprint material.
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        format!("{:?}{:?}{:?}", cfg.mem, cfg.timing, cfg.pim).hash(&mut h);
+        Self::on_hardware(TraceHardware::new(cfg), geometry, dual_row_buffer, memo)
+    }
+
+    /// Like [`Self::with_memo`], over hardware fingerprinted beforehand.
+    pub fn on_hardware(
+        hw: TraceHardware,
+        geometry: KvGeometry,
+        dual_row_buffer: bool,
+        memo: TraceMemo,
+    ) -> Self {
         Self {
             geometry,
-            mem: cfg.mem,
-            timing: cfg.timing,
-            pim: cfg.pim,
+            hw,
             dual: dual_row_buffer,
-            config_fingerprint: h.finish(),
             memo,
         }
     }
@@ -740,24 +840,24 @@ impl TraceDrivenCostModel {
         &self.memo
     }
 
-    fn key(&self, bucket: u64) -> TraceKey {
+    fn key(&self, bucket: u64) -> HashedKey {
         let g = &self.geometry;
-        (
+        HashedKey::new((
             g.embed,
             g.heads,
             g.page_elems,
             g.banks,
             self.dual,
-            self.config_fingerprint,
+            self.hw.fingerprint,
             bucket,
-        )
+        ))
     }
 
     /// Builds the per-request GEMV jobs for a `seq_len`-token context.
     fn build_jobs(&self, seq_len: u64) -> Vec<GemvJob> {
         let g = &self.geometry;
-        let order = bankgroup_strided_order(&self.mem);
-        let rows_per_bank = self.mem.rows_per_bank().max(1) as u32;
+        let order = bankgroup_strided_order(&self.hw.mem);
+        let rows_per_bank = self.hw.mem.rows_per_bank().max(1) as u32;
         let mut row: u32 = 0;
         let mut fresh_row = || {
             let r = row % rows_per_bank;
@@ -837,8 +937,8 @@ impl TraceDrivenCostModel {
         } else {
             CommandMode::FineGrained
         };
-        let mut ch = DramChannel::new(self.mem, self.timing, self.dual);
-        let mut engine = GemvEngine::new(self.pim, mode, true);
+        let mut ch = DramChannel::new(self.hw.mem, self.hw.timing, self.dual);
+        let mut engine = GemvEngine::new(self.hw.pim, mode, true);
         for job in self.build_jobs(bucket) {
             engine.enqueue(job);
         }

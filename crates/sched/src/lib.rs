@@ -29,7 +29,8 @@
 //! let geo = KvGeometry::for_model(&LlmConfig::gpt3_7b(), &MemConfig::table2());
 //! let est = MhaLatencyEstimator::new(geo, 280.0, 50.0);
 //! let seqs = vec![900, 40, 700, 100, 50, 300];
-//! let assignment = assign_min_load(&seqs, 4, &est);
+//! let costs: Vec<f64> = seqs.iter().map(|&s| est.estimate(s)).collect();
+//! let assignment = assign_min_load(&seqs, &costs, 4);
 //! assert_eq!(assignment.len(), seqs.len());
 //! ```
 
@@ -44,7 +45,8 @@ pub mod pool;
 pub use binpack::{assign_min_load, assign_round_robin, channel_loads};
 pub use cost::{
     calibration_drift, AnalyticCostModel, CostModelKind, DriftPoint, DriftReport, MhaCostModel,
-    TraceDrivenCostModel, TraceMemo, TraceSnapshot, COST_MODEL_NAMES, DEFAULT_DRIFT_TOLERANCE,
+    TraceDrivenCostModel, TraceHardware, TraceMemo, TraceSnapshot, COST_MODEL_NAMES,
+    DEFAULT_DRIFT_TOLERANCE,
 };
 pub use estimator::MhaLatencyEstimator;
 pub use partition::{partition_sub_batches, SubBatches};

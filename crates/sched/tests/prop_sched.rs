@@ -27,7 +27,8 @@ proptest! {
         channels in 1u32..33,
     ) {
         let e = estimator();
-        let greedy = assign_min_load(&seqs, channels, &e);
+        let costs: Vec<f64> = seqs.iter().map(|&s| e.estimate(s)).collect();
+        let greedy = assign_min_load(&seqs, &costs, channels);
         let rr = assign_round_robin(&seqs, channels);
         let max = |a: &[neupims_types::ChannelId]| {
             channel_loads(&seqs, a, channels, &e)
@@ -50,8 +51,8 @@ proptest! {
         seqs in prop::collection::vec(1u64..9000, 0..150),
         channels in 1u32..64,
     ) {
-        let e = estimator();
-        for assign in [assign_min_load(&seqs, channels, &e), assign_round_robin(&seqs, channels)] {
+        let costs: Vec<f64> = seqs.iter().map(|&s| estimator().estimate(s)).collect();
+        for assign in [assign_min_load(&seqs, &costs, channels), assign_round_robin(&seqs, channels)] {
             prop_assert_eq!(assign.len(), seqs.len());
             prop_assert!(assign.iter().all(|c| c.0 < channels));
         }

@@ -8,6 +8,8 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::error::SimError;
+
 macro_rules! id_newtype {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
@@ -66,6 +68,23 @@ id_newtype!(
     RequestId
 );
 
+/// The raw id of the request at 0-based position `index` of a generated
+/// workload. Front-ends number requests by position; an index past
+/// `u32::MAX` is an error instead of silently wrapping onto an earlier
+/// request's id.
+///
+/// # Errors
+///
+/// Returns [`SimError::InvalidConfig`] when `index` exceeds `u32::MAX`.
+pub fn request_id(index: usize) -> Result<u32, SimError> {
+    u32::try_from(index).map_err(|_| {
+        SimError::InvalidConfig(format!(
+            "request index {index} exceeds the {} request ids a run can number",
+            u64::from(u32::MAX) + 1
+        ))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,6 +103,16 @@ mod tests {
         assert_eq!(BankId::new(0).to_string(), "BankId0");
         assert_eq!(RequestId::new(42).to_string(), "RequestId42");
         assert_eq!(DeviceId::new(1).to_string(), "DeviceId1");
+    }
+
+    #[test]
+    fn request_ids_are_checked_at_the_u32_boundary() {
+        assert_eq!(request_id(0), Ok(0));
+        assert_eq!(request_id(u32::MAX as usize), Ok(u32::MAX));
+        let err = request_id(u32::MAX as usize + 1).unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig(_)), "{err:?}");
+        assert!(err.to_string().contains("4294967296"), "{err}");
+        assert!(request_id(usize::MAX).is_err());
     }
 
     #[test]
