@@ -3,8 +3,8 @@
 //!
 //! Four modes:
 //!
-//! * default — prices the same ShareGPT-shaped 256-request batch as the
-//!   `cost_models` criterion bench through four paths (Algorithm 1
+//! * default — prices a ShareGPT-shaped 256-request batch through four
+//!   paths (Algorithm 1
 //!   analytic, cold trace-driven replay, warm memoized replay, and two
 //!   models pricing concurrently over one shared memo) and writes
 //!   `BENCH_cost_models.json`;
@@ -14,8 +14,8 @@
 //!   identical workloads at 256 and 1000 replicas, and writes
 //!   `BENCH_fleet.json` with the `lockstep_over_event_256` and
 //!   `lockstep_over_event_1000` speedup ratios;
-//! * `sharding` — times the sharded-deployment pricing of the
-//!   `sharding_scale` criterion bench (one GPT3-30B decode beat at
+//! * `sharding` — times sharded-deployment pricing (one GPT3-30B decode
+//!   beat at
 //!   TP 1 / 2 / 4 / 8 over the default PCIe fabric) and writes
 //!   `BENCH_sharding.json`, recording each point's tokens/s alongside
 //!   its pricing wall-time;
@@ -65,7 +65,7 @@ use neupims_types::{LlmConfig, NeuPimsConfig};
 /// are what the trajectory is meant to catch).
 const REGRESSION_FACTOR: f64 = 3.0;
 
-/// The cost_models bench batch: mixed short/long ShareGPT-shaped tail.
+/// The cost-model batch: mixed short/long ShareGPT-shaped tail.
 fn batch() -> Vec<u64> {
     (0..256u64).map(|i| 16 + (i * 97) % 1500).collect()
 }

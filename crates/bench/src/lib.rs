@@ -39,12 +39,12 @@ pub fn bench_context() -> ExperimentContext {
 }
 
 /// Requests submitted per replica by [`fleet_scale_sim`] — the
-/// `fleet_scale` bench and the `bench-snapshot fleet` trajectory both
-/// scale the workload with the fleet so per-replica load stays constant.
+/// `bench-snapshot fleet` trajectory scales the workload with the fleet
+/// so per-replica load stays constant.
 pub const FLEET_SCALE_REQUESTS_PER_REPLICA: usize = 1000;
 
-/// The warm batch priced by the `sharding_scale` bench and the
-/// `bench-snapshot sharding` trajectory: 64 decode requests deep into a
+/// The warm batch priced by the `bench-snapshot sharding` trajectory: 64
+/// decode requests deep into a
 /// ShareGPT-scale context, matching the `scaling` eval suite's shape.
 pub fn sharding_scale_batch() -> Vec<u64> {
     vec![376; 64]

@@ -113,28 +113,26 @@ pub const DEFAULT_SERVE_SEED: u64 = 0x5EED;
 /// [`DEFAULT_SERVE_SEED`] for why this must not depend on `--requests`).
 pub const DEFAULT_FLEET_SEED: u64 = 0xF1EE7;
 
+use std::path::PathBuf;
+
 use neupims_core::backend::Backend;
-use neupims_core::cluster::ClusterSpec;
 use neupims_core::experiments::{
     area_overhead, fig12_throughput, fig13_ablation, fig14_parallelism, fig15_transpim,
     fig4_roofline, fig5_gpu_util, fig6_layer_util, table4_utilization, table5_power,
     ExperimentContext,
 };
-use neupims_core::fleet::{policy_from_name, FleetRequest, FleetSim, POLICY_NAMES};
+use neupims_core::fleet::{FleetRequest, FleetSim, POLICY_NAMES};
 use neupims_core::interconnect::{interconnect_from_name, INTERCONNECT_NAMES};
-use neupims_core::orchestrator::{
-    autoscale_from_name, router_from_name, OrchRequest, Orchestrator, OrchestratorConfig,
-    TenantClass, AUTOSCALE_NAMES, ROUTER_NAMES,
-};
+use neupims_core::orchestrator::{Orchestrator, TenantClass, AUTOSCALE_NAMES, ROUTER_NAMES};
 use neupims_core::preempt::{preemption_from_name, SwapConfig, PREEMPTION_NAMES};
 use neupims_core::scheduler::{scheduler_from_name, SCHEDULER_NAMES};
-use neupims_core::serving::{ServingConfig, ServingSim, SloTargets};
-use neupims_core::sharding::ShardedBackend;
+use neupims_core::serving::SloTargets;
+use neupims_core::system::{System, SystemSpec};
 use neupims_core::BACKEND_NAMES;
 use neupims_kvcache::KvGeometry;
 use neupims_sched::{
-    calibration_drift, CostModelKind, MhaLatencyEstimator, TraceDrivenCostModel, TraceMemo,
-    TraceSnapshot, COST_MODEL_NAMES, DEFAULT_DRIFT_TOLERANCE,
+    calibration_drift, CostModelKind, MhaLatencyEstimator, TraceDrivenCostModel, TraceSnapshot,
+    COST_MODEL_NAMES, DEFAULT_DRIFT_TOLERANCE,
 };
 use neupims_types::{request_id, LlmConfig, Phase};
 use neupims_workload::{arrival_stream, Dataset};
@@ -144,89 +142,22 @@ use rand::{RngExt, SeedableRng};
 struct Options {
     samples: usize,
     quick: bool,
-    backend: String,
-    model: LlmConfig,
     dataset: Dataset,
     batch: Option<usize>,
     requests: usize,
-    max_batch: usize,
-    replicas: usize,
-    policy: String,
-    scheduler: String,
-    chunk_tokens: u32,
-    preemption: String,
-    swap_gbps: f64,
-    cost_model: CostModelKind,
+    /// Every system flag (`--backend`, `--replicas`, `--tp`, ...) lands
+    /// here: the same spec an eval suite's `[[scenario]]` keys parse into.
+    system: SystemSpec,
     cost_model_set: bool,
-    memo_cache: Option<String>,
+    memo_cache: Option<PathBuf>,
     tolerance: f64,
     rate: f64,
-    slo_ttft_ms: f64,
-    slo_tpot_ms: f64,
     seed: Option<u64>,
     jobs: Option<usize>,
     tenants: Option<String>,
-    autoscale: Option<String>,
-    router: Option<String>,
-    min_replicas: Option<usize>,
-    tp: Option<u32>,
-    pp: Option<u32>,
-    interconnect: String,
-    link_gbps: Option<f64>,
     suite: Option<String>,
     list: bool,
     reports_dir: String,
-}
-
-impl Options {
-    /// True when `--tp` or `--pp` asked for a multi-chip deployment.
-    fn sharding_requested(&self) -> bool {
-        self.tp.is_some() || self.pp.is_some()
-    }
-
-    /// True when any orchestrator flag (`--tenants`, `--autoscale`,
-    /// `--router`, `--min-replicas`) asked `fleet` to run through the
-    /// meta-orchestrator instead of the bare dispatch loop.
-    fn orchestration_requested(&self) -> bool {
-        self.tenants.is_some()
-            || self.autoscale.is_some()
-            || self.router.is_some()
-            || self.min_replicas.is_some()
-    }
-
-    /// Wraps `backend` in a [`ShardedBackend`] when `--tp`/`--pp` ask for
-    /// a multi-chip deployment (collectives and stage hops priced by
-    /// `--interconnect` / `--link-gbps`); otherwise returns it unchanged.
-    fn maybe_sharded(
-        &self,
-        backend: Box<dyn Backend>,
-    ) -> Result<Box<dyn Backend>, Box<dyn std::error::Error>> {
-        if !self.sharding_requested() {
-            return Ok(backend);
-        }
-        let spec = ClusterSpec::new(self.tp.unwrap_or(1), self.pp.unwrap_or(1));
-        let fabric = interconnect_from_name(&self.interconnect, self.link_gbps)?;
-        Ok(Box::new(ShardedBackend::new(backend, spec, fabric)?))
-    }
-
-    /// The replay memo a trace-priced run shares: disk-backed when
-    /// `--memo-cache` names a directory, a fresh in-memory one when
-    /// `always_under_trace` (fleet pools replays across replicas even
-    /// without persistence), `None` otherwise — and always `None` under
-    /// analytic pricing, where there is nothing to memoize.
-    fn replay_memo(
-        &self,
-        always_under_trace: bool,
-    ) -> Result<Option<TraceMemo>, Box<dyn std::error::Error>> {
-        if self.cost_model != CostModelKind::TraceDriven {
-            return Ok(None);
-        }
-        match &self.memo_cache {
-            Some(dir) => Ok(Some(TraceMemo::with_cache_dir(dir)?)),
-            None if always_under_trace => Ok(Some(TraceMemo::new())),
-            None => Ok(None),
-        }
-    }
 }
 
 fn parse_model(name: &str) -> Option<LlmConfig> {
@@ -256,35 +187,21 @@ pub fn run_cli() -> ExitCode {
     let mut opts = Options {
         samples: 10,
         quick: false,
-        backend: "neupims".to_owned(),
-        model: LlmConfig::gpt3_7b(),
         dataset: Dataset::ShareGpt,
         batch: None,
         requests: 64,
-        max_batch: 64,
-        replicas: 4,
-        policy: "jsq".to_owned(),
-        scheduler: "lump".to_owned(),
-        chunk_tokens: 256,
-        preemption: "drop".to_owned(),
-        swap_gbps: 32.0,
-        cost_model: CostModelKind::Analytic,
+        system: SystemSpec {
+            replicas: 4,
+            max_batch: 64,
+            ..SystemSpec::default()
+        },
         cost_model_set: false,
         memo_cache: None,
         tolerance: DEFAULT_DRIFT_TOLERANCE,
         rate: 3.0,
-        slo_ttft_ms: 50.0,
-        slo_tpot_ms: 10.0,
         seed: None,
         jobs: None,
         tenants: None,
-        autoscale: None,
-        router: None,
-        min_replicas: None,
-        tp: None,
-        pp: None,
-        interconnect: "pcie".to_owned(),
-        link_gbps: None,
         suite: None,
         list: false,
         reports_dir: "reports".to_owned(),
@@ -314,28 +231,28 @@ pub fn run_cli() -> ExitCode {
                 }
             },
             "--max-batch" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => opts.max_batch = n,
+                Some(n) => opts.system.max_batch = std::cmp::max(n, 1),
                 None => {
                     eprintln!("--max-batch requires a number");
                     return ExitCode::FAILURE;
                 }
             },
             "--replicas" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => opts.replicas = n,
+                Some(n) if n > 0 => opts.system.replicas = n,
                 _ => {
                     eprintln!("--replicas requires a positive number");
                     return ExitCode::FAILURE;
                 }
             },
             "--policy" => match it.next() {
-                Some(name) => opts.policy = name.clone(),
+                Some(name) => opts.system.dispatch = name.clone(),
                 None => {
                     eprintln!("--policy requires a name ({})", POLICY_NAMES.join("|"));
                     return ExitCode::FAILURE;
                 }
             },
             "--scheduler" => match it.next() {
-                Some(name) => opts.scheduler = name.clone(),
+                Some(name) => opts.system.scheduler = name.clone(),
                 None => {
                     eprintln!(
                         "--scheduler requires a name ({})",
@@ -345,14 +262,14 @@ pub fn run_cli() -> ExitCode {
                 }
             },
             "--chunk-tokens" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => opts.chunk_tokens = n,
+                Some(n) if n > 0 => opts.system.chunk_tokens = n,
                 _ => {
                     eprintln!("--chunk-tokens requires a positive number of tokens");
                     return ExitCode::FAILURE;
                 }
             },
             "--preemption" => match it.next() {
-                Some(name) => opts.preemption = name.clone(),
+                Some(name) => opts.system.preemption = name.clone(),
                 None => {
                     eprintln!(
                         "--preemption requires a name ({})",
@@ -362,7 +279,7 @@ pub fn run_cli() -> ExitCode {
                 }
             },
             "--swap-gbps" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(g) if g > 0.0 => opts.swap_gbps = g,
+                Some(g) if g > 0.0 => opts.system.swap_gbps = g,
                 _ => {
                     eprintln!("--swap-gbps requires a positive bandwidth (GB/s)");
                     return ExitCode::FAILURE;
@@ -370,7 +287,7 @@ pub fn run_cli() -> ExitCode {
             },
             "--cost-model" => match it.next().and_then(|v| CostModelKind::from_name(v)) {
                 Some(kind) => {
-                    opts.cost_model = kind;
+                    opts.system.cost_model = kind;
                     opts.cost_model_set = true;
                 }
                 None => {
@@ -382,7 +299,7 @@ pub fn run_cli() -> ExitCode {
                 }
             },
             "--memo-cache" => match it.next() {
-                Some(dir) => opts.memo_cache = Some(dir.clone()),
+                Some(dir) => opts.memo_cache = Some(PathBuf::from(dir)),
                 None => {
                     eprintln!("--memo-cache requires a directory");
                     return ExitCode::FAILURE;
@@ -403,28 +320,28 @@ pub fn run_cli() -> ExitCode {
                 }
             },
             "--slo-ttft-ms" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(ms) if ms > 0.0 => opts.slo_ttft_ms = ms,
+                Some(ms) if ms > 0.0 => opts.system.slo_ttft_ms = ms,
                 _ => {
                     eprintln!("--slo-ttft-ms requires a positive number (milliseconds)");
                     return ExitCode::FAILURE;
                 }
             },
             "--slo-tpot-ms" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(ms) if ms > 0.0 => opts.slo_tpot_ms = ms,
+                Some(ms) if ms > 0.0 => opts.system.slo_tpot_ms = ms,
                 _ => {
                     eprintln!("--slo-tpot-ms requires a positive number (milliseconds)");
                     return ExitCode::FAILURE;
                 }
             },
             "--backend" => match it.next() {
-                Some(name) => opts.backend = name.clone(),
+                Some(name) => opts.system.backend = name.clone(),
                 None => {
                     eprintln!("--backend requires a name ({})", BACKEND_NAMES.join("|"));
                     return ExitCode::FAILURE;
                 }
             },
             "--model" => match it.next().and_then(|v| parse_model(v)) {
-                Some(m) => opts.model = m,
+                Some(m) => opts.system.model = m,
                 None => {
                     eprintln!("--model requires one of: gpt3-7b, gpt3-13b, gpt3-30b, gpt3-175b");
                     return ExitCode::FAILURE;
@@ -461,7 +378,7 @@ pub fn run_cli() -> ExitCode {
                 }
             },
             "--autoscale" => match it.next() {
-                Some(name) => opts.autoscale = Some(name.clone()),
+                Some(name) => opts.system.autoscale = Some(name.clone()),
                 None => {
                     eprintln!(
                         "--autoscale requires a name ({})",
@@ -471,35 +388,35 @@ pub fn run_cli() -> ExitCode {
                 }
             },
             "--router" => match it.next() {
-                Some(name) => opts.router = Some(name.clone()),
+                Some(name) => opts.system.router = Some(name.clone()),
                 None => {
                     eprintln!("--router requires a name ({})", ROUTER_NAMES.join("|"));
                     return ExitCode::FAILURE;
                 }
             },
             "--min-replicas" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => opts.min_replicas = Some(n),
+                Some(n) if n > 0 => opts.system.min_replicas = Some(n),
                 _ => {
                     eprintln!("--min-replicas requires a positive number");
                     return ExitCode::FAILURE;
                 }
             },
             "--tp" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => opts.tp = Some(n),
+                Some(n) if n > 0 => opts.system.tp = Some(n),
                 _ => {
                     eprintln!("--tp requires a positive tensor-parallel degree");
                     return ExitCode::FAILURE;
                 }
             },
             "--pp" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => opts.pp = Some(n),
+                Some(n) if n > 0 => opts.system.pp = Some(n),
                 _ => {
                     eprintln!("--pp requires a positive pipeline-parallel degree");
                     return ExitCode::FAILURE;
                 }
             },
             "--interconnect" => match it.next() {
-                Some(name) => opts.interconnect = name.clone(),
+                Some(name) => opts.system.interconnect = name.clone(),
                 None => {
                     eprintln!(
                         "--interconnect requires a name ({})",
@@ -509,7 +426,7 @@ pub fn run_cli() -> ExitCode {
                 }
             },
             "--link-gbps" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(g) if g > 0.0 => opts.link_gbps = Some(g),
+                Some(g) if g > 0.0 => opts.system.link_gbps = Some(g),
                 _ => {
                     eprintln!("--link-gbps requires a positive bandwidth (GB/s)");
                     return ExitCode::FAILURE;
@@ -603,73 +520,59 @@ fn run(command: &str, opts: &Options) -> Result<(), Box<dyn std::error::Error>> 
 }
 
 fn cmd_sweep(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
+    let system = &opts.system;
     let batches: Vec<usize> = match opts.batch {
         Some(b) => vec![b],
         None if opts.quick => vec![64, 256],
         None => vec![64, 128, 256, 384, 512],
     };
-    if opts.sharding_requested() {
+    if system.sharding_requested() {
         // Reject a bad fabric name or bandwidth before any table output.
-        interconnect_from_name(&opts.interconnect, opts.link_gbps)?;
+        interconnect_from_name(&system.interconnect, system.link_gbps)?;
     }
     println!(
         "\n## Sweep — {} / {} / {} ({} cost model; tokens/s, mean of {} warm batches)\n",
-        opts.backend,
-        opts.model.name,
+        system.backend,
+        system.model.name,
         opts.dataset.name(),
-        opts.cost_model,
+        system.cost_model,
         ctx.samples
     );
-    if opts.sharding_requested() {
+    if system.sharding_requested() {
         println!(
             "sharded over tp{} x pp{} chips on the {} fabric\n",
-            opts.tp.unwrap_or(1),
-            opts.pp.unwrap_or(1),
-            opts.interconnect
+            system.tp.unwrap_or(1),
+            system.pp.unwrap_or(1),
+            system.interconnect
         );
     }
     println!("| batch | tokens/s |");
     println!("|---:|---:|");
     for &batch in &batches {
-        let backend = opts.maybe_sharded(ctx.backend_with_cost(&opts.backend, opts.cost_model)?)?;
-        let mut builder = ctx
-            .simulation()
-            .model(opts.model.clone())
-            .backend(backend)
+        let sim = system
+            .simulation(ctx)?
             .dataset(opts.dataset)
-            .batch(batch);
-        if opts.sharding_requested() {
-            // The wrapper supplies the parallelism: run the full layer
-            // stack with device-internal TP 1 underneath it.
-            builder = builder.tp(1).layers(opts.model.num_layers);
-        }
-        let sim = builder.build()?;
+            .batch(batch)
+            .build()?;
         println!("| {} | {:.0} |", batch, sim.throughput()?);
     }
     Ok(())
 }
 
 fn cmd_serve(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    let backend = opts.maybe_sharded(ctx.backend_with_cost(&opts.backend, opts.cost_model)?)?;
-    let mut builder = ctx
-        .simulation()
-        .model(opts.model.clone())
-        .backend(backend)
+    let system = &opts.system;
+    let mut builder = system
+        .simulation(ctx)?
         .dataset(opts.dataset)
-        .batch(opts.max_batch.max(1))
-        .scheduler(scheduler_from_name(&opts.scheduler, opts.chunk_tokens)?)
-        .preemption(preemption_from_name(&opts.preemption)?)
+        .batch(system.max_batch)
+        .scheduler(scheduler_from_name(&system.scheduler, system.chunk_tokens)?)
+        .preemption(preemption_from_name(&system.preemption)?)
         .swap(SwapConfig {
-            gb_per_sec: opts.swap_gbps,
+            gb_per_sec: system.swap_gbps,
         })
-        .cost_model(opts.cost_model);
-    if let Some(memo) = opts.replay_memo(false)? {
+        .cost_model(system.cost_model);
+    if let Some(memo) = system.trace_memo(opts.memo_cache.as_deref())? {
         builder = builder.trace_memo(memo);
-    }
-    if opts.sharding_requested() {
-        // The wrapper supplies the parallelism: run the full layer stack
-        // with device-internal TP 1 underneath it.
-        builder = builder.tp(1).layers(opts.model.num_layers);
     }
     let sim = builder.build()?;
     println!(
@@ -677,17 +580,13 @@ fn cmd_serve(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std:
         opts.requests,
         opts.dataset.name(),
         sim.backend().label(),
-        opts.model.name,
+        system.model.name,
         sim.scheduler().name(),
         sim.preemption().name(),
-        opts.cost_model,
+        system.cost_model,
     );
 
-    let slo = Some(SloTargets {
-        ttft: (opts.slo_ttft_ms * 1e6) as u64,
-        tpot: opts.slo_tpot_ms * 1e6,
-    });
-    let mut serving = sim.serving_with_slo(opts.max_batch.max(1), 0, slo);
+    let mut serving = sim.serving_with_slo(system.max_batch, 0, Some(system.slo()));
     let mut rng = StdRng::seed_from_u64(opts.seed.unwrap_or(DEFAULT_SERVE_SEED));
     let arrivals = arrival_stream(&mut rng, opts.rate, opts.requests);
     for (i, &at) in arrivals.iter().enumerate() {
@@ -726,8 +625,8 @@ fn cmd_serve(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std:
     );
     println!(
         "| SLO attainment (TTFT {} ms, TPOT {} ms) | {:.1}% |",
-        opts.slo_ttft_ms,
-        opts.slo_tpot_ms,
+        system.slo_ttft_ms,
+        system.slo_tpot_ms,
         out.slo_attainment() * 100.0
     );
     println!("| goodput | {:.0} tokens/s |", out.goodput());
@@ -744,7 +643,7 @@ fn cmd_serve(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std:
     println!(
         "| mean decode batch | {:.1} of {} |",
         out.mean_decode_batch(),
-        opts.max_batch.max(1)
+        system.max_batch
     );
     println!(
         "| on-device prefill | {:.2} ms |",
@@ -759,88 +658,72 @@ fn cmd_serve(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std:
     Ok(())
 }
 
+/// `fleet`: the replicas of `--replicas`, with comma-separated
+/// `--backend`/`--scheduler` lists cycled over them, behind the
+/// `--policy` dispatcher — or, with any of `--tenants`, `--autoscale`,
+/// `--router`, `--min-replicas`, as the slot table of the meta-orchestrator.
 fn cmd_fleet(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    if opts.orchestration_requested() {
-        return cmd_orchestrate(ctx, opts);
+    let mut system = opts.system.clone();
+    let mut weights = vec![1.0];
+    if let Some(spec) = &opts.tenants {
+        (system.tenants, weights) = parse_tenants(spec, &system)?;
+        // `--tenants` alone asks for the orchestrator at its static default.
+        system.autoscale.get_or_insert_with(|| "static".to_owned());
     }
-    // Comma-separated backend and scheduler names are cycled over the
-    // replicas, so `--backend neupims,gpu --scheduler interleaved,lump
-    // --replicas 4` builds a heterogeneous fleet with per-replica
-    // schedulers.
-    let names: Vec<&str> = opts.backend.split(',').map(str::trim).collect();
-    let sched_names: Vec<&str> = opts.scheduler.split(',').map(str::trim).collect();
-    let slo = SloTargets {
-        ttft: (opts.slo_ttft_ms * 1e6) as u64,
-        tpot: opts.slo_tpot_ms * 1e6,
-    };
-    // With --tp/--pp each replica is its own sharded chip group: the
-    // wrapper supplies the parallelism, so the serving config runs the
-    // full layer stack with device-internal TP 1 underneath it.
-    let cfg = ServingConfig {
-        max_batch: opts.max_batch.max(1),
-        tp: if opts.sharding_requested() {
-            1
-        } else {
-            opts.model.parallelism.tp
-        },
-        layers: if opts.sharding_requested() {
-            opts.model.num_layers
-        } else {
-            opts.model.num_layers / opts.model.parallelism.pp
-        },
-        target_completions: 0,
-        slo: Some(slo),
-    };
-    let mut replicas = Vec::new();
-    for i in 0..opts.replicas {
-        let backend =
-            opts.maybe_sharded(ctx.backend_with_cost(names[i % names.len()], opts.cost_model)?)?;
-        let scheduler = scheduler_from_name(sched_names[i % sched_names.len()], opts.chunk_tokens)?;
-        replicas.push(
-            ServingSim::with_scheduler(backend, opts.model.clone(), cfg.clone(), scheduler)
-                .with_cost_model(opts.cost_model),
-        );
-    }
-    let labels: Vec<String> = replicas
-        .iter()
-        .map(|r| format!("{} ({})", r.backend().label(), r.scheduler_name()))
-        .collect();
-    let mut fleet = FleetSim::new(replicas, policy_from_name(&opts.policy)?)?
-        .with_preemption(preemption_from_name(&opts.preemption)?)
-        .with_swap(SwapConfig {
-            gb_per_sec: opts.swap_gbps,
-        });
     // Under trace pricing the whole fleet shares one replay memo (disk-
     // backed with --memo-cache), so each context bucket simulates once.
-    let memo = opts.replay_memo(true)?;
-    if let Some(memo) = &memo {
-        fleet = fleet.with_shared_trace_memo(memo);
-    }
-    if let Some(jobs) = opts.jobs {
-        fleet = fleet.with_jobs(jobs);
-    }
+    let memo = system.trace_memo(opts.memo_cache.as_deref())?;
+    let mut built = system.build(ctx, memo.as_ref(), opts.jobs)?;
+    let orchestrated = matches!(built, System::Orchestrator(_));
 
+    // One seeded arrival + shape stream; under the orchestrator the tenant
+    // of each request is a weighted draw from the same RNG.
     let mut rng = StdRng::seed_from_u64(opts.seed.unwrap_or(DEFAULT_FLEET_SEED));
     let arrivals = arrival_stream(&mut rng, opts.rate, opts.requests);
+    let total_weight: f64 = weights.iter().sum();
     for (i, &at) in arrivals.iter().enumerate() {
-        fleet.submit(FleetRequest {
+        let req = FleetRequest {
             id: request_id(i)?,
             input_len: opts.dataset.sample_input(&mut rng),
             output_len: opts.dataset.sample_output(&mut rng).min(128),
             arrival: at,
-        })?;
+        };
+        let mut tenant = 0;
+        if orchestrated {
+            let mut pick = rng.random::<f64>() * total_weight;
+            for (k, w) in weights.iter().enumerate() {
+                tenant = k;
+                pick -= w;
+                if pick <= 0.0 {
+                    break;
+                }
+            }
+        }
+        built.submit(req, tenant)?;
     }
+    match built {
+        System::Fleet(fleet) => report_fleet(opts, fleet, memo.is_some()),
+        System::Orchestrator(orch) => report_orchestrated(opts, *orch),
+    }
+}
 
+/// Runs a bare fleet and prints its report; `warm` pre-replays the cold
+/// context buckets of a shared trace memo first.
+fn report_fleet(
+    opts: &Options,
+    mut fleet: FleetSim<Box<dyn Backend>>,
+    warm: bool,
+) -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\n## Fleet — {} requests ({}) at {} req/Mcycle over {} x {} replicas, policy {}\n",
         opts.requests,
         opts.dataset.name(),
         opts.rate,
-        opts.replicas,
-        opts.model.name,
+        opts.system.replicas,
+        opts.system.model.name,
         fleet.policy_name(),
     );
-    if memo.is_some() {
+    if warm {
         let warmed = fleet.warm_replay();
         eprintln!("warm replay primed {warmed} cold context buckets before serving");
     }
@@ -874,8 +757,8 @@ fn cmd_fleet(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std:
     );
     println!(
         "| SLO attainment (TTFT {} ms, TPOT {} ms) | {:.1}% |",
-        opts.slo_ttft_ms,
-        opts.slo_tpot_ms,
+        opts.system.slo_ttft_ms,
+        opts.system.slo_tpot_ms,
         out.slo_attainment() * 100.0
     );
     println!("| goodput | {:.0} tokens/s |", out.goodput());
@@ -896,11 +779,12 @@ fn cmd_fleet(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std:
         "\n| replica | backend (scheduler) | completed | dropped | preempted | tokens | clock (ms) | peak KV |"
     );
     println!("|---:|---|---:|---:|---:|---:|---:|---:|");
-    for (i, r) in out.replicas.iter().enumerate() {
+    for (i, (r, replica)) in out.replicas.iter().zip(fleet.replicas()).enumerate() {
         println!(
-            "| {} | {} | {} | {} | {} | {} | {:.2} | {:.1}% |",
+            "| {} | {} ({}) | {} | {} | {} | {} | {:.2} | {:.1}% |",
             i,
-            labels[i],
+            replica.backend().label(),
+            replica.scheduler_name(),
             r.completed,
             r.dropped,
             r.preemptions,
@@ -913,12 +797,12 @@ fn cmd_fleet(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std:
 }
 
 /// Parses a `--tenants` spec: `name:weight:priority[:ttft_ms:tpot_ms]`
-/// entries separated by commas. TTFT/TPOT default to the global
+/// entries separated by commas. TTFT/TPOT default to the system's
 /// `--slo-ttft-ms`/`--slo-tpot-ms` targets; weights are normalized to
 /// shares.
 fn parse_tenants(
     spec: &str,
-    default_slo: SloTargets,
+    system: &SystemSpec,
 ) -> Result<(Vec<TenantClass>, Vec<f64>), Box<dyn std::error::Error>> {
     let mut tenants = Vec::new();
     let mut weights = Vec::new();
@@ -940,19 +824,16 @@ fn parse_tenants(
         let priority: u8 = parts[2]
             .parse()
             .map_err(|_| format!("bad priority in --tenants entry {entry:?}"))?;
-        let mut slo = default_slo;
-        if let Some(ms) = parts.get(3) {
-            let ttft_ms: f64 = ms
-                .parse()
-                .map_err(|_| format!("bad ttft_ms in --tenants entry {entry:?}"))?;
-            slo.ttft = (ttft_ms * 1e6) as u64;
-        }
-        if let Some(ms) = parts.get(4) {
-            let tpot_ms: f64 = ms
-                .parse()
-                .map_err(|_| format!("bad tpot_ms in --tenants entry {entry:?}"))?;
-            slo.tpot = tpot_ms * 1e6;
-        }
+        let ms = |i: usize, what: &str, default: f64| -> Result<f64, String> {
+            parts.get(i).map_or(Ok(default), |v| {
+                v.parse()
+                    .map_err(|_| format!("bad {what} in --tenants entry {entry:?}"))
+            })
+        };
+        let slo = SloTargets::from_ms(
+            ms(3, "ttft_ms", system.slo_ttft_ms)?,
+            ms(4, "tpot_ms", system.slo_tpot_ms)?,
+        );
         tenants.push(TenantClass::new(name, slo, priority, 0.0));
         weights.push(weight);
     }
@@ -963,117 +844,18 @@ fn parse_tenants(
     Ok((tenants, weights))
 }
 
-/// The orchestrated fleet path (`fleet` with any of `--tenants`,
-/// `--autoscale`, `--router`, `--min-replicas`): the same replica
-/// construction as `cmd_fleet`, run through the capability-aware
-/// meta-orchestrator with per-tenant reporting and the goodput-per-cost
-/// bottom line.
-fn cmd_orchestrate(
-    ctx: &ExperimentContext,
+/// Runs the orchestrated fleet and prints its report: per-tenant rows and
+/// the goodput-per-cost bottom line.
+fn report_orchestrated(
     opts: &Options,
+    mut orch: Orchestrator<Box<dyn Backend>>,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let names: Vec<&str> = opts.backend.split(',').map(str::trim).collect();
-    let sched_names: Vec<&str> = opts.scheduler.split(',').map(str::trim).collect();
-    let default_slo = SloTargets {
-        ttft: (opts.slo_ttft_ms * 1e6) as u64,
-        tpot: opts.slo_tpot_ms * 1e6,
-    };
-    let (tenants, weights) = match &opts.tenants {
-        Some(spec) => parse_tenants(spec, default_slo)?,
-        None => (
-            vec![TenantClass::new("default", default_slo, 200, 1.0)],
-            vec![1.0],
-        ),
-    };
-    let cfg = ServingConfig {
-        max_batch: opts.max_batch.max(1),
-        tp: if opts.sharding_requested() {
-            1
-        } else {
-            opts.model.parallelism.tp
-        },
-        layers: if opts.sharding_requested() {
-            opts.model.num_layers
-        } else {
-            opts.model.num_layers / opts.model.parallelism.pp
-        },
-        target_completions: 0,
-        slo: Some(default_slo),
-    };
-    let memo = opts.replay_memo(true)?;
-    let mut slots = Vec::new();
-    for i in 0..opts.replicas {
-        let backend =
-            opts.maybe_sharded(ctx.backend_with_cost(names[i % names.len()], opts.cost_model)?)?;
-        let scheduler = scheduler_from_name(sched_names[i % sched_names.len()], opts.chunk_tokens)?;
-        let mut slot =
-            ServingSim::with_scheduler(backend, opts.model.clone(), cfg.clone(), scheduler)
-                .with_cost_model(opts.cost_model)
-                .with_preemption(preemption_from_name(&opts.preemption)?)
-                .with_swap(SwapConfig {
-                    gb_per_sec: opts.swap_gbps,
-                });
-        if let Some(memo) = &memo {
-            slot = slot.with_trace_memo(memo);
-        }
-        slots.push(slot);
-    }
-
-    let autoscale_name = opts.autoscale.as_deref().unwrap_or("static");
-    let router_name = opts.router.as_deref().unwrap_or("load");
-    let autoscale = autoscale_from_name(autoscale_name)?;
-    let router = router_from_name(router_name)?;
-    // Static autoscaling holds the whole fleet; the scalers default to a
-    // floor of one and grow on demand.
-    let default_min = if autoscale_name.eq_ignore_ascii_case("static") {
-        opts.replicas
-    } else {
-        1
-    };
-    let mut orch_cfg = OrchestratorConfig::default_for(opts.replicas);
-    orch_cfg.min_replicas = opts
-        .min_replicas
-        .unwrap_or(default_min)
-        .clamp(1, opts.replicas);
-    let mut orch = Orchestrator::new(slots, tenants, router, autoscale, orch_cfg)?;
-    if let Some(jobs) = opts.jobs {
-        orch = orch.with_jobs(jobs);
-    }
-
-    // The same seeded arrival + shape stream as the bare fleet; the
-    // tenant of each request is a weighted draw from the same RNG.
-    let mut rng = StdRng::seed_from_u64(opts.seed.unwrap_or(DEFAULT_FLEET_SEED));
-    let arrivals = arrival_stream(&mut rng, opts.rate, opts.requests);
-    let total_weight: f64 = weights.iter().sum();
-    for (i, &at) in arrivals.iter().enumerate() {
-        let input_len = opts.dataset.sample_input(&mut rng);
-        let output_len = opts.dataset.sample_output(&mut rng).min(128);
-        let mut pick = rng.random::<f64>() * total_weight;
-        let mut tenant = 0;
-        for (k, w) in weights.iter().enumerate() {
-            tenant = k;
-            pick -= w;
-            if pick <= 0.0 {
-                break;
-            }
-        }
-        orch.submit(OrchRequest {
-            req: FleetRequest {
-                id: request_id(i)?,
-                input_len,
-                output_len,
-                arrival: at,
-            },
-            tenant,
-        })?;
-    }
-
     println!(
         "\n## Orchestrate — {} requests ({}) at {} req/Mcycle over {} slots ({} router, {} autoscale, {} tenants)\n",
         opts.requests,
         opts.dataset.name(),
         opts.rate,
-        opts.replicas,
+        opts.system.replicas,
         orch.route_name(),
         orch.autoscale_name(),
         orch.tenants().len(),
@@ -1203,8 +985,8 @@ fn print_trace_rows(trace: Option<&TraceSnapshot>) {
 }
 
 fn cmd_drift(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    let tp = opts.model.parallelism.tp;
-    let geo = KvGeometry::with_tp(&opts.model, &ctx.cfg.mem, tp);
+    let tp = opts.system.model.parallelism.tp;
+    let geo = KvGeometry::with_tp(&opts.system.model, &ctx.cfg.mem, tp);
     let analytic = MhaLatencyEstimator::new(geo, ctx.cal.l_tile, ctx.cal.l_gwrite);
     let trace = TraceDrivenCostModel::new(&ctx.cfg, geo, true);
     let seq_lens: Vec<u64> = [
@@ -1215,7 +997,7 @@ fn cmd_drift(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std:
 
     println!(
         "\n## Calibration drift — Algorithm 1 vs cycle-level trace ({}, TP={}, tolerance {:.0}%)\n",
-        opts.model.name,
+        opts.system.model.name,
         tp,
         opts.tolerance * 100.0
     );
@@ -1297,8 +1079,8 @@ fn cmd_eval(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     let overrides = neupims_eval::EvalOverrides {
         seed: opts.seed,
         jobs: opts.jobs,
-        cost_model: opts.cost_model_set.then_some(opts.cost_model),
-        memo_cache: opts.memo_cache.as_ref().map(std::path::PathBuf::from),
+        cost_model: opts.cost_model_set.then_some(opts.system.cost_model),
+        memo_cache: opts.memo_cache.clone(),
     };
     let report = neupims_eval::run_eval_with_opts(&suite, &overrides)?;
     print!("{}", report.render());

@@ -775,7 +775,7 @@ impl<B: Backend> FleetSim<B> {
     /// snapshots are rebuilt from scratch. `O(replicas)` per arrival —
     /// kept verbatim as the golden semantics [`Self::run`] must reproduce
     /// bit for bit (the parity tests run both and compare
-    /// [`FleetOutcome`]s), and as the baseline the `fleet_scale` bench
+    /// [`FleetOutcome`]s), and as the baseline `bench-snapshot fleet`
     /// measures speedup against. Not for production-scale fleets.
     ///
     /// # Errors

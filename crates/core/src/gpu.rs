@@ -13,9 +13,10 @@ use neupims_types::{Cycle, GpuSpec, LlmConfig, NpuConfig, Phase, SimError};
 use crate::metrics::IterationBreakdown;
 
 /// Prices one decode iteration on a GPU-only system (one GPU worth of a
-/// tensor-parallel group; divide model shards accordingly via `tp`).
-/// Tensor-parallel all-reduces cost the same ring traffic the accelerator
-/// devices pay (Section 8.1's equivalent-system fairness rule).
+/// tensor-parallel group; divide model shards accordingly via `tp`) for
+/// [`crate::backend::GpuRooflineBackend`]. Tensor-parallel all-reduces
+/// cost the same ring traffic the accelerator devices pay (Section 8.1's
+/// equivalent-system fairness rule).
 ///
 /// Returns a breakdown in *device cycles at 1 GHz* so results compare
 /// directly with the accelerator devices.
@@ -23,22 +24,6 @@ use crate::metrics::IterationBreakdown;
 /// # Errors
 ///
 /// Propagates model validation/compilation errors; rejects empty batches.
-#[deprecated(
-    since = "0.1.0",
-    note = "use neupims_core::backend::GpuRooflineBackend via the Backend trait"
-)]
-pub fn gpu_decode_iteration(
-    gpu: &GpuSpec,
-    model: &LlmConfig,
-    tp: u32,
-    layers: u32,
-    seq_lens: &[u64],
-) -> Result<IterationBreakdown, SimError> {
-    decode_impl(gpu, model, tp, layers, seq_lens)
-}
-
-/// Shared implementation behind [`gpu_decode_iteration`] and
-/// [`crate::backend::GpuRooflineBackend`].
 pub(crate) fn decode_impl(
     gpu: &GpuSpec,
     model: &LlmConfig,

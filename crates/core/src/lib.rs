@@ -60,6 +60,9 @@
 //!   [`AutoscalePolicy`] (static / reactive / EWMA-predictive) and
 //!   [`RoutePolicy`] (load-only / capability-aware) — graded on goodput
 //!   per replica-cycle paid;
+//! * [`system`] — one [`SystemSpec`] (what CLI flags and eval
+//!   `[[scenario]]` keys both parse into) and the single builder turning
+//!   it into a fleet or an orchestrator;
 //! * [`metrics`] — iteration breakdowns, utilization, and the DRAM
 //!   activity bridge into the power model.
 //!
@@ -102,6 +105,7 @@ pub mod scheduler;
 pub mod serving;
 pub mod sharding;
 pub mod simulation;
+pub mod system;
 #[cfg(test)]
 pub(crate) mod testsupport;
 pub mod transpim;
@@ -119,8 +123,6 @@ pub use fleet::{
     policy_from_name, DispatchPolicy, FleetOutcome, FleetRequest, FleetSim, JoinShortestQueue,
     KvLeastLoaded, ReplicaSnapshot, RoundRobin, POLICY_NAMES,
 };
-#[allow(deprecated)]
-pub use gpu::gpu_decode_iteration;
 pub use interconnect::{
     interconnect_from_name, IdealLink, Interconnect, NocLink, PcieLink, UnifiedMemoryLink,
     INTERCONNECT_NAMES,
@@ -148,5 +150,4 @@ pub use sharding::{
     ShardedIteration,
 };
 pub use simulation::{Simulation, SimulationBuilder};
-#[allow(deprecated)]
-pub use transpim::transpim_decode_iteration;
+pub use system::{System, SystemSpec};

@@ -118,6 +118,16 @@ pub struct SloTargets {
     pub tpot: f64,
 }
 
+impl SloTargets {
+    /// Targets given in milliseconds.
+    pub fn from_ms(ttft_ms: f64, tpot_ms: f64) -> Self {
+        Self {
+            ttft: (ttft_ms * 1e6) as Cycle,
+            tpot: tpot_ms * 1e6,
+        }
+    }
+}
+
 /// Serving-run parameters.
 #[derive(Debug, Clone)]
 pub struct ServingConfig {

@@ -1,0 +1,318 @@
+//! One system spec, one builder.
+//!
+//! NeuPIMs compares NPU-only, NPU+PIM and NeuPIMs as configurations of one
+//! system; this module is where every configuration becomes a running
+//! system. [`SystemSpec`] is what both front-ends parse into — the CLI's
+//! flags and an eval suite's `[[scenario]]` keys — and
+//! [`SystemSpec::build`] turns it into a dispatched [`FleetSim`] or, when
+//! any orchestration key is set, an [`Orchestrator`]. Each construction
+//! rule lives here once: the sharding wrapper and the serving shape under
+//! it, comma-separated backend/scheduler lists cycled over the replicas,
+//! preemption/swap/replay-memo wiring, and the autoscale replica floor.
+
+use std::error::Error;
+use std::path::Path;
+
+use neupims_sched::{CostModelKind, TraceMemo};
+use neupims_types::{LlmConfig, SimError};
+
+use crate::backend::Backend;
+use crate::cluster::ClusterSpec;
+use crate::experiments::ExperimentContext;
+use crate::fleet::{policy_from_name, FleetRequest, FleetSim};
+use crate::interconnect::interconnect_from_name;
+use crate::orchestrator::{
+    autoscale_from_name, router_from_name, OrchRequest, Orchestrator, OrchestratorConfig,
+    TenantClass,
+};
+use crate::preempt::{preemption_from_name, SwapConfig};
+use crate::scheduler::scheduler_from_name;
+use crate::serving::{ServingConfig, ServingSim, SloTargets};
+use crate::sharding::ShardedBackend;
+use crate::simulation::SimulationBuilder;
+
+/// Priority of a tenant whose spec names none (at or above the default
+/// admission floor, so it is never shed).
+pub const DEFAULT_TENANT_PRIORITY: u8 = 200;
+
+/// A serving system under test: its replicas' backends, schedulers and
+/// memory policies, how requests reach them, and the model they serve.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SystemSpec {
+    /// Backend name(s); a comma-separated list cycles over the replicas.
+    pub backend: String,
+    /// Scheduler name(s); a comma-separated list cycles over the replicas.
+    pub scheduler: String,
+    /// Per-iteration prefill token budget of the chunked schedulers.
+    pub chunk_tokens: u32,
+    /// Preemption policy name.
+    pub preemption: String,
+    /// Swap-link bandwidth (GB/s) of the swap preemption policy.
+    pub swap_gbps: f64,
+    /// MHA cost model of every backend and replica scheduler.
+    pub cost_model: CostModelKind,
+    /// Serving replicas (the orchestrator's slot table size).
+    pub replicas: usize,
+    /// Fleet dispatch policy name (unused under the orchestrator).
+    pub dispatch: String,
+    /// Max decode batch per replica.
+    pub max_batch: usize,
+    /// Model under test.
+    pub model: LlmConfig,
+    /// SLO TTFT target, milliseconds.
+    pub slo_ttft_ms: f64,
+    /// SLO TPOT target, milliseconds.
+    pub slo_tpot_ms: f64,
+    /// Multi-chip tensor-parallel degree: each replica becomes its own
+    /// sharded chip group when set (alone or with `pp`).
+    pub tp: Option<u32>,
+    /// Multi-chip pipeline-parallel degree.
+    pub pp: Option<u32>,
+    /// Interconnect fabric pricing the sharded collectives
+    /// (`pcie` | `unified` | `noc` | `ideal`).
+    pub interconnect: String,
+    /// Per-link bandwidth override of the fabric, GB/s.
+    pub link_gbps: Option<f64>,
+    /// Autoscale policy name (`static` | `reactive` | `predictive`).
+    /// Setting it, `router` or `min_replicas` runs the orchestrator
+    /// instead of a bare fleet.
+    pub autoscale: Option<String>,
+    /// Route policy name (`load` | `round-robin` | `capability`).
+    pub router: Option<String>,
+    /// Autoscale floor: slots kept committed even when idle. Defaults to
+    /// `replicas` under static scale and 1 otherwise.
+    pub min_replicas: Option<usize>,
+    /// The orchestrator's tenant classes; empty serves one default tenant
+    /// at the spec SLO.
+    pub tenants: Vec<TenantClass>,
+}
+
+impl Default for SystemSpec {
+    /// One NeuPIMs replica serving GPT3-7B: lump prefill, drop-only
+    /// preemption, analytic pricing, JSQ dispatch, batch 32, a 50 ms TTFT
+    /// / 10 ms TPOT SLO, unsharded, no orchestrator.
+    fn default() -> Self {
+        Self {
+            backend: "neupims".into(),
+            scheduler: "lump".into(),
+            chunk_tokens: 256,
+            preemption: "drop".into(),
+            swap_gbps: 32.0,
+            cost_model: CostModelKind::Analytic,
+            replicas: 1,
+            dispatch: "jsq".into(),
+            max_batch: 32,
+            model: LlmConfig::gpt3_7b(),
+            slo_ttft_ms: 50.0,
+            slo_tpot_ms: 10.0,
+            tp: None,
+            pp: None,
+            interconnect: "pcie".into(),
+            link_gbps: None,
+            autoscale: None,
+            router: None,
+            min_replicas: None,
+            tenants: Vec::new(),
+        }
+    }
+}
+
+/// A built system, ready for request submission.
+#[derive(Debug)]
+pub enum System {
+    /// Replicas behind a dispatch policy.
+    Fleet(FleetSim<Box<dyn Backend>>),
+    /// Replicas as the slot table of the meta-orchestrator.
+    Orchestrator(Box<Orchestrator<Box<dyn Backend>>>),
+}
+
+impl System {
+    /// Queues one request. `tenant` indexes the orchestrator's tenant
+    /// table; a bare fleet has no tenants and ignores it.
+    ///
+    /// # Errors
+    ///
+    /// See [`FleetSim::submit`] and [`Orchestrator::submit`].
+    pub fn submit(&mut self, req: FleetRequest, tenant: usize) -> Result<(), SimError> {
+        match self {
+            System::Fleet(fleet) => fleet.submit(req),
+            System::Orchestrator(orch) => orch.submit(OrchRequest { req, tenant }),
+        }
+    }
+}
+
+impl SystemSpec {
+    /// True when `tp`/`pp` ask for a multi-chip sharded deployment.
+    pub fn sharding_requested(&self) -> bool {
+        self.tp.is_some() || self.pp.is_some()
+    }
+
+    /// True when `autoscale`/`router`/`min_replicas` ask for the
+    /// meta-orchestrator above the fleet.
+    pub fn orchestration_requested(&self) -> bool {
+        self.autoscale.is_some() || self.router.is_some() || self.min_replicas.is_some()
+    }
+
+    /// The spec-level latency targets.
+    pub fn slo(&self) -> SloTargets {
+        SloTargets::from_ms(self.slo_ttft_ms, self.slo_tpot_ms)
+    }
+
+    /// The tensor-parallel degree and resident layer count a replica's
+    /// serving loop runs with. Under a sharding wrapper the wrapper
+    /// supplies the parallelism, so the replica runs the full layer stack
+    /// at device-internal TP 1; unsharded, the model's published (TP, PP)
+    /// split applies.
+    fn serving_shape(&self) -> (u32, u32) {
+        let model = &self.model;
+        if self.sharding_requested() {
+            (1, model.num_layers)
+        } else {
+            (
+                model.parallelism.tp,
+                model.num_layers / model.parallelism.pp,
+            )
+        }
+    }
+
+    /// Builds backend `name` on `ctx`'s hardware under the spec's cost
+    /// model, wrapped in a [`ShardedBackend`] over the spec's fabric when
+    /// sharding is requested.
+    ///
+    /// # Errors
+    ///
+    /// Unknown backend or interconnect names, and invalid sharding.
+    fn backend(
+        &self,
+        ctx: &ExperimentContext,
+        name: &str,
+    ) -> Result<Box<dyn Backend>, Box<dyn Error>> {
+        let backend = ctx.backend_with_cost(name, self.cost_model)?;
+        if !self.sharding_requested() {
+            return Ok(backend);
+        }
+        let spec = ClusterSpec::new(self.tp.unwrap_or(1), self.pp.unwrap_or(1));
+        let fabric = interconnect_from_name(&self.interconnect, self.link_gbps)?;
+        Ok(Box::new(ShardedBackend::new(backend, spec, fabric)?))
+    }
+
+    /// A [`Simulation`](crate::simulation::Simulation) builder over the
+    /// spec's model and backend at the serving shape: the entry point of
+    /// warm-batch throughput and single-replica serving runs.
+    ///
+    /// # Errors
+    ///
+    /// Unknown backend or interconnect names, and invalid sharding.
+    pub fn simulation(
+        &self,
+        ctx: &ExperimentContext,
+    ) -> Result<SimulationBuilder<Box<dyn Backend>>, Box<dyn Error>> {
+        let (tp, layers) = self.serving_shape();
+        Ok(ctx
+            .simulation()
+            .model(self.model.clone())
+            .backend(self.backend(ctx, &self.backend)?)
+            .tp(tp)
+            .layers(layers))
+    }
+
+    /// The replay memo trace-priced replicas share: disk-backed under
+    /// `cache_dir`, in-memory otherwise, and `None` under analytic
+    /// pricing, where there is nothing to memoize.
+    ///
+    /// # Errors
+    ///
+    /// Propagates failures to create or read `cache_dir`.
+    pub fn trace_memo(&self, cache_dir: Option<&Path>) -> std::io::Result<Option<TraceMemo>> {
+        if self.cost_model != CostModelKind::TraceDriven {
+            return Ok(None);
+        }
+        cache_dir
+            .map_or_else(|| Ok(TraceMemo::new()), TraceMemo::with_cache_dir)
+            .map(Some)
+    }
+
+    /// Builds the system on `ctx`'s hardware: `replicas` serving replicas
+    /// (backend and scheduler names cycled over them, each with the
+    /// spec's cost model, preemption policy and swap link, all pricing
+    /// through `memo` when given), dispatched as a [`FleetSim`] or, when
+    /// [`Self::orchestration_requested`], owned by an [`Orchestrator`].
+    /// `jobs` caps the worker threads (`None`: available parallelism); it
+    /// never changes results.
+    ///
+    /// # Errors
+    ///
+    /// Unknown policy, backend or fabric names, invalid sharding, and a
+    /// replica table the fleet or orchestrator rejects.
+    pub fn build(
+        &self,
+        ctx: &ExperimentContext,
+        memo: Option<&TraceMemo>,
+        jobs: Option<usize>,
+    ) -> Result<System, Box<dyn Error>> {
+        let (tp, layers) = self.serving_shape();
+        let cfg = ServingConfig {
+            max_batch: self.max_batch,
+            tp,
+            layers,
+            target_completions: 0,
+            slo: Some(self.slo()),
+        };
+        let backends: Vec<&str> = self.backend.split(',').map(str::trim).collect();
+        let schedulers: Vec<&str> = self.scheduler.split(',').map(str::trim).collect();
+        let preemption = preemption_from_name(&self.preemption)?;
+        let mut replicas = Vec::with_capacity(self.replicas);
+        for i in 0..self.replicas {
+            let backend = self.backend(ctx, backends[i % backends.len()])?;
+            let scheduler =
+                scheduler_from_name(schedulers[i % schedulers.len()], self.chunk_tokens)?;
+            let mut replica =
+                ServingSim::with_scheduler(backend, self.model.clone(), cfg.clone(), scheduler)
+                    .with_cost_model(self.cost_model)
+                    .with_preemption(preemption.clone())
+                    .with_swap(SwapConfig {
+                        gb_per_sec: self.swap_gbps,
+                    });
+            if let Some(memo) = memo {
+                replica = replica.with_trace_memo(memo);
+            }
+            replicas.push(replica);
+        }
+        // `with_jobs(0)` keeps the default worker count.
+        let jobs = jobs.unwrap_or(0);
+        if !self.orchestration_requested() {
+            let fleet = FleetSim::new(replicas, policy_from_name(&self.dispatch)?)?;
+            return Ok(System::Fleet(fleet.with_jobs(jobs)));
+        }
+
+        let autoscale = self.autoscale.as_deref().unwrap_or("static");
+        // Static scale holds the whole table on (the fleet-parity
+        // configuration); the scalers start from a floor of one and grow
+        // on demand.
+        let floor = if autoscale.eq_ignore_ascii_case("static") {
+            self.replicas
+        } else {
+            1
+        };
+        let mut orch_cfg = OrchestratorConfig::default_for(self.replicas);
+        orch_cfg.min_replicas = self.min_replicas.unwrap_or(floor).clamp(1, self.replicas);
+        let tenants = if self.tenants.is_empty() {
+            vec![TenantClass::new(
+                "default",
+                self.slo(),
+                DEFAULT_TENANT_PRIORITY,
+                1.0,
+            )]
+        } else {
+            self.tenants.clone()
+        };
+        let orch = Orchestrator::new(
+            replicas,
+            tenants,
+            router_from_name(self.router.as_deref().unwrap_or("load"))?,
+            autoscale_from_name(autoscale)?,
+            orch_cfg,
+        )?;
+        Ok(System::Orchestrator(Box::new(orch.with_jobs(jobs))))
+    }
+}

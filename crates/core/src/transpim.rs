@@ -28,28 +28,12 @@ use crate::metrics::IterationBreakdown;
 const TOKEN_DATAFLOW_OVERHEAD: f64 = 1.5;
 
 /// Prices one decode "iteration" (one token for each of `seq_lens`'
-/// requests, processed sequentially) on a TransPIM-style device.
+/// requests, processed sequentially) on a TransPIM-style device for
+/// [`crate::backend::TransPimBackend`].
 ///
 /// # Errors
 ///
 /// Rejects empty batches and zero layer counts.
-#[deprecated(
-    since = "0.1.0",
-    note = "use neupims_core::backend::TransPimBackend via the Backend trait"
-)]
-pub fn transpim_decode_iteration(
-    cfg: &NeuPimsConfig,
-    cal: &PimCalibration,
-    model: &LlmConfig,
-    tp: u32,
-    layers: u32,
-    seq_lens: &[u64],
-) -> Result<IterationBreakdown, SimError> {
-    decode_impl(cfg, cal, model, tp, layers, seq_lens)
-}
-
-/// Shared implementation behind [`transpim_decode_iteration`] and
-/// [`crate::backend::TransPimBackend`].
 pub(crate) fn decode_impl(
     cfg: &NeuPimsConfig,
     cal: &PimCalibration,

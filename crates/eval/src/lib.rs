@@ -8,9 +8,10 @@
 //! * [`spec`] — the typed suite/scenario schema, parsed from TOML by the
 //!   vendored [`toml`] subset parser (the workspace's `serde` shim is a
 //!   no-op, so both directions are hand-rolled);
-//! * [`runner`] — executes scenarios: serving runs through
-//!   [`neupims_core::fleet::FleetSim`] over workloads generated by
-//!   [`neupims_workload::scenario`], warm-batch throughput through
+//! * [`runner`] — executes scenarios: serving runs through the fleet or
+//!   orchestrator [`neupims_core::system::SystemSpec::build`] makes, over
+//!   workloads generated by [`neupims_workload::scenario`], warm-batch
+//!   throughput through
 //!   [`neupims_core::simulation::Simulation`] (the Figure 12 / Table 3
 //!   methodology);
 //! * [`scorer`] — grades `[[scenario.expect]]` and `[[compare]]` blocks

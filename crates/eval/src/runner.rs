@@ -2,9 +2,11 @@
 //!
 //! Each [`ScenarioSpec`] becomes one [`ScenarioRun`]: a flat
 //! `metric name -> f64` map the scorer grades golden expectations
-//! against. Serving scenarios drive a [`FleetSim`] (a single replica is
-//! just a one-element fleet, so every serving metric comes from the same
-//! code path); throughput scenarios reuse the warm-batch
+//! against. Serving scenarios build their system through
+//! [`SystemSpec::build`] — a [`FleetSim`](neupims_core::fleet::FleetSim)
+//! (a single replica is just a one-element fleet, so every serving metric
+//! comes from the same code path) or the meta-orchestrator; throughput
+//! scenarios reuse the warm-batch
 //! [`Simulation::throughput`](neupims_core::simulation::Simulation::throughput)
 //! methodology behind Figure 12 and Table 3.
 
@@ -12,19 +14,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
 
-use neupims_core::backend::Backend;
-use neupims_core::cluster::ClusterSpec;
 use neupims_core::experiments::ExperimentContext;
-use neupims_core::fleet::{policy_from_name, FleetOutcome, FleetRequest, FleetSim};
-use neupims_core::interconnect::interconnect_from_name;
-use neupims_core::orchestrator::{
-    autoscale_from_name, router_from_name, OrchRequest, Orchestrator, OrchestratorConfig,
-    OrchestratorOutcome, TenantClass,
-};
-use neupims_core::preempt::{preemption_from_name, SwapConfig};
-use neupims_core::scheduler::scheduler_from_name;
-use neupims_core::serving::{ServingConfig, ServingSim, SloTargets};
-use neupims_core::sharding::ShardedBackend;
+use neupims_core::fleet::{FleetOutcome, FleetRequest};
+use neupims_core::orchestrator::OrchestratorOutcome;
+use neupims_core::system::System;
 use neupims_pim::calibrate;
 use neupims_sched::{CostModelKind, TraceMemo};
 use neupims_types::{request_id, NeuPimsConfig};
@@ -96,27 +89,6 @@ pub struct EvalOverrides {
     pub memo_cache: Option<PathBuf>,
 }
 
-impl EvalOverrides {
-    /// The cost model a scenario actually runs with: the override when
-    /// set, else the spec's own.
-    fn cost_model_for(&self, system: &SystemSpec) -> CostModelKind {
-        self.cost_model.unwrap_or(system.cost_model)
-    }
-
-    /// A shared replay memo for one trace-priced scenario: disk-backed
-    /// when `memo_cache` names a directory, in-memory otherwise. `None`
-    /// under analytic pricing (nothing to memoize).
-    fn memo_for(&self, kind: CostModelKind) -> Result<Option<TraceMemo>, EvalError> {
-        if kind != CostModelKind::TraceDriven {
-            return Ok(None);
-        }
-        match &self.memo_cache {
-            Some(dir) => TraceMemo::with_cache_dir(dir).map(Some).map_err(sim_err),
-            None => Ok(Some(TraceMemo::new())),
-        }
-    }
-}
-
 /// One executed scenario: its name plus every metric the run produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioRun {
@@ -156,8 +128,8 @@ pub fn run_suite(
 /// [`run_suite`] with an explicit worker count for serving scenarios
 /// (the CLI's `--jobs`).
 ///
-/// `jobs` bounds how many replica streams each scenario's [`FleetSim`]
-/// advances concurrently between dispatch points; `None` keeps the
+/// `jobs` bounds how many replica streams each scenario's
+/// [`FleetSim`](neupims_core::fleet::FleetSim) advances concurrently between dispatch points; `None` keeps the
 /// fleet's default ([`std::thread::available_parallelism`]). Results are
 /// bit-identical for every worker count — replicas share no state
 /// between dispatch barriers — so `--seed` + `--jobs` determinism holds
@@ -240,15 +212,18 @@ pub fn run_scenario_with_opts(
     spec: &ScenarioSpec,
     opts: &EvalOverrides,
 ) -> Result<ScenarioRun, EvalError> {
-    let ctx = context_for(&spec.system)?;
+    let ctx = context_for(spec)?;
     let seed = opts.seed.unwrap_or(spec.seed);
-    let cost_model = opts.cost_model_for(&spec.system);
-    let memo = opts.memo_for(cost_model)?;
+    let mut system = spec.system.clone();
+    if let Some(kind) = opts.cost_model {
+        system.cost_model = kind;
+    }
+    let memo = system
+        .trace_memo(opts.memo_cache.as_deref())
+        .map_err(sim_err)?;
     let metrics = match spec.kind {
-        ScenarioKind::Throughput => run_throughput(&ctx, spec, seed, cost_model, memo.as_ref())?,
-        ScenarioKind::Serving => {
-            run_serving(&ctx, spec, seed, opts.jobs, cost_model, memo.as_ref())?
-        }
+        ScenarioKind::Throughput => run_throughput(&ctx, spec, &system, seed, memo)?,
+        ScenarioKind::Serving => run_serving(&ctx, spec, &system, seed, opts.jobs, memo.as_ref())?,
     };
     Ok(ScenarioRun {
         name: spec.name.clone(),
@@ -259,16 +234,16 @@ pub fn run_scenario_with_opts(
 
 /// Builds the calibrated context, applying the scenario's tight-memory
 /// overrides (channel count / per-channel KV capacity) when present.
-fn context_for(system: &SystemSpec) -> Result<ExperimentContext, EvalError> {
-    if system.channels.is_none() && system.kv_mib_per_channel.is_none() {
+fn context_for(spec: &ScenarioSpec) -> Result<ExperimentContext, EvalError> {
+    if spec.channels.is_none() && spec.kv_bytes_per_channel.is_none() {
         return ExperimentContext::table2().map_err(sim_err);
     }
     let mut cfg = NeuPimsConfig::table2();
-    if let Some(channels) = system.channels {
+    if let Some(channels) = spec.channels {
         cfg.mem.channels = channels;
     }
-    if let Some(mib) = system.kv_mib_per_channel {
-        cfg.mem.capacity_per_channel = mib << 20;
+    if let Some(bytes) = spec.kv_bytes_per_channel {
+        cfg.mem.capacity_per_channel = bytes;
     }
     let cal = calibrate(&cfg).map_err(sim_err)?;
     let base = ExperimentContext::table2().map_err(sim_err)?;
@@ -280,54 +255,22 @@ fn context_for(system: &SystemSpec) -> Result<ExperimentContext, EvalError> {
     })
 }
 
-/// Wraps `backend` in a [`ShardedBackend`] when the scenario's `tp`/`pp`
-/// keys ask for a multi-chip deployment; otherwise returns it unchanged.
-fn maybe_sharded(
-    system: &SystemSpec,
-    backend: Box<dyn Backend>,
-) -> Result<Box<dyn Backend>, EvalError> {
-    if !system.sharding_requested() {
-        return Ok(backend);
-    }
-    let spec = ClusterSpec::new(system.tp.unwrap_or(1), system.pp.unwrap_or(1));
-    let fabric = interconnect_from_name(
-        system.interconnect.as_deref().unwrap_or("pcie"),
-        system.link_gbps,
-    )
-    .map_err(sim_err)?;
-    Ok(Box::new(
-        ShardedBackend::new(backend, spec, fabric).map_err(sim_err)?,
-    ))
-}
-
 fn run_throughput(
     ctx: &ExperimentContext,
     spec: &ScenarioSpec,
+    system: &SystemSpec,
     seed: u64,
-    cost_model: CostModelKind,
-    memo: Option<&TraceMemo>,
+    memo: Option<TraceMemo>,
 ) -> Result<Metrics, EvalError> {
-    let system = &spec.system;
-    let backend = maybe_sharded(
-        system,
-        ctx.backend_with_cost(&system.backend, cost_model)
-            .map_err(sim_err)?,
-    )?;
-    let mut builder = ctx
-        .simulation()
-        .model(system.model.clone())
-        .backend(backend)
+    let mut builder = system
+        .simulation(ctx)
+        .map_err(sim_err)?
         .dataset(spec.dataset)
         .batch(spec.batch)
         .seed(seed)
         .samples(spec.samples);
     if let Some(memo) = memo {
-        builder = builder.trace_memo(memo.clone());
-    }
-    if system.sharding_requested() {
-        // The sharding wrapper supplies the parallelism: run the full
-        // layer stack with device-internal TP 1 underneath it.
-        builder = builder.tp(1).layers(system.model.num_layers);
+        builder = builder.trace_memo(memo);
     }
     let sim = builder.build().map_err(sim_err)?;
     let tokens_per_sec = sim.throughput().map_err(sim_err)?;
@@ -341,80 +284,22 @@ fn run_throughput(
     Ok(metrics)
 }
 
+/// Executes a serving scenario: the scenario's system, built as a
+/// dispatched fleet or (with any orchestration key) the meta-orchestrator,
+/// serving the scenario's generated workload.
 fn run_serving(
     ctx: &ExperimentContext,
     spec: &ScenarioSpec,
+    system: &SystemSpec,
     seed: u64,
     jobs: Option<usize>,
-    cost_model: CostModelKind,
     memo: Option<&TraceMemo>,
 ) -> Result<Metrics, EvalError> {
-    let system = &spec.system;
     let workload = spec
         .workload
         .as_ref()
         .expect("serving scenarios carry a workload");
-    if system.orchestration_requested() {
-        return run_orchestrated(ctx, spec, seed, jobs, cost_model, memo);
-    }
-
-    let slo = SloTargets {
-        ttft: (system.slo_ttft_ms * 1e6) as u64,
-        tpot: system.slo_tpot_ms * 1e6,
-    };
-    // With `tp`/`pp` each replica is its own sharded chip group: the
-    // wrapper supplies the parallelism, so the serving config runs the
-    // full layer stack with device-internal TP 1 underneath it.
-    let cfg = ServingConfig {
-        max_batch: system.max_batch,
-        tp: if system.sharding_requested() {
-            1
-        } else {
-            system.model.parallelism.tp
-        },
-        layers: if system.sharding_requested() {
-            system.model.num_layers
-        } else {
-            system.model.num_layers / system.model.parallelism.pp
-        },
-        target_completions: 0,
-        slo: Some(slo),
-    };
-
-    // Comma-separated backend/scheduler lists cycle over the replicas,
-    // mirroring the `fleet` CLI command.
-    let backend_names: Vec<&str> = system.backend.split(',').map(str::trim).collect();
-    let sched_names: Vec<&str> = system.scheduler.split(',').map(str::trim).collect();
-    let mut replicas = Vec::new();
-    for i in 0..system.replicas {
-        let backend = maybe_sharded(
-            system,
-            ctx.backend_with_cost(backend_names[i % backend_names.len()], cost_model)
-                .map_err(sim_err)?,
-        )?;
-        let scheduler =
-            scheduler_from_name(sched_names[i % sched_names.len()], system.chunk_tokens)
-                .map_err(sim_err)?;
-        replicas.push(
-            ServingSim::with_scheduler(backend, system.model.clone(), cfg.clone(), scheduler)
-                .with_cost_model(cost_model),
-        );
-    }
-    let mut fleet = FleetSim::new(
-        replicas,
-        policy_from_name(&system.dispatch).map_err(sim_err)?,
-    )
-    .map_err(sim_err)?
-    .with_preemption(preemption_from_name(&system.preemption).map_err(sim_err)?)
-    .with_swap(SwapConfig {
-        gb_per_sec: system.swap_gbps,
-    });
-    if let Some(memo) = memo {
-        fleet = fleet.with_shared_trace_memo(memo);
-    }
-    if let Some(jobs) = jobs {
-        fleet = fleet.with_jobs(jobs);
-    }
+    let mut built = system.build(ctx, memo, jobs).map_err(sim_err)?;
 
     let mut rng = StdRng::seed_from_u64(seed);
     let generated = neupims_workload::ScenarioWorkload {
@@ -428,164 +313,27 @@ fn run_serving(
             Some(cap) => req.output_len.min(cap).max(1),
             None => req.output_len,
         };
-        fleet
-            .submit(FleetRequest {
-                id: request_id(i).map_err(sim_err)?,
-                input_len: req.input_len,
-                output_len: output,
-                arrival: req.arrival,
-            })
-            .map_err(sim_err)?;
+        let fleet_req = FleetRequest {
+            id: request_id(i).map_err(sim_err)?,
+            input_len: req.input_len,
+            output_len: output,
+            arrival: req.arrival,
+        };
+        built.submit(fleet_req, req.tenant).map_err(sim_err)?;
     }
 
-    // Replay every reachable cold bucket in parallel before serving
-    // starts (a no-op on warm or disk-restored memos; never changes
-    // results — pinned by the trace parity tests).
-    if memo.is_some() {
-        fleet.warm_replay();
-    }
-    let out = fleet.run().map_err(sim_err)?;
-    Ok(serving_metrics(&out))
-}
-
-/// Executes a serving scenario through the meta-orchestrator: tenant SLO
-/// classes, admission control, autoscaling, and capability routing above
-/// the same replica construction as the plain fleet path.
-fn run_orchestrated(
-    ctx: &ExperimentContext,
-    spec: &ScenarioSpec,
-    seed: u64,
-    jobs: Option<usize>,
-    cost_model: CostModelKind,
-    memo: Option<&TraceMemo>,
-) -> Result<Metrics, EvalError> {
-    let system = &spec.system;
-    let workload = spec
-        .workload
-        .as_ref()
-        .expect("serving scenarios carry a workload");
-
-    let scenario_slo = SloTargets {
-        ttft: (system.slo_ttft_ms * 1e6) as u64,
-        tpot: system.slo_tpot_ms * 1e6,
-    };
-    let cfg = ServingConfig {
-        max_batch: system.max_batch,
-        tp: if system.sharding_requested() {
-            1
-        } else {
-            system.model.parallelism.tp
-        },
-        layers: if system.sharding_requested() {
-            system.model.num_layers
-        } else {
-            system.model.num_layers / system.model.parallelism.pp
-        },
-        target_completions: 0,
-        slo: Some(scenario_slo),
-    };
-
-    // Unlike the fleet path (which layers preemption/swap/memo on after
-    // construction), the orchestrator owns its slots from birth, so each
-    // slot is fully configured here.
-    let backend_names: Vec<&str> = system.backend.split(',').map(str::trim).collect();
-    let sched_names: Vec<&str> = system.scheduler.split(',').map(str::trim).collect();
-    let mut slots = Vec::new();
-    for i in 0..system.replicas {
-        let backend = maybe_sharded(
-            system,
-            ctx.backend_with_cost(backend_names[i % backend_names.len()], cost_model)
-                .map_err(sim_err)?,
-        )?;
-        let scheduler =
-            scheduler_from_name(sched_names[i % sched_names.len()], system.chunk_tokens)
-                .map_err(sim_err)?;
-        let mut slot =
-            ServingSim::with_scheduler(backend, system.model.clone(), cfg.clone(), scheduler)
-                .with_cost_model(cost_model)
-                .with_preemption(preemption_from_name(&system.preemption).map_err(sim_err)?)
-                .with_swap(SwapConfig {
-                    gb_per_sec: system.swap_gbps,
-                });
-        if let Some(memo) = memo {
-            slot = slot.with_trace_memo(memo);
+    match built {
+        System::Fleet(mut fleet) => {
+            // Replay every reachable cold bucket in parallel before
+            // serving starts (a no-op on warm or disk-restored memos;
+            // never changes results — pinned by the trace parity tests).
+            if memo.is_some() {
+                fleet.warm_replay();
+            }
+            Ok(serving_metrics(&fleet.run().map_err(sim_err)?))
         }
-        slots.push(slot);
+        System::Orchestrator(mut orch) => Ok(orchestrated_metrics(&orch.run().map_err(sim_err)?)),
     }
-
-    // One orchestrator tenant per workload tenant class, its SLO falling
-    // back to the scenario-level targets when the class has no override.
-    let classes = workload.tenants.classes();
-    let total_weight: f64 = classes.iter().map(|c| c.weight).sum();
-    let tenants: Vec<TenantClass> = classes
-        .iter()
-        .zip(&workload.tenant_policies)
-        .map(|(class, policy)| {
-            let slo = SloTargets {
-                ttft: (policy.slo_ttft_ms.unwrap_or(system.slo_ttft_ms) * 1e6) as u64,
-                tpot: policy.slo_tpot_ms.unwrap_or(system.slo_tpot_ms) * 1e6,
-            };
-            TenantClass::new(
-                &class.name,
-                slo,
-                policy.priority,
-                class.weight / total_weight,
-            )
-        })
-        .collect();
-
-    let autoscale_name = system.autoscale.as_deref().unwrap_or("static");
-    let router_name = system.router.as_deref().unwrap_or("load");
-    // Static scale holds the whole table on (the degenerate fleet-parity
-    // configuration); dynamic policies may park down to one slot.
-    let default_min = if autoscale_name == "static" {
-        system.replicas
-    } else {
-        1
-    };
-    let mut orch_cfg = OrchestratorConfig::default_for(system.replicas);
-    orch_cfg.min_replicas = system
-        .min_replicas
-        .unwrap_or(default_min)
-        .clamp(1, system.replicas);
-    let mut orch = Orchestrator::new(
-        slots,
-        tenants,
-        router_from_name(router_name).map_err(sim_err)?,
-        autoscale_from_name(autoscale_name).map_err(sim_err)?,
-        orch_cfg,
-    )
-    .map_err(sim_err)?;
-    if let Some(jobs) = jobs {
-        orch = orch.with_jobs(jobs);
-    }
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let generated = neupims_workload::ScenarioWorkload {
-        arrival: workload.arrival,
-        tenants: workload.tenants.clone(),
-        requests: workload.requests,
-    }
-    .generate(&mut rng);
-    for (i, req) in generated.iter().enumerate() {
-        let output = match workload.output_cap {
-            Some(cap) => req.output_len.min(cap).max(1),
-            None => req.output_len,
-        };
-        orch.submit(OrchRequest {
-            req: FleetRequest {
-                id: request_id(i).map_err(sim_err)?,
-                input_len: req.input_len,
-                output_len: output,
-                arrival: req.arrival,
-            },
-            tenant: req.tenant,
-        })
-        .map_err(sim_err)?;
-    }
-
-    let out = orch.run().map_err(sim_err)?;
-    Ok(orchestrated_metrics(&out))
 }
 
 /// Flattens an orchestrated outcome: every fleet metric, plus the

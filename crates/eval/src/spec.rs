@@ -24,8 +24,11 @@
 use std::fmt;
 
 use neupims_core::orchestrator::{
-    autoscale_from_name, router_from_name, AUTOSCALE_NAMES, ROUTER_NAMES,
+    autoscale_from_name, router_from_name, TenantClass as SloClass, AUTOSCALE_NAMES, ROUTER_NAMES,
 };
+use neupims_core::serving::SloTargets;
+pub use neupims_core::system::SystemSpec;
+use neupims_core::system::DEFAULT_TENANT_PRIORITY;
 use neupims_sched::CostModelKind;
 use neupims_types::{Cycle, LlmConfig};
 use neupims_workload::scenario::{ArrivalProcess, LengthDistribution, TenantClass, TenantMix};
@@ -161,71 +164,6 @@ impl ScenarioKind {
     }
 }
 
-/// The system-under-test half of a scenario.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SystemSpec {
-    /// Backend name(s); comma-separated lists cycle over fleet replicas.
-    pub backend: String,
-    /// Scheduler name(s); comma-separated lists cycle over replicas.
-    pub scheduler: String,
-    /// Per-iteration prefill token budget of chunked schedulers.
-    pub chunk_tokens: u32,
-    /// Preemption policy name.
-    pub preemption: String,
-    /// MHA cost model.
-    pub cost_model: CostModelKind,
-    /// Serving replicas (1 = single `ServingSim`; >1 = `FleetSim`).
-    pub replicas: usize,
-    /// Fleet dispatch policy name.
-    pub dispatch: String,
-    /// Max decode batch per replica.
-    pub max_batch: usize,
-    /// Model under test.
-    pub model: LlmConfig,
-    /// Swap-link bandwidth (GB/s) for the swap preemption policy.
-    pub swap_gbps: f64,
-    /// SLO TTFT target, milliseconds.
-    pub slo_ttft_ms: f64,
-    /// SLO TPOT target, milliseconds.
-    pub slo_tpot_ms: f64,
-    /// Memory-channel count override (tight-KV pressure scenarios).
-    pub channels: Option<u32>,
-    /// Per-channel KV capacity override, MiB.
-    pub kv_mib_per_channel: Option<u64>,
-    /// Multi-chip tensor-parallel degree: wraps the backend in a
-    /// sharded deployment when set (alone or with `pp`).
-    pub tp: Option<u32>,
-    /// Multi-chip pipeline-parallel degree.
-    pub pp: Option<u32>,
-    /// Interconnect fabric pricing the sharded collectives
-    /// (`pcie` | `unified` | `noc` | `ideal`; default `pcie`).
-    pub interconnect: Option<String>,
-    /// Per-link bandwidth override for the fabric, GB/s.
-    pub link_gbps: Option<f64>,
-    /// Autoscale policy name (`static` | `reactive` | `predictive`):
-    /// routes the scenario through the meta-orchestrator instead of a
-    /// bare fleet when set (alone or with `router`/`min-replicas`).
-    pub autoscale: Option<String>,
-    /// Route policy name (`load` | `round-robin` | `capability`).
-    pub router: Option<String>,
-    /// Autoscale floor: slots kept committed even when idle. Defaults to
-    /// `replicas` under static scale and 1 otherwise.
-    pub min_replicas: Option<usize>,
-}
-
-impl SystemSpec {
-    /// True when `tp`/`pp` ask for a multi-chip sharded deployment.
-    pub fn sharding_requested(&self) -> bool {
-        self.tp.is_some() || self.pp.is_some()
-    }
-
-    /// True when `autoscale`/`router`/`min-replicas` ask for the
-    /// meta-orchestrator above the fleet.
-    pub fn orchestration_requested(&self) -> bool {
-        self.autoscale.is_some() || self.router.is_some() || self.min_replicas.is_some()
-    }
-}
-
 /// The workload half of a serving scenario.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {
@@ -235,37 +173,11 @@ pub struct WorkloadSpec {
     pub seed: u64,
     /// Arrival process.
     pub arrival: ArrivalProcess,
-    /// Tenant mix supplying per-request lengths.
+    /// Tenant mix supplying per-request lengths (its classes align with
+    /// the system's orchestrator tenants).
     pub tenants: TenantMix,
-    /// Orchestrator-facing policy of each tenant, aligned with
-    /// `tenants.classes()` order.
-    pub tenant_policies: Vec<TenantPolicy>,
     /// Cap on sampled output lengths (keeps suites fast), if any.
     pub output_cap: Option<u32>,
-}
-
-/// The serving contract of one tenant class, consumed by the
-/// meta-orchestrator (ignored by plain fleet scenarios): admission
-/// priority plus optional per-tenant SLO overrides.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TenantPolicy {
-    /// Admission priority (0-255). At or above the admission floor the
-    /// tenant bypasses shedding entirely.
-    pub priority: u8,
-    /// Per-tenant TTFT target (ms); the scenario SLO when absent.
-    pub slo_ttft_ms: Option<f64>,
-    /// Per-tenant TPOT target (ms); the scenario SLO when absent.
-    pub slo_tpot_ms: Option<f64>,
-}
-
-impl Default for TenantPolicy {
-    fn default() -> Self {
-        TenantPolicy {
-            priority: 200,
-            slo_ttft_ms: None,
-            slo_tpot_ms: None,
-        }
-    }
 }
 
 /// One named experiment of a suite.
@@ -278,6 +190,11 @@ pub struct ScenarioSpec {
     pub kind: ScenarioKind,
     /// The system under test.
     pub system: SystemSpec,
+    /// Memory-channel count override (tight-KV pressure scenarios).
+    pub channels: Option<u32>,
+    /// Per-channel KV capacity override, bytes (the `kv-mib-per-channel`
+    /// key).
+    pub kv_bytes_per_channel: Option<u64>,
     /// The workload (serving scenarios only).
     pub workload: Option<WorkloadSpec>,
     /// Warm-batch size (throughput scenarios).
@@ -440,6 +357,16 @@ fn opt_usize(t: &Table, key: &str) -> Result<Option<usize>, SpecError> {
     }
 }
 
+/// An optional integer key that must fit a `u32`.
+fn opt_u32(t: &Table, key: &str) -> Result<Option<u32>, SpecError> {
+    opt_usize(t, key)?
+        .map(|v| {
+            u32::try_from(v)
+                .map_err(|_| SpecError(format!("{key:?} = {v} exceeds the maximum {}", u32::MAX)))
+        })
+        .transpose()
+}
+
 // --------------------------------------------------------------- scenarios
 
 /// Parses a model name into its [`LlmConfig`] (the CLI's `--model` names).
@@ -473,45 +400,57 @@ fn parse_scenario(t: &Table) -> Result<ScenarioSpec, SpecError> {
         Some(d) => dataset_from_name(&d)?,
         None => Dataset::ShareGpt,
     };
+    let d = SystemSpec::default();
     let model = match opt_string(t, "model")? {
         Some(m) => model_from_name(&m)?,
-        None => LlmConfig::gpt3_7b(),
+        None => d.model,
     };
     let cost_model = match opt_string(t, "cost-model")? {
         Some(c) => CostModelKind::from_name(&c)
             .ok_or_else(|| SpecError(format!("unknown cost model {c:?}")))?,
-        None => CostModelKind::Analytic,
+        None => d.cost_model,
     };
-    let system = SystemSpec {
-        backend: opt_string(t, "backend")?.unwrap_or_else(|| "neupims".into()),
-        scheduler: opt_string(t, "scheduler")?.unwrap_or_else(|| "lump".into()),
-        chunk_tokens: opt_usize(t, "chunk-tokens")?.unwrap_or(256) as u32,
-        preemption: opt_string(t, "preemption")?.unwrap_or_else(|| "drop".into()),
+    let mut system = SystemSpec {
+        backend: opt_string(t, "backend")?.unwrap_or(d.backend),
+        scheduler: opt_string(t, "scheduler")?.unwrap_or(d.scheduler),
+        chunk_tokens: opt_u32(t, "chunk-tokens")?.unwrap_or(d.chunk_tokens),
+        preemption: opt_string(t, "preemption")?.unwrap_or(d.preemption),
+        swap_gbps: opt_f64(t, "swap-gbps")?.unwrap_or(d.swap_gbps),
         cost_model,
-        replicas: opt_usize(t, "replicas")?.unwrap_or(1).max(1),
-        dispatch: opt_string(t, "dispatch")?.unwrap_or_else(|| "jsq".into()),
-        max_batch: opt_usize(t, "max-batch")?.unwrap_or(32).max(1),
+        replicas: opt_usize(t, "replicas")?.unwrap_or(d.replicas).max(1),
+        dispatch: opt_string(t, "dispatch")?.unwrap_or(d.dispatch),
+        max_batch: opt_usize(t, "max-batch")?.unwrap_or(d.max_batch).max(1),
         model,
-        swap_gbps: opt_f64(t, "swap-gbps")?.unwrap_or(32.0),
-        slo_ttft_ms: opt_f64(t, "slo-ttft-ms")?.unwrap_or(50.0),
-        slo_tpot_ms: opt_f64(t, "slo-tpot-ms")?.unwrap_or(10.0),
-        channels: opt_usize(t, "channels")?.map(|c| c as u32),
-        kv_mib_per_channel: opt_usize(t, "kv-mib-per-channel")?.map(|m| m as u64),
-        tp: opt_usize(t, "tp")?.map(|v| v as u32),
-        pp: opt_usize(t, "pp")?.map(|v| v as u32),
-        interconnect: opt_string(t, "interconnect")?,
+        slo_ttft_ms: opt_f64(t, "slo-ttft-ms")?.unwrap_or(d.slo_ttft_ms),
+        slo_tpot_ms: opt_f64(t, "slo-tpot-ms")?.unwrap_or(d.slo_tpot_ms),
+        tp: opt_u32(t, "tp")?,
+        pp: opt_u32(t, "pp")?,
+        interconnect: opt_string(t, "interconnect")?.unwrap_or(d.interconnect),
         link_gbps: opt_f64(t, "link-gbps")?,
         autoscale: opt_name(t, "autoscale", &AUTOSCALE_NAMES, |n| {
             autoscale_from_name(n).is_ok()
         })?,
         router: opt_name(t, "router", &ROUTER_NAMES, |n| router_from_name(n).is_ok())?,
         min_replicas: opt_usize(t, "min-replicas")?,
+        tenants: Vec::new(),
+    };
+    let kv_bytes_per_channel = match opt_usize(t, "kv-mib-per-channel")? {
+        Some(mib) => Some((mib as u64).checked_mul(1 << 20).ok_or_else(|| {
+            SpecError(format!(
+                "\"kv-mib-per-channel\" = {mib} overflows a byte count"
+            ))
+        })?),
+        None => None,
     };
 
     let seed = opt_usize(t, "seed")?.unwrap_or(0xE7A1) as u64;
     let workload = match kind {
         ScenarioKind::Throughput => None,
-        ScenarioKind::Serving => Some(parse_workload(t, dataset, seed)?),
+        ScenarioKind::Serving => {
+            let (workload, tenants) = parse_workload(t, dataset, seed, &system)?;
+            system.tenants = tenants;
+            Some(workload)
+        }
     };
 
     let mut expects = Vec::new();
@@ -525,6 +464,8 @@ fn parse_scenario(t: &Table) -> Result<ScenarioSpec, SpecError> {
         name,
         kind,
         system,
+        channels: opt_u32(t, "channels")?,
+        kv_bytes_per_channel,
         workload,
         batch: opt_usize(t, "batch")?.unwrap_or(256),
         samples: opt_usize(t, "samples")?.unwrap_or(4).max(1),
@@ -534,7 +475,15 @@ fn parse_scenario(t: &Table) -> Result<ScenarioSpec, SpecError> {
     })
 }
 
-fn parse_workload(t: &Table, dataset: Dataset, seed: u64) -> Result<WorkloadSpec, SpecError> {
+/// Parses the workload half of a serving scenario, plus the orchestrator
+/// tenant class of each `[[scenario.tenant]]` (SLO overrides falling back
+/// to `system`'s, shares normalized from the weights).
+fn parse_workload(
+    t: &Table,
+    dataset: Dataset,
+    seed: u64,
+    system: &SystemSpec,
+) -> Result<(WorkloadSpec, Vec<SloClass>), SpecError> {
     let requests = opt_usize(t, "requests")?.unwrap_or(32).max(1);
     let arrival = match t.get("arrival") {
         None => ArrivalProcess::Poisson {
@@ -549,27 +498,38 @@ fn parse_workload(t: &Table, dataset: Dataset, seed: u64) -> Result<WorkloadSpec
         }
     };
     let tenant_tables = tables_of(t, "tenant")?;
-    let (tenants, tenant_policies) = if tenant_tables.is_empty() {
-        (TenantMix::single(dataset), vec![TenantPolicy::default()])
+    let (tenants, mut slo_classes) = if tenant_tables.is_empty() {
+        let mix = TenantMix::single(dataset);
+        let class = SloClass::new(
+            &mix.classes()[0].name,
+            system.slo(),
+            DEFAULT_TENANT_PRIORITY,
+            0.0,
+        );
+        (mix, vec![class])
     } else {
         let mut classes = Vec::new();
-        let mut policies = Vec::new();
+        let mut slo_classes = Vec::new();
         for (i, tt) in tenant_tables.iter().enumerate() {
-            let (class, policy) =
-                parse_tenant(tt).map_err(|e| SpecError(format!("tenant #{}: {}", i + 1, e.0)))?;
+            let (class, slo_class) = parse_tenant(tt, system)
+                .map_err(|e| SpecError(format!("tenant #{}: {}", i + 1, e.0)))?;
             classes.push(class);
-            policies.push(policy);
+            slo_classes.push(slo_class);
         }
-        (TenantMix::new(classes), policies)
+        (TenantMix::new(classes), slo_classes)
     };
-    Ok(WorkloadSpec {
+    let total_weight: f64 = tenants.classes().iter().map(|c| c.weight).sum();
+    for (slo_class, class) in slo_classes.iter_mut().zip(tenants.classes()) {
+        slo_class.share = class.weight / total_weight;
+    }
+    let workload = WorkloadSpec {
         requests,
         seed,
         arrival,
         tenants,
-        tenant_policies,
-        output_cap: opt_usize(t, "output-cap")?.map(|c| c as u32),
-    })
+        output_cap: opt_u32(t, "output-cap")?,
+    };
+    Ok((workload, slo_classes))
 }
 
 fn parse_arrival(a: &Table) -> Result<ArrivalProcess, SpecError> {
@@ -655,7 +615,7 @@ fn parse_length(v: &Value, key: &str) -> Result<LengthDistribution, SpecError> {
     }
 }
 
-fn parse_tenant(t: &Table) -> Result<(TenantClass, TenantPolicy), SpecError> {
+fn parse_tenant(t: &Table, system: &SystemSpec) -> Result<(TenantClass, SloClass), SpecError> {
     let name = string(t, "name")?;
     let weight = opt_f64(t, "weight")?.unwrap_or(1.0);
     if weight <= 0.0 {
@@ -672,13 +632,13 @@ fn parse_tenant(t: &Table) -> Result<(TenantClass, TenantPolicy), SpecError> {
     let priority = match opt_usize(t, "priority")? {
         Some(p) if p <= u8::MAX as usize => p as u8,
         Some(p) => return serr(format!("tenant {name:?} priority {p} exceeds 255")),
-        None => TenantPolicy::default().priority,
+        None => DEFAULT_TENANT_PRIORITY,
     };
-    let policy = TenantPolicy {
-        priority,
-        slo_ttft_ms: opt_f64(t, "slo-ttft-ms")?,
-        slo_tpot_ms: opt_f64(t, "slo-tpot-ms")?,
-    };
+    let slo = SloTargets::from_ms(
+        opt_f64(t, "slo-ttft-ms")?.unwrap_or(system.slo_ttft_ms),
+        opt_f64(t, "slo-tpot-ms")?.unwrap_or(system.slo_tpot_ms),
+    );
+    let slo_class = SloClass::new(&name, slo, priority, 0.0);
     Ok((
         TenantClass {
             name,
@@ -686,7 +646,7 @@ fn parse_tenant(t: &Table) -> Result<(TenantClass, TenantPolicy), SpecError> {
             input,
             output,
         },
-        policy,
+        slo_class,
     ))
 }
 
@@ -812,7 +772,8 @@ min = 0.5
         assert_eq!(suite.scenarios.len(), 2);
         let s = &suite.scenarios[0];
         assert_eq!(s.kind, ScenarioKind::Serving);
-        assert_eq!(s.system.channels, Some(4));
+        assert_eq!(s.channels, Some(4));
+        assert_eq!(s.kv_bytes_per_channel, Some(80 << 20));
         let w = s.workload.as_ref().unwrap();
         assert_eq!(w.requests, 24);
         assert_eq!(w.seed, 11);
@@ -824,8 +785,11 @@ min = 0.5
             }
         );
         assert_eq!(w.tenants.classes().len(), 2);
-        assert_eq!(w.tenant_policies.len(), 2);
-        assert_eq!(w.tenant_policies[0], TenantPolicy::default());
+        let tenants = &s.system.tenants;
+        assert_eq!(tenants.len(), 2);
+        assert_eq!(tenants[0].priority, DEFAULT_TENANT_PRIORITY);
+        assert_eq!(tenants[0].slo, s.system.slo());
+        assert_eq!(tenants[0].share, 0.75);
         assert_eq!(w.output_cap, Some(128));
         assert!(!s.system.orchestration_requested());
         assert_eq!(s.expects[0].bound, Bound::Min(20.0));
@@ -909,11 +873,13 @@ output = ["fixed", 8]
         assert_eq!(s.system.autoscale.as_deref(), Some("predictive"));
         assert_eq!(s.system.router.as_deref(), Some("capability"));
         assert_eq!(s.system.min_replicas, Some(2));
-        let w = s.workload.as_ref().unwrap();
-        assert_eq!(w.tenant_policies[0].priority, 220);
-        assert_eq!(w.tenant_policies[0].slo_ttft_ms, Some(20.0));
-        assert_eq!(w.tenant_policies[0].slo_tpot_ms, None);
-        assert_eq!(w.tenant_policies[1].priority, 40);
+        let tenants = &s.system.tenants;
+        assert_eq!(tenants[0].priority, 220);
+        assert_eq!(
+            tenants[0].slo,
+            SloTargets::from_ms(20.0, s.system.slo_tpot_ms)
+        );
+        assert_eq!(tenants[1].priority, 40);
 
         // Policy names are validated at parse time, with the inventory
         // in the error.
@@ -925,6 +891,31 @@ output = ["fixed", 8]
         assert!(SuiteSpec::parse(&bad).unwrap_err().0.contains("router"));
         let bad = text.replace("priority = 220", "priority = 999");
         assert!(SuiteSpec::parse(&bad).unwrap_err().0.contains("255"));
+    }
+
+    /// Out-of-range integers are spec errors naming the key, never silent
+    /// truncation (`tp = 2^32 + 1` used to run as tp 1).
+    #[test]
+    fn oversized_integers_are_rejected_by_key() {
+        let minimal = "[suite]\nname = \"m\"\n[[scenario]]\nname = \"s\"\n";
+        for (key, value) in [
+            ("chunk-tokens", "4294967296"),
+            ("channels", "4294967296"),
+            ("tp", "4294967297"),
+            ("pp", "4294967297"),
+            ("kv-mib-per-channel", "17592186044416"),
+        ] {
+            let e = SuiteSpec::parse(&format!("{minimal}{key} = {value}\n")).unwrap_err();
+            assert!(e.0.contains(&format!("{key:?}")), "{key}: {e}");
+        }
+        // The largest in-range values still parse.
+        let ok = format!("{minimal}tp = 4294967295\nkv-mib-per-channel = 17592186044415\n");
+        let suite = SuiteSpec::parse(&ok).unwrap();
+        assert_eq!(suite.scenarios[0].system.tp, Some(u32::MAX));
+        assert_eq!(
+            suite.scenarios[0].kv_bytes_per_channel,
+            Some(17_592_186_044_415 << 20)
+        );
     }
 
     #[test]

@@ -1,0 +1,119 @@
+//! CLI output goldens: `fleet` and `serve` stdout, byte for byte.
+//!
+//! Each invocation's stdout was recorded into `tests/golden/cli/*.md`
+//! before the CLI and the eval runner moved onto one shared system
+//! builder, so these pin that the move (and any later change to how
+//! systems are built) leaves every report row untouched: replica
+//! construction, backend/scheduler cycling, preemption, trace pricing,
+//! sharding, and the orchestrator path.
+
+use std::process::Command;
+
+fn assert_stdout_matches(golden: &str, args: &[&str]) {
+    let out = Command::new(env!("CARGO_BIN_EXE_neupims-sim"))
+        .args(args)
+        .output()
+        .expect("the CLI binary runs");
+    assert!(
+        out.status.success(),
+        "neupims-sim {args:?} failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let path = format!(
+        "{}/tests/golden/cli/{golden}.md",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let expected = std::fs::read_to_string(&path).expect("golden file exists");
+    let actual = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+    assert!(
+        actual == expected,
+        "neupims-sim {args:?} drifted from {path}\n--- expected\n{expected}\n--- actual\n{actual}"
+    );
+}
+
+#[test]
+fn fleet_default() {
+    assert_stdout_matches(
+        "fleet_default",
+        &["fleet", "--requests", "48", "--replicas", "4"],
+    );
+}
+
+#[test]
+fn fleet_heterogeneous_swap_kv_aware() {
+    assert_stdout_matches(
+        "fleet_mixed",
+        &[
+            "fleet",
+            "--requests",
+            "48",
+            "--replicas",
+            "4",
+            "--backend",
+            "neupims,gpu",
+            "--scheduler",
+            "interleaved,lump",
+            "--preemption",
+            "swap",
+            "--policy",
+            "kv-aware",
+        ],
+    );
+}
+
+#[test]
+fn fleet_trace_priced() {
+    assert_stdout_matches(
+        "fleet_trace",
+        &[
+            "fleet",
+            "--requests",
+            "48",
+            "--replicas",
+            "4",
+            "--cost-model",
+            "trace",
+        ],
+    );
+}
+
+#[test]
+fn fleet_sharded_on_noc() {
+    assert_stdout_matches(
+        "fleet_tp2_noc",
+        &[
+            "fleet",
+            "--replicas",
+            "2",
+            "--tp",
+            "2",
+            "--interconnect",
+            "noc",
+        ],
+    );
+}
+
+#[test]
+fn fleet_orchestrated_tenants() {
+    assert_stdout_matches(
+        "fleet_tenants",
+        &[
+            "fleet",
+            "--requests",
+            "64",
+            "--replicas",
+            "4",
+            "--tenants",
+            "chat:2:220:30:50,batch:1:40",
+            "--autoscale",
+            "predictive",
+            "--router",
+            "capability",
+        ],
+    );
+}
+
+#[test]
+fn serve_default() {
+    assert_stdout_matches("serve", &["serve", "--requests", "32"]);
+}

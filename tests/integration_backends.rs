@@ -1,16 +1,13 @@
-//! Backend parity: the new `Backend` implementations must price cycles
-//! identically to the legacy per-system entry points they replace, and the
+//! Backend parity: the `Backend` implementations must price cycles
+//! identically to the device-level paths beneath them, the name registry
+//! must build the same systems as direct construction, and the
 //! `Simulation` builder must agree with both.
-
-#![allow(deprecated)] // the point of this test is to pin the legacy paths
 
 use neupims_core::backend::{
     backend_from_name, Backend, GpuRooflineBackend, NeuPimsBackend, TransPimBackend,
 };
 use neupims_core::device::{Device, DeviceMode, SbiPolicy};
-use neupims_core::gpu::gpu_decode_iteration;
 use neupims_core::simulation::Simulation;
-use neupims_core::transpim::transpim_decode_iteration;
 use neupims_pim::calibrate;
 use neupims_types::{GpuSpec, LlmConfig, NeuPimsConfig};
 
@@ -71,38 +68,6 @@ fn neupims_backend_matches_legacy_device_in_every_mode() {
 }
 
 #[test]
-fn gpu_backend_matches_legacy_free_function() {
-    let model = LlmConfig::gpt3_13b();
-    let gpu = GpuSpec::a100();
-    let backend = GpuRooflineBackend::new(gpu.clone());
-    for seqs in batches() {
-        let legacy = gpu_decode_iteration(&gpu, &model, 4, model.num_layers, &seqs).unwrap();
-        let via_backend = backend
-            .decode_iteration(&model, 4, model.num_layers, &seqs)
-            .unwrap();
-        assert_eq!(legacy, via_backend.breakdown, "GPU diverged on {seqs:?}");
-    }
-}
-
-#[test]
-fn transpim_backend_matches_legacy_free_function() {
-    let (cfg, cal) = setup();
-    let model = LlmConfig::gpt3_7b();
-    let backend = TransPimBackend::new(cfg, cal);
-    for seqs in batches() {
-        let legacy =
-            transpim_decode_iteration(&cfg, &cal, &model, 4, model.num_layers, &seqs).unwrap();
-        let via_backend = backend
-            .decode_iteration(&model, 4, model.num_layers, &seqs)
-            .unwrap();
-        assert_eq!(
-            legacy, via_backend.breakdown,
-            "TransPIM diverged on {seqs:?}"
-        );
-    }
-}
-
-#[test]
 fn registry_backends_match_their_legacy_paths() {
     let (cfg, cal) = setup();
     let model = LlmConfig::gpt3_7b();
@@ -112,9 +77,10 @@ fn registry_backends_match_their_legacy_paths() {
             // Registry GPU applies the Section 8.1 fairness bandwidth.
             let mut gpu = GpuSpec::a100();
             gpu.mem_bw_bytes_per_sec = cal.mem_stream_bw * cfg.mem.channels as f64 * 1e9;
-            gpu_decode_iteration(&gpu, &model, 4, model.num_layers, &seqs)
+            GpuRooflineBackend::new(gpu)
+                .decode_iteration(&model, 4, model.num_layers, &seqs)
                 .unwrap()
-                .total_cycles
+                .total_cycles()
         },
         Device::new(cfg, cal, DeviceMode::NpuOnly)
             .decode_iteration(&model, 4, model.num_layers, &seqs)
@@ -128,9 +94,10 @@ fn registry_backends_match_their_legacy_paths() {
             .decode_iteration(&model, 4, model.num_layers, &seqs)
             .unwrap()
             .total_cycles,
-        transpim_decode_iteration(&cfg, &cal, &model, 4, model.num_layers, &seqs)
+        TransPimBackend::new(cfg, cal)
+            .decode_iteration(&model, 4, model.num_layers, &seqs)
             .unwrap()
-            .total_cycles,
+            .total_cycles(),
     ];
     for (name, expect) in ["gpu", "npu-only", "naive", "neupims", "transpim"]
         .into_iter()

@@ -136,6 +136,28 @@ min = 1.0
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Autoscale names parse case-insensitively, so the static floor (every
+/// slot committed from the start) must not depend on the spelling either:
+/// `STATIC` once fell to a floor of one and paid three warmups.
+#[test]
+fn autoscale_spelling_never_changes_the_static_floor() {
+    let scenario = |name: &str, autoscale: &str| {
+        format!(
+            "[[scenario]]\nname = \"{name}\"\nrequests = 24\nseed = 3\nreplicas = 4\n\
+             backend = \"gpu\"\nmax-batch = 8\nrate = 6.0\noutput-cap = 16\n\
+             router = \"load\"\nautoscale = \"{autoscale}\"\n"
+        )
+    };
+    let text = format!(
+        "[suite]\nname = \"spelling\"\n{}{}",
+        scenario("lower", "static"),
+        scenario("upper", "STATIC")
+    );
+    let runs = run_suite(&SuiteSpec::parse(&text).unwrap(), None).unwrap();
+    assert_eq!(runs[0].metric("warmups"), Some(0.0));
+    assert_eq!(runs[0].metrics, runs[1].metrics);
+}
+
 /// A spec'd golden violation is a fail verdict, not a run error — and
 /// warn severity downgrades it.
 #[test]
