@@ -70,10 +70,8 @@
 //! assert_eq!(scheduler_from_name("lump", 256).unwrap().name(), "lump");
 //! ```
 
-use std::collections::{HashMap, HashSet};
-
 use neupims_sched::{partition_sub_batches, CostModelKind, MhaCostModel};
-use neupims_types::{Cycle, LlmConfig, RequestId};
+use neupims_types::{ChannelId, Cycle, IdMap, IdSet, LlmConfig, RequestId};
 
 use crate::backend::{Backend, BackendError};
 use crate::metrics::IterationBreakdown;
@@ -137,16 +135,31 @@ pub struct IterationDemand<'a> {
     /// Requests with unencoded prompt tokens, in admission (FIFO) order.
     /// Always empty under a [`PrefillCharge::Delay`] policy.
     pub prefill: &'a [PrefillProgress],
-    /// The decode-ready ids grouped by their home KV channel (one inner
-    /// vector per channel of [`Backend::mem_config`]) — the shape
-    /// Algorithm 3 partitions.
-    pub per_channel: &'a [Vec<RequestId>],
+    /// The home KV channel of each decode-ready request, index-aligned
+    /// with `decode`.
+    pub homes: &'a [ChannelId],
     /// The MHA cost model pricing PIM GEMV phases, when the serving loop
     /// carries one (built once per run via [`Backend::mha_cost_model`], so
     /// trace-driven replay memos persist across iterations). `None` makes
     /// overlap-aware policies fall back to
     /// [`Backend::mha_cost_model`] with the analytic kind.
     pub cost_model: Option<&'a dyn MhaCostModel>,
+}
+
+impl IterationDemand<'_> {
+    /// The decode-ready ids grouped by their home KV channel, indexed by
+    /// channel up to the highest home, each list in `decode` order: the
+    /// shape Algorithm 3 partitions (channels holding no ready request
+    /// contribute nothing to it). Built on demand, so policies that never
+    /// partition pay nothing.
+    pub fn per_channel(&self) -> Vec<Vec<RequestId>> {
+        let channels = self.homes.iter().max().map_or(0, |h| h.index() + 1);
+        let mut per_channel = vec![Vec::new(); channels];
+        for (&(id, _), home) in self.decode.iter().zip(self.homes) {
+            per_channel[home.index()].push(id);
+        }
+        per_channel
+    }
 }
 
 /// What a [`SchedulerPolicy`] decided one iteration executes and costs.
@@ -537,13 +550,14 @@ impl SchedulerPolicy for SubBatchInterleaved {
                     && prefill_cycles > 0
                     && !demand.decode.is_empty() =>
             {
-                let seq_of: HashMap<RequestId, u64> = demand.decode.iter().copied().collect();
-                let sb = partition_sub_batches(demand.per_channel);
+                let seq_of: IdMap<RequestId, u64> = demand.decode.iter().copied().collect();
+                let per_channel = demand.per_channel();
+                let sb = partition_sub_batches(&per_channel);
                 // A sub-batch's GEMV phase is paced by its slowest channel.
                 let phase = |ids: &[RequestId]| -> f64 {
-                    let members: HashSet<RequestId> = ids.iter().copied().collect();
-                    let mut loads = vec![0.0f64; demand.per_channel.len()];
-                    for (ch, channel) in demand.per_channel.iter().enumerate() {
+                    let members: IdSet<RequestId> = ids.iter().copied().collect();
+                    let mut loads = vec![0.0f64; per_channel.len()];
+                    for (ch, channel) in per_channel.iter().enumerate() {
                         for id in channel.iter().filter(|id| members.contains(id)) {
                             loads[ch] += est.estimate(seq_of[id]);
                         }
@@ -623,11 +637,7 @@ mod tests {
     use super::*;
     use crate::backend::{GpuRooflineBackend, NeuPimsBackend};
 
-    type DemandFixtures = (
-        Vec<(RequestId, u64)>,
-        Vec<PrefillProgress>,
-        Vec<Vec<RequestId>>,
-    );
+    type DemandFixtures = (Vec<(RequestId, u64)>, Vec<PrefillProgress>, Vec<ChannelId>);
 
     fn demand_fixtures() -> DemandFixtures {
         let decode: Vec<(RequestId, u64)> = (0..8u32).map(|i| (RequestId::new(i), 512)).collect();
@@ -645,11 +655,11 @@ mod tests {
                 charged: 0,
             },
         ];
-        let mut per_channel = vec![Vec::new(); 32];
-        for &(id, _) in &decode {
-            per_channel[(id.0 % 32) as usize].push(id);
-        }
-        (decode, prefill, per_channel)
+        let homes = decode
+            .iter()
+            .map(|(id, _)| ChannelId::new(id.0 % 32))
+            .collect();
+        (decode, prefill, homes)
     }
 
     #[test]
@@ -720,11 +730,11 @@ mod tests {
     fn interleaved_hides_prefill_under_pim_phases() {
         let backend = NeuPimsBackend::table2().unwrap();
         let model = LlmConfig::gpt3_7b();
-        let (decode, prefill, per_channel) = demand_fixtures();
+        let (decode, prefill, homes) = demand_fixtures();
         let demand = IterationDemand {
             decode: &decode,
             prefill: &prefill,
-            per_channel: &per_channel,
+            homes: &homes,
             cost_model: None,
         };
         let chunked = ChunkedPrefill::new(256)
@@ -748,11 +758,11 @@ mod tests {
     fn interleaved_falls_back_to_serial_on_single_engine_backends() {
         let backend = GpuRooflineBackend::a100();
         let model = LlmConfig::gpt3_7b();
-        let (decode, prefill, per_channel) = demand_fixtures();
+        let (decode, prefill, homes) = demand_fixtures();
         let demand = IterationDemand {
             decode: &decode,
             prefill: &prefill,
-            per_channel: &per_channel,
+            homes: &homes,
             cost_model: None,
         };
         let sbi = SubBatchInterleaved::new(256)
@@ -775,11 +785,11 @@ mod tests {
         assert!(backend.caps().uses_npu && backend.caps().uses_pim);
         assert!(!backend.caps().dual_row_buffer);
         let model = LlmConfig::gpt3_7b();
-        let (decode, prefill, per_channel) = demand_fixtures();
+        let (decode, prefill, homes) = demand_fixtures();
         let demand = IterationDemand {
             decode: &decode,
             prefill: &prefill,
-            per_channel: &per_channel,
+            homes: &homes,
             cost_model: None,
         };
         let sbi = SubBatchInterleaved::new(256)
@@ -797,11 +807,10 @@ mod tests {
         let backend = NeuPimsBackend::table2().unwrap();
         let model = LlmConfig::gpt3_7b();
         let (_, prefill, _) = demand_fixtures();
-        let per_channel: Vec<Vec<RequestId>> = vec![Vec::new(); 32];
         let demand = IterationDemand {
             decode: &[],
             prefill: &prefill,
-            per_channel: &per_channel,
+            homes: &[],
             cost_model: None,
         };
         for mut policy in [
@@ -816,6 +825,20 @@ mod tests {
             assert_eq!(plan.breakdown.total_cycles, plan.prefill_cycles);
             assert_eq!(plan.breakdown.tokens, 0, "prefill generates no tokens");
         }
+    }
+
+    #[test]
+    fn per_channel_groups_ready_ids_in_decode_order() {
+        let id = RequestId::new;
+        let decode = [(id(5), 10), (id(2), 10), (id(9), 10)];
+        let homes = [1, 0, 1].map(ChannelId::new);
+        let demand = IterationDemand {
+            decode: &decode,
+            prefill: &[],
+            homes: &homes,
+            cost_model: None,
+        };
+        assert_eq!(demand.per_channel(), vec![vec![id(2)], vec![id(5), id(9)]]);
     }
 
     #[test]

@@ -90,11 +90,12 @@
 //! assert_eq!(sim.run().unwrap().completed, 1);
 //! ```
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::cell::Cell;
+use std::collections::VecDeque;
 
 use neupims_kvcache::{KvGeometry, PagedKvCache};
 use neupims_sched::{CostModelKind, MhaCostModel, RequestPool, TraceMemo, TraceSnapshot};
-use neupims_types::{ChannelId, Cycle, LlmConfig, Request, RequestId, SimError};
+use neupims_types::{ChannelId, Cycle, IdMap, IdSet, LlmConfig, Request, RequestId, SimError};
 
 use crate::backend::Backend;
 use crate::device::Device;
@@ -396,6 +397,95 @@ pub enum StepEvent {
     Finished,
 }
 
+/// The serving loop's state of one admitted request, kept from admission
+/// until the request completes or is dropped. A parked (preempted)
+/// request keeps its record, with no home channel, until it is restored.
+#[derive(Debug, Clone, Copy)]
+struct InFlight {
+    /// The KV channel its pages live on; `None` while parked.
+    home: Option<ChannelId>,
+    /// Lump-prefill (or restore) completion time: the request joins
+    /// decode iterations only once the clock reaches it (0: no gate).
+    ready_at: Cycle,
+    /// Whether its prompt is still being encoded on-device in chunks (it
+    /// then has an entry in [`ServingSim::prefilling`]).
+    prefilling: bool,
+    /// End of the first decode iteration it took part in.
+    first_token: Option<Cycle>,
+    /// Admission sequence number (the LIFO victim axis).
+    admit_seq: u64,
+    /// End of its last decode iteration (the LRU victim axis); reset to 0
+    /// by preemption.
+    last_decoded: Cycle,
+    /// The iteration (1-based) in which it last grew a token.
+    grew_in: u64,
+    /// Times it was preempted (reported in its record).
+    preemptions: u32,
+}
+
+impl InFlight {
+    fn admitted(home: ChannelId, admit_seq: u64) -> Self {
+        Self {
+            home: Some(home),
+            ready_at: 0,
+            prefilling: false,
+            first_token: None,
+            admit_seq,
+            last_decoded: 0,
+            grew_in: 0,
+            preemptions: 0,
+        }
+    }
+
+    /// Whether its prompt is fully encoded at `now` (lump delay elapsed
+    /// and no chunk outstanding).
+    fn decode_ready(&self, now: Cycle) -> bool {
+        self.ready_at <= now && !self.prefilling
+    }
+}
+
+/// The decode-ready sub-batch of one step: `(id, context length)` in
+/// running-batch order, and each request's home channel.
+#[derive(Debug, Default)]
+struct ReadyList {
+    ready: Vec<(RequestId, u64)>,
+    homes: Vec<ChannelId>,
+}
+
+thread_local! {
+    /// One ready-list buffer per thread, lent to whichever replica steps
+    /// on it. Steps reuse its allocation, and a fleet holds one buffer
+    /// per worker thread rather than one per replica.
+    static READY_SCRATCH: Cell<ReadyList> = const {
+        Cell::new(ReadyList {
+            ready: Vec::new(),
+            homes: Vec::new(),
+        })
+    };
+}
+
+/// The thread's [`ReadyList`], borrowed for one step and handed back on
+/// every return path.
+struct ReadyScratch(ReadyList);
+
+impl ReadyScratch {
+    fn take() -> Self {
+        let mut list = READY_SCRATCH.take();
+        list.ready.clear();
+        list.homes.clear();
+        Self(list)
+    }
+}
+
+impl Drop for ReadyScratch {
+    fn drop(&mut self) {
+        // During thread teardown the slot may be gone; the buffer then
+        // just drops with the guard.
+        let list = std::mem::take(&mut self.0);
+        let _ = READY_SCRATCH.try_with(|slot| slot.set(list));
+    }
+}
+
 /// One parked (preempted) request awaiting restoration.
 #[derive(Debug, Clone)]
 struct Parked {
@@ -426,20 +516,16 @@ pub struct ServingSim<B: Backend = Device> {
     cost_model: Option<Box<dyn MhaCostModel>>,
     pool: RequestPool,
     kv: PagedKvCache,
-    home_channel: HashMap<RequestId, ChannelId>,
-    arrivals: HashMap<RequestId, Cycle>,
-    /// Lump-prefill completion time of each admitted request; it joins
-    /// decode iterations only once the clock reaches this.
-    ready_at: HashMap<RequestId, Cycle>,
-    /// Chunked-prefill progress of each admitted request still encoding
-    /// its prompt (tokens done, prompt total, cycles charged so far);
-    /// removed once the prompt is fully processed.
-    prefill_left: HashMap<RequestId, (u64, u64, Cycle)>,
-    /// Chunked-mode admission order, so prefill chunks are planned FIFO.
-    prefill_order: Vec<RequestId>,
-    /// End of the first decode iteration each request participated in.
-    first_token: HashMap<RequestId, Cycle>,
-    seen: HashSet<RequestId>,
+    /// One record per admitted request still running or parked; waiting
+    /// requests have none. Every exit (completion, shed, dropped while
+    /// parked) removes the record, so the table is empty once the
+    /// replica is idle.
+    inflight: IdMap<RequestId, InFlight>,
+    /// Chunked-prefill progress of the requests still encoding their
+    /// prompt, in admission (FIFO) order; an entry leaves once its prompt
+    /// is fully processed.
+    prefilling: Vec<PrefillProgress>,
+    seen: IdSet<RequestId>,
     now: Cycle,
     records: Vec<RequestMetrics>,
     totals: IterationBreakdown,
@@ -455,13 +541,8 @@ pub struct ServingSim<B: Backend = Device> {
     swap: SwapConfig,
     /// Preempted requests awaiting restoration, FIFO.
     parked: VecDeque<Parked>,
-    /// Monotone admission sequence numbers (the LIFO victim axis).
-    admit_seq: HashMap<RequestId, u64>,
+    /// Next admission sequence number (the LIFO victim axis).
     admit_counter: u64,
-    /// Last decode-iteration end per running request (the LRU victim axis).
-    last_decoded: HashMap<RequestId, Cycle>,
-    /// Preemption count per in-flight request (reported in its record).
-    preempt_counts: HashMap<RequestId, u32>,
     preempt_events: u64,
     restore_events: u64,
     stall_cycles: Cycle,
@@ -515,13 +596,9 @@ impl<B: Backend> ServingSim<B> {
             cost_model,
             pool: RequestPool::new(cfg.max_batch),
             kv,
-            home_channel: Default::default(),
-            arrivals: Default::default(),
-            ready_at: Default::default(),
-            prefill_left: Default::default(),
-            prefill_order: Vec::new(),
-            first_token: Default::default(),
-            seen: Default::default(),
+            inflight: IdMap::default(),
+            prefilling: Vec::new(),
+            seen: IdSet::default(),
             now: 0,
             records: Vec::new(),
             totals: IterationBreakdown::default(),
@@ -534,10 +611,7 @@ impl<B: Backend> ServingSim<B> {
             preemption: Box::new(DropOnly),
             swap: SwapConfig::default(),
             parked: VecDeque::new(),
-            admit_seq: Default::default(),
             admit_counter: 0,
-            last_decoded: Default::default(),
-            preempt_counts: Default::default(),
             preempt_events: 0,
             restore_events: 0,
             stall_cycles: 0,
@@ -665,7 +739,16 @@ impl<B: Backend> ServingSim<B> {
     /// [`StepEvent::Finished`] without mutating any state, so callers
     /// (the fleet's event-driven merge) can skip stepping it entirely.
     pub fn is_idle(&self) -> bool {
-        self.pool.waiting_len() == 0 && self.pool.running().is_empty() && self.parked.is_empty()
+        let idle = self.pool.waiting_len() == 0
+            && self.pool.running().is_empty()
+            && self.parked.is_empty();
+        debug_assert!(
+            !idle || (self.inflight.is_empty() && self.prefilling.is_empty()),
+            "an idle replica still holds per-request state: {} records, {} prefilling",
+            self.inflight.len(),
+            self.prefilling.len()
+        );
+        idle
     }
 
     /// Requests waiting for admission.
@@ -754,7 +837,6 @@ impl<B: Backend> ServingSim<B> {
             return Err(SimError::DuplicateRequest(id));
         }
         let req = Request::new(id, input_len, output_len, arrival);
-        self.arrivals.insert(req.id, arrival);
         self.events.push(arrival, SimEvent::Arrival(req.id));
         self.queued_pages += self.kv.pages_for(input_len as u64);
         self.submitted += 1;
@@ -766,8 +848,7 @@ impl<B: Backend> ServingSim<B> {
     /// lowest index) — where restores go, since a parked context may no
     /// longer fit its original home.
     fn most_free_channel(&self) -> ChannelId {
-        let channels = self.backend.mem_config().channels;
-        (0..channels)
+        (0..self.kv.channels())
             .map(ChannelId::new)
             .max_by_key(|&c| (self.kv.free_pages(c), std::cmp::Reverse(c.index())))
             .expect("memory configs have at least one channel")
@@ -781,41 +862,51 @@ impl<B: Backend> ServingSim<B> {
         self.pool
             .running()
             .iter()
-            .filter(|r| self.home_channel.get(&r.id) == Some(&channel))
-            .filter(|r| {
-                self.ready_at.get(&r.id).is_none_or(|&t| t <= self.now)
-                    && !self.prefill_left.contains_key(&r.id)
-            })
             .filter_map(|r| {
+                let rec = self.inflight.get(&r.id)?;
+                if rec.home != Some(channel) || !rec.decode_ready(self.now) {
+                    return None;
+                }
                 let seq = self.kv.seq_len(r.id).ok()?;
                 Some(VictimCandidate {
                     id: r.id,
                     pages: self.kv.pages_for(seq),
                     seq_len: seq,
-                    admitted_seq: self.admit_seq.get(&r.id).copied().unwrap_or(0),
-                    last_decoded: self.last_decoded.get(&r.id).copied().unwrap_or(0),
+                    admitted_seq: rec.admit_seq,
+                    last_decoded: rec.last_decoded,
                 })
             })
             .collect()
     }
 
     /// Evicts `id`'s KV pages and parks the request for later
-    /// restoration, clearing every per-request structure the serving loop
-    /// keys on it (in particular its chunked-prefill progress, so
-    /// schedulers never plan — or hide — prefill work for a request they
-    /// no longer hold).
+    /// restoration. Its record keeps the first-token time, admission
+    /// sequence and preemption count, and drops everything tied to the
+    /// eviction: home channel, prefill gate, LRU stamp and chunked-prefill
+    /// progress (so schedulers never plan — or hide — prefill work for a
+    /// request they no longer hold).
     fn park(&mut self, id: RequestId) -> Result<(), SimError> {
         let receipt = self.kv.preempt(id)?;
         let req = self
             .pool
             .preempt_running(id)
             .ok_or(SimError::UnknownRequest(id))?;
-        self.home_channel.remove(&id);
-        self.ready_at.remove(&id);
-        self.prefill_left.remove(&id);
-        self.prefill_order.retain(|x| *x != id);
-        self.last_decoded.remove(&id);
-        *self.preempt_counts.entry(id).or_insert(0) += 1;
+        let rec = self
+            .inflight
+            .get_mut(&id)
+            .expect("running requests have a record");
+        let was_prefilling = rec.prefilling;
+        *rec = InFlight {
+            home: None,
+            ready_at: 0,
+            prefilling: false,
+            last_decoded: 0,
+            preemptions: rec.preemptions + 1,
+            ..*rec
+        };
+        if was_prefilling {
+            self.prefilling.retain(|p| p.id != id);
+        }
         self.preempt_events += 1;
         self.parked_pages += self.kv.pages_for(req.seq_len() as u64);
         self.parked_remaining += req.remaining() as u64;
@@ -834,15 +925,13 @@ impl<B: Backend> ServingSim<B> {
         self.pool
             .preempt_running(id)
             .ok_or(SimError::UnknownRequest(id))?;
-        self.home_channel.remove(&id);
-        self.ready_at.remove(&id);
-        self.prefill_left.remove(&id);
-        self.prefill_order.retain(|x| *x != id);
-        self.last_decoded.remove(&id);
-        self.first_token.remove(&id);
-        self.arrivals.remove(&id);
-        self.admit_seq.remove(&id);
-        self.preempt_counts.remove(&id);
+        let rec = self
+            .inflight
+            .remove(&id)
+            .expect("running requests have a record");
+        if rec.prefilling {
+            self.prefilling.retain(|p| p.id != id);
+        }
         self.dropped += 1;
         Ok(())
     }
@@ -865,10 +954,7 @@ impl<B: Backend> ServingSim<B> {
                 self.parked.pop_front().expect("peeked");
                 self.parked_pages -= pages;
                 self.parked_remaining -= remaining;
-                self.arrivals.remove(&id);
-                self.first_token.remove(&id);
-                self.admit_seq.remove(&id);
-                self.preempt_counts.remove(&id);
+                self.inflight.remove(&id);
                 self.dropped += 1;
                 return Ok(Some(StepEvent::Dropped(id)));
             }
@@ -883,13 +969,17 @@ impl<B: Backend> ServingSim<B> {
             self.parked_pages -= pages;
             self.parked_remaining -= remaining;
             self.kv.restore(id, ch, seq)?;
-            self.home_channel.insert(id, ch);
             self.stall_cycles += self.now.saturating_sub(p.at);
             self.restore_events += 1;
             let mode = self
                 .preemption
                 .restore_mode()
                 .expect("parked requests only exist under preempting policies");
+            let rec = self
+                .inflight
+                .get_mut(&id)
+                .expect("parked requests keep their record");
+            rec.home = Some(ch);
             match mode {
                 RestoreMode::Recompute => {
                     let prompt = seq.max(1);
@@ -905,14 +995,19 @@ impl<B: Backend> ServingSim<B> {
                         .map_err(SimError::from)?;
                     match charge {
                         PrefillCharge::Delay(d) => {
-                            self.ready_at.insert(id, self.now + d);
+                            rec.ready_at = self.now + d;
                             self.events
                                 .push(self.now + d, SimEvent::RestoreComplete(id));
                             self.restore_overhead += d;
                         }
                         PrefillCharge::Chunked => {
-                            self.prefill_left.insert(id, (0, prompt, 0));
-                            self.prefill_order.push(id);
+                            rec.prefilling = true;
+                            self.prefilling.push(PrefillProgress {
+                                id,
+                                done: 0,
+                                total: prompt,
+                                charged: 0,
+                            });
                             self.restore_overhead += self
                                 .backend
                                 .prefill_cycles(
@@ -927,7 +1022,7 @@ impl<B: Backend> ServingSim<B> {
                 }
                 RestoreMode::Swap => {
                     let d = self.swap.transfer_cycles(p.bytes);
-                    self.ready_at.insert(id, self.now + d);
+                    rec.ready_at = self.now + d;
                     self.events
                         .push(self.now + d, SimEvent::RestoreComplete(id));
                     self.restore_overhead += d;
@@ -974,11 +1069,10 @@ impl<B: Backend> ServingSim<B> {
         loop {
             let kv = &mut self.kv;
             let next_channel = &mut self.next_channel;
-            let channels = self.backend.mem_config().channels;
-            let home = &mut self.home_channel;
-            let ready_at = &mut self.ready_at;
-            let prefill_left = &mut self.prefill_left;
-            let prefill_order = &mut self.prefill_order;
+            let channels = kv.channels();
+            let inflight = &mut self.inflight;
+            let prefilling = &mut self.prefilling;
+            let admit_counter = &mut self.admit_counter;
             let events = &mut self.events;
             let queued_pages = &mut self.queued_pages;
             let scheduler = &self.scheduler;
@@ -987,7 +1081,7 @@ impl<B: Backend> ServingSim<B> {
             let (tp, layers) = (self.cfg.tp, self.cfg.layers);
             let now = self.now;
             let mut prefill_err: Option<SimError> = None;
-            let admitted = self.pool.admit(now, |req| {
+            self.pool.admit(now, |req| {
                 let ch = ChannelId::new(*next_channel % channels);
                 match kv.admit(req.id, ch, req.input_len as u64) {
                     Ok(()) => {
@@ -995,20 +1089,27 @@ impl<B: Backend> ServingSim<B> {
                         match scheduler.admission_charge(backend, model, tp, layers, prompt) {
                             Ok(charge) => {
                                 *next_channel += 1;
-                                home.insert(req.id, ch);
+                                let mut rec = InFlight::admitted(ch, *admit_counter);
+                                *admit_counter += 1;
                                 match charge {
                                     PrefillCharge::Delay(prefill) => {
-                                        ready_at.insert(req.id, now + prefill);
+                                        rec.ready_at = now + prefill;
                                         events.push(
                                             now + prefill,
                                             SimEvent::IterationComplete(req.id),
                                         );
                                     }
                                     PrefillCharge::Chunked => {
-                                        prefill_left.insert(req.id, (0, prompt, 0));
-                                        prefill_order.push(req.id);
+                                        rec.prefilling = true;
+                                        prefilling.push(PrefillProgress {
+                                            id: req.id,
+                                            done: 0,
+                                            total: prompt,
+                                            charged: 0,
+                                        });
                                     }
                                 }
+                                inflight.insert(req.id, rec);
                                 *queued_pages -= kv.pages_for(req.input_len as u64);
                                 true
                             }
@@ -1027,11 +1128,6 @@ impl<B: Backend> ServingSim<B> {
             });
             if let Some(e) = prefill_err {
                 return Err(e);
-            }
-            for id in admitted {
-                let seq = self.admit_counter;
-                self.admit_seq.insert(id, seq);
-                self.admit_counter += 1;
             }
 
             // Admission-triggered preemption: only when the head is
@@ -1053,8 +1149,7 @@ impl<B: Backend> ServingSim<B> {
             if head_arrival > self.now {
                 break;
             }
-            let mem_channels = self.backend.mem_config().channels;
-            let ch = ChannelId::new(self.next_channel % mem_channels);
+            let ch = ChannelId::new(self.next_channel % self.kv.channels());
             let pages = self.kv.pages_for(head_input);
             let free = self.kv.free_pages(ch);
             if pages > self.kv.pages_per_channel() || pages <= free {
@@ -1078,40 +1173,21 @@ impl<B: Backend> ServingSim<B> {
         }
 
         // The decode-ready sub-batch: admitted requests whose prompt is
-        // fully encoded (lump delay elapsed and no chunk outstanding).
-        let ready: Vec<(RequestId, u64)> = self
-            .pool
-            .running()
-            .iter()
-            .filter(|r| {
-                self.ready_at.get(&r.id).is_none_or(|&t| t <= self.now)
-                    && !self.prefill_left.contains_key(&r.id)
-            })
-            .map(|r| (r.id, r.seq_len() as u64))
-            .collect();
+        // fully encoded (lump delay elapsed and no chunk outstanding), with
+        // their home channels. Requests still encoding their prompt
+        // on-device are already queued FIFO in `self.prefilling`, the
+        // chunked schedulers' work queue.
+        let mut scratch = ReadyScratch::take();
+        let ReadyList { ready, homes } = &mut scratch.0;
+        for r in self.pool.running() {
+            let rec = &self.inflight[&r.id];
+            if rec.decode_ready(self.now) {
+                ready.push((r.id, r.seq_len() as u64));
+                homes.push(rec.home.expect("running requests have a home channel"));
+            }
+        }
 
-        // Requests still encoding their prompt on-device, in admission
-        // (FIFO) order — the chunked schedulers' work queue.
-        self.prefill_order
-            .retain(|id| self.prefill_left.contains_key(id));
-        let prefilling: Vec<PrefillProgress> = self
-            .prefill_order
-            .iter()
-            .map(|id| {
-                let &(done, total, charged) = self
-                    .prefill_left
-                    .get(id)
-                    .expect("prefill_order retained to live entries");
-                PrefillProgress {
-                    id: *id,
-                    done,
-                    total,
-                    charged,
-                }
-            })
-            .collect();
-
-        if ready.is_empty() && prefilling.is_empty() {
+        if ready.is_empty() && self.prefilling.is_empty() {
             // The event queue holds every future arrival, lump-prefill
             // completion, and restore completion; entries at or before
             // `now` were already actionable and are discarded lazily.
@@ -1131,6 +1207,7 @@ impl<B: Backend> ServingSim<B> {
             }
             if self.pool.waiting_len() == 0 {
                 if self.parked.is_empty() {
+                    debug_assert!(self.is_idle());
                     return Ok(StepEvent::Finished);
                 }
                 // Unreachable in practice: with nothing running the cache
@@ -1153,11 +1230,11 @@ impl<B: Backend> ServingSim<B> {
                 .map(|r| r.arrival)
                 .expect("non-empty waiting queue");
             if head_arrival <= self.now {
+                // A waiting request has no in-flight record to clear.
                 let req = self
                     .pool
                     .drop_head_waiting()
                     .expect("non-empty waiting queue");
-                self.arrivals.remove(&req.id);
                 self.queued_pages -= self.kv.pages_for(req.input_len as u64);
                 self.dropped += 1;
                 return Ok(StepEvent::Dropped(req.id));
@@ -1173,17 +1250,10 @@ impl<B: Backend> ServingSim<B> {
         // One iteration, planned and priced by the scheduler policy: the
         // decode sub-batch plus (under chunked policies) prefill chunks,
         // possibly overlapped NPU/PIM-style.
-        let per_channel_count = self.backend.mem_config().channels as usize;
-        let mut per_channel: Vec<Vec<RequestId>> = vec![Vec::new(); per_channel_count];
-        for &(id, _) in &ready {
-            if let Some(ch) = self.home_channel.get(&id) {
-                per_channel[ch.index()].push(id);
-            }
-        }
         let demand = IterationDemand {
-            decode: &ready,
-            prefill: &prefilling,
-            per_channel: &per_channel,
+            decode: ready,
+            prefill: &self.prefilling,
+            homes,
             cost_model: self.cost_model.as_deref(),
         };
         let plan = {
@@ -1193,6 +1263,7 @@ impl<B: Backend> ServingSim<B> {
                 .plan(backend, &self.model, self.cfg.tp, self.cfg.layers, &demand)
                 .map_err(SimError::from)?
         };
+        drop(scratch);
         debug_assert_eq!(
             plan.breakdown.total_cycles,
             plan.decode_cycles + plan.prefill_cycles - plan.hidden_cycles,
@@ -1214,14 +1285,24 @@ impl<B: Backend> ServingSim<B> {
 
         // Chunked-prefill progress: fully encoded prompts leave the
         // prefill queue and join decode at the next boundary.
-        for chunk in &plan.prefill {
-            if let Some(entry) = self.prefill_left.get_mut(&chunk.id) {
-                entry.0 = (entry.0 + chunk.tokens).min(entry.1);
-                entry.2 = chunk.charged_total;
-                if entry.0 >= entry.1 {
-                    self.prefill_left.remove(&chunk.id);
+        if !plan.prefill.is_empty() {
+            for chunk in &plan.prefill {
+                if let Some(p) = self.prefilling.iter_mut().find(|p| p.id == chunk.id) {
+                    p.done = (p.done + chunk.tokens).min(p.total);
+                    p.charged = chunk.charged_total;
                 }
             }
+            let inflight = &mut self.inflight;
+            self.prefilling.retain(|p| {
+                let encoded = p.done >= p.total;
+                if encoded {
+                    inflight
+                        .get_mut(&p.id)
+                        .expect("prefilling requests have a record")
+                        .prefilling = false;
+                }
+                !encoded
+            });
         }
 
         // Token growth, then the KV high-water mark (after growth, before
@@ -1229,13 +1310,20 @@ impl<B: Backend> ServingSim<B> {
         // the preemption policy's call: drop-only sheds the request that
         // cannot grow; preempting policies evict victims (possibly the
         // grower itself) and park them for restoration.
-        let mut decoded: Vec<RequestId> = Vec::with_capacity(plan.decode.len());
+        //
+        // A request that grew is stamped with this iteration; the
+        // completion pass below advances exactly the still-running
+        // requests carrying the stamp (a victim parked after its append
+        // re-generates that token after restoration).
+        let iteration = self.iterations;
         for &id in &plan.decode {
-            if self.pool.get_running(id).is_err() {
-                continue; // preempted as a victim earlier in this loop
-            }
+            // Shed or parked as a victim earlier in this loop: no
+            // resident record.
+            let Some(rec) = self.inflight.get_mut(&id).filter(|r| r.home.is_some()) else {
+                continue;
+            };
             match self.kv.append_token(id) {
-                Ok(_) => decoded.push(id),
+                Ok(_) => rec.grew_in = iteration,
                 Err(SimError::OutOfMemory {
                     channel,
                     requested_pages,
@@ -1252,7 +1340,7 @@ impl<B: Backend> ServingSim<B> {
                         // (the historical count-model behavior, which the
                         // golden traces rely on) and the request finishes
                         // on schedule with its pages at their last size.
-                        decoded.push(id);
+                        self.mark_grown(id, iteration);
                         continue;
                     }
                     // The channel is merely *crowded*: the context would
@@ -1278,7 +1366,7 @@ impl<B: Backend> ServingSim<B> {
                     }
                     if !self_evicted {
                         match self.kv.append_token(id) {
-                            Ok(_) => decoded.push(id),
+                            Ok(_) => self.mark_grown(id, iteration),
                             Err(SimError::OutOfMemory { .. }) => self.park(id)?,
                             Err(e) => return Err(e),
                         }
@@ -1289,41 +1377,50 @@ impl<B: Backend> ServingSim<B> {
         }
         self.peak_kv = self.peak_kv.max(self.kv.utilization());
 
-        // Only requests that grew a token *and* are still running advance
-        // (a victim parked after its append re-generates that token after
-        // restoration).
-        let ready_ids: HashSet<RequestId> = decoded
-            .into_iter()
-            .filter(|id| self.pool.get_running(*id).is_ok())
-            .collect();
-        for &id in &ready_ids {
-            self.first_token.entry(id).or_insert(self.now);
-            self.last_decoded.insert(id, self.now);
-        }
-        for done in self
-            .pool
-            .complete_iteration_where(|r| ready_ids.contains(&r.id))
-        {
+        // Completion: one record lookup per running request, then one
+        // removal per retired request.
+        let now = self.now;
+        let inflight = &mut self.inflight;
+        let retired = self.pool.complete_iteration_where(|r| {
+            let rec = inflight
+                .get_mut(&r.id)
+                .expect("running requests have a record");
+            let grew = rec.grew_in == iteration;
+            if grew {
+                rec.first_token.get_or_insert(now);
+                rec.last_decoded = now;
+            }
+            grew
+        });
+        for done in retired {
             self.kv.release(done.id)?;
-            self.home_channel.remove(&done.id);
-            self.ready_at.remove(&done.id);
-            self.admit_seq.remove(&done.id);
-            self.last_decoded.remove(&done.id);
-            let arrival = self.arrivals.remove(&done.id).unwrap_or(done.arrival);
-            let first = self
-                .first_token
+            let rec = self
+                .inflight
                 .remove(&done.id)
+                .expect("running requests have a record");
+            let first = rec
+                .first_token
                 .expect("completed request produced a first token");
             self.records.push(RequestMetrics {
                 id: done.id,
-                arrival,
-                ttft: first.saturating_sub(arrival),
-                latency: self.now.saturating_sub(arrival),
+                arrival: done.arrival,
+                ttft: first.saturating_sub(done.arrival),
+                latency: now.saturating_sub(done.arrival),
                 tokens: done.output_len as u64,
-                preemptions: self.preempt_counts.remove(&done.id).unwrap_or(0),
+                preemptions: rec.preemptions,
             });
         }
         Ok(StepEvent::Iteration)
+    }
+
+    /// Stamps `id` as having grown a token in `iteration` (the token
+    /// loop's slow paths; the common path stamps the record it already
+    /// holds).
+    fn mark_grown(&mut self, id: RequestId, iteration: u64) {
+        self.inflight
+            .get_mut(&id)
+            .expect("a request that grew is running")
+            .grew_in = iteration;
     }
 
     /// Snapshot of the run's statistics so far (final once [`Self::step`]
@@ -1400,20 +1497,28 @@ mod tests {
     use neupims_pim::calibrate;
     use neupims_types::NeuPimsConfig;
 
+    fn cfg(max_batch: usize) -> ServingConfig {
+        ServingConfig {
+            max_batch,
+            tp: 4,
+            layers: 32,
+            target_completions: 0,
+            slo: None,
+        }
+    }
+
     fn sim(mode: DeviceMode, max_batch: usize) -> ServingSim {
-        let model = LlmConfig::gpt3_7b();
-        let device = table2_device(mode);
-        ServingSim::new(
-            device,
-            model,
-            ServingConfig {
-                max_batch,
-                tp: 4,
-                layers: 32,
-                target_completions: 0,
-                slo: None,
-            },
-        )
+        ServingSim::new(table2_device(mode), LlmConfig::gpt3_7b(), cfg(max_batch))
+    }
+
+    /// The exit-path invariant: a drained replica holds no per-request
+    /// state — no in-flight record, no prefill progress, no KV pages.
+    fn assert_drained<B: Backend>(s: &ServingSim<B>) {
+        assert!(s.is_idle());
+        assert!(s.inflight.is_empty(), "{} records left", s.inflight.len());
+        assert!(s.prefilling.is_empty());
+        assert_eq!(s.kv.active_requests(), 0);
+        assert_eq!(s.kv.used_pages(), 0);
     }
 
     #[test]
@@ -1431,6 +1536,26 @@ mod tests {
         assert!(out.mean_latency > 0.0);
         assert!(out.tokens_per_sec() > 0.0);
         assert!(out.peak_kv_utilization > 0.0);
+        assert_drained(&s);
+    }
+
+    #[test]
+    fn completion_drains_chunked_prefill_state() {
+        // Completion exit under a chunked scheduler: the prompt queue and
+        // the records both drain.
+        let mut s = ServingSim::with_scheduler(
+            table2_device(DeviceMode::neupims()),
+            LlmConfig::gpt3_7b(),
+            cfg(4),
+            Box::new(crate::scheduler::ChunkedPrefill::new(64)),
+        );
+        for i in 0..10 {
+            s.submit(i, 100 + 30 * i, 3, u64::from(i) * 100_000)
+                .unwrap();
+        }
+        let out = s.run().unwrap();
+        assert_eq!(out.completed, 10);
+        assert_drained(&s);
     }
 
     #[test]
@@ -1584,6 +1709,7 @@ mod tests {
             "no request may silently vanish"
         );
         assert_eq!(out.tokens, 8, "drops generate no tokens");
+        assert_drained(&s);
     }
 
     #[test]
@@ -1685,6 +1811,7 @@ mod tests {
             "request 1 ({} cycles) must not wait for the last arrival",
             early.latency
         );
+        assert_drained(&s);
     }
 
     /// Eight requests, two per channel, whose contexts together outgrow
@@ -1710,6 +1837,44 @@ mod tests {
         for r in &out.records {
             assert_eq!(r.preemptions, 0);
         }
+        assert_drained(&s);
+    }
+
+    #[test]
+    fn a_parked_context_outgrowing_every_channel_is_dropped_and_cleared() {
+        // Restore-drop exit. Parking keeps a context's length, so a parked
+        // request cannot outgrow a channel on its own; stretch a parked
+        // prompt past a channel's capacity to reach the path.
+        let mut s =
+            tight_sim(80 << 20).with_preemption(Box::new(crate::preempt::RecomputeLastAdmitted));
+        submit_crowded(&mut s);
+        while s.preempted_len() == 0 {
+            assert_ne!(s.step().unwrap(), StepEvent::Finished);
+        }
+        let parked = &mut s.parked[0];
+        let id = parked.req.id;
+        let before = s.kv.pages_for(parked.req.seq_len() as u64);
+        parked.req.input_len = 8192;
+        let after = s.kv.pages_for(parked.req.seq_len() as u64);
+        assert!(after > s.kv.pages_per_channel());
+        s.parked_pages = s.parked_pages - before + after;
+        assert!(
+            s.inflight.contains_key(&id),
+            "parked requests keep a record"
+        );
+
+        let mut events = Vec::new();
+        loop {
+            match s.step().unwrap() {
+                StepEvent::Finished => break,
+                e => events.push(e),
+            }
+        }
+        assert!(events.contains(&StepEvent::Dropped(id)), "{events:?}");
+        let out = s.outcome();
+        assert_eq!(out.completed + out.dropped, out.submitted);
+        assert!(out.records.iter().all(|r| r.id != id));
+        assert_drained(&s);
     }
 
     #[test]
@@ -1747,6 +1912,7 @@ mod tests {
         assert_eq!(preempted_records as u64, rec_out.preemptions);
         // Tokens: every request generated its full output exactly once.
         assert_eq!(rec_out.tokens, 8 * 200);
+        assert_drained(&rec);
     }
 
     #[test]

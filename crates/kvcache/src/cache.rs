@@ -18,9 +18,7 @@
 //! [`PagedKvCache::pages_preempted`]) so outcomes can report how much
 //! KV state the run evicted.
 
-use std::collections::HashMap;
-
-use neupims_types::{ChannelId, MemConfig, RequestId, SimError};
+use neupims_types::{ChannelId, IdMap, MemConfig, RequestId, SimError};
 
 use crate::geometry::KvGeometry;
 
@@ -55,7 +53,9 @@ pub struct PagedKvCache {
     pages_per_channel: u64,
     page_bytes: u64,
     used: Vec<u64>,
-    requests: HashMap<RequestId, ReqAlloc>,
+    /// Sum of `used` (kept alongside it so utilization samples are O(1)).
+    used_total: u64,
+    requests: IdMap<RequestId, ReqAlloc>,
     preemptions: u64,
     restores: u64,
     pages_preempted: u64,
@@ -71,7 +71,8 @@ impl PagedKvCache {
             pages_per_channel: mem.capacity_per_channel / mem.page_bytes,
             page_bytes: mem.page_bytes,
             used: vec![0; mem.channels as usize],
-            requests: HashMap::new(),
+            used_total: 0,
+            requests: IdMap::default(),
             preemptions: 0,
             restores: 0,
             pages_preempted: 0,
@@ -114,7 +115,17 @@ impl PagedKvCache {
 
     /// Pages currently reserved across all channels.
     pub fn used_pages(&self) -> u64 {
-        self.used.iter().sum()
+        debug_assert_eq!(
+            self.used_total,
+            self.used.iter().sum::<u64>(),
+            "used-page total drifted from the per-channel counts"
+        );
+        self.used_total
+    }
+
+    /// Number of channels the cache pages across.
+    pub fn channels(&self) -> u32 {
+        self.used.len() as u32
     }
 
     /// Overall pool utilization in `[0, 1]`.
@@ -167,6 +178,7 @@ impl PagedKvCache {
             });
         }
         self.used[channel.index()] += pages;
+        self.used_total += pages;
         self.requests.insert(
             id,
             ReqAlloc {
@@ -189,10 +201,14 @@ impl PagedKvCache {
     /// [`SimError::OutOfMemory`] (leaving the request unchanged) when the
     /// channel is full.
     pub fn append_token(&mut self, id: RequestId) -> Result<u64, SimError> {
-        let alloc = *self.requests.get(&id).ok_or(SimError::UnknownRequest(id))?;
-        let new_pages = self.pages_for(alloc.seq_len + 1);
+        let alloc = self
+            .requests
+            .get_mut(&id)
+            .ok_or(SimError::UnknownRequest(id))?;
+        let new_pages = self.geometry.kv_pages_per_layer(alloc.seq_len + 1) * self.layers as u64;
         let delta = new_pages.saturating_sub(alloc.pages);
-        let free = self.free_pages(alloc.channel);
+        let used = &mut self.used[alloc.channel.index()];
+        let free = self.pages_per_channel - *used;
         if delta > free {
             return Err(SimError::OutOfMemory {
                 channel: alloc.channel,
@@ -200,10 +216,10 @@ impl PagedKvCache {
                 free_pages: free,
             });
         }
-        self.used[alloc.channel.index()] += delta;
-        let entry = self.requests.get_mut(&id).expect("checked above");
-        entry.seq_len += 1;
-        entry.pages = new_pages;
+        *used += delta;
+        self.used_total += delta;
+        alloc.seq_len += 1;
+        alloc.pages = new_pages;
         Ok(delta)
     }
 
@@ -218,6 +234,7 @@ impl PagedKvCache {
             .remove(&id)
             .ok_or(SimError::UnknownRequest(id))?;
         self.used[alloc.channel.index()] -= alloc.pages;
+        self.used_total -= alloc.pages;
         Ok(alloc.pages)
     }
 
@@ -264,6 +281,7 @@ impl PagedKvCache {
             .remove(&id)
             .ok_or(SimError::UnknownRequest(id))?;
         self.used[alloc.channel.index()] -= alloc.pages;
+        self.used_total -= alloc.pages;
         self.preemptions += 1;
         self.pages_preempted += alloc.pages;
         Ok(PreemptedKv {

@@ -15,9 +15,16 @@ use neupims_types::{Cycle, Request, RequestId, RequestState, SimError};
 pub struct RequestPool {
     waiting: VecDeque<Request>,
     running: Vec<Request>,
+    /// Requests retired by the last completion pass, handed out by
+    /// [`Self::complete_iteration_where`] (kept so passes reuse one buffer).
+    retired: Vec<Request>,
     max_batch: usize,
     completed: u64,
     tokens_generated: u64,
+    /// Tokens still owed by the waiting queue and the running batch
+    /// (incremental mirror of the walk [`Self::outstanding_tokens`]
+    /// debug-checks, so load snapshots stay O(1)).
+    outstanding: u64,
 }
 
 impl RequestPool {
@@ -32,6 +39,7 @@ impl RequestPool {
 
     /// Submits a new request to the waiting queue.
     pub fn submit(&mut self, req: Request) {
+        self.outstanding += req.remaining() as u64;
         self.waiting.push_back(req);
     }
 
@@ -64,11 +72,16 @@ impl RequestPool {
     /// running batch — the pool's outstanding work (dispatch policies use
     /// it as a load signal).
     pub fn outstanding_tokens(&self) -> u64 {
-        self.waiting
-            .iter()
-            .chain(&self.running)
-            .map(|r| r.remaining() as u64)
-            .sum()
+        debug_assert_eq!(
+            self.outstanding,
+            self.waiting
+                .iter()
+                .chain(&self.running)
+                .map(|r| r.remaining() as u64)
+                .sum::<u64>(),
+            "outstanding-token mirror drifted from the queues"
+        );
+        self.outstanding
     }
 
     /// Removes and returns the head of the waiting queue without running
@@ -80,7 +93,9 @@ impl RequestPool {
     /// still waiting — the same request [`Self::admit`] would consider
     /// first — so dropping it never reorders the queue behind it.
     pub fn drop_head_waiting(&mut self) -> Option<Request> {
-        self.waiting.pop_front()
+        let req = self.waiting.pop_front()?;
+        self.outstanding -= req.remaining() as u64;
+        Some(req)
     }
 
     /// Current context lengths of the running batch, index-aligned with
@@ -133,29 +148,40 @@ impl RequestPool {
     ///
     /// Returns the retired requests (callers release their KV pages).
     pub fn complete_iteration(&mut self) -> Vec<Request> {
-        self.complete_iteration_where(|_| true)
+        self.complete_iteration_where(|_| true).collect()
     }
 
     /// Like [`Self::complete_iteration`], but only requests for which
     /// `participated` returns `true` advance (and can retire). Serving
     /// frontends use this to keep admitted-but-still-prefilling requests
     /// from generating tokens before their prefill delay has elapsed.
+    ///
+    /// `participated` sees every running request once, in batch order.
+    /// The batch is filtered in place and the retired requests are
+    /// drained, in batch order, from a buffer the pool reuses, so a pass
+    /// allocates nothing once the buffer has grown.
     pub fn complete_iteration_where(
         &mut self,
         mut participated: impl FnMut(&Request) -> bool,
-    ) -> Vec<Request> {
-        for req in &mut self.running {
+    ) -> std::vec::Drain<'_, Request> {
+        let retired = &mut self.retired;
+        retired.clear();
+        let mut advanced = 0u64;
+        self.running.retain_mut(|req| {
             if participated(req) {
                 req.advance();
-                self.tokens_generated += 1;
+                advanced += 1;
             }
-        }
-        let (done, keep): (Vec<Request>, Vec<Request>) = std::mem::take(&mut self.running)
-            .into_iter()
-            .partition(|r| r.is_finished());
-        self.running = keep;
-        self.completed += done.len() as u64;
-        done
+            let finished = req.is_finished();
+            if finished {
+                retired.push(req.clone());
+            }
+            !finished
+        });
+        self.tokens_generated += advanced;
+        self.outstanding -= advanced;
+        self.completed += self.retired.len() as u64;
+        self.retired.drain(..)
     }
 
     /// Removes `id` from the running batch without retiring it, returning
@@ -169,6 +195,7 @@ impl RequestPool {
         let pos = self.running.iter().position(|r| r.id == id)?;
         let mut req = self.running.remove(pos);
         req.state = RequestState::Waiting;
+        self.outstanding -= req.remaining() as u64;
         Some(req)
     }
 
@@ -181,6 +208,7 @@ impl RequestPool {
             return false;
         }
         req.state = RequestState::Running;
+        self.outstanding += req.remaining() as u64;
         self.running.push(req);
         true
     }
@@ -297,7 +325,8 @@ mod tests {
         pool.admit(0, |_| true);
         // Only request 1 participates: request 0 must not advance or retire.
         let done = pool.complete_iteration_where(|r| r.id == RequestId::new(1));
-        assert!(done.is_empty());
+        assert_eq!(done.len(), 0);
+        drop(done);
         assert_eq!(pool.tokens_generated(), 1);
         assert_eq!(pool.seq_lens(), vec![8, 9]);
         // Now both participate; both finish.

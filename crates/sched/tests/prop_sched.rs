@@ -206,4 +206,61 @@ proptest! {
         prop_assert_eq!(pool.tokens_generated(), expected_tokens);
         prop_assert_eq!(pool.waiting_len(), 0);
     }
+
+    /// The O(1) outstanding-token counter equals the walk over the
+    /// waiting queue and the running batch after every operation that
+    /// moves tokens: submit, (filtered) advance, preempt, resume, and
+    /// head drop.
+    #[test]
+    fn outstanding_tokens_match_the_walk(
+        ops in prop::collection::vec((0u8..6, 1u32..9, any::<u8>()), 1..120),
+        max_batch in 1usize..8,
+    ) {
+        let mut pool = RequestPool::new(max_batch);
+        let mut parked: Vec<Request> = Vec::new();
+        let mut next_id = 0u32;
+        let walk = |pool: &RequestPool| -> u64 {
+            pool.waiting()
+                .chain(pool.running())
+                .map(|r| r.remaining() as u64)
+                .sum()
+        };
+        for (op, len, pick) in ops {
+            match op {
+                0 => {
+                    pool.submit(Request::new(RequestId::new(next_id), 8, len, 0));
+                    next_id += 1;
+                }
+                1 => {
+                    pool.admit(0, |_| true);
+                }
+                2 => {
+                    let mut turn = pick;
+                    let retired = pool.complete_iteration_where(|_| {
+                        turn = turn.rotate_left(1);
+                        turn & 1 == 1
+                    });
+                    prop_assert!(retired.into_iter().all(|r| r.is_finished()));
+                }
+                3 => {
+                    let n = pool.running().len();
+                    if n > 0 {
+                        let id = pool.running()[pick as usize % n].id;
+                        parked.push(pool.preempt_running(id).expect("running"));
+                    }
+                }
+                4 => {
+                    if let Some(req) = parked.pop() {
+                        if !pool.resume(req.clone()) {
+                            parked.push(req);
+                        }
+                    }
+                }
+                _ => {
+                    pool.drop_head_waiting();
+                }
+            }
+            prop_assert_eq!(pool.outstanding_tokens(), walk(&pool));
+        }
+    }
 }

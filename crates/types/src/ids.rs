@@ -4,7 +4,9 @@
 //! ids statically distinct (a `ChannelId` can never be passed where a
 //! `BankId` is expected).
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 
@@ -68,6 +70,40 @@ id_newtype!(
     RequestId
 );
 
+/// Hasher of the id newtypes: one multiply by the 64-bit golden ratio.
+///
+/// Ids are dense `u32`s that the simulator's own front-ends assign (a
+/// request's position in a generated workload), never read from outside
+/// input, so SipHash's resistance to crafted collisions buys nothing and
+/// costs a dozen rounds per lookup. The product is a bijection on the low
+/// bits (the multiplier is odd), so consecutive ids land in distinct
+/// buckets, and its top bits, which the map's tag byte reads, mix every
+/// id bit.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.0 = (self.0 ^ u64::from(id)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// A map keyed by an id newtype, hashed with [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A set of id newtypes, hashed with [`IdHasher`].
+pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
+
 /// The raw id of the request at 0-based position `index` of a generated
 /// workload. Front-ends number requests by position; an index past
 /// `u32::MAX` is an error instead of silently wrapping onto an earlier
@@ -113,6 +149,25 @@ mod tests {
         assert!(matches!(err, SimError::InvalidConfig(_)), "{err:?}");
         assert!(err.to_string().contains("4294967296"), "{err}");
         assert!(request_id(usize::MAX).is_err());
+    }
+
+    #[test]
+    fn id_hasher_spreads_consecutive_ids() {
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<IdHasher>::default();
+        // Consecutive ids must not collide in the low bits that pick a
+        // bucket (here: a 1024-bucket table).
+        let buckets: HashSet<u64> = (0..1024u32)
+            .map(|i| build.hash_one(RequestId::new(i)) & 1023)
+            .collect();
+        assert_eq!(buckets.len(), 1024);
+        let mut map: IdMap<RequestId, u32> = IdMap::default();
+        for i in 0..100 {
+            map.insert(RequestId::new(i), i * 2);
+        }
+        assert_eq!(map[&RequestId::new(42)], 84);
+        assert!(map.remove(&RequestId::new(7)).is_some());
+        assert!(!map.contains_key(&RequestId::new(7)));
     }
 
     #[test]
