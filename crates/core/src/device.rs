@@ -38,16 +38,14 @@
 //! crossover.
 
 use neupims_kvcache::KvGeometry;
-use neupims_llm::compiler::{compile_block, CompiledBlock};
+use neupims_llm::{heads_per_device, lower_batch};
 use neupims_npu::VectorCost;
 use neupims_pim::PimCalibration;
 use neupims_sched::{
     assign_min_load, assign_round_robin, AnalyticCostModel, CostModelKind, MhaCostModel,
-    MhaLatencyEstimator, TraceDrivenCostModel, TraceHardware, TraceMemo,
+    MhaLatencyEstimator, SubBatchSides, TraceDrivenCostModel, TraceHardware, TraceMemo,
 };
-use neupims_types::{
-    config::InterconnectConfig, ChannelId, LlmConfig, NeuPimsConfig, Phase, RequestId, SimError,
-};
+use neupims_types::{config::InterconnectConfig, LlmConfig, NeuPimsConfig, SimError};
 
 use crate::metrics::IterationBreakdown;
 
@@ -146,26 +144,44 @@ pub struct Device {
     trace_hw: TraceHardware,
 }
 
-/// One decode batch, priced once: each request's context length, MHA
-/// cost estimate, and PIM channel, index-aligned.
-#[derive(Debug, Default)]
-struct PricedBatch {
-    seq_lens: Vec<u64>,
-    costs: Vec<f64>,
-    channels: Vec<ChannelId>,
+/// The per-request terms of a (sub-)batch that sum as integers.
+#[derive(Debug, Clone, Copy, Default)]
+struct RequestSums {
+    /// Requests (the GEMM row count).
+    m: u64,
+    /// Softmax cycles (overlappable with PIM in NeuPIMs).
+    softmax: u64,
+    /// Logit/result transfer bytes between PIM and vector units.
+    logit_bytes: u64,
+    /// GWRITE page bytes (query/logit vector loads).
+    gwrite_bytes: u64,
+    /// Total KV bytes read (for NPU-only MHA).
+    kv_read_bytes: u64,
 }
 
-impl PricedBatch {
-    /// The sub-batch of the requests at `ids` (batch indices), in order.
-    fn pick(&self, ids: &[RequestId]) -> Self {
-        let mut sub = Self::default();
-        for id in ids {
-            sub.seq_lens.push(self.seq_lens[id.index()]);
-            sub.costs.push(self.costs[id.index()]);
-            sub.channels.push(self.channels[id.index()]);
-        }
-        sub
+impl std::ops::AddAssign for RequestSums {
+    fn add_assign(&mut self, r: Self) {
+        self.m += r.m;
+        self.softmax += r.softmax;
+        self.logit_bytes += r.logit_bytes;
+        self.gwrite_bytes += r.gwrite_bytes;
+        self.kv_read_bytes += r.kv_read_bytes;
     }
+}
+
+/// One PIM channel's MHA time, in cycles per decoder layer. Each sum adds
+/// the channel's requests in batch order, the order the per-channel
+/// results are pinned in.
+#[derive(Debug, Clone, Copy, Default)]
+struct ChannelLoad {
+    /// GEMV load of the whole batch.
+    all: f64,
+    /// Blocked-mode per-head turnaround of the whole batch (naive only).
+    turnaround: f64,
+    /// GEMV load of Algorithm 3's first sub-batch.
+    first: f64,
+    /// GEMV load of Algorithm 3's second sub-batch.
+    second: f64,
 }
 
 /// Per-sub-batch stage costs, all in cycles or bytes (per decoder layer).
@@ -183,36 +199,15 @@ struct SubCosts {
     kv_append: u64,
     /// Vector-unit cycles outside MHA.
     vector: u64,
-    /// Softmax cycles (overlappable with PIM in NeuPIMs).
-    softmax: u64,
-    /// Logit/result transfer bytes between PIM and vector units.
-    logit_bytes: u64,
-    /// GWRITE page bytes (query/logit vector loads).
-    gwrite_bytes: u64,
-    /// Per-channel PIM GEMV load, cycles.
-    pim_loads: Vec<f64>,
-    /// Per-channel blocked-mode turnaround (naive only), cycles.
-    turnaround: Vec<f64>,
-    /// Total KV bytes read (for NPU-only MHA).
-    kv_read_bytes: u64,
+    /// The per-request sums.
+    req: RequestSums,
+    /// The slowest channel's PIM stage: its GEMV load, plus the per-head
+    /// turnaround blocked-mode PIM serializes with it.
+    pim_max: f64,
     /// GEMM FLOPs.
     flops: u64,
     /// Tensor-parallel all-reduce cycles.
     allreduce: u64,
-}
-
-impl SubCosts {
-    fn pim_max(&self) -> f64 {
-        self.pim_loads.iter().copied().fold(0.0, f64::max)
-    }
-
-    fn blocked_mha_max(&self) -> f64 {
-        self.pim_loads
-            .iter()
-            .zip(&self.turnaround)
-            .map(|(p, t)| p + t)
-            .fold(0.0, f64::max)
-    }
 }
 
 fn ring_allreduce_cycles(bytes: u64, tp: u32, ic: &InterconnectConfig) -> u64 {
@@ -342,60 +337,30 @@ impl Device {
         self.cal.mem_stream_bw_shared * self.cfg.mem.channels as f64
     }
 
+    /// Stage costs of a sub-batch of `req.m` requests, lowered at that
+    /// batch size.
     fn sub_costs(
         &self,
         model: &LlmConfig,
         tp: u32,
         geo: &KvGeometry,
-        batch: &PricedBatch,
+        req: RequestSums,
+        pim_max: f64,
     ) -> Result<SubCosts, SimError> {
-        let seq_lens = &batch.seq_lens;
-        let cb: CompiledBlock =
-            compile_block(&self.cfg.npu, model, tp, seq_lens, Phase::Generation)?;
+        let lb = lower_batch(&self.cfg.npu, model, tp, req.m)?;
         let es = model.dtype.size_bytes();
-        let m = seq_lens.len() as u64;
-        let vc = VectorCost::new(&self.cfg.npu);
-
-        let channels = self.cfg.mem.channels as usize;
-        let mut pim_loads = vec![0.0f64; channels];
-        let mut turnaround = vec![0.0f64; channels];
-        let bus_per_channel = self.cfg.mem.bus_bytes_per_cycle as f64;
-        for ((&seq, &cost), ch) in seq_lens.iter().zip(&batch.costs).zip(&batch.channels) {
-            pim_loads[ch.index()] += cost;
-            // Blocked-mode per-head turnaround: drain logits to the vector
-            // units, softmax, write them back (GWRITE), plus a row-cycle of
-            // resynchronization — all serial with the channel's GEMV work.
-            let per_head = self.cal.l_gwrite
-                + self.cfg.timing.t_rc() as f64
-                + vc.softmax(1, seq.max(1)) as f64
-                + (4 * seq) as f64 / bus_per_channel;
-            turnaround[ch.index()] += geo.heads as f64 * per_head;
-        }
-
-        let heads = geo.heads;
-        let logit_bytes: u64 = seq_lens.iter().map(|&s| 2 * s * heads * es).sum();
-        let gwrite_bytes: u64 = seq_lens
-            .iter()
-            .map(|&s| geo.mha_gwrites(s) * self.cfg.mem.page_bytes)
-            .sum();
-        let kv_read_bytes: u64 = seq_lens.iter().map(|&s| 2 * s * geo.embed * es).sum();
-
         Ok(SubCosts {
-            c_qkv: cb.gemms[0].compute_cycles,
-            c_pf: cb.gemms[1..].iter().map(|g| g.compute_cycles).sum(),
-            w_qkv: cb.gemms[0].weight_bytes,
-            w_pf: cb.gemms[1..].iter().map(|g| g.weight_bytes).sum(),
-            kv_append: m * 2 * geo.embed * es,
-            vector: cb.vector_cycles,
-            softmax: cb.softmax_cycles,
-            logit_bytes,
-            gwrite_bytes,
-            pim_loads,
-            turnaround,
-            kv_read_bytes,
-            flops: cb.gemm_flops(),
-            allreduce: ring_allreduce_cycles(cb.allreduce_bytes, tp, &self.cfg.interconnect)
-                * cb.allreduces as u64,
+            c_qkv: lb.gemms[0].compute_cycles,
+            c_pf: lb.gemms[1..].iter().map(|g| g.compute_cycles).sum(),
+            w_qkv: lb.gemms[0].weight_bytes,
+            w_pf: lb.gemms[1..].iter().map(|g| g.weight_bytes).sum(),
+            kv_append: req.m * 2 * geo.embed * es,
+            vector: lb.vector_cycles,
+            req,
+            pim_max,
+            flops: lb.gemm_flops(),
+            allreduce: ring_allreduce_cycles(lb.allreduce_bytes, tp, &self.cfg.interconnect)
+                * lb.allreduces as u64,
         })
     }
 
@@ -414,20 +379,21 @@ impl Device {
         // Multi-head attention.
         let (d_mha, mha_bus) = match self.mode {
             DeviceMode::NpuOnly => {
-                let d = (s.kv_read_bytes as f64 / bw) as u64 + s.softmax;
-                (d, s.kv_read_bytes)
+                let d = (s.req.kv_read_bytes as f64 / bw) as u64 + s.req.softmax;
+                (d, s.req.kv_read_bytes)
             }
             DeviceMode::NaiveNpuPim => {
                 // Blocked mode: GEMV and per-head turnarounds serialize
                 // within each channel; the slowest channel bounds the stage.
-                (s.blocked_mha_max() as u64, s.logit_bytes + s.gwrite_bytes)
+                (s.pim_max as u64, s.req.logit_bytes + s.req.gwrite_bytes)
             }
             DeviceMode::NeuPims { .. } => {
                 // Figure 10: softmax and transfers overlap the GEMV stream
                 // (transfers ride the shared-bandwidth bus).
-                let transfer = (s.logit_bytes + s.gwrite_bytes) as f64 / self.bw_shared();
-                let d = s.pim_max().max(s.softmax as f64).max(transfer) + self.cal.l_tile;
-                (d as u64, s.logit_bytes + s.gwrite_bytes)
+                let transfers = s.req.logit_bytes + s.req.gwrite_bytes;
+                let transfer = transfers as f64 / self.bw_shared();
+                let d = s.pim_max.max(s.req.softmax as f64).max(transfer) + self.cal.l_tile;
+                (d as u64, transfers)
             }
         };
         bus += mha_bus;
@@ -446,78 +412,31 @@ impl Device {
         (d_qkv + d_mha + d_pf, bus)
     }
 
-    fn fill_common(
-        &self,
-        out: &mut IterationBreakdown,
-        geo: &KvGeometry,
-        seq_lens: &[u64],
-        layers: u64,
-    ) {
-        if !self.mode.uses_pim() {
-            return;
-        }
-        let tiles: u64 = seq_lens.iter().map(|&q| geo.mha_tiles(q)).sum();
-        let gwrites: u64 = seq_lens.iter().map(|&q| geo.mha_gwrites(q)).sum();
-        out.pim_tiles = tiles * layers;
-        out.pim_gwrites = gwrites * layers;
-        out.pim_inbank_bytes =
-            out.pim_tiles * self.cfg.mem.banks_per_channel as u64 * self.cfg.mem.page_bytes;
-    }
-
-    fn serial_iteration(
-        &self,
-        model: &LlmConfig,
-        tp: u32,
-        layers: u64,
-        geo: &KvGeometry,
-        batch: &PricedBatch,
-    ) -> Result<IterationBreakdown, SimError> {
-        let s = self.sub_costs(model, tp, geo, batch)?;
-        let (layer_cycles, layer_bus) = self.serial_layer(&s);
-        let mut out = IterationBreakdown {
-            tokens: batch.seq_lens.len() as u64,
-            pim_busy: vec![0; self.cfg.mem.channels as usize],
+    /// The serial arm: every stage of every layer in order. PIM busy and
+    /// token counts are left to the caller.
+    fn serial_iteration(&self, s: &SubCosts, layers: u64) -> IterationBreakdown {
+        let (layer_cycles, layer_bus) = self.serial_layer(s);
+        IterationBreakdown {
             total_cycles: layer_cycles * layers,
             npu_flops: s.flops * layers,
             npu_busy: (s.c_qkv + s.c_pf) * layers,
-            vector_busy: (s.vector + s.softmax) * layers,
+            vector_busy: (s.vector + s.req.softmax) * layers,
             bus_bytes: layer_bus * layers,
             allreduce_cycles: s.allreduce * layers,
             ..Default::default()
-        };
-        if self.mode.uses_pim() {
-            for (b, load) in out.pim_busy.iter_mut().zip(&s.pim_loads) {
-                *b = (*load * layers as f64) as u64;
-            }
         }
-        self.fill_common(&mut out, geo, &batch.seq_lens, layers);
-        Ok(out)
     }
 
-    /// The interleaved (Algorithm 3) arm, or `None` when the split leaves
-    /// a sub-batch empty and only serial execution remains.
+    /// The interleaved (Algorithm 3) arm over sub-batches `a` and `b`,
+    /// whose summed per-channel GEMV loads bound the PIM demand. PIM busy
+    /// and token counts are left to the caller.
     fn sbi_iteration(
         &self,
-        model: &LlmConfig,
-        tp: u32,
+        a: &SubCosts,
+        b: &SubCosts,
+        pim_demand: f64,
         layers: u64,
-        geo: &KvGeometry,
-        batch: &PricedBatch,
-    ) -> Result<Option<IterationBreakdown>, SimError> {
-        // Algorithm 3 operates on per-channel request lists; reconstruct
-        // them from the assignment, split, then cost each sub-batch.
-        let mut per_channel: Vec<Vec<RequestId>> = vec![Vec::new(); self.cfg.mem.channels as usize];
-        for (i, ch) in batch.channels.iter().enumerate() {
-            per_channel[ch.index()].push(RequestId::new(i as u32));
-        }
-        let sb = neupims_sched::partition_sub_batches(&per_channel);
-        let (batch_a, batch_b) = (batch.pick(&sb.sb1), batch.pick(&sb.sb2));
-        if batch_a.seq_lens.is_empty() || batch_b.seq_lens.is_empty() {
-            return Ok(None);
-        }
-        let a = self.sub_costs(model, tp, geo, &batch_a)?;
-        let b = self.sub_costs(model, tp, geo, &batch_b)?;
-
+    ) -> IterationBreakdown {
         // Steady-state bottleneck law. Same-stage pairs run adjacently on
         // the NPU, so the second of a pair reuses the SPM-resident slice of
         // the stage's weights; the remainder re-streams. PIM runs
@@ -529,19 +448,13 @@ impl Device {
             + pair_bytes(a.w_pf.max(b.w_pf))
             + a.kv_append
             + b.kv_append
-            + a.logit_bytes
-            + b.logit_bytes
-            + a.gwrite_bytes
-            + b.gwrite_bytes;
+            + a.req.logit_bytes
+            + b.req.logit_bytes
+            + a.req.gwrite_bytes
+            + b.req.gwrite_bytes;
         let npu_demand = a.c_qkv + a.c_pf + b.c_qkv + b.c_pf;
         let bus_demand = bus_bytes_layer as f64 / bw;
-        let pim_demand = a
-            .pim_loads
-            .iter()
-            .zip(&b.pim_loads)
-            .map(|(x, y)| x + y)
-            .fold(0.0, f64::max);
-        let vector_demand = a.vector + a.softmax + b.vector + b.softmax;
+        let vector_demand = a.vector + a.req.softmax + b.vector + b.req.softmax;
         let comm_demand = a.allreduce + b.allreduce;
         let slack = self.cal.l_tile as u64 + 2 * self.cfg.npu.sa_rows as u64;
         let steady = (npu_demand as f64)
@@ -552,25 +465,16 @@ impl Device {
             + slack;
 
         // Pipeline fill/drain: one serially executed layer of sub-batch A.
-        let (fill, _) = self.serial_layer(&a);
-        let total = steady * layers.saturating_sub(1).max(1) + fill;
-
-        let mut out = IterationBreakdown {
-            tokens: batch.seq_lens.len() as u64,
-            pim_busy: vec![0; self.cfg.mem.channels as usize],
-            total_cycles: total,
+        let (fill, _) = self.serial_layer(a);
+        IterationBreakdown {
+            total_cycles: steady * layers.saturating_sub(1).max(1) + fill,
             npu_flops: (a.flops + b.flops) * layers,
             npu_busy: npu_demand * layers,
             vector_busy: vector_demand * layers,
             bus_bytes: bus_bytes_layer * layers,
             allreduce_cycles: comm_demand * layers,
             ..Default::default()
-        };
-        for (i, busy) in out.pim_busy.iter_mut().enumerate() {
-            *busy = ((a.pim_loads[i] + b.pim_loads[i]) * layers as f64) as u64;
         }
-        self.fill_common(&mut out, geo, &batch.seq_lens, layers);
-        Ok(Some(out))
     }
 
     /// Prices the summarization (prefill) phase for a set of prompts on a
@@ -598,14 +502,16 @@ impl Device {
         if layers == 0 {
             return Err(SimError::InvalidShape("zero resident layers".into()));
         }
-        let cb = compile_block(&self.cfg.npu, model, tp, prompt_lens, Phase::Summarization)?;
+        model.validate()?;
+        // Every prompt token is a GEMM row.
+        let total_tokens: u64 = prompt_lens.iter().sum();
+        let lb = lower_batch(&self.cfg.npu, model, tp, total_tokens)?;
         let bw = self.cal.mem_stream_bw * self.cfg.mem.channels as f64;
-        let compute: u64 = cb.gemms.iter().map(|g| g.compute_cycles).sum();
-        let bytes: u64 = cb.gemms.iter().map(|g| g.weight_bytes).sum();
+        let compute = lb.gemm_cycles();
+        let bytes = lb.weight_bytes();
         // Summarization attention is a batched GEMM over the prompt
         // (activation-activation with full reuse); approximate with its
         // FLOPs at peak, which Figure 4 shows is the right regime.
-        let total_tokens: u64 = prompt_lens.iter().sum();
         let attn_flops: u64 = prompt_lens
             .iter()
             .map(|&s| 4 * s * s * (model.d_model as u64 / tp.max(1) as u64))
@@ -613,7 +519,7 @@ impl Device {
         let attn = attn_flops / self.cfg.npu.peak_flops_per_cycle().max(1);
         let layer = (compute as f64).max(bytes as f64 / bw) as u64
             + attn
-            + cb.vector_cycles
+            + lb.vector_cycles
             + total_tokens / 8; // KV-cache write-out at page granularity
         Ok(layer * layers as u64)
     }
@@ -621,6 +527,10 @@ impl Device {
     /// Executes one decode iteration over `layers` resident decoder blocks
     /// for the batch described by `seq_lens` (one entry per request, its
     /// current context length), sharded at tensor parallelism `tp`.
+    ///
+    /// Each request is estimated once and walked once: that pass sums the
+    /// serial arm and, when sub-batch interleaving may run, both Algorithm
+    /// 3 sub-batches, whose NPU side is then lowered by batch size alone.
     ///
     /// # Errors
     ///
@@ -639,43 +549,114 @@ impl Device {
         if layers == 0 {
             return Err(SimError::InvalidShape("zero resident layers".into()));
         }
+        model.validate()?;
         // Price every request once: GMLBP balancing, the serial arm and
         // both sub-batch interleaving arms all read these costs.
         let estimator = self.active_cost_model(model, tp);
         let geo = estimator.geometry();
         let costs: Vec<f64> = seq_lens.iter().map(|&s| estimator.estimate(s)).collect();
-        let channels = match self.mode {
+        let homes = match self.mode {
             DeviceMode::NeuPims { gmlbp: true, .. } => {
                 assign_min_load(seq_lens, &costs, self.cfg.mem.channels)
             }
             _ => assign_round_robin(seq_lens, self.cfg.mem.channels),
         };
-        let batch = PricedBatch {
-            seq_lens: seq_lens.to_vec(),
-            costs,
-            channels,
-        };
-        let layers = layers as u64;
-
         let policy = match self.mode {
             DeviceMode::NeuPims { sbi, .. } if seq_lens.len() >= 2 => sbi,
             _ => SbiPolicy::Off,
         };
-        let serial = || self.serial_iteration(model, tp, layers, geo, &batch);
-        match policy {
-            SbiPolicy::Off => serial(),
-            SbiPolicy::Always => match self.sbi_iteration(model, tp, layers, geo, &batch)? {
-                Some(sbi) => Ok(sbi),
-                None => serial(),
-            },
-            SbiPolicy::Adaptive => {
-                let serial = serial()?;
-                Ok(match self.sbi_iteration(model, tp, layers, geo, &batch)? {
-                    Some(sbi) if sbi.total_cycles < serial.total_cycles => sbi,
-                    _ => serial,
-                })
+        let mut sides = (policy != SbiPolicy::Off).then(|| SubBatchSides::new(&homes));
+
+        // The one pass over the batch.
+        let es = model.dtype.size_bytes();
+        let vc = VectorCost::new(&self.cfg.npu);
+        let softmax_rows = heads_per_device(model, tp);
+        let page_bytes = self.cfg.mem.page_bytes;
+        let bus_per_channel = self.cfg.mem.bus_bytes_per_cycle as f64;
+        let blocked = self.mode == DeviceMode::NaiveNpuPim;
+        let uses_pim = self.mode.uses_pim();
+        let mut lanes = vec![ChannelLoad::default(); self.cfg.mem.channels as usize];
+        let [mut all, mut first, mut second] = [RequestSums::default(); 3];
+        let (mut tiles, mut gwrites) = (0u64, 0u64);
+        for ((&seq, &cost), &home) in seq_lens.iter().zip(&costs).zip(&homes) {
+            let request_gwrites = geo.mha_gwrites(seq);
+            let req = RequestSums {
+                m: 1,
+                softmax: vc.softmax(softmax_rows, seq.max(1)),
+                logit_bytes: 2 * seq * geo.heads * es,
+                gwrite_bytes: request_gwrites * page_bytes,
+                kv_read_bytes: 2 * seq * geo.embed * es,
+            };
+            if uses_pim {
+                tiles += geo.mha_tiles(seq);
+                gwrites += request_gwrites;
+            }
+            let lane = &mut lanes[home.index()];
+            lane.all += cost;
+            if blocked {
+                // Blocked-mode per-head turnaround: drain logits to the
+                // vector units, softmax, write them back (GWRITE), plus a
+                // row-cycle of resynchronization — all serial with the
+                // channel's GEMV work.
+                let per_head = self.cal.l_gwrite
+                    + self.cfg.timing.t_rc() as f64
+                    + vc.softmax(1, seq.max(1)) as f64
+                    + (4 * seq) as f64 / bus_per_channel;
+                lane.turnaround += geo.heads as f64 * per_head;
+            }
+            all += req;
+            if let Some(sides) = &mut sides {
+                if sides.next_is_first(home) {
+                    lane.first += cost;
+                    first += req;
+                } else {
+                    lane.second += cost;
+                    second += req;
+                }
             }
         }
+        let slowest = |load: fn(&ChannelLoad) -> f64| lanes.iter().map(load).fold(0.0, f64::max);
+        let layers = layers as u64;
+
+        // Interleave when Algorithm 3 leaves both sub-batches non-empty
+        // and the policy (or, adaptively, the serial arm's price) says so.
+        let sbi = match sides {
+            Some(_) if first.m > 0 && second.m > 0 => {
+                let a = self.sub_costs(model, tp, geo, first, slowest(|l| l.first))?;
+                let b = self.sub_costs(model, tp, geo, second, slowest(|l| l.second))?;
+                let pim_demand = slowest(|l| l.first + l.second);
+                Some(self.sbi_iteration(&a, &b, pim_demand, layers))
+            }
+            _ => None,
+        };
+        let serial = match (&sbi, policy) {
+            (Some(_), SbiPolicy::Always) => None,
+            _ => {
+                let pim_max = slowest(|l| l.all + l.turnaround);
+                let s = self.sub_costs(model, tp, geo, all, pim_max)?;
+                Some(self.serial_iteration(&s, layers))
+            }
+        };
+        let (mut out, interleaved) = match (sbi, serial) {
+            (Some(sbi), Some(serial)) if sbi.total_cycles >= serial.total_cycles => (serial, false),
+            (Some(sbi), _) => (sbi, true),
+            (None, serial) => (serial.expect("the serial arm is priced"), false),
+        };
+
+        let layers_f = layers as f64;
+        out.pim_busy = lanes
+            .iter()
+            .map(|l| match (interleaved, uses_pim) {
+                (true, _) => ((l.first + l.second) * layers_f) as u64,
+                (false, true) => (l.all * layers_f) as u64,
+                (false, false) => 0,
+            })
+            .collect();
+        out.tokens = seq_lens.len() as u64;
+        out.pim_tiles = tiles * layers;
+        out.pim_gwrites = gwrites * layers;
+        out.pim_inbank_bytes = out.pim_tiles * self.cfg.mem.banks_per_channel as u64 * page_bytes;
+        Ok(out)
     }
 }
 

@@ -7,8 +7,8 @@
 //! layer costs `max(flops / peak, bytes / bandwidth)`, with every K/V and
 //! weight byte crossing the memory bus once per iteration.
 
-use neupims_llm::compiler::compile_block;
-use neupims_types::{Cycle, GpuSpec, LlmConfig, NpuConfig, Phase, SimError};
+use neupims_llm::compiler::lower_batch;
+use neupims_types::{Cycle, GpuSpec, LlmConfig, NpuConfig, SimError};
 
 use crate::metrics::IterationBreakdown;
 
@@ -37,17 +37,21 @@ pub(crate) fn decode_impl(
     if layers == 0 {
         return Err(SimError::InvalidShape("zero resident layers".into()));
     }
+    model.validate()?;
     // Reuse the operator lowering for shapes; GPU peaks price the math.
-    let cb = compile_block(&NpuConfig::table2(), model, tp, seq_lens, Phase::Generation)?;
+    let lb = lower_batch(&NpuConfig::table2(), model, tp, seq_lens.len() as u64)?;
     let es = model.dtype.size_bytes();
     let heads = (model.num_heads / tp.max(1)).max(1) as u64;
     let d_head = (model.d_model / model.num_heads) as u64;
     let embed = heads * d_head;
 
-    let weight_bytes: u64 = cb.gemms.iter().map(|g| g.weight_bytes).sum();
-    let kv_bytes: u64 = seq_lens.iter().map(|&s| 2 * s * embed * es).sum();
-    let gemm_flops = cb.gemm_flops();
-    let mha_flops: u64 = seq_lens.iter().map(|&s| 4 * s * embed).sum();
+    let weight_bytes = lb.weight_bytes();
+    let gemm_flops = lb.gemm_flops();
+    let (mut kv_bytes, mut mha_flops) = (0u64, 0u64);
+    for &s in seq_lens {
+        kv_bytes += 2 * s * embed * es;
+        mha_flops += 4 * s * embed;
+    }
 
     // Stage-level roofline: the GEMM kernels overlap weight streaming with
     // compute, but the bandwidth-bound MHA kernels serialize after them
@@ -62,8 +66,8 @@ pub(crate) fn decode_impl(
     let ic = neupims_types::config::InterconnectConfig::pcie_cxl();
     let allreduce = if tp > 1 {
         let steps = 2 * (tp as u64 - 1);
-        let per_dev = cb.allreduce_bytes * (tp as u64 - 1) * 2 / tp as u64;
-        (per_dev / ic.link_bytes_per_cycle.max(1) + steps * ic.link_latency) * cb.allreduces as u64
+        let per_dev = lb.allreduce_bytes * (tp as u64 - 1) * 2 / tp as u64;
+        (per_dev / ic.link_bytes_per_cycle.max(1) + steps * ic.link_latency) * lb.allreduces as u64
     } else {
         0
     };
@@ -100,15 +104,12 @@ pub(crate) fn prefill_impl(
     if layers == 0 {
         return Err(SimError::InvalidShape("zero resident layers".into()));
     }
-    let cb = compile_block(
-        &NpuConfig::table2(),
-        model,
-        tp,
-        prompt_lens,
-        Phase::Summarization,
-    )?;
-    let weight_bytes: u64 = cb.gemms.iter().map(|g| g.weight_bytes).sum();
-    let gemm_flops = cb.gemm_flops();
+    model.validate()?;
+    // Every prompt token is a GEMM row.
+    let tokens = prompt_lens.iter().sum();
+    let lb = lower_batch(&NpuConfig::table2(), model, tp, tokens)?;
+    let weight_bytes = lb.weight_bytes();
+    let gemm_flops = lb.gemm_flops();
     // Summarization attention is a batched activation-activation GEMM over
     // each prompt: 4 * s^2 * d_dev FLOPs with full reuse (compute-bound).
     let attn_flops: u64 = prompt_lens

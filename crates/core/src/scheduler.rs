@@ -23,7 +23,7 @@
 //!   batch.
 //! * [`SubBatchInterleaved`] — NeuPIMs-style: the decode-ready batch is
 //!   split per home channel by Algorithm 3
-//!   ([`partition_sub_batches`]) and each sub-batch's PIM GEMV phase is
+//!   ([`SubBatchSides`]) and each sub-batch's PIM GEMV phase is
 //!   estimated by Algorithm 1's cost function behind the
 //!   [`MhaCostModel`] trait (via
 //!   [`Backend::mha_cost_model`] — analytic by default, or trace-driven
@@ -70,8 +70,8 @@
 //! assert_eq!(scheduler_from_name("lump", 256).unwrap().name(), "lump");
 //! ```
 
-use neupims_sched::{partition_sub_batches, CostModelKind, MhaCostModel};
-use neupims_types::{ChannelId, Cycle, IdMap, IdSet, LlmConfig, RequestId};
+use neupims_sched::{CostModelKind, MhaCostModel, SubBatchSides};
+use neupims_types::{ChannelId, Cycle, LlmConfig, RequestId};
 
 use crate::backend::{Backend, BackendError};
 use crate::metrics::IterationBreakdown;
@@ -144,22 +144,6 @@ pub struct IterationDemand<'a> {
     /// overlap-aware policies fall back to
     /// [`Backend::mha_cost_model`] with the analytic kind.
     pub cost_model: Option<&'a dyn MhaCostModel>,
-}
-
-impl IterationDemand<'_> {
-    /// The decode-ready ids grouped by their home KV channel, indexed by
-    /// channel up to the highest home, each list in `decode` order: the
-    /// shape Algorithm 3 partitions (channels holding no ready request
-    /// contribute nothing to it). Built on demand, so policies that never
-    /// partition pay nothing.
-    pub fn per_channel(&self) -> Vec<Vec<RequestId>> {
-        let channels = self.homes.iter().max().map_or(0, |h| h.index() + 1);
-        let mut per_channel = vec![Vec::new(); channels];
-        for (&(id, _), home) in self.decode.iter().zip(self.homes) {
-            per_channel[home.index()].push(id);
-        }
-        per_channel
-    }
 }
 
 /// What a [`SchedulerPolicy`] decided one iteration executes and costs.
@@ -451,7 +435,7 @@ impl SchedulerPolicy for ChunkedPrefill {
 /// work streams *under* the decode batch's PIM GEMV phases.
 ///
 /// Per iteration the decode-ready requests are split per home channel by
-/// Algorithm 3 ([`partition_sub_batches`]) into two sub-batches; each
+/// Algorithm 3 ([`SubBatchSides`]) into two sub-batches; each
 /// sub-batch's GEMV phase length is the slowest channel's load under the
 /// active [`MhaCostModel`] (the serving loop's configured model via
 /// [`IterationDemand::cost_model`], else the backend's analytic one),
@@ -550,21 +534,19 @@ impl SchedulerPolicy for SubBatchInterleaved {
                     && prefill_cycles > 0
                     && !demand.decode.is_empty() =>
             {
-                let seq_of: IdMap<RequestId, u64> = demand.decode.iter().copied().collect();
-                let per_channel = demand.per_channel();
-                let sb = partition_sub_batches(&per_channel);
+                // Algorithm 3 over the ready requests' home channels: one
+                // estimate per request, added to its channel's load on its
+                // sub-batch's side.
+                let mut sides = SubBatchSides::new(demand.homes);
+                let mut loads = vec![[0.0f64; 2]; sides.channels()];
+                for (&(_, seq), &home) in demand.decode.iter().zip(demand.homes) {
+                    let side = usize::from(!sides.next_is_first(home));
+                    loads[home.index()][side] += est.estimate(seq);
+                }
                 // A sub-batch's GEMV phase is paced by its slowest channel.
-                let phase = |ids: &[RequestId]| -> f64 {
-                    let members: IdSet<RequestId> = ids.iter().copied().collect();
-                    let mut loads = vec![0.0f64; per_channel.len()];
-                    for (ch, channel) in per_channel.iter().enumerate() {
-                        for id in channel.iter().filter(|id| members.contains(id)) {
-                            loads[ch] += est.estimate(seq_of[id]);
-                        }
-                    }
-                    loads.into_iter().fold(0.0, f64::max) * layers as f64
-                };
-                let (mut p1, mut p2) = (phase(&sb.sb1), phase(&sb.sb2));
+                let phase =
+                    |side: usize| loads.iter().map(|l| l[side]).fold(0.0, f64::max) * layers as f64;
+                let (mut p1, mut p2) = (phase(0), phase(1));
                 // The GEMV phases cannot exceed the decode iteration the
                 // backend actually priced.
                 let sum = p1 + p2;
@@ -827,18 +809,62 @@ mod tests {
         }
     }
 
+    /// Counts the estimates it serves; clones share the count.
+    #[derive(Debug, Clone)]
+    struct CountingModel {
+        inner: neupims_sched::MhaLatencyEstimator,
+        calls: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl MhaCostModel for CountingModel {
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+
+        fn geometry(&self) -> &neupims_kvcache::KvGeometry {
+            self.inner.geometry()
+        }
+
+        fn estimate(&self, seq_len: u64) -> f64 {
+            self.calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.estimate(seq_len)
+        }
+
+        fn clone_box(&self) -> Box<dyn MhaCostModel> {
+            Box::new(self.clone())
+        }
+    }
+
     #[test]
-    fn per_channel_groups_ready_ids_in_decode_order() {
-        let id = RequestId::new;
-        let decode = [(id(5), 10), (id(2), 10), (id(9), 10)];
-        let homes = [1, 0, 1].map(ChannelId::new);
+    fn interleaved_plan_estimates_each_ready_request_once() {
+        let backend = NeuPimsBackend::table2().unwrap();
+        let model = LlmConfig::gpt3_7b();
+        let counting = CountingModel {
+            inner: crate::testsupport::table2_device(crate::device::DeviceMode::neupims())
+                .estimator(&model, 4),
+            calls: Default::default(),
+        };
+        // Odd-sized channels, so Algorithm 3 alternates the extra request.
+        let decode: Vec<(RequestId, u64)> = (0..13u32)
+            .map(|i| (RequestId::new(i), 64 + 97 * u64::from(i)))
+            .collect();
+        let homes: Vec<ChannelId> = (0..13u32).map(|i| ChannelId::new(i % 3)).collect();
+        let (_, prefill, _) = demand_fixtures();
         let demand = IterationDemand {
             decode: &decode,
-            prefill: &[],
+            prefill: &prefill,
             homes: &homes,
-            cost_model: None,
+            cost_model: Some(&counting),
         };
-        assert_eq!(demand.per_channel(), vec![vec![id(2)], vec![id(5), id(9)]]);
+        let plan = SubBatchInterleaved::new(256)
+            .plan(&backend, &model, 4, 32, &demand)
+            .unwrap();
+        assert!(plan.hidden_cycles > 0, "the sub-batch phases were priced");
+        assert_eq!(
+            counting.calls.load(std::sync::atomic::Ordering::Relaxed),
+            decode.len()
+        );
     }
 
     #[test]

@@ -26,89 +26,89 @@ use crate::ops::{Op, OpKind};
 /// is the sum of prompt lengths; for [`Phase::Generation`] it is the number
 /// of requests.
 pub fn decoder_block_ops(model: &LlmConfig, tp: u32, seq_lens: &[u64], phase: Phase) -> Vec<Op> {
-    let d = model.d_model as u64;
-    let d_ff = model.d_ff as u64;
-    let tp = tp.max(1) as u64;
-    let heads_dev = (model.num_heads as u64 / tp).max(1);
     let m: u64 = match phase {
         Phase::Summarization => seq_lens.iter().sum(),
         Phase::Generation => seq_lens.len() as u64,
     };
+    let [ln_attn, qkv_gen, rest @ ..] = batch_ops(model, tp, m);
+    let mut ops = Vec::with_capacity(13);
+    ops.extend([
+        ln_attn,
+        qkv_gen,
+        Op {
+            name: "mha",
+            kind: OpKind::MhaGemv {
+                seq_lens: seq_lens.to_vec(),
+            },
+        },
+        Op {
+            name: "softmax",
+            kind: OpKind::Softmax {
+                seq_lens: seq_lens.to_vec(),
+                heads: heads_per_device(model, tp),
+            },
+        },
+    ]);
+    ops.extend(rest);
+    ops
+}
+
+/// The operators of one decoder block whose shapes depend only on the GEMM
+/// row count `m` (clamped to at least 1), in execution order: every
+/// operator except the per-request MHA GEMVs and softmax, which
+/// [`decoder_block_ops`] inserts after `qkv_gen`. Builds no `Vec`.
+pub(crate) fn batch_ops(model: &LlmConfig, tp: u32, m: u64) -> [Op; 11] {
+    let d = model.d_model as u64;
+    let d_ff = model.d_ff as u64;
+    let tp = tp.max(1) as u64;
     let m = m.max(1);
     let es = model.dtype.size_bytes();
+    let op = |name, kind| Op { name, kind };
+    [
+        op("ln_attn", OpKind::LayerNorm { rows: m, width: d }),
+        op(
+            "qkv_gen",
+            OpKind::Gemm {
+                m,
+                k: d,
+                n: 3 * d / tp,
+            },
+        ),
+        op("attn_proj", OpKind::Gemm { m, k: d / tp, n: d }),
+        op("allreduce_attn", OpKind::AllReduce { bytes: m * d * es }),
+        op("add_attn", OpKind::Add { elems: m * d }),
+        op("ln_ffn", OpKind::LayerNorm { rows: m, width: d }),
+        op(
+            "ffn1",
+            OpKind::Gemm {
+                m,
+                k: d,
+                n: d_ff / tp,
+            },
+        ),
+        op(
+            "gelu",
+            OpKind::Gelu {
+                elems: m * d_ff / tp,
+            },
+        ),
+        op(
+            "ffn2",
+            OpKind::Gemm {
+                m,
+                k: d_ff / tp,
+                n: d,
+            },
+        ),
+        op("allreduce_ffn", OpKind::AllReduce { bytes: m * d * es }),
+        op("add_ffn", OpKind::Add { elems: m * d }),
+    ]
+}
 
-    let mut ops = vec![Op {
-        name: "ln_attn",
-        kind: OpKind::LayerNorm { rows: m, width: d },
-    }];
-    ops.push(Op {
-        name: "qkv_gen",
-        kind: OpKind::Gemm {
-            m,
-            k: d,
-            n: 3 * d / tp,
-        },
-    });
-    ops.push(Op {
-        name: "mha",
-        kind: OpKind::MhaGemv {
-            seq_lens: seq_lens.to_vec(),
-        },
-    });
-    ops.push(Op {
-        name: "softmax",
-        kind: OpKind::Softmax {
-            seq_lens: seq_lens.to_vec(),
-            heads: heads_dev,
-        },
-    });
-    ops.push(Op {
-        name: "attn_proj",
-        kind: OpKind::Gemm { m, k: d / tp, n: d },
-    });
-    ops.push(Op {
-        name: "allreduce_attn",
-        kind: OpKind::AllReduce { bytes: m * d * es },
-    });
-    ops.push(Op {
-        name: "add_attn",
-        kind: OpKind::Add { elems: m * d },
-    });
-    ops.push(Op {
-        name: "ln_ffn",
-        kind: OpKind::LayerNorm { rows: m, width: d },
-    });
-    ops.push(Op {
-        name: "ffn1",
-        kind: OpKind::Gemm {
-            m,
-            k: d,
-            n: d_ff / tp,
-        },
-    });
-    ops.push(Op {
-        name: "gelu",
-        kind: OpKind::Gelu {
-            elems: m * d_ff / tp,
-        },
-    });
-    ops.push(Op {
-        name: "ffn2",
-        kind: OpKind::Gemm {
-            m,
-            k: d_ff / tp,
-            n: d,
-        },
-    });
-    ops.push(Op {
-        name: "allreduce_ffn",
-        kind: OpKind::AllReduce { bytes: m * d * es },
-    });
-    ops.push(Op {
-        name: "add_ffn",
-        kind: OpKind::Add { elems: m * d },
-    });
-    ops
+/// Attention heads resident on one device at `tp` (at least one): the row
+/// multiplier of each request's softmax.
+pub fn heads_per_device(model: &LlmConfig, tp: u32) -> u64 {
+    (model.num_heads as u64 / tp.max(1) as u64).max(1)
 }
 
 /// Per-layer GEMM weight bytes resident on one device at `tp`.
@@ -157,23 +157,25 @@ mod tests {
         let model = LlmConfig::gpt3_13b();
         let ops = decoder_block_ops(&model, 4, &[64; 8], Phase::Generation);
         let names: Vec<&str> = ops.iter().map(|o| o.name).collect();
-        for expect in [
-            "ln_attn",
-            "qkv_gen",
-            "mha",
-            "softmax",
-            "attn_proj",
-            "allreduce_attn",
-            "add_attn",
-            "ln_ffn",
-            "ffn1",
-            "gelu",
-            "ffn2",
-            "allreduce_ffn",
-            "add_ffn",
-        ] {
-            assert!(names.contains(&expect), "missing {expect}");
-        }
+        // Every stage, in execution order.
+        assert_eq!(
+            names,
+            [
+                "ln_attn",
+                "qkv_gen",
+                "mha",
+                "softmax",
+                "attn_proj",
+                "allreduce_attn",
+                "add_attn",
+                "ln_ffn",
+                "ffn1",
+                "gelu",
+                "ffn2",
+                "allreduce_ffn",
+                "add_ffn",
+            ]
+        );
         // Exactly three GEMMs... QKV, projection, FFN1, FFN2 = four.
         let gemms = ops
             .iter()

@@ -11,27 +11,25 @@
 use neupims_npu::{plan_gemm, GemmPlan, VectorCost};
 use neupims_types::{DataType, LlmConfig, NpuConfig, ParallelismConfig, Phase, SimError};
 
-use crate::block::decoder_block_ops;
+use crate::block::{batch_ops, heads_per_device};
 use crate::ops::OpKind;
 
-/// Cost-annotated lowering of one decoder block.
+/// Cost-annotated lowering of the part of one decoder block that depends
+/// only on the GEMM row count `m` (the batch size in generation, the prompt
+/// tokens in summarization): everything but the per-request MHA.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CompiledBlock {
+pub struct BatchLowering {
     /// GEMM passes in execution order: QKV, attention projection, FFN1, FFN2.
-    pub gemms: Vec<GemmPlan>,
+    pub gemms: [GemmPlan; 4],
     /// Vector-unit cycles outside MHA (layernorms, GeLU, residual adds).
     pub vector_cycles: u64,
-    /// Vector-unit cycles of the MHA softmax (overlappable with PIM, Fig. 10).
-    pub softmax_cycles: u64,
-    /// Per-request context lengths (the PIM job shapes derive from these).
-    pub seq_lens: Vec<u64>,
     /// Bytes each tensor-parallel all-reduce moves per device.
     pub allreduce_bytes: u64,
     /// Number of all-reduces per block (2 with TP > 1, else 0).
     pub allreduces: u32,
 }
 
-impl CompiledBlock {
+impl BatchLowering {
     /// Total NPU systolic cycles of the block's GEMMs.
     pub fn gemm_cycles(&self) -> u64 {
         self.gemms.iter().map(|g| g.compute_cycles).sum()
@@ -53,7 +51,75 @@ impl CompiledBlock {
     }
 }
 
-/// Lowers one decoder block for `model` at tensor parallelism `tp`.
+/// Lowers the batch-size-dependent operators of one decoder block (all
+/// but the per-request MHA) for `model` at tensor parallelism `tp` and `m`
+/// GEMM rows. Builds no operator list and reads no context lengths, so a
+/// decode pricer can lower once per batch size and price the per-request
+/// MHA in its own pass.
+///
+/// The model is not validated here: callers check
+/// [`LlmConfig::validate`] once per pricing call ([`compile_block`] does).
+///
+/// # Errors
+///
+/// Returns [`SimError::InvalidShape`] when a derived GEMM shape has a zero
+/// dimension.
+pub fn lower_batch(
+    npu: &NpuConfig,
+    model: &LlmConfig,
+    tp: u32,
+    m: u64,
+) -> Result<BatchLowering, SimError> {
+    let vc = VectorCost::new(npu);
+    let mut gemms = [None; 4];
+    let mut next_gemm = gemms.iter_mut();
+    let mut vector_cycles = 0u64;
+    let mut allreduce_bytes = 0u64;
+    let mut allreduces = 0u32;
+
+    for op in &batch_ops(model, tp, m) {
+        match op.kind {
+            OpKind::Gemm { m, k, n } => {
+                *next_gemm.next().expect("a block has four GEMMs") =
+                    Some(plan_gemm(npu, m, k, n, model.dtype)?);
+            }
+            OpKind::LayerNorm { rows, width } => vector_cycles += vc.layernorm(rows, width),
+            OpKind::Gelu { elems } => vector_cycles += vc.gelu(elems),
+            OpKind::Add { elems } => vector_cycles += vc.add(elems),
+            OpKind::AllReduce { bytes } => {
+                if tp > 1 {
+                    allreduce_bytes = allreduce_bytes.max(bytes);
+                    allreduces += 1;
+                }
+            }
+            // Per-request MHA is priced by the caller.
+            OpKind::MhaGemv { .. } | OpKind::Softmax { .. } => {}
+        }
+    }
+
+    Ok(BatchLowering {
+        gemms: gemms.map(|g| g.expect("a block has four GEMMs")),
+        vector_cycles,
+        allreduce_bytes,
+        allreduces,
+    })
+}
+
+/// Cost-annotated lowering of one decoder block.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CompiledBlock {
+    /// The batch-size-dependent passes: GEMMs, vector ops, all-reduces.
+    pub batch: BatchLowering,
+    /// Vector-unit cycles of the MHA softmax (overlappable with PIM, Fig. 10).
+    pub softmax_cycles: u64,
+    /// Per-request context lengths (the PIM job shapes derive from these).
+    pub seq_lens: Vec<u64>,
+}
+
+/// Lowers one decoder block for `model` at tensor parallelism `tp`: the
+/// [`lower_batch`] passes at the phase's GEMM row count (requests in
+/// generation, prompt tokens in summarization) plus each request's
+/// softmax.
 ///
 /// # Errors
 ///
@@ -67,47 +133,17 @@ pub fn compile_block(
     phase: Phase,
 ) -> Result<CompiledBlock, SimError> {
     model.validate()?;
-    let ops = decoder_block_ops(model, tp, seq_lens, phase);
+    let m = match phase {
+        Phase::Summarization => seq_lens.iter().sum(),
+        Phase::Generation => seq_lens.len() as u64,
+    };
+    let batch = lower_batch(npu, model, tp, m)?;
     let vc = VectorCost::new(npu);
-
-    let mut gemms = Vec::with_capacity(4);
-    let mut vector_cycles = 0u64;
-    let mut softmax_cycles = 0u64;
-    let mut allreduce_bytes = 0u64;
-    let mut allreduces = 0u32;
-
-    for op in &ops {
-        match &op.kind {
-            OpKind::Gemm { m, k, n } => {
-                gemms.push(plan_gemm(npu, *m, *k, *n, model.dtype)?);
-            }
-            OpKind::Softmax { seq_lens, heads } => {
-                for &s in seq_lens {
-                    softmax_cycles += vc.softmax(*heads, s.max(1));
-                }
-            }
-            OpKind::LayerNorm { rows, width } => {
-                vector_cycles += vc.layernorm(*rows, *width);
-            }
-            OpKind::Gelu { elems } => vector_cycles += vc.gelu(*elems),
-            OpKind::Add { elems } => vector_cycles += vc.add(*elems),
-            OpKind::AllReduce { bytes } => {
-                if tp > 1 {
-                    allreduce_bytes = allreduce_bytes.max(*bytes);
-                    allreduces += 1;
-                }
-            }
-            OpKind::MhaGemv { .. } => {} // shaped by the PIM scheduler
-        }
-    }
-
+    let heads = heads_per_device(model, tp);
     Ok(CompiledBlock {
-        gemms,
-        vector_cycles,
-        softmax_cycles,
+        batch,
+        softmax_cycles: seq_lens.iter().map(|&s| vc.softmax(heads, s.max(1))).sum(),
         seq_lens: seq_lens.to_vec(),
-        allreduce_bytes,
-        allreduces,
     })
 }
 
@@ -213,18 +249,17 @@ mod tests {
         let model = LlmConfig::gpt3_7b();
         let seqs = vec![128u64; 64];
         let cb = compile_block(&npu, &model, 4, &seqs, Phase::Generation).unwrap();
-        assert_eq!(cb.gemms.len(), 4);
         // QKV shapes: m=64, k=4096, n=3*4096/4.
-        assert_eq!(cb.gemms[0].m, 64);
-        assert_eq!(cb.gemms[0].k, 4096);
-        assert_eq!(cb.gemms[0].n, 3 * 4096 / 4);
-        assert!(cb.vector_cycles > 0);
+        assert_eq!(cb.batch.gemms[0].m, 64);
+        assert_eq!(cb.batch.gemms[0].k, 4096);
+        assert_eq!(cb.batch.gemms[0].n, 3 * 4096 / 4);
+        assert!(cb.batch.vector_cycles > 0);
         assert!(cb.softmax_cycles > 0);
-        assert_eq!(cb.allreduces, 2);
-        assert_eq!(cb.allreduce_bytes, 64 * 4096 * 2);
+        assert_eq!(cb.batch.allreduces, 2);
+        assert_eq!(cb.batch.allreduce_bytes, 64 * 4096 * 2);
         // Weight bytes per block match the model's sharded accounting.
         assert_eq!(
-            cb.weight_bytes(),
+            cb.batch.weight_bytes(),
             crate::block::weight_bytes_per_layer_dev(&model, 4)
         );
     }
@@ -235,8 +270,8 @@ mod tests {
         let mut model = LlmConfig::gpt3_7b();
         model.parallelism = ParallelismConfig::new(1, 1);
         let cb = compile_block(&npu, &model, 1, &[64; 8], Phase::Generation).unwrap();
-        assert_eq!(cb.allreduces, 0);
-        assert_eq!(cb.allreduce_bytes, 0);
+        assert_eq!(cb.batch.allreduces, 0);
+        assert_eq!(cb.batch.allreduce_bytes, 0);
     }
 
     #[test]
@@ -252,6 +287,29 @@ mod tests {
             "{} vs {}",
             long.softmax_cycles,
             short.softmax_cycles
+        );
+    }
+
+    #[test]
+    fn batch_lowering_depends_only_on_the_row_count() {
+        let npu = NpuConfig::table2();
+        let model = LlmConfig::gpt3_13b();
+        for tp in [1, 2, 4] {
+            let at_16 = lower_batch(&npu, &model, tp, 16).unwrap();
+            for seqs in [[64u64; 16], [4096; 16]] {
+                let cb = compile_block(&npu, &model, tp, &seqs, Phase::Generation).unwrap();
+                assert_eq!(cb.batch, at_16);
+            }
+            let prefill = compile_block(&npu, &model, tp, &[100, 28], Phase::Summarization);
+            assert_eq!(
+                prefill.unwrap().batch,
+                lower_batch(&npu, &model, tp, 128).unwrap()
+            );
+        }
+        // Zero rows lower like one, as the operator list clamps them.
+        assert_eq!(
+            lower_batch(&npu, &model, 4, 0).unwrap(),
+            lower_batch(&npu, &model, 4, 1).unwrap()
         );
     }
 

@@ -13,7 +13,8 @@
 //!   (summarization vs generation), sharded for tensor parallelism;
 //! * [`compiler`] — the textual LLM-spec frontend plus lowering from IR to
 //!   cost-annotated execution passes (NPU tile plans, vector cycles, PIM
-//!   job shapes);
+//!   job shapes); [`lower_batch`] lowers the batch-size-dependent passes
+//!   alone, which is all a decode pricer needs besides per-request MHA;
 //! * [`roofline`] — arithmetic-intensity and roofline analytics behind the
 //!   motivation figures (Figures 4 and 5).
 //!
@@ -35,7 +36,7 @@ pub mod compiler;
 pub mod ops;
 pub mod roofline;
 
-pub use block::decoder_block_ops;
-pub use compiler::{compile_block, parse_spec, CompiledBlock};
+pub use block::{decoder_block_ops, heads_per_device};
+pub use compiler::{compile_block, lower_batch, parse_spec, BatchLowering, CompiledBlock};
 pub use ops::{Op, OpKind};
 pub use roofline::{gpu_utilization, operator_intensity, roofline_tflops, GpuUtilization};

@@ -7,6 +7,9 @@
 //! round-robin policy of the naive NPU+PIM baseline is provided for the
 //! ablation.
 
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
+
 use neupims_types::ChannelId;
 
 use crate::cost::MhaCostModel;
@@ -20,31 +23,77 @@ use crate::cost::MhaCostModel;
 /// and share the costs with whatever else consumes them (the device's
 /// per-channel PIM loads, both sub-batch interleaving arms).
 ///
+/// Requests go in descending context length (ties in input order), each
+/// to the least-loaded channel, the lowest index among equal loads. A
+/// min-heap keyed by (load, channel index) finds that channel in
+/// O(log channels).
+///
 /// Returns one [`ChannelId`] per input request, index-aligned.
 ///
 /// # Panics
 ///
-/// Panics if `channels == 0` or `costs` and `seq_lens` differ in length.
+/// Panics if `channels == 0`, if `costs` and `seq_lens` differ in length,
+/// or if any cost is not finite (NaN or ±infinity): a cost model that
+/// prices a request so has failed, and balancing on it would be silently
+/// wrong. Every finite cost is accepted, negatives and `-0.0` included.
 pub fn assign_min_load(seq_lens: &[u64], costs: &[f64], channels: u32) -> Vec<ChannelId> {
     assert!(channels > 0, "at least one channel required");
     assert_eq!(seq_lens.len(), costs.len(), "one cost per request");
-    let mut loads = vec![0.0f64; channels as usize];
+    assert!(
+        costs.iter().all(|c| c.is_finite()),
+        "MHA costs must be finite"
+    );
     // Sort indices by descending length (LPT order).
     let mut order: Vec<usize> = (0..seq_lens.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(seq_lens[i]));
 
+    let mut bins: BinaryHeap<Reverse<Bin>> = (0..channels)
+        .map(|channel| Reverse(Bin { load: 0.0, channel }))
+        .collect();
     let mut assignment = vec![ChannelId::new(0); seq_lens.len()];
     for &i in &order {
-        let (min_idx, _) = loads
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("loads are finite"))
-            .expect("non-empty loads");
-        assignment[i] = ChannelId::new(min_idx as u32);
-        loads[min_idx] += costs[i];
+        // Updating the top in place re-sifts it when the guard drops.
+        let mut min = bins.peek_mut().expect("at least one channel");
+        assignment[i] = ChannelId::new(min.0.channel);
+        min.0.load += costs[i];
     }
     assignment
 }
+
+/// One channel's accumulated load, ordered by (load, channel index).
+///
+/// Loads start at `+0.0` and only ever add finite costs, so they are never
+/// NaN and never `-0.0` (an IEEE sum is `-0.0` only when both addends
+/// are). On such values `f64::total_cmp` agrees with the numeric order,
+/// and the index breaks ties: the heap's minimum is the first minimum of a
+/// linear scan.
+#[derive(Debug, Clone, Copy)]
+struct Bin {
+    load: f64,
+    channel: u32,
+}
+
+impl Ord for Bin {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.load
+            .total_cmp(&other.load)
+            .then(self.channel.cmp(&other.channel))
+    }
+}
+
+impl PartialOrd for Bin {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Bin {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Bin {}
 
 /// Round-robin channel assignment (the naive NPU+PIM baseline policy).
 ///
@@ -138,6 +187,36 @@ mod tests {
     #[should_panic(expected = "at least one channel")]
     fn zero_channels_panics() {
         assign_min_load(&[1], &[1.0], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "MHA costs must be finite")]
+    fn nan_cost_panics() {
+        // Even on one channel, where no comparison ever sees the NaN.
+        assign_min_load(&[5, 3], &[1.0, f64::NAN], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "MHA costs must be finite")]
+    fn infinite_cost_panics() {
+        assign_min_load(&[5, 3], &[f64::INFINITY, 1.0], 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "MHA costs must be finite")]
+    fn negative_infinite_cost_panics() {
+        assign_min_load(&[5], &[f64::NEG_INFINITY], 2);
+    }
+
+    #[test]
+    fn negative_and_signed_zero_costs_balance_numerically() {
+        // -0.0 leaves channel 1 tied with channel 2 (lower index wins);
+        // a negative load then stays the least loaded until it turns
+        // positive.
+        let seqs = [9, 8, 7, 6, 5, 4];
+        let a = assign_min_load(&seqs, &[1.0, -0.0, -1.0, 0.5, 2.0, 0.25], 3);
+        let raw: Vec<u32> = a.iter().map(|c| c.0).collect();
+        assert_eq!(raw, vec![0, 1, 1, 1, 1, 2]);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   onto PIM channels, balancing the per-channel MHA latency (the paper's
 //!   GMLBP ablation knob), plus the round-robin baseline policy;
 //! * [`partition`] — **Algorithm 3**: splitting each channel's requests
-//!   into two sub-batches of near-equal size for interleaved execution;
+//!   into two sub-batches of near-equal size for interleaved execution,
+//!   from per-channel lists or, in one pass, from per-channel counts;
 //! * [`pool::RequestPool`] — the request pool table of Figure 7 with
 //!   Orca-style iteration-level scheduling: requests join and leave the
 //!   running batch only at iteration boundaries.
@@ -49,5 +50,5 @@ pub use cost::{
     DEFAULT_DRIFT_TOLERANCE,
 };
 pub use estimator::MhaLatencyEstimator;
-pub use partition::{partition_sub_batches, SubBatches};
+pub use partition::{partition_sub_batches, SubBatchSides, SubBatches};
 pub use pool::RequestPool;

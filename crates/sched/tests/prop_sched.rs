@@ -1,18 +1,61 @@
 //! Property tests on the scheduling algorithms: bin-packing quality
-//! bounds, partition invariants, and pool conservation.
+//! bounds and equivalence with a linear-scan reference, partition
+//! invariants and equivalence of the count-based split, and pool
+//! conservation.
 
 use proptest::prelude::*;
 
 use neupims_kvcache::KvGeometry;
 use neupims_sched::{
     assign_min_load, assign_round_robin, channel_loads, partition_sub_batches, MhaLatencyEstimator,
-    RequestPool,
+    RequestPool, SubBatchSides,
 };
-use neupims_types::{LlmConfig, MemConfig, Request, RequestId};
+use neupims_types::{ChannelId, LlmConfig, MemConfig, Request, RequestId};
 
 fn estimator() -> MhaLatencyEstimator {
     let geo = KvGeometry::for_model(&LlmConfig::gpt3_7b(), &MemConfig::table2());
     MhaLatencyEstimator::new(geo, 280.0, 50.0)
+}
+
+/// The small cost set of the tie-heavy equivalence test.
+const COST_SET: [f64; 7] = [-2.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0];
+
+/// Algorithm 2 as a plain linear scan: LPT order (stable, by descending
+/// length), each request to the first channel of minimum load.
+fn lpt_scan_reference(seq_lens: &[u64], costs: &[f64], channels: u32) -> Vec<ChannelId> {
+    let mut loads = vec![0.0f64; channels as usize];
+    let mut order: Vec<usize> = (0..seq_lens.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(seq_lens[i]));
+    let mut assignment = vec![ChannelId::new(0); seq_lens.len()];
+    for &i in &order {
+        let (min_idx, _) = loads
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+            .unwrap();
+        assignment[i] = ChannelId::new(min_idx as u32);
+        loads[min_idx] += costs[i];
+    }
+    assignment
+}
+
+/// Algorithm 3 as the paper states it: halve each channel's list, the odd
+/// request alternating sides across odd-sized channels.
+fn partition_reference(per_channel: &[Vec<RequestId>]) -> (Vec<RequestId>, Vec<RequestId>) {
+    let mut turn = true;
+    let (mut sb1, mut sb2) = (Vec::new(), Vec::new());
+    for chnl in per_channel {
+        let mut bsize = chnl.len() / 2;
+        if chnl.len() % 2 != 0 {
+            if turn {
+                bsize = chnl.len().div_ceil(2);
+            }
+            turn = !turn;
+        }
+        sb1.extend_from_slice(&chnl[..bsize]);
+        sb2.extend_from_slice(&chnl[bsize..]);
+    }
+    (sb1, sb2)
 }
 
 proptest! {
@@ -43,6 +86,71 @@ proptest! {
         let avg = total / channels as f64;
         let biggest = seqs.iter().map(|&s| e.estimate(s)).fold(0.0, f64::max);
         prop_assert!(g <= avg + biggest + 1e-6, "LPT bound violated: {g} > {avg} + {biggest}");
+    }
+
+    /// The heap-based greedy assigns exactly like the linear scan. Lengths
+    /// and costs come from small sets, so equal lengths (sort ties) and
+    /// equal loads (channel ties) are common; costs include negatives and
+    /// both signed zeros.
+    #[test]
+    fn min_load_matches_the_linear_scan(
+        pairs in prop::collection::vec(
+            (1u64..6, (0..COST_SET.len()).prop_map(|i| COST_SET[i])),
+            0..200,
+        ),
+        channels in 1u32..65,
+    ) {
+        let (seqs, costs): (Vec<u64>, Vec<f64>) = pairs.into_iter().unzip();
+        prop_assert_eq!(
+            assign_min_load(&seqs, &costs, channels),
+            lpt_scan_reference(&seqs, &costs, channels)
+        );
+    }
+
+    /// The same equivalence on realistic Algorithm 1 costs.
+    #[test]
+    fn min_load_matches_the_linear_scan_on_estimates(
+        seqs in prop::collection::vec(1u64..4096, 0..300),
+        channels in 1u32..65,
+    ) {
+        let e = estimator();
+        let costs: Vec<f64> = seqs.iter().map(|&s| e.estimate(s)).collect();
+        prop_assert_eq!(
+            assign_min_load(&seqs, &costs, channels),
+            lpt_scan_reference(&seqs, &costs, channels)
+        );
+    }
+
+    /// The count-based split puts every request on the side
+    /// `partition_sub_batches` (and the paper's per-list rule) puts it,
+    /// for per-channel lists induced by random homes in batch order.
+    #[test]
+    fn count_based_sides_match_the_list_partition(
+        homes in prop::collection::vec(0u32..40, 0..200),
+    ) {
+        let homes: Vec<ChannelId> = homes.into_iter().map(ChannelId::new).collect();
+        let mut per_channel = vec![Vec::new(); 40];
+        for (i, home) in homes.iter().enumerate() {
+            per_channel[home.index()].push(RequestId::new(i as u32));
+        }
+        let sb = partition_sub_batches(&per_channel);
+        let (ref1, ref2) = partition_reference(&per_channel);
+        prop_assert_eq!(&sb.sb1, &ref1);
+        prop_assert_eq!(&sb.sb2, &ref2);
+
+        let mut sides = SubBatchSides::new(&homes);
+        let (mut first, mut second) = (Vec::new(), Vec::new());
+        for (i, &home) in homes.iter().enumerate() {
+            let side = if sides.next_is_first(home) { &mut first } else { &mut second };
+            side.push((home, RequestId::new(i as u32)));
+        }
+        // Channel-major, batch order within a channel: the lists' order.
+        for (side, expected) in [(first, &sb.sb1), (second, &sb.sb2)] {
+            let mut side = side;
+            side.sort_by_key(|&(home, id)| (home, id));
+            let ids: Vec<RequestId> = side.into_iter().map(|(_, id)| id).collect();
+            prop_assert_eq!(&ids, expected);
+        }
     }
 
     /// Every request lands on exactly one channel, in range.

@@ -2,12 +2,17 @@
 //!
 //! Every `DeviceMode` prices fixed batches under both cost models, and the
 //! result must match the recorded `total_cycles` and per-channel PIM busy
-//! time bit for bit, whatever the pricing code's internal structure. The
-//! lookup-count test pins that an iteration prices each request exactly
-//! once: GMLBP balancing and both sub-batch interleaving arms share one
-//! estimate per request.
+//! time bit for bit, whatever the pricing code's internal structure. A
+//! wider pin digests every `IterationBreakdown` field of every mode, both
+//! cost models, two models at three tensor-parallel degrees, plus the GPU
+//! roofline's decode and both backends' prefill pricing. The lookup-count
+//! test pins that an iteration prices each request exactly once: GMLBP
+//! balancing and both sub-batch interleaving arms share one estimate per
+//! request.
 
+use neupims_core::backend::{Backend, GpuRooflineBackend};
 use neupims_core::device::{Device, DeviceMode, SbiPolicy};
+use neupims_core::metrics::IterationBreakdown;
 use neupims_pim::{calibrate, PimCalibration};
 use neupims_sched::{CostModelKind, TraceMemo};
 use neupims_types::{LlmConfig, NeuPimsConfig};
@@ -151,6 +156,279 @@ fn decode_iteration_matches_recorded_goldens() {
         assert_eq!(sum, busy_sum, "{case}: pim_busy sum");
         assert_eq!(weighted, busy_weighted, "{case}: pim_busy by channel");
     }
+}
+
+/// The wide-pin batches: the four above plus a single one-token context,
+/// a uniform batch (every GMLBP choice is a tie), an odd trio, giants
+/// among small requests, alternating short/long, and a Figure 13-size
+/// batch.
+fn wide_batches() -> Vec<Vec<u64>> {
+    let mut all = batches().to_vec();
+    all.push(vec![1]);
+    all.push(vec![64; 32]);
+    all.push(vec![4096, 9, 333]);
+    all.push([vec![4096; 3], vec![32; 30]].concat());
+    all.push(
+        (0..128u64)
+            .map(|i| if i % 2 == 0 { 48 } else { 1024 })
+            .collect(),
+    );
+    all.push(vec![376; 512]);
+    all
+}
+
+/// Prompt sets for the prefill pin.
+fn prompt_sets() -> [Vec<u64>; 4] {
+    [vec![1], vec![512], vec![64; 8], vec![2048, 100, 7]]
+}
+
+const MODELS: [fn() -> LlmConfig; 2] = [LlmConfig::gpt3_7b, LlmConfig::gpt3_13b];
+const TPS: [u32; 3] = [1, 2, 4];
+
+/// Folds `words` into an FNV-1a digest.
+fn fold(h: &mut u64, words: impl IntoIterator<Item = u64>) {
+    for word in words {
+        for byte in word.to_le_bytes() {
+            *h ^= u64::from(byte);
+            *h = h.wrapping_mul(0x0100_0000_01B3);
+        }
+    }
+}
+
+/// Folds every field of `b`; the exhaustive destructuring makes a new
+/// field a compile error here rather than an unpinned counter.
+fn fold_breakdown(h: &mut u64, b: &IterationBreakdown) {
+    let IterationBreakdown {
+        total_cycles,
+        npu_flops,
+        npu_busy,
+        vector_busy,
+        pim_busy,
+        bus_bytes,
+        pim_inbank_bytes,
+        pim_tiles,
+        pim_gwrites,
+        allreduce_cycles,
+        tokens,
+    } = b;
+    fold(
+        h,
+        [
+            *total_cycles,
+            *npu_flops,
+            *npu_busy,
+            *vector_busy,
+            pim_busy.len() as u64,
+        ],
+    );
+    fold(h, pim_busy.iter().copied());
+    fold(
+        h,
+        [
+            *bus_bytes,
+            *pim_inbank_bytes,
+            *pim_tiles,
+            *pim_gwrites,
+            *allreduce_cycles,
+            *tokens,
+        ],
+    );
+}
+
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// Backend index 8 in the decode table: the GPU roofline (its pricing has
+/// no MHA cost model, so it is pinned under `Analytic` only).
+const GPU: usize = MODES.len();
+
+/// `(backend, cost model, model, tp, digest of every breakdown field over
+/// every wide batch)`, backend indexing `MODES` or [`GPU`].
+const DECODE_DIGESTS: [(usize, CostModelKind, usize, u32, u64); 102] = [
+    (0, Analytic, 0, 1, 0xc35ba76a46ece02f),
+    (0, TraceDriven, 0, 1, 0xc35ba76a46ece02f),
+    (1, Analytic, 0, 1, 0x2c659b7b80f2f0bb),
+    (1, TraceDriven, 0, 1, 0xeb0f2cc4e734b89e),
+    (2, Analytic, 0, 1, 0x18488158733d9224),
+    (2, TraceDriven, 0, 1, 0x4efb88cdf6739aa5),
+    (3, Analytic, 0, 1, 0x6e1a81160b6042c5),
+    (3, TraceDriven, 0, 1, 0x900d01ceb25e07df),
+    (4, Analytic, 0, 1, 0xefec77bb27fe6bc4),
+    (4, TraceDriven, 0, 1, 0x2f25ee901b8a95b4),
+    (5, Analytic, 0, 1, 0xaa049648faba28a2),
+    (5, TraceDriven, 0, 1, 0x42312c290d47211f),
+    (6, Analytic, 0, 1, 0x1e008193bd5c5037),
+    (6, TraceDriven, 0, 1, 0xf03877b1ccde6798),
+    (7, Analytic, 0, 1, 0xcce4a948ed3e5092),
+    (7, TraceDriven, 0, 1, 0x05511f3612346c4c),
+    (8, Analytic, 0, 1, 0x51059216714386de),
+    (0, Analytic, 0, 2, 0xc11236ff7e755ac5),
+    (0, TraceDriven, 0, 2, 0xc11236ff7e755ac5),
+    (1, Analytic, 0, 2, 0xc01635d1db875ad6),
+    (1, TraceDriven, 0, 2, 0x379b154a0fd40567),
+    (2, Analytic, 0, 2, 0xc8d4796cf04f4fa8),
+    (2, TraceDriven, 0, 2, 0xb2687ba745e5bdc2),
+    (3, Analytic, 0, 2, 0x7bc0475588165b1e),
+    (3, TraceDriven, 0, 2, 0x1fb7a01c726c59f7),
+    (4, Analytic, 0, 2, 0xc82941c97e7ed63d),
+    (4, TraceDriven, 0, 2, 0x8b035d2da61f5ffe),
+    (5, Analytic, 0, 2, 0xbdc3f4a3c10ba9b1),
+    (5, TraceDriven, 0, 2, 0x3dee2c03e2168694),
+    (6, Analytic, 0, 2, 0xca1c7f080b379286),
+    (6, TraceDriven, 0, 2, 0x4d8029d6a89c0e58),
+    (7, Analytic, 0, 2, 0x593122d4a31685d7),
+    (7, TraceDriven, 0, 2, 0x61170b1eb37a9d68),
+    (8, Analytic, 0, 2, 0xa06c70896260004c),
+    (0, Analytic, 0, 4, 0x2a8f06abf0f72daa),
+    (0, TraceDriven, 0, 4, 0x2a8f06abf0f72daa),
+    (1, Analytic, 0, 4, 0x0b6ea2515130e980),
+    (1, TraceDriven, 0, 4, 0xf85ba82c2d1fdeff),
+    (2, Analytic, 0, 4, 0xefa927ca1bd666ef),
+    (2, TraceDriven, 0, 4, 0x5f1ee2a90edc2fd1),
+    (3, Analytic, 0, 4, 0x340d4393b5763b6f),
+    (3, TraceDriven, 0, 4, 0x03afc7b0efa122a6),
+    (4, Analytic, 0, 4, 0xbf22d002d0056914),
+    (4, TraceDriven, 0, 4, 0xe785f523a5ee52a4),
+    (5, Analytic, 0, 4, 0x5017c3a85b84fec0),
+    (5, TraceDriven, 0, 4, 0x60dcc726e44df609),
+    (6, Analytic, 0, 4, 0xd26a8c9bf38a4b37),
+    (6, TraceDriven, 0, 4, 0x35bd3f9dc75a7be2),
+    (7, Analytic, 0, 4, 0x75a7cbaf5422b984),
+    (7, TraceDriven, 0, 4, 0xd3004e3a175ab531),
+    (8, Analytic, 0, 4, 0xc19da1ab2e7b80bf),
+    (0, Analytic, 1, 1, 0x1415726b67faddff),
+    (0, TraceDriven, 1, 1, 0x1415726b67faddff),
+    (1, Analytic, 1, 1, 0x26d8672b51b96be4),
+    (1, TraceDriven, 1, 1, 0x229ac0dcc83d334b),
+    (2, Analytic, 1, 1, 0x48ffcf9cce9b7c5e),
+    (2, TraceDriven, 1, 1, 0xb67647e9c4c0b3cb),
+    (3, Analytic, 1, 1, 0xd3fb5a297c86d9a8),
+    (3, TraceDriven, 1, 1, 0xc8d5ae4cee3d20eb),
+    (4, Analytic, 1, 1, 0x016a951c36b810d4),
+    (4, TraceDriven, 1, 1, 0xe57df4807d28bf67),
+    (5, Analytic, 1, 1, 0xc76051dd104143cd),
+    (5, TraceDriven, 1, 1, 0xf95620b0d74f2a1b),
+    (6, Analytic, 1, 1, 0x5ffe6631f5564dc5),
+    (6, TraceDriven, 1, 1, 0xe0ea49b27e6dfc00),
+    (7, Analytic, 1, 1, 0x8634fc9baa0839f3),
+    (7, TraceDriven, 1, 1, 0xee3c230722fab923),
+    (8, Analytic, 1, 1, 0x0559ffb8bcfe4418),
+    (0, Analytic, 1, 2, 0xeded95399223a281),
+    (0, TraceDriven, 1, 2, 0xeded95399223a281),
+    (1, Analytic, 1, 2, 0x96432f1f6cfb698c),
+    (1, TraceDriven, 1, 2, 0x1e45c9b2c13c9c44),
+    (2, Analytic, 1, 2, 0xdbe5bb4b83a26cfa),
+    (2, TraceDriven, 1, 2, 0x5f72d001050cd345),
+    (3, Analytic, 1, 2, 0x4cd9a27e529a6820),
+    (3, TraceDriven, 1, 2, 0x716533f8a1027d16),
+    (4, Analytic, 1, 2, 0x4f20db9275394353),
+    (4, TraceDriven, 1, 2, 0x284c281edf2c2f9f),
+    (5, Analytic, 1, 2, 0x4d69161e66b822eb),
+    (5, TraceDriven, 1, 2, 0x8f2b6ef782fc646e),
+    (6, Analytic, 1, 2, 0xb20330fe3c3a85fe),
+    (6, TraceDriven, 1, 2, 0x86818f65b2136347),
+    (7, Analytic, 1, 2, 0x4303ece122d16509),
+    (7, TraceDriven, 1, 2, 0xd93097c5e02a95f5),
+    (8, Analytic, 1, 2, 0x52c720994d4ad233),
+    (0, Analytic, 1, 4, 0x2381965ad6186a66),
+    (0, TraceDriven, 1, 4, 0x2381965ad6186a66),
+    (1, Analytic, 1, 4, 0xa24756b72c2d1616),
+    (1, TraceDriven, 1, 4, 0x782c7dc1399dc585),
+    (2, Analytic, 1, 4, 0x0ae4f85bc0dad6ba),
+    (2, TraceDriven, 1, 4, 0x8c56e40a7fcd689b),
+    (3, Analytic, 1, 4, 0x02b535160cfee348),
+    (3, TraceDriven, 1, 4, 0x3243b8b0756214a6),
+    (4, Analytic, 1, 4, 0xa8f467a87d281825),
+    (4, TraceDriven, 1, 4, 0x9f56339513278472),
+    (5, Analytic, 1, 4, 0x2d1c5a650b5ad07a),
+    (5, TraceDriven, 1, 4, 0x448e9c9b93923d27),
+    (6, Analytic, 1, 4, 0x1765224049f76b7d),
+    (6, TraceDriven, 1, 4, 0x3d1fe36158112b84),
+    (7, Analytic, 1, 4, 0x1933fe8efe919324),
+    (7, TraceDriven, 1, 4, 0xa3d1a138efebdba0),
+    (8, Analytic, 1, 4, 0x7b6e9f63a85a51b4),
+];
+
+/// `(backend, model, tp, digest of the prefill cycles of every prompt
+/// set)`, backend 0 the NeuPIMs device and 1 the GPU roofline.
+const PREFILL_DIGESTS: [(usize, usize, u32, u64); 12] = [
+    (0, 0, 1, 0xbca41377bfd3374c),
+    (1, 0, 1, 0x259f3c379b97e8f4),
+    (0, 0, 2, 0x2ec16ce804980166),
+    (1, 0, 2, 0x5b5606e816b3f2b9),
+    (0, 0, 4, 0x654ab54f978fb3d3),
+    (1, 0, 4, 0xa8c4c93ce245953f),
+    (0, 1, 1, 0xd0cef94553f36fdc),
+    (1, 1, 1, 0xa9bb56ccec52272f),
+    (0, 1, 2, 0xed4b76bfb568449e),
+    (1, 1, 2, 0x7fd15f275ae5c5df),
+    (0, 1, 4, 0x8c7c608c95c28e97),
+    (1, 1, 4, 0xc27104dc069e225e),
+];
+
+#[test]
+fn every_breakdown_field_matches_recorded_digests() {
+    let (cfg, cal, _) = setup();
+    let batches = wide_batches();
+    let gpu = GpuRooflineBackend::a100();
+    let memo = TraceMemo::new();
+    let mut decode = Vec::new();
+    for (mi, model) in MODELS.iter().map(|m| m()).enumerate() {
+        for tp in TPS {
+            for (backend, mode) in MODES.iter().enumerate() {
+                for kind in [Analytic, TraceDriven] {
+                    let mut device = Device::new(cfg, cal, *mode).with_cost_model(kind);
+                    device.attach_trace_memo(&memo);
+                    let mut h = FNV_OFFSET;
+                    for seqs in &batches {
+                        let b = device
+                            .decode_iteration(&model, tp, model.num_layers, seqs)
+                            .unwrap();
+                        fold_breakdown(&mut h, &b);
+                    }
+                    decode.push((backend, kind, mi, tp, h));
+                }
+            }
+            let mut h = FNV_OFFSET;
+            for seqs in &batches {
+                let b = gpu
+                    .decode_iteration(&model, tp, model.num_layers, seqs)
+                    .unwrap()
+                    .into_breakdown();
+                fold_breakdown(&mut h, &b);
+            }
+            decode.push((GPU, Analytic, mi, tp, h));
+        }
+    }
+    let device = Device::new(cfg, cal, DeviceMode::neupims());
+    let mut prefill = Vec::new();
+    for (mi, model) in MODELS.iter().map(|m| m()).enumerate() {
+        for tp in TPS {
+            for (backend, price) in [&device as &dyn Backend, &gpu as &dyn Backend]
+                .into_iter()
+                .enumerate()
+            {
+                let mut h = FNV_OFFSET;
+                for prompts in prompt_sets() {
+                    let cycles = price
+                        .prefill_cycles(&model, tp, model.num_layers, &prompts)
+                        .unwrap();
+                    fold(&mut h, [cycles]);
+                }
+                prefill.push((backend, mi, tp, h));
+            }
+        }
+    }
+    for (got, want) in decode.iter().zip(&DECODE_DIGESTS) {
+        assert_eq!(
+            got, want,
+            "decode digest (backend, kind, model, tp, digest)"
+        );
+    }
+    assert_eq!(decode.len(), DECODE_DIGESTS.len());
+    for (got, want) in prefill.iter().zip(&PREFILL_DIGESTS) {
+        assert_eq!(got, want, "prefill digest (backend, model, tp, digest)");
+    }
+    assert_eq!(prefill.len(), PREFILL_DIGESTS.len());
 }
 
 #[test]
