@@ -7,13 +7,17 @@
 //! allowed) behind a pluggable [`DispatchPolicy`]. Arrivals are dispatched
 //! in time order; each dispatch is a barrier where exactly the replicas
 //! whose event streams trail the arrival are advanced up to it (popped
-//! from a merged [`EventQueue`], in parallel on
+//! from a merged [`EventQueue`](crate::event::EventQueue), in parallel on
 //! scoped worker threads when many are due — see [`FleetSim::with_jobs`]),
 //! so policies see *live* queue depths, outstanding work, and KV pressure
 //! rather than static assignment counts. Between barriers replicas share
-//! no state, which is why the job count never changes results; the old
-//! all-replica lockstep engine survives as [`FleetSim::run_lockstep`],
-//! the golden reference the parity tests hold [`FleetSim::run`] to.
+//! no state, which is why the job count never changes results.
+//!
+//! That barrier loop is the [`Orchestrator`]'s: a `FleetSim` is the
+//! engine with one tenant, every replica statically on, and load-only
+//! routing. The all-replica lockstep engine survives as
+//! [`FleetSim::run_lockstep`], the independent golden reference the
+//! parity tests hold [`FleetSim::run`] to.
 //!
 //! Three policies ship out of the box:
 //!
@@ -66,17 +70,18 @@
 //! assert_eq!(out.completed + out.dropped, out.submitted);
 //! ```
 
-use std::collections::HashSet;
 use std::sync::Mutex;
 
 use neupims_sched::{CostModelKind, TraceMemo, TraceSnapshot};
-use neupims_types::{Cycle, RequestId, SimError};
+use neupims_types::{Cycle, SimError};
 
 use crate::backend::{Backend, BackendError};
 use crate::device::Device;
-use crate::event::{EventQueue, SimEvent};
+use crate::orchestrator::{
+    check_slots, OrchRequest, Orchestrator, OrchestratorConfig, Router, StaticScale, TenantClass,
+};
 use crate::preempt::{PreemptionPolicy, SwapConfig};
-use crate::serving::{ServingOutcome, ServingSim, StepEvent};
+use crate::serving::{ServingOutcome, ServingSim, SloTargets, StepEvent};
 
 /// Below this many due replicas a dispatch barrier advances them inline.
 /// Scoped-thread fan-out (spawn + join per barrier) costs tens of
@@ -100,7 +105,7 @@ pub struct FleetRequest {
 
 /// Live state of one replica at dispatch time, as seen by a
 /// [`DispatchPolicy`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ReplicaSnapshot {
     /// Replica index in the fleet.
     pub index: usize,
@@ -127,6 +132,20 @@ pub struct ReplicaSnapshot {
 }
 
 impl ReplicaSnapshot {
+    /// Reads replica `index`'s live state.
+    pub(crate) fn of<B: Backend>(index: usize, r: &ServingSim<B>) -> Self {
+        Self {
+            index,
+            now: r.now(),
+            waiting: r.waiting_len(),
+            running: r.running_len(),
+            preempted: r.preempted_len(),
+            outstanding_tokens: r.outstanding_tokens(),
+            kv_utilization: r.kv_utilization(),
+            kv_pressure: r.kv_pressure(),
+        }
+    }
+
     /// Queue depth: waiting, running, and parked (preempted) requests —
     /// everything the replica still owes work for.
     pub fn queue_len(&self) -> usize {
@@ -415,23 +434,17 @@ impl FleetOutcome {
 /// Backend>>`) and different configurations — the dispatcher only talks
 /// to them through [`ReplicaSnapshot`]s and the step API.
 pub struct FleetSim<B: Backend = Device> {
-    replicas: Vec<ServingSim<B>>,
-    policy: Box<dyn DispatchPolicy>,
-    pending: Vec<FleetRequest>,
-    seen: HashSet<RequestId>,
-    submitted: u64,
-    /// Worker threads replica event streams execute on between dispatch
-    /// points (see [`Self::with_jobs`]). Never affects results.
-    jobs: usize,
+    /// The orchestrator engine, in the configuration [`FleetSim::new`] builds.
+    engine: Box<Orchestrator<B>>,
 }
 
 impl<B: Backend> std::fmt::Debug for FleetSim<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FleetSim")
-            .field("replicas", &self.replicas.len())
-            .field("policy", &self.policy.name())
-            .field("pending", &self.pending.len())
-            .field("jobs", &self.jobs)
+            .field("replicas", &self.replica_count())
+            .field("policy", &self.policy_name())
+            .field("pending", &self.pending_len())
+            .field("jobs", &self.jobs())
             .finish()
     }
 }
@@ -465,54 +478,45 @@ impl<B: Backend> FleetSim<B> {
         replicas: Vec<ServingSim<B>>,
         policy: Box<dyn DispatchPolicy>,
     ) -> Result<Self, BackendError> {
-        if replicas.is_empty() {
-            return Err(BackendError::InvalidSimulation(
-                "fleet needs at least one replica".into(),
-            ));
-        }
-        if let Some(i) = replicas
-            .iter()
-            .position(|r| r.config().target_completions > 0)
-        {
-            return Err(BackendError::InvalidSimulation(format!(
-                "fleet replica {i} has target_completions > 0; fleet replicas must drain \
-                 (set target_completions to 0)"
-            )));
-        }
+        check_slots(&replicas, "fleet", "replica")?;
+        // The tenant's targets are never graded: a fleet reports no
+        // tenant outcomes.
+        let everyone = TenantClass::new("fleet", SloTargets::from_ms(0.0, 0.0), u8::MAX, 1.0);
+        let cfg = OrchestratorConfig::default_for(replicas.len());
+        let router = Router::Fleet(policy);
+        let scale = Box::new(StaticScale::full());
+        let engine = Orchestrator::engine(replicas, vec![everyone], router, scale, cfg);
         Ok(Self {
-            replicas,
-            policy,
-            pending: Vec::new(),
-            seen: HashSet::new(),
-            submitted: 0,
-            jobs: default_jobs(),
+            engine: Box::new(engine),
         })
     }
 
     /// Sets how many worker threads replica event streams execute on
-    /// between dispatch points (`0` restores the default: the machine's
-    /// [`std::thread::available_parallelism`]). With `1`, everything runs
-    /// on the calling thread.
-    ///
-    /// The job count never changes results: between dispatch barriers
-    /// replicas share no state, each is advanced by the same sequential
-    /// per-replica loop regardless of which worker runs it, and
-    /// aggregation happens in replica order after all workers join — so
-    /// a seeded run is bit-deterministic for every `N` (pinned by the
-    /// determinism tests).
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = if jobs == 0 { default_jobs() } else { jobs };
-        self
+    /// between dispatch points; like [`Orchestrator::with_jobs`], the job
+    /// count never changes results.
+    pub fn with_jobs(self, jobs: usize) -> Self {
+        Self {
+            engine: Box::new(self.engine.with_jobs(jobs)),
+        }
     }
 
     /// Worker threads used between dispatch points.
     pub fn jobs(&self) -> usize {
-        self.jobs
+        self.engine.jobs
     }
 
     /// The replicas, in fleet index order.
     pub fn replicas(&self) -> &[ServingSim<B>] {
-        &self.replicas
+        &self.engine.slots
+    }
+
+    /// Rebuilds every replica through `f`.
+    fn map_replicas(mut self, f: impl FnMut(ServingSim<B>) -> ServingSim<B>) -> Self {
+        self.engine.slots = std::mem::take(&mut self.engine.slots)
+            .into_iter()
+            .map(f)
+            .collect();
+        self
     }
 
     /// Selects the MHA cost model every replica's scheduler prices PIM
@@ -521,26 +525,16 @@ impl<B: Backend> FleetSim<B> {
     /// *they* were configured with): Algorithm 1 analytic pricing or
     /// trace-driven command-stream replay. Replicas added later keep
     /// their own setting.
-    pub fn with_cost_model(mut self, kind: CostModelKind) -> Self {
-        self.replicas = self
-            .replicas
-            .into_iter()
-            .map(|r| r.with_cost_model(kind))
-            .collect();
-        self
+    pub fn with_cost_model(self, kind: CostModelKind) -> Self {
+        self.map_replicas(|r| r.with_cost_model(kind))
     }
 
     /// Installs one preemption policy into every replica (see
     /// [`ServingSim::with_preemption`]); replicas added later keep their
     /// own setting. Per-replica policies can instead be set on the
     /// [`ServingSim`]s before building the fleet.
-    pub fn with_preemption(mut self, policy: Box<dyn PreemptionPolicy>) -> Self {
-        self.replicas = self
-            .replicas
-            .into_iter()
-            .map(|r| r.with_preemption(policy.clone()))
-            .collect();
-        self
+    pub fn with_preemption(self, policy: Box<dyn PreemptionPolicy>) -> Self {
+        self.map_replicas(|r| r.with_preemption(policy.clone()))
     }
 
     /// Shares one [`TraceMemo`] across every replica's trace-driven cost
@@ -550,13 +544,8 @@ impl<B: Backend> FleetSim<B> {
     /// memo is sound across a heterogeneous fleet. Replicas whose
     /// backends have no PIM are unaffected; replicas added later keep
     /// their own memos.
-    pub fn with_shared_trace_memo(mut self, memo: &TraceMemo) -> Self {
-        self.replicas = self
-            .replicas
-            .into_iter()
-            .map(|r| r.with_trace_memo(memo))
-            .collect();
-        self
+    pub fn with_shared_trace_memo(self, memo: &TraceMemo) -> Self {
+        self.map_replicas(|r| r.with_trace_memo(memo))
     }
 
     /// Pre-populates replica replay memos for every context-length bucket
@@ -569,11 +558,12 @@ impl<B: Backend> FleetSim<B> {
     /// most once, so later replicas find the lattice already warm.
     pub fn warm_replay(&self) -> u64 {
         let mut spans: Vec<(u64, u64)> = self
+            .engine
             .pending
             .iter()
-            .map(|req| {
-                let lo = u64::from(req.input_len).max(1);
-                (lo, lo + u64::from(req.output_len) - 1)
+            .map(|o| {
+                let lo = u64::from(o.req.input_len).max(1);
+                (lo, lo + u64::from(o.req.output_len) - 1)
             })
             .collect();
         spans.sort_unstable();
@@ -581,36 +571,31 @@ impl<B: Backend> FleetSim<B> {
         if spans.is_empty() {
             return 0;
         }
-        self.replicas
+        self.replicas()
             .iter()
-            .map(|r| r.warm_cost_model(&spans, self.jobs))
+            .map(|r| r.warm_cost_model(&spans, self.jobs()))
             .sum()
     }
 
     /// Sets every replica's swap-link parameters (see
     /// [`ServingSim::with_swap`]).
-    pub fn with_swap(mut self, swap: SwapConfig) -> Self {
-        self.replicas = self
-            .replicas
-            .into_iter()
-            .map(|r| r.with_swap(swap))
-            .collect();
-        self
+    pub fn with_swap(self, swap: SwapConfig) -> Self {
+        self.map_replicas(|r| r.with_swap(swap))
     }
 
     /// Number of replicas.
     pub fn replica_count(&self) -> usize {
-        self.replicas.len()
+        self.engine.slots.len()
     }
 
     /// Requests submitted but not yet dispatched to a replica.
     pub fn pending_len(&self) -> usize {
-        self.pending.len()
+        self.engine.pending_len()
     }
 
     /// The dispatch policy's name.
     pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
+        self.engine.route_name()
     }
 
     /// Queues one request for dispatch at its arrival time.
@@ -620,55 +605,18 @@ impl<B: Backend> FleetSim<B> {
     /// Returns [`SimError::DuplicateRequest`] for a fleet-wide duplicate
     /// id and [`SimError::InvalidShape`] for a zero `output_len`.
     pub fn submit(&mut self, req: FleetRequest) -> Result<(), SimError> {
-        if req.output_len == 0 {
-            return Err(SimError::InvalidShape(format!(
-                "request {} has zero output_len",
-                RequestId::new(req.id)
-            )));
-        }
-        if !self.seen.insert(RequestId::new(req.id)) {
-            return Err(SimError::DuplicateRequest(RequestId::new(req.id)));
-        }
-        self.pending.push(req);
-        self.submitted += 1;
-        Ok(())
-    }
-
-    fn snapshot_of(&self, index: usize) -> ReplicaSnapshot {
-        let r = &self.replicas[index];
-        ReplicaSnapshot {
-            index,
-            now: r.now(),
-            waiting: r.waiting_len(),
-            running: r.running_len(),
-            preempted: r.preempted_len(),
-            outstanding_tokens: r.outstanding_tokens(),
-            kv_utilization: r.kv_utilization(),
-            kv_pressure: r.kv_pressure(),
-        }
-    }
-
-    fn snapshots(&self) -> Vec<ReplicaSnapshot> {
-        (0..self.replicas.len())
-            .map(|i| self.snapshot_of(i))
-            .collect()
+        self.engine.submit(OrchRequest { req, tenant: 0 })
     }
 
     /// Dispatches every queued request in arrival order and drains all
     /// replicas, reporting the aggregated outcome.
     ///
-    /// This is the event-driven engine: replica event streams are merged
-    /// on an [`EventQueue`] keyed by each replica's local clock, and a
-    /// dispatch at time `t` services only the replicas whose streams
-    /// trail `t` — popped from the merge, advanced (in parallel on
-    /// [`std::thread::scope`] workers when many are due, see
-    /// [`Self::with_jobs`]), and re-queued at their new clocks. Replicas
-    /// synchronize with the global clock only at these dispatch points,
-    /// where the policy reads its [`ReplicaSnapshot`]s; a drained (idle)
-    /// replica leaves the merge and is never re-stepped until a dispatch
-    /// hands it new work. Results are bit-identical to
-    /// [`Self::run_lockstep`] — the parity suite pins it across every
-    /// scheduler × preemption × dispatch combination.
+    /// This is the [`Orchestrator`]'s event-driven engine (see
+    /// [`Orchestrator::run`]): a dispatch at time `t` advances only the
+    /// replicas whose streams trail `t`, and a drained replica is never
+    /// re-stepped until a dispatch hands it new work. Results are
+    /// bit-identical to [`Self::run_lockstep`] — the parity suites pin it
+    /// across every scheduler × preemption × dispatch combination.
     ///
     /// Statistics are cumulative over the fleet's lifetime: a later
     /// `submit` + `run` round adds to the same counters, so
@@ -679,161 +627,73 @@ impl<B: Backend> FleetSim<B> {
     ///
     /// # Errors
     ///
-    /// Propagates replica simulation errors. Requests not yet dispatched
-    /// when an error surfaces are re-stashed as pending; which replicas
-    /// have already advanced past the failed barrier is unspecified.
+    /// Propagates replica simulation errors, and returns
+    /// [`SimError::Scheduling`] naming [`Self::policy_name`] when the
+    /// policy chooses a replica past the fleet. A failed round leaves the
+    /// failing request and every later one pending ([`Self::pending_len`]),
+    /// dispatched ones on their replicas for the next `run`, and replica
+    /// clocks where they got to.
     pub fn run(&mut self) -> Result<FleetOutcome, SimError> {
-        let mut pending = std::mem::take(&mut self.pending);
-        pending.sort_by_key(|r| (r.arrival, r.id));
-
-        // The merged per-replica event streams: each non-idle replica
-        // appears once, keyed by its local clock (= how far its stream
-        // has been serviced). Snapshots are cached and refreshed only
-        // for replicas that stepped or received work — a dispatch is
-        // O(due replicas), not O(fleet).
-        let mut merge: EventQueue<SimEvent> = EventQueue::new();
-        for (i, r) in self.replicas.iter().enumerate() {
-            if !r.is_idle() {
-                merge.push(r.now(), SimEvent::ReplicaIdle(i));
-            }
-        }
-        let mut snaps = self.snapshots();
-
-        let mut due: Vec<usize> = Vec::new();
-        for (k, &req) in pending.iter().enumerate() {
-            // Dispatch barrier: advance exactly the replicas whose
-            // streams trail the arrival, so the policy sees live queues.
-            // Idle replicas are not in the merge and stay where they are
-            // (their snapshot is empty anyway).
-            due.clear();
-            while let Some((at, _)) = merge.peek() {
-                if at >= req.arrival {
-                    break;
-                }
-                let (_, ev) = merge.pop().expect("peeked");
-                let SimEvent::ReplicaIdle(i) = ev else {
-                    unreachable!("the fleet merge holds only replica entries");
-                };
-                due.push(i);
-            }
-            due.sort_unstable();
-            if let Err(e) = self.advance_many(&due, req.arrival) {
-                // Re-stash what hasn't been dispatched so the fleet's
-                // conservation accounting survives a failed round.
-                self.pending.extend_from_slice(&pending[k..]);
-                return Err(e);
-            }
-            for &i in &due {
-                if !self.replicas[i].is_idle() {
-                    merge.push(self.replicas[i].now(), SimEvent::ReplicaIdle(i));
-                }
-                snaps[i] = self.snapshot_of(i);
-            }
-
-            let choice = self.policy.choose(&snaps, &req);
-            if choice >= self.replicas.len() {
-                self.pending.extend_from_slice(&pending[k..]);
-                return Err(SimError::Scheduling(format!(
-                    "dispatch policy {:?} chose replica {choice}, but the fleet has {}",
-                    self.policy.name(),
-                    self.replicas.len()
-                )));
-            }
-            let was_idle = self.replicas[choice].is_idle();
-            if let Err(e) =
-                self.replicas[choice].submit(req.id, req.input_len, req.output_len, req.arrival)
-            {
-                self.pending.extend_from_slice(&pending[k..]);
-                return Err(e);
-            }
-            snaps[choice] = self.snapshot_of(choice);
-            if was_idle {
-                // The dispatch re-activates a drained replica: back into
-                // the merge at its (possibly stale) local clock.
-                merge.push(self.replicas[choice].now(), SimEvent::ReplicaIdle(choice));
-            }
-        }
-
-        // Drain phase: no more dispatch barriers, so every remaining
-        // stream runs to completion — fully parallel.
-        let mut active: Vec<usize> = Vec::new();
-        while let Some((_, ev)) = merge.pop() {
-            let SimEvent::ReplicaIdle(i) = ev else {
-                unreachable!("the fleet merge holds only replica entries");
-            };
-            active.push(i);
-        }
-        active.sort_unstable();
-        self.advance_many(&active, Cycle::MAX)?;
-
-        let outcomes = self.replicas.iter().map(ServingSim::outcome).collect();
-        Ok(FleetOutcome::aggregate(self.submitted, outcomes))
+        self.engine.serve()
     }
 
     /// The lockstep reference engine: before each dispatch, every replica
     /// is stepped up to the arrival instant, one after another, and all
     /// snapshots are rebuilt from scratch. `O(replicas)` per arrival —
-    /// kept verbatim as the golden semantics [`Self::run`] must reproduce
-    /// bit for bit (the parity tests run both and compare
+    /// kept as the independent golden semantics [`Self::run`] must
+    /// reproduce bit for bit (the parity tests run both and compare
     /// [`FleetOutcome`]s), and as the baseline `bench-snapshot fleet`
     /// measures speedup against. Not for production-scale fleets.
     ///
     /// # Errors
     ///
-    /// Propagates replica simulation errors.
+    /// Propagates replica simulation errors; a failed round leaves what a
+    /// failed [`Self::run`] leaves.
     pub fn run_lockstep(&mut self) -> Result<FleetOutcome, SimError> {
-        let mut pending = std::mem::take(&mut self.pending);
-        pending.sort_by_key(|r| (r.arrival, r.id));
+        let mut pending = std::mem::take(&mut self.engine.pending);
+        pending.sort_by_key(|r| (r.req.arrival, r.req.id));
 
-        for (i, &req) in pending.iter().enumerate() {
-            if let Err(e) = self.dispatch_one_lockstep(req) {
+        for (i, oreq) in pending.iter().enumerate() {
+            if let Err(e) = self.dispatch_one_lockstep(oreq.req) {
                 // Re-stash what hasn't been dispatched so the fleet's
                 // conservation accounting survives a failed round.
-                self.pending.extend_from_slice(&pending[i..]);
+                self.engine.pending.extend_from_slice(&pending[i..]);
                 return Err(e);
             }
         }
 
-        for replica in &mut self.replicas {
+        for replica in &mut self.engine.slots {
             while replica.step()? != StepEvent::Finished {}
         }
-        let outcomes = self.replicas.iter().map(ServingSim::outcome).collect();
-        Ok(FleetOutcome::aggregate(self.submitted, outcomes))
+        let outcomes = self.replicas().iter().map(ServingSim::outcome).collect();
+        Ok(FleetOutcome::aggregate(self.engine.dispatched, outcomes))
     }
 
     fn dispatch_one_lockstep(&mut self, req: FleetRequest) -> Result<(), SimError> {
+        let Orchestrator { slots, router, .. } = &mut *self.engine;
         // Bring every replica's local clock up to the arrival so the
         // policy sees live queues, not stale ones. Idle replicas stay
         // where they are (their snapshot is empty anyway).
-        for replica in &mut self.replicas {
+        for replica in slots.iter_mut() {
             advance_to(replica, req.arrival)?;
         }
-        let snaps = self.snapshots();
-        let choice = self.policy.choose(&snaps, &req);
-        if choice >= self.replicas.len() {
-            return Err(SimError::Scheduling(format!(
-                "dispatch policy {:?} chose replica {choice}, but the fleet has {}",
-                self.policy.name(),
-                self.replicas.len()
-            )));
+        let snaps: Vec<_> = (slots.iter().enumerate())
+            .map(|(i, r)| ReplicaSnapshot::of(i, r))
+            .collect();
+        let Router::Fleet(policy) = router else {
+            unreachable!("FleetSim::new builds a fleet router");
+        };
+        let choice = policy.choose(&snaps, &req);
+        if choice >= snaps.len() {
+            return Err(router.out_of_range(choice, snaps.len()));
         }
-        self.replicas[choice].submit(req.id, req.input_len, req.output_len, req.arrival)
-    }
-
-    /// Advances the replicas named by `due` (sorted, distinct indices) to
-    /// `horizon`, fanning out over up to [`Self::jobs`] scoped worker
-    /// threads when the due set is large enough to pay for it. Replicas
-    /// share no state between dispatch barriers, so per-replica results
-    /// are identical however the work is divided; on error the
-    /// lowest-indexed failing replica's error is returned regardless of
-    /// worker interleaving.
-    fn advance_many(&mut self, due: &[usize], horizon: Cycle) -> Result<(), SimError> {
-        advance_set(&mut self.replicas, due, horizon, self.jobs)
+        slots[choice].submit(req.id, req.input_len, req.output_len, req.arrival)?;
+        self.engine.dispatched += 1;
+        Ok(())
     }
 }
 
-/// The shared barrier primitive behind [`FleetSim::run`] and the
-/// [`Orchestrator`](crate::orchestrator::Orchestrator): advances the
+/// The barrier primitive of the [`Orchestrator`] engine: advances the
 /// replicas named by `due` (sorted, distinct indices) to `horizon`,
 /// fanning out over up to `jobs` scoped worker threads when the due set
 /// is large enough to pay for it. Replicas share no state between
@@ -894,31 +754,21 @@ pub(crate) fn advance_set<B: Backend>(
     }
 }
 
-/// One worker per available core by default (the dispatcher thread mostly
-/// waits at barriers).
-fn default_jobs() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::GpuRooflineBackend;
-    use crate::serving::ServingConfig;
+    use crate::testsupport::{cfg_of, gpu_replicas};
     use neupims_types::LlmConfig;
 
     fn snap(index: usize, queue: usize, tokens: u64, kv: f64) -> ReplicaSnapshot {
         ReplicaSnapshot {
             index,
-            now: 0,
             waiting: queue,
-            running: 0,
-            preempted: 0,
             outstanding_tokens: tokens,
             kv_utilization: kv,
             kv_pressure: kv,
+            ..Default::default()
         }
     }
 
@@ -986,29 +836,6 @@ mod tests {
         assert!(policy_from_name("random").is_err());
     }
 
-    fn cfg_of(max_batch: usize) -> ServingConfig {
-        ServingConfig {
-            max_batch,
-            tp: 4,
-            layers: 32,
-            target_completions: 0,
-            slo: None,
-        }
-    }
-
-    fn gpu_replicas(n: usize) -> Vec<ServingSim<GpuRooflineBackend>> {
-        let cfg = cfg_of(8);
-        (0..n)
-            .map(|_| {
-                ServingSim::new(
-                    GpuRooflineBackend::a100(),
-                    LlmConfig::gpt3_7b(),
-                    cfg.clone(),
-                )
-            })
-            .collect()
-    }
-
     /// Regression: a snapshot with `memo_id == 0` is an already-merged
     /// aggregate (e.g. a nested fleet's outcome) — distinct id-0
     /// aggregates must be *summed*, never deduped against each other,
@@ -1074,23 +901,47 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_policy_choice_is_an_error() {
-        struct Broken;
-        impl DispatchPolicy for Broken {
+    fn out_of_range_policy_choice_fails_the_round_at_that_arrival() {
+        // Valid choices, except one past the fleet at the k-th arrival
+        // (violating the `< snapshots.len()` contract).
+        struct BreaksAt(usize, usize);
+        impl DispatchPolicy for BreaksAt {
             fn name(&self) -> &'static str {
-                "broken"
+                "breaks-at-k"
             }
             fn choose(&mut self, snapshots: &[ReplicaSnapshot], _req: &FleetRequest) -> usize {
-                snapshots.len() // violates the `< snapshots.len()` contract
+                self.1 += 1;
+                if self.1 == self.0 {
+                    snapshots.len()
+                } else {
+                    self.1 % snapshots.len()
+                }
             }
         }
-        let mut fleet = FleetSim::new(gpu_replicas(2), Box::new(Broken)).unwrap();
-        fleet.submit(req(0)).unwrap();
-        fleet.submit(req(1)).unwrap();
-        let err = fleet.run().unwrap_err();
-        assert!(err.to_string().contains("chose replica"), "{err}");
-        // The failed round must not lose undispatched requests.
-        assert_eq!(fleet.pending_len(), 2);
+        for k in [1, 4] {
+            let mut fleet = FleetSim::new(gpu_replicas(2), Box::new(BreaksAt(k, 0))).unwrap();
+            for i in 0..6u32 {
+                fleet
+                    .submit(FleetRequest {
+                        arrival: u64::from(i) * 10_000,
+                        ..req(i)
+                    })
+                    .unwrap();
+            }
+            let err = fleet.run().unwrap_err().to_string();
+            assert!(
+                err.contains("chose replica") && err.contains("breaks-at-k"),
+                "{err}"
+            );
+            assert_eq!(fleet.policy_name(), "breaks-at-k");
+            // The failed round must not lose undispatched requests: the
+            // k-th arrival and every later one wait.
+            assert_eq!(fleet.pending_len(), 6 - (k - 1));
+            // The next round serves the dispatched and the pending alike.
+            let out = fleet.run().unwrap();
+            assert_eq!((fleet.pending_len(), out.submitted), (0, 6));
+            assert_eq!(out.completed + out.dropped, 6);
+        }
     }
 
     #[test]

@@ -38,10 +38,17 @@
 //! every static size.
 //!
 //! The degenerate configuration — single tenant, [`StaticScale`] at the
-//! full fleet, [`LoadOnly`] routing, warm start, admit-all — reproduces
-//! [`FleetSim::run`](crate::fleet::FleetSim::run) bit for bit (pinned by
-//! the orchestrator parity suite), so everything above is strictly
-//! additive.
+//! full fleet, [`LoadOnly`] routing, warm start, admit-all — *is*
+//! [`FleetSim`](crate::fleet::FleetSim): the fleet runs on this module's
+//! barrier loop, and the orchestrator parity suite holds both to the
+//! fleet's lockstep reference bit for bit, so everything above is
+//! strictly additive.
+//!
+//! The loop's bookkeeping per arrival is O(due slots): the slot-state
+//! counts, the queue total over dispatchable slots and the route
+//! candidate list are fields, updated on slot transitions and snapshot
+//! refreshes, and debug builds check them against a full walk of the
+//! slot table at every barrier.
 //!
 //! # Example
 //!
@@ -93,9 +100,10 @@
 //! assert!(out.goodput_per_cost() > 0.0);
 //! ```
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 
-use neupims_types::{Cycle, RequestId, SimError};
+use neupims_types::{Cycle, IdMap, RequestId, SimError};
 
 use crate::backend::{Backend, BackendError, CapabilityProfile};
 use crate::event::{EventQueue, SimEvent};
@@ -398,12 +406,18 @@ pub trait RoutePolicy {
 /// dispatch — the parity arm.
 pub struct LoadOnly {
     inner: Box<dyn DispatchPolicy>,
+    /// The candidates' snapshots re-indexed to positions, reused across
+    /// calls.
+    reindexed: Vec<ReplicaSnapshot>,
 }
 
 impl LoadOnly {
     /// Wraps a dispatch policy.
     pub fn new(inner: Box<dyn DispatchPolicy>) -> Self {
-        Self { inner }
+        Self {
+            inner,
+            reindexed: Vec::new(),
+        }
     }
 }
 
@@ -430,16 +444,17 @@ impl RoutePolicy for LoadOnly {
         // policy's index-based answers and tie-breaks stay in-bounds on a
         // partial fleet; with every slot dispatchable this is the
         // identity map (the parity case).
-        let snaps: Vec<ReplicaSnapshot> = candidates
-            .iter()
-            .enumerate()
-            .map(|(pos, c)| {
-                let mut s = c.snapshot;
-                s.index = pos;
-                s
-            })
-            .collect();
-        self.inner.choose(&snaps, req)
+        self.reindexed.clear();
+        self.reindexed.extend(
+            candidates
+                .iter()
+                .enumerate()
+                .map(|(pos, c)| ReplicaSnapshot {
+                    index: pos,
+                    ..c.snapshot
+                }),
+        );
+        self.inner.choose(&self.reindexed, req)
     }
 }
 
@@ -749,35 +764,144 @@ impl OrchestratorOutcome {
     }
 }
 
+/// How the engine picks a slot for an admitted request.
+pub(crate) enum Router {
+    /// A [`FleetSim`](crate::fleet::FleetSim)'s dispatch policy: what
+    /// [`LoadOnly`] runs, minus its re-indexed copy. A fleet never scales,
+    /// so every slot is a candidate and the snapshot table is already in
+    /// position order.
+    Fleet(Box<dyn DispatchPolicy>),
+    /// An orchestrator's route policy, offered the dispatchable slots.
+    Route(Box<dyn RoutePolicy>),
+}
+
+impl Router {
+    /// The policy a run's reports and errors name: a fleet's dispatch
+    /// policy, otherwise the route policy.
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            Router::Fleet(policy) => policy.name(),
+            Router::Route(route) => route.name(),
+        }
+    }
+
+    /// The error for a choice past the `offered` slots.
+    pub(crate) fn out_of_range(&self, choice: usize, offered: usize) -> SimError {
+        let (kind, unit) = match self {
+            Router::Fleet(_) => ("dispatch", "replica"),
+            Router::Route(_) => ("route", "candidate"),
+        };
+        SimError::Scheduling(format!(
+            "{kind} policy {:?} chose {unit} {choice}, but {offered} are offered",
+            self.name()
+        ))
+    }
+}
+
+/// The arrivals of one run in dispatch order: the sorted pending requests
+/// merged with those re-queued by a deferral. This is the order one
+/// [`EventQueue`] holding them all would pop: at equal times the
+/// originally pending requests go first, since they were queued first.
+struct Arrivals {
+    sorted: std::vec::IntoIter<OrchRequest>,
+    requeued: EventQueue<OrchRequest>,
+}
+
+impl Arrivals {
+    /// Re-queues `r` to arrive at `at`.
+    fn defer(&mut self, mut r: OrchRequest, at: Cycle) {
+        r.req.arrival = at;
+        self.requeued.push(at, r);
+    }
+
+    fn pop(&mut self) -> Option<(Cycle, OrchRequest)> {
+        let next = self.sorted.as_slice().first().map(|r| r.req.arrival);
+        match (next, self.requeued.peek()) {
+            (Some(t), Some((at, _))) if at < t => self.requeued.pop(),
+            (Some(t), _) => self.sorted.next().map(|r| (t, r)),
+            (None, _) => self.requeued.pop(),
+        }
+    }
+}
+
+/// What each arrival reads of the slot table, kept current on slot
+/// transitions and snapshot refreshes instead of rebuilt per arrival. At
+/// every barrier it equals [`Orchestrator::walk`] (debug-asserted).
+#[derive(Debug, Default, PartialEq)]
+struct SlotView {
+    /// Every slot's latest snapshot, in slot order.
+    snaps: Vec<ReplicaSnapshot>,
+    /// Slots paying warmup.
+    warming: usize,
+    /// Slots draining toward park.
+    draining: usize,
+    /// Queue depth summed over the On slots.
+    on_queue: usize,
+    /// The On (dispatchable) slots in slot order: the route candidates.
+    on: Vec<usize>,
+}
+
+impl SlotView {
+    /// Counts slot `i` in `state` (an On slot joins the candidates).
+    fn enter(&mut self, i: usize, state: SlotState) {
+        match state {
+            SlotState::Off => {}
+            SlotState::Warming { .. } => self.warming += 1,
+            SlotState::Draining => self.draining += 1,
+            SlotState::On => {
+                self.on_queue += self.snaps[i].queue_len();
+                self.on.insert(self.on.partition_point(|&j| j < i), i);
+            }
+        }
+    }
+
+    /// Undoes [`Self::enter`].
+    fn leave(&mut self, i: usize, state: SlotState) {
+        match state {
+            SlotState::Off => {}
+            SlotState::Warming { .. } => self.warming -= 1,
+            SlotState::Draining => self.draining -= 1,
+            SlotState::On => {
+                self.on_queue -= self.snaps[i].queue_len();
+                self.on.remove(self.on.partition_point(|&j| j < i));
+            }
+        }
+    }
+}
+
 /// The meta-serving layer: a slot table of replicas behind admission
 /// control, an autoscaler, and a capability-aware router.
 ///
 /// See the [module docs](self) for the architecture tour and
 /// `docs/ORCHESTRATOR.md` for the full walkthrough.
 pub struct Orchestrator<B: Backend> {
-    slots: Vec<ServingSim<B>>,
+    pub(crate) slots: Vec<ServingSim<B>>,
     profiles: Vec<CapabilityProfile>,
     state: Vec<SlotState>,
     on_since: Vec<Cycle>,
     stats: Vec<SlotStats>,
     tenants: Vec<TenantClass>,
-    route: Box<dyn RoutePolicy>,
+    pub(crate) router: Router,
     autoscale: Box<dyn AutoscalePolicy>,
     cfg: OrchestratorConfig,
-    pending: Vec<OrchRequest>,
-    seen: HashSet<RequestId>,
+    pub(crate) pending: Vec<OrchRequest>,
+    /// Every submitted id, mapped to its tenant (a `u32` halves the
+    /// table, which holds one entry per request).
+    tenant_of: IdMap<RequestId, u32>,
     submitted: Vec<u64>,
     admitted: Vec<u64>,
     deferred: Vec<u64>,
     shed: Vec<u64>,
-    dispatched: u64,
-    req_tenant: HashMap<u32, usize>,
-    defer_delay: HashMap<u32, Cycle>,
+    pub(crate) dispatched: u64,
+    defer_delay: IdMap<RequestId, Cycle>,
     warmups: u64,
     scale_ups: u64,
     scale_downs: u64,
     peak_committed: usize,
-    jobs: usize,
+    pub(crate) jobs: usize,
+    view: SlotView,
+    /// The route candidates of one arrival, reused across arrivals.
+    cands: Vec<RouteCandidate>,
 }
 
 impl<B: Backend> std::fmt::Debug for Orchestrator<B> {
@@ -785,7 +909,7 @@ impl<B: Backend> std::fmt::Debug for Orchestrator<B> {
         f.debug_struct("Orchestrator")
             .field("slots", &self.slots.len())
             .field("tenants", &self.tenants.len())
-            .field("route", &self.route.name())
+            .field("route", &self.router.name())
             .field("autoscale", &self.autoscale.name())
             .field("pending", &self.pending.len())
             .finish()
@@ -815,11 +939,7 @@ impl<B: Backend> Orchestrator<B> {
         autoscale: Box<dyn AutoscalePolicy>,
         cfg: OrchestratorConfig,
     ) -> Result<Self, BackendError> {
-        if slots.is_empty() {
-            return Err(BackendError::InvalidSimulation(
-                "orchestrator needs at least one slot".into(),
-            ));
-        }
+        check_slots(&slots, "orchestrator", "slot")?;
         if tenants.is_empty() {
             return Err(BackendError::InvalidSimulation(
                 "orchestrator needs at least one tenant class".into(),
@@ -838,12 +958,19 @@ impl<B: Backend> Orchestrator<B> {
                 cfg.min_replicas, cfg.max_replicas
             )));
         }
-        if let Some(i) = slots.iter().position(|r| r.config().target_completions > 0) {
-            return Err(BackendError::InvalidSimulation(format!(
-                "orchestrator slot {i} has target_completions > 0; slots must drain \
-                 (set target_completions to 0)"
-            )));
-        }
+        let route = Router::Route(route);
+        Ok(Self::engine(slots, tenants, route, autoscale, cfg))
+    }
+
+    /// The engine over validated parts; [`FleetSim`](crate::fleet::FleetSim)
+    /// builds its degenerate configuration through it.
+    pub(crate) fn engine(
+        slots: Vec<ServingSim<B>>,
+        tenants: Vec<TenantClass>,
+        router: Router,
+        autoscale: Box<dyn AutoscalePolicy>,
+        cfg: OrchestratorConfig,
+    ) -> Self {
         let profiles: Vec<CapabilityProfile> = slots
             .iter()
             .map(|s| s.backend().capability_profile())
@@ -858,50 +985,52 @@ impl<B: Backend> Orchestrator<B> {
             .collect();
         let mut warmups = 0;
         for (i, st) in state.iter_mut().enumerate().take(cfg.min_replicas) {
-            if cfg.warm_start {
+            let ready_at = if cfg.warm_start {
+                0
+            } else {
+                profiles[i].warmup_cycles
+            };
+            if ready_at == 0 {
                 *st = SlotState::On;
                 stats[i].windows.push((0, Cycle::MAX));
             } else {
-                let ready_at = profiles[i].warmup_cycles;
-                if ready_at == 0 {
-                    *st = SlotState::On;
-                    stats[i].windows.push((0, Cycle::MAX));
-                } else {
-                    *st = SlotState::Warming { ready_at };
-                    warmups += 1;
-                }
+                *st = SlotState::Warming { ready_at };
+                warmups += 1;
             }
         }
         let tenant_count = tenants.len();
-        Ok(Self {
+        Self {
             slots,
             profiles,
             state,
             on_since: vec![0; n],
             stats,
             tenants,
-            route,
+            router,
             autoscale,
             cfg,
             pending: Vec::new(),
-            seen: HashSet::new(),
+            tenant_of: IdMap::default(),
             submitted: vec![0; tenant_count],
             admitted: vec![0; tenant_count],
             deferred: vec![0; tenant_count],
             shed: vec![0; tenant_count],
             dispatched: 0,
-            req_tenant: HashMap::new(),
-            defer_delay: HashMap::new(),
+            defer_delay: IdMap::default(),
             warmups,
             scale_ups: 0,
             scale_downs: 0,
             peak_committed: cfg.min_replicas,
             jobs: default_jobs(),
-        })
+            view: SlotView::default(),
+            cands: Vec::new(),
+        }
     }
 
     /// Sets how many worker threads slot event streams execute on between
-    /// dispatch barriers (`0` restores the machine default). Like
+    /// dispatch barriers (`0` restores the machine default:
+    /// [`std::thread::available_parallelism`]). With `1`, everything runs
+    /// on the calling thread. Like
     /// [`FleetSim::with_jobs`](crate::fleet::FleetSim::with_jobs), the
     /// job count never changes results.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
@@ -916,7 +1045,7 @@ impl<B: Backend> Orchestrator<B> {
 
     /// The route policy's name.
     pub fn route_name(&self) -> &'static str {
-        self.route.name()
+        self.router.name()
     }
 
     /// The autoscale policy's name.
@@ -937,63 +1066,64 @@ impl<B: Backend> Orchestrator<B> {
     /// out-of-range tenant index, and [`SimError::DuplicateRequest`] for
     /// a duplicate id.
     pub fn submit(&mut self, oreq: OrchRequest) -> Result<(), SimError> {
+        let id = RequestId::new(oreq.req.id);
         if oreq.req.output_len == 0 {
             return Err(SimError::InvalidShape(format!(
-                "request {} has zero output_len",
-                RequestId::new(oreq.req.id)
+                "request {id} has zero output_len"
             )));
         }
-        if oreq.tenant >= self.tenants.len() {
+        let tenant = u32::try_from(oreq.tenant).ok();
+        let Some(tenant) = tenant.filter(|_| oreq.tenant < self.tenants.len()) else {
             return Err(SimError::InvalidShape(format!(
-                "request {} names tenant {}, but the orchestrator has {}",
-                RequestId::new(oreq.req.id),
+                "request {id} names tenant {}, but the orchestrator has {}",
                 oreq.tenant,
                 self.tenants.len()
             )));
-        }
-        if !self.seen.insert(RequestId::new(oreq.req.id)) {
-            return Err(SimError::DuplicateRequest(RequestId::new(oreq.req.id)));
-        }
+        };
+        match self.tenant_of.entry(id) {
+            Entry::Occupied(_) => return Err(SimError::DuplicateRequest(id)),
+            Entry::Vacant(v) => v.insert(tenant),
+        };
         self.submitted[oreq.tenant] += 1;
         self.pending.push(oreq);
         Ok(())
     }
 
-    fn snapshot_of(&self, index: usize) -> ReplicaSnapshot {
-        let r = &self.slots[index];
-        ReplicaSnapshot {
-            index,
-            now: r.now(),
-            waiting: r.waiting_len(),
-            running: r.running_len(),
-            preempted: r.preempted_len(),
-            outstanding_tokens: r.outstanding_tokens(),
-            kv_utilization: r.kv_utilization(),
-            kv_pressure: r.kv_pressure(),
+    /// The [`SlotView`] recomputed from a full walk of the slot table.
+    fn walk(&self) -> SlotView {
+        let snaps = (self.slots.iter().enumerate())
+            .map(|(i, r)| ReplicaSnapshot::of(i, r))
+            .collect();
+        let mut view = SlotView {
+            snaps,
+            ..SlotView::default()
+        };
+        for (i, &state) in self.state.iter().enumerate() {
+            view.enter(i, state);
         }
+        view
     }
 
-    fn on_count(&self) -> usize {
-        self.state.iter().filter(|s| **s == SlotState::On).count()
+    /// Moves slot `i` to `to`, keeping the view in step.
+    fn set_state(&mut self, i: usize, to: SlotState) {
+        let from = std::mem::replace(&mut self.state[i], to);
+        self.view.leave(i, from);
+        self.view.enter(i, to);
     }
 
-    fn warming_count(&self) -> usize {
-        self.state
-            .iter()
-            .filter(|s| matches!(s, SlotState::Warming { .. }))
-            .count()
-    }
-
-    fn draining_count(&self) -> usize {
-        self.state
-            .iter()
-            .filter(|s| **s == SlotState::Draining)
-            .count()
+    /// Re-reads slot `i`'s snapshot into the view.
+    fn refresh(&mut self, i: usize) {
+        let snap = ReplicaSnapshot::of(i, &self.slots[i]);
+        let v = &mut self.view;
+        if self.state[i] == SlotState::On {
+            v.on_queue = v.on_queue - v.snaps[i].queue_len() + snap.queue_len();
+        }
+        v.snaps[i] = snap;
     }
 
     /// Closes slot `i`'s cost window at `t` and parks it.
     fn park(&mut self, i: usize, t: Cycle) {
-        self.state[i] = SlotState::Off;
+        self.set_state(i, SlotState::Off);
         self.stats[i].cycles_on += t.saturating_sub(self.on_since[i]);
         if let Some(w) = self.stats[i].windows.last_mut() {
             w.1 = t;
@@ -1001,9 +1131,24 @@ impl<B: Backend> Orchestrator<B> {
         self.scale_downs += 1;
     }
 
+    /// Commits parked slot `i` at `t`, paying `warm` cycles of warmup
+    /// (none: dispatchable at once).
+    fn spin_up(&mut self, i: usize, t: Cycle, warm: Cycle, merge: &mut EventQueue<SimEvent>) {
+        self.on_since[i] = t;
+        self.scale_ups += 1;
+        if warm == 0 {
+            self.set_state(i, SlotState::On);
+            self.stats[i].windows.push((t, Cycle::MAX));
+        } else {
+            self.set_state(i, SlotState::Warming { ready_at: t + warm });
+            merge.push(t + warm, SimEvent::ReplicaWarmup(i));
+            self.warmups += 1;
+        }
+    }
+
     fn finish_warmup(&mut self, i: usize, ready_at: Cycle) {
         if let SlotState::Warming { .. } = self.state[i] {
-            self.state[i] = SlotState::On;
+            self.set_state(i, SlotState::On);
             self.stats[i].windows.push((ready_at, Cycle::MAX));
         }
     }
@@ -1011,15 +1156,13 @@ impl<B: Backend> Orchestrator<B> {
     /// Dispatches every queued request in arrival order and drains the
     /// fleet, reporting the aggregated per-tenant outcome.
     ///
-    /// The engine mirrors [`FleetSim::run`](crate::fleet::FleetSim::run):
-    /// slot event streams are merged on an [`EventQueue`] keyed by local
-    /// clocks, each arrival is a barrier advancing exactly the
-    /// dispatchable slots whose streams trail it, and the drain phase
-    /// runs every remaining stream to completion in parallel. On top of
-    /// that spine, [`SimEvent::ReplicaWarmup`] entries mark committed
-    /// slots becoming dispatchable, the autoscaler is consulted at every
-    /// arrival, and admission may shed or defer the request before the
-    /// router ever sees it.
+    /// Slot event streams are merged on an [`EventQueue`] keyed by local
+    /// clocks; each arrival is a barrier advancing exactly the slots whose
+    /// streams trail it, and the drain phase runs every remaining stream
+    /// to completion in parallel. [`SimEvent::ReplicaWarmup`] entries
+    /// mark committed slots becoming dispatchable, the autoscaler is
+    /// consulted at every arrival, and admission may shed or defer the
+    /// request before the router sees it.
     ///
     /// Statistics are cumulative across `submit` + `run` rounds, like the
     /// fleet's. Slot cost windows ([`SlotStats::windows`]) are reported
@@ -1027,302 +1170,17 @@ impl<B: Backend> Orchestrator<B> {
     ///
     /// # Errors
     ///
-    /// Propagates slot simulation errors; requests not yet dispatched are
-    /// re-stashed as pending, and per-tenant admission labels for the
-    /// failed round are unspecified.
+    /// Propagates slot simulation errors, and returns
+    /// [`SimError::Scheduling`] when the route policy picks past the
+    /// candidates it was offered. A failed round leaves the failing
+    /// arrival and every later one pending ([`Self::pending_len`]; a
+    /// deferred one at its deferred time), dispatched requests on their
+    /// slots for the next `run`, and every admission label given: per
+    /// tenant, `admitted + deferred + shed` plus the never-deferred
+    /// pending requests equals `submitted`. Slots keep the clocks and
+    /// lifecycle states the failure found them in.
     pub fn run(&mut self) -> Result<OrchestratorOutcome, SimError> {
-        let mut pending = std::mem::take(&mut self.pending);
-        pending.sort_by_key(|r| (r.req.arrival, r.req.id));
-        let mut arrivals: EventQueue<OrchRequest> = EventQueue::new();
-        for r in pending {
-            arrivals.push(r.req.arrival, r);
-        }
-
-        let mut merge: EventQueue<SimEvent> = EventQueue::new();
-        for (i, r) in self.slots.iter().enumerate() {
-            match self.state[i] {
-                SlotState::On | SlotState::Draining if !r.is_idle() => {
-                    merge.push(r.now(), SimEvent::ReplicaIdle(i))
-                }
-                SlotState::Warming { ready_at } => merge.push(ready_at, SimEvent::ReplicaWarmup(i)),
-                _ => {}
-            }
-        }
-        let mut snaps: Vec<ReplicaSnapshot> =
-            (0..self.slots.len()).map(|i| self.snapshot_of(i)).collect();
-        let mut recent: VecDeque<Cycle> = VecDeque::with_capacity(RATE_WINDOW);
-
-        let mut due: Vec<usize> = Vec::new();
-        while let Some((t, oreq)) = arrivals.pop() {
-            // Dispatch barrier: advance exactly the dispatchable slots
-            // whose streams trail the arrival. Warmups are inclusive at
-            // `t` (capacity committed for this instant is usable at it);
-            // replica streams keep the fleet's strict-past semantics.
-            due.clear();
-            while let Some((at, ev)) = merge.peek() {
-                let take = at < t || (at == t && matches!(ev, SimEvent::ReplicaWarmup(_)));
-                if !take {
-                    break;
-                }
-                let (at, ev) = merge.pop().expect("peeked");
-                match ev {
-                    SimEvent::ReplicaIdle(i) => due.push(i),
-                    SimEvent::ReplicaWarmup(i) => {
-                        self.finish_warmup(i, at);
-                        snaps[i] = self.snapshot_of(i);
-                    }
-                    other => unreachable!("unexpected merge event {other:?}"),
-                }
-            }
-            due.sort_unstable();
-            if let Err(e) = advance_set(&mut self.slots, &due, t, self.jobs) {
-                self.restash(oreq, &mut arrivals);
-                return Err(e);
-            }
-            for &i in &due {
-                if !self.slots[i].is_idle() {
-                    merge.push(self.slots[i].now(), SimEvent::ReplicaIdle(i));
-                }
-                snaps[i] = self.snapshot_of(i);
-            }
-
-            // A condemned slot parks the moment its queue drains; its
-            // cost window closes at this decision instant.
-            for i in 0..self.slots.len() {
-                if self.state[i] == SlotState::Draining && self.slots[i].is_idle() {
-                    self.park(i, t);
-                }
-            }
-
-            // Autoscale: decide the committed count for this instant.
-            recent.push_back(t);
-            if recent.len() > RATE_WINDOW {
-                recent.pop_front();
-            }
-            let span = recent.back().unwrap() - recent.front().unwrap();
-            let arrival_rate = if recent.len() >= 2 && span > 0 {
-                (recent.len() - 1) as f64 * 1e6 / span as f64
-            } else {
-                0.0
-            };
-            let active = self.on_count();
-            let warming = self.warming_count();
-            let queue: usize = snaps
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| self.state[*i] == SlotState::On)
-                .map(|(_, s)| s.queue_len())
-                .sum();
-            let obs = AutoscaleObservation {
-                now: t,
-                active,
-                warming,
-                queue,
-                arrival_rate,
-                min_replicas: self.cfg.min_replicas,
-                max_replicas: self.cfg.max_replicas,
-            };
-            let desired = self
-                .autoscale
-                .desired(&obs)
-                .clamp(self.cfg.min_replicas, self.cfg.max_replicas);
-            let committed = active + warming;
-            if desired > committed {
-                let mut need = desired - committed;
-                // A draining slot is still warm: cancelling its drain is
-                // free, so resurrect those before paying warmup on a
-                // parked slot.
-                for i in 0..self.slots.len() {
-                    if need == 0 {
-                        break;
-                    }
-                    if self.state[i] == SlotState::Draining {
-                        self.state[i] = SlotState::On;
-                        need -= 1;
-                    }
-                }
-                for i in 0..self.slots.len() {
-                    if need == 0 {
-                        break;
-                    }
-                    if self.state[i] != SlotState::Off {
-                        continue;
-                    }
-                    self.on_since[i] = t;
-                    self.scale_ups += 1;
-                    need -= 1;
-                    let warm = self.profiles[i].warmup_cycles;
-                    if warm == 0 {
-                        self.state[i] = SlotState::On;
-                        self.stats[i].windows.push((t, Cycle::MAX));
-                    } else {
-                        self.state[i] = SlotState::Warming { ready_at: t + warm };
-                        merge.push(t + warm, SimEvent::ReplicaWarmup(i));
-                        self.warmups += 1;
-                    }
-                }
-            } else if desired < committed {
-                // Idle slots park immediately; busy ones are condemned to
-                // drain — no new work, park on empty. Highest index
-                // first, so the low slots stay the stable core. Draining
-                // slots no longer count as committed, which is what lets
-                // a demand rebound cancel the drain above.
-                let mut excess = committed - desired;
-                for i in (0..self.slots.len()).rev() {
-                    if excess == 0 {
-                        break;
-                    }
-                    if self.state[i] != SlotState::On {
-                        continue;
-                    }
-                    if self.slots[i].is_idle() {
-                        self.park(i, t);
-                    } else {
-                        self.state[i] = SlotState::Draining;
-                    }
-                    excess -= 1;
-                }
-            }
-            self.peak_committed = self
-                .peak_committed
-                .max(self.on_count() + self.warming_count() + self.draining_count());
-
-            // Admission: high-priority tenants bypass; low-priority ones
-            // are deferred (once) or shed when dispatchable-fleet KV
-            // pressure predicts admitted goodput would degrade.
-            let tclass = self.tenants[oreq.tenant].clone();
-            let bumped = self.defer_delay.contains_key(&oreq.req.id);
-            if tclass.priority < self.cfg.admission.priority_floor && !bumped {
-                let on: Vec<&ReplicaSnapshot> = snaps
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| self.state[*i] == SlotState::On)
-                    .map(|(_, s)| s)
-                    .collect();
-                let pressure = if on.is_empty() {
-                    0.0
-                } else {
-                    on.iter().map(|s| s.kv_pressure).sum::<f64>() / on.len() as f64
-                };
-                if pressure >= self.cfg.admission.shed_pressure {
-                    self.shed[oreq.tenant] += 1;
-                    continue;
-                }
-                if pressure >= self.cfg.admission.defer_pressure {
-                    let delay = self.cfg.admission.defer_cycles.max(1);
-                    self.defer_delay.insert(oreq.req.id, delay);
-                    self.deferred[oreq.tenant] += 1;
-                    let mut later = oreq;
-                    later.req.arrival = t + delay;
-                    arrivals.push(later.req.arrival, later);
-                    continue;
-                }
-            }
-
-            // Routing: only warmed-up slots are candidates.
-            let mut candidates: Vec<RouteCandidate> = (0..self.slots.len())
-                .filter(|&i| self.state[i] == SlotState::On)
-                .map(|i| RouteCandidate {
-                    snapshot: snaps[i],
-                    profile: self.profiles[i],
-                })
-                .collect();
-            if candidates.is_empty() {
-                // A draining slot can serve right now — cancel one drain
-                // rather than defer the request behind a warmup.
-                if let Some(i) =
-                    (0..self.slots.len()).find(|&i| self.state[i] == SlotState::Draining)
-                {
-                    self.state[i] = SlotState::On;
-                    candidates.push(RouteCandidate {
-                        snapshot: snaps[i],
-                        profile: self.profiles[i],
-                    });
-                }
-            }
-            if candidates.is_empty() {
-                // No dispatchable capacity: wait for the earliest warmup
-                // (forcing a spin-up if nothing is even warming). The
-                // request is delayed, never lost.
-                let ready = self
-                    .state
-                    .iter()
-                    .filter_map(|s| match s {
-                        SlotState::Warming { ready_at } => Some(*ready_at),
-                        _ => None,
-                    })
-                    .min();
-                let ready = match ready {
-                    Some(r) => r,
-                    None => {
-                        // min_replicas >= 1 guarantees an Off slot here.
-                        let i = self
-                            .state
-                            .iter()
-                            .position(|s| *s == SlotState::Off)
-                            .expect("an empty committed set implies a parked slot");
-                        let warm = self.profiles[i].warmup_cycles.max(1);
-                        self.on_since[i] = t;
-                        self.state[i] = SlotState::Warming { ready_at: t + warm };
-                        merge.push(t + warm, SimEvent::ReplicaWarmup(i));
-                        self.warmups += 1;
-                        self.scale_ups += 1;
-                        t + warm
-                    }
-                };
-                let delay = ready.max(t + 1) - t;
-                if !bumped {
-                    self.deferred[oreq.tenant] += 1;
-                }
-                *self.defer_delay.entry(oreq.req.id).or_insert(0) += delay;
-                let mut later = oreq;
-                later.req.arrival = t + delay;
-                arrivals.push(later.req.arrival, later);
-                continue;
-            }
-            let pos = self.route.route(&candidates, &oreq.req, &tclass);
-            if pos >= candidates.len() {
-                self.restash(oreq, &mut arrivals);
-                return Err(SimError::Scheduling(format!(
-                    "route policy {:?} chose candidate {pos}, but {} are dispatchable",
-                    self.route.name(),
-                    candidates.len()
-                )));
-            }
-            let g = candidates[pos].snapshot.index;
-            let was_idle = self.slots[g].is_idle();
-            if let Err(e) =
-                self.slots[g].submit(oreq.req.id, oreq.req.input_len, oreq.req.output_len, t)
-            {
-                self.restash(oreq, &mut arrivals);
-                return Err(e);
-            }
-            self.dispatched += 1;
-            self.stats[g].served += 1;
-            self.req_tenant.insert(oreq.req.id, oreq.tenant);
-            if !bumped {
-                self.admitted[oreq.tenant] += 1;
-            }
-            snaps[g] = self.snapshot_of(g);
-            if was_idle {
-                merge.push(self.slots[g].now(), SimEvent::ReplicaIdle(g));
-            }
-        }
-
-        // Drain phase: run every remaining stream to completion.
-        let mut active: Vec<usize> = Vec::new();
-        while let Some((at, ev)) = merge.pop() {
-            match ev {
-                SimEvent::ReplicaIdle(i) => active.push(i),
-                SimEvent::ReplicaWarmup(i) => self.finish_warmup(i, at),
-                other => unreachable!("unexpected merge event {other:?}"),
-            }
-        }
-        active.sort_unstable();
-        advance_set(&mut self.slots, &active, Cycle::MAX, self.jobs)?;
-
-        let outcomes: Vec<ServingOutcome> = self.slots.iter().map(ServingSim::outcome).collect();
-        let fleet = FleetOutcome::aggregate(self.dispatched, outcomes);
+        let fleet = self.serve()?;
 
         // Close the cost accounting at the run's end: committed slots are
         // charged to the makespan — capacity held idle is still paid for.
@@ -1351,9 +1209,284 @@ impl<B: Backend> Orchestrator<B> {
         })
     }
 
+    /// The one arrival/barrier loop, behind [`Self::run`] and
+    /// [`FleetSim::run`](crate::fleet::FleetSim::run): dispatches every
+    /// pending request, drains every slot, and aggregates the fleet
+    /// outcome over the requests dispatched so far.
+    pub(crate) fn serve(&mut self) -> Result<FleetOutcome, SimError> {
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.sort_by_key(|r| (r.req.arrival, r.req.id));
+        let mut arrivals = Arrivals {
+            sorted: pending.into_iter(),
+            requeued: EventQueue::new(),
+        };
+
+        let mut merge: EventQueue<SimEvent> = EventQueue::new();
+        for (i, r) in self.slots.iter().enumerate() {
+            match self.state[i] {
+                SlotState::On | SlotState::Draining if !r.is_idle() => {
+                    merge.push(r.now(), SimEvent::ReplicaIdle(i))
+                }
+                SlotState::Warming { ready_at } => merge.push(ready_at, SimEvent::ReplicaWarmup(i)),
+                _ => {}
+            }
+        }
+        // A failed round may have advanced slots without refreshing their
+        // snapshots, so each run starts the view from a full walk.
+        self.view = self.walk();
+        let mut recent: VecDeque<Cycle> = VecDeque::with_capacity(RATE_WINDOW);
+
+        let mut due: Vec<usize> = Vec::new();
+        while let Some((t, oreq)) = arrivals.pop() {
+            // Dispatch barrier: advance exactly the dispatchable slots
+            // whose streams trail the arrival. Warmups are inclusive at
+            // `t` (capacity committed for this instant is usable at it);
+            // replica streams are strictly in the past.
+            due.clear();
+            while let Some((at, ev)) = merge.peek() {
+                let take = at < t || (at == t && matches!(ev, SimEvent::ReplicaWarmup(_)));
+                if !take {
+                    break;
+                }
+                let (at, ev) = merge.pop().expect("peeked");
+                match ev {
+                    SimEvent::ReplicaIdle(i) => due.push(i),
+                    SimEvent::ReplicaWarmup(i) => {
+                        self.finish_warmup(i, at);
+                        self.refresh(i);
+                    }
+                    other => unreachable!("unexpected merge event {other:?}"),
+                }
+            }
+            due.sort_unstable();
+            if let Err(e) = advance_set(&mut self.slots, &due, t, self.jobs) {
+                self.restash(oreq, &mut arrivals);
+                return Err(e);
+            }
+            for &i in &due {
+                if !self.slots[i].is_idle() {
+                    merge.push(self.slots[i].now(), SimEvent::ReplicaIdle(i));
+                }
+                self.refresh(i);
+            }
+            debug_assert!(self.view == self.walk(), "the slot view drifted");
+
+            // A condemned slot parks the moment its queue drains; its
+            // cost window closes at this decision instant.
+            if self.view.draining > 0 {
+                for i in 0..self.slots.len() {
+                    if self.state[i] == SlotState::Draining && self.slots[i].is_idle() {
+                        self.park(i, t);
+                    }
+                }
+            }
+
+            // Autoscale: decide the committed count for this instant.
+            recent.push_back(t);
+            if recent.len() > RATE_WINDOW {
+                recent.pop_front();
+            }
+            let span = recent.back().unwrap() - recent.front().unwrap();
+            let arrival_rate = if recent.len() >= 2 && span > 0 {
+                (recent.len() - 1) as f64 * 1e6 / span as f64
+            } else {
+                0.0
+            };
+            let active = self.view.on.len();
+            let warming = self.view.warming;
+            let obs = AutoscaleObservation {
+                now: t,
+                active,
+                warming,
+                queue: self.view.on_queue,
+                arrival_rate,
+                min_replicas: self.cfg.min_replicas,
+                max_replicas: self.cfg.max_replicas,
+            };
+            let desired = self
+                .autoscale
+                .desired(&obs)
+                .clamp(self.cfg.min_replicas, self.cfg.max_replicas);
+            let committed = active + warming;
+            if desired > committed {
+                let mut need = desired - committed;
+                // A draining slot is still warm: cancelling its drain is
+                // free, so resurrect those before paying warmup on a
+                // parked slot.
+                for i in 0..self.slots.len() {
+                    if need == 0 || self.view.draining == 0 {
+                        break;
+                    }
+                    if self.state[i] == SlotState::Draining {
+                        self.set_state(i, SlotState::On);
+                        need -= 1;
+                    }
+                }
+                for i in 0..self.slots.len() {
+                    if need == 0 {
+                        break;
+                    }
+                    if self.state[i] == SlotState::Off {
+                        need -= 1;
+                        self.spin_up(i, t, self.profiles[i].warmup_cycles, &mut merge);
+                    }
+                }
+            } else if desired < committed {
+                // Idle slots park immediately; busy ones are condemned to
+                // drain — no new work, park on empty. Highest On slot
+                // first (the candidate list's tail), so the low slots
+                // stay the stable core. Draining slots no longer count as
+                // committed, which is what lets a demand rebound cancel
+                // the drain above.
+                for _ in desired..committed {
+                    let Some(&i) = self.view.on.last() else {
+                        break;
+                    };
+                    if self.slots[i].is_idle() {
+                        self.park(i, t);
+                    } else {
+                        self.set_state(i, SlotState::Draining);
+                    }
+                }
+            }
+            self.peak_committed = self
+                .peak_committed
+                .max(self.view.on.len() + self.view.warming + self.view.draining);
+
+            // Admission: high-priority tenants bypass; low-priority ones
+            // are deferred (once) or shed when dispatchable-fleet KV
+            // pressure predicts admitted goodput would degrade.
+            let id = RequestId::new(oreq.req.id);
+            let bumped = self.defer_delay.contains_key(&id);
+            if self.tenants[oreq.tenant].priority < self.cfg.admission.priority_floor && !bumped {
+                // Summed over the On slots in slot order, as ever, so the
+                // mean is bit-stable.
+                let (on, snaps) = (&self.view.on, &self.view.snaps);
+                let pressure = if on.is_empty() {
+                    0.0
+                } else {
+                    on.iter().map(|&i| snaps[i].kv_pressure).sum::<f64>() / on.len() as f64
+                };
+                if pressure >= self.cfg.admission.shed_pressure {
+                    self.shed[oreq.tenant] += 1;
+                    continue;
+                }
+                if pressure >= self.cfg.admission.defer_pressure {
+                    let delay = self.cfg.admission.defer_cycles.max(1);
+                    self.defer_delay.insert(id, delay);
+                    self.deferred[oreq.tenant] += 1;
+                    arrivals.defer(oreq, t + delay);
+                    continue;
+                }
+            }
+
+            // Routing: only warmed-up slots are candidates. With none, a
+            // draining slot can serve right now — cancel one drain rather
+            // than defer the request behind a warmup.
+            if self.view.on.is_empty() && self.view.draining > 0 {
+                let i = self
+                    .state
+                    .iter()
+                    .position(|s| *s == SlotState::Draining)
+                    .expect("a slot is draining");
+                self.set_state(i, SlotState::On);
+            }
+            if self.view.on.is_empty() {
+                // No dispatchable capacity: wait for the earliest warmup
+                // (forcing a spin-up if nothing is even warming). The
+                // request is delayed, never lost.
+                let ready = self
+                    .state
+                    .iter()
+                    .filter_map(|s| match s {
+                        SlotState::Warming { ready_at } => Some(*ready_at),
+                        _ => None,
+                    })
+                    .min();
+                let ready = match ready {
+                    Some(r) => r,
+                    None => {
+                        // min_replicas >= 1 guarantees an Off slot here.
+                        let i = self
+                            .state
+                            .iter()
+                            .position(|s| *s == SlotState::Off)
+                            .expect("an empty committed set implies a parked slot");
+                        let warm = self.profiles[i].warmup_cycles.max(1);
+                        self.spin_up(i, t, warm, &mut merge);
+                        t + warm
+                    }
+                };
+                let delay = ready.max(t + 1) - t;
+                if !bumped {
+                    self.deferred[oreq.tenant] += 1;
+                }
+                *self.defer_delay.entry(id).or_insert(0) += delay;
+                arrivals.defer(oreq, t + delay);
+                continue;
+            }
+            let (on, snaps) = (&self.view.on, &self.view.snaps);
+            let pos = match &mut self.router {
+                Router::Fleet(policy) => {
+                    debug_assert_eq!(on.len(), snaps.len(), "a fleet never parks a slot");
+                    policy.choose(snaps, &oreq.req)
+                }
+                Router::Route(route) => {
+                    let profiles = &self.profiles;
+                    self.cands.clear();
+                    self.cands.extend(on.iter().map(|&i| RouteCandidate {
+                        snapshot: snaps[i],
+                        profile: profiles[i],
+                    }));
+                    route.route(&self.cands, &oreq.req, &self.tenants[oreq.tenant])
+                }
+            };
+            let offered = on.len();
+            if pos >= offered {
+                self.restash(oreq, &mut arrivals);
+                return Err(self.router.out_of_range(pos, offered));
+            }
+            let g = self.view.on[pos];
+            let was_idle = self.slots[g].is_idle();
+            if let Err(e) =
+                self.slots[g].submit(oreq.req.id, oreq.req.input_len, oreq.req.output_len, t)
+            {
+                self.restash(oreq, &mut arrivals);
+                return Err(e);
+            }
+            self.dispatched += 1;
+            self.stats[g].served += 1;
+            if !bumped {
+                self.admitted[oreq.tenant] += 1;
+            }
+            self.refresh(g);
+            if was_idle {
+                // The dispatch re-activates a drained slot: back into the
+                // merge at its (possibly stale) local clock.
+                merge.push(self.slots[g].now(), SimEvent::ReplicaIdle(g));
+            }
+        }
+
+        // Drain phase: no more barriers, so every remaining stream runs
+        // to completion — fully parallel.
+        let mut active: Vec<usize> = Vec::new();
+        while let Some((at, ev)) = merge.pop() {
+            match ev {
+                SimEvent::ReplicaIdle(i) => active.push(i),
+                SimEvent::ReplicaWarmup(i) => self.finish_warmup(i, at),
+                other => unreachable!("unexpected merge event {other:?}"),
+            }
+        }
+        active.sort_unstable();
+        advance_set(&mut self.slots, &active, Cycle::MAX, self.jobs)?;
+
+        let outcomes: Vec<ServingOutcome> = self.slots.iter().map(ServingSim::outcome).collect();
+        Ok(FleetOutcome::aggregate(self.dispatched, outcomes))
+    }
+
     /// Re-stashes an in-flight arrival plus everything still queued, so a
     /// failed round keeps conservation at the request level.
-    fn restash(&mut self, current: OrchRequest, arrivals: &mut EventQueue<OrchRequest>) {
+    fn restash(&mut self, current: OrchRequest, arrivals: &mut Arrivals) {
         self.pending.push(current);
         while let Some((_, r)) = arrivals.pop() {
             self.pending.push(r);
@@ -1377,11 +1510,10 @@ impl<B: Backend> Orchestrator<B> {
             .collect();
         for r in &fleet.replicas {
             for rec in &r.records {
-                let id = u32::from(rec.id);
-                let Some(&tenant) = self.req_tenant.get(&id) else {
+                let Some(tenant) = self.tenant_of.get(&rec.id).map(|&t| t as usize) else {
                     continue;
                 };
-                let delay = self.defer_delay.get(&id).copied().unwrap_or(0);
+                let delay = self.defer_delay.get(&rec.id).copied().unwrap_or(0);
                 let ttft = rec.ttft + delay;
                 let latency = rec.latency + delay;
                 let tpot = rec.tpot();
@@ -1409,7 +1541,27 @@ impl<B: Backend> Orchestrator<B> {
     }
 }
 
-/// One worker per available core by default, like the fleet.
+/// Rejects an empty slot table and a slot with `target_completions > 0`:
+/// one that stops early would strand its queued requests, so every slot
+/// must drain. `owner` and `unit` name the table and its slots.
+pub(crate) fn check_slots<B: Backend>(
+    slots: &[ServingSim<B>],
+    owner: &str,
+    unit: &str,
+) -> Result<(), BackendError> {
+    let problem = match slots.iter().position(|r| r.config().target_completions > 0) {
+        _ if slots.is_empty() => format!("{owner} needs at least one {unit}"),
+        Some(i) => format!(
+            "{owner} {unit} {i} has target_completions > 0; {unit}s must drain \
+             (set target_completions to 0)"
+        ),
+        None => return Ok(()),
+    };
+    Err(BackendError::InvalidSimulation(problem))
+}
+
+/// One worker per available core by default (the dispatcher thread mostly
+/// waits at barriers).
 fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -1421,31 +1573,8 @@ mod tests {
     use super::*;
     use crate::backend::{BackendCaps, GpuRooflineBackend};
     use crate::fleet::{JoinShortestQueue, RoundRobin};
-    use crate::serving::ServingConfig;
+    use crate::testsupport::{cfg_of, gpu_replicas};
     use neupims_types::LlmConfig;
-
-    fn cfg_of(max_batch: usize) -> ServingConfig {
-        ServingConfig {
-            max_batch,
-            tp: 4,
-            layers: 32,
-            target_completions: 0,
-            slo: None,
-        }
-    }
-
-    fn gpu_slots(n: usize) -> Vec<ServingSim<GpuRooflineBackend>> {
-        let cfg = cfg_of(8);
-        (0..n)
-            .map(|_| {
-                ServingSim::new(
-                    GpuRooflineBackend::a100(),
-                    LlmConfig::gpt3_7b(),
-                    cfg.clone(),
-                )
-            })
-            .collect()
-    }
 
     fn loose_slo() -> SloTargets {
         SloTargets {
@@ -1458,42 +1587,47 @@ mod tests {
         vec![TenantClass::new("only", loose_slo(), 200, 1.0)]
     }
 
+    /// `n` GPU slots serving one tenant through JSQ under `autoscale`.
+    fn jsq_over(
+        n: usize,
+        autoscale: Box<dyn AutoscalePolicy>,
+        cfg: OrchestratorConfig,
+    ) -> Result<Orchestrator<GpuRooflineBackend>, BackendError> {
+        let route = Box::new(LoadOnly::new(Box::new(JoinShortestQueue)));
+        Orchestrator::new(gpu_replicas(n), one_tenant(), route, autoscale, cfg)
+    }
+
     fn orch(n: usize) -> Orchestrator<GpuRooflineBackend> {
-        Orchestrator::new(
-            gpu_slots(n),
-            one_tenant(),
-            Box::new(LoadOnly::new(Box::new(JoinShortestQueue))),
+        jsq_over(
+            n,
             Box::new(StaticScale::full()),
             OrchestratorConfig::default_for(n),
         )
         .unwrap()
     }
 
-    fn oreq(id: u32, arrival: Cycle) -> OrchRequest {
-        OrchRequest {
-            req: FleetRequest {
-                id,
-                input_len: 32,
-                output_len: 4,
-                arrival,
-            },
-            tenant: 0,
+    #[test]
+    fn arrivals_pop_in_one_event_queue_order() {
+        // At equal times the originally pending request goes first, then
+        // the re-queued ones in the order they were deferred.
+        let sorted = vec![shaped(0, 10, 4), shaped(1, 20, 4)].into_iter();
+        let requeued = EventQueue::new();
+        let mut a = Arrivals { sorted, requeued };
+        for (id, at) in [(2, 10), (3, 5), (4, 10)] {
+            a.defer(shaped(id, 0, 4), at);
         }
+        let order: Vec<u32> = std::iter::from_fn(|| a.pop())
+            .map(|(_, r)| r.req.id)
+            .collect();
+        assert_eq!(order, [3, 0, 2, 4, 1]);
     }
 
     #[test]
     fn rejects_bad_configurations() {
-        let empty: Vec<ServingSim<GpuRooflineBackend>> = Vec::new();
+        let build = |n, cfg| jsq_over(n, Box::new(StaticScale::full()), cfg);
+        assert!(build(0, OrchestratorConfig::default_for(0)).is_err());
         assert!(Orchestrator::new(
-            empty,
-            one_tenant(),
-            Box::new(CapabilityAware::default()),
-            Box::new(StaticScale::full()),
-            OrchestratorConfig::default_for(0),
-        )
-        .is_err());
-        assert!(Orchestrator::new(
-            gpu_slots(2),
+            gpu_replicas(2),
             Vec::new(),
             Box::new(CapabilityAware::default()),
             Box::new(StaticScale::full()),
@@ -1502,38 +1636,24 @@ mod tests {
         .is_err());
         let mut cfg = OrchestratorConfig::default_for(2);
         cfg.max_replicas = 3;
-        assert!(Orchestrator::new(
-            gpu_slots(2),
-            one_tenant(),
-            Box::new(CapabilityAware::default()),
-            Box::new(StaticScale::full()),
-            cfg,
-        )
-        .is_err());
+        assert!(build(2, cfg).is_err());
         let mut cfg = OrchestratorConfig::default_for(2);
         cfg.min_replicas = 0;
-        assert!(Orchestrator::new(
-            gpu_slots(2),
-            one_tenant(),
-            Box::new(CapabilityAware::default()),
-            Box::new(StaticScale::full()),
-            cfg,
-        )
-        .is_err());
+        assert!(build(2, cfg).is_err());
     }
 
     #[test]
     fn submit_validates_requests() {
         let mut o = orch(2);
-        o.submit(oreq(1, 0)).unwrap();
+        o.submit(shaped(1, 0, 4)).unwrap();
         assert!(matches!(
-            o.submit(oreq(1, 0)),
+            o.submit(shaped(1, 0, 4)),
             Err(SimError::DuplicateRequest(_))
         ));
-        let mut zero = oreq(2, 0);
+        let mut zero = shaped(2, 0, 4);
         zero.req.output_len = 0;
         assert!(matches!(o.submit(zero), Err(SimError::InvalidShape(_))));
-        let mut bad_tenant = oreq(3, 0);
+        let mut bad_tenant = shaped(3, 0, 4);
         bad_tenant.tenant = 9;
         assert!(matches!(
             o.submit(bad_tenant),
@@ -1545,7 +1665,7 @@ mod tests {
     fn degenerate_run_serves_everything() {
         let mut o = orch(2);
         for i in 0..12 {
-            o.submit(oreq(i, i as u64 * 5_000)).unwrap();
+            o.submit(shaped(i, i as u64 * 5_000, 4)).unwrap();
         }
         let out = o.run().unwrap();
         assert_eq!(out.fleet.submitted, 12);
@@ -1565,15 +1685,8 @@ mod tests {
     fn cold_start_pays_warmup_before_first_dispatch() {
         let mut cfg = OrchestratorConfig::default_for(1);
         cfg.warm_start = false;
-        let mut o = Orchestrator::new(
-            gpu_slots(1),
-            one_tenant(),
-            Box::new(LoadOnly::new(Box::new(JoinShortestQueue))),
-            Box::new(StaticScale::full()),
-            cfg,
-        )
-        .unwrap();
-        o.submit(oreq(0, 0)).unwrap();
+        let mut o = jsq_over(1, Box::new(StaticScale::full()), cfg).unwrap();
+        o.submit(shaped(0, 0, 4)).unwrap();
         let out = o.run().unwrap();
         let warm = CapabilityProfile::for_caps(GpuRooflineBackend::a100().caps()).warmup_cycles;
         assert_eq!(out.warmups, 1);
@@ -1591,12 +1704,12 @@ mod tests {
         assert_eq!(first_window.0, warm);
     }
 
-    #[test]
-    fn low_priority_is_shed_under_pressure_and_conservation_holds() {
-        // One tiny slot, very tight admission thresholds, and a burst of
-        // same-instant arrivals: the first request lands, then pressure
-        // exceeds the thresholds and low-priority traffic is deferred or
-        // shed. Conservation must hold per tenant regardless.
+    /// One tiny slot, very tight admission thresholds, and a burst of
+    /// near-simultaneous arrivals from two tenants: the first request
+    /// lands, then pressure exceeds the thresholds and low-priority
+    /// ("batch") traffic is deferred or shed; "premium" bypasses
+    /// admission.
+    fn under_pressure(route: Box<dyn RoutePolicy>) -> Orchestrator<GpuRooflineBackend> {
         let mut cfg = OrchestratorConfig::default_for(1);
         cfg.admission = AdmissionConfig {
             priority_floor: 100,
@@ -1608,48 +1721,99 @@ mod tests {
             TenantClass::new("premium", loose_slo(), 200, 0.5),
             TenantClass::new("batch", loose_slo(), 10, 0.5),
         ];
-        let slots = {
-            let cfg = cfg_of(2);
-            vec![ServingSim::new(
-                GpuRooflineBackend::a100(),
-                LlmConfig::gpt3_7b(),
-                cfg,
-            )]
-        };
+        let slot = ServingSim::new(GpuRooflineBackend::a100(), LlmConfig::gpt3_7b(), cfg_of(2));
         let mut o = Orchestrator::new(
-            slots,
+            vec![slot],
             tenants,
-            Box::new(LoadOnly::new(Box::new(JoinShortestQueue))),
+            route,
             Box::new(StaticScale::full()),
             cfg,
         )
         .unwrap();
         for i in 0..30u32 {
+            let req = FleetRequest {
+                id: i,
+                input_len: 512,
+                output_len: 16,
+                arrival: u64::from(i) * 100,
+            };
             o.submit(OrchRequest {
-                req: FleetRequest {
-                    id: i,
-                    input_len: 512,
-                    output_len: 16,
-                    arrival: (i as u64) * 100,
-                },
+                req,
                 tenant: (i % 2) as usize,
             })
             .unwrap();
         }
-        let out = o.run().unwrap();
+        o
+    }
+
+    fn assert_labels_conserve(out: &OrchestratorOutcome) {
         for t in &out.tenants {
-            assert_eq!(
-                t.admitted + t.deferred + t.shed,
-                t.submitted,
-                "conservation for {}",
-                t.name
-            );
+            let labelled = t.admitted + t.deferred + t.shed;
+            assert_eq!(labelled, t.submitted, "conservation for {}", t.name);
         }
+    }
+
+    #[test]
+    fn low_priority_is_shed_under_pressure_and_conservation_holds() {
+        let mut o = under_pressure(Box::new(LoadOnly::new(Box::new(JoinShortestQueue))));
+        let out = o.run().unwrap();
+        assert_labels_conserve(&out);
         assert_eq!(out.tenants[0].shed, 0, "premium bypasses admission");
         assert!(
             out.tenants[1].deferred + out.tenants[1].shed > 0,
             "batch traffic must feel the pressure"
         );
+    }
+
+    #[test]
+    fn failed_round_keeps_every_request_labelled_or_pending() {
+        // Routes to the only slot, except an out-of-range choice at the
+        // sixth routed arrival.
+        struct BreaksAtSixth(usize);
+        impl RoutePolicy for BreaksAtSixth {
+            fn name(&self) -> &'static str {
+                "breaks-at-sixth"
+            }
+            fn route(&mut self, c: &[RouteCandidate], _: &FleetRequest, _: &TenantClass) -> usize {
+                self.0 += 1;
+                if self.0 == 6 {
+                    c.len()
+                } else {
+                    0
+                }
+            }
+        }
+        let mut o = under_pressure(Box::new(BreaksAtSixth(0)));
+        let err = o.run().unwrap_err().to_string();
+        assert!(err.contains("chose candidate"), "{err}");
+        assert_eq!(o.dispatched, 5, "the five routed arrivals stay dispatched");
+        let shed: u64 = o.shed.iter().sum();
+        assert_eq!(o.pending_len() as u64, 30 - 5 - shed);
+        assert!(o.deferred[1] + o.shed[1] > 0, "admission acted first");
+        for t in 0..2 {
+            let unlabelled = o.pending.iter().filter(|r| {
+                r.tenant == t && !o.defer_delay.contains_key(&RequestId::new(r.req.id))
+            });
+            assert_eq!(
+                o.admitted[t] + o.deferred[t] + o.shed[t] + unlabelled.count() as u64,
+                o.submitted[t],
+                "tenant {t}: a failed round lost or double-counted a request"
+            );
+        }
+        // The next round serves everything left; no label is repeated.
+        let out = o.run().unwrap();
+        assert_eq!(o.pending_len(), 0);
+        assert_labels_conserve(&out);
+        assert_eq!(out.fleet.completed + out.fleet.dropped, out.fleet.submitted);
+    }
+
+    fn idle_candidate(index: usize, caps: BackendCaps) -> RouteCandidate {
+        let snapshot = ReplicaSnapshot {
+            index,
+            ..Default::default()
+        };
+        let profile = CapabilityProfile::for_caps(caps);
+        RouteCandidate { snapshot, profile }
     }
 
     #[test]
@@ -1667,20 +1831,7 @@ mod tests {
             dual_row_buffer: false,
             batched_mha: true,
         };
-        let cand = |index: usize, caps: BackendCaps| RouteCandidate {
-            snapshot: ReplicaSnapshot {
-                index,
-                now: 0,
-                waiting: 0,
-                running: 0,
-                preempted: 0,
-                outstanding_tokens: 0,
-                kv_utilization: 0.0,
-                kv_pressure: 0.0,
-            },
-            profile: CapabilityProfile::for_caps(caps),
-        };
-        let cands = vec![cand(0, gpu_caps), cand(1, pim_caps)];
+        let cands = vec![idle_candidate(0, gpu_caps), idle_candidate(1, pim_caps)];
         let tenant = TenantClass::new("t", loose_slo(), 100, 1.0);
         let long = FleetRequest {
             id: 0,
@@ -1701,21 +1852,9 @@ mod tests {
     #[test]
     fn load_only_round_robin_rotates_over_candidates() {
         let mut r = LoadOnly::new(Box::new(RoundRobin::default()));
-        let cand = |index: usize| RouteCandidate {
-            snapshot: ReplicaSnapshot {
-                index,
-                now: 0,
-                waiting: 0,
-                running: 0,
-                preempted: 0,
-                outstanding_tokens: 0,
-                kv_utilization: 0.0,
-                kv_pressure: 0.0,
-            },
-            profile: CapabilityProfile::for_caps(GpuRooflineBackend::a100().caps()),
-        };
         // Candidates are slots 3 and 7: positions must still be 0, 1, 0.
-        let cands = vec![cand(3), cand(7)];
+        let caps = GpuRooflineBackend::a100().caps();
+        let cands = vec![idle_candidate(3, caps), idle_candidate(7, caps)];
         let tenant = TenantClass::new("t", loose_slo(), 100, 1.0);
         let req = FleetRequest {
             id: 0,
@@ -1791,14 +1930,8 @@ mod tests {
         // floor during the burst and park back down after it.
         let mut cfg = OrchestratorConfig::default_for(4);
         cfg.min_replicas = 1;
-        let mut o = Orchestrator::new(
-            gpu_slots(4),
-            one_tenant(),
-            Box::new(LoadOnly::new(Box::new(JoinShortestQueue))),
-            Box::new(ReactiveQueueDepth { target_queue: 1.0 }),
-            cfg,
-        )
-        .unwrap();
+        let reactive = ReactiveQueueDepth { target_queue: 1.0 };
+        let mut o = jsq_over(4, Box::new(reactive), cfg).unwrap();
         for i in 0..24u32 {
             // 16 near-simultaneous arrivals, then a sparse tail.
             let arrival = if i < 16 {
@@ -1806,7 +1939,7 @@ mod tests {
             } else {
                 400_000_000 + (i as u64 - 16) * 50_000_000
             };
-            o.submit(oreq(i, arrival)).unwrap();
+            o.submit(shaped(i, arrival, 4)).unwrap();
         }
         let out = o.run().unwrap();
         assert_eq!(out.fleet.completed + out.fleet.dropped, 24);
@@ -1852,14 +1985,8 @@ mod tests {
         let mut cfg = OrchestratorConfig::default_for(2);
         cfg.min_replicas = 1;
         cfg.warm_start = true;
-        let mut o = Orchestrator::new(
-            gpu_slots(2),
-            one_tenant(),
-            Box::new(LoadOnly::new(Box::new(JoinShortestQueue))),
-            Box::new(ReactiveQueueDepth { target_queue: 2.0 }),
-            cfg,
-        )
-        .unwrap();
+        let reactive = ReactiveQueueDepth { target_queue: 2.0 };
+        let mut o = jsq_over(2, Box::new(reactive), cfg).unwrap();
         for i in 0..4u32 {
             o.submit(shaped(i, i as u64, 32)).unwrap();
         }

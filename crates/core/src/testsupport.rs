@@ -11,9 +11,11 @@
 use std::sync::OnceLock;
 
 use neupims_pim::{calibrate, PimCalibration};
-use neupims_types::NeuPimsConfig;
+use neupims_types::{LlmConfig, NeuPimsConfig};
 
+use crate::backend::GpuRooflineBackend;
 use crate::device::{Device, DeviceMode};
+use crate::serving::{ServingConfig, ServingSim};
 
 /// The memoized Table 2 calibration (calibrated once per test binary).
 pub(crate) fn table2_calibration() -> PimCalibration {
@@ -32,4 +34,22 @@ pub(crate) fn table2_pair() -> (NeuPimsConfig, PimCalibration) {
 pub(crate) fn table2_device(mode: DeviceMode) -> Device {
     let (cfg, cal) = table2_pair();
     Device::new(cfg, cal, mode)
+}
+
+/// A drain-to-empty serving config at `max_batch` (TP 4, 32 layers).
+pub(crate) fn cfg_of(max_batch: usize) -> ServingConfig {
+    ServingConfig {
+        max_batch,
+        tp: 4,
+        layers: 32,
+        target_completions: 0,
+        slo: None,
+    }
+}
+
+/// `n` gpt3-7b A100-roofline replicas at `max_batch` 8, for fleet and
+/// orchestrator tests.
+pub(crate) fn gpu_replicas(n: usize) -> Vec<ServingSim<GpuRooflineBackend>> {
+    let gpu = || ServingSim::new(GpuRooflineBackend::a100(), LlmConfig::gpt3_7b(), cfg_of(8));
+    (0..n).map(|_| gpu()).collect()
 }

@@ -1,12 +1,13 @@
 //! Orchestrator-vs-fleet parity: the degenerate orchestrator
 //! configuration — single tenant above the admission floor, static
 //! autoscale holding every slot on, warm start, load-only routing — must
-//! reproduce `FleetSim::run`'s `FleetOutcome` bit for bit: same requests,
-//! same dispatch decisions, same event order, same aggregate. The
-//! capability/tenant/autoscale layers are strictly additive (the PR-7
-//! lockstep-vs-event and PR-9 sharding parity pattern), across every
-//! scheduler x preemption x dispatch combination and every `--jobs`
-//! worker count.
+//! reproduce the fleet's `FleetOutcome` bit for bit: same requests, same
+//! dispatch decisions, same event order, same aggregate. `FleetSim::run`
+//! runs on the orchestrator's own engine, so the independent reference
+//! is `FleetSim::run_lockstep`, which steps every replica to each arrival
+//! and rebuilds every snapshot from scratch. The capability/tenant/
+//! autoscale layers are strictly additive, across every scheduler x
+//! preemption x dispatch combination and every `--jobs` worker count.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -125,13 +126,17 @@ fn degenerate_orchestrator_matches_fleet_across_the_full_policy_grid() {
             for dispatch in POLICY_NAMES {
                 let tag = format!("{scheduler}/{preemption}/{dispatch}");
                 let mut legacy = fleet(2, scheduler, preemption, dispatch);
+                let mut lockstep = fleet(2, scheduler, preemption, dispatch);
                 let mut orch = degenerate_orchestrator(2, scheduler, preemption, dispatch);
                 for &req in &requests {
                     legacy.submit(req).unwrap();
+                    lockstep.submit(req).unwrap();
                     orch.submit(OrchRequest { req, tenant: 0 }).unwrap();
                 }
+                let reference = lockstep.run_lockstep().unwrap();
                 let want = legacy.run().unwrap();
                 let got = orch.run().unwrap();
+                assert_eq!(want, reference, "{tag}: fleet diverged from lockstep");
                 assert_eq!(got.fleet, want, "{tag}: orchestrator diverged from fleet");
                 // The meta layers must all have been inert.
                 assert_eq!(got.warmups, 0, "{tag}: static warm start paid warmup");
@@ -148,7 +153,7 @@ fn degenerate_orchestrator_matches_fleet_across_the_full_policy_grid() {
 #[test]
 fn degenerate_orchestrator_is_jobs_deterministic() {
     // 16 slots and a long arrival tail: jobs 1/4/16 must agree bit for
-    // bit with each other and with the legacy fleet.
+    // bit with each other, with the fleet and with lockstep.
     let requests: Vec<FleetRequest> = (0..64u32)
         .map(|i| FleetRequest {
             id: i,
@@ -158,10 +163,17 @@ fn degenerate_orchestrator_is_jobs_deterministic() {
         })
         .collect();
     let mut legacy = fleet(16, "interleaved", "swap", "jsq");
+    let mut lockstep = fleet(16, "interleaved", "swap", "jsq");
     for &req in &requests {
         legacy.submit(req).unwrap();
+        lockstep.submit(req).unwrap();
     }
     let want = legacy.run().unwrap();
+    assert_eq!(
+        want,
+        lockstep.run_lockstep().unwrap(),
+        "fleet diverged from lockstep"
+    );
     for jobs in [1usize, 4, 16] {
         let mut orch = degenerate_orchestrator(16, "interleaved", "swap", "jsq").with_jobs(jobs);
         for &req in &requests {
