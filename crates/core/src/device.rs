@@ -37,17 +37,21 @@
 //! the doubled traffic that makes SBI unprofitable below the Figure 13
 //! crossover.
 
+use std::cell::Cell;
+use std::sync::OnceLock;
+
 use neupims_kvcache::KvGeometry;
 use neupims_llm::{heads_per_device, lower_batch};
 use neupims_npu::VectorCost;
 use neupims_pim::PimCalibration;
 use neupims_sched::{
-    assign_min_load, assign_round_robin, AnalyticCostModel, CostModelKind, MhaCostModel,
-    MhaLatencyEstimator, SubBatchSides, TraceDrivenCostModel, TraceHardware, TraceMemo,
+    AnalyticCostModel, CostModelKind, MhaCostModel, MhaLatencyEstimator, MinLoadPacker,
+    SubBatchSides, TraceDrivenCostModel, TraceHardware, TraceMemo,
 };
-use neupims_types::{config::InterconnectConfig, LlmConfig, NeuPimsConfig, SimError};
+use neupims_types::{config::InterconnectConfig, ChannelId, LlmConfig, NeuPimsConfig, SimError};
 
 use crate::metrics::IterationBreakdown;
+use crate::scratch::Lent;
 
 /// Sub-batch interleaving policy of the NeuPIMs scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,6 +146,38 @@ pub struct Device {
     /// The replay hardware of trace-driven models, fingerprinted once at
     /// construction instead of once per decode iteration.
     trace_hw: TraceHardware,
+    /// The trace-driven model decode pricing uses, built on the first
+    /// trace-priced iteration (a device serves one model shape, so every
+    /// later iteration reuses it without resolving its bucket table).
+    decode_model: OnceLock<TraceDrivenCostModel>,
+}
+
+/// Per-iteration buffers of [`Device::decode_iteration`], lent from
+/// [`DECODE_SCRATCH`] so a warm iteration prices, balances and sums its
+/// batch without allocating for it.
+#[derive(Debug, Default)]
+struct DecodeScratch {
+    /// Each request's MHA cost.
+    costs: Vec<f64>,
+    /// Each request's home channel.
+    homes: Vec<ChannelId>,
+    /// Each channel's MHA time.
+    lanes: Vec<ChannelLoad>,
+    /// GMLBP's buffers.
+    packer: MinLoadPacker,
+}
+
+thread_local! {
+    /// One [`DecodeScratch`] per thread, lent to whichever device prices
+    /// an iteration on it.
+    static DECODE_SCRATCH: Cell<DecodeScratch> = const {
+        Cell::new(DecodeScratch {
+            costs: Vec::new(),
+            homes: Vec::new(),
+            lanes: Vec::new(),
+            packer: MinLoadPacker::new(),
+        })
+    };
 }
 
 /// The per-request terms of a (sub-)batch that sum as integers.
@@ -231,6 +267,7 @@ impl Device {
             cost: CostModelKind::Analytic,
             trace_memo: TraceMemo::new(),
             trace_hw: TraceHardware::new(&cfg),
+            decode_model: OnceLock::new(),
         }
     }
 
@@ -261,6 +298,7 @@ impl Device {
             return false;
         }
         self.trace_memo = memo.clone();
+        self.decode_model = OnceLock::new();
         true
     }
 
@@ -287,13 +325,26 @@ impl Device {
     /// The Algorithm 1 estimator this device's scheduler uses (composite
     /// command latencies for NeuPIMs, Newton-style for the naive mode).
     pub fn estimator(&self, model: &LlmConfig, tp: u32) -> MhaLatencyEstimator {
-        let geo = KvGeometry::with_tp(model, &self.cfg.mem, tp);
+        self.estimator_on(KvGeometry::with_tp(model, &self.cfg.mem, tp))
+    }
+
+    fn estimator_on(&self, geo: KvGeometry) -> MhaLatencyEstimator {
         let l_tile = if self.mode.dual_row_buffer() {
             self.cal.l_tile
         } else {
             self.cal.l_tile_fine
         };
         MhaLatencyEstimator::new(geo, l_tile, self.cal.l_gwrite)
+    }
+
+    /// A trace-driven model on this device's hardware and replay memo.
+    fn trace_model_on(&self, geo: KvGeometry) -> TraceDrivenCostModel {
+        TraceDrivenCostModel::on_hardware(
+            self.trace_hw,
+            geo,
+            self.mode.dual_row_buffer(),
+            self.trace_memo.clone(),
+        )
     }
 
     /// The MHA cost model of `kind` for this device's PIM (`None` when the
@@ -308,23 +359,11 @@ impl Device {
         if !self.mode.uses_pim() {
             return None;
         }
+        let geo = KvGeometry::with_tp(model, &self.cfg.mem, tp);
         Some(match kind {
-            CostModelKind::Analytic => Box::new(AnalyticCostModel::new(self.estimator(model, tp))),
-            CostModelKind::TraceDriven => Box::new(TraceDrivenCostModel::on_hardware(
-                self.trace_hw,
-                KvGeometry::with_tp(model, &self.cfg.mem, tp),
-                self.mode.dual_row_buffer(),
-                self.trace_memo.clone(),
-            )),
+            CostModelKind::Analytic => Box::new(AnalyticCostModel::new(self.estimator_on(geo))),
+            CostModelKind::TraceDriven => Box::new(self.trace_model_on(geo)),
         })
-    }
-
-    /// The cost model decode pricing uses internally: the configured kind
-    /// for PIM modes, the analytic form otherwise (NPU-only MHA needs only
-    /// the geometry, which both carry).
-    fn active_cost_model(&self, model: &LlmConfig, tp: u32) -> Box<dyn MhaCostModel> {
-        self.cost_model(model, tp, self.cost)
-            .unwrap_or_else(|| Box::new(AnalyticCostModel::new(self.estimator(model, tp))))
     }
 
     /// Device-wide solo streaming bandwidth, bytes/cycle.
@@ -531,6 +570,8 @@ impl Device {
     /// Each request is estimated once and walked once: that pass sums the
     /// serial arm and, when sub-batch interleaving may run, both Algorithm
     /// 3 sub-batches, whose NPU side is then lowered by batch size alone.
+    /// PIM modes price with the configured cost model, NPU-only MHA with
+    /// the analytic form (it needs only the geometry, which both carry).
     ///
     /// # Errors
     ///
@@ -550,42 +591,80 @@ impl Device {
             return Err(SimError::InvalidShape("zero resident layers".into()));
         }
         model.validate()?;
+        let geo = KvGeometry::with_tp(model, &self.cfg.mem, tp);
+        if self.cost == CostModelKind::TraceDriven && self.mode.uses_pim() {
+            let cached = self.decode_model.get_or_init(|| self.trace_model_on(geo));
+            if *cached.geometry() == geo {
+                return self.price_decode(cached, model, tp, layers, seq_lens);
+            }
+            return self.price_decode(&self.trace_model_on(geo), model, tp, layers, seq_lens);
+        }
+        self.price_decode(&self.estimator_on(geo), model, tp, layers, seq_lens)
+    }
+
+    /// [`Self::decode_iteration`] over a validated, non-empty batch,
+    /// priced by `estimator`.
+    fn price_decode<C: MhaCostModel>(
+        &self,
+        estimator: &C,
+        model: &LlmConfig,
+        tp: u32,
+        layers: u32,
+        seq_lens: &[u64],
+    ) -> Result<IterationBreakdown, SimError> {
+        let mut scratch = Lent::take(&DECODE_SCRATCH);
+        let DecodeScratch {
+            costs,
+            homes,
+            lanes,
+            packer,
+        } = &mut *scratch;
         // Price every request once: GMLBP balancing, the serial arm and
         // both sub-batch interleaving arms all read these costs.
-        let estimator = self.active_cost_model(model, tp);
         let geo = estimator.geometry();
-        let costs: Vec<f64> = seq_lens.iter().map(|&s| estimator.estimate(s)).collect();
-        let homes = match self.mode {
+        let channels = self.cfg.mem.channels;
+        costs.clear();
+        costs.extend(seq_lens.iter().map(|&s| estimator.estimate(s)));
+        match self.mode {
             DeviceMode::NeuPims { gmlbp: true, .. } => {
-                assign_min_load(seq_lens, &costs, self.cfg.mem.channels)
+                packer.assign(seq_lens, costs, channels, homes);
             }
-            _ => assign_round_robin(seq_lens, self.cfg.mem.channels),
-        };
+            _ => {
+                // `assign_round_robin`, into the reused buffer.
+                homes.clear();
+                homes.extend((0..seq_lens.len()).map(|i| ChannelId::new(i as u32 % channels)));
+            }
+        }
         let policy = match self.mode {
             DeviceMode::NeuPims { sbi, .. } if seq_lens.len() >= 2 => sbi,
             _ => SbiPolicy::Off,
         };
-        let mut sides = (policy != SbiPolicy::Off).then(|| SubBatchSides::new(&homes));
+        let mut sides = (policy != SbiPolicy::Off).then(|| SubBatchSides::new(homes));
 
-        // The one pass over the batch.
+        // The one pass over the batch, its per-request constants hoisted.
         let es = model.dtype.size_bytes();
         let vc = VectorCost::new(&self.cfg.npu);
         let softmax_rows = heads_per_device(model, tp);
         let page_bytes = self.cfg.mem.page_bytes;
+        let logit_bytes_per_token = 2 * geo.heads * es;
+        let kv_bytes_per_token = 2 * geo.embed * es;
         let bus_per_channel = self.cfg.mem.bus_bytes_per_cycle as f64;
+        let head_resync = self.cal.l_gwrite + self.cfg.timing.t_rc() as f64;
+        let heads = geo.heads as f64;
         let blocked = self.mode == DeviceMode::NaiveNpuPim;
         let uses_pim = self.mode.uses_pim();
-        let mut lanes = vec![ChannelLoad::default(); self.cfg.mem.channels as usize];
+        lanes.clear();
+        lanes.resize(channels as usize, ChannelLoad::default());
         let [mut all, mut first, mut second] = [RequestSums::default(); 3];
         let (mut tiles, mut gwrites) = (0u64, 0u64);
-        for ((&seq, &cost), &home) in seq_lens.iter().zip(&costs).zip(&homes) {
+        for ((&seq, &cost), &home) in seq_lens.iter().zip(costs.iter()).zip(homes.iter()) {
             let request_gwrites = geo.mha_gwrites(seq);
             let req = RequestSums {
                 m: 1,
                 softmax: vc.softmax(softmax_rows, seq.max(1)),
-                logit_bytes: 2 * seq * geo.heads * es,
+                logit_bytes: seq * logit_bytes_per_token,
                 gwrite_bytes: request_gwrites * page_bytes,
-                kv_read_bytes: 2 * seq * geo.embed * es,
+                kv_read_bytes: seq * kv_bytes_per_token,
             };
             if uses_pim {
                 tiles += geo.mha_tiles(seq);
@@ -598,11 +677,10 @@ impl Device {
                 // vector units, softmax, write them back (GWRITE), plus a
                 // row-cycle of resynchronization — all serial with the
                 // channel's GEMV work.
-                let per_head = self.cal.l_gwrite
-                    + self.cfg.timing.t_rc() as f64
+                let per_head = head_resync
                     + vc.softmax(1, seq.max(1)) as f64
                     + (4 * seq) as f64 / bus_per_channel;
-                lane.turnaround += geo.heads as f64 * per_head;
+                lane.turnaround += heads * per_head;
             }
             all += req;
             if let Some(sides) = &mut sides {
@@ -898,6 +976,40 @@ mod tests {
             .unwrap()
             .total_cycles;
         assert!(long > decode, "prefill {long} vs decode {decode}");
+    }
+
+    #[test]
+    fn an_attached_memo_prices_the_next_iteration() {
+        // The first iteration builds the decode model on the device's own
+        // memo; attaching a shared one must move pricing onto it.
+        let model = LlmConfig::gpt3_7b();
+        let seqs = batch(8, 300);
+        let mut d = device(DeviceMode::neupims()).with_cost_model(CostModelKind::TraceDriven);
+        let before = d.decode_iteration(&model, 4, 32, &seqs).unwrap();
+        let shared = TraceMemo::new();
+        assert!(d.attach_trace_memo(&shared));
+        let after = d.decode_iteration(&model, 4, 32, &seqs).unwrap();
+        assert_eq!(after, before);
+        let snap = shared.snapshot();
+        assert_eq!((snap.replays, snap.memo_hits), (1, 7));
+    }
+
+    #[test]
+    fn one_device_prices_each_model_shape_with_its_own_geometry() {
+        // The cached decode model serves one shape; any other shape gets
+        // a model of its own geometry.
+        let seqs = batch(16, 700);
+        let trace = || device(DeviceMode::neupims()).with_cost_model(CostModelKind::TraceDriven);
+        let shared = trace();
+        for (model, tp) in [
+            (LlmConfig::gpt3_7b(), 4),
+            (LlmConfig::gpt3_7b(), 2),
+            (LlmConfig::gpt3_13b(), 4),
+        ] {
+            let reused = shared.decode_iteration(&model, tp, 8, &seqs).unwrap();
+            let fresh = trace().decode_iteration(&model, tp, 8, &seqs).unwrap();
+            assert_eq!(reused, fresh, "{} at TP {tp}", model.name);
+        }
     }
 
     #[test]

@@ -102,6 +102,7 @@ pub mod metrics;
 pub mod orchestrator;
 pub mod preempt;
 pub mod scheduler;
+mod scratch;
 pub mod serving;
 pub mod sharding;
 pub mod simulation;

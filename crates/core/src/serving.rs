@@ -106,6 +106,7 @@ use crate::scheduler::{
     IterationDemand, IterationOccupancy, LumpPrefill, PrefillCharge, PrefillProgress,
     SchedulerPolicy,
 };
+use crate::scratch::Lent;
 
 /// Latency service-level objectives of a serving run, in device cycles
 /// (1 GHz clock: 1 ms = 1e6 cycles).
@@ -462,28 +463,6 @@ thread_local! {
             homes: Vec::new(),
         })
     };
-}
-
-/// The thread's [`ReadyList`], borrowed for one step and handed back on
-/// every return path.
-struct ReadyScratch(ReadyList);
-
-impl ReadyScratch {
-    fn take() -> Self {
-        let mut list = READY_SCRATCH.take();
-        list.ready.clear();
-        list.homes.clear();
-        Self(list)
-    }
-}
-
-impl Drop for ReadyScratch {
-    fn drop(&mut self) {
-        // During thread teardown the slot may be gone; the buffer then
-        // just drops with the guard.
-        let list = std::mem::take(&mut self.0);
-        let _ = READY_SCRATCH.try_with(|slot| slot.set(list));
-    }
 }
 
 /// One parked (preempted) request awaiting restoration.
@@ -1177,8 +1156,10 @@ impl<B: Backend> ServingSim<B> {
         // their home channels. Requests still encoding their prompt
         // on-device are already queued FIFO in `self.prefilling`, the
         // chunked schedulers' work queue.
-        let mut scratch = ReadyScratch::take();
-        let ReadyList { ready, homes } = &mut scratch.0;
+        let mut scratch = Lent::take(&READY_SCRATCH);
+        let ReadyList { ready, homes } = &mut *scratch;
+        ready.clear();
+        homes.clear();
         for r in self.pool.running() {
             let rec = &self.inflight[&r.id];
             if rec.decode_ready(self.now) {

@@ -7,7 +7,7 @@
 //! round-robin policy of the naive NPU+PIM baseline is provided for the
 //! ablation.
 
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use neupims_types::ChannelId;
@@ -26,7 +26,10 @@ use crate::cost::MhaCostModel;
 /// Requests go in descending context length (ties in input order), each
 /// to the least-loaded channel, the lowest index among equal loads. A
 /// min-heap keyed by (load, channel index) finds that channel in
-/// O(log channels).
+/// O(log channels). When every cost is positive the first round needs no
+/// heap: all loads start equal, so the `channels` longest requests fill
+/// channels `0, 1, 2, …` in order. [`MinLoadPacker`] runs the same pass
+/// over reusable buffers.
 ///
 /// Returns one [`ChannelId`] per input request, index-aligned.
 ///
@@ -37,63 +40,137 @@ use crate::cost::MhaCostModel;
 /// prices a request so has failed, and balancing on it would be silently
 /// wrong. Every finite cost is accepted, negatives and `-0.0` included.
 pub fn assign_min_load(seq_lens: &[u64], costs: &[f64], channels: u32) -> Vec<ChannelId> {
-    assert!(channels > 0, "at least one channel required");
-    assert_eq!(seq_lens.len(), costs.len(), "one cost per request");
-    assert!(
-        costs.iter().all(|c| c.is_finite()),
-        "MHA costs must be finite"
-    );
-    // Sort indices by descending length (LPT order).
-    let mut order: Vec<usize> = (0..seq_lens.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(seq_lens[i]));
-
-    let mut bins: BinaryHeap<Reverse<Bin>> = (0..channels)
-        .map(|channel| Reverse(Bin { load: 0.0, channel }))
-        .collect();
-    let mut assignment = vec![ChannelId::new(0); seq_lens.len()];
-    for &i in &order {
-        // Updating the top in place re-sifts it when the guard drops.
-        let mut min = bins.peek_mut().expect("at least one channel");
-        assignment[i] = ChannelId::new(min.0.channel);
-        min.0.load += costs[i];
-    }
+    let mut assignment = Vec::new();
+    MinLoadPacker::new().assign(seq_lens, costs, channels, &mut assignment);
     assignment
 }
 
-/// One channel's accumulated load, ordered by (load, channel index).
+/// [`assign_min_load`] over buffers kept between calls, so a decode loop
+/// balances every iteration without allocating once the buffers have
+/// grown to its batch and channel counts.
+#[derive(Debug, Clone, Default)]
+pub struct MinLoadPacker {
+    /// The LPT order. Each entry packs `(Reverse(seq), index)` as
+    /// `(!seq << index_bits) | index`, so one unstable sort of distinct
+    /// keys yields the stable order; batches whose lengths leave no room
+    /// for the index bits hold bare indices, stably sorted by length.
+    order: Vec<u64>,
+    /// Each channel's load.
+    loads: Vec<f64>,
+    /// Min-heap of [`heap_key`]s.
+    heap: BinaryHeap<Reverse<u128>>,
+}
+
+impl MinLoadPacker {
+    /// A packer with empty buffers.
+    pub const fn new() -> Self {
+        Self {
+            order: Vec::new(),
+            loads: Vec::new(),
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    /// Writes [`assign_min_load`]'s assignment into `out` (cleared first).
+    ///
+    /// # Panics
+    ///
+    /// As [`assign_min_load`], and if a batch holds more than `u32::MAX`
+    /// requests.
+    pub fn assign(
+        &mut self,
+        seq_lens: &[u64],
+        costs: &[f64],
+        channels: u32,
+        out: &mut Vec<ChannelId>,
+    ) {
+        assert!(channels > 0, "at least one channel required");
+        assert_eq!(seq_lens.len(), costs.len(), "one cost per request");
+        let mut all_positive = true;
+        for &c in costs {
+            assert!(c.is_finite(), "MHA costs must be finite");
+            all_positive &= c > 0.0;
+        }
+        let n = u32::try_from(seq_lens.len()).expect("batch fits u32 indices");
+        let index_bits = u64::BITS - u64::from(n.saturating_sub(1)).leading_zeros();
+        let longest = seq_lens.iter().copied().max().unwrap_or(0);
+        self.order.clear();
+        // `!seq << index_bits` keeps the length order when the bits it
+        // shifts out are all ones, i.e. every length fits below them.
+        let index_mask = if index_bits == 0 || longest >> (u64::BITS - index_bits) == 0 {
+            self.order.extend(
+                seq_lens
+                    .iter()
+                    .zip(0..u64::from(n))
+                    .map(|(&seq, i)| (!seq << index_bits) | i),
+            );
+            self.order.sort_unstable();
+            (1u64 << index_bits) - 1
+        } else {
+            self.order.extend(0..u64::from(n));
+            self.order.sort_by_key(|&i| Reverse(seq_lens[i as usize]));
+            u64::MAX
+        };
+        out.clear();
+        out.resize(seq_lens.len(), ChannelId::new(0));
+        self.loads.clear();
+        self.loads.resize(channels as usize, 0.0);
+
+        // First round: with every cost positive, each assignment lifts a
+        // zero-load channel above all the others still at zero, so the
+        // lowest-index minimum walks the channels in order.
+        let first_round = if all_positive {
+            self.order.len().min(channels as usize)
+        } else {
+            0
+        };
+        for (channel, &key) in self.order[..first_round].iter().enumerate() {
+            let i = (key & index_mask) as usize;
+            out[i] = ChannelId::new(channel as u32);
+            self.loads[channel] = costs[i];
+        }
+        if first_round == self.order.len() {
+            return;
+        }
+
+        self.heap.clear();
+        self.heap.extend(
+            self.loads
+                .iter()
+                .zip(0..channels)
+                .map(|(&load, ch)| Reverse(heap_key(load, ch))),
+        );
+        for &key in &self.order[first_round..] {
+            let i = (key & index_mask) as usize;
+            // Updating the top in place re-sifts it when the guard drops.
+            let mut min = self.heap.peek_mut().expect("at least one channel");
+            let channel = min.0 as u32;
+            out[i] = ChannelId::new(channel);
+            let load = &mut self.loads[channel as usize];
+            *load += costs[i];
+            min.0 = heap_key(*load, channel);
+        }
+    }
+}
+
+/// A channel's heap key, ordered by (load, channel index): the load's
+/// bits mapped so that unsigned order is `f64::total_cmp` order, above
+/// the channel.
 ///
 /// Loads start at `+0.0` and only ever add finite costs, so they are never
 /// NaN and never `-0.0` (an IEEE sum is `-0.0` only when both addends
 /// are). On such values `f64::total_cmp` agrees with the numeric order,
 /// and the index breaks ties: the heap's minimum is the first minimum of a
 /// linear scan.
-#[derive(Debug, Clone, Copy)]
-struct Bin {
-    load: f64,
-    channel: u32,
+fn heap_key(load: f64, channel: u32) -> u128 {
+    let bits = load.to_bits();
+    let ordered = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    (u128::from(ordered) << 32) | u128::from(channel)
 }
-
-impl Ord for Bin {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.load
-            .total_cmp(&other.load)
-            .then(self.channel.cmp(&other.channel))
-    }
-}
-
-impl PartialOrd for Bin {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for Bin {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Bin {}
 
 /// Round-robin channel assignment (the naive NPU+PIM baseline policy).
 ///

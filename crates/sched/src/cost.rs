@@ -17,7 +17,7 @@
 //!   [`GemvEngine`]. Replays are memoized by
 //!   seq-len bucket (see [`TraceDrivenCostModel::bucket`]), so a serving
 //!   loop pays the cycle model once per distinct context-length bucket and
-//!   hash lookups thereafter.
+//!   one lock-free table load thereafter.
 //!
 //! [`calibration_drift`] quantifies where the two models disagree — the
 //! drift is largest at short contexts, where Algorithm 1 charges a full
@@ -29,7 +29,7 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 
 use neupims_dram::{ChannelStats, DramChannel};
 use neupims_kvcache::KvGeometry;
@@ -248,6 +248,72 @@ impl MhaCostModel for AnalyticCostModel {
 /// across different configs never serve each other's cycles.
 type TraceKey = (u64, u64, u64, u64, bool, u64, u64);
 
+/// The part of a [`TraceKey`] one model never varies: geometry, dual flag
+/// and hardware fingerprint. Each family owns one [`BucketTable`].
+type FamilyKey = (u64, u64, u64, u64, bool, u64);
+
+/// Bucket-table slots below the octave region: bucket `k` bank rows for
+/// `k` in `0..=32` (see [`TraceDrivenCostModel::bucket`]: the quantum
+/// stays one bank row until contexts reach 32 of them).
+const SMALL_SLOTS: usize = 33;
+
+/// Bucket-table slots per octave `[2^p, 2^(p+1))` of the ~6% region: the
+/// buckets `2^p + j * 2^(p-4)` for `j` in `0..16`. The octave's last
+/// bucket, `2^(p+1)` (`j = 16`), is the next octave's first and takes its
+/// slot.
+const OCTAVE_SLOTS: usize = 16;
+
+/// Slots of one family's bucket table: every bucket of every `u64`
+/// context length has one (1,058 slots, ~8.3 KB per family).
+const TABLE_SLOTS: usize = SMALL_SLOTS + 64 * OCTAVE_SLOTS + 1;
+
+/// A bucket-table slot nothing has filled yet. Memoized cycles are
+/// finite, so their bits are never all ones.
+const EMPTY_SLOT: u64 = u64::MAX;
+
+/// One model family's warm path: the cycles of every resolved bucket,
+/// indexed by the bucket's ordinal, as `f64` bits. A slot is written only
+/// after the sharded map resolved its bucket (so the map's hit, replay
+/// and disk-hit counts are what they would be without the table) and
+/// always with the map's bits, so a hit here is a map hit without the
+/// hashing and the lock. The slots are allocated when the first one is
+/// filled, so a model built on a memo that never prices anything (a
+/// replica's own memo before a fleet-shared one replaces it) costs no
+/// table.
+#[derive(Default)]
+struct BucketTable(OnceLock<Box<[AtomicU64]>>);
+
+// A slot's `Release` store pairs with the `Acquire` load that reads it:
+// the filling thread inserted the map entry before the store, so a reader
+// that sees the slot also sees that entry (the debug mirror reads it).
+impl BucketTable {
+    fn get(&self, slot: usize) -> Option<f64> {
+        let bits = self.0.get()?[slot].load(Ordering::Acquire);
+        (bits != EMPTY_SLOT).then(|| f64::from_bits(bits))
+    }
+
+    fn set(&self, slot: usize, cycles: f64) {
+        let slots = self.0.get_or_init(|| {
+            (0..TABLE_SLOTS)
+                .map(|_| AtomicU64::new(EMPTY_SLOT))
+                .collect()
+        });
+        slots[slot].store(cycles.to_bits(), Ordering::Release);
+    }
+}
+
+impl std::fmt::Debug for BucketTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let filled = self.0.get().map_or(0, |slots| {
+            slots
+                .iter()
+                .filter(|s| s.load(Ordering::Relaxed) != EMPTY_SLOT)
+                .count()
+        });
+        write!(f, "BucketTable({filled}/{TABLE_SLOTS} filled)")
+    }
+}
+
 /// A memo key next to its hash, computed once per lookup: bits 48..52
 /// pick the shard and the shard's map reuses the whole hash (its
 /// [`PassThroughHasher`] never rehashes). The map's bucket index reads the
@@ -315,7 +381,8 @@ impl Hasher for PassThroughHasher {
 
 type ShardMap = HashMap<HashedKey, MemoEntry, BuildHasherDefault<PassThroughHasher>>;
 
-/// Shards the key space of one [`TraceMemo`]. 16 shards keep warm lookups
+/// Shards the key space of one [`TraceMemo`]. 16 shards keep the lookups
+/// that miss the bucket tables (cold buckets, first touches, warmup)
 /// from parallel fleet workers on disjoint reader-writer locks for any
 /// realistic worker count, at negligible memory cost.
 const MEMO_SHARDS: usize = 16;
@@ -380,6 +447,9 @@ struct TraceMemoShared {
     /// `Some` when the memo is backed by an on-disk cache directory; the
     /// mutex serializes appends.
     persist: Mutex<Option<MemoPersist>>,
+    /// One bucket table per model family, handed out when a model is
+    /// built (never on the estimate path).
+    tables: Mutex<HashMap<FamilyKey, Arc<BucketTable>>>,
 }
 
 impl Default for TraceMemoShared {
@@ -391,6 +461,7 @@ impl Default for TraceMemoShared {
             memo_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
             persist: Mutex::new(None),
+            tables: Mutex::new(HashMap::new()),
         }
     }
 }
@@ -401,15 +472,21 @@ impl Default for TraceMemoShared {
 /// fleet-level sharing — whole replica fleets) amortizes the same set of
 /// simulated command streams.
 ///
-/// The memo is safe and cheap to hit from many threads at once: the key
-/// space is split over 16 reader-writer-locked shards (warm lookups
-/// from parallel fleet workers take non-exclusive read locks on —
-/// usually — different shards), counters are atomics, and cold misses
-/// are **single-flight**: the first thread to miss a bucket replays it
-/// while later arrivals for the same bucket wait on its in-flight
-/// marker and reuse the result, so a stream is never simulated twice. Since every
-/// estimate is the deterministic replay of its key, the counters are
-/// timing-independent: `replays` equals the number of distinct keys
+/// Warm estimates take no lock and hash nothing: every model family
+/// (geometry, dual flag, hardware fingerprint) owns a dense table of
+/// atomic slots, one per context-length bucket, that a model resolves
+/// once when it is built. A warm `estimate` is the bucket's ordinal, one
+/// atomic load and the `memo_hits` count.
+///
+/// Behind the tables, the key space is split over 16
+/// reader-writer-locked shards, counters are atomics, and cold misses are
+/// **single-flight**: the first thread to miss a bucket replays it while
+/// later arrivals for the same bucket wait on its in-flight marker and
+/// reuse the result, so a stream is never simulated twice. A table slot
+/// is filled only after the shards resolved its bucket, so the shards
+/// alone decide what counts as a replay, a disk hit or a memo hit. Since
+/// every estimate is the deterministic replay of its key, the counters
+/// are timing-independent: `replays` equals the number of distinct keys
 /// touched no matter how many threads race.
 ///
 /// [`Self::with_cache_dir`] adds cross-process persistence: replays are
@@ -509,19 +586,22 @@ impl TraceMemo {
             .contains_key(key)
     }
 
-    /// The warm path: the key's cycles if ready, counting the hit. Never
-    /// blocks on in-flight replays (callers fall through to
-    /// [`Self::lookup_or_lead`]).
-    fn lookup_fast(&self, key: &HashedKey) -> Option<f64> {
-        let guard = self.shard(key).read().expect("memo shard poisoned");
-        match guard.get(key) {
-            Some(MemoEntry::Ready {
-                cycles,
-                from_disk: false,
-            }) => {
-                self.0.memo_hits.fetch_add(1, Ordering::Relaxed);
-                Some(*cycles)
-            }
+    /// The bucket table of one model family, created on first request.
+    fn bucket_table(&self, family: FamilyKey) -> Arc<BucketTable> {
+        let mut tables = self.0.tables.lock().expect("memo tables poisoned");
+        Arc::clone(tables.entry(family).or_default())
+    }
+
+    /// The key's ready cycles, without counting anything: the debug
+    /// mirror of every bucket-table hit.
+    fn peek(&self, key: &HashedKey) -> Option<f64> {
+        match self
+            .shard(key)
+            .read()
+            .expect("memo shard poisoned")
+            .get(key)
+        {
+            Some(MemoEntry::Ready { cycles, .. }) => Some(*cycles),
             _ => None,
         }
     }
@@ -725,13 +805,15 @@ fn parse_cache_line(line: &str) -> Option<(TraceKey, f64)> {
 /// up to ~6% granularity, so a serving loop touching thousands of distinct
 /// lengths simulates only O(hundreds) streams, and
 /// [`MhaCostModel::estimate_sum`] composes per-request results from the
-/// shared [`TraceMemo`].
+/// shared [`TraceMemo`]. The model holds its family's bucket table, so a
+/// warm estimate is one atomic load.
 #[derive(Debug, Clone)]
 pub struct TraceDrivenCostModel {
     geometry: KvGeometry,
     hw: TraceHardware,
     dual: bool,
     memo: TraceMemo,
+    table: Arc<BucketTable>,
 }
 
 /// The hardware a trace replay runs on — memory organization, DRAM timing
@@ -799,11 +881,21 @@ impl TraceDrivenCostModel {
         dual_row_buffer: bool,
         memo: TraceMemo,
     ) -> Self {
+        let g = &geometry;
+        let table = memo.bucket_table((
+            g.embed,
+            g.heads,
+            g.page_elems,
+            g.banks,
+            dual_row_buffer,
+            hw.fingerprint,
+        ));
         Self {
             geometry,
             hw,
             dual: dual_row_buffer,
             memo,
+            table,
         }
     }
 
@@ -821,12 +913,34 @@ impl TraceDrivenCostModel {
     /// `B_chnl` (one bank row), which matches Algorithm 1's own
     /// full-tile rounding granularity.
     pub fn bucket(&self, seq_len: u64) -> u64 {
+        self.bucket_slot(seq_len).0
+    }
+
+    /// [`Self::bucket`] and the bucket's slot in the family's bucket
+    /// table. Below the octave region the slot is the bucket's count of
+    /// bank rows (at most 32, since the quantum leaves one bank row only
+    /// once `2^floor(log2 seq)/16` exceeds it); in octave `p` it is
+    /// `SMALL_SLOTS + 16p + j` for the bucket `(16 + j) * 2^(p-4)`, so an
+    /// octave's last bucket (`j = 16`) lands on the next octave's first.
+    /// No slot ever holds two buckets. The one bucket with two slots is
+    /// where the bank-row buckets meet the first octave (with 32 banks,
+    /// 1024 is both 32 bank rows and octave 10's first bucket); both
+    /// slots then hold its cycles.
+    fn bucket_slot(&self, seq_len: u64) -> (u64, usize) {
         if seq_len == 0 {
-            return 0;
+            return (0, 0);
         }
-        let pow2 = 1u64 << (63 - seq_len.leading_zeros() as u64);
-        let quantum = (pow2 / 16).max(self.geometry.banks).max(1);
-        seq_len.div_ceil(quantum) * quantum
+        let log2 = 63 - seq_len.leading_zeros();
+        let octave_quantum = (1u64 << log2) / 16;
+        let row = self.geometry.banks.max(1);
+        if octave_quantum <= row {
+            let rows = seq_len.div_ceil(row);
+            (rows * row, rows as usize)
+        } else {
+            let steps = seq_len.div_ceil(octave_quantum);
+            let slot = SMALL_SLOTS + log2 as usize * OCTAVE_SLOTS + (steps - 16) as usize;
+            (steps * octave_quantum, slot)
+        }
     }
 
     /// Counters accumulated so far (shared across clones of this model's
@@ -929,6 +1043,30 @@ impl TraceDrivenCostModel {
         vec![logit, attend]
     }
 
+    /// The cold path of [`MhaCostModel::estimate`]: resolves a bucket
+    /// through the sharded map, counting a memo hit, a disk hit or a
+    /// replay exactly as the map classifies the lookup.
+    fn resolve(&self, bucket: u64) -> f64 {
+        let key = self.key(bucket);
+        match self.memo.lookup_or_lead(key) {
+            MemoLookup::Ready(cycles) => cycles,
+            // Single flight: a concurrent miss on the same bucket waits
+            // for the one replay in progress instead of re-simulating.
+            MemoLookup::Wait(flight) => {
+                let cycles = flight.wait();
+                self.memo.0.memo_hits.fetch_add(1, Ordering::Relaxed);
+                cycles
+            }
+            MemoLookup::Lead(flight) => {
+                // Replay outside every lock: other shards (and other keys
+                // of this shard) stay fully available meanwhile.
+                let (cycles, stats) = self.replay(bucket);
+                self.memo.complete(key, &flight, cycles, &stats);
+                cycles
+            }
+        }
+    }
+
     /// Replays the command stream of one bucketed context length through a
     /// fresh channel and returns its span.
     fn replay(&self, bucket: u64) -> (f64, ChannelStats) {
@@ -966,30 +1104,20 @@ impl MhaCostModel for TraceDrivenCostModel {
     }
 
     fn estimate(&self, seq_len: u64) -> f64 {
-        let bucket = self.bucket(seq_len);
-        let key = self.key(bucket);
-        // Warm path: a shared read lock on the key's shard, no waiting on
-        // writers of other shards and no exclusive section at all.
-        if let Some(cycles) = self.memo.lookup_fast(&key) {
+        let (bucket, slot) = self.bucket_slot(seq_len);
+        // Warm path: one atomic load, no hashing and no lock.
+        if let Some(cycles) = self.table.get(slot) {
+            self.memo.0.memo_hits.fetch_add(1, Ordering::Relaxed);
+            debug_assert_eq!(
+                self.memo.peek(&self.key(bucket)).map(f64::to_bits),
+                Some(cycles.to_bits()),
+                "bucket table slot {slot} disagrees with the memo on bucket {bucket}"
+            );
             return cycles;
         }
-        match self.memo.lookup_or_lead(key) {
-            MemoLookup::Ready(cycles) => cycles,
-            // Single flight: a concurrent miss on the same bucket waits
-            // for the one replay in progress instead of re-simulating.
-            MemoLookup::Wait(flight) => {
-                let cycles = flight.wait();
-                self.memo.0.memo_hits.fetch_add(1, Ordering::Relaxed);
-                cycles
-            }
-            MemoLookup::Lead(flight) => {
-                // Replay outside every lock: other shards (and other keys
-                // of this shard) stay fully available meanwhile.
-                let (cycles, stats) = self.replay(bucket);
-                self.memo.complete(key, &flight, cycles, &stats);
-                cycles
-            }
-        }
+        let cycles = self.resolve(bucket);
+        self.table.set(slot, cycles);
+        cycles
     }
 
     fn trace_snapshot(&self) -> Option<TraceSnapshot> {
@@ -1248,6 +1376,51 @@ mod tests {
             }
             // Bucketing is idempotent.
             assert_eq!(t.bucket(b), b);
+        }
+    }
+
+    #[test]
+    fn distinct_buckets_of_one_family_never_share_a_slot() {
+        // The bucket rule as first written: round up to a quantum of
+        // max(B_chnl, 2^floor(log2 seq)/16).
+        let reference = |banks: u64, seq: u64| {
+            if seq == 0 {
+                return 0;
+            }
+            let pow2 = 1u64 << (63 - seq.leading_zeros() as u64);
+            let quantum = (pow2 / 16).max(banks).max(1);
+            seq.div_ceil(quantum) * quantum
+        };
+        for banks in [1u64, 16, 32, 48] {
+            let mut t = trace();
+            t.geometry.banks = banks;
+            let mut seqs: Vec<u64> = (0..20_000).collect();
+            for shift in 14..63 {
+                let base = 1u64 << shift;
+                seqs.extend([base - 1, base, base + 1, base + base / 32, base + base / 2]);
+            }
+            seqs.push(u64::MAX / 2);
+            let mut owner = vec![None; TABLE_SLOTS];
+            let mut slots_of = std::collections::HashMap::<u64, Vec<usize>>::new();
+            for seq in seqs {
+                let (bucket, slot) = t.bucket_slot(seq);
+                assert_eq!(bucket, reference(banks, seq), "banks {banks} seq {seq}");
+                assert!(slot < TABLE_SLOTS, "banks {banks} seq {seq}: slot {slot}");
+                let first = *owner[slot].get_or_insert(bucket);
+                assert_eq!(
+                    first, bucket,
+                    "banks {banks}: slot {slot} holds two buckets"
+                );
+                let slots = slots_of.entry(bucket).or_default();
+                if !slots.contains(&slot) {
+                    slots.push(slot);
+                }
+            }
+            // Only the bucket where bank rows meet the first octave may
+            // take a second slot.
+            let shared: Vec<_> = slots_of.iter().filter(|(_, s)| s.len() > 1).collect();
+            assert!(shared.len() <= 1, "banks {banks}: {shared:?}");
+            assert!(shared.iter().all(|(_, s)| s.len() == 2));
         }
     }
 

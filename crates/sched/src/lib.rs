@@ -43,7 +43,7 @@ pub mod estimator;
 pub mod partition;
 pub mod pool;
 
-pub use binpack::{assign_min_load, assign_round_robin, channel_loads};
+pub use binpack::{assign_min_load, assign_round_robin, channel_loads, MinLoadPacker};
 pub use cost::{
     calibration_drift, AnalyticCostModel, CostModelKind, DriftPoint, DriftReport, MhaCostModel,
     TraceDrivenCostModel, TraceHardware, TraceMemo, TraceSnapshot, COST_MODEL_NAMES,

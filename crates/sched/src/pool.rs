@@ -116,16 +116,13 @@ impl RequestPool {
     /// * admission never skips the head: if the head is refused by
     ///   `admission` (or hasn't arrived), nothing behind it is admitted
     ///   this boundary (head-of-line blocking mirrors FCFS serving);
-    /// * the returned ids preserve that same order, and requests enter
-    ///   [`Self::running`] in it.
+    /// * requests enter [`Self::running`] in that same order, after the
+    ///   ones already running.
     ///
-    /// Returns the ids admitted this boundary.
-    pub fn admit(
-        &mut self,
-        now: Cycle,
-        mut admission: impl FnMut(&Request) -> bool,
-    ) -> Vec<RequestId> {
-        let mut admitted = Vec::new();
+    /// Returns how many requests were admitted this boundary: they are the
+    /// last that many of [`Self::running`].
+    pub fn admit(&mut self, now: Cycle, mut admission: impl FnMut(&Request) -> bool) -> usize {
+        let mut admitted = 0;
         while self.running.len() < self.max_batch {
             match self.waiting.front() {
                 Some(req) if req.arrival <= now => {
@@ -134,7 +131,7 @@ impl RequestPool {
                     }
                     let mut req = self.waiting.pop_front().expect("peeked");
                     req.state = RequestState::Running;
-                    admitted.push(req.id);
+                    admitted += 1;
                     self.running.push(req);
                 }
                 _ => break,
@@ -240,8 +237,7 @@ mod tests {
         for i in 0..5 {
             pool.submit(req(i, 10, 5, 0));
         }
-        let admitted = pool.admit(0, |_| true);
-        assert_eq!(admitted.len(), 2);
+        assert_eq!(pool.admit(0, |_| true), 2);
         assert_eq!(pool.running().len(), 2);
         assert_eq!(pool.waiting_len(), 3);
     }
@@ -251,8 +247,7 @@ mod tests {
         let mut pool = RequestPool::new(8);
         pool.submit(req(0, 10, 5, 0));
         pool.submit(req(1, 10, 5, 1_000));
-        let admitted = pool.admit(10, |_| true);
-        assert_eq!(admitted.len(), 1, "future arrivals must wait");
+        assert_eq!(pool.admit(10, |_| true), 1, "future arrivals must wait");
     }
 
     #[test]
@@ -261,8 +256,7 @@ mod tests {
         pool.submit(req(0, 10, 5, 0));
         pool.submit(req(1, 10, 5, 0));
         // Admit nothing: capacity checker refuses.
-        let admitted = pool.admit(0, |_| false);
-        assert!(admitted.is_empty());
+        assert_eq!(pool.admit(0, |_| false), 0);
         assert_eq!(pool.waiting_len(), 2);
     }
 
@@ -281,9 +275,9 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].id, RequestId::new(0));
 
-        let admitted = pool.admit(1, |_| true);
-        assert_eq!(admitted, vec![RequestId::new(2)]);
+        assert_eq!(pool.admit(1, |_| true), 1);
         assert_eq!(pool.running().len(), 2);
+        assert_eq!(pool.running()[1].id, RequestId::new(2));
 
         // Two more iterations finish everything: after the second, req 1
         // has its 3rd token and req 2 its 2nd.
@@ -365,24 +359,27 @@ mod tests {
 
         // At now=0 the head (7) is admittable, but 3 hasn't arrived:
         // nothing behind 3 may leapfrog it.
-        let admitted = pool.admit(0, |_| true);
-        assert_eq!(admitted, vec![RequestId::new(7)]);
+        assert_eq!(pool.admit(0, |_| true), 1);
+        assert_eq!(pool.running()[0].id, RequestId::new(7));
 
         // Once 3 arrives, admission resumes in submission order up to cap.
-        let admitted = pool.admit(5, |_| true);
-        assert_eq!(admitted, vec![RequestId::new(3)]);
+        assert_eq!(pool.admit(5, |_| true), 1);
         let running: Vec<u32> = pool.running().iter().map(|r| r.id.0).collect();
         assert_eq!(running, vec![7, 3], "running batch keeps admission order");
 
         // An admission refusal of the head blocks everything behind it.
         pool.complete_iteration();
         pool.complete_iteration(); // 7 and 3 retire
-        let admitted = pool.admit(5, |r| r.id != RequestId::new(9));
-        assert!(admitted.is_empty(), "refused head must not be skipped");
+        assert_eq!(
+            pool.admit(5, |r| r.id != RequestId::new(9)),
+            0,
+            "refused head must not be skipped"
+        );
 
         // drop_head_waiting removes exactly the earliest-submitted waiter.
         assert_eq!(pool.drop_head_waiting().unwrap().id, RequestId::new(9));
-        assert_eq!(pool.admit(5, |_| true), vec![RequestId::new(1)]);
+        assert_eq!(pool.admit(5, |_| true), 1);
+        assert_eq!(pool.running()[0].id, RequestId::new(1));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! the Table 3 model configurations, and the regression pin that the
 //! analytic model reproduces the legacy estimator cycle-for-cycle.
 
-use std::sync::OnceLock;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Mutex, OnceLock};
 
 use proptest::prelude::*;
 
@@ -37,6 +38,148 @@ fn model_pairs() -> &'static Vec<(String, MhaLatencyEstimator, TraceDrivenCostMo
             })
             .collect()
     })
+}
+
+/// Two model families that can share one memo: different geometries and
+/// different command styles.
+fn family_models(memo: &TraceMemo) -> [TraceDrivenCostModel; 2] {
+    let cfg = NeuPimsConfig::table2();
+    let geo = |model: &LlmConfig| KvGeometry::for_model(model, &cfg.mem);
+    [
+        TraceDrivenCostModel::with_memo(&cfg, geo(&LlmConfig::gpt3_7b()), true, memo.clone()),
+        TraceDrivenCostModel::with_memo(&cfg, geo(&LlmConfig::gpt3_13b()), false, memo.clone()),
+    ]
+}
+
+/// The sharded map's cycles for one family's bucket: a model on a memo of
+/// its own meets every bucket cold, so its first estimate of a bucket is
+/// resolved by the map alone. Cached across cases.
+fn map_cycles(family: usize, bucket: u64) -> u64 {
+    static SEEN: OnceLock<Mutex<HashMap<(usize, u64), u64>>> = OnceLock::new();
+    let seen = SEEN.get_or_init(Default::default);
+    if let Some(&bits) = seen.lock().unwrap().get(&(family, bucket)) {
+        return bits;
+    }
+    let bits = family_models(&TraceMemo::new())[family]
+        .estimate(bucket)
+        .to_bits();
+    seen.lock().unwrap().insert((family, bucket), bits);
+    bits
+}
+
+/// What the sharded map counts for a stream of `(family, seq)` lookups:
+/// the first touch of a bucket is a disk hit when `on_disk` holds it and a
+/// replay otherwise; every later touch is a memo hit.
+#[derive(Default)]
+struct MapCounts {
+    seen: HashSet<(usize, u64)>,
+    on_disk: HashSet<(usize, u64)>,
+    memo_hits: u64,
+    replays: u64,
+    disk_hits: u64,
+}
+
+impl MapCounts {
+    fn touch(&mut self, family: usize, bucket: u64) {
+        if !self.seen.insert((family, bucket)) {
+            self.memo_hits += 1;
+        } else if self.on_disk.contains(&(family, bucket)) {
+            self.disk_hits += 1;
+        } else {
+            self.replays += 1;
+        }
+    }
+
+    fn triple(&self) -> (u64, u64, u64) {
+        (self.memo_hits, self.replays, self.disk_hits)
+    }
+}
+
+/// Runs `stream` through `models`, checking every estimate against the
+/// map's cycles and recording what the map would count.
+fn run_stream(models: &[TraceDrivenCostModel; 2], stream: &[(usize, u64)], counts: &mut MapCounts) {
+    for &(family, seq) in stream {
+        let model = &models[family];
+        let bucket = model.bucket(seq);
+        assert_eq!(
+            model.estimate(seq).to_bits(),
+            map_cycles(family, bucket),
+            "family {family} seq {seq} (bucket {bucket})"
+        );
+        counts.touch(family, bucket);
+    }
+}
+
+fn counted(memo: &TraceMemo) -> (u64, u64, u64) {
+    let snap = memo.snapshot();
+    (snap.memo_hits, snap.replays, snap.disk_hits)
+}
+
+/// `(family, context)` lookups: repeats are common, and contexts cover
+/// the bank-row buckets and the first octaves of the ~6% region.
+fn lookup_stream() -> impl Strategy<Value = Vec<(usize, u64)>> {
+    prop::collection::vec(
+        (0usize..2, prop_oneof![0u64..1_100, 1_000u64..3_000]),
+        1..60,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The bucket table serves bit-identical cycles and leaves the memo
+    /// counting exactly what the sharded map counts: on a fresh memo
+    /// shared by two families, on the same memo warm, and for a model
+    /// built on the warm memo afterwards.
+    #[test]
+    fn bucket_table_matches_the_sharded_map(stream in lookup_stream()) {
+        let memo = TraceMemo::new();
+        let models = family_models(&memo);
+        let mut counts = MapCounts::default();
+        run_stream(&models, &stream, &mut counts);
+        prop_assert_eq!(counted(&memo), counts.triple(), "fresh memo");
+        prop_assert_eq!(memo.entries(), counts.seen.len());
+
+        run_stream(&models, &stream, &mut counts);
+        prop_assert_eq!(counted(&memo), counts.triple(), "warm memo");
+
+        run_stream(&family_models(&memo), &stream, &mut counts);
+        prop_assert_eq!(counted(&memo), counts.triple(), "model built on a warm memo");
+        prop_assert_eq!(counts.replays as usize, counts.seen.len());
+    }
+
+    /// On a memo restored from a cache directory, each bucket's first
+    /// touch still counts a disk hit (not a memo hit), later touches count
+    /// memo hits, and buckets missing from disk replay.
+    #[test]
+    fn bucket_table_keeps_disk_hits_on_a_restored_memo(
+        stream in lookup_stream(),
+        split in 0usize..60,
+    ) {
+        static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!(
+            "neupims-bucket-table-{}-{case}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let first = TraceMemo::with_cache_dir(&dir).unwrap();
+        let mut persisted = MapCounts::default();
+        run_stream(&family_models(&first), &stream[..split.min(stream.len())], &mut persisted);
+
+        let restored = TraceMemo::with_cache_dir(&dir).unwrap();
+        let models = family_models(&restored);
+        let mut counts = MapCounts {
+            on_disk: persisted.seen,
+            ..MapCounts::default()
+        };
+        run_stream(&models, &stream, &mut counts);
+        prop_assert_eq!(counted(&restored), counts.triple(), "first pass");
+        run_stream(&models, &stream, &mut counts);
+        prop_assert_eq!(counted(&restored), counts.triple(), "second pass");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 proptest! {

@@ -17,8 +17,30 @@ fn estimator() -> MhaLatencyEstimator {
     MhaLatencyEstimator::new(geo, 280.0, 50.0)
 }
 
-/// The small cost set of the tie-heavy equivalence test.
+/// The small cost set of the tie-heavy equivalence test: mixed signs and
+/// both zeros, so GMLBP never takes its all-positive first round.
 const COST_SET: [f64; 7] = [-2.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0];
+
+/// A strictly positive, tie-heavy cost set: GMLBP fills the first round
+/// of channels without its heap.
+const POSITIVE_COST_SET: [f64; 5] = [f64::MIN_POSITIVE, 0.5, 1.0, 1.0, 3.0];
+
+/// Non-negative costs with both zeros: a zero-cost request leaves its
+/// channel tied at zero, so GMLBP must take the heap from the start.
+const NON_NEGATIVE_COST_SET: [f64; 4] = [-0.0, 0.0, 0.5, 1.0];
+
+/// `(lengths, costs)` drawn from `len` pairs over a small length range
+/// and the positive cost set.
+fn positive_pairs(len: std::ops::Range<usize>) -> impl Strategy<Value = (Vec<u64>, Vec<f64>)> {
+    prop::collection::vec(
+        (
+            1u64..6,
+            (0..POSITIVE_COST_SET.len()).prop_map(|i| POSITIVE_COST_SET[i]),
+        ),
+        len,
+    )
+    .prop_map(|pairs| pairs.into_iter().unzip())
+}
 
 /// Algorithm 2 as a plain linear scan: LPT order (stable, by descending
 /// length), each request to the first channel of minimum load.
@@ -99,6 +121,110 @@ proptest! {
             0..200,
         ),
         channels in 1u32..65,
+    ) {
+        let (seqs, costs): (Vec<u64>, Vec<f64>) = pairs.into_iter().unzip();
+        prop_assert_eq!(
+            assign_min_load(&seqs, &costs, channels),
+            lpt_scan_reference(&seqs, &costs, channels)
+        );
+    }
+
+    /// The equivalence on strictly positive costs, where the first round
+    /// of channels is filled in index order without the heap.
+    #[test]
+    fn min_load_matches_the_linear_scan_on_positive_costs(
+        batch in positive_pairs(0..200),
+        channels in 1u32..65,
+    ) {
+        let (seqs, costs) = batch;
+        prop_assert_eq!(
+            assign_min_load(&seqs, &costs, channels),
+            lpt_scan_reference(&seqs, &costs, channels)
+        );
+    }
+
+    /// The equivalence when costs are never negative but may be zero:
+    /// the first-round rule does not apply.
+    #[test]
+    fn min_load_matches_the_linear_scan_on_zero_costs(
+        pairs in prop::collection::vec(
+            (
+                1u64..6,
+                (0..NON_NEGATIVE_COST_SET.len()).prop_map(|i| NON_NEGATIVE_COST_SET[i]),
+            ),
+            0..12,
+        ),
+        channels in 1u32..17,
+    ) {
+        let (seqs, costs): (Vec<u64>, Vec<f64>) = pairs.into_iter().unzip();
+        prop_assert_eq!(
+            assign_min_load(&seqs, &costs, channels),
+            lpt_scan_reference(&seqs, &costs, channels)
+        );
+    }
+
+    /// Fewer requests than channels: the first round is the whole
+    /// assignment when every cost is positive, and the heap's when not.
+    #[test]
+    fn min_load_matches_the_linear_scan_below_one_round(
+        batch in positive_pairs(0..32),
+        extra in 1u32..40,
+        mixed_sign in any::<bool>(),
+    ) {
+        let (seqs, costs) = batch;
+        let costs: Vec<f64> = if mixed_sign {
+            costs.iter().enumerate().map(|(i, &c)| COST_SET[i % COST_SET.len()] * c).collect()
+        } else {
+            costs
+        };
+        let channels = seqs.len() as u32 + extra;
+        prop_assert_eq!(
+            assign_min_load(&seqs, &costs, channels),
+            lpt_scan_reference(&seqs, &costs, channels)
+        );
+    }
+
+    /// Exactly one request per channel: positive costs end with the first
+    /// round, so every channel gets one request, longest first.
+    #[test]
+    fn min_load_matches_the_linear_scan_at_one_full_round(
+        batch in positive_pairs(1..65),
+    ) {
+        let (seqs, costs) = batch;
+        let channels = seqs.len() as u32;
+        let greedy = assign_min_load(&seqs, &costs, channels);
+        prop_assert_eq!(&greedy, &lpt_scan_reference(&seqs, &costs, channels));
+        let mut used: Vec<u32> = greedy.iter().map(|c| c.0).collect();
+        used.sort_unstable();
+        prop_assert_eq!(used, (0..channels).collect::<Vec<u32>>());
+    }
+
+    /// One channel takes everything, whatever the costs' signs.
+    #[test]
+    fn min_load_on_one_channel_is_all_channel_zero(
+        pairs in prop::collection::vec(
+            (1u64..6, (0..COST_SET.len()).prop_map(|i| COST_SET[i])),
+            0..50,
+        ),
+    ) {
+        let (seqs, costs): (Vec<u64>, Vec<f64>) = pairs.into_iter().unzip();
+        let greedy = assign_min_load(&seqs, &costs, 1);
+        prop_assert_eq!(&greedy, &lpt_scan_reference(&seqs, &costs, 1));
+        prop_assert!(greedy.iter().all(|c| c.0 == 0));
+    }
+
+    /// Lengths too long to pack next to their index take the stable-sort
+    /// fallback, with the same assignment as the linear scan.
+    #[test]
+    fn min_load_matches_the_linear_scan_on_huge_lengths(
+        pairs in prop::collection::vec(
+            (
+                prop_oneof![1u64..6, (1u64 << 58)..(1u64 << 62), (u64::MAX - 4)..u64::MAX],
+                (0..POSITIVE_COST_SET.len()).prop_map(|i| POSITIVE_COST_SET[i]),
+            ),
+            2..100,
+        ),
+        channels in 1u32..17,
     ) {
         let (seqs, costs): (Vec<u64>, Vec<f64>) = pairs.into_iter().unzip();
         prop_assert_eq!(
