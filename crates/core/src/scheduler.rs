@@ -70,20 +70,11 @@
 //! assert_eq!(scheduler_from_name("lump", 256).unwrap().name(), "lump");
 //! ```
 
-use std::cell::Cell;
-
 use neupims_sched::{CostModelKind, MhaCostModel, SubBatchSides};
 use neupims_types::{ChannelId, Cycle, LlmConfig, RequestId};
 
 use crate::backend::{Backend, BackendError};
 use crate::metrics::IterationBreakdown;
-use crate::scratch::Lent;
-
-thread_local! {
-    /// Per-channel `[first, second]` sub-batch GEMV loads of
-    /// [`SubBatchInterleaved::plan`], reused across iterations.
-    static PHASE_LOADS: Cell<Vec<[f64; 2]>> = const { Cell::new(Vec::new()) };
-}
 
 /// How admission charges a prompt, as decided by
 /// [`SchedulerPolicy::admission_charge`].
@@ -547,9 +538,7 @@ impl SchedulerPolicy for SubBatchInterleaved {
                 // estimate per request, added to its channel's load on its
                 // sub-batch's side.
                 let mut sides = SubBatchSides::new(demand.homes);
-                let mut loads = Lent::take(&PHASE_LOADS);
-                loads.clear();
-                loads.resize(sides.channels(), [0.0; 2]);
+                let mut loads = vec![[0.0f64; 2]; sides.channels()];
                 for (&(_, seq), &home) in demand.decode.iter().zip(demand.homes) {
                     let side = usize::from(!sides.next_is_first(home));
                     loads[home.index()][side] += est.estimate(seq);

@@ -54,6 +54,11 @@ pub struct MinLoadPacker {
     /// `(!seq << index_bits) | index`, so one unstable sort of distinct
     /// keys yields the stable order; batches whose lengths leave no room
     /// for the index bits hold bare indices, stably sorted by length.
+    ///
+    /// One word per key, not a `(Reverse(seq), index)` tuple: on
+    /// `pim-trace-tight-kv` (2-core x86 VM) sorting the tuples, either
+    /// `Reverse<u64>` or inverted-length form, cost ~10% of end-to-end
+    /// requests/s in 10 of 10 alternating pairs.
     order: Vec<u64>,
     /// Each channel's load.
     loads: Vec<f64>,
