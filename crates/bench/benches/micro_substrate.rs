@@ -2,11 +2,20 @@
 //! scheduling, PIM GEMV execution, duet interleaving, and calibration.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use neupims_bench::short_criterion;
 use neupims_dram::{Controller, DramChannel, MemRequest};
 use neupims_pim::{calibrate, CommandMode, DuetDriver, GemvEngine, GemvJob};
 use neupims_types::{config::PimConfig, BankId, HbmTiming, MemConfig, NeuPimsConfig};
 use std::hint::black_box;
+use std::time::Duration;
+
+/// Short Criterion configuration: the kernels are deterministic, so a
+/// handful of samples suffices.
+fn short_criterion() -> Criterion {
+    Criterion::default()
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(3))
+        .warm_up_time(Duration::from_millis(500))
+}
 
 fn bench(c: &mut Criterion) {
     let mem = MemConfig::table2();

@@ -818,16 +818,18 @@ fn parse_tenants(
         let weight: f64 = parts[1]
             .parse()
             .map_err(|_| format!("bad weight in --tenants entry {entry:?}"))?;
-        if weight <= 0.0 {
-            return Err(format!("tenant {name:?} weight must be positive").into());
-        }
+        let weight = neupims_eval::positive_finite("weight", weight)
+            .map_err(|e| format!("--tenants entry {entry:?}: {}", e.0))?;
         let priority: u8 = parts[2]
             .parse()
             .map_err(|_| format!("bad priority in --tenants entry {entry:?}"))?;
         let ms = |i: usize, what: &str, default: f64| -> Result<f64, String> {
             parts.get(i).map_or(Ok(default), |v| {
-                v.parse()
-                    .map_err(|_| format!("bad {what} in --tenants entry {entry:?}"))
+                let ms = v
+                    .parse()
+                    .map_err(|_| format!("bad {what} in --tenants entry {entry:?}"))?;
+                neupims_eval::positive_finite(what, ms)
+                    .map_err(|e| format!("--tenants entry {entry:?}: {}", e.0))
             })
         };
         let slo = SloTargets::from_ms(

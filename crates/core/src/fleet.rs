@@ -642,8 +642,7 @@ impl<B: Backend> FleetSim<B> {
     /// snapshots are rebuilt from scratch. `O(replicas)` per arrival —
     /// kept as the independent golden semantics [`Self::run`] must
     /// reproduce bit for bit (the parity tests run both and compare
-    /// [`FleetOutcome`]s), and as the baseline `bench-snapshot fleet`
-    /// measures speedup against. Not for production-scale fleets.
+    /// [`FleetOutcome`]s). Not for production-scale fleets.
     ///
     /// # Errors
     ///

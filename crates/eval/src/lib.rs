@@ -43,8 +43,8 @@ pub use runner::{
 };
 pub use scorer::{score_suite, verdict, CheckResult, CheckStatus};
 pub use spec::{
-    Bound, CompareSpec, Expectation, ScenarioKind, ScenarioSpec, Severity, SpecError, SuiteSpec,
-    SystemSpec, WorkloadSpec,
+    positive_finite, Bound, CompareSpec, Expectation, ScenarioKind, ScenarioSpec, Severity,
+    SpecError, SuiteSpec, SystemSpec, WorkloadSpec,
 };
 pub use store::{resolve_rev, store_report, unix_seconds};
 pub use suites::{builtin_description, builtin_suite, load_suite, SUITE_NAMES};

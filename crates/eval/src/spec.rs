@@ -326,6 +326,30 @@ fn opt_f64(t: &Table, key: &str) -> Result<Option<f64>, SpecError> {
     }
 }
 
+/// Checks that `key`'s `value` is a positive, finite number, the rule
+/// for rates, weights, periods, bandwidths and SLO targets. NaN and the
+/// infinities fail, where a bare `value <= 0.0` test lets NaN through.
+///
+/// # Errors
+///
+/// Returns a [`SpecError`] naming `key`.
+pub fn positive_finite(key: &str, value: f64) -> Result<f64, SpecError> {
+    if value.is_finite() && value > 0.0 {
+        Ok(value)
+    } else {
+        serr(format!(
+            "{key:?} must be a positive finite number, got {value}"
+        ))
+    }
+}
+
+/// An optional number key that must be positive and finite.
+fn opt_positive(t: &Table, key: &str) -> Result<Option<f64>, SpecError> {
+    opt_f64(t, key)?
+        .map(|v| positive_finite(key, v))
+        .transpose()
+}
+
 /// An optional policy-name key validated against its registry at parse
 /// time, so a typo'd autoscaler or router fails at spec load, not
 /// mid-run.
@@ -415,18 +439,18 @@ fn parse_scenario(t: &Table) -> Result<ScenarioSpec, SpecError> {
         scheduler: opt_string(t, "scheduler")?.unwrap_or(d.scheduler),
         chunk_tokens: opt_u32(t, "chunk-tokens")?.unwrap_or(d.chunk_tokens),
         preemption: opt_string(t, "preemption")?.unwrap_or(d.preemption),
-        swap_gbps: opt_f64(t, "swap-gbps")?.unwrap_or(d.swap_gbps),
+        swap_gbps: opt_positive(t, "swap-gbps")?.unwrap_or(d.swap_gbps),
         cost_model,
         replicas: opt_usize(t, "replicas")?.unwrap_or(d.replicas).max(1),
         dispatch: opt_string(t, "dispatch")?.unwrap_or(d.dispatch),
         max_batch: opt_usize(t, "max-batch")?.unwrap_or(d.max_batch).max(1),
         model,
-        slo_ttft_ms: opt_f64(t, "slo-ttft-ms")?.unwrap_or(d.slo_ttft_ms),
-        slo_tpot_ms: opt_f64(t, "slo-tpot-ms")?.unwrap_or(d.slo_tpot_ms),
+        slo_ttft_ms: opt_positive(t, "slo-ttft-ms")?.unwrap_or(d.slo_ttft_ms),
+        slo_tpot_ms: opt_positive(t, "slo-tpot-ms")?.unwrap_or(d.slo_tpot_ms),
         tp: opt_u32(t, "tp")?,
         pp: opt_u32(t, "pp")?,
         interconnect: opt_string(t, "interconnect")?.unwrap_or(d.interconnect),
-        link_gbps: opt_f64(t, "link-gbps")?,
+        link_gbps: opt_positive(t, "link-gbps")?,
         autoscale: opt_name(t, "autoscale", &AUTOSCALE_NAMES, |n| {
             autoscale_from_name(n).is_ok()
         })?,
@@ -487,7 +511,7 @@ fn parse_workload(
     let requests = opt_usize(t, "requests")?.unwrap_or(32).max(1);
     let arrival = match t.get("arrival") {
         None => ArrivalProcess::Poisson {
-            rate: opt_f64(t, "rate")?.unwrap_or(3.0),
+            rate: opt_positive(t, "rate")?.unwrap_or(3.0),
         },
         Some(Value::Table(a)) => parse_arrival(a)?,
         Some(v) => {
@@ -533,10 +557,7 @@ fn parse_workload(
 }
 
 fn parse_arrival(a: &Table) -> Result<ArrivalProcess, SpecError> {
-    let rate = opt_f64(a, "rate")?.unwrap_or(3.0);
-    if rate <= 0.0 {
-        return serr("arrival rate must be positive");
-    }
+    let rate = opt_positive(a, "rate")?.unwrap_or(3.0);
     match opt_string(a, "process")?.as_deref().unwrap_or("poisson") {
         "poisson" => Ok(ArrivalProcess::Poisson { rate }),
         "bursty" => Ok(ArrivalProcess::Bursty {
@@ -548,20 +569,25 @@ fn parse_arrival(a: &Table) -> Result<ArrivalProcess, SpecError> {
             if !(0.0..1.0).contains(&amplitude) {
                 return serr("diurnal amplitude must be in [0, 1)");
             }
-            let period_mcycles = opt_f64(a, "period-mcycles")?.unwrap_or(50.0);
-            if period_mcycles <= 0.0 {
-                return serr("diurnal period-mcycles must be positive");
+            let period_mcycles = opt_positive(a, "period-mcycles")?.unwrap_or(50.0);
+            let period = (period_mcycles * 1e6) as Cycle;
+            if period == 0 {
+                return serr(format!(
+                    "\"period-mcycles\" = {period_mcycles} is shorter than one cycle"
+                ));
             }
             Ok(ArrivalProcess::Diurnal {
                 rate,
                 amplitude,
-                period: (period_mcycles * 1e6) as Cycle,
+                period,
             })
         }
         "heavy-tailed" | "pareto" => {
             let alpha = opt_f64(a, "alpha")?.unwrap_or(1.5);
-            if alpha <= 1.0 {
-                return serr("heavy-tailed alpha must exceed 1");
+            if !(alpha.is_finite() && alpha > 1.0) {
+                return serr(format!(
+                    "\"alpha\" must be a finite number above 1, got {alpha}"
+                ));
             }
             Ok(ArrivalProcess::HeavyTailed { rate, alpha })
         }
@@ -583,9 +609,24 @@ fn parse_length(v: &Value, key: &str) -> Result<LengthDistribution, SpecError> {
         .and_then(Value::as_str)
         .ok_or_else(|| SpecError(format!("{key:?} must start with a distribution name")))?;
     let num = |i: usize| -> Result<f64, SpecError> {
-        arr.get(i)
-            .and_then(Value::as_f64)
-            .ok_or_else(|| SpecError(format!("{key:?}[{i}] must be a number")))
+        match arr.get(i).and_then(Value::as_f64) {
+            Some(x) if x.is_finite() => Ok(x),
+            Some(x) => serr(format!("{key:?}[{i}] must be finite, got {x}")),
+            None => serr(format!("{key:?}[{i}] must be a number")),
+        }
+    };
+    // A token count: whole, at least one, and below `u32::MAX` (so an
+    // inclusive upper bound plus one still fits).
+    let len = |i: usize| -> Result<u32, SpecError> {
+        let x = num(i)?;
+        if x.fract() == 0.0 && x >= 1.0 && x < f64::from(u32::MAX) {
+            Ok(x as u32)
+        } else {
+            serr(format!(
+                "{key:?}[{i}] = {x} must be a whole number of tokens in [1, {})",
+                u32::MAX
+            ))
+        }
     };
     match kind {
         "dataset-input" => {
@@ -602,25 +643,33 @@ fn parse_length(v: &Value, key: &str) -> Result<LengthDistribution, SpecError> {
                 .ok_or_else(|| SpecError(format!("{key:?}[1] must be a dataset name")))?;
             Ok(LengthDistribution::DatasetOutput(dataset_from_name(d)?))
         }
-        "lognormal" => Ok(LengthDistribution::LogNormal {
-            mean: num(1)?,
-            sigma: num(2)?,
-        }),
-        "uniform" => Ok(LengthDistribution::Uniform {
-            lo: num(1)? as u32,
-            hi: num(2)? as u32,
-        }),
-        "fixed" => Ok(LengthDistribution::Fixed(num(1)? as u32)),
+        "lognormal" => {
+            let (mean, sigma) = (num(1)?, num(2)?);
+            if mean < 1.0 {
+                return serr(format!(
+                    "{key:?}[1] = {mean} must be a mean of at least one token"
+                ));
+            }
+            if sigma < 0.0 {
+                return serr(format!("{key:?}[2] = {sigma} must be non-negative"));
+            }
+            Ok(LengthDistribution::LogNormal { mean, sigma })
+        }
+        "uniform" => {
+            let (lo, hi) = (len(1)?, len(2)?);
+            if lo > hi {
+                return serr(format!("{key:?} bounds [{lo}, {hi}] are out of order"));
+            }
+            Ok(LengthDistribution::Uniform { lo, hi })
+        }
+        "fixed" => Ok(LengthDistribution::Fixed(len(1)?)),
         other => serr(format!("unknown length distribution {other:?}")),
     }
 }
 
 fn parse_tenant(t: &Table, system: &SystemSpec) -> Result<(TenantClass, SloClass), SpecError> {
     let name = string(t, "name")?;
-    let weight = opt_f64(t, "weight")?.unwrap_or(1.0);
-    if weight <= 0.0 {
-        return serr(format!("tenant {name:?} weight must be positive"));
-    }
+    let weight = opt_positive(t, "weight")?.unwrap_or(1.0);
     let input = match t.get("input") {
         Some(v) => parse_length(v, "input")?,
         None => return serr(format!("tenant {name:?} missing \"input\" distribution")),
@@ -635,8 +684,8 @@ fn parse_tenant(t: &Table, system: &SystemSpec) -> Result<(TenantClass, SloClass
         None => DEFAULT_TENANT_PRIORITY,
     };
     let slo = SloTargets::from_ms(
-        opt_f64(t, "slo-ttft-ms")?.unwrap_or(system.slo_ttft_ms),
-        opt_f64(t, "slo-tpot-ms")?.unwrap_or(system.slo_tpot_ms),
+        opt_positive(t, "slo-ttft-ms")?.unwrap_or(system.slo_ttft_ms),
+        opt_positive(t, "slo-tpot-ms")?.unwrap_or(system.slo_tpot_ms),
     );
     let slo_class = SloClass::new(&name, slo, priority, 0.0);
     Ok((
@@ -916,6 +965,145 @@ output = ["fixed", 8]
             suite.scenarios[0].kv_bytes_per_channel,
             Some(17_592_186_044_415 << 20)
         );
+    }
+
+    /// A serving scenario touching every validated number: scenario SLOs,
+    /// a diurnal arrival, and one tenant with its own SLO and lengths.
+    const HOSTILE_BASE: &str = r#"
+[suite]
+name = "hostile"
+
+[[scenario]]
+name = "s"
+slo-ttft-ms = 50.0
+slo-tpot-ms = 10.0
+
+[scenario.arrival]
+process = "diurnal"
+rate = 1.0
+period-mcycles = 10.0
+
+[[scenario.tenant]]
+name = "t"
+weight = 1.0
+slo-ttft-ms = 30.0
+slo-tpot-ms = 5.0
+input = ["uniform", 100, 500]
+output = ["lognormal", 60.0, 0.5]
+"#;
+
+    /// The error of [`HOSTILE_BASE`] with `from` replaced by `to`, checked
+    /// to name `key`.
+    fn hostile(from: &str, to: &str, key: &str) -> SpecError {
+        SuiteSpec::parse(HOSTILE_BASE).unwrap();
+        assert!(HOSTILE_BASE.contains(from), "{from}");
+        let e = SuiteSpec::parse(&HOSTILE_BASE.replacen(from, to, 1)).unwrap_err();
+        assert!(e.0.contains(&format!("{key:?}")), "{to}: {e}");
+        e
+    }
+
+    #[test]
+    fn non_finite_arrival_rate_is_rejected() {
+        for rate in ["nan", "inf", "-1.0", "0.0"] {
+            hostile("rate = 1.0", &format!("rate = {rate}"), "rate");
+        }
+        let flat = "[suite]\nname = \"m\"\n[[scenario]]\nname = \"s\"\nrate = nan\n";
+        assert!(SuiteSpec::parse(flat).unwrap_err().0.contains("\"rate\""));
+    }
+
+    #[test]
+    fn non_finite_diurnal_period_is_rejected() {
+        for p in ["nan", "inf", "0.0"] {
+            let to = format!("period-mcycles = {p}");
+            hostile("period-mcycles = 10.0", &to, "period-mcycles");
+        }
+        // Positive but under one cycle: the generator needs a period.
+        hostile(
+            "period-mcycles = 10.0",
+            "period-mcycles = 1e-9",
+            "period-mcycles",
+        );
+    }
+
+    #[test]
+    fn non_finite_heavy_tail_alpha_is_rejected() {
+        for alpha in ["nan", "inf", "1.0"] {
+            let to = format!("process = \"heavy-tailed\"\nalpha = {alpha}");
+            hostile("process = \"diurnal\"", &to, "alpha");
+        }
+    }
+
+    #[test]
+    fn non_finite_tenant_weight_is_rejected() {
+        for w in ["nan", "inf", "-2.0"] {
+            hostile("weight = 1.0", &format!("weight = {w}"), "weight");
+        }
+    }
+
+    #[test]
+    fn non_finite_slo_targets_are_rejected() {
+        // The scenario's own targets, then the tenant's.
+        hostile("slo-ttft-ms = 50.0", "slo-ttft-ms = nan", "slo-ttft-ms");
+        hostile("slo-tpot-ms = 10.0", "slo-tpot-ms = -5.0", "slo-tpot-ms");
+        hostile("slo-ttft-ms = 30.0", "slo-ttft-ms = inf", "slo-ttft-ms");
+        hostile("slo-tpot-ms = 5.0", "slo-tpot-ms = nan", "slo-tpot-ms");
+    }
+
+    #[test]
+    fn non_positive_bandwidths_are_rejected() {
+        // A zero swap bandwidth would panic when a swap is priced.
+        hostile("slo-ttft-ms = 50.0", "swap-gbps = 0.0", "swap-gbps");
+        hostile("slo-ttft-ms = 50.0", "link-gbps = inf", "link-gbps");
+    }
+
+    #[test]
+    fn out_of_order_uniform_bounds_are_rejected() {
+        let e = hostile(
+            "[\"uniform\", 100, 500]",
+            "[\"uniform\", 500, 100]",
+            "input",
+        );
+        assert!(e.0.contains("out of order"), "{e}");
+    }
+
+    #[test]
+    fn lengths_outside_u32_are_rejected() {
+        // `hi + 1` of u32::MAX used to wrap into an empty sampling range.
+        for bad in [
+            "[\"uniform\", 1, 4294967295]",
+            "[\"uniform\", 0, 5]",
+            "[\"fixed\", 1e12]",
+        ] {
+            hostile("[\"uniform\", 100, 500]", bad, "input");
+        }
+        let max = "[\"uniform\", 1, 4294967294]";
+        assert!(
+            SuiteSpec::parse(&HOSTILE_BASE.replacen("[\"uniform\", 100, 500]", max, 1)).is_ok()
+        );
+    }
+
+    #[test]
+    fn fractional_lengths_are_rejected() {
+        for bad in [
+            "[\"uniform\", 1.5, 8]",
+            "[\"fixed\", 7.9]",
+            "[\"fixed\", nan]",
+        ] {
+            hostile("[\"uniform\", 100, 500]", bad, "input");
+        }
+    }
+
+    #[test]
+    fn non_finite_lognormal_parameters_are_rejected() {
+        for bad in [
+            "[\"lognormal\", nan, 0.6]",
+            "[\"lognormal\", inf, 0.6]",
+            "[\"lognormal\", 0.5, 0.6]",
+            "[\"lognormal\", 60.0, nan]",
+            "[\"lognormal\", 60.0, -1.0]",
+        ] {
+            hostile("[\"lognormal\", 60.0, 0.5]", bad, "output");
+        }
     }
 
     #[test]

@@ -165,7 +165,7 @@ pub fn parse(text: &str) -> Result<Table, TomlError> {
                 return err(line_no, format!("expected `key = value`, got {line:?}"));
             };
             let key = parse_key(line[..eq].trim(), line_no)?;
-            let value = parse_value(line[eq + 1..].trim(), line_no)?;
+            let value = parse_value(line[eq + 1..].trim(), line_no, 0)?;
             let table = resolve_table(&mut root, &current, line_no)?;
             if table.insert(key.clone(), value).is_some() {
                 return err(line_no, format!("duplicate key {key:?}"));
@@ -278,7 +278,13 @@ fn push_array_element(root: &mut Table, path: &[String], line: usize) -> Result<
     }
 }
 
-fn parse_value(raw: &str, line: usize) -> Result<Value, TomlError> {
+/// Deepest array nesting a value may have. The suite schema needs two
+/// levels; the cap keeps the recursion below from overflowing the stack
+/// on hostile input.
+const MAX_ARRAY_DEPTH: usize = 4;
+
+/// Parses one value nested inside `depth` arrays.
+fn parse_value(raw: &str, line: usize, depth: usize) -> Result<Value, TomlError> {
     if raw.is_empty() {
         return err(line, "missing value");
     }
@@ -289,6 +295,12 @@ fn parse_value(raw: &str, line: usize) -> Result<Value, TomlError> {
         return Ok(Value::Str(unescape(inner, line)?));
     }
     if let Some(inner) = raw.strip_prefix('[') {
+        if depth == MAX_ARRAY_DEPTH {
+            return err(
+                line,
+                format!("arrays nest deeper than {MAX_ARRAY_DEPTH} levels"),
+            );
+        }
         let Some(inner) = inner.strip_suffix(']') else {
             return err(line, "unterminated array (arrays must be single-line)");
         };
@@ -296,7 +308,7 @@ fn parse_value(raw: &str, line: usize) -> Result<Value, TomlError> {
         for part in split_top_level(inner) {
             let part = part.trim();
             if !part.is_empty() {
-                items.push(parse_value(part, line)?);
+                items.push(parse_value(part, line, depth + 1)?);
             }
         }
         return Ok(Value::Array(items));
@@ -431,6 +443,23 @@ name = "serve-2"
         assert!(e.message.contains("duplicate"), "{e}");
         let e = parse("x = @nope").unwrap_err();
         assert!(e.message.contains("unrecognized"), "{e}");
+    }
+
+    #[test]
+    fn deep_array_nesting_is_a_line_numbered_error() {
+        let t = parse("x = [[1, 2], [3]]").unwrap();
+        assert_eq!(t["x"].as_array().unwrap().len(), 2);
+        let ok = format!(
+            "x = {}1{}",
+            "[".repeat(MAX_ARRAY_DEPTH),
+            "]".repeat(MAX_ARRAY_DEPTH)
+        );
+        assert!(parse(&ok).is_ok());
+        // 30,000 levels used to overflow the stack.
+        let deep = format!("a = 1\nx = {}{}", "[".repeat(30_000), "]".repeat(30_000));
+        let e = parse(&deep).unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("nest deeper"), "{e}");
     }
 
     #[test]

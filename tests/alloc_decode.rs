@@ -1,4 +1,5 @@
-//! Exact heap-allocation counts of the decode hot path.
+//! Exact heap-allocation counts of the decode hot path and of a
+//! steady-state serving step.
 //!
 //! A counting global allocator wraps `System` and counts, per thread,
 //! every allocation and reallocation. The pins below are exact: a change
@@ -11,6 +12,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use neupims_core::device::{Device, DeviceMode, SbiPolicy};
+use neupims_core::scheduler::scheduler_from_name;
+use neupims_core::serving::{ServingConfig, ServingSim, StepEvent};
 use neupims_pim::calibrate;
 use neupims_sched::{assign_min_load, CostModelKind, MinLoadPacker};
 use neupims_types::{LlmConfig, NeuPimsConfig};
@@ -137,4 +140,59 @@ fn assign_min_load_allocates_its_buffers_once() {
     packer.assign(&seqs, &costs, 32, &mut out);
     let (_, n) = allocations(|| packer.assign(&seqs, &costs, 32, &mut out));
     assert_eq!(n, 0);
+}
+
+/// Allocations of one steady-state `ServingSim::step`: every request
+/// admitted and decoding, none completing, and the replay memo warm for
+/// every context the batch reaches.
+fn steady_step_allocations(scheduler: &str, kind: CostModelKind) -> u64 {
+    let cfg = NeuPimsConfig::table2();
+    let cal = calibrate(&cfg).unwrap();
+    let device = Device::new(cfg, cal, DeviceMode::neupims()).with_cost_model(kind);
+    let scfg = ServingConfig {
+        max_batch: 64,
+        tp: 4,
+        layers: 32,
+        target_completions: 0,
+        slo: None,
+    };
+    let mut sim = ServingSim::with_scheduler(
+        device,
+        LlmConfig::gpt3_7b(),
+        scfg,
+        scheduler_from_name(scheduler, 256).unwrap(),
+    );
+    sim.warm_cost_model(&[(1, 2048)], 1);
+    for id in 0..48u32 {
+        sim.submit(id, 64 + id * 13, 400, 0).unwrap();
+    }
+    // 100 iterations: past every admission and on-device prefill chunk,
+    // and short of the 129th, which would grow the iteration log's
+    // capacity from 128.
+    let mut iterations = 0;
+    while iterations < 100 {
+        if sim.step().unwrap() == StepEvent::Iteration {
+            iterations += 1;
+        }
+    }
+    assert_eq!(sim.waiting_len(), 0, "every request is admitted");
+    let (event, n) = allocations(|| sim.step().unwrap());
+    assert_eq!(event, StepEvent::Iteration);
+    assert_eq!(sim.completed(), 0, "no request completes");
+    n
+}
+
+#[test]
+fn steady_serving_step_allocates_only_its_plan() {
+    // Five per step, all on the pricing path: the batch's context lengths
+    // handed to the backend (`price_decode`), the backend label of the
+    // `IterationResult`, the breakdown's per-channel `pim_busy`,
+    // Algorithm 3's per-channel quota (`SubBatchSides`), and the plan's
+    // decoded request ids (`IterationPlan.decode`). Admission, token
+    // growth, KV accounting and the completion pass allocate nothing.
+    assert_eq!(
+        steady_step_allocations("interleaved", CostModelKind::TraceDriven),
+        5
+    );
+    assert_eq!(steady_step_allocations("lump", CostModelKind::Analytic), 5);
 }

@@ -1,4 +1,5 @@
-//! CLI output goldens: `fleet` and `serve` stdout, byte for byte.
+//! CLI output goldens: `fleet` and `serve` stdout, byte for byte, and
+//! the exit status of hostile `--tenants` input.
 //!
 //! Each invocation's stdout was recorded into `tests/golden/cli/*.md`
 //! before the CLI and the eval runner moved onto one shared system
@@ -116,4 +117,27 @@ fn fleet_orchestrated_tenants() {
 #[test]
 fn serve_default() {
     assert_stdout_matches("serve", &["serve", "--requests", "32"]);
+}
+
+/// Non-finite or non-positive `--tenants` weights and SLO targets exit
+/// with an error naming the field, before anything runs.
+#[test]
+fn hostile_tenants_are_rejected_by_field() {
+    for (spec, field) in [
+        ("a:nan:1", "weight"),
+        ("a:inf:1", "weight"),
+        ("a:-1:1", "weight"),
+        ("a:1:1:nan:5", "ttft_ms"),
+        ("a:1:1:-5:5", "ttft_ms"),
+        ("a:1:1:5:inf", "tpot_ms"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_neupims-sim"))
+            .args(["fleet", "--requests", "4", "--tenants", spec])
+            .output()
+            .expect("the CLI binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{spec}: {stderr}");
+        assert!(stderr.contains(&format!("{field:?}")), "{spec}: {stderr}");
+        assert!(out.stdout.is_empty(), "{spec} printed a report");
+    }
 }
