@@ -10,20 +10,21 @@
 //!
 //! Everything above the device models is generic over this trait: the
 //! [`Simulation`](crate::simulation::Simulation) builder, the serving loop
-//! ([`ServingSim<B>`](crate::serving::ServingSim)), and the multi-device
-//! scaling model ([`cluster_throughput`](crate::cluster::cluster_throughput)).
+//! ([`ServingSim<B>`](crate::serving::ServingSim)), and the multi-chip
+//! deployment wrapper ([`ShardedBackend`](crate::sharding::ShardedBackend)).
 //! Adding a new accelerator model to every experiment, scheduler policy,
 //! and serving scenario is therefore one `impl Backend` away.
 //!
 //! # Example
 //!
 //! ```
-//! use neupims_core::backend::{Backend, GpuRooflineBackend, NeuPimsBackend};
+//! use neupims_core::backend::{Backend, GpuRooflineBackend};
+//! use neupims_core::device::Device;
 //! use neupims_types::LlmConfig;
 //!
 //! let model = LlmConfig::gpt3_7b();
 //! let backends: Vec<Box<dyn Backend>> = vec![
-//!     Box::new(NeuPimsBackend::table2().unwrap()),
+//!     Box::new(Device::table2().unwrap()),
 //!     Box::new(GpuRooflineBackend::a100()),
 //! ];
 //! for b in &backends {
@@ -245,8 +246,9 @@ impl IterationResult {
 /// rely on it). They must also be `Send + Sync`, so fleet replicas can
 /// advance on [`std::thread::scope`] workers between dispatch points —
 /// backends are pure pricing models, and shared mutable internals (e.g.
-/// trace-replay memos) must synchronize themselves (the shipped one uses
-/// a mutex).
+/// trace-replay memos) must synchronize themselves (the shipped
+/// [`TraceMemo`] keeps its replays in sharded `RwLock`s behind a table of
+/// atomic buckets).
 pub trait Backend: Send + Sync {
     /// Human-readable system label (e.g. `"NeuPIMs"`, `"GPU-only"`).
     fn label(&self) -> &str;
@@ -294,7 +296,7 @@ pub trait Backend: Send + Sync {
     /// The cost-model kind this backend was configured to price its own
     /// decode iterations with ([`CostModelKind::Analytic`] unless the
     /// implementation carries a knob, like
-    /// [`NeuPimsBackend::with_cost_model`]). Serving layers use it as
+    /// [`Device::with_cost_model`]). Serving layers use it as
     /// their default, so configuring the backend alone is enough for a
     /// coherent end-to-end run.
     fn preferred_cost_model(&self) -> CostModelKind {
@@ -503,8 +505,16 @@ impl<B: Backend + ?Sized> Backend for Box<B> {
     }
 }
 
-/// The low-level [`Device`] is itself a backend, so existing code holding a
-/// device plugs directly into the generic serving/cluster harnesses.
+/// The NeuPIMs accelerator (or one of its ablation arms) as a backend, in
+/// any [`DeviceMode`]: `NpuOnly` and `NaiveNpuPim` cover the paper's
+/// simulator baselines, `NeuPims { .. }` covers the Figure 13 ablation
+/// arms and the full system.
+///
+/// On a concrete `Device`, method-call syntax picks the inherent
+/// [`Device::decode_iteration`] and [`Device::prefill_cycles`], which
+/// return the bare breakdown and a [`SimError`]; call
+/// `Backend::decode_iteration(&device, ..)` for the labelled
+/// [`IterationResult`] and [`BackendError`].
 impl Backend for Device {
     fn label(&self) -> &str {
         self.mode().label()
@@ -576,128 +586,6 @@ impl Backend for Device {
         Device::decode_iteration(self, model, tp, layers, seq_lens)
             .map(|b| IterationResult::new(Backend::label(self), b))
             .map_err(|e| BackendError::sim(Backend::label(self), e))
-    }
-}
-
-/// The NeuPIMs accelerator (or one of its ablation arms) as a backend.
-///
-/// Wraps a [`Device`] in any [`DeviceMode`]: `NpuOnly` and `NaiveNpuPim`
-/// cover the paper's simulator baselines, `NeuPims { .. }` covers the
-/// Figure 13 ablation arms and the full system.
-#[derive(Debug, Clone)]
-pub struct NeuPimsBackend {
-    device: Device,
-}
-
-impl NeuPimsBackend {
-    /// Builds a backend from a hardware config, calibration, and mode.
-    pub fn new(cfg: NeuPimsConfig, cal: PimCalibration, mode: DeviceMode) -> Self {
-        Self {
-            device: Device::new(cfg, cal, mode),
-        }
-    }
-
-    /// Wraps an existing device.
-    pub fn from_device(device: Device) -> Self {
-        Self { device }
-    }
-
-    /// The full NeuPIMs system on the Table 2 hardware (calibrates the PIM
-    /// constants from the cycle model).
-    ///
-    /// # Errors
-    ///
-    /// Propagates calibration failures.
-    pub fn table2() -> Result<Self, SimError> {
-        Self::table2_mode(DeviceMode::neupims())
-    }
-
-    /// A specific [`DeviceMode`] on the Table 2 hardware.
-    ///
-    /// # Errors
-    ///
-    /// Propagates calibration failures.
-    pub fn table2_mode(mode: DeviceMode) -> Result<Self, SimError> {
-        let cfg = NeuPimsConfig::table2();
-        let cal = calibrate(&cfg)?;
-        Ok(Self::new(cfg, cal, mode))
-    }
-
-    /// Selects the MHA cost model the wrapped device prices decode
-    /// iterations with (and hands to schedulers): the Algorithm 1 closed
-    /// form (the default) or trace-driven command-stream replay.
-    pub fn with_cost_model(mut self, kind: CostModelKind) -> Self {
-        self.device = self.device.with_cost_model(kind);
-        self
-    }
-
-    /// The wrapped device.
-    pub fn device(&self) -> &Device {
-        &self.device
-    }
-}
-
-impl Backend for NeuPimsBackend {
-    fn label(&self) -> &str {
-        self.device.mode().label()
-    }
-
-    fn caps(&self) -> BackendCaps {
-        Backend::caps(&self.device)
-    }
-
-    fn peak_compute(&self) -> f64 {
-        Backend::peak_compute(&self.device)
-    }
-
-    fn mem_config(&self) -> MemConfig {
-        Backend::mem_config(&self.device)
-    }
-
-    fn interconnect(&self) -> InterconnectConfig {
-        Backend::interconnect(&self.device)
-    }
-
-    #[allow(deprecated)]
-    fn mha_estimator(&self, model: &LlmConfig, tp: u32) -> Option<MhaLatencyEstimator> {
-        Backend::mha_estimator(&self.device, model, tp)
-    }
-
-    fn preferred_cost_model(&self) -> CostModelKind {
-        Backend::preferred_cost_model(&self.device)
-    }
-
-    fn mha_cost_model(
-        &self,
-        model: &LlmConfig,
-        tp: u32,
-        kind: CostModelKind,
-    ) -> Option<Box<dyn MhaCostModel>> {
-        Backend::mha_cost_model(&self.device, model, tp, kind)
-    }
-
-    fn attach_trace_memo(&mut self, memo: &TraceMemo) -> bool {
-        Device::attach_trace_memo(&mut self.device, memo)
-    }
-
-    fn prefill_cycles(
-        &self,
-        model: &LlmConfig,
-        tp: u32,
-        layers: u32,
-        prompt_lens: &[u64],
-    ) -> Result<Cycle, BackendError> {
-        Backend::prefill_cycles(&self.device, model, tp, layers, prompt_lens)
-    }
-
-    fn decode_iteration(
-        &self,
-        model: &LlmConfig,
-        tp: u32,
-        layers: u32,
-        seq_lens: &[u64],
-    ) -> Result<IterationResult, BackendError> {
-        Backend::decode_iteration(&self.device, model, tp, layers, seq_lens)
     }
 }
 
@@ -905,7 +793,7 @@ pub fn backend_from_name_with_cost(
     cal: &PimCalibration,
     kind: CostModelKind,
 ) -> Result<Box<dyn Backend>, BackendError> {
-    let mode = |m| Box::new(NeuPimsBackend::new(*cfg, *cal, m).with_cost_model(kind));
+    let mode = |m| Box::new(Device::new(*cfg, *cal, m).with_cost_model(kind));
     Ok(match name.to_ascii_lowercase().as_str() {
         "gpu" | "gpu-only" => Box::new(
             GpuRooflineBackend::a100()
@@ -943,11 +831,11 @@ mod tests {
     #[test]
     fn labels_and_caps() {
         let (cfg, cal) = table2();
-        let neu = NeuPimsBackend::new(cfg, cal, DeviceMode::neupims());
+        let neu = Device::new(cfg, cal, DeviceMode::neupims());
         assert_eq!(neu.label(), "NeuPIMs");
         assert!(neu.caps().uses_pim && neu.caps().dual_row_buffer);
 
-        let npu = NeuPimsBackend::new(cfg, cal, DeviceMode::NpuOnly);
+        let npu = Device::new(cfg, cal, DeviceMode::NpuOnly);
         assert_eq!(npu.label(), "NPU-only");
         assert!(!npu.caps().uses_pim);
 
@@ -964,7 +852,7 @@ mod tests {
     fn peak_compute_is_positive_everywhere() {
         let (cfg, cal) = table2();
         let backends: Vec<Box<dyn Backend>> = vec![
-            Box::new(NeuPimsBackend::new(cfg, cal, DeviceMode::neupims())),
+            Box::new(Device::new(cfg, cal, DeviceMode::neupims())),
             Box::new(GpuRooflineBackend::a100()),
             Box::new(TransPimBackend::new(cfg, cal)),
         ];
@@ -1018,9 +906,9 @@ mod tests {
     #[test]
     fn errors_carry_backend_labels() {
         let (cfg, cal) = table2();
-        let b = NeuPimsBackend::new(cfg, cal, DeviceMode::neupims());
+        let b = Device::new(cfg, cal, DeviceMode::neupims());
         let model = LlmConfig::gpt3_7b();
-        let err = b.decode_iteration(&model, 4, 8, &[]).unwrap_err();
+        let err = Backend::decode_iteration(&b, &model, 4, 8, &[]).unwrap_err();
         assert!(err.to_string().contains("NeuPIMs"), "{err}");
         let sim: SimError = err.into();
         assert!(matches!(sim, SimError::InvalidShape(_)));
@@ -1031,7 +919,7 @@ mod tests {
         let (cfg, cal) = table2();
         let model = LlmConfig::gpt3_7b();
         let backends: Vec<Box<dyn Backend>> = vec![
-            Box::new(NeuPimsBackend::new(cfg, cal, DeviceMode::neupims())),
+            Box::new(Device::new(cfg, cal, DeviceMode::neupims())),
             Box::new(GpuRooflineBackend::a100()),
             Box::new(TransPimBackend::new(cfg, cal)),
         ];

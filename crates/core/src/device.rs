@@ -43,7 +43,7 @@ use std::sync::OnceLock;
 use neupims_kvcache::KvGeometry;
 use neupims_llm::{heads_per_device, lower_batch};
 use neupims_npu::VectorCost;
-use neupims_pim::PimCalibration;
+use neupims_pim::{calibrate, PimCalibration};
 use neupims_sched::{
     AnalyticCostModel, CostModelKind, MhaCostModel, MhaLatencyEstimator, MinLoadPacker,
     SubBatchSides, TraceDrivenCostModel, TraceHardware, TraceMemo,
@@ -269,6 +269,27 @@ impl Device {
             trace_hw: TraceHardware::new(&cfg),
             decode_model: OnceLock::new(),
         }
+    }
+
+    /// The full NeuPIMs system on the Table 2 hardware, with the PIM
+    /// constants calibrated from the cycle model.
+    ///
+    /// # Errors
+    ///
+    /// Propagates calibration failures.
+    pub fn table2() -> Result<Self, SimError> {
+        Self::table2_mode(DeviceMode::neupims())
+    }
+
+    /// A specific [`DeviceMode`] on the Table 2 hardware.
+    ///
+    /// # Errors
+    ///
+    /// Propagates calibration failures.
+    pub fn table2_mode(mode: DeviceMode) -> Result<Self, SimError> {
+        let cfg = NeuPimsConfig::table2();
+        let cal = calibrate(&cfg)?;
+        Ok(Self::new(cfg, cal, mode))
     }
 
     /// Selects the MHA cost model this device prices decode iterations

@@ -29,10 +29,11 @@ use neupims_types::{GpuSpec, LlmConfig, NeuPimsConfig, Phase};
 use neupims_workload::{warm_batch, Dataset};
 
 use crate::backend::{
-    backend_from_name, Backend, BackendError, GpuRooflineBackend, NeuPimsBackend, TransPimBackend,
+    backend_from_name, Backend, BackendError, GpuRooflineBackend, TransPimBackend,
 };
-use crate::cluster::{cluster_throughput, ClusterSpec};
 use crate::device::{Device, DeviceMode, SbiPolicy};
+use crate::interconnect::PcieLink;
+use crate::sharding::{ClusterSpec, ShardedBackend};
 use crate::simulation::{Simulation, SimulationBuilder};
 
 /// Shared context: hardware config plus one-time PIM calibration.
@@ -71,13 +72,9 @@ impl ExperimentContext {
         self
     }
 
-    fn device(&self, mode: DeviceMode) -> Device {
-        Device::new(self.cfg, self.cal, mode)
-    }
-
     /// The NeuPIMs device in `mode` as a backend.
-    pub fn neupims_backend(&self, mode: DeviceMode) -> NeuPimsBackend {
-        NeuPimsBackend::new(self.cfg, self.cal, mode)
+    pub fn neupims_backend(&self, mode: DeviceMode) -> Device {
+        Device::new(self.cfg, self.cal, mode)
     }
 
     /// The GPU-only roofline baseline under the Section 8.1 fairness rule:
@@ -241,7 +238,7 @@ pub fn fig6_layer_util(ctx: &ExperimentContext) -> Result<Vec<Fig6Row>, neupims_
     let model = LlmConfig::gpt3_30b();
     let mut rng = StdRng::seed_from_u64(ctx.seed);
     let seqs = ctx.warm_seqs(&mut rng, Dataset::ShareGpt, 128);
-    let d = ctx.device(DeviceMode::NaiveNpuPim);
+    let d = ctx.neupims_backend(DeviceMode::NaiveNpuPim);
     let b = d.decode_iteration(&model, 4, model.num_layers / 2, &seqs)?;
     let u = b.utilization(&ctx.cfg);
     // Stage-resolved utilization of the serialized naive device: during
@@ -449,6 +446,12 @@ pub struct Fig14Row {
 /// Regenerates Figure 14: throughput of the paper's (TP, PP) combinations
 /// at 256 total requests (GPT3-7B shardable across all of them).
 ///
+/// Each point is a [`ShardedBackend`] of `pp` pipeline stages over the
+/// device's own PCIe link, priced at device-internal `tp`: the device
+/// prices its TP all-reduces itself (interleaved with compute under
+/// sub-batch interleaving), and the wrapper adds the pipeline split and
+/// the stage hop.
+///
 /// # Errors
 ///
 /// Propagates cluster/device-model errors.
@@ -466,18 +469,21 @@ pub fn fig14_parallelism(
         (16, 4),
         (8, 8),
     ];
-    let backend = ctx.neupims_backend(DeviceMode::neupims());
+    let dev = ctx.neupims_backend(DeviceMode::neupims());
     let mut rng = StdRng::seed_from_u64(ctx.seed ^ 0x14);
     let seqs = ctx.warm_seqs(&mut rng, Dataset::ShareGpt, 256);
     let mut rows = Vec::new();
     for (tp, pp) in combos {
-        let spec = ClusterSpec::new(tp, pp);
-        let thr = cluster_throughput(&backend, &model, spec, &seqs)?;
+        let pipeline = ShardedBackend::new(
+            &dev,
+            ClusterSpec::new(1, pp),
+            Box::new(PcieLink::from_config(dev.config().interconnect)),
+        )?;
         rows.push(Fig14Row {
-            devices: spec.devices(),
+            devices: tp * pp,
             tp,
             pp,
-            tokens_per_sec: thr,
+            tokens_per_sec: pipeline.cluster_tokens_per_sec(&model, tp, &seqs)?,
         });
     }
     Ok(rows)
@@ -520,7 +526,7 @@ pub fn fig15_transpim(
                     neupims_backend.decode_iteration(&model, 4, model.num_layers, &seqs)?;
                 let trans =
                     transpim_backend.decode_iteration(&model, 4, model.num_layers, &seqs)?;
-                speedup += trans.total_cycles() as f64 / neupims.total_cycles().max(1) as f64;
+                speedup += trans.total_cycles() as f64 / neupims.total_cycles.max(1) as f64;
             }
             rows.push(Fig15Row {
                 dataset: dataset.name(),
@@ -638,10 +644,10 @@ pub fn table5_power(ctx: &ExperimentContext) -> Result<Table5Result, neupims_typ
 
     let params = DramPowerParams::default();
     let baseline_mw = params
-        .channel_power(&base.breakdown.dram_activity(&ctx.cfg, false))
+        .channel_power(&base.dram_activity(&ctx.cfg, false))
         .total_mw();
     let neupims_mw = params
-        .channel_power(&neu.breakdown.dram_activity(&ctx.cfg, true))
+        .channel_power(&neu.dram_activity(&ctx.cfg, true))
         .total_mw();
 
     // Fleet-average speedup over ShareGPT at the larger batch sizes (the
@@ -660,7 +666,7 @@ pub fn table5_power(ctx: &ExperimentContext) -> Result<Table5Result, neupims_typ
             let b1 = ctx
                 .neupims_backend(DeviceMode::neupims())
                 .decode_iteration(&m, m.parallelism.tp, m.num_layers, &s)?;
-            speedups.push(b0.total_cycles() as f64 / b1.total_cycles().max(1) as f64);
+            speedups.push(b0.total_cycles as f64 / b1.total_cycles.max(1) as f64);
         }
     }
     let speedup = speedups.iter().sum::<f64>() / speedups.len() as f64;

@@ -17,9 +17,9 @@
 //! * [`NocLink`] — a LEAP-style scalable PIM network-on-chip: a 2D mesh
 //!   of narrower links, where hop count grows with `ceil(sqrt(chips))`.
 //! * [`IdealLink`] — zero latency, infinite bandwidth. The limit in which
-//!   sharded pricing must reproduce the legacy divide-and-ceil
-//!   [`cluster_throughput`](crate::cluster::cluster_throughput) numbers
-//!   bit-for-bit (the parity pin of `tests/parity_sharding.rs`).
+//!   sharded pricing must reproduce the retired divide-and-ceil
+//!   multi-device model bit-for-bit (its values are frozen in
+//!   `tests/parity_sharding.rs`).
 //!
 //! Every implementation is a pure, deterministic cost model: collective
 //! cost is monotone non-decreasing in both message size and chip count
@@ -65,7 +65,8 @@ impl Clone for Box<dyn Interconnect> {
 /// Zero-latency, infinite-bandwidth fabric: every transfer is free.
 ///
 /// This is the limit in which [`crate::sharding::ShardedBackend`] must
-/// reproduce the legacy `cluster_throughput` numbers exactly.
+/// reproduce the frozen numbers of the retired divide-and-ceil
+/// multi-device model exactly.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IdealLink;
 
@@ -93,7 +94,7 @@ impl Interconnect for IdealLink {
 
 /// PCIe/CXL-class point-to-point links in a ring.
 ///
-/// Point-to-point pricing is the legacy `cluster_throughput` formula
+/// Point-to-point pricing is the Figure 14 stage-hop formula
 /// (`bytes / bandwidth + latency`), and the ring all-reduce is the exact
 /// device-internal formula, so wrapping a device behind
 /// `PcieLink::from_config(device.interconnect())` re-prices collectives
@@ -396,8 +397,8 @@ mod tests {
 
     #[test]
     fn pcie_matches_legacy_formulas() {
-        // Point-to-point is the legacy cluster comm term; all-reduce is
-        // the device-internal ring formula, verbatim.
+        // Point-to-point is the Figure 14 stage hop; all-reduce is the
+        // device-internal ring formula, verbatim.
         let ic = InterconnectConfig::pcie_cxl();
         let l = PcieLink::from_config(ic);
         let bytes = 1_234_567u64;

@@ -5,7 +5,7 @@
 //! substrate crates:
 //!
 //! * [`backend`] — the unified [`Backend`] trait every simulated system
-//!   implements ([`NeuPimsBackend`] in all three device modes,
+//!   implements ([`Device`] in all three device modes,
 //!   [`GpuRooflineBackend`], [`TransPimBackend`]), with structured
 //!   [`IterationResult`] / [`BackendError`] types and a name registry for
 //!   CLI selection;
@@ -20,8 +20,6 @@
 //! * [`gpu`] — the GPU-only roofline baseline (A100-class);
 //! * [`transpim`] — the TransPIM comparator (PIM-only, single-request
 //!   token dataflow) for Figure 15;
-//! * [`cluster`] — tensor/pipeline-parallel multi-device throughput
-//!   (Section 7, Figure 14), generic over any backend;
 //! * [`interconnect`] — the [`Interconnect`] trait pricing chip-to-chip
 //!   collectives (ring all-reduce/all-gather, point-to-point hops) with
 //!   PCIe/CXL-style links, IANUS-style unified-memory fabrics, and
@@ -30,7 +28,8 @@
 //!   [`ShardedBackend`] wraps any backend, splitting attention heads and
 //!   FFN columns across a TP group and pipelining layer stages with
 //!   explicit bubble accounting, re-pricing every collective on an
-//!   [`Interconnect`]; [`KvShardPlan`] spans the KV cache across the
+//!   [`Interconnect`] — the one home of (TP, PP) throughput, Figure 14
+//!   included; [`KvShardPlan`] spans the KV cache across the
 //!   deployment's devices;
 //! * [`event`] — the discrete-event spine: a global-clock [`EventQueue`]
 //!   of typed [`SimEvent`]s (arrival, iteration-complete,
@@ -69,7 +68,7 @@
 //! # Example
 //!
 //! ```
-//! use neupims_core::backend::NeuPimsBackend;
+//! use neupims_core::device::Device;
 //! use neupims_core::simulation::Simulation;
 //! use neupims_types::LlmConfig;
 //! use neupims_workload::Dataset;
@@ -77,7 +76,7 @@
 //! let model = LlmConfig::gpt3_7b();
 //! let sim = Simulation::builder()
 //!     .model(model)
-//!     .backend(NeuPimsBackend::table2().unwrap())
+//!     .backend(Device::table2().unwrap())
 //!     .dataset(Dataset::ShareGpt)
 //!     .batch(64)
 //!     .build()
@@ -91,7 +90,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod cluster;
 pub mod device;
 pub mod event;
 pub mod experiments;
@@ -113,10 +111,8 @@ pub mod transpim;
 
 pub use backend::{
     backend_from_name, backend_from_name_with_cost, Backend, BackendCaps, BackendError,
-    CapabilityProfile, GpuRooflineBackend, IterationResult, NeuPimsBackend, TransPimBackend,
-    BACKEND_NAMES,
+    CapabilityProfile, GpuRooflineBackend, IterationResult, TransPimBackend, BACKEND_NAMES,
 };
-pub use cluster::{cluster_throughput, ClusterSpec};
 pub use device::{Device, DeviceMode, SbiPolicy};
 pub use event::{EventQueue, SimEvent};
 pub use experiments::ExperimentContext;
@@ -147,8 +143,8 @@ pub use serving::{
     RequestMetrics, ServingConfig, ServingOutcome, ServingSim, SloTargets, StepEvent,
 };
 pub use sharding::{
-    pipeline_schedule, split_evenly, KvShardPlan, PipelineTiming, ShardPlan, ShardedBackend,
-    ShardedIteration,
+    pipeline_schedule, split_evenly, ClusterSpec, KvShardPlan, PipelineTiming, ShardPlan,
+    ShardedBackend, ShardedIteration,
 };
 pub use simulation::{Simulation, SimulationBuilder};
 pub use system::{System, SystemSpec};

@@ -44,7 +44,7 @@
 //! # Example
 //!
 //! ```
-//! use neupims_core::backend::NeuPimsBackend;
+//! use neupims_core::device::Device;
 //! use neupims_core::scheduler::{scheduler_from_name, SchedulerPolicy, SubBatchInterleaved};
 //! use neupims_core::serving::{ServingConfig, ServingSim};
 //! use neupims_types::LlmConfig;
@@ -57,7 +57,7 @@
 //!     slo: None,
 //! };
 //! let mut sim = ServingSim::with_scheduler(
-//!     NeuPimsBackend::table2().unwrap(),
+//!     Device::table2().unwrap(),
 //!     LlmConfig::gpt3_7b(),
 //!     cfg,
 //!     Box::new(SubBatchInterleaved::new(512)),
@@ -617,7 +617,9 @@ pub fn scheduler_from_name(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{GpuRooflineBackend, NeuPimsBackend};
+    use crate::backend::GpuRooflineBackend;
+    use crate::device::DeviceMode;
+    use crate::testsupport::table2_device;
 
     type DemandFixtures = (Vec<(RequestId, u64)>, Vec<PrefillProgress>, Vec<ChannelId>);
 
@@ -670,7 +672,7 @@ mod tests {
 
     #[test]
     fn chunks_are_fifo_and_budgeted() {
-        let backend = NeuPimsBackend::table2().unwrap();
+        let backend = table2_device(DeviceMode::neupims());
         let model = LlmConfig::gpt3_7b();
         let (_, prefill, _) = demand_fixtures();
         let (chunks, cycles) = take_chunks(&backend, &model, 4, 32, &prefill, 256).unwrap();
@@ -687,7 +689,7 @@ mod tests {
 
     #[test]
     fn chunk_costs_telescope_to_the_lump_cost() {
-        let backend = NeuPimsBackend::table2().unwrap();
+        let backend = table2_device(DeviceMode::neupims());
         let model = LlmConfig::gpt3_7b();
         let lump = Backend::prefill_cycles(&backend, &model, 4, 32, &[1000]).unwrap();
         let mut done = 0u64;
@@ -710,7 +712,7 @@ mod tests {
 
     #[test]
     fn interleaved_hides_prefill_under_pim_phases() {
-        let backend = NeuPimsBackend::table2().unwrap();
+        let backend = table2_device(DeviceMode::neupims());
         let model = LlmConfig::gpt3_7b();
         let (decode, prefill, homes) = demand_fixtures();
         let demand = IterationDemand {
@@ -763,7 +765,7 @@ mod tests {
         // an estimator, but its banks block all MEM traffic while PIM
         // computes — the NPU cannot stream prefill weights during GEMV,
         // so no cycle may be credited as hidden.
-        let backend = NeuPimsBackend::table2_mode(crate::device::DeviceMode::NaiveNpuPim).unwrap();
+        let backend = table2_device(DeviceMode::NaiveNpuPim);
         assert!(backend.caps().uses_npu && backend.caps().uses_pim);
         assert!(!backend.caps().dual_row_buffer);
         let model = LlmConfig::gpt3_7b();
@@ -786,7 +788,7 @@ mod tests {
 
     #[test]
     fn prefill_only_iterations_cost_only_the_chunk() {
-        let backend = NeuPimsBackend::table2().unwrap();
+        let backend = table2_device(DeviceMode::neupims());
         let model = LlmConfig::gpt3_7b();
         let (_, prefill, _) = demand_fixtures();
         let demand = IterationDemand {
@@ -838,11 +840,10 @@ mod tests {
 
     #[test]
     fn interleaved_plan_estimates_each_ready_request_once() {
-        let backend = NeuPimsBackend::table2().unwrap();
+        let backend = table2_device(DeviceMode::neupims());
         let model = LlmConfig::gpt3_7b();
         let counting = CountingModel {
-            inner: crate::testsupport::table2_device(crate::device::DeviceMode::neupims())
-                .estimator(&model, 4),
+            inner: backend.estimator(&model, 4),
             calls: Default::default(),
         };
         // Odd-sized channels, so Algorithm 3 alternates the extra request.

@@ -59,7 +59,7 @@
 //! # Example
 //!
 //! ```
-//! use neupims_core::backend::NeuPimsBackend;
+//! use neupims_core::device::Device;
 //! use neupims_core::scheduler::SubBatchInterleaved;
 //! use neupims_core::serving::{ServingConfig, ServingSim};
 //! use neupims_types::LlmConfig;
@@ -72,7 +72,7 @@
 //!     slo: None,
 //! };
 //! // Default scheduler (lump prefill) ...
-//! let mut sim = ServingSim::new(NeuPimsBackend::table2().unwrap(), LlmConfig::gpt3_7b(), cfg.clone());
+//! let mut sim = ServingSim::new(Device::table2().unwrap(), LlmConfig::gpt3_7b(), cfg.clone());
 //! assert_eq!(sim.scheduler_name(), "lump");
 //! sim.submit(0, 128, 4, 0).unwrap();
 //! let out = sim.run().unwrap();
@@ -81,7 +81,7 @@
 //!
 //! // ... or NPU/PIM sub-batch interleaving.
 //! let mut sim = ServingSim::with_scheduler(
-//!     NeuPimsBackend::table2().unwrap(),
+//!     Device::table2().unwrap(),
 //!     LlmConfig::gpt3_7b(),
 //!     cfg,
 //!     Box::new(SubBatchInterleaved::new(256)),

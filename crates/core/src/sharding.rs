@@ -17,19 +17,50 @@
 //!   and [`pipeline_schedule`] exposes the fill/drain bubble, which is
 //!   `(stages - 1) * microbatch_cost` under uniform stages.
 //!
-//! In the [`IdealLink`](crate::interconnect::IdealLink) limit the sharded
-//! numbers collapse onto the legacy divide-and-ceil
-//! [`cluster_throughput`](crate::cluster::cluster_throughput) bit-for-bit
-//! — that golden parity (and the PCIe-fabric parity against the
-//! device-internal ring) is pinned by `tests/parity_sharding.rs`.
+//! The paper's Figure 14 model is one deployment of this wrapper:
+//! `ClusterSpec::new(1, pp)` over
+//! [`PcieLink::from_config`](crate::interconnect::PcieLink::from_config)
+//! of the device's own link, priced at the device-internal `tp`
+//! ([`fig14_parallelism`](crate::experiments::fig14_parallelism)). The
+//! device keeps its own all-reduce pricing, and the wrapper adds only the
+//! pipeline split and the stage hop.
+//!
+//! In the [`IdealLink`](crate::interconnect::IdealLink) limit, and on the
+//! PCIe fabric for the serial device modes, the sharded numbers equal the
+//! retired divide-and-ceil multi-device model bit-for-bit; its values are
+//! frozen in `tests/parity_sharding.rs` and `tests/integration_cluster.rs`.
 
 use neupims_types::{Cycle, LlmConfig, SimError};
 
 pub use neupims_kvcache::shard::{split_evenly, KvShardPlan};
 
 use crate::backend::{Backend, BackendCaps, BackendError, IterationResult};
-use crate::cluster::ClusterSpec;
 use crate::interconnect::{Interconnect, ALLREDUCES_PER_LAYER};
+
+/// A (TP, PP) deployment of one model across `tp * pp` devices.
+///
+/// Tensor parallelism shrinks per-device work; pipeline parallelism
+/// shrinks the per-device batch and the tokens per beat. That asymmetry
+/// is why Figure 14 prefers TP until memory forces PP.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClusterSpec {
+    /// Tensor-parallel degree.
+    pub tp: u32,
+    /// Pipeline-parallel degree.
+    pub pp: u32,
+}
+
+impl ClusterSpec {
+    /// Creates a spec.
+    pub const fn new(tp: u32, pp: u32) -> Self {
+        Self { tp, pp }
+    }
+
+    /// Devices required.
+    pub const fn devices(&self) -> u32 {
+        self.tp * self.pp
+    }
+}
 
 /// Timing of one fill-run-drain pass of a pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -300,20 +331,29 @@ impl<B: Backend> ShardedBackend<B> {
         Ok((det, inner))
     }
 
-    /// System tokens-per-second of this deployment on one warm batch —
-    /// the same quantity (and the exact same arithmetic) as the legacy
-    /// [`cluster_throughput`](crate::cluster::cluster_throughput), so the
-    /// ideal-fabric limit matches it bit-for-bit.
+    /// System tokens-per-second of this deployment on one warm batch
+    /// (`seq_lens`, the whole request set; micro-batching splits it): one
+    /// micro-batch of `len / pp` tokens completes per pipeline beat.
+    ///
+    /// `tp` is the caller's device-internal degree, as in
+    /// [`Backend::decode_iteration`]; the spec's own TP composes on top.
+    /// When the request count does not divide by `pp`, the beat is priced
+    /// on the largest micro-batch while the numerator keeps the exact
+    /// mean, so no request is dropped.
     ///
     /// # Errors
     ///
-    /// Mirrors the legacy validation: rejects request counts below `pp`;
-    /// propagates pricing errors.
+    /// Rejects `tp == 0` and request counts below `pp`; propagates
+    /// pricing errors.
     pub fn cluster_tokens_per_sec(
         &self,
         model: &LlmConfig,
+        tp: u32,
         seq_lens: &[u64],
     ) -> Result<f64, SimError> {
+        if tp == 0 {
+            return Err(SimError::InvalidConfig("zero parallel degree".into()));
+        }
         if seq_lens.len() < self.spec.pp as usize {
             return Err(SimError::InvalidConfig(format!(
                 "{} requests cannot fill PP={} micro-batches",
@@ -322,7 +362,7 @@ impl<B: Backend> ShardedBackend<B> {
             )));
         }
         let (det, _) = self
-            .decode_detail(model, 1, model.num_layers, seq_lens)
+            .decode_detail(model, tp, model.num_layers, seq_lens)
             .map_err(SimError::from)?;
         let beat_secs = neupims_types::units::cycles_to_secs(det.beat);
         Ok(seq_lens.len() as f64 / self.spec.pp as f64 / beat_secs)
@@ -421,11 +461,32 @@ impl<B: Backend> Backend for ShardedBackend<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::NeuPimsBackend;
+    use crate::backend::{GpuRooflineBackend, TransPimBackend};
+    use crate::device::{Device, DeviceMode};
     use crate::interconnect::{IdealLink, NocLink, PcieLink, UnifiedMemoryLink};
+    use crate::testsupport::{table2_device, table2_pair};
 
-    fn backend() -> NeuPimsBackend {
-        NeuPimsBackend::table2().unwrap()
+    fn backend() -> Device {
+        table2_device(DeviceMode::neupims())
+    }
+
+    /// Tokens/s of `b` deployed as Figure 14 does: `pp` stages over the
+    /// backend's own link, priced at device-internal `tp`.
+    fn fig14_tokens_per_sec<B: Backend>(
+        b: &B,
+        model: &LlmConfig,
+        tp: u32,
+        pp: u32,
+        seqs: &[u64],
+    ) -> f64 {
+        ShardedBackend::new(
+            b,
+            ClusterSpec::new(1, pp),
+            Box::new(PcieLink::from_config(b.interconnect())),
+        )
+        .unwrap()
+        .cluster_tokens_per_sec(model, tp, seqs)
+        .unwrap()
     }
 
     #[test]
@@ -467,9 +528,7 @@ mod tests {
         let b = backend();
         let model = LlmConfig::gpt3_7b();
         let sharded = ShardedBackend::new(&b, ClusterSpec::new(1, 1), Box::new(IdealLink)).unwrap();
-        let inner = b
-            .decode_iteration(&model, 4, model.num_layers, &[300; 64])
-            .unwrap();
+        let inner = Backend::decode_iteration(&b, &model, 4, model.num_layers, &[300; 64]).unwrap();
         let outer = sharded
             .decode_iteration(&model, 4, model.num_layers, &[300; 64])
             .unwrap();
@@ -520,21 +579,96 @@ mod tests {
     }
 
     #[test]
-    fn validation_mirrors_legacy_cluster() {
+    fn invalid_deployments_are_rejected() {
         let b = backend();
         let model = LlmConfig::gpt3_7b(); // 32 layers
+        let seqs = [100u64; 16];
         let mk = |tp, pp| ShardedBackend::new(&b, ClusterSpec::new(tp, pp), Box::new(IdealLink));
+        // Zero degrees, in the spec or in the caller's device TP.
         assert!(mk(0, 1).is_err());
         assert!(mk(1, 0).is_err());
+        assert!(mk(1, 2)
+            .unwrap()
+            .cluster_tokens_per_sec(&model, 0, &seqs)
+            .is_err());
+        // 32 layers do not divide into 5 stages.
         let s = mk(4, 5).unwrap();
         assert!(s
-            .decode_iteration(&model, 1, model.num_layers, &[100; 16])
+            .decode_iteration(&model, 1, model.num_layers, &seqs)
             .is_err());
-        let s = mk(4, 2).unwrap();
-        assert!(s.cluster_tokens_per_sec(&model, &[100; 1]).is_err());
-        assert!(s
+        assert!(s.cluster_tokens_per_sec(&model, 1, &seqs).is_err());
+        // Fewer requests than micro-batches.
+        assert!(mk(4, 2)
+            .unwrap()
+            .cluster_tokens_per_sec(&model, 1, &[100; 1])
+            .is_err());
+        assert!(
+            mk(1, 32)
+                .unwrap()
+                .cluster_tokens_per_sec(&model, 4, &seqs)
+                .is_err(),
+            "16 requests cannot fill 32 micro-batches"
+        );
+        assert!(mk(4, 2)
+            .unwrap()
             .decode_iteration(&model, 1, model.num_layers, &[])
             .is_err());
+    }
+
+    #[test]
+    fn remainder_requests_are_not_ignored() {
+        // 17 and 18 requests at PP=2 share the same 9-request
+        // representative micro-batch, so their throughputs sit in the
+        // exact ratio of their request counts: the remainder request is
+        // counted, not truncated away.
+        let b = backend();
+        let model = LlmConfig::gpt3_7b();
+        let t17 = fig14_tokens_per_sec(&b, &model, 4, 2, &[300; 17]);
+        let t18 = fig14_tokens_per_sec(&b, &model, 4, 2, &[300; 18]);
+        assert!(t17 > 0.0 && t18 > 0.0);
+        assert!(
+            (t17 / t18 - 17.0 / 18.0).abs() < 1e-9,
+            "remainder request dropped: {t17} vs {t18}"
+        );
+    }
+
+    #[test]
+    fn spec_counts_devices() {
+        assert_eq!(ClusterSpec::new(8, 4).devices(), 32);
+    }
+
+    #[test]
+    fn per_device_efficiency_falls_with_scale() {
+        // Figure 14's note: with the total request count fixed, growing the
+        // cluster shrinks per-device batches and per-device throughput.
+        let b = backend();
+        let model = LlmConfig::gpt3_7b();
+        let seqs = [376u64; 256];
+        let t4 = fig14_tokens_per_sec(&b, &model, 4, 1, &seqs);
+        let t32 = fig14_tokens_per_sec(&b, &model, 8, 4, &seqs);
+        assert!(
+            t4 / 4.0 > t32 / 32.0,
+            "per-device: 4dev {:.0} vs 32dev {:.0}",
+            t4 / 4.0,
+            t32 / 32.0
+        );
+    }
+
+    #[test]
+    fn scaling_sweeps_run_on_every_backend() {
+        // (TP, PP) deployments price the GPU roofline and TransPIM too,
+        // not just the NeuPIMs device.
+        let (cfg, cal) = table2_pair();
+        let model = LlmConfig::gpt3_7b();
+        let seqs = [300u64; 64];
+        let gpu = GpuRooflineBackend::a100();
+        let trans = TransPimBackend::new(cfg, cal);
+        for pp in [1, 2] {
+            let g = fig14_tokens_per_sec(&gpu, &model, 4, pp, &seqs);
+            let t = fig14_tokens_per_sec(&trans, &model, 4, pp, &seqs);
+            assert!(t > 0.0, "pp{pp}");
+            assert!(g > t, "GPU must outserve TransPIM at pp{pp}");
+        }
     }
 
     #[test]

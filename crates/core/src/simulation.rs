@@ -8,14 +8,14 @@
 //! # Example
 //!
 //! ```
-//! use neupims_core::backend::NeuPimsBackend;
+//! use neupims_core::device::Device;
 //! use neupims_core::simulation::Simulation;
 //! use neupims_types::LlmConfig;
 //! use neupims_workload::Dataset;
 //!
 //! let sim = Simulation::builder()
 //!     .model(LlmConfig::gpt3_7b())
-//!     .backend(NeuPimsBackend::table2().unwrap())
+//!     .backend(Device::table2().unwrap())
 //!     .dataset(Dataset::ShareGpt)
 //!     .batch(64)
 //!     .build()
@@ -23,7 +23,7 @@
 //! assert!(sim.throughput().unwrap() > 0.0);
 //! ```
 //!
-//! Backends are interchangeable: swap `NeuPimsBackend` for
+//! Backends are interchangeable: swap the [`Device`](crate::device::Device) for
 //! [`GpuRooflineBackend`](crate::backend::GpuRooflineBackend),
 //! [`TransPimBackend`](crate::backend::TransPimBackend), or a boxed backend
 //! from [`backend_from_name`](crate::backend::backend_from_name), and every
@@ -37,11 +37,10 @@ use neupims_types::{Cycle, LlmConfig};
 use neupims_workload::{warm_batch, Dataset};
 
 use crate::backend::{Backend, BackendError, IterationResult};
-use crate::cluster::{cluster_throughput, ClusterSpec};
 use crate::preempt::{DropOnly, PreemptionPolicy, SwapConfig};
 use crate::scheduler::{LumpPrefill, SchedulerPolicy};
 use crate::serving::{ServingConfig, ServingSim, SloTargets};
-use crate::sharding::ShardedBackend;
+use crate::sharding::{ClusterSpec, ShardedBackend};
 
 /// Default RNG seed of the experiment harness (kept from the seed repo so
 /// regenerated tables stay comparable across versions).
@@ -168,7 +167,7 @@ impl<T> SimulationBuilder<T> {
     /// through the cycle-level DRAM model.
     ///
     /// The backend's *decode iterations* are priced by its own configured
-    /// kind (e.g. [`NeuPimsBackend::with_cost_model`]), which this
+    /// kind (e.g. [`Device::with_cost_model`]), which this
     /// serving-layer knob cannot reach — configure the backend too for a
     /// fully trace-priced run (the CLI's `--cost-model` sets both). When
     /// unset, serving follows the backend's configured kind
@@ -176,7 +175,7 @@ impl<T> SimulationBuilder<T> {
     /// backend is always coherent. Backends without a PIM ignore the knob
     /// entirely.
     ///
-    /// [`NeuPimsBackend::with_cost_model`]: crate::backend::NeuPimsBackend::with_cost_model
+    /// [`Device::with_cost_model`]: crate::device::Device::with_cost_model
     pub fn cost_model(mut self, kind: CostModelKind) -> Self {
         self.cost_model = Some(kind);
         self
@@ -365,23 +364,9 @@ impl<B: Backend> Simulation<B> {
 
     /// System throughput of a multi-device `(TP, PP)` deployment of this
     /// simulation's backend, over one sampled warm batch of the configured
-    /// size (Figure 14's bars).
-    ///
-    /// # Errors
-    ///
-    /// Propagates cluster validation and backend errors.
-    pub fn cluster_throughput(&self, spec: ClusterSpec) -> Result<f64, BackendError> {
-        let mut rng = StdRng::seed_from_u64(self.seed ^ 0x14);
-        let seqs = self.sample_seq_lens(&mut rng);
-        cluster_throughput(&self.backend, &self.model, spec, &seqs)
-            .map_err(|e| BackendError::sim(self.backend.label(), e))
-    }
-
-    /// Like [`Self::cluster_throughput`], but deployed through a
-    /// [`ShardedBackend`] whose collectives are priced by `interconnect`
-    /// (same warm-batch sampling, so the
-    /// [`IdealLink`](crate::interconnect::IdealLink) limit reproduces the
-    /// legacy divide-and-ceil number bit-for-bit).
+    /// size: a [`ShardedBackend`] of single devices whose collectives are
+    /// priced by `interconnect`
+    /// ([`ShardedBackend::cluster_tokens_per_sec`] at device TP 1).
     ///
     /// # Errors
     ///
@@ -396,7 +381,7 @@ impl<B: Backend> Simulation<B> {
         let sharded = ShardedBackend::new(&self.backend, spec, interconnect)
             .map_err(|e| BackendError::sim(self.backend.label(), e))?;
         sharded
-            .cluster_tokens_per_sec(&self.model, &seqs)
+            .cluster_tokens_per_sec(&self.model, 1, &seqs)
             .map_err(|e| BackendError::sim(self.backend.label(), e))
     }
 
@@ -455,14 +440,16 @@ impl<B: Backend> Simulation<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{backend_from_name, GpuRooflineBackend, NeuPimsBackend, TransPimBackend};
-    use crate::testsupport::table2_pair;
+    use crate::backend::{backend_from_name, GpuRooflineBackend, TransPimBackend};
+    use crate::device::DeviceMode;
+    use crate::interconnect::PcieLink;
+    use crate::testsupport::{table2_device, table2_pair};
 
     #[test]
     fn builder_defaults_follow_the_model() {
         let sim = Simulation::builder()
             .model(LlmConfig::gpt3_30b())
-            .backend(NeuPimsBackend::table2().unwrap())
+            .backend(table2_device(DeviceMode::neupims()))
             .build()
             .unwrap();
         // GPT3-30B publishes TP=4, PP=2: half the layers resident.
@@ -513,12 +500,14 @@ mod tests {
     fn cluster_and_serving_run_through_the_builder() {
         let sim = Simulation::builder()
             .model(LlmConfig::gpt3_7b())
-            .backend(NeuPimsBackend::table2().unwrap())
+            .backend(table2_device(DeviceMode::neupims()))
             .batch(64)
             .samples(2)
             .build()
             .unwrap();
-        let thr = sim.cluster_throughput(ClusterSpec::new(4, 2)).unwrap();
+        let thr = sim
+            .sharded_cluster_throughput(ClusterSpec::new(4, 2), Box::new(PcieLink::default()))
+            .unwrap();
         assert!(thr > 0.0);
 
         let mut serving = sim.serving(16, 0);
@@ -560,7 +549,7 @@ mod tests {
         let sim = |b: bool| {
             if b {
                 Simulation::builder()
-                    .backend(NeuPimsBackend::table2().unwrap())
+                    .backend(table2_device(DeviceMode::neupims()))
                     .batch(64)
                     .samples(2)
                     .build()

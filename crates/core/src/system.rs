@@ -17,7 +17,6 @@ use neupims_sched::{CostModelKind, TraceMemo};
 use neupims_types::{LlmConfig, SimError};
 
 use crate::backend::Backend;
-use crate::cluster::ClusterSpec;
 use crate::experiments::ExperimentContext;
 use crate::fleet::{policy_from_name, FleetRequest, FleetSim};
 use crate::interconnect::interconnect_from_name;
@@ -28,7 +27,7 @@ use crate::orchestrator::{
 use crate::preempt::{preemption_from_name, SwapConfig};
 use crate::scheduler::scheduler_from_name;
 use crate::serving::{ServingConfig, ServingSim, SloTargets};
-use crate::sharding::ShardedBackend;
+use crate::sharding::{ClusterSpec, ShardedBackend};
 use crate::simulation::SimulationBuilder;
 
 /// Priority of a tenant whose spec names none (at or above the default

@@ -1,6 +1,6 @@
 //! Shared test-support helpers for this crate's module tests.
 //!
-//! Nearly every test in `simulation`, `cluster`, `serving`, `device`,
+//! Nearly every test in `simulation`, `sharding`, `serving`, `device`,
 //! `transpim`, and `backend` needs the Table 2 configuration with its PIM
 //! constants calibrated from the cycle model. Calibration is deterministic
 //! and not free (five command-stream runs), so this module computes it

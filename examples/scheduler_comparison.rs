@@ -7,7 +7,7 @@
 //! cargo run --release --example scheduler_comparison
 //! ```
 
-use neupims_core::backend::NeuPimsBackend;
+use neupims_core::device::Device;
 use neupims_core::scheduler::scheduler_from_name;
 use neupims_core::serving::{ServingConfig, ServingOutcome, ServingSim};
 use neupims_types::LlmConfig;
@@ -16,7 +16,7 @@ use neupims_types::LlmConfig;
 /// arriving every 200M cycles (200 ms at 1 GHz) — every prompt's encoding
 /// overlaps the previous requests' decode tails, which is exactly the
 /// mixed prefill+decode regime the paper's interleaving targets.
-fn submit_trace(sim: &mut ServingSim<NeuPimsBackend>) {
+fn submit_trace(sim: &mut ServingSim<Device>) {
     for i in 0..12u32 {
         sim.submit(i, 8192, 64, i as u64 * 200_000_000).unwrap();
     }
@@ -24,7 +24,7 @@ fn submit_trace(sim: &mut ServingSim<NeuPimsBackend>) {
 
 fn run(scheduler: &str) -> ServingOutcome {
     let mut sim = ServingSim::with_scheduler(
-        NeuPimsBackend::table2().unwrap(),
+        Device::table2().unwrap(),
         LlmConfig::gpt3_7b(),
         ServingConfig {
             max_batch: 32,

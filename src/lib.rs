@@ -9,13 +9,13 @@
 //! # Quickstart
 //!
 //! ```
-//! use neupims::core::backend::NeuPimsBackend;
+//! use neupims::core::device::Device;
 //! use neupims::core::simulation::Simulation;
 //! use neupims::workload::Dataset;
 //!
 //! let sim = Simulation::builder()
 //!     .model(neupims::types::LlmConfig::gpt3_7b())
-//!     .backend(NeuPimsBackend::table2().unwrap())
+//!     .backend(Device::table2().unwrap())
 //!     .dataset(Dataset::ShareGpt)
 //!     .batch(64)
 //!     .build()

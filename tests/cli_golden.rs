@@ -1,5 +1,5 @@
-//! CLI output goldens: `fleet` and `serve` stdout, byte for byte, and
-//! the exit status of hostile `--tenants` input.
+//! CLI output goldens: `fleet`, `serve` and `fig14` stdout, byte for
+//! byte, and the exit status of hostile `--tenants` input.
 //!
 //! Each invocation's stdout was recorded into `tests/golden/cli/*.md`
 //! before the CLI and the eval runner moved onto one shared system
@@ -117,6 +117,11 @@ fn fleet_orchestrated_tenants() {
 #[test]
 fn serve_default() {
     assert_stdout_matches("serve", &["serve", "--requests", "32"]);
+}
+
+#[test]
+fn fig14_table() {
+    assert_stdout_matches("fig14", &["fig14"]);
 }
 
 /// Non-finite or non-positive `--tenants` weights and SLO targets exit

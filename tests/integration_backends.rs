@@ -3,9 +3,7 @@
 //! must build the same systems as direct construction, and the
 //! `Simulation` builder must agree with both.
 
-use neupims_core::backend::{
-    backend_from_name, Backend, GpuRooflineBackend, NeuPimsBackend, TransPimBackend,
-};
+use neupims_core::backend::{backend_from_name, Backend, GpuRooflineBackend, TransPimBackend};
 use neupims_core::device::{Device, DeviceMode, SbiPolicy};
 use neupims_core::simulation::Simulation;
 use neupims_pim::calibrate;
@@ -43,16 +41,17 @@ fn neupims_backend_matches_legacy_device_in_every_mode() {
         },
         DeviceMode::neupims(),
     ];
+    // The device is its own backend: the trait path labels the inherent
+    // pricing and changes nothing else.
     for mode in modes {
         let device = Device::new(cfg, cal, mode);
-        let backend = NeuPimsBackend::new(cfg, cal, mode);
         for seqs in batches() {
             let legacy = device
                 .decode_iteration(&model, 4, model.num_layers, &seqs)
                 .unwrap();
-            let via_backend = backend
-                .decode_iteration(&model, 4, model.num_layers, &seqs)
-                .unwrap();
+            let via_backend =
+                Backend::decode_iteration(&device, &model, 4, model.num_layers, &seqs).unwrap();
+            assert_eq!(via_backend.backend, mode.label());
             assert_eq!(
                 legacy,
                 via_backend.breakdown,
@@ -62,7 +61,7 @@ fn neupims_backend_matches_legacy_device_in_every_mode() {
         }
         // Prefill parity too.
         let legacy = device.prefill_cycles(&model, 4, 8, &[200; 16]).unwrap();
-        let via_backend = backend.prefill_cycles(&model, 4, 8, &[200; 16]).unwrap();
+        let via_backend = Backend::prefill_cycles(&device, &model, 4, 8, &[200; 16]).unwrap();
         assert_eq!(legacy, via_backend, "{} prefill diverged", mode.label());
     }
 }
@@ -116,16 +115,21 @@ fn registry_backends_match_their_legacy_paths() {
 fn simulation_builder_agrees_with_direct_backend_calls() {
     let (cfg, cal) = setup();
     let model = LlmConfig::gpt3_7b();
-    let backend = NeuPimsBackend::new(cfg, cal, DeviceMode::neupims());
+    let backend = Device::new(cfg, cal, DeviceMode::neupims());
     let sim = Simulation::builder()
         .model(model.clone())
         .backend(backend.clone())
         .build()
         .unwrap();
     let seqs = vec![300u64; 64];
-    let direct = backend
-        .decode_iteration(&model, model.parallelism.tp, model.num_layers, &seqs)
-        .unwrap();
+    let direct = Backend::decode_iteration(
+        &backend,
+        &model,
+        model.parallelism.tp,
+        model.num_layers,
+        &seqs,
+    )
+    .unwrap();
     let via_sim = sim.decode_iteration(&seqs).unwrap();
     assert_eq!(direct, via_sim);
 }

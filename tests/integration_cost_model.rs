@@ -2,7 +2,8 @@
 //! model drives the full serving path, the analytic default is unchanged,
 //! and channel statistics surface through every layer.
 
-use neupims_core::backend::{backend_from_name_with_cost, Backend, NeuPimsBackend};
+use neupims_core::backend::{backend_from_name_with_cost, Backend};
+use neupims_core::device::Device;
 use neupims_core::fleet::{FleetRequest, FleetSim, JoinShortestQueue};
 use neupims_core::scheduler::SubBatchInterleaved;
 use neupims_core::serving::{ServingConfig, ServingSim};
@@ -23,7 +24,7 @@ fn serving_cfg(max_batch: usize) -> ServingConfig {
 
 fn run_serving(kind: CostModelKind) -> neupims_core::serving::ServingOutcome {
     let mut sim = ServingSim::with_scheduler(
-        NeuPimsBackend::table2().unwrap().with_cost_model(kind),
+        Device::table2().unwrap().with_cost_model(kind),
         LlmConfig::gpt3_7b(),
         serving_cfg(16),
         Box::new(SubBatchInterleaved::new(256)),
@@ -69,7 +70,7 @@ fn analytic_serving_reports_no_trace_and_stays_default() {
     // The knob defaults to analytic: an untouched sim equals an explicit
     // analytic one, outcome for outcome.
     let mut plain = ServingSim::with_scheduler(
-        NeuPimsBackend::table2().unwrap(),
+        Device::table2().unwrap(),
         LlmConfig::gpt3_7b(),
         serving_cfg(16),
         Box::new(SubBatchInterleaved::new(256)),
@@ -142,7 +143,7 @@ fn backend_configured_kind_is_the_serving_default() {
     // layer pricing analytically (mixed fidelity, no pim_trace). The
     // backend's preferred kind must flow through as the serving default.
     let mut sim = ServingSim::with_scheduler(
-        NeuPimsBackend::table2()
+        Device::table2()
             .unwrap()
             .with_cost_model(CostModelKind::TraceDriven),
         LlmConfig::gpt3_7b(),
@@ -167,7 +168,7 @@ fn builder_without_override_follows_the_backend_kind() {
     let sim = Simulation::builder()
         .model(LlmConfig::gpt3_7b())
         .backend(
-            NeuPimsBackend::table2()
+            Device::table2()
                 .unwrap()
                 .with_cost_model(CostModelKind::TraceDriven),
         )
@@ -194,7 +195,7 @@ fn builder_without_override_follows_the_backend_kind() {
 fn fleet_dedupes_shared_memo_snapshots() {
     // Replicas cloned from one backend share a replay memo; the fleet
     // outcome must count that memo's streams once, not once per replica.
-    let shared = NeuPimsBackend::table2()
+    let shared = Device::table2()
         .unwrap()
         .with_cost_model(CostModelKind::TraceDriven);
     let replicas: Vec<_> = (0..3)
@@ -232,7 +233,7 @@ fn fleet_dedupes_shared_memo_snapshots() {
 
 #[test]
 fn deprecated_estimator_shim_matches_analytic_cost_model() {
-    let backend = NeuPimsBackend::table2().unwrap();
+    let backend = Device::table2().unwrap();
     let model = LlmConfig::gpt3_7b();
     #[allow(deprecated)]
     let legacy = backend.mha_estimator(&model, 4).unwrap();
@@ -253,7 +254,7 @@ fn simulation_builder_and_fleet_thread_the_knob() {
     let sim = Simulation::builder()
         .model(LlmConfig::gpt3_7b())
         .backend(
-            NeuPimsBackend::table2()
+            Device::table2()
                 .unwrap()
                 .with_cost_model(CostModelKind::TraceDriven),
         )
@@ -278,7 +279,7 @@ fn simulation_builder_and_fleet_thread_the_knob() {
     let replicas: Vec<_> = (0..2)
         .map(|_| {
             ServingSim::with_scheduler(
-                NeuPimsBackend::table2().unwrap(),
+                Device::table2().unwrap(),
                 LlmConfig::gpt3_7b(),
                 serving_cfg(8),
                 Box::new(SubBatchInterleaved::new(128)),

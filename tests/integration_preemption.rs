@@ -4,7 +4,6 @@
 //! more requests than drop-only, conservation through preempt/restore
 //! cycles, and the threading through `Simulation` and `FleetSim`.
 
-use neupims_core::backend::NeuPimsBackend;
 use neupims_core::fleet::{FleetRequest, FleetSim, JoinShortestQueue};
 use neupims_core::preempt::{
     preemption_from_name, DropOnly, RecomputeLastAdmitted, SwapConfig, SwapLru, PREEMPTION_NAMES,
@@ -54,7 +53,7 @@ fn submit_burst(sim: &mut ServingSim, seed: u64) -> u64 {
 }
 
 /// The PR-2 golden trace from `integration_scheduler.rs`.
-fn golden_trace(sim: &mut ServingSim<NeuPimsBackend>) {
+fn golden_trace(sim: &mut ServingSim<Device>) {
     for i in 0..24u32 {
         sim.submit(i, 64 + (i % 7) * 100, 4 + i % 9, (i as u64) * 300_000)
             .unwrap();
@@ -68,11 +67,7 @@ fn drop_only_reproduces_the_golden_numbers_exactly() {
     // serving numbers — preemption support must not move a single cycle
     // of the no-pressure path.
     for explicit in [false, true] {
-        let mut sim = ServingSim::new(
-            NeuPimsBackend::table2().unwrap(),
-            LlmConfig::gpt3_7b(),
-            cfg(16),
-        );
+        let mut sim = ServingSim::new(Device::table2().unwrap(), LlmConfig::gpt3_7b(), cfg(16));
         if explicit {
             sim = sim.with_preemption(Box::new(DropOnly));
         }
@@ -193,7 +188,7 @@ fn swap_completes_the_pressure_trace_with_cheaper_restores() {
 fn simulation_builder_threads_the_preemption_policy() {
     let sim = Simulation::builder()
         .model(LlmConfig::gpt3_7b())
-        .backend(NeuPimsBackend::table2().unwrap())
+        .backend(Device::table2().unwrap())
         .preemption(Box::new(RecomputeLastAdmitted))
         .swap(SwapConfig { gb_per_sec: 8.0 })
         .samples(1)

@@ -4,7 +4,8 @@
 //! and backend, and the scheduler threading through `Simulation` and
 //! `FleetSim`.
 
-use neupims_core::backend::{backend_from_name, Backend, NeuPimsBackend};
+use neupims_core::backend::backend_from_name;
+use neupims_core::device::Device;
 use neupims_core::fleet::{FleetRequest, FleetSim, JoinShortestQueue};
 use neupims_core::scheduler::{
     scheduler_from_name, ChunkedPrefill, LumpPrefill, SchedulerPolicy, SubBatchInterleaved,
@@ -25,12 +26,9 @@ fn cfg(max_batch: usize) -> ServingConfig {
     }
 }
 
-fn neupims_sim(
-    max_batch: usize,
-    scheduler: Box<dyn SchedulerPolicy>,
-) -> ServingSim<NeuPimsBackend> {
+fn neupims_sim(max_batch: usize, scheduler: Box<dyn SchedulerPolicy>) -> ServingSim<Device> {
     ServingSim::with_scheduler(
-        NeuPimsBackend::table2().unwrap(),
+        Device::table2().unwrap(),
         LlmConfig::gpt3_7b(),
         cfg(max_batch),
         scheduler,
@@ -39,7 +37,7 @@ fn neupims_sim(
 
 /// The PR-2 golden trace: 24 staggered mixed-length requests through the
 /// full NeuPIMs backend at max_batch 16.
-fn golden_trace(sim: &mut ServingSim<NeuPimsBackend>) {
+fn golden_trace(sim: &mut ServingSim<Device>) {
     for i in 0..24u32 {
         sim.submit(i, 64 + (i % 7) * 100, 4 + i % 9, (i as u64) * 300_000)
             .unwrap();
@@ -51,11 +49,7 @@ fn lump_prefill_reproduces_pr2_numbers_exactly() {
     // Golden numbers captured from the PR-2 serving path (commit 25113d8)
     // before the scheduler refactor. The default LumpPrefill policy must
     // reproduce them bit-for-bit.
-    let mut sim = ServingSim::new(
-        NeuPimsBackend::table2().unwrap(),
-        LlmConfig::gpt3_7b(),
-        cfg(16),
-    );
+    let mut sim = ServingSim::new(Device::table2().unwrap(), LlmConfig::gpt3_7b(), cfg(16));
     golden_trace(&mut sim);
     let out = sim.run().unwrap();
     assert_eq!(out.total_cycles, 104_832_448);
@@ -82,11 +76,7 @@ fn default_scheduler_equals_explicit_lump() {
         o.iteration_stats.clear();
         o
     };
-    let mut default_sim = ServingSim::new(
-        NeuPimsBackend::table2().unwrap(),
-        LlmConfig::gpt3_7b(),
-        cfg(16),
-    );
+    let mut default_sim = ServingSim::new(Device::table2().unwrap(), LlmConfig::gpt3_7b(), cfg(16));
     golden_trace(&mut default_sim);
     let mut lump_sim = neupims_sim(16, Box::new(LumpPrefill));
     golden_trace(&mut lump_sim);
@@ -105,7 +95,7 @@ fn default_scheduler_equals_explicit_lump() {
 /// serving makespan.
 #[test]
 fn interleaved_beats_lump_on_mixed_prefill_decode_trace() {
-    let submit = |sim: &mut ServingSim<NeuPimsBackend>| {
+    let submit = |sim: &mut ServingSim<Device>| {
         for i in 0..12u32 {
             sim.submit(i, 8192, 64, i as u64 * 200_000_000).unwrap();
         }
@@ -199,7 +189,7 @@ fn chunked_ttft_includes_the_whole_prompt_encoding() {
     // A single request on an idle device: chunked prefill costs exactly
     // the telescoped lump prefill, so TTFT must be at least the lump
     // delay plus one decode iteration.
-    let backend = NeuPimsBackend::table2().unwrap();
+    let backend = Device::table2().unwrap();
     let model = LlmConfig::gpt3_7b();
     let lump_prefill = backend.prefill_cycles(&model, 4, 32, &[2000]).unwrap();
     let mut sim = neupims_sim(8, Box::new(ChunkedPrefill::new(256)));
@@ -216,7 +206,7 @@ fn simulation_builder_threads_the_scheduler() {
     let run = |scheduler: Box<dyn SchedulerPolicy>| {
         let sim = Simulation::builder()
             .model(LlmConfig::gpt3_7b())
-            .backend(NeuPimsBackend::table2().unwrap())
+            .backend(Device::table2().unwrap())
             .scheduler(scheduler)
             .batch(16)
             .samples(1)
@@ -247,13 +237,13 @@ fn fleet_supports_per_replica_schedulers() {
     let model = LlmConfig::gpt3_7b();
     let replicas = vec![
         ServingSim::with_scheduler(
-            NeuPimsBackend::table2().unwrap(),
+            Device::table2().unwrap(),
             model.clone(),
             cfg(8),
             Box::new(LumpPrefill),
         ),
         ServingSim::with_scheduler(
-            NeuPimsBackend::table2().unwrap(),
+            Device::table2().unwrap(),
             model.clone(),
             cfg(8),
             Box::new(SubBatchInterleaved::new(512)),
@@ -290,7 +280,7 @@ fn fleet_supports_per_replica_schedulers() {
 
 #[test]
 fn overlap_metrics_are_ordered_across_policies() {
-    let submit = |sim: &mut ServingSim<NeuPimsBackend>| {
+    let submit = |sim: &mut ServingSim<Device>| {
         for i in 0..12u32 {
             sim.submit(i, 3000, 24, i as u64 * 30_000_000).unwrap();
         }

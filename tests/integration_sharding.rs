@@ -5,18 +5,18 @@
 //! All assertions are orderings between measured points, never absolute
 //! cycle counts — the shapes are the claim, the eval goldens pin values.
 
-use neupims_core::backend::{Backend, NeuPimsBackend};
-use neupims_core::cluster::ClusterSpec;
+use neupims_core::backend::Backend;
+use neupims_core::device::Device;
 use neupims_core::interconnect::{IdealLink, Interconnect, PcieLink};
 use neupims_core::serving::{ServingConfig, ServingSim};
-use neupims_core::sharding::{KvShardPlan, ShardedBackend};
+use neupims_core::sharding::{ClusterSpec, KvShardPlan, ShardedBackend};
 use neupims_types::{LlmConfig, MemConfig};
 
 const TP_SWEEP: [u32; 4] = [1, 2, 4, 8];
 
 /// Tokens/s of the 30B model at each TP degree over `fabric`.
 fn tp_curve(fabric: impl Fn() -> Box<dyn Interconnect>) -> Vec<f64> {
-    let b = NeuPimsBackend::table2().unwrap();
+    let b = Device::table2().unwrap();
     let model = LlmConfig::gpt3_30b(); // 56 heads: divisible by 1, 2, 4, 8
     let seqs = vec![376u64; 64];
     TP_SWEEP
@@ -24,7 +24,7 @@ fn tp_curve(fabric: impl Fn() -> Box<dyn Interconnect>) -> Vec<f64> {
         .map(|&tp| {
             ShardedBackend::new(&b, ClusterSpec::new(tp, 1), fabric())
                 .unwrap()
-                .cluster_tokens_per_sec(&model, &seqs)
+                .cluster_tokens_per_sec(&model, 1, &seqs)
                 .unwrap()
         })
         .collect()
@@ -91,7 +91,7 @@ fn faster_links_rank_between_ideal_and_starved() {
 
 #[test]
 fn pp_deployment_prices_bubbles_and_hops() {
-    let b = NeuPimsBackend::table2().unwrap();
+    let b = Device::table2().unwrap();
     let model = LlmConfig::gpt3_30b(); // 48 layers
     let seqs = vec![376u64; 64];
     let sharded =
@@ -115,7 +115,7 @@ fn sharded_backend_serves_end_to_end() {
     // The wrapper is a Backend, so the serving loop runs it unchanged:
     // device-internal TP is 1 and the full layer stack is resident — the
     // sharding spec supplies the parallelism.
-    let inner = NeuPimsBackend::table2().unwrap();
+    let inner = Device::table2().unwrap();
     let model = LlmConfig::gpt3_7b();
     let sharded =
         ShardedBackend::new(inner, ClusterSpec::new(4, 1), Box::new(PcieLink::default())).unwrap();
@@ -141,13 +141,13 @@ fn sharded_backend_serves_end_to_end() {
 fn sharding_tp_beats_pp_like_the_legacy_model() {
     // Figure 14's conclusion must survive the priced link: at 8 devices,
     // TP-heavy beats PP-heavy on the default PCIe fabric too.
-    let b = NeuPimsBackend::table2().unwrap();
+    let b = Device::table2().unwrap();
     let model = LlmConfig::gpt3_7b();
     let seqs = vec![376u64; 256];
     let thr = |tp, pp| {
         ShardedBackend::new(&b, ClusterSpec::new(tp, pp), Box::new(PcieLink::default()))
             .unwrap()
-            .cluster_tokens_per_sec(&model, &seqs)
+            .cluster_tokens_per_sec(&model, 1, &seqs)
             .unwrap()
     };
     let tp8 = thr(8, 1);
@@ -163,16 +163,14 @@ fn composed_tp_multiplies_the_degrees() {
     // Caller-level TP (the device-internal degree) composes with the
     // sharding spec: wrapping tp=2 sharding over a tp=2 call prices the
     // same group as a flat tp=4 call.
-    let b = NeuPimsBackend::table2().unwrap();
+    let b = Device::table2().unwrap();
     let model = LlmConfig::gpt3_7b();
     let seqs = vec![300u64; 32];
     let sharded = ShardedBackend::new(&b, ClusterSpec::new(2, 1), Box::new(IdealLink)).unwrap();
     let composed = sharded
         .decode_iteration(&model, 2, model.num_layers, &seqs)
         .unwrap();
-    let flat = b
-        .decode_iteration(&model, 4, model.num_layers, &seqs)
-        .unwrap();
+    let flat = Backend::decode_iteration(&b, &model, 4, model.num_layers, &seqs).unwrap();
     // Ideal fabric: composed pricing = flat compute minus its internal
     // collectives (re-priced to zero).
     let flat_compute = flat.total_cycles() - flat.breakdown.allreduce_cycles;
