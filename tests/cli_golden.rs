@@ -119,6 +119,49 @@ fn serve_default() {
     assert_stdout_matches("serve", &["serve", "--requests", "32"]);
 }
 
+/// `serve` with the replica knobs set away from their defaults: the
+/// scheduler, preemption policy and trace pricing (with its replay memo).
+#[test]
+fn serve_interleaved_swap_trace_priced() {
+    assert_stdout_matches(
+        "serve_interleaved_swap_trace",
+        &[
+            "serve",
+            "--requests",
+            "48",
+            "--max-batch",
+            "16",
+            "--scheduler",
+            "interleaved",
+            "--preemption",
+            "swap",
+            "--cost-model",
+            "trace",
+        ],
+    );
+}
+
+/// `serve` on a sharded replica: a TP2 chip group over the NoC fabric.
+#[test]
+fn serve_sharded_on_noc_chunked() {
+    assert_stdout_matches(
+        "serve_tp2_noc_chunked",
+        &[
+            "serve",
+            "--requests",
+            "24",
+            "--backend",
+            "naive",
+            "--tp",
+            "2",
+            "--interconnect",
+            "noc",
+            "--scheduler",
+            "chunked",
+        ],
+    );
+}
+
 #[test]
 fn fig14_table() {
     assert_stdout_matches("fig14", &["fig14"]);
