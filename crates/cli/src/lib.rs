@@ -124,11 +124,12 @@ use neupims_core::experiments::{
 use neupims_core::fleet::{FleetRequest, FleetSim, POLICY_NAMES};
 use neupims_core::interconnect::{interconnect_from_name, INTERCONNECT_NAMES};
 use neupims_core::orchestrator::{Orchestrator, TenantClass, AUTOSCALE_NAMES, ROUTER_NAMES};
-use neupims_core::preempt::{preemption_from_name, SwapConfig, PREEMPTION_NAMES};
-use neupims_core::scheduler::{scheduler_from_name, SCHEDULER_NAMES};
+use neupims_core::preempt::PREEMPTION_NAMES;
+use neupims_core::scheduler::SCHEDULER_NAMES;
 use neupims_core::serving::SloTargets;
 use neupims_core::system::{System, SystemSpec};
 use neupims_core::BACKEND_NAMES;
+use neupims_eval::spec::{dataset_from_name, model_from_name};
 use neupims_kvcache::KvGeometry;
 use neupims_sched::{
     calibration_drift, CostModelKind, MhaLatencyEstimator, TraceDrivenCostModel, TraceSnapshot,
@@ -158,24 +159,6 @@ struct Options {
     suite: Option<String>,
     list: bool,
     reports_dir: String,
-}
-
-fn parse_model(name: &str) -> Option<LlmConfig> {
-    match name.to_ascii_lowercase().as_str() {
-        "gpt3-7b" | "7b" => Some(LlmConfig::gpt3_7b()),
-        "gpt3-13b" | "13b" => Some(LlmConfig::gpt3_13b()),
-        "gpt3-30b" | "30b" => Some(LlmConfig::gpt3_30b()),
-        "gpt3-175b" | "175b" => Some(LlmConfig::gpt3_175b()),
-        _ => None,
-    }
-}
-
-fn parse_dataset(name: &str) -> Option<Dataset> {
-    match name.to_ascii_lowercase().as_str() {
-        "sharegpt" => Some(Dataset::ShareGpt),
-        "alpaca" => Some(Dataset::Alpaca),
-        _ => None,
-    }
 }
 
 /// Entry point of the `neupims` CLI: parses `std::env::args` and runs the
@@ -340,14 +323,14 @@ pub fn run_cli() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--model" => match it.next().and_then(|v| parse_model(v)) {
+            "--model" => match it.next().and_then(|v| model_from_name(v).ok()) {
                 Some(m) => opts.system.model = m,
                 None => {
                     eprintln!("--model requires one of: gpt3-7b, gpt3-13b, gpt3-30b, gpt3-175b");
                     return ExitCode::FAILURE;
                 }
             },
-            "--dataset" => match it.next().and_then(|v| parse_dataset(v)) {
+            "--dataset" => match it.next().and_then(|v| dataset_from_name(v).ok()) {
                 Some(d) => opts.dataset = d,
                 None => {
                     eprintln!("--dataset requires one of: sharegpt, alpaca");
@@ -550,7 +533,7 @@ fn cmd_sweep(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std:
     println!("|---:|---:|");
     for &batch in &batches {
         let sim = system
-            .simulation(ctx)?
+            .simulation(ctx, None)?
             .dataset(opts.dataset)
             .batch(batch)
             .build()?;
@@ -559,40 +542,72 @@ fn cmd_sweep(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std:
     Ok(())
 }
 
+/// The seeded request stream of `serve` and `fleet`: `--requests` arrivals
+/// at `--rate`, each with a dataset input length and an output length
+/// capped at 128 tokens and, when `tenant_weights` is given, a weighted
+/// tenant draw (index into the weights) from the same RNG.
+fn draw_requests(
+    opts: &Options,
+    default_seed: u64,
+    tenant_weights: Option<&[f64]>,
+) -> Result<Vec<(FleetRequest, usize)>, Box<dyn std::error::Error>> {
+    let mut rng = StdRng::seed_from_u64(opts.seed.unwrap_or(default_seed));
+    let arrivals = arrival_stream(&mut rng, opts.rate, opts.requests);
+    let total_weight: f64 = tenant_weights.map_or(0.0, |w| w.iter().sum());
+    let mut requests = Vec::with_capacity(arrivals.len());
+    for (i, &at) in arrivals.iter().enumerate() {
+        let req = FleetRequest {
+            id: request_id(i)?,
+            input_len: opts.dataset.sample_input(&mut rng),
+            output_len: opts.dataset.sample_output(&mut rng).min(128),
+            arrival: at,
+        };
+        let mut tenant = 0;
+        if let Some(weights) = tenant_weights {
+            let mut pick = rng.random::<f64>() * total_weight;
+            for (k, w) in weights.iter().enumerate() {
+                tenant = k;
+                pick -= w;
+                if pick <= 0.0 {
+                    break;
+                }
+            }
+        }
+        requests.push((req, tenant));
+    }
+    Ok(requests)
+}
+
+/// `serve`: the one replica of the `--backend`/`--scheduler` system,
+/// stepped directly over the seeded request stream — not as a one-replica
+/// `fleet`, whose dispatch barrier can admit a request late while every
+/// admitted one is still in lump prefill.
 fn cmd_serve(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     let system = &opts.system;
-    let mut builder = system
-        .simulation(ctx)?
-        .dataset(opts.dataset)
-        .batch(system.max_batch)
-        .scheduler(scheduler_from_name(&system.scheduler, system.chunk_tokens)?)
-        .preemption(preemption_from_name(&system.preemption)?)
-        .swap(SwapConfig {
-            gb_per_sec: system.swap_gbps,
-        })
-        .cost_model(system.cost_model);
-    if let Some(memo) = system.trace_memo(opts.memo_cache.as_deref())? {
-        builder = builder.trace_memo(memo);
+    // Name lists cycle over `fleet` replicas; `serve` has one to build.
+    for (flag, names) in [
+        ("--backend", &system.backend),
+        ("--scheduler", &system.scheduler),
+    ] {
+        if names.contains(',') {
+            return Err(format!("serve takes one {flag} name, not the list {names:?}").into());
+        }
     }
-    let sim = builder.build()?;
+    let memo = system.trace_memo(opts.memo_cache.as_deref())?;
+    let mut serving = system.replica(ctx, 0, memo.as_ref())?;
     println!(
         "\n## Serve — {} requests ({}) through {} serving {} ({} scheduler, {} preemption, {} cost model)\n",
         opts.requests,
         opts.dataset.name(),
-        sim.backend().label(),
+        serving.backend().label(),
         system.model.name,
-        sim.scheduler().name(),
-        sim.preemption().name(),
+        serving.scheduler_name(),
+        serving.preemption_name(),
         system.cost_model,
     );
 
-    let mut serving = sim.serving_with_slo(system.max_batch, 0, Some(system.slo()));
-    let mut rng = StdRng::seed_from_u64(opts.seed.unwrap_or(DEFAULT_SERVE_SEED));
-    let arrivals = arrival_stream(&mut rng, opts.rate, opts.requests);
-    for (i, &at) in arrivals.iter().enumerate() {
-        let input = opts.dataset.sample_input(&mut rng);
-        let output = opts.dataset.sample_output(&mut rng).min(128);
-        serving.submit(request_id(i)?, input, output, at)?;
+    for (req, _) in draw_requests(opts, DEFAULT_SERVE_SEED, None)? {
+        serving.submit(req.id, req.input_len, req.output_len, req.arrival)?;
     }
     let out = serving.run()?;
     println!("| metric | value |");
@@ -676,29 +691,9 @@ fn cmd_fleet(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std:
     let mut built = system.build(ctx, memo.as_ref(), opts.jobs)?;
     let orchestrated = matches!(built, System::Orchestrator(_));
 
-    // One seeded arrival + shape stream; under the orchestrator the tenant
-    // of each request is a weighted draw from the same RNG.
-    let mut rng = StdRng::seed_from_u64(opts.seed.unwrap_or(DEFAULT_FLEET_SEED));
-    let arrivals = arrival_stream(&mut rng, opts.rate, opts.requests);
-    let total_weight: f64 = weights.iter().sum();
-    for (i, &at) in arrivals.iter().enumerate() {
-        let req = FleetRequest {
-            id: request_id(i)?,
-            input_len: opts.dataset.sample_input(&mut rng),
-            output_len: opts.dataset.sample_output(&mut rng).min(128),
-            arrival: at,
-        };
-        let mut tenant = 0;
-        if orchestrated {
-            let mut pick = rng.random::<f64>() * total_weight;
-            for (k, w) in weights.iter().enumerate() {
-                tenant = k;
-                pick -= w;
-                if pick <= 0.0 {
-                    break;
-                }
-            }
-        }
+    // Under the orchestrator the tenant of each request is a weighted draw.
+    let tenant_weights = orchestrated.then_some(weights.as_slice());
+    for (req, tenant) in draw_requests(opts, DEFAULT_FLEET_SEED, tenant_weights)? {
         built.submit(req, tenant)?;
     }
     match built {

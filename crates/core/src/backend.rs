@@ -795,6 +795,8 @@ pub fn backend_from_name_with_cost(
 ) -> Result<Box<dyn Backend>, BackendError> {
     let mode = |m| Box::new(Device::new(*cfg, *cal, m).with_cost_model(kind));
     Ok(match name.to_ascii_lowercase().as_str() {
+        // The Section 8.1 fairness rule: A100 compute peaks over the
+        // calibrated HBM bandwidth of this memory system.
         "gpu" | "gpu-only" => Box::new(
             GpuRooflineBackend::a100()
                 .with_mem_bw(cal.mem_stream_bw * cfg.mem.channels as f64 * 1e9),

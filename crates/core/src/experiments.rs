@@ -28,13 +28,11 @@ use neupims_power::{energy_ratio, AreaModel, DramPowerParams};
 use neupims_types::{GpuSpec, LlmConfig, NeuPimsConfig, Phase};
 use neupims_workload::{warm_batch, Dataset};
 
-use crate::backend::{
-    backend_from_name, Backend, BackendError, GpuRooflineBackend, TransPimBackend,
-};
+use crate::backend::{backend_from_name, Backend, BackendError, TransPimBackend};
 use crate::device::{Device, DeviceMode, SbiPolicy};
 use crate::interconnect::PcieLink;
 use crate::sharding::{ClusterSpec, ShardedBackend};
-use crate::simulation::{Simulation, SimulationBuilder};
+use crate::simulation::{Simulation, SimulationBuilder, DEFAULT_SEED};
 
 /// Shared context: hardware config plus one-time PIM calibration.
 #[derive(Debug, Clone)]
@@ -56,12 +54,20 @@ impl ExperimentContext {
     ///
     /// Propagates calibration failures (invalid configuration).
     pub fn table2() -> Result<Self, neupims_types::SimError> {
-        let cfg = NeuPimsConfig::table2();
-        let cal = calibrate(&cfg)?;
+        Self::new(NeuPimsConfig::table2())
+    }
+
+    /// Calibrates `cfg`'s PIM constants from the cycle model, with the
+    /// harness defaults: [`DEFAULT_SEED`] and 10 warm batches per point.
+    ///
+    /// # Errors
+    ///
+    /// Propagates calibration failures (invalid configuration).
+    pub fn new(cfg: NeuPimsConfig) -> Result<Self, neupims_types::SimError> {
         Ok(Self {
             cfg,
-            cal,
-            seed: 0xA5F0_2024,
+            cal: calibrate(&cfg)?,
+            seed: DEFAULT_SEED,
             samples: 10,
         })
     }
@@ -75,14 +81,6 @@ impl ExperimentContext {
     /// The NeuPIMs device in `mode` as a backend.
     pub fn neupims_backend(&self, mode: DeviceMode) -> Device {
         Device::new(self.cfg, self.cal, mode)
-    }
-
-    /// The GPU-only roofline baseline under the Section 8.1 fairness rule:
-    /// A100 compute peaks over the calibrated HBM bandwidth of this
-    /// context's memory system.
-    pub fn gpu_backend(&self) -> GpuRooflineBackend {
-        GpuRooflineBackend::a100()
-            .with_mem_bw(self.cal.mem_stream_bw * self.cfg.mem.channels as f64 * 1e9)
     }
 
     /// The TransPIM comparator on this context's memory system.
@@ -315,9 +313,9 @@ pub fn fig12_throughput(
 
     // The four systems of the figure behind one trait: the Section 8.1
     // fairness rule (equivalent memory bandwidth for every baseline) is
-    // baked into `ExperimentContext::gpu_backend`.
+    // baked into the `gpu` backend.
     let backends: Vec<Box<dyn Backend>> = vec![
-        Box::new(ctx.gpu_backend()),
+        ctx.backend("gpu")?,
         Box::new(ctx.neupims_backend(DeviceMode::NpuOnly)),
         Box::new(ctx.neupims_backend(DeviceMode::NaiveNpuPim)),
         Box::new(ctx.neupims_backend(DeviceMode::neupims())),

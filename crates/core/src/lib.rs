@@ -10,8 +10,8 @@
 //!   [`IterationResult`] / [`BackendError`] types and a name registry for
 //!   CLI selection;
 //! * [`simulation`] — the [`Simulation`] builder tying a backend to a
-//!   model, dataset, and batch geometry: the single entry point for
-//!   iteration pricing, throughput sweeps, (TP, PP) scaling, and serving;
+//!   model, dataset, and batch geometry: the warm-batch pricer behind
+//!   iteration pricing, throughput sweeps, and (TP, PP) scaling;
 //! * [`device`] — one accelerator executing batched decode iterations
 //!   under a [`device::DeviceMode`]: `NpuOnly`, `NaiveNpuPim` (blocked-mode
 //!   PIM, round-robin channels), or `NeuPims` (dual row buffers, optional
@@ -60,8 +60,9 @@
 //!   [`RoutePolicy`] (load-only / capability-aware) — graded on goodput
 //!   per replica-cycle paid;
 //! * [`system`] — one [`SystemSpec`] (what CLI flags and eval
-//!   `[[scenario]]` keys both parse into) and the single builder turning
-//!   it into a fleet or an orchestrator;
+//!   `[[scenario]]` keys both parse into), the single constructor of
+//!   serving replicas ([`SystemSpec::replica`]), and the builder turning
+//!   the spec into a fleet or an orchestrator of them;
 //! * [`metrics`] — iteration breakdowns, utilization, and the DRAM
 //!   activity bridge into the power model.
 //!

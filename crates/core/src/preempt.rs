@@ -147,9 +147,8 @@ pub trait PreemptionPolicy: std::fmt::Debug + Send {
     /// the CLI.
     fn name(&self) -> &'static str;
 
-    /// Clones the policy behind a box (lets
-    /// [`Simulation`](crate::simulation::Simulation) builders and fleets
-    /// replicate one configured policy across serving sims).
+    /// Clones the policy behind a box (lets fleets replicate one
+    /// configured policy across serving sims).
     fn clone_box(&self) -> Box<dyn PreemptionPolicy>;
 
     /// How this policy's victims are restored; `None` means the policy

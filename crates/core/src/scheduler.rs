@@ -201,10 +201,8 @@ pub trait SchedulerPolicy: std::fmt::Debug + Send {
     /// the CLI.
     fn name(&self) -> &'static str;
 
-    /// Clones the policy behind a box (lets [`Simulation`] builders and
-    /// fleets replicate one configured policy across serving sims).
-    ///
-    /// [`Simulation`]: crate::simulation::Simulation
+    /// Clones the policy behind a box (lets fleets replicate one
+    /// configured policy across serving sims).
     fn clone_box(&self) -> Box<dyn SchedulerPolicy>;
 
     /// Called once per admitted request: how its `prompt_len`-token prompt

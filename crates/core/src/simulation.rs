@@ -1,9 +1,10 @@
-//! The `Simulation` builder: one entry point for every experiment shape.
+//! The `Simulation` builder: the warm-batch pricer.
 //!
 //! A [`Simulation`] binds a [`Backend`] to a model, a dataset, and a batch
-//! geometry, then prices decode iterations, warm-batch throughput,
-//! multi-device (TP, PP) deployments, and full serving runs — replacing
-//! the scattered per-system entry points the harness used to hard-wire.
+//! geometry, then prices decode iterations, prefills, warm-batch
+//! throughput, and multi-device (TP, PP) deployments. Serving replicas are
+//! built elsewhere, in one place:
+//! [`SystemSpec::replica`](crate::system::SystemSpec::replica).
 //!
 //! # Example
 //!
@@ -32,14 +33,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use neupims_sched::{CostModelKind, TraceMemo};
 use neupims_types::{Cycle, LlmConfig};
 use neupims_workload::{warm_batch, Dataset};
 
 use crate::backend::{Backend, BackendError, IterationResult};
-use crate::preempt::{DropOnly, PreemptionPolicy, SwapConfig};
-use crate::scheduler::{LumpPrefill, SchedulerPolicy};
-use crate::serving::{ServingConfig, ServingSim, SloTargets};
 use crate::sharding::{ClusterSpec, ShardedBackend};
 
 /// Default RNG seed of the experiment harness (kept from the seed repo so
@@ -57,10 +54,6 @@ pub struct Simulation<B: Backend> {
     layers: u32,
     seed: u64,
     samples: usize,
-    scheduler: Box<dyn SchedulerPolicy>,
-    cost_model: Option<CostModelKind>,
-    preemption: Box<dyn PreemptionPolicy>,
-    swap: SwapConfig,
 }
 
 /// Builder for [`Simulation`] (see [`Simulation::builder`]).
@@ -78,11 +71,6 @@ pub struct SimulationBuilder<B = NoBackend> {
     layers: Option<u32>,
     seed: u64,
     samples: usize,
-    scheduler: Box<dyn SchedulerPolicy>,
-    cost_model: Option<CostModelKind>,
-    preemption: Box<dyn PreemptionPolicy>,
-    swap: SwapConfig,
-    trace_memo: Option<TraceMemo>,
 }
 
 /// Type-state marker: no backend selected yet.
@@ -107,11 +95,6 @@ impl Simulation<Box<dyn Backend>> {
             layers: None,
             seed: DEFAULT_SEED,
             samples: 10,
-            scheduler: Box::new(LumpPrefill),
-            cost_model: None,
-            preemption: Box::new(DropOnly),
-            swap: SwapConfig::default(),
-            trace_memo: None,
         }
     }
 }
@@ -128,69 +111,7 @@ impl<T> SimulationBuilder<T> {
             layers: self.layers,
             seed: self.seed,
             samples: self.samples,
-            scheduler: self.scheduler,
-            cost_model: self.cost_model,
-            preemption: self.preemption,
-            swap: self.swap,
-            trace_memo: self.trace_memo,
         }
-    }
-
-    /// Sets the KV-pressure preemption policy installed into every
-    /// [`Simulation::serving`] run (defaults to [`DropOnly`]; see
-    /// [`crate::preempt`] for the shipped policies).
-    pub fn preemption(mut self, policy: Box<dyn PreemptionPolicy>) -> Self {
-        self.preemption = policy;
-        self
-    }
-
-    /// Sets the swap-link parameters pricing
-    /// [`SwapLru`](crate::preempt::SwapLru) restores in
-    /// [`Simulation::serving`] runs (ignored by the other policies).
-    pub fn swap(mut self, swap: SwapConfig) -> Self {
-        self.swap = swap;
-        self
-    }
-
-    /// Sets the iteration-level serving scheduler installed into every
-    /// [`Simulation::serving`] run (defaults to
-    /// [`LumpPrefill`]; see [`crate::scheduler`] for the shipped policies).
-    pub fn scheduler(mut self, scheduler: Box<dyn SchedulerPolicy>) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Overrides the MHA cost model the serving scheduler prices PIM
-    /// GEMV phases with (and whose channel statistics surface as
-    /// [`ServingOutcome::pim_trace`](crate::serving::ServingOutcome::pim_trace)):
-    /// the Algorithm 1 closed form or trace-driven command-stream replay
-    /// through the cycle-level DRAM model.
-    ///
-    /// The backend's *decode iterations* are priced by its own configured
-    /// kind (e.g. [`Device::with_cost_model`]), which this
-    /// serving-layer knob cannot reach — configure the backend too for a
-    /// fully trace-priced run (the CLI's `--cost-model` sets both). When
-    /// unset, serving follows the backend's configured kind
-    /// ([`Backend::preferred_cost_model`]), so configuring only the
-    /// backend is always coherent. Backends without a PIM ignore the knob
-    /// entirely.
-    ///
-    /// [`Device::with_cost_model`]: crate::device::Device::with_cost_model
-    pub fn cost_model(mut self, kind: CostModelKind) -> Self {
-        self.cost_model = Some(kind);
-        self
-    }
-
-    /// Shares a [`TraceMemo`] with the backend's trace-driven cost model
-    /// at [`build`](SimulationBuilder::build) time (see
-    /// [`Backend::attach_trace_memo`]): replay results are pooled with
-    /// every other simulation pricing through the same memo — including
-    /// a disk-backed one built with
-    /// [`TraceMemo::with_cache_dir`](neupims_sched::TraceMemo::with_cache_dir).
-    /// Backends without a PIM ignore the memo.
-    pub fn trace_memo(mut self, memo: TraceMemo) -> Self {
-        self.trace_memo = Some(memo);
-        self
     }
 
     /// Sets the model (defaults to GPT3-7B when unset).
@@ -266,12 +187,8 @@ impl<B: Backend> SimulationBuilder<B> {
                 "zero tensor-parallel degree or layer count".into(),
             ));
         }
-        let mut backend = self.backend;
-        if let Some(memo) = &self.trace_memo {
-            backend.attach_trace_memo(memo);
-        }
         Ok(Simulation {
-            backend,
+            backend: self.backend,
             model,
             dataset: self.dataset,
             batch: self.batch,
@@ -279,10 +196,6 @@ impl<B: Backend> SimulationBuilder<B> {
             layers,
             seed: self.seed,
             samples: self.samples,
-            scheduler: self.scheduler,
-            cost_model: self.cost_model,
-            preemption: self.preemption,
-            swap: self.swap,
         })
     }
 }
@@ -384,57 +297,6 @@ impl<B: Backend> Simulation<B> {
             .cluster_tokens_per_sec(&self.model, 1, &seqs)
             .map_err(|e| BackendError::sim(self.backend.label(), e))
     }
-
-    /// The iteration-level serving scheduler installed into
-    /// [`Self::serving`] runs.
-    pub fn scheduler(&self) -> &dyn SchedulerPolicy {
-        &*self.scheduler
-    }
-
-    /// The KV-pressure preemption policy installed into [`Self::serving`]
-    /// runs.
-    pub fn preemption(&self) -> &dyn PreemptionPolicy {
-        &*self.preemption
-    }
-
-    /// The MHA cost-model kind installed into [`Self::serving`] runs:
-    /// the builder override when one was set, else the backend's own
-    /// configured kind.
-    pub fn cost_model_kind(&self) -> CostModelKind {
-        self.cost_model
-            .unwrap_or_else(|| self.backend.preferred_cost_model())
-    }
-
-    /// Builds a serving simulation over this backend (borrowed), with the
-    /// simulation's TP degree, resident layers, and configured scheduler.
-    pub fn serving(&self, max_batch: usize, target_completions: u64) -> ServingSim<&B> {
-        self.serving_with_slo(max_batch, target_completions, None)
-    }
-
-    /// Like [`Self::serving`], but with latency SLO targets: the outcome's
-    /// attainment and goodput are measured against them.
-    pub fn serving_with_slo(
-        &self,
-        max_batch: usize,
-        target_completions: u64,
-        slo: Option<SloTargets>,
-    ) -> ServingSim<&B> {
-        ServingSim::with_scheduler(
-            &self.backend,
-            self.model.clone(),
-            ServingConfig {
-                max_batch,
-                tp: self.tp,
-                layers: self.layers,
-                target_completions,
-                slo,
-            },
-            self.scheduler.clone(),
-        )
-        .with_cost_model(self.cost_model_kind())
-        .with_preemption(self.preemption.clone())
-        .with_swap(self.swap)
-    }
 }
 
 #[cfg(test)]
@@ -497,7 +359,7 @@ mod tests {
     }
 
     #[test]
-    fn cluster_and_serving_run_through_the_builder() {
+    fn sharded_cluster_throughput_runs_through_the_builder() {
         let sim = Simulation::builder()
             .model(LlmConfig::gpt3_7b())
             .backend(table2_device(DeviceMode::neupims()))
@@ -509,39 +371,6 @@ mod tests {
             .sharded_cluster_throughput(ClusterSpec::new(4, 2), Box::new(PcieLink::default()))
             .unwrap();
         assert!(thr > 0.0);
-
-        let mut serving = sim.serving(16, 0);
-        for i in 0..8 {
-            serving.submit(i, 64, 4, 0).unwrap();
-        }
-        let out = serving.run().unwrap();
-        assert_eq!(out.completed, 8);
-        assert!(out.tokens_per_sec() > 0.0);
-        assert!(out.ttft_percentile(50.0) > 0, "prefill must charge TTFT");
-    }
-
-    #[test]
-    fn serving_runs_on_every_backend_kind() {
-        let (cfg, cal) = table2_pair();
-        let run = |sim: &Simulation<Box<dyn crate::backend::Backend>>| {
-            let mut s = sim.serving(8, 0);
-            for i in 0..8 {
-                s.submit(i, 64, 2, 0).unwrap();
-            }
-            s.run().unwrap()
-        };
-        for name in crate::backend::BACKEND_NAMES {
-            let sim = Simulation::builder()
-                .model(LlmConfig::gpt3_7b())
-                .backend(backend_from_name(name, &cfg, &cal).unwrap())
-                .batch(8)
-                .samples(1)
-                .build()
-                .unwrap();
-            let out = run(&sim);
-            assert_eq!(out.completed, 8, "{name}");
-            assert_eq!(out.tokens, 16, "{name}");
-        }
     }
 
     #[test]

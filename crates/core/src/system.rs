@@ -5,7 +5,9 @@
 //! system. [`SystemSpec`] is what both front-ends parse into — the CLI's
 //! flags and an eval suite's `[[scenario]]` keys — and
 //! [`SystemSpec::build`] turns it into a dispatched [`FleetSim`] or, when
-//! any orchestration key is set, an [`Orchestrator`]. Each construction
+//! any orchestration key is set, an [`Orchestrator`].
+//! [`SystemSpec::replica`] builds every serving replica: each slot of
+//! those, and the lone replica of the CLI's `serve`. Each construction
 //! rule lives here once: the sharding wrapper and the serving shape under
 //! it, comma-separated backend/scheduler lists cycled over the replicas,
 //! preemption/swap/replay-memo wiring, and the autoscale replica floor.
@@ -196,8 +198,8 @@ impl SystemSpec {
     }
 
     /// A [`Simulation`](crate::simulation::Simulation) builder over the
-    /// spec's model and backend at the serving shape: the entry point of
-    /// warm-batch throughput and single-replica serving runs.
+    /// spec's model and backend at the serving shape, pricing through
+    /// `memo` when given: the entry point of warm-batch throughput runs.
     ///
     /// # Errors
     ///
@@ -205,12 +207,17 @@ impl SystemSpec {
     pub fn simulation(
         &self,
         ctx: &ExperimentContext,
+        memo: Option<&TraceMemo>,
     ) -> Result<SimulationBuilder<Box<dyn Backend>>, Box<dyn Error>> {
         let (tp, layers) = self.serving_shape();
+        let mut backend = self.backend(ctx, &self.backend)?;
+        if let Some(memo) = memo {
+            backend.attach_trace_memo(memo);
+        }
         Ok(ctx
             .simulation()
             .model(self.model.clone())
-            .backend(self.backend(ctx, &self.backend)?)
+            .backend(backend)
             .tp(tp)
             .layers(layers))
     }
@@ -231,10 +238,50 @@ impl SystemSpec {
             .map(Some)
     }
 
+    /// Builds serving replica `index` on `ctx`'s hardware: the backend and
+    /// scheduler names at `index` of their comma-separated lists (cycled),
+    /// under the spec's cost model, preemption policy, swap link, serving
+    /// shape and SLO, pricing through `memo` when given. Every replica of
+    /// [`Self::build`] comes from here, and so does `serve`'s lone one.
+    ///
+    /// # Errors
+    ///
+    /// Unknown backend, scheduler, preemption or fabric names, and invalid
+    /// sharding.
+    pub fn replica(
+        &self,
+        ctx: &ExperimentContext,
+        index: usize,
+        memo: Option<&TraceMemo>,
+    ) -> Result<ServingSim<Box<dyn Backend>>, Box<dyn Error>> {
+        let preemption = preemption_from_name(&self.preemption)?;
+        let backends: Vec<&str> = self.backend.split(',').map(str::trim).collect();
+        let schedulers: Vec<&str> = self.scheduler.split(',').map(str::trim).collect();
+        let backend = self.backend(ctx, backends[index % backends.len()])?;
+        let scheduler =
+            scheduler_from_name(schedulers[index % schedulers.len()], self.chunk_tokens)?;
+        let (tp, layers) = self.serving_shape();
+        let cfg = ServingConfig {
+            max_batch: self.max_batch,
+            tp,
+            layers,
+            target_completions: 0,
+            slo: Some(self.slo()),
+        };
+        let replica = ServingSim::with_scheduler(backend, self.model.clone(), cfg, scheduler)
+            .with_cost_model(self.cost_model)
+            .with_preemption(preemption)
+            .with_swap(SwapConfig {
+                gb_per_sec: self.swap_gbps,
+            });
+        Ok(match memo {
+            Some(memo) => replica.with_trace_memo(memo),
+            None => replica,
+        })
+    }
+
     /// Builds the system on `ctx`'s hardware: `replicas` serving replicas
-    /// (backend and scheduler names cycled over them, each with the
-    /// spec's cost model, preemption policy and swap link, all pricing
-    /// through `memo` when given), dispatched as a [`FleetSim`] or, when
+    /// (each from [`Self::replica`]), dispatched as a [`FleetSim`] or, when
     /// [`Self::orchestration_requested`], owned by an [`Orchestrator`].
     /// `jobs` caps the worker threads (`None`: available parallelism); it
     /// never changes results.
@@ -249,34 +296,9 @@ impl SystemSpec {
         memo: Option<&TraceMemo>,
         jobs: Option<usize>,
     ) -> Result<System, Box<dyn Error>> {
-        let (tp, layers) = self.serving_shape();
-        let cfg = ServingConfig {
-            max_batch: self.max_batch,
-            tp,
-            layers,
-            target_completions: 0,
-            slo: Some(self.slo()),
-        };
-        let backends: Vec<&str> = self.backend.split(',').map(str::trim).collect();
-        let schedulers: Vec<&str> = self.scheduler.split(',').map(str::trim).collect();
-        let preemption = preemption_from_name(&self.preemption)?;
-        let mut replicas = Vec::with_capacity(self.replicas);
-        for i in 0..self.replicas {
-            let backend = self.backend(ctx, backends[i % backends.len()])?;
-            let scheduler =
-                scheduler_from_name(schedulers[i % schedulers.len()], self.chunk_tokens)?;
-            let mut replica =
-                ServingSim::with_scheduler(backend, self.model.clone(), cfg.clone(), scheduler)
-                    .with_cost_model(self.cost_model)
-                    .with_preemption(preemption.clone())
-                    .with_swap(SwapConfig {
-                        gb_per_sec: self.swap_gbps,
-                    });
-            if let Some(memo) = memo {
-                replica = replica.with_trace_memo(memo);
-            }
-            replicas.push(replica);
-        }
+        let replicas = (0..self.replicas)
+            .map(|i| self.replica(ctx, i, memo))
+            .collect::<Result<Vec<_>, _>>()?;
         // `with_jobs(0)` keeps the default worker count.
         let jobs = jobs.unwrap_or(0);
         if !self.orchestration_requested() {
@@ -313,5 +335,47 @@ impl SystemSpec {
             orch_cfg,
         )?;
         Ok(System::Orchestrator(Box::new(orch.with_jobs(jobs))))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::BACKEND_NAMES;
+    use crate::testsupport::table2_context;
+
+    #[test]
+    fn replica_serves_with_prefill_charged_to_ttft() {
+        let spec = SystemSpec {
+            max_batch: 16,
+            ..SystemSpec::default()
+        };
+        let mut serving = spec.replica(&table2_context(), 0, None).unwrap();
+        for i in 0..8 {
+            serving.submit(i, 64, 4, 0).unwrap();
+        }
+        let out = serving.run().unwrap();
+        assert_eq!(out.completed, 8);
+        assert!(out.tokens_per_sec() > 0.0);
+        assert!(out.ttft_percentile(50.0) > 0, "prefill must charge TTFT");
+    }
+
+    #[test]
+    fn replica_serves_on_every_backend_kind() {
+        let ctx = table2_context();
+        for name in BACKEND_NAMES {
+            let spec = SystemSpec {
+                backend: name.to_owned(),
+                max_batch: 8,
+                ..SystemSpec::default()
+            };
+            let mut s = spec.replica(&ctx, 0, None).unwrap();
+            for i in 0..8 {
+                s.submit(i, 64, 2, 0).unwrap();
+            }
+            let out = s.run().unwrap();
+            assert_eq!(out.completed, 8, "{name}");
+            assert_eq!(out.tokens, 16, "{name}");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Shared test-support helpers for this crate's module tests.
 //!
-//! Nearly every test in `simulation`, `sharding`, `serving`, `device`,
-//! `transpim`, and `backend` needs the Table 2 configuration with its PIM
+//! Nearly every test in `simulation`, `system`, `sharding`, `serving`,
+//! `device`, `transpim`, and `backend` needs the Table 2 configuration with its PIM
 //! constants calibrated from the cycle model. Calibration is deterministic
 //! and not free (five command-stream runs), so this module computes it
 //! once per test binary behind a [`OnceLock`] and hands out copies —
@@ -15,7 +15,9 @@ use neupims_types::{LlmConfig, NeuPimsConfig};
 
 use crate::backend::GpuRooflineBackend;
 use crate::device::{Device, DeviceMode};
+use crate::experiments::ExperimentContext;
 use crate::serving::{ServingConfig, ServingSim};
+use crate::simulation::DEFAULT_SEED;
 
 /// The memoized Table 2 calibration (calibrated once per test binary).
 pub(crate) fn table2_calibration() -> PimCalibration {
@@ -28,6 +30,17 @@ pub(crate) fn table2_calibration() -> PimCalibration {
 /// The Table 2 configuration next to its memoized calibration.
 pub(crate) fn table2_pair() -> (NeuPimsConfig, PimCalibration) {
     (NeuPimsConfig::table2(), table2_calibration())
+}
+
+/// The Table 2 experiment context, using the memoized calibration.
+pub(crate) fn table2_context() -> ExperimentContext {
+    let (cfg, cal) = table2_pair();
+    ExperimentContext {
+        cfg,
+        cal,
+        seed: DEFAULT_SEED,
+        samples: 10,
+    }
 }
 
 /// A Table 2 device in `mode`, using the memoized calibration.

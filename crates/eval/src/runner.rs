@@ -18,7 +18,6 @@ use neupims_core::experiments::ExperimentContext;
 use neupims_core::fleet::{FleetOutcome, FleetRequest};
 use neupims_core::orchestrator::OrchestratorOutcome;
 use neupims_core::system::System;
-use neupims_pim::calibrate;
 use neupims_sched::{CostModelKind, TraceMemo};
 use neupims_types::{request_id, NeuPimsConfig};
 use rand::rngs::StdRng;
@@ -222,7 +221,7 @@ pub fn run_scenario_with_opts(
         .trace_memo(opts.memo_cache.as_deref())
         .map_err(sim_err)?;
     let metrics = match spec.kind {
-        ScenarioKind::Throughput => run_throughput(&ctx, spec, &system, seed, memo)?,
+        ScenarioKind::Throughput => run_throughput(&ctx, spec, &system, seed, memo.as_ref())?,
         ScenarioKind::Serving => run_serving(&ctx, spec, &system, seed, opts.jobs, memo.as_ref())?,
     };
     Ok(ScenarioRun {
@@ -235,9 +234,6 @@ pub fn run_scenario_with_opts(
 /// Builds the calibrated context, applying the scenario's tight-memory
 /// overrides (channel count / per-channel KV capacity) when present.
 fn context_for(spec: &ScenarioSpec) -> Result<ExperimentContext, EvalError> {
-    if spec.channels.is_none() && spec.kv_bytes_per_channel.is_none() {
-        return ExperimentContext::table2().map_err(sim_err);
-    }
     let mut cfg = NeuPimsConfig::table2();
     if let Some(channels) = spec.channels {
         cfg.mem.channels = channels;
@@ -245,14 +241,7 @@ fn context_for(spec: &ScenarioSpec) -> Result<ExperimentContext, EvalError> {
     if let Some(bytes) = spec.kv_bytes_per_channel {
         cfg.mem.capacity_per_channel = bytes;
     }
-    let cal = calibrate(&cfg).map_err(sim_err)?;
-    let base = ExperimentContext::table2().map_err(sim_err)?;
-    Ok(ExperimentContext {
-        cfg,
-        cal,
-        seed: base.seed,
-        samples: base.samples,
-    })
+    ExperimentContext::new(cfg).map_err(sim_err)
 }
 
 fn run_throughput(
@@ -260,19 +249,17 @@ fn run_throughput(
     spec: &ScenarioSpec,
     system: &SystemSpec,
     seed: u64,
-    memo: Option<TraceMemo>,
+    memo: Option<&TraceMemo>,
 ) -> Result<Metrics, EvalError> {
-    let mut builder = system
-        .simulation(ctx)
+    let sim = system
+        .simulation(ctx, memo)
         .map_err(sim_err)?
         .dataset(spec.dataset)
         .batch(spec.batch)
         .seed(seed)
-        .samples(spec.samples);
-    if let Some(memo) = memo {
-        builder = builder.trace_memo(memo);
-    }
-    let sim = builder.build().map_err(sim_err)?;
+        .samples(spec.samples)
+        .build()
+        .map_err(sim_err)?;
     let tokens_per_sec = sim.throughput().map_err(sim_err)?;
     let mut metrics = Metrics::new();
     metrics.insert("tokens_per_sec".into(), tokens_per_sec);

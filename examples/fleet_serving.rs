@@ -15,10 +15,10 @@ use neupims_core::backend::{backend_from_name, Backend};
 use neupims_core::fleet::{policy_from_name, FleetRequest, FleetSim, POLICY_NAMES};
 use neupims_core::serving::{ServingConfig, ServingSim, SloTargets};
 use neupims_pim::calibrate;
-use neupims_types::{LlmConfig, NeuPimsConfig};
+use neupims_types::{request_id, LlmConfig, NeuPimsConfig, SimError};
 use neupims_workload::{arrival_stream, Dataset};
 
-fn workload(n: usize) -> Vec<FleetRequest> {
+fn workload(n: usize) -> Result<Vec<FleetRequest>, SimError> {
     let mut rng = StdRng::seed_from_u64(77);
     let dataset = Dataset::ShareGpt;
     // ~6000 requests/s at a 1 GHz device clock.
@@ -26,11 +26,13 @@ fn workload(n: usize) -> Vec<FleetRequest> {
     arrivals
         .iter()
         .enumerate()
-        .map(|(i, &at)| FleetRequest {
-            id: i as u32,
-            input_len: dataset.sample_input(&mut rng),
-            output_len: dataset.sample_output(&mut rng).min(48), // cap for demo
-            arrival: at,
+        .map(|(i, &at)| {
+            Ok(FleetRequest {
+                id: request_id(i)?,
+                input_len: dataset.sample_input(&mut rng),
+                output_len: dataset.sample_output(&mut rng).min(48), // cap for demo
+                arrival: at,
+            })
         })
         .collect()
 }
@@ -51,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             tpot: 8_000_000.0,
         }),
     };
-    let requests = workload(48);
+    let requests = workload(48)?;
 
     println!("\n== 4x NeuPIMs replicas, one policy per run ==");
     println!(

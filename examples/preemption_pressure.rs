@@ -13,7 +13,7 @@ use neupims_core::scheduler::scheduler_from_name;
 use neupims_core::serving::{ServingConfig, ServingOutcome, ServingSim};
 use neupims_core::{Device, DeviceMode};
 use neupims_pim::calibrate;
-use neupims_types::{LlmConfig, NeuPimsConfig};
+use neupims_types::{request_id, LlmConfig, NeuPimsConfig, SimError};
 use neupims_workload::{kv_pressure_burst, PressureSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,20 +41,19 @@ fn tight_sim(scheduler: &str, preemption: &str) -> ServingSim {
     .with_preemption(preemption_from_name(preemption).unwrap())
 }
 
-fn run(scheduler: &str, preemption: &str) -> ServingOutcome {
+fn run(scheduler: &str, preemption: &str) -> Result<ServingOutcome, SimError> {
     let mut sim = tight_sim(scheduler, preemption);
     let mut rng = StdRng::seed_from_u64(0xBEE5);
     for (i, r) in kv_pressure_burst(&mut rng, &PressureSpec::default())
         .iter()
         .enumerate()
     {
-        sim.submit(i as u32, r.input_len, r.output_len, r.arrival)
-            .unwrap();
+        sim.submit(request_id(i)?, r.input_len, r.output_len, r.arrival)?;
     }
-    sim.run().unwrap()
+    sim.run()
 }
 
-fn main() {
+fn main() -> Result<(), SimError> {
     println!("calibrating ...");
     println!(
         "\n## Preemption x scheduler on the KV-pressure burst trace\n\n\
@@ -68,7 +67,7 @@ fn main() {
     println!("|---|---|---:|---:|---:|---:|---:|---:|---:|---:|");
     for preemption in ["drop", "recompute", "swap"] {
         for scheduler in ["lump", "interleaved"] {
-            let out = run(scheduler, preemption);
+            let out = run(scheduler, preemption)?;
             assert_eq!(
                 out.completed + out.dropped,
                 out.submitted,
@@ -91,8 +90,8 @@ fn main() {
         }
     }
 
-    let drop = run("lump", "drop");
-    let rec = run("lump", "recompute");
+    let drop = run("lump", "drop")?;
+    let rec = run("lump", "recompute")?;
     println!(
         "\nrecompute vs drop-only (lump): {} vs {} completed, {} vs {} dropped — \
          preemption turns shed load into {} restores at {:.1} ms of re-paid prefill",
@@ -103,4 +102,5 @@ fn main() {
         rec.restores,
         rec.restore_overhead_cycles as f64 / 1e6,
     );
+    Ok(())
 }

@@ -1,7 +1,8 @@
 //! End-to-end inference serving: streaming Poisson arrivals with
 //! ShareGPT-like lengths through the Orca-style iteration-level scheduler,
-//! paged KV cache, and any simulation backend — built with the
-//! `Simulation` builder.
+//! paged KV cache, and any simulation backend — each replica built by
+//! `SystemSpec::replica`, the constructor the `serve` and `fleet`
+//! commands and the eval suites share.
 //!
 //! ```text
 //! cargo run --release --example serving_simulation
@@ -10,17 +11,15 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use neupims_core::backend::{backend_from_name, Backend};
-use neupims_core::simulation::Simulation;
-use neupims_pim::calibrate;
-use neupims_types::{LlmConfig, NeuPimsConfig};
+use neupims_core::backend::Backend;
+use neupims_core::experiments::ExperimentContext;
+use neupims_core::system::SystemSpec;
+use neupims_types::request_id;
 use neupims_workload::{poisson_arrivals, Dataset};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let cfg = NeuPimsConfig::table2();
     println!("calibrating ...");
-    let cal = calibrate(&cfg)?;
-    let model = LlmConfig::gpt3_7b();
+    let ctx = ExperimentContext::table2()?;
 
     // 60 requests arriving at ~3 per million cycles (3000 req/s at 1 GHz),
     // lengths drawn from the ShareGPT distributions.
@@ -28,24 +27,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let arrivals = poisson_arrivals(&mut rng, 3.0, 20_000_000);
     let dataset = Dataset::ShareGpt;
 
-    // The same serving loop drives every system: swap the backend name.
+    // The same serving loop drives every system: swap the backend name
+    // (GPT3-7B at its published TP/PP split, lump prefill, drop-only
+    // preemption, analytic pricing).
     for backend_name in ["naive", "neupims"] {
-        let sim = Simulation::builder()
-            .model(model.clone())
-            .backend(backend_from_name(backend_name, &cfg, &cal)?)
-            .dataset(dataset)
-            .build()?;
-        let mut serving = sim.serving(64, 0);
+        let spec = SystemSpec {
+            backend: backend_name.to_owned(),
+            max_batch: 64,
+            ..SystemSpec::default()
+        };
+        let mut serving = spec.replica(&ctx, 0, None)?;
         let mut rng = StdRng::seed_from_u64(99);
         for (i, &at) in arrivals.iter().take(60).enumerate() {
             let input = dataset.sample_input(&mut rng);
             let output = dataset.sample_output(&mut rng).min(64); // cap for demo
-            serving.submit(i as u32, input, output, at)?;
+            serving.submit(request_id(i)?, input, output, at)?;
         }
         let out = serving.run()?;
         println!(
             "\n{:<10}: {} requests, {} tokens in {:.1} ms",
-            sim.backend().label(),
+            serving.backend().label(),
             out.completed,
             out.tokens,
             out.total_cycles as f64 / 1e6

@@ -4,7 +4,8 @@
 //! [`types`], the hardware substrate ([`dram`], [`npu`], [`pim`]), the
 //! serving machinery ([`kvcache`], [`sched`], [`workload`]), the [`power`]
 //! models, and the [`core`] system simulator with its [`core::backend`]
-//! trait and [`core::simulation::Simulation`] builder.
+//! trait, its [`core::simulation::Simulation`] warm-batch pricer, and its
+//! [`core::system::SystemSpec`] builder of serving replicas and fleets.
 //!
 //! # Quickstart
 //!

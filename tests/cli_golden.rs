@@ -167,6 +167,26 @@ fn fig14_table() {
     assert_stdout_matches("fig14", &["fig14"]);
 }
 
+/// `serve` builds one replica, so a `--backend` or `--scheduler` list
+/// (which `fleet` cycles over its replicas) is an error, not a silent
+/// first pick.
+#[test]
+fn serve_rejects_name_lists() {
+    for (flag, list) in [
+        ("--backend", "neupims,gpu"),
+        ("--scheduler", "lump,chunked"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_neupims-sim"))
+            .args(["serve", "--requests", "4", flag, list])
+            .output()
+            .expect("the CLI binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
+        assert!(stderr.contains(list), "{flag}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flag} printed a report");
+    }
+}
+
 /// Non-finite or non-positive `--tenants` weights and SLO targets exit
 /// with an error naming the field, before anything runs.
 #[test]

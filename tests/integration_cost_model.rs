@@ -4,10 +4,11 @@
 
 use neupims_core::backend::{backend_from_name_with_cost, Backend};
 use neupims_core::device::Device;
+use neupims_core::experiments::ExperimentContext;
 use neupims_core::fleet::{FleetRequest, FleetSim, JoinShortestQueue};
 use neupims_core::scheduler::SubBatchInterleaved;
 use neupims_core::serving::{ServingConfig, ServingSim};
-use neupims_core::simulation::Simulation;
+use neupims_core::system::SystemSpec;
 use neupims_pim::calibrate;
 use neupims_sched::CostModelKind;
 use neupims_types::{LlmConfig, NeuPimsConfig};
@@ -161,24 +162,24 @@ fn backend_configured_kind_is_the_serving_default() {
 
 #[test]
 fn builder_without_override_follows_the_backend_kind() {
-    // Regression: Simulation::serving used to clobber the backend's
-    // configured kind with the builder's analytic default. Without an
-    // explicit .cost_model(..) override, a trace-configured backend must
-    // yield a trace-priced serving run.
-    let sim = Simulation::builder()
-        .model(LlmConfig::gpt3_7b())
-        .backend(
-            Device::table2()
-                .unwrap()
-                .with_cost_model(CostModelKind::TraceDriven),
-        )
-        .batch(8)
-        .samples(1)
-        .scheduler(Box::new(SubBatchInterleaved::new(128)))
-        .build()
-        .unwrap();
-    assert_eq!(sim.cost_model_kind(), CostModelKind::TraceDriven);
-    let mut serving = sim.serving(8, 0);
+    // Regression: the serving layer used to clobber the backend's
+    // configured kind with an analytic default. A replica built from a
+    // trace-priced spec must price its scheduler the way its backend
+    // prices decode, and yield a trace-priced serving run.
+    let spec = SystemSpec {
+        cost_model: CostModelKind::TraceDriven,
+        scheduler: "interleaved".into(),
+        chunk_tokens: 128,
+        max_batch: 8,
+        ..SystemSpec::default()
+    };
+    let ctx = ExperimentContext::table2().unwrap();
+    let mut serving = spec.replica(&ctx, 0, None).unwrap();
+    assert_eq!(
+        serving.backend().preferred_cost_model(),
+        CostModelKind::TraceDriven
+    );
+    assert_eq!(serving.cost_model_kind(), CostModelKind::TraceDriven);
     for i in 0..4 {
         serving.submit(i, 128, 3, 0).unwrap();
     }
@@ -251,20 +252,15 @@ fn deprecated_estimator_shim_matches_analytic_cost_model() {
 
 #[test]
 fn simulation_builder_and_fleet_thread_the_knob() {
-    let sim = Simulation::builder()
-        .model(LlmConfig::gpt3_7b())
-        .backend(
-            Device::table2()
-                .unwrap()
-                .with_cost_model(CostModelKind::TraceDriven),
-        )
-        .batch(8)
-        .samples(1)
-        .cost_model(CostModelKind::TraceDriven)
-        .build()
-        .unwrap();
-    assert_eq!(sim.cost_model_kind(), CostModelKind::TraceDriven);
-    let mut serving = sim.serving(8, 0);
+    // Replica: the system spec's cost model reaches the replica it builds.
+    let spec = SystemSpec {
+        cost_model: CostModelKind::TraceDriven,
+        max_batch: 8,
+        ..SystemSpec::default()
+    };
+    let ctx = ExperimentContext::table2().unwrap();
+    let mut serving = spec.replica(&ctx, 0, None).unwrap();
+    assert_eq!(serving.cost_model_kind(), CostModelKind::TraceDriven);
     for i in 0..6 {
         serving.submit(i, 128, 3, 0).unwrap();
     }

@@ -2,14 +2,15 @@
 //! drop-only parity against the pre-preemption golden numbers, the
 //! KV-pressure burst trace where recompute preemption completes strictly
 //! more requests than drop-only, conservation through preempt/restore
-//! cycles, and the threading through `Simulation` and `FleetSim`.
+//! cycles, and the threading through `SystemSpec` and `FleetSim`.
 
+use neupims_core::experiments::ExperimentContext;
 use neupims_core::fleet::{FleetRequest, FleetSim, JoinShortestQueue};
 use neupims_core::preempt::{
     preemption_from_name, DropOnly, RecomputeLastAdmitted, SwapConfig, SwapLru, PREEMPTION_NAMES,
 };
 use neupims_core::serving::{ServingConfig, ServingSim};
-use neupims_core::simulation::Simulation;
+use neupims_core::system::SystemSpec;
 use neupims_core::{Device, DeviceMode};
 use neupims_pim::calibrate;
 use neupims_types::{LlmConfig, NeuPimsConfig};
@@ -184,18 +185,17 @@ fn swap_completes_the_pressure_trace_with_cheaper_restores() {
     );
 }
 
+/// The system spec's preemption policy reaches the replica it builds.
 #[test]
 fn simulation_builder_threads_the_preemption_policy() {
-    let sim = Simulation::builder()
-        .model(LlmConfig::gpt3_7b())
-        .backend(Device::table2().unwrap())
-        .preemption(Box::new(RecomputeLastAdmitted))
-        .swap(SwapConfig { gb_per_sec: 8.0 })
-        .samples(1)
-        .build()
-        .unwrap();
-    assert_eq!(sim.preemption().name(), "recompute");
-    let mut serving = sim.serving(8, 0);
+    let spec = SystemSpec {
+        preemption: "recompute".into(),
+        swap_gbps: 8.0,
+        max_batch: 8,
+        ..SystemSpec::default()
+    };
+    let ctx = ExperimentContext::table2().unwrap();
+    let mut serving = spec.replica(&ctx, 0, None).unwrap();
     assert_eq!(serving.preemption_name(), "recompute");
     for i in 0..4 {
         serving.submit(i, 64, 4, 0).unwrap();

@@ -1,18 +1,19 @@
 //! Integration tests for the iteration-level scheduler policies: exact
 //! PR-2 parity of the default lump-prefill path, the NPU/PIM interleaving
 //! win on a mixed prefill+decode trace, conservation under every policy
-//! and backend, and the scheduler threading through `Simulation` and
+//! and backend, and the scheduler threading through `SystemSpec` and
 //! `FleetSim`.
 
 use neupims_core::backend::backend_from_name;
 use neupims_core::device::Device;
+use neupims_core::experiments::ExperimentContext;
 use neupims_core::fleet::{FleetRequest, FleetSim, JoinShortestQueue};
 use neupims_core::scheduler::{
     scheduler_from_name, ChunkedPrefill, LumpPrefill, SchedulerPolicy, SubBatchInterleaved,
     SCHEDULER_NAMES,
 };
 use neupims_core::serving::{ServingConfig, ServingOutcome, ServingSim};
-use neupims_core::simulation::Simulation;
+use neupims_core::system::SystemSpec;
 use neupims_pim::calibrate;
 use neupims_types::{LlmConfig, NeuPimsConfig};
 
@@ -201,33 +202,33 @@ fn chunked_ttft_includes_the_whole_prompt_encoding() {
     assert_eq!(out.overlap_hidden_cycles, 0, "nothing to hide when idle");
 }
 
+/// The system spec's scheduler name reaches the replica it builds.
 #[test]
 fn simulation_builder_threads_the_scheduler() {
-    let run = |scheduler: Box<dyn SchedulerPolicy>| {
-        let sim = Simulation::builder()
-            .model(LlmConfig::gpt3_7b())
-            .backend(Device::table2().unwrap())
-            .scheduler(scheduler)
-            .batch(16)
-            .samples(1)
-            .build()
-            .unwrap();
-        let mut serving = sim.serving(16, 0);
+    let ctx = ExperimentContext::table2().unwrap();
+    let run = |scheduler: &str| {
+        let spec = SystemSpec {
+            scheduler: scheduler.to_owned(),
+            chunk_tokens: 512,
+            max_batch: 16,
+            ..SystemSpec::default()
+        };
+        let mut serving = spec.replica(&ctx, 0, None).unwrap();
         for i in 0..8u32 {
             serving.submit(i, 1024, 4, 0).unwrap();
         }
-        (sim.scheduler().name(), serving.scheduler_name(), {
+        (serving.scheduler_name(), {
             let out = serving.run().unwrap();
             (out.completed, out.prefill_cycles_on_device)
         })
     };
-    let (a, b, (completed, on_device)) = run(Box::new(LumpPrefill));
-    assert_eq!((a, b), ("lump", "lump"));
+    let (name, (completed, on_device)) = run("lump");
+    assert_eq!(name, "lump");
     assert_eq!(completed, 8);
     assert_eq!(on_device, 0);
 
-    let (a, b, (completed, on_device)) = run(Box::new(SubBatchInterleaved::new(512)));
-    assert_eq!((a, b), ("interleaved", "interleaved"));
+    let (name, (completed, on_device)) = run("interleaved");
+    assert_eq!(name, "interleaved");
     assert_eq!(completed, 8);
     assert!(on_device > 0, "chunked policies encode prompts on-device");
 }
