@@ -1,12 +1,12 @@
 //! Shared test-support helpers for this crate's module tests.
 //!
 //! Nearly every test in `simulation`, `system`, `sharding`, `serving`,
-//! `device`, `transpim`, and `backend` needs the Table 2 configuration with its PIM
-//! constants calibrated from the cycle model. Calibration is deterministic
-//! and not free (five command-stream runs), so this module computes it
-//! once per test binary behind a [`OnceLock`] and hands out copies —
-//! replacing the `calibrate(&NeuPimsConfig::table2()).unwrap()` boilerplate
-//! that used to be repeated in every module's test setup.
+//! `device`, `transpim`, and `backend` needs the Table 2 configuration
+//! with its PIM constants calibrated from the cycle model. Calibration is
+//! deterministic and not free (five command-stream runs), so this module
+//! computes it once per test binary behind a [`OnceLock`] and hands out
+//! copies — replacing the `calibrate(&NeuPimsConfig::table2()).unwrap()`
+//! boilerplate that used to be repeated in every module's test setup.
 
 use std::sync::OnceLock;
 
