@@ -2,11 +2,13 @@
 //! steady-state serving step.
 //!
 //! A counting global allocator wraps `System` and counts, per thread,
-//! every allocation and reallocation. The pins below are exact: a change
-//! that adds an allocation to a warm `Device::decode_iteration` or to
-//! GMLBP fails here, and a change that removes one must lower the pin.
-//! A warm iteration prices, balances and sums its batch in thread-local
-//! scratch; what it still allocates is named next to each pin.
+//! every allocation and reallocation, and the live heap bytes the thread
+//! holds. The pins below are exact: a change that adds an allocation to a
+//! warm `Device::decode_iteration` or to GMLBP fails here, and a change
+//! that removes one must lower the pin. A warm iteration prices, balances
+//! and sums its batch in thread-local scratch; what it still allocates is
+//! named next to each pin. A steady-state replica holds constant live
+//! bytes: no per-iteration log grows with the run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -22,32 +24,43 @@ struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread. Signed: a thread
+    /// may free what another allocated.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count() {
-    // `try_with`: the slot is gone while the thread tears down.
+/// Counts one allocation of `bytes`.
+fn count(bytes: i64) {
+    // `try_with`: the slots are gone while the thread tears down.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    track(bytes);
+}
+
+/// Adds `bytes` (negative when freed) to this thread's live total.
+fn track(bytes: i64) {
+    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + bytes));
 }
 
 // SAFETY: every method forwards to `System` unchanged; counting touches
-// only a const-initialized thread-local `Cell`, which never allocates.
+// only const-initialized thread-local `Cell`s, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        track(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -142,10 +155,16 @@ fn assign_min_load_allocates_its_buffers_once() {
     assert_eq!(n, 0);
 }
 
-/// Allocations of one steady-state `ServingSim::step`: every request
-/// admitted and decoding, none completing, and the replay memo warm for
-/// every context the batch reaches.
-fn steady_step_allocations(scheduler: &str, kind: CostModelKind) -> u64 {
+/// Live heap bytes this thread holds.
+fn live_bytes() -> i64 {
+    LIVE_BYTES.with(Cell::get)
+}
+
+/// A replica in steady state: 48 requests with 400-token outputs, stepped
+/// 100 iterations, past every admission and on-device prefill chunk. Every
+/// request is decoding, none completes for 300 more iterations, and the
+/// replay memo is warm for every context the batch reaches.
+fn steady_replica(scheduler: &str, kind: CostModelKind) -> ServingSim<Device> {
     let cfg = NeuPimsConfig::table2();
     let cal = calibrate(&cfg).unwrap();
     let device = Device::new(cfg, cal, DeviceMode::neupims()).with_cost_model(kind);
@@ -166,16 +185,24 @@ fn steady_step_allocations(scheduler: &str, kind: CostModelKind) -> u64 {
     for id in 0..48u32 {
         sim.submit(id, 64 + id * 13, 400, 0).unwrap();
     }
-    // 100 iterations: past every admission and on-device prefill chunk,
-    // and short of the 129th, which would grow the iteration log's
-    // capacity from 128.
+    run_iterations(&mut sim, 100);
+    assert_eq!(sim.waiting_len(), 0, "every request is admitted");
+    sim
+}
+
+/// Steps `sim` until it has executed `n` more iterations.
+fn run_iterations(sim: &mut ServingSim<Device>, n: u64) {
     let mut iterations = 0;
-    while iterations < 100 {
+    while iterations < n {
         if sim.step().unwrap() == StepEvent::Iteration {
             iterations += 1;
         }
     }
-    assert_eq!(sim.waiting_len(), 0, "every request is admitted");
+}
+
+/// Allocations of one steady-state `ServingSim::step`.
+fn steady_step_allocations(scheduler: &str, kind: CostModelKind) -> u64 {
+    let mut sim = steady_replica(scheduler, kind);
     let (event, n) = allocations(|| sim.step().unwrap());
     assert_eq!(event, StepEvent::Iteration);
     assert_eq!(sim.completed(), 0, "no request completes");
@@ -195,4 +222,27 @@ fn steady_serving_step_allocates_only_its_plan() {
         5
     );
     assert_eq!(steady_step_allocations("lump", CostModelKind::Analytic), 5);
+}
+
+/// Live heap bytes a steady-state replica gains between its 100th and its
+/// 300th iteration.
+fn steady_live_bytes_growth(scheduler: &str, kind: CostModelKind) -> i64 {
+    let mut sim = steady_replica(scheduler, kind);
+    let before = live_bytes();
+    run_iterations(&mut sim, 200);
+    let after = live_bytes();
+    assert_eq!(sim.completed(), 0, "no request completes");
+    after - before
+}
+
+#[test]
+fn steady_replica_holds_constant_live_bytes() {
+    // Token growth and KV accounting update fixed-size state, and the
+    // latest iteration's record is overwritten in place: a longer run
+    // holds no more heap.
+    assert_eq!(
+        steady_live_bytes_growth("interleaved", CostModelKind::TraceDriven),
+        0
+    );
+    assert_eq!(steady_live_bytes_growth("lump", CostModelKind::Analytic), 0);
 }
