@@ -168,8 +168,8 @@ pub struct IterationPlan {
     pub hidden_cycles: Cycle,
 }
 
-/// One row of the per-iteration occupancy log
-/// ([`ServingOutcome::iteration_stats`](crate::serving::ServingOutcome::iteration_stats)).
+/// One iteration's occupancy, as
+/// [`ServingSim::last_iteration`](crate::serving::ServingSim::last_iteration) reports it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IterationOccupancy {
     /// Simulated time at which the iteration started (wall clock includes

@@ -22,9 +22,9 @@
 //! token) metric measures; TPOT (time-per-output-token) covers the decode
 //! tail. [`ServingOutcome`] reports both as percentile distributions next
 //! to end-to-end latency, plus SLO attainment and goodput against
-//! caller-supplied [`SloTargets`], and logs per-iteration occupancy and
-//! NPU/PIM overlap ([`ServingOutcome::iteration_stats`],
-//! [`ServingOutcome::overlap_efficiency`]).
+//! caller-supplied [`SloTargets`], and sums occupancy and NPU/PIM overlap
+//! in O(1) memory ([`ServingOutcome::mean_decode_batch`],
+//! [`ServingOutcome::overlap_efficiency`], [`ServingSim::last_iteration`]).
 //!
 //! How the run behaves when the paged KV cache runs out of pages is a
 //! second policy axis ([`ServingSim::with_preemption`], default
@@ -252,10 +252,8 @@ pub struct ServingOutcome {
     /// Tokens generated by SLO-attaining requests (the goodput
     /// numerator).
     pub goodput_tokens: u64,
-    /// Per-iteration occupancy log: decode batch size, chunked-prefill
-    /// tokens, and the decode/prefill/hidden cycle split of every
-    /// iteration, in execution order.
-    pub iteration_stats: Vec<IterationOccupancy>,
+    /// Decode-batch sizes summed over all iterations.
+    pub decode_batch_sum: u64,
     /// Cycles charged to on-device prefill chunks across the run (0 under
     /// lump prefill, which runs prompts on standalone NPUs).
     pub prefill_cycles_on_device: Cycle,
@@ -369,14 +367,10 @@ impl ServingOutcome {
     /// batch); 0 when no iteration executed. Divide by the configured
     /// `max_batch` for a `[0, 1]` occupancy fraction.
     pub fn mean_decode_batch(&self) -> f64 {
-        if self.iteration_stats.is_empty() {
+        if self.iterations == 0 {
             0.0
         } else {
-            self.iteration_stats
-                .iter()
-                .map(|s| s.decode_requests as f64)
-                .sum::<f64>()
-                / self.iteration_stats.len() as f64
+            self.decode_batch_sum as f64 / self.iterations as f64
         }
     }
 }
@@ -509,7 +503,10 @@ pub struct ServingSim<B: Backend = Device> {
     records: Vec<RequestMetrics>,
     totals: IterationBreakdown,
     iterations: u64,
-    iteration_stats: Vec<IterationOccupancy>,
+    last_iteration: Option<IterationOccupancy>,
+    decode_batch_sum: u64,
+    prefill_cycles_on_device: Cycle,
+    overlap_hidden_cycles: Cycle,
     peak_kv: f64,
     submitted: u64,
     dropped: u64,
@@ -582,7 +579,10 @@ impl<B: Backend> ServingSim<B> {
             records: Vec::new(),
             totals: IterationBreakdown::default(),
             iterations: 0,
-            iteration_stats: Vec::new(),
+            last_iteration: None,
+            decode_batch_sum: 0,
+            prefill_cycles_on_device: 0,
+            overlap_hidden_cycles: 0,
             peak_kv: 0.0,
             submitted: 0,
             dropped: 0,
@@ -704,6 +704,13 @@ impl<B: Backend> ServingSim<B> {
     /// Current simulated time in cycles.
     pub fn now(&self) -> Cycle {
         self.now
+    }
+
+    /// The latest iteration's occupancy (`None` before the first): read
+    /// it after each [`StepEvent::Iteration`] to follow a run iteration by
+    /// iteration.
+    pub fn last_iteration(&self) -> Option<&IterationOccupancy> {
+        self.last_iteration.as_ref()
     }
 
     /// How many times [`Self::step`] has been called over the run's
@@ -1250,12 +1257,8 @@ impl<B: Backend> ServingSim<B> {
             plan.decode_cycles + plan.prefill_cycles - plan.hidden_cycles,
             "scheduler plan violated its cycle-split invariant"
         );
-        let start = self.now;
-        self.now += plan.breakdown.total_cycles;
-        self.totals.merge(&plan.breakdown);
-        self.iterations += 1;
-        self.iteration_stats.push(IterationOccupancy {
-            start,
+        self.last_iteration = Some(IterationOccupancy {
+            start: self.now,
             cycles: plan.breakdown.total_cycles,
             decode_requests: plan.decode.len(),
             prefill_tokens: plan.prefill.iter().map(|c| c.tokens).sum(),
@@ -1263,6 +1266,12 @@ impl<B: Backend> ServingSim<B> {
             prefill_cycles: plan.prefill_cycles,
             hidden_cycles: plan.hidden_cycles,
         });
+        self.now += plan.breakdown.total_cycles;
+        self.totals.merge(&plan.breakdown);
+        self.iterations += 1;
+        self.decode_batch_sum += plan.decode.len() as u64;
+        self.prefill_cycles_on_device += plan.prefill_cycles;
+        self.overlap_hidden_cycles += plan.hidden_cycles;
 
         // Chunked-prefill progress: fully encoded prompts leave the
         // prefill queue and join decode at the next boundary.
@@ -1414,22 +1423,12 @@ impl<B: Backend> ServingSim<B> {
         ttfts.sort_unstable();
         let mut tpots: Vec<f64> = self.records.iter().map(RequestMetrics::tpot).collect();
         tpots.sort_by(f64::total_cmp);
-        let mean_latency = if latencies.is_empty() {
-            0.0
-        } else {
-            latencies.iter().sum::<u64>() as f64 / latencies.len() as f64
-        };
-        let (slo_attained, goodput_tokens) = match &self.cfg.slo {
-            Some(slo) => self
-                .records
-                .iter()
-                .filter(|r| r.meets(slo))
-                .fold((0u64, 0u64), |(n, t), r| (n + 1, t + r.tokens)),
-            None => (
-                self.records.len() as u64,
-                self.records.iter().map(|r| r.tokens).sum(),
-            ),
-        };
+        let mean_latency = latencies.iter().sum::<u64>() as f64 / latencies.len().max(1) as f64;
+        let (slo_attained, goodput_tokens) = self
+            .records
+            .iter()
+            .filter(|r| self.cfg.slo.as_ref().is_none_or(|slo| r.meets(slo)))
+            .fold((0u64, 0u64), |(n, t), r| (n + 1, t + r.tokens));
         ServingOutcome {
             total_cycles: self.now,
             submitted: self.submitted,
@@ -1450,9 +1449,9 @@ impl<B: Backend> ServingSim<B> {
             peak_kv_utilization: self.peak_kv,
             slo_attained,
             goodput_tokens,
-            prefill_cycles_on_device: self.iteration_stats.iter().map(|s| s.prefill_cycles).sum(),
-            overlap_hidden_cycles: self.iteration_stats.iter().map(|s| s.hidden_cycles).sum(),
-            iteration_stats: self.iteration_stats.clone(),
+            decode_batch_sum: self.decode_batch_sum,
+            prefill_cycles_on_device: self.prefill_cycles_on_device,
+            overlap_hidden_cycles: self.overlap_hidden_cycles,
             pim_trace: self.cost_model.as_ref().and_then(|m| m.trace_snapshot()),
         }
     }

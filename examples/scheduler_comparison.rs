@@ -8,8 +8,8 @@
 //! ```
 
 use neupims_core::device::Device;
-use neupims_core::scheduler::scheduler_from_name;
-use neupims_core::serving::{ServingConfig, ServingOutcome, ServingSim};
+use neupims_core::scheduler::{scheduler_from_name, IterationOccupancy};
+use neupims_core::serving::{ServingConfig, ServingOutcome, ServingSim, StepEvent};
 use neupims_types::LlmConfig;
 
 /// The shared trace: twelve 8192-token prompts, 64 output tokens each,
@@ -22,7 +22,11 @@ fn submit_trace(sim: &mut ServingSim<Device>) {
     }
 }
 
-fn run(scheduler: &str) -> ServingOutcome {
+/// Runs the trace under `scheduler`, returning the outcome and the first
+/// eight iterations (numbered) that end at or after the second arrival at
+/// 200 ms. `start` is wall clock, so `Waited` gaps — e.g. the lump run's
+/// prefill delays — are accounted for.
+fn run(scheduler: &str) -> (ServingOutcome, Vec<(u64, IterationOccupancy)>) {
     let mut sim = ServingSim::with_scheduler(
         Device::table2().unwrap(),
         LlmConfig::gpt3_7b(),
@@ -36,14 +40,30 @@ fn run(scheduler: &str) -> ServingOutcome {
         scheduler_from_name(scheduler, 4096).unwrap(),
     );
     submit_trace(&mut sim);
-    sim.run().unwrap()
+    let (mut iteration, mut window) = (0, Vec::new());
+    loop {
+        match sim.step().unwrap() {
+            StepEvent::Finished => return (sim.outcome(), window),
+            StepEvent::Iteration => {
+                let s = *sim.last_iteration().unwrap();
+                if s.start + s.cycles >= 200_000_000 && window.len() < 8 {
+                    window.push((iteration, s));
+                }
+                iteration += 1;
+            }
+            StepEvent::Waited | StepEvent::Dropped(_) => {}
+        }
+    }
 }
 
 fn main() {
     println!("calibrating ...");
-    let outcomes: Vec<(&str, ServingOutcome)> = ["lump", "chunked", "interleaved"]
+    let outcomes: Vec<_> = ["lump", "chunked", "interleaved"]
         .into_iter()
-        .map(|name| (name, run(name)))
+        .map(|name| {
+            let (out, window) = run(name);
+            (name, out, window)
+        })
         .collect();
 
     println!("\n## Outcome summary (same trace, chunk budget 4096)\n");
@@ -52,7 +72,7 @@ fn main() {
          p50 TTFT (ms) | on-device prefill (ms) | hidden (ms) | overlap eff |"
     );
     println!("|---|---:|---:|---:|---:|---:|---:|---:|---:|");
-    for (name, out) in &outcomes {
+    for (name, out, _) in &outcomes {
         println!(
             "| {} | {:.1} | {:.1} | {} | {:.1} | {:.1} | {:.1} | {:.1} | {:.1}% |",
             name,
@@ -69,29 +89,22 @@ fn main() {
 
     // Iteration-by-iteration view of the window where request 1's prompt
     // (arriving at 200 ms) is encoded while request 0 decodes.
-    for (name, out) in &outcomes {
+    for (name, _, window) in &outcomes {
         println!("\n## {name}: iterations around the second arrival\n");
         println!("| iter | start (ms) | cycles (ms) | decode reqs | prefill tokens | decode (ms) | prefill (ms) | hidden (ms) |");
         println!("|---:|---:|---:|---:|---:|---:|---:|---:|");
-        let mut shown = 0;
-        for (i, s) in out.iteration_stats.iter().enumerate() {
-            // Show the iterations that start at or after the 200 ms
-            // arrival (`start` is wall clock, so Waited gaps — e.g. the
-            // lump run's prefill delays — are accounted for).
-            if s.start + s.cycles >= 200_000_000 && shown < 8 {
-                println!(
-                    "| {} | {:.2} | {:.2} | {} | {} | {:.2} | {:.2} | {:.2} |",
-                    i,
-                    s.start as f64 / 1e6,
-                    s.cycles as f64 / 1e6,
-                    s.decode_requests,
-                    s.prefill_tokens,
-                    s.decode_cycles as f64 / 1e6,
-                    s.prefill_cycles as f64 / 1e6,
-                    s.hidden_cycles as f64 / 1e6,
-                );
-                shown += 1;
-            }
+        for (i, s) in window {
+            println!(
+                "| {} | {:.2} | {:.2} | {} | {} | {:.2} | {:.2} | {:.2} |",
+                i,
+                s.start as f64 / 1e6,
+                s.cycles as f64 / 1e6,
+                s.decode_requests,
+                s.prefill_tokens,
+                s.decode_cycles as f64 / 1e6,
+                s.prefill_cycles as f64 / 1e6,
+                s.hidden_cycles as f64 / 1e6,
+            );
         }
     }
 

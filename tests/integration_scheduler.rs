@@ -12,7 +12,7 @@ use neupims_core::scheduler::{
     scheduler_from_name, ChunkedPrefill, LumpPrefill, SchedulerPolicy, SubBatchInterleaved,
     SCHEDULER_NAMES,
 };
-use neupims_core::serving::{ServingConfig, ServingOutcome, ServingSim};
+use neupims_core::serving::{ServingConfig, ServingSim, StepEvent};
 use neupims_core::system::SystemSpec;
 use neupims_pim::calibrate;
 use neupims_types::{LlmConfig, NeuPimsConfig};
@@ -71,20 +71,11 @@ fn lump_prefill_reproduces_pr2_numbers_exactly() {
 
 #[test]
 fn default_scheduler_equals_explicit_lump() {
-    let strip = |mut o: ServingOutcome| {
-        // iteration_stats are new outputs; the numeric outcome must be
-        // identical field-for-field.
-        o.iteration_stats.clear();
-        o
-    };
     let mut default_sim = ServingSim::new(Device::table2().unwrap(), LlmConfig::gpt3_7b(), cfg(16));
     golden_trace(&mut default_sim);
     let mut lump_sim = neupims_sim(16, Box::new(LumpPrefill));
     golden_trace(&mut lump_sim);
-    assert_eq!(
-        strip(default_sim.run().unwrap()),
-        strip(lump_sim.run().unwrap())
-    );
+    assert_eq!(default_sim.run().unwrap(), lump_sim.run().unwrap());
 }
 
 /// The paper's interleaving claim at the serving layer: on a mixed
@@ -157,7 +148,36 @@ fn every_scheduler_conserves_requests_on_every_backend() {
                 sim.submit(i, 100 + i * 37, 2 + i % 5, i as u64 * 500_000)
                     .unwrap();
             }
-            let out = sim.run().unwrap();
+            // Step the run, checking every iteration's cycle split as it
+            // executes and summing what the outcome reports in aggregate.
+            let (mut iterations, mut cycles, mut decode_batch, mut prefill, mut hidden) =
+                (0u64, 0u64, 0u64, 0u64, 0u64);
+            loop {
+                match sim.step().unwrap() {
+                    StepEvent::Finished => break,
+                    StepEvent::Iteration => {
+                        let s = *sim.last_iteration().expect("an iteration ran");
+                        assert_eq!(
+                            s.cycles,
+                            s.decode_cycles + s.prefill_cycles - s.hidden_cycles,
+                            "{backend_name}/{sched_name}: {s:?}"
+                        );
+                        assert_eq!(s.start + s.cycles, sim.now(), "{s:?}");
+                        iterations += 1;
+                        cycles += s.cycles;
+                        decode_batch += s.decode_requests as u64;
+                        prefill += s.prefill_cycles;
+                        hidden += s.hidden_cycles;
+                    }
+                    StepEvent::Waited | StepEvent::Dropped(_) => {}
+                }
+            }
+            let out = sim.outcome();
+            assert_eq!(iterations, out.iterations, "{backend_name}/{sched_name}");
+            assert!(cycles <= out.total_cycles, "{backend_name}/{sched_name}");
+            assert_eq!(decode_batch, out.decode_batch_sum);
+            assert_eq!(prefill, out.prefill_cycles_on_device);
+            assert_eq!(hidden, out.overlap_hidden_cycles);
             assert_eq!(
                 out.completed + out.dropped,
                 out.submitted,
@@ -170,17 +190,6 @@ fn every_scheduler_conserves_requests_on_every_backend() {
                 assert!(r.ttft > 0, "{backend_name}/{sched_name}: {r:?}");
                 assert!(r.ttft <= r.latency, "{backend_name}/{sched_name}: {r:?}");
             }
-            // Occupancy log covers every iteration and sums consistently.
-            assert_eq!(out.iteration_stats.len() as u64, out.iterations);
-            for s in &out.iteration_stats {
-                assert_eq!(
-                    s.cycles,
-                    s.decode_cycles + s.prefill_cycles - s.hidden_cycles,
-                    "{backend_name}/{sched_name}: {s:?}"
-                );
-            }
-            let total: u64 = out.iteration_stats.iter().map(|s| s.cycles).sum();
-            assert!(total <= out.total_cycles, "{backend_name}/{sched_name}");
         }
     }
 }
