@@ -28,10 +28,10 @@
 //!   fig5        GPU utilization for four LLMs (Figure 5)
 //!   fig6        naive NPU+PIM per-stage utilization (Figure 6)
 //!   fig12       throughput: 4 systems x datasets x batch sizes x models
-//!   fig13       ablation: DRB / GMLBP / SBI (Figure 13)
+//!   fig13       ablation: DRB / GMLBP / SBI (Figure 13; = eval fig13)
 //!   fig14       (TP, PP) parallelism scaling (Figure 14)
-//!   fig15       speedup over TransPIM (Figure 15)
-//!   table4      resource utilization (Table 4)
+//!   fig15       speedup over TransPIM (Figure 15; = eval fig15)
+//!   table4      resource utilization (Table 4; = eval table4)
 //!   table5      power and energy (Table 5)
 //!   area        dual-row-buffer area overhead (Section 8.2)
 //!   all         every figure/table above, in order
@@ -92,12 +92,11 @@
 //! round-robin | capability). The report adds per-tenant SLO attainment
 //! and the goodput-per-cost bottom line (tokens from SLO-attaining
 //! requests per replica-Mcycle of committed capacity).
-//! eval suites: smoke (CI default), fig12, table3, pressure, scaling,
-//! orchestrator — or a path
-//! to a .toml spec (see docs/EVAL.md); reports are stored under
-//! --reports-dir (default `reports/`) keyed by suite + git revision, and
-//! the command exits non-zero when any fail-severity golden check is
-//! violated.
+//! eval suites: smoke (CI default), fig12, fig13, fig15, table3,
+//! table4, pressure, scaling, orchestrator — or a path to a .toml spec
+//! (see docs/EVAL.md); reports are stored under --reports-dir (default
+//! `reports/`) keyed by suite + git revision, and the command exits
+//! non-zero when any fail-severity golden check is violated.
 //! ```
 
 use std::process::ExitCode;
@@ -117,9 +116,8 @@ use std::path::PathBuf;
 
 use neupims_core::backend::Backend;
 use neupims_core::experiments::{
-    area_overhead, fig12_throughput, fig13_ablation, fig14_parallelism, fig15_transpim,
-    fig4_roofline, fig5_gpu_util, fig6_layer_util, table4_utilization, table5_power,
-    ExperimentContext,
+    area_overhead, fig12_throughput, fig14_parallelism, fig4_roofline, fig5_gpu_util,
+    fig6_layer_util, table5_power, ExperimentContext,
 };
 use neupims_core::fleet::{FleetRequest, FleetSim, POLICY_NAMES};
 use neupims_core::interconnect::{interconnect_from_name, INTERCONNECT_NAMES};
@@ -459,10 +457,14 @@ fn run(command: &str, opts: &Options) -> Result<(), Box<dyn std::error::Error>> 
     if command == "area" {
         return cmd_area();
     }
+    // The eval runner calibrates per scenario (suites may override the
+    // memory system), so eval and the artifacts that are suites of the
+    // same name skip the shared context below.
     if command == "eval" {
-        // The eval runner calibrates per scenario (suites may override
-        // the memory system), so it skips the shared context below.
-        return cmd_eval(opts);
+        return cmd_eval(opts, opts.suite.as_deref().unwrap_or("smoke"));
+    }
+    if matches!(command, "fig13" | "fig15" | "table4") {
+        return cmd_eval(opts, command);
     }
 
     // Every remaining command needs the calibrated context.
@@ -477,10 +479,7 @@ fn run(command: &str, opts: &Options) -> Result<(), Box<dyn std::error::Error>> 
         "drift" => cmd_drift(&ctx, opts),
         "fig6" => cmd_fig6(&ctx),
         "fig12" => cmd_fig12(&ctx, opts),
-        "fig13" => cmd_fig13(&ctx, opts),
         "fig14" => cmd_fig14(&ctx),
-        "fig15" => cmd_fig15(&ctx, opts),
-        "table4" => cmd_table4(&ctx),
         "table5" => cmd_table5(&ctx),
         "all" => {
             cmd_fig4()?;
@@ -488,10 +487,10 @@ fn run(command: &str, opts: &Options) -> Result<(), Box<dyn std::error::Error>> 
             cmd_calibrate(&ctx)?;
             cmd_fig6(&ctx)?;
             cmd_fig12(&ctx, opts)?;
-            cmd_fig13(&ctx, opts)?;
+            cmd_eval(opts, "fig13")?;
             cmd_fig14(&ctx)?;
-            cmd_fig15(&ctx, opts)?;
-            cmd_table4(&ctx)?;
+            cmd_eval(opts, "fig15")?;
+            cmd_eval(opts, "table4")?;
             cmd_table5(&ctx)?;
             cmd_area()
         }
@@ -1043,7 +1042,7 @@ fn cmd_drift(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std:
     }
 }
 
-fn cmd_eval(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_eval(opts: &Options, suite_name: &str) -> Result<(), Box<dyn std::error::Error>> {
     if opts.list {
         println!("\n## Eval suites\n");
         println!("| suite | description |");
@@ -1060,7 +1059,6 @@ fn cmd_eval(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
         );
         return Ok(());
     }
-    let suite_name = opts.suite.as_deref().unwrap_or("smoke");
     let suite = neupims_eval::load_suite(suite_name)?;
     eprintln!(
         "running eval suite {} ({} scenarios, {} checks) ...",
@@ -1260,35 +1258,6 @@ fn cmd_fig12(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std:
     Ok(())
 }
 
-fn cmd_fig13(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    println!("\n## Figure 13 — ablation (GPT3-7B, ShareGPT; normalized to NPU+PIM)\n");
-    let batches: &[usize] = if opts.quick {
-        &[64, 256]
-    } else {
-        &[64, 128, 256, 384, 512]
-    };
-    let rows = fig13_ablation(ctx, batches)?;
-    println!("| batch | NPU+PIM | +DRB | +DRB+GMLBP | +DRB+GMLBP+SBI |");
-    println!("|---:|---:|---:|---:|---:|");
-    for &batch in batches {
-        let get = |v: &str| {
-            rows.iter()
-                .find(|r| r.batch == batch && r.variant == v)
-                .map(|r| r.improvement)
-                .unwrap_or(0.0)
-        };
-        println!(
-            "| {} | {:.2} | {:.2} | {:.2} | {:.2} |",
-            batch,
-            get("NPU+PIM"),
-            get("NeuPIMs-DRB"),
-            get("NeuPIMs-DRB+GMLBP"),
-            get("NeuPIMs-DRB+GMLBP+SBI"),
-        );
-    }
-    Ok(())
-}
-
 fn cmd_fig14(ctx: &ExperimentContext) -> Result<(), Box<dyn std::error::Error>> {
     println!("\n## Figure 14 — (TP, PP) scaling at 256 requests (GPT3-7B)\n");
     println!("| devices | (TP, PP) | throughput (1k tokens/s) |");
@@ -1302,46 +1271,6 @@ fn cmd_fig14(ctx: &ExperimentContext) -> Result<(), Box<dyn std::error::Error>> 
             r.tokens_per_sec / 1e3
         );
     }
-    Ok(())
-}
-
-fn cmd_fig15(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    println!("\n## Figure 15 — NeuPIMs speedup over TransPIM (GPT3-7B)\n");
-    let batches: &[usize] = if opts.quick {
-        &[64, 256]
-    } else {
-        &[64, 128, 256, 384, 512]
-    };
-    let rows = fig15_transpim(ctx, batches)?;
-    println!("| dataset | batch | speedup |");
-    println!("|---|---:|---:|");
-    for r in &rows {
-        println!("| {} | {} | {:.0}x |", r.dataset, r.batch, r.speedup);
-    }
-    let avg = rows.iter().map(|r| r.speedup).sum::<f64>() / rows.len() as f64;
-    println!("\naverage speedup: {avg:.0}x (paper: ~228x, range 79-431x)");
-    Ok(())
-}
-
-fn cmd_table4(ctx: &ExperimentContext) -> Result<(), Box<dyn std::error::Error>> {
-    println!("\n## Table 4 — average resource utilization (GPT3-30B, B=256, ShareGPT)\n");
-    println!("| resource | NPU-only | NPU+PIM | NeuPIMs |");
-    println!("|---|---:|---:|---:|");
-    let rows = table4_utilization(ctx)?;
-    let pct = |x: f64| format!("{:.1}%", x * 100.0);
-    println!(
-        "| NPU | {} | {} | {} |",
-        pct(rows[0].npu),
-        pct(rows[1].npu),
-        pct(rows[2].npu)
-    );
-    println!("| PIM | - | {} | {} |", pct(rows[1].pim), pct(rows[2].pim));
-    println!(
-        "| Bandwidth | {} | {} | {} |",
-        pct(rows[0].bandwidth),
-        pct(rows[1].bandwidth),
-        pct(rows[2].bandwidth)
-    );
     Ok(())
 }
 

@@ -36,9 +36,7 @@
 //! ```
 
 use neupims_pim::{calibrate, PimCalibration};
-use neupims_sched::{
-    AnalyticCostModel, CostModelKind, MhaCostModel, MhaLatencyEstimator, TraceMemo,
-};
+use neupims_sched::{CostModelKind, MhaCostModel, MhaLatencyEstimator, TraceMemo};
 use neupims_types::{
     config::InterconnectConfig, Cycle, GpuSpec, LlmConfig, MemConfig, NeuPimsConfig, SimError,
 };
@@ -323,7 +321,7 @@ pub trait Backend: Send + Sync {
         let _ = kind; // only analytic is derivable from a bare estimator
         #[allow(deprecated)]
         self.mha_estimator(model, tp)
-            .map(|e| Box::new(AnalyticCostModel::new(e)) as Box<dyn MhaCostModel>)
+            .map(|e| Box::new(e) as Box<dyn MhaCostModel>)
     }
 
     /// Replaces this backend's trace-replay memo with a shared one, so

@@ -45,8 +45,8 @@ use neupims_llm::{heads_per_device, lower_batch};
 use neupims_npu::VectorCost;
 use neupims_pim::{calibrate, PimCalibration};
 use neupims_sched::{
-    AnalyticCostModel, CostModelKind, MhaCostModel, MhaLatencyEstimator, MinLoadPacker,
-    SubBatchSides, TraceDrivenCostModel, TraceHardware, TraceMemo,
+    CostModelKind, MhaCostModel, MhaLatencyEstimator, MinLoadPacker, SubBatchSides,
+    TraceDrivenCostModel, TraceHardware, TraceMemo,
 };
 use neupims_types::{config::InterconnectConfig, ChannelId, LlmConfig, NeuPimsConfig, SimError};
 
@@ -382,7 +382,7 @@ impl Device {
         }
         let geo = KvGeometry::with_tp(model, &self.cfg.mem, tp);
         Some(match kind {
-            CostModelKind::Analytic => Box::new(AnalyticCostModel::new(self.estimator_on(geo))),
+            CostModelKind::Analytic => Box::new(self.estimator_on(geo)),
             CostModelKind::TraceDriven => Box::new(self.trace_model_on(geo)),
         })
     }

@@ -1,10 +1,11 @@
-//! The evaluation harness: one function per paper table/figure.
+//! The evaluation harness: the paper artifacts an eval suite cannot
+//! express, one function each.
 //!
 //! Every function returns plain row structs so the CLI can print
-//! paper-style tables, the Criterion benches can regenerate the series,
-//! and the integration tests can assert the comparative *shapes* (who
-//! wins, by roughly what factor, where crossovers fall). The experiment
-//! inventory mirrors DESIGN.md:
+//! paper-style tables and the integration tests can assert the
+//! comparative *shapes* (who wins, by roughly what factor, where
+//! crossovers fall). Figures 13 and 15 and Table 4 are eval suites
+//! instead (`scenarios/fig13.toml`, `fig15.toml`, `table4.toml`).
 //!
 //! | Function | Paper artifact |
 //! |---|---|
@@ -12,10 +13,7 @@
 //! | [`fig5_gpu_util`] | Figure 5 (GPU utilization, 4 LLMs x 2 GPUs) |
 //! | [`fig6_layer_util`] | Figure 6 (naive NPU+PIM per-stage utilization) |
 //! | [`fig12_throughput`] | Figure 12 (throughput, 4 systems x sweeps) |
-//! | [`fig13_ablation`] | Figure 13 (DRB / GMLBP / SBI ablation) |
 //! | [`fig14_parallelism`] | Figure 14 ((TP,PP) scaling) |
-//! | [`fig15_transpim`] | Figure 15 (speedup over TransPIM) |
-//! | [`table4_utilization`] | Table 4 (NPU/PIM/bandwidth utilization) |
 //! | [`table5_power`] | Table 5 (average power + energy) |
 //! | [`area_overhead`] | Section 8.2 (dual-row-buffer area) |
 
@@ -28,8 +26,8 @@ use neupims_power::{energy_ratio, AreaModel, DramPowerParams};
 use neupims_types::{GpuSpec, LlmConfig, NeuPimsConfig, Phase};
 use neupims_workload::{warm_batch, Dataset};
 
-use crate::backend::{backend_from_name, Backend, BackendError, TransPimBackend};
-use crate::device::{Device, DeviceMode, SbiPolicy};
+use crate::backend::{backend_from_name, Backend, BackendError};
+use crate::device::{Device, DeviceMode};
 use crate::interconnect::PcieLink;
 use crate::sharding::{ClusterSpec, ShardedBackend};
 use crate::simulation::{Simulation, SimulationBuilder, DEFAULT_SEED};
@@ -81,11 +79,6 @@ impl ExperimentContext {
     /// The NeuPIMs device in `mode` as a backend.
     pub fn neupims_backend(&self, mode: DeviceMode) -> Device {
         Device::new(self.cfg, self.cal, mode)
-    }
-
-    /// The TransPIM comparator on this context's memory system.
-    pub fn transpim_backend(&self) -> TransPimBackend {
-        TransPimBackend::new(self.cfg, self.cal)
     }
 
     /// Builds any named backend (see
@@ -290,9 +283,6 @@ pub struct Fig12Row {
     pub tokens_per_sec: f64,
 }
 
-/// The four systems of Figure 12 in paper order.
-pub const FIG12_SYSTEMS: [&str; 4] = ["GPU-only", "NPU-only", "NPU+PIM", "NeuPIMs"];
-
 /// Regenerates one Figure 12 panel (one dataset, one model, one batch
 /// size): throughput of all four systems, averaged over warm batches.
 ///
@@ -331,8 +321,7 @@ pub fn fig12_throughput(
         }
     }
     // Rows carry each backend's own label, so adding or reordering
-    // backends cannot mislabel a bar (FIG12_SYSTEMS stays the published
-    // paper ordering for presentation code).
+    // backends cannot mislabel a bar.
     Ok(backends
         .iter()
         .enumerate()
@@ -344,86 +333,6 @@ pub fn fig12_throughput(
             tokens_per_sec: sums[i] / ctx.samples as f64,
         })
         .collect())
-}
-
-// --------------------------------------------------------------- Figure 13
-
-/// One bar of Figure 13: throughput improvement over the NPU+PIM baseline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig13Row {
-    /// Batch size.
-    pub batch: usize,
-    /// Variant label.
-    pub variant: &'static str,
-    /// Throughput normalized to the NPU+PIM baseline.
-    pub improvement: f64,
-}
-
-/// The ablation variants of Figure 13 in paper order.
-pub fn fig13_variants() -> Vec<(&'static str, DeviceMode)> {
-    vec![
-        ("NPU+PIM", DeviceMode::NaiveNpuPim),
-        (
-            "NeuPIMs-DRB",
-            DeviceMode::NeuPims {
-                gmlbp: false,
-                sbi: SbiPolicy::Off,
-            },
-        ),
-        (
-            "NeuPIMs-DRB+GMLBP",
-            DeviceMode::NeuPims {
-                gmlbp: true,
-                sbi: SbiPolicy::Off,
-            },
-        ),
-        (
-            "NeuPIMs-DRB+GMLBP+SBI",
-            DeviceMode::NeuPims {
-                gmlbp: true,
-                sbi: SbiPolicy::Always,
-            },
-        ),
-    ]
-}
-
-/// Regenerates Figure 13 (GPT3-7B, ShareGPT): normalized throughput of
-/// each ablation variant at each batch size.
-///
-/// # Errors
-///
-/// Propagates device-model errors.
-pub fn fig13_ablation(
-    ctx: &ExperimentContext,
-    batches: &[usize],
-) -> Result<Vec<Fig13Row>, neupims_types::SimError> {
-    let model = LlmConfig::gpt3_7b();
-    let mut rows = Vec::new();
-    for &batch in batches {
-        let mut rng = StdRng::seed_from_u64(ctx.seed ^ (batch as u64) << 8);
-        let mut thr = vec![0.0f64; fig13_variants().len()];
-        for _ in 0..ctx.samples {
-            let seqs = ctx.warm_seqs(&mut rng, Dataset::ShareGpt, batch);
-            for (i, (_, mode)) in fig13_variants().iter().enumerate() {
-                let iter = ctx.neupims_backend(*mode).decode_iteration(
-                    &model,
-                    4,
-                    model.num_layers,
-                    &seqs,
-                )?;
-                thr[i] += iter.tokens_per_sec();
-            }
-        }
-        let base = thr[0].max(1e-12);
-        for (i, (name, _)) in fig13_variants().iter().enumerate() {
-            rows.push(Fig13Row {
-                batch,
-                variant: name,
-                improvement: thr[i] / base,
-            });
-        }
-    }
-    Ok(rows)
 }
 
 // --------------------------------------------------------------- Figure 14
@@ -482,114 +391,6 @@ pub fn fig14_parallelism(
             tp,
             pp,
             tokens_per_sec: pipeline.cluster_tokens_per_sec(&model, tp, &seqs)?,
-        });
-    }
-    Ok(rows)
-}
-
-// --------------------------------------------------------------- Figure 15
-
-/// One bar of Figure 15: NeuPIMs speedup over TransPIM.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig15Row {
-    /// Dataset name.
-    pub dataset: &'static str,
-    /// Batch size.
-    pub batch: usize,
-    /// Speedup of NeuPIMs over TransPIM.
-    pub speedup: f64,
-}
-
-/// Regenerates Figure 15 (GPT3-7B): speedup of NeuPIMs over the TransPIM
-/// comparator across datasets and batch sizes.
-///
-/// # Errors
-///
-/// Propagates device-model errors.
-pub fn fig15_transpim(
-    ctx: &ExperimentContext,
-    batches: &[usize],
-) -> Result<Vec<Fig15Row>, neupims_types::SimError> {
-    let model = LlmConfig::gpt3_7b();
-    let neupims_backend = ctx.neupims_backend(DeviceMode::neupims());
-    let transpim_backend = ctx.transpim_backend();
-    let mut rows = Vec::new();
-    for dataset in Dataset::ALL {
-        for &batch in batches {
-            let mut rng = StdRng::seed_from_u64(ctx.seed ^ (batch as u64) << 16);
-            let mut speedup = 0.0;
-            for _ in 0..ctx.samples {
-                let seqs = ctx.warm_seqs(&mut rng, dataset, batch);
-                let neupims =
-                    neupims_backend.decode_iteration(&model, 4, model.num_layers, &seqs)?;
-                let trans =
-                    transpim_backend.decode_iteration(&model, 4, model.num_layers, &seqs)?;
-                speedup += trans.total_cycles() as f64 / neupims.total_cycles.max(1) as f64;
-            }
-            rows.push(Fig15Row {
-                dataset: dataset.name(),
-                batch,
-                speedup: speedup / ctx.samples as f64,
-            });
-        }
-    }
-    Ok(rows)
-}
-
-// ----------------------------------------------------------------- Table 4
-
-/// One column of Table 4: resource utilization of one system.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Table4Row {
-    /// System label.
-    pub system: &'static str,
-    /// NPU compute utilization `[0, 1]` (`-` in the paper for GPU rows).
-    pub npu: f64,
-    /// PIM compute utilization `[0, 1]`.
-    pub pim: f64,
-    /// External-bandwidth utilization `[0, 1]`.
-    pub bandwidth: f64,
-}
-
-/// Regenerates Table 4: average utilization of NPU-only, NPU+PIM, and
-/// NeuPIMs (GPT3-30B, batch 256, ShareGPT).
-///
-/// # Errors
-///
-/// Propagates device-model errors.
-pub fn table4_utilization(
-    ctx: &ExperimentContext,
-) -> Result<Vec<Table4Row>, neupims_types::SimError> {
-    let model = LlmConfig::gpt3_30b();
-    let layers = model.num_layers / model.parallelism.pp;
-    let micro = 256 / model.parallelism.pp as usize;
-    let mut rows = Vec::new();
-    for (name, mode) in [
-        ("NPU-only", DeviceMode::NpuOnly),
-        ("NPU+PIM", DeviceMode::NaiveNpuPim),
-        ("NeuPIMs", DeviceMode::neupims()),
-    ] {
-        let mut rng = StdRng::seed_from_u64(ctx.seed ^ 0x44);
-        let mut acc = crate::metrics::Utilization::default();
-        for _ in 0..ctx.samples {
-            let seqs = ctx.warm_seqs(&mut rng, Dataset::ShareGpt, micro);
-            let b = ctx.neupims_backend(mode).decode_iteration(
-                &model,
-                model.parallelism.tp,
-                layers,
-                &seqs,
-            )?;
-            let u = b.utilization(&ctx.cfg);
-            acc.npu += u.npu;
-            acc.pim += u.pim;
-            acc.bandwidth += u.bandwidth;
-        }
-        let n = ctx.samples as f64;
-        rows.push(Table4Row {
-            system: name,
-            npu: acc.npu / n,
-            pim: acc.pim / n,
-            bandwidth: acc.bandwidth / n,
         });
     }
     Ok(rows)
@@ -738,20 +539,6 @@ mod tests {
     }
 
     #[test]
-    fn fig13_monotone_prefix() {
-        let c = ctx();
-        let rows = fig13_ablation(&c, &[256]).unwrap();
-        assert_eq!(rows.len(), 4);
-        assert!((rows[0].improvement - 1.0).abs() < 1e-9);
-        assert!(rows[1].improvement >= 1.0, "DRB {:?}", rows[1]);
-        assert!(rows[2].improvement >= rows[1].improvement - 0.05);
-        assert!(
-            rows[3].improvement > rows[1].improvement,
-            "SBI must add at B=256: {rows:?}"
-        );
-    }
-
-    #[test]
     fn fig14_tp_over_pp() {
         let rows = fig14_parallelism(&ctx()).unwrap();
         assert_eq!(rows.len(), 8);
@@ -765,28 +552,6 @@ mod tests {
         assert!(get(8, 1) > get(4, 2));
         assert!(get(8, 2) > get(4, 4));
         assert!(get(16, 4) > get(8, 8));
-    }
-
-    #[test]
-    fn fig15_orders_of_magnitude() {
-        let rows = fig15_transpim(&ctx(), &[64, 256]).unwrap();
-        assert_eq!(rows.len(), 4);
-        for r in &rows {
-            assert!(r.speedup > 20.0, "{r:?}");
-            assert!(r.speedup < 2000.0, "{r:?}");
-        }
-    }
-
-    #[test]
-    fn table4_row_shape() {
-        let rows = table4_utilization(&ctx()).unwrap();
-        assert_eq!(rows.len(), 3);
-        assert!(rows[0].npu < rows[1].npu);
-        assert!(rows[1].npu < rows[2].npu);
-        assert!(rows[1].bandwidth < rows[0].bandwidth);
-        assert!(rows[2].bandwidth > rows[1].bandwidth);
-        assert_eq!(rows[0].pim, 0.0);
-        assert!(rows[2].pim > rows[1].pim);
     }
 
     #[test]

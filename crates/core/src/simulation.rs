@@ -33,10 +33,11 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use neupims_types::{Cycle, LlmConfig};
+use neupims_types::{Cycle, LlmConfig, NeuPimsConfig};
 use neupims_workload::{warm_batch, Dataset};
 
 use crate::backend::{Backend, BackendError, IterationResult};
+use crate::metrics::Utilization;
 use crate::sharding::{ClusterSpec, ShardedBackend};
 
 /// Default RNG seed of the experiment harness (kept from the seed repo so
@@ -266,13 +267,38 @@ impl<B: Backend> Simulation<B> {
     ///
     /// Propagates backend errors.
     pub fn throughput(&self) -> Result<f64, BackendError> {
+        Ok(self.warm_means(&NeuPimsConfig::table2())?.0)
+    }
+
+    /// Mean tokens/s and mean resource utilization against `cfg` (Table
+    /// 4's quantity) over the configured warm-batch samples, priced in one
+    /// loop under one seed rule, so both means describe the same batches.
+    ///
+    /// # Errors
+    ///
+    /// Propagates backend errors.
+    pub fn warm_means(&self, cfg: &NeuPimsConfig) -> Result<(f64, Utilization), BackendError> {
         let mut rng = StdRng::seed_from_u64(self.seed ^ self.batch as u64);
-        let mut sum = 0.0;
+        let mut tokens_per_sec = 0.0;
+        let mut sum = Utilization::default();
         for _ in 0..self.samples {
             let seqs = self.sample_seq_lens(&mut rng);
-            sum += self.decode_iteration(&seqs)?.tokens_per_sec();
+            let iter = self.decode_iteration(&seqs)?;
+            tokens_per_sec += iter.tokens_per_sec();
+            let u = iter.utilization(cfg);
+            sum.npu += u.npu;
+            sum.pim += u.pim;
+            sum.bandwidth += u.bandwidth;
         }
-        Ok(sum / self.samples as f64)
+        let n = self.samples as f64;
+        Ok((
+            tokens_per_sec / n,
+            Utilization {
+                npu: sum.npu / n,
+                pim: sum.pim / n,
+                bandwidth: sum.bandwidth / n,
+            },
+        ))
     }
 
     /// System throughput of a multi-device `(TP, PP)` deployment of this

@@ -260,13 +260,17 @@ fn run_throughput(
         .samples(spec.samples)
         .build()
         .map_err(sim_err)?;
-    let tokens_per_sec = sim.throughput().map_err(sim_err)?;
+    let (tokens_per_sec, util) = sim.warm_means(&ctx.cfg).map_err(sim_err)?;
     let mut metrics = Metrics::new();
     metrics.insert("tokens_per_sec".into(), tokens_per_sec);
     metrics.insert("batch".into(), spec.batch as f64);
     if system.sharding_requested() {
         let devices = system.tp.unwrap_or(1) as u64 * system.pp.unwrap_or(1) as u64;
         metrics.insert("devices".into(), devices as f64);
+    } else {
+        metrics.insert("npu_utilization".into(), util.npu);
+        metrics.insert("pim_utilization".into(), util.pim);
+        metrics.insert("bandwidth_utilization".into(), util.bandwidth);
     }
     Ok(metrics)
 }

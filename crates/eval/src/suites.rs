@@ -8,7 +8,10 @@ use crate::spec::{SpecError, SuiteSpec};
 pub const SUITE_NAMES: &[&str] = &[
     "smoke",
     "fig12",
+    "fig13",
+    "fig15",
     "table3",
+    "table4",
     "pressure",
     "scaling",
     "orchestrator",
@@ -19,7 +22,10 @@ pub fn builtin_suite(name: &str) -> Option<&'static str> {
     match name {
         "smoke" => Some(include_str!("../../../scenarios/smoke.toml")),
         "fig12" => Some(include_str!("../../../scenarios/fig12.toml")),
+        "fig13" => Some(include_str!("../../../scenarios/fig13.toml")),
+        "fig15" => Some(include_str!("../../../scenarios/fig15.toml")),
         "table3" => Some(include_str!("../../../scenarios/table3.toml")),
+        "table4" => Some(include_str!("../../../scenarios/table4.toml")),
         "pressure" => Some(include_str!("../../../scenarios/pressure.toml")),
         "scaling" => Some(include_str!("../../../scenarios/scaling.toml")),
         "orchestrator" => Some(include_str!("../../../scenarios/orchestrator.toml")),

@@ -8,8 +8,8 @@
 //! result readback. The cycle model in `neupims-dram` knows all of those.
 //! [`MhaCostModel`] abstracts over both:
 //!
-//! * [`AnalyticCostModel`] wraps the existing estimator bit-for-bit — the
-//!   default, and what the paper's scheduler runs;
+//! * [`MhaLatencyEstimator`] implements it directly as the `"analytic"`
+//!   model — the default, and what the paper's scheduler runs;
 //! * [`TraceDrivenCostModel`] builds the *real* per-request GEMV command
 //!   stream (GWRITEs plus logit/attend tiles, shaped by [`KvGeometry`]
 //!   exactly as Section 6.3 lays K/V out) and replays it through a
@@ -196,44 +196,6 @@ impl MhaCostModel for MhaLatencyEstimator {
 
     fn estimate(&self, seq_len: u64) -> f64 {
         MhaLatencyEstimator::estimate(self, seq_len)
-    }
-
-    fn clone_box(&self) -> Box<dyn MhaCostModel> {
-        Box::new(*self)
-    }
-}
-
-/// The Algorithm 1 closed form as a boxed-trait citizen: wraps an
-/// [`MhaLatencyEstimator`] and reproduces it bit-for-bit (pinned by the
-/// `analytic_matches_legacy_estimator` regression tests).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AnalyticCostModel {
-    est: MhaLatencyEstimator,
-}
-
-impl AnalyticCostModel {
-    /// Wraps an estimator.
-    pub fn new(est: MhaLatencyEstimator) -> Self {
-        Self { est }
-    }
-
-    /// The wrapped estimator.
-    pub fn estimator(&self) -> &MhaLatencyEstimator {
-        &self.est
-    }
-}
-
-impl MhaCostModel for AnalyticCostModel {
-    fn name(&self) -> &'static str {
-        "analytic"
-    }
-
-    fn geometry(&self) -> &KvGeometry {
-        self.est.geometry()
-    }
-
-    fn estimate(&self, seq_len: u64) -> f64 {
-        self.est.estimate(seq_len)
     }
 
     fn clone_box(&self) -> Box<dyn MhaCostModel> {
@@ -1283,18 +1245,15 @@ mod tests {
     }
 
     #[test]
-    fn analytic_wrapper_matches_estimator_bit_for_bit() {
+    fn estimator_is_the_analytic_model_bit_for_bit() {
         let est = analytic();
-        let wrapped = AnalyticCostModel::new(est);
+        let dy: &dyn MhaCostModel = &est;
         for seq in [0u64, 1, 31, 32, 100, 511, 512, 513, 4096, 16384] {
-            assert_eq!(wrapped.estimate(seq).to_bits(), est.estimate(seq).to_bits());
-            // The estimator itself is also a (trait-object) analytic model.
-            let dy: &dyn MhaCostModel = &est;
             assert_eq!(dy.estimate(seq).to_bits(), est.estimate(seq).to_bits());
         }
-        assert_eq!(wrapped.name(), "analytic");
-        assert!(wrapped.trace_snapshot().is_none());
-        let sum = wrapped.estimate_sum(&[100, 200, 300]);
+        assert_eq!(dy.name(), "analytic");
+        assert!(dy.trace_snapshot().is_none());
+        let sum = dy.estimate_sum(&[100, 200, 300]);
         assert!((sum - est.estimate_sum(&[100, 200, 300])).abs() < 1e-12);
     }
 

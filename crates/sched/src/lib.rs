@@ -6,7 +6,7 @@
 //!   request's MHA latency on the PIM from its context length and the K/V
 //!   memory layout (`L_GWRITE`, `L_tile` calibrated from the cycle model);
 //! * [`cost`] — the [`MhaCostModel`] trait unifying MHA pricing: the
-//!   Algorithm 1 closed form ([`AnalyticCostModel`]) and a trace-driven
+//!   Algorithm 1 closed form (the estimator itself) and a trace-driven
 //!   cycle-level model ([`TraceDrivenCostModel`]) that replays the real
 //!   GEMV command streams through `neupims-dram`, plus the
 //!   [`calibration_drift`] check between them;
@@ -45,9 +45,8 @@ pub mod pool;
 
 pub use binpack::{assign_min_load, assign_round_robin, channel_loads, MinLoadPacker};
 pub use cost::{
-    calibration_drift, AnalyticCostModel, CostModelKind, DriftPoint, DriftReport, MhaCostModel,
-    TraceDrivenCostModel, TraceHardware, TraceMemo, TraceSnapshot, COST_MODEL_NAMES,
-    DEFAULT_DRIFT_TOLERANCE,
+    calibration_drift, CostModelKind, DriftPoint, DriftReport, MhaCostModel, TraceDrivenCostModel,
+    TraceHardware, TraceMemo, TraceSnapshot, COST_MODEL_NAMES, DEFAULT_DRIFT_TOLERANCE,
 };
 pub use estimator::MhaLatencyEstimator;
 pub use partition::{partition_sub_batches, SubBatchSides, SubBatches};

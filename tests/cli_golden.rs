@@ -1,5 +1,6 @@
 //! CLI output goldens: `fleet`, `serve` and `fig14` stdout, byte for
-//! byte, and the exit status of hostile `--tenants` input.
+//! byte, the exit status of hostile `--tenants` input, and the `fig13`
+//! alias grading its eval suite green.
 //!
 //! Each invocation's stdout was recorded into `tests/golden/cli/*.md`
 //! before the CLI and the eval runner moved onto one shared system
@@ -165,6 +166,24 @@ fn serve_sharded_on_noc_chunked() {
 #[test]
 fn fig14_table() {
     assert_stdout_matches("fig14", &["fig14"]);
+}
+
+/// `fig13` is an alias of `eval fig13`: it grades the suite and exits 0
+/// only when every fail-severity check holds.
+#[test]
+fn fig13_alias_grades_its_suite() {
+    let reports = concat!(env!("CARGO_TARGET_TMPDIR"), "/eval-reports-fig13");
+    let out = Command::new(env!("CARGO_BIN_EXE_neupims-sim"))
+        .args(["fig13", "--reports-dir", reports])
+        .output()
+        .expect("the CLI binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "fig13 failed:\n{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("verdict: pass"), "{stdout}");
 }
 
 /// `serve` builds one replica, so a `--backend` or `--scheduler` list

@@ -1,6 +1,7 @@
 //! Integration tests of the eval harness: the shipped suites run green,
-//! the fig12 suite reproduces the Figure 12 ordering, seeds pin runs
-//! bit-identical, and reports persist with the spec'd JSON shape.
+//! the fig12 suite reproduces the Figure 12 ordering, the fig13 suite
+//! catches a broken ablation arm, every suite is documented, seeds pin
+//! runs bit-identical, and reports persist with the spec'd JSON shape.
 
 use neupims_eval::{
     load_suite, run_eval, run_suite, score_suite, store_report, verdict, CheckStatus, EvalReport,
@@ -63,6 +64,55 @@ fn all_shipped_suites_are_green() {
         let report = run_eval(&suite, None).unwrap_or_else(|e| panic!("suite {name}: {e}"));
         let (_, _, fail) = report.counts();
         assert_eq!(fail, 0, "suite {name} failed:\n{}", report.render());
+    }
+}
+
+/// Mutation checks: the fig13 suite fails when an ablation arm silently
+/// loses its technique (the SBI arm priced without SBI, or the GMLBP arm
+/// without GMLBP), and a paper-anchored compare catches it, not only the
+/// measured goldens.
+#[test]
+fn fig13_suite_fails_when_an_arm_loses_its_technique() {
+    for (arm, without) in [("sbi-", "neupims-drb-gmlbp"), ("gmlbp-", "neupims-drb")] {
+        let mut suite = load_suite("fig13").expect("fig13 suite loads");
+        for scenario in suite.scenarios.iter_mut() {
+            if scenario.name.starts_with(arm) {
+                scenario.system.backend = without.to_owned();
+            }
+        }
+        let report = run_eval(&suite, None).expect("fig13 suite runs");
+        assert_eq!(report.verdict(), CheckStatus::Fail, "{arm}: {without}");
+        assert!(
+            report
+                .checks
+                .iter()
+                .any(|c| c.scenario.starts_with("(compare)") && c.status == CheckStatus::Fail),
+            "{arm}: no compare caught {without}:\n{}",
+            report.render()
+        );
+    }
+}
+
+/// Every shipped suite has a row in docs/EVAL.md's shipped-suites table.
+#[test]
+fn every_shipped_suite_is_documented() {
+    let doc = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/docs/EVAL.md"))
+        .expect("docs/EVAL.md exists");
+    let section = doc
+        .split("## Shipped suites")
+        .nth(1)
+        .expect("docs/EVAL.md has a Shipped suites section");
+    let rows: Vec<&str> = section
+        .lines()
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+        .collect();
+    for name in SUITE_NAMES {
+        let row = format!("| `{name}` |");
+        assert!(
+            rows.iter().any(|r| r.starts_with(&row)),
+            "suite {name} is missing from docs/EVAL.md's shipped-suites table"
+        );
     }
 }
 

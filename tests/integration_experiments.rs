@@ -1,9 +1,8 @@
-//! Cross-crate integration: the experiment harness regenerates every paper
-//! artifact with the comparative shapes intact.
+//! Cross-crate integration: the experiment harness regenerates the paper
+//! artifacts that are not eval suites with the comparative shapes intact.
 
 use neupims_core::experiments::{
-    area_overhead, fig12_throughput, fig13_ablation, fig15_transpim, fig4_roofline, fig5_gpu_util,
-    table4_utilization, table5_power, ExperimentContext,
+    area_overhead, fig12_throughput, fig4_roofline, fig5_gpu_util, table5_power, ExperimentContext,
 };
 use neupims_types::LlmConfig;
 use neupims_workload::Dataset;
@@ -50,53 +49,9 @@ fn fig12_gains_grow_with_batch_size() {
 }
 
 #[test]
-fn fig13_sbi_crossover_is_visible() {
-    let c = ctx();
-    let rows = fig13_ablation(&c, &[64, 512]).unwrap();
-    let get = |batch, v: &str| {
-        rows.iter()
-            .find(|r| r.batch == batch && r.variant == v)
-            .unwrap()
-            .improvement
-    };
-    // At B=64 forced SBI is at best marginal vs DRB+GMLBP; at B=512 it is
-    // a clear win (the paper's crossover at ~256).
-    let sbi_small = get(64, "NeuPIMs-DRB+GMLBP+SBI") / get(64, "NeuPIMs-DRB+GMLBP");
-    let sbi_large = get(512, "NeuPIMs-DRB+GMLBP+SBI") / get(512, "NeuPIMs-DRB+GMLBP");
-    assert!(sbi_large > sbi_small, "{sbi_small} -> {sbi_large}");
-    assert!(sbi_large > 1.1, "SBI at B=512: {sbi_large}");
-    // Every NeuPIMs variant beats the NPU+PIM baseline at B=512.
-    for v in ["NeuPIMs-DRB", "NeuPIMs-DRB+GMLBP", "NeuPIMs-DRB+GMLBP+SBI"] {
-        assert!(get(512, v) > 1.0, "{v} at B=512: {}", get(512, v));
-    }
-}
-
-#[test]
-fn fig15_band_and_trend() {
-    let c = ctx();
-    let rows = fig15_transpim(&c, &[64, 512]).unwrap();
-    for r in &rows {
-        assert!(r.speedup > 20.0 && r.speedup < 2000.0, "{r:?}");
-    }
-    // Larger batches widen the gap (TransPIM cannot batch).
-    let sg = |b| {
-        rows.iter()
-            .find(|r| r.dataset == "ShareGPT" && r.batch == b)
-            .unwrap()
-            .speedup
-    };
-    assert!(sg(512) > sg(64));
-}
-
-#[test]
 fn tables_and_motivation_artifacts() {
-    let c = ctx();
-    // Table 4 ordering.
-    let t4 = table4_utilization(&c).unwrap();
-    assert!(t4[0].npu < t4[1].npu && t4[1].npu < t4[2].npu);
-    assert!(t4[2].bandwidth > t4[1].bandwidth);
     // Table 5 bands.
-    let t5 = table5_power(&c).unwrap();
+    let t5 = table5_power(&ctx()).unwrap();
     let ratio = t5.neupims_mw / t5.baseline_mw;
     assert!(ratio > 1.2 && ratio < 3.0, "power ratio {ratio}");
     assert!(t5.energy_ratio < 1.0, "energy {}", t5.energy_ratio);
