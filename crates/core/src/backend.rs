@@ -592,6 +592,9 @@ impl Backend for Device {
 pub struct GpuRooflineBackend {
     gpu: GpuSpec,
     label: String,
+    /// The decoder block's lowering constants, derived once per model
+    /// shape (see [`gpu::BlockMemo`]).
+    block: gpu::BlockMemo,
 }
 
 impl GpuRooflineBackend {
@@ -600,6 +603,7 @@ impl GpuRooflineBackend {
         Self {
             gpu,
             label: "GPU-only".to_owned(),
+            block: gpu::BlockMemo::default(),
         }
     }
 
@@ -647,7 +651,7 @@ impl Backend for GpuRooflineBackend {
         layers: u32,
         prompt_lens: &[u64],
     ) -> Result<Cycle, BackendError> {
-        gpu::prefill_impl(&self.gpu, model, tp, layers, prompt_lens)
+        gpu::prefill_impl(&self.gpu, &self.block, model, tp, layers, prompt_lens)
             .map_err(|e| BackendError::sim(&self.label, e))
     }
 
@@ -658,7 +662,7 @@ impl Backend for GpuRooflineBackend {
         layers: u32,
         seq_lens: &[u64],
     ) -> Result<IterationResult, BackendError> {
-        gpu::decode_impl(&self.gpu, model, tp, layers, seq_lens)
+        gpu::decode_impl(&self.gpu, &self.block, model, tp, layers, seq_lens)
             .map(|b| IterationResult::new(&self.label, b))
             .map_err(|e| BackendError::sim(&self.label, e))
     }

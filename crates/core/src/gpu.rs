@@ -7,10 +7,70 @@
 //! layer costs `max(flops / peak, bytes / bandwidth)`, with every K/V and
 //! weight byte crossing the memory bus once per iteration.
 
-use neupims_llm::compiler::lower_batch;
-use neupims_types::{Cycle, GpuSpec, LlmConfig, NpuConfig, SimError};
+use std::sync::OnceLock;
+
+use neupims_llm::compiler::{lower_batch, BatchLowering};
+use neupims_types::{Cycle, DataType, GpuSpec, LlmConfig, NpuConfig, SimError};
 
 use crate::metrics::IterationBreakdown;
+
+/// What the roofline reads from one decoder block's lowering at some GEMM
+/// row count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BlockCost {
+    weight_bytes: u64,
+    gemm_flops: u64,
+    allreduce_bytes: u64,
+    allreduces: u32,
+}
+
+impl BlockCost {
+    fn of(lb: &BatchLowering) -> Self {
+        Self {
+            weight_bytes: lb.weight_bytes(),
+            gemm_flops: lb.gemm_flops(),
+            allreduce_bytes: lb.allreduce_bytes,
+            allreduces: lb.allreduces,
+        }
+    }
+
+    /// The cost at `rows` GEMM rows of a block whose one-row cost is
+    /// `self`. Weight bytes do not depend on the row count, and GEMM FLOPs
+    /// (`2·m·k·n` per GEMM) and all-reduce bytes (`m·d` elements) are
+    /// exactly `rows ×` their one-row values. Lowering clamps the row
+    /// count to at least one.
+    fn at_rows(self, rows: u64) -> Self {
+        let rows = rows.max(1);
+        Self {
+            gemm_flops: rows * self.gemm_flops,
+            allreduce_bytes: rows * self.allreduce_bytes,
+            ..self
+        }
+    }
+}
+
+/// The model fields a block lowering reads (heads, `d_model`, `d_ff`,
+/// dtype), plus the TP degree.
+type ShapeKey = (u32, u32, u32, DataType, u32);
+
+/// The one-row block cost of the last model shape priced, derived on
+/// first use and re-derived when a call brings another shape (a backend
+/// usually serves one), so an iteration prices without lowering.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BlockMemo(OnceLock<(ShapeKey, BlockCost)>);
+
+impl BlockMemo {
+    /// The block cost of `model` at `tp` and `rows` GEMM rows.
+    fn at(&self, model: &LlmConfig, tp: u32, rows: u64) -> Result<BlockCost, SimError> {
+        let key = (model.num_heads, model.d_model, model.d_ff, model.dtype, tp);
+        if let Some(&(_, row)) = self.0.get().filter(|(k, _)| *k == key) {
+            return Ok(row.at_rows(rows));
+        }
+        let row = BlockCost::of(&lower_batch(&NpuConfig::table2(), model, tp, 1)?);
+        let _ = self.0.set((key, row));
+        Ok(row.at_rows(rows))
+    }
+}
 
 /// Prices one decode iteration on a GPU-only system (one GPU worth of a
 /// tensor-parallel group; divide model shards accordingly via `tp`) for
@@ -26,6 +86,7 @@ use crate::metrics::IterationBreakdown;
 /// Propagates model validation/compilation errors; rejects empty batches.
 pub(crate) fn decode_impl(
     gpu: &GpuSpec,
+    block: &BlockMemo,
     model: &LlmConfig,
     tp: u32,
     layers: u32,
@@ -39,14 +100,31 @@ pub(crate) fn decode_impl(
     }
     model.validate()?;
     // Reuse the operator lowering for shapes; GPU peaks price the math.
-    let lb = lower_batch(&NpuConfig::table2(), model, tp, seq_lens.len() as u64)?;
+    let cost = block.at(model, tp, seq_lens.len() as u64)?;
+    Ok(price_decode(gpu, model, tp, layers, seq_lens, cost))
+}
+
+/// [`decode_impl`] over a validated, non-empty batch whose block lowers
+/// to `cost`.
+fn price_decode(
+    gpu: &GpuSpec,
+    model: &LlmConfig,
+    tp: u32,
+    layers: u32,
+    seq_lens: &[u64],
+    cost: BlockCost,
+) -> IterationBreakdown {
     let es = model.dtype.size_bytes();
     let heads = (model.num_heads / tp.max(1)).max(1) as u64;
     let d_head = (model.d_model / model.num_heads) as u64;
     let embed = heads * d_head;
 
-    let weight_bytes = lb.weight_bytes();
-    let gemm_flops = lb.gemm_flops();
+    let BlockCost {
+        weight_bytes,
+        gemm_flops,
+        allreduce_bytes,
+        allreduces,
+    } = cost;
     let (mut kv_bytes, mut mha_flops) = (0u64, 0u64);
     for &s in seq_lens {
         kv_bytes += 2 * s * embed * es;
@@ -66,8 +144,8 @@ pub(crate) fn decode_impl(
     let ic = neupims_types::config::InterconnectConfig::pcie_cxl();
     let allreduce = if tp > 1 {
         let steps = 2 * (tp as u64 - 1);
-        let per_dev = lb.allreduce_bytes * (tp as u64 - 1) * 2 / tp as u64;
-        (per_dev / ic.link_bytes_per_cycle.max(1) + steps * ic.link_latency) * lb.allreduces as u64
+        let per_dev = allreduce_bytes * (tp as u64 - 1) * 2 / tp as u64;
+        (per_dev / ic.link_bytes_per_cycle.max(1) + steps * ic.link_latency) * allreduces as u64
     } else {
         0
     };
@@ -75,7 +153,7 @@ pub(crate) fn decode_impl(
     let total = (layer_secs * layers as f64 * 1e9).ceil() as Cycle;
     let t_compute = (gemm_flops + mha_flops) as f64 / gpu.peak_fp16_flops;
 
-    Ok(IterationBreakdown {
+    IterationBreakdown {
         total_cycles: total.max(1),
         npu_flops: (gemm_flops + mha_flops) * layers as u64,
         npu_busy: (t_compute * layers as f64 * 1e9) as Cycle,
@@ -84,7 +162,7 @@ pub(crate) fn decode_impl(
         pim_busy: Vec::new(),
         allreduce_cycles: allreduce * layers as u64,
         ..Default::default()
-    })
+    }
 }
 
 /// Prices the summarization (prefill) phase on the GPU roofline: the GEMMs
@@ -93,6 +171,7 @@ pub(crate) fn decode_impl(
 /// device cycles at 1 GHz.
 pub(crate) fn prefill_impl(
     gpu: &GpuSpec,
+    block: &BlockMemo,
     model: &LlmConfig,
     tp: u32,
     layers: u32,
@@ -106,21 +185,31 @@ pub(crate) fn prefill_impl(
     }
     model.validate()?;
     // Every prompt token is a GEMM row.
-    let tokens = prompt_lens.iter().sum();
-    let lb = lower_batch(&NpuConfig::table2(), model, tp, tokens)?;
-    let weight_bytes = lb.weight_bytes();
-    let gemm_flops = lb.gemm_flops();
+    let cost = block.at(model, tp, prompt_lens.iter().sum())?;
+    Ok(price_prefill(gpu, model, tp, layers, prompt_lens, cost))
+}
+
+/// [`prefill_impl`] over a validated, non-empty prompt batch whose block
+/// lowers to `cost`.
+fn price_prefill(
+    gpu: &GpuSpec,
+    model: &LlmConfig,
+    tp: u32,
+    layers: u32,
+    prompt_lens: &[u64],
+    cost: BlockCost,
+) -> Cycle {
     // Summarization attention is a batched activation-activation GEMM over
     // each prompt: 4 * s^2 * d_dev FLOPs with full reuse (compute-bound).
     let attn_flops: u64 = prompt_lens
         .iter()
         .map(|&s| 4 * s * s * (model.d_model as u64 / tp.max(1) as u64))
         .sum();
-    let t_gemm = (gemm_flops as f64 / gpu.peak_fp16_flops)
-        .max(weight_bytes as f64 / gpu.mem_bw_bytes_per_sec);
+    let t_gemm = (cost.gemm_flops as f64 / gpu.peak_fp16_flops)
+        .max(cost.weight_bytes as f64 / gpu.mem_bw_bytes_per_sec);
     let t_attn = attn_flops as f64 / gpu.peak_fp16_flops;
     let layer_secs = t_gemm + t_attn;
-    Ok(((layer_secs * layers as f64 * 1e9).ceil() as Cycle).max(1))
+    ((layer_secs * layers as f64 * 1e9).ceil() as Cycle).max(1)
 }
 
 #[cfg(test)]
@@ -131,7 +220,15 @@ mod tests {
     fn decode_is_memory_bound() {
         let gpu = GpuSpec::a100();
         let model = LlmConfig::gpt3_7b();
-        let b = decode_impl(&gpu, &model, 4, model.num_layers, &[376; 256]).unwrap();
+        let b = decode_impl(
+            &gpu,
+            &BlockMemo::default(),
+            &model,
+            4,
+            model.num_layers,
+            &[376; 256],
+        )
+        .unwrap();
         // At decode batch sizes an A100 iteration is bandwidth-limited:
         // busy compute well below the makespan.
         assert!(b.npu_busy < b.total_cycles);
@@ -142,16 +239,68 @@ mod tests {
     fn errors_on_degenerate_input() {
         let gpu = GpuSpec::a100();
         let model = LlmConfig::gpt3_7b();
-        assert!(decode_impl(&gpu, &model, 4, 32, &[]).is_err());
-        assert!(decode_impl(&gpu, &model, 4, 0, &[3]).is_err());
+        assert!(decode_impl(&gpu, &BlockMemo::default(), &model, 4, 32, &[]).is_err());
+        assert!(decode_impl(&gpu, &BlockMemo::default(), &model, 4, 0, &[3]).is_err());
     }
 
     #[test]
     fn longer_contexts_cost_more() {
         let gpu = GpuSpec::a100();
         let model = LlmConfig::gpt3_13b();
-        let short = decode_impl(&gpu, &model, 4, 40, &[64; 128]).unwrap();
-        let long = decode_impl(&gpu, &model, 4, 40, &[1024; 128]).unwrap();
+        let short = decode_impl(&gpu, &BlockMemo::default(), &model, 4, 40, &[64; 128]).unwrap();
+        let long = decode_impl(&gpu, &BlockMemo::default(), &model, 4, 40, &[1024; 128]).unwrap();
         assert!(long.total_cycles > short.total_cycles);
+    }
+
+    /// The memoized block constants price every call exactly as lowering
+    /// the block at the call's row count does: decode breakdowns and
+    /// prefill cycles of one backend, across every preset model and
+    /// several TP degrees (3 does not divide every dimension), equal a
+    /// reference that lowers on every call.
+    #[test]
+    fn block_constants_match_lowering_every_call() {
+        use crate::backend::{Backend, GpuRooflineBackend};
+
+        let backend = GpuRooflineBackend::a100();
+        let gpu = backend.gpu().clone();
+        let models = [
+            LlmConfig::gpt3_7b(),
+            LlmConfig::gpt3_13b(),
+            LlmConfig::gpt3_30b(),
+            LlmConfig::gpt3_175b(),
+            LlmConfig::gpt_neox_20b(),
+            LlmConfig::llama2_13b(),
+            LlmConfig::opt_30b(),
+            LlmConfig::mpt_30b(),
+        ];
+        let seqs: Vec<u64> = (0..1024u64).map(|i| 1 + 37 * i % 2048).collect();
+        let lowered = |model: &LlmConfig, tp: u32, rows: u64| {
+            BlockCost::of(&lower_batch(&NpuConfig::table2(), model, tp, rows).unwrap())
+        };
+        for model in &models {
+            for tp in [1, 2, 3, 4, 8] {
+                let layers = model.num_layers;
+                for rows in 1..=1024 {
+                    let batch = &seqs[..rows];
+                    let rows = rows as u64;
+                    assert_eq!(
+                        backend
+                            .decode_iteration(model, tp, layers, batch)
+                            .unwrap()
+                            .into_breakdown(),
+                        price_decode(&gpu, model, tp, layers, batch, lowered(model, tp, rows)),
+                        "decode {} tp {tp} rows {rows}",
+                        model.name
+                    );
+                    let prompts = [rows / 2, rows - rows / 2];
+                    assert_eq!(
+                        backend.prefill_cycles(model, tp, layers, &prompts).unwrap(),
+                        price_prefill(&gpu, model, tp, layers, &prompts, lowered(model, tp, rows)),
+                        "prefill {} tp {tp} rows {rows}",
+                        model.name
+                    );
+                }
+            }
+        }
     }
 }

@@ -130,7 +130,8 @@ pub struct PrefillChunk {
 #[derive(Debug, Clone, Copy)]
 pub struct IterationDemand<'a> {
     /// Decode-ready requests as `(id, current context length)`, in
-    /// admission (FIFO) order.
+    /// admission (FIFO) order. Each generates one token in the planned
+    /// iteration.
     pub decode: &'a [(RequestId, u64)],
     /// Requests with unencoded prompt tokens, in admission (FIFO) order.
     /// Always empty under a [`PrefillCharge::Delay`] policy.
@@ -152,8 +153,6 @@ pub struct IterationDemand<'a> {
 /// hidden_cycles` (the serving loop debug-asserts it).
 #[derive(Debug, Clone)]
 pub struct IterationPlan {
-    /// Requests generating one token this iteration.
-    pub decode: Vec<RequestId>,
     /// Prompt chunks encoded this iteration, per request.
     pub prefill: Vec<PrefillChunk>,
     /// The priced iteration; `total_cycles` is the wall-clock cost and the
@@ -342,7 +341,6 @@ impl SchedulerPolicy for LumpPrefill {
         let breakdown = price_decode(backend, model, tp, layers, demand)?
             .expect("lump-prefill demand always has a decode batch");
         Ok(IterationPlan {
-            decode: demand.decode.iter().map(|&(id, _)| id).collect(),
             prefill: Vec::new(),
             decode_cycles: breakdown.total_cycles,
             prefill_cycles: 0,
@@ -419,7 +417,6 @@ impl SchedulerPolicy for ChunkedPrefill {
         breakdown.total_cycles += prefill_cycles;
         breakdown.npu_busy += prefill_cycles; // prefill GEMMs run on the NPU
         Ok(IterationPlan {
-            decode: demand.decode.iter().map(|&(id, _)| id).collect(),
             prefill: chunks,
             breakdown,
             decode_cycles,
@@ -563,7 +560,6 @@ impl SchedulerPolicy for SubBatchInterleaved {
         breakdown.total_cycles += prefill_cycles - hidden_cycles;
         breakdown.npu_busy += prefill_cycles; // prefill GEMMs run on the NPU
         Ok(IterationPlan {
-            decode: demand.decode.iter().map(|&(id, _)| id).collect(),
             prefill: chunks,
             breakdown,
             decode_cycles,
@@ -800,7 +796,6 @@ mod tests {
             Box::new(SubBatchInterleaved::new(256)),
         ] {
             let plan = policy.plan(&backend, &model, 4, 32, &demand).unwrap();
-            assert!(plan.decode.is_empty());
             assert_eq!(plan.decode_cycles, 0);
             assert_eq!(plan.hidden_cycles, 0);
             assert!(plan.prefill_cycles > 0);

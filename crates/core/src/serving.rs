@@ -93,9 +93,9 @@
 use std::cell::Cell;
 use std::collections::VecDeque;
 
-use neupims_kvcache::{KvGeometry, PagedKvCache};
+use neupims_kvcache::{KvAlloc, KvGeometry, PagedKvCache};
 use neupims_sched::{CostModelKind, MhaCostModel, RequestPool, TraceMemo, TraceSnapshot};
-use neupims_types::{ChannelId, Cycle, IdMap, IdSet, LlmConfig, Request, RequestId, SimError};
+use neupims_types::{ChannelId, Cycle, IdSet, LlmConfig, Request, RequestId, SimError};
 
 use crate::backend::Backend;
 use crate::device::Device;
@@ -392,13 +392,14 @@ pub enum StepEvent {
     Finished,
 }
 
-/// The serving loop's state of one admitted request, kept from admission
-/// until the request completes or is dropped. A parked (preempted)
-/// request keeps its record, with no home channel, until it is restored.
-#[derive(Debug, Clone, Copy)]
+/// The serving loop's state of one admitted request, kept beside it in
+/// the running batch from admission until the request completes or is
+/// dropped. A parked (preempted) request carries its record in
+/// [`Parked`], with no KV allocation, until it is restored.
+#[derive(Debug)]
 struct InFlight {
-    /// The KV channel its pages live on; `None` while parked.
-    home: Option<ChannelId>,
+    /// Its KV pages and the channel they live on; `None` while parked.
+    kv: Option<KvAlloc>,
     /// Lump-prefill (or restore) completion time: the request joins
     /// decode iterations only once the clock reaches it (0: no gate).
     ready_at: Cycle,
@@ -419,9 +420,9 @@ struct InFlight {
 }
 
 impl InFlight {
-    fn admitted(home: ChannelId, admit_seq: u64) -> Self {
+    fn admitted(kv: KvAlloc, admit_seq: u64) -> Self {
         Self {
-            home: Some(home),
+            kv: Some(kv),
             ready_at: 0,
             prefilling: false,
             first_token: None,
@@ -436,6 +437,16 @@ impl InFlight {
     /// and no chunk outstanding).
     fn decode_ready(&self, now: Cycle) -> bool {
         self.ready_at <= now && !self.prefilling
+    }
+
+    /// Its KV allocation; running requests always hold one.
+    fn alloc(&self) -> &KvAlloc {
+        self.kv.as_ref().expect("running requests hold KV pages")
+    }
+
+    /// [`Self::alloc`], mutably.
+    fn alloc_mut(&mut self) -> &mut KvAlloc {
+        self.kv.as_mut().expect("running requests hold KV pages")
     }
 }
 
@@ -460,10 +471,12 @@ thread_local! {
 }
 
 /// One parked (preempted) request awaiting restoration.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Parked {
     /// The request, generation progress intact.
     req: Request,
+    /// Its record, with no KV allocation.
+    rec: InFlight,
     /// When it was preempted (stall accounting).
     at: Cycle,
     /// Bytes its evicted pages held (the swap transfer size).
@@ -487,13 +500,11 @@ pub struct ServingSim<B: Backend = Device> {
     /// The cost model instance, built once per run so trace-driven replay
     /// memos persist across iterations (`None` on backends without PIM).
     cost_model: Option<Box<dyn MhaCostModel>>,
-    pool: RequestPool,
+    /// The request pool; each running request's [`InFlight`] record sits
+    /// beside it. Waiting requests have none, and a parked request's
+    /// record travels in [`Parked`].
+    pool: RequestPool<InFlight>,
     kv: PagedKvCache,
-    /// One record per admitted request still running or parked; waiting
-    /// requests have none. Every exit (completion, shed, dropped while
-    /// parked) removes the record, so the table is empty once the
-    /// replica is idle.
-    inflight: IdMap<RequestId, InFlight>,
     /// Chunked-prefill progress of the requests still encoding their
     /// prompt, in admission (FIFO) order; an entry leaves once its prompt
     /// is fully processed.
@@ -572,7 +583,6 @@ impl<B: Backend> ServingSim<B> {
             cost_model,
             pool: RequestPool::new(cfg.max_batch),
             kv,
-            inflight: IdMap::default(),
             prefilling: Vec::new(),
             seen: IdSet::default(),
             now: 0,
@@ -729,9 +739,8 @@ impl<B: Backend> ServingSim<B> {
             && self.pool.running().is_empty()
             && self.parked.is_empty();
         debug_assert!(
-            !idle || (self.inflight.is_empty() && self.prefilling.is_empty()),
-            "an idle replica still holds per-request state: {} records, {} prefilling",
-            self.inflight.len(),
+            !idle || self.prefilling.is_empty(),
+            "an idle replica still holds {} prefilling requests",
             self.prefilling.len()
         );
         idle
@@ -848,16 +857,16 @@ impl<B: Backend> ServingSim<B> {
         self.pool
             .running()
             .iter()
-            .filter_map(|r| {
-                let rec = self.inflight.get(&r.id)?;
-                if rec.home != Some(channel) || !rec.decode_ready(self.now) {
+            .zip(self.pool.records())
+            .filter_map(|(r, rec)| {
+                let alloc = rec.alloc();
+                if alloc.channel() != channel || !rec.decode_ready(self.now) {
                     return None;
                 }
-                let seq = self.kv.seq_len(r.id).ok()?;
                 Some(VictimCandidate {
                     id: r.id,
-                    pages: self.kv.pages_for(seq),
-                    seq_len: seq,
+                    pages: alloc.pages(),
+                    seq_len: alloc.seq_len(),
                     admitted_seq: rec.admit_seq,
                     last_decoded: rec.last_decoded,
                 })
@@ -872,32 +881,25 @@ impl<B: Backend> ServingSim<B> {
     /// progress (so schedulers never plan — or hide — prefill work for a
     /// request they no longer hold).
     fn park(&mut self, id: RequestId) -> Result<(), SimError> {
-        let receipt = self.kv.preempt(id)?;
-        let req = self
+        let (req, mut rec) = self
             .pool
             .preempt_running(id)
             .ok_or(SimError::UnknownRequest(id))?;
-        let rec = self
-            .inflight
-            .get_mut(&id)
-            .expect("running requests have a record");
-        let was_prefilling = rec.prefilling;
-        *rec = InFlight {
-            home: None,
-            ready_at: 0,
-            prefilling: false,
-            last_decoded: 0,
-            preemptions: rec.preemptions + 1,
-            ..*rec
-        };
-        if was_prefilling {
+        let alloc = rec.kv.take().expect("running requests hold KV pages");
+        let receipt = self.kv.preempt(alloc);
+        if rec.prefilling {
             self.prefilling.retain(|p| p.id != id);
         }
+        rec.ready_at = 0;
+        rec.prefilling = false;
+        rec.last_decoded = 0;
+        rec.preemptions += 1;
         self.preempt_events += 1;
         self.parked_pages += self.kv.pages_for(req.seq_len() as u64);
         self.parked_remaining += req.remaining() as u64;
         self.parked.push_back(Parked {
             req,
+            rec,
             at: self.now,
             bytes: receipt.bytes,
         });
@@ -907,15 +909,13 @@ impl<B: Backend> ServingSim<B> {
     /// Drops a running request that cannot continue (its context cannot
     /// grow a token and the policy does not park), releasing its pages.
     fn shed_running(&mut self, id: RequestId) -> Result<(), SimError> {
-        self.kv.release(id)?;
-        self.pool
+        let (_, rec) = self
+            .pool
             .preempt_running(id)
             .ok_or(SimError::UnknownRequest(id))?;
-        let rec = self
-            .inflight
-            .remove(&id)
-            .expect("running requests have a record");
-        if rec.prefilling {
+        let InFlight { kv, prefilling, .. } = rec;
+        self.kv.release(kv.expect("running requests hold KV pages"));
+        if prefilling {
             self.prefilling.retain(|p| p.id != id);
         }
         self.dropped += 1;
@@ -940,7 +940,6 @@ impl<B: Backend> ServingSim<B> {
                 self.parked.pop_front().expect("peeked");
                 self.parked_pages -= pages;
                 self.parked_remaining -= remaining;
-                self.inflight.remove(&id);
                 self.dropped += 1;
                 return Ok(Some(StepEvent::Dropped(id)));
             }
@@ -951,21 +950,21 @@ impl<B: Backend> ServingSim<B> {
             if pages > self.kv.free_pages(ch) {
                 break; // head-of-line: wait for completions to free pages
             }
-            let p = self.parked.pop_front().expect("peeked");
+            let Parked {
+                req,
+                mut rec,
+                at,
+                bytes,
+            } = self.parked.pop_front().expect("peeked");
             self.parked_pages -= pages;
             self.parked_remaining -= remaining;
-            self.kv.restore(id, ch, seq)?;
-            self.stall_cycles += self.now.saturating_sub(p.at);
+            rec.kv = Some(self.kv.restore(ch, seq)?);
+            self.stall_cycles += self.now.saturating_sub(at);
             self.restore_events += 1;
             let mode = self
                 .preemption
                 .restore_mode()
                 .expect("parked requests only exist under preempting policies");
-            let rec = self
-                .inflight
-                .get_mut(&id)
-                .expect("parked requests keep their record");
-            rec.home = Some(ch);
             match mode {
                 RestoreMode::Recompute => {
                     let prompt = seq.max(1);
@@ -1007,15 +1006,16 @@ impl<B: Backend> ServingSim<B> {
                     }
                 }
                 RestoreMode::Swap => {
-                    let d = self.swap.transfer_cycles(p.bytes);
+                    let d = self.swap.transfer_cycles(bytes);
                     rec.ready_at = self.now + d;
                     self.events
                         .push(self.now + d, SimEvent::RestoreComplete(id));
                     self.restore_overhead += d;
                 }
             }
-            let resumed = self.pool.resume(p.req);
-            debug_assert!(resumed, "batch cap was checked before restoring");
+            self.pool
+                .resume((req, rec))
+                .expect("batch cap was checked before restoring");
         }
         Ok(None)
     }
@@ -1032,6 +1032,34 @@ impl<B: Backend> ServingSim<B> {
     /// handled by deferring (or, when hopeless, dropping) the request, not
     /// by failing the run.
     pub fn step(&mut self) -> Result<StepEvent, SimError> {
+        let event = self.advance()?;
+        debug_assert!(
+            self.kv_pages_match_the_batch(),
+            "KV page totals drifted from the running records' allocations"
+        );
+        Ok(event)
+    }
+
+    /// Whether every channel's used KV pages equal the pages of the
+    /// running records' allocations homed there (parked and waiting
+    /// requests hold none): the KV-page invariant, one walk over the batch
+    /// per channel.
+    fn kv_pages_match_the_batch(&self) -> bool {
+        (0..self.kv.channels()).map(ChannelId::new).all(|ch| {
+            let held: u64 = self
+                .pool
+                .records()
+                .iter()
+                .map(InFlight::alloc)
+                .filter(|a| a.channel() == ch)
+                .map(KvAlloc::pages)
+                .sum();
+            held + self.kv.free_pages(ch) == self.kv.pages_per_channel()
+        })
+    }
+
+    /// [`Self::step`]'s body.
+    fn advance(&mut self) -> Result<StepEvent, SimError> {
         self.steps += 1;
         if self.cfg.target_completions > 0 && self.pool.completed() >= self.cfg.target_completions {
             return Ok(StepEvent::Finished);
@@ -1056,7 +1084,6 @@ impl<B: Backend> ServingSim<B> {
             let kv = &mut self.kv;
             let next_channel = &mut self.next_channel;
             let channels = kv.channels();
-            let inflight = &mut self.inflight;
             let prefilling = &mut self.prefilling;
             let admit_counter = &mut self.admit_counter;
             let events = &mut self.events;
@@ -1069,47 +1096,39 @@ impl<B: Backend> ServingSim<B> {
             let mut prefill_err: Option<SimError> = None;
             self.pool.admit(now, |req| {
                 let ch = ChannelId::new(*next_channel % channels);
-                match kv.admit(req.id, ch, req.input_len as u64) {
-                    Ok(()) => {
-                        let prompt = req.input_len.max(1) as u64;
-                        match scheduler.admission_charge(backend, model, tp, layers, prompt) {
-                            Ok(charge) => {
-                                *next_channel += 1;
-                                let mut rec = InFlight::admitted(ch, *admit_counter);
-                                *admit_counter += 1;
-                                match charge {
-                                    PrefillCharge::Delay(prefill) => {
-                                        rec.ready_at = now + prefill;
-                                        events.push(
-                                            now + prefill,
-                                            SimEvent::IterationComplete(req.id),
-                                        );
-                                    }
-                                    PrefillCharge::Chunked => {
-                                        rec.prefilling = true;
-                                        prefilling.push(PrefillProgress {
-                                            id: req.id,
-                                            done: 0,
-                                            total: prompt,
-                                            charged: 0,
-                                        });
-                                    }
-                                }
-                                inflight.insert(req.id, rec);
-                                *queued_pages -= kv.pages_for(req.input_len as u64);
-                                true
+                let alloc = kv.admit(ch, req.input_len as u64).ok()?;
+                let prompt = req.input_len.max(1) as u64;
+                match scheduler.admission_charge(backend, model, tp, layers, prompt) {
+                    Ok(charge) => {
+                        *next_channel += 1;
+                        let mut rec = InFlight::admitted(alloc, *admit_counter);
+                        *admit_counter += 1;
+                        match charge {
+                            PrefillCharge::Delay(prefill) => {
+                                rec.ready_at = now + prefill;
+                                events.push(now + prefill, SimEvent::IterationComplete(req.id));
                             }
-                            Err(e) => {
-                                // Roll the reservation back and fail the run:
-                                // a backend that cannot price prefill is a
-                                // configuration error, not a capacity one.
-                                let _ = kv.release(req.id);
-                                prefill_err = Some(e.into());
-                                false
+                            PrefillCharge::Chunked => {
+                                rec.prefilling = true;
+                                prefilling.push(PrefillProgress {
+                                    id: req.id,
+                                    done: 0,
+                                    total: prompt,
+                                    charged: 0,
+                                });
                             }
                         }
+                        *queued_pages -= kv.pages_for(req.input_len as u64);
+                        Some(rec)
                     }
-                    Err(_) => false,
+                    Err(e) => {
+                        // Roll the reservation back and fail the run: a
+                        // backend that cannot price prefill is a
+                        // configuration error, not a capacity one.
+                        kv.release(alloc);
+                        prefill_err = Some(e.into());
+                        None
+                    }
                 }
             });
             if let Some(e) = prefill_err {
@@ -1167,11 +1186,10 @@ impl<B: Backend> ServingSim<B> {
         let ReadyList { ready, homes } = &mut *scratch;
         ready.clear();
         homes.clear();
-        for r in self.pool.running() {
-            let rec = &self.inflight[&r.id];
+        for (r, rec) in self.pool.running().iter().zip(self.pool.records()) {
             if rec.decode_ready(self.now) {
                 ready.push((r.id, r.seq_len() as u64));
-                homes.push(rec.home.expect("running requests have a home channel"));
+                homes.push(rec.alloc().channel());
             }
         }
 
@@ -1251,7 +1269,6 @@ impl<B: Backend> ServingSim<B> {
                 .plan(backend, &self.model, self.cfg.tp, self.cfg.layers, &demand)
                 .map_err(SimError::from)?
         };
-        drop(scratch);
         debug_assert_eq!(
             plan.breakdown.total_cycles,
             plan.decode_cycles + plan.prefill_cycles - plan.hidden_cycles,
@@ -1260,7 +1277,7 @@ impl<B: Backend> ServingSim<B> {
         self.last_iteration = Some(IterationOccupancy {
             start: self.now,
             cycles: plan.breakdown.total_cycles,
-            decode_requests: plan.decode.len(),
+            decode_requests: ready.len(),
             prefill_tokens: plan.prefill.iter().map(|c| c.tokens).sum(),
             decode_cycles: plan.decode_cycles,
             prefill_cycles: plan.prefill_cycles,
@@ -1269,7 +1286,7 @@ impl<B: Backend> ServingSim<B> {
         self.now += plan.breakdown.total_cycles;
         self.totals.merge(&plan.breakdown);
         self.iterations += 1;
-        self.decode_batch_sum += plan.decode.len() as u64;
+        self.decode_batch_sum += ready.len() as u64;
         self.prefill_cycles_on_device += plan.prefill_cycles;
         self.overlap_hidden_cycles += plan.hidden_cycles;
 
@@ -1282,14 +1299,16 @@ impl<B: Backend> ServingSim<B> {
                     p.charged = chunk.charged_total;
                 }
             }
-            let inflight = &mut self.inflight;
+            let pool = &mut self.pool;
             self.prefilling.retain(|p| {
                 let encoded = p.done >= p.total;
                 if encoded {
-                    inflight
-                        .get_mut(&p.id)
-                        .expect("prefilling requests have a record")
-                        .prefilling = false;
+                    let pos = pool
+                        .running()
+                        .iter()
+                        .position(|r| r.id == p.id)
+                        .expect("prefilling requests are running");
+                    pool.records_mut()[pos].prefilling = false;
                 }
                 !encoded
             });
@@ -1305,14 +1324,25 @@ impl<B: Backend> ServingSim<B> {
         // completion pass below advances exactly the still-running
         // requests carrying the stamp (a victim parked after its append
         // re-generates that token after restoration).
+        //
+        // Ready ids are in running order, so each one is found at or
+        // after the previous one's position. A park or shed removes
+        // entries and shifts the batch, so the search restarts from the
+        // front after one; an id no longer found was shed or parked as a
+        // victim earlier in this loop.
         let iteration = self.iterations;
-        for &id in &plan.decode {
-            // Shed or parked as a victim earlier in this loop: no
-            // resident record.
-            let Some(rec) = self.inflight.get_mut(&id).filter(|r| r.home.is_some()) else {
+        let mut cursor = 0;
+        for &(id, _) in ready.iter() {
+            let Some(pos) = self.pool.running()[cursor..]
+                .iter()
+                .position(|r| r.id == id)
+                .map(|i| cursor + i)
+            else {
                 continue;
             };
-            match self.kv.append_token(id) {
+            cursor = pos;
+            let rec = &mut self.pool.records_mut()[pos];
+            match self.kv.append_token(rec.alloc_mut()) {
                 Ok(_) => rec.grew_in = iteration,
                 Err(SimError::OutOfMemory {
                     channel,
@@ -1322,20 +1352,20 @@ impl<B: Backend> ServingSim<B> {
                     // The OOM instant is the occupancy high-water mark:
                     // sample before any shed/park below releases pages.
                     self.peak_kv = self.peak_kv.max(self.kv.utilization());
-                    let seq = self.kv.seq_len(id)?;
-                    if self.kv.pages_for(seq + 1) > self.kv.pages_per_channel() {
+                    if self.kv.pages_for(rec.alloc().seq_len() + 1) > self.kv.pages_per_channel() {
                         // The context has *saturated* its channel: not even
                         // an empty channel could hold the next token, so no
                         // eviction helps. Growth pins at channel capacity
                         // (the historical count-model behavior, which the
                         // golden traces rely on) and the request finishes
                         // on schedule with its pages at their last size.
-                        self.mark_grown(id, iteration);
+                        rec.grew_in = iteration;
                         continue;
                     }
                     // The channel is merely *crowded*: the context would
                     // fit an empty channel, but its neighbors hold the
                     // pages. This is the preemption decision point.
+                    cursor = 0;
                     if self.preemption.restore_mode().is_none() {
                         self.shed_running(id)?;
                         continue;
@@ -1355,8 +1385,15 @@ impl<B: Backend> ServingSim<B> {
                         self.park(v)?;
                     }
                     if !self_evicted {
-                        match self.kv.append_token(id) {
-                            Ok(_) => self.mark_grown(id, iteration),
+                        let pos = self
+                            .pool
+                            .running()
+                            .iter()
+                            .position(|r| r.id == id)
+                            .expect("a grower that was not evicted is running");
+                        let rec = &mut self.pool.records_mut()[pos];
+                        match self.kv.append_token(rec.alloc_mut()) {
+                            Ok(_) => rec.grew_in = iteration,
                             Err(SimError::OutOfMemory { .. }) => self.park(id)?,
                             Err(e) => return Err(e),
                         }
@@ -1365,16 +1402,13 @@ impl<B: Backend> ServingSim<B> {
                 Err(e) => return Err(e),
             }
         }
+        drop(scratch);
         self.peak_kv = self.peak_kv.max(self.kv.utilization());
 
-        // Completion: one record lookup per running request, then one
-        // removal per retired request.
+        // Completion: each running record is read in place, and each
+        // retired request hands back its record and KV allocation.
         let now = self.now;
-        let inflight = &mut self.inflight;
-        let retired = self.pool.complete_iteration_where(|r| {
-            let rec = inflight
-                .get_mut(&r.id)
-                .expect("running requests have a record");
+        let retired = self.pool.complete_iteration_where(|_, rec| {
             let grew = rec.grew_in == iteration;
             if grew {
                 rec.first_token.get_or_insert(now);
@@ -1382,12 +1416,9 @@ impl<B: Backend> ServingSim<B> {
             }
             grew
         });
-        for done in retired {
-            self.kv.release(done.id)?;
-            let rec = self
-                .inflight
-                .remove(&done.id)
-                .expect("running requests have a record");
+        for (done, rec) in retired {
+            self.kv
+                .release(rec.kv.expect("running requests hold KV pages"));
             let first = rec
                 .first_token
                 .expect("completed request produced a first token");
@@ -1401,16 +1432,6 @@ impl<B: Backend> ServingSim<B> {
             });
         }
         Ok(StepEvent::Iteration)
-    }
-
-    /// Stamps `id` as having grown a token in `iteration` (the token
-    /// loop's slow paths; the common path stamps the record it already
-    /// holds).
-    fn mark_grown(&mut self, id: RequestId, iteration: u64) {
-        self.inflight
-            .get_mut(&id)
-            .expect("a request that grew is running")
-            .grew_in = iteration;
     }
 
     /// Snapshot of the run's statistics so far (final once [`Self::step`]
@@ -1495,9 +1516,8 @@ mod tests {
     /// state — no in-flight record, no prefill progress, no KV pages.
     fn assert_drained<B: Backend>(s: &ServingSim<B>) {
         assert!(s.is_idle());
-        assert!(s.inflight.is_empty(), "{} records left", s.inflight.len());
+        assert!(s.pool.records().is_empty());
         assert!(s.prefilling.is_empty());
-        assert_eq!(s.kv.active_requests(), 0);
         assert_eq!(s.kv.used_pages(), 0);
     }
 
@@ -1838,10 +1858,8 @@ mod tests {
         let after = s.kv.pages_for(parked.req.seq_len() as u64);
         assert!(after > s.kv.pages_per_channel());
         s.parked_pages = s.parked_pages - before + after;
-        assert!(
-            s.inflight.contains_key(&id),
-            "parked requests keep a record"
-        );
+        assert!(parked.rec.kv.is_none(), "parked requests hold no pages");
+        assert_eq!(parked.rec.preemptions, 1, "and keep their record");
 
         let mut events = Vec::new();
         loop {

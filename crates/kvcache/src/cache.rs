@@ -7,6 +7,13 @@
 //! that, with page counts computed by the same [`KvGeometry`] the latency
 //! estimator uses.
 //!
+//! The cache keeps only per-channel page totals. Each admission hands
+//! back a [`KvAlloc`] — the request's channel, context length and page
+//! count — which the caller stores beside the request and passes back to
+//! grow ([`PagedKvCache::append_token`]) and free
+//! ([`PagedKvCache::release`]) it. A `KvAlloc` is not `Clone` and freeing
+//! consumes it, so an allocation cannot be freed twice.
+//!
 //! Beyond admit/grow/release, the cache supports the vLLM preemption
 //! lifecycle: [`PagedKvCache::preempt`] releases a victim's pages but
 //! hands back a [`PreemptedKv`] receipt (context length, page count,
@@ -18,15 +25,37 @@
 //! [`PagedKvCache::pages_preempted`]) so outcomes can report how much
 //! KV state the run evicted.
 
-use neupims_types::{ChannelId, IdMap, MemConfig, RequestId, SimError};
+use neupims_types::{ChannelId, MemConfig, SimError};
 
 use crate::geometry::KvGeometry;
 
-#[derive(Debug, Clone, Copy)]
-struct ReqAlloc {
+/// One request's live KV allocation: the pages its context holds on one
+/// channel. Only [`PagedKvCache::admit`] and [`PagedKvCache::restore`]
+/// make one, and [`PagedKvCache::release`] or [`PagedKvCache::preempt`]
+/// consume it, returning its pages to the channel.
+#[derive(Debug, PartialEq, Eq)]
+#[must_use = "dropping a KvAlloc leaks its pages; release or preempt it"]
+pub struct KvAlloc {
     channel: ChannelId,
     seq_len: u64,
     pages: u64,
+}
+
+impl KvAlloc {
+    /// Channel the pages live on.
+    pub fn channel(&self) -> ChannelId {
+        self.channel
+    }
+
+    /// Context length (tokens) the pages hold.
+    pub fn seq_len(&self) -> u64 {
+        self.seq_len
+    }
+
+    /// Pages reserved (`pages_for(seq_len)` of the cache that made it).
+    pub fn pages(&self) -> u64 {
+        self.pages
+    }
 }
 
 /// Receipt of one preempted request's released KV allocation — everything
@@ -55,7 +84,6 @@ pub struct PagedKvCache {
     used: Vec<u64>,
     /// Sum of `used` (kept alongside it so utilization samples are O(1)).
     used_total: u64,
-    requests: IdMap<RequestId, ReqAlloc>,
     preemptions: u64,
     restores: u64,
     pages_preempted: u64,
@@ -72,7 +100,6 @@ impl PagedKvCache {
             page_bytes: mem.page_bytes,
             used: vec![0; mem.channels as usize],
             used_total: 0,
-            requests: IdMap::default(),
             preemptions: 0,
             restores: 0,
             pages_preempted: 0,
@@ -138,36 +165,14 @@ impl PagedKvCache {
         }
     }
 
-    /// Sequence length currently recorded for `id`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownRequest`] for unregistered ids.
-    pub fn seq_len(&self, id: RequestId) -> Result<u64, SimError> {
-        Ok(self
-            .requests
-            .get(&id)
-            .ok_or(SimError::UnknownRequest(id))?
-            .seq_len)
-    }
-
     /// Admits a request with `seq_len` tokens of context onto `channel`,
     /// reserving all pages its current context needs.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::OutOfMemory`] (reserving nothing) if the channel
-    /// lacks pages, or [`SimError::Scheduling`] when `id` is already
-    /// admitted.
-    pub fn admit(
-        &mut self,
-        id: RequestId,
-        channel: ChannelId,
-        seq_len: u64,
-    ) -> Result<(), SimError> {
-        if self.requests.contains_key(&id) {
-            return Err(SimError::Scheduling(format!("{id} admitted twice")));
-        }
+    /// lacks pages.
+    pub fn admit(&mut self, channel: ChannelId, seq_len: u64) -> Result<KvAlloc, SimError> {
         let pages = self.pages_for(seq_len);
         let free = self.free_pages(channel);
         if pages > free {
@@ -179,33 +184,24 @@ impl PagedKvCache {
         }
         self.used[channel.index()] += pages;
         self.used_total += pages;
-        self.requests.insert(
-            id,
-            ReqAlloc {
-                channel,
-                seq_len,
-                pages,
-            },
-        );
-        Ok(())
+        Ok(KvAlloc {
+            channel,
+            seq_len,
+            pages,
+        })
     }
 
-    /// Grows `id`'s context by one generated token, allocating new pages
-    /// only when a page boundary is crossed (the vLLM property).
+    /// Grows `alloc`'s context by one generated token, allocating new
+    /// pages only when a page boundary is crossed (the vLLM property).
     ///
     /// Returns the number of newly allocated pages.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnknownRequest`] for unregistered ids and
-    /// [`SimError::OutOfMemory`] (leaving the request unchanged) when the
-    /// channel is full.
-    pub fn append_token(&mut self, id: RequestId) -> Result<u64, SimError> {
-        let alloc = self
-            .requests
-            .get_mut(&id)
-            .ok_or(SimError::UnknownRequest(id))?;
-        let new_pages = self.geometry.kv_pages_per_layer(alloc.seq_len + 1) * self.layers as u64;
+    /// Returns [`SimError::OutOfMemory`] (leaving `alloc` and the channel
+    /// unchanged) when the channel is full.
+    pub fn append_token(&mut self, alloc: &mut KvAlloc) -> Result<u64, SimError> {
+        let new_pages = self.pages_for(alloc.seq_len + 1);
         let delta = new_pages.saturating_sub(alloc.pages);
         let used = &mut self.used[alloc.channel.index()];
         let free = self.pages_per_channel - *used;
@@ -223,31 +219,19 @@ impl PagedKvCache {
         Ok(delta)
     }
 
-    /// Releases every page of `id`, returning how many were freed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownRequest`] for unregistered ids.
-    pub fn release(&mut self, id: RequestId) -> Result<u64, SimError> {
-        let alloc = self
-            .requests
-            .remove(&id)
-            .ok_or(SimError::UnknownRequest(id))?;
+    /// Releases every page of `alloc`, returning how many were freed.
+    pub fn release(&mut self, alloc: KvAlloc) -> u64 {
         self.used[alloc.channel.index()] -= alloc.pages;
         self.used_total -= alloc.pages;
-        Ok(alloc.pages)
+        alloc.pages
     }
 
-    /// Releases every page of `id` *for preemption*, returning a
+    /// Releases every page of `alloc` *for preemption*, returning a
     /// [`PreemptedKv`] receipt instead of a bare page count: the serving
     /// layer parks the request and uses the receipt to price its
     /// restoration (recompute or swap). Counted in
     /// [`Self::preemptions`] / [`Self::pages_preempted`], separately from
     /// completion releases.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownRequest`] for unregistered ids.
     ///
     /// # Example
     ///
@@ -256,40 +240,37 @@ impl PagedKvCache {
     ///
     /// ```
     /// use neupims_kvcache::{KvGeometry, PagedKvCache};
-    /// use neupims_types::{ChannelId, LlmConfig, MemConfig, RequestId};
+    /// use neupims_types::{ChannelId, LlmConfig, MemConfig};
     ///
     /// let mem = MemConfig::table2();
     /// let geo = KvGeometry::for_model(&LlmConfig::gpt3_7b(), &mem);
     /// let mut kv = PagedKvCache::new(&mem, geo, 32);
-    /// let (id, ch) = (RequestId::new(7), ChannelId::new(0));
+    /// let ch = ChannelId::new(0);
     ///
-    /// kv.admit(id, ch, 128).unwrap();
-    /// kv.append_token(id).unwrap(); // context grows to 129
+    /// let mut alloc = kv.admit(ch, 128).unwrap();
+    /// kv.append_token(&mut alloc).unwrap(); // context grows to 129
     ///
-    /// let receipt = kv.preempt(id).unwrap(); // victim selected: evict
+    /// let receipt = kv.preempt(alloc); // victim selected: evict
     /// assert_eq!(receipt.seq_len, 129);
     /// assert_eq!(receipt.bytes, receipt.pages * kv.page_bytes());
     /// assert_eq!(kv.used_pages(), 0, "pages are free while parked");
     ///
-    /// kv.restore(id, ch, receipt.seq_len).unwrap(); // swap back in
-    /// assert_eq!(kv.seq_len(id).unwrap(), 129);
+    /// let alloc = kv.restore(ch, receipt.seq_len).unwrap(); // swap back in
+    /// assert_eq!(alloc.seq_len(), 129);
     /// assert_eq!((kv.preemptions(), kv.restores()), (1, 1));
+    /// kv.release(alloc);
     /// ```
-    pub fn preempt(&mut self, id: RequestId) -> Result<PreemptedKv, SimError> {
-        let alloc = self
-            .requests
-            .remove(&id)
-            .ok_or(SimError::UnknownRequest(id))?;
-        self.used[alloc.channel.index()] -= alloc.pages;
-        self.used_total -= alloc.pages;
+    pub fn preempt(&mut self, alloc: KvAlloc) -> PreemptedKv {
+        let (channel, seq_len) = (alloc.channel, alloc.seq_len);
+        let pages = self.release(alloc);
         self.preemptions += 1;
-        self.pages_preempted += alloc.pages;
-        Ok(PreemptedKv {
-            channel: alloc.channel,
-            seq_len: alloc.seq_len,
-            pages: alloc.pages,
-            bytes: alloc.pages * self.page_bytes,
-        })
+        self.pages_preempted += pages;
+        PreemptedKv {
+            channel,
+            seq_len,
+            pages,
+            bytes: pages * self.page_bytes,
+        }
     }
 
     /// Re-admits a previously [preempted](Self::preempt) request with the
@@ -300,17 +281,11 @@ impl PagedKvCache {
     /// # Errors
     ///
     /// Returns [`SimError::OutOfMemory`] (reserving nothing) if the
-    /// channel lacks pages, or [`SimError::Scheduling`] when `id` is
-    /// still resident.
-    pub fn restore(
-        &mut self,
-        id: RequestId,
-        channel: ChannelId,
-        seq_len: u64,
-    ) -> Result<(), SimError> {
-        self.admit(id, channel, seq_len)?;
+    /// channel lacks pages.
+    pub fn restore(&mut self, channel: ChannelId, seq_len: u64) -> Result<KvAlloc, SimError> {
+        let alloc = self.admit(channel, seq_len)?;
         self.restores += 1;
-        Ok(())
+        Ok(alloc)
     }
 
     /// Preemption events since construction.
@@ -328,11 +303,6 @@ impl PagedKvCache {
     pub fn pages_preempted(&self) -> u64 {
         self.pages_preempted
     }
-
-    /// Number of admitted requests.
-    pub fn active_requests(&self) -> usize {
-        self.requests.len()
-    }
 }
 
 #[cfg(test)]
@@ -348,26 +318,29 @@ mod tests {
         PagedKvCache::new(&mem, geo, 8)
     }
 
+    /// A 64-page-per-channel cache.
+    fn tiny_cache() -> PagedKvCache {
+        let mem = MemConfig {
+            capacity_per_channel: 64 << 10,
+            ..MemConfig::table2()
+        };
+        let geo = KvGeometry::for_model(&LlmConfig::gpt3_7b(), &mem);
+        PagedKvCache::new(&mem, geo, 8)
+    }
+
     #[test]
     fn admission_reserves_exact_pages() {
         let mut kv = cache();
         let c = ChannelId::new(0);
         let before = kv.free_pages(c);
-        kv.admit(RequestId::new(1), c, 80).unwrap();
+        let alloc = kv.admit(c, 80).unwrap();
         let expected = kv.pages_for(80);
         assert_eq!(kv.free_pages(c), before - expected);
-        assert_eq!(kv.active_requests(), 1);
-        assert_eq!(kv.seq_len(RequestId::new(1)).unwrap(), 80);
-    }
-
-    #[test]
-    fn double_admission_rejected() {
-        let mut kv = cache();
-        kv.admit(RequestId::new(1), ChannelId::new(0), 10).unwrap();
-        assert!(matches!(
-            kv.admit(RequestId::new(1), ChannelId::new(1), 10),
-            Err(SimError::Scheduling(_))
-        ));
+        assert_eq!(
+            (alloc.channel(), alloc.seq_len(), alloc.pages()),
+            (c, 80, expected)
+        );
+        kv.release(alloc);
     }
 
     #[test]
@@ -375,22 +348,24 @@ mod tests {
         let mut kv = cache();
         let c = ChannelId::new(2);
         // tokens per K page = 4: growth from 80 allocates only at 81, 85...
-        kv.admit(RequestId::new(7), c, 80).unwrap();
+        let mut alloc = kv.admit(c, 80).unwrap();
         let mut total_new = 0;
         let mut events = 0;
         for _ in 0..8 {
-            let d = kv.append_token(RequestId::new(7)).unwrap();
+            let d = kv.append_token(&mut alloc).unwrap();
             total_new += d;
             if d > 0 {
                 events += 1;
             }
         }
-        assert_eq!(kv.seq_len(RequestId::new(7)).unwrap(), 88);
+        assert_eq!(alloc.seq_len(), 88);
+        assert_eq!(alloc.pages(), kv.pages_for(88));
         assert_eq!(total_new, kv.pages_for(88) - kv.pages_for(80));
         assert!(
             events < 8,
             "every token allocating pages defeats paging ({events})"
         );
+        kv.release(alloc);
     }
 
     #[test]
@@ -398,39 +373,53 @@ mod tests {
         let mut kv = cache();
         let c = ChannelId::new(5);
         let before = kv.free_pages(c);
-        kv.admit(RequestId::new(3), c, 300).unwrap();
+        let mut alloc = kv.admit(c, 300).unwrap();
         for _ in 0..10 {
-            kv.append_token(RequestId::new(3)).unwrap();
+            kv.append_token(&mut alloc).unwrap();
         }
-        let freed = kv.release(RequestId::new(3)).unwrap();
+        let freed = kv.release(alloc);
         assert_eq!(kv.free_pages(c), before);
         assert_eq!(freed, kv.pages_for(310));
-        assert!(matches!(
-            kv.seq_len(RequestId::new(3)),
-            Err(SimError::UnknownRequest(_))
-        ));
+        assert_eq!(kv.used_pages(), 0);
     }
 
     #[test]
     fn admission_oom_is_clean() {
-        let mem = MemConfig {
-            capacity_per_channel: 64 << 10, // 64 pages
-            ..MemConfig::table2()
-        };
-        let model = LlmConfig::gpt3_7b();
-        let geo = KvGeometry::for_model(&model, &mem);
-        let mut kv = PagedKvCache::new(&mem, geo, 8);
+        let mut kv = tiny_cache();
         let c = ChannelId::new(0);
-        let err = kv.admit(RequestId::new(1), c, 4096).unwrap_err();
+        let err = kv.admit(c, 4096).unwrap_err();
         assert!(matches!(err, SimError::OutOfMemory { .. }));
         assert_eq!(kv.free_pages(c), 64, "failed admit must not leak");
-        assert_eq!(kv.active_requests(), 0);
+        assert_eq!(kv.used_pages(), 0);
+    }
+
+    #[test]
+    fn append_oom_leaves_the_allocation_unchanged() {
+        let mem = MemConfig {
+            capacity_per_channel: 4 << 20, // 4096 pages
+            ..MemConfig::table2()
+        };
+        let geo = KvGeometry::for_model(&LlmConfig::gpt3_7b(), &mem);
+        let mut kv = PagedKvCache::new(&mem, geo, 8);
+        let c = ChannelId::new(0);
+        // The longest context the channel holds: its next token needs a
+        // page the channel does not have.
+        let mut seq = 1;
+        while kv.pages_for(seq + 1) <= kv.pages_per_channel() {
+            seq += 1;
+        }
+        let mut alloc = kv.admit(c, seq).unwrap();
+        let before = (alloc.seq_len(), alloc.pages(), kv.free_pages(c));
+        let err = kv.append_token(&mut alloc).unwrap_err();
+        assert!(matches!(err, SimError::OutOfMemory { .. }));
+        assert_eq!((alloc.seq_len(), alloc.pages(), kv.free_pages(c)), before);
+        kv.release(alloc);
     }
 
     #[test]
     fn channels_are_independent() {
         let mut kv = cache();
-        kv.admit(RequestId::new(1), ChannelId::new(0), 100).unwrap();
+        let alloc = kv.admit(ChannelId::new(0), 100).unwrap();
         assert_eq!(
             kv.free_pages(ChannelId::new(1)),
             kv.pages_per_channel,
@@ -442,82 +431,62 @@ mod tests {
             kv.utilization(),
             kv.used_pages() as f64 / kv.total_pages() as f64
         );
+        kv.release(alloc);
     }
 
     #[test]
     fn preempt_restore_round_trip() {
         let mut kv = cache();
         let c = ChannelId::new(1);
-        kv.admit(RequestId::new(4), c, 200).unwrap();
+        let mut alloc = kv.admit(c, 200).unwrap();
         for _ in 0..7 {
-            kv.append_token(RequestId::new(4)).unwrap();
+            kv.append_token(&mut alloc).unwrap();
         }
         let free_before = kv.free_pages(c);
-        let receipt = kv.preempt(RequestId::new(4)).unwrap();
+        let receipt = kv.preempt(alloc);
         assert_eq!(receipt.channel, c);
         assert_eq!(receipt.seq_len, 207);
         assert_eq!(receipt.pages, kv.pages_for(207));
         assert_eq!(receipt.bytes, receipt.pages * kv.page_bytes());
         assert_eq!(kv.free_pages(c), free_before + receipt.pages);
-        assert_eq!(kv.active_requests(), 0);
+        assert_eq!(kv.used_pages(), 0);
         assert_eq!(kv.preemptions(), 1);
         assert_eq!(kv.pages_preempted(), receipt.pages);
         assert_eq!(kv.restores(), 0);
 
         // Restore onto a *different* channel: the context survives.
         let other = ChannelId::new(3);
-        kv.restore(RequestId::new(4), other, receipt.seq_len)
-            .unwrap();
-        assert_eq!(kv.seq_len(RequestId::new(4)).unwrap(), 207);
+        let mut alloc = kv.restore(other, receipt.seq_len).unwrap();
+        assert_eq!(alloc.seq_len(), 207);
+        assert_eq!(alloc.channel(), other);
         assert_eq!(kv.used_pages(), receipt.pages);
         assert_eq!(kv.free_pages(c), kv.pages_per_channel());
         assert_eq!(kv.restores(), 1);
         // Growth resumes where the context left off.
-        kv.append_token(RequestId::new(4)).unwrap();
-        assert_eq!(kv.seq_len(RequestId::new(4)).unwrap(), 208);
+        kv.append_token(&mut alloc).unwrap();
+        assert_eq!(alloc.seq_len(), 208);
+        kv.release(alloc);
     }
 
     #[test]
     fn preempt_accounting_is_separate_from_release() {
         let mut kv = cache();
-        kv.admit(RequestId::new(1), ChannelId::new(0), 64).unwrap();
-        kv.admit(RequestId::new(2), ChannelId::new(0), 64).unwrap();
-        kv.release(RequestId::new(1)).unwrap();
+        let a = kv.admit(ChannelId::new(0), 64).unwrap();
+        let b = kv.admit(ChannelId::new(0), 64).unwrap();
+        kv.release(a);
         assert_eq!(kv.preemptions(), 0, "release is not a preemption");
-        kv.preempt(RequestId::new(2)).unwrap();
+        kv.preempt(b);
         assert_eq!(kv.preemptions(), 1);
-        assert!(matches!(
-            kv.preempt(RequestId::new(2)),
-            Err(SimError::UnknownRequest(_))
-        ));
+        assert_eq!(kv.used_pages(), 0);
     }
 
     #[test]
     fn restore_oom_reserves_nothing() {
-        let mem = MemConfig {
-            capacity_per_channel: 64 << 10, // 64 pages
-            ..MemConfig::table2()
-        };
-        let model = LlmConfig::gpt3_7b();
-        let geo = KvGeometry::for_model(&model, &mem);
-        let mut kv = PagedKvCache::new(&mem, geo, 8);
+        let mut kv = tiny_cache();
         let c = ChannelId::new(0);
-        let err = kv.restore(RequestId::new(1), c, 4096).unwrap_err();
+        let err = kv.restore(c, 4096).unwrap_err();
         assert!(matches!(err, SimError::OutOfMemory { .. }));
         assert_eq!(kv.free_pages(c), 64, "failed restore must not leak");
         assert_eq!(kv.restores(), 0, "failed restore is not counted");
-    }
-
-    #[test]
-    fn unknown_request_errors() {
-        let mut kv = cache();
-        assert!(matches!(
-            kv.append_token(RequestId::new(9)),
-            Err(SimError::UnknownRequest(_))
-        ));
-        assert!(matches!(
-            kv.release(RequestId::new(9)),
-            Err(SimError::UnknownRequest(_))
-        ));
     }
 }

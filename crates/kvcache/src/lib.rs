@@ -21,13 +21,13 @@
 //!
 //! ```
 //! use neupims_kvcache::{KvGeometry, PagedKvCache};
-//! use neupims_types::{ChannelId, LlmConfig, MemConfig, RequestId};
+//! use neupims_types::{ChannelId, LlmConfig, MemConfig};
 //!
 //! let model = LlmConfig::gpt3_7b();
 //! let geo = KvGeometry::for_model(&model, &MemConfig::table2());
 //! let mut kv = PagedKvCache::new(&MemConfig::table2(), geo, model.num_layers);
-//! kv.admit(RequestId::new(0), ChannelId::new(3), 80).unwrap();
-//! kv.append_token(RequestId::new(0)).unwrap();
+//! let mut alloc = kv.admit(ChannelId::new(3), 80).unwrap();
+//! kv.append_token(&mut alloc).unwrap();
 //! assert!(kv.utilization() > 0.0);
 //! ```
 
@@ -38,7 +38,7 @@ pub mod geometry;
 pub mod pool;
 pub mod shard;
 
-pub use cache::{PagedKvCache, PreemptedKv};
+pub use cache::{KvAlloc, PagedKvCache, PreemptedKv};
 pub use geometry::KvGeometry;
 pub use pool::{PageId, PagePool};
 pub use shard::{split_evenly, KvShardPlan};

@@ -1,15 +1,17 @@
 //! Property tests: the paged allocator never double-books or leaks pages
-//! through arbitrary admit/append/release interleavings, and the layout
-//! arithmetic stays consistent.
+//! through arbitrary admit/append/preempt/restore/release interleavings,
+//! and the layout arithmetic stays consistent.
 
 use proptest::prelude::*;
 
-use neupims_kvcache::{KvGeometry, PagePool, PagedKvCache};
-use neupims_types::{ChannelId, LlmConfig, MemConfig, RequestId};
+use neupims_kvcache::{KvAlloc, KvGeometry, PagePool, PagedKvCache, PreemptedKv};
+use neupims_types::{ChannelId, LlmConfig, MemConfig, SimError};
+
+const CHANNELS: u32 = 4;
 
 fn small_mem() -> MemConfig {
     MemConfig {
-        channels: 4,
+        channels: CHANNELS,
         capacity_per_channel: 8 << 20, // 8 Ki pages
         ..MemConfig::table2()
     }
@@ -17,76 +19,122 @@ fn small_mem() -> MemConfig {
 
 #[derive(Debug, Clone)]
 enum OpKind {
-    Admit { id: u32, channel: u32, seq: u64 },
-    Append { id: u32 },
-    Release { id: u32 },
+    Admit { channel: u32, seq: u64 },
+    Append { pick: usize },
+    Preempt { pick: usize },
+    Restore { pick: usize, channel: u32 },
+    Release { pick: usize },
 }
 
 fn op_strategy() -> impl Strategy<Value = OpKind> {
     prop_oneof![
-        (0u32..12, 0u32..4, 1u64..300).prop_map(|(id, channel, seq)| OpKind::Admit {
-            id,
-            channel,
-            seq
-        }),
-        (0u32..12).prop_map(|id| OpKind::Append { id }),
-        (0u32..12).prop_map(|id| OpKind::Release { id }),
+        (0..CHANNELS, 1u64..300).prop_map(|(channel, seq)| OpKind::Admit { channel, seq }),
+        any::<usize>().prop_map(|pick| OpKind::Append { pick }),
+        any::<usize>().prop_map(|pick| OpKind::Preempt { pick }),
+        (any::<usize>(), 0..CHANNELS).prop_map(|(pick, channel)| OpKind::Restore { pick, channel }),
+        any::<usize>().prop_map(|pick| OpKind::Release { pick }),
     ]
+}
+
+/// Each channel's free pages and the used total, as the cache reports
+/// them.
+fn totals(kv: &PagedKvCache) -> (Vec<u64>, u64) {
+    let per_channel = (0..CHANNELS)
+        .map(|c| kv.free_pages(ChannelId::new(c)))
+        .collect();
+    (per_channel, kv.used_pages())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Accounting invariant: used pages on every channel always equal the
-    /// sum of pages of the requests admitted there, and free pages never
-    /// go negative or above capacity.
+    /// sum of the pages of the live allocations homed there, every live
+    /// allocation holds exactly the pages its context needs, and an
+    /// out-of-memory append or restore changes neither the allocation nor
+    /// the totals.
     #[test]
-    fn cache_accounting_is_exact(ops in prop::collection::vec(op_strategy(), 1..120)) {
+    fn cache_accounting_is_exact(ops in prop::collection::vec(op_strategy(), 1..160)) {
         let mem = small_mem();
         let geo = KvGeometry::for_model(&LlmConfig::gpt3_7b(), &mem);
-        let layers = 4;
-        let mut kv = PagedKvCache::new(&mem, geo, layers);
-        // Shadow model: id -> (channel, seq).
-        let mut shadow: std::collections::HashMap<u32, (u32, u64)> = Default::default();
-        let total_pages = mem.capacity_per_channel / mem.page_bytes;
+        let mut kv = PagedKvCache::new(&mem, geo, 4);
+        let mut live: Vec<KvAlloc> = Vec::new();
+        let mut parked: Vec<PreemptedKv> = Vec::new();
 
         for op in ops {
+            let before = totals(&kv);
             match op {
-                OpKind::Admit { id, channel, seq } => {
-                    let res = kv.admit(RequestId::new(id), ChannelId::new(channel), seq);
-                    // On Err (duplicate or OOM) the state is unchanged.
-                    if res.is_ok() {
-                        prop_assert!(!shadow.contains_key(&id));
-                        shadow.insert(id, (channel, seq));
+                OpKind::Admit { channel, seq } => {
+                    match kv.admit(ChannelId::new(channel), seq) {
+                        Ok(alloc) => live.push(alloc),
+                        Err(SimError::OutOfMemory { .. }) => prop_assert_eq!(totals(&kv), before),
+                        Err(e) => panic!("unexpected error: {e}"),
                     }
                 }
-                OpKind::Append { id } => {
-                    let res = kv.append_token(RequestId::new(id));
-                    if res.is_ok() {
-                        let entry = shadow.get_mut(&id).expect("append only succeeds when admitted");
-                        entry.1 += 1;
+                OpKind::Append { pick } if !live.is_empty() => {
+                    let n = live.len();
+                    let alloc = &mut live[pick % n];
+                    let (seq, pages) = (alloc.seq_len(), alloc.pages());
+                    match kv.append_token(alloc) {
+                        Ok(delta) => {
+                            prop_assert_eq!(alloc.seq_len(), seq + 1);
+                            prop_assert_eq!(delta, alloc.pages() - pages);
+                        }
+                        Err(SimError::OutOfMemory { .. }) => {
+                            prop_assert_eq!((alloc.seq_len(), alloc.pages()), (seq, pages));
+                            prop_assert_eq!(totals(&kv), before);
+                        }
+                        Err(e) => panic!("unexpected error: {e}"),
                     }
                 }
-                OpKind::Release { id } => {
-                    let res = kv.release(RequestId::new(id));
-                    if res.is_ok() {
-                        prop_assert!(shadow.remove(&id).is_some());
-                    } else {
-                        prop_assert!(!shadow.contains_key(&id));
+                OpKind::Preempt { pick } if !live.is_empty() => {
+                    let alloc = live.swap_remove(pick % live.len());
+                    let (channel, seq, pages) = (alloc.channel(), alloc.seq_len(), alloc.pages());
+                    let receipt = kv.preempt(alloc);
+                    prop_assert_eq!(
+                        (receipt.channel, receipt.seq_len, receipt.pages),
+                        (channel, seq, pages)
+                    );
+                    prop_assert_eq!(receipt.bytes, pages * kv.page_bytes());
+                    parked.push(receipt);
+                }
+                OpKind::Restore { pick, channel } if !parked.is_empty() => {
+                    let i = pick % parked.len();
+                    match kv.restore(ChannelId::new(channel), parked[i].seq_len) {
+                        Ok(alloc) => {
+                            prop_assert_eq!(alloc.pages(), parked[i].pages);
+                            parked.swap_remove(i);
+                            live.push(alloc);
+                        }
+                        Err(SimError::OutOfMemory { .. }) => prop_assert_eq!(totals(&kv), before),
+                        Err(e) => panic!("unexpected error: {e}"),
                     }
                 }
+                OpKind::Release { pick } if !live.is_empty() => {
+                    let alloc = live.swap_remove(pick % live.len());
+                    let pages = alloc.pages();
+                    prop_assert_eq!(kv.release(alloc), pages);
+                }
+                _ => {}
             }
-            // Invariant check against the shadow model.
-            for ch in 0..4u32 {
-                let expect: u64 = shadow
-                    .values()
-                    .filter(|(c, _)| *c == ch)
-                    .map(|(_, seq)| kv.pages_for(*seq))
+            // Invariant check against the live allocations.
+            for alloc in &live {
+                prop_assert_eq!(alloc.pages(), kv.pages_for(alloc.seq_len()));
+            }
+            for ch in (0..CHANNELS).map(ChannelId::new) {
+                let expect: u64 = live
+                    .iter()
+                    .filter(|a| a.channel() == ch)
+                    .map(KvAlloc::pages)
                     .sum();
-                let free = kv.free_pages(ChannelId::new(ch));
-                prop_assert_eq!(total_pages - free, expect, "channel {}", ch);
+                prop_assert_eq!(kv.free_pages(ch), kv.pages_per_channel() - expect, "channel {:?}", ch);
             }
+            prop_assert_eq!(kv.used_pages(), live.iter().map(KvAlloc::pages).sum::<u64>());
         }
+        for alloc in live {
+            kv.release(alloc);
+        }
+        prop_assert_eq!(kv.used_pages(), 0);
     }
 
     /// Pool alloc/free round-trips: no page handed out twice, all pages

@@ -18,7 +18,8 @@
 //!   from per-channel lists or, in one pass, from per-channel counts;
 //! * [`pool::RequestPool`] — the request pool table of Figure 7 with
 //!   Orca-style iteration-level scheduling: requests join and leave the
-//!   running batch only at iteration boundaries.
+//!   running batch only at iteration boundaries, each with the caller's
+//!   per-request record beside it.
 //!
 //! # Example
 //!

@@ -8,16 +8,30 @@
 
 use std::collections::VecDeque;
 
-use neupims_types::{Cycle, Request, RequestId, RequestState, SimError};
+use neupims_types::{Cycle, Request, RequestId, RequestState};
+
+/// The retired `(request, record)` pairs of one completion pass, in batch
+/// order.
+pub type Retired<'a, S> = std::iter::Zip<std::vec::Drain<'a, Request>, std::vec::Drain<'a, S>>;
 
 /// Request pool table: waiting queue plus the running batch.
-#[derive(Debug, Clone, Default)]
-pub struct RequestPool {
+///
+/// Each running request carries one caller-defined record `S` — a serving
+/// loop's per-request state, as in Figure 7's table row — stored beside
+/// it: [`Self::records`] is index-aligned with [`Self::running`]. The
+/// record is made by the admission check, handed back with the request at
+/// completion or preemption, and handed in again at [`Self::resume`].
+#[derive(Debug, Clone)]
+pub struct RequestPool<S = ()> {
     waiting: VecDeque<Request>,
     running: Vec<Request>,
-    /// Requests retired by the last completion pass, handed out by
-    /// [`Self::complete_iteration_where`] (kept so passes reuse one buffer).
+    /// One record per running request, index-aligned with `running`.
+    records: Vec<S>,
+    /// Requests retired by the last completion pass and their records,
+    /// handed out by [`Self::complete_iteration_where`] (kept so passes
+    /// reuse their buffers).
     retired: Vec<Request>,
+    retired_records: Vec<S>,
     max_batch: usize,
     completed: u64,
     tokens_generated: u64,
@@ -27,13 +41,20 @@ pub struct RequestPool {
     outstanding: u64,
 }
 
-impl RequestPool {
+impl<S> RequestPool<S> {
     /// Creates a pool whose running batch holds at most `max_batch`
     /// requests.
     pub fn new(max_batch: usize) -> Self {
         Self {
+            waiting: VecDeque::new(),
+            running: Vec::new(),
+            records: Vec::new(),
+            retired: Vec::new(),
+            retired_records: Vec::new(),
             max_batch,
-            ..Self::default()
+            completed: 0,
+            tokens_generated: 0,
+            outstanding: 0,
         }
     }
 
@@ -46,6 +67,18 @@ impl RequestPool {
     /// Requests currently in the running batch.
     pub fn running(&self) -> &[Request] {
         &self.running
+    }
+
+    /// The running requests' records, index-aligned with
+    /// [`Self::running`].
+    pub fn records(&self) -> &[S] {
+        &self.records
+    }
+
+    /// The running requests' records, mutably, index-aligned with
+    /// [`Self::running`].
+    pub fn records_mut(&mut self) -> &mut [S] {
+        &mut self.records
     }
 
     /// Number of requests waiting for admission.
@@ -98,15 +131,10 @@ impl RequestPool {
         Some(req)
     }
 
-    /// Current context lengths of the running batch, index-aligned with
-    /// [`Self::running`].
-    pub fn seq_lens(&self) -> Vec<u64> {
-        self.running.iter().map(|r| r.seq_len() as u64).collect()
-    }
-
     /// Iteration boundary, part 1: admit waiting requests (FCFS) while the
-    /// batch has room and `admission` approves (e.g. reserves KV pages).
-    /// Requests arriving after `now` stay queued.
+    /// batch has room and `admission` approves (e.g. reserves KV pages),
+    /// returning the admitted request's record. Requests arriving after
+    /// `now` stay queued.
     ///
     /// FIFO guarantees:
     ///
@@ -121,18 +149,19 @@ impl RequestPool {
     ///
     /// Returns how many requests were admitted this boundary: they are the
     /// last that many of [`Self::running`].
-    pub fn admit(&mut self, now: Cycle, mut admission: impl FnMut(&Request) -> bool) -> usize {
+    pub fn admit(&mut self, now: Cycle, mut admission: impl FnMut(&Request) -> Option<S>) -> usize {
         let mut admitted = 0;
         while self.running.len() < self.max_batch {
             match self.waiting.front() {
                 Some(req) if req.arrival <= now => {
-                    if !admission(req) {
+                    let Some(record) = admission(req) else {
                         break; // head-of-line blocking mirrors FCFS serving
-                    }
+                    };
                     let mut req = self.waiting.pop_front().expect("peeked");
                     req.state = RequestState::Running;
                     admitted += 1;
                     self.running.push(req);
+                    self.records.push(record);
                 }
                 _ => break,
             }
@@ -143,9 +172,10 @@ impl RequestPool {
     /// Iteration boundary, part 2: record one generated token per running
     /// request and retire the finished ones.
     ///
-    /// Returns the retired requests (callers release their KV pages).
-    pub fn complete_iteration(&mut self) -> Vec<Request> {
-        self.complete_iteration_where(|_| true).collect()
+    /// Returns the retired requests with their records, in batch order
+    /// (callers release their KV pages).
+    pub fn complete_iteration(&mut self) -> Vec<(Request, S)> {
+        self.complete_iteration_where(|_, _| true).collect()
     }
 
     /// Like [`Self::complete_iteration`], but only requests for which
@@ -153,73 +183,76 @@ impl RequestPool {
     /// frontends use this to keep admitted-but-still-prefilling requests
     /// from generating tokens before their prefill delay has elapsed.
     ///
-    /// `participated` sees every running request once, in batch order.
-    /// The batch is filtered in place and the retired requests are
-    /// drained, in batch order, from a buffer the pool reuses, so a pass
-    /// allocates nothing once the buffer has grown.
+    /// `participated` sees every running request and its record once, in
+    /// batch order. Survivors keep their order, and the retired pairs are
+    /// drained, in batch order, from buffers the pool reuses, so a pass
+    /// allocates nothing once they have grown.
     pub fn complete_iteration_where(
         &mut self,
-        mut participated: impl FnMut(&Request) -> bool,
-    ) -> std::vec::Drain<'_, Request> {
-        let retired = &mut self.retired;
-        retired.clear();
+        mut participated: impl FnMut(&Request, &mut S) -> bool,
+    ) -> Retired<'_, S> {
         let mut advanced = 0u64;
-        self.running.retain_mut(|req| {
-            if participated(req) {
+        let mut finished = 0u64;
+        for (req, record) in self.running.iter_mut().zip(&mut self.records) {
+            if participated(req, record) {
                 req.advance();
                 advanced += 1;
             }
-            let finished = req.is_finished();
-            if finished {
-                retired.push(req.clone());
-            }
-            !finished
-        });
+            finished += u64::from(req.is_finished());
+        }
         self.tokens_generated += advanced;
         self.outstanding -= advanced;
-        self.completed += self.retired.len() as u64;
-        self.retired.drain(..)
+        self.completed += finished;
+        self.retired.clear();
+        self.retired_records.clear();
+        if finished > 0 {
+            // One order-preserving compaction per column: the records
+            // leave at the indices their requests leave at.
+            let mut running = self.running.iter();
+            self.retired_records.extend(
+                self.records
+                    .extract_if(.., |_| running.next().is_some_and(Request::is_finished)),
+            );
+            self.retired
+                .extend(self.running.extract_if(.., |r| r.is_finished()));
+        }
+        self.retired.drain(..).zip(self.retired_records.drain(..))
     }
 
     /// Removes `id` from the running batch without retiring it, returning
-    /// the request (generation progress intact) so a serving frontend can
-    /// park it in a preempted queue. The request counts neither as
-    /// completed nor as a generated-token event; [`Self::resume`] puts it
-    /// back.
+    /// the request (generation progress intact) and its record so a
+    /// serving frontend can park it in a preempted queue. The request
+    /// counts neither as completed nor as a generated-token event;
+    /// [`Self::resume`] puts it back.
     ///
     /// Returns `None` when `id` is not running.
-    pub fn preempt_running(&mut self, id: RequestId) -> Option<Request> {
+    pub fn preempt_running(&mut self, id: RequestId) -> Option<(Request, S)> {
         let pos = self.running.iter().position(|r| r.id == id)?;
         let mut req = self.running.remove(pos);
+        let record = self.records.remove(pos);
         req.state = RequestState::Waiting;
         self.outstanding -= req.remaining() as u64;
-        Some(req)
+        Some((req, record))
     }
 
     /// Re-inserts a previously [preempted](Self::preempt_running) request
-    /// at the back of the running batch. Returns `false` (and leaves the
-    /// pool untouched) when the batch is at its cap — the caller keeps the
-    /// request parked and retries at a later boundary.
-    pub fn resume(&mut self, mut req: Request) -> bool {
+    /// and its record at the back of the running batch. When the batch is
+    /// at its cap the pool is left untouched and the pair is handed back
+    /// — the caller keeps the request parked and retries at a later
+    /// boundary.
+    ///
+    /// # Errors
+    ///
+    /// Returns the pair unchanged when the batch is full.
+    pub fn resume(&mut self, (mut req, record): (Request, S)) -> Result<(), (Request, S)> {
         if self.running.len() >= self.max_batch {
-            return false;
+            return Err((req, record));
         }
         req.state = RequestState::Running;
         self.outstanding += req.remaining() as u64;
         self.running.push(req);
-        true
-    }
-
-    /// Looks up a running request.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnknownRequest`] if `id` is not running.
-    pub fn get_running(&self, id: RequestId) -> Result<&Request, SimError> {
-        self.running
-            .iter()
-            .find(|r| r.id == id)
-            .ok_or(SimError::UnknownRequest(id))
+        self.records.push(record);
+        Ok(())
     }
 }
 
@@ -237,7 +270,7 @@ mod tests {
         for i in 0..5 {
             pool.submit(req(i, 10, 5, 0));
         }
-        assert_eq!(pool.admit(0, |_| true), 2);
+        assert_eq!(pool.admit(0, |_| Some(())), 2);
         assert_eq!(pool.running().len(), 2);
         assert_eq!(pool.waiting_len(), 3);
     }
@@ -247,16 +280,16 @@ mod tests {
         let mut pool = RequestPool::new(8);
         pool.submit(req(0, 10, 5, 0));
         pool.submit(req(1, 10, 5, 1_000));
-        assert_eq!(pool.admit(10, |_| true), 1, "future arrivals must wait");
+        assert_eq!(pool.admit(10, |_| Some(())), 1, "future arrivals must wait");
     }
 
     #[test]
     fn admission_callback_blocks() {
-        let mut pool = RequestPool::new(8);
+        let mut pool: RequestPool = RequestPool::new(8);
         pool.submit(req(0, 10, 5, 0));
         pool.submit(req(1, 10, 5, 0));
         // Admit nothing: capacity checker refuses.
-        assert_eq!(pool.admit(0, |_| false), 0);
+        assert_eq!(pool.admit(0, |_| None), 0);
         assert_eq!(pool.waiting_len(), 2);
     }
 
@@ -268,14 +301,14 @@ mod tests {
         pool.submit(req(0, 4, 1, 0)); // finishes after 1 iteration
         pool.submit(req(1, 4, 3, 0));
         pool.submit(req(2, 4, 2, 0)); // waits for a slot
-        pool.admit(0, |_| true);
+        pool.admit(0, |_| Some(()));
         assert_eq!(pool.running().len(), 2);
 
         let done = pool.complete_iteration();
         assert_eq!(done.len(), 1);
-        assert_eq!(done[0].id, RequestId::new(0));
+        assert_eq!(done[0].0.id, RequestId::new(0));
 
-        assert_eq!(pool.admit(1, |_| true), 1);
+        assert_eq!(pool.admit(1, |_| Some(())), 1);
         assert_eq!(pool.running().len(), 2);
         assert_eq!(pool.running()[1].id, RequestId::new(2));
 
@@ -292,7 +325,7 @@ mod tests {
         let mut pool = RequestPool::new(4);
         pool.submit(req(0, 8, 2, 0));
         pool.submit(req(1, 8, 3, 0));
-        pool.admit(0, |_| true);
+        pool.admit(0, |_| Some(()));
         pool.complete_iteration();
         pool.complete_iteration();
         pool.complete_iteration();
@@ -301,14 +334,18 @@ mod tests {
         assert!(pool.running().is_empty());
     }
 
+    fn seq_lens<S>(pool: &RequestPool<S>) -> Vec<u32> {
+        pool.running().iter().map(Request::seq_len).collect()
+    }
+
     #[test]
     fn seq_lens_track_generation() {
         let mut pool = RequestPool::new(4);
         pool.submit(req(0, 10, 5, 0));
-        pool.admit(0, |_| true);
-        assert_eq!(pool.seq_lens(), vec![10]);
+        pool.admit(0, |_| Some(()));
+        assert_eq!(seq_lens(&pool), vec![10]);
         pool.complete_iteration();
-        assert_eq!(pool.seq_lens(), vec![11]);
+        assert_eq!(seq_lens(&pool), vec![11]);
     }
 
     #[test]
@@ -316,13 +353,13 @@ mod tests {
         let mut pool = RequestPool::new(4);
         pool.submit(req(0, 8, 1, 0));
         pool.submit(req(1, 8, 2, 0));
-        pool.admit(0, |_| true);
+        pool.admit(0, |_| Some(()));
         // Only request 1 participates: request 0 must not advance or retire.
-        let done = pool.complete_iteration_where(|r| r.id == RequestId::new(1));
+        let done = pool.complete_iteration_where(|r, _| r.id == RequestId::new(1));
         assert_eq!(done.len(), 0);
         drop(done);
         assert_eq!(pool.tokens_generated(), 1);
-        assert_eq!(pool.seq_lens(), vec![8, 9]);
+        assert_eq!(seq_lens(&pool), vec![8, 9]);
         // Now both participate; both finish.
         let done = pool.complete_iteration();
         assert_eq!(done.len(), 2);
@@ -334,7 +371,7 @@ mod tests {
         let mut pool = RequestPool::new(1);
         pool.submit(req(0, 8, 3, 0));
         pool.submit(req(1, 8, 5, 0));
-        pool.admit(0, |_| true);
+        pool.admit(0, |_| Some(()));
         assert_eq!(pool.outstanding_tokens(), 8, "3 running + 5 waiting");
         let dropped = pool.drop_head_waiting().unwrap();
         assert_eq!(dropped.id, RequestId::new(1));
@@ -359,11 +396,11 @@ mod tests {
 
         // At now=0 the head (7) is admittable, but 3 hasn't arrived:
         // nothing behind 3 may leapfrog it.
-        assert_eq!(pool.admit(0, |_| true), 1);
+        assert_eq!(pool.admit(0, |_| Some(())), 1);
         assert_eq!(pool.running()[0].id, RequestId::new(7));
 
         // Once 3 arrives, admission resumes in submission order up to cap.
-        assert_eq!(pool.admit(5, |_| true), 1);
+        assert_eq!(pool.admit(5, |_| Some(())), 1);
         let running: Vec<u32> = pool.running().iter().map(|r| r.id.0).collect();
         assert_eq!(running, vec![7, 3], "running batch keeps admission order");
 
@@ -371,14 +408,14 @@ mod tests {
         pool.complete_iteration();
         pool.complete_iteration(); // 7 and 3 retire
         assert_eq!(
-            pool.admit(5, |r| r.id != RequestId::new(9)),
+            pool.admit(5, |r| (r.id != RequestId::new(9)).then_some(())),
             0,
             "refused head must not be skipped"
         );
 
         // drop_head_waiting removes exactly the earliest-submitted waiter.
         assert_eq!(pool.drop_head_waiting().unwrap().id, RequestId::new(9));
-        assert_eq!(pool.admit(5, |_| true), 1);
+        assert_eq!(pool.admit(5, |_| Some(())), 1);
         assert_eq!(pool.running()[0].id, RequestId::new(1));
     }
 
@@ -388,12 +425,12 @@ mod tests {
         pool.submit(req(0, 8, 4, 0));
         pool.submit(req(1, 8, 4, 0));
         pool.submit(req(2, 8, 4, 0)); // queued behind the cap
-        pool.admit(0, |_| true);
+        pool.admit(0, |_| Some(()));
         pool.complete_iteration(); // both running requests have 1 token
 
         let victim = pool.preempt_running(RequestId::new(1)).unwrap();
-        assert_eq!(victim.generated, 1, "progress rides along");
-        assert_eq!(victim.state, RequestState::Waiting);
+        assert_eq!(victim.0.generated, 1, "progress rides along");
+        assert_eq!(victim.0.state, RequestState::Waiting);
         assert_eq!(pool.running().len(), 1);
         assert_eq!(pool.completed(), 0, "preemption is not completion");
         assert_eq!(pool.tokens_generated(), 2, "earned tokens are kept");
@@ -401,17 +438,18 @@ mod tests {
 
         // The freed slot admits the queued request; the batch is full
         // again, so resume must refuse rather than overshoot the cap.
-        pool.admit(0, |_| true);
+        pool.admit(0, |_| Some(()));
         assert_eq!(pool.running().len(), 2);
-        assert!(!pool.resume(victim.clone()), "cap must hold");
+        let victim = pool.resume(victim).expect_err("cap must hold");
 
         // After a slot frees, resume re-enters with progress intact.
         pool.complete_iteration();
         pool.complete_iteration();
         pool.complete_iteration();
         pool.complete_iteration(); // requests 0 and 2 retire
-        assert!(pool.resume(victim));
-        let r = pool.get_running(RequestId::new(1)).unwrap();
+        assert!(pool.resume(victim).is_ok());
+        let r = &pool.running()[0];
+        assert_eq!(r.id, RequestId::new(1));
         assert_eq!(r.generated, 1);
         assert_eq!(r.state, RequestState::Running);
         // Outstanding work counts the resumed request's remaining tokens.
@@ -419,11 +457,36 @@ mod tests {
     }
 
     #[test]
-    fn get_running_errors_on_unknown() {
-        let pool = RequestPool::new(1);
-        assert!(matches!(
-            pool.get_running(RequestId::new(42)),
-            Err(SimError::UnknownRequest(_))
-        ));
+    fn records_travel_with_their_requests() {
+        // Each record is made at admission, stays index-aligned with its
+        // request while others retire, and leaves with it at completion
+        // or preemption.
+        let mut pool: RequestPool<u32> = RequestPool::new(4);
+        for (id, output) in [(0, 2), (1, 1), (2, 3), (3, 1)] {
+            pool.submit(req(id, 8, output, 0));
+        }
+        assert_eq!(pool.admit(0, |r| Some(r.id.0 * 10)), 4);
+        assert_eq!(pool.records(), &[0, 10, 20, 30]);
+
+        // Every participant bumps its record; 1 and 3 retire in order.
+        let done: Vec<(u32, u32)> = pool
+            .complete_iteration_where(|_, rec| {
+                *rec += 1;
+                true
+            })
+            .map(|(r, rec)| (r.id.0, rec))
+            .collect();
+        assert_eq!(done, vec![(1, 11), (3, 31)]);
+        let ids: Vec<u32> = pool.running().iter().map(|r| r.id.0).collect();
+        assert_eq!(ids, vec![0, 2]);
+        assert_eq!(pool.records(), &[1, 21]);
+
+        pool.records_mut()[1] += 100;
+        let (victim, rec) = pool.preempt_running(RequestId::new(0)).unwrap();
+        assert_eq!((victim.id.0, rec), (0, 1));
+        assert_eq!(pool.records(), &[121]);
+        pool.resume((victim, rec)).unwrap();
+        assert_eq!(pool.records(), &[121, 1]);
+        assert_eq!(pool.running()[1].id, RequestId::new(0));
     }
 }

@@ -427,7 +427,7 @@ proptest! {
         }
         let mut guard = 0;
         while pool.completed() < total {
-            pool.admit(0, |_| true);
+            pool.admit(0, |_| Some(()));
             prop_assert!(pool.running().len() <= max_batch);
             if pool.running().is_empty() {
                 break;
@@ -451,7 +451,7 @@ proptest! {
         max_batch in 1usize..8,
     ) {
         let mut pool = RequestPool::new(max_batch);
-        let mut parked: Vec<Request> = Vec::new();
+        let mut parked: Vec<(Request, ())> = Vec::new();
         let mut next_id = 0u32;
         let walk = |pool: &RequestPool| -> u64 {
             pool.waiting()
@@ -466,15 +466,15 @@ proptest! {
                     next_id += 1;
                 }
                 1 => {
-                    pool.admit(0, |_| true);
+                    pool.admit(0, |_| Some(()));
                 }
                 2 => {
                     let mut turn = pick;
-                    let retired = pool.complete_iteration_where(|_| {
+                    let retired = pool.complete_iteration_where(|_, _| {
                         turn = turn.rotate_left(1);
                         turn & 1 == 1
                     });
-                    prop_assert!(retired.into_iter().all(|r| r.is_finished()));
+                    prop_assert!(retired.into_iter().all(|(r, _)| r.is_finished()));
                 }
                 3 => {
                     let n = pool.running().len();
@@ -484,9 +484,9 @@ proptest! {
                     }
                 }
                 4 => {
-                    if let Some(req) = parked.pop() {
-                        if !pool.resume(req.clone()) {
-                            parked.push(req);
+                    if let Some(pair) = parked.pop() {
+                        if let Err(pair) = pool.resume(pair) {
+                            parked.push(pair);
                         }
                     }
                 }

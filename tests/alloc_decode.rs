@@ -211,17 +211,16 @@ fn steady_step_allocations(scheduler: &str, kind: CostModelKind) -> u64 {
 
 #[test]
 fn steady_serving_step_allocates_only_its_plan() {
-    // Five per step, all on the pricing path: the batch's context lengths
+    // Four per step, all on the pricing path: the batch's context lengths
     // handed to the backend (`price_decode`), the backend label of the
-    // `IterationResult`, the breakdown's per-channel `pim_busy`,
-    // Algorithm 3's per-channel quota (`SubBatchSides`), and the plan's
-    // decoded request ids (`IterationPlan.decode`). Admission, token
+    // `IterationResult`, the breakdown's per-channel `pim_busy`, and
+    // Algorithm 3's per-channel quota (`SubBatchSides`). Admission, token
     // growth, KV accounting and the completion pass allocate nothing.
     assert_eq!(
         steady_step_allocations("interleaved", CostModelKind::TraceDriven),
-        5
+        4
     );
-    assert_eq!(steady_step_allocations("lump", CostModelKind::Analytic), 5);
+    assert_eq!(steady_step_allocations("lump", CostModelKind::Analytic), 4);
 }
 
 /// Live heap bytes a steady-state replica gains between its 100th and its
