@@ -109,9 +109,6 @@ pub struct FleetRequest {
 pub struct ReplicaSnapshot {
     /// Replica index in the fleet.
     pub index: usize,
-    /// The replica's local clock (it may trail the dispatch instant when
-    /// the replica is idle).
-    pub now: Cycle,
     /// Requests waiting for admission.
     pub waiting: usize,
     /// Requests in the running batch (decoding or prefilling).
@@ -136,7 +133,6 @@ impl ReplicaSnapshot {
     pub(crate) fn of<B: Backend>(index: usize, r: &ServingSim<B>) -> Self {
         Self {
             index,
-            now: r.now(),
             waiting: r.waiting_len(),
             running: r.running_len(),
             preempted: r.preempted_len(),
@@ -156,8 +152,10 @@ impl ReplicaSnapshot {
 /// Chooses a replica for each arriving request.
 ///
 /// Policies are consulted once per request, in arrival order, with every
-/// replica stepped up to the arrival instant — implement this trait to
-/// plug a custom scheduler into [`FleetSim`].
+/// replica's queues, outstanding work and KV pressure as of the arrival
+/// instant (a replica that has nothing to do before the arrival is not
+/// stepped to it) — implement this trait to plug a custom scheduler into
+/// [`FleetSim`].
 pub trait DispatchPolicy {
     /// Human-readable policy name (printed by the CLI).
     fn name(&self) -> &'static str;
@@ -450,15 +448,18 @@ impl<B: Backend> std::fmt::Debug for FleetSim<B> {
 }
 
 /// The per-replica advancement primitive: steps `replica` until its local
-/// clock reaches `horizon` or its stream drains. This is exactly the
-/// lockstep dispatcher's inner loop, so running it per replica — serially
-/// or on a worker thread — reproduces lockstep behavior bit for bit.
+/// clock reaches `horizon` or its stream drains. A wait stops at the
+/// horizon (the replica cannot see the arrivals still held back), so a
+/// request dispatched at `horizon` is admitted at its arrival. This is
+/// exactly the lockstep dispatcher's inner loop, so running it per
+/// replica — serially or on a worker thread — reproduces lockstep
+/// behavior bit for bit.
 pub(crate) fn advance_to<B: Backend>(
     replica: &mut ServingSim<B>,
     horizon: Cycle,
 ) -> Result<(), SimError> {
     while replica.now() < horizon {
-        if replica.step()? == StepEvent::Finished {
+        if replica.step_within(horizon)? == StepEvent::Finished {
             break;
         }
     }

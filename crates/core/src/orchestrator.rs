@@ -107,7 +107,9 @@ use neupims_types::{Cycle, IdMap, RequestId, SimError};
 
 use crate::backend::{Backend, BackendError, CapabilityProfile};
 use crate::event::{EventQueue, SimEvent};
-use crate::fleet::{advance_set, DispatchPolicy, FleetOutcome, FleetRequest, ReplicaSnapshot};
+use crate::fleet::{
+    advance_set, advance_to, DispatchPolicy, FleetOutcome, FleetRequest, ReplicaSnapshot,
+};
 use crate::serving::{ServingOutcome, ServingSim, SloTargets};
 
 /// Arrival-rate observations are taken over a sliding window of this many
@@ -1038,6 +1040,11 @@ impl<B: Backend> Orchestrator<B> {
         self
     }
 
+    /// The slot table, in slot order.
+    pub fn slots(&self) -> &[ServingSim<B>] {
+        &self.slots
+    }
+
     /// The tenant table.
     pub fn tenants(&self) -> &[TenantClass] {
         &self.tenants
@@ -1221,11 +1228,16 @@ impl<B: Backend> Orchestrator<B> {
             requeued: EventQueue::new(),
         };
 
+        // A busy slot is keyed in the merge at its wake when a capped wait
+        // left one (nothing happens on it before then), else at its clock.
+        // `keys` holds each slot's live key; an entry at another time is
+        // stale and skipped when popped.
         let mut merge: EventQueue<SimEvent> = EventQueue::new();
+        let mut keys: Vec<Option<Cycle>> = vec![None; self.slots.len()];
         for (i, r) in self.slots.iter().enumerate() {
             match self.state[i] {
                 SlotState::On | SlotState::Draining if !r.is_idle() => {
-                    merge.push(r.now(), SimEvent::ReplicaIdle(i))
+                    key_slot(&mut merge, &mut keys, i, r.wake().unwrap_or(r.now()));
                 }
                 SlotState::Warming { ready_at } => merge.push(ready_at, SimEvent::ReplicaWarmup(i)),
                 _ => {}
@@ -1250,7 +1262,10 @@ impl<B: Backend> Orchestrator<B> {
                 }
                 let (at, ev) = merge.pop().expect("peeked");
                 match ev {
-                    SimEvent::ReplicaIdle(i) => due.push(i),
+                    SimEvent::ReplicaIdle(i) if keys[i].take_if(|k| *k == at).is_some() => {
+                        due.push(i);
+                    }
+                    SimEvent::ReplicaIdle(_) => {}
                     SimEvent::ReplicaWarmup(i) => {
                         self.finish_warmup(i, at);
                         self.refresh(i);
@@ -1259,13 +1274,20 @@ impl<B: Backend> Orchestrator<B> {
                 }
             }
             due.sort_unstable();
+            debug_assert!(
+                self.slots.iter().enumerate().all(|(i, r)| {
+                    r.is_idle() || due.binary_search(&i).is_ok() || r.wake().unwrap_or(r.now()) >= t
+                }),
+                "a busy slot left out of the barrier at {t} wakes before it"
+            );
             if let Err(e) = advance_set(&mut self.slots, &due, t, self.jobs) {
                 self.restash(oreq, &mut arrivals);
                 return Err(e);
             }
             for &i in &due {
-                if !self.slots[i].is_idle() {
-                    merge.push(self.slots[i].now(), SimEvent::ReplicaIdle(i));
+                let r = &self.slots[i];
+                if !r.is_idle() {
+                    key_slot(&mut merge, &mut keys, i, r.wake().unwrap_or(r.now()));
                 }
                 self.refresh(i);
             }
@@ -1447,10 +1469,17 @@ impl<B: Backend> Orchestrator<B> {
                 return Err(self.router.out_of_range(pos, offered));
             }
             let g = self.view.on[pos];
-            let was_idle = self.slots[g].is_idle();
-            if let Err(e) =
-                self.slots[g].submit(oreq.req.id, oreq.req.input_len, oreq.req.output_len, t)
-            {
+            // A waiting slot was left out of the barrier, since nothing
+            // happens on it before its wake: one O(1) step brings it to
+            // the dispatch instant, as the barrier would have. It, or a
+            // drained slot, goes back into the merge at its clock.
+            let waiting = self.slots[g].wake().is_some();
+            let rekey = waiting || self.slots[g].is_idle();
+            let slot = &mut self.slots[g];
+            let submitted = if waiting { advance_to(slot, t) } else { Ok(()) }.and_then(|()| {
+                slot.submit(oreq.req.id, oreq.req.input_len, oreq.req.output_len, t)
+            });
+            if let Err(e) = submitted {
                 self.restash(oreq, &mut arrivals);
                 return Err(e);
             }
@@ -1460,10 +1489,8 @@ impl<B: Backend> Orchestrator<B> {
                 self.admitted[oreq.tenant] += 1;
             }
             self.refresh(g);
-            if was_idle {
-                // The dispatch re-activates a drained slot: back into the
-                // merge at its (possibly stale) local clock.
-                merge.push(self.slots[g].now(), SimEvent::ReplicaIdle(g));
+            if rekey {
+                key_slot(&mut merge, &mut keys, g, self.slots[g].now());
             }
         }
 
@@ -1472,7 +1499,10 @@ impl<B: Backend> Orchestrator<B> {
         let mut active: Vec<usize> = Vec::new();
         while let Some((at, ev)) = merge.pop() {
             match ev {
-                SimEvent::ReplicaIdle(i) => active.push(i),
+                SimEvent::ReplicaIdle(i) if keys[i].take_if(|k| *k == at).is_some() => {
+                    active.push(i);
+                }
+                SimEvent::ReplicaIdle(_) => {}
                 SimEvent::ReplicaWarmup(i) => self.finish_warmup(i, at),
                 other => unreachable!("unexpected merge event {other:?}"),
             }
@@ -1539,6 +1569,13 @@ impl<B: Backend> Orchestrator<B> {
         }
         outs
     }
+}
+
+/// Keys busy slot `i` in the merge at `at`; an older entry of the slot
+/// becomes stale.
+fn key_slot(merge: &mut EventQueue<SimEvent>, keys: &mut [Option<Cycle>], i: usize, at: Cycle) {
+    keys[i] = Some(at);
+    merge.push(at, SimEvent::ReplicaIdle(i));
 }
 
 /// Rejects an empty slot table and a slot with `target_completions > 0`:

@@ -542,6 +542,10 @@ pub struct ServingSim<B: Backend = Device> {
     /// `step()` invocations over the run's lifetime (diagnostic; the
     /// fleet's never-re-step regression test observes it).
     steps: u64,
+    /// The event time a wait capped at its horizon stopped short of:
+    /// until a submit, nothing happens before it, so the next step only
+    /// moves the clock.
+    wake: Option<Cycle>,
     /// KV pages the waiting queue's prompts will demand at admission
     /// (incremental mirror of the sum [`Self::kv_pressure`] reports, so
     /// dispatch snapshots stay O(1)).
@@ -607,6 +611,7 @@ impl<B: Backend> ServingSim<B> {
             restore_overhead: 0,
             events: EventQueue::new(),
             steps: 0,
+            wake: None,
             queued_pages: 0,
             parked_pages: 0,
             parked_remaining: 0,
@@ -730,6 +735,13 @@ impl<B: Backend> ServingSim<B> {
         self.steps
     }
 
+    /// When a wait capped at a dispatch horizon stopped short of the next
+    /// event, that event's time: nothing happens on the replica before it
+    /// unless a request is submitted. `None` otherwise.
+    pub(crate) fn wake(&self) -> Option<Cycle> {
+        self.wake
+    }
+
     /// Whether the replica's event stream has drained: nothing waiting,
     /// running, or parked. An idle simulation's [`Self::step`] returns
     /// [`StepEvent::Finished`] without mutating any state, so callers
@@ -836,6 +848,7 @@ impl<B: Backend> ServingSim<B> {
         self.queued_pages += self.kv.pages_for(input_len as u64);
         self.submitted += 1;
         self.pool.submit(req);
+        self.wake = None;
         Ok(())
     }
 
@@ -1032,12 +1045,56 @@ impl<B: Backend> ServingSim<B> {
     /// handled by deferring (or, when hopeless, dropping) the request, not
     /// by failing the run.
     pub fn step(&mut self) -> Result<StepEvent, SimError> {
-        let event = self.advance()?;
+        self.step_within(Cycle::MAX)
+    }
+
+    /// [`Self::step`] with a horizon: a wait stops at `horizon` instead of
+    /// jumping past it to the next event. A fleet replica steps this way
+    /// to each dispatch barrier, since it cannot see the arrivals the
+    /// dispatcher still holds; the time it stopped short of is kept (see
+    /// [`Self::wake`]) until a submit, and until then a step short of it
+    /// only moves the clock.
+    // Out of line, so `advance` is inlined at one call site: inlining this
+    // into both `step` and the fleet's `advance_to` cost ~8% of
+    // `fleet-jsq-256` host throughput on a 2-core VM.
+    #[inline(never)]
+    pub(crate) fn step_within(&mut self, horizon: Cycle) -> Result<StepEvent, SimError> {
+        if let Some(wake) = self.wake {
+            debug_assert_eq!(
+                self.events.next_time_after(self.now),
+                Some(wake),
+                "a recorded wake must be the next event"
+            );
+            if wake > horizon {
+                self.steps += 1;
+                self.now = self.now.max(horizon);
+                return Ok(StepEvent::Waited);
+            }
+        }
+        let before = self.now;
+        let event = self.advance(horizon)?;
+        debug_assert!(
+            event != StepEvent::Waited || self.now <= horizon.max(before),
+            "a wait moved the clock from {before} past its horizon {horizon} to {}",
+            self.now
+        );
         debug_assert!(
             self.kv_pages_match_the_batch(),
             "KV page totals drifted from the running records' allocations"
         );
         Ok(event)
+    }
+
+    /// Waits for the event at `next`, stopping at `horizon` (and keeping
+    /// `next` as the wake) when it lies beyond. The clock never moves back.
+    fn wait_until(&mut self, next: Cycle, horizon: Cycle) {
+        if next > horizon {
+            self.now = self.now.max(horizon);
+            self.wake = Some(next);
+        } else {
+            self.now = next;
+            self.wake = None;
+        }
     }
 
     /// Whether every channel's used KV pages equal the pages of the
@@ -1058,8 +1115,8 @@ impl<B: Backend> ServingSim<B> {
         })
     }
 
-    /// [`Self::step`]'s body.
-    fn advance(&mut self) -> Result<StepEvent, SimError> {
+    /// [`Self::step_within`]'s body.
+    fn advance(&mut self, horizon: Cycle) -> Result<StepEvent, SimError> {
         self.steps += 1;
         if self.cfg.target_completions > 0 && self.pool.completed() >= self.cfg.target_completions {
             return Ok(StepEvent::Finished);
@@ -1207,8 +1264,9 @@ impl<B: Backend> ServingSim<B> {
                 // earliest prefill completion — or to the next arrival if
                 // it lands first, so newcomers are admitted (and start
                 // their own prefill) while earlier prompts are encoding.
-                self.now =
+                let next =
                     next_event.expect("non-ready running request must have a future ready time");
+                self.wait_until(next, horizon);
                 return Ok(StepEvent::Waited);
             }
             if self.pool.waiting_len() == 0 {
@@ -1248,8 +1306,8 @@ impl<B: Backend> ServingSim<B> {
             // The head hasn't arrived yet: jump to the next arrival
             // (with nothing running, the only future events are
             // arrivals).
-            let t = next_event.expect("future waiting head implies a future arrival");
-            self.now = t;
+            let next = next_event.expect("future waiting head implies a future arrival");
+            self.wait_until(next, horizon);
             return Ok(StepEvent::Waited);
         }
 

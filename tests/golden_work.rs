@@ -216,8 +216,9 @@ impl RoutePolicy for CountingRoute {
 }
 
 /// The counts one run is pinned to, in this order.
-const NAMES: [&str; 11] = [
+const NAMES: [&str; 12] = [
     "serving.steps",
+    "serving.step_calls",
     "backend.decode.calls",
     "backend.decode.seqs",
     "backend.prefill.calls",
@@ -232,13 +233,21 @@ const NAMES: [&str; 11] = [
 
 type Work = [u64; NAMES.len()];
 
-/// `steps` is Σ executed iterations; `memo` is the shared replay memo of
-/// a trace-priced run.
-fn work(c: &Counters, steps: u64, memo: Option<&TraceMemo>, preemptions: u64) -> Work {
+/// `steps` is Σ executed iterations and `step_calls` Σ
+/// [`ServingSim::steps`] (every visit to a replica, waits included);
+/// `memo` is the shared replay memo of a trace-priced run.
+fn work(
+    c: &Counters,
+    steps: u64,
+    step_calls: u64,
+    memo: Option<&TraceMemo>,
+    preemptions: u64,
+) -> Work {
     let memo = memo.map(TraceMemo::snapshot).unwrap_or_default();
     let get = |a: &AtomicU64| a.load(Relaxed);
     [
         steps,
+        step_calls,
         get(&c.decode_calls),
         get(&c.decode_seqs),
         get(&c.prefill_calls),
@@ -252,9 +261,10 @@ fn work(c: &Counters, steps: u64, memo: Option<&TraceMemo>, preemptions: u64) ->
     ]
 }
 
-fn fleet_work(c: &Counters, out: &FleetOutcome, memo: Option<&TraceMemo>) -> Work {
+fn fleet_work<B: Backend>(c: &Counters, out: &FleetOutcome, slots: &[ServingSim<B>]) -> Work {
     let steps = out.replicas.iter().map(|r| r.iterations).sum();
-    work(c, steps, memo, out.preemptions)
+    let step_calls = slots.iter().map(ServingSim::steps).sum();
+    work(c, steps, step_calls, None, out.preemptions)
 }
 
 /// Fails with the recorded counts, named, so a deliberate change can
@@ -359,7 +369,7 @@ fn fleet_jsq(jobs: usize) -> Work {
     }
     let out = fleet.run().unwrap();
     assert_eq!(out.completed + out.dropped, out.submitted);
-    fleet_work(&counters, &out, None)
+    fleet_work(&counters, &out, fleet.replicas())
 }
 
 /// `orch-diurnal-256` at 16 slots: a diurnal chat/batch trace through
@@ -444,7 +454,7 @@ fn orch_diurnal(jobs: usize) -> Work {
         .unwrap();
     }
     let out = orch.run().unwrap();
-    fleet_work(&counters, &out.fleet, None)
+    fleet_work(&counters, &out.fleet, orch.slots())
 }
 
 /// `pim-trace-tight-kv` at one replica: a NeuPIMs device priced by
@@ -473,11 +483,18 @@ fn pim_trace_tight_kv() -> Work {
     }
     let out = sim.run().unwrap();
     assert_eq!(out.completed + out.dropped, out.submitted);
-    work(&counters, out.iterations, Some(&memo), out.preemptions)
+    work(
+        &counters,
+        out.iterations,
+        sim.steps(),
+        Some(&memo),
+        out.preemptions,
+    )
 }
 
 const FLEET_JSQ: Work = [
     4234,  // serving.steps
+    4300,  // serving.step_calls
     4234,  // backend.decode.calls
     67496, // backend.decode.seqs
     600,   // backend.prefill.calls
@@ -491,14 +508,15 @@ const FLEET_JSQ: Work = [
 ];
 
 const ORCH_DIURNAL: Work = [
-    1083, // serving.steps
-    1083, // backend.decode.calls
+    1087, // serving.steps
+    1292, // serving.step_calls
+    1087, // backend.decode.calls
     4800, // backend.decode.seqs
     600,  // backend.prefill.calls
-    1083, // scheduler.plan.calls
+    1087, // scheduler.plan.calls
     0,    // fleet.dispatch.calls
     600,  // orchestrator.route.calls
-    4516, // orchestrator.route.candidates
+    4441, // orchestrator.route.candidates
     0,    // cost.memo_lookups
     0,    // cost.replays
     0,    // preemptions
@@ -506,6 +524,7 @@ const ORCH_DIURNAL: Work = [
 
 const PIM_TRACE_TIGHT_KV: Work = [
     177,   // serving.steps
+    179,   // serving.step_calls
     176,   // backend.decode.calls
     16714, // backend.decode.seqs
     214,   // backend.prefill.calls
