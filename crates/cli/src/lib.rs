@@ -18,8 +18,9 @@
 //!
 //! commands:
 //!   sweep       throughput sweep of one backend across batch sizes
-//!   serve       serving simulation (streaming arrivals) on one backend
+//!   serve       one-replica `fleet` (one backend, its own default seed)
 //!   fleet       SLO-aware multi-replica fleet serving behind a dispatcher
+//!               (serve and fleet print the metric map eval scores)
 //!   eval        run a golden-expectation suite (eval <suite>, eval --list)
 //!   calibrate   print the cycle-model calibration constants
 //!   drift       analytic-vs-trace MHA cost model calibration drift
@@ -70,8 +71,8 @@
 //! fleet gives every replica its own sharded chip group.
 //! --rate is in requests per million cycles (= kilo-requests/s at 1 GHz)
 //! and drives both `serve` and `fleet` arrivals; --slo-ttft-ms /
-//! --slo-tpot-ms set the latency targets their SLO-attainment and
-//! goodput columns are measured against.
+//! --slo-tpot-ms set the latency targets their `slo_attainment` and
+//! `goodput` metrics are measured against.
 //! --jobs caps how many replica streams `fleet` and `eval` advance in
 //! parallel between dispatch points (default: available parallelism).
 //! Replicas share no state between dispatch barriers, so --jobs only
@@ -81,7 +82,8 @@
 //! with the same seed (and flags) submit identical requests. Without it,
 //! serve/fleet fall back to fixed default seeds (so changing --requests
 //! never reshuffles the shared workload prefix) and eval suites use
-//! their spec'd per-scenario seeds.
+//! their spec'd per-scenario seeds. Its default seed is all that tells
+//! `serve` from `fleet --replicas 1`.
 //! Any of --tenants/--autoscale/--router/--min-replicas routes `fleet`
 //! through the capability-aware meta-orchestrator (docs/ORCHESTRATOR.md):
 //! --tenants takes name:weight:priority[:ttft_ms:tpot_ms] entries
@@ -89,9 +91,9 @@
 //! replica scaler (static | reactive | predictive; scalers pay each
 //! spin-up's warmup cycles and park idle replicas down to
 //! --min-replicas), and --router picks dispatch scoring (load |
-//! round-robin | capability). The report adds per-tenant SLO attainment
-//! and the goodput-per-cost bottom line (tokens from SLO-attaining
-//! requests per replica-Mcycle of committed capacity).
+//! round-robin | capability). The metric map adds `tenant_<name>_*`
+//! keys per tenant and the `goodput_per_cost` bottom line (tokens from
+//! SLO-attaining requests per replica-Mcycle of committed capacity).
 //! eval suites: smoke (CI default), fig12, fig13, fig15, table3,
 //! table4, pressure, scaling, orchestrator — or a path to a .toml spec
 //! (see docs/EVAL.md); reports are stored under --reports-dir (default
@@ -114,14 +116,13 @@ pub const DEFAULT_FLEET_SEED: u64 = 0xF1EE7;
 
 use std::path::PathBuf;
 
-use neupims_core::backend::Backend;
 use neupims_core::experiments::{
     area_overhead, fig12_throughput, fig14_parallelism, fig4_roofline, fig5_gpu_util,
     fig6_layer_util, table5_power, ExperimentContext,
 };
-use neupims_core::fleet::{FleetRequest, FleetSim, POLICY_NAMES};
+use neupims_core::fleet::{FleetRequest, POLICY_NAMES};
 use neupims_core::interconnect::{interconnect_from_name, INTERCONNECT_NAMES};
-use neupims_core::orchestrator::{Orchestrator, TenantClass, AUTOSCALE_NAMES, ROUTER_NAMES};
+use neupims_core::orchestrator::{TenantClass, AUTOSCALE_NAMES, ROUTER_NAMES};
 use neupims_core::preempt::PREEMPTION_NAMES;
 use neupims_core::scheduler::SCHEDULER_NAMES;
 use neupims_core::serving::SloTargets;
@@ -130,8 +131,8 @@ use neupims_core::BACKEND_NAMES;
 use neupims_eval::spec::{dataset_from_name, model_from_name};
 use neupims_kvcache::KvGeometry;
 use neupims_sched::{
-    calibration_drift, CostModelKind, MhaLatencyEstimator, TraceDrivenCostModel, TraceSnapshot,
-    COST_MODEL_NAMES, DEFAULT_DRIFT_TOLERANCE,
+    calibration_drift, CostModelKind, MhaLatencyEstimator, TraceDrivenCostModel, COST_MODEL_NAMES,
+    DEFAULT_DRIFT_TOLERANCE,
 };
 use neupims_types::{request_id, LlmConfig, Phase};
 use neupims_workload::{arrival_stream, Dataset};
@@ -144,8 +145,10 @@ struct Options {
     dataset: Dataset,
     batch: Option<usize>,
     requests: usize,
-    /// Every system flag (`--backend`, `--replicas`, `--tp`, ...) lands
-    /// here: the same spec an eval suite's `[[scenario]]` keys parse into.
+    /// `--replicas`, when given: `fleet` defaults to 4, `serve` runs 1.
+    replicas: Option<usize>,
+    /// Every other system flag (`--backend`, `--tp`, ...) lands here: the
+    /// same spec an eval suite's `[[scenario]]` keys parse into.
     system: SystemSpec,
     cost_model_set: bool,
     memo_cache: Option<PathBuf>,
@@ -171,8 +174,8 @@ pub fn run_cli() -> ExitCode {
         dataset: Dataset::ShareGpt,
         batch: None,
         requests: 64,
+        replicas: None,
         system: SystemSpec {
-            replicas: 4,
             max_batch: 64,
             ..SystemSpec::default()
         },
@@ -219,7 +222,7 @@ pub fn run_cli() -> ExitCode {
                 }
             },
             "--replicas" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => opts.system.replicas = n,
+                Some(n) if n > 0 => opts.replicas = Some(n),
                 _ => {
                     eprintln!("--replicas requires a positive number");
                     return ExitCode::FAILURE;
@@ -473,8 +476,7 @@ fn run(command: &str, opts: &Options) -> Result<(), Box<dyn std::error::Error>> 
 
     match command {
         "sweep" => cmd_sweep(&ctx, opts),
-        "serve" => cmd_serve(&ctx, opts),
-        "fleet" => cmd_fleet(&ctx, opts),
+        "serve" | "fleet" => cmd_fleet(&ctx, opts, command),
         "calibrate" => cmd_calibrate(&ctx),
         "drift" => cmd_drift(&ctx, opts),
         "fig6" => cmd_fig6(&ctx),
@@ -547,10 +549,10 @@ fn cmd_sweep(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std:
 /// tenant draw (index into the weights) from the same RNG.
 fn draw_requests(
     opts: &Options,
-    default_seed: u64,
+    seed: u64,
     tenant_weights: Option<&[f64]>,
 ) -> Result<Vec<(FleetRequest, usize)>, Box<dyn std::error::Error>> {
-    let mut rng = StdRng::seed_from_u64(opts.seed.unwrap_or(default_seed));
+    let mut rng = StdRng::seed_from_u64(seed);
     let arrivals = arrival_stream(&mut rng, opts.rate, opts.requests);
     let total_weight: f64 = tenant_weights.map_or(0.0, |w| w.iter().sum());
     let mut requests = Vec::with_capacity(arrivals.len());
@@ -577,107 +579,39 @@ fn draw_requests(
     Ok(requests)
 }
 
-/// `serve`: the one replica of the `--backend`/`--scheduler` system,
-/// stepped directly over the seeded request stream — not as a one-replica
-/// `fleet`, whose dispatch barrier can admit a request late while every
-/// admitted one is still in lump prefill.
-fn cmd_serve(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    let system = &opts.system;
-    // Name lists cycle over `fleet` replicas; `serve` has one to build.
-    for (flag, names) in [
-        ("--backend", &system.backend),
-        ("--scheduler", &system.scheduler),
-    ] {
-        if names.contains(',') {
-            return Err(format!("serve takes one {flag} name, not the list {names:?}").into());
-        }
-    }
-    let memo = system.trace_memo(opts.memo_cache.as_deref())?;
-    let mut serving = system.replica(ctx, 0, memo.as_ref())?;
-    println!(
-        "\n## Serve — {} requests ({}) through {} serving {} ({} scheduler, {} preemption, {} cost model)\n",
-        opts.requests,
-        opts.dataset.name(),
-        serving.backend().label(),
-        system.model.name,
-        serving.scheduler_name(),
-        serving.preemption_name(),
-        system.cost_model,
-    );
-
-    for (req, _) in draw_requests(opts, DEFAULT_SERVE_SEED, None)? {
-        serving.submit(req.id, req.input_len, req.output_len, req.arrival)?;
-    }
-    let out = serving.run()?;
-    println!("| metric | value |");
-    println!("|---|---:|");
-    println!("| completed requests | {} |", out.completed);
-    println!("| dropped requests | {} |", out.dropped);
-    println!("| generated tokens | {} |", out.tokens);
-    println!("| decode iterations | {} |", out.iterations);
-    println!(
-        "| simulated time | {:.2} ms |",
-        out.total_cycles as f64 / 1e6
-    );
-    println!("| throughput | {:.0} tokens/s |", out.tokens_per_sec());
-    println!("| mean latency | {:.2} ms |", out.mean_latency / 1e6);
-    println!(
-        "| p50 / p95 / p99 latency | {:.2} / {:.2} / {:.2} ms |",
-        out.latency_percentile(50.0) as f64 / 1e6,
-        out.latency_percentile(95.0) as f64 / 1e6,
-        out.latency_percentile(99.0) as f64 / 1e6
-    );
-    println!(
-        "| p50 / p99 TTFT | {:.2} / {:.2} ms |",
-        out.ttft_percentile(50.0) as f64 / 1e6,
-        out.ttft_percentile(99.0) as f64 / 1e6
-    );
-    println!(
-        "| p50 / p99 TPOT | {:.3} / {:.3} ms |",
-        out.tpot_percentile(50.0) / 1e6,
-        out.tpot_percentile(99.0) / 1e6
-    );
-    println!(
-        "| SLO attainment (TTFT {} ms, TPOT {} ms) | {:.1}% |",
-        system.slo_ttft_ms,
-        system.slo_tpot_ms,
-        out.slo_attainment() * 100.0
-    );
-    println!("| goodput | {:.0} tokens/s |", out.goodput());
-    println!(
-        "| peak KV utilization | {:.1}% |",
-        out.peak_kv_utilization * 100.0
-    );
-    print_preemption_rows(
-        out.preemptions,
-        out.restores,
-        out.preemption_stall_cycles,
-        out.restore_overhead_cycles,
-    );
-    println!(
-        "| mean decode batch | {:.1} of {} |",
-        out.mean_decode_batch(),
-        system.max_batch
-    );
-    println!(
-        "| on-device prefill | {:.2} ms |",
-        out.prefill_cycles_on_device as f64 / 1e6
-    );
-    println!(
-        "| NPU/PIM overlap (hidden / efficiency) | {:.2} ms / {:.1}% |",
-        out.overlap_hidden_cycles as f64 / 1e6,
-        out.overlap_efficiency() * 100.0
-    );
-    print_trace_rows(out.pim_trace.as_ref());
-    Ok(())
-}
-
-/// `fleet`: the replicas of `--replicas`, with comma-separated
+/// `fleet`: the replicas of `--replicas` (default 4), with comma-separated
 /// `--backend`/`--scheduler` lists cycled over them, behind the
 /// `--policy` dispatcher — or, with any of `--tenants`, `--autoscale`,
 /// `--router`, `--min-replicas`, as the slot table of the meta-orchestrator.
-fn cmd_fleet(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
+/// `serve` is `fleet --replicas 1` under its own default seed. Both print
+/// the metric map an eval serving scenario is scored on.
+fn cmd_fleet(
+    ctx: &ExperimentContext,
+    opts: &Options,
+    command: &str,
+) -> Result<(), Box<dyn std::error::Error>> {
     let mut system = opts.system.clone();
+    let default_seed = if command == "serve" {
+        // `serve` builds one replica: a name list (which `fleet` cycles
+        // over its replicas) or another replica count is an error, not a
+        // silent first pick.
+        for (flag, names) in [
+            ("--backend", &system.backend),
+            ("--scheduler", &system.scheduler),
+        ] {
+            if names.contains(',') {
+                return Err(format!("serve takes one {flag} name, not the list {names:?}").into());
+            }
+        }
+        if let Some(n) = opts.replicas.filter(|&n| n != 1) {
+            return Err(format!("serve runs one replica, not --replicas {n} (use fleet)").into());
+        }
+        system.replicas = 1;
+        DEFAULT_SERVE_SEED
+    } else {
+        system.replicas = opts.replicas.unwrap_or(4);
+        DEFAULT_FLEET_SEED
+    };
     let mut weights = vec![1.0];
     if let Some(spec) = &opts.tenants {
         (system.tenants, weights) = parse_tenants(spec, &system)?;
@@ -688,106 +622,64 @@ fn cmd_fleet(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std:
     // backed with --memo-cache), so each context bucket simulates once.
     let memo = system.trace_memo(opts.memo_cache.as_deref())?;
     let mut built = system.build(ctx, memo.as_ref(), opts.jobs)?;
-    let orchestrated = matches!(built, System::Orchestrator(_));
+    let seed = opts.seed.unwrap_or(default_seed);
+    let title = run_title(command, opts, &system, &built, seed);
 
     // Under the orchestrator the tenant of each request is a weighted draw.
+    let orchestrated = matches!(built, System::Orchestrator(_));
     let tenant_weights = orchestrated.then_some(weights.as_slice());
-    for (req, tenant) in draw_requests(opts, DEFAULT_FLEET_SEED, tenant_weights)? {
+    for (req, tenant) in draw_requests(opts, seed, tenant_weights)? {
         built.submit(req, tenant)?;
     }
-    match built {
-        System::Fleet(fleet) => report_fleet(opts, fleet, memo.is_some()),
-        System::Orchestrator(orch) => report_orchestrated(opts, *orch),
-    }
+    let metrics = neupims_eval::run_system(built, memo.is_some())?;
+    print!("\n{}", neupims_eval::render_metrics(&title, &metrics));
+    Ok(())
 }
 
-/// Runs a bare fleet and prints its report; `warm` pre-replays the cold
-/// context buckets of a shared trace memo first.
-fn report_fleet(
+/// The header line of a `serve`/`fleet` report: the workload, the seed
+/// it was drawn with and the system that served it.
+fn run_title(
+    command: &str,
     opts: &Options,
-    mut fleet: FleetSim<Box<dyn Backend>>,
-    warm: bool,
-) -> Result<(), Box<dyn std::error::Error>> {
-    println!(
-        "\n## Fleet — {} requests ({}) at {} req/Mcycle over {} x {} replicas, policy {}\n",
+    system: &SystemSpec,
+    built: &System,
+    seed: u64,
+) -> String {
+    let routing = match built {
+        System::Fleet(fleet) => format!("{} dispatch", fleet.policy_name()),
+        System::Orchestrator(orch) => format!(
+            "{} router, {} autoscale, {} tenants",
+            orch.route_name(),
+            orch.autoscale_name(),
+            orch.tenants().len()
+        ),
+    };
+    let sharding = if system.sharding_requested() {
+        format!(
+            ", tp{} x pp{} over {}",
+            system.tp.unwrap_or(1),
+            system.pp.unwrap_or(1),
+            system.interconnect
+        )
+    } else {
+        String::new()
+    };
+    format!(
+        "{command} — {} requests ({}, seed {seed}) at {} req/Mcycle over {} x {} serving {} \
+         ({} scheduler, {} preemption, {} cost model{sharding}; {routing}; \
+         SLO TTFT {} ms, TPOT {} ms)",
         opts.requests,
         opts.dataset.name(),
         opts.rate,
-        opts.system.replicas,
-        opts.system.model.name,
-        fleet.policy_name(),
-    );
-    if warm {
-        let warmed = fleet.warm_replay();
-        eprintln!("warm replay primed {warmed} cold context buckets before serving");
-    }
-    let out = fleet.run()?;
-    println!("| metric | value |");
-    println!("|---|---:|");
-    println!(
-        "| submitted / completed / dropped | {} / {} / {} |",
-        out.submitted, out.completed, out.dropped
-    );
-    println!("| generated tokens | {} |", out.tokens);
-    println!("| makespan | {:.2} ms |", out.makespan as f64 / 1e6);
-    println!(
-        "| fleet throughput | {:.0} tokens/s |",
-        out.tokens_per_sec()
-    );
-    println!(
-        "| p50 / p99 latency | {:.2} / {:.2} ms |",
-        out.latency_percentile(50.0) as f64 / 1e6,
-        out.latency_percentile(99.0) as f64 / 1e6
-    );
-    println!(
-        "| p50 / p99 TTFT | {:.2} / {:.2} ms |",
-        out.ttft_percentile(50.0) as f64 / 1e6,
-        out.ttft_percentile(99.0) as f64 / 1e6
-    );
-    println!(
-        "| p50 / p99 TPOT | {:.3} / {:.3} ms |",
-        out.tpot_percentile(50.0) / 1e6,
-        out.tpot_percentile(99.0) / 1e6
-    );
-    println!(
-        "| SLO attainment (TTFT {} ms, TPOT {} ms) | {:.1}% |",
-        opts.system.slo_ttft_ms,
-        opts.system.slo_tpot_ms,
-        out.slo_attainment() * 100.0
-    );
-    println!("| goodput | {:.0} tokens/s |", out.goodput());
-    print_preemption_rows(
-        out.preemptions,
-        out.restores,
-        out.preemption_stall_cycles,
-        out.restore_overhead_cycles,
-    );
-    println!(
-        "| NPU/PIM overlap (hidden / efficiency) | {:.2} ms / {:.1}% |",
-        out.overlap_hidden_cycles as f64 / 1e6,
-        out.overlap_efficiency() * 100.0
-    );
-    print_trace_rows(out.pim_trace.as_ref());
-
-    println!(
-        "\n| replica | backend (scheduler) | completed | dropped | preempted | tokens | clock (ms) | peak KV |"
-    );
-    println!("|---:|---|---:|---:|---:|---:|---:|---:|");
-    for (i, (r, replica)) in out.replicas.iter().zip(fleet.replicas()).enumerate() {
-        println!(
-            "| {} | {} ({}) | {} | {} | {} | {} | {:.2} | {:.1}% |",
-            i,
-            replica.backend().label(),
-            replica.scheduler_name(),
-            r.completed,
-            r.dropped,
-            r.preemptions,
-            r.tokens,
-            r.total_cycles as f64 / 1e6,
-            r.peak_kv_utilization * 100.0
-        );
-    }
-    Ok(())
+        system.replicas,
+        system.backend,
+        system.model.name,
+        system.scheduler,
+        system.preemption,
+        system.cost_model,
+        system.slo_ttft_ms,
+        system.slo_tpot_ms,
+    )
 }
 
 /// Parses a `--tenants` spec: `name:weight:priority[:ttft_ms:tpot_ms]`
@@ -838,146 +730,6 @@ fn parse_tenants(
         t.share = w / total;
     }
     Ok((tenants, weights))
-}
-
-/// Runs the orchestrated fleet and prints its report: per-tenant rows and
-/// the goodput-per-cost bottom line.
-fn report_orchestrated(
-    opts: &Options,
-    mut orch: Orchestrator<Box<dyn Backend>>,
-) -> Result<(), Box<dyn std::error::Error>> {
-    println!(
-        "\n## Orchestrate — {} requests ({}) at {} req/Mcycle over {} slots ({} router, {} autoscale, {} tenants)\n",
-        opts.requests,
-        opts.dataset.name(),
-        opts.rate,
-        opts.system.replicas,
-        orch.route_name(),
-        orch.autoscale_name(),
-        orch.tenants().len(),
-    );
-    let out = orch.run()?;
-    println!("| metric | value |");
-    println!("|---|---:|");
-    println!(
-        "| submitted / dispatched / shed | {} / {} / {} |",
-        out.fleet.submitted + out.shed,
-        out.fleet.submitted,
-        out.shed
-    );
-    println!(
-        "| completed / dropped / deferred | {} / {} / {} |",
-        out.fleet.completed, out.fleet.dropped, out.deferred
-    );
-    println!("| generated tokens | {} |", out.fleet.tokens);
-    println!("| makespan | {:.2} ms |", out.fleet.makespan as f64 / 1e6);
-    println!(
-        "| fleet throughput | {:.0} tokens/s |",
-        out.fleet.tokens_per_sec()
-    );
-    println!(
-        "| peak / max replicas | {} / {} |",
-        out.peak_replicas,
-        out.slots.len()
-    );
-    println!(
-        "| warmups (scale-ups / scale-downs) | {} ({} / {}) |",
-        out.warmups, out.scale_ups, out.scale_downs
-    );
-    println!(
-        "| replica capacity paid | {:.2} Mcycles |",
-        out.replica_cycles_on as f64 / 1e6
-    );
-    println!(
-        "| goodput per cost | {:.2} tokens/Mcycle |",
-        out.goodput_per_cost()
-    );
-    print_preemption_rows(
-        out.fleet.preemptions,
-        out.fleet.restores,
-        out.fleet.preemption_stall_cycles,
-        out.fleet.restore_overhead_cycles,
-    );
-    print_trace_rows(out.fleet.pim_trace.as_ref());
-
-    println!(
-        "\n| tenant | prio | share | submitted | admitted | deferred | shed | completed | SLO | goodput (tok/s) | p99 TTFT (ms) |"
-    );
-    println!("|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|");
-    for (t, class) in out.tenants.iter().zip(orch.tenants()) {
-        let goodput = if out.fleet.makespan == 0 {
-            0.0
-        } else {
-            t.goodput_tokens as f64 / (out.fleet.makespan as f64 / 1e9)
-        };
-        println!(
-            "| {} | {} | {:.0}% | {} | {} | {} | {} | {} | {:.1}% | {:.0} | {:.2} |",
-            t.name,
-            t.priority,
-            class.share * 100.0,
-            t.submitted,
-            t.admitted,
-            t.deferred,
-            t.shed,
-            t.completed,
-            t.slo_attainment() * 100.0,
-            goodput,
-            t.ttft_percentile(99.0) as f64 / 1e6,
-        );
-    }
-    Ok(())
-}
-
-/// Appends the KV-pressure preemption rows to a serve or fleet report
-/// (no-op when the run never preempted and never stalled).
-fn print_preemption_rows(preemptions: u64, restores: u64, stall: u64, overhead: u64) {
-    if preemptions == 0 && restores == 0 {
-        return;
-    }
-    println!("| KV preemptions / restores | {preemptions} / {restores} |");
-    println!(
-        "| preemption stall (parked wall-clock) | {:.2} ms |",
-        stall as f64 / 1e6
-    );
-    println!(
-        "| restore overhead (recompute + swap-in) | {:.2} ms |",
-        overhead as f64 / 1e6
-    );
-}
-
-/// Appends the trace-driven cost model's DRAM activity rows to a serve or
-/// fleet report (no-op under analytic pricing).
-fn print_trace_rows(trace: Option<&TraceSnapshot>) {
-    let Some(t) = trace else { return };
-    println!(
-        "| PIM trace: row-buffer hits / misses | {} / {} ({:.1}% hit rate) |",
-        t.stats.row_hits,
-        t.stats.row_misses,
-        t.stats.hit_rate() * 100.0
-    );
-    println!(
-        "| PIM trace: ACT / PRE / REF commands | {} / {} / {} |",
-        t.stats.acts + t.stats.pim_acts,
-        t.stats.precharges + t.stats.pim_precharges,
-        t.stats.refreshes
-    );
-    println!(
-        "| PIM trace: C/A bus busy | {:.3} ms |",
-        t.stats.ca_busy as f64 / 1e6
-    );
-    println!(
-        "| PIM trace: streams simulated / memoized | {} / {} ({:.1}% memo hits) |",
-        t.replays,
-        t.memo_hits,
-        t.memo_hit_rate() * 100.0
-    );
-    if t.disk_hits > 0 {
-        println!(
-            "| PIM trace: replay-cache disk hits | {} ({:.1}% of first touches) |",
-            t.disk_hits,
-            t.disk_hit_rate() * 100.0
-        );
-    }
 }
 
 fn cmd_drift(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {

@@ -36,10 +36,10 @@ pub mod store;
 pub mod suites;
 pub mod toml;
 
-pub use report::EvalReport;
+pub use report::{render_metrics, EvalReport};
 pub use runner::{
     run_scenario, run_scenario_with_jobs, run_scenario_with_opts, run_suite, run_suite_with_jobs,
-    run_suite_with_opts, EvalError, EvalOverrides, Metrics, ScenarioRun,
+    run_suite_with_opts, run_system, EvalError, EvalOverrides, Metrics, ScenarioRun,
 };
 pub use scorer::{score_suite, verdict, CheckResult, CheckStatus};
 pub use spec::{

@@ -1,7 +1,9 @@
 //! The structured eval report: JSON serialization and the stdout table.
 
+use std::fmt::Write as _;
+
 use crate::json::Json;
-use crate::runner::ScenarioRun;
+use crate::runner::{Metrics, ScenarioRun};
 use crate::scorer::{verdict, CheckResult, CheckStatus};
 
 /// A complete eval run: suite identity, every scenario's metrics, and
@@ -88,7 +90,6 @@ impl EvalReport {
     /// Renders the human-readable result tables (GitHub-flavored
     /// markdown, matching the other CLI commands).
     pub fn render(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -96,13 +97,7 @@ impl EvalReport {
             self.suite, self.rev, self.description
         );
         for s in &self.scenarios {
-            let _ = writeln!(out, "### {} ({})\n", s.name, s.kind);
-            let _ = writeln!(out, "| metric | value |");
-            let _ = writeln!(out, "|---|---:|");
-            for (k, v) in &s.metrics {
-                let _ = writeln!(out, "| {k} | {v:.4} |");
-            }
-            let _ = writeln!(out);
+            out += &render_metrics(&format!("{} ({})", s.name, s.kind), &s.metrics);
         }
         let _ = writeln!(out, "### Checks\n");
         let _ = writeln!(out, "| scenario | metric | observed | expected | status |");
@@ -152,10 +147,21 @@ impl EvalReport {
     }
 }
 
+/// Renders one metric map as a `| metric | value |` table under a
+/// `### {title}` header line, followed by a blank line: how the eval
+/// report shows each scenario and how the CLI reports a serving run.
+pub fn render_metrics(title: &str, metrics: &Metrics) -> String {
+    let mut out = format!("### {title}\n\n| metric | value |\n|---|---:|\n");
+    for (k, v) in metrics {
+        let _ = writeln!(out, "| {k} | {v:.4} |");
+    }
+    out.push('\n');
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::Metrics;
     use crate::spec::{Bound, Severity};
 
     fn report() -> EvalReport {

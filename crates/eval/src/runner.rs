@@ -313,12 +313,26 @@ fn run_serving(
         built.submit(fleet_req, req.tenant).map_err(sim_err)?;
     }
 
-    match built {
+    run_system(built, memo.is_some())
+}
+
+/// Runs a built serving system with its requests submitted and flattens
+/// the outcome into the metric map the scorer grades (an orchestrator's
+/// adds its cost, scaling and `tenant_<name>_*` keys). Both eval's
+/// serving scenarios and the CLI's `serve`/`fleet` end here.
+///
+/// With `shared_memo` (the replicas price through one trace replay
+/// memo), a fleet first replays every reachable cold context bucket in
+/// parallel: a no-op on warm or disk-restored memos that never changes
+/// results (pinned by the trace parity tests).
+///
+/// # Errors
+///
+/// [`EvalError::Sim`] when the run fails.
+pub fn run_system(system: System, shared_memo: bool) -> Result<Metrics, EvalError> {
+    match system {
         System::Fleet(mut fleet) => {
-            // Replay every reachable cold bucket in parallel before
-            // serving starts (a no-op on warm or disk-restored memos;
-            // never changes results — pinned by the trace parity tests).
-            if memo.is_some() {
+            if shared_memo {
                 fleet.warm_replay();
             }
             Ok(serving_metrics(&fleet.run().map_err(sim_err)?))
@@ -368,6 +382,8 @@ fn serving_metrics(out: &FleetOutcome) -> Metrics {
     m.insert("goodput".into(), out.goodput());
     m.insert("slo_attainment".into(), out.slo_attainment());
     m.insert("makespan_ms".into(), out.makespan as f64 / 1e6);
+    let iterations: u64 = out.replicas.iter().map(|r| r.iterations).sum();
+    m.insert("iterations".into(), iterations as f64);
     m.insert("preemptions".into(), out.preemptions as f64);
     m.insert("restores".into(), out.restores as f64);
     m.insert(
@@ -390,6 +406,14 @@ fn serving_metrics(out: &FleetOutcome) -> Metrics {
     m.insert("ttft_p99_ms".into(), out.ttft_percentile(99.0) as f64 / 1e6);
     m.insert("tpot_p50_ms".into(), out.tpot_percentile(50.0) / 1e6);
     m.insert("tpot_p99_ms".into(), out.tpot_percentile(99.0) / 1e6);
+    m.insert(
+        "prefill_on_device_ms".into(),
+        out.prefill_cycles_on_device as f64 / 1e6,
+    );
+    m.insert(
+        "overlap_hidden_ms".into(),
+        out.overlap_hidden_cycles as f64 / 1e6,
+    );
     m.insert("overlap_efficiency".into(), out.overlap_efficiency());
     let peak_kv = out
         .replicas
@@ -398,6 +422,13 @@ fn serving_metrics(out: &FleetOutcome) -> Metrics {
         .fold(0.0, f64::max);
     m.insert("peak_kv_utilization".into(), peak_kv);
     if let Some(trace) = &out.pim_trace {
+        let dram = &trace.stats;
+        m.insert("dram_act".into(), (dram.acts + dram.pim_acts) as f64);
+        m.insert(
+            "dram_pre".into(),
+            (dram.precharges + dram.pim_precharges) as f64,
+        );
+        m.insert("dram_ref".into(), dram.refreshes as f64);
         m.insert("row_buffer_hit_rate".into(), trace.stats.hit_rate());
         m.insert("memo_hit_rate".into(), trace.memo_hit_rate());
         m.insert("disk_hit_rate".into(), trace.disk_hit_rate());
@@ -506,12 +537,20 @@ samples = 1
         // counter metrics legitimately differ (a disk-restored memo
         // replays nothing and only pays disk hits for buckets serving
         // actually touches, while a cold warmup replays the whole
-        // reachable lattice), so they are excluded from the comparison.
+        // reachable lattice), and so do the DRAM command counts of the
+        // streams replayed, so they are excluded from the comparison.
         let strip = |m: &Metrics| {
             let mut m = m.clone();
-            m.remove("disk_hit_rate");
-            m.remove("memo_hit_rate");
-            m.remove("row_buffer_hit_rate");
+            for key in [
+                "disk_hit_rate",
+                "memo_hit_rate",
+                "row_buffer_hit_rate",
+                "dram_act",
+                "dram_pre",
+                "dram_ref",
+            ] {
+                m.remove(key);
+            }
             m
         };
         let uncached = run_suite_with_opts(&suite, &opts(false)).unwrap();

@@ -2,12 +2,10 @@
 //! byte, the exit status of hostile `--tenants` input, and the `fig13`
 //! alias grading its eval suite green.
 //!
-//! Each invocation's stdout was recorded into `tests/golden/cli/*.md`
-//! before the CLI and the eval runner moved onto one shared system
-//! builder, so these pin that the move (and any later change to how
-//! systems are built) leaves every report row untouched: replica
-//! construction, backend/scheduler cycling, preemption, trace pricing,
-//! sharding, and the orchestrator path.
+//! `serve` and `fleet` print the metric map an eval serving scenario is
+//! scored on, so these pin every key of it across replica construction,
+//! backend/scheduler cycling, preemption, trace pricing, sharding, and
+//! the orchestrator path.
 
 use std::process::Command;
 
@@ -187,13 +185,14 @@ fn fig13_alias_grades_its_suite() {
 }
 
 /// `serve` builds one replica, so a `--backend` or `--scheduler` list
-/// (which `fleet` cycles over its replicas) is an error, not a silent
-/// first pick.
+/// (which `fleet` cycles over its replicas) or a replica count other than
+/// 1 is an error, not a silent first pick.
 #[test]
 fn serve_rejects_name_lists() {
     for (flag, list) in [
         ("--backend", "neupims,gpu"),
         ("--scheduler", "lump,chunked"),
+        ("--replicas", "2"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_neupims-sim"))
             .args(["serve", "--requests", "4", flag, list])
