@@ -839,20 +839,28 @@ struct SlotView {
     draining: usize,
     /// Queue depth summed over the On slots.
     on_queue: usize,
-    /// The On (dispatchable) slots in slot order: the route candidates.
-    on: Vec<usize>,
+    /// The On (dispatchable) slots in slot order, as the route policy is
+    /// offered them: `snapshot.index` is the slot.
+    cands: Vec<RouteCandidate>,
 }
 
 impl SlotView {
+    /// Position of slot `i` in (or for) the candidate list.
+    fn pos(&self, i: usize) -> usize {
+        self.cands.partition_point(|c| c.snapshot.index < i)
+    }
+
     /// Counts slot `i` in `state` (an On slot joins the candidates).
-    fn enter(&mut self, i: usize, state: SlotState) {
+    fn enter(&mut self, i: usize, state: SlotState, profile: CapabilityProfile) {
         match state {
             SlotState::Off => {}
             SlotState::Warming { .. } => self.warming += 1,
             SlotState::Draining => self.draining += 1,
             SlotState::On => {
-                self.on_queue += self.snaps[i].queue_len();
-                self.on.insert(self.on.partition_point(|&j| j < i), i);
+                let snapshot = self.snaps[i];
+                self.on_queue += snapshot.queue_len();
+                self.cands
+                    .insert(self.pos(i), RouteCandidate { snapshot, profile });
             }
         }
     }
@@ -865,7 +873,7 @@ impl SlotView {
             SlotState::Draining => self.draining -= 1,
             SlotState::On => {
                 self.on_queue -= self.snaps[i].queue_len();
-                self.on.remove(self.on.partition_point(|&j| j < i));
+                self.cands.remove(self.pos(i));
             }
         }
     }
@@ -902,8 +910,6 @@ pub struct Orchestrator<B: Backend> {
     peak_committed: usize,
     pub(crate) jobs: usize,
     view: SlotView,
-    /// The route candidates of one arrival, reused across arrivals.
-    cands: Vec<RouteCandidate>,
 }
 
 impl<B: Backend> std::fmt::Debug for Orchestrator<B> {
@@ -1025,7 +1031,6 @@ impl<B: Backend> Orchestrator<B> {
             peak_committed: cfg.min_replicas,
             jobs: default_jobs(),
             view: SlotView::default(),
-            cands: Vec::new(),
         }
     }
 
@@ -1106,7 +1111,7 @@ impl<B: Backend> Orchestrator<B> {
             ..SlotView::default()
         };
         for (i, &state) in self.state.iter().enumerate() {
-            view.enter(i, state);
+            view.enter(i, state, self.profiles[i]);
         }
         view
     }
@@ -1115,15 +1120,18 @@ impl<B: Backend> Orchestrator<B> {
     fn set_state(&mut self, i: usize, to: SlotState) {
         let from = std::mem::replace(&mut self.state[i], to);
         self.view.leave(i, from);
-        self.view.enter(i, to);
+        self.view.enter(i, to, self.profiles[i]);
     }
 
-    /// Re-reads slot `i`'s snapshot into the view.
+    /// Re-reads slot `i`'s snapshot into the view (and its candidate
+    /// entry, if it is On).
     fn refresh(&mut self, i: usize) {
         let snap = ReplicaSnapshot::of(i, &self.slots[i]);
         let v = &mut self.view;
         if self.state[i] == SlotState::On {
             v.on_queue = v.on_queue - v.snaps[i].queue_len() + snap.queue_len();
+            let pos = v.pos(i);
+            v.cands[pos].snapshot = snap;
         }
         v.snaps[i] = snap;
     }
@@ -1136,6 +1144,13 @@ impl<B: Backend> Orchestrator<B> {
             w.1 = t;
         }
         self.scale_downs += 1;
+    }
+
+    /// Parks slot `i` at `t` if it is draining and its queue is empty.
+    fn park_if_drained(&mut self, i: usize, t: Cycle) {
+        if self.state[i] == SlotState::Draining && self.slots[i].is_idle() {
+            self.park(i, t);
+        }
     }
 
     /// Commits parked slot `i` at `t`, paying `warm` cycles of warmup
@@ -1249,6 +1264,7 @@ impl<B: Backend> Orchestrator<B> {
         let mut recent: VecDeque<Cycle> = VecDeque::with_capacity(RATE_WINDOW);
 
         let mut due: Vec<usize> = Vec::new();
+        let mut first_barrier = true;
         while let Some((t, oreq)) = arrivals.pop() {
             // Dispatch barrier: advance exactly the dispatchable slots
             // whose streams trail the arrival. Warmups are inclusive at
@@ -1294,14 +1310,28 @@ impl<B: Backend> Orchestrator<B> {
             debug_assert!(self.view == self.walk(), "the slot view drifted");
 
             // A condemned slot parks the moment its queue drains; its
-            // cost window closes at this decision instant.
+            // cost window closes at this decision instant. A slot is
+            // condemned busy, so only one this barrier advanced can have
+            // drained, except at a round's first barrier: an earlier
+            // round's drain phase, or a failed round, may have left a
+            // draining slot idle.
+            let sweep_all = std::mem::replace(&mut first_barrier, false);
             if self.view.draining > 0 {
-                for i in 0..self.slots.len() {
-                    if self.state[i] == SlotState::Draining && self.slots[i].is_idle() {
-                        self.park(i, t);
+                if sweep_all {
+                    for i in 0..self.slots.len() {
+                        self.park_if_drained(i, t);
+                    }
+                } else {
+                    for &i in &due {
+                        self.park_if_drained(i, t);
                     }
                 }
             }
+            debug_assert!(
+                (self.state.iter().zip(&self.slots))
+                    .all(|(s, r)| *s != SlotState::Draining || !r.is_idle()),
+                "a draining slot is idle after the barrier at {t}"
+            );
 
             // Autoscale: decide the committed count for this instant.
             recent.push_back(t);
@@ -1314,7 +1344,7 @@ impl<B: Backend> Orchestrator<B> {
             } else {
                 0.0
             };
-            let active = self.view.on.len();
+            let active = self.view.cands.len();
             let warming = self.view.warming;
             let obs = AutoscaleObservation {
                 now: t,
@@ -1361,7 +1391,7 @@ impl<B: Backend> Orchestrator<B> {
                 // committed, which is what lets a demand rebound cancel
                 // the drain above.
                 for _ in desired..committed {
-                    let Some(&i) = self.view.on.last() else {
+                    let Some(i) = self.view.cands.last().map(|c| c.snapshot.index) else {
                         break;
                     };
                     if self.slots[i].is_idle() {
@@ -1373,7 +1403,7 @@ impl<B: Backend> Orchestrator<B> {
             }
             self.peak_committed = self
                 .peak_committed
-                .max(self.view.on.len() + self.view.warming + self.view.draining);
+                .max(self.view.cands.len() + self.view.warming + self.view.draining);
 
             // Admission: high-priority tenants bypass; low-priority ones
             // are deferred (once) or shed when dispatchable-fleet KV
@@ -1383,11 +1413,11 @@ impl<B: Backend> Orchestrator<B> {
             if self.tenants[oreq.tenant].priority < self.cfg.admission.priority_floor && !bumped {
                 // Summed over the On slots in slot order, as ever, so the
                 // mean is bit-stable.
-                let (on, snaps) = (&self.view.on, &self.view.snaps);
-                let pressure = if on.is_empty() {
+                let cands = &self.view.cands;
+                let pressure = if cands.is_empty() {
                     0.0
                 } else {
-                    on.iter().map(|&i| snaps[i].kv_pressure).sum::<f64>() / on.len() as f64
+                    cands.iter().map(|c| c.snapshot.kv_pressure).sum::<f64>() / cands.len() as f64
                 };
                 if pressure >= self.cfg.admission.shed_pressure {
                     self.shed[oreq.tenant] += 1;
@@ -1405,7 +1435,7 @@ impl<B: Backend> Orchestrator<B> {
             // Routing: only warmed-up slots are candidates. With none, a
             // draining slot can serve right now — cancel one drain rather
             // than defer the request behind a warmup.
-            if self.view.on.is_empty() && self.view.draining > 0 {
+            if self.view.cands.is_empty() && self.view.draining > 0 {
                 let i = self
                     .state
                     .iter()
@@ -1413,7 +1443,7 @@ impl<B: Backend> Orchestrator<B> {
                     .expect("a slot is draining");
                 self.set_state(i, SlotState::On);
             }
-            if self.view.on.is_empty() {
+            if self.view.cands.is_empty() {
                 // No dispatchable capacity: wait for the earliest warmup
                 // (forcing a spin-up if nothing is even warming). The
                 // request is delayed, never lost.
@@ -1447,28 +1477,20 @@ impl<B: Backend> Orchestrator<B> {
                 arrivals.defer(oreq, t + delay);
                 continue;
             }
-            let (on, snaps) = (&self.view.on, &self.view.snaps);
+            let (cands, snaps) = (&self.view.cands, &self.view.snaps);
             let pos = match &mut self.router {
                 Router::Fleet(policy) => {
-                    debug_assert_eq!(on.len(), snaps.len(), "a fleet never parks a slot");
+                    debug_assert_eq!(cands.len(), snaps.len(), "a fleet never parks a slot");
                     policy.choose(snaps, &oreq.req)
                 }
-                Router::Route(route) => {
-                    let profiles = &self.profiles;
-                    self.cands.clear();
-                    self.cands.extend(on.iter().map(|&i| RouteCandidate {
-                        snapshot: snaps[i],
-                        profile: profiles[i],
-                    }));
-                    route.route(&self.cands, &oreq.req, &self.tenants[oreq.tenant])
-                }
+                Router::Route(route) => route.route(cands, &oreq.req, &self.tenants[oreq.tenant]),
             };
-            let offered = on.len();
+            let offered = cands.len();
             if pos >= offered {
                 self.restash(oreq, &mut arrivals);
                 return Err(self.router.out_of_range(pos, offered));
             }
-            let g = self.view.on[pos];
+            let g = cands[pos].snapshot.index;
             // A waiting slot was left out of the barrier, since nothing
             // happens on it before its wake: one O(1) step brings it to
             // the dispatch instant, as the barrier would have. It, or a
@@ -2058,6 +2080,31 @@ mod tests {
         let records = &out.fleet.replicas[1].records;
         assert_eq!(records.len(), 1);
         assert!(records.iter().all(|r| r.arrival < 500_000_000));
+    }
+
+    #[test]
+    fn a_slot_a_round_left_draining_parks_at_the_next_rounds_first_arrival() {
+        let mut o = drain_fixture();
+        // Condemns slot 1 mid-flight; the round's drain phase then runs
+        // it empty with no barrier left to park it at.
+        o.submit(shaped(5, 500_000_000, 4)).unwrap();
+        let first = o.run().unwrap();
+        assert_eq!(first.scale_downs, 0);
+        assert_eq!(first.slots[1].windows.last().unwrap().1, Cycle::MAX);
+        assert_eq!(o.state[1], SlotState::Draining);
+        assert!(o.slots[1].is_idle(), "the drain phase emptied slot 1");
+        // Nothing advances slot 1 in the next round, so only a sweep at
+        // its first barrier finds it idle.
+        o.submit(shaped(6, 5_000_000_000, 4)).unwrap();
+        let second = o.run().unwrap();
+        assert_eq!(second.scale_downs, 1, "the drained slot must park");
+        let slot1 = &second.slots[1];
+        assert_eq!(slot1.windows.len(), 1);
+        assert_eq!(slot1.windows[0].1, 5_000_000_000);
+        // Paid from its spin-up to the park, across both rounds.
+        let warm = CapabilityProfile::for_caps(GpuRooflineBackend::a100().caps()).warmup_cycles;
+        assert_eq!(slot1.cycles_on, 5_000_000_000 - (slot1.windows[0].0 - warm));
+        assert_eq!(second.fleet.replicas[1].records.len(), 1, "no new work");
     }
 
     #[test]

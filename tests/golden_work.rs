@@ -26,7 +26,7 @@ use neupims_core::fleet::{
 };
 use neupims_core::orchestrator::{
     autoscale_from_name, router_from_name, OrchRequest, Orchestrator, OrchestratorConfig,
-    RouteCandidate, RoutePolicy, TenantClass,
+    OrchestratorOutcome, RouteCandidate, RoutePolicy, TenantClass,
 };
 use neupims_core::preempt::preemption_from_name;
 use neupims_core::scheduler::{
@@ -216,7 +216,7 @@ impl RoutePolicy for CountingRoute {
 }
 
 /// The counts one run is pinned to, in this order.
-const NAMES: [&str; 12] = [
+const NAMES: [&str; 14] = [
     "serving.steps",
     "serving.step_calls",
     "backend.decode.calls",
@@ -226,6 +226,8 @@ const NAMES: [&str; 12] = [
     "fleet.dispatch.calls",
     "orchestrator.route.calls",
     "orchestrator.route.candidates",
+    "orchestrator.warmups",
+    "orchestrator.scale_downs",
     "cost.memo_lookups",
     "cost.replays",
     "preemptions",
@@ -235,15 +237,18 @@ type Work = [u64; NAMES.len()];
 
 /// `steps` is Σ executed iterations and `step_calls` Σ
 /// [`ServingSim::steps`] (every visit to a replica, waits included);
-/// `memo` is the shared replay memo of a trace-priced run.
+/// `memo` is the shared replay memo of a trace-priced run and `orch` the
+/// outcome of an orchestrated one (its warmups and parks).
 fn work(
     c: &Counters,
     steps: u64,
     step_calls: u64,
     memo: Option<&TraceMemo>,
+    orch: Option<&OrchestratorOutcome>,
     preemptions: u64,
 ) -> Work {
     let memo = memo.map(TraceMemo::snapshot).unwrap_or_default();
+    let (warmups, scale_downs) = orch.map_or((0, 0), |o| (o.warmups, o.scale_downs));
     let get = |a: &AtomicU64| a.load(Relaxed);
     [
         steps,
@@ -255,16 +260,23 @@ fn work(
         get(&c.dispatch_calls),
         get(&c.route_calls),
         get(&c.route_candidates),
+        warmups,
+        scale_downs,
         memo.replays + memo.memo_hits + memo.disk_hits,
         memo.replays,
         preemptions,
     ]
 }
 
-fn fleet_work<B: Backend>(c: &Counters, out: &FleetOutcome, slots: &[ServingSim<B>]) -> Work {
+fn fleet_work<B: Backend>(
+    c: &Counters,
+    out: &FleetOutcome,
+    orch: Option<&OrchestratorOutcome>,
+    slots: &[ServingSim<B>],
+) -> Work {
     let steps = out.replicas.iter().map(|r| r.iterations).sum();
     let step_calls = slots.iter().map(ServingSim::steps).sum();
-    work(c, steps, step_calls, None, out.preemptions)
+    work(c, steps, step_calls, None, orch, out.preemptions)
 }
 
 /// Fails with the recorded counts, named, so a deliberate change can
@@ -369,7 +381,7 @@ fn fleet_jsq(jobs: usize) -> Work {
     }
     let out = fleet.run().unwrap();
     assert_eq!(out.completed + out.dropped, out.submitted);
-    fleet_work(&counters, &out, fleet.replicas())
+    fleet_work(&counters, &out, None, fleet.replicas())
 }
 
 /// `orch-diurnal-256` at 16 slots: a diurnal chat/batch trace through
@@ -454,7 +466,9 @@ fn orch_diurnal(jobs: usize) -> Work {
         .unwrap();
     }
     let out = orch.run().unwrap();
-    fleet_work(&counters, &out.fleet, orch.slots())
+    // The cost denominator: a slot parked early or late moves it.
+    assert_eq!(out.replica_cycles_on, 7_333_787_123, "replica_cycles_on");
+    fleet_work(&counters, &out.fleet, Some(&out), orch.slots())
 }
 
 /// `pim-trace-tight-kv` at one replica: a NeuPIMs device priced by
@@ -488,6 +502,7 @@ fn pim_trace_tight_kv() -> Work {
         out.iterations,
         sim.steps(),
         Some(&memo),
+        None,
         out.preemptions,
     )
 }
@@ -502,6 +517,8 @@ const FLEET_JSQ: Work = [
     600,   // fleet.dispatch.calls
     0,     // orchestrator.route.calls
     0,     // orchestrator.route.candidates
+    0,     // orchestrator.warmups
+    0,     // orchestrator.scale_downs
     0,     // cost.memo_lookups
     0,     // cost.replays
     0,     // preemptions
@@ -517,6 +534,8 @@ const ORCH_DIURNAL: Work = [
     0,    // fleet.dispatch.calls
     600,  // orchestrator.route.calls
     4441, // orchestrator.route.candidates
+    31,   // orchestrator.warmups
+    24,   // orchestrator.scale_downs
     0,    // cost.memo_lookups
     0,    // cost.replays
     0,    // preemptions
@@ -532,6 +551,8 @@ const PIM_TRACE_TIGHT_KV: Work = [
     0,     // fleet.dispatch.calls
     0,     // orchestrator.route.calls
     0,     // orchestrator.route.candidates
+    0,     // orchestrator.warmups
+    0,     // orchestrator.scale_downs
     21694, // cost.memo_lookups
     26,    // cost.replays
     8,     // preemptions
