@@ -27,8 +27,8 @@
 //!               (exits non-zero when any point exceeds --tolerance)
 //!   fig4        roofline / arithmetic-intensity points (Figure 4)
 //!   fig5        GPU utilization for four LLMs (Figure 5)
-//!   fig6        naive NPU+PIM per-stage utilization (Figure 6)
-//!   fig12       throughput: 4 systems x datasets x batch sizes x models
+//!   fig6        naive NPU+PIM per-stage utilization (Figure 6; = eval fig6)
+//!   fig12       throughput of the 4 systems (Figure 12; = eval fig12)
 //!   fig13       ablation: DRB / GMLBP / SBI (Figure 13; = eval fig13)
 //!   fig14       (TP, PP) parallelism scaling (Figure 14)
 //!   fig15       speedup over TransPIM (Figure 15; = eval fig15)
@@ -94,7 +94,7 @@
 //! round-robin | capability). The metric map adds `tenant_<name>_*`
 //! keys per tenant and the `goodput_per_cost` bottom line (tokens from
 //! SLO-attaining requests per replica-Mcycle of committed capacity).
-//! eval suites: smoke (CI default), fig12, fig13, fig15, table3,
+//! eval suites: smoke (CI default), fig6, fig12, fig13, fig15, table3,
 //! table4, pressure, scaling, orchestrator — or a path to a .toml spec
 //! (see docs/EVAL.md); reports are stored under --reports-dir (default
 //! `reports/`) keyed by suite + git revision, and the command exits
@@ -117,8 +117,7 @@ pub const DEFAULT_FLEET_SEED: u64 = 0xF1EE7;
 use std::path::PathBuf;
 
 use neupims_core::experiments::{
-    area_overhead, fig12_throughput, fig14_parallelism, fig4_roofline, fig5_gpu_util,
-    fig6_layer_util, table5_power, ExperimentContext,
+    fig14_parallelism, fig4_roofline, fig5_gpu_util, table5_power, ExperimentContext,
 };
 use neupims_core::fleet::{FleetRequest, POLICY_NAMES};
 use neupims_core::interconnect::{interconnect_from_name, INTERCONNECT_NAMES};
@@ -134,7 +133,7 @@ use neupims_sched::{
     calibration_drift, CostModelKind, MhaLatencyEstimator, TraceDrivenCostModel, COST_MODEL_NAMES,
     DEFAULT_DRIFT_TOLERANCE,
 };
-use neupims_types::{request_id, LlmConfig, Phase};
+use neupims_types::{request_id, Phase};
 use neupims_workload::{arrival_stream, Dataset};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -194,16 +193,16 @@ pub fn run_cli() -> ExitCode {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--samples" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => opts.samples = n,
-                None => {
-                    eprintln!("--samples requires a number");
+                Some(n) if n > 0 => opts.samples = n,
+                _ => {
+                    eprintln!("--samples requires a positive number");
                     return ExitCode::FAILURE;
                 }
             },
             "--batch" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => opts.batch = Some(n),
-                None => {
-                    eprintln!("--batch requires a number");
+                Some(n) if n > 0 => opts.batch = Some(n),
+                _ => {
+                    eprintln!("--batch requires a positive number");
                     return ExitCode::FAILURE;
                 }
             },
@@ -215,9 +214,9 @@ pub fn run_cli() -> ExitCode {
                 }
             },
             "--max-batch" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => opts.system.max_batch = std::cmp::max(n, 1),
-                None => {
-                    eprintln!("--max-batch requires a number");
+                Some(n) if n > 0 => opts.system.max_batch = n,
+                _ => {
+                    eprintln!("--max-batch requires a positive number");
                     return ExitCode::FAILURE;
                 }
             },
@@ -466,7 +465,7 @@ fn run(command: &str, opts: &Options) -> Result<(), Box<dyn std::error::Error>> 
     if command == "eval" {
         return cmd_eval(opts, opts.suite.as_deref().unwrap_or("smoke"));
     }
-    if matches!(command, "fig13" | "fig15" | "table4") {
+    if matches!(command, "fig6" | "fig12" | "fig13" | "fig15" | "table4") {
         return cmd_eval(opts, command);
     }
 
@@ -479,16 +478,14 @@ fn run(command: &str, opts: &Options) -> Result<(), Box<dyn std::error::Error>> 
         "serve" | "fleet" => cmd_fleet(&ctx, opts, command),
         "calibrate" => cmd_calibrate(&ctx),
         "drift" => cmd_drift(&ctx, opts),
-        "fig6" => cmd_fig6(&ctx),
-        "fig12" => cmd_fig12(&ctx, opts),
         "fig14" => cmd_fig14(&ctx),
         "table5" => cmd_table5(&ctx),
         "all" => {
             cmd_fig4()?;
             cmd_fig5()?;
             cmd_calibrate(&ctx)?;
-            cmd_fig6(&ctx)?;
-            cmd_fig12(&ctx, opts)?;
+            cmd_eval(opts, "fig6")?;
+            cmd_eval(opts, "fig12")?;
             cmd_eval(opts, "fig13")?;
             cmd_fig14(&ctx)?;
             cmd_eval(opts, "fig15")?;
@@ -914,102 +911,6 @@ fn cmd_fig5() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn cmd_fig6(ctx: &ExperimentContext) -> Result<(), Box<dyn std::error::Error>> {
-    println!("\n## Figure 6 — naive NPU+PIM utilization per decoder stage\n");
-    println!("| stage | NPU compute | PIM compute |");
-    println!("|---|---:|---:|");
-    for r in fig6_layer_util(ctx)? {
-        println!(
-            "| {} | {:.1}% | {:.1}% |",
-            r.stage,
-            r.npu * 100.0,
-            r.pim * 100.0
-        );
-    }
-    Ok(())
-}
-
-fn cmd_fig12(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    println!("\n## Figure 12 — throughput comparison (tokens/s, mean of warm batches)\n");
-    let batches: Vec<usize> = if opts.quick {
-        vec![64, 256]
-    } else {
-        vec![64, 128, 256, 384, 512]
-    };
-    let models = if opts.quick {
-        vec![LlmConfig::gpt3_7b(), LlmConfig::gpt3_30b()]
-    } else {
-        LlmConfig::table3()
-    };
-
-    // Panels are independent; sweep them across worker threads and print
-    // in deterministic order afterwards.
-    type PanelKey = (usize, usize); // (dataset idx, model idx)
-    type PanelRows = Vec<(usize, Vec<neupims_core::experiments::Fig12Row>)>;
-    type PanelMap = std::collections::HashMap<PanelKey, PanelRows>;
-    let results: std::sync::Mutex<PanelMap> =
-        std::sync::Mutex::new(std::collections::HashMap::new());
-    let mut panels = Vec::new();
-    for (di, dataset) in Dataset::ALL.into_iter().enumerate() {
-        for (mi, model) in models.iter().enumerate() {
-            panels.push((di, dataset, mi, model.clone()));
-        }
-    }
-    let err: std::sync::Mutex<Option<String>> = std::sync::Mutex::new(None);
-    std::thread::scope(|scope| {
-        for chunk in panels.chunks(1.max(panels.len() / 8)) {
-            let results = &results;
-            let err = &err;
-            let batches = &batches;
-            scope.spawn(move || {
-                for (di, dataset, mi, model) in chunk {
-                    let mut rows = Vec::new();
-                    for &batch in batches.iter() {
-                        match fig12_throughput(ctx, *dataset, model, batch) {
-                            Ok(r) => rows.push((batch, r)),
-                            Err(e) => {
-                                *err.lock().unwrap() = Some(e.to_string());
-                                return;
-                            }
-                        }
-                    }
-                    results.lock().unwrap().insert((*di, *mi), rows);
-                }
-            });
-        }
-    });
-    if let Some(e) = err.lock().unwrap().take() {
-        return Err(e.into());
-    }
-
-    let results = results.into_inner().unwrap();
-    for (di, dataset) in Dataset::ALL.into_iter().enumerate() {
-        for (mi, model) in models.iter().enumerate() {
-            println!("\n### {} / {}\n", dataset.name(), model.name);
-            println!("| batch | GPU-only | NPU-only | NPU+PIM | NeuPIMs | NeuPIMs/NPU+PIM |");
-            println!("|---:|---:|---:|---:|---:|---:|");
-            for (batch, rows) in &results[&(di, mi)] {
-                let get = |s: &str| {
-                    rows.iter()
-                        .find(|r| r.system == s)
-                        .map(|r| r.tokens_per_sec)
-                        .unwrap_or(0.0)
-                };
-                println!(
-                    "| {} | {:.0} | {:.0} | {:.0} | {:.0} | {:.2}x |",
-                    batch,
-                    get("GPU-only"),
-                    get("NPU-only"),
-                    get("NPU+PIM"),
-                    get("NeuPIMs"),
-                    get("NeuPIMs") / get("NPU+PIM").max(1e-9),
-                );
-            }
-        }
-    }
-    Ok(())
-}
-
 fn cmd_fig14(ctx: &ExperimentContext) -> Result<(), Box<dyn std::error::Error>> {
     println!("\n## Figure 14 — (TP, PP) scaling at 256 requests (GPT3-7B)\n");
     println!("| devices | (TP, PP) | throughput (1k tokens/s) |");
@@ -1047,7 +948,7 @@ fn cmd_area() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n## Area overhead of dual row buffers (CACTI-like model, 22 nm)\n");
     println!(
         "dual row buffer area overhead: {:.2}% (paper: 3.11%)",
-        area_overhead() * 100.0
+        neupims_power::AreaModel::default().dual_row_buffer_overhead() * 100.0
     );
     Ok(())
 }

@@ -4,29 +4,28 @@
 //! Every function returns plain row structs so the CLI can print
 //! paper-style tables and the integration tests can assert the
 //! comparative *shapes* (who wins, by roughly what factor, where
-//! crossovers fall). Figures 13 and 15 and Table 4 are eval suites
-//! instead (`scenarios/fig13.toml`, `fig15.toml`, `table4.toml`).
+//! crossovers fall). Figures 6, 12, 13 and 15 and Table 4 are eval
+//! suites instead (`scenarios/fig6.toml`, `fig12.toml`, `fig13.toml`,
+//! `fig15.toml`, `table4.toml`), and the Section 8.2 area overhead is
+//! [`neupims_power::AreaModel::dual_row_buffer_overhead`].
 //!
 //! | Function | Paper artifact |
 //! |---|---|
 //! | [`fig4_roofline`] | Figure 4 (arithmetic-intensity roofline) |
 //! | [`fig5_gpu_util`] | Figure 5 (GPU utilization, 4 LLMs x 2 GPUs) |
-//! | [`fig6_layer_util`] | Figure 6 (naive NPU+PIM per-stage utilization) |
-//! | [`fig12_throughput`] | Figure 12 (throughput, 4 systems x sweeps) |
 //! | [`fig14_parallelism`] | Figure 14 ((TP,PP) scaling) |
 //! | [`table5_power`] | Table 5 (average power + energy) |
-//! | [`area_overhead`] | Section 8.2 (dual-row-buffer area) |
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use neupims_llm::roofline::{gpu_utilization, operator_intensity, roofline_tflops, OperatorClass};
 use neupims_pim::{calibrate, PimCalibration};
-use neupims_power::{energy_ratio, AreaModel, DramPowerParams};
+use neupims_power::{energy_ratio, DramPowerParams};
 use neupims_types::{GpuSpec, LlmConfig, NeuPimsConfig, Phase};
 use neupims_workload::{warm_batch, Dataset};
 
-use crate::backend::{backend_from_name, Backend, BackendError};
+use crate::backend::{Backend, BackendError};
 use crate::device::{Device, DeviceMode};
 use crate::interconnect::PcieLink;
 use crate::sharding::{ClusterSpec, ShardedBackend};
@@ -81,19 +80,8 @@ impl ExperimentContext {
         Device::new(self.cfg, self.cal, mode)
     }
 
-    /// Builds any named backend (see
-    /// [`backend_from_name`]) from this
-    /// context's calibrated hardware.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BackendError::UnknownBackend`] for unrecognized names.
-    pub fn backend(&self, name: &str) -> Result<Box<dyn Backend>, BackendError> {
-        backend_from_name(name, &self.cfg, &self.cal)
-    }
-
-    /// Like [`Self::backend`], but selecting the MHA cost model of the
-    /// PIM-bearing backends (see
+    /// Builds any named backend from this context's calibrated hardware,
+    /// with `kind` as the MHA cost model of the PIM-bearing backends (see
     /// [`backend_from_name_with_cost`](crate::backend::backend_from_name_with_cost)).
     ///
     /// # Errors
@@ -204,135 +192,6 @@ pub fn fig5_gpu_util() -> Vec<Fig5Row> {
         }
     }
     rows
-}
-
-// ---------------------------------------------------------------- Figure 6
-
-/// One stage bar of Figure 6.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig6Row {
-    /// Decoder stage label.
-    pub stage: &'static str,
-    /// NPU compute utilization during the stage, `[0, 1]`.
-    pub npu: f64,
-    /// PIM compute utilization during the stage, `[0, 1]`.
-    pub pim: f64,
-}
-
-/// Regenerates Figure 6: per-stage NPU/PIM utilization of the naive
-/// NPU+PIM device (GPT3-30B, batch 256 per paper setup).
-///
-/// # Errors
-///
-/// Propagates device-model errors.
-pub fn fig6_layer_util(ctx: &ExperimentContext) -> Result<Vec<Fig6Row>, neupims_types::SimError> {
-    let model = LlmConfig::gpt3_30b();
-    let mut rng = StdRng::seed_from_u64(ctx.seed);
-    let seqs = ctx.warm_seqs(&mut rng, Dataset::ShareGpt, 128);
-    let d = ctx.neupims_backend(DeviceMode::NaiveNpuPim);
-    let b = d.decode_iteration(&model, 4, model.num_layers / 2, &seqs)?;
-    let u = b.utilization(&ctx.cfg);
-    // Stage-resolved utilization of the serialized naive device: during
-    // GEMM stages PIM idles; during MHA the NPU idles. Stage compute
-    // intensity follows from the iteration-level numbers: the GEMM stages
-    // achieve their efficiency only while they run.
-    let gemm_fraction = (b.npu_busy as f64 / b.total_cycles.max(1) as f64).min(1.0);
-    let mha_fraction = (b.pim_busy.iter().max().copied().unwrap_or(0) as f64
-        / b.total_cycles.max(1) as f64)
-        .min(1.0);
-    let npu_in_stage = (u.npu / gemm_fraction.max(1e-9)).min(1.0);
-    let pim_in_stage = (u.pim / mha_fraction.max(1e-9)).min(1.0);
-    Ok(vec![
-        Fig6Row {
-            stage: "QKV Generation",
-            npu: npu_in_stage,
-            pim: 0.0,
-        },
-        Fig6Row {
-            stage: "Multi-Head Attention",
-            npu: 0.0,
-            pim: pim_in_stage,
-        },
-        Fig6Row {
-            stage: "Projection + FFNs",
-            npu: npu_in_stage,
-            pim: 0.0,
-        },
-        Fig6Row {
-            stage: "Total",
-            npu: u.npu,
-            pim: u.pim,
-        },
-    ])
-}
-
-// --------------------------------------------------------------- Figure 12
-
-/// One bar of Figure 12: a system's throughput at a configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig12Row {
-    /// Dataset name.
-    pub dataset: &'static str,
-    /// Model name.
-    pub model: String,
-    /// Batch size.
-    pub batch: usize,
-    /// System label (the producing backend's [`Backend::label`]).
-    pub system: String,
-    /// Tokens per second (mean over warm-batch samples).
-    pub tokens_per_sec: f64,
-}
-
-/// Regenerates one Figure 12 panel (one dataset, one model, one batch
-/// size): throughput of all four systems, averaged over warm batches.
-///
-/// # Errors
-///
-/// Propagates device-model errors.
-pub fn fig12_throughput(
-    ctx: &ExperimentContext,
-    dataset: Dataset,
-    model: &LlmConfig,
-    batch: usize,
-) -> Result<Vec<Fig12Row>, neupims_types::SimError> {
-    let tp = model.parallelism.tp;
-    let pp = model.parallelism.pp;
-    let layers = model.num_layers / pp;
-    let micro = (batch / pp as usize).max(1);
-    let mut rng = StdRng::seed_from_u64(ctx.seed ^ batch as u64);
-
-    // The four systems of the figure behind one trait: the Section 8.1
-    // fairness rule (equivalent memory bandwidth for every baseline) is
-    // baked into the `gpu` backend.
-    let backends: Vec<Box<dyn Backend>> = vec![
-        ctx.backend("gpu")?,
-        Box::new(ctx.neupims_backend(DeviceMode::NpuOnly)),
-        Box::new(ctx.neupims_backend(DeviceMode::NaiveNpuPim)),
-        Box::new(ctx.neupims_backend(DeviceMode::neupims())),
-    ];
-
-    let mut sums = vec![0.0f64; backends.len()];
-    for _ in 0..ctx.samples {
-        let seqs = ctx.warm_seqs(&mut rng, dataset, micro);
-        for (i, backend) in backends.iter().enumerate() {
-            // Steady-state pipeline: one micro-batch completes per beat.
-            let iter = backend.decode_iteration(model, tp, layers, &seqs)?;
-            sums[i] += iter.tokens_per_sec();
-        }
-    }
-    // Rows carry each backend's own label, so adding or reordering
-    // backends cannot mislabel a bar.
-    Ok(backends
-        .iter()
-        .enumerate()
-        .map(|(i, backend)| Fig12Row {
-            dataset: dataset.name(),
-            model: model.name.clone(),
-            batch,
-            system: backend.label().to_owned(),
-            tokens_per_sec: sums[i] / ctx.samples as f64,
-        })
-        .collect())
 }
 
 // --------------------------------------------------------------- Figure 14
@@ -478,11 +337,6 @@ pub fn table5_power(ctx: &ExperimentContext) -> Result<Table5Result, neupims_typ
     })
 }
 
-/// Dual-row-buffer area overhead (Section 8.2; paper: 3.11%).
-pub fn area_overhead() -> f64 {
-    AreaModel::default().dual_row_buffer_overhead()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,30 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn fig6_seesaw() {
-        let rows = fig6_layer_util(&ctx()).unwrap();
-        assert_eq!(rows.len(), 4);
-        assert_eq!(rows[0].pim, 0.0);
-        assert_eq!(rows[1].npu, 0.0);
-        assert!(rows[1].pim > 0.0);
-        let total = &rows[3];
-        assert!(total.npu < 0.5 && total.pim < 0.5, "{total:?}");
-    }
-
-    #[test]
-    fn fig12_one_panel_ordering() {
-        let c = ctx();
-        let rows = fig12_throughput(&c, Dataset::ShareGpt, &LlmConfig::gpt3_7b(), 256).unwrap();
-        assert_eq!(rows.len(), 4);
-        let get = |s: &str| rows.iter().find(|r| r.system == s).unwrap().tokens_per_sec;
-        assert!(get("NeuPIMs") > get("NPU+PIM"));
-        assert!(get("NPU+PIM") > get("NPU-only"));
-        // GPU-only and NPU-only are the close pair of the paper.
-        let ratio = get("GPU-only") / get("NPU-only");
-        assert!(ratio > 0.3 && ratio < 3.0, "ratio {ratio}");
-    }
-
-    #[test]
     fn fig14_tp_over_pp() {
         let rows = fig14_parallelism(&ctx()).unwrap();
         assert_eq!(rows.len(), 8);
@@ -565,11 +395,5 @@ mod tests {
             "NeuPIMs must save energy: {}",
             t.energy_ratio
         );
-    }
-
-    #[test]
-    fn area_matches_paper() {
-        let a = area_overhead();
-        assert!((a - 0.0311).abs() < 0.001, "{a}");
     }
 }

@@ -60,17 +60,25 @@ impl IterationBreakdown {
         }
     }
 
-    /// Resource utilization triple (Table 4's rows).
+    /// Resource utilization (Table 4's rows and Figure 6's stage bars).
     pub fn utilization(&self, cfg: &NeuPimsConfig) -> Utilization {
         let t = self.total_cycles.max(1) as f64;
         let peak_flops = cfg.npu.peak_flops_per_cycle() as f64;
         let peak_bw = cfg.mem.peak_bw_bytes_per_cycle() as f64;
         let channels = cfg.mem.channels.max(1) as f64;
         let pim_busy_sum: u64 = self.pim_busy.iter().sum();
+        let npu = (self.npu_flops as f64 / (peak_flops * t)).min(1.0);
+        let pim = (pim_busy_sum as f64 / (channels * t)).min(1.0);
+        // A stage achieves its efficiency only while it runs: the GEMM
+        // stages span `npu_busy`, the MHA stage the busiest channel.
+        let gemm_fraction = (self.npu_busy as f64 / t).min(1.0);
+        let mha_fraction = (self.pim_busy.iter().max().copied().unwrap_or(0) as f64 / t).min(1.0);
         Utilization {
-            npu: (self.npu_flops as f64 / (peak_flops * t)).min(1.0),
-            pim: (pim_busy_sum as f64 / (channels * t)).min(1.0),
+            npu,
+            pim,
             bandwidth: (self.bus_bytes as f64 / (peak_bw * t)).min(1.0),
+            npu_stage: (npu / gemm_fraction.max(1e-9)).min(1.0),
+            pim_stage: (pim / mha_fraction.max(1e-9)).min(1.0),
         }
     }
 
@@ -107,7 +115,7 @@ impl IterationBreakdown {
     }
 }
 
-/// Resource utilization of one run, all in `[0, 1]` (Table 4).
+/// Resource utilization of one run, all in `[0, 1]` (Table 4, Figure 6).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Utilization {
     /// Achieved fraction of peak NPU FLOPs.
@@ -116,6 +124,12 @@ pub struct Utilization {
     pub pim: f64,
     /// Fraction of peak external bandwidth used.
     pub bandwidth: f64,
+    /// NPU utilization while the GEMM stages run (Figure 6's QKV
+    /// generation and projection/FFN bars).
+    pub npu_stage: f64,
+    /// PIM utilization while the MHA stage runs (Figure 6's attention
+    /// bar).
+    pub pim_stage: f64,
 }
 
 #[cfg(test)]
@@ -142,7 +156,7 @@ mod tests {
     fn utilization_in_bounds() {
         let cfg = NeuPimsConfig::table2();
         let u = sample().utilization(&cfg);
-        for v in [u.npu, u.pim, u.bandwidth] {
+        for v in [u.npu, u.pim, u.bandwidth, u.npu_stage, u.pim_stage] {
             assert!((0.0..=1.0).contains(&v), "{u:?}");
         }
         // pim busy 20k of 100k -> 20%.

@@ -233,7 +233,7 @@ impl<B: Backend> Simulation<B> {
     }
 
     /// Samples one warm batch of sequence lengths from the dataset.
-    pub fn sample_seq_lens(&self, rng: &mut StdRng) -> Vec<u64> {
+    fn sample_seq_lens(&self, rng: &mut StdRng) -> Vec<u64> {
         warm_batch(rng, self.dataset, self.batch)
             .iter()
             .map(|r| r.seq_len())
@@ -271,8 +271,9 @@ impl<B: Backend> Simulation<B> {
     }
 
     /// Mean tokens/s and mean resource utilization against `cfg` (Table
-    /// 4's quantity) over the configured warm-batch samples, priced in one
-    /// loop under one seed rule, so both means describe the same batches.
+    /// 4's and Figure 6's quantities) over the configured warm-batch
+    /// samples, priced in one loop under one seed rule, so every mean
+    /// describes the same batches.
     ///
     /// # Errors
     ///
@@ -289,6 +290,8 @@ impl<B: Backend> Simulation<B> {
             sum.npu += u.npu;
             sum.pim += u.pim;
             sum.bandwidth += u.bandwidth;
+            sum.npu_stage += u.npu_stage;
+            sum.pim_stage += u.pim_stage;
         }
         let n = self.samples as f64;
         Ok((
@@ -297,6 +300,8 @@ impl<B: Backend> Simulation<B> {
                 npu: sum.npu / n,
                 pim: sum.pim / n,
                 bandwidth: sum.bandwidth / n,
+                npu_stage: sum.npu_stage / n,
+                pim_stage: sum.pim_stage / n,
             },
         ))
     }

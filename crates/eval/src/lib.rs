@@ -19,8 +19,8 @@
 //! * [`report`] — the structured [`EvalReport`] with JSON serialization
 //!   (via [`json`]) and the human-readable stdout tables;
 //! * [`store`] — persists reports under `reports/<suite>/<rev>.json`;
-//! * [`suites`] — the shipped suite inventory (`smoke`, `fig12`,
-//!   `table3`, `pressure`), embedded from `scenarios/`.
+//! * [`suites`] — the shipped suite inventory ([`SUITE_NAMES`]),
+//!   embedded from `scenarios/`.
 //!
 //! [`run_eval`] ties the pieces together; see `docs/EVAL.md` for the
 //! spec schema and suite-authoring guide.
@@ -38,8 +38,7 @@ pub mod toml;
 
 pub use report::{render_metrics, EvalReport};
 pub use runner::{
-    run_scenario, run_scenario_with_jobs, run_scenario_with_opts, run_suite, run_suite_with_jobs,
-    run_suite_with_opts, run_system, EvalError, EvalOverrides, Metrics, ScenarioRun,
+    run_suite, run_suite_with_opts, run_system, EvalError, EvalOverrides, Metrics, ScenarioRun,
 };
 pub use scorer::{score_suite, verdict, CheckResult, CheckStatus};
 pub use spec::{
@@ -58,27 +57,10 @@ pub use suites::{builtin_description, builtin_suite, load_suite, SUITE_NAMES};
 /// Returns [`EvalError`] when a scenario fails to *run*; golden-check
 /// violations are recorded in the report's checks, not raised as errors.
 pub fn run_eval(suite: &SuiteSpec, seed_override: Option<u64>) -> Result<EvalReport, EvalError> {
-    run_eval_with_jobs(suite, seed_override, None)
-}
-
-/// [`run_eval`] with an explicit serving worker count (the CLI's
-/// `--jobs`; see [`runner::run_suite_with_jobs`]). The worker count
-/// never changes results — only wall-clock — so reports produced under
-/// any `jobs` compare bit-for-bit given the same seed.
-///
-/// # Errors
-///
-/// See [`run_eval`].
-pub fn run_eval_with_jobs(
-    suite: &SuiteSpec,
-    seed_override: Option<u64>,
-    jobs: Option<usize>,
-) -> Result<EvalReport, EvalError> {
     run_eval_with_opts(
         suite,
         &EvalOverrides {
             seed: seed_override,
-            jobs,
             ..Default::default()
         },
     )
@@ -87,6 +69,8 @@ pub fn run_eval_with_jobs(
 /// [`run_eval`] with the full set of [`EvalOverrides`]: seed, serving
 /// worker count, cost-model override, and the persistent replay cache
 /// directory (the CLI's `--memo-cache`) trace-priced scenarios share.
+/// The worker count never changes results — only wall-clock — so reports
+/// produced under any `jobs` compare bit-for-bit given the same seed.
 ///
 /// # Errors
 ///

@@ -6,9 +6,9 @@
 //! [`SystemSpec::build`] — a [`FleetSim`](neupims_core::fleet::FleetSim)
 //! (a single replica is just a one-element fleet, so every serving metric
 //! comes from the same code path) or the meta-orchestrator; throughput
-//! scenarios reuse the warm-batch
-//! [`Simulation::throughput`](neupims_core::simulation::Simulation::throughput)
-//! methodology behind Figure 12 and Table 3.
+//! scenarios are priced by the one warm-batch loop,
+//! [`Simulation::warm_means`](neupims_core::simulation::Simulation::warm_means),
+//! behind Figures 6, 12, 13 and 15 and Tables 3 and 4.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -121,32 +121,10 @@ pub fn run_suite(
     suite: &SuiteSpec,
     seed_override: Option<u64>,
 ) -> Result<Vec<ScenarioRun>, EvalError> {
-    run_suite_with_jobs(suite, seed_override, None)
-}
-
-/// [`run_suite`] with an explicit worker count for serving scenarios
-/// (the CLI's `--jobs`).
-///
-/// `jobs` bounds how many replica streams each scenario's
-/// [`FleetSim`](neupims_core::fleet::FleetSim) advances concurrently between dispatch points; `None` keeps the
-/// fleet's default ([`std::thread::available_parallelism`]). Results are
-/// bit-identical for every worker count — replicas share no state
-/// between dispatch barriers — so `--seed` + `--jobs` determinism holds
-/// regardless of `N`.
-///
-/// # Errors
-///
-/// See [`run_suite`].
-pub fn run_suite_with_jobs(
-    suite: &SuiteSpec,
-    seed_override: Option<u64>,
-    jobs: Option<usize>,
-) -> Result<Vec<ScenarioRun>, EvalError> {
     run_suite_with_opts(
         suite,
         &EvalOverrides {
             seed: seed_override,
-            jobs,
             ..Default::default()
         },
     )
@@ -154,6 +132,13 @@ pub fn run_suite_with_jobs(
 
 /// [`run_suite`] with the full set of [`EvalOverrides`] (seed, worker
 /// count, cost model, persistent replay cache).
+///
+/// `opts.jobs` bounds how many replica streams each serving scenario's
+/// [`FleetSim`](neupims_core::fleet::FleetSim) advances concurrently
+/// between dispatch points; `None` keeps the fleet's default
+/// ([`std::thread::available_parallelism`]). Results are bit-identical
+/// for every worker count — replicas share no state between dispatch
+/// barriers — so `--seed` + `--jobs` determinism holds regardless of `N`.
 ///
 /// # Errors
 ///
@@ -165,52 +150,12 @@ pub fn run_suite_with_opts(
     suite
         .scenarios
         .iter()
-        .map(|s| run_scenario_with_opts(s, opts))
+        .map(|s| run_scenario(s, opts))
         .collect()
 }
 
-/// Executes one scenario.
-///
-/// # Errors
-///
-/// See [`run_suite`].
-pub fn run_scenario(
-    spec: &ScenarioSpec,
-    seed_override: Option<u64>,
-) -> Result<ScenarioRun, EvalError> {
-    run_scenario_with_jobs(spec, seed_override, None)
-}
-
-/// [`run_scenario`] with an explicit serving worker count (see
-/// [`run_suite_with_jobs`]).
-///
-/// # Errors
-///
-/// See [`run_suite`].
-pub fn run_scenario_with_jobs(
-    spec: &ScenarioSpec,
-    seed_override: Option<u64>,
-    jobs: Option<usize>,
-) -> Result<ScenarioRun, EvalError> {
-    run_scenario_with_opts(
-        spec,
-        &EvalOverrides {
-            seed: seed_override,
-            jobs,
-            ..Default::default()
-        },
-    )
-}
-
-/// [`run_scenario`] with the full set of [`EvalOverrides`].
-///
-/// # Errors
-///
-/// See [`run_suite`].
-pub fn run_scenario_with_opts(
-    spec: &ScenarioSpec,
-    opts: &EvalOverrides,
-) -> Result<ScenarioRun, EvalError> {
+/// Executes one scenario under `opts`.
+fn run_scenario(spec: &ScenarioSpec, opts: &EvalOverrides) -> Result<ScenarioRun, EvalError> {
     let ctx = context_for(spec)?;
     let seed = opts.seed.unwrap_or(spec.seed);
     let mut system = spec.system.clone();
@@ -271,6 +216,8 @@ fn run_throughput(
         metrics.insert("npu_utilization".into(), util.npu);
         metrics.insert("pim_utilization".into(), util.pim);
         metrics.insert("bandwidth_utilization".into(), util.bandwidth);
+        metrics.insert("npu_stage_utilization".into(), util.npu_stage);
+        metrics.insert("pim_stage_utilization".into(), util.pim_stage);
     }
     Ok(metrics)
 }
@@ -487,12 +434,20 @@ samples = 1
         assert_ne!(a[0].metrics, c[0].metrics);
     }
 
+    fn seeded_jobs(seed: u64, jobs: usize) -> EvalOverrides {
+        EvalOverrides {
+            seed: Some(seed),
+            jobs: Some(jobs),
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn jobs_count_never_changes_results() {
         let suite = SuiteSpec::parse(TINY).unwrap();
-        let serial = run_suite_with_jobs(&suite, Some(42), Some(1)).unwrap();
+        let serial = run_suite_with_opts(&suite, &seeded_jobs(42, 1)).unwrap();
         for jobs in [2, 4, 16] {
-            let parallel = run_suite_with_jobs(&suite, Some(42), Some(jobs)).unwrap();
+            let parallel = run_suite_with_opts(&suite, &seeded_jobs(42, jobs)).unwrap();
             assert_eq!(serial, parallel, "--jobs {jobs} changed eval results");
         }
     }
@@ -612,8 +567,8 @@ output = ["fixed", 8]
                 + run.metric("tenant_batch_submitted").unwrap(),
             12.0
         );
-        let serial = run_suite_with_jobs(&suite, Some(8), Some(1)).unwrap();
-        let parallel = run_suite_with_jobs(&suite, Some(8), Some(4)).unwrap();
+        let serial = run_suite_with_opts(&suite, &seeded_jobs(8, 1)).unwrap();
+        let parallel = run_suite_with_opts(&suite, &seeded_jobs(8, 4)).unwrap();
         assert_eq!(serial, parallel, "--jobs changed orchestrated results");
     }
 

@@ -381,6 +381,15 @@ fn opt_usize(t: &Table, key: &str) -> Result<Option<usize>, SpecError> {
     }
 }
 
+/// An optional count key that must be at least 1: a zero is an error
+/// naming the key, never a silent 1.
+fn opt_count(t: &Table, key: &str) -> Result<Option<usize>, SpecError> {
+    match opt_usize(t, key)? {
+        Some(0) => serr(format!("{key:?} must be a positive integer, got 0")),
+        n => Ok(n),
+    }
+}
+
 /// An optional integer key that must fit a `u32`.
 fn opt_u32(t: &Table, key: &str) -> Result<Option<u32>, SpecError> {
     opt_usize(t, key)?
@@ -441,9 +450,9 @@ fn parse_scenario(t: &Table) -> Result<ScenarioSpec, SpecError> {
         preemption: opt_string(t, "preemption")?.unwrap_or(d.preemption),
         swap_gbps: opt_positive(t, "swap-gbps")?.unwrap_or(d.swap_gbps),
         cost_model,
-        replicas: opt_usize(t, "replicas")?.unwrap_or(d.replicas).max(1),
+        replicas: opt_count(t, "replicas")?.unwrap_or(d.replicas),
         dispatch: opt_string(t, "dispatch")?.unwrap_or(d.dispatch),
-        max_batch: opt_usize(t, "max-batch")?.unwrap_or(d.max_batch).max(1),
+        max_batch: opt_count(t, "max-batch")?.unwrap_or(d.max_batch),
         model,
         slo_ttft_ms: opt_positive(t, "slo-ttft-ms")?.unwrap_or(d.slo_ttft_ms),
         slo_tpot_ms: opt_positive(t, "slo-tpot-ms")?.unwrap_or(d.slo_tpot_ms),
@@ -491,8 +500,8 @@ fn parse_scenario(t: &Table) -> Result<ScenarioSpec, SpecError> {
         channels: opt_u32(t, "channels")?,
         kv_bytes_per_channel,
         workload,
-        batch: opt_usize(t, "batch")?.unwrap_or(256),
-        samples: opt_usize(t, "samples")?.unwrap_or(4).max(1),
+        batch: opt_count(t, "batch")?.unwrap_or(256),
+        samples: opt_count(t, "samples")?.unwrap_or(4),
         dataset,
         seed,
         expects,
@@ -508,7 +517,7 @@ fn parse_workload(
     seed: u64,
     system: &SystemSpec,
 ) -> Result<(WorkloadSpec, Vec<SloClass>), SpecError> {
-    let requests = opt_usize(t, "requests")?.unwrap_or(32).max(1);
+    let requests = opt_count(t, "requests")?.unwrap_or(32);
     let arrival = match t.get("arrival") {
         None => ArrivalProcess::Poisson {
             rate: opt_positive(t, "rate")?.unwrap_or(3.0),
@@ -943,7 +952,8 @@ output = ["fixed", 8]
     }
 
     /// Out-of-range integers are spec errors naming the key, never silent
-    /// truncation (`tp = 2^32 + 1` used to run as tp 1).
+    /// truncation (`tp = 2^32 + 1` used to run as tp 1) or clamping (a
+    /// zero count used to run as 1).
     #[test]
     fn oversized_integers_are_rejected_by_key() {
         let minimal = "[suite]\nname = \"m\"\n[[scenario]]\nname = \"s\"\n";
@@ -953,6 +963,11 @@ output = ["fixed", 8]
             ("tp", "4294967297"),
             ("pp", "4294967297"),
             ("kv-mib-per-channel", "17592186044416"),
+            ("replicas", "0"),
+            ("max-batch", "0"),
+            ("samples", "0"),
+            ("batch", "0"),
+            ("requests", "0"),
         ] {
             let e = SuiteSpec::parse(&format!("{minimal}{key} = {value}\n")).unwrap_err();
             assert!(e.0.contains(&format!("{key:?}")), "{key}: {e}");

@@ -7,6 +7,7 @@ use crate::spec::{SpecError, SuiteSpec};
 /// Names of the shipped suites, in documentation order.
 pub const SUITE_NAMES: &[&str] = &[
     "smoke",
+    "fig6",
     "fig12",
     "fig13",
     "fig15",
@@ -21,6 +22,7 @@ pub const SUITE_NAMES: &[&str] = &[
 pub fn builtin_suite(name: &str) -> Option<&'static str> {
     match name {
         "smoke" => Some(include_str!("../../../scenarios/smoke.toml")),
+        "fig6" => Some(include_str!("../../../scenarios/fig6.toml")),
         "fig12" => Some(include_str!("../../../scenarios/fig12.toml")),
         "fig13" => Some(include_str!("../../../scenarios/fig13.toml")),
         "fig15" => Some(include_str!("../../../scenarios/fig15.toml")),

@@ -1,6 +1,7 @@
 //! CLI output goldens: `fleet`, `serve` and `fig14` stdout, byte for
-//! byte, the exit status of hostile `--tenants` input, and the `fig13`
-//! alias grading its eval suite green.
+//! byte, the exit status of hostile `--tenants` and zero-count input,
+//! and the `fig6`, `fig12` and `fig13` aliases grading their eval suites
+//! green.
 //!
 //! `serve` and `fleet` print the metric map an eval serving scenario is
 //! scored on, so these pin every key of it across replica construction,
@@ -166,22 +167,28 @@ fn fig14_table() {
     assert_stdout_matches("fig14", &["fig14"]);
 }
 
-/// `fig13` is an alias of `eval fig13`: it grades the suite and exits 0
-/// only when every fail-severity check holds.
+/// `fig6`, `fig12` and `fig13` are aliases of `eval <suite>`: each grades
+/// its suite and exits 0 only when every fail-severity check holds.
 #[test]
 fn fig13_alias_grades_its_suite() {
-    let reports = concat!(env!("CARGO_TARGET_TMPDIR"), "/eval-reports-fig13");
-    let out = Command::new(env!("CARGO_BIN_EXE_neupims-sim"))
-        .args(["fig13", "--reports-dir", reports])
-        .output()
-        .expect("the CLI binary runs");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "fig13 failed:\n{stdout}\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(stdout.contains("verdict: pass"), "{stdout}");
+    for figure in ["fig6", "fig12", "fig13"] {
+        let reports = format!("{}/eval-reports-{figure}", env!("CARGO_TARGET_TMPDIR"));
+        let out = Command::new(env!("CARGO_BIN_EXE_neupims-sim"))
+            .args([figure, "--reports-dir", &reports])
+            .output()
+            .expect("the CLI binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "{figure} failed:\n{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            stdout.contains(&format!("## Eval — suite {figure} @")),
+            "{stdout}"
+        );
+        assert!(stdout.contains("verdict: pass"), "{stdout}");
+    }
 }
 
 /// `serve` builds one replica, so a `--backend` or `--scheduler` list
@@ -205,25 +212,33 @@ fn serve_rejects_name_lists() {
     }
 }
 
-/// Non-finite or non-positive `--tenants` weights and SLO targets exit
-/// with an error naming the field, before anything runs.
+/// Non-finite or non-positive `--tenants` weights and SLO targets, and
+/// zero counts, exit with an error naming the field before anything
+/// runs: a zero is never clamped to 1.
 #[test]
 fn hostile_tenants_are_rejected_by_field() {
-    for (spec, field) in [
-        ("a:nan:1", "weight"),
-        ("a:inf:1", "weight"),
-        ("a:-1:1", "weight"),
-        ("a:1:1:nan:5", "ttft_ms"),
-        ("a:1:1:-5:5", "ttft_ms"),
-        ("a:1:1:5:inf", "tpot_ms"),
+    let tenants = |spec| ["fleet", "--requests", "4", "--tenants", spec];
+    for (args, field) in [
+        (tenants("a:nan:1"), "\"weight\""),
+        (tenants("a:inf:1"), "\"weight\""),
+        (tenants("a:-1:1"), "\"weight\""),
+        (tenants("a:1:1:nan:5"), "\"ttft_ms\""),
+        (tenants("a:1:1:-5:5"), "\"ttft_ms\""),
+        (tenants("a:1:1:5:inf"), "\"tpot_ms\""),
+        (
+            ["serve", "--requests", "4", "--max-batch", "0"],
+            "--max-batch",
+        ),
+        (["sweep", "--batch", "64", "--samples", "0"], "--samples"),
+        (["sweep", "--samples", "1", "--batch", "0"], "--batch"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_neupims-sim"))
-            .args(["fleet", "--requests", "4", "--tenants", spec])
+            .args(args)
             .output()
             .expect("the CLI binary runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{spec}: {stderr}");
-        assert!(stderr.contains(&format!("{field:?}")), "{spec}: {stderr}");
-        assert!(out.stdout.is_empty(), "{spec} printed a report");
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(field), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
     }
 }

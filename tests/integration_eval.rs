@@ -1,7 +1,8 @@
 //! Integration tests of the eval harness: the shipped suites run green,
-//! the fig12 suite reproduces the Figure 12 ordering, the fig13 suite
-//! catches a broken ablation arm, every suite is documented, seeds pin
-//! runs bit-identical, and reports persist with the spec'd JSON shape.
+//! the fig12 suite reproduces the Figure 12 ordering, the fig12 and
+//! fig13 suites catch a broken NeuPIMs or ablation arm, every suite is
+//! documented, seeds pin runs bit-identical, and reports persist with
+//! the spec'd JSON shape.
 
 use neupims_eval::{
     load_suite, run_eval, run_suite, score_suite, store_report, verdict, CheckStatus, EvalReport,
@@ -69,25 +70,31 @@ fn all_shipped_suites_are_green() {
 
 /// Mutation checks: the fig13 suite fails when an ablation arm silently
 /// loses its technique (the SBI arm priced without SBI, or the GMLBP arm
-/// without GMLBP), and a paper-anchored compare catches it, not only the
-/// measured goldens.
+/// without GMLBP), and the fig12 suite fails when its NeuPIMs arms are
+/// priced as naive NPU+PIM. A paper-anchored compare catches each, not
+/// only the measured goldens.
 #[test]
 fn fig13_suite_fails_when_an_arm_loses_its_technique() {
-    for (arm, without) in [("sbi-", "neupims-drb-gmlbp"), ("gmlbp-", "neupims-drb")] {
-        let mut suite = load_suite("fig13").expect("fig13 suite loads");
+    for (suite_name, arm, without) in [
+        ("fig13", "neupims-drb-gmlbp-sbi", "neupims-drb-gmlbp"),
+        ("fig13", "neupims-drb-gmlbp", "neupims-drb"),
+        ("fig12", "neupims", "naive"),
+    ] {
+        let mut suite = load_suite(suite_name).expect("suite loads");
         for scenario in suite.scenarios.iter_mut() {
-            if scenario.name.starts_with(arm) {
+            if scenario.system.backend == arm {
                 scenario.system.backend = without.to_owned();
             }
         }
-        let report = run_eval(&suite, None).expect("fig13 suite runs");
-        assert_eq!(report.verdict(), CheckStatus::Fail, "{arm}: {without}");
+        let report = run_eval(&suite, None).expect("suite runs");
+        let arm = format!("{suite_name}: {arm} as {without}");
+        assert_eq!(report.verdict(), CheckStatus::Fail, "{arm}");
         assert!(
             report
                 .checks
                 .iter()
                 .any(|c| c.scenario.starts_with("(compare)") && c.status == CheckStatus::Fail),
-            "{arm}: no compare caught {without}:\n{}",
+            "{arm}: no compare caught it:\n{}",
             report.render()
         );
     }
