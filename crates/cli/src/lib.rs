@@ -2,18 +2,8 @@
 //! NeuPIMs paper (ASPLOS'24), plus backend-generic sweeps and serving.
 //!
 //! ```text
-//! neupims <command> [suite] [--samples N] [--quick] [--backend NAME]
-//!                   [--model NAME] [--dataset NAME] [--batch N]
-//!                   [--requests N] [--max-batch N]
-//!                   [--replicas N] [--policy NAME] [--rate R] [--seed N]
-//!                   [--jobs N]
-//!                   [--scheduler NAME] [--chunk-tokens N]
-//!                   [--preemption NAME] [--swap-gbps GB]
-//!                   [--cost-model NAME] [--tolerance F]
-//!                   [--memo-cache DIR]
-//!                   [--slo-ttft-ms MS] [--slo-tpot-ms MS]
-//!                   [--tp N] [--pp N] [--interconnect NAME]
-//!                   [--link-gbps GB]
+//! neupims <command> [suite] [--<key> VALUE]... [--quick] [--jobs N]
+//!                   [--tenants SPEC] [--memo-cache DIR] [--tolerance F]
 //!                   [--list] [--reports-dir DIR]
 //!
 //! commands:
@@ -37,42 +27,27 @@
 //!   area        dual-row-buffer area overhead (Section 8.2)
 //!   all         every figure/table above, in order
 //!
-//! backends (for --backend): gpu, npu-only, naive, neupims, transpim,
-//!   neupims-drb, neupims-drb-gmlbp, neupims-drb-gmlbp-sbi
-//!   (fleet accepts a comma-separated list, cycled over the replicas)
-//! models (for --model): gpt3-7b, gpt3-13b, gpt3-30b, gpt3-175b
-//! datasets (for --dataset): sharegpt, alpaca
-//! policies (for --policy): round-robin, jsq, kv-aware
-//! schedulers (for --scheduler): lump, chunked, interleaved
-//!   (fleet accepts a comma-separated list, cycled over the replicas);
-//!   --chunk-tokens sets the per-iteration prefill budget of the chunked
-//!   schedulers (default 256)
-//! preemption policies (for --preemption, on serve/fleet): drop (defer or
-//!   shed on KV pressure, default), recompute (evict newest admissions,
-//!   re-pay prefill at restore), swap (evict coldest, restore over a
-//!   --swap-gbps GB/s PCIe-style link, default 32)
-//! cost models (for --cost-model, on sweep/serve/fleet): analytic (the
-//!   Algorithm 1 closed form, default) or trace (replay the real GEMV
-//!   command streams through the cycle-level DRAM model, memoized per
-//!   context-length bucket); `drift --tolerance F` reports where the two
-//!   disagree by more than F (relative, default 0.10)
+//! --<key> VALUE sets one of the shared keys a suite's [[scenario]] also
+//!   takes (docs/EVAL.md lists each with its rule): backend, scheduler,
+//!   chunk-tokens, preemption, swap-gbps, cost-model, replicas, policy,
+//!   max-batch, model, slo-ttft-ms, slo-tpot-ms, tp, pp, interconnect,
+//!   link-gbps, autoscale, router, min-replicas, dataset, batch, samples,
+//!   requests, rate, seed. VALUE is read as a TOML value (a bare word is a
+//!   string) and checked by the suite parser's rule for that key, so a bad
+//!   value fails with the same error naming the key either way. fleet
+//!   cycles backend and scheduler name lists over its replicas (default
+//!   4); with neither --tp nor --pp a backend runs unsharded. eval, its
+//!   aliases and all take only --cost-model and --seed, which override
+//!   every scenario: any other shared key is an error, as suites set
+//!   their own.
+//! --tolerance F: `drift` reports where the analytic and trace cost models
+//!   disagree by more than F (relative, default 0.10).
 //! --memo-cache DIR (on serve/fleet/eval, with --cost-model trace)
 //!   persists the replay memo to DIR: a rerun over the same hardware
 //!   config loads every priced bucket from disk instead of replaying it
 //!   (corrupt or version-mismatched entries are ignored with a warning);
 //!   `fleet` additionally shares one memo across all replicas and
 //!   pre-replays cold buckets in parallel before serving starts
-//! multi-chip sharding (on sweep/serve/fleet): --tp N splits attention
-//! heads and FFN columns across N chips, --pp N pipelines the decoder
-//! stack over N stages; the per-layer collectives and stage hops are
-//! priced by --interconnect (pcie | unified | noc | ideal, default
-//! pcie) whose per-link bandwidth --link-gbps GB overrides. With
-//! neither --tp nor --pp the backend runs unsharded, exactly as before;
-//! fleet gives every replica its own sharded chip group.
-//! --rate is in requests per million cycles (= kilo-requests/s at 1 GHz)
-//! and drives both `serve` and `fleet` arrivals; --slo-ttft-ms /
-//! --slo-tpot-ms set the latency targets their `slo_attainment` and
-//! `goodput` metrics are measured against.
 //! --jobs caps how many replica streams `fleet` and `eval` advance in
 //! parallel between dispatch points (default: available parallelism).
 //! Replicas share no state between dispatch barriers, so --jobs only
@@ -86,14 +61,15 @@
 //! `serve` from `fleet --replicas 1`.
 //! Any of --tenants/--autoscale/--router/--min-replicas routes `fleet`
 //! through the capability-aware meta-orchestrator (docs/ORCHESTRATOR.md):
-//! --tenants takes name:weight:priority[:ttft_ms:tpot_ms] entries
-//! (priority >= 100 bypasses admission control), --autoscale picks the
-//! replica scaler (static | reactive | predictive; scalers pay each
-//! spin-up's warmup cycles and park idle replicas down to
-//! --min-replicas), and --router picks dispatch scoring (load |
-//! round-robin | capability). The metric map adds `tenant_<name>_*`
-//! keys per tenant and the `goodput_per_cost` bottom line (tokens from
-//! SLO-attaining requests per replica-Mcycle of committed capacity).
+//! --tenants takes name:weight:priority[:ttft_ms:tpot_ms] entries under
+//! the [[scenario.tenant]] rules (priority >= 100 bypasses admission
+//! control), --autoscale picks the replica scaler (static | reactive |
+//! predictive; scalers pay each spin-up's warmup cycles and park idle
+//! replicas down to --min-replicas), and --router picks dispatch scoring
+//! (load | round-robin | capability). The metric map adds
+//! `tenant_<name>_*` keys per tenant and the `goodput_per_cost` bottom
+//! line (tokens from SLO-attaining requests per replica-Mcycle of
+//! committed capacity).
 //! eval suites: smoke (CI default), fig6, fig12, fig13, fig15, table3,
 //! table4, pressure, scaling, orchestrator — or a path to a .toml spec
 //! (see docs/EVAL.md); reports are stored under --reports-dir (default
@@ -119,46 +95,45 @@ use std::path::PathBuf;
 use neupims_core::experiments::{
     fig14_parallelism, fig4_roofline, fig5_gpu_util, table5_power, ExperimentContext,
 };
-use neupims_core::fleet::{FleetRequest, POLICY_NAMES};
-use neupims_core::interconnect::{interconnect_from_name, INTERCONNECT_NAMES};
-use neupims_core::orchestrator::{TenantClass, AUTOSCALE_NAMES, ROUTER_NAMES};
-use neupims_core::preempt::PREEMPTION_NAMES;
-use neupims_core::scheduler::SCHEDULER_NAMES;
-use neupims_core::serving::SloTargets;
+use neupims_core::fleet::FleetRequest;
+use neupims_core::orchestrator::TenantClass;
 use neupims_core::system::{System, SystemSpec};
-use neupims_core::BACKEND_NAMES;
-use neupims_eval::spec::{dataset_from_name, model_from_name};
+use neupims_eval::spec::tenant_class;
+use neupims_eval::toml::{parse_scalar, Table};
+use neupims_eval::{Settings, SHARED_KEYS};
 use neupims_kvcache::KvGeometry;
 use neupims_sched::{
-    calibration_drift, CostModelKind, MhaLatencyEstimator, TraceDrivenCostModel, COST_MODEL_NAMES,
-    DEFAULT_DRIFT_TOLERANCE,
+    calibration_drift, MhaLatencyEstimator, TraceDrivenCostModel, DEFAULT_DRIFT_TOLERANCE,
 };
 use neupims_types::{request_id, Phase};
 use neupims_workload::{arrival_stream, Dataset};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+#[derive(Debug)]
 struct Options {
-    samples: usize,
     quick: bool,
-    dataset: Dataset,
-    batch: Option<usize>,
-    requests: usize,
-    /// `--replicas`, when given: `fleet` defaults to 4, `serve` runs 1.
-    replicas: Option<usize>,
-    /// Every other system flag (`--backend`, `--tp`, ...) lands here: the
-    /// same spec an eval suite's `[[scenario]]` keys parse into.
-    system: SystemSpec,
-    cost_model_set: bool,
+    /// Every shared setting (`--backend`, `--tp`, `--requests`, ...): the
+    /// keys an eval suite's `[[scenario]]` takes, parsed by the same
+    /// [`Settings::set`].
+    shared: Settings,
+    /// The shared keys given on the command line.
+    given_keys: Vec<String>,
     memo_cache: Option<PathBuf>,
     tolerance: f64,
-    rate: f64,
-    seed: Option<u64>,
     jobs: Option<usize>,
-    tenants: Option<String>,
+    /// `--tenants`: the orchestrator's tenant classes and their weights.
+    tenants: Option<(Vec<TenantClass>, Vec<f64>)>,
     suite: Option<String>,
     list: bool,
     reports_dir: String,
+}
+
+impl Options {
+    /// Whether shared key `key` was given on the command line.
+    fn given(&self, key: &str) -> bool {
+        self.given_keys.iter().any(|k| k == key)
+    }
 }
 
 /// Entry point of the `neupims` CLI: parses `std::env::args` and runs the
@@ -166,281 +141,8 @@ struct Options {
 /// bin, so `cargo run --release -- <command>` works from the repo root).
 pub fn run_cli() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut command = None;
-    let mut opts = Options {
-        samples: 10,
-        quick: false,
-        dataset: Dataset::ShareGpt,
-        batch: None,
-        requests: 64,
-        replicas: None,
-        system: SystemSpec {
-            max_batch: 64,
-            ..SystemSpec::default()
-        },
-        cost_model_set: false,
-        memo_cache: None,
-        tolerance: DEFAULT_DRIFT_TOLERANCE,
-        rate: 3.0,
-        seed: None,
-        jobs: None,
-        tenants: None,
-        suite: None,
-        list: false,
-        reports_dir: "reports".to_owned(),
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--samples" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => opts.samples = n,
-                _ => {
-                    eprintln!("--samples requires a positive number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--batch" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => opts.batch = Some(n),
-                _ => {
-                    eprintln!("--batch requires a positive number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--requests" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => opts.requests = n,
-                None => {
-                    eprintln!("--requests requires a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--max-batch" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => opts.system.max_batch = n,
-                _ => {
-                    eprintln!("--max-batch requires a positive number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--replicas" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => opts.replicas = Some(n),
-                _ => {
-                    eprintln!("--replicas requires a positive number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--policy" => match it.next() {
-                Some(name) => opts.system.dispatch = name.clone(),
-                None => {
-                    eprintln!("--policy requires a name ({})", POLICY_NAMES.join("|"));
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--scheduler" => match it.next() {
-                Some(name) => opts.system.scheduler = name.clone(),
-                None => {
-                    eprintln!(
-                        "--scheduler requires a name ({})",
-                        SCHEDULER_NAMES.join("|")
-                    );
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--chunk-tokens" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => opts.system.chunk_tokens = n,
-                _ => {
-                    eprintln!("--chunk-tokens requires a positive number of tokens");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--preemption" => match it.next() {
-                Some(name) => opts.system.preemption = name.clone(),
-                None => {
-                    eprintln!(
-                        "--preemption requires a name ({})",
-                        PREEMPTION_NAMES.join("|")
-                    );
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--swap-gbps" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(g) if g > 0.0 => opts.system.swap_gbps = g,
-                _ => {
-                    eprintln!("--swap-gbps requires a positive bandwidth (GB/s)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--cost-model" => match it.next().and_then(|v| CostModelKind::from_name(v)) {
-                Some(kind) => {
-                    opts.system.cost_model = kind;
-                    opts.cost_model_set = true;
-                }
-                None => {
-                    eprintln!(
-                        "--cost-model requires a name ({})",
-                        COST_MODEL_NAMES.join("|")
-                    );
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--memo-cache" => match it.next() {
-                Some(dir) => opts.memo_cache = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("--memo-cache requires a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--tolerance" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(t) if t >= 0.0 => opts.tolerance = t,
-                _ => {
-                    eprintln!("--tolerance requires a non-negative relative error");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--rate" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(r) if r > 0.0 => opts.rate = r,
-                _ => {
-                    eprintln!("--rate requires a positive number (requests per Mcycle)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--slo-ttft-ms" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(ms) if ms > 0.0 => opts.system.slo_ttft_ms = ms,
-                _ => {
-                    eprintln!("--slo-ttft-ms requires a positive number (milliseconds)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--slo-tpot-ms" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(ms) if ms > 0.0 => opts.system.slo_tpot_ms = ms,
-                _ => {
-                    eprintln!("--slo-tpot-ms requires a positive number (milliseconds)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--backend" => match it.next() {
-                Some(name) => opts.system.backend = name.clone(),
-                None => {
-                    eprintln!("--backend requires a name ({})", BACKEND_NAMES.join("|"));
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--model" => match it.next().and_then(|v| model_from_name(v).ok()) {
-                Some(m) => opts.system.model = m,
-                None => {
-                    eprintln!("--model requires one of: gpt3-7b, gpt3-13b, gpt3-30b, gpt3-175b");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--dataset" => match it.next().and_then(|v| dataset_from_name(v).ok()) {
-                Some(d) => opts.dataset = d,
-                None => {
-                    eprintln!("--dataset requires one of: sharegpt, alpaca");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(s) => opts.seed = Some(s),
-                None => {
-                    eprintln!("--seed requires a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--jobs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => opts.jobs = Some(n),
-                _ => {
-                    eprintln!("--jobs requires a positive number of worker threads");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--tenants" => match it.next() {
-                Some(spec) => opts.tenants = Some(spec.clone()),
-                None => {
-                    eprintln!(
-                        "--tenants requires a spec: name:weight:priority[:ttft_ms:tpot_ms],..."
-                    );
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--autoscale" => match it.next() {
-                Some(name) => opts.system.autoscale = Some(name.clone()),
-                None => {
-                    eprintln!(
-                        "--autoscale requires a name ({})",
-                        AUTOSCALE_NAMES.join("|")
-                    );
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--router" => match it.next() {
-                Some(name) => opts.system.router = Some(name.clone()),
-                None => {
-                    eprintln!("--router requires a name ({})", ROUTER_NAMES.join("|"));
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--min-replicas" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => opts.system.min_replicas = Some(n),
-                _ => {
-                    eprintln!("--min-replicas requires a positive number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--tp" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => opts.system.tp = Some(n),
-                _ => {
-                    eprintln!("--tp requires a positive tensor-parallel degree");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--pp" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => opts.system.pp = Some(n),
-                _ => {
-                    eprintln!("--pp requires a positive pipeline-parallel degree");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--interconnect" => match it.next() {
-                Some(name) => opts.system.interconnect = name.clone(),
-                None => {
-                    eprintln!(
-                        "--interconnect requires a name ({})",
-                        INTERCONNECT_NAMES.join("|")
-                    );
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--link-gbps" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(g) if g > 0.0 => opts.system.link_gbps = Some(g),
-                _ => {
-                    eprintln!("--link-gbps requires a positive bandwidth (GB/s)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--reports-dir" => match it.next() {
-                Some(dir) => opts.reports_dir = dir.clone(),
-                None => {
-                    eprintln!("--reports-dir requires a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--list" => opts.list = true,
-            "--quick" => opts.quick = true,
-            cmd if command.is_none() => command = Some(cmd.to_owned()),
-            // A second positional argument names the eval suite.
-            suite if opts.suite.is_none() && !suite.starts_with('-') => {
-                opts.suite = Some(suite.to_owned());
-            }
-            other => {
-                eprintln!("unexpected argument {other:?}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if opts.quick {
-        opts.samples = opts.samples.min(3);
-    }
-
-    let command = command.unwrap_or_else(|| "all".to_owned());
-    match run(&command, &opts) {
+    let result = parse_args(&args).and_then(|(command, opts)| run(&command, &opts));
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -449,7 +151,106 @@ pub fn run_cli() -> ExitCode {
     }
 }
 
+/// Parses the command line into its command (default `all`) and options.
+/// Each `--<key> text` of a [`SHARED_KEYS`] entry goes through
+/// [`Settings::set`], the text read as a TOML scalar (a bare word is a
+/// string), so a flag and a suite key take the same values with the same
+/// errors.
+fn parse_args(args: &[String]) -> Result<(String, Options), Box<dyn std::error::Error>> {
+    let mut command = None;
+    let mut opts = Options {
+        quick: false,
+        shared: Settings {
+            system: SystemSpec {
+                replicas: 4,
+                max_batch: 64,
+                ..SystemSpec::default()
+            },
+            dataset: Dataset::ShareGpt,
+            batch: None,
+            samples: 10,
+            requests: 64,
+            rate: 3.0,
+            seed: None,
+        },
+        given_keys: Vec::new(),
+        memo_cache: None,
+        tolerance: DEFAULT_DRIFT_TOLERANCE,
+        jobs: None,
+        tenants: None,
+        suite: None,
+        list: false,
+        reports_dir: "reports".to_owned(),
+    };
+    let mut tenants = None;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let mut value = |what: &str| {
+            it.next()
+                .cloned()
+                .ok_or_else(|| format!("{arg} requires {what}"))
+        };
+        match arg.as_str() {
+            "--list" => opts.list = true,
+            "--quick" => opts.quick = true,
+            "--memo-cache" => opts.memo_cache = Some(PathBuf::from(value("a directory")?)),
+            "--reports-dir" => opts.reports_dir = value("a directory")?,
+            "--tenants" => {
+                tenants = Some(value("a spec: name:weight:priority[:ttft_ms:tpot_ms],...")?);
+            }
+            "--tolerance" => match value("a number")?.parse() {
+                Ok(t) if t >= 0.0 => opts.tolerance = t,
+                _ => return Err("--tolerance requires a non-negative relative error".into()),
+            },
+            "--jobs" => match value("a number")?.parse() {
+                Ok(n) if n > 0 => opts.jobs = Some(n),
+                _ => return Err("--jobs requires a positive number of worker threads".into()),
+            },
+            flag => match flag.strip_prefix("--") {
+                Some(key) if SHARED_KEYS.contains(&key) => {
+                    let text = value("a value")?;
+                    opts.shared
+                        .set(key, &parse_scalar(&text))
+                        .map_err(|e| format!("{flag}: {}", e.0))?;
+                    opts.given_keys.push(key.to_owned());
+                }
+                _ if command.is_none() => command = Some(flag.to_owned()),
+                // A second positional argument names the eval suite.
+                _ if opts.suite.is_none() && !flag.starts_with('-') => {
+                    opts.suite = Some(flag.to_owned());
+                }
+                _ => return Err(format!("unexpected argument {flag:?}").into()),
+            },
+        }
+    }
+    if opts.quick {
+        opts.shared.samples = opts.shared.samples.min(3);
+    }
+    // Tenant SLOs default to the system's, so they parse after every flag.
+    if let Some(spec) = tenants {
+        opts.tenants = Some(parse_tenants(&spec, &opts.shared.system)?);
+    }
+    Ok((command.unwrap_or_else(|| "all".to_owned()), opts))
+}
+
 fn run(command: &str, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
+    let suites = matches!(
+        command,
+        "eval" | "fig6" | "fig12" | "fig13" | "fig15" | "table4" | "all"
+    );
+    // A suite's scenarios set their own system and workload; a flag the
+    // run would ignore is an error, not a silent no-op.
+    if let Some(key) = opts
+        .given_keys
+        .iter()
+        .find(|k| suites && !matches!(k.as_str(), "cost-model" | "seed"))
+    {
+        return Err(format!(
+            "--{key} does not apply to {command}: its suites set their own \
+             (only --cost-model and --seed override them)"
+        )
+        .into());
+    }
     if command == "fig4" {
         return cmd_fig4();
     }
@@ -471,7 +272,7 @@ fn run(command: &str, opts: &Options) -> Result<(), Box<dyn std::error::Error>> 
 
     // Every remaining command needs the calibrated context.
     eprintln!("calibrating PIM constants from the cycle model ...");
-    let ctx = ExperimentContext::table2()?.with_samples(opts.samples);
+    let ctx = ExperimentContext::table2()?.with_samples(opts.shared.samples);
 
     match command {
         "sweep" => cmd_sweep(&ctx, opts),
@@ -501,21 +302,17 @@ fn run(command: &str, opts: &Options) -> Result<(), Box<dyn std::error::Error>> 
 }
 
 fn cmd_sweep(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    let system = &opts.system;
-    let batches: Vec<usize> = match opts.batch {
+    let system = &opts.shared.system;
+    let batches: Vec<usize> = match opts.shared.batch {
         Some(b) => vec![b],
         None if opts.quick => vec![64, 256],
         None => vec![64, 128, 256, 384, 512],
     };
-    if system.sharding_requested() {
-        // Reject a bad fabric name or bandwidth before any table output.
-        interconnect_from_name(&system.interconnect, system.link_gbps)?;
-    }
     println!(
         "\n## Sweep — {} / {} / {} ({} cost model; tokens/s, mean of {} warm batches)\n",
         system.backend,
         system.model.name,
-        opts.dataset.name(),
+        opts.shared.dataset.name(),
         system.cost_model,
         ctx.samples
     );
@@ -532,7 +329,7 @@ fn cmd_sweep(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std:
     for &batch in &batches {
         let sim = system
             .simulation(ctx, None)?
-            .dataset(opts.dataset)
+            .dataset(opts.shared.dataset)
             .batch(batch)
             .build()?;
         println!("| {} | {:.0} |", batch, sim.throughput()?);
@@ -549,15 +346,16 @@ fn draw_requests(
     seed: u64,
     tenant_weights: Option<&[f64]>,
 ) -> Result<Vec<(FleetRequest, usize)>, Box<dyn std::error::Error>> {
+    let shared = &opts.shared;
     let mut rng = StdRng::seed_from_u64(seed);
-    let arrivals = arrival_stream(&mut rng, opts.rate, opts.requests);
+    let arrivals = arrival_stream(&mut rng, shared.rate, shared.requests);
     let total_weight: f64 = tenant_weights.map_or(0.0, |w| w.iter().sum());
     let mut requests = Vec::with_capacity(arrivals.len());
     for (i, &at) in arrivals.iter().enumerate() {
         let req = FleetRequest {
             id: request_id(i)?,
-            input_len: opts.dataset.sample_input(&mut rng),
-            output_len: opts.dataset.sample_output(&mut rng).min(128),
+            input_len: shared.dataset.sample_input(&mut rng),
+            output_len: shared.dataset.sample_output(&mut rng).min(128),
             arrival: at,
         };
         let mut tenant = 0;
@@ -587,7 +385,7 @@ fn cmd_fleet(
     opts: &Options,
     command: &str,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let mut system = opts.system.clone();
+    let mut system = opts.shared.system.clone();
     let default_seed = if command == "serve" {
         // `serve` builds one replica: a name list (which `fleet` cycles
         // over its replicas) or another replica count is an error, not a
@@ -600,18 +398,21 @@ fn cmd_fleet(
                 return Err(format!("serve takes one {flag} name, not the list {names:?}").into());
             }
         }
-        if let Some(n) = opts.replicas.filter(|&n| n != 1) {
-            return Err(format!("serve runs one replica, not --replicas {n} (use fleet)").into());
+        if opts.given("replicas") && system.replicas != 1 {
+            return Err(format!(
+                "serve runs one replica, not --replicas {} (use fleet)",
+                system.replicas
+            )
+            .into());
         }
         system.replicas = 1;
         DEFAULT_SERVE_SEED
     } else {
-        system.replicas = opts.replicas.unwrap_or(4);
         DEFAULT_FLEET_SEED
     };
     let mut weights = vec![1.0];
-    if let Some(spec) = &opts.tenants {
-        (system.tenants, weights) = parse_tenants(spec, &system)?;
+    if let Some((tenants, tenant_weights)) = &opts.tenants {
+        (system.tenants, weights) = (tenants.clone(), tenant_weights.clone());
         // `--tenants` alone asks for the orchestrator at its static default.
         system.autoscale.get_or_insert_with(|| "static".to_owned());
     }
@@ -619,7 +420,7 @@ fn cmd_fleet(
     // backed with --memo-cache), so each context bucket simulates once.
     let memo = system.trace_memo(opts.memo_cache.as_deref())?;
     let mut built = system.build(ctx, memo.as_ref(), opts.jobs)?;
-    let seed = opts.seed.unwrap_or(default_seed);
+    let seed = opts.shared.seed.unwrap_or(default_seed);
     let title = run_title(command, opts, &system, &built, seed);
 
     // Under the orchestrator the tenant of each request is a weighted draw.
@@ -665,9 +466,9 @@ fn run_title(
         "{command} — {} requests ({}, seed {seed}) at {} req/Mcycle over {} x {} serving {} \
          ({} scheduler, {} preemption, {} cost model{sharding}; {routing}; \
          SLO TTFT {} ms, TPOT {} ms)",
-        opts.requests,
-        opts.dataset.name(),
-        opts.rate,
+        opts.shared.requests,
+        opts.shared.dataset.name(),
+        opts.shared.rate,
         system.replicas,
         system.backend,
         system.model.name,
@@ -680,9 +481,11 @@ fn run_title(
 }
 
 /// Parses a `--tenants` spec: `name:weight:priority[:ttft_ms:tpot_ms]`
-/// entries separated by commas. TTFT/TPOT default to the system's
-/// `--slo-ttft-ms`/`--slo-tpot-ms` targets; weights are normalized to
-/// shares.
+/// entries separated by commas, each field read into the
+/// `[[scenario.tenant]]` key of the same meaning (`weight`, `priority`,
+/// `slo-ttft-ms`, `slo-tpot-ms`) and validated by the suite parser's
+/// [`tenant_class`]. TTFT/TPOT default to the system's targets; weights
+/// are normalized to shares.
 fn parse_tenants(
     spec: &str,
     system: &SystemSpec,
@@ -691,35 +494,20 @@ fn parse_tenants(
     let mut weights = Vec::new();
     for entry in spec.split(',') {
         let parts: Vec<&str> = entry.trim().split(':').collect();
-        if parts.len() < 3 || parts.len() > 5 {
+        if !(3..=5).contains(&parts.len()) {
             return Err(format!(
                 "bad --tenants entry {entry:?} (expected name:weight:priority[:ttft_ms:tpot_ms])"
             )
             .into());
         }
-        let name = parts[0];
-        let weight: f64 = parts[1]
-            .parse()
-            .map_err(|_| format!("bad weight in --tenants entry {entry:?}"))?;
-        let weight = neupims_eval::positive_finite("weight", weight)
+        let fields: Table = ["weight", "priority", "slo-ttft-ms", "slo-tpot-ms"]
+            .iter()
+            .zip(&parts[1..])
+            .map(|(key, text)| (key.to_string(), parse_scalar(text)))
+            .collect();
+        let (weight, tenant) = tenant_class(parts[0], &fields, system)
             .map_err(|e| format!("--tenants entry {entry:?}: {}", e.0))?;
-        let priority: u8 = parts[2]
-            .parse()
-            .map_err(|_| format!("bad priority in --tenants entry {entry:?}"))?;
-        let ms = |i: usize, what: &str, default: f64| -> Result<f64, String> {
-            parts.get(i).map_or(Ok(default), |v| {
-                let ms = v
-                    .parse()
-                    .map_err(|_| format!("bad {what} in --tenants entry {entry:?}"))?;
-                neupims_eval::positive_finite(what, ms)
-                    .map_err(|e| format!("--tenants entry {entry:?}: {}", e.0))
-            })
-        };
-        let slo = SloTargets::from_ms(
-            ms(3, "ttft_ms", system.slo_ttft_ms)?,
-            ms(4, "tpot_ms", system.slo_tpot_ms)?,
-        );
-        tenants.push(TenantClass::new(name, slo, priority, 0.0));
+        tenants.push(tenant);
         weights.push(weight);
     }
     let total: f64 = weights.iter().sum();
@@ -730,8 +518,9 @@ fn parse_tenants(
 }
 
 fn cmd_drift(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    let tp = opts.system.model.parallelism.tp;
-    let geo = KvGeometry::with_tp(&opts.system.model, &ctx.cfg.mem, tp);
+    let model = &opts.shared.system.model;
+    let tp = model.parallelism.tp;
+    let geo = KvGeometry::with_tp(model, &ctx.cfg.mem, tp);
     let analytic = MhaLatencyEstimator::new(geo, ctx.cal.l_tile, ctx.cal.l_gwrite);
     let trace = TraceDrivenCostModel::new(&ctx.cfg, geo, true);
     let seq_lens: Vec<u64> = [
@@ -742,7 +531,7 @@ fn cmd_drift(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std:
 
     println!(
         "\n## Calibration drift — Algorithm 1 vs cycle-level trace ({}, TP={}, tolerance {:.0}%)\n",
-        opts.system.model.name,
+        model.name,
         tp,
         opts.tolerance * 100.0
     );
@@ -821,9 +610,11 @@ fn cmd_eval(opts: &Options, suite_name: &str) -> Result<(), Box<dyn std::error::
             + suite.compares.len()
     );
     let overrides = neupims_eval::EvalOverrides {
-        seed: opts.seed,
+        seed: opts.shared.seed,
         jobs: opts.jobs,
-        cost_model: opts.cost_model_set.then_some(opts.system.cost_model),
+        cost_model: opts
+            .given("cost-model")
+            .then_some(opts.shared.system.cost_model),
         memo_cache: opts.memo_cache.clone(),
     };
     let report = neupims_eval::run_eval_with_opts(&suite, &overrides)?;
@@ -951,4 +742,131 @@ fn cmd_area() -> Result<(), Box<dyn std::error::Error>> {
         neupims_power::AreaModel::default().dual_row_buffer_overhead() * 100.0
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use neupims_eval::toml::Value;
+    use neupims_eval::{ScenarioSpec, SuiteSpec};
+    use neupims_workload::scenario::ArrivalProcess;
+
+    /// Each shared key with a valid value away from both front-ends'
+    /// defaults, then values its rule rejects.
+    const CASES: [(&str, &str, &[&str]); 25] = [
+        (
+            "backend",
+            "neupims,gpu",
+            &["quantum", "neupims,quantum", "7"],
+        ),
+        ("scheduler", "interleaved,lump", &["fifo", "lump,"]),
+        ("chunk-tokens", "512", &["0", "4294967296", "1.5"]),
+        ("preemption", "swap", &["evict"]),
+        ("swap-gbps", "16.5", &["inf", "0", "nan"]),
+        ("cost-model", "trace", &["exact"]),
+        ("replicas", "3", &["0", "-1"]),
+        ("policy", "kv-aware", &["random"]),
+        ("max-batch", "16", &["0"]),
+        ("model", "gpt3-13b", &["gpt4"]),
+        ("slo-ttft-ms", "20", &["inf", "-5"]),
+        ("slo-tpot-ms", "8.5", &["nan", "0"]),
+        ("tp", "2", &["0", "4294967296"]),
+        ("pp", "4", &["0"]),
+        ("interconnect", "noc", &["ethernet"]),
+        ("link-gbps", "2", &["inf", "0"]),
+        ("autoscale", "predictive", &["psychic"]),
+        ("router", "capability", &["ouija"]),
+        ("min-replicas", "2", &["0"]),
+        ("dataset", "alpaca", &["wiki"]),
+        ("batch", "128", &["0"]),
+        ("samples", "2", &["0"]),
+        ("requests", "24", &["0"]),
+        ("rate", "6", &["inf", "0"]),
+        ("seed", "7", &["-1", "1.5"]),
+    ];
+
+    /// `text` as a suite file spells it: the value the CLI reads it as.
+    fn toml_text(text: &str) -> String {
+        match parse_scalar(text) {
+            Value::Str(s) => format!("{s:?}"),
+            _ => text.to_owned(),
+        }
+    }
+
+    fn suite(lines: &str) -> Result<ScenarioSpec, String> {
+        let text = format!("[suite]\nname = \"x\"\n[[scenario]]\nname = \"s\"\n{lines}");
+        SuiteSpec::parse(&text)
+            .map(|suite| suite.scenarios[0].clone())
+            .map_err(|e| e.0)
+    }
+
+    /// The shared settings a parsed scenario holds.
+    fn spec_settings(s: &ScenarioSpec) -> Settings {
+        let w = s.workload.as_ref().unwrap();
+        let ArrivalProcess::Poisson { rate } = w.arrival else {
+            panic!("{:?}", w.arrival)
+        };
+        Settings {
+            // The spec's one default tenant class is its own.
+            system: SystemSpec {
+                tenants: Vec::new(),
+                ..s.system.clone()
+            },
+            dataset: s.dataset,
+            batch: Some(s.batch),
+            samples: s.samples,
+            requests: w.requests,
+            rate,
+            seed: Some(s.seed),
+        }
+    }
+
+    fn cli(args: &[impl AsRef<str>]) -> Result<Options, String> {
+        let args: Vec<String> = args.iter().map(|a| a.as_ref().to_owned()).collect();
+        parse_args(&args)
+            .map(|(_, opts)| opts)
+            .map_err(|e| e.to_string())
+    }
+
+    /// Every shared key parses to the same setting, and fails with the
+    /// same error naming it, through `--<key>` and through a suite's
+    /// `[[scenario]]`.
+    #[test]
+    fn shared_keys_agree_across_front_ends() -> Result<(), String> {
+        assert_eq!(CASES.map(|c| c.0), SHARED_KEYS);
+        let mut args = vec!["serve".to_owned()];
+        let mut lines = String::new();
+        for (key, valid, invalid) in CASES {
+            // A valid value moves its setting off each front-end's default.
+            let flag = format!("--{key}");
+            assert_ne!(
+                cli(&["serve", &flag, valid])?.shared,
+                cli(&["serve"])?.shared
+            );
+            let line = format!("{key} = {}\n", toml_text(valid));
+            assert_ne!(spec_settings(&suite(&line)?), spec_settings(&suite("")?));
+            args.extend([flag.clone(), valid.to_owned()]);
+            lines.push_str(&line);
+
+            for bad in invalid {
+                let cli_err = cli(&["serve", &flag, bad]).unwrap_err();
+                let spec_err = suite(&format!("{key} = {}\n", toml_text(bad))).unwrap_err();
+                let cli_msg = cli_err.strip_prefix(&format!("{flag}: ")).unwrap();
+                let spec_msg = spec_err.strip_prefix("scenario #1: ").unwrap();
+                assert_eq!(cli_msg, spec_msg, "{key} = {bad}");
+                assert!(cli_msg.contains(key), "{key} = {bad}: {cli_msg}");
+            }
+        }
+        // With every key set, nothing is left to either default.
+        assert_eq!(cli(&args)?.shared, spec_settings(&suite(&lines)?));
+
+        // A typo'd key is an error in both, never a default.
+        assert!(cli(&["serve", "--bakend", "gpu"])
+            .unwrap_err()
+            .contains("--bakend"));
+        assert!(suite("bakend = \"gpu\"\n")
+            .unwrap_err()
+            .contains("\"bakend\""));
+        Ok(())
+    }
 }

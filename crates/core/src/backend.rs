@@ -614,7 +614,7 @@ impl GpuRooflineBackend {
 
     /// Overrides the memory bandwidth (the Section 8.1 fairness rule gives
     /// the GPU the same calibrated HBM the accelerator devices stream from).
-    pub fn with_mem_bw(mut self, bytes_per_sec: f64) -> Self {
+    fn with_mem_bw(mut self, bytes_per_sec: f64) -> Self {
         self.gpu.mem_bw_bytes_per_sec = bytes_per_sec;
         self
     }
@@ -795,31 +795,47 @@ pub fn backend_from_name_with_cost(
     cal: &PimCalibration,
     kind: CostModelKind,
 ) -> Result<Box<dyn Backend>, BackendError> {
-    let mode = |m| Box::new(Device::new(*cfg, *cal, m).with_cost_model(kind));
-    Ok(match name.to_ascii_lowercase().as_str() {
+    Ok(match backend_kind(name) {
         // The Section 8.1 fairness rule: A100 compute peaks over the
         // calibrated HBM bandwidth of this memory system.
-        "gpu" | "gpu-only" => Box::new(
+        Some(BackendKind::Gpu) => Box::new(
             GpuRooflineBackend::a100()
                 .with_mem_bw(cal.mem_stream_bw * cfg.mem.channels as f64 * 1e9),
         ),
-        "npu" | "npu-only" => mode(DeviceMode::NpuOnly),
-        "naive" | "npu-pim" | "npu+pim" => mode(DeviceMode::NaiveNpuPim),
-        "neupims" => mode(DeviceMode::neupims()),
-        "neupims-drb" => mode(DeviceMode::NeuPims {
-            gmlbp: false,
-            sbi: SbiPolicy::Off,
-        }),
-        "neupims-drb-gmlbp" => mode(DeviceMode::NeuPims {
-            gmlbp: true,
-            sbi: SbiPolicy::Off,
-        }),
-        "neupims-drb-gmlbp-sbi" => mode(DeviceMode::NeuPims {
-            gmlbp: true,
-            sbi: SbiPolicy::Always,
-        }),
-        "transpim" => Box::new(TransPimBackend::new(*cfg, *cal)),
-        other => return Err(BackendError::UnknownBackend(other.to_owned())),
+        Some(BackendKind::TransPim) => Box::new(TransPimBackend::new(*cfg, *cal)),
+        Some(BackendKind::Device(mode)) => {
+            Box::new(Device::new(*cfg, *cal, mode).with_cost_model(kind))
+        }
+        None => return Err(BackendError::UnknownBackend(name.to_ascii_lowercase())),
+    })
+}
+
+/// Whether [`backend_from_name`] accepts `name`, checked without building
+/// the backend (spec and flag parsing validate names this way).
+pub fn is_backend_name(name: &str) -> bool {
+    backend_kind(name).is_some()
+}
+
+enum BackendKind {
+    Gpu,
+    TransPim,
+    Device(DeviceMode),
+}
+
+/// What backend `name` (case-insensitive, aliases included) builds, or
+/// `None` for an unknown name.
+fn backend_kind(name: &str) -> Option<BackendKind> {
+    let neupims = |gmlbp, sbi| BackendKind::Device(DeviceMode::NeuPims { gmlbp, sbi });
+    Some(match name.to_ascii_lowercase().as_str() {
+        "gpu" | "gpu-only" => BackendKind::Gpu,
+        "npu" | "npu-only" => BackendKind::Device(DeviceMode::NpuOnly),
+        "naive" | "npu-pim" | "npu+pim" => BackendKind::Device(DeviceMode::NaiveNpuPim),
+        "neupims" => BackendKind::Device(DeviceMode::neupims()),
+        "neupims-drb" => neupims(false, SbiPolicy::Off),
+        "neupims-drb-gmlbp" => neupims(true, SbiPolicy::Off),
+        "neupims-drb-gmlbp-sbi" => neupims(true, SbiPolicy::Always),
+        "transpim" => BackendKind::TransPim,
+        _ => return None,
     })
 }
 

@@ -76,7 +76,7 @@ impl ExperimentContext {
     }
 
     /// The NeuPIMs device in `mode` as a backend.
-    pub fn neupims_backend(&self, mode: DeviceMode) -> Device {
+    fn neupims_backend(&self, mode: DeviceMode) -> Device {
         Device::new(self.cfg, self.cal, mode)
     }
 

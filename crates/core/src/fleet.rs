@@ -585,7 +585,7 @@ impl<B: Backend> FleetSim<B> {
     }
 
     /// Number of replicas.
-    pub fn replica_count(&self) -> usize {
+    fn replica_count(&self) -> usize {
         self.engine.slots.len()
     }
 

@@ -181,7 +181,7 @@ pub struct UnifiedMemoryLink {
 impl UnifiedMemoryLink {
     /// The default unified-memory fabric: an 8-channel HBM-class pool
     /// port (1 TB/s) at DRAM-access latency.
-    pub fn table_default() -> Self {
+    fn table_default() -> Self {
         Self {
             bytes_per_cycle: 1024,
             latency: 50,
@@ -189,7 +189,7 @@ impl UnifiedMemoryLink {
     }
 
     /// Overrides the pool port bandwidth in GB/s.
-    pub fn with_gbps(mut self, gbps: f64) -> Self {
+    fn with_gbps(mut self, gbps: f64) -> Self {
         self.bytes_per_cycle = (gbps.round() as u64).max(1);
         self
     }
@@ -249,7 +249,7 @@ pub struct NocLink {
 
 impl NocLink {
     /// The default mesh: 64 B/cycle links at 20-cycle hops.
-    pub fn table_default() -> Self {
+    fn table_default() -> Self {
         Self {
             bytes_per_cycle: 64,
             hop_latency: 20,
@@ -257,7 +257,7 @@ impl NocLink {
     }
 
     /// Overrides the per-link bandwidth in GB/s.
-    pub fn with_gbps(mut self, gbps: f64) -> Self {
+    fn with_gbps(mut self, gbps: f64) -> Self {
         self.bytes_per_cycle = (gbps.round() as u64).max(1);
         self
     }

@@ -178,7 +178,7 @@ impl RequestMetrics {
     }
 
     /// Whether this request met both latency targets.
-    pub fn meets(&self, slo: &SloTargets) -> bool {
+    fn meets(&self, slo: &SloTargets) -> bool {
         self.ttft <= slo.ttft && self.tpot() <= slo.tpot
     }
 }

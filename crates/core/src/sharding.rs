@@ -161,18 +161,6 @@ pub struct ShardedIteration {
     pub tokens: u64,
 }
 
-impl ShardedIteration {
-    /// Fraction of a steady-state beat spent in collectives and
-    /// transfers rather than compute.
-    pub fn communication_fraction(&self) -> f64 {
-        if self.beat == 0 {
-            return 0.0;
-        }
-        let comm = self.collective_cycles + self.pp_transfer_cycles.min(self.beat);
-        (comm.min(self.beat)) as f64 / self.beat as f64
-    }
-}
-
 /// Any [`Backend`] deployed across `tp * pp` chips joined by a priced
 /// [`Interconnect`].
 ///
@@ -574,7 +562,6 @@ mod tests {
             (det.stage_compute_cycles + det.collective_cycles).max(det.pp_transfer_cycles)
         );
         assert_eq!(det.bubble_cycles, det.beat); // (pp-1) * beat with pp=2
-        assert!(det.communication_fraction() > 0.0 && det.communication_fraction() <= 1.0);
         assert_eq!(det.tokens, 64);
     }
 

@@ -55,7 +55,7 @@ pub struct SystemSpec {
     /// Serving replicas (the orchestrator's slot table size).
     pub replicas: usize,
     /// Fleet dispatch policy name (unused under the orchestrator).
-    pub dispatch: String,
+    pub policy: String,
     /// Max decode batch per replica.
     pub max_batch: usize,
     /// Model under test.
@@ -101,7 +101,7 @@ impl Default for SystemSpec {
             swap_gbps: 32.0,
             cost_model: CostModelKind::Analytic,
             replicas: 1,
-            dispatch: "jsq".into(),
+            policy: "jsq".into(),
             max_batch: 32,
             model: LlmConfig::gpt3_7b(),
             slo_ttft_ms: 50.0,
@@ -302,7 +302,7 @@ impl SystemSpec {
         // `with_jobs(0)` keeps the default worker count.
         let jobs = jobs.unwrap_or(0);
         if !self.orchestration_requested() {
-            let fleet = FleetSim::new(replicas, policy_from_name(&self.dispatch)?)?;
+            let fleet = FleetSim::new(replicas, policy_from_name(&self.policy)?)?;
             return Ok(System::Fleet(fleet.with_jobs(jobs)));
         }
 

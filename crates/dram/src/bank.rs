@@ -52,7 +52,7 @@ pub struct RowSlot {
 
 impl RowSlot {
     /// True when no row is latched.
-    pub fn is_closed(&self) -> bool {
+    fn is_closed(&self) -> bool {
         self.open_row.is_none()
     }
 }

@@ -60,7 +60,7 @@ impl DramChannel {
 
     /// Creates an idle channel carrying an explicit channel id (used in
     /// error reports when many channels coexist).
-    pub fn with_id(id: ChannelId, mem: MemConfig, timing: HbmTiming, dual: bool) -> Self {
+    fn with_id(id: ChannelId, mem: MemConfig, timing: HbmTiming, dual: bool) -> Self {
         let banks = (0..mem.banks_per_channel)
             .map(|_| BankState::new(dual))
             .collect();
@@ -132,11 +132,6 @@ impl DramChannel {
         &mut self.stats
     }
 
-    /// Resets event counters (e.g. after a warm-up window).
-    pub fn reset_stats(&mut self) {
-        self.stats = ChannelStats::default();
-    }
-
     /// Functional data mirror.
     pub fn storage(&self) -> &Storage {
         &self.storage
@@ -145,11 +140,6 @@ impl DramChannel {
     /// Mutable functional data mirror.
     pub fn storage_mut(&mut self) -> &mut Storage {
         &mut self.storage
-    }
-
-    /// Cycle at which the next all-bank refresh falls due.
-    pub fn refresh_due(&self) -> Cycle {
-        self.refresh_due
     }
 
     /// True when a refresh should be scheduled at or before `at`.
@@ -624,7 +614,7 @@ mod tests {
         let nxt = c.issue(act(0, 0, Slot::Mem), 0).unwrap();
         assert!(nxt.issued_at >= info.done_at);
         // And the next refresh is scheduled one tREFI later.
-        assert_eq!(c.refresh_due(), 3900 * 2);
+        assert_eq!(c.refresh_due, 3900 * 2);
     }
 
     #[test]

@@ -64,11 +64,6 @@ impl DramCommand {
             DramCommand::PrechargeAll { .. } | DramCommand::RefreshAll => None,
         }
     }
-
-    /// True for commands that move data over the external bus.
-    pub fn is_column(&self) -> bool {
-        matches!(self, DramCommand::Read { .. } | DramCommand::Write { .. })
-    }
 }
 
 /// Result of successfully issuing a command.
@@ -100,17 +95,5 @@ mod tests {
         );
         assert_eq!(DramCommand::RefreshAll.bank(), None);
         assert_eq!(DramCommand::PrechargeAll { slot: Slot::Pim }.bank(), None);
-    }
-
-    #[test]
-    fn column_classification() {
-        let b = BankId::new(0);
-        assert!(DramCommand::Read { bank: b, col: 0 }.is_column());
-        assert!(DramCommand::Write { bank: b, col: 0 }.is_column());
-        assert!(!DramCommand::Precharge {
-            bank: b,
-            slot: Slot::Mem
-        }
-        .is_column());
     }
 }

@@ -326,12 +326,12 @@ impl Controller {
 
 impl DramChannel {
     /// Records a row-buffer hit at the controller level.
-    pub fn stats_row_hit(&mut self) {
+    fn stats_row_hit(&mut self) {
         self.stats_mut().row_hits += 1;
     }
 
     /// Records a row-buffer miss at the controller level.
-    pub fn stats_row_miss(&mut self) {
+    fn stats_row_miss(&mut self) {
         self.stats_mut().row_misses += 1;
     }
 }

@@ -38,11 +38,6 @@ pub struct ChannelStats {
 }
 
 impl ChannelStats {
-    /// Total bytes moved over the external bus.
-    pub fn bytes_total(&self) -> Bytes {
-        self.bytes_read + self.bytes_written
-    }
-
     /// Row-buffer hit rate over transactions, in `[0, 1]`.
     ///
     /// Returns 0 when no transaction has completed yet.
@@ -52,16 +47,6 @@ impl ChannelStats {
             0.0
         } else {
             self.row_hits as f64 / total as f64
-        }
-    }
-
-    /// External-bus utilization over an observation window of `window`
-    /// cycles, in `[0, 1]`.
-    pub fn bus_utilization(&self, window: Cycle) -> f64 {
-        if window == 0 {
-            0.0
-        } else {
-            (self.data_bus_busy as f64 / window as f64).min(1.0)
         }
     }
 
@@ -102,7 +87,6 @@ mod tests {
             ..Default::default()
         };
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(s.bytes_total(), 128);
     }
 
     #[test]
@@ -122,16 +106,5 @@ mod tests {
         assert_eq!(a.acts, 11);
         assert_eq!(a.reads, 22);
         assert_eq!(a.refreshes, 1);
-    }
-
-    #[test]
-    fn bus_utilization_clamps() {
-        let s = ChannelStats {
-            data_bus_busy: 200,
-            ..Default::default()
-        };
-        assert_eq!(s.bus_utilization(0), 0.0);
-        assert_eq!(s.bus_utilization(100), 1.0);
-        assert!((s.bus_utilization(400) - 0.5).abs() < 1e-12);
     }
 }

@@ -34,11 +34,6 @@ impl Storage {
         self.elems_per_row
     }
 
-    /// Number of rows materialized so far (for memory accounting in tests).
-    pub fn materialized_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Writes `data` into `(bank, row)` starting at element `offset`.
     ///
     /// # Errors
@@ -110,7 +105,7 @@ mod tests {
         let s = Storage::new(512);
         let v = s.read(BankId::new(0), 5, 10, 4).unwrap();
         assert_eq!(v, vec![0.0; 4]);
-        assert_eq!(s.materialized_rows(), 0);
+        assert_eq!(s.rows.len(), 0);
     }
 
     #[test]
@@ -121,7 +116,7 @@ mod tests {
             s.read(BankId::new(2), 7, 99, 5).unwrap(),
             vec![0.0, 1.0, 2.0, 3.0, 0.0]
         );
-        assert_eq!(s.materialized_rows(), 1);
+        assert_eq!(s.rows.len(), 1);
     }
 
     #[test]

@@ -42,8 +42,8 @@ pub use runner::{
 };
 pub use scorer::{score_suite, verdict, CheckResult, CheckStatus};
 pub use spec::{
-    positive_finite, Bound, CompareSpec, Expectation, ScenarioKind, ScenarioSpec, Severity,
-    SpecError, SuiteSpec, SystemSpec, WorkloadSpec,
+    Bound, CompareSpec, Expectation, ScenarioKind, ScenarioSpec, Settings, Severity, SpecError,
+    SuiteSpec, SystemSpec, WorkloadSpec, SHARED_KEYS,
 };
 pub use store::{resolve_rev, store_report, unix_seconds};
 pub use suites::{builtin_description, builtin_suite, load_suite, SUITE_NAMES};

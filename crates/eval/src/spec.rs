@@ -23,13 +23,18 @@
 
 use std::fmt;
 
+use neupims_core::backend::{is_backend_name, ALL_BACKEND_NAMES};
+use neupims_core::fleet::{policy_from_name, POLICY_NAMES};
+use neupims_core::interconnect::{interconnect_from_name, INTERCONNECT_NAMES};
 use neupims_core::orchestrator::{
     autoscale_from_name, router_from_name, TenantClass as SloClass, AUTOSCALE_NAMES, ROUTER_NAMES,
 };
+use neupims_core::preempt::{preemption_from_name, PREEMPTION_NAMES};
+use neupims_core::scheduler::{scheduler_from_name, SCHEDULER_NAMES};
 use neupims_core::serving::SloTargets;
 pub use neupims_core::system::SystemSpec;
 use neupims_core::system::DEFAULT_TENANT_PRIORITY;
-use neupims_sched::CostModelKind;
+use neupims_sched::{CostModelKind, COST_MODEL_NAMES};
 use neupims_types::{Cycle, LlmConfig};
 use neupims_workload::scenario::{ArrivalProcess, LengthDistribution, TenantClass, TenantMix};
 use neupims_workload::Dataset;
@@ -231,7 +236,9 @@ impl SuiteSpec {
     /// unknown names, or compare blocks referencing missing scenarios.
     pub fn parse(text: &str) -> Result<Self, SpecError> {
         let root = parse_toml(text).map_err(|e| SpecError(e.to_string()))?;
+        known_keys(&root, "the suite file", &["suite", "scenario", "compare"])?;
         let suite = table(&root, "suite")?;
+        known_keys(suite, "[suite]", &["name", "description"])?;
         let name = string(suite, "name")?;
         let description = opt_string(suite, "description")?.unwrap_or_default();
 
@@ -309,166 +316,291 @@ fn string(t: &Table, key: &str) -> Result<String, SpecError> {
 }
 
 fn opt_string(t: &Table, key: &str) -> Result<Option<String>, SpecError> {
-    match t.get(key) {
-        None => Ok(None),
-        Some(Value::Str(s)) => Ok(Some(s.clone())),
-        Some(v) => serr(format!("{key:?} must be a string, got {}", v.type_name())),
-    }
+    opt(t, key, |k, v| text(k, v).map(str::to_owned))
 }
 
-fn opt_f64(t: &Table, key: &str) -> Result<Option<f64>, SpecError> {
-    match t.get(key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| SpecError(format!("{key:?} must be a number, got {}", v.type_name()))),
-    }
-}
-
-/// Checks that `key`'s `value` is a positive, finite number, the rule
-/// for rates, weights, periods, bandwidths and SLO targets. NaN and the
-/// infinities fail, where a bare `value <= 0.0` test lets NaN through.
-///
-/// # Errors
-///
-/// Returns a [`SpecError`] naming `key`.
-pub fn positive_finite(key: &str, value: f64) -> Result<f64, SpecError> {
-    if value.is_finite() && value > 0.0 {
-        Ok(value)
-    } else {
-        serr(format!(
-            "{key:?} must be a positive finite number, got {value}"
-        ))
-    }
-}
-
-/// An optional number key that must be positive and finite.
-fn opt_positive(t: &Table, key: &str) -> Result<Option<f64>, SpecError> {
-    opt_f64(t, key)?
-        .map(|v| positive_finite(key, v))
-        .transpose()
-}
-
-/// An optional policy-name key validated against its registry at parse
-/// time, so a typo'd autoscaler or router fails at spec load, not
-/// mid-run.
-fn opt_name(
+/// `key`'s value in `t` read by `rule`, or `None` when absent.
+fn opt<T>(
     t: &Table,
     key: &str,
-    known: &[&str],
-    valid: fn(&str) -> bool,
-) -> Result<Option<String>, SpecError> {
-    match opt_string(t, key)? {
-        None => Ok(None),
-        Some(name) if valid(&name) => Ok(Some(name)),
-        Some(name) => serr(format!(
-            "unknown {key} {name:?} (expected one of [{}])",
-            known.join(", ")
+    rule: impl Fn(&str, &Value) -> Result<T, SpecError>,
+) -> Result<Option<T>, SpecError> {
+    t.get(key).map(|v| rule(key, v)).transpose()
+}
+
+/// Rejects a key of `t` outside `known`, the keys table `header` reads: a
+/// typo'd key is an error, never a silent default.
+fn known_keys(t: &Table, header: &str, known: &[&str]) -> Result<(), SpecError> {
+    match t.keys().find(|k| !known.contains(&k.as_str())) {
+        Some(key) => serr(format!("unknown key {key:?} in {header}")),
+        None => Ok(()),
+    }
+}
+
+// ------------------------------------------------------------- value rules
+
+fn text<'a>(key: &str, v: &'a Value) -> Result<&'a str, SpecError> {
+    v.as_str()
+        .ok_or_else(|| SpecError(format!("{key:?} must be a string, got {}", v.type_name())))
+}
+
+fn number(key: &str, v: &Value) -> Result<f64, SpecError> {
+    v.as_f64()
+        .ok_or_else(|| SpecError(format!("{key:?} must be a number, got {}", v.type_name())))
+}
+
+/// A positive, finite number: the rule for rates, weights, periods,
+/// bandwidths and SLO targets. NaN and the infinities fail, where a bare
+/// `value <= 0.0` test lets NaN through.
+fn positive(key: &str, v: &Value) -> Result<f64, SpecError> {
+    match number(key, v)? {
+        x if x.is_finite() && x > 0.0 => Ok(x),
+        x => serr(format!("{key:?} must be a positive finite number, got {x}")),
+    }
+}
+
+fn integer(key: &str, v: &Value) -> Result<u64, SpecError> {
+    match v {
+        Value::Int(n) => u64::try_from(*n)
+            .map_err(|_| SpecError(format!("{key:?} must be a non-negative integer, got {n}"))),
+        _ => serr(format!(
+            "{key:?} must be a non-negative integer, got {}",
+            v.type_name()
         )),
     }
 }
 
-fn opt_usize(t: &Table, key: &str) -> Result<Option<usize>, SpecError> {
-    match t.get(key) {
-        None => Ok(None),
-        Some(v) => v.as_u64().map(|u| Some(u as usize)).ok_or_else(|| {
-            SpecError(format!(
-                "{key:?} must be a non-negative integer, got {}",
-                v.type_name()
-            ))
-        }),
+/// A count: at least 1. A zero is an error naming the key, never a
+/// silent 1.
+fn count(key: &str, v: &Value) -> Result<usize, SpecError> {
+    match integer(key, v)? {
+        0 => serr(format!("{key:?} must be a positive integer, got 0")),
+        n => Ok(n as usize),
     }
 }
 
-/// An optional count key that must be at least 1: a zero is an error
-/// naming the key, never a silent 1.
-fn opt_count(t: &Table, key: &str) -> Result<Option<usize>, SpecError> {
-    match opt_usize(t, key)? {
-        Some(0) => serr(format!("{key:?} must be a positive integer, got 0")),
-        n => Ok(n),
+/// An integer that fits a `u32`.
+fn int_u32(key: &str, v: &Value) -> Result<u32, SpecError> {
+    let n = integer(key, v)?;
+    u32::try_from(n)
+        .map_err(|_| SpecError(format!("{key:?} = {n} exceeds the maximum {}", u32::MAX)))
+}
+
+/// A degree or budget: a count that fits a `u32`.
+fn degree(key: &str, v: &Value) -> Result<u32, SpecError> {
+    count(key, v)?;
+    int_u32(key, v)
+}
+
+/// A name `parse` resolves, with the registry's canonical names `known`
+/// in the error otherwise.
+fn lookup<T>(
+    key: &str,
+    v: &Value,
+    known: &[&str],
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<T, SpecError> {
+    let name = text(key, v)?;
+    parse(name).ok_or_else(|| {
+        SpecError(format!(
+            "unknown {key} {name:?} (expected one of [{}])",
+            known.join(", ")
+        ))
+    })
+}
+
+/// A name its registry's constructor `build` accepts, kept as written.
+fn name<T, E>(
+    key: &str,
+    v: &Value,
+    known: &[&str],
+    build: impl Fn(&str) -> Result<T, E>,
+) -> Result<String, SpecError> {
+    lookup(key, v, known, |n| build(n).ok().map(|_| n.to_owned()))
+}
+
+/// A comma list of names cycled over the replicas, each entry one the
+/// registry `valid` accepts.
+fn name_list(
+    key: &str,
+    v: &Value,
+    known: &[&str],
+    valid: impl Fn(&str) -> bool,
+) -> Result<String, SpecError> {
+    let list = text(key, v)?;
+    for entry in list.split(',') {
+        let entry = Value::Str(entry.trim().to_owned());
+        lookup(key, &entry, known, |n| valid(n).then_some(()))?;
+    }
+    Ok(list.to_owned())
+}
+
+// -------------------------------------------------------------- shared keys
+
+/// Every setting a suite's `[[scenario]]` and the CLI (as `--<key>`)
+/// both accept: the [`SystemSpec`] keys, then the shared workload keys.
+/// [`Settings::set`] is the one parser of each.
+pub const SHARED_KEYS: [&str; 25] = [
+    "backend",
+    "scheduler",
+    "chunk-tokens",
+    "preemption",
+    "swap-gbps",
+    "cost-model",
+    "replicas",
+    "policy",
+    "max-batch",
+    "model",
+    "slo-ttft-ms",
+    "slo-tpot-ms",
+    "tp",
+    "pp",
+    "interconnect",
+    "link-gbps",
+    "autoscale",
+    "router",
+    "min-replicas",
+    "dataset",
+    "batch",
+    "samples",
+    "requests",
+    "rate",
+    "seed",
+];
+
+const MODEL_NAMES: [&str; 4] = ["gpt3-7b", "gpt3-13b", "gpt3-30b", "gpt3-175b"];
+const DATASET_NAMES: [&str; 2] = ["sharegpt", "alpaca"];
+
+fn model(name: &str) -> Option<LlmConfig> {
+    match name.to_ascii_lowercase().as_str() {
+        "gpt3-7b" | "7b" => Some(LlmConfig::gpt3_7b()),
+        "gpt3-13b" | "13b" => Some(LlmConfig::gpt3_13b()),
+        "gpt3-30b" | "30b" => Some(LlmConfig::gpt3_30b()),
+        "gpt3-175b" | "175b" => Some(LlmConfig::gpt3_175b()),
+        _ => None,
     }
 }
 
-/// An optional integer key that must fit a `u32`.
-fn opt_u32(t: &Table, key: &str) -> Result<Option<u32>, SpecError> {
-    opt_usize(t, key)?
-        .map(|v| {
-            u32::try_from(v)
-                .map_err(|_| SpecError(format!("{key:?} = {v} exceeds the maximum {}", u32::MAX)))
-        })
-        .transpose()
+fn dataset(name: &str) -> Option<Dataset> {
+    match name.to_ascii_lowercase().as_str() {
+        "sharegpt" => Some(Dataset::ShareGpt),
+        "alpaca" => Some(Dataset::Alpaca),
+        _ => None,
+    }
+}
+
+/// The values of the [`SHARED_KEYS`]. Each front-end starts from its own
+/// defaults; only parsing and validation are shared.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Settings {
+    /// The system keys.
+    pub system: SystemSpec,
+    /// `dataset`: where warm-batch and default request lengths come from.
+    pub dataset: Dataset,
+    /// `batch`: the warm-batch size, when set.
+    pub batch: Option<usize>,
+    /// `samples`: warm batches averaged.
+    pub samples: usize,
+    /// `requests`: serving requests submitted.
+    pub requests: usize,
+    /// `rate`: Poisson arrival rate, requests per Mcycle.
+    pub rate: f64,
+    /// `seed`: the workload RNG seed, when set.
+    pub seed: Option<u64>,
+}
+
+impl Settings {
+    /// Parses `v` into shared key `key`'s setting. Counts are
+    /// positive; degrees and budgets are positive and fit a `u32`; rates,
+    /// bandwidths and SLO targets are positive and finite; every name,
+    /// each entry of a `backend`/`scheduler` list included, is one its
+    /// registry knows. Returns `Ok(false)`, changing nothing, when `key`
+    /// is not one of [`SHARED_KEYS`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SpecError`] naming `key` when `v` breaks its rule.
+    pub fn set(&mut self, key: &str, v: &Value) -> Result<bool, SpecError> {
+        let s = &mut self.system;
+        match key {
+            "backend" => s.backend = name_list(key, v, &ALL_BACKEND_NAMES, is_backend_name)?,
+            "scheduler" => {
+                s.scheduler = name_list(key, v, &SCHEDULER_NAMES, |n| {
+                    scheduler_from_name(n, 1).is_ok()
+                })?;
+            }
+            "chunk-tokens" => s.chunk_tokens = degree(key, v)?,
+            "preemption" => s.preemption = name(key, v, &PREEMPTION_NAMES, preemption_from_name)?,
+            "swap-gbps" => s.swap_gbps = positive(key, v)?,
+            "cost-model" => {
+                s.cost_model = lookup(key, v, &COST_MODEL_NAMES, CostModelKind::from_name)?;
+            }
+            "replicas" => s.replicas = count(key, v)?,
+            "policy" => s.policy = name(key, v, &POLICY_NAMES, policy_from_name)?,
+            "max-batch" => s.max_batch = count(key, v)?,
+            "model" => s.model = lookup(key, v, &MODEL_NAMES, model)?,
+            "slo-ttft-ms" => s.slo_ttft_ms = positive(key, v)?,
+            "slo-tpot-ms" => s.slo_tpot_ms = positive(key, v)?,
+            "tp" => s.tp = Some(degree(key, v)?),
+            "pp" => s.pp = Some(degree(key, v)?),
+            "interconnect" => {
+                s.interconnect = name(key, v, &INTERCONNECT_NAMES, |n| {
+                    interconnect_from_name(n, None)
+                })?;
+            }
+            "link-gbps" => s.link_gbps = Some(positive(key, v)?),
+            "autoscale" => s.autoscale = Some(name(key, v, &AUTOSCALE_NAMES, autoscale_from_name)?),
+            "router" => s.router = Some(name(key, v, &ROUTER_NAMES, router_from_name)?),
+            "min-replicas" => s.min_replicas = Some(count(key, v)?),
+            "dataset" => self.dataset = lookup(key, v, &DATASET_NAMES, dataset)?,
+            "batch" => self.batch = Some(count(key, v)?),
+            "samples" => self.samples = count(key, v)?,
+            "requests" => self.requests = count(key, v)?,
+            "rate" => self.rate = positive(key, v)?,
+            "seed" => self.seed = Some(integer(key, v)?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
 }
 
 // --------------------------------------------------------------- scenarios
 
-/// Parses a model name into its [`LlmConfig`] (the CLI's `--model` names).
-pub fn model_from_name(name: &str) -> Result<LlmConfig, SpecError> {
-    match name.to_ascii_lowercase().as_str() {
-        "gpt3-7b" | "7b" => Ok(LlmConfig::gpt3_7b()),
-        "gpt3-13b" | "13b" => Ok(LlmConfig::gpt3_13b()),
-        "gpt3-30b" | "30b" => Ok(LlmConfig::gpt3_30b()),
-        "gpt3-175b" | "175b" => Ok(LlmConfig::gpt3_175b()),
-        other => serr(format!("unknown model {other:?}")),
-    }
-}
-
-/// Parses a dataset name (the CLI's `--dataset` names).
-pub fn dataset_from_name(name: &str) -> Result<Dataset, SpecError> {
-    match name.to_ascii_lowercase().as_str() {
-        "sharegpt" => Ok(Dataset::ShareGpt),
-        "alpaca" => Ok(Dataset::Alpaca),
-        other => serr(format!("unknown dataset {other:?}")),
-    }
-}
+/// The keys of a `[[scenario]]` besides the [`SHARED_KEYS`].
+const SCENARIO_KEYS: [&str; 8] = [
+    "name",
+    "kind",
+    "channels",
+    "kv-mib-per-channel",
+    "output-cap",
+    "arrival",
+    "tenant",
+    "expect",
+];
 
 fn parse_scenario(t: &Table) -> Result<ScenarioSpec, SpecError> {
+    let mut shared = Settings {
+        system: SystemSpec::default(),
+        dataset: Dataset::ShareGpt,
+        batch: None,
+        samples: 4,
+        requests: 32,
+        rate: 3.0,
+        seed: None,
+    };
+    for (key, value) in t {
+        if !shared.set(key, value)? && !SCENARIO_KEYS.contains(&key.as_str()) {
+            return serr(format!("unknown key {key:?} in [[scenario]]"));
+        }
+    }
     let name = string(t, "name")?;
     let kind = match opt_string(t, "kind")?.as_deref() {
         None | Some("serving") => ScenarioKind::Serving,
         Some("throughput") => ScenarioKind::Throughput,
         Some(other) => return serr(format!("unknown kind {other:?}")),
     };
-    let dataset = match opt_string(t, "dataset")? {
-        Some(d) => dataset_from_name(&d)?,
-        None => Dataset::ShareGpt,
-    };
-    let d = SystemSpec::default();
-    let model = match opt_string(t, "model")? {
-        Some(m) => model_from_name(&m)?,
-        None => d.model,
-    };
-    let cost_model = match opt_string(t, "cost-model")? {
-        Some(c) => CostModelKind::from_name(&c)
-            .ok_or_else(|| SpecError(format!("unknown cost model {c:?}")))?,
-        None => d.cost_model,
-    };
-    let mut system = SystemSpec {
-        backend: opt_string(t, "backend")?.unwrap_or(d.backend),
-        scheduler: opt_string(t, "scheduler")?.unwrap_or(d.scheduler),
-        chunk_tokens: opt_u32(t, "chunk-tokens")?.unwrap_or(d.chunk_tokens),
-        preemption: opt_string(t, "preemption")?.unwrap_or(d.preemption),
-        swap_gbps: opt_positive(t, "swap-gbps")?.unwrap_or(d.swap_gbps),
-        cost_model,
-        replicas: opt_count(t, "replicas")?.unwrap_or(d.replicas),
-        dispatch: opt_string(t, "dispatch")?.unwrap_or(d.dispatch),
-        max_batch: opt_count(t, "max-batch")?.unwrap_or(d.max_batch),
-        model,
-        slo_ttft_ms: opt_positive(t, "slo-ttft-ms")?.unwrap_or(d.slo_ttft_ms),
-        slo_tpot_ms: opt_positive(t, "slo-tpot-ms")?.unwrap_or(d.slo_tpot_ms),
-        tp: opt_u32(t, "tp")?,
-        pp: opt_u32(t, "pp")?,
-        interconnect: opt_string(t, "interconnect")?.unwrap_or(d.interconnect),
-        link_gbps: opt_positive(t, "link-gbps")?,
-        autoscale: opt_name(t, "autoscale", &AUTOSCALE_NAMES, |n| {
-            autoscale_from_name(n).is_ok()
-        })?,
-        router: opt_name(t, "router", &ROUTER_NAMES, |n| router_from_name(n).is_ok())?,
-        min_replicas: opt_usize(t, "min-replicas")?,
-        tenants: Vec::new(),
-    };
-    let kv_bytes_per_channel = match opt_usize(t, "kv-mib-per-channel")? {
-        Some(mib) => Some((mib as u64).checked_mul(1 << 20).ok_or_else(|| {
+    let kv_bytes_per_channel = match opt(t, "kv-mib-per-channel", integer)? {
+        Some(mib) => Some(mib.checked_mul(1 << 20).ok_or_else(|| {
             SpecError(format!(
                 "\"kv-mib-per-channel\" = {mib} overflows a byte count"
             ))
@@ -476,12 +608,12 @@ fn parse_scenario(t: &Table) -> Result<ScenarioSpec, SpecError> {
         None => None,
     };
 
-    let seed = opt_usize(t, "seed")?.unwrap_or(0xE7A1) as u64;
+    let seed = shared.seed.unwrap_or(0xE7A1);
     let workload = match kind {
         ScenarioKind::Throughput => None,
         ScenarioKind::Serving => {
-            let (workload, tenants) = parse_workload(t, dataset, seed, &system)?;
-            system.tenants = tenants;
+            let (workload, tenants) = parse_workload(t, &shared, seed)?;
+            shared.system.tenants = tenants;
             Some(workload)
         }
     };
@@ -496,13 +628,13 @@ fn parse_scenario(t: &Table) -> Result<ScenarioSpec, SpecError> {
     Ok(ScenarioSpec {
         name,
         kind,
-        system,
-        channels: opt_u32(t, "channels")?,
+        system: shared.system,
+        channels: opt(t, "channels", int_u32)?,
         kv_bytes_per_channel,
         workload,
-        batch: opt_count(t, "batch")?.unwrap_or(256),
-        samples: opt_count(t, "samples")?.unwrap_or(4),
-        dataset,
+        batch: shared.batch.unwrap_or(256),
+        samples: shared.samples,
+        dataset: shared.dataset,
         seed,
         expects,
     })
@@ -510,18 +642,14 @@ fn parse_scenario(t: &Table) -> Result<ScenarioSpec, SpecError> {
 
 /// Parses the workload half of a serving scenario, plus the orchestrator
 /// tenant class of each `[[scenario.tenant]]` (SLO overrides falling back
-/// to `system`'s, shares normalized from the weights).
+/// to the scenario's, shares normalized from the weights).
 fn parse_workload(
     t: &Table,
-    dataset: Dataset,
+    shared: &Settings,
     seed: u64,
-    system: &SystemSpec,
 ) -> Result<(WorkloadSpec, Vec<SloClass>), SpecError> {
-    let requests = opt_count(t, "requests")?.unwrap_or(32);
     let arrival = match t.get("arrival") {
-        None => ArrivalProcess::Poisson {
-            rate: opt_positive(t, "rate")?.unwrap_or(3.0),
-        },
+        None => ArrivalProcess::Poisson { rate: shared.rate },
         Some(Value::Table(a)) => parse_arrival(a)?,
         Some(v) => {
             return serr(format!(
@@ -530,9 +658,10 @@ fn parse_workload(
             ))
         }
     };
+    let system = &shared.system;
     let tenant_tables = tables_of(t, "tenant")?;
     let (tenants, mut slo_classes) = if tenant_tables.is_empty() {
-        let mix = TenantMix::single(dataset);
+        let mix = TenantMix::single(shared.dataset);
         let class = SloClass::new(
             &mix.classes()[0].name,
             system.slo(),
@@ -556,29 +685,41 @@ fn parse_workload(
         slo_class.share = class.weight / total_weight;
     }
     let workload = WorkloadSpec {
-        requests,
+        requests: shared.requests,
         seed,
         arrival,
         tenants,
-        output_cap: opt_u32(t, "output-cap")?,
+        output_cap: opt(t, "output-cap", int_u32)?,
     };
     Ok((workload, slo_classes))
 }
 
 fn parse_arrival(a: &Table) -> Result<ArrivalProcess, SpecError> {
-    let rate = opt_positive(a, "rate")?.unwrap_or(3.0);
+    known_keys(
+        a,
+        "[scenario.arrival]",
+        &[
+            "process",
+            "rate",
+            "burst-size",
+            "amplitude",
+            "period-mcycles",
+            "alpha",
+        ],
+    )?;
+    let rate = opt(a, "rate", positive)?.unwrap_or(3.0);
     match opt_string(a, "process")?.as_deref().unwrap_or("poisson") {
         "poisson" => Ok(ArrivalProcess::Poisson { rate }),
         "bursty" => Ok(ArrivalProcess::Bursty {
             rate,
-            burst_size: opt_usize(a, "burst-size")?.unwrap_or(8).max(1),
+            burst_size: opt(a, "burst-size", count)?.unwrap_or(8),
         }),
         "diurnal" => {
-            let amplitude = opt_f64(a, "amplitude")?.unwrap_or(0.8);
+            let amplitude = opt(a, "amplitude", number)?.unwrap_or(0.8);
             if !(0.0..1.0).contains(&amplitude) {
                 return serr("diurnal amplitude must be in [0, 1)");
             }
-            let period_mcycles = opt_positive(a, "period-mcycles")?.unwrap_or(50.0);
+            let period_mcycles = opt(a, "period-mcycles", positive)?.unwrap_or(50.0);
             let period = (period_mcycles * 1e6) as Cycle;
             if period == 0 {
                 return serr(format!(
@@ -592,7 +733,7 @@ fn parse_arrival(a: &Table) -> Result<ArrivalProcess, SpecError> {
             })
         }
         "heavy-tailed" | "pareto" => {
-            let alpha = opt_f64(a, "alpha")?.unwrap_or(1.5);
+            let alpha = opt(a, "alpha", number)?.unwrap_or(1.5);
             if !(alpha.is_finite() && alpha > 1.0) {
                 return serr(format!(
                     "\"alpha\" must be a finite number above 1, got {alpha}"
@@ -638,19 +779,17 @@ fn parse_length(v: &Value, key: &str) -> Result<LengthDistribution, SpecError> {
         }
     };
     match kind {
-        "dataset-input" => {
-            let d = arr
-                .get(1)
-                .and_then(Value::as_str)
-                .ok_or_else(|| SpecError(format!("{key:?}[1] must be a dataset name")))?;
-            Ok(LengthDistribution::DatasetInput(dataset_from_name(d)?))
-        }
-        "dataset-output" => {
-            let d = arr
-                .get(1)
-                .and_then(Value::as_str)
-                .ok_or_else(|| SpecError(format!("{key:?}[1] must be a dataset name")))?;
-            Ok(LengthDistribution::DatasetOutput(dataset_from_name(d)?))
+        "dataset-input" | "dataset-output" => {
+            let field = format!("{key}[1]");
+            let Some(name) = arr.get(1) else {
+                return serr(format!("{field:?} must be a dataset name"));
+            };
+            let d = lookup(&field, name, &DATASET_NAMES, dataset)?;
+            Ok(if kind == "dataset-input" {
+                LengthDistribution::DatasetInput(d)
+            } else {
+                LengthDistribution::DatasetOutput(d)
+            })
         }
         "lognormal" => {
             let (mean, sigma) = (num(1)?, num(2)?);
@@ -677,8 +816,20 @@ fn parse_length(v: &Value, key: &str) -> Result<LengthDistribution, SpecError> {
 }
 
 fn parse_tenant(t: &Table, system: &SystemSpec) -> Result<(TenantClass, SloClass), SpecError> {
+    known_keys(
+        t,
+        "[[scenario.tenant]]",
+        &[
+            "name",
+            "input",
+            "output",
+            "weight",
+            "priority",
+            "slo-ttft-ms",
+            "slo-tpot-ms",
+        ],
+    )?;
     let name = string(t, "name")?;
-    let weight = opt_positive(t, "weight")?.unwrap_or(1.0);
     let input = match t.get("input") {
         Some(v) => parse_length(v, "input")?,
         None => return serr(format!("tenant {name:?} missing \"input\" distribution")),
@@ -687,16 +838,7 @@ fn parse_tenant(t: &Table, system: &SystemSpec) -> Result<(TenantClass, SloClass
         Some(v) => parse_length(v, "output")?,
         None => return serr(format!("tenant {name:?} missing \"output\" distribution")),
     };
-    let priority = match opt_usize(t, "priority")? {
-        Some(p) if p <= u8::MAX as usize => p as u8,
-        Some(p) => return serr(format!("tenant {name:?} priority {p} exceeds 255")),
-        None => DEFAULT_TENANT_PRIORITY,
-    };
-    let slo = SloTargets::from_ms(
-        opt_positive(t, "slo-ttft-ms")?.unwrap_or(system.slo_ttft_ms),
-        opt_positive(t, "slo-tpot-ms")?.unwrap_or(system.slo_tpot_ms),
-    );
-    let slo_class = SloClass::new(&name, slo, priority, 0.0);
+    let (weight, slo_class) = tenant_class(&name, t, system)?;
     Ok((
         TenantClass {
             name,
@@ -706,6 +848,37 @@ fn parse_tenant(t: &Table, system: &SystemSpec) -> Result<(TenantClass, SloClass
         },
         slo_class,
     ))
+}
+
+/// The orchestrator class of tenant `name` from the `weight`, `priority`,
+/// `slo-ttft-ms` and `slo-tpot-ms` keys of `t` (a `[[scenario.tenant]]`,
+/// or a CLI `--tenants` entry read into the same keys): a positive finite
+/// weight (default 1), a priority of at most 255, and positive finite SLO
+/// targets that default to `system`'s. Returns the weight beside the
+/// class, whose share is left for the caller to normalize.
+///
+/// # Errors
+///
+/// Returns a [`SpecError`] naming the key that breaks its rule.
+pub fn tenant_class(
+    name: &str,
+    t: &Table,
+    system: &SystemSpec,
+) -> Result<(f64, SloClass), SpecError> {
+    let weight = opt(t, "weight", positive)?.unwrap_or(1.0);
+    let priority = match opt(t, "priority", integer)? {
+        Some(p) => u8::try_from(p).map_err(|_| {
+            SpecError(format!(
+                "tenant {name:?}: \"priority\" = {p} exceeds the maximum 255"
+            ))
+        })?,
+        None => DEFAULT_TENANT_PRIORITY,
+    };
+    let slo = SloTargets::from_ms(
+        opt(t, "slo-ttft-ms", positive)?.unwrap_or(system.slo_ttft_ms),
+        opt(t, "slo-tpot-ms", positive)?.unwrap_or(system.slo_tpot_ms),
+    );
+    Ok((weight, SloClass::new(name, slo, priority, 0.0)))
 }
 
 // -------------------------------------------------------------- bounds
@@ -719,10 +892,10 @@ fn parse_severity(t: &Table) -> Result<Severity, SpecError> {
 }
 
 fn parse_bound(t: &Table) -> Result<Bound, SpecError> {
-    let value = opt_f64(t, "value")?;
-    let tol = opt_f64(t, "tol")?;
-    let min = opt_f64(t, "min")?;
-    let max = opt_f64(t, "max")?;
+    let value = opt(t, "value", number)?;
+    let tol = opt(t, "tol", number)?;
+    let min = opt(t, "min", number)?;
+    let max = opt(t, "max", number)?;
     match (value, min, max) {
         (Some(v), None, None) => {
             let tol = tol.unwrap_or(0.10);
@@ -740,7 +913,14 @@ fn parse_bound(t: &Table) -> Result<Bound, SpecError> {
     }
 }
 
+const BOUND_KEYS: [&str; 5] = ["value", "tol", "min", "max", "severity"];
+
 fn parse_expect(t: &Table) -> Result<Expectation, SpecError> {
+    known_keys(
+        t,
+        "[[scenario.expect]]",
+        &[&["metric"][..], &BOUND_KEYS].concat(),
+    )?;
     Ok(Expectation {
         metric: string(t, "metric")?,
         bound: parse_bound(t)?,
@@ -749,6 +929,15 @@ fn parse_expect(t: &Table) -> Result<Expectation, SpecError> {
 }
 
 fn parse_compare(t: &Table) -> Result<CompareSpec, SpecError> {
+    known_keys(
+        t,
+        "[[compare]]",
+        &[
+            &["name", "metric", "numerator", "denominator"][..],
+            &BOUND_KEYS,
+        ]
+        .concat(),
+    )?;
     Ok(CompareSpec {
         name: string(t, "name")?,
         metric: opt_string(t, "metric")?.unwrap_or_else(|| "tokens_per_sec".into()),
@@ -968,6 +1157,11 @@ output = ["fixed", 8]
             ("samples", "0"),
             ("batch", "0"),
             ("requests", "0"),
+            ("chunk-tokens", "0"),
+            ("tp", "0"),
+            ("pp", "0"),
+            ("min-replicas", "0"),
+            ("bakend", "\"gpu\""),
         ] {
             let e = SuiteSpec::parse(&format!("{minimal}{key} = {value}\n")).unwrap_err();
             assert!(e.0.contains(&format!("{key:?}")), "{key}: {e}");
@@ -1119,6 +1313,37 @@ output = ["lognormal", 60.0, 0.5]
         ] {
             hostile("[\"lognormal\", 60.0, 0.5]", bad, "output");
         }
+    }
+
+    /// Every table rejects a key its parser does not read, naming the key
+    /// and the table: a typo or a retired key never grades the default.
+    #[test]
+    fn unknown_keys_are_rejected_by_table() {
+        for (from, to, table) in [
+            (
+                "name = \"hostile\"",
+                "name = \"hostile\"\nowner = \"x\"",
+                "[suite]",
+            ),
+            ("slo-tpot-ms = 10.0", "dispatch = \"jsq\"", "[[scenario]]"),
+            ("rate = 1.0", "rate = 1.0\nburst = 8", "[scenario.arrival]"),
+            ("weight = 1.0", "wieght = 1.0", "[[scenario.tenant]]"),
+        ] {
+            let key = to.rsplit('\n').next().unwrap().split(' ').next().unwrap();
+            let e = hostile(from, to, key);
+            assert!(e.0.contains(table), "{to}: {e}");
+        }
+        let bad = SUITE.replace("min = 20.0", "min = 20.0\nmetrc = \"x\"");
+        let e = SuiteSpec::parse(&bad).unwrap_err();
+        assert!(e.0.contains("\"metrc\" in [[scenario.expect]]"), "{e}");
+        let bad = SUITE.replace("min = 0.5", "min = 0.5\nseverty = \"warn\"");
+        let e = SuiteSpec::parse(&bad).unwrap_err();
+        assert!(e.0.contains("\"severty\" in [[compare]]"), "{e}");
+        let bad = format!("{SUITE}\n[[scenarios]]\nname = \"x\"\n");
+        assert!(SuiteSpec::parse(&bad)
+            .unwrap_err()
+            .0
+            .contains("\"scenarios\""));
     }
 
     #[test]

@@ -76,14 +76,6 @@ impl Value {
         }
     }
 
-    /// The value as a boolean, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The value as an array slice, if it is one.
     pub fn as_array(&self) -> Option<&[Value]> {
         match self {
@@ -173,6 +165,13 @@ pub fn parse(text: &str) -> Result<Table, TomlError> {
         }
     }
     Ok(root)
+}
+
+/// Reads one command-line value as TOML reads a value (`7`, `2.5`, `inf`,
+/// `true`, `"quoted"`), and anything else, such as a bare word or a comma
+/// list, as a string.
+pub fn parse_scalar(text: &str) -> Value {
+    parse_value(text.trim(), 0, 0).unwrap_or_else(|_| Value::Str(text.to_owned()))
 }
 
 /// Strips a `#` comment, respecting basic strings.
@@ -407,7 +406,7 @@ name = "serve-2"
         let s0 = scenarios[0].as_table().unwrap();
         assert_eq!(s0["requests"].as_u64(), Some(48));
         assert_eq!(s0["rate"].as_f64(), Some(2.5));
-        assert_eq!(s0["quick"].as_bool(), Some(true));
+        assert_eq!(s0["quick"], Value::Bool(true));
         assert_eq!(s0["batches"].as_array().unwrap().len(), 3);
         let arrival = s0["arrival"].as_table().unwrap();
         assert_eq!(arrival["process"].as_str(), Some("bursty"));

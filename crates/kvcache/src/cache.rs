@@ -21,9 +21,8 @@
 //! [`PagedKvCache::restore`] it — re-reserving pages for the context it
 //! had grown to, on whichever channel now has room. Preempt/restore
 //! traffic is counted separately from plain releases
-//! ([`PagedKvCache::preemptions`], [`PagedKvCache::restores`],
-//! [`PagedKvCache::pages_preempted`]) so outcomes can report how much
-//! KV state the run evicted.
+//! ([`PagedKvCache::preemptions`], [`PagedKvCache::restores`]) so
+//! outcomes can report how often the run evicted KV state.
 
 use neupims_types::{ChannelId, MemConfig, SimError};
 
@@ -86,7 +85,6 @@ pub struct PagedKvCache {
     used_total: u64,
     preemptions: u64,
     restores: u64,
-    pages_preempted: u64,
 }
 
 impl PagedKvCache {
@@ -102,7 +100,6 @@ impl PagedKvCache {
             used_total: 0,
             preemptions: 0,
             restores: 0,
-            pages_preempted: 0,
         }
     }
 
@@ -230,8 +227,7 @@ impl PagedKvCache {
     /// [`PreemptedKv`] receipt instead of a bare page count: the serving
     /// layer parks the request and uses the receipt to price its
     /// restoration (recompute or swap). Counted in
-    /// [`Self::preemptions`] / [`Self::pages_preempted`], separately from
-    /// completion releases.
+    /// [`Self::preemptions`], separately from completion releases.
     ///
     /// # Example
     ///
@@ -264,7 +260,6 @@ impl PagedKvCache {
         let (channel, seq_len) = (alloc.channel, alloc.seq_len);
         let pages = self.release(alloc);
         self.preemptions += 1;
-        self.pages_preempted += pages;
         PreemptedKv {
             channel,
             seq_len,
@@ -296,12 +291,6 @@ impl PagedKvCache {
     /// Restore events since construction.
     pub fn restores(&self) -> u64 {
         self.restores
-    }
-
-    /// Total pages released by preemptions (cumulative; restores do not
-    /// subtract).
-    pub fn pages_preempted(&self) -> u64 {
-        self.pages_preempted
     }
 }
 
@@ -451,7 +440,6 @@ mod tests {
         assert_eq!(kv.free_pages(c), free_before + receipt.pages);
         assert_eq!(kv.used_pages(), 0);
         assert_eq!(kv.preemptions(), 1);
-        assert_eq!(kv.pages_preempted(), receipt.pages);
         assert_eq!(kv.restores(), 0);
 
         // Restore onto a *different* channel: the context survives.

@@ -59,11 +59,6 @@ impl KvGeometry {
         self.embed / self.heads
     }
 
-    /// Pages holding one token's K vector across all device heads.
-    pub fn k_pages_per_token(&self) -> u64 {
-        self.embed.div_ceil(self.page_elems)
-    }
-
     /// PIM tiles of the logit GEMV for a `seq_len`-token context
     /// (Algorithm 1, line 2).
     pub fn logit_tiles(&self, seq_len: u64) -> u64 {

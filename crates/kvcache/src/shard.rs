@@ -89,45 +89,10 @@ impl KvShardPlan {
         self.heads_per_chip.len() as u32 * self.layers_per_stage.len() as u32
     }
 
-    /// KV bytes one token adds on one chip of `rank`, for one of its
-    /// resident layers.
-    pub fn chip_bytes_per_token_layer(&self, rank: usize) -> u64 {
-        self.geometries[rank].kv_bytes_per_token_layer()
-    }
-
-    /// Total KV bytes one token adds across the whole deployment (all
-    /// heads, all layers) — independent of the split.
-    pub fn total_bytes_per_token(&self) -> u64 {
-        let layers: u64 = self.layers_per_stage.iter().map(|&l| l as u64).sum();
-        let per_layer: u64 = self
-            .geometries
-            .iter()
-            .map(KvGeometry::kv_bytes_per_token_layer)
-            .sum();
-        per_layer * layers
-    }
-
     /// Aggregate KV capacity of the deployment in bytes: every chip
     /// contributes its full `mem` KV pool.
     pub fn aggregate_capacity_bytes(&self, mem: &MemConfig) -> u64 {
         self.devices() as u64 * mem.total_capacity()
-    }
-
-    /// Longest single-request context (tokens) whose K/V fits the
-    /// deployment, assuming the cache is dedicated to it. The binding
-    /// chip is the TP rank with the most heads in the PP stage with the
-    /// most layers (the plan balances both within one).
-    pub fn max_context_tokens(&self, mem: &MemConfig) -> u64 {
-        let per_chip = mem.total_capacity();
-        let worst_layers = *self.layers_per_stage.iter().max().unwrap_or(&1) as u64;
-        let worst_bytes = self
-            .geometries
-            .iter()
-            .map(KvGeometry::kv_bytes_per_token_layer)
-            .max()
-            .unwrap_or(1)
-            .max(1);
-        per_chip / (worst_bytes * worst_layers).max(1)
     }
 
     /// The model dtype the plan was built for.
@@ -181,8 +146,7 @@ mod tests {
     #[test]
     fn big_model_cache_spans_devices() {
         // A 70B-class model (the 175B config is the shipped stand-in for
-        // "bigger than one chip"): sharding 8 ways lets a context ~8x
-        // longer fit than a single chip can hold.
+        // "bigger than one chip"): sharding 8 ways pools 8 chips' KV.
         let model = LlmConfig::gpt3_175b();
         let mem = MemConfig::table2();
         let single = KvShardPlan::new(&model, &mem, 1, 1).unwrap();
@@ -191,25 +155,6 @@ mod tests {
             sharded.aggregate_capacity_bytes(&mem),
             8 * single.aggregate_capacity_bytes(&mem)
         );
-        let solo = single.max_context_tokens(&mem);
-        let spread = sharded.max_context_tokens(&mem);
-        assert!(
-            spread >= 7 * solo,
-            "sharded context {spread} must dwarf single-chip {solo}"
-        );
-    }
-
-    #[test]
-    fn total_bytes_independent_of_split() {
-        let model = LlmConfig::gpt3_30b();
-        let mem = MemConfig::table2();
-        let base = KvShardPlan::new(&model, &mem, 1, 1)
-            .unwrap()
-            .total_bytes_per_token();
-        for (tp, pp) in [(2u32, 1u32), (4, 2), (8, 4), (7, 3)] {
-            let plan = KvShardPlan::new(&model, &mem, tp, pp).unwrap();
-            assert_eq!(plan.total_bytes_per_token(), base, "({tp},{pp})");
-        }
     }
 
     #[test]

@@ -35,11 +35,6 @@ impl BatchLowering {
         self.gemms.iter().map(|g| g.compute_cycles).sum()
     }
 
-    /// Total GEMM DRAM traffic (weights + activations + outputs).
-    pub fn gemm_bytes(&self) -> u64 {
-        self.gemms.iter().map(|g| g.total_bytes()).sum()
-    }
-
     /// Weight bytes streamed per block execution.
     pub fn weight_bytes(&self) -> u64 {
         self.gemms.iter().map(|g| g.weight_bytes).sum()

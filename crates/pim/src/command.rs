@@ -80,18 +80,6 @@ const TAG_RDRESULT: u8 = 6;
 const TAG_PRECHARGE: u8 = 7;
 
 impl PimCommand {
-    /// C/A bus slots this command occupies when issued.
-    ///
-    /// Grouped activation is the one multi-slot case in our model: each bank
-    /// of the group consumes an activate slot (a conservative stand-in for
-    /// the single wide `PIM_ACTIVATION` encoding).
-    pub fn ca_slots(&self) -> u32 {
-        match self {
-            PimCommand::Activate { banks, .. } => banks.len() as u32,
-            _ => 1,
-        }
-    }
-
     /// Serializes the command into the controller queue format.
     pub fn encode(&self) -> Bytes {
         let mut b = BytesMut::with_capacity(16);
@@ -253,18 +241,5 @@ mod tests {
     fn unknown_tag_fails() {
         let buf = Bytes::from_static(&[0xEE, 0, 0, 0, 0]);
         assert!(PimCommand::decode(buf).is_err());
-    }
-
-    #[test]
-    fn ca_slot_accounting() {
-        assert_eq!(PimCommand::DotProduct.ca_slots(), 1);
-        assert_eq!(
-            PimCommand::Activate {
-                banks: vec![BankId::new(0); 4],
-                row: 0
-            }
-            .ca_slots(),
-            4
-        );
     }
 }

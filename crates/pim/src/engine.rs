@@ -238,11 +238,6 @@ impl GemvEngine {
         self.jobs.is_empty()
     }
 
-    /// Number of queued (incl. in-progress) jobs.
-    pub fn pending_jobs(&self) -> usize {
-        self.jobs.len()
-    }
-
     /// Accumulated counters.
     pub fn stats(&self) -> &PimStats {
         &self.stats

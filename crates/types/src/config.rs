@@ -460,7 +460,7 @@ impl LlmConfig {
 
     /// Parameters in one decoder block: QKV (3 d^2) + output projection
     /// (d^2) + FFN (2 * d * d_ff), ignoring small bias/layernorm terms.
-    pub fn params_per_layer(&self) -> u64 {
+    fn params_per_layer(&self) -> u64 {
         let d = self.d_model as u64;
         let ff = self.d_ff as u64;
         4 * d * d + 2 * d * ff

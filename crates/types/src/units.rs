@@ -21,15 +21,6 @@ pub fn cycles_to_secs(cycles: Cycle) -> f64 {
     cycles as f64 / (FREQ_GHZ * 1e9)
 }
 
-/// Converts a duration in seconds into device cycles (rounded up).
-///
-/// ```
-/// assert_eq!(neupims_types::units::secs_to_cycles(1e-9), 1);
-/// ```
-pub fn secs_to_cycles(secs: f64) -> Cycle {
-    (secs * FREQ_GHZ * 1e9).ceil() as Cycle
-}
-
 /// Numeric element type carried by tensors in the simulated model.
 ///
 /// The paper evaluates fp16 models; fp32 is used by reference math in tests
@@ -73,23 +64,6 @@ impl std::fmt::Display for DataType {
     }
 }
 
-/// Rounds `value` up to the next multiple of `quantum`.
-///
-/// Used pervasively for tile and page rounding. `quantum` must be non-zero.
-///
-/// # Panics
-///
-/// Panics if `quantum == 0`.
-///
-/// ```
-/// assert_eq!(neupims_types::units::round_up(5, 4), 8);
-/// assert_eq!(neupims_types::units::round_up(8, 4), 8);
-/// ```
-pub fn round_up(value: u64, quantum: u64) -> u64 {
-    assert!(quantum != 0, "quantum must be non-zero");
-    value.div_ceil(quantum) * quantum
-}
-
 /// Integer ceiling division.
 ///
 /// ```
@@ -115,26 +89,6 @@ mod tests {
         assert_eq!(DataType::Fp16.to_string(), "fp16");
         assert_eq!(DataType::Fp32.to_string(), "fp32");
         assert_eq!(DataType::Int8.to_string(), "int8");
-    }
-
-    #[test]
-    fn cycle_second_roundtrip() {
-        let c = 123_456_789;
-        assert_eq!(secs_to_cycles(cycles_to_secs(c)), c);
-    }
-
-    #[test]
-    fn round_up_basics() {
-        assert_eq!(round_up(0, 8), 0);
-        assert_eq!(round_up(1, 8), 8);
-        assert_eq!(round_up(8, 8), 8);
-        assert_eq!(round_up(9, 8), 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantum must be non-zero")]
-    fn round_up_zero_quantum_panics() {
-        round_up(4, 0);
     }
 
     #[test]

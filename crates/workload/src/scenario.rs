@@ -304,7 +304,7 @@ impl TenantMix {
     }
 
     /// Samples a tenant index proportionally to the weights.
-    pub fn sample_tenant<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    fn sample_tenant<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let mut x: f64 = rng.random::<f64>() * self.total_weight;
         for (i, c) in self.classes.iter().enumerate() {
             x -= c.weight;

@@ -212,28 +212,42 @@ fn serve_rejects_name_lists() {
     }
 }
 
-/// Non-finite or non-positive `--tenants` weights and SLO targets, and
-/// zero counts, exit with an error naming the field before anything
-/// runs: a zero is never clamped to 1.
+/// Non-finite or non-positive `--tenants` weights and SLO targets,
+/// zero counts, non-finite rates and bandwidths, and shared flags an eval
+/// suite would ignore exit with an error naming the field before anything
+/// runs: a zero is never clamped to 1. Tenant fields are named by their
+/// `[[scenario.tenant]]` keys, whose rules they share.
 #[test]
 fn hostile_tenants_are_rejected_by_field() {
-    let tenants = |spec| ["fleet", "--requests", "4", "--tenants", spec];
+    let tenants = |spec| vec!["fleet", "--requests", "4", "--tenants", spec];
     for (args, field) in [
         (tenants("a:nan:1"), "\"weight\""),
         (tenants("a:inf:1"), "\"weight\""),
         (tenants("a:-1:1"), "\"weight\""),
-        (tenants("a:1:1:nan:5"), "\"ttft_ms\""),
-        (tenants("a:1:1:-5:5"), "\"ttft_ms\""),
-        (tenants("a:1:1:5:inf"), "\"tpot_ms\""),
+        (tenants("a:1:256"), "\"priority\""),
+        (tenants("a:1:1:nan:5"), "\"slo-ttft-ms\""),
+        (tenants("a:1:1:-5:5"), "\"slo-ttft-ms\""),
+        (tenants("a:1:1:5:inf"), "\"slo-tpot-ms\""),
         (
-            ["serve", "--requests", "4", "--max-batch", "0"],
+            vec!["serve", "--requests", "4", "--max-batch", "0"],
             "--max-batch",
         ),
-        (["sweep", "--batch", "64", "--samples", "0"], "--samples"),
-        (["sweep", "--samples", "1", "--batch", "0"], "--batch"),
+        (
+            vec!["sweep", "--batch", "64", "--samples", "0"],
+            "--samples",
+        ),
+        (vec!["sweep", "--samples", "1", "--batch", "0"], "--batch"),
+        (vec!["serve", "--slo-ttft-ms", "inf"], "--slo-ttft-ms"),
+        (vec!["serve", "--swap-gbps", "inf"], "--swap-gbps"),
+        (vec!["fleet", "--link-gbps", "inf"], "--link-gbps"),
+        (vec!["serve", "--rate", "inf"], "--rate"),
+        (vec!["serve", "--requests", "0"], "--requests"),
+        (vec!["eval", "smoke", "--backend", "gpu"], "--backend"),
+        (vec!["fig12", "--tp", "2"], "--tp"),
+        (vec!["all", "--samples", "3"], "--samples"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_neupims-sim"))
-            .args(args)
+            .args(&args)
             .output()
             .expect("the CLI binary runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
