@@ -36,10 +36,14 @@
 //!   string) and checked by the suite parser's rule for that key, so a bad
 //!   value fails with the same error naming the key either way. fleet
 //!   cycles backend and scheduler name lists over its replicas (default
-//!   4); with neither --tp nor --pp a backend runs unsharded. eval, its
+//!   4); with neither --tp nor --pp a backend runs unsharded. A shared
+//!   key the command never reads is an error naming it: eval, its
 //!   aliases and all take only --cost-model and --seed, which override
-//!   every scenario: any other shared key is an error, as suites set
-//!   their own.
+//!   every scenario (suites set the rest); sweep takes the warm-batch
+//!   keys backend, cost-model, model, tp, pp, interconnect, link-gbps,
+//!   dataset, batch and samples; serve and fleet take every key but
+//!   batch and samples; drift takes only model; calibrate, fig4, fig5,
+//!   fig14, table5 and area take none.
 //! --tolerance F: `drift` reports where the analytic and trace cost models
 //!   disagree by more than F (relative, default 0.10).
 //! --memo-cache DIR (on serve/fleet/eval, with --cost-model trace)
@@ -233,23 +237,46 @@ fn parse_args(args: &[String]) -> Result<(String, Options), Box<dyn std::error::
     Ok((command.unwrap_or_else(|| "all".to_owned()), opts))
 }
 
+/// The shared keys `command` reads.
+fn keys_read(command: &str) -> Vec<&'static str> {
+    let reads: fn(&str) -> bool = match command {
+        "eval" | "fig6" | "fig12" | "fig13" | "fig15" | "table4" | "all" => {
+            |key| matches!(key, "cost-model" | "seed")
+        }
+        // The keys of its warm batches.
+        "sweep" => |key| {
+            matches!(
+                key,
+                "backend"
+                    | "cost-model"
+                    | "model"
+                    | "tp"
+                    | "pp"
+                    | "interconnect"
+                    | "link-gbps"
+                    | "dataset"
+                    | "batch"
+                    | "samples"
+            )
+        },
+        "serve" | "fleet" => |key| !matches!(key, "batch" | "samples"),
+        "drift" => |key| key == "model",
+        "calibrate" | "fig4" | "fig5" | "fig14" | "table5" | "area" => |_| false,
+        // An unknown command is an error of its own.
+        _ => |_| true,
+    };
+    SHARED_KEYS.into_iter().filter(|key| reads(key)).collect()
+}
+
 fn run(command: &str, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    let suites = matches!(
-        command,
-        "eval" | "fig6" | "fig12" | "fig13" | "fig15" | "table4" | "all"
-    );
-    // A suite's scenarios set their own system and workload; a flag the
-    // run would ignore is an error, not a silent no-op.
-    if let Some(key) = opts
-        .given_keys
-        .iter()
-        .find(|k| suites && !matches!(k.as_str(), "cost-model" | "seed"))
-    {
-        return Err(format!(
-            "--{key} does not apply to {command}: its suites set their own \
-             (only --cost-model and --seed override them)"
-        )
-        .into());
+    // A flag the command would ignore is an error, not a silent no-op.
+    let read = keys_read(command);
+    if let Some(key) = opts.given_keys.iter().find(|k| !read.contains(&k.as_str())) {
+        let reads = match read.as_slice() {
+            [] => "no shared key".to_owned(),
+            keys => format!("only --{}", keys.join(", --")),
+        };
+        return Err(format!("--{key} does not apply to {command}: it reads {reads}").into());
     }
     if command == "fig4" {
         return cmd_fig4();
@@ -793,18 +820,26 @@ mod tests {
         }
     }
 
-    fn suite(lines: &str) -> Result<ScenarioSpec, String> {
-        let text = format!("[suite]\nname = \"x\"\n[[scenario]]\nname = \"s\"\n{lines}");
+    fn suite(kind: &str, lines: &str) -> Result<ScenarioSpec, String> {
+        let text = format!(
+            "[suite]\nname = \"x\"\n[[scenario]]\nname = \"s\"\nkind = \"{kind}\"\n{lines}"
+        );
         SuiteSpec::parse(&text)
             .map(|suite| suite.scenarios[0].clone())
             .map_err(|e| e.0)
     }
 
-    /// The shared settings a parsed scenario holds.
+    /// The shared settings a parsed scenario holds (a throughput
+    /// scenario has no requests or rate; zeros stand in).
     fn spec_settings(s: &ScenarioSpec) -> Settings {
-        let w = s.workload.as_ref().unwrap();
-        let ArrivalProcess::Poisson { rate } = w.arrival else {
-            panic!("{:?}", w.arrival)
+        let (requests, rate) = match &s.workload {
+            Some(w) => {
+                let ArrivalProcess::Poisson { rate } = w.arrival else {
+                    panic!("{:?}", w.arrival)
+                };
+                (w.requests, rate)
+            }
+            None => (0, 0.0),
         };
         Settings {
             // The spec's one default tenant class is its own.
@@ -815,7 +850,7 @@ mod tests {
             dataset: s.dataset,
             batch: Some(s.batch),
             samples: s.samples,
-            requests: w.requests,
+            requests,
             rate,
             seed: Some(s.seed),
         }
@@ -835,7 +870,8 @@ mod tests {
     fn shared_keys_agree_across_front_ends() -> Result<(), String> {
         assert_eq!(CASES.map(|c| c.0), SHARED_KEYS);
         let mut args = vec!["serve".to_owned()];
-        let mut lines = String::new();
+        // The lines of the serving scenario, then of the throughput one.
+        let mut lines = [String::new(), String::new()];
         for (key, valid, invalid) in CASES {
             // A valid value moves its setting off each front-end's default.
             let flag = format!("--{key}");
@@ -843,28 +879,45 @@ mod tests {
                 cli(&["serve", &flag, valid])?.shared,
                 cli(&["serve"])?.shared
             );
+            // Only warm batches read `batch` and `samples`.
+            let warm = usize::from(matches!(key, "batch" | "samples"));
+            let kind = ["serving", "throughput"][warm];
             let line = format!("{key} = {}\n", toml_text(valid));
-            assert_ne!(spec_settings(&suite(&line)?), spec_settings(&suite("")?));
+            assert_ne!(
+                spec_settings(&suite(kind, &line)?),
+                spec_settings(&suite(kind, "")?)
+            );
             args.extend([flag.clone(), valid.to_owned()]);
-            lines.push_str(&line);
+            lines[warm].push_str(&line);
 
             for bad in invalid {
                 let cli_err = cli(&["serve", &flag, bad]).unwrap_err();
-                let spec_err = suite(&format!("{key} = {}\n", toml_text(bad))).unwrap_err();
+                let spec_err = suite(kind, &format!("{key} = {}\n", toml_text(bad))).unwrap_err();
                 let cli_msg = cli_err.strip_prefix(&format!("{flag}: ")).unwrap();
                 let spec_msg = spec_err.strip_prefix("scenario #1: ").unwrap();
                 assert_eq!(cli_msg, spec_msg, "{key} = {bad}");
                 assert!(cli_msg.contains(key), "{key} = {bad}: {cli_msg}");
             }
         }
-        // With every key set, nothing is left to either default.
-        assert_eq!(cli(&args)?.shared, spec_settings(&suite(&lines)?));
+        // With every key set, nothing is left to either default: the
+        // throughput scenario holds `batch` and `samples`, the serving
+        // one every other key.
+        let serving = spec_settings(&suite("serving", &lines[0])?);
+        let throughput = spec_settings(&suite("throughput", &lines[1])?);
+        assert_eq!(
+            cli(&args)?.shared,
+            Settings {
+                batch: throughput.batch,
+                samples: throughput.samples,
+                ..serving
+            }
+        );
 
         // A typo'd key is an error in both, never a default.
         assert!(cli(&["serve", "--bakend", "gpu"])
             .unwrap_err()
             .contains("--bakend"));
-        assert!(suite("bakend = \"gpu\"\n")
+        assert!(suite("serving", "bakend = \"gpu\"\n")
             .unwrap_err()
             .contains("\"bakend\""));
         Ok(())

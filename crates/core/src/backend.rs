@@ -245,8 +245,8 @@ impl IterationResult {
 /// advance on [`std::thread::scope`] workers between dispatch points —
 /// backends are pure pricing models, and shared mutable internals (e.g.
 /// trace-replay memos) must synchronize themselves (the shipped
-/// [`TraceMemo`] keeps its replays in sharded `RwLock`s behind a table of
-/// atomic buckets).
+/// [`TraceMemo`] keeps its replays in per-bucket `OnceLock` slots that
+/// fill once).
 pub trait Backend: Send + Sync {
     /// Human-readable system label (e.g. `"NeuPIMs"`, `"GPU-only"`).
     fn label(&self) -> &str;

@@ -48,8 +48,9 @@ use neupims_sched::{
     CostModelKind, MhaCostModel, MhaLatencyEstimator, MinLoadPacker, SubBatchSides,
     TraceDrivenCostModel, TraceHardware, TraceMemo,
 };
-use neupims_types::{config::InterconnectConfig, ChannelId, LlmConfig, NeuPimsConfig, SimError};
+use neupims_types::{ChannelId, LlmConfig, NeuPimsConfig, SimError};
 
+use crate::interconnect::{Interconnect, PcieLink};
 use crate::metrics::IterationBreakdown;
 use crate::scratch::Lent;
 
@@ -246,15 +247,6 @@ struct SubCosts {
     allreduce: u64,
 }
 
-fn ring_allreduce_cycles(bytes: u64, tp: u32, ic: &InterconnectConfig) -> u64 {
-    if tp <= 1 || bytes == 0 {
-        return 0;
-    }
-    let steps = 2 * (tp as u64 - 1);
-    let per_dev = bytes * (tp as u64 - 1) * 2 / tp as u64;
-    per_dev / ic.link_bytes_per_cycle.max(1) + steps * ic.link_latency
-}
-
 impl Device {
     /// Creates a device from a hardware config, calibrated PIM constants,
     /// and an execution mode. MHA is priced analytically (Algorithm 1) by
@@ -419,7 +411,8 @@ impl Device {
             req,
             pim_max,
             flops: lb.gemm_flops(),
-            allreduce: ring_allreduce_cycles(lb.allreduce_bytes, tp, &self.cfg.interconnect)
+            allreduce: PcieLink::from_config(self.cfg.interconnect)
+                .all_reduce_cycles(lb.allreduce_bytes, tp)
                 * lb.allreduces as u64,
         })
     }

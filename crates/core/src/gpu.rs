@@ -12,6 +12,7 @@ use std::sync::OnceLock;
 use neupims_llm::compiler::{lower_batch, BatchLowering};
 use neupims_types::{Cycle, DataType, GpuSpec, LlmConfig, NpuConfig, SimError};
 
+use crate::interconnect::{Interconnect, PcieLink};
 use crate::metrics::IterationBreakdown;
 
 /// What the roofline reads from one decoder block's lowering at some GEMM
@@ -140,15 +141,11 @@ fn price_decode(
         .max(weight_bytes as f64 / gpu.mem_bw_bytes_per_sec);
     let t_mha =
         (kv_bytes as f64 / gpu.mem_bw_bytes_per_sec).max(mha_flops as f64 / gpu.peak_fp16_flops);
-    // Ring all-reduce over the same interconnect class (cycles = ns).
-    let ic = neupims_types::config::InterconnectConfig::pcie_cxl();
-    let allreduce = if tp > 1 {
-        let steps = 2 * (tp as u64 - 1);
-        let per_dev = allreduce_bytes * (tp as u64 - 1) * 2 / tp as u64;
-        (per_dev / ic.link_bytes_per_cycle.max(1) + steps * ic.link_latency) * allreduces as u64
-    } else {
-        0
-    };
+    // Ring all-reduce over the same interconnect class (cycles = ns). A
+    // TP > 1 block lowers each of its `allreduces` from `m·d` elements
+    // with `m` and `d` positive, so zero bytes come only with zero
+    // all-reduces, where the link's free empty collective changes nothing.
+    let allreduce = PcieLink::default().all_reduce_cycles(allreduce_bytes, tp) * allreduces as u64;
     let layer_secs = t_gemm + t_mha + allreduce as f64 * 1e-9;
     let total = (layer_secs * layers as f64 * 1e9).ceil() as Cycle;
     let t_compute = (gemm_flops + mha_flops) as f64 / gpu.peak_fp16_flops;

@@ -7,9 +7,10 @@
 //! connected by *different* fabrics:
 //!
 //! * [`PcieLink`] — the paper's PCIe/CXL-class point-to-point link. Its
-//!   collective formulas are bit-identical to the device-internal ring
-//!   all-reduce and to the [`SwapConfig`](crate::preempt::SwapConfig)
-//!   convention that one GB/s moves one byte per 1 GHz cycle.
+//!   ring all-reduce is the one formula the devices and the GPU roofline
+//!   price their tensor-parallel all-reduces with, and it keeps the
+//!   [`SwapConfig`](crate::preempt::SwapConfig) convention that one GB/s
+//!   moves one byte per 1 GHz cycle.
 //! * [`UnifiedMemoryLink`] — an IANUS-style unified NPU-PIM memory
 //!   system: chips exchange activations through a shared memory pool, so
 //!   collectives cost port traffic (every chip writes its partial and
@@ -95,10 +96,10 @@ impl Interconnect for IdealLink {
 /// PCIe/CXL-class point-to-point links in a ring.
 ///
 /// Point-to-point pricing is the Figure 14 stage-hop formula
-/// (`bytes / bandwidth + latency`), and the ring all-reduce is the exact
-/// device-internal formula, so wrapping a device behind
-/// `PcieLink::from_config(device.interconnect())` re-prices collectives
-/// bit-for-bit.
+/// (`bytes / bandwidth + latency`), and the ring all-reduce is the one
+/// the device prices its own all-reduces with, so wrapping a device
+/// behind `PcieLink::from_config(device.interconnect())` re-prices
+/// collectives bit-for-bit.
 #[derive(Debug, Clone, Copy)]
 pub struct PcieLink {
     /// Link bandwidth in bytes per cycle (1 GB/s == 1 B/cycle at 1 GHz).

@@ -578,6 +578,35 @@ const SCENARIO_KEYS: [&str; 8] = [
     "expect",
 ];
 
+/// Whether a scenario of `kind` never reads `key`: warm batches have no
+/// arrivals, tenants, serving loop or fleet, and serving has no warm
+/// batches.
+fn never_reads(kind: ScenarioKind, key: &str) -> bool {
+    match kind {
+        ScenarioKind::Throughput => matches!(
+            key,
+            "scheduler"
+                | "chunk-tokens"
+                | "preemption"
+                | "swap-gbps"
+                | "replicas"
+                | "policy"
+                | "max-batch"
+                | "slo-ttft-ms"
+                | "slo-tpot-ms"
+                | "autoscale"
+                | "router"
+                | "min-replicas"
+                | "requests"
+                | "rate"
+                | "output-cap"
+                | "arrival"
+                | "tenant"
+        ),
+        ScenarioKind::Serving => matches!(key, "batch" | "samples"),
+    }
+}
+
 fn parse_scenario(t: &Table) -> Result<ScenarioSpec, SpecError> {
     let mut shared = Settings {
         system: SystemSpec::default(),
@@ -599,6 +628,9 @@ fn parse_scenario(t: &Table) -> Result<ScenarioSpec, SpecError> {
         Some("throughput") => ScenarioKind::Throughput,
         Some(other) => return serr(format!("unknown kind {other:?}")),
     };
+    if let Some(key) = t.keys().find(|key| never_reads(kind, key)) {
+        return serr(format!("a {} scenario never reads {key:?}", kind.name()));
+    }
     let kv_bytes_per_channel = match opt(t, "kv-mib-per-channel", integer)? {
         Some(mib) => Some(mib.checked_mul(1 << 20).ok_or_else(|| {
             SpecError(format!(
@@ -650,6 +682,12 @@ fn parse_workload(
 ) -> Result<(WorkloadSpec, Vec<SloClass>), SpecError> {
     let arrival = match t.get("arrival") {
         None => ArrivalProcess::Poisson { rate: shared.rate },
+        Some(Value::Table(_)) if t.contains_key("rate") => {
+            return serr(
+                "a serving scenario with a [scenario.arrival] table never reads \"rate\" \
+                 (set the rate in the table)",
+            )
+        }
         Some(Value::Table(a)) => parse_arrival(a)?,
         Some(v) => {
             return serr(format!(
@@ -660,6 +698,12 @@ fn parse_workload(
     };
     let system = &shared.system;
     let tenant_tables = tables_of(t, "tenant")?;
+    if !tenant_tables.is_empty() && t.contains_key("dataset") {
+        return serr(
+            "a serving scenario with [[scenario.tenant]] tables never reads \"dataset\" \
+             (each tenant sets its lengths)",
+        );
+    }
     let (tenants, mut slo_classes) = if tenant_tables.is_empty() {
         let mix = TenantMix::single(shared.dataset);
         let class = SloClass::new(
@@ -1344,6 +1388,37 @@ output = ["lognormal", 60.0, 0.5]
             .unwrap_err()
             .0
             .contains("\"scenarios\""));
+
+        // Keys a scenario's kind never reads, named with the kind.
+        for (to, kind) in [
+            ("slo-tpot-ms = 10.0\nbatch = 64", "serving"),
+            ("slo-tpot-ms = 10.0\nsamples = 2", "serving"),
+            ("slo-tpot-ms = 10.0\nrate = 2.0", "[scenario.arrival]"),
+            (
+                "slo-tpot-ms = 10.0\ndataset = \"alpaca\"",
+                "[[scenario.tenant]]",
+            ),
+        ] {
+            let key = to.rsplit('\n').next().unwrap().split(' ').next().unwrap();
+            let e = hostile("slo-tpot-ms = 10.0", to, key);
+            assert!(e.0.contains(kind), "{to}: {e}");
+        }
+        let throughput =
+            "[suite]\nname = \"m\"\n[[scenario]]\nname = \"s\"\nkind = \"throughput\"\n";
+        SuiteSpec::parse(throughput).unwrap();
+        for (line, key) in [
+            ("max-batch = 8", "max-batch"),
+            ("requests = 8", "requests"),
+            ("rate = 2.0", "rate"),
+            ("scheduler = \"lump\"", "scheduler"),
+            ("slo-ttft-ms = 50.0", "slo-ttft-ms"),
+            ("output-cap = 64", "output-cap"),
+            ("[scenario.arrival]\nprocess = \"poisson\"", "arrival"),
+        ] {
+            let e = SuiteSpec::parse(&format!("{throughput}{line}\n")).unwrap_err();
+            assert!(e.0.contains(&format!("{key:?}")), "{line}: {e}");
+            assert!(e.0.contains("throughput"), "{line}: {e}");
+        }
     }
 
     #[test]

@@ -15,9 +15,10 @@
 //!   exactly as Section 6.3 lays K/V out) and replays it through a
 //!   [`DramChannel`] with dual row buffers via the
 //!   [`GemvEngine`]. Replays are memoized by
-//!   seq-len bucket (see [`TraceDrivenCostModel::bucket`]), so a serving
-//!   loop pays the cycle model once per distinct context-length bucket and
-//!   one lock-free table load thereafter.
+//!   seq-len bucket (see [`TraceDrivenCostModel::bucket`]) in one slot
+//!   per bucket that fills once, so a serving loop pays the cycle model
+//!   once per distinct context-length bucket and one lock-free load
+//!   thereafter.
 //!
 //! [`calibration_drift`] quantifies where the two models disagree — the
 //! drift is largest at short contexts, where Algorithm 1 charges a full
@@ -25,11 +26,11 @@
 //! [`DEFAULT_DRIFT_TOLERANCE`]).
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use neupims_dram::{ChannelStats, DramChannel};
 use neupims_kvcache::KvGeometry;
@@ -226,206 +227,61 @@ const SMALL_SLOTS: usize = 33;
 const OCTAVE_SLOTS: usize = 16;
 
 /// Slots of one family's bucket table: every bucket of every `u64`
-/// context length has one (1,058 slots, ~8.3 KB per family).
+/// context length has one (1,058 slots, ~17 KB per family).
 const TABLE_SLOTS: usize = SMALL_SLOTS + 64 * OCTAVE_SLOTS + 1;
 
-/// A bucket-table slot nothing has filled yet. Memoized cycles are
-/// finite, so their bits are never all ones.
-const EMPTY_SLOT: u64 = u64::MAX;
-
-/// One model family's warm path: the cycles of every resolved bucket,
-/// indexed by the bucket's ordinal, as `f64` bits. A slot is written only
-/// after the sharded map resolved its bucket (so the map's hit, replay
-/// and disk-hit counts are what they would be without the table) and
-/// always with the map's bits, so a hit here is a map hit without the
-/// hashing and the lock. The slots are allocated when the first one is
-/// filled, so a model built on a memo that never prices anything (a
-/// replica's own memo before a fleet-shared one replaces it) costs no
-/// table.
+/// One model family's share of the memo: a slot per context-length
+/// bucket, indexed by the bucket's ordinal. The first lookup that misses
+/// a slot fills it, exactly once, from the disk entries or by a replay;
+/// a concurrent miss blocks in `get_or_init` until then. The slots are
+/// allocated on first use, so a model built on a memo that never prices
+/// anything (a replica's own memo before a fleet-shared one replaces it)
+/// costs no table.
 #[derive(Default)]
-struct BucketTable(OnceLock<Box<[AtomicU64]>>);
+struct BucketTable(OnceLock<Box<[OnceLock<f64>]>>);
 
-// A slot's `Release` store pairs with the `Acquire` load that reads it:
-// the filling thread inserted the map entry before the store, so a reader
-// that sees the slot also sees that entry (the debug mirror reads it).
 impl BucketTable {
-    fn get(&self, slot: usize) -> Option<f64> {
-        let bits = self.0.get()?[slot].load(Ordering::Acquire);
-        (bits != EMPTY_SLOT).then(|| f64::from_bits(bits))
+    fn slot(&self, slot: usize) -> &OnceLock<f64> {
+        &self
+            .0
+            .get_or_init(|| (0..TABLE_SLOTS).map(|_| OnceLock::new()).collect())[slot]
     }
 
-    fn set(&self, slot: usize, cycles: f64) {
-        let slots = self.0.get_or_init(|| {
-            (0..TABLE_SLOTS)
-                .map(|_| AtomicU64::new(EMPTY_SLOT))
-                .collect()
-        });
-        slots[slot].store(cycles.to_bits(), Ordering::Release);
+    fn filled(&self) -> usize {
+        self.0.get().map_or(0, |slots| {
+            slots.iter().filter(|s| s.get().is_some()).count()
+        })
     }
 }
 
 impl std::fmt::Debug for BucketTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let filled = self.0.get().map_or(0, |slots| {
-            slots
-                .iter()
-                .filter(|s| s.load(Ordering::Relaxed) != EMPTY_SLOT)
-                .count()
-        });
-        write!(f, "BucketTable({filled}/{TABLE_SLOTS} filled)")
+        write!(f, "BucketTable({}/{TABLE_SLOTS} filled)", self.filled())
     }
 }
-
-/// A memo key next to its hash, computed once per lookup: bits 48..52
-/// pick the shard and the shard's map reuses the whole hash (its
-/// [`PassThroughHasher`] never rehashes). The map's bucket index reads the
-/// low bits and its tag byte the top seven, so neither overlaps the shard
-/// bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct HashedKey {
-    hash: u64,
-    key: TraceKey,
-}
-
-impl HashedKey {
-    fn new(key: TraceKey) -> Self {
-        let (embed, heads, page_elems, banks, dual, fingerprint, bucket) = key;
-        let mut h = 0u64;
-        for word in [
-            embed,
-            heads,
-            page_elems,
-            banks,
-            dual as u64,
-            fingerprint,
-            bucket,
-        ] {
-            h = (h.rotate_left(5) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-        // MurmurHash3's 64-bit finalizer: every key bit reaches every hash
-        // bit, so the bucket alone spreads entries over shards and slots.
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
-        h ^= h >> 33;
-        Self { hash: h, key }
-    }
-
-    fn shard(&self) -> usize {
-        (self.hash >> 48) as usize % MEMO_SHARDS
-    }
-}
-
-impl Hash for HashedKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
-
-/// The shard maps' hasher: hands back the [`HashedKey`] hash it is fed.
-#[derive(Default)]
-struct PassThroughHasher(u64);
-
-impl Hasher for PassThroughHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("memo keys hash as one u64");
-    }
-
-    fn write_u64(&mut self, hash: u64) {
-        self.0 = hash;
-    }
-}
-
-type ShardMap = HashMap<HashedKey, MemoEntry, BuildHasherDefault<PassThroughHasher>>;
-
-/// Shards the key space of one [`TraceMemo`]. 16 shards keep the lookups
-/// that miss the bucket tables (cold buckets, first touches, warmup)
-/// from parallel fleet workers on disjoint reader-writer locks for any
-/// realistic worker count, at negligible memory cost.
-const MEMO_SHARDS: usize = 16;
 
 /// Version tag of the on-disk replay-cache format. Bump it whenever the
 /// cycle model or the memo-key layout changes meaning: files carrying any
 /// other tag are ignored (with a warning), never misread.
 const MEMO_CACHE_VERSION: &str = "neupims-trace-memo-v1";
 
-/// One memoized command stream, or the promise of one.
-#[derive(Debug)]
-enum MemoEntry {
-    /// Replayed (or disk-loaded) cycles. `from_disk` flags a disk-loaded
-    /// entry whose first touch has not yet been counted as a disk hit.
-    Ready { cycles: f64, from_disk: bool },
-    /// A replay in flight on some thread. Waiters block on the flight's
-    /// condvar instead of redundantly simulating the same stream.
-    InFlight(Arc<Flight>),
-}
-
-/// Single-flight rendezvous: the replaying thread publishes the cycles
-/// and wakes every waiter.
 #[derive(Debug, Default)]
-struct Flight {
-    cycles: Mutex<Option<f64>>,
-    done: Condvar,
-}
-
-impl Flight {
-    fn publish(&self, cycles: f64) {
-        *self.cycles.lock().expect("flight poisoned") = Some(cycles);
-        self.done.notify_all();
-    }
-
-    fn wait(&self) -> f64 {
-        let mut slot = self.cycles.lock().expect("flight poisoned");
-        loop {
-            if let Some(cycles) = *slot {
-                return cycles;
-            }
-            slot = self.done.wait(slot).expect("flight poisoned");
-        }
-    }
-}
-
-/// Opt-in persistence: a directory of append-only replay-cache files, one
-/// per hardware fingerprint.
-#[derive(Debug)]
-struct MemoPersist {
-    dir: PathBuf,
-}
-
-#[derive(Debug)]
 struct TraceMemoShared {
-    shards: [RwLock<ShardMap>; MEMO_SHARDS],
+    /// One bucket table per model family, handed out when a model is
+    /// built (never on the estimate path).
+    tables: Mutex<HashMap<FamilyKey, Arc<BucketTable>>>,
+    /// Disk-loaded cycles no lookup has touched yet. A bucket's first
+    /// lookup drains its entry into the bucket's slot.
+    on_disk: Mutex<HashMap<TraceKey, f64>>,
     /// Merged channel activity of every replayed stream. Touched only on
     /// cold replays, so it never contends with warm lookups.
     stats: Mutex<ChannelStats>,
     replays: AtomicU64,
     memo_hits: AtomicU64,
     disk_hits: AtomicU64,
-    /// `Some` when the memo is backed by an on-disk cache directory; the
-    /// mutex serializes appends.
-    persist: Mutex<Option<MemoPersist>>,
-    /// One bucket table per model family, handed out when a model is
-    /// built (never on the estimate path).
-    tables: Mutex<HashMap<FamilyKey, Arc<BucketTable>>>,
-}
-
-impl Default for TraceMemoShared {
-    fn default() -> Self {
-        Self {
-            shards: std::array::from_fn(|_| RwLock::new(ShardMap::default())),
-            stats: Mutex::new(ChannelStats::default()),
-            replays: AtomicU64::new(0),
-            memo_hits: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            persist: Mutex::new(None),
-            tables: Mutex::new(HashMap::new()),
-        }
-    }
+    /// Opt-in persistence: a directory of append-only replay-cache files,
+    /// one per hardware fingerprint. The mutex serializes appends.
+    cache_dir: Mutex<Option<PathBuf>>,
 }
 
 /// Shared replay memo of [`TraceDrivenCostModel`]s. Cloning shares the
@@ -434,26 +290,25 @@ impl Default for TraceMemoShared {
 /// fleet-level sharing — whole replica fleets) amortizes the same set of
 /// simulated command streams.
 ///
-/// Warm estimates take no lock and hash nothing: every model family
-/// (geometry, dual flag, hardware fingerprint) owns a dense table of
-/// atomic slots, one per context-length bucket, that a model resolves
-/// once when it is built. A warm `estimate` is the bucket's ordinal, one
-/// atomic load and the `memo_hits` count.
+/// The memo is one store: every model family (geometry, dual flag,
+/// hardware fingerprint) owns a dense table with one `OnceLock<f64>` slot
+/// per context-length bucket, which a model resolves once when it is
+/// built. A warm `estimate` is the bucket's ordinal, one atomic load and
+/// the `memo_hits` count: no hashing and no lock.
 ///
-/// Behind the tables, the key space is split over 16
-/// reader-writer-locked shards, counters are atomics, and cold misses are
-/// **single-flight**: the first thread to miss a bucket replays it while
-/// later arrivals for the same bucket wait on its in-flight marker and
-/// reuse the result, so a stream is never simulated twice. A table slot
-/// is filled only after the shards resolved its bucket, so the shards
-/// alone decide what counts as a replay, a disk hit or a memo hit. Since
-/// every estimate is the deterministic replay of its key, the counters
-/// are timing-independent: `replays` equals the number of distinct keys
-/// touched no matter how many threads race.
+/// A cold lookup fills its slot exactly once, and `get_or_init` is the
+/// **single flight**: the first thread to miss a bucket replays it (or
+/// drains its disk entry) while later arrivals for the same bucket block
+/// on the slot and reuse the result, counting a memo hit, so a stream is
+/// never simulated twice. Since every estimate is the deterministic
+/// replay of its key, the counters are timing-independent: `replays`
+/// equals the number of distinct keys touched no matter how many threads
+/// race.
 ///
 /// [`Self::with_cache_dir`] adds cross-process persistence: replays are
 /// appended to versioned per-fingerprint files and loaded back on
-/// construction, so reruns skip cold replay entirely (tracked by
+/// construction into a map of disk entries, which each bucket's first
+/// lookup drains, so reruns skip cold replay entirely (tracked by
 /// [`TraceSnapshot::disk_hits`]).
 #[derive(Debug, Clone, Default)]
 pub struct TraceMemo(Arc<TraceMemoShared>);
@@ -471,9 +326,10 @@ impl TraceMemo {
     /// replay is appended, making reruns (eval suites, sweeps, repeated
     /// CLI invocations) skip simulation entirely.
     ///
-    /// Files with an unknown version tag and corrupt lines are skipped
-    /// with a warning on stderr, never misread; delete the directory (or
-    /// a single `memo-<fingerprint>.txt`) to invalidate.
+    /// Files with an unknown version tag and corrupt lines (cycles that
+    /// are not positive and finite included) are skipped with a warning
+    /// on stderr, never misread; delete the directory (or a single
+    /// `memo-<fingerprint>.txt`) to invalidate.
     ///
     /// # Errors
     ///
@@ -493,35 +349,31 @@ impl TraceMemo {
                 memo.load_cache_file(&path);
             }
         }
-        *memo.0.persist.lock().expect("memo persist poisoned") = Some(MemoPersist {
-            dir: dir.to_path_buf(),
-        });
+        *memo.0.cache_dir.lock().expect("memo cache dir poisoned") = Some(dir.to_path_buf());
         Ok(memo)
     }
 
     /// The cache directory backing this memo, when persistence is on.
     pub fn cache_dir(&self) -> Option<PathBuf> {
         self.0
-            .persist
+            .cache_dir
             .lock()
-            .expect("memo persist poisoned")
-            .as_ref()
-            .map(|p| p.dir.clone())
+            .expect("memo cache dir poisoned")
+            .clone()
     }
 
-    /// Memoized command streams currently held (ready entries only).
+    /// Memoized command streams currently held: filled slots plus the
+    /// disk entries no lookup has touched yet.
     pub fn entries(&self) -> usize {
-        self.0
-            .shards
-            .iter()
-            .map(|s| {
-                s.read()
-                    .expect("memo shard poisoned")
-                    .values()
-                    .filter(|e| matches!(e, MemoEntry::Ready { .. }))
-                    .count()
-            })
-            .sum()
+        let filled: usize = self
+            .0
+            .tables
+            .lock()
+            .expect("memo tables poisoned")
+            .values()
+            .map(|t| t.filled())
+            .sum();
+        filled + self.disk_entries().len()
     }
 
     /// Counters accumulated so far, across every model sharing this memo.
@@ -535,98 +387,25 @@ impl TraceMemo {
         }
     }
 
-    fn shard(&self, key: &HashedKey) -> &RwLock<ShardMap> {
-        &self.0.shards[key.shard()]
-    }
-
-    /// Whether a key is already memoized (or being replayed right now) —
-    /// the warmup pass skips these.
-    fn contains(&self, key: &HashedKey) -> bool {
-        self.shard(key)
-            .read()
-            .expect("memo shard poisoned")
-            .contains_key(key)
-    }
-
     /// The bucket table of one model family, created on first request.
     fn bucket_table(&self, family: FamilyKey) -> Arc<BucketTable> {
         let mut tables = self.0.tables.lock().expect("memo tables poisoned");
         Arc::clone(tables.entry(family).or_default())
     }
 
-    /// The key's ready cycles, without counting anything: the debug
-    /// mirror of every bucket-table hit.
-    fn peek(&self, key: &HashedKey) -> Option<f64> {
-        match self
-            .shard(key)
-            .read()
-            .expect("memo shard poisoned")
-            .get(key)
-        {
-            Some(MemoEntry::Ready { cycles, .. }) => Some(*cycles),
-            _ => None,
-        }
-    }
-
-    /// The slow path: resolves a key to ready cycles, an in-flight replay
-    /// to wait on, or leadership of a fresh flight (the caller must
-    /// replay and [`Self::complete`]).
-    fn lookup_or_lead(&self, key: HashedKey) -> MemoLookup {
-        let mut guard = self.shard(&key).write().expect("memo shard poisoned");
-        match guard.get_mut(&key) {
-            Some(MemoEntry::Ready { cycles, from_disk }) => {
-                if *from_disk {
-                    *from_disk = false;
-                    self.0.disk_hits.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.0.memo_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                MemoLookup::Ready(*cycles)
-            }
-            Some(MemoEntry::InFlight(flight)) => MemoLookup::Wait(Arc::clone(flight)),
-            None => {
-                let flight = Arc::new(Flight::default());
-                guard.insert(key, MemoEntry::InFlight(Arc::clone(&flight)));
-                MemoLookup::Lead(flight)
-            }
-        }
-    }
-
-    /// Publishes a led replay: merges its channel stats, persists it,
-    /// replaces the in-flight entry, and wakes the waiters.
-    fn complete(&self, key: HashedKey, flight: &Flight, cycles: f64, stats: &ChannelStats) {
-        self.0
-            .stats
-            .lock()
-            .expect("memo stats poisoned")
-            .merge(stats);
-        self.0.replays.fetch_add(1, Ordering::Relaxed);
-        self.append_to_cache(&key.key, cycles);
-        let mut guard = self.shard(&key).write().expect("memo shard poisoned");
-        guard.insert(
-            key,
-            MemoEntry::Ready {
-                cycles,
-                from_disk: false,
-            },
-        );
-        drop(guard);
-        flight.publish(cycles);
-    }
-
-    fn cache_file(dir: &Path, fingerprint: u64) -> PathBuf {
-        dir.join(format!("memo-{fingerprint:016x}.txt"))
+    fn disk_entries(&self) -> std::sync::MutexGuard<'_, HashMap<TraceKey, f64>> {
+        self.0.on_disk.lock().expect("memo disk entries poisoned")
     }
 
     /// Appends one replayed entry to its fingerprint's cache file (no-op
     /// without persistence). Write failures are warnings: a full disk
     /// must not take the simulation down.
     fn append_to_cache(&self, key: &TraceKey, cycles: f64) {
-        let persist = self.0.persist.lock().expect("memo persist poisoned");
-        let Some(p) = persist.as_ref() else {
+        let cache_dir = self.0.cache_dir.lock().expect("memo cache dir poisoned");
+        let Some(dir) = cache_dir.as_ref() else {
             return;
         };
-        let path = Self::cache_file(&p.dir, key.5);
+        let path = dir.join(format!("memo-{:016x}.txt", key.5));
         let res = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -656,8 +435,8 @@ impl TraceMemo {
         }
     }
 
-    /// Loads one cache file, inserting entries as disk-backed. Version
-    /// mismatches and corrupt lines are skipped with a warning.
+    /// Loads one cache file into the disk entries. Version mismatches and
+    /// corrupt lines are skipped with a warning.
     fn load_cache_file(&self, path: &Path) {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
@@ -678,6 +457,7 @@ impl TraceMemo {
             return;
         }
         let mut corrupt = 0usize;
+        let mut on_disk = self.disk_entries();
         for line in lines {
             let line = line.trim();
             if line.is_empty() {
@@ -685,17 +465,7 @@ impl TraceMemo {
             }
             match parse_cache_line(line) {
                 Some((key, cycles)) => {
-                    let key = HashedKey::new(key);
-                    self.shard(&key)
-                        .write()
-                        .expect("memo shard poisoned")
-                        .insert(
-                            key,
-                            MemoEntry::Ready {
-                                cycles,
-                                from_disk: true,
-                            },
-                        );
+                    on_disk.insert(key, cycles);
                 }
                 None => corrupt += 1,
             }
@@ -707,16 +477,6 @@ impl TraceMemo {
             );
         }
     }
-}
-
-/// Outcome of [`TraceMemo::lookup_or_lead`].
-enum MemoLookup {
-    /// The cycles are memoized; the hit has been counted.
-    Ready(f64),
-    /// Another thread is replaying this key: wait for its flight.
-    Wait(Arc<Flight>),
-    /// This caller owns the replay and must [`TraceMemo::complete`] it.
-    Lead(Arc<Flight>),
 }
 
 /// Parses one cache line: the seven key fields then the cycles as raw
@@ -735,7 +495,9 @@ fn parse_cache_line(line: &str) -> Option<(TraceKey, f64)> {
     let fingerprint = u64::from_str_radix(it.next()?, 16).ok()?;
     let bucket = it.next()?.parse().ok()?;
     let cycles = f64::from_bits(u64::from_str_radix(it.next()?, 16).ok()?);
-    if it.next().is_some() || !cycles.is_finite() {
+    // Every replay span is at least one cycle (bucket 0 still carries its
+    // query GWRITEs), so zero, negative and non-finite cycles are corrupt.
+    if it.next().is_some() || !(cycles.is_finite() && cycles > 0.0) {
         return None;
     }
     Some((
@@ -884,10 +646,10 @@ impl TraceDrivenCostModel {
     /// once `2^floor(log2 seq)/16` exceeds it); in octave `p` it is
     /// `SMALL_SLOTS + 16p + j` for the bucket `(16 + j) * 2^(p-4)`, so an
     /// octave's last bucket (`j = 16`) lands on the next octave's first.
-    /// No slot ever holds two buckets. The one bucket with two slots is
-    /// where the bank-row buckets meet the first octave (with 32 banks,
-    /// 1024 is both 32 bank rows and octave 10's first bucket); both
-    /// slots then hold its cycles.
+    /// No slot ever holds two buckets, and no bucket has two slots: where
+    /// the bank-row buckets meet the first octave (with 32 banks, 1024 is
+    /// both 32 bank rows and octave 10's first bucket), the bucket takes
+    /// its octave slot, or it would replay once per slot.
     fn bucket_slot(&self, seq_len: u64) -> (u64, usize) {
         if seq_len == 0 {
             return (0, 0);
@@ -897,7 +659,12 @@ impl TraceDrivenCostModel {
         let row = self.geometry.banks.max(1);
         if octave_quantum <= row {
             let rows = seq_len.div_ceil(row);
-            (rows * row, rows as usize)
+            let bucket = rows * row;
+            if bucket.is_power_of_two() && bucket / 16 > row {
+                let octave = bucket.trailing_zeros() as usize;
+                return (bucket, SMALL_SLOTS + octave * OCTAVE_SLOTS);
+            }
+            (bucket, rows as usize)
         } else {
             let steps = seq_len.div_ceil(octave_quantum);
             let slot = SMALL_SLOTS + log2 as usize * OCTAVE_SLOTS + (steps - 16) as usize;
@@ -916,9 +683,9 @@ impl TraceDrivenCostModel {
         &self.memo
     }
 
-    fn key(&self, bucket: u64) -> HashedKey {
+    fn key(&self, bucket: u64) -> TraceKey {
         let g = &self.geometry;
-        HashedKey::new((
+        (
             g.embed,
             g.heads,
             g.page_elems,
@@ -926,7 +693,7 @@ impl TraceDrivenCostModel {
             self.dual,
             self.hw.fingerprint,
             bucket,
-        ))
+        )
     }
 
     /// Builds the per-request GEMV jobs for a `seq_len`-token context.
@@ -1005,28 +772,25 @@ impl TraceDrivenCostModel {
         vec![logit, attend]
     }
 
-    /// The cold path of [`MhaCostModel::estimate`]: resolves a bucket
-    /// through the sharded map, counting a memo hit, a disk hit or a
-    /// replay exactly as the map classifies the lookup.
-    fn resolve(&self, bucket: u64) -> f64 {
+    /// Fills the empty slot of `bucket`: with its disk entry when there
+    /// is one (a disk hit), by a replay otherwise, which is merged into
+    /// the channel stats, counted and persisted.
+    fn fill(&self, bucket: u64) -> f64 {
         let key = self.key(bucket);
-        match self.memo.lookup_or_lead(key) {
-            MemoLookup::Ready(cycles) => cycles,
-            // Single flight: a concurrent miss on the same bucket waits
-            // for the one replay in progress instead of re-simulating.
-            MemoLookup::Wait(flight) => {
-                let cycles = flight.wait();
-                self.memo.0.memo_hits.fetch_add(1, Ordering::Relaxed);
-                cycles
-            }
-            MemoLookup::Lead(flight) => {
-                // Replay outside every lock: other shards (and other keys
-                // of this shard) stay fully available meanwhile.
-                let (cycles, stats) = self.replay(bucket);
-                self.memo.complete(key, &flight, cycles, &stats);
-                cycles
-            }
+        let memo = &self.memo.0;
+        let on_disk = self.memo.disk_entries().remove(&key);
+        if let Some(cycles) = on_disk {
+            memo.disk_hits.fetch_add(1, Ordering::Relaxed);
+            return cycles;
         }
+        let (cycles, stats) = self.replay(bucket);
+        memo.stats
+            .lock()
+            .expect("memo stats poisoned")
+            .merge(&stats);
+        memo.replays.fetch_add(1, Ordering::Relaxed);
+        self.memo.append_to_cache(&key, cycles);
+        cycles
     }
 
     /// Replays the command stream of one bucketed context length through a
@@ -1067,18 +831,17 @@ impl MhaCostModel for TraceDrivenCostModel {
 
     fn estimate(&self, seq_len: u64) -> f64 {
         let (bucket, slot) = self.bucket_slot(seq_len);
-        // Warm path: one atomic load, no hashing and no lock.
-        if let Some(cycles) = self.table.get(slot) {
+        // Warm path: one atomic load, no hashing and no lock. A miss fills
+        // the slot; a lookup that finds it filled, or filled while it
+        // waited in `get_or_init`, is a memo hit.
+        let mut filled_here = false;
+        let cycles = *self.table.slot(slot).get_or_init(|| {
+            filled_here = true;
+            self.fill(bucket)
+        });
+        if !filled_here {
             self.memo.0.memo_hits.fetch_add(1, Ordering::Relaxed);
-            debug_assert_eq!(
-                self.memo.peek(&self.key(bucket)).map(f64::to_bits),
-                Some(cycles.to_bits()),
-                "bucket table slot {slot} disagrees with the memo on bucket {bucket}"
-            );
-            return cycles;
         }
-        let cycles = self.resolve(bucket);
-        self.table.set(slot, cycles);
         cycles
     }
 
@@ -1102,7 +865,11 @@ impl MhaCostModel for TraceDrivenCostModel {
         }
         let missing: Vec<u64> = buckets
             .into_iter()
-            .filter(|&b| !self.memo.contains(&self.key(b)))
+            .filter(|&b| {
+                let (bucket, slot) = self.bucket_slot(b);
+                self.table.slot(slot).get().is_none()
+                    && !self.memo.disk_entries().contains_key(&self.key(bucket))
+            })
             .collect();
         if missing.is_empty() {
             return 0;
@@ -1375,11 +1142,10 @@ mod tests {
                     slots.push(slot);
                 }
             }
-            // Only the bucket where bank rows meet the first octave may
-            // take a second slot.
+            // No bucket takes two slots, not even where bank rows meet
+            // the first octave: it would replay once per slot.
             let shared: Vec<_> = slots_of.iter().filter(|(_, s)| s.len() > 1).collect();
-            assert!(shared.len() <= 1, "banks {banks}: {shared:?}");
-            assert!(shared.iter().all(|(_, s)| s.len() == 2));
+            assert!(shared.is_empty(), "banks {banks}: {shared:?}");
         }
     }
 
@@ -1530,6 +1296,14 @@ mod tests {
         assert!(
             parse_cache_line("1 2 3 4 1 10 5 7ff0000000000000").is_none(),
             "non-finite cycles"
+        );
+        assert!(
+            parse_cache_line("1 2 3 4 1 10 5 bff0000000000000").is_none(),
+            "negative cycles"
+        );
+        assert!(
+            parse_cache_line("1 2 3 4 1 10 5 0000000000000000").is_none(),
+            "zero cycles"
         );
         let (key, cycles) = parse_cache_line("8 16 256 32 1 00000000000000ff 512 4045000000000000")
             .expect("well-formed line");

@@ -1,6 +1,7 @@
 //! Property tests on the MHA cost models: analytic/trace agreement across
-//! the Table 3 model configurations, and the regression pin that the
-//! analytic model reproduces the legacy estimator cycle-for-cycle.
+//! the Table 3 model configurations, the regression pin that the
+//! analytic model reproduces the legacy estimator cycle-for-cycle, the
+//! replay memo's counting, and its tolerance of hostile cache files.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Mutex, OnceLock};
@@ -51,10 +52,10 @@ fn family_models(memo: &TraceMemo) -> [TraceDrivenCostModel; 2] {
     ]
 }
 
-/// The sharded map's cycles for one family's bucket: a model on a memo of
-/// its own meets every bucket cold, so its first estimate of a bucket is
-/// resolved by the map alone. Cached across cases.
-fn map_cycles(family: usize, bucket: u64) -> u64 {
+/// The cycles of one family's bucket as a cold replay prices them: a
+/// model on a memo of its own meets every bucket cold, so its first
+/// estimate of a bucket is a replay. Cached across cases.
+fn cold_cycles(family: usize, bucket: u64) -> u64 {
     static SEEN: OnceLock<Mutex<HashMap<(usize, u64), u64>>> = OnceLock::new();
     let seen = SEEN.get_or_init(Default::default);
     if let Some(&bits) = seen.lock().unwrap().get(&(family, bucket)) {
@@ -67,11 +68,11 @@ fn map_cycles(family: usize, bucket: u64) -> u64 {
     bits
 }
 
-/// What the sharded map counts for a stream of `(family, seq)` lookups:
-/// the first touch of a bucket is a disk hit when `on_disk` holds it and a
+/// What the memo must count for a stream of `(family, seq)` lookups: the
+/// first touch of a bucket is a disk hit when `on_disk` holds it and a
 /// replay otherwise; every later touch is a memo hit.
 #[derive(Default)]
-struct MapCounts {
+struct Counts {
     seen: HashSet<(usize, u64)>,
     on_disk: HashSet<(usize, u64)>,
     memo_hits: u64,
@@ -79,7 +80,7 @@ struct MapCounts {
     disk_hits: u64,
 }
 
-impl MapCounts {
+impl Counts {
     fn touch(&mut self, family: usize, bucket: u64) {
         if !self.seen.insert((family, bucket)) {
             self.memo_hits += 1;
@@ -96,14 +97,14 @@ impl MapCounts {
 }
 
 /// Runs `stream` through `models`, checking every estimate against the
-/// map's cycles and recording what the map would count.
-fn run_stream(models: &[TraceDrivenCostModel; 2], stream: &[(usize, u64)], counts: &mut MapCounts) {
+/// cold replay's cycles and recording what the memo must count.
+fn run_stream(models: &[TraceDrivenCostModel; 2], stream: &[(usize, u64)], counts: &mut Counts) {
     for &(family, seq) in stream {
         let model = &models[family];
         let bucket = model.bucket(seq);
         assert_eq!(
             model.estimate(seq).to_bits(),
-            map_cycles(family, bucket),
+            cold_cycles(family, bucket),
             "family {family} seq {seq} (bucket {bucket})"
         );
         counts.touch(family, bucket);
@@ -127,15 +128,15 @@ fn lookup_stream() -> impl Strategy<Value = Vec<(usize, u64)>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The bucket table serves bit-identical cycles and leaves the memo
-    /// counting exactly what the sharded map counts: on a fresh memo
-    /// shared by two families, on the same memo warm, and for a model
-    /// built on the warm memo afterwards.
+    /// The bucket table serves the cold replay's bits and counts each
+    /// bucket's first touch a replay and every later touch a memo hit: on
+    /// a fresh memo shared by two families, on the same memo warm, and
+    /// for a model built on the warm memo afterwards.
     #[test]
     fn bucket_table_matches_the_sharded_map(stream in lookup_stream()) {
         let memo = TraceMemo::new();
         let models = family_models(&memo);
-        let mut counts = MapCounts::default();
+        let mut counts = Counts::default();
         run_stream(&models, &stream, &mut counts);
         prop_assert_eq!(counted(&memo), counts.triple(), "fresh memo");
         prop_assert_eq!(memo.entries(), counts.seen.len());
@@ -165,14 +166,14 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
 
         let first = TraceMemo::with_cache_dir(&dir).unwrap();
-        let mut persisted = MapCounts::default();
+        let mut persisted = Counts::default();
         run_stream(&family_models(&first), &stream[..split.min(stream.len())], &mut persisted);
 
         let restored = TraceMemo::with_cache_dir(&dir).unwrap();
         let models = family_models(&restored);
-        let mut counts = MapCounts {
+        let mut counts = Counts {
             on_disk: persisted.seen,
-            ..MapCounts::default()
+            ..Counts::default()
         };
         run_stream(&models, &stream, &mut counts);
         prop_assert_eq!(counted(&restored), counts.triple(), "first pass");
@@ -182,8 +183,106 @@ proptest! {
     }
 }
 
+/// The context lengths of the hostile-cache property: two bank-row
+/// buckets, the bucket where bank rows meet the first octave, and an
+/// octave bucket.
+const CACHE_SEQS: [u64; 4] = [100, 700, 1_000, 3_000];
+
+/// A replay cache written by a real run of family 0 over [`CACHE_SEQS`]:
+/// its file name and its lines, the version tag first.
+fn valid_cache() -> &'static (String, Vec<String>) {
+    static CACHE: OnceLock<(String, Vec<String>)> = OnceLock::new();
+    CACHE.get_or_init(|| {
+        let dir = std::env::temp_dir().join(format!("neupims-valid-cache-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let memo = TraceMemo::with_cache_dir(&dir).unwrap();
+        for seq in CACHE_SEQS {
+            family_models(&memo)[0].estimate(seq);
+        }
+        let file = std::fs::read_dir(&dir).unwrap().next().unwrap().unwrap();
+        let name = file.file_name().into_string().unwrap();
+        let text = std::fs::read_to_string(file.path()).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        (name, text.lines().map(str::to_owned).collect())
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// A replay-cache file whose lines were kept (edit 0), given arbitrary
+    /// cycle bits (1, 2), or replaced by a garbage token (3) or arbitrary
+    /// bytes (4) loads without error. Lines whose cycles are not positive
+    /// and finite are skipped like garbage, and so is every line of a
+    /// file that is not UTF-8: a skipped line's bucket replays, every
+    /// other line serves its bucket from disk, and every estimate is
+    /// positive and finite.
+    #[test]
+    fn hostile_cache_lines_are_skipped_and_estimates_stay_positive(
+        edits in prop::collection::vec(
+            (0u8..5, any::<u64>(), prop::collection::vec(any::<u8>(), 1..12)), 4..5),
+    ) {
+        static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let (name, lines) = valid_cache();
+        let mut file = format!("{}\n", lines[0]).into_bytes();
+        // Per line: its bucket, its replayed bits, and the bits an intact
+        // line serves from disk.
+        let mut expected = Vec::new();
+        for (line, (op, bits, bytes)) in lines[1..].iter().zip(&edits) {
+            let fields: Vec<&str> = line.split_whitespace().collect();
+            let bucket: u64 = fields[6].parse().unwrap();
+            let replayed = u64::from_str_radix(fields[7], 16).unwrap();
+            let cycles = f64::from_bits(*bits);
+            match op {
+                0 => {
+                    file.extend(line.as_bytes());
+                    expected.push((bucket, replayed, Some(replayed)));
+                }
+                1 | 2 => {
+                    file.extend(format!("{} {bits:016x}", fields[..7].join(" ")).as_bytes());
+                    let valid = cycles.is_finite() && cycles > 0.0;
+                    expected.push((bucket, replayed, valid.then_some(*bits)));
+                }
+                // One token of printable non-space bytes: never a record.
+                3 => {
+                    file.extend(bytes.iter().map(|b| b'!' + b % 94));
+                    expected.push((bucket, replayed, None));
+                }
+                // Under 15 bytes cannot hold a record's 8 fields.
+                _ => {
+                    file.extend(bytes);
+                    expected.push((bucket, replayed, None));
+                }
+            }
+            file.push(b'\n');
+        }
+        if std::str::from_utf8(&file).is_err() {
+            expected.iter_mut().for_each(|e| e.2 = None);
+        }
+
+        let dir = std::env::temp_dir().join(format!(
+            "neupims-hostile-cache-{}-{case}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(name), &file).unwrap();
+        let memo = TraceMemo::with_cache_dir(&dir).expect("a hostile cache file is never an error");
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let served = expected.iter().filter(|e| e.2.is_some()).count();
+        prop_assert_eq!(memo.entries(), served, "only intact lines load");
+        let model = &family_models(&memo)[0];
+        for &(bucket, replayed, on_disk) in &expected {
+            let cycles = model.estimate(bucket);
+            prop_assert!(cycles.is_finite() && cycles > 0.0, "bucket {bucket}: {cycles}");
+            prop_assert_eq!(cycles.to_bits(), on_disk.unwrap_or(replayed), "bucket {}", bucket);
+        }
+        let snap = memo.snapshot();
+        prop_assert_eq!(snap.disk_hits, served as u64, "intact lines serve from disk");
+        prop_assert_eq!(snap.replays, (expected.len() - served) as u64, "skipped lines replay");
+    }
 
     /// Analytic and trace-driven MHA latencies agree within the documented
     /// tolerance across context lengths 1..16k for every Table 3 model —

@@ -213,9 +213,9 @@ fn serve_rejects_name_lists() {
 }
 
 /// Non-finite or non-positive `--tenants` weights and SLO targets,
-/// zero counts, non-finite rates and bandwidths, and shared flags an eval
-/// suite would ignore exit with an error naming the field before anything
-/// runs: a zero is never clamped to 1. Tenant fields are named by their
+/// zero counts, non-finite rates and bandwidths, and shared flags the
+/// command would ignore exit with an error naming the field before
+/// anything runs: a zero is never clamped to 1. Tenant fields are named by their
 /// `[[scenario.tenant]]` keys, whose rules they share.
 #[test]
 fn hostile_tenants_are_rejected_by_field() {
@@ -245,6 +245,18 @@ fn hostile_tenants_are_rejected_by_field() {
         (vec!["eval", "smoke", "--backend", "gpu"], "--backend"),
         (vec!["fig12", "--tp", "2"], "--tp"),
         (vec!["all", "--samples", "3"], "--samples"),
+        (
+            vec!["calibrate", "--backend", "gpu", "--tp", "2"],
+            "--backend",
+        ),
+        (vec!["fig14", "--model", "gpt3-7b"], "--model"),
+        (vec!["area", "--seed", "7"], "--seed"),
+        (vec!["drift", "--tp", "2"], "--tp"),
+        (vec!["sweep", "--seed", "7"], "--seed"),
+        (vec!["sweep", "--requests", "8"], "--requests"),
+        (vec!["sweep", "--policy", "jsq"], "--policy"),
+        (vec!["serve", "--batch", "64"], "--batch"),
+        (vec!["fleet", "--samples", "3"], "--samples"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_neupims-sim"))
             .args(&args)
