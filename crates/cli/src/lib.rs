@@ -37,13 +37,16 @@
 //!   value fails with the same error naming the key either way. fleet
 //!   cycles backend and scheduler name lists over its replicas (default
 //!   4); with neither --tp nor --pp a backend runs unsharded. A shared
-//!   key the command never reads is an error naming it: eval, its
-//!   aliases and all take only --cost-model and --seed, which override
-//!   every scenario (suites set the rest); sweep takes the warm-batch
-//!   keys backend, cost-model, model, tp, pp, interconnect, link-gbps,
-//!   dataset, batch and samples; serve and fleet take every key but
-//!   batch and samples; drift takes only model; calibrate, fig4, fig5,
-//!   fig14, table5 and area take none.
+//!   key or option the command never reads is an error naming it: eval,
+//!   its aliases and all take only --cost-model and --seed, which
+//!   override every scenario (suites set the rest), plus --jobs,
+//!   --memo-cache and --reports-dir (and eval --list); sweep takes the
+//!   warm-batch keys backend, cost-model, model, tp, pp, interconnect,
+//!   link-gbps, dataset, batch (at most 65536) and samples, and --quick;
+//!   serve and fleet take every key but batch and samples, and --jobs,
+//!   --memo-cache and --tenants; drift takes only model and
+//!   --tolerance; calibrate, fig4, fig5, fig14, table5 and area take
+//!   none.
 //! --tolerance F: `drift` reports where the analytic and trace cost models
 //!   disagree by more than F (relative, default 0.10).
 //! --memo-cache DIR (on serve/fleet/eval, with --cost-model trace)
@@ -121,7 +124,7 @@ struct Options {
     /// keys an eval suite's `[[scenario]]` takes, parsed by the same
     /// [`Settings::set`].
     shared: Settings,
-    /// The shared keys given on the command line.
+    /// The shared keys and [`OPTION_KEYS`] given on the command line.
     given_keys: Vec<String>,
     memo_cache: Option<PathBuf>,
     tolerance: f64,
@@ -194,6 +197,9 @@ fn parse_args(args: &[String]) -> Result<(String, Options), Box<dyn std::error::
                 .cloned()
                 .ok_or_else(|| format!("{arg} requires {what}"))
         };
+        if let Some(key) = arg.strip_prefix("--").filter(|k| OPTION_KEYS.contains(k)) {
+            opts.given_keys.push(key.to_owned());
+        }
         match arg.as_str() {
             "--list" => opts.list = true,
             "--quick" => opts.quick = true,
@@ -237,12 +243,32 @@ fn parse_args(args: &[String]) -> Result<(String, Options), Box<dyn std::error::
     Ok((command.unwrap_or_else(|| "all".to_owned()), opts))
 }
 
-/// The shared keys `command` reads.
+/// The CLI's own options besides the [`SHARED_KEYS`], by flag name.
+const OPTION_KEYS: [&str; 7] = [
+    "quick",
+    "list",
+    "jobs",
+    "memo-cache",
+    "reports-dir",
+    "tenants",
+    "tolerance",
+];
+
+/// The shared keys and [`OPTION_KEYS`] `command` reads.
 fn keys_read(command: &str) -> Vec<&'static str> {
     let reads: fn(&str) -> bool = match command {
-        "eval" | "fig6" | "fig12" | "fig13" | "fig15" | "table4" | "all" => {
-            |key| matches!(key, "cost-model" | "seed")
-        }
+        "eval" => |key| {
+            matches!(
+                key,
+                "cost-model" | "seed" | "list" | "jobs" | "memo-cache" | "reports-dir"
+            )
+        },
+        "fig6" | "fig12" | "fig13" | "fig15" | "table4" | "all" => |key| {
+            matches!(
+                key,
+                "cost-model" | "seed" | "jobs" | "memo-cache" | "reports-dir"
+            )
+        },
         // The keys of its warm batches.
         "sweep" => |key| {
             matches!(
@@ -257,15 +283,25 @@ fn keys_read(command: &str) -> Vec<&'static str> {
                     | "dataset"
                     | "batch"
                     | "samples"
+                    | "quick"
             )
         },
-        "serve" | "fleet" => |key| !matches!(key, "batch" | "samples"),
-        "drift" => |key| key == "model",
+        "serve" | "fleet" => |key| {
+            !matches!(
+                key,
+                "batch" | "samples" | "quick" | "list" | "reports-dir" | "tolerance"
+            )
+        },
+        "drift" => |key| matches!(key, "model" | "tolerance"),
         "calibrate" | "fig4" | "fig5" | "fig14" | "table5" | "area" => |_| false,
         // An unknown command is an error of its own.
         _ => |_| true,
     };
-    SHARED_KEYS.into_iter().filter(|key| reads(key)).collect()
+    SHARED_KEYS
+        .into_iter()
+        .chain(OPTION_KEYS)
+        .filter(|key| reads(key))
+        .collect()
 }
 
 fn run(command: &str, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
@@ -273,7 +309,7 @@ fn run(command: &str, opts: &Options) -> Result<(), Box<dyn std::error::Error>> 
     let read = keys_read(command);
     if let Some(key) = opts.given_keys.iter().find(|k| !read.contains(&k.as_str())) {
         let reads = match read.as_slice() {
-            [] => "no shared key".to_owned(),
+            [] => "no option".to_owned(),
             keys => format!("only --{}", keys.join(", --")),
         };
         return Err(format!("--{key} does not apply to {command}: it reads {reads}").into());

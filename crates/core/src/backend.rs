@@ -35,6 +35,8 @@
 //! }
 //! ```
 
+use std::borrow::Cow;
+
 use neupims_pim::{calibrate, PimCalibration};
 use neupims_sched::{CostModelKind, MhaCostModel, MhaLatencyEstimator, TraceMemo};
 use neupims_types::{
@@ -43,6 +45,7 @@ use neupims_types::{
 
 use crate::device::{Device, DeviceMode, SbiPolicy};
 use crate::gpu;
+use crate::lowering::BlockMemo;
 use crate::metrics::{IterationBreakdown, Utilization};
 use crate::transpim;
 
@@ -196,17 +199,18 @@ impl From<BackendError> for SimError {
 /// One priced decode iteration, tagged with the backend that produced it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IterationResult {
-    /// Label of the producing backend.
-    pub backend: String,
+    /// Label of the producing backend (borrowed when the label is a
+    /// constant, so a decode iteration need not copy it).
+    pub backend: Cow<'static, str>,
     /// The full per-resource breakdown.
     pub breakdown: IterationBreakdown,
 }
 
 impl IterationResult {
     /// Wraps a breakdown under a backend label.
-    pub fn new(backend: &str, breakdown: IterationBreakdown) -> Self {
+    pub fn new(backend: impl Into<Cow<'static, str>>, breakdown: IterationBreakdown) -> Self {
         Self {
-            backend: backend.to_owned(),
+            backend: backend.into(),
             breakdown,
         }
     }
@@ -582,7 +586,7 @@ impl Backend for Device {
         seq_lens: &[u64],
     ) -> Result<IterationResult, BackendError> {
         Device::decode_iteration(self, model, tp, layers, seq_lens)
-            .map(|b| IterationResult::new(Backend::label(self), b))
+            .map(|b| IterationResult::new(self.mode().label(), b))
             .map_err(|e| BackendError::sim(Backend::label(self), e))
     }
 }
@@ -591,19 +595,20 @@ impl Backend for Device {
 #[derive(Debug, Clone)]
 pub struct GpuRooflineBackend {
     gpu: GpuSpec,
-    label: String,
-    /// The decoder block's lowering constants, derived once per model
-    /// shape (see [`gpu::BlockMemo`]).
-    block: gpu::BlockMemo,
+    /// The decoder block's lowering, derived once per model shape (see
+    /// [`BlockMemo`]).
+    block: BlockMemo,
 }
+
+/// The label of [`GpuRooflineBackend`].
+const GPU_LABEL: &str = "GPU-only";
 
 impl GpuRooflineBackend {
     /// Builds the backend from a GPU spec.
     pub fn new(gpu: GpuSpec) -> Self {
         Self {
             gpu,
-            label: "GPU-only".to_owned(),
-            block: gpu::BlockMemo::default(),
+            block: BlockMemo::default(),
         }
     }
 
@@ -627,7 +632,7 @@ impl GpuRooflineBackend {
 
 impl Backend for GpuRooflineBackend {
     fn label(&self) -> &str {
-        &self.label
+        GPU_LABEL
     }
 
     fn caps(&self) -> BackendCaps {
@@ -652,7 +657,7 @@ impl Backend for GpuRooflineBackend {
         prompt_lens: &[u64],
     ) -> Result<Cycle, BackendError> {
         gpu::prefill_impl(&self.gpu, &self.block, model, tp, layers, prompt_lens)
-            .map_err(|e| BackendError::sim(&self.label, e))
+            .map_err(|e| BackendError::sim(GPU_LABEL, e))
     }
 
     fn decode_iteration(
@@ -663,8 +668,8 @@ impl Backend for GpuRooflineBackend {
         seq_lens: &[u64],
     ) -> Result<IterationResult, BackendError> {
         gpu::decode_impl(&self.gpu, &self.block, model, tp, layers, seq_lens)
-            .map(|b| IterationResult::new(&self.label, b))
-            .map_err(|e| BackendError::sim(&self.label, e))
+            .map(|b| IterationResult::new(GPU_LABEL, b))
+            .map_err(|e| BackendError::sim(GPU_LABEL, e))
     }
 }
 
@@ -693,9 +698,12 @@ impl TransPimBackend {
     }
 }
 
+/// The label of [`TransPimBackend`].
+const TRANSPIM_LABEL: &str = "TransPIM";
+
 impl Backend for TransPimBackend {
     fn label(&self) -> &str {
-        "TransPIM"
+        TRANSPIM_LABEL
     }
 
     fn caps(&self) -> BackendCaps {
@@ -739,7 +747,7 @@ impl Backend for TransPimBackend {
         seq_lens: &[u64],
     ) -> Result<IterationResult, BackendError> {
         transpim::decode_impl(&self.cfg, &self.cal, model, tp, layers, seq_lens)
-            .map(|b| IterationResult::new(self.label(), b))
+            .map(|b| IterationResult::new(TRANSPIM_LABEL, b))
             .map_err(|e| BackendError::sim(self.label(), e))
     }
 }

@@ -41,7 +41,7 @@ use std::cell::Cell;
 use std::sync::OnceLock;
 
 use neupims_kvcache::KvGeometry;
-use neupims_llm::{heads_per_device, lower_batch};
+use neupims_llm::heads_per_device;
 use neupims_npu::VectorCost;
 use neupims_pim::{calibrate, PimCalibration};
 use neupims_sched::{
@@ -51,6 +51,7 @@ use neupims_sched::{
 use neupims_types::{ChannelId, LlmConfig, NeuPimsConfig, SimError};
 
 use crate::interconnect::{Interconnect, PcieLink};
+use crate::lowering::{BlockLowering, BlockMemo};
 use crate::metrics::IterationBreakdown;
 use crate::scratch::Lent;
 
@@ -151,11 +152,14 @@ pub struct Device {
     /// trace-priced iteration (a device serves one model shape, so every
     /// later iteration reuses it without resolving its bucket table).
     decode_model: OnceLock<TraceDrivenCostModel>,
+    /// The decoder block's NPU lowering, derived once per model shape:
+    /// decode sub-batches and prefill chunks price any row count from it.
+    block: BlockMemo,
 }
 
 /// Per-iteration buffers of [`Device::decode_iteration`], lent from
-/// [`DECODE_SCRATCH`] so a warm iteration prices, balances and sums its
-/// batch without allocating for it.
+/// [`DECODE_SCRATCH`] so a warm iteration prices, balances, splits and
+/// sums its batch without allocating for it.
 #[derive(Debug, Default)]
 struct DecodeScratch {
     /// Each request's MHA cost.
@@ -166,19 +170,14 @@ struct DecodeScratch {
     lanes: Vec<ChannelLoad>,
     /// GMLBP's buffers.
     packer: MinLoadPacker,
+    /// Algorithm 3's per-channel quota.
+    sides: SubBatchSides,
 }
 
 thread_local! {
     /// One [`DecodeScratch`] per thread, lent to whichever device prices
     /// an iteration on it.
-    static DECODE_SCRATCH: Cell<DecodeScratch> = const {
-        Cell::new(DecodeScratch {
-            costs: Vec::new(),
-            homes: Vec::new(),
-            lanes: Vec::new(),
-            packer: MinLoadPacker::new(),
-        })
-    };
+    static DECODE_SCRATCH: Cell<DecodeScratch> = Cell::new(DecodeScratch::default());
 }
 
 /// The per-request terms of a (sub-)batch that sum as integers.
@@ -260,6 +259,7 @@ impl Device {
             trace_memo: TraceMemo::new(),
             trace_hw: TraceHardware::new(&cfg),
             decode_model: OnceLock::new(),
+            block: BlockMemo::default(),
         }
     }
 
@@ -389,32 +389,31 @@ impl Device {
         self.cal.mem_stream_bw_shared * self.cfg.mem.channels as f64
     }
 
-    /// Stage costs of a sub-batch of `req.m` requests, lowered at that
-    /// batch size.
+    /// Stage costs of a sub-batch of `req.m` requests, the block priced
+    /// at that batch size.
     fn sub_costs(
         &self,
-        model: &LlmConfig,
+        block: &BlockLowering,
         tp: u32,
         geo: &KvGeometry,
         req: RequestSums,
         pim_max: f64,
-    ) -> Result<SubCosts, SimError> {
-        let lb = lower_batch(&self.cfg.npu, model, tp, req.m)?;
-        let es = model.dtype.size_bytes();
-        Ok(SubCosts {
-            c_qkv: lb.gemms[0].compute_cycles,
-            c_pf: lb.gemms[1..].iter().map(|g| g.compute_cycles).sum(),
-            w_qkv: lb.gemms[0].weight_bytes,
-            w_pf: lb.gemms[1..].iter().map(|g| g.weight_bytes).sum(),
-            kv_append: req.m * 2 * geo.embed * es,
-            vector: lb.vector_cycles,
+    ) -> SubCosts {
+        let b = block.at(req.m);
+        SubCosts {
+            c_qkv: b.qkv_cycles,
+            c_pf: b.rest_cycles,
+            w_qkv: b.qkv_weight_bytes,
+            w_pf: b.rest_weight_bytes,
+            kv_append: req.m * geo.kv_bytes_per_token_layer(),
+            vector: b.vector_cycles,
             req,
             pim_max,
-            flops: lb.gemm_flops(),
+            flops: b.gemm_flops,
             allreduce: PcieLink::from_config(self.cfg.interconnect)
-                .all_reduce_cycles(lb.allreduce_bytes, tp)
-                * lb.allreduces as u64,
-        })
+                .all_reduce_cycles(b.allreduce_bytes, tp)
+                * b.allreduces as u64,
+        }
     }
 
     /// Serial per-layer time of one sub-batch (used by the non-interleaved
@@ -558,10 +557,10 @@ impl Device {
         model.validate()?;
         // Every prompt token is a GEMM row.
         let total_tokens: u64 = prompt_lens.iter().sum();
-        let lb = lower_batch(&self.cfg.npu, model, tp, total_tokens)?;
+        let lb = self.block.get(&self.cfg.npu, model, tp)?.at(total_tokens);
         let bw = self.cal.mem_stream_bw * self.cfg.mem.channels as f64;
-        let compute = lb.gemm_cycles();
-        let bytes = lb.weight_bytes();
+        let compute = lb.qkv_cycles + lb.rest_cycles;
+        let bytes = lb.qkv_weight_bytes + lb.rest_weight_bytes;
         // Summarization attention is a batched GEMM over the prompt
         // (activation-activation with full reuse); approximate with its
         // FLOPs at peak, which Figure 4 shows is the right regime.
@@ -583,9 +582,11 @@ impl Device {
     ///
     /// Each request is estimated once and walked once: that pass sums the
     /// serial arm and, when sub-batch interleaving may run, both Algorithm
-    /// 3 sub-batches, whose NPU side is then lowered by batch size alone.
-    /// PIM modes price with the configured cost model, NPU-only MHA with
-    /// the analytic form (it needs only the geometry, which both carry).
+    /// 3 sub-batches, in O(1) arithmetic per request. The NPU side of each
+    /// arm is then priced by batch size alone, from the block lowering
+    /// the device keeps per model shape. PIM modes price with the
+    /// configured cost model, NPU-only MHA with the analytic form (it
+    /// needs only the geometry, which both carry).
     ///
     /// # Errors
     ///
@@ -626,19 +627,20 @@ impl Device {
         layers: u32,
         seq_lens: &[u64],
     ) -> Result<IterationBreakdown, SimError> {
+        let block = self.block.get(&self.cfg.npu, model, tp)?;
         let mut scratch = Lent::take(&DECODE_SCRATCH);
         let DecodeScratch {
             costs,
             homes,
             lanes,
             packer,
+            sides,
         } = &mut *scratch;
         // Price every request once: GMLBP balancing, the serial arm and
         // both sub-batch interleaving arms all read these costs.
         let geo = estimator.geometry();
         let channels = self.cfg.mem.channels;
-        costs.clear();
-        costs.extend(seq_lens.iter().map(|&s| estimator.estimate(s)));
+        estimator.estimate_into(seq_lens, costs);
         match self.mode {
             DeviceMode::NeuPims { gmlbp: true, .. } => {
                 packer.assign(seq_lens, costs, channels, homes);
@@ -653,11 +655,16 @@ impl Device {
             DeviceMode::NeuPims { sbi, .. } if seq_lens.len() >= 2 => sbi,
             _ => SbiPolicy::Off,
         };
-        let mut sides = (policy != SbiPolicy::Off).then(|| SubBatchSides::new(homes));
+        let mut sides = (policy != SbiPolicy::Off).then(|| {
+            sides.reset(homes);
+            sides
+        });
 
-        // The one pass over the batch, its per-request constants hoisted.
+        // The one pass over the batch, its per-request constants hoisted
+        // and its divisors prepared.
         let es = model.dtype.size_bytes();
         let vc = VectorCost::new(&self.cfg.npu);
+        let counts = geo.counts();
         let softmax_rows = heads_per_device(model, tp);
         let page_bytes = self.cfg.mem.page_bytes;
         let logit_bytes_per_token = 2 * geo.heads * es;
@@ -672,7 +679,7 @@ impl Device {
         let [mut all, mut first, mut second] = [RequestSums::default(); 3];
         let (mut tiles, mut gwrites) = (0u64, 0u64);
         for ((&seq, &cost), &home) in seq_lens.iter().zip(costs.iter()).zip(homes.iter()) {
-            let request_gwrites = geo.mha_gwrites(seq);
+            let request_gwrites = counts.mha_gwrites(seq);
             let req = RequestSums {
                 m: 1,
                 softmax: vc.softmax(softmax_rows, seq.max(1)),
@@ -681,7 +688,7 @@ impl Device {
                 kv_read_bytes: seq * kv_bytes_per_token,
             };
             if uses_pim {
-                tiles += geo.mha_tiles(seq);
+                tiles += counts.mha_tiles(seq);
                 gwrites += request_gwrites;
             }
             let lane = &mut lanes[home.index()];
@@ -714,8 +721,8 @@ impl Device {
         // and the policy (or, adaptively, the serial arm's price) says so.
         let sbi = match sides {
             Some(_) if first.m > 0 && second.m > 0 => {
-                let a = self.sub_costs(model, tp, geo, first, slowest(|l| l.first))?;
-                let b = self.sub_costs(model, tp, geo, second, slowest(|l| l.second))?;
+                let a = self.sub_costs(&block, tp, geo, first, slowest(|l| l.first));
+                let b = self.sub_costs(&block, tp, geo, second, slowest(|l| l.second));
                 let pim_demand = slowest(|l| l.first + l.second);
                 Some(self.sbi_iteration(&a, &b, pim_demand, layers))
             }
@@ -725,7 +732,7 @@ impl Device {
             (Some(_), SbiPolicy::Always) => None,
             _ => {
                 let pim_max = slowest(|l| l.all + l.turnaround);
-                let s = self.sub_costs(model, tp, geo, all, pim_max)?;
+                let s = self.sub_costs(&block, tp, geo, all, pim_max);
                 Some(self.serial_iteration(&s, layers))
             }
         };

@@ -7,69 +7,36 @@
 //! layer costs `max(flops / peak, bytes / bandwidth)`, with every K/V and
 //! weight byte crossing the memory bus once per iteration.
 
-use std::sync::OnceLock;
-
-use neupims_llm::compiler::{lower_batch, BatchLowering};
-use neupims_types::{Cycle, DataType, GpuSpec, LlmConfig, NpuConfig, SimError};
+use neupims_types::{Cycle, GpuSpec, LlmConfig, NpuConfig, SimError};
 
 use crate::interconnect::{Interconnect, PcieLink};
+use crate::lowering::BlockMemo;
 use crate::metrics::IterationBreakdown;
 
 /// What the roofline reads from one decoder block's lowering at some GEMM
 /// row count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BlockCost {
+struct RooflineCost {
     weight_bytes: u64,
     gemm_flops: u64,
     allreduce_bytes: u64,
     allreduces: u32,
 }
 
-impl BlockCost {
-    fn of(lb: &BatchLowering) -> Self {
-        Self {
-            weight_bytes: lb.weight_bytes(),
-            gemm_flops: lb.gemm_flops(),
-            allreduce_bytes: lb.allreduce_bytes,
-            allreduces: lb.allreduces,
-        }
-    }
-
-    /// The cost at `rows` GEMM rows of a block whose one-row cost is
-    /// `self`. Weight bytes do not depend on the row count, and GEMM FLOPs
-    /// (`2·m·k·n` per GEMM) and all-reduce bytes (`m·d` elements) are
-    /// exactly `rows ×` their one-row values. Lowering clamps the row
-    /// count to at least one.
-    fn at_rows(self, rows: u64) -> Self {
-        let rows = rows.max(1);
-        Self {
-            gemm_flops: rows * self.gemm_flops,
-            allreduce_bytes: rows * self.allreduce_bytes,
-            ..self
-        }
-    }
-}
-
-/// The model fields a block lowering reads (heads, `d_model`, `d_ff`,
-/// dtype), plus the TP degree.
-type ShapeKey = (u32, u32, u32, DataType, u32);
-
-/// The one-row block cost of the last model shape priced, derived on
-/// first use and re-derived when a call brings another shape (a backend
-/// usually serves one), so an iteration prices without lowering.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct BlockMemo(OnceLock<(ShapeKey, BlockCost)>);
-
-impl BlockMemo {
-    /// The block cost of `model` at `tp` and `rows` GEMM rows.
-    fn at(&self, model: &LlmConfig, tp: u32, rows: u64) -> Result<BlockCost, SimError> {
-        let key = (model.num_heads, model.d_model, model.d_ff, model.dtype, tp);
-        if let Some(&(_, row)) = self.0.get().filter(|(k, _)| *k == key) {
-            return Ok(row.at_rows(rows));
-        }
-        let row = BlockCost::of(&lower_batch(&NpuConfig::table2(), model, tp, 1)?);
-        let _ = self.0.set((key, row));
-        Ok(row.at_rows(rows))
+impl RooflineCost {
+    /// The cost of `model`'s block at `tp` and `rows` GEMM rows, from its
+    /// lowering in `memo` on the NPU whose GEMM shapes the roofline
+    /// reuses: weight bytes do not depend on the row count, and GEMM
+    /// FLOPs (`2·m·k·n` per GEMM) and all-reduce bytes (`m·d` elements)
+    /// scale with it.
+    fn at(memo: &BlockMemo, model: &LlmConfig, tp: u32, rows: u64) -> Result<Self, SimError> {
+        let block = memo.get(&NpuConfig::table2(), model, tp)?;
+        Ok(Self {
+            weight_bytes: block.weight_bytes(),
+            gemm_flops: block.gemm_flops(rows),
+            allreduce_bytes: block.allreduce_bytes(rows),
+            allreduces: block.allreduces(),
+        })
     }
 }
 
@@ -101,7 +68,7 @@ pub(crate) fn decode_impl(
     }
     model.validate()?;
     // Reuse the operator lowering for shapes; GPU peaks price the math.
-    let cost = block.at(model, tp, seq_lens.len() as u64)?;
+    let cost = RooflineCost::at(block, model, tp, seq_lens.len() as u64)?;
     Ok(price_decode(gpu, model, tp, layers, seq_lens, cost))
 }
 
@@ -113,14 +80,14 @@ fn price_decode(
     tp: u32,
     layers: u32,
     seq_lens: &[u64],
-    cost: BlockCost,
+    cost: RooflineCost,
 ) -> IterationBreakdown {
     let es = model.dtype.size_bytes();
     let heads = (model.num_heads / tp.max(1)).max(1) as u64;
     let d_head = (model.d_model / model.num_heads) as u64;
     let embed = heads * d_head;
 
-    let BlockCost {
+    let RooflineCost {
         weight_bytes,
         gemm_flops,
         allreduce_bytes,
@@ -182,7 +149,7 @@ pub(crate) fn prefill_impl(
     }
     model.validate()?;
     // Every prompt token is a GEMM row.
-    let cost = block.at(model, tp, prompt_lens.iter().sum())?;
+    let cost = RooflineCost::at(block, model, tp, prompt_lens.iter().sum())?;
     Ok(price_prefill(gpu, model, tp, layers, prompt_lens, cost))
 }
 
@@ -194,7 +161,7 @@ fn price_prefill(
     tp: u32,
     layers: u32,
     prompt_lens: &[u64],
-    cost: BlockCost,
+    cost: RooflineCost,
 ) -> Cycle {
     // Summarization attention is a batched activation-activation GEMM over
     // each prompt: 4 * s^2 * d_dev FLOPs with full reuse (compute-bound).
@@ -212,6 +179,7 @@ fn price_prefill(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use neupims_llm::compiler::lower_batch;
 
     #[test]
     fn decode_is_memory_bound() {
@@ -272,7 +240,13 @@ mod tests {
         ];
         let seqs: Vec<u64> = (0..1024u64).map(|i| 1 + 37 * i % 2048).collect();
         let lowered = |model: &LlmConfig, tp: u32, rows: u64| {
-            BlockCost::of(&lower_batch(&NpuConfig::table2(), model, tp, rows).unwrap())
+            let lb = lower_batch(&NpuConfig::table2(), model, tp, rows).unwrap();
+            RooflineCost {
+                weight_bytes: lb.weight_bytes(),
+                gemm_flops: lb.gemm_flops(),
+                allreduce_bytes: lb.allreduce_bytes,
+                allreduces: lb.allreduces,
+            }
         };
         for model in &models {
             for tp in [1, 2, 3, 4, 8] {

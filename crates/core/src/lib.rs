@@ -97,6 +97,7 @@ pub mod experiments;
 pub mod fleet;
 pub mod gpu;
 pub mod interconnect;
+mod lowering;
 pub mod metrics;
 pub mod orchestrator;
 pub mod preempt;

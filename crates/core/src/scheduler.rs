@@ -70,11 +70,34 @@
 //! assert_eq!(scheduler_from_name("lump", 256).unwrap().name(), "lump");
 //! ```
 
+use std::cell::Cell;
+
 use neupims_sched::{CostModelKind, MhaCostModel, SubBatchSides};
 use neupims_types::{ChannelId, Cycle, LlmConfig, RequestId};
 
 use crate::backend::{Backend, BackendError};
 use crate::metrics::IterationBreakdown;
+use crate::scratch::Lent;
+
+/// Per-plan buffers, lent from [`PLAN_SCRATCH`] so a steady plan hands
+/// its batch to the backend and splits it without allocating.
+#[derive(Debug, Default)]
+struct PlanScratch {
+    /// The decode batch's context lengths.
+    seqs: Vec<u64>,
+    /// Each decode request's MHA estimate.
+    costs: Vec<f64>,
+    /// Each channel's GEMV load per sub-batch.
+    loads: Vec<[f64; 2]>,
+    /// Algorithm 3's per-channel quota.
+    sides: SubBatchSides,
+}
+
+thread_local! {
+    /// One [`PlanScratch`] per thread, lent to whichever policy plans on
+    /// it.
+    static PLAN_SCRATCH: Cell<PlanScratch> = Cell::new(PlanScratch::default());
+}
 
 /// How admission charges a prompt, as decided by
 /// [`SchedulerPolicy::admission_charge`].
@@ -283,21 +306,23 @@ fn take_chunks(
 }
 
 /// Prices the decode batch of `demand` through the backend (`None` when no
-/// request is decode-ready).
+/// request is decode-ready), its context lengths gathered into `seqs`.
 fn price_decode(
     backend: &dyn Backend,
     model: &LlmConfig,
     tp: u32,
     layers: u32,
     demand: &IterationDemand<'_>,
+    seqs: &mut Vec<u64>,
 ) -> Result<Option<IterationBreakdown>, BackendError> {
+    seqs.clear();
     if demand.decode.is_empty() {
         return Ok(None);
     }
-    let seqs: Vec<u64> = demand.decode.iter().map(|&(_, s)| s).collect();
+    seqs.extend(demand.decode.iter().map(|&(_, s)| s));
     Ok(Some(
         backend
-            .decode_iteration(model, tp, layers, &seqs)?
+            .decode_iteration(model, tp, layers, seqs)?
             .into_breakdown(),
     ))
 }
@@ -338,7 +363,8 @@ impl SchedulerPolicy for LumpPrefill {
         layers: u32,
         demand: &IterationDemand<'_>,
     ) -> Result<IterationPlan, BackendError> {
-        let breakdown = price_decode(backend, model, tp, layers, demand)?
+        let mut scratch = Lent::take(&PLAN_SCRATCH);
+        let breakdown = price_decode(backend, model, tp, layers, demand, &mut scratch.seqs)?
             .expect("lump-prefill demand always has a decode batch");
         Ok(IterationPlan {
             prefill: Vec::new(),
@@ -412,7 +438,9 @@ impl SchedulerPolicy for ChunkedPrefill {
             demand.prefill,
             self.chunk_tokens as u64,
         )?;
-        let mut breakdown = price_decode(backend, model, tp, layers, demand)?.unwrap_or_default();
+        let mut scratch = Lent::take(&PLAN_SCRATCH);
+        let mut breakdown = price_decode(backend, model, tp, layers, demand, &mut scratch.seqs)?
+            .unwrap_or_default();
         let decode_cycles = breakdown.total_cycles;
         breakdown.total_cycles += prefill_cycles;
         breakdown.npu_busy += prefill_cycles; // prefill GEMMs run on the NPU
@@ -500,7 +528,15 @@ impl SchedulerPolicy for SubBatchInterleaved {
             demand.prefill,
             self.chunk_tokens as u64,
         )?;
-        let mut breakdown = price_decode(backend, model, tp, layers, demand)?.unwrap_or_default();
+        let mut scratch = Lent::take(&PLAN_SCRATCH);
+        let PlanScratch {
+            seqs,
+            costs,
+            loads,
+            sides,
+        } = &mut *scratch;
+        let mut breakdown =
+            price_decode(backend, model, tp, layers, demand, seqs)?.unwrap_or_default();
         let decode_cycles = breakdown.total_cycles;
 
         // NPU/PIM phase overlap: only meaningful when both engines exist
@@ -530,13 +566,15 @@ impl SchedulerPolicy for SubBatchInterleaved {
                     && !demand.decode.is_empty() =>
             {
                 // Algorithm 3 over the ready requests' home channels: one
-                // estimate per request, added to its channel's load on its
-                // sub-batch's side.
-                let mut sides = SubBatchSides::new(demand.homes);
-                let mut loads = vec![[0.0f64; 2]; sides.channels()];
-                for (&(_, seq), &home) in demand.decode.iter().zip(demand.homes) {
+                // estimate per request (priced as one batch), added to its
+                // channel's load on its sub-batch's side.
+                sides.reset(demand.homes);
+                loads.clear();
+                loads.resize(sides.channels(), [0.0; 2]);
+                est.estimate_into(seqs, costs);
+                for (&cost, &home) in costs.iter().zip(demand.homes) {
                     let side = usize::from(!sides.next_is_first(home));
-                    loads[home.index()][side] += est.estimate(seq);
+                    loads[home.index()][side] += cost;
                 }
                 // A sub-batch's GEMV phase is paced by its slowest channel.
                 let phase =

@@ -442,7 +442,7 @@ impl<B: Backend> Backend for ShardedBackend<B> {
         b.total_cycles = det.beat * self.spec.pp as u64;
         b.allreduce_cycles = det.collective_cycles;
         b.tokens = det.tokens;
-        Ok(IterationResult::new(&self.label, b))
+        Ok(IterationResult::new(self.label.clone(), b))
     }
 }
 

@@ -379,6 +379,18 @@ fn count(key: &str, v: &Value) -> Result<usize, SpecError> {
     }
 }
 
+/// The largest warm batch a throughput run prices: far past the paper's
+/// 512, and small enough that its context lengths fit in memory.
+const MAX_BATCH: usize = 1 << 16;
+
+/// A count of at most `max`.
+fn count_at_most(key: &str, v: &Value, max: usize) -> Result<usize, SpecError> {
+    match count(key, v)? {
+        n if n > max => serr(format!("{key:?} = {n} exceeds the maximum {max}")),
+        n => Ok(n),
+    }
+}
+
 /// An integer that fits a `u32`.
 fn int_u32(key: &str, v: &Value) -> Result<u32, SpecError> {
     let n = integer(key, v)?;
@@ -553,7 +565,7 @@ impl Settings {
             "router" => s.router = Some(name(key, v, &ROUTER_NAMES, router_from_name)?),
             "min-replicas" => s.min_replicas = Some(count(key, v)?),
             "dataset" => self.dataset = lookup(key, v, &DATASET_NAMES, dataset)?,
-            "batch" => self.batch = Some(count(key, v)?),
+            "batch" => self.batch = Some(count_at_most(key, v, MAX_BATCH)?),
             "samples" => self.samples = count(key, v)?,
             "requests" => self.requests = count(key, v)?,
             "rate" => self.rate = positive(key, v)?,
@@ -1200,6 +1212,8 @@ output = ["fixed", 8]
             ("max-batch", "0"),
             ("samples", "0"),
             ("batch", "0"),
+            ("batch", "65537"),
+            ("batch", "5000000000"),
             ("requests", "0"),
             ("chunk-tokens", "0"),
             ("tp", "0"),
@@ -1211,6 +1225,8 @@ output = ["fixed", 8]
             assert!(e.0.contains(&format!("{key:?}")), "{key}: {e}");
         }
         // The largest in-range values still parse.
+        let batch = format!("{minimal}kind = \"throughput\"\nbatch = 65536\n");
+        assert_eq!(SuiteSpec::parse(&batch).unwrap().scenarios[0].batch, 65536);
         let ok = format!("{minimal}tp = 4294967295\nkv-mib-per-channel = 17592186044415\n");
         let suite = SuiteSpec::parse(&ok).unwrap();
         assert_eq!(suite.scenarios[0].system.tp, Some(u32::MAX));

@@ -26,7 +26,7 @@
 
 use neupims_types::{ChannelId, MemConfig, SimError};
 
-use crate::geometry::KvGeometry;
+use crate::geometry::{KvCounts, KvGeometry};
 
 /// One request's live KV allocation: the pages its context holds on one
 /// channel. Only [`PagedKvCache::admit`] and [`PagedKvCache::restore`]
@@ -77,6 +77,9 @@ pub struct PreemptedKv {
 #[derive(Debug, Clone)]
 pub struct PagedKvCache {
     geometry: KvGeometry,
+    /// The geometry's counts, prepared once: every admission, token and
+    /// restore prices pages with them.
+    counts: KvCounts,
     layers: u32,
     pages_per_channel: u64,
     page_bytes: u64,
@@ -93,6 +96,7 @@ impl PagedKvCache {
     pub fn new(mem: &MemConfig, geometry: KvGeometry, layers: u32) -> Self {
         Self {
             geometry,
+            counts: geometry.counts(),
             layers,
             pages_per_channel: mem.capacity_per_channel / mem.page_bytes,
             page_bytes: mem.page_bytes,
@@ -124,7 +128,7 @@ impl PagedKvCache {
     /// Pages a `seq_len`-token context occupies on its channel (all
     /// resident layers).
     pub fn pages_for(&self, seq_len: u64) -> u64 {
-        self.geometry.kv_pages_per_layer(seq_len) * self.layers as u64
+        self.counts.kv_pages_per_layer(seq_len) * self.layers as u64
     }
 
     /// Free pages on `channel`.

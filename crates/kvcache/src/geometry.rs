@@ -16,8 +16,11 @@
 //!   for the per-head logit vectors.
 //!
 //! All counts are per decoder layer for one request on its home channel.
+//! [`KvGeometry`] states each count as the formula above;
+//! [`KvGeometry::counts`] prepares its divisors once, for pricing loops
+//! that count every request of every iteration.
 
-use neupims_types::{LlmConfig, MemConfig};
+use neupims_types::{Divisor, LlmConfig, MemConfig};
 
 /// Per-device K/V layout parameters for one model on one memory config.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,6 +122,90 @@ impl KvGeometry {
     /// KV bytes appended per token per layer (both K and V).
     pub fn kv_bytes_per_token_layer(&self) -> u64 {
         2 * self.embed * self.elem_bytes
+    }
+
+    /// The per-request counts of this geometry with their divisors
+    /// prepared once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry has no banks, no page elements or no heads.
+    pub fn counts(&self) -> KvCounts {
+        let d_head = self.d_head();
+        KvCounts {
+            banks: Divisor::new(self.banks),
+            page: Divisor::new(self.page_elems),
+            k_page_tokens: Divisor::new((self.page_elems / d_head).max(1)),
+            k_pages: self.embed.div_ceil(self.page_elems),
+            attend_rows: d_head.div_ceil(self.banks) * self.heads,
+            heads: self.heads,
+            d_head,
+        }
+    }
+}
+
+/// [`KvGeometry`]'s per-request counts, each `O(1)` with no hardware
+/// division when banks, page size and K-page tokens are powers of two.
+/// Every count equals the geometry method of the same name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KvCounts {
+    /// `B_chnl`: tokens per bank row.
+    banks: Divisor,
+    /// `P_DRAM`: elements per page.
+    page: Divisor,
+    /// Tokens per K page.
+    k_page_tokens: Divisor,
+    /// `ceil(E / P_DRAM)`: K pages, and the query GWRITEs.
+    k_pages: u64,
+    /// `ceil((E / N_head) / B_chnl) * N_head`: attend tiles per
+    /// sequence page.
+    attend_rows: u64,
+    heads: u64,
+    d_head: u64,
+}
+
+impl KvCounts {
+    /// [`KvGeometry::logit_tiles`].
+    #[inline]
+    pub fn logit_tiles(&self, seq_len: u64) -> u64 {
+        self.banks.div_ceil(seq_len) * self.k_pages
+    }
+
+    /// [`KvGeometry::logit_gwrites`].
+    #[inline]
+    pub fn logit_gwrites(&self) -> u64 {
+        self.k_pages
+    }
+
+    /// [`KvGeometry::attend_tiles`].
+    #[inline]
+    pub fn attend_tiles(&self, seq_len: u64) -> u64 {
+        self.page.div_ceil(seq_len) * self.attend_rows
+    }
+
+    /// [`KvGeometry::attend_gwrites`].
+    #[inline]
+    pub fn attend_gwrites(&self, seq_len: u64) -> u64 {
+        self.page.div_ceil(seq_len) * self.heads
+    }
+
+    /// [`KvGeometry::mha_tiles`].
+    #[inline]
+    pub fn mha_tiles(&self, seq_len: u64) -> u64 {
+        self.logit_tiles(seq_len) + self.attend_tiles(seq_len)
+    }
+
+    /// [`KvGeometry::mha_gwrites`].
+    #[inline]
+    pub fn mha_gwrites(&self, seq_len: u64) -> u64 {
+        self.logit_gwrites() + self.attend_gwrites(seq_len)
+    }
+
+    /// [`KvGeometry::kv_pages_per_layer`].
+    #[inline]
+    pub fn kv_pages_per_layer(&self, seq_len: u64) -> u64 {
+        self.heads * self.k_page_tokens.div_ceil(seq_len)
+            + self.heads * self.page.div_ceil(self.d_head * seq_len)
     }
 }
 

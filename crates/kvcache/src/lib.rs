@@ -39,6 +39,6 @@ pub mod pool;
 pub mod shard;
 
 pub use cache::{KvAlloc, PagedKvCache, PreemptedKv};
-pub use geometry::KvGeometry;
+pub use geometry::{KvCounts, KvGeometry};
 pub use pool::{PageId, PagePool};
 pub use shard::{split_evenly, KvShardPlan};

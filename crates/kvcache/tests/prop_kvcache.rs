@@ -183,4 +183,44 @@ proptest! {
             geo.logit_gwrites() + geo.attend_gwrites(seq_a)
         );
     }
+
+    /// The prepared counts equal the geometry's formulas on arbitrary
+    /// layouts: banks, page sizes and head widths that are and are not
+    /// powers of two, and contexts from 0 up to 2^40 tokens.
+    #[test]
+    fn prepared_counts_match_the_geometry(
+        heads in 1u64..129,
+        d_head in maybe_pow2(1..257),
+        page_elems in maybe_pow2(1..8193),
+        banks in maybe_pow2(1..65),
+        seqs in prop::collection::vec(context(), 1..32),
+    ) {
+        let geo = KvGeometry {
+            embed: heads * d_head,
+            heads,
+            page_elems,
+            banks,
+            elem_bytes: 2,
+        };
+        let counts = geo.counts();
+        prop_assert_eq!(counts.logit_gwrites(), geo.logit_gwrites());
+        for seq in seqs {
+            prop_assert_eq!(counts.logit_tiles(seq), geo.logit_tiles(seq));
+            prop_assert_eq!(counts.attend_tiles(seq), geo.attend_tiles(seq));
+            prop_assert_eq!(counts.attend_gwrites(seq), geo.attend_gwrites(seq));
+            prop_assert_eq!(counts.mha_tiles(seq), geo.mha_tiles(seq));
+            prop_assert_eq!(counts.mha_gwrites(seq), geo.mha_gwrites(seq));
+            prop_assert_eq!(counts.kv_pages_per_layer(seq), geo.kv_pages_per_layer(seq));
+        }
+    }
+}
+
+/// A value drawn from `range`, rounded up to a power of two half the time.
+fn maybe_pow2(range: std::ops::Range<u64>) -> impl Strategy<Value = u64> {
+    (range, any::<bool>()).prop_map(|(v, pow2)| if pow2 { v.next_power_of_two() } else { v })
+}
+
+/// A context length from 0 to 2^40 tokens, spread over every magnitude.
+fn context() -> impl Strategy<Value = u64> {
+    (0u32..41, any::<u64>()).prop_map(|(bits, r)| r % ((1u64 << bits) + 1))
 }

@@ -48,9 +48,9 @@ impl BatchLowering {
 
 /// Lowers the batch-size-dependent operators of one decoder block (all
 /// but the per-request MHA) for `model` at tensor parallelism `tp` and `m`
-/// GEMM rows. Builds no operator list and reads no context lengths, so a
-/// decode pricer can lower once per batch size and price the per-request
-/// MHA in its own pass.
+/// GEMM rows. Builds no operator list and reads no context lengths. The
+/// device pricers lower a block once per model shape and price any row
+/// count from that; tests hold them to this function at every row count.
 ///
 /// The model is not validated here: callers check
 /// [`LlmConfig::validate`] once per pricing call ([`compile_block`] does).

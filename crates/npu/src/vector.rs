@@ -6,13 +6,14 @@
 //! its elements at `lanes x units` elements per cycle, plus a small
 //! per-row reduction overhead.
 
-use neupims_types::{Cycle, NpuConfig};
+use neupims_types::{Cycle, Divisor, NpuConfig};
 
 /// Cycle-cost helper for the NPU's vector-unit cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VectorCost {
-    lanes: u64,
-    units: u64,
+    /// Elements per cycle across the cluster (`lanes x units`), prepared
+    /// once: every sweep divides by it.
+    throughput: Divisor,
 }
 
 /// Per-row overhead of reductions (max/sum trees, exponent LUT setup).
@@ -20,20 +21,23 @@ const ROW_OVERHEAD: u64 = 8;
 
 impl VectorCost {
     /// Builds the helper from the NPU organization.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the NPU has no vector lanes.
     pub fn new(npu: &NpuConfig) -> Self {
         Self {
-            lanes: npu.vu_lanes as u64,
-            units: npu.vector_units as u64,
+            throughput: Divisor::new(npu.vu_lanes as u64 * npu.vector_units as u64),
         }
     }
 
     /// Elements processed per cycle across the cluster.
     pub fn throughput(&self) -> u64 {
-        self.lanes * self.units
+        self.throughput.get()
     }
 
     fn sweep(&self, elems: u64, passes: u64) -> Cycle {
-        (passes * elems).div_ceil(self.throughput())
+        self.throughput.div_ceil(passes * elems)
     }
 
     /// Softmax over `rows` rows of `len` elements: three passes
@@ -85,6 +89,30 @@ mod tests {
         assert!(vc().gelu(1) >= 1);
         assert!(vc().add(1) >= 1);
         assert!(vc().softmax(1, 1) >= 1);
+    }
+
+    #[test]
+    fn sweeps_round_up_at_any_throughput() {
+        // The documented formulas, at throughputs that are and are not
+        // powers of two.
+        for (lanes, units) in [(128, 8), (96, 8), (7, 3), (1, 1)] {
+            let npu = NpuConfig {
+                vu_lanes: lanes,
+                vector_units: units,
+                ..NpuConfig::table2()
+            };
+            let vc = VectorCost::new(&npu);
+            let thr = (lanes * units) as u64;
+            for len in [1u64, 2, 127, 1000, 1 << 20, (1 << 40) + 3] {
+                for rows in [1u64, 8, 40] {
+                    let softmax = (3 * rows * len).div_ceil(thr) + 8 * rows;
+                    assert_eq!(vc.softmax(rows, len), softmax, "{lanes}x{units}");
+                    assert_eq!(vc.layernorm(rows, len), softmax, "{lanes}x{units}");
+                }
+                assert_eq!(vc.gelu(len), len.div_ceil(thr));
+                assert_eq!(vc.add(len), len.div_ceil(thr));
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@ use neupims_dram::{ChannelStats, DramChannel};
 use neupims_kvcache::KvGeometry;
 use neupims_pim::engine::bankgroup_strided_order;
 use neupims_pim::{CommandMode, GemvEngine, GemvJob, TileSpec};
-use neupims_types::{config::PimConfig, HbmTiming, MemConfig, NeuPimsConfig};
+use neupims_types::{config::PimConfig, Divisor, HbmTiming, MemConfig, NeuPimsConfig};
 
 use crate::estimator::MhaLatencyEstimator;
 
@@ -157,6 +157,16 @@ pub trait MhaCostModel: std::fmt::Debug + Send {
         seq_lens.iter().map(|&s| self.estimate(s)).sum()
     }
 
+    /// Replaces the contents of `out` with [`Self::estimate`] of every
+    /// context in `seq_lens`, in order: the batch form pricing loops call
+    /// once per iteration. Estimates and counters end as one `estimate`
+    /// per item leaves them; a model may update its counters once per
+    /// batch instead of once per item.
+    fn estimate_into(&self, seq_lens: &[u64], out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(seq_lens.iter().map(|&s| self.estimate(s)));
+    }
+
     /// Channel activity and memoization counters, for models that simulate
     /// real command streams (`None` for closed-form models).
     fn trace_snapshot(&self) -> Option<TraceSnapshot> {
@@ -216,8 +226,8 @@ type TraceKey = (u64, u64, u64, u64, bool, u64, u64);
 type FamilyKey = (u64, u64, u64, u64, bool, u64);
 
 /// Bucket-table slots below the octave region: bucket `k` bank rows for
-/// `k` in `0..=32` (see [`TraceDrivenCostModel::bucket`]: the quantum
-/// stays one bank row until contexts reach 32 of them).
+/// `k` in `0..=32` (see [`TraceDrivenCostModel::bucket`]: the octave
+/// region starts at most 32 bank rows in).
 const SMALL_SLOTS: usize = 33;
 
 /// Bucket-table slots per octave `[2^p, 2^(p+1))` of the ~6% region: the
@@ -538,6 +548,12 @@ pub struct TraceDrivenCostModel {
     dual: bool,
     memo: TraceMemo,
     table: Arc<BucketTable>,
+    /// The bank-row quantum `B_chnl` of the buckets below the octave
+    /// region (at least one token), prepared once.
+    row: Divisor,
+    /// Where the octave region starts: the smallest power of two `2^p`
+    /// whose octave quantum `2^(p-4)` exceeds one bank row.
+    octaves_from: u64,
 }
 
 /// The hardware a trace replay runs on — memory organization, DRAM timing
@@ -614,12 +630,15 @@ impl TraceDrivenCostModel {
             dual_row_buffer,
             hw.fingerprint,
         ));
+        let row = g.banks.max(1);
         Self {
             geometry,
             hw,
             dual: dual_row_buffer,
             memo,
             table,
+            row: Divisor::new(row),
+            octaves_from: 16 * (row + 1).next_power_of_two(),
         }
     }
 
@@ -630,46 +649,44 @@ impl TraceDrivenCostModel {
     }
 
     /// The memo bucket a context length falls into: `seq_len` rounded up
-    /// to a quantum of `max(B_chnl, 2^floor(log2 seq)/16)`. For contexts
-    /// of at least `16 * B_chnl` tokens the quantum is at most `seq/16`,
-    /// so bucketing overestimates by under ~6.25% while collapsing the
-    /// memo to a few entries per octave; below that the quantum clamps to
-    /// `B_chnl` (one bank row), which matches Algorithm 1's own
-    /// full-tile rounding granularity.
+    /// to a quantum of `2^floor(log2 seq)/16` once that exceeds one bank
+    /// row `B_chnl`, so bucketing overestimates by under ~6.25% while
+    /// collapsing the memo to 16 entries per octave. Shorter contexts
+    /// round up to whole bank rows, which matches Algorithm 1's own
+    /// full-tile rounding granularity, but never past the first octave
+    /// bucket: with a bank count that is not a power of two the next bank
+    /// row could overshoot it. So the rule is monotone and idempotent for
+    /// every bank count, which [`MhaCostModel::warm_replay`]'s walk over
+    /// the buckets relies on.
     pub fn bucket(&self, seq_len: u64) -> u64 {
         self.bucket_slot(seq_len).0
     }
 
     /// [`Self::bucket`] and the bucket's slot in the family's bucket
     /// table. Below the octave region the slot is the bucket's count of
-    /// bank rows (at most 32, since the quantum leaves one bank row only
-    /// once `2^floor(log2 seq)/16` exceeds it); in octave `p` it is
-    /// `SMALL_SLOTS + 16p + j` for the bucket `(16 + j) * 2^(p-4)`, so an
-    /// octave's last bucket (`j = 16`) lands on the next octave's first.
-    /// No slot ever holds two buckets, and no bucket has two slots: where
-    /// the bank-row buckets meet the first octave (with 32 banks, 1024 is
-    /// both 32 bank rows and octave 10's first bucket), the bucket takes
-    /// its octave slot, or it would replay once per slot.
+    /// bank rows (under 32, since the octave region starts at most 32
+    /// bank rows in); in octave `p` it is `SMALL_SLOTS + 16p + j` for the
+    /// bucket `(16 + j) * 2^(p-4)`, so an octave's last bucket (`j = 16`)
+    /// lands on the next octave's first. No slot ever holds two buckets,
+    /// and no bucket has two slots: the octave region's first bucket
+    /// takes its octave slot even when it is a whole number of bank rows
+    /// (1024 with 32 banks), or it would replay once per slot.
+    #[inline]
     fn bucket_slot(&self, seq_len: u64) -> (u64, usize) {
-        if seq_len == 0 {
-            return (0, 0);
+        if seq_len < self.octaves_from {
+            let rows = self.row.div_ceil(seq_len);
+            let bucket = rows * self.row.get();
+            if bucket < self.octaves_from {
+                return (bucket, rows as usize);
+            }
+            let octave = self.octaves_from.trailing_zeros() as usize;
+            return (self.octaves_from, SMALL_SLOTS + octave * OCTAVE_SLOTS);
         }
         let log2 = 63 - seq_len.leading_zeros();
-        let octave_quantum = (1u64 << log2) / 16;
-        let row = self.geometry.banks.max(1);
-        if octave_quantum <= row {
-            let rows = seq_len.div_ceil(row);
-            let bucket = rows * row;
-            if bucket.is_power_of_two() && bucket / 16 > row {
-                let octave = bucket.trailing_zeros() as usize;
-                return (bucket, SMALL_SLOTS + octave * OCTAVE_SLOTS);
-            }
-            (bucket, rows as usize)
-        } else {
-            let steps = seq_len.div_ceil(octave_quantum);
-            let slot = SMALL_SLOTS + log2 as usize * OCTAVE_SLOTS + (steps - 16) as usize;
-            (steps * octave_quantum, slot)
-        }
+        let shift = log2 - 4;
+        let steps = (seq_len >> shift) + u64::from(seq_len & ((1 << shift) - 1) != 0);
+        let slot = SMALL_SLOTS + log2 as usize * OCTAVE_SLOTS + (steps - 16) as usize;
+        (steps * (1 << shift), slot)
     }
 
     /// Counters accumulated so far (shared across clones of this model's
@@ -793,6 +810,21 @@ impl TraceDrivenCostModel {
         cycles
     }
 
+    /// The cycles of `seq_len`'s bucket, and whether they were a memo
+    /// hit. Warm path: one atomic load, no hashing and no lock. A miss
+    /// fills the slot; a lookup that finds it filled, or filled while it
+    /// waited in `get_or_init`, is a hit, which the caller counts.
+    #[inline]
+    fn lookup(&self, seq_len: u64) -> (f64, bool) {
+        let (bucket, slot) = self.bucket_slot(seq_len);
+        let mut filled_here = false;
+        let cycles = *self.table.slot(slot).get_or_init(|| {
+            filled_here = true;
+            self.fill(bucket)
+        });
+        (cycles, !filled_here)
+    }
+
     /// Replays the command stream of one bucketed context length through a
     /// fresh channel and returns its span.
     fn replay(&self, bucket: u64) -> (f64, ChannelStats) {
@@ -830,19 +862,25 @@ impl MhaCostModel for TraceDrivenCostModel {
     }
 
     fn estimate(&self, seq_len: u64) -> f64 {
-        let (bucket, slot) = self.bucket_slot(seq_len);
-        // Warm path: one atomic load, no hashing and no lock. A miss fills
-        // the slot; a lookup that finds it filled, or filled while it
-        // waited in `get_or_init`, is a memo hit.
-        let mut filled_here = false;
-        let cycles = *self.table.slot(slot).get_or_init(|| {
-            filled_here = true;
-            self.fill(bucket)
-        });
-        if !filled_here {
+        let (cycles, hit) = self.lookup(seq_len);
+        if hit {
             self.memo.0.memo_hits.fetch_add(1, Ordering::Relaxed);
         }
         cycles
+    }
+
+    fn estimate_into(&self, seq_lens: &[u64], out: &mut Vec<f64>) {
+        // One shared-counter update per batch, not one per request.
+        let mut hits = 0u64;
+        out.clear();
+        out.extend(seq_lens.iter().map(|&s| {
+            let (cycles, hit) = self.lookup(s);
+            hits += u64::from(hit);
+            cycles
+        }));
+        if hits > 0 {
+            self.memo.0.memo_hits.fetch_add(hits, Ordering::Relaxed);
+        }
     }
 
     fn trace_snapshot(&self) -> Option<TraceSnapshot> {
@@ -1108,18 +1146,32 @@ mod tests {
     #[test]
     fn distinct_buckets_of_one_family_never_share_a_slot() {
         // The bucket rule as first written: round up to a quantum of
-        // max(B_chnl, 2^floor(log2 seq)/16).
+        // max(B_chnl, 2^floor(log2 seq)/16). Below the octave region it
+        // is capped at the region's first bucket, which only binds when
+        // the bank count is not a power of two.
         let reference = |banks: u64, seq: u64| {
             if seq == 0 {
                 return 0;
             }
             let pow2 = 1u64 << (63 - seq.leading_zeros() as u64);
             let quantum = (pow2 / 16).max(banks).max(1);
-            seq.div_ceil(quantum) * quantum
+            let bucket = seq.div_ceil(quantum) * quantum;
+            let first_octave = 16 * (banks + 1).next_power_of_two();
+            if seq <= first_octave && !banks.is_power_of_two() {
+                bucket.min(first_octave)
+            } else {
+                bucket
+            }
         };
         for banks in [1u64, 16, 32, 48] {
-            let mut t = trace();
-            t.geometry.banks = banks;
+            let t = TraceDrivenCostModel::new(
+                &NeuPimsConfig::table2(),
+                KvGeometry {
+                    banks,
+                    ..geometry()
+                },
+                true,
+            );
             let mut seqs: Vec<u64> = (0..20_000).collect();
             for shift in 14..63 {
                 let base = 1u64 << shift;

@@ -16,12 +16,14 @@
 //! L_MHA   += L_tile * N_tiles
 //! ```
 
-use neupims_kvcache::KvGeometry;
+use neupims_kvcache::{KvCounts, KvGeometry};
 
 /// Estimates per-request MHA latency on a PIM channel (Algorithm 1).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MhaLatencyEstimator {
     geometry: KvGeometry,
+    /// The geometry's tile and GWRITE counts, divisors prepared once.
+    counts: KvCounts,
     l_tile: f64,
     l_gwrite: f64,
 }
@@ -31,6 +33,7 @@ impl MhaLatencyEstimator {
     pub fn new(geometry: KvGeometry, l_tile: f64, l_gwrite: f64) -> Self {
         Self {
             geometry,
+            counts: geometry.counts(),
             l_tile,
             l_gwrite,
         }
@@ -54,7 +57,7 @@ impl MhaLatencyEstimator {
     /// Estimated MHA latency (cycles) of one request with `seq_len` tokens
     /// of context, per decoder layer.
     pub fn estimate(&self, seq_len: u64) -> f64 {
-        let g = &self.geometry;
+        let g = &self.counts;
         // Keyᵀ x Query.
         let mut l = self.l_gwrite * g.logit_gwrites() as f64;
         l += self.l_tile * g.logit_tiles(seq_len) as f64;

@@ -82,7 +82,7 @@ pub fn partition_sub_batches(per_channel: &[Vec<RequestId>]) -> SubBatches {
 /// let first: Vec<bool> = homes.iter().map(|&h| sides.next_is_first(h)).collect();
 /// assert_eq!(first, [true, true, false, true, false]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SubBatchSides {
     /// First-sub-batch places each channel has left.
     quota: Vec<usize>,
@@ -92,16 +92,25 @@ impl SubBatchSides {
     /// Counts `homes` (each request's home channel, in batch order) per
     /// channel and splits every count by Algorithm 3.
     pub fn new(homes: &[ChannelId]) -> Self {
+        let mut sides = Self::default();
+        sides.reset(homes);
+        sides
+    }
+
+    /// [`Self::new`] in place: splits a new batch, reusing the quota
+    /// buffer of the last one.
+    pub fn reset(&mut self, homes: &[ChannelId]) {
         let channels = homes.iter().max().map_or(0, |h| h.index() + 1);
-        let mut quota = vec![0usize; channels];
+        let quota = &mut self.quota;
+        quota.clear();
+        quota.resize(channels, 0);
         for home in homes {
             quota[home.index()] += 1;
         }
         let mut turn = true;
-        for q in &mut quota {
+        for q in quota {
             *q = first_len(*q, &mut turn);
         }
-        Self { quota }
     }
 
     /// Channels indexed: one past the highest home.

@@ -1,7 +1,9 @@
 //! Property tests on the MHA cost models: analytic/trace agreement across
 //! the Table 3 model configurations, the regression pin that the
 //! analytic model reproduces the legacy estimator cycle-for-cycle, the
-//! replay memo's counting, and its tolerance of hostile cache files.
+//! memo bucket rule at every bank count, the batch estimate against
+//! per-request ones, the replay memo's counting, and its tolerance of
+//! hostile cache files.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Mutex, OnceLock};
@@ -15,6 +17,76 @@ use neupims_sched::{
     DEFAULT_DRIFT_TOLERANCE,
 };
 use neupims_types::{LlmConfig, NeuPimsConfig};
+
+/// A trace-driven model of GPT3-7B's layout with `banks` banks per
+/// channel row, on its own memo.
+fn model_with_banks(banks: u64) -> TraceDrivenCostModel {
+    let cfg = NeuPimsConfig::table2();
+    let geo = KvGeometry {
+        banks,
+        ..KvGeometry::for_model(&LlmConfig::gpt3_7b(), &cfg.mem)
+    };
+    TraceDrivenCostModel::new(&cfg, geo, true)
+}
+
+/// The memo bucket is a rounding rule at every bank count, powers of two
+/// or not: at least the context, monotone, and idempotent. (With 48 banks
+/// a rule that rounded to whole bank rows below the octave region put
+/// 1010 tokens in bucket 1056, above 1024's bucket 1024.)
+#[test]
+fn memo_buckets_round_up_monotonically_at_every_bank_count() {
+    let mut seqs: Vec<u64> = (0..5_000).collect();
+    for shift in 13..62 {
+        let base = 1u64 << shift;
+        seqs.extend([base - 1, base, base + 1, base + base / 32, base + base / 2]);
+    }
+    for banks in 1..=64 {
+        let model = model_with_banks(banks);
+        let mut last = 0;
+        for &seq in &seqs {
+            let bucket = model.bucket(seq);
+            assert!(bucket >= seq, "banks {banks}: seq {seq} -> bucket {bucket}");
+            assert!(
+                bucket >= last,
+                "banks {banks}: seq {seq} -> bucket {bucket} below an earlier {last}"
+            );
+            assert_eq!(
+                model.bucket(bucket),
+                bucket,
+                "banks {banks}: bucket {bucket}"
+            );
+            last = bucket;
+        }
+    }
+}
+
+/// `warm_replay` walks the buckets of a span and replays exactly the ones
+/// per-request lookups would: afterwards no context of the span replays,
+/// and a fresh memo looking up every context replays the same number.
+/// Covers bank counts that are not powers of two (24 and 20 straddle the
+/// first octave between two bank rows).
+#[test]
+fn warm_replay_fills_exactly_the_slots_lookups_touch() {
+    let (lo, hi) = (300, 1_100);
+    for banks in [16, 20, 24, 32] {
+        let warmed = model_with_banks(banks);
+        let replayed = warmed.warm_replay(&[(lo, hi)], 2);
+        assert_eq!(warmed.snapshot().replays, replayed, "banks {banks}");
+        for seq in lo..=hi {
+            warmed.estimate(seq);
+        }
+        assert_eq!(
+            warmed.snapshot().replays,
+            replayed,
+            "banks {banks}: a warmed span replays nothing more"
+        );
+        let cold = model_with_banks(banks);
+        for seq in lo..=hi {
+            cold.estimate(seq);
+        }
+        assert_eq!(cold.snapshot().replays, replayed, "banks {banks}");
+    }
+}
 
 fn table2_cal() -> PimCalibration {
     static CAL: OnceLock<PimCalibration> = OnceLock::new();
@@ -321,6 +393,35 @@ proptest! {
             }
             let legacy_sum = est.estimate_sum(&seqs);
             prop_assert_eq!(dyn_est.estimate_sum(&seqs).to_bits(), legacy_sum.to_bits(), "{}", name);
+        }
+    }
+
+    /// `estimate_into` prices a batch exactly as one `estimate` per
+    /// request does, and counts the same replays and memo hits, on a cold
+    /// memo and then warm, for both cost models.
+    #[test]
+    fn batch_estimates_match_per_request_estimates(
+        seqs in prop::collection::vec(prop_oneof![0u64..1_200, 1_000u64..4_000], 0..48),
+    ) {
+        let (batched, single) = (model_with_banks(32), model_with_banks(32));
+        let mut out = vec![f64::NAN; 3];
+        for pass in ["cold", "warm"] {
+            batched.estimate_into(&seqs, &mut out);
+            let expect: Vec<u64> = seqs.iter().map(|&s| single.estimate(s).to_bits()).collect();
+            let got: Vec<u64> = out.iter().map(|c| c.to_bits()).collect();
+            prop_assert_eq!(got, expect, "{} pass", pass);
+            let (b, s) = (batched.snapshot(), single.snapshot());
+            prop_assert_eq!(
+                (b.replays, b.memo_hits, b.disk_hits),
+                (s.replays, s.memo_hits, s.disk_hits),
+                "{} pass", pass
+            );
+        }
+        for (name, analytic, _) in model_pairs() {
+            analytic.estimate_into(&seqs, &mut out);
+            let expect: Vec<u64> = seqs.iter().map(|&s| analytic.estimate(s).to_bits()).collect();
+            let got: Vec<u64> = out.iter().map(|c| c.to_bits()).collect();
+            prop_assert_eq!(got, expect, "{}", name);
         }
     }
 

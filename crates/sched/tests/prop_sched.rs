@@ -249,7 +249,8 @@ proptest! {
 
     /// The count-based split puts every request on the side
     /// `partition_sub_batches` (and the paper's per-list rule) puts it,
-    /// for per-channel lists induced by random homes in batch order.
+    /// for per-channel lists induced by random homes in batch order, also
+    /// when its buffer is reused from another batch.
     #[test]
     fn count_based_sides_match_the_list_partition(
         homes in prop::collection::vec(0u32..40, 0..200),
@@ -264,7 +265,13 @@ proptest! {
         prop_assert_eq!(&sb.sb1, &ref1);
         prop_assert_eq!(&sb.sb2, &ref2);
 
-        let mut sides = SubBatchSides::new(&homes);
+        // A split reused from another, part-walked batch over more
+        // channels splits like a fresh one once reset.
+        let stale: Vec<ChannelId> = (0..41).rev().map(ChannelId::new).collect();
+        let mut sides = SubBatchSides::new(&stale);
+        sides.next_is_first(stale[0]);
+        sides.reset(&homes);
+        prop_assert_eq!(sides.channels(), SubBatchSides::new(&homes).channels());
         let (mut first, mut second) = (Vec::new(), Vec::new());
         for (i, &home) in homes.iter().enumerate() {
             let side = if sides.next_is_first(home) { &mut first } else { &mut second };

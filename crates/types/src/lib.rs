@@ -31,4 +31,4 @@ pub use config::{
 pub use error::SimError;
 pub use ids::{request_id, BankId, ChannelId, DeviceId, IdHasher, IdMap, IdSet, RequestId};
 pub use request::{Phase, Request, RequestState};
-pub use units::{Bytes, Cycle, DataType, FREQ_GHZ};
+pub use units::{Bytes, Cycle, DataType, Divisor, FREQ_GHZ};

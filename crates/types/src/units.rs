@@ -73,6 +73,68 @@ pub fn div_ceil(a: u64, b: u64) -> u64 {
     a.div_ceil(b)
 }
 
+/// A positive `u64` divisor prepared once for many divisions: a power of
+/// two divides by shifting, any other divisor by the hardware division.
+/// Both round exactly as `u64::div_ceil` and `/` do.
+///
+/// ```
+/// use neupims_types::Divisor;
+///
+/// assert_eq!(Divisor::new(32).div_ceil(33), 2);
+/// assert_eq!(Divisor::new(48).div_ceil(97), 3);
+/// assert_eq!(Divisor::new(48).div(97), 2);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Divisor {
+    value: u64,
+    /// `log2(value)` for a power of two, [`Self::NO_SHIFT`] otherwise.
+    shift: u32,
+}
+
+impl Divisor {
+    const NO_SHIFT: u32 = u32::MAX;
+
+    /// Prepares `value`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value` is zero, as dividing by it would.
+    pub const fn new(value: u64) -> Self {
+        assert!(value > 0, "a divisor must be positive");
+        let shift = if value.is_power_of_two() {
+            value.trailing_zeros()
+        } else {
+            Self::NO_SHIFT
+        };
+        Self { value, shift }
+    }
+
+    /// The divisor.
+    pub const fn get(self) -> u64 {
+        self.value
+    }
+
+    /// `x / self`, rounded down.
+    #[inline]
+    pub const fn div(self, x: u64) -> u64 {
+        if self.shift == Self::NO_SHIFT {
+            x / self.value
+        } else {
+            x >> self.shift
+        }
+    }
+
+    /// `x / self`, rounded up.
+    #[inline]
+    pub const fn div_ceil(self, x: u64) -> u64 {
+        if self.shift == Self::NO_SHIFT {
+            x.div_ceil(self.value)
+        } else {
+            (x >> self.shift) + ((x & (self.value - 1)) != 0) as u64
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,6 +151,37 @@ mod tests {
         assert_eq!(DataType::Fp16.to_string(), "fp16");
         assert_eq!(DataType::Fp32.to_string(), "fp32");
         assert_eq!(DataType::Int8.to_string(), "int8");
+    }
+
+    #[test]
+    fn prepared_divisors_round_like_the_operators() {
+        let xs = [
+            0,
+            1,
+            2,
+            3,
+            31,
+            32,
+            33,
+            1 << 40,
+            (1 << 40) + 1,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        for d in (1..=130).chain([1 << 20, (1 << 20) + 1, 1 << 63, u64::MAX]) {
+            let div = Divisor::new(d);
+            assert_eq!(div.get(), d);
+            for x in xs.into_iter().chain((0..300).map(|i| i * 7)) {
+                assert_eq!(div.div_ceil(x), x.div_ceil(d), "{x} / {d} rounded up");
+                assert_eq!(div.div(x), x / d, "{x} / {d}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a divisor must be positive")]
+    fn zero_divisor_is_rejected() {
+        let _ = Divisor::new(0);
     }
 
     #[test]

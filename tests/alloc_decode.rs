@@ -103,13 +103,13 @@ fn warm_decode_allocations(mode: DeviceMode, kind: CostModelKind) -> u64 {
 
 #[test]
 fn warm_trace_priced_decode_iteration_allocates_only_its_outputs() {
-    // The per-channel `pim_busy` vector of the result, and Algorithm 3's
-    // per-channel quota (`SubBatchSides`).
+    // The per-channel `pim_busy` vector of the result. Algorithm 3's
+    // per-channel quota (`SubBatchSides`) lives in the thread's scratch.
     assert_eq!(
         warm_decode_allocations(DeviceMode::neupims(), CostModelKind::TraceDriven),
-        2
+        1
     );
-    // Without sub-batch interleaving only the result's vector remains.
+    // Without sub-batch interleaving the same vector remains.
     let serial = DeviceMode::NeuPims {
         gmlbp: true,
         sbi: SbiPolicy::Off,
@@ -124,7 +124,7 @@ fn warm_trace_priced_decode_iteration_allocates_only_its_outputs() {
 fn warm_analytic_decode_iteration_allocates_only_its_outputs() {
     assert_eq!(
         warm_decode_allocations(DeviceMode::neupims(), CostModelKind::Analytic),
-        2
+        1
     );
     assert_eq!(
         warm_decode_allocations(DeviceMode::NaiveNpuPim, CostModelKind::Analytic),
@@ -211,16 +211,16 @@ fn steady_step_allocations(scheduler: &str, kind: CostModelKind) -> u64 {
 
 #[test]
 fn steady_serving_step_allocates_only_its_plan() {
-    // Four per step, all on the pricing path: the batch's context lengths
-    // handed to the backend (`price_decode`), the backend label of the
-    // `IterationResult`, the breakdown's per-channel `pim_busy`, and
-    // Algorithm 3's per-channel quota (`SubBatchSides`). Admission, token
-    // growth, KV accounting and the completion pass allocate nothing.
+    // One per step: the breakdown's per-channel `pim_busy`. The batch's
+    // context lengths and Algorithm 3's per-channel quota live in the
+    // plan's and the device's thread-local scratch, and the backend label
+    // of the `IterationResult` is borrowed. Admission, token growth, KV
+    // accounting and the completion pass allocate nothing.
     assert_eq!(
         steady_step_allocations("interleaved", CostModelKind::TraceDriven),
-        4
+        1
     );
-    assert_eq!(steady_step_allocations("lump", CostModelKind::Analytic), 4);
+    assert_eq!(steady_step_allocations("lump", CostModelKind::Analytic), 1);
 }
 
 /// Live heap bytes a steady-state replica gains between its 100th and its

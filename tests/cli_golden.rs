@@ -1,7 +1,7 @@
 //! CLI output goldens: `fleet`, `serve` and `fig14` stdout, byte for
-//! byte, the exit status of hostile `--tenants` and zero-count input,
-//! and the `fig6`, `fig12` and `fig13` aliases grading their eval suites
-//! green.
+//! byte, the exit status of hostile `--tenants`, zero-count and
+//! oversized input and of options a command never reads, and the
+//! `fig6`, `fig12` and `fig13` aliases grading their eval suites green.
 //!
 //! `serve` and `fleet` print the metric map an eval serving scenario is
 //! scored on, so these pin every key of it across replica construction,
@@ -267,4 +267,46 @@ fn hostile_tenants_are_rejected_by_field() {
         assert!(stderr.contains(field), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} printed a report");
     }
+}
+
+/// Options a command never reads are errors naming the option, before
+/// any output and before any side effect (a `--memo-cache` directory is
+/// never created), and an oversized warm batch is an error naming
+/// `--batch`, never an aborted allocation.
+#[test]
+fn options_a_command_never_reads_are_rejected() {
+    let cache = format!("{}/unread-memo-cache", env!("CARGO_TARGET_TMPDIR"));
+    for (args, option) in [
+        (vec!["calibrate", "--tolerance", "0.5"], "--tolerance"),
+        (vec!["calibrate", "--jobs", "3"], "--jobs"),
+        (vec!["calibrate", "--memo-cache", &cache], "--memo-cache"),
+        (vec!["sweep", "--memo-cache", &cache], "--memo-cache"),
+        (vec!["sweep", "--jobs", "2"], "--jobs"),
+        (vec!["sweep", "--tenants", "a:1:1"], "--tenants"),
+        (vec!["serve", "--quick"], "--quick"),
+        (vec!["fleet", "--reports-dir", "x"], "--reports-dir"),
+        (vec!["fleet", "--tolerance", "0.2"], "--tolerance"),
+        (vec!["eval", "smoke", "--tolerance", "0.2"], "--tolerance"),
+        (vec!["fig13", "--list"], "--list"),
+        (vec!["all", "--quick"], "--quick"),
+        (vec!["drift", "--jobs", "2"], "--jobs"),
+        (vec!["fig14", "--reports-dir", "x"], "--reports-dir"),
+        (
+            vec!["sweep", "--batch", "5000000000", "--samples", "1"],
+            "--batch",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_neupims-sim"))
+            .args(&args)
+            .output()
+            .expect("the CLI binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(option), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+    }
+    assert!(
+        !std::path::Path::new(&cache).exists(),
+        "a rejected --memo-cache created {cache}"
+    );
 }
