@@ -15,12 +15,14 @@
 //! run to run (a property the fleet's parallel execution leans on — see
 //! [`FleetSim`](crate::fleet::FleetSim)).
 //!
-//! Stale events are handled lazily: the queue never removes an entry
-//! early. Instead, consumers discard entries at or before their current
-//! clock ([`EventQueue::next_time_after`]) — by construction every
-//! *future*-timed entry corresponds to live simulator state (requests
-//! are only dropped or preempted once they are due), so lazy discard is
-//! exact, not approximate.
+//! A serving replica's queue holds only future transitions: it never
+//! schedules one at or before its clock (that transition is already
+//! actionable; [`EventQueue::push_after`]), and it drops the entries its clock reaches whenever the
+//! clock moves ([`EventQueue::discard_through`]). Every entry left
+//! corresponds to live simulator state (requests are only dropped or
+//! preempted once they are due), so the queue head is exactly the next
+//! transition, and the queue's size is bounded by the live requests, not
+//! by how many the replica has served.
 //!
 //! # Example
 //!
@@ -34,7 +36,8 @@
 //! q.push(100, SimEvent::Arrival(RequestId::new(3)));
 //! assert_eq!(q.pop(), Some((100, SimEvent::Arrival(RequestId::new(2)))));
 //! assert_eq!(q.pop(), Some((100, SimEvent::Arrival(RequestId::new(3)))));
-//! assert_eq!(q.next_time_after(150), Some(200));
+//! q.discard_through(150);
+//! assert_eq!(q.peek().map(|(at, _)| at), Some(200));
 //! ```
 
 use std::cmp::Ordering;
@@ -136,6 +139,15 @@ impl<T> EventQueue<T> {
         self.heap.push(Entry { at, seq, event });
     }
 
+    /// Schedules `event` at `at` unless it is already due at `now`: a
+    /// transition at or before the clock is actionable and needs no
+    /// entry.
+    pub fn push_after(&mut self, now: Cycle, at: Cycle, event: T) {
+        if at > now {
+            self.push(at, event);
+        }
+    }
+
     /// The earliest pending event, without removing it.
     pub fn peek(&self) -> Option<(Cycle, &T)> {
         self.heap.peek().map(|e| (e.at, &e.event))
@@ -147,16 +159,12 @@ impl<T> EventQueue<T> {
     }
 
     /// Discards every event scheduled at or before `now` (they were
-    /// already actionable when the clock reached them) and returns the
-    /// time of the earliest strictly-future event, leaving it queued.
-    pub fn next_time_after(&mut self, now: Cycle) -> Option<Cycle> {
-        while let Some(e) = self.heap.peek() {
-            if e.at > now {
-                return Some(e.at);
-            }
+    /// already actionable when the clock reached them), leaving the
+    /// strictly-future ones queued.
+    pub fn discard_through(&mut self, now: Cycle) {
+        while self.heap.peek().is_some_and(|e| e.at <= now) {
             self.heap.pop();
         }
-        None
     }
 
     /// Pending events.
@@ -206,16 +214,27 @@ mod tests {
     }
 
     #[test]
-    fn next_time_after_discards_past_and_keeps_future() {
+    fn discard_through_drops_past_and_keeps_future() {
         let mut q = EventQueue::new();
         q.push(5, ev(0));
         q.push(10, ev(1));
         q.push(10, ev(2));
         q.push(40, ev(3));
-        assert_eq!(q.next_time_after(10), Some(40));
+        q.discard_through(10);
         assert_eq!(q.len(), 1, "past events are discarded, future ones kept");
-        assert_eq!(q.next_time_after(40), None);
+        assert_eq!(q.peek(), Some((40, &ev(3))));
+        q.discard_through(40);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn push_after_skips_what_is_already_due() {
+        let mut q = EventQueue::new();
+        q.push_after(10, 10, ev(0));
+        q.push_after(10, 5, ev(1));
+        assert!(q.is_empty());
+        q.push_after(10, 11, ev(2));
+        assert_eq!(q.pop(), Some((11, ev(2))));
     }
 
     #[test]
@@ -262,15 +281,18 @@ mod tests {
             }
         }
 
-        /// The lazy-discard helper agrees with a from-scratch filter.
+        /// Discarding through `now` leaves exactly the later events, the
+        /// earliest at the head.
         #[test]
-        fn next_time_after_matches_reference(times in prop::collection::vec(0u64..100, 0..100), now in 0u64..100) {
+        fn discard_through_matches_reference(times in prop::collection::vec(0u64..100, 0..100), now in 0u64..100) {
             let mut q = EventQueue::new();
             for (i, &t) in times.iter().enumerate() {
                 q.push(t, ev(i as u32));
             }
-            let expect = times.iter().copied().filter(|&t| t > now).min();
-            prop_assert_eq!(q.next_time_after(now), expect);
+            q.discard_through(now);
+            let later: Vec<Cycle> = times.iter().copied().filter(|&t| t > now).collect();
+            prop_assert_eq!(q.len(), later.len());
+            prop_assert_eq!(q.peek().map(|(at, _)| at), later.iter().copied().min());
         }
     }
 }

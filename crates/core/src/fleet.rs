@@ -300,8 +300,13 @@ pub struct FleetOutcome {
 
 impl FleetOutcome {
     pub(crate) fn aggregate(submitted: u64, replicas: Vec<ServingOutcome>) -> Self {
+        // Each fleet-wide sample vector is allocated once, at its length.
+        let samples = |len: fn(&ServingOutcome) -> usize| replicas.iter().map(len).sum();
         let mut out = FleetOutcome {
             submitted,
+            latencies: Vec::with_capacity(samples(|r| r.latencies.len())),
+            ttfts: Vec::with_capacity(samples(|r| r.ttfts.len())),
+            tpots: Vec::with_capacity(samples(|r| r.tpots.len())),
             ..Default::default()
         };
         for r in &replicas {

@@ -1516,6 +1516,10 @@ impl<B: Backend> Orchestrator<B> {
             }
         }
 
+        // Every arrival is dispatched: free the sorted buffer before the
+        // drain phase and the aggregation, which both outlive it.
+        drop(arrivals);
+
         // Drain phase: no more barriers, so every remaining stream runs
         // to completion — fully parallel.
         let mut active: Vec<usize> = Vec::new();
@@ -1561,7 +1565,7 @@ impl<B: Backend> Orchestrator<B> {
             })
             .collect();
         for r in &fleet.replicas {
-            for rec in &r.records {
+            for rec in r.records.iter() {
                 let Some(tenant) = self.tenant_of.get(&rec.id).map(|&t| t as usize) else {
                     continue;
                 };
@@ -2012,7 +2016,7 @@ mod tests {
         );
         // Served work only ever landed inside dispatchability windows.
         for (slot, r) in out.slots.iter().zip(&out.fleet.replicas) {
-            for rec in &r.records {
+            for rec in r.records.iter() {
                 assert!(
                     slot.windows
                         .iter()

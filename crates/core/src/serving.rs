@@ -92,6 +92,7 @@
 
 use std::cell::Cell;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use neupims_kvcache::{KvAlloc, KvGeometry, PagedKvCache};
 use neupims_sched::{CostModelKind, MhaCostModel, RequestPool, TraceMemo, TraceSnapshot};
@@ -232,8 +233,12 @@ pub struct ServingOutcome {
     pub ttfts: Vec<Cycle>,
     /// Sorted per-request TPOTs in cycles per token.
     pub tpots: Vec<f64>,
-    /// Per-request records in completion order.
-    pub records: Vec<RequestMetrics>,
+    /// Per-request records in completion order, shared with the
+    /// simulation that produced them: taking an outcome copies no record,
+    /// and the simulation copies the list only if it completes another
+    /// request while this outcome still holds it (copy-on-write), so an
+    /// outcome keeps exactly the records completed when it was taken.
+    pub records: Arc<Vec<RequestMetrics>>,
     /// Aggregated iteration counters. Under the chunked schedulers,
     /// on-device prefill contributes to `total_cycles` and `npu_busy` but
     /// not to `npu_flops`/`bus_bytes` (the [`Backend`] prefill API prices
@@ -511,7 +516,9 @@ pub struct ServingSim<B: Backend = Device> {
     prefilling: Vec<PrefillProgress>,
     seen: IdSet<RequestId>,
     now: Cycle,
-    records: Vec<RequestMetrics>,
+    /// Completed requests' metrics in completion order, shared with the
+    /// outcomes taken so far (see [`ServingOutcome::records`]).
+    records: Arc<Vec<RequestMetrics>>,
     totals: IterationBreakdown,
     iterations: u64,
     last_iteration: Option<IterationOccupancy>,
@@ -537,7 +544,11 @@ pub struct ServingSim<B: Backend = Device> {
     /// The discrete-event spine: every future-timed transition (arrival,
     /// lump-prefill completion, restore completion) is scheduled here,
     /// so an idle step jumps straight to the next event instead of
-    /// scanning per-request state. Past entries are discarded lazily.
+    /// scanning per-request state. It holds only future transitions: a
+    /// transition at or before the clock is never scheduled (it is
+    /// already actionable), and the entries the clock reaches are
+    /// dropped when it moves, so its size is bounded by the live
+    /// requests, not by the run's length.
     events: EventQueue<SimEvent>,
     /// `step()` invocations over the run's lifetime (diagnostic; the
     /// fleet's never-re-step regression test observes it).
@@ -590,7 +601,7 @@ impl<B: Backend> ServingSim<B> {
             prefilling: Vec::new(),
             seen: IdSet::default(),
             now: 0,
-            records: Vec::new(),
+            records: Arc::default(),
             totals: IterationBreakdown::default(),
             iterations: 0,
             last_iteration: None,
@@ -844,7 +855,8 @@ impl<B: Backend> ServingSim<B> {
             return Err(SimError::DuplicateRequest(id));
         }
         let req = Request::new(id, input_len, output_len, arrival);
-        self.events.push(arrival, SimEvent::Arrival(req.id));
+        self.events
+            .push_after(self.now, arrival, SimEvent::Arrival(req.id));
         self.queued_pages += self.kv.pages_for(input_len as u64);
         self.submitted += 1;
         self.pool.submit(req);
@@ -994,8 +1006,11 @@ impl<B: Backend> ServingSim<B> {
                     match charge {
                         PrefillCharge::Delay(d) => {
                             rec.ready_at = self.now + d;
-                            self.events
-                                .push(self.now + d, SimEvent::RestoreComplete(id));
+                            self.events.push_after(
+                                self.now,
+                                rec.ready_at,
+                                SimEvent::RestoreComplete(id),
+                            );
                             self.restore_overhead += d;
                         }
                         PrefillCharge::Chunked => {
@@ -1022,7 +1037,7 @@ impl<B: Backend> ServingSim<B> {
                     let d = self.swap.transfer_cycles(bytes);
                     rec.ready_at = self.now + d;
                     self.events
-                        .push(self.now + d, SimEvent::RestoreComplete(id));
+                        .push_after(self.now, rec.ready_at, SimEvent::RestoreComplete(id));
                     self.restore_overhead += d;
                 }
             }
@@ -1061,7 +1076,7 @@ impl<B: Backend> ServingSim<B> {
     pub(crate) fn step_within(&mut self, horizon: Cycle) -> Result<StepEvent, SimError> {
         if let Some(wake) = self.wake {
             debug_assert_eq!(
-                self.events.next_time_after(self.now),
+                self.events.peek().map(|(at, _)| at),
                 Some(wake),
                 "a recorded wake must be the next event"
             );
@@ -1086,13 +1101,15 @@ impl<B: Backend> ServingSim<B> {
     }
 
     /// Waits for the event at `next`, stopping at `horizon` (and keeping
-    /// `next` as the wake) when it lies beyond. The clock never moves back.
+    /// `next` as the wake) when it lies beyond. The clock never moves back;
+    /// reaching `next` drops the events due at it.
     fn wait_until(&mut self, next: Cycle, horizon: Cycle) {
         if next > horizon {
             self.now = self.now.max(horizon);
             self.wake = Some(next);
         } else {
             self.now = next;
+            self.events.discard_through(next);
             self.wake = None;
         }
     }
@@ -1163,7 +1180,11 @@ impl<B: Backend> ServingSim<B> {
                         match charge {
                             PrefillCharge::Delay(prefill) => {
                                 rec.ready_at = now + prefill;
-                                events.push(now + prefill, SimEvent::IterationComplete(req.id));
+                                events.push_after(
+                                    now,
+                                    rec.ready_at,
+                                    SimEvent::IterationComplete(req.id),
+                                );
                             }
                             PrefillCharge::Chunked => {
                                 rec.prefilling = true;
@@ -1251,14 +1272,18 @@ impl<B: Backend> ServingSim<B> {
         }
 
         if ready.is_empty() && self.prefilling.is_empty() {
-            // The event queue holds every future arrival, lump-prefill
-            // completion, and restore completion; entries at or before
-            // `now` were already actionable and are discarded lazily.
-            // Every *future*-timed entry corresponds to live state
-            // (requests are only dropped, shed, or preempted once they
-            // are due), so the queue head IS the next transition — no
-            // per-request scan.
-            let next_event = self.events.next_time_after(self.now);
+            // The event queue holds exactly the future arrivals,
+            // lump-prefill completions and restore completions: nothing
+            // at or before `now` is ever scheduled, and the clock drops
+            // the entries it reaches. Every entry corresponds to live
+            // state (requests are only dropped, shed, or preempted once
+            // they are due), so the queue head IS the next transition —
+            // no per-request scan.
+            debug_assert!(
+                self.events.peek().is_none_or(|(at, _)| at > self.now),
+                "an event at or before the clock is still queued"
+            );
+            let next_event = self.events.peek().map(|(at, _)| at);
             if !self.pool.running().is_empty() {
                 // Everything admitted is still prefilling: jump to the
                 // earliest prefill completion — or to the next arrival if
@@ -1342,6 +1367,7 @@ impl<B: Backend> ServingSim<B> {
             hidden_cycles: plan.hidden_cycles,
         });
         self.now += plan.breakdown.total_cycles;
+        self.events.discard_through(self.now);
         self.totals.merge(&plan.breakdown);
         self.iterations += 1;
         self.decode_batch_sum += ready.len() as u64;
@@ -1480,7 +1506,7 @@ impl<B: Backend> ServingSim<B> {
             let first = rec
                 .first_token
                 .expect("completed request produced a first token");
-            self.records.push(RequestMetrics {
+            Arc::make_mut(&mut self.records).push(RequestMetrics {
                 id: done.id,
                 arrival: done.arrival,
                 ttft: first.saturating_sub(done.arrival),
@@ -1523,7 +1549,7 @@ impl<B: Backend> ServingSim<B> {
             latencies,
             ttfts,
             tpots,
-            records: self.records.clone(),
+            records: Arc::clone(&self.records),
             totals: self.totals.clone(),
             peak_kv_utilization: self.peak_kv,
             slo_attained,
@@ -1617,6 +1643,42 @@ mod tests {
     }
 
     #[test]
+    fn a_busy_replica_queues_only_future_events() {
+        // Fed arrivals while busy, some already due and some ahead of
+        // the clock, a replica holds no event at or before its clock
+        // after any step, and at most one per live request.
+        let mut s = sim(DeviceMode::neupims(), 4);
+        for id in 0..4 {
+            s.submit(id, 64, 6, 0).unwrap();
+        }
+        let mut next = 4;
+        let mut steps = 0u32;
+        loop {
+            if next < 40 && steps.is_multiple_of(3) {
+                let now = s.now();
+                s.submit(next, 64 + 7 * next, 6, now.saturating_sub(1))
+                    .unwrap();
+                s.submit(next + 1, 64, 6, now + 50_000).unwrap();
+                next += 2;
+            }
+            let event = s.step().unwrap();
+            steps += 1;
+            assert!(
+                s.events.peek().is_none_or(|(at, _)| at > s.now),
+                "step {steps}: an event at or before the clock {} is queued",
+                s.now
+            );
+            assert!(s.events.len() <= s.waiting_len() + s.running_len());
+            if event == StepEvent::Finished && next >= 40 {
+                break;
+            }
+        }
+        assert_eq!(s.completed(), 40);
+        assert_drained(&s);
+        assert!(s.events.is_empty());
+    }
+
+    #[test]
     fn later_arrivals_wait() {
         let mut s = sim(DeviceMode::neupims(), 8);
         s.submit(0, 64, 4, 0).unwrap();
@@ -1675,7 +1737,7 @@ mod tests {
         assert!(out.mean_latency >= out.latencies[0] as f64);
         assert!(out.mean_latency <= *out.latencies.last().unwrap() as f64);
         // Per-request invariant: first token cannot come after completion.
-        for r in &out.records {
+        for r in out.records.iter() {
             assert!(r.ttft <= r.latency, "{r:?}");
         }
     }
@@ -1814,7 +1876,7 @@ mod tests {
         }
         let out = s.run().unwrap();
         assert_eq!(out.completed, 4);
-        for r in &out.records {
+        for r in out.records.iter() {
             assert!(
                 r.ttft >= floor,
                 "TTFT {} must include the {}-cycle prefill",
@@ -1892,7 +1954,7 @@ mod tests {
         assert_eq!(out.preemptions, 0, "drop-only never parks");
         assert_eq!(out.restores, 0);
         assert_eq!(out.preemption_stall_cycles, 0);
-        for r in &out.records {
+        for r in out.records.iter() {
             assert_eq!(r.preemptions, 0);
         }
         assert_drained(&s);

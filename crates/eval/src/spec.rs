@@ -383,6 +383,10 @@ fn count(key: &str, v: &Value) -> Result<usize, SpecError> {
 /// 512, and small enough that its context lengths fit in memory.
 const MAX_BATCH: usize = 1 << 16;
 
+/// The most requests a serving run draws: request ids are `0..requests`
+/// and each must fit its `u32`.
+const MAX_REQUESTS: usize = 1 << 32;
+
 /// A count of at most `max`.
 fn count_at_most(key: &str, v: &Value, max: usize) -> Result<usize, SpecError> {
     match count(key, v)? {
@@ -567,7 +571,7 @@ impl Settings {
             "dataset" => self.dataset = lookup(key, v, &DATASET_NAMES, dataset)?,
             "batch" => self.batch = Some(count_at_most(key, v, MAX_BATCH)?),
             "samples" => self.samples = count(key, v)?,
-            "requests" => self.requests = count(key, v)?,
+            "requests" => self.requests = count_at_most(key, v, MAX_REQUESTS)?,
             "rate" => self.rate = positive(key, v)?,
             "seed" => self.seed = Some(integer(key, v)?),
             _ => return Ok(false),
@@ -1215,6 +1219,7 @@ output = ["fixed", 8]
             ("batch", "65537"),
             ("batch", "5000000000"),
             ("requests", "0"),
+            ("requests", "4294967297"),
             ("chunk-tokens", "0"),
             ("tp", "0"),
             ("pp", "0"),

@@ -912,17 +912,24 @@ impl MhaCostModel for TraceDrivenCostModel {
         if missing.is_empty() {
             return 0;
         }
-        let jobs = jobs.max(1).min(missing.len());
-        let chunk = missing.len().div_ceil(jobs);
-        std::thread::scope(|scope| {
-            for part in missing.chunks(chunk) {
-                scope.spawn(move || {
-                    for &bucket in part {
-                        self.estimate(bucket);
-                    }
-                });
+        let replay = |part: &[u64]| {
+            for &bucket in part {
+                self.estimate(bucket);
             }
-        });
+        };
+        let jobs = jobs.max(1).min(missing.len());
+        if jobs == 1 {
+            // A lone chunk replays on the caller: a spawned thread would
+            // only give the process a second malloc arena.
+            replay(&missing);
+        } else {
+            let chunk = missing.len().div_ceil(jobs);
+            std::thread::scope(|scope| {
+                for part in missing.chunks(chunk) {
+                    scope.spawn(move || replay(part));
+                }
+            });
+        }
         missing.len() as u64
     }
 
@@ -1263,6 +1270,21 @@ mod tests {
         // Analytic models have nothing to warm.
         let a = analytic();
         assert_eq!(MhaCostModel::warm_replay(&a, &[(1, 2000)], 4), 0);
+    }
+
+    #[test]
+    fn warm_replay_counts_the_same_on_the_caller_and_on_workers() {
+        // One job replays on the calling thread, two on scoped workers:
+        // the same buckets replay, and the counters agree.
+        let warm = |jobs| {
+            let t = trace();
+            let warmed = MhaCostModel::warm_replay(&t, &[(1, 3000), (64, 512)], jobs);
+            let snap = t.snapshot();
+            (warmed, snap.replays, snap.memo_hits, snap.disk_hits)
+        };
+        let serial = warm(1);
+        assert!(serial.0 > 1, "more than one bucket to split");
+        assert_eq!(serial, warm(2));
     }
 
     fn scratch_dir(tag: &str) -> std::path::PathBuf {

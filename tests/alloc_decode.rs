@@ -8,17 +8,24 @@
 //! that removes one must lower the pin. A warm iteration prices, balances
 //! and sums its batch in thread-local scratch; what it still allocates is
 //! named next to each pin. A steady-state replica holds constant live
-//! bytes: no per-iteration log grows with the run.
+//! bytes: no per-iteration log grows with the run, and a fixed fleet run
+//! peaks below a pinned number of live bytes per request.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use neupims_core::backend::backend_from_name;
 use neupims_core::device::{Device, DeviceMode, SbiPolicy};
+use neupims_core::fleet::{policy_from_name, FleetRequest, FleetSim};
 use neupims_core::scheduler::scheduler_from_name;
-use neupims_core::serving::{ServingConfig, ServingSim, StepEvent};
+use neupims_core::serving::{ServingConfig, ServingSim, SloTargets, StepEvent};
 use neupims_pim::calibrate;
 use neupims_sched::{assign_min_load, CostModelKind, MinLoadPacker};
 use neupims_types::{LlmConfig, NeuPimsConfig};
+use neupims_workload::{ArrivalProcess, Dataset, ScenarioWorkload, TenantMix};
 
 struct Counting;
 
@@ -27,6 +34,8 @@ thread_local! {
     /// Bytes allocated minus bytes freed on this thread. Signed: a thread
     /// may free what another allocated.
     static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    /// The high-water mark of `LIVE_BYTES` since it was last reset.
+    static PEAK_LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Counts one allocation of `bytes`.
@@ -36,9 +45,15 @@ fn count(bytes: i64) {
     track(bytes);
 }
 
-/// Adds `bytes` (negative when freed) to this thread's live total.
+/// Adds `bytes` (negative when freed) to this thread's live total and
+/// raises its high-water mark.
 fn track(bytes: i64) {
-    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + bytes));
+    if let Ok(live) = LIVE_BYTES.try_with(|n| {
+        n.set(n.get() + bytes);
+        n.get()
+    }) {
+        let _ = PEAK_LIVE_BYTES.try_with(|p| p.set(p.get().max(live)));
+    }
 }
 
 // SAFETY: every method forwards to `System` unchanged; counting touches
@@ -244,4 +259,79 @@ fn steady_replica_holds_constant_live_bytes() {
         0
     );
     assert_eq!(steady_live_bytes_growth("lump", CostModelKind::Analytic), 0);
+}
+
+/// Peak live heap bytes per request of a fixed fleet run, measured from
+/// just before `run()`: 32 GPU-roofline replicas with lump prefill behind
+/// JSQ on the calling thread, 4,000 seeded Poisson requests with ShareGPT
+/// lengths and outputs capped at 128 (the benchmark's `fleet-jsq-256`
+/// per-replica load).
+fn fleet_peak_live_bytes_per_request() -> f64 {
+    const REPLICAS: usize = 32;
+    const REQUESTS: usize = 4_000;
+    let hw = NeuPimsConfig::table2();
+    let cal = calibrate(&hw).unwrap();
+    let model = LlmConfig::gpt3_7b();
+    let cfg = ServingConfig {
+        max_batch: 64,
+        tp: model.parallelism.tp,
+        layers: model.num_layers / model.parallelism.pp,
+        target_completions: 0,
+        slo: Some(SloTargets {
+            ttft: 50_000_000,
+            tpot: 10_000_000.0,
+        }),
+    };
+    let replicas = (0..REPLICAS)
+        .map(|_| {
+            let backend = backend_from_name("gpu", &hw, &cal).unwrap();
+            ServingSim::new(backend, model.clone(), cfg.clone())
+        })
+        .collect();
+    let mut fleet = FleetSim::new(replicas, policy_from_name("jsq").unwrap())
+        .unwrap()
+        .with_jobs(1);
+    let workload = ScenarioWorkload {
+        arrival: ArrivalProcess::Poisson {
+            rate: 12.0 * REPLICAS as f64 / 256.0,
+        },
+        tenants: TenantMix::single(Dataset::ShareGpt),
+        requests: REQUESTS,
+    };
+    let requests = workload.generate(&mut StdRng::seed_from_u64(7));
+    for (i, r) in requests.iter().enumerate() {
+        fleet
+            .submit(FleetRequest {
+                id: u32::try_from(i).unwrap(),
+                input_len: r.input_len,
+                output_len: r.output_len.min(128),
+                arrival: r.arrival,
+            })
+            .unwrap();
+    }
+    drop(requests);
+    let base = live_bytes();
+    PEAK_LIVE_BYTES.with(|p| p.set(base));
+    let out = fleet.run().unwrap();
+    let peak = PEAK_LIVE_BYTES.with(Cell::get);
+    assert_eq!(out.submitted, REQUESTS as u64);
+    assert_eq!(out.completed + out.dropped, out.submitted);
+    (peak - base) as f64 / REQUESTS as f64
+}
+
+#[test]
+fn fleet_run_peaks_below_its_live_bytes_per_request() {
+    // At the peak the run holds each completed request's record (shared
+    // with its replica's outcome, not copied), the per-replica and
+    // fleet-wide sorted latency, TTFT and TPOT samples (the fleet-wide
+    // ones allocated at their exact length), and per-replica state sized
+    // by the live requests, not by the run's length: each event queue
+    // holds only future transitions, and the sorted arrival buffer is
+    // freed before the drain. Lower the ceiling when a change lowers the
+    // peak.
+    let per_request = fleet_peak_live_bytes_per_request();
+    assert!(
+        per_request <= 150.0,
+        "the fleet run peaked at {per_request:.1} live bytes per request"
+    );
 }

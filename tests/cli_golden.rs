@@ -271,8 +271,9 @@ fn hostile_tenants_are_rejected_by_field() {
 
 /// Options a command never reads are errors naming the option, before
 /// any output and before any side effect (a `--memo-cache` directory is
-/// never created), and an oversized warm batch is an error naming
-/// `--batch`, never an aborted allocation.
+/// never created), and an oversized warm batch or request count is an
+/// error naming `--batch` or `--requests` before calibration, never an
+/// aborted allocation.
 #[test]
 fn options_a_command_never_reads_are_rejected() {
     let cache = format!("{}/unread-memo-cache", env!("CARGO_TARGET_TMPDIR"));
@@ -295,6 +296,7 @@ fn options_a_command_never_reads_are_rejected() {
             vec!["sweep", "--batch", "5000000000", "--samples", "1"],
             "--batch",
         ),
+        (vec!["serve", "--requests", "5000000000"], "--requests"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_neupims-sim"))
             .args(&args)
@@ -303,6 +305,7 @@ fn options_a_command_never_reads_are_rejected() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
         assert!(stderr.contains(option), "{args:?}: {stderr}");
+        assert!(!stderr.contains("calibrating"), "{args:?} calibrated");
         assert!(out.stdout.is_empty(), "{args:?} printed a report");
     }
     assert!(

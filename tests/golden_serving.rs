@@ -111,7 +111,7 @@ fn run<B: Backend>(backend: B, scheduler: &str, preemption: &str) -> ServingOutc
 /// FNV-1a over every field of every record, in completion order.
 fn records_digest(out: &ServingOutcome) -> u64 {
     let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for r in &out.records {
+    for r in out.records.iter() {
         for word in [
             u64::from(r.id.0),
             r.arrival,

@@ -1,13 +1,16 @@
 //! Cross-crate integration: the SLO-aware multi-replica fleet simulator
 //! (dispatch policies x backends, heterogeneous fleets, drop accounting).
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use neupims_core::backend::{backend_from_name, Backend, GpuRooflineBackend};
 use neupims_core::device::{Device, DeviceMode};
 use neupims_core::fleet::{
-    policy_from_name, FleetRequest, FleetSim, JoinShortestQueue, RoundRobin, POLICY_NAMES,
+    policy_from_name, FleetOutcome, FleetRequest, FleetSim, JoinShortestQueue, RoundRobin,
+    POLICY_NAMES,
 };
 use neupims_core::serving::{ServingConfig, ServingSim, SloTargets};
 use neupims_pim::calibrate;
@@ -204,4 +207,69 @@ fn fleet_aggregates_drops() {
     assert_eq!(out.dropped, 1, "oversized request must be counted");
     assert_eq!(out.completed, 5);
     assert_eq!(out.completed + out.dropped, out.submitted);
+}
+
+#[test]
+fn an_outcome_keeps_its_records_across_a_later_round() {
+    // Outcomes share their replicas' record lists copy-on-write: taking
+    // one copies no record, and an outcome taken after one round reads
+    // exactly its own records and percentiles after a second round has
+    // completed more requests on the same replicas.
+    let cfg = NeuPimsConfig::table2();
+    let cal = calibrate(&cfg).unwrap();
+    let model = LlmConfig::gpt3_7b();
+    let replicas: Vec<ServingSim<Box<dyn Backend>>> = (0..2)
+        .map(|_| {
+            ServingSim::new(
+                backend_from_name("gpu", &cfg, &cal).unwrap(),
+                model.clone(),
+                serving_cfg(8),
+            )
+        })
+        .collect();
+    let mut fleet = FleetSim::new(replicas, policy_from_name("jsq").unwrap()).unwrap();
+    let requests = sampled_workload(24, 9);
+    let (first, second) = requests.split_at(12);
+    for &req in first {
+        fleet.submit(req).unwrap();
+    }
+    let out = fleet.run().unwrap();
+    assert_eq!(out.completed, 12);
+    for (replica, taken) in fleet.replicas().iter().zip(&out.replicas) {
+        assert!(
+            Arc::ptr_eq(&replica.outcome().records, &taken.records),
+            "an outcome shares its replica's records"
+        );
+    }
+    let records: Vec<Vec<_>> = out.replicas.iter().map(|r| r.records.to_vec()).collect();
+    let percentiles = |o: &FleetOutcome| {
+        (
+            o.latency_percentile(50.0),
+            o.latency_percentile(99.0),
+            o.ttft_percentile(99.0),
+            o.tpot_percentile(99.0),
+        )
+    };
+    let before = percentiles(&out);
+
+    for &req in second {
+        fleet
+            .submit(FleetRequest {
+                arrival: req.arrival + out.makespan,
+                ..req
+            })
+            .unwrap();
+    }
+    let again = fleet.run().unwrap();
+    assert_eq!(again.completed, 24);
+    for ((kept, taken), grown) in records.iter().zip(&out.replicas).zip(&again.replicas) {
+        assert_eq!(&**taken.records, kept, "the first outcome's records moved");
+        assert_eq!(&grown.records[..kept.len()], &kept[..]);
+    }
+    assert_eq!(percentiles(&out), before);
+    assert_ne!(
+        percentiles(&again),
+        before,
+        "the second round changed the fleet's samples"
+    );
 }

@@ -186,7 +186,7 @@ fn every_scheduler_conserves_requests_on_every_backend() {
             assert_eq!(out.completed, 12, "{backend_name}/{sched_name}");
             let expected: u64 = (0..12u32).map(|i| (2 + i % 5) as u64).sum();
             assert_eq!(out.tokens, expected, "{backend_name}/{sched_name}");
-            for r in &out.records {
+            for r in out.records.iter() {
                 assert!(r.ttft > 0, "{backend_name}/{sched_name}: {r:?}");
                 assert!(r.ttft <= r.latency, "{backend_name}/{sched_name}: {r:?}");
             }

@@ -51,7 +51,7 @@ fn streaming_workload_drains_completely() {
     // Prefill is charged: every record's first token arrives strictly
     // after arrival, no later than completion.
     assert_eq!(out.records.len(), n);
-    for r in &out.records {
+    for r in out.records.iter() {
         assert!(r.ttft > 0 && r.ttft <= r.latency, "{r:?}");
     }
 }

@@ -228,7 +228,7 @@ proptest! {
             cfg,
         );
         for (slot, replica) in out.slots.iter().zip(&out.fleet.replicas) {
-            for rec in &replica.records {
+            for rec in replica.records.iter() {
                 prop_assert!(
                     slot.windows
                         .iter()

@@ -52,7 +52,7 @@ proptest! {
         prop_assert_eq!(out.tokens, expected_tokens);
         prop_assert_eq!(out.records.len() as u64, out.completed);
         prop_assert!(out.latencies.windows(2).all(|w| w[0] <= w[1]));
-        for r in &out.records {
+        for r in out.records.iter() {
             prop_assert!(r.ttft > 0, "prefill must charge a nonzero TTFT");
             prop_assert!(r.ttft <= r.latency, "{:?}", r);
             prop_assert!(r.tpot() >= 0.0, "{:?}", r);
