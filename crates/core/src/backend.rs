@@ -601,7 +601,7 @@ pub struct GpuRooflineBackend {
 }
 
 /// The label of [`GpuRooflineBackend`].
-const GPU_LABEL: &str = "GPU-only";
+pub const GPU_LABEL: &str = "GPU-only";
 
 impl GpuRooflineBackend {
     /// Builds the backend from a GPU spec.

@@ -14,10 +14,11 @@
 //! no state, which is why the job count never changes results.
 //!
 //! That barrier loop is the [`Orchestrator`]'s: a `FleetSim` is the
-//! engine with one tenant, every replica statically on, and load-only
-//! routing. The all-replica lockstep engine survives as
-//! [`FleetSim::run_lockstep`], the independent golden reference the
-//! parity tests hold [`FleetSim::run`] to.
+//! engine with one tenant, every replica statically on, and its
+//! dispatch policy routing through [`LoadOnly`]. The all-replica
+//! lockstep engine survives as [`FleetSim::run_lockstep`], the
+//! independent golden reference the parity tests hold [`FleetSim::run`]
+//! to.
 //!
 //! Three policies ship out of the box:
 //!
@@ -75,10 +76,11 @@ use std::sync::Mutex;
 use neupims_sched::{CostModelKind, TraceMemo, TraceSnapshot};
 use neupims_types::{Cycle, SimError};
 
-use crate::backend::{Backend, BackendError};
+use crate::backend::{Backend, BackendError, CapabilityProfile};
 use crate::device::Device;
 use crate::orchestrator::{
-    check_slots, OrchRequest, Orchestrator, OrchestratorConfig, Router, StaticScale, TenantClass,
+    check_slots, out_of_range, LoadOnly, OrchRequest, Orchestrator, OrchestratorConfig,
+    StaticScale, TenantClass,
 };
 use crate::preempt::{PreemptionPolicy, SwapConfig};
 use crate::serving::{ServingOutcome, ServingSim, SloTargets, StepEvent};
@@ -103,11 +105,12 @@ pub struct FleetRequest {
     pub arrival: Cycle,
 }
 
-/// Live state of one replica at dispatch time, as seen by a
-/// [`DispatchPolicy`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+/// Live state of one slot at dispatch time, beside its backend's
+/// capability profile: what a [`DispatchPolicy`] and a
+/// [`RoutePolicy`](crate::orchestrator::RoutePolicy) are offered.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplicaSnapshot {
-    /// Replica index in the fleet.
+    /// Slot index in the fleet.
     pub index: usize,
     /// Requests waiting for admission.
     pub waiting: usize,
@@ -126,11 +129,17 @@ pub struct ReplicaSnapshot {
     /// contexts' restore demand, over the pool size (may exceed 1 when
     /// the backlog oversubscribes the cache).
     pub kv_pressure: f64,
+    /// The slot backend's capability envelope.
+    pub profile: CapabilityProfile,
 }
 
 impl ReplicaSnapshot {
-    /// Reads replica `index`'s live state.
-    pub(crate) fn of<B: Backend>(index: usize, r: &ServingSim<B>) -> Self {
+    /// Reads slot `index`'s live state beside its `profile`.
+    pub(crate) fn of<B: Backend>(
+        index: usize,
+        r: &ServingSim<B>,
+        profile: CapabilityProfile,
+    ) -> Self {
         Self {
             index,
             waiting: r.waiting_len(),
@@ -139,6 +148,7 @@ impl ReplicaSnapshot {
             outstanding_tokens: r.outstanding_tokens(),
             kv_utilization: r.kv_utilization(),
             kv_pressure: r.kv_pressure(),
+            profile,
         }
     }
 
@@ -152,15 +162,17 @@ impl ReplicaSnapshot {
 /// Chooses a replica for each arriving request.
 ///
 /// Policies are consulted once per request, in arrival order, with every
-/// replica's queues, outstanding work and KV pressure as of the arrival
-/// instant (a replica that has nothing to do before the arrival is not
-/// stepped to it) — implement this trait to plug a custom scheduler into
-/// [`FleetSim`].
+/// offered slot's queues, outstanding work and KV pressure as of the
+/// arrival instant (a replica that has nothing to do before the arrival
+/// is not stepped to it) — implement this trait to plug a custom
+/// scheduler into [`FleetSim`], which runs it through [`LoadOnly`].
 pub trait DispatchPolicy {
     /// Human-readable policy name (printed by the CLI).
     fn name(&self) -> &'static str;
 
-    /// Picks the replica index (`< snapshots.len()`) for `req`.
+    /// Picks a position (`< snapshots.len()`) in `snapshots` for `req`.
+    /// A fleet offers every replica in index order, so there the position
+    /// is the replica index.
     fn choose(&mut self, snapshots: &[ReplicaSnapshot], req: &FleetRequest) -> usize;
 }
 
@@ -183,7 +195,7 @@ impl DispatchPolicy for RoundRobin {
 }
 
 /// Join-shortest-queue: fewest waiting+running requests, ties broken by
-/// outstanding tokens, then index.
+/// outstanding tokens, then position.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JoinShortestQueue;
 
@@ -193,17 +205,17 @@ impl DispatchPolicy for JoinShortestQueue {
     }
 
     fn choose(&mut self, snapshots: &[ReplicaSnapshot], _req: &FleetRequest) -> usize {
-        snapshots
-            .iter()
-            .min_by_key(|s| (s.queue_len(), s.outstanding_tokens, s.index))
+        // `min_by_key` keeps the first of equal keys: the lowest position.
+        (snapshots.iter().enumerate())
+            .min_by_key(|(_, s)| (s.queue_len(), s.outstanding_tokens))
             .expect("non-empty fleet")
-            .index
+            .0
     }
 }
 
 /// KV-pressure-aware least-loaded: lowest KV pressure (reserved pages
 /// plus queued prompt demand), ties broken by outstanding tokens, then
-/// index.
+/// position.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct KvLeastLoaded;
 
@@ -213,16 +225,14 @@ impl DispatchPolicy for KvLeastLoaded {
     }
 
     fn choose(&mut self, snapshots: &[ReplicaSnapshot], _req: &FleetRequest) -> usize {
-        snapshots
-            .iter()
-            .min_by(|a, b| {
+        (snapshots.iter().enumerate())
+            .min_by(|(_, a), (_, b)| {
                 a.kv_pressure
                     .total_cmp(&b.kv_pressure)
                     .then(a.outstanding_tokens.cmp(&b.outstanding_tokens))
-                    .then(a.index.cmp(&b.index))
             })
             .expect("non-empty fleet")
-            .index
+            .0
     }
 }
 
@@ -489,9 +499,9 @@ impl<B: Backend> FleetSim<B> {
         // tenant outcomes.
         let everyone = TenantClass::new("fleet", SloTargets::from_ms(0.0, 0.0), u8::MAX, 1.0);
         let cfg = OrchestratorConfig::default_for(replicas.len());
-        let router = Router::Fleet(policy);
+        let route = Box::new(LoadOnly::new(policy));
         let scale = Box::new(StaticScale::full());
-        let engine = Orchestrator::engine(replicas, vec![everyone], router, scale, cfg);
+        let engine = Orchestrator::engine(replicas, vec![everyone], route, scale, cfg);
         Ok(Self {
             engine: Box::new(engine),
         })
@@ -635,7 +645,7 @@ impl<B: Backend> FleetSim<B> {
     ///
     /// Propagates replica simulation errors, and returns
     /// [`SimError::Scheduling`] naming [`Self::policy_name`] when the
-    /// policy chooses a replica past the fleet. A failed round leaves the
+    /// policy chooses a position past the fleet. A failed round leaves the
     /// failing request and every later one pending ([`Self::pending_len`]),
     /// dispatched ones on their replicas for the next `run`, and replica
     /// clocks where they got to.
@@ -675,25 +685,22 @@ impl<B: Backend> FleetSim<B> {
     }
 
     fn dispatch_one_lockstep(&mut self, req: FleetRequest) -> Result<(), SimError> {
-        let Orchestrator { slots, router, .. } = &mut *self.engine;
+        let engine = &mut *self.engine;
         // Bring every replica's local clock up to the arrival so the
         // policy sees live queues, not stale ones. Idle replicas stay
         // where they are (their snapshot is empty anyway).
-        for replica in slots.iter_mut() {
+        for replica in engine.slots.iter_mut() {
             advance_to(replica, req.arrival)?;
         }
-        let snaps: Vec<_> = (slots.iter().enumerate())
-            .map(|(i, r)| ReplicaSnapshot::of(i, r))
+        let snaps: Vec<_> = (engine.slots.iter().enumerate())
+            .map(|(i, r)| ReplicaSnapshot::of(i, r, engine.profiles[i]))
             .collect();
-        let Router::Fleet(policy) = router else {
-            unreachable!("FleetSim::new builds a fleet router");
-        };
-        let choice = policy.choose(&snaps, &req);
+        let choice = engine.route.route(&snaps, &req, &engine.tenants[0]);
         if choice >= snaps.len() {
-            return Err(router.out_of_range(choice, snaps.len()));
+            return Err(out_of_range(engine.route.name(), choice, snaps.len()));
         }
-        slots[choice].submit(req.id, req.input_len, req.output_len, req.arrival)?;
-        self.engine.dispatched += 1;
+        engine.slots[choice].submit(req.id, req.input_len, req.output_len, req.arrival)?;
+        engine.dispatched += 1;
         Ok(())
     }
 }
@@ -763,17 +770,16 @@ pub(crate) fn advance_set<B: Backend>(
 mod tests {
     use super::*;
     use crate::backend::GpuRooflineBackend;
-    use crate::testsupport::{cfg_of, gpu_replicas};
+    use crate::testsupport::{cfg_of, gpu_replicas, idle_snapshot};
     use neupims_types::LlmConfig;
 
     fn snap(index: usize, queue: usize, tokens: u64, kv: f64) -> ReplicaSnapshot {
         ReplicaSnapshot {
-            index,
             waiting: queue,
             outstanding_tokens: tokens,
             kv_utilization: kv,
             kv_pressure: kv,
-            ..Default::default()
+            ..idle_snapshot(index, GpuRooflineBackend::a100().caps())
         }
     }
 
@@ -935,7 +941,9 @@ mod tests {
             }
             let err = fleet.run().unwrap_err().to_string();
             assert!(
-                err.contains("chose replica") && err.contains("breaks-at-k"),
+                err.contains(
+                    "policy \"breaks-at-k\" chose position 2, but the offered slot count is 2"
+                ),
                 "{err}"
             );
             assert_eq!(fleet.policy_name(), "breaks-at-k");

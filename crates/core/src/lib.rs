@@ -50,14 +50,17 @@
 //!   policy;
 //! * [`fleet`] — SLO-aware multi-replica serving: N [`ServingSim`]
 //!   replicas behind a pluggable [`DispatchPolicy`] (round-robin,
-//!   join-shortest-queue, KV-pressure-aware), with fleet-wide TTFT/TPOT
-//!   percentiles, SLO attainment, and goodput;
+//!   join-shortest-queue, KV-pressure-aware) over live
+//!   [`ReplicaSnapshot`]s, with fleet-wide TTFT/TPOT percentiles, SLO
+//!   attainment, and goodput;
 //! * [`orchestrator`] — the capability-aware meta-serving layer above the
 //!   fleet: per-backend [`CapabilityProfile`] descriptors with warmup
 //!   priced on the event spine, [`TenantClass`] SLO classes with
 //!   per-tenant goodput, admission control, pluggable
 //!   [`AutoscalePolicy`] (static / reactive / EWMA-predictive) and
-//!   [`RoutePolicy`] (load-only / capability-aware) — graded on goodput
+//!   [`RoutePolicy`] (load-only / capability-aware), which reads the same
+//!   snapshots ([`RouteCandidate`] is their other name) and, like a
+//!   dispatch policy, answers a position among them — graded on goodput
 //!   per replica-cycle paid;
 //! * [`system`] — one [`SystemSpec`] (what CLI flags and eval
 //!   `[[scenario]]` keys both parse into), the single constructor of

@@ -2,8 +2,8 @@
 //!
 //! [`lower_batch`](neupims_llm::lower_batch) plans every GEMM of a block
 //! at one GEMM row count `m`. All it derives from a GEMM's `(k, n)` shape
-//! does not depend on `m`: the tile counts, the rounds over the systolic
-//! arrays, the edge tile's K extent and the weight bytes. So
+//! does not depend on `m`: the rounds over the systolic arrays, the
+//! tile's K extent and the weight bytes. So
 //! [`BlockLowering`] keeps those and prices any row count in O(1)
 //! arithmetic. Compute cycles are not linear in `m`: each tile costs
 //! `max(m, k) + sync`, and the slowest array bounds a pass. They are exact
@@ -21,13 +21,9 @@ use neupims_types::{DataType, Divisor, LlmConfig, NpuConfig, SimError};
 /// One GEMM of the block, tiled once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct GemmTiles {
-    /// Weight tiles of full K extent: every K tile but the last, per N
-    /// tile.
-    interior: u64,
-    /// Weight tiles of the last K tile, one per N tile.
-    edge: u64,
-    /// The K extent of an edge tile.
-    k_edge: u64,
+    /// The K extent a round is priced at: the array height, or K when it
+    /// fits in one tile.
+    k_tile: u64,
     /// Weight tiles per array, rounded up: the rounds of the busiest
     /// array.
     rounds: u64,
@@ -44,35 +40,19 @@ impl GemmTiles {
                 "GEMM with zero dimension: {k}x{n} weights"
             )));
         }
-        let k_tiles = k.div_ceil(sa.rows());
-        let n_tiles = n.div_ceil(sa.cols());
+        let tiles = k.div_ceil(sa.rows()) * n.div_ceil(sa.cols());
         Ok(Self {
-            interior: (k_tiles - 1) * n_tiles,
-            edge: n_tiles,
-            k_edge: if k.is_multiple_of(sa.rows()) {
-                sa.rows()
-            } else {
-                k % sa.rows()
-            },
-            rounds: (k_tiles * n_tiles).div_ceil(sa.arrays()),
+            k_tile: k.min(sa.rows()),
+            rounds: tiles.div_ceil(sa.arrays()),
             flops_per_row: 2 * k * n,
             weight_bytes: k * n * dtype.size_bytes(),
         })
     }
 
-    /// Cluster cycles at `m` rows: the busiest array's rounds, or the
-    /// serial work spread over every array when that is longer, plus one
+    /// Cluster cycles at `m` rows: the busiest array's rounds plus one
     /// pipeline fill and drain.
-    fn compute_cycles(&self, sa: &SystolicCost, arrays: Divisor, m: u64) -> u64 {
-        let per_interior = sa.tile_cycles(m, sa.rows());
-        let per_edge = sa.tile_cycles(m, self.k_edge);
-        let serial = self.interior * per_interior + self.edge * per_edge;
-        let per_round = if self.interior > 0 {
-            per_interior
-        } else {
-            per_edge
-        };
-        (self.rounds * per_round).max(arrays.div(serial)) + sa.pass_overhead()
+    fn compute_cycles(&self, sa: &SystolicCost, m: u64) -> u64 {
+        self.rounds * sa.tile_cycles(m, self.k_tile) + sa.pass_overhead()
     }
 }
 
@@ -105,7 +85,6 @@ pub(crate) struct BlockLowering {
     /// QKV generation, attention projection, FFN1, FFN2.
     gemms: [GemmTiles; 4],
     sa: SystolicCost,
-    arrays: Divisor,
     vc: VectorCost,
     d_model: u64,
     d_ff: u64,
@@ -138,7 +117,6 @@ impl BlockLowering {
                 gemm(d_ff / shards, d)?,
             ],
             sa,
-            arrays: Divisor::new(sa.arrays()),
             vc: VectorCost::new(npu),
             d_model: d,
             d_ff,
@@ -177,7 +155,7 @@ impl BlockLowering {
     pub(crate) fn at(&self, m: u64) -> BlockCost {
         let m = m.max(1);
         let [qkv, rest @ ..] = &self.gemms;
-        let cycles = |g: &GemmTiles| g.compute_cycles(&self.sa, self.arrays, m);
+        let cycles = |g: &GemmTiles| g.compute_cycles(&self.sa, m);
         // Two layernorms and two residual adds over `m x d`, and the GeLU
         // over the `m x d_ff / tp` FFN activations.
         let vc = &self.vc;
@@ -237,8 +215,7 @@ mod tests {
 
     /// Every preset model, and a small one whose sharded GEMMs have a
     /// single, partial K tile: the presets' K extents all exceed one tile,
-    /// where the busiest array's full-K rounds bound every pass and the
-    /// edge tile's K never shows.
+    /// so their rounds are all priced at the full array height.
     fn models() -> [LlmConfig; 9] {
         [
             LlmConfig::gpt3_7b(),
@@ -298,23 +275,25 @@ mod tests {
         }
     }
 
-    /// The mutation that prices edge tiles at the full K extent is caught
-    /// by the comparison above: some row count of the small model's
-    /// sharded block then differs from lowering.
+    /// The mutation that prices a K fitting in one tile at the full array
+    /// height is caught by the comparison above: some row count of the
+    /// small model's sharded block, whose sharded K extents fit in one
+    /// tile, then differs from lowering.
     #[test]
-    fn edge_tiles_are_priced_at_their_own_k() {
+    fn a_single_k_tile_is_priced_at_its_own_k() {
         let npu = NpuConfig::table2();
         let model = &models()[8];
         let mut block = BlockLowering::new(&npu, model, 8).unwrap();
         let full_k = block.sa.rows();
+        assert!(block.gemms.iter().any(|g| g.k_tile < full_k));
         for gemm in &mut block.gemms {
-            gemm.k_edge = full_k;
+            gemm.k_tile = full_k;
         }
         assert!((0..=4096).any(|m| block.at(m) != lowered(&npu, model, 8, m)));
     }
 
     /// The same at systolic and vector geometries that are not powers of
-    /// two, where every K extent leaves an edge tile.
+    /// two.
     #[test]
     fn lowering_holds_on_odd_npu_geometries() {
         let npu = NpuConfig {

@@ -44,11 +44,16 @@
 //! fleet's lockstep reference bit for bit, so everything above is
 //! strictly additive.
 //!
+//! Both kinds of policy read one slot type, [`ReplicaSnapshot`]
+//! ([`RouteCandidate`] is its other name), and answer a position in the
+//! candidate slice. The engine holds one route policy; a fleet's
+//! [`DispatchPolicy`] runs behind [`LoadOnly`].
+//!
 //! The loop's bookkeeping per arrival is O(due slots): the slot-state
-//! counts, the queue total over dispatchable slots and the route
-//! candidate list are fields, updated on slot transitions and snapshot
-//! refreshes, and debug builds check them against a full walk of the
-//! slot table at every barrier.
+//! counts, the queue total over dispatchable slots and the candidate
+//! list, the one store of the On slots' snapshots, are fields, updated
+//! on slot transitions and snapshot refreshes, and debug builds check
+//! them against a full walk of the slot table at every barrier.
 //!
 //! # Example
 //!
@@ -372,28 +377,22 @@ pub fn autoscale_from_name(name: &str) -> Result<Box<dyn AutoscalePolicy>, Backe
     })
 }
 
-/// One dispatchable slot as seen by a [`RoutePolicy`]: the live snapshot
-/// plus the backend's capability profile. `snapshot.index` is the global
-/// slot index; the route answer is a position *within the candidate
-/// slice*.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RouteCandidate {
-    /// Live replica state at the dispatch instant.
-    pub snapshot: ReplicaSnapshot,
-    /// The slot backend's capability envelope.
-    pub profile: CapabilityProfile,
-}
+/// One dispatchable slot as seen by a [`RoutePolicy`]: the snapshot a
+/// [`DispatchPolicy`] reads, which carries the slot's capability
+/// profile. `index` is the global slot index; the route answer is a
+/// position *within the candidate slice*.
+pub type RouteCandidate = ReplicaSnapshot;
 
 /// Chooses a dispatchable slot for each admitted request.
 ///
 /// Consulted once per request, in arrival order, with exactly the warmed-
-/// up (dispatchable) slots as candidates — warming and parked slots are
-/// never offered.
+/// up (dispatchable) slots as candidates, in slot order — warming and
+/// parked slots are never offered.
 pub trait RoutePolicy {
     /// Human-readable policy name (printed by the CLI).
     fn name(&self) -> &'static str;
 
-    /// Picks the candidate position (`< candidates.len()`) for `req`.
+    /// Picks a position (`< candidates.len()`) in `candidates` for `req`.
     fn route(
         &mut self,
         candidates: &[RouteCandidate],
@@ -402,24 +401,19 @@ pub trait RoutePolicy {
     ) -> usize;
 }
 
-/// Capability-blind routing: delegates to a classic
-/// [`DispatchPolicy`] over the candidates' snapshots. With every slot
-/// dispatchable this is exactly [`FleetSim`](crate::fleet::FleetSim)
-/// dispatch — the parity arm.
+/// Capability-blind routing: delegates to a classic [`DispatchPolicy`]
+/// over the candidates, whose answer is already a position, and reports
+/// its name. With every slot dispatchable this is exactly
+/// [`FleetSim`](crate::fleet::FleetSim) dispatch, which runs its policy
+/// through it.
 pub struct LoadOnly {
     inner: Box<dyn DispatchPolicy>,
-    /// The candidates' snapshots re-indexed to positions, reused across
-    /// calls.
-    reindexed: Vec<ReplicaSnapshot>,
 }
 
 impl LoadOnly {
     /// Wraps a dispatch policy.
     pub fn new(inner: Box<dyn DispatchPolicy>) -> Self {
-        Self {
-            inner,
-            reindexed: Vec::new(),
-        }
+        Self { inner }
     }
 }
 
@@ -433,7 +427,7 @@ impl std::fmt::Debug for LoadOnly {
 
 impl RoutePolicy for LoadOnly {
     fn name(&self) -> &'static str {
-        "load"
+        self.inner.name()
     }
 
     fn route(
@@ -442,21 +436,7 @@ impl RoutePolicy for LoadOnly {
         req: &FleetRequest,
         _tenant: &TenantClass,
     ) -> usize {
-        // Re-index the snapshots to candidate positions so the inner
-        // policy's index-based answers and tie-breaks stay in-bounds on a
-        // partial fleet; with every slot dispatchable this is the
-        // identity map (the parity case).
-        self.reindexed.clear();
-        self.reindexed.extend(
-            candidates
-                .iter()
-                .enumerate()
-                .map(|(pos, c)| ReplicaSnapshot {
-                    index: pos,
-                    ..c.snapshot
-                }),
-        );
-        self.inner.choose(&self.reindexed, req)
+        self.inner.choose(candidates, req)
     }
 }
 
@@ -514,8 +494,8 @@ impl RoutePolicy for CapabilityAware {
                 score += 10.0;
             }
             // Live pressure: KV oversubscription dominates, then backlog.
-            score += c.snapshot.kv_pressure * 50.0;
-            score += c.snapshot.queue_len() as f64 * 4.0;
+            score += c.kv_pressure * 50.0;
+            score += c.queue_len() as f64 * 4.0;
             if score < best_score {
                 best_score = score;
                 best = pos;
@@ -530,8 +510,9 @@ impl RoutePolicy for CapabilityAware {
 pub const ROUTER_NAMES: [&str; 3] = ["load", "round-robin", "capability"];
 
 /// Builds a boxed route policy from its CLI name (case-insensitive).
-/// `load` wraps join-shortest-queue, `round-robin` wraps the blind
-/// rotation baseline, `capability` is [`CapabilityAware`].
+/// `load` wraps join-shortest-queue and `round-robin` the blind rotation
+/// baseline in [`LoadOnly`], so they report the names `jsq` and
+/// `round-robin`; `capability` is [`CapabilityAware`].
 ///
 /// # Errors
 ///
@@ -766,38 +747,12 @@ impl OrchestratorOutcome {
     }
 }
 
-/// How the engine picks a slot for an admitted request.
-pub(crate) enum Router {
-    /// A [`FleetSim`](crate::fleet::FleetSim)'s dispatch policy: what
-    /// [`LoadOnly`] runs, minus its re-indexed copy. A fleet never scales,
-    /// so every slot is a candidate and the snapshot table is already in
-    /// position order.
-    Fleet(Box<dyn DispatchPolicy>),
-    /// An orchestrator's route policy, offered the dispatchable slots.
-    Route(Box<dyn RoutePolicy>),
-}
-
-impl Router {
-    /// The policy a run's reports and errors name: a fleet's dispatch
-    /// policy, otherwise the route policy.
-    pub(crate) fn name(&self) -> &'static str {
-        match self {
-            Router::Fleet(policy) => policy.name(),
-            Router::Route(route) => route.name(),
-        }
-    }
-
-    /// The error for a choice past the `offered` slots.
-    pub(crate) fn out_of_range(&self, choice: usize, offered: usize) -> SimError {
-        let (kind, unit) = match self {
-            Router::Fleet(_) => ("dispatch", "replica"),
-            Router::Route(_) => ("route", "candidate"),
-        };
-        SimError::Scheduling(format!(
-            "{kind} policy {:?} chose {unit} {choice}, but {offered} are offered",
-            self.name()
-        ))
-    }
+/// The error for a policy named `name` choosing position `choice` of
+/// `offered` candidates.
+pub(crate) fn out_of_range(name: &str, choice: usize, offered: usize) -> SimError {
+    SimError::Scheduling(format!(
+        "policy {name:?} chose position {choice}, but the offered slot count is {offered}"
+    ))
 }
 
 /// The arrivals of one run in dispatch order: the sorted pending requests
@@ -831,49 +786,46 @@ impl Arrivals {
 /// every barrier it equals [`Orchestrator::walk`] (debug-asserted).
 #[derive(Debug, Default, PartialEq)]
 struct SlotView {
-    /// Every slot's latest snapshot, in slot order.
-    snaps: Vec<ReplicaSnapshot>,
     /// Slots paying warmup.
     warming: usize,
     /// Slots draining toward park.
     draining: usize,
     /// Queue depth summed over the On slots.
     on_queue: usize,
-    /// The On (dispatchable) slots in slot order, as the route policy is
-    /// offered them: `snapshot.index` is the slot.
+    /// The On (dispatchable) slots' snapshots in slot order, as the route
+    /// policy is offered them: the only snapshots the engine keeps.
     cands: Vec<RouteCandidate>,
 }
 
 impl SlotView {
     /// Position of slot `i` in (or for) the candidate list.
     fn pos(&self, i: usize) -> usize {
-        self.cands.partition_point(|c| c.snapshot.index < i)
+        self.cands.partition_point(|c| c.index < i)
     }
 
-    /// Counts slot `i` in `state` (an On slot joins the candidates).
-    fn enter(&mut self, i: usize, state: SlotState, profile: CapabilityProfile) {
+    /// Counts slot `snap.index` in `state`; an On slot joins the
+    /// candidates as `snap`.
+    fn enter(&mut self, state: SlotState, snap: ReplicaSnapshot) {
         match state {
             SlotState::Off => {}
             SlotState::Warming { .. } => self.warming += 1,
             SlotState::Draining => self.draining += 1,
             SlotState::On => {
-                let snapshot = self.snaps[i];
-                self.on_queue += snapshot.queue_len();
-                self.cands
-                    .insert(self.pos(i), RouteCandidate { snapshot, profile });
+                self.on_queue += snap.queue_len();
+                self.cands.insert(self.pos(snap.index), snap);
             }
         }
     }
 
-    /// Undoes [`Self::enter`].
+    /// Undoes [`Self::enter`] for slot `i`.
     fn leave(&mut self, i: usize, state: SlotState) {
         match state {
             SlotState::Off => {}
             SlotState::Warming { .. } => self.warming -= 1,
             SlotState::Draining => self.draining -= 1,
             SlotState::On => {
-                self.on_queue -= self.snaps[i].queue_len();
-                self.cands.remove(self.pos(i));
+                let snap = self.cands.remove(self.pos(i));
+                self.on_queue -= snap.queue_len();
             }
         }
     }
@@ -886,12 +838,12 @@ impl SlotView {
 /// `docs/ORCHESTRATOR.md` for the full walkthrough.
 pub struct Orchestrator<B: Backend> {
     pub(crate) slots: Vec<ServingSim<B>>,
-    profiles: Vec<CapabilityProfile>,
+    pub(crate) profiles: Vec<CapabilityProfile>,
     state: Vec<SlotState>,
     on_since: Vec<Cycle>,
     stats: Vec<SlotStats>,
-    tenants: Vec<TenantClass>,
-    pub(crate) router: Router,
+    pub(crate) tenants: Vec<TenantClass>,
+    pub(crate) route: Box<dyn RoutePolicy>,
     autoscale: Box<dyn AutoscalePolicy>,
     cfg: OrchestratorConfig,
     pub(crate) pending: Vec<OrchRequest>,
@@ -917,7 +869,7 @@ impl<B: Backend> std::fmt::Debug for Orchestrator<B> {
         f.debug_struct("Orchestrator")
             .field("slots", &self.slots.len())
             .field("tenants", &self.tenants.len())
-            .field("route", &self.router.name())
+            .field("route", &self.route.name())
             .field("autoscale", &self.autoscale.name())
             .field("pending", &self.pending.len())
             .finish()
@@ -966,7 +918,6 @@ impl<B: Backend> Orchestrator<B> {
                 cfg.min_replicas, cfg.max_replicas
             )));
         }
-        let route = Router::Route(route);
         Ok(Self::engine(slots, tenants, route, autoscale, cfg))
     }
 
@@ -975,7 +926,7 @@ impl<B: Backend> Orchestrator<B> {
     pub(crate) fn engine(
         slots: Vec<ServingSim<B>>,
         tenants: Vec<TenantClass>,
-        router: Router,
+        route: Box<dyn RoutePolicy>,
         autoscale: Box<dyn AutoscalePolicy>,
         cfg: OrchestratorConfig,
     ) -> Self {
@@ -1014,7 +965,7 @@ impl<B: Backend> Orchestrator<B> {
             on_since: vec![0; n],
             stats,
             tenants,
-            router,
+            route,
             autoscale,
             cfg,
             pending: Vec::new(),
@@ -1057,7 +1008,7 @@ impl<B: Backend> Orchestrator<B> {
 
     /// The route policy's name.
     pub fn route_name(&self) -> &'static str {
-        self.router.name()
+        self.route.name()
     }
 
     /// The autoscale policy's name.
@@ -1101,17 +1052,16 @@ impl<B: Backend> Orchestrator<B> {
         Ok(())
     }
 
+    /// Slot `i`'s live snapshot.
+    fn snapshot(&self, i: usize) -> ReplicaSnapshot {
+        ReplicaSnapshot::of(i, &self.slots[i], self.profiles[i])
+    }
+
     /// The [`SlotView`] recomputed from a full walk of the slot table.
     fn walk(&self) -> SlotView {
-        let snaps = (self.slots.iter().enumerate())
-            .map(|(i, r)| ReplicaSnapshot::of(i, r))
-            .collect();
-        let mut view = SlotView {
-            snaps,
-            ..SlotView::default()
-        };
+        let mut view = SlotView::default();
         for (i, &state) in self.state.iter().enumerate() {
-            view.enter(i, state, self.profiles[i]);
+            view.enter(state, self.snapshot(i));
         }
         view
     }
@@ -1120,20 +1070,19 @@ impl<B: Backend> Orchestrator<B> {
     fn set_state(&mut self, i: usize, to: SlotState) {
         let from = std::mem::replace(&mut self.state[i], to);
         self.view.leave(i, from);
-        self.view.enter(i, to, self.profiles[i]);
+        self.view.enter(to, self.snapshot(i));
     }
 
-    /// Re-reads slot `i`'s snapshot into the view (and its candidate
-    /// entry, if it is On).
+    /// Re-reads slot `i`'s candidate entry, if it is On.
     fn refresh(&mut self, i: usize) {
-        let snap = ReplicaSnapshot::of(i, &self.slots[i]);
-        let v = &mut self.view;
-        if self.state[i] == SlotState::On {
-            v.on_queue = v.on_queue - v.snaps[i].queue_len() + snap.queue_len();
-            let pos = v.pos(i);
-            v.cands[pos].snapshot = snap;
+        if self.state[i] != SlotState::On {
+            return;
         }
-        v.snaps[i] = snap;
+        let snap = self.snapshot(i);
+        let v = &mut self.view;
+        let pos = v.pos(i);
+        v.on_queue = v.on_queue - v.cands[pos].queue_len() + snap.queue_len();
+        v.cands[pos] = snap;
     }
 
     /// Closes slot `i`'s cost window at `t` and parks it.
@@ -1391,7 +1340,7 @@ impl<B: Backend> Orchestrator<B> {
                 // committed, which is what lets a demand rebound cancel
                 // the drain above.
                 for _ in desired..committed {
-                    let Some(i) = self.view.cands.last().map(|c| c.snapshot.index) else {
+                    let Some(i) = self.view.cands.last().map(|c| c.index) else {
                         break;
                     };
                     if self.slots[i].is_idle() {
@@ -1417,7 +1366,7 @@ impl<B: Backend> Orchestrator<B> {
                 let pressure = if cands.is_empty() {
                     0.0
                 } else {
-                    cands.iter().map(|c| c.snapshot.kv_pressure).sum::<f64>() / cands.len() as f64
+                    cands.iter().map(|c| c.kv_pressure).sum::<f64>() / cands.len() as f64
                 };
                 if pressure >= self.cfg.admission.shed_pressure {
                     self.shed[oreq.tenant] += 1;
@@ -1477,20 +1426,16 @@ impl<B: Backend> Orchestrator<B> {
                 arrivals.defer(oreq, t + delay);
                 continue;
             }
-            let (cands, snaps) = (&self.view.cands, &self.view.snaps);
-            let pos = match &mut self.router {
-                Router::Fleet(policy) => {
-                    debug_assert_eq!(cands.len(), snaps.len(), "a fleet never parks a slot");
-                    policy.choose(snaps, &oreq.req)
-                }
-                Router::Route(route) => route.route(cands, &oreq.req, &self.tenants[oreq.tenant]),
-            };
+            let cands = &self.view.cands;
+            let pos = self
+                .route
+                .route(cands, &oreq.req, &self.tenants[oreq.tenant]);
             let offered = cands.len();
             if pos >= offered {
                 self.restash(oreq, &mut arrivals);
-                return Err(self.router.out_of_range(pos, offered));
+                return Err(out_of_range(self.route.name(), pos, offered));
             }
-            let g = cands[pos].snapshot.index;
+            let g = cands[pos].index;
             // A waiting slot was left out of the barrier, since nothing
             // happens on it before its wake: one O(1) step brings it to
             // the dispatch instant, as the barrier would have. It, or a
@@ -1635,8 +1580,8 @@ fn default_jobs() -> usize {
 mod tests {
     use super::*;
     use crate::backend::{BackendCaps, GpuRooflineBackend};
-    use crate::fleet::{JoinShortestQueue, RoundRobin};
-    use crate::testsupport::{cfg_of, gpu_replicas};
+    use crate::fleet::{JoinShortestQueue, KvLeastLoaded, RoundRobin};
+    use crate::testsupport::{cfg_of, gpu_replicas, idle_snapshot};
     use neupims_types::LlmConfig;
 
     fn loose_slo() -> SloTargets {
@@ -1848,7 +1793,12 @@ mod tests {
         }
         let mut o = under_pressure(Box::new(BreaksAtSixth(0)));
         let err = o.run().unwrap_err().to_string();
-        assert!(err.contains("chose candidate"), "{err}");
+        assert!(
+            err.contains(
+                "policy \"breaks-at-sixth\" chose position 1, but the offered slot count is 1"
+            ),
+            "{err}"
+        );
         assert_eq!(o.dispatched, 5, "the five routed arrivals stay dispatched");
         let shed: u64 = o.shed.iter().sum();
         assert_eq!(o.pending_len() as u64, 30 - 5 - shed);
@@ -1870,15 +1820,6 @@ mod tests {
         assert_eq!(out.fleet.completed + out.fleet.dropped, out.fleet.submitted);
     }
 
-    fn idle_candidate(index: usize, caps: BackendCaps) -> RouteCandidate {
-        let snapshot = ReplicaSnapshot {
-            index,
-            ..Default::default()
-        };
-        let profile = CapabilityProfile::for_caps(caps);
-        RouteCandidate { snapshot, profile }
-    }
-
     #[test]
     fn capability_router_sends_long_context_to_pim() {
         let mut r = CapabilityAware::default();
@@ -1894,7 +1835,7 @@ mod tests {
             dual_row_buffer: false,
             batched_mha: true,
         };
-        let cands = vec![idle_candidate(0, gpu_caps), idle_candidate(1, pim_caps)];
+        let cands = vec![idle_snapshot(0, gpu_caps), idle_snapshot(1, pim_caps)];
         let tenant = TenantClass::new("t", loose_slo(), 100, 1.0);
         let long = FleetRequest {
             id: 0,
@@ -1917,7 +1858,7 @@ mod tests {
         let mut r = LoadOnly::new(Box::new(RoundRobin::default()));
         // Candidates are slots 3 and 7: positions must still be 0, 1, 0.
         let caps = GpuRooflineBackend::a100().caps();
-        let cands = vec![idle_candidate(3, caps), idle_candidate(7, caps)];
+        let cands = vec![idle_snapshot(3, caps), idle_snapshot(7, caps)];
         let tenant = TenantClass::new("t", loose_slo(), 100, 1.0);
         let req = FleetRequest {
             id: 0,
@@ -1928,6 +1869,32 @@ mod tests {
         assert_eq!(r.route(&cands, &req, &tenant), 0);
         assert_eq!(r.route(&cands, &req, &tenant), 1);
         assert_eq!(r.route(&cands, &req, &tenant), 0);
+    }
+
+    #[test]
+    fn classic_policies_answer_positions_over_candidates() {
+        // Candidates are slots 3 and 7. A loaded slot 3 sends the request
+        // to slot 7, position 1; on a tie the lower slot, 3, wins at
+        // position 0.
+        let caps = GpuRooflineBackend::a100().caps();
+        let loaded = ReplicaSnapshot {
+            waiting: 2,
+            outstanding_tokens: 40,
+            kv_pressure: 0.5,
+            ..idle_snapshot(3, caps)
+        };
+        let tenant = TenantClass::new("t", loose_slo(), 100, 1.0);
+        let req = shaped(0, 0, 1).req;
+        for (slot3, want) in [(loaded, 1), (idle_snapshot(3, caps), 0)] {
+            let cands = [slot3, idle_snapshot(7, caps)];
+            assert_eq!(JoinShortestQueue.choose(&cands, &req), want);
+            assert_eq!(KvLeastLoaded.choose(&cands, &req), want);
+            let policies: [Box<dyn DispatchPolicy>; 2] =
+                [Box::new(JoinShortestQueue), Box::new(KvLeastLoaded)];
+            for inner in policies {
+                assert_eq!(LoadOnly::new(inner).route(&cands, &req, &tenant), want);
+            }
+        }
     }
 
     #[test]
@@ -1979,10 +1946,12 @@ mod tests {
             assert_eq!(autoscale_from_name(name).unwrap().name(), name);
         }
         assert!(autoscale_from_name("chaotic").is_err());
-        for name in ROUTER_NAMES {
-            let r = router_from_name(name).unwrap();
-            let expect = if name == "round-robin" { "load" } else { name };
-            assert_eq!(r.name(), expect);
+        // The load-only routers report the dispatch policy they wrap.
+        for (name, reported) in ROUTER_NAMES
+            .iter()
+            .zip(["jsq", "round-robin", "capability"])
+        {
+            assert_eq!(router_from_name(name).unwrap().name(), reported);
         }
         assert!(router_from_name("psychic").is_err());
     }

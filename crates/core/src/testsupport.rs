@@ -13,9 +13,10 @@ use std::sync::OnceLock;
 use neupims_pim::{calibrate, PimCalibration};
 use neupims_types::{LlmConfig, NeuPimsConfig};
 
-use crate::backend::GpuRooflineBackend;
+use crate::backend::{BackendCaps, CapabilityProfile, GpuRooflineBackend};
 use crate::device::{Device, DeviceMode};
 use crate::experiments::ExperimentContext;
+use crate::fleet::ReplicaSnapshot;
 use crate::serving::{ServingConfig, ServingSim};
 use crate::simulation::DEFAULT_SEED;
 
@@ -65,4 +66,19 @@ pub(crate) fn cfg_of(max_batch: usize) -> ServingConfig {
 pub(crate) fn gpu_replicas(n: usize) -> Vec<ServingSim<GpuRooflineBackend>> {
     let gpu = || ServingSim::new(GpuRooflineBackend::a100(), LlmConfig::gpt3_7b(), cfg_of(8));
     (0..n).map(|_| gpu()).collect()
+}
+
+/// The snapshot of idle slot `index` on a backend with `caps`, for
+/// dispatch and route policy tests.
+pub(crate) fn idle_snapshot(index: usize, caps: BackendCaps) -> ReplicaSnapshot {
+    ReplicaSnapshot {
+        index,
+        waiting: 0,
+        running: 0,
+        preempted: 0,
+        outstanding_tokens: 0,
+        kv_utilization: 0.0,
+        kv_pressure: 0.0,
+        profile: CapabilityProfile::for_caps(caps),
+    }
 }

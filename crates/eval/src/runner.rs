@@ -14,6 +14,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
 
+use neupims_core::backend::GPU_LABEL;
 use neupims_core::experiments::ExperimentContext;
 use neupims_core::fleet::{FleetOutcome, FleetRequest};
 use neupims_core::orchestrator::OrchestratorOutcome;
@@ -212,7 +213,9 @@ fn run_throughput(
     if system.sharding_requested() {
         let devices = system.tp.unwrap_or(1) as u64 * system.pp.unwrap_or(1) as u64;
         metrics.insert("devices".into(), devices as f64);
-    } else {
+    } else if sim.backend().label() != GPU_LABEL {
+        // Utilization is measured against the Table 2 NPU's and DRAM's
+        // peaks, which a GPU roofline does not run on.
         metrics.insert("npu_utilization".into(), util.npu);
         metrics.insert("pim_utilization".into(), util.pim);
         metrics.insert("bandwidth_utilization".into(), util.bandwidth);
@@ -405,21 +408,36 @@ name = "thr"
 kind = "throughput"
 batch = 32
 samples = 1
+
+[[scenario]]
+name = "thr-gpu"
+kind = "throughput"
+backend = "gpu"
+batch = 32
+samples = 1
 "#;
 
     #[test]
     fn serving_and_throughput_scenarios_run() {
         let suite = SuiteSpec::parse(TINY).unwrap();
         let runs = run_suite(&suite, None).unwrap();
-        assert_eq!(runs.len(), 2);
+        assert_eq!(runs.len(), 3);
         let serve = &runs[0];
         assert_eq!(serve.kind, "serving");
         assert_eq!(serve.metric("submitted"), Some(6.0));
         assert!(serve.metric("tokens_per_sec").unwrap() > 0.0);
         assert!(serve.metric("completed").unwrap() > 0.0);
-        let thr = &runs[1];
+        let (thr, gpu) = (&runs[1], &runs[2]);
         assert_eq!(thr.kind, "throughput");
         assert!(thr.metric("tokens_per_sec").unwrap() > 0.0);
+        assert!(gpu.metric("tokens_per_sec").unwrap() > 0.0);
+        // Utilization is measured against the Table 2 NPU's and DRAM's
+        // peaks, so a GPU scenario reports none of it.
+        for key in ["npu", "pim", "bandwidth", "npu_stage", "pim_stage"] {
+            let key = format!("{key}_utilization");
+            assert!(thr.metric(&key).is_some(), "{key}");
+            assert_eq!(gpu.metric(&key), None, "{key}");
+        }
     }
 
     #[test]

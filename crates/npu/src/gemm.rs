@@ -59,28 +59,13 @@ pub fn plan_gemm(
         )));
     }
     let sa = SystolicCost::new(npu);
-    let k_tiles = k.div_ceil(sa.rows());
-    let n_tiles = n.div_ceil(sa.cols());
-    let w_tiles = k_tiles * n_tiles;
+    let w_tiles = k.div_ceil(sa.rows()) * n.div_ceil(sa.cols());
 
-    // Per-tile cost uses the tile's actual K extent (edge tiles are
-    // cheaper); approximate with the full extent for interior tiles and the
-    // remainder for the last K tile.
-    let k_edge = if k.is_multiple_of(sa.rows()) {
-        sa.rows()
-    } else {
-        k % sa.rows()
-    };
-    let interior = (k_tiles - 1) * n_tiles;
-    let edge = n_tiles;
-    let per_interior = sa.tile_cycles(m, sa.rows());
-    let per_edge = sa.tile_cycles(m, k_edge);
-    let serial_cycles = interior * per_interior + edge * per_edge;
-
-    // Tiles round-robin over arrays; the slowest array bounds the pass.
+    // Tiles round-robin over arrays; the busiest array's rounds bound the
+    // pass. Each round costs a full-K tile, or K itself when it fits in
+    // one tile.
     let rounds = w_tiles.div_ceil(sa.arrays());
-    let per_round = if interior > 0 { per_interior } else { per_edge };
-    let compute_cycles = (rounds * per_round).max(serial_cycles / sa.arrays()) + sa.pass_overhead();
+    let compute_cycles = rounds * sa.tile_cycles(m, k.min(sa.rows())) + sa.pass_overhead();
 
     let es = dtype.size_bytes();
     let flops = 2 * m * k * n;
