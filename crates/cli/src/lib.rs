@@ -508,12 +508,15 @@ fn run_title(
 ) -> String {
     let routing = match built {
         System::Fleet(fleet) => format!("{} dispatch", fleet.policy_name()),
-        System::Orchestrator(orch) => format!(
-            "{} router, {} autoscale, {} tenants",
-            orch.route_name(),
-            orch.autoscale_name(),
-            orch.tenants().len()
-        ),
+        System::Orchestrator(orch) => {
+            let tenants = orch.tenants().len();
+            format!(
+                "{} router, {} autoscale, {tenants} tenant{}",
+                orch.route_name(),
+                orch.autoscale_name(),
+                if tenants == 1 { "" } else { "s" }
+            )
+        }
     };
     let sharding = if system.sharding_requested() {
         format!(

@@ -24,7 +24,7 @@
 
 use std::collections::VecDeque;
 
-use neupims_types::{BankId, ChannelId, Cycle, HbmTiming, MemConfig, SimError};
+use neupims_types::{BankId, ChannelId, Cycle, Divisor, HbmTiming, MemConfig, SimError};
 
 use crate::bank::{BankState, Slot};
 use crate::command::{DramCommand, IssueInfo};
@@ -38,6 +38,10 @@ pub struct DramChannel {
     id: ChannelId,
     mem: MemConfig,
     timing: HbmTiming,
+    /// Bursts per page, fixed by `mem` and `timing`.
+    cols_per_page: u32,
+    /// Banks per bank group, prepared so a bank's group costs no division.
+    bankgroup_size: Divisor,
     banks: Vec<BankState>,
     faw_window: VecDeque<Cycle>,
     next_act_bankgroup: Vec<Cycle>,
@@ -46,6 +50,8 @@ pub struct DramChannel {
     next_ca: Cycle,
     refresh_due: Cycle,
     busy_until: Cycle,
+    /// Commands issued so far, of every kind.
+    issued: u64,
     stats: ChannelStats,
     storage: Storage,
     dual: bool,
@@ -70,6 +76,8 @@ impl DramChannel {
             id,
             mem,
             timing,
+            cols_per_page: (mem.page_bytes / (mem.bus_bytes_per_cycle * timing.t_bl)) as u32,
+            bankgroup_size: Divisor::new(mem.banks_per_bankgroup as u64),
             banks,
             faw_window: VecDeque::with_capacity(4),
             next_act_bankgroup: vec![0; groups],
@@ -78,6 +86,7 @@ impl DramChannel {
             next_ca: 0,
             refresh_due: timing.t_refi,
             busy_until: 0,
+            issued: 0,
             stats: ChannelStats::default(),
             storage: Storage::new(elems_per_row),
             dual,
@@ -111,7 +120,15 @@ impl DramChannel {
 
     /// Bursts per page.
     pub fn cols_per_page(&self) -> u32 {
-        (self.mem.page_bytes / self.burst_bytes()) as u32
+        self.cols_per_page
+    }
+
+    /// Commands issued so far through [`Self::issue_at`], [`Self::issue`],
+    /// [`Self::issue_control`] and [`Self::issue_data_burst`]. Every change
+    /// of the channel's timing state is one of these issues, so two reads
+    /// that return the same count saw the same timing state.
+    pub(crate) fn issue_count(&self) -> u64 {
+        self.issued
     }
 
     /// Read access to a bank's state.
@@ -152,8 +169,23 @@ impl DramChannel {
         self.next_ca.max(at)
     }
 
+    /// Earliest cycle any command could issue: the C/A bus and a refresh
+    /// in progress bind every command alike. [`Self::earliest_issue`] is
+    /// never below it.
+    pub(crate) fn command_floor(&self) -> Cycle {
+        self.next_ca.max(self.busy_until)
+    }
+
+    /// Earliest cycle any column command (RD/WR) could issue: the
+    /// [command floor](Self::command_floor) and the channel-wide column
+    /// spacing. [`Self::earliest_issue`] of a column command is never
+    /// below it.
+    pub(crate) fn column_floor(&self) -> Cycle {
+        self.command_floor().max(self.next_col_any)
+    }
+
     fn bankgroup(&self, bank: BankId) -> usize {
-        (bank.0 / self.mem.banks_per_bankgroup) as usize
+        self.bankgroup_size.div(bank.0 as u64) as usize
     }
 
     fn col_spacing_any(&self) -> Cycle {
@@ -174,7 +206,7 @@ impl DramChannel {
     /// [`SimError::InvalidConfig`]-class misuse (ACT on an open slot,
     /// refresh with open rows — the caller must precharge first).
     pub fn earliest_issue(&self, cmd: &DramCommand) -> Result<Cycle, SimError> {
-        let mut at = self.next_ca.max(self.busy_until);
+        let mut at = self.command_floor();
         match *cmd {
             DramCommand::Activate { bank, row, slot } => {
                 let b = self.bank(bank);
@@ -277,6 +309,7 @@ impl DramChannel {
             });
         }
         self.next_ca = at + 1;
+        self.issued += 1;
         self.stats.ca_busy += 1;
         let t = self.timing;
         let done_at = match cmd {
@@ -390,6 +423,31 @@ impl DramChannel {
         self.issue_at(cmd, at)
     }
 
+    /// Closes every open row and refreshes all banks: a precharge-all on
+    /// each slot that holds an open row, then `RefreshAll`, each at its
+    /// earliest legal cycle and never before `not_before`.
+    ///
+    /// Returns the issue cycle of the sequence's first command and the
+    /// refresh's [`IssueInfo`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates the structural errors of [`Self::earliest_issue`].
+    pub fn close_rows_and_refresh(
+        &mut self,
+        not_before: Cycle,
+    ) -> Result<(Cycle, IssueInfo), SimError> {
+        let mut first = None;
+        for slot in [Slot::Mem, Slot::Pim] {
+            if self.banks.iter().any(|b| b.open_row(slot).is_some()) {
+                let info = self.issue(DramCommand::PrechargeAll { slot }, not_before)?;
+                first.get_or_insert(info.issued_at);
+            }
+        }
+        let info = self.issue(DramCommand::RefreshAll, not_before)?;
+        Ok((first.unwrap_or(info.issued_at), info))
+    }
+
     /// Occupies one C/A bus slot without touching bank state.
     ///
     /// This is the hook for PIM control commands (`PIM_HEADER`,
@@ -397,8 +455,9 @@ impl DramChannel {
     /// command/address bus — the contention the NeuPIMs controller manages —
     /// but their bank-side effects are modeled by the PIM engine itself.
     pub fn issue_control(&mut self, not_before: Cycle) -> IssueInfo {
-        let at = self.next_ca.max(self.busy_until).max(not_before);
+        let at = self.command_floor().max(not_before);
         self.next_ca = at + 1;
+        self.issued += 1;
         self.stats.ca_busy += 1;
         IssueInfo {
             issued_at: at,
@@ -412,13 +471,10 @@ impl DramChannel {
     /// from the per-bank result registers to the host over the regular data
     /// bus, contending with MEM reads but not with any row buffer.
     pub fn issue_data_burst(&mut self, not_before: Cycle, is_read: bool) -> IssueInfo {
-        let at = self
-            .next_ca
-            .max(self.busy_until)
-            .max(self.next_col_any)
-            .max(not_before);
+        let at = self.column_floor().max(not_before);
         self.next_ca = at + 1;
         self.next_col_any = at + self.col_spacing_any();
+        self.issued += 1;
         self.stats.ca_busy += 1;
         self.stats.data_bus_busy += self.timing.t_bl;
         if is_read {

@@ -9,7 +9,10 @@
 //! The scheduler is event-driven: [`Controller::step`] issues exactly one
 //! DRAM command at its earliest legal cycle instead of ticking empty cycles,
 //! which keeps multi-megabyte calibration streams fast while remaining
-//! cycle-exact.
+//! cycle-exact. Each pick scans the reorder window only as far as a later
+//! transaction could still win (see [`Controller::step`]), and a pick made
+//! by [`Controller::peek_next_issue`] is issued by the next `step` while the
+//! channel and the queue are unchanged.
 
 use std::collections::VecDeque;
 
@@ -80,6 +83,30 @@ struct InFlight {
     counted_hit: bool,
 }
 
+/// FR-FCFS reorder window: a pick considers only the oldest `WINDOW`
+/// queued transactions; younger ones wait until older ones complete.
+const WINDOW: usize = 32;
+
+/// The command FR-FCFS picked for the transaction at queue index `idx`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Pick {
+    idx: usize,
+    cmd: DramCommand,
+    /// Earliest legal issue cycle, never before the controller's `now`.
+    at: Cycle,
+    /// Whether `cmd` is a column command to an already-open row.
+    hit: bool,
+}
+
+impl Pick {
+    /// FR-FCFS order: a row hit beats a non-hit issuing no earlier, and
+    /// within the same kind the earlier issue wins. Ties keep the older
+    /// transaction, the one already picked.
+    fn displaced_by(&self, hit: bool, at: Cycle) -> bool {
+        (hit && !self.hit && at <= self.at) || (hit == self.hit && at < self.at)
+    }
+}
+
 /// Event-driven FR-FCFS memory controller for one channel.
 #[derive(Debug, Clone)]
 pub struct Controller {
@@ -88,6 +115,9 @@ pub struct Controller {
     next_id: u64,
     now: Cycle,
     auto_refresh: bool,
+    /// The pick of the last [`Self::peek_next_issue`] with the channel's
+    /// issue count when it was made. `enqueue` clears it; `step` takes it.
+    peeked: Option<(u64, Pick)>,
 }
 
 impl Controller {
@@ -105,6 +135,7 @@ impl Controller {
             next_id: 0,
             now: 0,
             auto_refresh: true,
+            peeked: None,
         }
     }
 
@@ -139,6 +170,7 @@ impl Controller {
     pub fn enqueue(&mut self, req: MemRequest) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
+        self.peeked = None;
         self.queue.push_back(InFlight {
             id,
             req,
@@ -155,78 +187,94 @@ impl Controller {
     }
 
     fn refresh(&mut self) -> Result<(), SimError> {
-        // Close every open row, then refresh.
-        for slot in [Slot::Mem, Slot::Pim] {
-            let any_open = (0..self.channel.mem_config().banks_per_channel)
-                .any(|b| self.channel.bank(BankId::new(b)).open_row(slot).is_some());
-            if any_open {
-                let info = self
-                    .channel
-                    .issue(DramCommand::PrechargeAll { slot }, self.now)?;
-                self.now = info.issued_at;
-            }
-        }
-        let info = self.channel.issue(DramCommand::RefreshAll, self.now)?;
+        let (_, info) = self.channel.close_rows_and_refresh(self.now)?;
         self.now = info.issued_at;
         Ok(())
     }
 
-    /// Picks the next command FR-FCFS would issue, without issuing it.
-    ///
-    /// Returns `(queue index, command, earliest issue cycle, row hit)`.
-    fn pick_candidate(&self) -> Result<Option<(usize, DramCommand, Cycle, bool)>, SimError> {
-        let mut best: Option<(usize, DramCommand, Cycle, bool)> = None;
-        for (i, fl) in self.queue.iter().enumerate() {
-            let bank_state = self.channel.bank(fl.req.bank);
-            let open = bank_state.open_row(Slot::Mem);
-            let (cmd, is_hit) = if open == Some(fl.req.row) {
+    /// The command FR-FCFS would issue for `fl` next, and whether it is a
+    /// row hit.
+    fn command_for(&self, fl: &InFlight) -> (DramCommand, bool) {
+        let bank = fl.req.bank;
+        match self.channel.bank(bank).open_row(Slot::Mem) {
+            Some(row) if row == fl.req.row => {
                 let col = fl.req.col_start + fl.cols_done;
                 let cmd = if fl.req.is_write {
-                    DramCommand::Write {
-                        bank: fl.req.bank,
-                        col,
-                    }
+                    DramCommand::Write { bank, col }
                 } else {
-                    DramCommand::Read {
-                        bank: fl.req.bank,
-                        col,
-                    }
+                    DramCommand::Read { bank, col }
                 };
                 (cmd, true)
-            } else if open.is_some() {
-                (
-                    DramCommand::Precharge {
-                        bank: fl.req.bank,
-                        slot: Slot::Mem,
-                    },
-                    false,
-                )
-            } else {
-                (
-                    DramCommand::Activate {
-                        bank: fl.req.bank,
-                        row: fl.req.row,
-                        slot: Slot::Mem,
-                    },
-                    false,
-                )
-            };
-            let at = self.channel.earliest_issue(&cmd)?.max(self.now);
-            let better = match &best {
-                None => true,
-                Some((_, _, best_at, best_hit)) => {
-                    (is_hit && !best_hit && at <= *best_at)
-                        || (is_hit == *best_hit && at < *best_at)
-                }
-            };
-            if better {
-                best = Some((i, cmd, at, is_hit));
             }
-            // The oldest transaction is always a valid fallback; scanning the
-            // whole queue keeps FR (first-ready) exact but on long queues the
-            // head suffices for FCFS ordering.
-            if i >= 31 {
-                break;
+            Some(_) => (
+                DramCommand::Precharge {
+                    bank,
+                    slot: Slot::Mem,
+                },
+                false,
+            ),
+            None => (
+                DramCommand::Activate {
+                    bank,
+                    row: fl.req.row,
+                    slot: Slot::Mem,
+                },
+                false,
+            ),
+        }
+    }
+
+    /// Picks the next command FR-FCFS would issue, without issuing it.
+    ///
+    /// The pick is the one a scan of the whole window makes (see
+    /// [`Pick::displaced_by`]), but the scan skips what cannot win and stops
+    /// once nothing can. Displacement needs a strictly earlier issue within
+    /// a kind and an issue no later for a hit over a non-hit, so the earlier
+    /// a candidate issues the likelier it displaces. Two floors bound how
+    /// early a candidate can issue:
+    ///
+    /// * no command before `F = max(C/A bus free, refresh end, now)`
+    ///   ([`DramChannel::command_floor`]);
+    /// * no column command (a hit) before `H = max(F, channel-wide column
+    ///   spacing)` ([`DramChannel::column_floor`]).
+    ///
+    /// A candidate that could not displace the best even at its floor needs
+    /// no timing check: once the best is a hit no ACT/PRE can win, and a
+    /// hit cannot beat a non-hit issuing before `H`. When neither kind can
+    /// win at its floor the scan ends, e.g. at the first hit issuing at
+    /// `H`. Each step is exact, so the pick is the full scan's.
+    fn pick_candidate(&self) -> Result<Option<Pick>, SimError> {
+        let cmd_floor = self.channel.command_floor().max(self.now);
+        let col_floor = self.channel.column_floor().max(self.now);
+        let floor = |hit: bool| if hit { col_floor } else { cmd_floor };
+        let mut best: Option<Pick> = None;
+        for (idx, fl) in self.queue.iter().take(WINDOW).enumerate() {
+            let (cmd, hit) = self.command_for(fl);
+            if best.is_some_and(|b| !b.displaced_by(hit, floor(hit))) {
+                continue;
+            }
+            let at = self.channel.earliest_issue(&cmd)?.max(self.now);
+            if best.is_none_or(|b| b.displaced_by(hit, at)) {
+                let pick = Pick { idx, cmd, at, hit };
+                best = Some(pick);
+                if !pick.displaced_by(true, col_floor) && !pick.displaced_by(false, cmd_floor) {
+                    break;
+                }
+            }
+        }
+        Ok(best)
+    }
+
+    /// The reference FR-FCFS pick: every candidate of the window is
+    /// evaluated. [`Self::pick_candidate`] must always agree with it.
+    #[cfg(any(test, debug_assertions))]
+    fn full_window_pick(&self) -> Result<Option<Pick>, SimError> {
+        let mut best: Option<Pick> = None;
+        for (idx, fl) in self.queue.iter().take(WINDOW).enumerate() {
+            let (cmd, hit) = self.command_for(fl);
+            let at = self.channel.earliest_issue(&cmd)?.max(self.now);
+            if best.is_none_or(|b| b.displaced_by(hit, at)) {
+                best = Some(Pick { idx, cmd, at, hit });
             }
         }
         Ok(best)
@@ -235,11 +283,52 @@ impl Controller {
     /// Earliest cycle at which the controller could issue its next command,
     /// or `None` when drained. Used by the duet driver to give PIM commands
     /// C/A priority.
-    pub fn peek_next_issue(&self) -> Result<Option<Cycle>, SimError> {
-        Ok(self.pick_candidate()?.map(|(_, _, at, _)| at))
+    ///
+    /// The pick is kept: the next [`Self::step`] issues it without a second
+    /// scan when the channel's issue count has not moved and nothing was
+    /// enqueued. The pick depends only on the channel's timing state, the
+    /// queue and `now`, and each of these changes only by an issue or an
+    /// enqueue.
+    ///
+    /// # Errors
+    ///
+    /// Propagates structural errors of the candidates the scan evaluates
+    /// (see [`Self::step`]).
+    pub fn peek_next_issue(&mut self) -> Result<Option<Cycle>, SimError> {
+        let pick = self.pick_candidate()?;
+        self.peeked = pick.map(|p| (self.channel.issue_count(), p));
+        Ok(pick.map(|p| p.at))
+    }
+
+    /// The pick `step` issues: the peeked one while it is still current,
+    /// else a fresh scan. Debug and test builds check it against the
+    /// full-window reference.
+    fn next_pick(&mut self) -> Result<Pick, SimError> {
+        let pick = match self.peeked.take() {
+            Some((issued, pick)) if issued == self.channel.issue_count() => pick,
+            _ => self
+                .pick_candidate()?
+                .expect("non-empty queue yields a candidate"),
+        };
+        #[cfg(any(test, debug_assertions))]
+        if let Ok(reference) = self.full_window_pick() {
+            assert_eq!(
+                Some(pick),
+                reference,
+                "FR-FCFS pick differs from the full-window scan"
+            );
+        }
+        Ok(pick)
     }
 
     /// Issues one command for the best-candidate transaction.
+    ///
+    /// The candidate is the oldest transaction whose next command (a column
+    /// burst on an open row, else ACT/PRE) issues first, row hits first,
+    /// among the oldest 32 transactions (the reorder window). The scan
+    /// stops early when no later transaction can win, and a pick made by
+    /// [`Self::peek_next_issue`] is reused while still current; the issued
+    /// command and cycle are those of a full scan either way.
     ///
     /// Returns a completed transaction when the issued command was its final
     /// burst; returns `Ok(None)` while work remains unfinished.
@@ -247,7 +336,10 @@ impl Controller {
     /// # Errors
     ///
     /// Propagates structural scheduling errors from the channel (these
-    /// indicate controller bugs, not legal runtime outcomes).
+    /// indicate controller bugs or malformed requests, not legal runtime
+    /// outcomes). A transaction's error surfaces when a scan evaluates it:
+    /// one behind the window, or behind the point where the scan stopped,
+    /// is not evaluated until a later pick reaches it.
     ///
     /// # Panics
     ///
@@ -260,9 +352,7 @@ impl Controller {
             self.refresh()?;
         }
 
-        let (idx, cmd, at, _) = self
-            .pick_candidate()?
-            .expect("non-empty queue yields a candidate");
+        let Pick { idx, cmd, at, .. } = self.next_pick()?;
 
         // If the refresh becomes due before this command would issue, do the
         // refresh first and retry on the next step.
@@ -437,5 +527,122 @@ mod tests {
     fn step_on_drained_panics() {
         let mut c = ctrl();
         let _ = c.step();
+    }
+
+    /// One action on a controller whose channel a PIM engine shares.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Enqueue(MemRequest),
+        Peek,
+        Step,
+        /// A PIM-side issue on `bank`: a C/A control slot, a result burst,
+        /// or opening/closing a PIM-slot row.
+        Pim(u32, u8),
+    }
+
+    /// Weighted 4:1:4:1 over enqueue, peek, step and a PIM-side issue.
+    fn op() -> impl Strategy<Value = Op> {
+        (0u8..10, 0u32..8, 0u32..4, 0u32..16, 1u32..16, any::<bool>()).prop_map(
+            |(kind, bank, row, col, cols, is_write)| match kind {
+                0..=3 => Op::Enqueue(MemRequest {
+                    bank: BankId::new(bank),
+                    row,
+                    col_start: col,
+                    cols: cols.min(16 - col),
+                    is_write,
+                }),
+                4 => Op::Peek,
+                5..=8 => Op::Step,
+                _ => Op::Pim(bank, (col % 3) as u8),
+            },
+        )
+    }
+
+    fn pim_issue(ch: &mut DramChannel, bank: u32, kind: u8) {
+        let bank = BankId::new(bank);
+        match kind {
+            0 => {
+                ch.issue_control(0);
+            }
+            1 => {
+                ch.issue_data_burst(0, true);
+            }
+            _ => {
+                let cmd = match ch.bank(bank).open_row(Slot::Pim) {
+                    Some(_) => DramCommand::Precharge {
+                        bank,
+                        slot: Slot::Pim,
+                    },
+                    // PIM rows never alias the MEM rows 0..4.
+                    None => DramCommand::Activate {
+                        bank,
+                        row: 100,
+                        slot: Slot::Pim,
+                    },
+                };
+                // A single-buffer bank cannot open a PIM row over a MEM one.
+                if ch.earliest_issue(&cmd).is_ok() {
+                    ch.issue(cmd, 0).unwrap();
+                }
+            }
+        }
+    }
+
+    /// Checks the pruned pick against the full-window scan, then steps;
+    /// `step` checks the pick it issues (handed off or scanned) itself.
+    fn checked_step(c: &mut Controller) {
+        assert_eq!(c.pick_candidate().unwrap(), c.full_window_pick().unwrap());
+        c.step().unwrap();
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// FR-FCFS pruning and the peek handoff change no pick: over random
+        /// streams (banks, rows, column ranges, reads and writes) in both
+        /// bank flavours, with and without auto-refresh, with enqueues,
+        /// peeks and PIM-side issues interleaved, every pick equals the
+        /// full-window scan's.
+        #[test]
+        fn pruned_and_handed_off_picks_match_the_full_scan(
+            ops in prop::collection::vec(op(), 1..200),
+            dual in any::<bool>(),
+            auto_refresh in any::<bool>(),
+            t_refi in 150u64..800,
+            peek_while_draining in any::<bool>(),
+        ) {
+            let mem = MemConfig {
+                channels: 1,
+                banks_per_channel: 8,
+                banks_per_bankgroup: 4,
+                capacity_per_channel: 8 * 64 * 1024,
+                page_bytes: 1024,
+                bus_bytes_per_cycle: 32,
+            };
+            let timing = HbmTiming { t_refi, t_rfc: 20, ..HbmTiming::table2() };
+            let mut c = Controller::new(mem, timing, dual);
+            c.set_auto_refresh(auto_refresh);
+            for op in ops {
+                match op {
+                    Op::Enqueue(req) => {
+                        c.enqueue(req);
+                    }
+                    Op::Peek => {
+                        c.peek_next_issue().unwrap();
+                    }
+                    Op::Step if !c.is_drained() => checked_step(&mut c),
+                    Op::Step => {}
+                    Op::Pim(bank, kind) => pim_issue(c.channel_mut(), bank, kind),
+                }
+            }
+            while !c.is_drained() {
+                if peek_while_draining {
+                    c.peek_next_issue().unwrap();
+                }
+                checked_step(&mut c);
+            }
+        }
     }
 }

@@ -54,23 +54,6 @@ impl DuetDriver {
         &self.engine
     }
 
-    fn coordinated_refresh(&mut self) -> Result<(), SimError> {
-        use neupims_dram::{DramCommand, Slot};
-        let ch = self.ctrl.channel_mut();
-        for slot in [Slot::Mem, Slot::Pim] {
-            let any_open = (0..ch.mem_config().banks_per_channel).any(|b| {
-                ch.bank(neupims_types::BankId::new(b))
-                    .open_row(slot)
-                    .is_some()
-            });
-            if any_open {
-                ch.issue(DramCommand::PrechargeAll { slot }, 0)?;
-            }
-        }
-        ch.issue(DramCommand::RefreshAll, 0)?;
-        Ok(())
-    }
-
     /// Runs both streams to completion.
     ///
     /// In blocked mode (single-row-buffer channel) the MEM stream starts
@@ -99,7 +82,7 @@ impl DuetDriver {
                 // Coordinated refresh at PIM-safe points.
                 let ch_now = self.ctrl.channel().ca_free_at(0);
                 if self.ctrl.channel().refresh_overdue(ch_now) && self.engine.at_safe_point() {
-                    self.coordinated_refresh()?;
+                    self.ctrl.channel_mut().close_rows_and_refresh(0)?;
                     continue;
                 }
 
@@ -110,7 +93,8 @@ impl DuetDriver {
                 }
 
                 // PIM priority: let the engine issue everything it legally
-                // can before the MEM candidate's issue slot.
+                // can before the MEM candidate's issue slot. When it issues
+                // nothing, `step` issues the peeked candidate unscanned.
                 let mem_at = self.ctrl.peek_next_issue()?.unwrap_or(Cycle::MAX);
                 if !pim_idle {
                     self.engine.advance(self.ctrl.channel_mut(), mem_at)?;

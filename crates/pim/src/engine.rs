@@ -301,13 +301,9 @@ impl GemvEngine {
         if mem_open {
             return Ok(()); // duet driver owns the refresh
         }
-        let pim_open = (0..banks).any(|b| ch.bank(BankId::new(b)).open_row(Slot::Pim).is_some());
-        if pim_open {
-            let info = ch.issue(DramCommand::PrechargeAll { slot: Slot::Pim }, at)?;
-            self.note_issue(info.issued_at, info.done_at);
-        }
-        let info = ch.issue(DramCommand::RefreshAll, at)?;
-        self.note_issue(info.issued_at, info.done_at);
+        let (first_at, info) = ch.close_rows_and_refresh(at)?;
+        // The refresh ends after the precharge it follows.
+        self.note_issue(first_at, info.done_at);
         self.stats.refreshes += 1;
         Ok(())
     }

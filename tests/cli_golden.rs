@@ -114,6 +114,36 @@ fn fleet_orchestrated_tenants() {
     );
 }
 
+/// An orchestrated run with one tenant names it in the singular.
+#[test]
+fn single_tenant_header_is_singular() {
+    let args = [
+        "fleet",
+        "--requests",
+        "8",
+        "--replicas",
+        "2",
+        "--backend",
+        "gpu",
+        "--router",
+        "load",
+    ];
+    let out = Command::new(env!("CARGO_BIN_EXE_neupims-sim"))
+        .args(args)
+        .output()
+        .expect("the CLI binary runs");
+    assert!(out.status.success(), "neupims-sim {args:?} failed");
+    let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+    let header = stdout
+        .lines()
+        .find(|l| l.starts_with("### fleet"))
+        .expect("a report header");
+    assert!(
+        header.contains("; jsq router, static autoscale, 1 tenant; "),
+        "{header}"
+    );
+}
+
 #[test]
 fn serve_default() {
     assert_stdout_matches("serve", &["serve", "--requests", "32"]);
