@@ -113,7 +113,7 @@ use neupims_sched::{
     calibration_drift, MhaLatencyEstimator, TraceDrivenCostModel, DEFAULT_DRIFT_TOLERANCE,
 };
 use neupims_types::{request_id, Phase};
-use neupims_workload::{arrival_stream, Dataset};
+use neupims_workload::{arrival_stream, request_buffer, Dataset};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -411,9 +411,9 @@ fn draw_requests(
 ) -> Result<Vec<(FleetRequest, usize)>, Box<dyn std::error::Error>> {
     let shared = &opts.shared;
     let mut rng = StdRng::seed_from_u64(seed);
-    let arrivals = arrival_stream(&mut rng, shared.rate, shared.requests);
+    let arrivals = arrival_stream(&mut rng, shared.rate, shared.requests)?;
     let total_weight: f64 = tenant_weights.map_or(0.0, |w| w.iter().sum());
-    let mut requests = Vec::with_capacity(arrivals.len());
+    let mut requests = request_buffer(arrivals.len())?;
     for (i, &at) in arrivals.iter().enumerate() {
         let req = FleetRequest {
             id: request_id(i)?,

@@ -310,13 +310,14 @@ pub struct FleetOutcome {
 
 impl FleetOutcome {
     pub(crate) fn aggregate(submitted: u64, replicas: Vec<ServingOutcome>) -> Self {
-        // Each fleet-wide sample vector is allocated once, at its length.
-        let samples = |len: fn(&ServingOutcome) -> usize| replicas.iter().map(len).sum();
+        // Each fleet-wide sample vector is allocated once, at its length,
+        // and filled straight from the replicas' records.
+        let samples: usize = replicas.iter().map(|r| r.records.len()).sum();
         let mut out = FleetOutcome {
             submitted,
-            latencies: Vec::with_capacity(samples(|r| r.latencies.len())),
-            ttfts: Vec::with_capacity(samples(|r| r.ttfts.len())),
-            tpots: Vec::with_capacity(samples(|r| r.tpots.len())),
+            latencies: Vec::with_capacity(samples),
+            ttfts: Vec::with_capacity(samples),
+            tpots: Vec::with_capacity(samples),
             ..Default::default()
         };
         for r in &replicas {
@@ -324,9 +325,11 @@ impl FleetOutcome {
             out.dropped += r.dropped;
             out.tokens += r.tokens;
             out.makespan = out.makespan.max(r.total_cycles);
-            out.latencies.extend_from_slice(&r.latencies);
-            out.ttfts.extend_from_slice(&r.ttfts);
-            out.tpots.extend_from_slice(&r.tpots);
+            for rec in r.records.iter() {
+                out.latencies.push(rec.latency);
+                out.ttfts.push(rec.ttft);
+                out.tpots.push(rec.tpot());
+            }
             out.slo_attained += r.slo_attained;
             out.goodput_tokens += r.goodput_tokens;
             out.preemptions += r.preemptions;
@@ -369,7 +372,9 @@ impl FleetOutcome {
         }
         out.latencies.sort_unstable();
         out.ttfts.sort_unstable();
-        out.tpots.sort_by(f64::total_cmp);
+        // Only bit-identical values are equal under `total_cmp`, so an
+        // unstable sort orders them as a stable one would.
+        out.tpots.sort_unstable_by(f64::total_cmp);
         out.replicas = replicas;
         out
     }
@@ -699,7 +704,7 @@ impl<B: Backend> FleetSim<B> {
         if choice >= snaps.len() {
             return Err(out_of_range(engine.route.name(), choice, snaps.len()));
         }
-        engine.slots[choice].submit(req.id, req.input_len, req.output_len, req.arrival)?;
+        engine.slots[choice].dispatch(req, 0);
         engine.dispatched += 1;
         Ok(())
     }

@@ -105,10 +105,9 @@
 //! assert!(out.goodput_per_cost() > 0.0);
 //! ```
 
-use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
-use neupims_types::{Cycle, IdMap, RequestId, SimError};
+use neupims_types::{Cycle, IdMap, IdRuns, Request, RequestId, SimError};
 
 use crate::backend::{Backend, BackendError, CapabilityProfile};
 use crate::event::{EventQueue, SimEvent};
@@ -847,9 +846,10 @@ pub struct Orchestrator<B: Backend> {
     autoscale: Box<dyn AutoscalePolicy>,
     cfg: OrchestratorConfig,
     pub(crate) pending: Vec<OrchRequest>,
-    /// Every submitted id, mapped to its tenant (a `u32` halves the
-    /// table, which holds one entry per request).
-    tenant_of: IdMap<RequestId, u32>,
+    /// Every id submitted here or held by a slot when the engine was
+    /// built: the fleet-wide duplicate check. Each request's tenant
+    /// travels with it, into its [`RequestMetrics`](crate::serving::RequestMetrics).
+    ids: IdRuns,
     submitted: Vec<u64>,
     admitted: Vec<u64>,
     deferred: Vec<u64>,
@@ -958,6 +958,10 @@ impl<B: Backend> Orchestrator<B> {
             }
         }
         let tenant_count = tenants.len();
+        let mut ids = IdRuns::default();
+        for slot in &slots {
+            ids.extend(slot.submitted_ids());
+        }
         Self {
             slots,
             profiles,
@@ -969,7 +973,7 @@ impl<B: Backend> Orchestrator<B> {
             autoscale,
             cfg,
             pending: Vec::new(),
-            tenant_of: IdMap::default(),
+            ids,
             submitted: vec![0; tenant_count],
             admitted: vec![0; tenant_count],
             deferred: vec![0; tenant_count],
@@ -1035,18 +1039,17 @@ impl<B: Backend> Orchestrator<B> {
                 "request {id} has zero output_len"
             )));
         }
-        let tenant = u32::try_from(oreq.tenant).ok();
-        let Some(tenant) = tenant.filter(|_| oreq.tenant < self.tenants.len()) else {
+        // A record carries its tenant as a `u32`.
+        if oreq.tenant >= self.tenants.len() || u32::try_from(oreq.tenant).is_err() {
             return Err(SimError::InvalidShape(format!(
                 "request {id} names tenant {}, but the orchestrator has {}",
                 oreq.tenant,
                 self.tenants.len()
             )));
-        };
-        match self.tenant_of.entry(id) {
-            Entry::Occupied(_) => return Err(SimError::DuplicateRequest(id)),
-            Entry::Vacant(v) => v.insert(tenant),
-        };
+        }
+        if !self.ids.insert(id) {
+            return Err(SimError::DuplicateRequest(id));
+        }
         self.submitted[oreq.tenant] += 1;
         self.pending.push(oreq);
         Ok(())
@@ -1443,13 +1446,18 @@ impl<B: Backend> Orchestrator<B> {
             let waiting = self.slots[g].wake().is_some();
             let rekey = waiting || self.slots[g].is_idle();
             let slot = &mut self.slots[g];
-            let submitted = if waiting { advance_to(slot, t) } else { Ok(()) }.and_then(|()| {
-                slot.submit(oreq.req.id, oreq.req.input_len, oreq.req.output_len, t)
-            });
-            if let Err(e) = submitted {
-                self.restash(oreq, &mut arrivals);
-                return Err(e);
+            if waiting {
+                if let Err(e) = advance_to(slot, t) {
+                    self.restash(oreq, &mut arrivals);
+                    return Err(e);
+                }
             }
+            let req = FleetRequest {
+                arrival: t,
+                ..oreq.req
+            };
+            let tenant = u32::try_from(oreq.tenant).expect("submit checked the tenant index");
+            slot.dispatch(req, tenant);
             self.dispatched += 1;
             self.stats[g].served += 1;
             if !bumped {
@@ -1494,41 +1502,51 @@ impl<B: Backend> Orchestrator<B> {
         }
     }
 
+    /// Each tenant's outcome, from the records its requests completed
+    /// with. Records of requests submitted straight to a slot carry no
+    /// tenant and count for none.
     fn tenant_outcomes(&self, fleet: &FleetOutcome) -> Vec<TenantOutcome> {
-        let mut outs: Vec<TenantOutcome> = self
-            .tenants
-            .iter()
-            .enumerate()
-            .map(|(i, t)| TenantOutcome {
+        let records = || {
+            (fleet.replicas.iter())
+                .flat_map(|r| r.records.iter())
+                .filter(|rec| rec.tenant != Request::NO_TENANT)
+        };
+        // Count first, so each tenant's samples are allocated at their
+        // exact length.
+        let mut completed = vec![0; self.tenants.len()];
+        for rec in records() {
+            completed[rec.tenant as usize] += 1;
+        }
+        let mut outs: Vec<TenantOutcome> = (self.tenants.iter().zip(completed).enumerate())
+            .map(|(i, (t, n))| TenantOutcome {
                 name: t.name.clone(),
                 priority: t.priority,
                 submitted: self.submitted[i],
                 admitted: self.admitted[i],
                 deferred: self.deferred[i],
                 shed: self.shed[i],
+                ttfts: Vec::with_capacity(n),
+                tpots: Vec::with_capacity(n),
+                latencies: Vec::with_capacity(n),
                 ..Default::default()
             })
             .collect();
-        for r in &fleet.replicas {
-            for rec in r.records.iter() {
-                let Some(tenant) = self.tenant_of.get(&rec.id).map(|&t| t as usize) else {
-                    continue;
-                };
-                let delay = self.defer_delay.get(&rec.id).copied().unwrap_or(0);
-                let ttft = rec.ttft + delay;
-                let latency = rec.latency + delay;
-                let tpot = rec.tpot();
-                let t = &mut outs[tenant];
-                t.completed += 1;
-                t.tokens += rec.tokens;
-                t.ttfts.push(ttft);
-                t.tpots.push(tpot);
-                t.latencies.push(latency);
-                let slo = &self.tenants[tenant].slo;
-                if ttft <= slo.ttft && tpot <= slo.tpot {
-                    t.slo_attained += 1;
-                    t.goodput_tokens += rec.tokens;
-                }
+        for rec in records() {
+            let tenant = rec.tenant as usize;
+            let delay = self.defer_delay.get(&rec.id).copied().unwrap_or(0);
+            let ttft = rec.ttft + delay;
+            let latency = rec.latency + delay;
+            let tpot = rec.tpot();
+            let t = &mut outs[tenant];
+            t.completed += 1;
+            t.tokens += u64::from(rec.tokens);
+            t.ttfts.push(ttft);
+            t.tpots.push(tpot);
+            t.latencies.push(latency);
+            let slo = &self.tenants[tenant].slo;
+            if ttft <= slo.ttft && tpot <= slo.tpot {
+                t.slo_attained += 1;
+                t.goodput_tokens += u64::from(rec.tokens);
             }
         }
         for t in &mut outs {
@@ -1536,7 +1554,9 @@ impl<B: Backend> Orchestrator<B> {
             t.dropped = dispatched.saturating_sub(t.completed);
             t.ttfts.sort_unstable();
             t.latencies.sort_unstable();
-            t.tpots.sort_by(f64::total_cmp);
+            // Only bit-identical values are equal under `total_cmp`, so
+            // an unstable sort orders them as a stable one would.
+            t.tpots.sort_unstable_by(f64::total_cmp);
         }
         outs
     }
@@ -1580,7 +1600,8 @@ fn default_jobs() -> usize {
 mod tests {
     use super::*;
     use crate::backend::{BackendCaps, GpuRooflineBackend};
-    use crate::fleet::{JoinShortestQueue, KvLeastLoaded, RoundRobin};
+    use crate::fleet::{FleetSim, JoinShortestQueue, KvLeastLoaded, RoundRobin};
+    use crate::serving::RequestMetrics;
     use crate::testsupport::{cfg_of, gpu_replicas, idle_snapshot};
     use neupims_types::LlmConfig;
 
@@ -1771,6 +1792,129 @@ mod tests {
             out.tenants[1].deferred + out.tenants[1].shed > 0,
             "batch traffic must feel the pressure"
         );
+    }
+
+    #[test]
+    fn tenant_outcomes_are_the_records_grouped_by_tenant() {
+        // Admission defers the batch tenant's arrivals once KV pressure
+        // builds, and sheds none.
+        let mut cfg = OrchestratorConfig::default_for(2);
+        cfg.admission = AdmissionConfig {
+            priority_floor: 100,
+            defer_pressure: 0.0001,
+            shed_pressure: 2.0,
+            defer_cycles: 1_000,
+        };
+        let tenants = vec![
+            TenantClass::new("premium", loose_slo(), 200, 0.5),
+            TenantClass::new("batch", loose_slo(), 10, 0.5),
+        ];
+        let route = Box::new(LoadOnly::new(Box::new(JoinShortestQueue)));
+        let scale = Box::new(StaticScale::full());
+        let mut o = Orchestrator::new(gpu_replicas(2), tenants, route, scale, cfg).unwrap();
+        for i in 0..30u32 {
+            let req = FleetRequest {
+                id: i,
+                input_len: 512,
+                output_len: 16,
+                arrival: u64::from(i) * 20_000,
+            };
+            o.submit(OrchRequest {
+                req,
+                tenant: (i % 2) as usize,
+            })
+            .unwrap();
+        }
+        let out = o.run().unwrap();
+        assert_eq!(out.shed, 0);
+        assert_eq!(out.tenants[0].deferred, 0, "premium bypasses admission");
+        assert!(out.tenants[1].deferred > 0, "batch traffic is deferred");
+        let records: Vec<_> = (out.fleet.replicas.iter())
+            .flat_map(|r| r.records.iter().copied())
+            .collect();
+        assert_eq!(records.len() as u64, out.fleet.completed);
+        let mut delayed = 0;
+        for (i, t) in out.tenants.iter().enumerate() {
+            // Request `id` was submitted for tenant `id % 2`.
+            let mine: Vec<_> = records.iter().filter(|r| r.tenant as usize == i).collect();
+            assert!(mine.iter().all(|r| r.id.0 % 2 == i as u32));
+            let delay = |r: &RequestMetrics| o.defer_delay.get(&r.id).copied().unwrap_or(0);
+            delayed += mine.iter().filter(|r| delay(r) > 0).count();
+            let mut ttfts: Vec<Cycle> = mine.iter().map(|r| r.ttft + delay(r)).collect();
+            let mut latencies: Vec<Cycle> = mine.iter().map(|r| r.latency + delay(r)).collect();
+            let mut tpots: Vec<f64> = mine.iter().map(|r| r.tpot()).collect();
+            ttfts.sort_unstable();
+            latencies.sort_unstable();
+            tpots.sort_by(f64::total_cmp);
+            let tokens: u64 = mine.iter().map(|r| u64::from(r.tokens)).sum();
+            assert_eq!(t.completed, mine.len() as u64, "{}", t.name);
+            assert_eq!((t.tokens, t.goodput_tokens), (tokens, tokens), "{}", t.name);
+            assert_eq!(t.slo_attained, t.completed, "loose SLOs: {}", t.name);
+            assert_eq!(t.ttfts, ttfts, "{}", t.name);
+            assert_eq!(t.latencies, latencies, "{}", t.name);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&t.tpots), bits(&tpots), "{}", t.name);
+        }
+        assert!(delayed > 0, "a deferred request completed");
+    }
+
+    #[test]
+    fn duplicate_ids_are_rejected_across_tenants_and_rounds() {
+        let tenants = vec![
+            TenantClass::new("a", loose_slo(), 200, 0.5),
+            TenantClass::new("b", loose_slo(), 200, 0.5),
+        ];
+        let route = Box::new(LoadOnly::new(Box::new(JoinShortestQueue)));
+        let scale = Box::new(StaticScale::full());
+        let cfg = OrchestratorConfig::default_for(2);
+        let mut o = Orchestrator::new(gpu_replicas(2), tenants, route, scale, cfg).unwrap();
+        let for_tenant = |id, tenant| OrchRequest {
+            tenant,
+            ..shaped(id, 0, 4)
+        };
+        o.submit(for_tenant(1, 0)).unwrap();
+        let dup = |r: Result<(), SimError>| matches!(r, Err(SimError::DuplicateRequest(_)));
+        assert!(dup(o.submit(for_tenant(1, 1))), "across tenants");
+        o.run().unwrap();
+        assert!(dup(o.submit(for_tenant(1, 0))), "across rounds");
+        assert!(dup(o.submit(for_tenant(1, 1))), "across rounds and tenants");
+        o.submit(for_tenant(0, 1)).unwrap();
+        let out = o.run().unwrap();
+        assert_eq!(out.fleet.completed, 2);
+        assert_eq!((out.tenants[0].completed, out.tenants[1].completed), (1, 1));
+    }
+
+    #[test]
+    fn ids_a_slot_already_holds_are_rejected() {
+        let held = || {
+            let mut slots = gpu_replicas(2);
+            slots[1].submit(5, 32, 4, 0).unwrap();
+            slots
+        };
+        let mut fleet = FleetSim::new(held(), Box::new(JoinShortestQueue)).unwrap();
+        let req = |id| shaped(id, 0, 4).req;
+        assert!(matches!(
+            fleet.submit(req(5)),
+            Err(SimError::DuplicateRequest(_))
+        ));
+        fleet.submit(req(6)).unwrap();
+        assert_eq!(fleet.run().unwrap().completed, 2);
+
+        let route = Box::new(LoadOnly::new(Box::new(JoinShortestQueue)));
+        let scale = Box::new(StaticScale::full());
+        let cfg = OrchestratorConfig::default_for(2);
+        let mut o = Orchestrator::new(held(), one_tenant(), route, scale, cfg).unwrap();
+        assert!(matches!(
+            o.submit(shaped(5, 0, 4)),
+            Err(SimError::DuplicateRequest(_))
+        ));
+        o.submit(shaped(6, 0, 4)).unwrap();
+        let out = o.run().unwrap();
+        // The slot's own request completes, but counts for no tenant.
+        assert_eq!(out.fleet.completed, 2);
+        assert_eq!(out.tenants[0].completed, 1);
+        let direct = out.fleet.replicas[1].records.iter().find(|r| r.id.0 == 5);
+        assert_eq!(direct.map(|r| r.tenant), Some(Request::NO_TENANT));
     }
 
     #[test]

@@ -96,11 +96,12 @@ use std::sync::Arc;
 
 use neupims_kvcache::{KvAlloc, KvGeometry, PagedKvCache};
 use neupims_sched::{CostModelKind, MhaCostModel, RequestPool, TraceMemo, TraceSnapshot};
-use neupims_types::{ChannelId, Cycle, IdSet, LlmConfig, Request, RequestId, SimError};
+use neupims_types::{ChannelId, Cycle, IdRuns, LlmConfig, Request, RequestId, SimError};
 
 use crate::backend::Backend;
 use crate::device::Device;
 use crate::event::{EventQueue, SimEvent};
+use crate::fleet::FleetRequest;
 use crate::metrics::IterationBreakdown;
 use crate::preempt::{DropOnly, PreemptionPolicy, RestoreMode, SwapConfig, VictimCandidate};
 use crate::scheduler::{
@@ -161,10 +162,17 @@ pub struct RequestMetrics {
     /// End-to-end latency: arrival to completion.
     pub latency: Cycle,
     /// Generated tokens (the request's `output_len`).
-    pub tokens: u64,
+    pub tokens: u32,
     /// How many times the request was preempted (KV pages evicted and
     /// later restored) before completing; 0 under drop-only.
     pub preemptions: u32,
+    /// The tenant the request was served for: its position in the
+    /// [`Orchestrator`](crate::orchestrator::Orchestrator)'s tenant table
+    /// (0 in a [`FleetSim`](crate::fleet::FleetSim)), or
+    /// [`Request::NO_TENANT`] for a request submitted straight to its
+    /// [`ServingSim`]. Tenant outcomes read it, so a run keeps no
+    /// id-to-tenant table.
+    pub tenant: u32,
 }
 
 impl RequestMetrics {
@@ -185,6 +193,10 @@ impl RequestMetrics {
 }
 
 /// Outcome statistics of a serving run.
+///
+/// The per-request statistics ([`Self::mean_latency`] and the latency,
+/// TTFT and TPOT percentiles) are computed from [`Self::records`] on each
+/// call, so an outcome holds no second, sorted copy of its samples.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServingOutcome {
     /// Total simulated cycles.
@@ -225,14 +237,6 @@ pub struct ServingOutcome {
     /// Iterations executed (decode iterations, plus prefill-only
     /// iterations under chunked schedulers).
     pub iterations: u64,
-    /// Mean request latency (arrival to completion) in cycles.
-    pub mean_latency: f64,
-    /// Sorted per-request latencies (arrival to completion) in cycles.
-    pub latencies: Vec<Cycle>,
-    /// Sorted per-request TTFTs in cycles.
-    pub ttfts: Vec<Cycle>,
-    /// Sorted per-request TPOTs in cycles per token.
-    pub tpots: Vec<f64>,
     /// Per-request records in completion order, shared with the
     /// simulation that produced them: taking an outcome copies no record,
     /// and the simulation copies the list only if it completes another
@@ -287,6 +291,18 @@ pub(crate) fn nearest_rank<T: Copy + Default>(sorted: &[T], p: f64) -> T {
     sorted[rank.min(n - 1)]
 }
 
+/// [`nearest_rank`] over `samples` once sorted by `cmp`.
+///
+/// Panics if `p` is outside `[0, 100]`.
+fn percentile_of<T: Copy + Default>(
+    mut samples: Vec<T>,
+    p: f64,
+    cmp: impl FnMut(&T, &T) -> std::cmp::Ordering,
+) -> T {
+    samples.sort_unstable_by(cmp);
+    nearest_rank(&samples, p)
+}
+
 impl ServingOutcome {
     /// Serving throughput in generated tokens per second.
     pub fn tokens_per_sec(&self) -> f64 {
@@ -320,15 +336,26 @@ impl ServingOutcome {
         }
     }
 
+    /// Mean request latency (arrival to completion) in cycles; 0 when no
+    /// request completed.
+    pub fn mean_latency(&self) -> f64 {
+        let sum: u64 = self.records.iter().map(|r| r.latency).sum();
+        sum as f64 / self.records.len().max(1) as f64
+    }
+
     /// End-to-end latency at percentile `p` (in `[0, 100]`), cycles; 0
-    /// when no request completed. Uses nearest-rank on the sorted
+    /// when no request completed. Uses nearest-rank over the records'
     /// latencies.
     ///
     /// # Panics
     ///
     /// Panics if `p` is outside `[0, 100]`.
     pub fn latency_percentile(&self, p: f64) -> Cycle {
-        nearest_rank(&self.latencies, p)
+        percentile_of(
+            self.records.iter().map(|r| r.latency).collect(),
+            p,
+            Ord::cmp,
+        )
     }
 
     /// Time-to-first-token at percentile `p`, cycles; 0 when no request
@@ -338,7 +365,7 @@ impl ServingOutcome {
     ///
     /// Panics if `p` is outside `[0, 100]`.
     pub fn ttft_percentile(&self, p: f64) -> Cycle {
-        nearest_rank(&self.ttfts, p)
+        percentile_of(self.records.iter().map(|r| r.ttft).collect(), p, Ord::cmp)
     }
 
     /// Time-per-output-token at percentile `p`, cycles per token; 0 when
@@ -348,7 +375,8 @@ impl ServingOutcome {
     ///
     /// Panics if `p` is outside `[0, 100]`.
     pub fn tpot_percentile(&self, p: f64) -> f64 {
-        nearest_rank(&self.tpots, p)
+        let tpots = self.records.iter().map(RequestMetrics::tpot).collect();
+        percentile_of(tpots, p, f64::total_cmp)
     }
 
     /// NPU/PIM overlap efficiency: the fraction of on-device prefill
@@ -514,7 +542,9 @@ pub struct ServingSim<B: Backend = Device> {
     /// prompt, in admission (FIFO) order; an entry leaves once its prompt
     /// is fully processed.
     prefilling: Vec<PrefillProgress>,
-    seen: IdSet<RequestId>,
+    /// The ids [`Self::submit`] accepted. Requests an orchestrator
+    /// dispatches skip it: the orchestrator keeps the fleet-wide set.
+    seen: IdRuns,
     now: Cycle,
     /// Completed requests' metrics in completion order, shared with the
     /// outcomes taken so far (see [`ServingOutcome::records`]).
@@ -599,7 +629,7 @@ impl<B: Backend> ServingSim<B> {
             pool: RequestPool::new(cfg.max_batch),
             kv,
             prefilling: Vec::new(),
-            seen: IdSet::default(),
+            seen: IdRuns::default(),
             now: 0,
             records: Arc::default(),
             totals: IterationBreakdown::default(),
@@ -854,14 +884,41 @@ impl<B: Backend> ServingSim<B> {
         if !self.seen.insert(id) {
             return Err(SimError::DuplicateRequest(id));
         }
-        let req = Request::new(id, input_len, output_len, arrival);
+        self.enqueue(Request::new(id, input_len, output_len, arrival));
+        Ok(())
+    }
+
+    /// The ids [`Self::submit`] accepted.
+    pub(crate) fn submitted_ids(&self) -> &IdRuns {
+        &self.seen
+    }
+
+    /// Queues a request an orchestrator dispatched for `tenant`. The
+    /// orchestrator has already rejected fleet-wide duplicates and zero
+    /// output lengths, so the id is not recorded here.
+    pub(crate) fn dispatch(&mut self, req: FleetRequest, tenant: u32) {
+        debug_assert!(
+            req.output_len > 0,
+            "the orchestrator admits no empty request"
+        );
+        let mut r = Request::new(
+            RequestId::new(req.id),
+            req.input_len,
+            req.output_len,
+            req.arrival,
+        );
+        r.tenant = tenant;
+        self.enqueue(r);
+    }
+
+    /// Queues `req` at its arrival.
+    fn enqueue(&mut self, req: Request) {
         self.events
-            .push_after(self.now, arrival, SimEvent::Arrival(req.id));
-        self.queued_pages += self.kv.pages_for(input_len as u64);
+            .push_after(self.now, req.arrival, SimEvent::Arrival(req.id));
+        self.queued_pages += self.kv.pages_for(u64::from(req.input_len));
         self.submitted += 1;
         self.pool.submit(req);
         self.wake = None;
-        Ok(())
     }
 
     /// The channel with the most free pages (ties broken toward the
@@ -1511,8 +1568,9 @@ impl<B: Backend> ServingSim<B> {
                 arrival: done.arrival,
                 ttft: first.saturating_sub(done.arrival),
                 latency: now.saturating_sub(done.arrival),
-                tokens: done.output_len as u64,
+                tokens: done.output_len,
                 preemptions: rec.preemptions,
+                tenant: done.tenant,
             });
         }
         Ok(StepEvent::Iteration)
@@ -1522,18 +1580,11 @@ impl<B: Backend> ServingSim<B> {
     /// reports [`StepEvent::Finished`], which is what [`Self::run`]
     /// returns).
     pub fn outcome(&self) -> ServingOutcome {
-        let mut latencies: Vec<Cycle> = self.records.iter().map(|r| r.latency).collect();
-        latencies.sort_unstable();
-        let mut ttfts: Vec<Cycle> = self.records.iter().map(|r| r.ttft).collect();
-        ttfts.sort_unstable();
-        let mut tpots: Vec<f64> = self.records.iter().map(RequestMetrics::tpot).collect();
-        tpots.sort_by(f64::total_cmp);
-        let mean_latency = latencies.iter().sum::<u64>() as f64 / latencies.len().max(1) as f64;
         let (slo_attained, goodput_tokens) = self
             .records
             .iter()
             .filter(|r| self.cfg.slo.as_ref().is_none_or(|slo| r.meets(slo)))
-            .fold((0u64, 0u64), |(n, t), r| (n + 1, t + r.tokens));
+            .fold((0u64, 0u64), |(n, t), r| (n + 1, t + u64::from(r.tokens)));
         ServingOutcome {
             total_cycles: self.now,
             submitted: self.submitted,
@@ -1545,10 +1596,6 @@ impl<B: Backend> ServingSim<B> {
             restore_overhead_cycles: self.restore_overhead,
             tokens: self.pool.tokens_generated(),
             iterations: self.iterations,
-            mean_latency,
-            latencies,
-            ttfts,
-            tpots,
             records: Arc::clone(&self.records),
             totals: self.totals.clone(),
             peak_kv_utilization: self.peak_kv,
@@ -1617,7 +1664,7 @@ mod tests {
         assert_eq!(out.dropped, 0);
         assert_eq!(out.tokens, 32 * 8);
         assert!(out.iterations >= 8 * 2, "two admission waves of 16");
-        assert!(out.mean_latency > 0.0);
+        assert!(out.mean_latency() > 0.0);
         assert!(out.tokens_per_sec() > 0.0);
         assert!(out.peak_kv_utilization > 0.0);
         assert_drained(&s);
@@ -1719,23 +1766,30 @@ mod tests {
                 .unwrap();
         }
         let out = s.run().unwrap();
-        assert_eq!(out.latencies.len(), 24);
-        assert_eq!(out.ttfts.len(), 24);
         assert_eq!(out.records.len(), 24);
         let p50 = out.latency_percentile(50.0);
         let p95 = out.latency_percentile(95.0);
         let p99 = out.latency_percentile(99.0);
         assert!(p50 > 0);
         assert!(p50 <= p95 && p95 <= p99, "{p50} {p95} {p99}");
-        assert_eq!(
-            out.latency_percentile(100.0),
-            *out.latencies.last().unwrap()
-        );
-        assert!(out.ttft_percentile(50.0) <= out.ttft_percentile(99.0));
-        assert!(out.tpot_percentile(50.0) <= out.tpot_percentile(99.0));
+        // The percentiles over the records are those of the sorted samples.
+        let mut latencies: Vec<Cycle> = out.records.iter().map(|r| r.latency).collect();
+        latencies.sort_unstable();
+        let mut ttfts: Vec<Cycle> = out.records.iter().map(|r| r.ttft).collect();
+        ttfts.sort_unstable();
+        let mut tpots: Vec<f64> = out.records.iter().map(RequestMetrics::tpot).collect();
+        tpots.sort_by(f64::total_cmp);
+        for p in [0.0, 10.0, 50.0, 95.0, 99.0, 100.0] {
+            assert_eq!(out.latency_percentile(p), nearest_rank(&latencies, p));
+            assert_eq!(out.ttft_percentile(p), nearest_rank(&ttfts, p));
+            assert_eq!(
+                out.tpot_percentile(p).to_bits(),
+                nearest_rank(&tpots, p).to_bits()
+            );
+        }
         // Mean sits between min and max.
-        assert!(out.mean_latency >= out.latencies[0] as f64);
-        assert!(out.mean_latency <= *out.latencies.last().unwrap() as f64);
+        assert!(out.mean_latency() >= latencies[0] as f64);
+        assert!(out.mean_latency() <= *latencies.last().unwrap() as f64);
         // Per-request invariant: first token cannot come after completion.
         for r in out.records.iter() {
             assert!(r.ttft <= r.latency, "{r:?}");

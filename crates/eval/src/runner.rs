@@ -248,7 +248,8 @@ fn run_serving(
         tenants: workload.tenants.clone(),
         requests: workload.requests,
     }
-    .generate(&mut rng);
+    .try_generate(&mut rng)
+    .map_err(sim_err)?;
     for (i, req) in generated.iter().enumerate() {
         let output = match workload.output_cap {
             Some(cap) => req.output_len.min(cap).max(1),

@@ -4,7 +4,7 @@
 //! ids statically distinct (a `ChannelId` can never be passed where a
 //! `BankId` is expected).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -101,8 +101,75 @@ impl Hasher for IdHasher {
 /// A map keyed by an id newtype, hashed with [`IdHasher`].
 pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
-/// A set of id newtypes, hashed with [`IdHasher`].
-pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
+/// A set of request ids kept as runs: sorted, disjoint ranges of
+/// consecutive ids, each stored as its first and last id.
+///
+/// Front-ends number requests from one counter, so the ids a run has seen
+/// form one run and the set holds one entry however many requests it
+/// saw: a duplicate-id check in O(1) memory, and an insert in O(1) when
+/// each id extends the highest run. Ids in any other order cost
+/// O(log runs) per insert; touching runs merge, so the entry count never
+/// exceeds the number of gaps between the ids seen.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct IdRuns {
+    /// First id of each run, mapped to its last id (inclusive).
+    runs: BTreeMap<u32, u32>,
+}
+
+impl IdRuns {
+    /// Whether `id` is in the set.
+    pub fn contains(&self, id: RequestId) -> bool {
+        self.runs
+            .range(..=id.0)
+            .next_back()
+            .is_some_and(|(_, &last)| last >= id.0)
+    }
+
+    /// Adds `id`; returns whether it was new (`false` for a duplicate).
+    pub fn insert(&mut self, id: RequestId) -> bool {
+        if let Some(mut top) = self.runs.last_entry() {
+            if top.get().checked_add(1) == Some(id.0) {
+                *top.get_mut() = id.0;
+                return true;
+            }
+        }
+        if self.contains(id) {
+            return false;
+        }
+        self.insert_run(id.0, id.0);
+        true
+    }
+
+    /// Adds every id of `other`.
+    pub fn extend(&mut self, other: &IdRuns) {
+        for (&first, &last) in &other.runs {
+            self.insert_run(first, last);
+        }
+    }
+
+    /// Number of runs held.
+    pub fn runs(&self) -> usize {
+        self.runs.len()
+    }
+
+    /// Adds the ids `first..=last`, merging every run they overlap or
+    /// touch into one.
+    fn insert_run(&mut self, first: u32, last: u32) {
+        let (mut lo, mut hi) = (first, last);
+        if let Some((&f, &l)) = self.runs.range(..=first).next_back() {
+            if l.saturating_add(1) >= first {
+                lo = f;
+                hi = hi.max(l);
+            }
+        }
+        // Runs starting inside `lo..=hi + 1` overlap or touch the new one.
+        while let Some((&f, &l)) = self.runs.range(lo..=hi.saturating_add(1)).next() {
+            self.runs.remove(&f);
+            hi = hi.max(l);
+        }
+        self.runs.insert(lo, hi);
+    }
+}
 
 /// The raw id of the request at 0-based position `index` of a generated
 /// workload. Front-ends number requests by position; an index past
@@ -124,6 +191,7 @@ pub fn request_id(index: usize) -> Result<u32, SimError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn roundtrip_and_index() {

@@ -29,6 +29,6 @@ pub use config::{
     GpuSpec, HbmTiming, LlmConfig, MemConfig, NeuPimsConfig, NpuConfig, ParallelismConfig,
 };
 pub use error::SimError;
-pub use ids::{request_id, BankId, ChannelId, DeviceId, IdHasher, IdMap, IdSet, RequestId};
+pub use ids::{request_id, BankId, ChannelId, DeviceId, IdHasher, IdMap, IdRuns, RequestId};
 pub use request::{Phase, Request, RequestState};
 pub use units::{Bytes, Cycle, DataType, Divisor, FREQ_GHZ};

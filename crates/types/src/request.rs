@@ -50,10 +50,18 @@ pub struct Request {
     pub arrival: Cycle,
     /// Lifecycle state in the pool table.
     pub state: RequestState,
+    /// The tenant the request is served for: its position in the
+    /// orchestrator's tenant table, or [`Request::NO_TENANT`] for a
+    /// request submitted straight to a serving simulation.
+    pub tenant: u32,
 }
 
 impl Request {
-    /// Creates a fresh request in the [`RequestState::Waiting`] state.
+    /// The [`Request::tenant`] of a request no orchestrator dispatched.
+    pub const NO_TENANT: u32 = u32::MAX;
+
+    /// Creates a fresh request in the [`RequestState::Waiting`] state,
+    /// served for no tenant.
     pub fn new(id: RequestId, input_len: u32, output_len: u32, arrival: Cycle) -> Self {
         Self {
             id,
@@ -62,6 +70,7 @@ impl Request {
             generated: 0,
             arrival,
             state: RequestState::Waiting,
+            tenant: Self::NO_TENANT,
         }
     }
 

@@ -11,7 +11,7 @@
 
 use rand::{Rng, RngExt};
 
-use neupims_types::Cycle;
+use neupims_types::{Cycle, SimError};
 
 use crate::dataset::Dataset;
 
@@ -80,21 +80,49 @@ pub fn poisson_arrivals<R: Rng + ?Sized>(
     out
 }
 
+/// An empty buffer with room for exactly `requests` entries: the
+/// storage of one per-request array of a generated workload.
+///
+/// # Errors
+///
+/// Returns [`SimError::InvalidConfig`] naming `requests` when the buffer
+/// cannot be reserved (its size overflows `isize`, or the allocator
+/// refuses it), so an oversized request count is an error, not an abort.
+pub fn request_buffer<T>(requests: usize) -> Result<Vec<T>, SimError> {
+    let mut buf = Vec::new();
+    buf.try_reserve_exact(requests).map_err(|_| {
+        SimError::InvalidConfig(format!(
+            "requests = {requests}: cannot reserve {requests} x {} B for its per-request buffers",
+            std::mem::size_of::<T>()
+        ))
+    })?;
+    Ok(buf)
+}
+
 /// Samples exactly `n` Poisson arrival times (exponential inter-arrival
 /// gaps at `rate_per_mcycle` requests per million cycles) — the
 /// fixed-request-count companion of [`poisson_arrivals`], used by fleet
 /// serving simulations that submit a known number of requests.
-pub fn arrival_stream<R: Rng + ?Sized>(rng: &mut R, rate_per_mcycle: f64, n: usize) -> Vec<Cycle> {
+///
+/// # Errors
+///
+/// Returns the [`request_buffer`] error when `n` arrivals cannot be
+/// stored.
+pub fn arrival_stream<R: Rng + ?Sized>(
+    rng: &mut R,
+    rate_per_mcycle: f64,
+    n: usize,
+) -> Result<Vec<Cycle>, SimError> {
     assert!(rate_per_mcycle > 0.0, "arrival rate must be positive");
     let mean_gap = 1.0e6 / rate_per_mcycle;
     let mut t = 0.0f64;
-    (0..n)
-        .map(|_| {
-            let u: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
-            t += -mean_gap * u.ln();
-            t as Cycle
-        })
-        .collect()
+    let mut out = request_buffer(n)?;
+    out.extend((0..n).map(|_| {
+        let u: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
+        t += -mean_gap * u.ln();
+        t as Cycle
+    }));
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -143,12 +171,27 @@ mod tests {
     #[test]
     fn arrival_stream_yields_exactly_n_sorted_arrivals() {
         let mut rng = StdRng::seed_from_u64(4);
-        let arr = arrival_stream(&mut rng, 10.0, 200);
+        let arr = arrival_stream(&mut rng, 10.0, 200).unwrap();
         assert_eq!(arr.len(), 200);
         assert!(arr.windows(2).all(|w| w[0] <= w[1]));
         // Mean gap ~100k cycles: 200 arrivals land around 20 Mcycles.
         let span = *arr.last().unwrap() as f64;
         assert!((5e6..60e6).contains(&span), "{span}");
+    }
+
+    #[test]
+    fn unreservable_request_counts_are_errors_naming_requests() {
+        // Sizes past `isize::MAX` bytes fail before the allocator is asked.
+        let too_many = usize::MAX / 4;
+        let err = request_buffer::<Cycle>(too_many).unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig(_)), "{err:?}");
+        assert!(
+            err.to_string().contains(&format!("requests = {too_many}")),
+            "{err}"
+        );
+        let err = arrival_stream(&mut StdRng::seed_from_u64(0), 1.0, too_many).unwrap_err();
+        assert!(err.to_string().contains("requests"), "{err}");
+        assert_eq!(request_buffer::<Cycle>(3).unwrap().capacity(), 3);
     }
 
     #[test]

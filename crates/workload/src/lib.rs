@@ -27,7 +27,7 @@ pub mod dataset;
 pub mod pressure;
 pub mod scenario;
 
-pub use batch::{arrival_stream, poisson_arrivals, warm_batch, WarmRequest};
+pub use batch::{arrival_stream, poisson_arrivals, request_buffer, warm_batch, WarmRequest};
 pub use dataset::Dataset;
 pub use pressure::{kv_pressure_burst, PressureRequest, PressureSpec};
 pub use scenario::{

@@ -24,8 +24,9 @@
 
 use rand::{Rng, RngExt};
 
-use neupims_types::Cycle;
+use neupims_types::{Cycle, SimError};
 
+use crate::batch::request_buffer;
 use crate::dataset::{Dataset, MAX_LEN};
 
 /// An arrival process generating request timestamps at a target long-run
@@ -109,15 +110,20 @@ fn exp_gap<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> f64 {
 /// Panics if the process rate is not positive, a bursty `burst_size` is
 /// zero, a diurnal `amplitude` is outside `[0, 1)` or `period` is zero,
 /// or a heavy-tailed `alpha` is not greater than 1.
+///
+/// # Errors
+///
+/// Returns the [`request_buffer`] error when `n` arrivals cannot be
+/// stored.
 pub fn arrival_times<R: Rng + ?Sized>(
     rng: &mut R,
     process: &ArrivalProcess,
     n: usize,
-) -> Vec<Cycle> {
+) -> Result<Vec<Cycle>, SimError> {
     let rate = process.rate();
     assert!(rate > 0.0, "arrival rate must be positive");
     let mean_gap = 1.0e6 / rate;
-    let mut out = Vec::with_capacity(n);
+    let mut out = request_buffer(n)?;
     match *process {
         ArrivalProcess::Poisson { .. } => {
             let mut t = 0.0f64;
@@ -175,7 +181,7 @@ pub fn arrival_times<R: Rng + ?Sized>(
             }
         }
     }
-    out
+    Ok(out)
 }
 
 /// A token-length distribution for prompts or generations.
@@ -344,21 +350,39 @@ pub struct ScenarioWorkload {
 impl ScenarioWorkload {
     /// Generates the trace: exactly `self.requests` arrival-sorted
     /// requests, lengths drawn per-tenant.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`Self::try_generate`] returns an error; use that for
+    /// a request count from outside the program.
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<GeneratedRequest> {
-        let arrivals = arrival_times(rng, &self.arrival, self.requests);
-        arrivals
-            .into_iter()
-            .map(|arrival| {
-                let tenant = self.tenants.sample_tenant(rng);
-                let class = &self.tenants.classes()[tenant];
-                GeneratedRequest {
-                    input_len: class.input.sample(rng),
-                    output_len: class.output.sample(rng),
-                    arrival,
-                    tenant,
-                }
-            })
-            .collect()
+        self.try_generate(rng)
+            .expect("the request count fits in memory")
+    }
+
+    /// [`Self::generate`], with the trace's buffers reserved fallibly.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`request_buffer`] error when `self.requests` requests
+    /// cannot be stored.
+    pub fn try_generate<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+    ) -> Result<Vec<GeneratedRequest>, SimError> {
+        let arrivals = arrival_times(rng, &self.arrival, self.requests)?;
+        let mut out = request_buffer(self.requests)?;
+        out.extend(arrivals.into_iter().map(|arrival| {
+            let tenant = self.tenants.sample_tenant(rng);
+            let class = &self.tenants.classes()[tenant];
+            GeneratedRequest {
+                input_len: class.input.sample(rng),
+                output_len: class.output.sample(rng),
+                arrival,
+                tenant,
+            }
+        }));
+        Ok(out)
     }
 }
 
@@ -393,7 +417,7 @@ mod tests {
         ];
         for p in &processes {
             let mut rng = StdRng::seed_from_u64(13);
-            let times = arrival_times(&mut rng, p, 501);
+            let times = arrival_times(&mut rng, p, 501).unwrap();
             assert_eq!(times.len(), 501, "{}", p.name());
             assert!(
                 times.windows(2).all(|w| w[0] <= w[1]),
@@ -411,7 +435,7 @@ mod tests {
             burst_size: 4,
         };
         let mut rng = StdRng::seed_from_u64(5);
-        let times = arrival_times(&mut rng, &p, 10);
+        let times = arrival_times(&mut rng, &p, 10).unwrap();
         assert_eq!(times.len(), 10);
         let mut fronts: Vec<Cycle> = times.clone();
         fronts.dedup();
@@ -425,8 +449,8 @@ mod tests {
             rate: 3.0,
             alpha: 1.4,
         };
-        let a = arrival_times(&mut StdRng::seed_from_u64(9), &p, 64);
-        let b = arrival_times(&mut StdRng::seed_from_u64(9), &p, 64);
+        let a = arrival_times(&mut StdRng::seed_from_u64(9), &p, 64).unwrap();
+        let b = arrival_times(&mut StdRng::seed_from_u64(9), &p, 64).unwrap();
         assert_eq!(a, b);
     }
 
@@ -504,7 +528,7 @@ mod tests {
             rate: 1.0,
             alpha: 1.0,
         };
-        arrival_times(&mut StdRng::seed_from_u64(0), &p, 4);
+        let _ = arrival_times(&mut StdRng::seed_from_u64(0), &p, 4);
     }
 
     // ------------------------------------------------------ property tests
@@ -524,7 +548,7 @@ mod tests {
                 ArrivalProcess::HeavyTailed { rate, alpha: 2.5 },
             ];
             for p in &shapes {
-                let times = arrival_times(&mut rng, p, 2000);
+                let times = arrival_times(&mut rng, p, 2000).unwrap();
                 let gap = mean_gaps(&times);
                 let want = 1.0e6 / rate;
                 prop_assert!(
@@ -540,7 +564,7 @@ mod tests {
         fn burst_schedule_conserves_requests(n in 1usize..400, burst in 1usize..32) {
             let p = ArrivalProcess::Bursty { rate: 4.0, burst_size: burst };
             let mut rng = StdRng::seed_from_u64(n as u64 ^ (burst as u64) << 32);
-            let times = arrival_times(&mut rng, &p, n);
+            let times = arrival_times(&mut rng, &p, n).unwrap();
             prop_assert_eq!(times.len(), n);
             prop_assert!(times.windows(2).all(|w| w[0] <= w[1]));
         }
@@ -576,12 +600,13 @@ mod tests {
                 max / mean.max(1e-9)
             };
             let mut rng = StdRng::seed_from_u64(seed);
-            let pois = arrival_times(&mut rng, &ArrivalProcess::Poisson { rate }, 3000);
+            let pois = arrival_times(&mut rng, &ArrivalProcess::Poisson { rate }, 3000).unwrap();
             let heavy = arrival_times(
                 &mut rng,
                 &ArrivalProcess::HeavyTailed { rate, alpha: 1.3 },
                 3000,
-            );
+            )
+            .unwrap();
             prop_assert!(
                 tail_ratio(&gaps(&heavy)) > tail_ratio(&gaps(&pois)),
                 "heavy tail must dominate"

@@ -22,7 +22,7 @@ fn workload(n: usize) -> Result<Vec<FleetRequest>, SimError> {
     let mut rng = StdRng::seed_from_u64(77);
     let dataset = Dataset::ShareGpt;
     // ~6000 requests/s at a 1 GHz device clock.
-    let arrivals = arrival_stream(&mut rng, 6.0, n);
+    let arrivals = arrival_stream(&mut rng, 6.0, n)?;
     arrivals
         .iter()
         .enumerate()

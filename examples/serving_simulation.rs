@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  throughput {:.0} tokens/s | mean latency {:.2} ms | \
              {} iterations | peak KV util {:.1}%",
             out.tokens_per_sec(),
-            out.mean_latency / 1e6,
+            out.mean_latency() / 1e6,
             out.iterations,
             out.peak_kv_utilization * 100.0
         );

@@ -117,7 +117,7 @@ fn records_digest(out: &ServingOutcome) -> u64 {
             r.arrival,
             r.ttft,
             r.latency,
-            r.tokens,
+            u64::from(r.tokens),
             u64::from(r.preemptions),
         ] {
             for byte in word.to_le_bytes() {

@@ -35,6 +35,7 @@ fn sampled_workload(n: usize, seed: u64) -> Vec<FleetRequest> {
     let mut rng = StdRng::seed_from_u64(seed);
     let dataset = Dataset::ShareGpt;
     arrival_stream(&mut rng, 8.0, n)
+        .unwrap()
         .iter()
         .enumerate()
         .map(|(i, &at)| FleetRequest {

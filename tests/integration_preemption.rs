@@ -79,7 +79,7 @@ fn drop_only_reproduces_the_golden_numbers_exactly() {
         assert_eq!(out.completed, 24);
         assert_eq!(out.tokens, 183);
         assert_eq!(out.iterations, 19);
-        assert_eq!(out.mean_latency, 60_269_692.0);
+        assert_eq!(out.mean_latency(), 60_269_692.0);
         assert_eq!(out.latency_percentile(50.0), 56_383_712);
         assert_eq!(out.ttft_percentile(50.0), 15_030_944);
         assert_eq!(out.preemptions, 0);
@@ -148,7 +148,7 @@ fn conservation_holds_through_preempt_restore_cycles_for_every_policy() {
         // requests may leave partial (unrecorded) output behind, so the
         // record sum never exceeds the generated total — and matches it
         // exactly when nothing was shed mid-flight.
-        let record_tokens: u64 = out.records.iter().map(|r| r.tokens).sum();
+        let record_tokens: u64 = out.records.iter().map(|r| u64::from(r.tokens)).sum();
         assert!(record_tokens <= out.tokens, "{name}");
         if out.dropped == 0 {
             assert_eq!(out.tokens, record_tokens, "{name}");

@@ -57,7 +57,7 @@ fn lump_prefill_reproduces_pr2_numbers_exactly() {
     assert_eq!(out.completed, 24);
     assert_eq!(out.tokens, 183);
     assert_eq!(out.iterations, 19);
-    assert_eq!(out.mean_latency, 60_269_692.0);
+    assert_eq!(out.mean_latency(), 60_269_692.0);
     assert_eq!(out.latency_percentile(50.0), 56_383_712);
     assert_eq!(out.latency_percentile(99.0), 99_732_448);
     assert_eq!(out.ttft_percentile(50.0), 15_030_944);

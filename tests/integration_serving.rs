@@ -45,7 +45,7 @@ fn streaming_workload_drains_completely() {
     assert_eq!(out.submitted, n as u64);
     assert_eq!(out.dropped, 0);
     assert_eq!(out.tokens, expected_tokens);
-    assert!(out.mean_latency > 0.0);
+    assert!(out.mean_latency() > 0.0);
     assert!(out.iterations > 0);
     assert!(out.peak_kv_utilization > 0.0 && out.peak_kv_utilization <= 1.0);
     // Prefill is charged: every record's first token arrives strictly

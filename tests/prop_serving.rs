@@ -51,13 +51,24 @@ proptest! {
         prop_assert_eq!(out.dropped, 0, "ample memory: nothing may drop");
         prop_assert_eq!(out.tokens, expected_tokens);
         prop_assert_eq!(out.records.len() as u64, out.completed);
-        prop_assert!(out.latencies.windows(2).all(|w| w[0] <= w[1]));
+        // Percentiles read the records: nearest rank over their sorted
+        // latencies, monotone in `p`.
+        let mut latencies: Vec<u64> = out.records.iter().map(|r| r.latency).collect();
+        latencies.sort_unstable();
+        let mut last = 0;
+        for p in [0.0, 25.0, 50.0, 90.0, 99.0, 100.0] {
+            let rank = ((p / 100.0) * latencies.len() as f64).ceil().max(1.0) as usize - 1;
+            let at = out.latency_percentile(p);
+            prop_assert_eq!(at, latencies[rank]);
+            prop_assert!(at >= last);
+            last = at;
+        }
         for r in out.records.iter() {
             prop_assert!(r.ttft > 0, "prefill must charge a nonzero TTFT");
             prop_assert!(r.ttft <= r.latency, "{:?}", r);
             prop_assert!(r.tpot() >= 0.0, "{:?}", r);
             let (input, output, arrival) = requests[r.id.0 as usize];
-            prop_assert_eq!(r.tokens, output as u64);
+            prop_assert_eq!(r.tokens, output);
             prop_assert_eq!(r.arrival, arrival);
             prop_assert!(input > 0);
         }

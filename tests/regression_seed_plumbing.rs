@@ -20,7 +20,7 @@ use neupims_workload::{
 /// arrival + shape draws from one RNG.
 fn cli_style_requests(seed: u64, rate: f64, n: usize) -> Vec<(u64, u32, u32)> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let arrivals = arrival_stream(&mut rng, rate, n);
+    let arrivals = arrival_stream(&mut rng, rate, n).unwrap();
     arrivals
         .iter()
         .map(|&at| {
