@@ -1,10 +1,11 @@
 //! Microbenchmarks of the cycle-accurate substrate: DRAM command
-//! scheduling, PIM GEMV execution, duet interleaving, and calibration.
+//! scheduling, PIM GEMV execution and duet interleaving, the command
+//! streams calibration measures.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use neupims_dram::{Controller, DramChannel, MemRequest};
-use neupims_pim::{calibrate, CommandMode, DuetDriver, GemvEngine, GemvJob};
-use neupims_types::{config::PimConfig, BankId, HbmTiming, MemConfig, NeuPimsConfig};
+use neupims_pim::{CommandMode, DuetDriver, GemvEngine, GemvJob};
+use neupims_types::{config::PimConfig, BankId, HbmTiming, MemConfig};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -55,10 +56,6 @@ fn bench(c: &mut Criterion) {
             e.enqueue(GemvJob::synthetic(&mem, 32, 1, 0));
             black_box(DuetDriver::new(ctrl, e).run().unwrap())
         })
-    });
-
-    c.bench_function("full_calibration", |b| {
-        b.iter(|| black_box(calibrate(&NeuPimsConfig::table2()).unwrap()))
     });
 }
 

@@ -323,9 +323,10 @@ fn run(command: &str, opts: &Options) -> Result<(), Box<dyn std::error::Error>> 
     if command == "area" {
         return cmd_area();
     }
-    // The eval runner calibrates per scenario (suites may override the
-    // memory system), so eval and the artifacts that are suites of the
-    // same name skip the shared context below.
+    // The eval runner builds a context per scenario (suites may override
+    // the memory system; each distinct configuration is calibrated once
+    // per process), so eval and the artifacts that are suites of the same
+    // name skip the shared context below.
     if command == "eval" {
         return cmd_eval(opts, opts.suite.as_deref().unwrap_or("smoke"));
     }
@@ -816,6 +817,7 @@ mod tests {
     use neupims_eval::toml::Value;
     use neupims_eval::{ScenarioSpec, SuiteSpec};
     use neupims_workload::scenario::ArrivalProcess;
+    use proptest::prelude::*;
 
     /// Each shared key with a valid value away from both front-ends'
     /// defaults, then values its rule rejects.
@@ -960,5 +962,67 @@ mod tests {
             .unwrap_err()
             .contains("\"bakend\""));
         Ok(())
+    }
+
+    /// Commands, a suite name and values the flags take, valid and not.
+    const WORDS: [&str; 24] = [
+        "serve",
+        "fleet",
+        "eval",
+        "sweep",
+        "smoke",
+        "-",
+        "--",
+        "",
+        "0",
+        "-1",
+        "2.5",
+        "inf",
+        "nan",
+        "4294967296",
+        "18446744073709551616",
+        "1e309",
+        "true",
+        "\"x",
+        "neupims,gpu",
+        ",",
+        "a:1:2",
+        "a:1:2:3:4,b:0:0",
+        "a:0:0,b:0:0",
+        "a:-1:1:nan:inf",
+    ];
+
+    /// Bytes that steer the value grammars: numbers, lists and tenants.
+    const SOUP: &[u8] = b":,.-+0123456789einfatru\" ";
+
+    /// One argument of kind `kind % 4`: a known flag, a word, a soup of
+    /// value bytes, or arbitrary bytes read as lossy UTF-8.
+    fn arg_of(kind: u8, choice: u64, bytes: &[u8]) -> String {
+        let flags: Vec<&str> = SHARED_KEYS.into_iter().chain(OPTION_KEYS).collect();
+        match kind % 4 {
+            0 => format!("--{}", flags[choice as usize % flags.len()]),
+            1 => WORDS[choice as usize % WORDS.len()].to_owned(),
+            2 => bytes
+                .iter()
+                .map(|&b| SOUP[b as usize % SOUP.len()] as char)
+                .collect(),
+            _ => String::from_utf8_lossy(bytes).into_owned(),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// `parse_args` returns `Ok` or `Err` on any command line.
+        #[test]
+        fn flag_parsing_never_panics(
+            args in prop::collection::vec(
+                (any::<u8>(), any::<u64>(), prop::collection::vec(any::<u8>(), 0..24)),
+                0..12,
+            ),
+        ) {
+            let args: Vec<String> = args.iter().map(|(k, c, b)| arg_of(*k, *c, b)).collect();
+            let _ = parse_args(&args);
+        }
     }
 }

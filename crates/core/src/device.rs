@@ -264,7 +264,8 @@ impl Device {
     }
 
     /// The full NeuPIMs system on the Table 2 hardware, with the PIM
-    /// constants calibrated from the cycle model.
+    /// constants calibrated from the cycle model. Calibration is memoized
+    /// per process, so only the first Table 2 device measures it.
     ///
     /// # Errors
     ///

@@ -31,7 +31,7 @@ use crate::interconnect::PcieLink;
 use crate::sharding::{ClusterSpec, ShardedBackend};
 use crate::simulation::{Simulation, SimulationBuilder, DEFAULT_SEED};
 
-/// Shared context: hardware config plus one-time PIM calibration.
+/// Shared context: hardware config plus its PIM calibration.
 #[derive(Debug, Clone)]
 pub struct ExperimentContext {
     /// Hardware configuration (Table 2 by default).
@@ -56,6 +56,9 @@ impl ExperimentContext {
 
     /// Calibrates `cfg`'s PIM constants from the cycle model, with the
     /// harness defaults: [`DEFAULT_SEED`] and 10 warm batches per point.
+    /// [`calibrate()`] measures each distinct configuration once per
+    /// process, so contexts built for equal configurations (one per eval
+    /// scenario, say) share one measurement.
     ///
     /// # Errors
     ///

@@ -2,13 +2,9 @@
 //!
 //! Nearly every test in `simulation`, `system`, `sharding`, `serving`,
 //! `device`, `transpim`, and `backend` needs the Table 2 configuration
-//! with its PIM constants calibrated from the cycle model. Calibration is
-//! deterministic and not free (five command-stream runs), so this module
-//! computes it once per test binary behind a [`OnceLock`] and hands out
-//! copies — replacing the `calibrate(&NeuPimsConfig::table2()).unwrap()`
-//! boilerplate that used to be repeated in every module's test setup.
-
-use std::sync::OnceLock;
+//! with its PIM constants calibrated from the cycle model. These helpers
+//! build it in one call each; [`calibrate`] measures a configuration once
+//! per process, so every test after the first shares that measurement.
 
 use neupims_pim::{calibrate, PimCalibration};
 use neupims_types::{LlmConfig, NeuPimsConfig};
@@ -18,36 +14,22 @@ use crate::device::{Device, DeviceMode};
 use crate::experiments::ExperimentContext;
 use crate::fleet::ReplicaSnapshot;
 use crate::serving::{ServingConfig, ServingSim};
-use crate::simulation::DEFAULT_SEED;
 
-/// The memoized Table 2 calibration (calibrated once per test binary).
-pub(crate) fn table2_calibration() -> PimCalibration {
-    static CAL: OnceLock<PimCalibration> = OnceLock::new();
-    *CAL.get_or_init(|| {
-        calibrate(&NeuPimsConfig::table2()).expect("Table 2 configuration must calibrate")
-    })
-}
-
-/// The Table 2 configuration next to its memoized calibration.
+/// The Table 2 configuration next to its calibration.
 pub(crate) fn table2_pair() -> (NeuPimsConfig, PimCalibration) {
-    (NeuPimsConfig::table2(), table2_calibration())
+    let cfg = NeuPimsConfig::table2();
+    let cal = calibrate(&cfg).expect("Table 2 configuration must calibrate");
+    (cfg, cal)
 }
 
-/// The Table 2 experiment context, using the memoized calibration.
+/// The Table 2 experiment context.
 pub(crate) fn table2_context() -> ExperimentContext {
-    let (cfg, cal) = table2_pair();
-    ExperimentContext {
-        cfg,
-        cal,
-        seed: DEFAULT_SEED,
-        samples: 10,
-    }
+    ExperimentContext::table2().expect("Table 2 configuration must calibrate")
 }
 
-/// A Table 2 device in `mode`, using the memoized calibration.
+/// A Table 2 device in `mode`.
 pub(crate) fn table2_device(mode: DeviceMode) -> Device {
-    let (cfg, cal) = table2_pair();
-    Device::new(cfg, cal, mode)
+    Device::table2_mode(mode).expect("Table 2 configuration must calibrate")
 }
 
 /// A drain-to-empty serving config at `max_batch` (TP 4, 32 layers).

@@ -4,17 +4,10 @@
 use proptest::prelude::*;
 
 use neupims_core::device::{Device, DeviceMode, SbiPolicy};
-use neupims_pim::{calibrate, PimCalibration};
 use neupims_types::{LlmConfig, NeuPimsConfig};
 
-fn cal() -> &'static PimCalibration {
-    use std::sync::OnceLock;
-    static CAL: OnceLock<PimCalibration> = OnceLock::new();
-    CAL.get_or_init(|| calibrate(&NeuPimsConfig::table2()).unwrap())
-}
-
 fn device(mode: DeviceMode) -> Device {
-    Device::new(NeuPimsConfig::table2(), *cal(), mode)
+    Device::table2_mode(mode).unwrap()
 }
 
 proptest! {

@@ -13,6 +13,12 @@
 //! * `mem_stream_bw_shared` — the same stream while the PIM engine runs
 //!   concurrently in dual-row-buffer mode (C/A contention, Section 5.3);
 //! * `pim_stream_bw` — in-bank bytes/cycle consumed by the GEMV datapath.
+//!
+//! The constants depend only on the configuration, so [`calibrate`]
+//! measures each distinct configuration once per process and hands every
+//! later caller the stored result.
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use neupims_dram::{Controller, DramChannel, MemRequest};
 use neupims_types::{BankId, NeuPimsConfig, SimError};
@@ -72,15 +78,67 @@ fn mem_stream(ctrl: &mut Controller, pages: u32, banks: u32) {
     }
 }
 
-/// Measures the calibration constants for `cfg` (one channel is
-/// representative; channels are identical and independent).
+/// A configuration and its measured constants.
+type Entry = (NeuPimsConfig, PimCalibration);
+
+/// Every configuration calibrated so far in this process: one entry per
+/// distinct configuration.
+static CALIBRATED: Mutex<Vec<Entry>> = Mutex::new(Vec::new());
+
+/// The calibration store. A panic elsewhere cannot leave it half-written
+/// (entries are pushed whole), so a poisoned lock is still safe to read.
+fn calibrated() -> MutexGuard<'static, Vec<Entry>> {
+    CALIBRATED.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The stored constants of `cfg`, if `entries` holds it.
+fn stored(entries: &[Entry], cfg: &NeuPimsConfig) -> Option<PimCalibration> {
+    entries.iter().find(|(c, _)| c == cfg).map(|&(_, cal)| cal)
+}
+
+/// The calibration constants for `cfg` (one channel is representative;
+/// channels are identical and independent).
+///
+/// Calibration is memoized per process, keyed by the whole `cfg`: the
+/// first call with a configuration measures it through the cycle model,
+/// and every later call with an equal configuration returns the stored
+/// constants, bit for bit. Each distinct configuration keeps one entry.
+/// `cfg` is validated on every call, before the store is read. Two
+/// threads that miss on the same configuration at once may both measure
+/// it; the first to finish stores its result and both return that.
 ///
 /// # Errors
 ///
-/// Propagates structural scheduling errors — a failure here means the
-/// configuration cannot execute the canonical command streams.
+/// Returns [`SimError::InvalidConfig`] when `cfg` fails
+/// [`NeuPimsConfig::validate`], and propagates structural scheduling
+/// errors — a failure there means the configuration cannot execute the
+/// canonical command streams. An error is never stored, so a failing
+/// configuration fails on every call.
 pub fn calibrate(cfg: &NeuPimsConfig) -> Result<PimCalibration, SimError> {
     cfg.validate()?;
+    if let Some(cal) = stored(&calibrated(), cfg) {
+        return Ok(cal);
+    }
+    let cal = measure(cfg)?;
+    let mut entries = calibrated();
+    if let Some(first) = stored(&entries, cfg) {
+        return Ok(first);
+    }
+    entries.push((*cfg, cal));
+    Ok(cal)
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Measurements run on this thread (they run on the calling thread).
+    static MEASUREMENTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Measures the calibration constants of a validated `cfg` through the
+/// cycle model.
+fn measure(cfg: &NeuPimsConfig) -> Result<PimCalibration, SimError> {
+    #[cfg(test)]
+    MEASUREMENTS.with(|n| n.set(n.get() + 1));
     let mem = cfg.mem;
     let timing = cfg.timing;
 
@@ -192,5 +250,89 @@ mod tests {
         let mut cfg = NeuPimsConfig::table2();
         cfg.mem.channels = 0;
         assert!(calibrate(&cfg).is_err());
+    }
+
+    fn bits(cal: &PimCalibration) -> [u64; 7] {
+        [
+            cal.l_tile.to_bits(),
+            cal.l_tile_fine.to_bits(),
+            cal.l_gwrite.to_bits(),
+            cal.dot_cycles,
+            cal.mem_stream_bw.to_bits(),
+            cal.mem_stream_bw_shared.to_bits(),
+            cal.pim_stream_bw.to_bits(),
+        ]
+    }
+
+    fn measured_here() -> usize {
+        MEASUREMENTS.with(|n| n.get())
+    }
+
+    /// Table 2 and configurations that each differ from it in one field
+    /// of `mem`, `timing`, `pim`, `npu` or `interconnect`, some of which
+    /// calibration never reads.
+    fn one_field_variants() -> Vec<NeuPimsConfig> {
+        let t2 = NeuPimsConfig::table2();
+        let mut capacity = t2;
+        capacity.mem.capacity_per_channel = 2 << 30;
+        let mut channels = t2;
+        channels.mem.channels = 16;
+        let mut faw = t2;
+        faw.timing.t_faw = 40;
+        let mut lanes = t2;
+        lanes.pim.lanes_per_bank = 32;
+        let mut arrays = t2;
+        arrays.npu.systolic_arrays = 4;
+        let mut link = t2;
+        link.interconnect.link_latency = 900;
+        vec![t2, capacity, channels, faw, lanes, arrays, link]
+    }
+
+    #[test]
+    fn memo_matches_a_fresh_measurement_in_either_order() {
+        let cfgs = one_field_variants();
+        let fresh: Vec<[u64; 7]> = cfgs.iter().map(|c| bits(&measure(c).unwrap())).collect();
+        assert_ne!(fresh[0], fresh[3], "t_faw must move the constants");
+        assert_ne!(fresh[0], fresh[4], "lanes must move the constants");
+        for order in [
+            (0..cfgs.len()).collect::<Vec<_>>(),
+            (0..cfgs.len()).rev().collect(),
+        ] {
+            for i in order {
+                assert_eq!(bits(&calibrate(&cfgs[i]).unwrap()), fresh[i], "{i}");
+            }
+        }
+        let entries = calibrated();
+        for (i, cfg) in cfgs.iter().enumerate() {
+            let held = entries.iter().filter(|(c, _)| c == cfg).count();
+            assert_eq!(held, 1, "config {i} must hold exactly one entry");
+        }
+    }
+
+    #[test]
+    fn an_equal_config_is_measured_once() {
+        // A configuration no other test calibrates, so the first call here
+        // is the process's first.
+        let mut cfg = NeuPimsConfig::table2();
+        cfg.timing.t_rfc = 300;
+        let before = measured_here();
+        let first = calibrate(&cfg).unwrap();
+        assert_eq!(measured_here(), before + 1);
+        for _ in 0..3 {
+            assert_eq!(bits(&calibrate(&cfg).unwrap()), bits(&first));
+        }
+        assert_eq!(measured_here(), before + 1, "a repeat must hit the memo");
+    }
+
+    #[test]
+    fn an_invalid_config_errors_on_every_call() {
+        let mut cfg = NeuPimsConfig::table2();
+        cfg.pim.gvb_bytes = cfg.mem.page_bytes / 2;
+        let before = measured_here();
+        for _ in 0..3 {
+            assert!(matches!(calibrate(&cfg), Err(SimError::InvalidConfig(_))));
+        }
+        assert_eq!(measured_here(), before, "validation precedes measurement");
+        assert!(stored(&calibrated(), &cfg).is_none());
     }
 }

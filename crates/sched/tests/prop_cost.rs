@@ -11,7 +11,7 @@ use std::sync::{Mutex, OnceLock};
 use proptest::prelude::*;
 
 use neupims_kvcache::KvGeometry;
-use neupims_pim::{calibrate, PimCalibration};
+use neupims_pim::calibrate;
 use neupims_sched::{
     calibration_drift, MhaCostModel, MhaLatencyEstimator, TraceDrivenCostModel, TraceMemo,
     DEFAULT_DRIFT_TOLERANCE,
@@ -88,11 +88,6 @@ fn warm_replay_fills_exactly_the_slots_lookups_touch() {
     }
 }
 
-fn table2_cal() -> PimCalibration {
-    static CAL: OnceLock<PimCalibration> = OnceLock::new();
-    *CAL.get_or_init(|| calibrate(&NeuPimsConfig::table2()).unwrap())
-}
-
 /// One (analytic, trace) model pair per Table 3 model, built once so the
 /// trace replay memo persists across proptest cases.
 fn model_pairs() -> &'static Vec<(String, MhaLatencyEstimator, TraceDrivenCostModel)> {
@@ -100,7 +95,7 @@ fn model_pairs() -> &'static Vec<(String, MhaLatencyEstimator, TraceDrivenCostMo
         OnceLock::new();
     PAIRS.get_or_init(|| {
         let cfg = NeuPimsConfig::table2();
-        let cal = table2_cal();
+        let cal = calibrate(&cfg).unwrap();
         LlmConfig::table3()
             .into_iter()
             .map(|model| {

@@ -9,7 +9,7 @@
 //! arrival it is advanced to (a replica whose whole batch is in lump
 //! prefill would otherwise wait through the arrival and admit it late).
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -22,12 +22,6 @@ use neupims_core::system::SystemSpec;
 use neupims_sched::CostModelKind;
 use neupims_types::Request;
 use neupims_workload::{arrival_stream, Dataset};
-
-/// The Table 2 context, calibrated once per test binary.
-fn table2() -> &'static ExperimentContext {
-    static CTX: OnceLock<ExperimentContext> = OnceLock::new();
-    CTX.get_or_init(|| ExperimentContext::table2().expect("Table 2 calibrates"))
-}
 
 /// Memo ids are unique per memo instance; zero them so two runs over
 /// distinct but equally fed memos compare equal.
@@ -67,7 +61,7 @@ proptest! {
     ) {
         let (backend, scheduler, preemption, trace) = picks;
         let (tp, fabric) = sharding;
-        let mut ctx = table2().clone();
+        let mut ctx = ExperimentContext::table2().expect("Table 2 calibrates");
         if kv_mib > 0 {
             // Tight KV per channel, so the preempting policies engage.
             ctx.cfg.mem.capacity_per_channel = kv_mib << 20;
