@@ -99,21 +99,20 @@ pub const DEFAULT_FLEET_SEED: u64 = 0xF1EE7;
 
 use std::path::PathBuf;
 
-use neupims_core::experiments::{
-    fig14_parallelism, fig4_roofline, fig5_gpu_util, table5_power, ExperimentContext,
-};
+use neupims_core::experiments::{fig14_parallelism, fig4_roofline, fig5_gpu_util, table5_power};
 use neupims_core::fleet::FleetRequest;
 use neupims_core::orchestrator::TenantClass;
 use neupims_core::system::{System, SystemSpec};
-use neupims_eval::spec::tenant_class;
+use neupims_eval::spec::{set_shares, tenant_class};
 use neupims_eval::toml::{parse_scalar, Table};
 use neupims_eval::{Settings, SHARED_KEYS};
 use neupims_kvcache::KvGeometry;
+use neupims_pim::calibrate;
 use neupims_sched::{
     calibration_drift, MhaLatencyEstimator, TraceDrivenCostModel, DEFAULT_DRIFT_TOLERANCE,
 };
-use neupims_types::{request_id, Phase};
-use neupims_workload::{arrival_stream, request_buffer, Dataset};
+use neupims_types::{request_id, NeuPimsConfig, Phase};
+use neupims_workload::{arrival_times, request_buffer, ArrivalProcess, Dataset};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -323,10 +322,10 @@ fn run(command: &str, opts: &Options) -> Result<(), Box<dyn std::error::Error>> 
     if command == "area" {
         return cmd_area();
     }
-    // The eval runner builds a context per scenario (suites may override
-    // the memory system; each distinct configuration is calibrated once
-    // per process), so eval and the artifacts that are suites of the same
-    // name skip the shared context below.
+    // Each eval scenario carries its own hardware (suites may override the
+    // memory system; each distinct configuration is calibrated once per
+    // process), so eval and the artifacts that are suites of the same name
+    // skip the notice below.
     if command == "eval" {
         return cmd_eval(opts, opts.suite.as_deref().unwrap_or("smoke"));
     }
@@ -334,28 +333,28 @@ fn run(command: &str, opts: &Options) -> Result<(), Box<dyn std::error::Error>> 
         return cmd_eval(opts, command);
     }
 
-    // Every remaining command needs the calibrated context.
+    // Every remaining command prices the system's calibrated hardware.
     eprintln!("calibrating PIM constants from the cycle model ...");
-    let ctx = ExperimentContext::table2()?.with_samples(opts.shared.samples);
+    let hardware = &opts.shared.system.hardware;
 
     match command {
-        "sweep" => cmd_sweep(&ctx, opts),
-        "serve" | "fleet" => cmd_fleet(&ctx, opts, command),
-        "calibrate" => cmd_calibrate(&ctx),
-        "drift" => cmd_drift(&ctx, opts),
-        "fig14" => cmd_fig14(&ctx),
-        "table5" => cmd_table5(&ctx),
+        "sweep" => cmd_sweep(opts),
+        "serve" | "fleet" => cmd_fleet(opts, command),
+        "calibrate" => cmd_calibrate(hardware),
+        "drift" => cmd_drift(opts),
+        "fig14" => cmd_fig14(hardware),
+        "table5" => cmd_table5(hardware),
         "all" => {
             cmd_fig4()?;
             cmd_fig5()?;
-            cmd_calibrate(&ctx)?;
+            cmd_calibrate(hardware)?;
             cmd_eval(opts, "fig6")?;
             cmd_eval(opts, "fig12")?;
             cmd_eval(opts, "fig13")?;
-            cmd_fig14(&ctx)?;
+            cmd_fig14(hardware)?;
             cmd_eval(opts, "fig15")?;
             cmd_eval(opts, "table4")?;
-            cmd_table5(&ctx)?;
+            cmd_table5(hardware)?;
             cmd_area()
         }
         other => {
@@ -365,7 +364,7 @@ fn run(command: &str, opts: &Options) -> Result<(), Box<dyn std::error::Error>> 
     }
 }
 
-fn cmd_sweep(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_sweep(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     let system = &opts.shared.system;
     let batches: Vec<usize> = match opts.shared.batch {
         Some(b) => vec![b],
@@ -378,7 +377,7 @@ fn cmd_sweep(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std:
         system.model.name,
         opts.shared.dataset.name(),
         system.cost_model,
-        ctx.samples
+        opts.shared.samples
     );
     if system.sharding_requested() {
         println!(
@@ -392,7 +391,8 @@ fn cmd_sweep(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std:
     println!("|---:|---:|");
     for &batch in &batches {
         let sim = system
-            .simulation(ctx, None)?
+            .simulation(None)?
+            .samples(opts.shared.samples)
             .dataset(opts.shared.dataset)
             .batch(batch)
             .build()?;
@@ -412,7 +412,8 @@ fn draw_requests(
 ) -> Result<Vec<(FleetRequest, usize)>, Box<dyn std::error::Error>> {
     let shared = &opts.shared;
     let mut rng = StdRng::seed_from_u64(seed);
-    let arrivals = arrival_stream(&mut rng, shared.rate, shared.requests)?;
+    let poisson = ArrivalProcess::Poisson { rate: shared.rate };
+    let arrivals = arrival_times(&mut rng, &poisson, shared.requests)?;
     let total_weight: f64 = tenant_weights.map_or(0.0, |w| w.iter().sum());
     let mut requests = request_buffer(arrivals.len())?;
     for (i, &at) in arrivals.iter().enumerate() {
@@ -444,11 +445,7 @@ fn draw_requests(
 /// `--router`, `--min-replicas`, as the slot table of the meta-orchestrator.
 /// `serve` is `fleet --replicas 1` under its own default seed. Both print
 /// the metric map an eval serving scenario is scored on.
-fn cmd_fleet(
-    ctx: &ExperimentContext,
-    opts: &Options,
-    command: &str,
-) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_fleet(opts: &Options, command: &str) -> Result<(), Box<dyn std::error::Error>> {
     let mut system = opts.shared.system.clone();
     let default_seed = if command == "serve" {
         // `serve` builds one replica: a name list (which `fleet` cycles
@@ -483,7 +480,7 @@ fn cmd_fleet(
     // Under trace pricing the whole fleet shares one replay memo (disk-
     // backed with --memo-cache), so each context bucket simulates once.
     let memo = system.trace_memo(opts.memo_cache.as_deref())?;
-    let mut built = system.build(ctx, memo.as_ref(), opts.jobs)?;
+    let mut built = system.build(memo.as_ref(), opts.jobs)?;
     let seed = opts.shared.seed.unwrap_or(default_seed);
     let title = run_title(command, opts, &system, &built, seed);
 
@@ -552,7 +549,7 @@ fn run_title(
 /// `[[scenario.tenant]]` key of the same meaning (`weight`, `priority`,
 /// `slo-ttft-ms`, `slo-tpot-ms`) and validated by the suite parser's
 /// [`tenant_class`]. TTFT/TPOT default to the system's targets; weights
-/// are normalized to shares.
+/// are normalized to shares by the suite parser's [`set_shares`].
 fn parse_tenants(
     spec: &str,
     system: &SystemSpec,
@@ -577,19 +574,18 @@ fn parse_tenants(
         tenants.push(tenant);
         weights.push(weight);
     }
-    let total: f64 = weights.iter().sum();
-    for (t, w) in tenants.iter_mut().zip(&weights) {
-        t.share = w / total;
-    }
+    set_shares(&mut tenants, &weights).map_err(|e| format!("--tenants {spec:?}: {}", e.0))?;
     Ok((tenants, weights))
 }
 
-fn cmd_drift(ctx: &ExperimentContext, opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
-    let model = &opts.shared.system.model;
+fn cmd_drift(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
+    let system = &opts.shared.system;
+    let cal = calibrate(&system.hardware)?;
+    let model = &system.model;
     let tp = model.parallelism.tp;
-    let geo = KvGeometry::with_tp(model, &ctx.cfg.mem, tp);
-    let analytic = MhaLatencyEstimator::new(geo, ctx.cal.l_tile, ctx.cal.l_gwrite);
-    let trace = TraceDrivenCostModel::new(&ctx.cfg, geo, true);
+    let geo = KvGeometry::with_tp(model, &system.hardware.mem, tp);
+    let analytic = MhaLatencyEstimator::new(geo, cal.l_tile, cal.l_gwrite);
+    let trace = TraceDrivenCostModel::new(&system.hardware, geo, true);
     let seq_lens: Vec<u64> = [
         1u64, 8, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384,
     ]
@@ -707,9 +703,9 @@ fn cmd_eval(opts: &Options, suite_name: &str) -> Result<(), Box<dyn std::error::
     Ok(())
 }
 
-fn cmd_calibrate(ctx: &ExperimentContext) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_calibrate(hardware: &NeuPimsConfig) -> Result<(), Box<dyn std::error::Error>> {
+    let c = calibrate(hardware)?;
     println!("\n## Calibrated PIM constants (from the cycle model)\n");
-    let c = &ctx.cal;
     println!("| constant | value |");
     println!("|---|---|");
     println!("| L_tile (composite PIM_GEMV) | {:.1} cycles |", c.l_tile);
@@ -769,11 +765,11 @@ fn cmd_fig5() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn cmd_fig14(ctx: &ExperimentContext) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_fig14(hardware: &NeuPimsConfig) -> Result<(), Box<dyn std::error::Error>> {
     println!("\n## Figure 14 — (TP, PP) scaling at 256 requests (GPT3-7B)\n");
     println!("| devices | (TP, PP) | throughput (1k tokens/s) |");
     println!("|---:|---|---:|");
-    for r in fig14_parallelism(ctx)? {
+    for r in fig14_parallelism(hardware)? {
         println!(
             "| {} | ({}, {}) | {:.1} |",
             r.devices,
@@ -785,9 +781,9 @@ fn cmd_fig14(ctx: &ExperimentContext) -> Result<(), Box<dyn std::error::Error>> 
     Ok(())
 }
 
-fn cmd_table5(ctx: &ExperimentContext) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_table5(hardware: &NeuPimsConfig) -> Result<(), Box<dyn std::error::Error>> {
     println!("\n## Table 5 — DRAM power and energy\n");
-    let t = table5_power(ctx)?;
+    let t = table5_power(hardware)?;
     println!("| system | average power (mW/channel) |");
     println!("|---|---:|");
     println!("| NPU-only HBM (non-PIM) | {:.1} |", t.baseline_mw);

@@ -9,6 +9,11 @@
 //! `fig15.toml`, `table4.toml`), and the Section 8.2 area overhead is
 //! [`neupims_power::AreaModel::dual_row_buffer_overhead`].
 //!
+//! [`fig14_parallelism`] and [`table5_power`] price the NeuPIMs device of
+//! the hardware configuration they are given, with its PIM constants from
+//! [`calibrate()`] (measured once per configuration per process), and draw
+//! their warm batches from [`DEFAULT_SEED`].
+//!
 //! | Function | Paper artifact |
 //! |---|---|
 //! | [`fig4_roofline`] | Figure 4 (arithmetic-intensity roofline) |
@@ -20,96 +25,22 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use neupims_llm::roofline::{gpu_utilization, operator_intensity, roofline_tflops, OperatorClass};
-use neupims_pim::{calibrate, PimCalibration};
+use neupims_pim::calibrate;
 use neupims_power::{energy_ratio, DramPowerParams};
 use neupims_types::{GpuSpec, LlmConfig, NeuPimsConfig, Phase};
 use neupims_workload::{warm_batch, Dataset};
 
-use crate::backend::{Backend, BackendError};
 use crate::device::{Device, DeviceMode};
 use crate::interconnect::PcieLink;
 use crate::sharding::{ClusterSpec, ShardedBackend};
-use crate::simulation::{Simulation, SimulationBuilder, DEFAULT_SEED};
+use crate::simulation::DEFAULT_SEED;
 
-/// Shared context: hardware config plus its PIM calibration.
-#[derive(Debug, Clone)]
-pub struct ExperimentContext {
-    /// Hardware configuration (Table 2 by default).
-    pub cfg: NeuPimsConfig,
-    /// Calibrated PIM constants.
-    pub cal: PimCalibration,
-    /// RNG seed for workload sampling (fixed for reproducibility).
-    pub seed: u64,
-    /// Warm batches sampled per configuration (the paper uses 10).
-    pub samples: usize,
-}
-
-impl ExperimentContext {
-    /// Calibrates the Table 2 configuration.
-    ///
-    /// # Errors
-    ///
-    /// Propagates calibration failures (invalid configuration).
-    pub fn table2() -> Result<Self, neupims_types::SimError> {
-        Self::new(NeuPimsConfig::table2())
-    }
-
-    /// Calibrates `cfg`'s PIM constants from the cycle model, with the
-    /// harness defaults: [`DEFAULT_SEED`] and 10 warm batches per point.
-    /// [`calibrate()`] measures each distinct configuration once per
-    /// process, so contexts built for equal configurations (one per eval
-    /// scenario, say) share one measurement.
-    ///
-    /// # Errors
-    ///
-    /// Propagates calibration failures (invalid configuration).
-    pub fn new(cfg: NeuPimsConfig) -> Result<Self, neupims_types::SimError> {
-        Ok(Self {
-            cfg,
-            cal: calibrate(&cfg)?,
-            seed: DEFAULT_SEED,
-            samples: 10,
-        })
-    }
-
-    /// Reduced sampling for quick bench iterations.
-    pub fn with_samples(mut self, samples: usize) -> Self {
-        self.samples = samples;
-        self
-    }
-
-    /// The NeuPIMs device in `mode` as a backend.
-    fn neupims_backend(&self, mode: DeviceMode) -> Device {
-        Device::new(self.cfg, self.cal, mode)
-    }
-
-    /// Builds any named backend from this context's calibrated hardware,
-    /// with `kind` as the MHA cost model of the PIM-bearing backends (see
-    /// [`backend_from_name_with_cost`](crate::backend::backend_from_name_with_cost)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BackendError::UnknownBackend`] for unrecognized names.
-    pub fn backend_with_cost(
-        &self,
-        name: &str,
-        kind: neupims_sched::CostModelKind,
-    ) -> Result<Box<dyn Backend>, BackendError> {
-        crate::backend::backend_from_name_with_cost(name, &self.cfg, &self.cal, kind)
-    }
-
-    /// Starts a [`Simulation`] builder pre-seeded with this context's RNG
-    /// seed and sample count.
-    pub fn simulation(&self) -> SimulationBuilder {
-        Simulation::builder().seed(self.seed).samples(self.samples)
-    }
-
-    fn warm_seqs(&self, rng: &mut StdRng, dataset: Dataset, batch: usize) -> Vec<u64> {
-        warm_batch(rng, dataset, batch)
-            .iter()
-            .map(|r| r.seq_len())
-            .collect()
-    }
+/// The sequence lengths of a `batch`-request warm batch from `dataset`.
+fn warm_seqs(rng: &mut StdRng, dataset: Dataset, batch: usize) -> Vec<u64> {
+    warm_batch(rng, dataset, batch)
+        .iter()
+        .map(|r| r.seq_len())
+        .collect()
 }
 
 // ---------------------------------------------------------------- Figure 4
@@ -224,9 +155,7 @@ pub struct Fig14Row {
 /// # Errors
 ///
 /// Propagates cluster/device-model errors.
-pub fn fig14_parallelism(
-    ctx: &ExperimentContext,
-) -> Result<Vec<Fig14Row>, neupims_types::SimError> {
+pub fn fig14_parallelism(cfg: &NeuPimsConfig) -> Result<Vec<Fig14Row>, neupims_types::SimError> {
     let model = LlmConfig::gpt3_7b();
     let combos = [
         (4u32, 1u32),
@@ -238,9 +167,9 @@ pub fn fig14_parallelism(
         (16, 4),
         (8, 8),
     ];
-    let dev = ctx.neupims_backend(DeviceMode::neupims());
-    let mut rng = StdRng::seed_from_u64(ctx.seed ^ 0x14);
-    let seqs = ctx.warm_seqs(&mut rng, Dataset::ShareGpt, 256);
+    let dev = Device::new(*cfg, calibrate(cfg)?, DeviceMode::neupims());
+    let mut rng = StdRng::seed_from_u64(DEFAULT_SEED ^ 0x14);
+    let seqs = warm_seqs(&mut rng, Dataset::ShareGpt, 256);
     let mut rows = Vec::new();
     for (tp, pp) in combos {
         let pipeline = ShardedBackend::new(
@@ -286,29 +215,25 @@ pub struct Table5Result {
 /// # Errors
 ///
 /// Propagates device-model errors.
-pub fn table5_power(ctx: &ExperimentContext) -> Result<Table5Result, neupims_types::SimError> {
+pub fn table5_power(cfg: &NeuPimsConfig) -> Result<Table5Result, neupims_types::SimError> {
+    let cal = calibrate(cfg)?;
+    let npu_only = Device::new(*cfg, cal, DeviceMode::NpuOnly);
+    let neupims = Device::new(*cfg, cal, DeviceMode::neupims());
     let model = LlmConfig::gpt3_30b();
     let layers = model.num_layers / model.parallelism.pp;
     let micro = 256 / model.parallelism.pp as usize;
-    let mut rng = StdRng::seed_from_u64(ctx.seed ^ 0x55);
-    let seqs = ctx.warm_seqs(&mut rng, Dataset::ShareGpt, micro);
+    let mut rng = StdRng::seed_from_u64(DEFAULT_SEED ^ 0x55);
+    let seqs = warm_seqs(&mut rng, Dataset::ShareGpt, micro);
 
-    let base = ctx.neupims_backend(DeviceMode::NpuOnly).decode_iteration(
-        &model,
-        model.parallelism.tp,
-        layers,
-        &seqs,
-    )?;
-    let neu = ctx
-        .neupims_backend(DeviceMode::neupims())
-        .decode_iteration(&model, model.parallelism.tp, layers, &seqs)?;
+    let base = npu_only.decode_iteration(&model, model.parallelism.tp, layers, &seqs)?;
+    let neu = neupims.decode_iteration(&model, model.parallelism.tp, layers, &seqs)?;
 
     let params = DramPowerParams::default();
     let baseline_mw = params
-        .channel_power(&base.dram_activity(&ctx.cfg, false))
+        .channel_power(&base.dram_activity(cfg, false))
         .total_mw();
     let neupims_mw = params
-        .channel_power(&neu.dram_activity(&ctx.cfg, true))
+        .channel_power(&neu.dram_activity(cfg, true))
         .total_mw();
 
     // Fleet-average speedup over ShareGPT at the larger batch sizes (the
@@ -316,17 +241,10 @@ pub fn table5_power(ctx: &ExperimentContext) -> Result<Table5Result, neupims_typ
     let mut speedups = Vec::new();
     for m in [LlmConfig::gpt3_7b(), LlmConfig::gpt3_13b()] {
         for batch in [256usize, 512] {
-            let mut rng = StdRng::seed_from_u64(ctx.seed ^ batch as u64 ^ 0x5500);
-            let s = ctx.warm_seqs(&mut rng, Dataset::ShareGpt, batch);
-            let b0 = ctx.neupims_backend(DeviceMode::NpuOnly).decode_iteration(
-                &m,
-                m.parallelism.tp,
-                m.num_layers,
-                &s,
-            )?;
-            let b1 = ctx
-                .neupims_backend(DeviceMode::neupims())
-                .decode_iteration(&m, m.parallelism.tp, m.num_layers, &s)?;
+            let mut rng = StdRng::seed_from_u64(DEFAULT_SEED ^ batch as u64 ^ 0x5500);
+            let s = warm_seqs(&mut rng, Dataset::ShareGpt, batch);
+            let b0 = npu_only.decode_iteration(&m, m.parallelism.tp, m.num_layers, &s)?;
+            let b1 = neupims.decode_iteration(&m, m.parallelism.tp, m.num_layers, &s)?;
             speedups.push(b0.total_cycles as f64 / b1.total_cycles.max(1) as f64);
         }
     }
@@ -343,10 +261,6 @@ pub fn table5_power(ctx: &ExperimentContext) -> Result<Table5Result, neupims_typ
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ctx() -> ExperimentContext {
-        ExperimentContext::table2().unwrap().with_samples(2)
-    }
 
     #[test]
     fn fig4_bands() {
@@ -373,7 +287,7 @@ mod tests {
 
     #[test]
     fn fig14_tp_over_pp() {
-        let rows = fig14_parallelism(&ctx()).unwrap();
+        let rows = fig14_parallelism(&NeuPimsConfig::table2()).unwrap();
         assert_eq!(rows.len(), 8);
         let get = |tp, pp| {
             rows.iter()
@@ -389,7 +303,7 @@ mod tests {
 
     #[test]
     fn table5_power_and_energy() {
-        let t = table5_power(&ctx()).unwrap();
+        let t = table5_power(&NeuPimsConfig::table2()).unwrap();
         let ratio = t.neupims_mw / t.baseline_mw;
         assert!(ratio > 1.2 && ratio < 3.0, "power ratio {ratio}");
         assert!(t.speedup > 1.2, "speedup {}", t.speedup);

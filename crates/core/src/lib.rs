@@ -63,7 +63,7 @@
 //!   dispatch policy, answers a position among them — graded on goodput
 //!   per replica-cycle paid;
 //! * [`system`] — one [`SystemSpec`] (what CLI flags and eval
-//!   `[[scenario]]` keys both parse into), the single constructor of
+//!   `[[scenario]]` keys both parse into, hardware included), the single constructor of
 //!   serving replicas ([`SystemSpec::replica`]), and the builder turning
 //!   the spec into a fleet or an orchestrator of them;
 //! * [`metrics`] — iteration breakdowns, utilization, and the DRAM
@@ -120,7 +120,6 @@ pub use backend::{
 };
 pub use device::{Device, DeviceMode, SbiPolicy};
 pub use event::{EventQueue, SimEvent};
-pub use experiments::ExperimentContext;
 pub use fleet::{
     policy_from_name, DispatchPolicy, FleetOutcome, FleetRequest, FleetSim, JoinShortestQueue,
     KvLeastLoaded, ReplicaSnapshot, RoundRobin, POLICY_NAMES,

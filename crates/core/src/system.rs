@@ -7,19 +7,23 @@
 //! [`SystemSpec::build`] turns it into a dispatched [`FleetSim`] or, when
 //! any orchestration key is set, an [`Orchestrator`].
 //! [`SystemSpec::replica`] builds every serving replica: each slot of
-//! those, and the lone replica of the CLI's `serve`. Each construction
-//! rule lives here once: the sharding wrapper and the serving shape under
-//! it, comma-separated backend/scheduler lists cycled over the replicas,
-//! preemption/swap/replay-memo wiring, and the autoscale replica floor.
+//! those, and the lone replica of the CLI's `serve`. The spec carries its
+//! hardware ([`SystemSpec::hardware`], Table 2 by default), and every
+//! backend it builds takes its PIM constants from [`calibrate()`] of that
+//! configuration, so a configuration and its calibration cannot disagree.
+//! Each construction rule lives here once: the sharding wrapper and the
+//! serving shape under it, comma-separated backend/scheduler lists cycled
+//! over the replicas, preemption/swap/replay-memo wiring, and the
+//! autoscale replica floor.
 
 use std::error::Error;
 use std::path::Path;
 
+use neupims_pim::calibrate;
 use neupims_sched::{CostModelKind, TraceMemo};
-use neupims_types::{LlmConfig, SimError};
+use neupims_types::{LlmConfig, NeuPimsConfig, SimError};
 
-use crate::backend::Backend;
-use crate::experiments::ExperimentContext;
+use crate::backend::{backend_from_name_with_cost, Backend};
 use crate::fleet::{policy_from_name, FleetRequest, FleetSim};
 use crate::interconnect::interconnect_from_name;
 use crate::orchestrator::{
@@ -30,16 +34,20 @@ use crate::preempt::{preemption_from_name, SwapConfig};
 use crate::scheduler::scheduler_from_name;
 use crate::serving::{ServingConfig, ServingSim, SloTargets};
 use crate::sharding::{ClusterSpec, ShardedBackend};
-use crate::simulation::SimulationBuilder;
+use crate::simulation::{Simulation, SimulationBuilder};
 
 /// Priority of a tenant whose spec names none (at or above the default
 /// admission floor, so it is never shed).
 pub const DEFAULT_TENANT_PRIORITY: u8 = 200;
 
-/// A serving system under test: its replicas' backends, schedulers and
-/// memory policies, how requests reach them, and the model they serve.
+/// A serving system under test: the hardware its replicas run on, their
+/// backends, schedulers and memory policies, how requests reach them, and
+/// the model they serve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemSpec {
+    /// The device every PIM-bearing backend is built on (and whose
+    /// calibration prices it).
+    pub hardware: NeuPimsConfig,
     /// Backend name(s); a comma-separated list cycles over the replicas.
     pub backend: String,
     /// Scheduler name(s); a comma-separated list cycles over the replicas.
@@ -89,11 +97,13 @@ pub struct SystemSpec {
 }
 
 impl Default for SystemSpec {
-    /// One NeuPIMs replica serving GPT3-7B: lump prefill, drop-only
-    /// preemption, analytic pricing, JSQ dispatch, batch 32, a 50 ms TTFT
-    /// / 10 ms TPOT SLO, unsharded, no orchestrator.
+    /// One NeuPIMs replica on the Table 2 device serving GPT3-7B: lump
+    /// prefill, drop-only preemption, analytic pricing, JSQ dispatch,
+    /// batch 32, a 50 ms TTFT / 10 ms TPOT SLO, unsharded, no
+    /// orchestrator.
     fn default() -> Self {
         Self {
+            hardware: NeuPimsConfig::table2(),
             backend: "neupims".into(),
             scheduler: "lump".into(),
             chunk_tokens: 256,
@@ -176,19 +186,17 @@ impl SystemSpec {
         }
     }
 
-    /// Builds backend `name` on `ctx`'s hardware under the spec's cost
-    /// model, wrapped in a [`ShardedBackend`] over the spec's fabric when
-    /// sharding is requested.
+    /// Builds backend `name` on the spec's calibrated hardware under its
+    /// cost model, wrapped in a [`ShardedBackend`] over the spec's fabric
+    /// when sharding is requested.
     ///
     /// # Errors
     ///
-    /// Unknown backend or interconnect names, and invalid sharding.
-    fn backend(
-        &self,
-        ctx: &ExperimentContext,
-        name: &str,
-    ) -> Result<Box<dyn Backend>, Box<dyn Error>> {
-        let backend = ctx.backend_with_cost(name, self.cost_model)?;
+    /// Calibration failures (invalid hardware), unknown backend or
+    /// interconnect names, and invalid sharding.
+    fn backend(&self, name: &str) -> Result<Box<dyn Backend>, Box<dyn Error>> {
+        let cal = calibrate(&self.hardware)?;
+        let backend = backend_from_name_with_cost(name, &self.hardware, &cal, self.cost_model)?;
         if !self.sharding_requested() {
             return Ok(backend);
         }
@@ -197,25 +205,25 @@ impl SystemSpec {
         Ok(Box::new(ShardedBackend::new(backend, spec, fabric)?))
     }
 
-    /// A [`Simulation`](crate::simulation::Simulation) builder over the
-    /// spec's model and backend at the serving shape, pricing through
-    /// `memo` when given: the entry point of warm-batch throughput runs.
+    /// A [`Simulation`] builder over the spec's model and backend at the
+    /// serving shape, pricing through `memo` when given: the entry point of
+    /// warm-batch throughput runs.
+    /// The seed and sample count keep the builder's defaults.
     ///
     /// # Errors
     ///
-    /// Unknown backend or interconnect names, and invalid sharding.
+    /// Calibration failures, unknown backend or interconnect names, and
+    /// invalid sharding.
     pub fn simulation(
         &self,
-        ctx: &ExperimentContext,
         memo: Option<&TraceMemo>,
     ) -> Result<SimulationBuilder<Box<dyn Backend>>, Box<dyn Error>> {
         let (tp, layers) = self.serving_shape();
-        let mut backend = self.backend(ctx, &self.backend)?;
+        let mut backend = self.backend(&self.backend)?;
         if let Some(memo) = memo {
             backend.attach_trace_memo(memo);
         }
-        Ok(ctx
-            .simulation()
+        Ok(Simulation::builder()
             .model(self.model.clone())
             .backend(backend)
             .tp(tp)
@@ -238,26 +246,25 @@ impl SystemSpec {
             .map(Some)
     }
 
-    /// Builds serving replica `index` on `ctx`'s hardware: the backend and
-    /// scheduler names at `index` of their comma-separated lists (cycled),
+    /// Builds serving replica `index` on the spec's hardware: the backend
+    /// and scheduler names at `index` of their comma-separated lists (cycled),
     /// under the spec's cost model, preemption policy, swap link, serving
     /// shape and SLO, pricing through `memo` when given. Every replica of
     /// [`Self::build`] comes from here, and so does `serve`'s lone one.
     ///
     /// # Errors
     ///
-    /// Unknown backend, scheduler, preemption or fabric names, and invalid
-    /// sharding.
+    /// Calibration failures, unknown backend, scheduler, preemption or
+    /// fabric names, and invalid sharding.
     pub fn replica(
         &self,
-        ctx: &ExperimentContext,
         index: usize,
         memo: Option<&TraceMemo>,
     ) -> Result<ServingSim<Box<dyn Backend>>, Box<dyn Error>> {
         let preemption = preemption_from_name(&self.preemption)?;
         let backends: Vec<&str> = self.backend.split(',').map(str::trim).collect();
         let schedulers: Vec<&str> = self.scheduler.split(',').map(str::trim).collect();
-        let backend = self.backend(ctx, backends[index % backends.len()])?;
+        let backend = self.backend(backends[index % backends.len()])?;
         let scheduler =
             scheduler_from_name(schedulers[index % schedulers.len()], self.chunk_tokens)?;
         let (tp, layers) = self.serving_shape();
@@ -280,24 +287,24 @@ impl SystemSpec {
         })
     }
 
-    /// Builds the system on `ctx`'s hardware: `replicas` serving replicas
-    /// (each from [`Self::replica`]), dispatched as a [`FleetSim`] or, when
+    /// Builds the system: `replicas` serving replicas (each from
+    /// [`Self::replica`]), dispatched as a [`FleetSim`] or, when
     /// [`Self::orchestration_requested`], owned by an [`Orchestrator`].
     /// `jobs` caps the worker threads (`None`: available parallelism); it
     /// never changes results.
     ///
     /// # Errors
     ///
-    /// Unknown policy, backend or fabric names, invalid sharding, and a
-    /// replica table the fleet or orchestrator rejects.
+    /// Calibration failures, unknown policy, backend or fabric names,
+    /// invalid sharding, and a replica table the fleet or orchestrator
+    /// rejects.
     pub fn build(
         &self,
-        ctx: &ExperimentContext,
         memo: Option<&TraceMemo>,
         jobs: Option<usize>,
     ) -> Result<System, Box<dyn Error>> {
         let replicas = (0..self.replicas)
-            .map(|i| self.replica(ctx, i, memo))
+            .map(|i| self.replica(i, memo))
             .collect::<Result<Vec<_>, _>>()?;
         // `with_jobs(0)` keeps the default worker count.
         let jobs = jobs.unwrap_or(0);
@@ -342,7 +349,6 @@ impl SystemSpec {
 mod tests {
     use super::*;
     use crate::backend::BACKEND_NAMES;
-    use crate::testsupport::table2_context;
 
     #[test]
     fn replica_serves_with_prefill_charged_to_ttft() {
@@ -350,7 +356,7 @@ mod tests {
             max_batch: 16,
             ..SystemSpec::default()
         };
-        let mut serving = spec.replica(&table2_context(), 0, None).unwrap();
+        let mut serving = spec.replica(0, None).unwrap();
         for i in 0..8 {
             serving.submit(i, 64, 4, 0).unwrap();
         }
@@ -362,20 +368,34 @@ mod tests {
 
     #[test]
     fn replica_serves_on_every_backend_kind() {
-        let ctx = table2_context();
         for name in BACKEND_NAMES {
             let spec = SystemSpec {
                 backend: name.to_owned(),
                 max_batch: 8,
                 ..SystemSpec::default()
             };
-            let mut s = spec.replica(&ctx, 0, None).unwrap();
+            let mut s = spec.replica(0, None).unwrap();
             for i in 0..8 {
                 s.submit(i, 64, 2, 0).unwrap();
             }
             let out = s.run().unwrap();
             assert_eq!(out.completed, 8, "{name}");
             assert_eq!(out.tokens, 16, "{name}");
+        }
+    }
+
+    #[test]
+    fn replicas_run_on_the_spec_hardware() {
+        let mut hardware = NeuPimsConfig::table2();
+        hardware.mem.channels = 4;
+        let spec = SystemSpec {
+            hardware,
+            replicas: 2,
+            ..SystemSpec::default()
+        };
+        for index in 0..spec.replicas {
+            let replica = spec.replica(index, None).unwrap();
+            assert_eq!(replica.backend().mem_config().channels, 4);
         }
     }
 }

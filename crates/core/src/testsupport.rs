@@ -11,7 +11,6 @@ use neupims_types::{LlmConfig, NeuPimsConfig};
 
 use crate::backend::{BackendCaps, CapabilityProfile, GpuRooflineBackend};
 use crate::device::{Device, DeviceMode};
-use crate::experiments::ExperimentContext;
 use crate::fleet::ReplicaSnapshot;
 use crate::serving::{ServingConfig, ServingSim};
 
@@ -20,11 +19,6 @@ pub(crate) fn table2_pair() -> (NeuPimsConfig, PimCalibration) {
     let cfg = NeuPimsConfig::table2();
     let cal = calibrate(&cfg).expect("Table 2 configuration must calibrate");
     (cfg, cal)
-}
-
-/// The Table 2 experiment context.
-pub(crate) fn table2_context() -> ExperimentContext {
-    ExperimentContext::table2().expect("Table 2 configuration must calibrate")
 }
 
 /// A Table 2 device in `mode`.

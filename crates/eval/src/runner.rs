@@ -2,7 +2,10 @@
 //!
 //! Each [`ScenarioSpec`] becomes one [`ScenarioRun`]: a flat
 //! `metric name -> f64` map the scorer grades golden expectations
-//! against. Serving scenarios build their system through
+//! against. A scenario's [`SystemSpec`] carries its hardware (Table 2
+//! unless the scenario overrides the memory system), so every scenario
+//! runs on its own calibrated configuration, each distinct one measured
+//! once per process. Serving scenarios build their system through
 //! [`SystemSpec::build`] — a [`FleetSim`](neupims_core::fleet::FleetSim)
 //! (a single replica is just a one-element fleet, so every serving metric
 //! comes from the same code path) or the meta-orchestrator; throughput
@@ -15,12 +18,11 @@ use std::fmt;
 use std::path::PathBuf;
 
 use neupims_core::backend::GPU_LABEL;
-use neupims_core::experiments::ExperimentContext;
 use neupims_core::fleet::{FleetOutcome, FleetRequest};
 use neupims_core::orchestrator::OrchestratorOutcome;
 use neupims_core::system::System;
 use neupims_sched::{CostModelKind, TraceMemo};
-use neupims_types::{request_id, NeuPimsConfig};
+use neupims_types::request_id;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -157,7 +159,6 @@ pub fn run_suite_with_opts(
 
 /// Executes one scenario under `opts`.
 fn run_scenario(spec: &ScenarioSpec, opts: &EvalOverrides) -> Result<ScenarioRun, EvalError> {
-    let ctx = context_for(spec)?;
     let seed = opts.seed.unwrap_or(spec.seed);
     let mut system = spec.system.clone();
     if let Some(kind) = opts.cost_model {
@@ -167,8 +168,8 @@ fn run_scenario(spec: &ScenarioSpec, opts: &EvalOverrides) -> Result<ScenarioRun
         .trace_memo(opts.memo_cache.as_deref())
         .map_err(sim_err)?;
     let metrics = match spec.kind {
-        ScenarioKind::Throughput => run_throughput(&ctx, spec, &system, seed, memo.as_ref())?,
-        ScenarioKind::Serving => run_serving(&ctx, spec, &system, seed, opts.jobs, memo.as_ref())?,
+        ScenarioKind::Throughput => run_throughput(spec, &system, seed, memo.as_ref())?,
+        ScenarioKind::Serving => run_serving(spec, &system, seed, opts.jobs, memo.as_ref())?,
     };
     Ok(ScenarioRun {
         name: spec.name.clone(),
@@ -177,28 +178,14 @@ fn run_scenario(spec: &ScenarioSpec, opts: &EvalOverrides) -> Result<ScenarioRun
     })
 }
 
-/// Builds the calibrated context, applying the scenario's tight-memory
-/// overrides (channel count / per-channel KV capacity) when present.
-fn context_for(spec: &ScenarioSpec) -> Result<ExperimentContext, EvalError> {
-    let mut cfg = NeuPimsConfig::table2();
-    if let Some(channels) = spec.channels {
-        cfg.mem.channels = channels;
-    }
-    if let Some(bytes) = spec.kv_bytes_per_channel {
-        cfg.mem.capacity_per_channel = bytes;
-    }
-    ExperimentContext::new(cfg).map_err(sim_err)
-}
-
 fn run_throughput(
-    ctx: &ExperimentContext,
     spec: &ScenarioSpec,
     system: &SystemSpec,
     seed: u64,
     memo: Option<&TraceMemo>,
 ) -> Result<Metrics, EvalError> {
     let sim = system
-        .simulation(ctx, memo)
+        .simulation(memo)
         .map_err(sim_err)?
         .dataset(spec.dataset)
         .batch(spec.batch)
@@ -206,7 +193,7 @@ fn run_throughput(
         .samples(spec.samples)
         .build()
         .map_err(sim_err)?;
-    let (tokens_per_sec, util) = sim.warm_means(&ctx.cfg).map_err(sim_err)?;
+    let (tokens_per_sec, util) = sim.warm_means(&system.hardware).map_err(sim_err)?;
     let mut metrics = Metrics::new();
     metrics.insert("tokens_per_sec".into(), tokens_per_sec);
     metrics.insert("batch".into(), spec.batch as f64);
@@ -214,7 +201,7 @@ fn run_throughput(
         let devices = system.tp.unwrap_or(1) as u64 * system.pp.unwrap_or(1) as u64;
         metrics.insert("devices".into(), devices as f64);
     } else if sim.backend().label() != GPU_LABEL {
-        // Utilization is measured against the Table 2 NPU's and DRAM's
+        // Utilization is measured against the spec hardware's NPU and DRAM
         // peaks, which a GPU roofline does not run on.
         metrics.insert("npu_utilization".into(), util.npu);
         metrics.insert("pim_utilization".into(), util.pim);
@@ -229,7 +216,6 @@ fn run_throughput(
 /// dispatched fleet or (with any orchestration key) the meta-orchestrator,
 /// serving the scenario's generated workload.
 fn run_serving(
-    ctx: &ExperimentContext,
     spec: &ScenarioSpec,
     system: &SystemSpec,
     seed: u64,
@@ -240,7 +226,7 @@ fn run_serving(
         .workload
         .as_ref()
         .expect("serving scenarios carry a workload");
-    let mut built = system.build(ctx, memo, jobs).map_err(sim_err)?;
+    let mut built = system.build(memo, jobs).map_err(sim_err)?;
 
     let mut rng = StdRng::seed_from_u64(seed);
     let generated = neupims_workload::ScenarioWorkload {

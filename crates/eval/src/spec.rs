@@ -193,13 +193,10 @@ pub struct ScenarioSpec {
     pub name: String,
     /// What the scenario measures.
     pub kind: ScenarioKind,
-    /// The system under test.
+    /// The system under test, its hardware included: the scenario-only
+    /// `channels` and `kv-mib-per-channel` keys (tight-KV pressure
+    /// scenarios) override its memory system.
     pub system: SystemSpec,
-    /// Memory-channel count override (tight-KV pressure scenarios).
-    pub channels: Option<u32>,
-    /// Per-channel KV capacity override, bytes (the `kv-mib-per-channel`
-    /// key).
-    pub kv_bytes_per_channel: Option<u64>,
     /// The workload (serving scenarios only).
     pub workload: Option<WorkloadSpec>,
     /// Warm-batch size (throughput scenarios).
@@ -647,14 +644,17 @@ fn parse_scenario(t: &Table) -> Result<ScenarioSpec, SpecError> {
     if let Some(key) = t.keys().find(|key| never_reads(kind, key)) {
         return serr(format!("a {} scenario never reads {key:?}", kind.name()));
     }
-    let kv_bytes_per_channel = match opt(t, "kv-mib-per-channel", integer)? {
-        Some(mib) => Some(mib.checked_mul(1 << 20).ok_or_else(|| {
+    let mem = &mut shared.system.hardware.mem;
+    if let Some(channels) = opt(t, "channels", int_u32)? {
+        mem.channels = channels;
+    }
+    if let Some(mib) = opt(t, "kv-mib-per-channel", integer)? {
+        mem.capacity_per_channel = mib.checked_mul(1 << 20).ok_or_else(|| {
             SpecError(format!(
                 "\"kv-mib-per-channel\" = {mib} overflows a byte count"
             ))
-        })?),
-        None => None,
-    };
+        })?;
+    }
 
     let seed = shared.seed.unwrap_or(0xE7A1);
     let workload = match kind {
@@ -677,8 +677,6 @@ fn parse_scenario(t: &Table) -> Result<ScenarioSpec, SpecError> {
         name,
         kind,
         system: shared.system,
-        channels: opt(t, "channels", int_u32)?,
-        kv_bytes_per_channel,
         workload,
         batch: shared.batch.unwrap_or(256),
         samples: shared.samples,
@@ -740,10 +738,8 @@ fn parse_workload(
         }
         (TenantMix::new(classes), slo_classes)
     };
-    let total_weight: f64 = tenants.classes().iter().map(|c| c.weight).sum();
-    for (slo_class, class) in slo_classes.iter_mut().zip(tenants.classes()) {
-        slo_class.share = class.weight / total_weight;
-    }
+    let weights: Vec<f64> = tenants.classes().iter().map(|c| c.weight).collect();
+    set_shares(&mut slo_classes, &weights)?;
     let workload = WorkloadSpec {
         requests: shared.requests,
         seed,
@@ -941,6 +937,27 @@ pub fn tenant_class(
     Ok((weight, SloClass::new(name, slo, priority, 0.0)))
 }
 
+/// Sets each tenant class's share to its weight (at the same index of
+/// `weights`) over the weights' sum.
+///
+/// # Errors
+///
+/// Returns a [`SpecError`] naming `weight` when the weights, each finite,
+/// sum past the largest finite number: every share would read 0, and a
+/// weighted draw would always pick the last tenant.
+pub fn set_shares(classes: &mut [SloClass], weights: &[f64]) -> Result<(), SpecError> {
+    let total: f64 = weights.iter().sum();
+    if !total.is_finite() {
+        return serr(format!(
+            "tenant \"weight\"s must sum to a finite number, got {total}"
+        ));
+    }
+    for (class, weight) in classes.iter_mut().zip(weights) {
+        class.share = weight / total;
+    }
+    Ok(())
+}
+
 // -------------------------------------------------------------- bounds
 
 fn parse_severity(t: &Table) -> Result<Severity, SpecError> {
@@ -1079,8 +1096,14 @@ min = 0.5
         assert_eq!(suite.scenarios.len(), 2);
         let s = &suite.scenarios[0];
         assert_eq!(s.kind, ScenarioKind::Serving);
-        assert_eq!(s.channels, Some(4));
-        assert_eq!(s.kv_bytes_per_channel, Some(80 << 20));
+        let mem = &s.system.hardware.mem;
+        assert_eq!(mem.channels, 4);
+        assert_eq!(mem.capacity_per_channel, 80 << 20);
+        // The rest of the hardware stays Table 2's.
+        let mut table2 = neupims_types::NeuPimsConfig::table2();
+        table2.mem.channels = 4;
+        table2.mem.capacity_per_channel = 80 << 20;
+        assert_eq!(s.system.hardware, table2);
         let w = s.workload.as_ref().unwrap();
         assert_eq!(w.requests, 24);
         assert_eq!(w.seed, 11);
@@ -1236,8 +1259,8 @@ output = ["fixed", 8]
         let suite = SuiteSpec::parse(&ok).unwrap();
         assert_eq!(suite.scenarios[0].system.tp, Some(u32::MAX));
         assert_eq!(
-            suite.scenarios[0].kv_bytes_per_channel,
-            Some(17_592_186_044_415 << 20)
+            suite.scenarios[0].system.hardware.mem.capacity_per_channel,
+            17_592_186_044_415 << 20
         );
     }
 
@@ -1312,6 +1335,13 @@ output = ["lognormal", 60.0, 0.5]
         for w in ["nan", "inf", "-2.0"] {
             hostile("weight = 1.0", &format!("weight = {w}"), "weight");
         }
+        // Two finite weights whose sum is not: every share would read 0.
+        let second = "[[scenario.tenant]]\nname = \"u\"\nweight = 1e308\n\
+                      input = [\"fixed\", 8]\noutput = [\"fixed\", 8]\n";
+        let base = format!("{HOSTILE_BASE}{second}");
+        SuiteSpec::parse(&base).unwrap();
+        let e = SuiteSpec::parse(&base.replacen("weight = 1.0", "weight = 1e308", 1)).unwrap_err();
+        assert!(e.0.contains("\"weight\""), "{e}");
     }
 
     #[test]

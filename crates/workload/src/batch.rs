@@ -99,32 +99,6 @@ pub fn request_buffer<T>(requests: usize) -> Result<Vec<T>, SimError> {
     Ok(buf)
 }
 
-/// Samples exactly `n` Poisson arrival times (exponential inter-arrival
-/// gaps at `rate_per_mcycle` requests per million cycles) — the
-/// fixed-request-count companion of [`poisson_arrivals`], used by fleet
-/// serving simulations that submit a known number of requests.
-///
-/// # Errors
-///
-/// Returns the [`request_buffer`] error when `n` arrivals cannot be
-/// stored.
-pub fn arrival_stream<R: Rng + ?Sized>(
-    rng: &mut R,
-    rate_per_mcycle: f64,
-    n: usize,
-) -> Result<Vec<Cycle>, SimError> {
-    assert!(rate_per_mcycle > 0.0, "arrival rate must be positive");
-    let mean_gap = 1.0e6 / rate_per_mcycle;
-    let mut t = 0.0f64;
-    let mut out = request_buffer(n)?;
-    out.extend((0..n).map(|_| {
-        let u: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
-        t += -mean_gap * u.ln();
-        t as Cycle
-    }));
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,17 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn arrival_stream_yields_exactly_n_sorted_arrivals() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let arr = arrival_stream(&mut rng, 10.0, 200).unwrap();
-        assert_eq!(arr.len(), 200);
-        assert!(arr.windows(2).all(|w| w[0] <= w[1]));
-        // Mean gap ~100k cycles: 200 arrivals land around 20 Mcycles.
-        let span = *arr.last().unwrap() as f64;
-        assert!((5e6..60e6).contains(&span), "{span}");
-    }
-
-    #[test]
     fn unreservable_request_counts_are_errors_naming_requests() {
         // Sizes past `isize::MAX` bytes fail before the allocator is asked.
         let too_many = usize::MAX / 4;
@@ -189,8 +152,6 @@ mod tests {
             err.to_string().contains(&format!("requests = {too_many}")),
             "{err}"
         );
-        let err = arrival_stream(&mut StdRng::seed_from_u64(0), 1.0, too_many).unwrap_err();
-        assert!(err.to_string().contains("requests"), "{err}");
         assert_eq!(request_buffer::<Cycle>(3).unwrap().capacity(), 3);
     }
 

@@ -11,8 +11,9 @@
 //! * [`dataset::Dataset`] — log-normal length distributions matched to the
 //!   published means;
 //! * [`batch::warm_batch`] — the warm-batch sampler;
-//! * [`batch::poisson_arrivals`] / [`batch::arrival_stream`] — streaming
-//!   Poisson arrivals for serving and fleet simulations;
+//! * [`batch::poisson_arrivals`] — Poisson arrivals up to a time horizon
+//!   (a fixed request count is [`scenario::arrival_times`] of
+//!   [`ArrivalProcess::Poisson`]);
 //! * [`pressure::kv_pressure_burst`] — KV-pressure burst traces (modest
 //!   prompts, long decode tails, bursty arrivals) that oversubscribe the
 //!   paged KV cache and exercise the preemption policies;
@@ -27,7 +28,7 @@ pub mod dataset;
 pub mod pressure;
 pub mod scenario;
 
-pub use batch::{arrival_stream, poisson_arrivals, request_buffer, warm_batch, WarmRequest};
+pub use batch::{poisson_arrivals, request_buffer, warm_batch, WarmRequest};
 pub use dataset::Dataset;
 pub use pressure::{kv_pressure_burst, PressureRequest, PressureSpec};
 pub use scenario::{

@@ -428,6 +428,21 @@ mod tests {
     }
 
     #[test]
+    fn poisson_yields_exactly_n_sorted_arrivals() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let poisson = ArrivalProcess::Poisson { rate: 10.0 };
+        let arr = arrival_times(&mut rng, &poisson, 200).unwrap();
+        assert_eq!(arr.len(), 200);
+        assert!(arr.windows(2).all(|w| w[0] <= w[1]));
+        // Mean gap ~100k cycles: 200 arrivals land around 20 Mcycles.
+        let span = *arr.last().unwrap() as f64;
+        assert!((5e6..60e6).contains(&span), "{span}");
+        // An unreservable count is an error naming it, not an abort.
+        let err = arrival_times(&mut rng, &poisson, usize::MAX / 4).unwrap_err();
+        assert!(err.to_string().contains("requests"), "{err}");
+    }
+
+    #[test]
     fn bursty_truncates_final_burst_exactly() {
         // 10 requests in bursts of 4: fronts of 4, 4, then 2.
         let p = ArrivalProcess::Bursty {

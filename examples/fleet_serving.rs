@@ -16,13 +16,13 @@ use neupims_core::fleet::{policy_from_name, FleetRequest, FleetSim, POLICY_NAMES
 use neupims_core::serving::{ServingConfig, ServingSim, SloTargets};
 use neupims_pim::calibrate;
 use neupims_types::{request_id, LlmConfig, NeuPimsConfig, SimError};
-use neupims_workload::{arrival_stream, Dataset};
+use neupims_workload::{arrival_times, ArrivalProcess, Dataset};
 
 fn workload(n: usize) -> Result<Vec<FleetRequest>, SimError> {
     let mut rng = StdRng::seed_from_u64(77);
     let dataset = Dataset::ShareGpt;
     // ~6000 requests/s at a 1 GHz device clock.
-    let arrivals = arrival_stream(&mut rng, 6.0, n)?;
+    let arrivals = arrival_times(&mut rng, &ArrivalProcess::Poisson { rate: 6.0 }, n)?;
     arrivals
         .iter()
         .enumerate()

@@ -12,15 +12,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use neupims_core::backend::Backend;
-use neupims_core::experiments::ExperimentContext;
 use neupims_core::system::SystemSpec;
 use neupims_types::request_id;
 use neupims_workload::{poisson_arrivals, Dataset};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    println!("calibrating ...");
-    let ctx = ExperimentContext::table2()?;
-
     // 60 requests arriving at ~3 per million cycles (3000 req/s at 1 GHz),
     // lengths drawn from the ShareGPT distributions.
     let mut rng = StdRng::seed_from_u64(1234);
@@ -36,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             max_batch: 64,
             ..SystemSpec::default()
         };
-        let mut serving = spec.replica(&ctx, 0, None)?;
+        let mut serving = spec.replica(0, None)?;
         let mut rng = StdRng::seed_from_u64(99);
         for (i, &at) in arrivals.iter().take(60).enumerate() {
             let input = dataset.sample_input(&mut rng);

@@ -37,3 +37,8 @@ pub use neupims_power as power;
 pub use neupims_sched as sched;
 pub use neupims_types as types;
 pub use neupims_workload as workload;
+
+/// The README's Rust examples, built and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

@@ -1,7 +1,8 @@
-//! CLI output goldens: `fleet`, `serve` and `fig14` stdout, byte for
-//! byte, the exit status of hostile `--tenants`, zero-count and
-//! oversized input and of options a command never reads, and the
-//! `fig6`, `fig12` and `fig13` aliases grading their eval suites green.
+//! CLI output goldens: `fleet`, `serve`, `sweep`, `calibrate`, `fig14`
+//! and `table5` stdout, byte for byte, the exit status of hostile
+//! `--tenants`, zero-count and oversized input and of options a command
+//! never reads, and the `fig6`, `fig12` and `fig13` aliases grading
+//! their eval suites green.
 //!
 //! `serve` and `fleet` print the metric map an eval serving scenario is
 //! scored on, so these pin every key of it across replica construction,
@@ -197,6 +198,21 @@ fn fig14_table() {
     assert_stdout_matches("fig14", &["fig14"]);
 }
 
+#[test]
+fn sweep_one_batch() {
+    assert_stdout_matches("sweep", &["sweep", "--batch", "64", "--samples", "2"]);
+}
+
+#[test]
+fn calibrate_table() {
+    assert_stdout_matches("calibrate", &["calibrate"]);
+}
+
+#[test]
+fn table5_table() {
+    assert_stdout_matches("table5", &["table5"]);
+}
+
 /// `fig6`, `fig12` and `fig13` are aliases of `eval <suite>`: each grades
 /// its suite and exits 0 only when every fail-severity check holds.
 #[test]
@@ -254,6 +270,8 @@ fn hostile_tenants_are_rejected_by_field() {
         (tenants("a:nan:1"), "\"weight\""),
         (tenants("a:inf:1"), "\"weight\""),
         (tenants("a:-1:1"), "\"weight\""),
+        // Each weight finite, their sum not: every share would read 0.
+        (tenants("a:1e308:1,b:1e308:1"), "\"weight\""),
         (tenants("a:1:256"), "\"priority\""),
         (tenants("a:1:1:nan:5"), "\"slo-ttft-ms\""),
         (tenants("a:1:1:-5:5"), "\"slo-ttft-ms\""),

@@ -8,7 +8,7 @@
 //! them.
 
 use neupims_core::device::{Device, DeviceMode};
-use neupims_core::experiments::{fig14_parallelism, ExperimentContext};
+use neupims_core::experiments::fig14_parallelism;
 use neupims_core::interconnect::PcieLink;
 use neupims_core::sharding::{ClusterSpec, ShardedBackend};
 use neupims_pim::calibrate;
@@ -38,8 +38,7 @@ fn fig14_deployment(
 
 #[test]
 fn fig14_prefers_tp_at_every_device_count() {
-    let ctx = ExperimentContext::table2().unwrap().with_samples(2);
-    let rows = fig14_parallelism(&ctx).unwrap();
+    let rows = fig14_parallelism(&NeuPimsConfig::table2()).unwrap();
     let get = |tp, pp| {
         rows.iter()
             .find(|r| r.tp == tp && r.pp == pp)
@@ -71,7 +70,7 @@ fn fig14_rows_match_the_frozen_bits() {
         (16, 4, 0x40f9843643af259b), // 104515.39152445497
         (8, 8, 0x40f38f7facb9fbc4),  // 80119.97966955515
     ];
-    let rows = fig14_parallelism(&ExperimentContext::table2().unwrap()).unwrap();
+    let rows = fig14_parallelism(&NeuPimsConfig::table2()).unwrap();
     assert_eq!(rows.len(), FROZEN.len());
     for (row, (tp, pp, bits)) in rows.iter().zip(FROZEN) {
         assert_eq!((row.tp, row.pp, row.devices), (tp, pp, tp * pp));

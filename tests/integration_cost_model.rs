@@ -4,7 +4,6 @@
 
 use neupims_core::backend::{backend_from_name_with_cost, Backend};
 use neupims_core::device::Device;
-use neupims_core::experiments::ExperimentContext;
 use neupims_core::fleet::{FleetRequest, FleetSim, JoinShortestQueue};
 use neupims_core::scheduler::SubBatchInterleaved;
 use neupims_core::serving::{ServingConfig, ServingSim};
@@ -173,8 +172,7 @@ fn builder_without_override_follows_the_backend_kind() {
         max_batch: 8,
         ..SystemSpec::default()
     };
-    let ctx = ExperimentContext::table2().unwrap();
-    let mut serving = spec.replica(&ctx, 0, None).unwrap();
+    let mut serving = spec.replica(0, None).unwrap();
     assert_eq!(
         serving.backend().preferred_cost_model(),
         CostModelKind::TraceDriven
@@ -258,8 +256,7 @@ fn simulation_builder_and_fleet_thread_the_knob() {
         max_batch: 8,
         ..SystemSpec::default()
     };
-    let ctx = ExperimentContext::table2().unwrap();
-    let mut serving = spec.replica(&ctx, 0, None).unwrap();
+    let mut serving = spec.replica(0, None).unwrap();
     assert_eq!(serving.cost_model_kind(), CostModelKind::TraceDriven);
     for i in 0..6 {
         serving.submit(i, 128, 3, 0).unwrap();

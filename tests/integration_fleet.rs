@@ -15,7 +15,7 @@ use neupims_core::fleet::{
 use neupims_core::serving::{ServingConfig, ServingSim, SloTargets};
 use neupims_pim::calibrate;
 use neupims_types::{LlmConfig, NeuPimsConfig};
-use neupims_workload::{arrival_stream, Dataset};
+use neupims_workload::{arrival_times, ArrivalProcess, Dataset};
 
 fn serving_cfg(max_batch: usize) -> ServingConfig {
     let model = LlmConfig::gpt3_7b();
@@ -34,7 +34,7 @@ fn serving_cfg(max_batch: usize) -> ServingConfig {
 fn sampled_workload(n: usize, seed: u64) -> Vec<FleetRequest> {
     let mut rng = StdRng::seed_from_u64(seed);
     let dataset = Dataset::ShareGpt;
-    arrival_stream(&mut rng, 8.0, n)
+    arrival_times(&mut rng, &ArrivalProcess::Poisson { rate: 8.0 }, n)
         .unwrap()
         .iter()
         .enumerate()

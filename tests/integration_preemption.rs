@@ -4,7 +4,6 @@
 //! more requests than drop-only, conservation through preempt/restore
 //! cycles, and the threading through `SystemSpec` and `FleetSim`.
 
-use neupims_core::experiments::ExperimentContext;
 use neupims_core::fleet::{FleetRequest, FleetSim, JoinShortestQueue};
 use neupims_core::preempt::{
     preemption_from_name, DropOnly, RecomputeLastAdmitted, SwapConfig, SwapLru, PREEMPTION_NAMES,
@@ -194,8 +193,7 @@ fn simulation_builder_threads_the_preemption_policy() {
         max_batch: 8,
         ..SystemSpec::default()
     };
-    let ctx = ExperimentContext::table2().unwrap();
-    let mut serving = spec.replica(&ctx, 0, None).unwrap();
+    let mut serving = spec.replica(0, None).unwrap();
     assert_eq!(serving.preemption_name(), "recompute");
     for i in 0..4 {
         serving.submit(i, 64, 4, 0).unwrap();

@@ -6,7 +6,6 @@
 
 use neupims_core::backend::backend_from_name;
 use neupims_core::device::Device;
-use neupims_core::experiments::ExperimentContext;
 use neupims_core::fleet::{FleetRequest, FleetSim, JoinShortestQueue};
 use neupims_core::scheduler::{
     scheduler_from_name, ChunkedPrefill, LumpPrefill, SchedulerPolicy, SubBatchInterleaved,
@@ -214,7 +213,6 @@ fn chunked_ttft_includes_the_whole_prompt_encoding() {
 /// The system spec's scheduler name reaches the replica it builds.
 #[test]
 fn simulation_builder_threads_the_scheduler() {
-    let ctx = ExperimentContext::table2().unwrap();
     let run = |scheduler: &str| {
         let spec = SystemSpec {
             scheduler: scheduler.to_owned(),
@@ -222,7 +220,7 @@ fn simulation_builder_threads_the_scheduler() {
             max_batch: 16,
             ..SystemSpec::default()
         };
-        let mut serving = spec.replica(&ctx, 0, None).unwrap();
+        let mut serving = spec.replica(0, None).unwrap();
         for i in 0..8u32 {
             serving.submit(i, 1024, 4, 0).unwrap();
         }

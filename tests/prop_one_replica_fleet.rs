@@ -15,13 +15,12 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use neupims_core::experiments::ExperimentContext;
 use neupims_core::fleet::{policy_from_name, FleetRequest, FleetSim};
 use neupims_core::serving::ServingOutcome;
 use neupims_core::system::SystemSpec;
 use neupims_sched::CostModelKind;
-use neupims_types::Request;
-use neupims_workload::{arrival_stream, Dataset};
+use neupims_types::{NeuPimsConfig, Request};
+use neupims_workload::{arrival_times, ArrivalProcess, Dataset};
 
 /// Memo ids are unique per memo instance; zero them so two runs over
 /// distinct but equally fed memos compare equal.
@@ -61,12 +60,13 @@ proptest! {
     ) {
         let (backend, scheduler, preemption, trace) = picks;
         let (tp, fabric) = sharding;
-        let mut ctx = ExperimentContext::table2().expect("Table 2 calibrates");
+        let mut hardware = NeuPimsConfig::table2();
         if kv_mib > 0 {
             // Tight KV per channel, so the preempting policies engage.
-            ctx.cfg.mem.capacity_per_channel = kv_mib << 20;
+            hardware.mem.capacity_per_channel = kv_mib << 20;
         }
         let spec = SystemSpec {
+            hardware,
             backend: BACKENDS[backend].into(),
             scheduler: SCHEDULERS[scheduler].into(),
             preemption: PREEMPTIONS[preemption].into(),
@@ -84,7 +84,7 @@ proptest! {
 
         let mut rng = StdRng::seed_from_u64(seed);
         let rate = f64::from(rate_tenths) / 10.0;
-        let requests: Vec<FleetRequest> = arrival_stream(&mut rng, rate, 16)
+        let requests: Vec<FleetRequest> = arrival_times(&mut rng, &ArrivalProcess::Poisson { rate }, 16)
             .unwrap()
             .into_iter()
             .enumerate()
@@ -97,14 +97,14 @@ proptest! {
             .collect();
 
         let memo = spec.trace_memo(None).unwrap();
-        let mut direct = spec.replica(&ctx, 0, memo.as_ref()).unwrap();
+        let mut direct = spec.replica(0, memo.as_ref()).unwrap();
         for r in &requests {
             direct.submit(r.id, r.input_len, r.output_len, r.arrival).unwrap();
         }
         let want = without_memo_id(direct.run().unwrap());
 
         let memo = spec.trace_memo(None).unwrap();
-        let replica = spec.replica(&ctx, 0, memo.as_ref()).unwrap();
+        let replica = spec.replica(0, memo.as_ref()).unwrap();
         let mut fleet = FleetSim::new(vec![replica], policy_from_name("jsq").unwrap())
             .unwrap()
             .with_jobs(1);

@@ -12,7 +12,7 @@ use rand::SeedableRng;
 
 use neupims_cli::{DEFAULT_FLEET_SEED, DEFAULT_SERVE_SEED};
 use neupims_workload::{
-    arrival_stream, kv_pressure_burst, ArrivalProcess, Dataset, PressureSpec, ScenarioWorkload,
+    arrival_times, kv_pressure_burst, ArrivalProcess, Dataset, PressureSpec, ScenarioWorkload,
     TenantMix,
 };
 
@@ -20,7 +20,7 @@ use neupims_workload::{
 /// arrival + shape draws from one RNG.
 fn cli_style_requests(seed: u64, rate: f64, n: usize) -> Vec<(u64, u32, u32)> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let arrivals = arrival_stream(&mut rng, rate, n).unwrap();
+    let arrivals = arrival_times(&mut rng, &ArrivalProcess::Poisson { rate }, n).unwrap();
     arrivals
         .iter()
         .map(|&at| {
