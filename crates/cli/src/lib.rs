@@ -112,7 +112,7 @@ use neupims_sched::{
     calibration_drift, MhaLatencyEstimator, TraceDrivenCostModel, DEFAULT_DRIFT_TOLERANCE,
 };
 use neupims_types::{request_id, NeuPimsConfig, Phase};
-use neupims_workload::{arrival_times, request_buffer, ArrivalProcess, Dataset};
+use neupims_workload::{arrival_times, request_buffer, ArrivalProcess, Dataset, DEFAULT_SEED};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -313,6 +313,22 @@ fn run(command: &str, opts: &Options) -> Result<(), Box<dyn std::error::Error>> 
         };
         return Err(format!("--{key} does not apply to {command}: it reads {reads}").into());
     }
+    // `serve` builds one replica and `sweep` prices one system: a name list
+    // (which `fleet` cycles over its replicas) is an error, not a silent
+    // first pick.
+    if matches!(command, "serve" | "sweep") {
+        let system = &opts.shared.system;
+        for (flag, names) in [
+            ("--backend", &system.backend),
+            ("--scheduler", &system.scheduler),
+        ] {
+            if names.contains(',') {
+                return Err(
+                    format!("{command} takes one {flag} name, not the list {names:?}").into(),
+                );
+            }
+        }
+    }
     if command == "fig4" {
         return cmd_fig4();
     }
@@ -390,13 +406,14 @@ fn cmd_sweep(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     println!("| batch | tokens/s |");
     println!("|---:|---:|");
     for &batch in &batches {
-        let sim = system
-            .simulation(None)?
-            .samples(opts.shared.samples)
-            .dataset(opts.shared.dataset)
-            .batch(batch)
-            .build()?;
-        println!("| {} | {:.0} |", batch, sim.throughput()?);
+        let (tokens_per_sec, _) = system.warm_means(
+            opts.shared.dataset,
+            batch,
+            DEFAULT_SEED,
+            opts.shared.samples,
+            None,
+        )?;
+        println!("| {batch} | {tokens_per_sec:.0} |");
     }
     Ok(())
 }
@@ -448,17 +465,8 @@ fn draw_requests(
 fn cmd_fleet(opts: &Options, command: &str) -> Result<(), Box<dyn std::error::Error>> {
     let mut system = opts.shared.system.clone();
     let default_seed = if command == "serve" {
-        // `serve` builds one replica: a name list (which `fleet` cycles
-        // over its replicas) or another replica count is an error, not a
-        // silent first pick.
-        for (flag, names) in [
-            ("--backend", &system.backend),
-            ("--scheduler", &system.scheduler),
-        ] {
-            if names.contains(',') {
-                return Err(format!("serve takes one {flag} name, not the list {names:?}").into());
-            }
-        }
+        // `serve` builds one replica: another replica count is an error,
+        // not a silent first pick.
         if opts.given("replicas") && system.replicas != 1 {
             return Err(format!(
                 "serve runs one replica, not --replicas {} (use fleet)",

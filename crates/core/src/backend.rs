@@ -9,8 +9,8 @@
 //! harnesses to sweep heterogeneous systems uniformly.
 //!
 //! Everything above the device models is generic over this trait: the
-//! [`Simulation`](crate::simulation::Simulation) builder, the serving loop
-//! ([`ServingSim<B>`](crate::serving::ServingSim)), and the multi-chip
+//! warm-batch pricer ([`SystemSpec::warm_means`](crate::system::SystemSpec::warm_means)),
+//! the serving loop ([`ServingSim<B>`](crate::serving::ServingSim)), and the multi-chip
 //! deployment wrapper ([`ShardedBackend`](crate::sharding::ShardedBackend)).
 //! Adding a new accelerator model to every experiment, scheduler policy,
 //! and serving scenario is therefore one `impl Backend` away.
@@ -147,7 +147,10 @@ pub enum BackendError {
     },
     /// A backend name passed to [`backend_from_name`] was not recognized.
     UnknownBackend(String),
-    /// A [`Simulation`](crate::simulation::Simulation) was misconfigured.
+    /// A simulation was misconfigured: an unknown policy or scheduler
+    /// name, an empty replica table, or a warm-batch run
+    /// ([`SystemSpec::warm_means`](crate::system::SystemSpec::warm_means))
+    /// with an invalid model or a zero batch size or sample count.
     InvalidSimulation(String),
 }
 
@@ -601,7 +604,7 @@ pub struct GpuRooflineBackend {
 }
 
 /// The label of [`GpuRooflineBackend`].
-pub const GPU_LABEL: &str = "GPU-only";
+const GPU_LABEL: &str = "GPU-only";
 
 impl GpuRooflineBackend {
     /// Builds the backend from a GPU spec.
@@ -822,6 +825,12 @@ pub fn backend_from_name_with_cost(
 /// the backend (spec and flag parsing validate names this way).
 pub fn is_backend_name(name: &str) -> bool {
     backend_kind(name).is_some()
+}
+
+/// Whether `name` builds the [`GpuRooflineBackend`], which runs on none of
+/// the NPU and DRAM peaks a utilization is measured against.
+pub fn is_gpu_name(name: &str) -> bool {
+    matches!(backend_kind(name), Some(BackendKind::Gpu))
 }
 
 enum BackendKind {

@@ -28,20 +28,11 @@ use neupims_llm::roofline::{gpu_utilization, operator_intensity, roofline_tflops
 use neupims_pim::calibrate;
 use neupims_power::{energy_ratio, DramPowerParams};
 use neupims_types::{GpuSpec, LlmConfig, NeuPimsConfig, Phase};
-use neupims_workload::{warm_batch, Dataset};
+use neupims_workload::{warm_seq_lens, Dataset, DEFAULT_SEED};
 
 use crate::device::{Device, DeviceMode};
 use crate::interconnect::PcieLink;
 use crate::sharding::{ClusterSpec, ShardedBackend};
-use crate::simulation::DEFAULT_SEED;
-
-/// The sequence lengths of a `batch`-request warm batch from `dataset`.
-fn warm_seqs(rng: &mut StdRng, dataset: Dataset, batch: usize) -> Vec<u64> {
-    warm_batch(rng, dataset, batch)
-        .iter()
-        .map(|r| r.seq_len())
-        .collect()
-}
 
 // ---------------------------------------------------------------- Figure 4
 
@@ -169,7 +160,7 @@ pub fn fig14_parallelism(cfg: &NeuPimsConfig) -> Result<Vec<Fig14Row>, neupims_t
     ];
     let dev = Device::new(*cfg, calibrate(cfg)?, DeviceMode::neupims());
     let mut rng = StdRng::seed_from_u64(DEFAULT_SEED ^ 0x14);
-    let seqs = warm_seqs(&mut rng, Dataset::ShareGpt, 256);
+    let seqs = warm_seq_lens(&mut rng, Dataset::ShareGpt, 256);
     let mut rows = Vec::new();
     for (tp, pp) in combos {
         let pipeline = ShardedBackend::new(
@@ -223,7 +214,7 @@ pub fn table5_power(cfg: &NeuPimsConfig) -> Result<Table5Result, neupims_types::
     let layers = model.num_layers / model.parallelism.pp;
     let micro = 256 / model.parallelism.pp as usize;
     let mut rng = StdRng::seed_from_u64(DEFAULT_SEED ^ 0x55);
-    let seqs = warm_seqs(&mut rng, Dataset::ShareGpt, micro);
+    let seqs = warm_seq_lens(&mut rng, Dataset::ShareGpt, micro);
 
     let base = npu_only.decode_iteration(&model, model.parallelism.tp, layers, &seqs)?;
     let neu = neupims.decode_iteration(&model, model.parallelism.tp, layers, &seqs)?;
@@ -242,7 +233,7 @@ pub fn table5_power(cfg: &NeuPimsConfig) -> Result<Table5Result, neupims_types::
     for m in [LlmConfig::gpt3_7b(), LlmConfig::gpt3_13b()] {
         for batch in [256usize, 512] {
             let mut rng = StdRng::seed_from_u64(DEFAULT_SEED ^ batch as u64 ^ 0x5500);
-            let s = warm_seqs(&mut rng, Dataset::ShareGpt, batch);
+            let s = warm_seq_lens(&mut rng, Dataset::ShareGpt, batch);
             let b0 = npu_only.decode_iteration(&m, m.parallelism.tp, m.num_layers, &s)?;
             let b1 = neupims.decode_iteration(&m, m.parallelism.tp, m.num_layers, &s)?;
             speedups.push(b0.total_cycles as f64 / b1.total_cycles.max(1) as f64);

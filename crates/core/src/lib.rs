@@ -9,9 +9,6 @@
 //!   [`GpuRooflineBackend`], [`TransPimBackend`]), with structured
 //!   [`IterationResult`] / [`BackendError`] types and a name registry for
 //!   CLI selection;
-//! * [`simulation`] — the [`Simulation`] builder tying a backend to a
-//!   model, dataset, and batch geometry: the warm-batch pricer behind
-//!   iteration pricing, throughput sweeps, and (TP, PP) scaling;
 //! * [`device`] — one accelerator executing batched decode iterations
 //!   under a [`device::DeviceMode`]: `NpuOnly`, `NaiveNpuPim` (blocked-mode
 //!   PIM, round-robin channels), or `NeuPims` (dual row buffers, optional
@@ -64,31 +61,32 @@
 //!   per replica-cycle paid;
 //! * [`system`] — one [`SystemSpec`] (what CLI flags and eval
 //!   `[[scenario]]` keys both parse into, hardware included), the single constructor of
-//!   serving replicas ([`SystemSpec::replica`]), and the builder turning
-//!   the spec into a fleet or an orchestrator of them;
+//!   serving replicas ([`SystemSpec::replica`]), the builder turning
+//!   the spec into a fleet or an orchestrator of them, and the warm-batch
+//!   pricer behind throughput sweeps ([`SystemSpec::warm_means`]);
 //! * [`metrics`] — iteration breakdowns, utilization, and the DRAM
 //!   activity bridge into the power model.
 //!
 //! # Example
 //!
 //! ```
+//! use neupims_core::backend::Backend;
 //! use neupims_core::device::Device;
-//! use neupims_core::simulation::Simulation;
+//! use neupims_core::system::SystemSpec;
 //! use neupims_types::LlmConfig;
-//! use neupims_workload::Dataset;
+//! use neupims_workload::{Dataset, DEFAULT_SEED};
 //!
 //! let model = LlmConfig::gpt3_7b();
-//! let sim = Simulation::builder()
-//!     .model(model)
-//!     .backend(Device::table2().unwrap())
-//!     .dataset(Dataset::ShareGpt)
-//!     .batch(64)
-//!     .build()
+//! let device: Box<dyn Backend> = Box::new(Device::table2().unwrap());
+//! let iter = device
+//!     .decode_iteration(&model, model.parallelism.tp, model.num_layers, &[256; 64])
 //!     .unwrap();
-//! let iter = sim.decode_iteration(&[256; 64]).unwrap();
 //! assert_eq!(iter.backend, "NeuPIMs");
 //! assert!(iter.total_cycles() > 0);
-//! assert!(sim.throughput().unwrap() > 0.0);
+//! let (tokens_per_sec, _) = SystemSpec::default()
+//!     .warm_means(Dataset::ShareGpt, 64, DEFAULT_SEED, 2, None)
+//!     .unwrap();
+//! assert!(tokens_per_sec > 0.0);
 //! ```
 
 #![warn(missing_docs)]
@@ -108,7 +106,6 @@ pub mod scheduler;
 mod scratch;
 pub mod serving;
 pub mod sharding;
-pub mod simulation;
 pub mod system;
 #[cfg(test)]
 pub(crate) mod testsupport;
@@ -150,5 +147,4 @@ pub use sharding::{
     pipeline_schedule, split_evenly, ClusterSpec, KvShardPlan, PipelineTiming, ShardPlan,
     ShardedBackend, ShardedIteration,
 };
-pub use simulation::{Simulation, SimulationBuilder};
 pub use system::{System, SystemSpec};

@@ -168,7 +168,7 @@ pub struct ShardedIteration {
 /// device-level TP times the sharding-layer TP), divides the resident
 /// layers into `pp` stages, and exposes the resulting steady-state
 /// pipeline round as one [`IterationResult`] — so everything generic
-/// over `Backend` ([`Simulation`](crate::simulation::Simulation),
+/// over `Backend` ([`SystemSpec::warm_means`](crate::system::SystemSpec::warm_means),
 /// [`ServingSim`](crate::serving::ServingSim),
 /// [`FleetSim`](crate::fleet::FleetSim)) runs sharded unchanged.
 #[derive(Debug)]

@@ -19,13 +19,18 @@
 use std::error::Error;
 use std::path::Path;
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
 use neupims_pim::calibrate;
 use neupims_sched::{CostModelKind, TraceMemo};
 use neupims_types::{LlmConfig, NeuPimsConfig, SimError};
+use neupims_workload::{warm_seq_lens, Dataset};
 
-use crate::backend::{backend_from_name_with_cost, Backend};
+use crate::backend::{backend_from_name_with_cost, Backend, BackendError};
 use crate::fleet::{policy_from_name, FleetRequest, FleetSim};
 use crate::interconnect::interconnect_from_name;
+use crate::metrics::Utilization;
 use crate::orchestrator::{
     autoscale_from_name, router_from_name, OrchRequest, Orchestrator, OrchestratorConfig,
     TenantClass,
@@ -34,7 +39,6 @@ use crate::preempt::{preemption_from_name, SwapConfig};
 use crate::scheduler::scheduler_from_name;
 use crate::serving::{ServingConfig, ServingSim, SloTargets};
 use crate::sharding::{ClusterSpec, ShardedBackend};
-use crate::simulation::{Simulation, SimulationBuilder};
 
 /// Priority of a tenant whose spec names none (at or above the default
 /// admission floor, so it is never shed).
@@ -205,29 +209,64 @@ impl SystemSpec {
         Ok(Box::new(ShardedBackend::new(backend, spec, fabric)?))
     }
 
-    /// A [`Simulation`] builder over the spec's model and backend at the
-    /// serving shape, pricing through `memo` when given: the entry point of
-    /// warm-batch throughput runs.
-    /// The seed and sample count keep the builder's defaults.
+    /// Mean decode tokens/s and mean utilization against the spec
+    /// hardware over `samples` warm batches of `batch` requests from
+    /// `dataset`: Figure 12's bars and Table 4's and Figure 6's
+    /// quantities. The spec's backend (sharded when requested, pricing
+    /// through `memo` when given) decodes each batch at the serving shape.
+    /// Every batch comes from one RNG seeded `seed ^ batch`, so every mean
+    /// describes the same batches.
     ///
     /// # Errors
     ///
-    /// Calibration failures, unknown backend or interconnect names, and
-    /// invalid sharding.
-    pub fn simulation(
+    /// Calibration failures, unknown backend or interconnect names,
+    /// invalid sharding, an invalid model, a zero batch or sample count,
+    /// and backend errors.
+    pub fn warm_means(
         &self,
+        dataset: Dataset,
+        batch: usize,
+        seed: u64,
+        samples: usize,
         memo: Option<&TraceMemo>,
-    ) -> Result<SimulationBuilder<Box<dyn Backend>>, Box<dyn Error>> {
-        let (tp, layers) = self.serving_shape();
+    ) -> Result<(f64, Utilization), Box<dyn Error>> {
+        self.model
+            .validate()
+            .map_err(|e| BackendError::InvalidSimulation(e.to_string()))?;
+        if batch == 0 || samples == 0 {
+            let msg = "zero batch size or sample count".into();
+            return Err(BackendError::InvalidSimulation(msg).into());
+        }
         let mut backend = self.backend(&self.backend)?;
         if let Some(memo) = memo {
             backend.attach_trace_memo(memo);
         }
-        Ok(Simulation::builder()
-            .model(self.model.clone())
-            .backend(backend)
-            .tp(tp)
-            .layers(layers))
+        let (tp, layers) = self.serving_shape();
+        let mut rng = StdRng::seed_from_u64(seed ^ batch as u64);
+        let mut tokens_per_sec = 0.0;
+        let mut sum = Utilization::default();
+        for _ in 0..samples {
+            let seqs = warm_seq_lens(&mut rng, dataset, batch);
+            let iter = backend.decode_iteration(&self.model, tp, layers, &seqs)?;
+            tokens_per_sec += iter.tokens_per_sec();
+            let u = iter.utilization(&self.hardware);
+            sum.npu += u.npu;
+            sum.pim += u.pim;
+            sum.bandwidth += u.bandwidth;
+            sum.npu_stage += u.npu_stage;
+            sum.pim_stage += u.pim_stage;
+        }
+        let n = samples as f64;
+        Ok((
+            tokens_per_sec / n,
+            Utilization {
+                npu: sum.npu / n,
+                pim: sum.pim / n,
+                bandwidth: sum.bandwidth / n,
+                npu_stage: sum.npu_stage / n,
+                pim_stage: sum.pim_stage / n,
+            },
+        ))
     }
 
     /// The replay memo trace-priced replicas share: disk-backed under
@@ -382,6 +421,39 @@ mod tests {
             assert_eq!(out.completed, 8, "{name}");
             assert_eq!(out.tokens, 16, "{name}");
         }
+    }
+
+    #[test]
+    fn serving_shape_follows_the_model_unless_sharded() {
+        // GPT3-30B publishes TP 4, PP 2: half its 48 layers resident.
+        let spec = SystemSpec {
+            model: LlmConfig::gpt3_30b(),
+            ..SystemSpec::default()
+        };
+        assert_eq!(spec.serving_shape(), (4, 24));
+        // A sharding wrapper supplies the parallelism itself.
+        let sharded = SystemSpec {
+            tp: Some(2),
+            ..spec
+        };
+        assert_eq!(sharded.serving_shape(), (1, 48));
+    }
+
+    #[test]
+    fn warm_means_rejects_degenerate_runs() {
+        let spec = SystemSpec {
+            backend: "gpu".into(),
+            ..SystemSpec::default()
+        };
+        let run = |spec: &SystemSpec, batch, samples| {
+            spec.warm_means(Dataset::ShareGpt, batch, 1, samples, None)
+        };
+        assert!(run(&spec, 1, 1).is_ok());
+        assert!(run(&spec, 0, 1).is_err());
+        assert!(run(&spec, 1, 0).is_err());
+        let mut bad = spec.clone();
+        bad.model.d_model = 0;
+        assert!(run(&bad, 1, 1).is_err());
     }
 
     #[test]

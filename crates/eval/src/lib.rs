@@ -12,8 +12,8 @@
 //!   orchestrator [`neupims_core::system::SystemSpec::build`] makes, over
 //!   workloads generated by [`neupims_workload::scenario`], warm-batch
 //!   throughput through
-//!   [`neupims_core::simulation::Simulation`] (the Figure 12 / Table 3
-//!   methodology);
+//!   [`neupims_core::system::SystemSpec::warm_means`] (the Figure 12 /
+//!   Table 3 methodology);
 //! * [`scorer`] — grades `[[scenario.expect]]` and `[[compare]]` blocks
 //!   into pass/warn/fail [`CheckResult`]s;
 //! * [`report`] — the structured [`EvalReport`] with JSON serialization

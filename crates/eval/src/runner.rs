@@ -10,14 +10,14 @@
 //! (a single replica is just a one-element fleet, so every serving metric
 //! comes from the same code path) or the meta-orchestrator; throughput
 //! scenarios are priced by the one warm-batch loop,
-//! [`Simulation::warm_means`](neupims_core::simulation::Simulation::warm_means),
-//! behind Figures 6, 12, 13 and 15 and Tables 3 and 4.
+//! [`SystemSpec::warm_means`], behind Figures 6, 12, 13 and 15 and Tables
+//! 3 and 4.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::PathBuf;
 
-use neupims_core::backend::GPU_LABEL;
+use neupims_core::backend::is_gpu_name;
 use neupims_core::fleet::{FleetOutcome, FleetRequest};
 use neupims_core::orchestrator::OrchestratorOutcome;
 use neupims_core::system::System;
@@ -184,23 +184,16 @@ fn run_throughput(
     seed: u64,
     memo: Option<&TraceMemo>,
 ) -> Result<Metrics, EvalError> {
-    let sim = system
-        .simulation(memo)
-        .map_err(sim_err)?
-        .dataset(spec.dataset)
-        .batch(spec.batch)
-        .seed(seed)
-        .samples(spec.samples)
-        .build()
+    let (tokens_per_sec, util) = system
+        .warm_means(spec.dataset, spec.batch, seed, spec.samples, memo)
         .map_err(sim_err)?;
-    let (tokens_per_sec, util) = sim.warm_means(&system.hardware).map_err(sim_err)?;
     let mut metrics = Metrics::new();
     metrics.insert("tokens_per_sec".into(), tokens_per_sec);
     metrics.insert("batch".into(), spec.batch as f64);
     if system.sharding_requested() {
         let devices = system.tp.unwrap_or(1) as u64 * system.pp.unwrap_or(1) as u64;
         metrics.insert("devices".into(), devices as f64);
-    } else if sim.backend().label() != GPU_LABEL {
+    } else if !is_gpu_name(&system.backend) {
         // Utilization is measured against the spec hardware's NPU and DRAM
         // peaks, which a GPU roofline does not run on.
         metrics.insert("npu_utilization".into(), util.npu);

@@ -644,6 +644,12 @@ fn parse_scenario(t: &Table) -> Result<ScenarioSpec, SpecError> {
     if let Some(key) = t.keys().find(|key| never_reads(kind, key)) {
         return serr(format!("a {} scenario never reads {key:?}", kind.name()));
     }
+    let backend = &shared.system.backend;
+    if kind == ScenarioKind::Throughput && backend.contains(',') {
+        return serr(format!(
+            "a throughput scenario prices one \"backend\", not the list {backend:?}"
+        ));
+    }
     let mem = &mut shared.system.hardware.mem;
     if let Some(channels) = opt(t, "channels", int_u32)? {
         mem.channels = channels;
@@ -1465,6 +1471,8 @@ output = ["lognormal", 60.0, 0.5]
             ("slo-ttft-ms = 50.0", "slo-ttft-ms"),
             ("output-cap = 64", "output-cap"),
             ("[scenario.arrival]\nprocess = \"poisson\"", "arrival"),
+            // One system's warm batches: a backend list is a fleet's.
+            ("backend = \"neupims,gpu\"", "backend"),
         ] {
             let e = SuiteSpec::parse(&format!("{throughput}{line}\n")).unwrap_err();
             assert!(e.0.contains(&format!("{key:?}")), "{line}: {e}");

@@ -68,14 +68,6 @@ impl Value {
         }
     }
 
-    /// The value as a non-negative integer, if it is an integer `>= 0`.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Int(i) if *i >= 0 => Some(*i as u64),
-            _ => None,
-        }
-    }
-
     /// The value as an array slice, if it is one.
     pub fn as_array(&self) -> Option<&[Value]> {
         match self {
@@ -404,13 +396,13 @@ name = "serve-2"
         let scenarios = t["scenario"].as_array().unwrap();
         assert_eq!(scenarios.len(), 2);
         let s0 = scenarios[0].as_table().unwrap();
-        assert_eq!(s0["requests"].as_u64(), Some(48));
+        assert_eq!(s0["requests"], Value::Int(48));
         assert_eq!(s0["rate"].as_f64(), Some(2.5));
         assert_eq!(s0["quick"], Value::Bool(true));
         assert_eq!(s0["batches"].as_array().unwrap().len(), 3);
         let arrival = s0["arrival"].as_table().unwrap();
         assert_eq!(arrival["process"].as_str(), Some("bursty"));
-        assert_eq!(arrival["burst-size"].as_u64(), Some(8));
+        assert_eq!(arrival["burst-size"], Value::Int(8));
         let expects = s0["expect"].as_array().unwrap();
         assert_eq!(expects.len(), 1);
         assert_eq!(expects[0].as_table().unwrap()["min"].as_f64(), Some(1000.5));
@@ -424,7 +416,7 @@ name = "serve-2"
     fn dotted_headers_nest() {
         let t = parse("[a.b]\nx = 1\n[a.c]\ny = 2.0\n").unwrap();
         let a = t["a"].as_table().unwrap();
-        assert_eq!(a["b"].as_table().unwrap()["x"].as_u64(), Some(1));
+        assert_eq!(a["b"].as_table().unwrap()["x"], Value::Int(1));
         assert_eq!(a["c"].as_table().unwrap()["y"].as_f64(), Some(2.0));
     }
 
@@ -465,9 +457,8 @@ name = "serve-2"
     fn negative_and_underscored_numbers() {
         let t = parse("a = -3\nb = 1_000_000\nc = -0.5").unwrap();
         assert_eq!(t["a"], Value::Int(-3));
-        assert_eq!(t["b"].as_u64(), Some(1_000_000));
+        assert_eq!(t["b"], Value::Int(1_000_000));
         assert_eq!(t["c"].as_f64(), Some(-0.5));
-        assert_eq!(t["a"].as_u64(), None, "negative is not u64");
     }
 
     #[test]

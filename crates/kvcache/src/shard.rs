@@ -89,12 +89,6 @@ impl KvShardPlan {
         self.heads_per_chip.len() as u32 * self.layers_per_stage.len() as u32
     }
 
-    /// Aggregate KV capacity of the deployment in bytes: every chip
-    /// contributes its full `mem` KV pool.
-    pub fn aggregate_capacity_bytes(&self, mem: &MemConfig) -> u64 {
-        self.devices() as u64 * mem.total_capacity()
-    }
-
     /// The model dtype the plan was built for.
     pub fn dtype(&self) -> DataType {
         self.dtype
@@ -151,10 +145,7 @@ mod tests {
         let mem = MemConfig::table2();
         let single = KvShardPlan::new(&model, &mem, 1, 1).unwrap();
         let sharded = KvShardPlan::new(&model, &mem, 4, 2).unwrap();
-        assert_eq!(
-            sharded.aggregate_capacity_bytes(&mem),
-            8 * single.aggregate_capacity_bytes(&mem)
-        );
+        assert_eq!(sharded.devices(), 8 * single.devices());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! LLM decoder-block IR, the NeuPIMs compiler frontend, and roofline
+//! LLM decoder-block IR, the NeuPIMs compiler's lowering, and roofline
 //! analytics.
 //!
 //! The paper's compiler framework (Section 4, part 4) takes an LLM
@@ -11,10 +11,10 @@
 //!   and tensor-parallel all-reduces;
 //! * [`block`] — builds the IR for a model at a given batch size and phase
 //!   (summarization vs generation), sharded for tensor parallelism;
-//! * [`compiler`] — the textual LLM-spec frontend plus lowering from IR to
-//!   cost-annotated execution passes (NPU tile plans, vector cycles, PIM
-//!   job shapes); [`lower_batch`] lowers the batch-size-dependent passes
-//!   alone, which is all a decode pricer needs besides per-request MHA;
+//! * [`compiler`] — lowering from IR to cost-annotated execution passes:
+//!   [`lower_batch`] lowers the batch-size-dependent ones (NPU tile plans,
+//!   vector cycles, all-reduces), which is all a decode pricer needs
+//!   besides per-request MHA;
 //! * [`roofline`] — arithmetic-intensity and roofline analytics behind the
 //!   motivation figures (Figures 4 and 5).
 //!
@@ -37,6 +37,6 @@ pub mod ops;
 pub mod roofline;
 
 pub use block::{decoder_block_ops, heads_per_device};
-pub use compiler::{compile_block, lower_batch, parse_spec, BatchLowering, CompiledBlock};
+pub use compiler::{lower_batch, BatchLowering};
 pub use ops::{Op, OpKind};
 pub use roofline::{gpu_utilization, operator_intensity, roofline_tflops, GpuUtilization};

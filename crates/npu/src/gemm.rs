@@ -34,13 +34,6 @@ pub struct GemmPlan {
     pub efficiency: f64,
 }
 
-impl GemmPlan {
-    /// Total DRAM traffic of the GEMM.
-    pub fn total_bytes(&self) -> Bytes {
-        self.weight_bytes + self.in_bytes + self.out_bytes
-    }
-}
-
 /// Plans a GEMM over the cluster.
 ///
 /// # Errors
@@ -107,7 +100,6 @@ mod tests {
         assert_eq!(p.weight_bytes, 4096 * 12288 * 2);
         assert_eq!(p.in_bytes, 256 * 4096 * 2);
         assert_eq!(p.out_bytes, 256 * 12288 * 2);
-        assert_eq!(p.total_bytes(), p.weight_bytes + p.in_bytes + p.out_bytes);
     }
 
     #[test]

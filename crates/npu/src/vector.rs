@@ -85,6 +85,14 @@ mod tests {
     }
 
     #[test]
+    fn softmax_cost_grows_with_context() {
+        // Short rows are dominated by per-row reduction overhead; very long
+        // ones by the element sweeps, which scale linearly.
+        let (short, long) = (vc().softmax(8, 64), vc().softmax(8, 4096));
+        assert!(long > 2 * short, "{long} vs {short}");
+    }
+
+    #[test]
     fn single_element_ops_cost_at_least_one_cycle() {
         assert!(vc().gelu(1) >= 1);
         assert!(vc().add(1) >= 1);

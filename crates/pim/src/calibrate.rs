@@ -43,23 +43,14 @@ pub struct PimCalibration {
     /// MEM streaming bandwidth, bytes/cycle, channel to itself.
     pub mem_stream_bw: f64,
     /// MEM streaming bandwidth while PIM runs concurrently (dual buffers).
+    /// Its fraction of `mem_stream_bw` is the dual-row-buffer payoff the
+    /// ablation (Fig. 13, DRB bar) builds on.
     pub mem_stream_bw_shared: f64,
     /// In-bank GEMV consumption bandwidth, bytes/cycle.
     pub pim_stream_bw: f64,
 }
 
 impl PimCalibration {
-    /// Fraction of MEM bandwidth preserved during concurrent PIM execution,
-    /// in `[0, 1]`. This is the dual-row-buffer payoff the ablation (Fig.
-    /// 13, DRB bar) builds on.
-    pub fn shared_bw_fraction(&self) -> f64 {
-        if self.mem_stream_bw <= 0.0 {
-            0.0
-        } else {
-            (self.mem_stream_bw_shared / self.mem_stream_bw).min(1.0)
-        }
-    }
-
     /// PIM's bandwidth advantage over the external bus for GEMV streams.
     pub fn pim_advantage(&self) -> f64 {
         if self.mem_stream_bw <= 0.0 {
@@ -231,11 +222,8 @@ mod tests {
         assert!(cal.mem_stream_bw <= 32.0 + 1e-9);
         // Concurrency preserves most of the MEM bandwidth (the paper's
         // argument that PIM C/A traffic is light).
-        assert!(
-            cal.shared_bw_fraction() > 0.55,
-            "shared fraction {}",
-            cal.shared_bw_fraction()
-        );
+        let shared = cal.mem_stream_bw_shared / cal.mem_stream_bw;
+        assert!(shared > 0.55, "shared fraction {shared}");
         // PIM consumes matrix data faster than the external bus could move
         // it: the whole reason PIM wins on GEMV.
         assert!(

@@ -995,11 +995,6 @@ impl DriftReport {
             .map(DriftPoint::rel_err)
             .fold(0.0, f64::max)
     }
-
-    /// Whether every probed point agreed within tolerance.
-    pub fn within_tolerance(&self) -> bool {
-        self.violations().is_empty()
-    }
 }
 
 /// Sweeps `seq_lens` through both models and reports where they disagree
@@ -1395,7 +1390,7 @@ mod tests {
         assert!(!report.violations().is_empty());
         assert!(report.max_rel_err() > 0.0);
         let loose = calibration_drift(&a, &t, &[512, 4096], 10.0);
-        assert!(loose.within_tolerance());
+        assert!(loose.violations().is_empty());
         // Short contexts drift more than long ones (full-tile rounding).
         let short = report.points[0].rel_err();
         let long = report.points[3].rel_err();

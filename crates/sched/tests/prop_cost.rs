@@ -510,7 +510,7 @@ fn drift_grid_within_default_tolerance() {
     for (name, analytic, trace) in model_pairs() {
         let report = calibration_drift(analytic, trace, &grid, DEFAULT_DRIFT_TOLERANCE);
         assert!(
-            report.within_tolerance(),
+            report.violations().is_empty(),
             "{name}: max drift {:.3} exceeds {DEFAULT_DRIFT_TOLERANCE}",
             report.max_rel_err()
         );

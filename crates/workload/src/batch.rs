@@ -58,6 +58,23 @@ pub fn warm_batch<R: Rng + ?Sized>(
         .collect()
 }
 
+/// Default RNG seed of the warm-batch experiments (fixed, so regenerated
+/// tables stay comparable across versions).
+pub const DEFAULT_SEED: u64 = 0xA5F0_2024;
+
+/// The context lengths of a [`warm_batch`]: the batch a warm-batch
+/// decode iteration prices.
+pub fn warm_seq_lens<R: Rng + ?Sized>(
+    rng: &mut R,
+    dataset: Dataset,
+    batch_size: usize,
+) -> Vec<u64> {
+    warm_batch(rng, dataset, batch_size)
+        .iter()
+        .map(WarmRequest::seq_len)
+        .collect()
+}
+
 /// Samples Poisson arrival times: exponential inter-arrival gaps at
 /// `rate_per_mcycle` requests per million cycles, until `horizon`.
 pub fn poisson_arrivals<R: Rng + ?Sized>(

@@ -10,7 +10,9 @@
 //!
 //! * [`dataset::Dataset`] — log-normal length distributions matched to the
 //!   published means;
-//! * [`batch::warm_batch`] — the warm-batch sampler;
+//! * [`batch::warm_batch`] — the warm-batch sampler, and
+//!   [`batch::warm_seq_lens`] its context lengths (the experiments seed it
+//!   from [`DEFAULT_SEED`]);
 //! * [`batch::poisson_arrivals`] — Poisson arrivals up to a time horizon
 //!   (a fixed request count is [`scenario::arrival_times`] of
 //!   [`ArrivalProcess::Poisson`]);
@@ -28,7 +30,9 @@ pub mod dataset;
 pub mod pressure;
 pub mod scenario;
 
-pub use batch::{poisson_arrivals, request_buffer, warm_batch, WarmRequest};
+pub use batch::{
+    poisson_arrivals, request_buffer, warm_batch, warm_seq_lens, WarmRequest, DEFAULT_SEED,
+};
 pub use dataset::Dataset;
 pub use pressure::{kv_pressure_burst, PressureRequest, PressureSpec};
 pub use scenario::{

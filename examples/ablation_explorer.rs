@@ -12,7 +12,7 @@ use rand::SeedableRng;
 use neupims_core::backend::{backend_from_name, Backend};
 use neupims_pim::calibrate;
 use neupims_types::{LlmConfig, NeuPimsConfig};
-use neupims_workload::{warm_batch, Dataset};
+use neupims_workload::{warm_seq_lens, Dataset};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = NeuPimsConfig::table2();
@@ -43,10 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         print!("{name:<20}");
         for (i, &batch) in batches.iter().enumerate() {
             let mut rng = StdRng::seed_from_u64(7 ^ batch as u64);
-            let seqs: Vec<u64> = warm_batch(&mut rng, Dataset::ShareGpt, batch)
-                .iter()
-                .map(|r| r.seq_len())
-                .collect();
+            let seqs = warm_seq_lens(&mut rng, Dataset::ShareGpt, batch);
             let iter = backend.decode_iteration(&model, 4, model.num_layers, &seqs)?;
             let thr = iter.tokens_per_sec();
             if base[i] == 0.0 {

@@ -1,4 +1,4 @@
-//! Quickstart: build a `Simulation` per backend, run one batched decode
+//! Quickstart: build each backend by name, run one batched decode
 //! iteration on each system, and compare.
 //!
 //! ```text
@@ -6,7 +6,6 @@
 //! ```
 
 use neupims_core::backend::{backend_from_name, BACKEND_NAMES};
-use neupims_core::simulation::Simulation;
 use neupims_pim::calibrate;
 use neupims_types::{LlmConfig, NeuPimsConfig};
 
@@ -29,18 +28,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let model = LlmConfig::gpt3_13b();
     let seq_lens = vec![300u64; 256];
 
-    // 3. One `Simulation` per system — every backend behind the same API.
+    // 3. Every system behind the same `Backend` API, at the model's
+    //    published tensor parallelism and per-stage layer share.
     println!(
         "{:<12} {:>14} {:>14} {:>10}",
         "system", "cycles/iter", "tokens/s", "vs NPU"
     );
     let mut npu_only_cycles = None;
     for name in BACKEND_NAMES {
-        let sim = Simulation::builder()
-            .model(model.clone())
-            .backend(backend_from_name(name, &cfg, &cal)?)
-            .build()?;
-        let iter = sim.decode_iteration(&seq_lens)?;
+        let iter = backend_from_name(name, &cfg, &cal)?.decode_iteration(
+            &model,
+            model.parallelism.tp,
+            model.num_layers / model.parallelism.pp,
+            &seq_lens,
+        )?;
         if name == "npu-only" {
             npu_only_cycles = Some(iter.total_cycles());
         }

@@ -4,24 +4,19 @@
 //! [`types`], the hardware substrate ([`dram`], [`npu`], [`pim`]), the
 //! serving machinery ([`kvcache`], [`sched`], [`workload`]), the [`power`]
 //! models, and the [`core`] system simulator with its [`core::backend`]
-//! trait, its [`core::simulation::Simulation`] warm-batch pricer, and its
-//! [`core::system::SystemSpec`] builder of serving replicas and fleets.
+//! trait, and its [`core::system::SystemSpec`]: the one description of a
+//! system under test, which prices warm batches and builds serving
+//! replicas and fleets.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use neupims::core::device::Device;
-//! use neupims::core::simulation::Simulation;
-//! use neupims::workload::Dataset;
+//! use neupims::core::system::SystemSpec;
+//! use neupims::workload::{Dataset, DEFAULT_SEED};
 //!
-//! let sim = Simulation::builder()
-//!     .model(neupims::types::LlmConfig::gpt3_7b())
-//!     .backend(Device::table2().unwrap())
-//!     .dataset(Dataset::ShareGpt)
-//!     .batch(64)
-//!     .build()
+//! let (tokens_per_sec, _) = SystemSpec::default()
+//!     .warm_means(Dataset::ShareGpt, 64, DEFAULT_SEED, 10, None)
 //!     .unwrap();
-//! let tokens_per_sec = sim.throughput().unwrap();
 //! assert!(tokens_per_sec > 0.0);
 //! ```
 

@@ -332,6 +332,7 @@ fn options_a_command_never_reads_are_rejected() {
         (vec!["sweep", "--memo-cache", &cache], "--memo-cache"),
         (vec!["sweep", "--jobs", "2"], "--jobs"),
         (vec!["sweep", "--tenants", "a:1:1"], "--tenants"),
+        (vec!["sweep", "--backend", "neupims,gpu"], "--backend"),
         (vec!["serve", "--quick"], "--quick"),
         (vec!["fleet", "--reports-dir", "x"], "--reports-dir"),
         (vec!["fleet", "--tolerance", "0.2"], "--tolerance"),

@@ -8,14 +8,18 @@
 //! roofline's decode and both backends' prefill pricing. The lookup-count
 //! test pins that an iteration prices each request exactly once: GMLBP
 //! balancing and both sub-batch interleaving arms share one estimate per
-//! request.
+//! request. The warm-batch pin holds the mean tokens/s and every mean
+//! utilization of each backend's warm batches bit for bit, unsharded and
+//! sharded.
 
-use neupims_core::backend::{Backend, GpuRooflineBackend};
+use neupims_core::backend::{Backend, GpuRooflineBackend, ALL_BACKEND_NAMES};
 use neupims_core::device::{Device, DeviceMode, SbiPolicy};
 use neupims_core::metrics::IterationBreakdown;
+use neupims_core::system::SystemSpec;
 use neupims_pim::{calibrate, PimCalibration};
 use neupims_sched::{CostModelKind, TraceMemo};
 use neupims_types::{LlmConfig, NeuPimsConfig};
+use neupims_workload::Dataset;
 
 use CostModelKind::{Analytic, TraceDriven};
 
@@ -459,5 +463,198 @@ fn each_request_is_priced_once_per_iteration() {
             );
             assert_eq!(after.replays, before.replays, "a warm memo never replays");
         }
+    }
+}
+
+/// The warm-batch systems: every backend name unsharded on GPT3-7B and
+/// GPT3-30B (whose PP 2 halves the resident layers), then NeuPIMs on
+/// GPT3-30B as a TP 2 chip group over the ideal fabric.
+fn warm_systems() -> Vec<SystemSpec> {
+    let mut specs = Vec::new();
+    for model in [LlmConfig::gpt3_7b(), LlmConfig::gpt3_30b()] {
+        for name in ALL_BACKEND_NAMES {
+            specs.push(SystemSpec {
+                backend: name.into(),
+                model: model.clone(),
+                ..SystemSpec::default()
+            });
+        }
+    }
+    specs.push(SystemSpec {
+        model: LlmConfig::gpt3_30b(),
+        tp: Some(2),
+        interconnect: "ideal".into(),
+        ..SystemSpec::default()
+    });
+    specs
+}
+
+/// Mean tokens/s and every mean `Utilization` field of one system over 2
+/// ShareGPT warm batches of 64 under seed 42.
+fn warm_means(spec: &SystemSpec) -> [f64; 6] {
+    let (tokens_per_sec, u) = spec.warm_means(Dataset::ShareGpt, 64, 42, 2, None).unwrap();
+    [
+        tokens_per_sec,
+        u.npu,
+        u.pim,
+        u.bandwidth,
+        u.npu_stage,
+        u.pim_stage,
+    ]
+}
+
+/// `to_bits()` of [`warm_means`] for each of [`warm_systems`], in order.
+const WARM_BITS: [[u64; 6]; 17] = [
+    [
+        4665340331968083215,
+        4591666378005934512,
+        0,
+        4603615702552524973,
+        4607182418800017408,
+        0,
+    ],
+    [
+        4665072576192623296,
+        4591389181008669962,
+        0,
+        4603455544893010504,
+        4601532448358407150,
+        0,
+    ],
+    [
+        4665247860579260759,
+        4591530338641440085,
+        4593053170293899109,
+        4600633958188154746,
+        4601532448358407149,
+        4600675365664265106,
+    ],
+    [
+        4666774732020514958,
+        4593601900291546158,
+        4594637559472976500,
+        4602706723736188412,
+        4601532448358407150,
+        4602020061469588627,
+    ],
+    [
+        4638811798435421152,
+        0,
+        4584664420396245580,
+        0,
+        0,
+        4607182418800017408,
+    ],
+    [
+        4666604034739633005,
+        4593326973076957114,
+        4594464973317241480,
+        4602455744822815213,
+        4601532448358407150,
+        4600675275371581880,
+    ],
+    [
+        4666774732020514958,
+        4593601900291546158,
+        4594637559472976500,
+        4602706723736188412,
+        4601532448358407150,
+        4602020061469588627,
+    ],
+    [
+        4665196240710332563,
+        4591488768832276884,
+        4593043568617843636,
+        4603057202131611070,
+        4597028848731036654,
+        4602020061469588628,
+    ],
+    [
+        4661300293362291919,
+        4593175765678506864,
+        0,
+        4603784057147715934,
+        4607182418800017408,
+        0,
+    ],
+    [
+        4661185707303919680,
+        4592957767365462882,
+        0,
+        4603674327879184545,
+        4601629896644859644,
+        0,
+    ],
+    [
+        4661185864205076132,
+        4592957912474561042,
+        4590697849194555538,
+        4602032600364299498,
+        4601629896644859644,
+        4600578500473119172,
+    ],
+    [
+        4661807601426594854,
+        4593871394822834361,
+        4591517798601885439,
+        4602916862576291194,
+        4601629896644859644,
+        4601857081910319746,
+    ],
+    [
+        4633397850979055218,
+        0,
+        4584664420474483638,
+        0,
+        0,
+        4607182418800017408,
+    ],
+    [
+        4661627245191314272,
+        4593704593435001128,
+        4591274693626946711,
+        4602748703744015441,
+        4601629896644859644,
+        4600578404993692718,
+    ],
+    [
+        4661807601426594854,
+        4593871394822834361,
+        4591517798601885439,
+        4602916862576291194,
+        4601629896644859644,
+        4601857081910319746,
+    ],
+    [
+        4658182696290628304,
+        4590180450551790080,
+        4588220262392903960,
+        4603113360927559490,
+        4597126297017489148,
+        4601857081910319746,
+    ],
+    [
+        4652913735082516094,
+        4593976210088889517,
+        4591394905949586562,
+        4603022025080414015,
+        4601653885421730642,
+        4602020061245135138,
+    ],
+];
+
+#[test]
+fn warm_batch_means_match_recorded_bits() {
+    let systems = warm_systems();
+    assert_eq!(systems.len(), WARM_BITS.len());
+    for (spec, want) in systems.iter().zip(&WARM_BITS) {
+        assert_eq!(
+            &warm_means(spec).map(f64::to_bits),
+            want,
+            "{} on {} at tp {:?}",
+            spec.backend,
+            spec.model.name,
+            spec.tp
+        );
     }
 }

@@ -1,13 +1,17 @@
 //! Backend parity: the `Backend` implementations must price cycles
 //! identically to the device-level paths beneath them, the name registry
-//! must build the same systems as direct construction, and the
-//! `Simulation` builder must agree with both.
+//! must build the same systems as direct construction, and the warm-batch
+//! path (`SystemSpec::warm_means`) must agree with a direct backend call.
 
 use neupims_core::backend::{backend_from_name, Backend, GpuRooflineBackend, TransPimBackend};
 use neupims_core::device::{Device, DeviceMode, SbiPolicy};
-use neupims_core::simulation::Simulation;
+use neupims_core::system::SystemSpec;
 use neupims_pim::calibrate;
 use neupims_types::{GpuSpec, LlmConfig, NeuPimsConfig};
+use neupims_workload::warm_seq_lens;
+use neupims_workload::Dataset::ShareGpt;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn setup() -> (NeuPimsConfig, neupims_pim::PimCalibration) {
     let cfg = NeuPimsConfig::table2();
@@ -111,25 +115,24 @@ fn registry_backends_match_their_legacy_paths() {
     }
 }
 
+/// The warm-batch path prices exactly what a direct backend call prices on
+/// the batch the shared sampler draws.
 #[test]
-fn simulation_builder_agrees_with_direct_backend_calls() {
+fn warm_batch_path_agrees_with_direct_backend_calls() {
     let (cfg, cal) = setup();
     let model = LlmConfig::gpt3_7b();
-    let backend = Device::new(cfg, cal, DeviceMode::neupims());
-    let sim = Simulation::builder()
-        .model(model.clone())
-        .backend(backend.clone())
-        .build()
+    let (seed, batch) = (7, 64);
+    let seqs = warm_seq_lens(
+        &mut StdRng::seed_from_u64(seed ^ batch as u64),
+        ShareGpt,
+        batch,
+    );
+    let device = Device::new(cfg, cal, DeviceMode::neupims());
+    let (tp, layers) = (model.parallelism.tp, model.num_layers);
+    let direct = Backend::decode_iteration(&device, &model, tp, layers, &seqs).unwrap();
+    let (tokens_per_sec, util) = SystemSpec::default()
+        .warm_means(ShareGpt, batch, seed, 1, None)
         .unwrap();
-    let seqs = vec![300u64; 64];
-    let direct = Backend::decode_iteration(
-        &backend,
-        &model,
-        model.parallelism.tp,
-        model.num_layers,
-        &seqs,
-    )
-    .unwrap();
-    let via_sim = sim.decode_iteration(&seqs).unwrap();
-    assert_eq!(direct, via_sim);
+    assert_eq!(tokens_per_sec.to_bits(), direct.tokens_per_sec().to_bits());
+    assert_eq!(util, direct.utilization(&cfg));
 }

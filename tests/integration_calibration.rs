@@ -58,7 +58,7 @@ fn shared_bandwidth_fraction_is_physical() {
     let cal = calibrate(&NeuPimsConfig::table2()).unwrap();
     // Dual-row-buffer concurrency keeps most MEM bandwidth (Section 5.3's
     // argument for PIM-priority scheduling), but not all of it.
-    let f = cal.shared_bw_fraction();
+    let f = cal.mem_stream_bw_shared / cal.mem_stream_bw;
     assert!(f > 0.5 && f < 1.0, "shared fraction {f}");
     // In-bank GEMV beats the external bus by the tFAW-paced margin.
     assert!(cal.pim_advantage() > 2.0 && cal.pim_advantage() < 10.0);

@@ -8,7 +8,7 @@ use rand::SeedableRng;
 use neupims_core::device::{Device, DeviceMode, SbiPolicy};
 use neupims_pim::calibrate;
 use neupims_types::{LlmConfig, NeuPimsConfig};
-use neupims_workload::{warm_batch, Dataset};
+use neupims_workload::{warm_seq_lens, Dataset};
 
 fn setup() -> (NeuPimsConfig, neupims_pim::PimCalibration) {
     let cfg = NeuPimsConfig::table2();
@@ -17,11 +17,7 @@ fn setup() -> (NeuPimsConfig, neupims_pim::PimCalibration) {
 }
 
 fn sharegpt_batch(n: usize, seed: u64) -> Vec<u64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    warm_batch(&mut rng, Dataset::ShareGpt, n)
-        .iter()
-        .map(|r| r.seq_len())
-        .collect()
+    warm_seq_lens(&mut StdRng::seed_from_u64(seed), Dataset::ShareGpt, n)
 }
 
 #[test]
@@ -120,11 +116,7 @@ fn alpaca_and_sharegpt_rank_consistently() {
     let (cfg, cal) = setup();
     let model = LlmConfig::gpt3_13b();
     for dataset in [Dataset::Alpaca, Dataset::ShareGpt] {
-        let mut rng = StdRng::seed_from_u64(9);
-        let seqs: Vec<u64> = warm_batch(&mut rng, dataset, 256)
-            .iter()
-            .map(|r| r.seq_len())
-            .collect();
+        let seqs = warm_seq_lens(&mut StdRng::seed_from_u64(9), dataset, 256);
         let t = |mode| {
             Device::new(cfg, cal, mode)
                 .decode_iteration(&model, 4, model.num_layers, &seqs)

@@ -1,10 +1,9 @@
 //! Deep cross-crate checks: functional correctness flowing through the
 //! same structures the performance model schedules (layout, allocator,
-//! compiler, PIM math), plus failure-injection paths.
+//! PIM math), plus failure-injection paths.
 
 use neupims_dram::DramChannel;
-use neupims_kvcache::{KvGeometry, PagePool};
-use neupims_llm::compiler::parse_spec;
+use neupims_kvcache::PagePool;
 use neupims_npu::functional::{matmul_ref, matmul_tiled, softmax_ref};
 use neupims_pim::{attend_job, logit_job, CommandMode, GemvEngine};
 use neupims_types::{config::PimConfig, ChannelId, HbmTiming, MemConfig, NpuConfig, SimError};
@@ -73,19 +72,6 @@ fn tiled_gemm_agrees_with_reference_on_odd_shapes() {
             assert!((x - y).abs() < 1e-2, "{x} vs {y}");
         }
     }
-}
-
-#[test]
-fn compiler_spec_drives_geometry() {
-    // A spec parsed from text produces the same PIM layout math as the
-    // preset it mirrors.
-    let spec = "name = GPT3-7B\nlayers = 32\nheads = 32\nd_model = 4096\ntp = 4\npp = 1";
-    let parsed = parse_spec(spec).unwrap();
-    let mem = MemConfig::table2();
-    let from_text = KvGeometry::for_model(&parsed, &mem);
-    let from_preset = KvGeometry::for_model(&neupims_types::LlmConfig::gpt3_7b(), &mem);
-    assert_eq!(from_text, from_preset);
-    assert_eq!(from_text.logit_tiles(300), from_preset.logit_tiles(300));
 }
 
 #[test]

@@ -104,10 +104,6 @@ fn pp_deployment_prices_bubbles_and_hops() {
     // The KV plan of the same deployment spans all 8 chips.
     let plan = KvShardPlan::new(&model, &MemConfig::table2(), 4, 2).unwrap();
     assert_eq!(plan.devices(), 8);
-    assert_eq!(
-        plan.aggregate_capacity_bytes(&MemConfig::table2()),
-        8 * MemConfig::table2().total_capacity()
-    );
 }
 
 #[test]

@@ -20,10 +20,11 @@ use neupims_core::backend::{Backend, TransPimBackend};
 use neupims_core::device::{Device, DeviceMode};
 use neupims_core::interconnect::{IdealLink, PcieLink};
 use neupims_core::sharding::{ClusterSpec, ShardedBackend};
-use neupims_core::simulation::Simulation;
 use neupims_pim::calibrate;
 use neupims_types::{config::InterconnectConfig, LlmConfig, NeuPimsConfig};
-use neupims_workload::Dataset;
+use neupims_workload::{warm_seq_lens, Dataset, DEFAULT_SEED};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Frozen `(tp, pp, f64 bits)` points. Every table walks the same grid:
 /// pure TP, pure PP and mixed deployments.
@@ -176,10 +177,10 @@ fn parity_survives_remainder_micro_batches() {
 
 #[test]
 fn simulation_level_parity_shares_the_sampler() {
-    // Simulation::sharded_cluster_throughput draws its warm batch from
-    // seed ^ 0x14, as the retired harness-level path did, so the ideal
-    // limit is bit-for-bit at the harness level, not just the backend
-    // level.
+    // The retired harness-level path drew its warm batch from the shared
+    // sampler under DEFAULT_SEED ^ 0x14 (as Figure 14 still does), so the
+    // ideal limit is bit-for-bit at the harness level, not just the
+    // backend level.
     const FROZEN: [(u32, u32, u64); 3] = [
         (4, 1, 0x40c7bd53f2986319), // 12154.655840919864
         (4, 2, 0x40c802cf77b09da9), // 12293.620840146048
@@ -187,17 +188,14 @@ fn simulation_level_parity_shares_the_sampler() {
     ];
     let cfg = zero_link_config();
     let cal = calibrate(&cfg).unwrap();
-    let sim = Simulation::builder()
-        .model(LlmConfig::gpt3_7b())
-        .backend(Device::new(cfg, cal, DeviceMode::neupims()))
-        .dataset(Dataset::ShareGpt)
-        .batch(64)
-        .build()
-        .unwrap();
+    let device = Device::new(cfg, cal, DeviceMode::neupims());
+    let model = LlmConfig::gpt3_7b();
+    let mut rng = StdRng::seed_from_u64(DEFAULT_SEED ^ 0x14);
+    let seqs = warm_seq_lens(&mut rng, Dataset::ShareGpt, 64);
     for (tp, pp, bits) in FROZEN {
-        let ours = sim
-            .sharded_cluster_throughput(ClusterSpec::new(tp, pp), Box::new(IdealLink))
-            .unwrap();
+        let sharded =
+            ShardedBackend::new(&device, ClusterSpec::new(tp, pp), Box::new(IdealLink)).unwrap();
+        let ours = sharded.cluster_tokens_per_sec(&model, 1, &seqs).unwrap();
         assert_eq!(ours.to_bits(), bits, "(tp{tp},pp{pp})");
     }
 }
