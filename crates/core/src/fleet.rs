@@ -73,7 +73,7 @@
 
 use std::sync::Mutex;
 
-use neupims_sched::{CostModelKind, TraceMemo, TraceSnapshot};
+use neupims_sched::{total_order_bits, CostModelKind, TraceMemo, TraceSnapshot};
 use neupims_types::{Cycle, SimError};
 
 use crate::backend::{Backend, BackendError, CapabilityProfile};
@@ -165,7 +165,9 @@ impl ReplicaSnapshot {
 /// offered slot's queues, outstanding work and KV pressure as of the
 /// arrival instant (a replica that has nothing to do before the arrival
 /// is not stepped to it) — implement this trait to plug a custom
-/// scheduler into [`FleetSim`], which runs it through [`LoadOnly`].
+/// scheduler into [`FleetSim`], which runs it through [`LoadOnly`]. A
+/// policy that keys the slots ([`Self::order_key`]) is not consulted by
+/// [`FleetSim::run`]: the engine answers for it.
 pub trait DispatchPolicy {
     /// Human-readable policy name (printed by the CLI).
     fn name(&self) -> &'static str;
@@ -174,6 +176,39 @@ pub trait DispatchPolicy {
     /// A fleet offers every replica in index order, so there the position
     /// is the replica index.
     fn choose(&mut self, snapshots: &[ReplicaSnapshot], req: &FleetRequest) -> usize;
+
+    /// The key this policy orders slots by, if its choice is always the
+    /// first offered snapshot with the least key.
+    ///
+    /// `Some` is a contract: the key is a function of the snapshot alone,
+    /// [`Self::choose`] returns the position of the first snapshot with
+    /// the least key (lexicographic) whatever the request, and skipping
+    /// `choose` changes nothing else. The engine behind [`FleetSim::run`]
+    /// may then answer from its own index over the slots, in `O(log
+    /// slots)` per refresh, and never call `choose`. A policy keys every
+    /// snapshot or none. The default, `None`, keeps every dispatch on
+    /// `choose`.
+    fn order_key(&self, _snapshot: &ReplicaSnapshot) -> Option<(u64, u64)> {
+        None
+    }
+}
+
+/// The position of the first of `snapshots` with the least `key`: the
+/// choice of a policy that orders slots by a key
+/// ([`DispatchPolicy::order_key`]).
+///
+/// # Panics
+///
+/// Panics if `snapshots` is empty.
+pub(crate) fn first_least(
+    snapshots: &[ReplicaSnapshot],
+    key: impl Fn(&ReplicaSnapshot) -> (u64, u64),
+) -> usize {
+    // `min_by_key` keeps the first of equal keys: the lowest position.
+    (snapshots.iter().enumerate())
+        .min_by_key(|(_, s)| key(s))
+        .expect("non-empty fleet")
+        .0
 }
 
 /// Blind rotation over replicas in submission order.
@@ -194,8 +229,9 @@ impl DispatchPolicy for RoundRobin {
     }
 }
 
-/// Join-shortest-queue: fewest waiting+running requests, ties broken by
-/// outstanding tokens, then position.
+/// Join-shortest-queue: the shortest queue
+/// ([`ReplicaSnapshot::queue_len`]: waiting, running and preempted
+/// requests), ties broken by outstanding tokens, then position.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JoinShortestQueue;
 
@@ -205,11 +241,18 @@ impl DispatchPolicy for JoinShortestQueue {
     }
 
     fn choose(&mut self, snapshots: &[ReplicaSnapshot], _req: &FleetRequest) -> usize {
-        // `min_by_key` keeps the first of equal keys: the lowest position.
-        (snapshots.iter().enumerate())
-            .min_by_key(|(_, s)| (s.queue_len(), s.outstanding_tokens))
-            .expect("non-empty fleet")
-            .0
+        first_least(snapshots, Self::key)
+    }
+
+    fn order_key(&self, snapshot: &ReplicaSnapshot) -> Option<(u64, u64)> {
+        Some(Self::key(snapshot))
+    }
+}
+
+impl JoinShortestQueue {
+    /// Queue depth, then outstanding tokens.
+    fn key(s: &ReplicaSnapshot) -> (u64, u64) {
+        (s.queue_len() as u64, s.outstanding_tokens)
     }
 }
 
@@ -225,14 +268,18 @@ impl DispatchPolicy for KvLeastLoaded {
     }
 
     fn choose(&mut self, snapshots: &[ReplicaSnapshot], _req: &FleetRequest) -> usize {
-        (snapshots.iter().enumerate())
-            .min_by(|(_, a), (_, b)| {
-                a.kv_pressure
-                    .total_cmp(&b.kv_pressure)
-                    .then(a.outstanding_tokens.cmp(&b.outstanding_tokens))
-            })
-            .expect("non-empty fleet")
-            .0
+        first_least(snapshots, Self::key)
+    }
+
+    fn order_key(&self, snapshot: &ReplicaSnapshot) -> Option<(u64, u64)> {
+        Some(Self::key(snapshot))
+    }
+}
+
+impl KvLeastLoaded {
+    /// KV pressure in [`f64::total_cmp`] order, then outstanding tokens.
+    fn key(s: &ReplicaSnapshot) -> (u64, u64) {
+        (total_order_bits(s.kv_pressure), s.outstanding_tokens)
     }
 }
 

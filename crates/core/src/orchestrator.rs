@@ -53,7 +53,11 @@
 //! counts, the queue total over dispatchable slots and the candidate
 //! list, the one store of the On slots' snapshots, are fields, updated
 //! on slot transitions and snapshot refreshes, and debug builds check
-//! them against a full walk of the slot table at every barrier.
+//! them against a full walk of the slot table at every barrier. A route
+//! policy that orders slots by a key ([`RoutePolicy::order_key`]: JSQ
+//! and KV-aware dispatch through [`LoadOnly`]) is answered from a
+//! min-tree over the slots' keys in O(log slots) per refresh, without
+//! a scan of the candidates.
 //!
 //! # Example
 //!
@@ -112,7 +116,8 @@ use neupims_types::{Cycle, IdMap, IdRuns, Request, RequestId, SimError};
 use crate::backend::{Backend, BackendError, CapabilityProfile};
 use crate::event::{EventQueue, SimEvent};
 use crate::fleet::{
-    advance_set, advance_to, DispatchPolicy, FleetOutcome, FleetRequest, ReplicaSnapshot,
+    advance_set, advance_to, first_least, DispatchPolicy, FleetOutcome, FleetRequest,
+    ReplicaSnapshot,
 };
 use crate::serving::{ServingOutcome, ServingSim, SloTargets};
 
@@ -386,7 +391,8 @@ pub type RouteCandidate = ReplicaSnapshot;
 ///
 /// Consulted once per request, in arrival order, with exactly the warmed-
 /// up (dispatchable) slots as candidates, in slot order — warming and
-/// parked slots are never offered.
+/// parked slots are never offered. A policy that keys the candidates
+/// ([`Self::order_key`]) is not consulted: the engine answers for it.
 pub trait RoutePolicy {
     /// Human-readable policy name (printed by the CLI).
     fn name(&self) -> &'static str;
@@ -398,6 +404,21 @@ pub trait RoutePolicy {
         req: &FleetRequest,
         tenant: &TenantClass,
     ) -> usize;
+
+    /// The key this policy orders candidates by, if its choice is always
+    /// the first offered candidate with the least key.
+    ///
+    /// `Some` is a contract: the key is a function of the candidate alone,
+    /// [`Self::route`] returns the position of the first candidate with
+    /// the least key (lexicographic) whatever the request and tenant, and
+    /// skipping `route` changes nothing else. The engine then answers
+    /// from a min-tree over its slots, updated in `O(log slots)` per
+    /// snapshot refresh, and never calls `route`. A policy keys every
+    /// candidate or none. The default, `None`, keeps every dispatch on
+    /// `route`, which scans the candidates.
+    fn order_key(&self, _candidate: &RouteCandidate) -> Option<(u64, u64)> {
+        None
+    }
 }
 
 /// Capability-blind routing: delegates to a classic [`DispatchPolicy`]
@@ -436,6 +457,10 @@ impl RoutePolicy for LoadOnly {
         _tenant: &TenantClass,
     ) -> usize {
         self.inner.choose(candidates, req)
+    }
+
+    fn order_key(&self, candidate: &RouteCandidate) -> Option<(u64, u64)> {
+        self.inner.order_key(candidate)
     }
 }
 
@@ -780,10 +805,14 @@ impl Arrivals {
     }
 }
 
+/// Marks a slot that is not On in [`SlotView::pos`].
+const NOT_ON: usize = usize::MAX;
+
 /// What each arrival reads of the slot table, kept current on slot
 /// transitions and snapshot refreshes instead of rebuilt per arrival. At
-/// every barrier it equals [`Orchestrator::walk`] (debug-asserted).
-#[derive(Debug, Default, PartialEq)]
+/// every barrier it is what [`Orchestrator::walk`] builds
+/// (debug-asserted by [`Orchestrator::view_is_walked`]).
+#[derive(Debug)]
 struct SlotView {
     /// Slots paying warmup.
     warming: usize,
@@ -794,24 +823,44 @@ struct SlotView {
     /// The On (dispatchable) slots' snapshots in slot order, as the route
     /// policy is offered them: the only snapshots the engine keeps.
     cands: Vec<RouteCandidate>,
+    /// Each slot's position in `cands`, [`NOT_ON`] for a slot that is not
+    /// On, so a refresh finds its entry in O(1).
+    pos: Vec<usize>,
+    /// With a keyed route policy ([`RoutePolicy::order_key`]), the index
+    /// that answers it.
+    index: Option<SlotIndex>,
 }
 
 impl SlotView {
-    /// Position of slot `i` in (or for) the candidate list.
-    fn pos(&self, i: usize) -> usize {
-        self.cands.partition_point(|c| c.index < i)
+    /// The view of `slots` slots, none of them counted yet, with an index
+    /// when the route policy is `keyed`.
+    fn new(slots: usize, keyed: bool) -> Self {
+        Self {
+            warming: 0,
+            draining: 0,
+            on_queue: 0,
+            cands: Vec::new(),
+            pos: vec![NOT_ON; slots],
+            index: keyed.then(|| SlotIndex::new(slots)),
+        }
     }
 
     /// Counts slot `snap.index` in `state`; an On slot joins the
-    /// candidates as `snap`.
-    fn enter(&mut self, state: SlotState, snap: ReplicaSnapshot) {
+    /// candidates as `snap`, shifting the positions of those after it.
+    fn enter(&mut self, state: SlotState, snap: ReplicaSnapshot, route: &dyn RoutePolicy) {
         match state {
             SlotState::Off => {}
             SlotState::Warming { .. } => self.warming += 1,
             SlotState::Draining => self.draining += 1,
             SlotState::On => {
+                let p = self.cands.partition_point(|c| c.index < snap.index);
+                for c in &self.cands[p..] {
+                    self.pos[c.index] += 1;
+                }
+                self.pos[snap.index] = p;
                 self.on_queue += snap.queue_len();
-                self.cands.insert(self.pos(snap.index), snap);
+                self.cands.insert(p, snap);
+                self.index_key(&snap, route);
             }
         }
     }
@@ -823,10 +872,104 @@ impl SlotView {
             SlotState::Warming { .. } => self.warming -= 1,
             SlotState::Draining => self.draining -= 1,
             SlotState::On => {
-                let snap = self.cands.remove(self.pos(i));
+                let p = std::mem::replace(&mut self.pos[i], NOT_ON);
+                let snap = self.cands.remove(p);
+                for c in &self.cands[p..] {
+                    self.pos[c.index] -= 1;
+                }
                 self.on_queue -= snap.queue_len();
+                if let Some(index) = &mut self.index {
+                    index.set(i, SlotIndex::EMPTY);
+                }
             }
         }
+    }
+
+    /// Replaces On slot `snap.index`'s candidate entry with `snap`.
+    fn refresh(&mut self, snap: ReplicaSnapshot, route: &dyn RoutePolicy) {
+        let entry = &mut self.cands[self.pos[snap.index]];
+        self.on_queue = self.on_queue - entry.queue_len() + snap.queue_len();
+        *entry = snap;
+        self.index_key(&snap, route);
+    }
+
+    /// Writes On slot `snap.index`'s key into the index, if there is one.
+    fn index_key(&mut self, snap: &ReplicaSnapshot, route: &dyn RoutePolicy) {
+        if let Some(index) = &mut self.index {
+            let key = route.order_key(snap);
+            let key = key.expect("a keyed route policy keys every candidate");
+            index.set(snap.index, SlotIndex::leaf_of(key));
+        }
+    }
+}
+
+/// A min-tree over slot indices that answers a keyed route policy
+/// ([`RoutePolicy::order_key`]). Leaf `i` holds On slot `i`'s key, packed
+/// into a `u128` in the same order, and every other leaf [`Self::EMPTY`],
+/// the greatest value. A node holds the least key below it. A key change
+/// is one leaf write and at most `log2(slots)` parent updates.
+#[derive(Debug)]
+struct SlotIndex {
+    /// `keys[1]` is the root, node `j`'s children are `2j` and `2j + 1`,
+    /// and the leaves are the upper half, in slot order.
+    keys: Vec<u128>,
+}
+
+impl SlotIndex {
+    /// The leaf of a slot that is not On.
+    const EMPTY: u128 = u128::MAX;
+
+    fn new(slots: usize) -> Self {
+        Self {
+            keys: vec![Self::EMPTY; 2 * slots.next_power_of_two()],
+        }
+    }
+
+    /// The leaf of an On slot with order key `(major, minor)`.
+    fn leaf_of((major, minor): (u64, u64)) -> u128 {
+        u128::from(major) << 64 | u128::from(minor)
+    }
+
+    /// Sets slot `i`'s leaf and re-takes the minimum up the tree, stopping
+    /// at the first node that keeps its value (so do all above it).
+    fn set(&mut self, i: usize, leaf: u128) {
+        let mut j = self.keys.len() / 2 + i;
+        self.keys[j] = leaf;
+        while j > 1 {
+            j /= 2;
+            let least = self.keys[2 * j].min(self.keys[2 * j + 1]);
+            if self.keys[j] == least {
+                break;
+            }
+            self.keys[j] = least;
+        }
+    }
+
+    /// The lowest slot whose leaf holds the least key, found by descending
+    /// from the root and going left on a tie, since the left subtree holds
+    /// the lower slots. `None` when the least key is [`Self::EMPTY`]: then
+    /// every On slot, if there is one, has that key, so the first
+    /// candidate is the answer.
+    fn least(&self) -> Option<usize> {
+        if self.keys[1] == Self::EMPTY {
+            return None;
+        }
+        let half = self.keys.len() / 2;
+        let mut j = 1;
+        while j < half {
+            j = 2 * j + usize::from(self.keys[2 * j] != self.keys[j]);
+        }
+        Some(j - half)
+    }
+
+    /// Slot `i`'s leaf.
+    fn leaf(&self, i: usize) -> u128 {
+        self.keys[self.keys.len() / 2 + i]
+    }
+
+    /// Whether every inner node holds the minimum of its children.
+    fn is_consistent(&self) -> bool {
+        (1..self.keys.len() / 2).all(|j| self.keys[j] == self.keys[2 * j].min(self.keys[2 * j + 1]))
     }
 }
 
@@ -985,7 +1128,8 @@ impl<B: Backend> Orchestrator<B> {
             scale_downs: 0,
             peak_committed: cfg.min_replicas,
             jobs: default_jobs(),
-            view: SlotView::default(),
+            // Rebuilt at the start of every run.
+            view: SlotView::new(n, false),
         }
     }
 
@@ -1060,32 +1204,68 @@ impl<B: Backend> Orchestrator<B> {
         ReplicaSnapshot::of(i, &self.slots[i], self.profiles[i])
     }
 
-    /// The [`SlotView`] recomputed from a full walk of the slot table.
+    /// The [`SlotView`] recomputed from a full walk of the slot table,
+    /// with an index when the route policy is keyed.
     fn walk(&self) -> SlotView {
-        let mut view = SlotView::default();
+        let keyed = self.route.order_key(&self.snapshot(0)).is_some();
+        let mut view = SlotView::new(self.slots.len(), keyed);
         for (i, &state) in self.state.iter().enumerate() {
-            view.enter(state, self.snapshot(i));
+            view.enter(state, self.snapshot(i), &*self.route);
         }
         view
+    }
+
+    /// Whether the view is the one [`Self::walk`] builds. It is checked in
+    /// place because the debug mirror must allocate nothing: the fleet's
+    /// live-bytes ceilings (`tests/alloc_decode.rs`) hold in the dev
+    /// profile too.
+    fn view_is_walked(&self) -> bool {
+        let v = &self.view;
+        let (mut warming, mut draining, mut on_queue, mut on) = (0, 0, 0, 0);
+        for (i, &state) in self.state.iter().enumerate() {
+            let (pos, leaf) = match state {
+                SlotState::Off => (NOT_ON, SlotIndex::EMPTY),
+                SlotState::Warming { .. } => {
+                    warming += 1;
+                    (NOT_ON, SlotIndex::EMPTY)
+                }
+                SlotState::Draining => {
+                    draining += 1;
+                    (NOT_ON, SlotIndex::EMPTY)
+                }
+                SlotState::On => {
+                    let snap = self.snapshot(i);
+                    if v.cands.get(on) != Some(&snap) {
+                        return false;
+                    }
+                    on_queue += snap.queue_len();
+                    on += 1;
+                    let key = self.route.order_key(&snap).unwrap_or_default();
+                    (on - 1, SlotIndex::leaf_of(key))
+                }
+            };
+            if v.pos[i] != pos || v.index.as_ref().is_some_and(|x| x.leaf(i) != leaf) {
+                return false;
+            }
+        }
+        (v.warming, v.draining, v.on_queue, v.cands.len()) == (warming, draining, on_queue, on)
+            && v.index.as_ref().is_none_or(SlotIndex::is_consistent)
     }
 
     /// Moves slot `i` to `to`, keeping the view in step.
     fn set_state(&mut self, i: usize, to: SlotState) {
         let from = std::mem::replace(&mut self.state[i], to);
         self.view.leave(i, from);
-        self.view.enter(to, self.snapshot(i));
+        let snap = self.snapshot(i);
+        self.view.enter(to, snap, &*self.route);
     }
 
     /// Re-reads slot `i`'s candidate entry, if it is On.
     fn refresh(&mut self, i: usize) {
-        if self.state[i] != SlotState::On {
-            return;
+        if self.state[i] == SlotState::On {
+            let snap = self.snapshot(i);
+            self.view.refresh(snap, &*self.route);
         }
-        let snap = self.snapshot(i);
-        let v = &mut self.view;
-        let pos = v.pos(i);
-        v.on_queue = v.on_queue - v.cands[pos].queue_len() + snap.queue_len();
-        v.cands[pos] = snap;
     }
 
     /// Closes slot `i`'s cost window at `t` and parks it.
@@ -1259,7 +1439,7 @@ impl<B: Backend> Orchestrator<B> {
                 }
                 self.refresh(i);
             }
-            debug_assert!(self.view == self.walk(), "the slot view drifted");
+            debug_assert!(self.view_is_walked(), "the slot view drifted");
 
             // A condemned slot parks the moment its queue drains; its
             // cost window closes at this decision instant. A slot is
@@ -1430,15 +1610,26 @@ impl<B: Backend> Orchestrator<B> {
                 continue;
             }
             let cands = &self.view.cands;
-            let pos = self
-                .route
-                .route(cands, &oreq.req, &self.tenants[oreq.tenant]);
-            let offered = cands.len();
-            if pos >= offered {
-                self.restash(oreq, &mut arrivals);
-                return Err(out_of_range(self.route.name(), pos, offered));
-            }
-            let g = cands[pos].index;
+            let g = if let Some(index) = &self.view.index {
+                let g = index.least().unwrap_or(cands[0].index);
+                debug_assert_eq!(self.state[g], SlotState::On, "the index answered slot {g}");
+                debug_assert_eq!(
+                    g,
+                    cands[first_least(cands, |c| self.route.order_key(c).expect("keyed"))].index,
+                    "the slot index disagrees with a scan of the candidates"
+                );
+                g
+            } else {
+                let pos = self
+                    .route
+                    .route(cands, &oreq.req, &self.tenants[oreq.tenant]);
+                let offered = cands.len();
+                if pos >= offered {
+                    self.restash(oreq, &mut arrivals);
+                    return Err(out_of_range(self.route.name(), pos, offered));
+                }
+                cands[pos].index
+            };
             // A waiting slot was left out of the barrier, since nothing
             // happens on it before its wake: one O(1) step brings it to
             // the dispatch instant, as the barrier would have. It, or a
@@ -1633,6 +1824,64 @@ mod tests {
             OrchestratorConfig::default_for(n),
         )
         .unwrap()
+    }
+
+    #[test]
+    fn slot_index_answers_the_lowest_slot_with_the_least_key() {
+        let mut index = SlotIndex::new(5);
+        assert_eq!(index.least(), None, "no slot is On");
+        for (i, key) in [(3, (2, 0)), (1, (2, 0)), (4, (1, 9)), (0, (1, 9))] {
+            index.set(i, SlotIndex::leaf_of(key));
+        }
+        assert_eq!(index.least(), Some(0));
+        index.set(0, SlotIndex::EMPTY);
+        assert_eq!(index.least(), Some(4));
+        index.set(4, SlotIndex::leaf_of((2, 0)));
+        assert_eq!(index.least(), Some(1), "the major key orders first");
+        index.set(1, SlotIndex::leaf_of((1, u64::MAX)));
+        assert_eq!(index.least(), Some(1));
+        assert!(index.is_consistent());
+        // The greatest key ties with the leaves of slots that are not On:
+        // the index has no answer, and the engine takes the first
+        // candidate.
+        for i in [1, 3, 4] {
+            index.set(i, SlotIndex::EMPTY);
+        }
+        index.set(2, SlotIndex::leaf_of((u64::MAX, u64::MAX)));
+        assert_eq!(index.least(), None);
+        assert!(index.is_consistent());
+    }
+
+    #[test]
+    fn a_slot_keyed_at_the_greatest_key_is_still_chosen() {
+        // Every candidate ties at the greatest key, so the first
+        // candidate, slot 0, serves every request.
+        struct Saturated;
+        impl RoutePolicy for Saturated {
+            fn name(&self) -> &'static str {
+                "saturated"
+            }
+            fn route(&mut self, _: &[RouteCandidate], _: &FleetRequest, _: &TenantClass) -> usize {
+                0
+            }
+            fn order_key(&self, _: &RouteCandidate) -> Option<(u64, u64)> {
+                Some((u64::MAX, u64::MAX))
+            }
+        }
+        let mut o = Orchestrator::new(
+            gpu_replicas(3),
+            one_tenant(),
+            Box::new(Saturated),
+            Box::new(StaticScale::full()),
+            OrchestratorConfig::default_for(3),
+        )
+        .unwrap();
+        for id in 0..4 {
+            o.submit(shaped(id, u64::from(id) * 1_000, 2)).unwrap();
+        }
+        let out = o.run().unwrap();
+        let served: Vec<u64> = out.slots.iter().map(|s| s.served).collect();
+        assert_eq!(served, [4, 0, 0]);
     }
 
     #[test]

@@ -681,12 +681,6 @@ impl<B: Backend> ServingSim<B> {
         self
     }
 
-    /// The preemption policy's name (e.g. `"drop"`, `"recompute"`,
-    /// `"swap"`).
-    pub fn preemption_name(&self) -> &'static str {
-        self.preemption.name()
-    }
-
     /// Preempted requests currently parked awaiting restoration.
     pub fn preempted_len(&self) -> usize {
         self.parked.len()
@@ -2057,7 +2051,6 @@ mod tests {
 
         let mut rec =
             tight_sim(80 << 20).with_preemption(Box::new(crate::preempt::RecomputeLastAdmitted));
-        assert_eq!(rec.preemption_name(), "recompute");
         submit_crowded(&mut rec);
         let rec_out = rec.run().unwrap();
 

@@ -22,7 +22,7 @@
 //! * [`suites`] — the shipped suite inventory ([`SUITE_NAMES`]),
 //!   embedded from `scenarios/`.
 //!
-//! [`run_eval`] ties the pieces together; see `docs/EVAL.md` for the
+//! [`run_eval_with_opts`] ties the pieces together; see `docs/EVAL.md` for the
 //! spec schema and suite-authoring guide.
 
 #![warn(missing_docs)]
@@ -48,33 +48,18 @@ pub use spec::{
 pub use store::{resolve_rev, store_report, unix_seconds};
 pub use suites::{builtin_description, builtin_suite, load_suite, SUITE_NAMES};
 
-/// Runs a parsed suite end to end: execute, score, and assemble the
-/// [`EvalReport`] (not yet persisted — callers decide where, see
-/// [`store::store_report`]).
+/// Runs a parsed suite end to end under `opts` (seed, serving worker
+/// count, cost-model override, and the persistent replay cache directory
+/// (the CLI's `--memo-cache`) trace-priced scenarios share): execute,
+/// score, and assemble the [`EvalReport`] (not yet persisted — callers
+/// decide where, see [`store::store_report`]). The worker count never
+/// changes results — only wall-clock — so reports produced under any
+/// `jobs` compare bit-for-bit given the same seed.
 ///
 /// # Errors
 ///
 /// Returns [`EvalError`] when a scenario fails to *run*; golden-check
 /// violations are recorded in the report's checks, not raised as errors.
-pub fn run_eval(suite: &SuiteSpec, seed_override: Option<u64>) -> Result<EvalReport, EvalError> {
-    run_eval_with_opts(
-        suite,
-        &EvalOverrides {
-            seed: seed_override,
-            ..Default::default()
-        },
-    )
-}
-
-/// [`run_eval`] with the full set of [`EvalOverrides`]: seed, serving
-/// worker count, cost-model override, and the persistent replay cache
-/// directory (the CLI's `--memo-cache`) trace-priced scenarios share.
-/// The worker count never changes results — only wall-clock — so reports
-/// produced under any `jobs` compare bit-for-bit given the same seed.
-///
-/// # Errors
-///
-/// See [`run_eval`].
 pub fn run_eval_with_opts(
     suite: &SuiteSpec,
     opts: &EvalOverrides,
@@ -116,7 +101,11 @@ min = 1.0
 "#,
         )
         .unwrap();
-        let report = run_eval(&suite, Some(1)).unwrap();
+        let opts = EvalOverrides {
+            seed: Some(1),
+            ..Default::default()
+        };
+        let report = run_eval_with_opts(&suite, &opts).unwrap();
         assert_eq!(report.suite, "inline");
         assert_eq!(report.seed_override, Some(1));
         assert_eq!(report.verdict(), CheckStatus::Pass);

@@ -168,13 +168,18 @@ impl MinLoadPacker {
 /// and the index breaks ties: the heap's minimum is the first minimum of a
 /// linear scan.
 fn heap_key(load: f64, channel: u32) -> u128 {
-    let bits = load.to_bits();
-    let ordered = if bits >> 63 == 1 {
+    (u128::from(total_order_bits(load)) << 32) | u128::from(channel)
+}
+
+/// `x`'s bits mapped so that unsigned order is [`f64::total_cmp`] order,
+/// on every value (negative zero below positive zero, NaNs at the ends).
+pub fn total_order_bits(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
         !bits
     } else {
         bits | 1 << 63
-    };
-    (u128::from(ordered) << 32) | u128::from(channel)
+    }
 }
 
 /// Round-robin channel assignment (the naive NPU+PIM baseline policy).
@@ -223,6 +228,33 @@ mod tests {
         channel_loads(seqs, assign, chans, &estimator())
             .into_iter()
             .fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn total_order_bits_sort_like_total_cmp() {
+        let values = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            5e-324,
+            -5e-324,
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            2.5,
+        ];
+        for a in values {
+            for b in values {
+                let got = total_order_bits(a).cmp(&total_order_bits(b));
+                assert_eq!(got, a.total_cmp(&b), "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

@@ -44,7 +44,9 @@ pub mod estimator;
 pub mod partition;
 pub mod pool;
 
-pub use binpack::{assign_min_load, assign_round_robin, channel_loads, MinLoadPacker};
+pub use binpack::{
+    assign_min_load, assign_round_robin, channel_loads, total_order_bits, MinLoadPacker,
+};
 pub use cost::{
     calibration_drift, CostModelKind, DriftPoint, DriftReport, MhaCostModel, TraceDrivenCostModel,
     TraceHardware, TraceMemo, TraceSnapshot, COST_MODEL_NAMES, DEFAULT_DRIFT_TOLERANCE,

@@ -170,18 +170,11 @@ impl<S> RequestPool<S> {
     }
 
     /// Iteration boundary, part 2: record one generated token per running
-    /// request and retire the finished ones.
-    ///
-    /// Returns the retired requests with their records, in batch order
-    /// (callers release their KV pages).
-    pub fn complete_iteration(&mut self) -> Vec<(Request, S)> {
-        self.complete_iteration_where(|_, _| true).collect()
-    }
-
-    /// Like [`Self::complete_iteration`], but only requests for which
-    /// `participated` returns `true` advance (and can retire). Serving
-    /// frontends use this to keep admitted-but-still-prefilling requests
-    /// from generating tokens before their prefill delay has elapsed.
+    /// request for which `participated` returns `true`, and retire the
+    /// finished ones. Returns the retired requests with their records, in
+    /// batch order (callers release their KV pages). Serving frontends
+    /// pass a filter to keep admitted-but-still-prefilling requests from
+    /// generating tokens before their prefill delay has elapsed.
     ///
     /// `participated` sees every running request and its record once, in
     /// batch order. Survivors keep their order, and the retired pairs are
@@ -264,6 +257,11 @@ mod tests {
         Request::new(RequestId::new(id), input, output, arrival)
     }
 
+    /// One iteration in which every running request participates.
+    fn complete_iteration<S>(pool: &mut RequestPool<S>) -> Vec<(Request, S)> {
+        pool.complete_iteration_where(|_, _| true).collect()
+    }
+
     #[test]
     fn admits_up_to_batch_cap() {
         let mut pool = RequestPool::new(2);
@@ -304,7 +302,7 @@ mod tests {
         pool.admit(0, |_| Some(()));
         assert_eq!(pool.running().len(), 2);
 
-        let done = pool.complete_iteration();
+        let done = complete_iteration(&mut pool);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].0.id, RequestId::new(0));
 
@@ -314,8 +312,8 @@ mod tests {
 
         // Two more iterations finish everything: after the second, req 1
         // has its 3rd token and req 2 its 2nd.
-        assert_eq!(pool.complete_iteration().len(), 0);
-        assert_eq!(pool.complete_iteration().len(), 2);
+        assert_eq!(complete_iteration(&mut pool).len(), 0);
+        assert_eq!(complete_iteration(&mut pool).len(), 2);
         assert_eq!(pool.completed(), 3);
         assert!(pool.running().is_empty());
     }
@@ -326,9 +324,9 @@ mod tests {
         pool.submit(req(0, 8, 2, 0));
         pool.submit(req(1, 8, 3, 0));
         pool.admit(0, |_| Some(()));
-        pool.complete_iteration();
-        pool.complete_iteration();
-        pool.complete_iteration();
+        complete_iteration(&mut pool);
+        complete_iteration(&mut pool);
+        complete_iteration(&mut pool);
         assert_eq!(pool.tokens_generated(), 2 + 3);
         assert_eq!(pool.completed(), 2);
         assert!(pool.running().is_empty());
@@ -344,7 +342,7 @@ mod tests {
         pool.submit(req(0, 10, 5, 0));
         pool.admit(0, |_| Some(()));
         assert_eq!(seq_lens(&pool), vec![10]);
-        pool.complete_iteration();
+        complete_iteration(&mut pool);
         assert_eq!(seq_lens(&pool), vec![11]);
     }
 
@@ -361,7 +359,7 @@ mod tests {
         assert_eq!(pool.tokens_generated(), 1);
         assert_eq!(seq_lens(&pool), vec![8, 9]);
         // Now both participate; both finish.
-        let done = pool.complete_iteration();
+        let done = complete_iteration(&mut pool);
         assert_eq!(done.len(), 2);
         assert_eq!(pool.completed(), 2);
     }
@@ -405,8 +403,8 @@ mod tests {
         assert_eq!(running, vec![7, 3], "running batch keeps admission order");
 
         // An admission refusal of the head blocks everything behind it.
-        pool.complete_iteration();
-        pool.complete_iteration(); // 7 and 3 retire
+        complete_iteration(&mut pool);
+        complete_iteration(&mut pool); // 7 and 3 retire
         assert_eq!(
             pool.admit(5, |r| (r.id != RequestId::new(9)).then_some(())),
             0,
@@ -426,7 +424,7 @@ mod tests {
         pool.submit(req(1, 8, 4, 0));
         pool.submit(req(2, 8, 4, 0)); // queued behind the cap
         pool.admit(0, |_| Some(()));
-        pool.complete_iteration(); // both running requests have 1 token
+        complete_iteration(&mut pool); // both running requests have 1 token
 
         let victim = pool.preempt_running(RequestId::new(1)).unwrap();
         assert_eq!(victim.0.generated, 1, "progress rides along");
@@ -443,10 +441,10 @@ mod tests {
         let victim = pool.resume(victim).expect_err("cap must hold");
 
         // After a slot frees, resume re-enters with progress intact.
-        pool.complete_iteration();
-        pool.complete_iteration();
-        pool.complete_iteration();
-        pool.complete_iteration(); // requests 0 and 2 retire
+        complete_iteration(&mut pool);
+        complete_iteration(&mut pool);
+        complete_iteration(&mut pool);
+        complete_iteration(&mut pool); // requests 0 and 2 retire
         assert!(pool.resume(victim).is_ok());
         let r = &pool.running()[0];
         assert_eq!(r.id, RequestId::new(1));

@@ -70,8 +70,15 @@ impl Dataset {
 }
 
 /// Log-normal sampler with the requested *mean* (not median):
-/// `mu = ln(mean) - sigma^2 / 2`, via the Box–Muller transform.
-fn sample_lognormal<R: Rng + ?Sized>(rng: &mut R, mean: f64, sigma: f64) -> u32 {
+/// `mu = ln(mean) - sigma^2 / 2`, via the Box–Muller transform. The
+/// datasets' samplers and the scenario generator's log-normal lengths
+/// both draw through it.
+///
+/// # Panics
+///
+/// Panics if `mean < 1`.
+pub(crate) fn sample_lognormal<R: Rng + ?Sized>(rng: &mut R, mean: f64, sigma: f64) -> u32 {
+    assert!(mean >= 1.0, "log-normal mean must be at least one token");
     let mu = mean.ln() - sigma * sigma / 2.0;
     // Box–Muller: two uniforms -> one standard normal.
     let u1: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);

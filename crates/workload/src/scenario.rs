@@ -27,7 +27,7 @@ use rand::{Rng, RngExt};
 use neupims_types::{Cycle, SimError};
 
 use crate::batch::request_buffer;
-use crate::dataset::{Dataset, MAX_LEN};
+use crate::dataset::{sample_lognormal, Dataset, MAX_LEN};
 
 /// An arrival process generating request timestamps at a target long-run
 /// mean rate, in requests per million cycles (= kilo-requests/s at 1 GHz).
@@ -217,9 +217,7 @@ impl LengthDistribution {
         match *self {
             LengthDistribution::DatasetInput(d) => d.sample_input(rng),
             LengthDistribution::DatasetOutput(d) => d.sample_output(rng),
-            LengthDistribution::LogNormal { mean, sigma } => {
-                sample_lognormal_mean(rng, mean, sigma)
-            }
+            LengthDistribution::LogNormal { mean, sigma } => sample_lognormal(rng, mean, sigma),
             LengthDistribution::Uniform { lo, hi } => {
                 assert!(lo <= hi, "uniform length bounds out of order");
                 rng.random_range(lo.max(1)..hi.max(1) + 1).min(MAX_LEN)
@@ -238,19 +236,6 @@ impl LengthDistribution {
             LengthDistribution::Fixed(len) => len as f64,
         }
     }
-}
-
-/// Log-normal sampler parameterized by its *mean*:
-/// `mu = ln(mean) − sigma²/2`, Box–Muller for the normal draw (the same
-/// construction as [`crate::dataset`]'s samplers).
-fn sample_lognormal_mean<R: Rng + ?Sized>(rng: &mut R, mean: f64, sigma: f64) -> u32 {
-    assert!(mean >= 1.0, "log-normal mean must be at least one token");
-    let mu = mean.ln() - sigma * sigma / 2.0;
-    let u1: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
-    let u2: f64 = rng.random();
-    let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-    let x = (mu + sigma * z).exp();
-    (x.round() as u32).clamp(1, MAX_LEN)
 }
 
 /// One traffic class of a multi-tenant workload.

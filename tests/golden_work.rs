@@ -4,7 +4,8 @@
 //! Counting-only decorators over `Backend`, `SchedulerPolicy`,
 //! `DispatchPolicy` and `RoutePolicy` tally how often each layer is
 //! called and how many items it is handed; the shared replay memo's
-//! snapshot adds its lookups and replays. Unlike host time, these counts
+//! snapshot adds its lookups and replays. A keyed dispatch or route
+//! policy is answered from the engine's slot index and never called. Unlike host time, these counts
 //! are the same on every machine, every run and every `--jobs`, so they
 //! are pinned exactly under the benchmark's metric names. A change that
 //! makes a layer do more work fails here; one that makes it do less must
@@ -175,7 +176,9 @@ impl SchedulerPolicy for CountingScheduler {
     }
 }
 
-/// A [`DispatchPolicy`] counting replica choices.
+/// A [`DispatchPolicy`] counting replica choices. It forwards the order
+/// key, so a keyed policy runs on the engine's slot index, as it does
+/// undecorated, and `choose` is never called.
 struct CountingDispatch {
     inner: Box<dyn DispatchPolicy>,
     counters: Arc<Counters>,
@@ -189,6 +192,24 @@ impl DispatchPolicy for CountingDispatch {
     fn choose(&mut self, snapshots: &[ReplicaSnapshot], req: &FleetRequest) -> usize {
         bump(&self.counters.dispatch_calls, 1);
         self.inner.choose(snapshots, req)
+    }
+
+    fn order_key(&self, snapshot: &ReplicaSnapshot) -> Option<(u64, u64)> {
+        self.inner.order_key(snapshot)
+    }
+}
+
+/// A [`DispatchPolicy`] hiding its inner policy's order key, so every
+/// dispatch scans the snapshots through `choose`.
+struct ScanOnly(Box<dyn DispatchPolicy>);
+
+impl DispatchPolicy for ScanOnly {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn choose(&mut self, snapshots: &[ReplicaSnapshot], req: &FleetRequest) -> usize {
+        self.0.choose(snapshots, req)
     }
 }
 
@@ -212,6 +233,10 @@ impl RoutePolicy for CountingRoute {
         bump(&self.counters.route_calls, 1);
         bump(&self.counters.route_candidates, candidates.len() as u64);
         self.inner.route(candidates, req, tenant)
+    }
+
+    fn order_key(&self, candidate: &RouteCandidate) -> Option<(u64, u64)> {
+        self.inner.order_key(candidate)
     }
 }
 
@@ -350,8 +375,9 @@ const FLEET_SLO: SloTargets = SloTargets {
 };
 
 /// `fleet-jsq-256` at 16 replicas: GPU-roofline replicas behind JSQ
-/// dispatch, ShareGPT at the benchmark's per-replica Poisson rate.
-fn fleet_jsq(jobs: usize) -> Work {
+/// dispatch, ShareGPT at the benchmark's per-replica Poisson rate. With
+/// `scan`, JSQ's order key is hidden, so every dispatch calls `choose`.
+fn fleet_jsq(jobs: usize, scan: bool) -> Work {
     let replicas = 16;
     let hw = NeuPimsConfig::table2();
     let cal = calibrate(&hw).unwrap();
@@ -364,8 +390,12 @@ fn fleet_jsq(jobs: usize) -> Work {
             replica(&counters, b, "lump", "drop", cfg.clone(), kind)
         })
         .collect();
+    let mut jsq = policy_from_name("jsq").unwrap();
+    if scan {
+        jsq = Box::new(ScanOnly(jsq));
+    }
     let dispatch = Box::new(CountingDispatch {
-        inner: policy_from_name("jsq").unwrap(),
+        inner: jsq,
         counters: Arc::clone(&counters),
     });
     let mut fleet = FleetSim::new(slots, dispatch).unwrap().with_jobs(jobs);
@@ -507,7 +537,27 @@ fn pim_trace_tight_kv() -> Work {
     )
 }
 
+/// JSQ is answered from the engine's slot index: no `choose` calls.
 const FLEET_JSQ: Work = [
+    4234,  // serving.steps
+    4300,  // serving.step_calls
+    4234,  // backend.decode.calls
+    67496, // backend.decode.seqs
+    600,   // backend.prefill.calls
+    4234,  // scheduler.plan.calls
+    0,     // fleet.dispatch.calls
+    0,     // orchestrator.route.calls
+    0,     // orchestrator.route.candidates
+    0,     // orchestrator.warmups
+    0,     // orchestrator.scale_downs
+    0,     // cost.memo_lookups
+    0,     // cost.replays
+    0,     // preemptions
+];
+
+/// The same run on the scan path: one `choose` per request, and the same
+/// work everywhere else.
+const FLEET_JSQ_SCAN: Work = [
     4234,  // serving.steps
     4300,  // serving.step_calls
     4234,  // backend.decode.calls
@@ -560,9 +610,14 @@ const PIM_TRACE_TIGHT_KV: Work = [
 
 #[test]
 fn fleet_jsq_work_is_pinned_at_every_job_count() {
-    let serial = fleet_jsq(1);
+    let serial = fleet_jsq(1, false);
     assert_work("fleet-jsq at --jobs 1", serial, FLEET_JSQ);
-    assert_work("fleet-jsq at --jobs 4", fleet_jsq(4), serial);
+    assert_work("fleet-jsq at --jobs 4", fleet_jsq(4, false), serial);
+}
+
+#[test]
+fn fleet_jsq_work_on_the_scan_path_is_pinned() {
+    assert_work("fleet-jsq, scanned", fleet_jsq(1, true), FLEET_JSQ_SCAN);
 }
 
 #[test]

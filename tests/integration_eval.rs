@@ -5,15 +5,27 @@
 //! the spec'd JSON shape.
 
 use neupims_eval::{
-    load_suite, run_eval, run_suite, score_suite, store_report, verdict, CheckStatus, EvalReport,
-    SuiteSpec, SUITE_NAMES,
+    load_suite, run_eval_with_opts, run_suite, score_suite, store_report, verdict, CheckStatus,
+    EvalOverrides, EvalReport, SuiteSpec, SUITE_NAMES,
 };
+
+/// Runs `suite` under the default overrides, or the seed `seed`.
+fn eval_report(
+    suite: &SuiteSpec,
+    seed: Option<u64>,
+) -> Result<EvalReport, neupims_eval::EvalError> {
+    let opts = EvalOverrides {
+        seed,
+        ..Default::default()
+    };
+    run_eval_with_opts(suite, &opts)
+}
 
 /// The CI gate: the shipped smoke suite passes every golden check.
 #[test]
 fn smoke_suite_is_green() {
     let suite = load_suite("smoke").expect("smoke suite loads");
-    let report = run_eval(&suite, None).expect("smoke suite runs");
+    let report = eval_report(&suite, None).expect("smoke suite runs");
     let (_, _, fail) = report.counts();
     assert_eq!(
         fail,
@@ -62,7 +74,7 @@ fn fig12_suite_reproduces_the_throughput_ordering() {
 fn all_shipped_suites_are_green() {
     for name in SUITE_NAMES {
         let suite = load_suite(name).unwrap_or_else(|e| panic!("suite {name}: {e}"));
-        let report = run_eval(&suite, None).unwrap_or_else(|e| panic!("suite {name}: {e}"));
+        let report = eval_report(&suite, None).unwrap_or_else(|e| panic!("suite {name}: {e}"));
         let (_, _, fail) = report.counts();
         assert_eq!(fail, 0, "suite {name} failed:\n{}", report.render());
     }
@@ -86,7 +98,7 @@ fn fig13_suite_fails_when_an_arm_loses_its_technique() {
                 scenario.system.backend = without.to_owned();
             }
         }
-        let report = run_eval(&suite, None).expect("suite runs");
+        let report = eval_report(&suite, None).expect("suite runs");
         let arm = format!("{suite_name}: {arm} as {without}");
         assert_eq!(report.verdict(), CheckStatus::Fail, "{arm}");
         assert!(
@@ -168,7 +180,7 @@ min = 1.0
 "#,
     )
     .unwrap();
-    let mut report: EvalReport = run_eval(&suite, Some(3)).unwrap();
+    let mut report: EvalReport = eval_report(&suite, Some(3)).unwrap();
     report.rev = "testrev".to_owned();
     let dir = std::env::temp_dir().join(format!("neupims-eval-it-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -239,7 +251,7 @@ max = 0.5
 severity = "warn"
 "#;
     let suite = SuiteSpec::parse(text).unwrap();
-    let report = run_eval(&suite, None).unwrap();
+    let report = eval_report(&suite, None).unwrap();
     assert_eq!(report.verdict(), CheckStatus::Fail);
     let (pass, warn, fail) = report.counts();
     assert_eq!((pass, warn, fail), (0, 1, 1));

@@ -4,9 +4,11 @@
 //! more requests than drop-only, conservation through preempt/restore
 //! cycles, and the threading through `SystemSpec` and `FleetSim`.
 
+use neupims_core::backend::Backend;
 use neupims_core::fleet::{FleetRequest, FleetSim, JoinShortestQueue};
 use neupims_core::preempt::{
-    preemption_from_name, DropOnly, RecomputeLastAdmitted, SwapConfig, SwapLru, PREEMPTION_NAMES,
+    preemption_from_name, DropOnly, PreemptionPolicy, RecomputeLastAdmitted, SwapConfig, SwapLru,
+    PREEMPTION_NAMES,
 };
 use neupims_core::serving::{ServingConfig, ServingSim};
 use neupims_core::system::SystemSpec;
@@ -42,7 +44,7 @@ fn tight_replica() -> ServingSim {
 }
 
 /// The default KV-pressure burst trace, submitted with sequential ids.
-fn submit_burst(sim: &mut ServingSim, seed: u64) -> u64 {
+fn submit_burst<B: Backend>(sim: &mut ServingSim<B>, seed: u64) -> u64 {
     let mut rng = StdRng::seed_from_u64(seed);
     let trace = kv_pressure_burst(&mut rng, &PressureSpec::default());
     for (i, r) in trace.iter().enumerate() {
@@ -69,9 +71,10 @@ fn drop_only_reproduces_the_golden_numbers_exactly() {
     for explicit in [false, true] {
         let mut sim = ServingSim::new(Device::table2().unwrap(), LlmConfig::gpt3_7b(), cfg(16));
         if explicit {
-            sim = sim.with_preemption(Box::new(DropOnly));
+            let policy = Box::new(DropOnly);
+            assert_eq!(policy.name(), "drop");
+            sim = sim.with_preemption(policy);
         }
-        assert_eq!(sim.preemption_name(), "drop");
         golden_trace(&mut sim);
         let out = sim.run().unwrap();
         assert_eq!(out.total_cycles, 104_832_448);
@@ -184,17 +187,38 @@ fn swap_completes_the_pressure_trace_with_cheaper_restores() {
     );
 }
 
-/// The system spec's preemption policy reaches the replica it builds.
+/// The system spec's preemption policy reaches the replica it builds:
+/// on the tight device under the burst trace, a `recompute` replica
+/// preempts and completes more than a `drop` one, which never preempts,
+/// and without pressure neither preempts.
 #[test]
 fn simulation_builder_threads_the_preemption_policy() {
-    let spec = SystemSpec {
-        preemption: "recompute".into(),
-        swap_gbps: 8.0,
-        max_batch: 8,
-        ..SystemSpec::default()
+    let mut tight = NeuPimsConfig::table2();
+    tight.mem.channels = 4;
+    tight.mem.capacity_per_channel = 80 << 20;
+    let replica = |preemption: &str, hardware: NeuPimsConfig| {
+        let spec = SystemSpec {
+            hardware,
+            preemption: preemption.into(),
+            swap_gbps: 8.0,
+            max_batch: 16,
+            ..SystemSpec::default()
+        };
+        spec.replica(0, None).unwrap()
     };
-    let mut serving = spec.replica(0, None).unwrap();
-    assert_eq!(serving.preemption_name(), "recompute");
+    let burst = |preemption: &str| {
+        let mut sim = replica(preemption, tight);
+        let submitted = submit_burst(&mut sim, 0xBEE5);
+        let out = sim.run().unwrap();
+        assert_eq!(out.completed + out.dropped, submitted, "{preemption}");
+        out
+    };
+    let (drop, rec) = (burst("drop"), burst("recompute"));
+    assert_eq!(drop.preemptions, 0, "drop-only never preempts");
+    assert!(rec.preemptions > 0, "recompute preempts under pressure");
+    assert!(rec.completed > drop.completed);
+
+    let mut serving = replica("recompute", NeuPimsConfig::table2());
     for i in 0..4 {
         serving.submit(i, 64, 4, 0).unwrap();
     }
