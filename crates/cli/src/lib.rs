@@ -72,8 +72,9 @@
 //! the [[scenario.tenant]] rules (priority >= 100 bypasses admission
 //! control), --autoscale picks the replica scaler (static | reactive |
 //! predictive; scalers pay each spin-up's warmup cycles and park idle
-//! replicas down to --min-replicas), and --router picks dispatch scoring
-//! (load | round-robin | capability). The metric map adds
+//! replicas down to --min-replicas, at most --replicas), and --router
+//! picks dispatch scoring (load | round-robin | capability; --policy is
+//! the bare fleet's and an error beside these flags). The metric map adds
 //! `tenant_<name>_*` keys per tenant and the `goodput_per_cost` bottom
 //! line (tokens from SLO-attaining requests per replica-Mcycle of
 //! committed capacity).
@@ -105,7 +106,7 @@ use neupims_core::orchestrator::TenantClass;
 use neupims_core::system::{System, SystemSpec};
 use neupims_eval::spec::{set_shares, tenant_class};
 use neupims_eval::toml::{parse_scalar, Table};
-use neupims_eval::{Settings, SHARED_KEYS};
+use neupims_eval::{Settings, ORCHESTRATION_KEYS, SHARED_KEYS};
 use neupims_kvcache::KvGeometry;
 use neupims_pim::calibrate;
 use neupims_sched::{
@@ -327,6 +328,17 @@ fn run(command: &str, opts: &Options) -> Result<(), Box<dyn std::error::Error>> 
                     format!("{command} takes one {flag} name, not the list {names:?}").into(),
                 );
             }
+        }
+    }
+    // `--tenants` and the orchestration keys run the orchestrator, which
+    // routes by `--router`: a `--policy` beside them would be ignored.
+    if opts.given("policy") {
+        let mut orchestration = ORCHESTRATION_KEYS.iter().chain(&["tenants"]);
+        if let Some(key) = orchestration.find(|key| opts.given(key)) {
+            return Err(format!(
+                "--policy does not apply with --{key}: the orchestrator routes by --router"
+            )
+            .into());
         }
     }
     if command == "fig4" {
@@ -848,7 +860,8 @@ mod tests {
         ("link-gbps", "2", &["inf", "0"]),
         ("autoscale", "predictive", &["psychic"]),
         ("router", "capability", &["ouija"]),
-        ("min-replicas", "2", &["0"]),
+        // At most the one replica a scenario has by default.
+        ("min-replicas", "1", &["0"]),
         ("dataset", "alpaca", &["wiki"]),
         ("batch", "128", &["0"]),
         ("samples", "2", &["0"]),
@@ -932,8 +945,12 @@ mod tests {
                 spec_settings(&suite(kind, &line)?),
                 spec_settings(&suite(kind, "")?)
             );
-            args.extend([flag.clone(), valid.to_owned()]);
-            lines[warm].push_str(&line);
+            // `policy` is the bare fleet's: beside the orchestration keys
+            // a suite rejects it, so the all-keys run keeps its default.
+            if key != "policy" {
+                args.extend([flag.clone(), valid.to_owned()]);
+                lines[warm].push_str(&line);
+            }
 
             for bad in invalid {
                 let cli_err = cli(&["serve", &flag, bad]).unwrap_err();
@@ -944,9 +961,9 @@ mod tests {
                 assert!(cli_msg.contains(key), "{key} = {bad}: {cli_msg}");
             }
         }
-        // With every key set, nothing is left to either default: the
-        // throughput scenario holds `batch` and `samples`, the serving
-        // one every other key.
+        // With every key but `policy` set, nothing else is left to either
+        // default: the throughput scenario holds `batch` and `samples`,
+        // the serving one every other key.
         let serving = spec_settings(&suite("serving", &lines[0])?);
         let throughput = spec_settings(&suite("throughput", &lines[1])?);
         assert_eq!(

@@ -316,19 +316,9 @@ impl Device {
         true
     }
 
-    /// The replay memo trace-driven cost models of this device share.
-    pub fn trace_memo(&self) -> &TraceMemo {
-        &self.trace_memo
-    }
-
     /// Hardware configuration.
     pub fn config(&self) -> &NeuPimsConfig {
         &self.cfg
-    }
-
-    /// Calibrated PIM constants.
-    pub fn calibration(&self) -> &PimCalibration {
-        &self.cal
     }
 
     /// Execution mode.
@@ -338,7 +328,7 @@ impl Device {
 
     /// The Algorithm 1 estimator this device's scheduler uses (composite
     /// command latencies for NeuPIMs, Newton-style for the naive mode).
-    pub fn estimator(&self, model: &LlmConfig, tp: u32) -> MhaLatencyEstimator {
+    pub(crate) fn estimator(&self, model: &LlmConfig, tp: u32) -> MhaLatencyEstimator {
         self.estimator_on(KvGeometry::with_tp(model, &self.cfg.mem, tp))
     }
 
@@ -647,7 +637,7 @@ impl Device {
                 packer.assign(seq_lens, costs, channels, homes);
             }
             _ => {
-                // `assign_round_robin`, into the reused buffer.
+                // Round-robin placement, into the reused buffer.
                 homes.clear();
                 homes.extend((0..seq_lens.len()).map(|i| ChannelId::new(i as u32 % channels)));
             }

@@ -31,9 +31,9 @@
 //!
 //! [`FleetOutcome`] aggregates every replica's [`ServingOutcome`]:
 //! fleet-wide TTFT/TPOT/latency percentiles, SLO attainment, goodput,
-//! drops, preemption/restore counts ([`FleetSim::with_preemption`]
-//! installs one KV-pressure policy fleet-wide), NPU/PIM overlap
-//! accounting, and makespan throughput.
+//! drops, preemption/restore counts (each replica's KV-pressure policy
+//! is [`ServingSim::with_preemption`]), NPU/PIM overlap accounting, and
+//! makespan throughput.
 //!
 //! Replicas are plain [`ServingSim`]s, so each may carry its own
 //! [`SchedulerPolicy`](crate::scheduler::SchedulerPolicy) (built via
@@ -73,7 +73,7 @@
 
 use std::sync::Mutex;
 
-use neupims_sched::{total_order_bits, CostModelKind, TraceMemo, TraceSnapshot};
+use neupims_sched::{total_order_bits, TraceMemo, TraceSnapshot};
 use neupims_types::{Cycle, SimError};
 
 use crate::backend::{Backend, BackendError, CapabilityProfile};
@@ -82,7 +82,7 @@ use crate::orchestrator::{
     check_slots, out_of_range, LoadOnly, OrchRequest, Orchestrator, OrchestratorConfig,
     StaticScale, TenantClass,
 };
-use crate::preempt::{PreemptionPolicy, SwapConfig};
+use crate::preempt::PreemptionPolicy;
 use crate::serving::{ServingOutcome, ServingSim, SloTargets, StepEvent};
 
 /// Below this many due replicas a dispatch barrier advances them inline.
@@ -578,23 +578,15 @@ impl<B: Backend> FleetSim<B> {
         &self.engine.slots
     }
 
-    /// Rebuilds every replica through `f`.
-    fn map_replicas(mut self, f: impl FnMut(ServingSim<B>) -> ServingSim<B>) -> Self {
-        self.engine.slots = std::mem::take(&mut self.engine.slots)
-            .into_iter()
-            .map(f)
-            .collect();
-        self
-    }
-
-    /// Selects the MHA cost model every replica's scheduler prices PIM
-    /// GEMV phases with (see [`ServingSim::with_cost_model`] — replica
-    /// backends keep pricing their own decode iterations with the kind
-    /// *they* were configured with): Algorithm 1 analytic pricing or
-    /// trace-driven command-stream replay. Replicas added later keep
-    /// their own setting.
-    pub fn with_cost_model(self, kind: CostModelKind) -> Self {
-        self.map_replicas(|r| r.with_cost_model(kind))
+    /// Shares one [`TraceMemo`] across every replica's trace-driven cost
+    /// model (see [`ServingSim::with_trace_memo`]): each context-length
+    /// bucket is replayed once fleet-wide instead of once per replica.
+    /// The memo key includes the backend's hardware fingerprint, so one
+    /// memo is sound across a heterogeneous fleet. Replicas whose
+    /// backends have no PIM are unaffected; replicas added later keep
+    /// their own memos.
+    pub fn with_shared_trace_memo(self, memo: &TraceMemo) -> Self {
+        self.map_replicas(|r| r.with_trace_memo(memo))
     }
 
     /// Installs one preemption policy into every replica (see
@@ -605,15 +597,13 @@ impl<B: Backend> FleetSim<B> {
         self.map_replicas(|r| r.with_preemption(policy.clone()))
     }
 
-    /// Shares one [`TraceMemo`] across every replica's trace-driven cost
-    /// model (see [`ServingSim::with_trace_memo`]): each context-length
-    /// bucket is replayed once fleet-wide instead of once per replica.
-    /// The memo key includes the backend's hardware fingerprint, so one
-    /// memo is sound across a heterogeneous fleet. Replicas whose
-    /// backends have no PIM are unaffected; replicas added later keep
-    /// their own memos.
-    pub fn with_shared_trace_memo(self, memo: &TraceMemo) -> Self {
-        self.map_replicas(|r| r.with_trace_memo(memo))
+    /// Rebuilds every replica through `f`.
+    fn map_replicas(mut self, f: impl FnMut(ServingSim<B>) -> ServingSim<B>) -> Self {
+        self.engine.slots = std::mem::take(&mut self.engine.slots)
+            .into_iter()
+            .map(f)
+            .collect();
+        self
     }
 
     /// Pre-populates replica replay memos for every context-length bucket
@@ -643,12 +633,6 @@ impl<B: Backend> FleetSim<B> {
             .iter()
             .map(|r| r.warm_cost_model(&spans, self.jobs()))
             .sum()
-    }
-
-    /// Sets every replica's swap-link parameters (see
-    /// [`ServingSim::with_swap`]).
-    pub fn with_swap(self, swap: SwapConfig) -> Self {
-        self.map_replicas(|r| r.with_swap(swap))
     }
 
     /// Number of replicas.

@@ -23,11 +23,10 @@
 //!   LEAP-style 2D-mesh NoCs as shipped implementations;
 //! * [`sharding`] — first-class multi-chip model parallelism:
 //!   [`ShardedBackend`] wraps any backend, splitting attention heads and
-//!   FFN columns across a TP group and pipelining layer stages with
-//!   explicit bubble accounting, re-pricing every collective on an
-//!   [`Interconnect`] — the one home of (TP, PP) throughput, Figure 14
-//!   included; [`KvShardPlan`] spans the KV cache across the
-//!   deployment's devices;
+//!   FFN columns across a TP group and pipelining layer stages (a round
+//!   costs `pp` beats, its fill/drain bubble included), re-pricing every
+//!   collective on an [`Interconnect`] — the one home of (TP, PP)
+//!   throughput, Figure 14 included;
 //! * [`event`] — the discrete-event spine: a global-clock [`EventQueue`]
 //!   of typed [`SimEvent`]s (arrival, iteration-complete,
 //!   restore-complete, replica-idle) that lets the serving loop jump its
@@ -143,8 +142,5 @@ pub use scheduler::{
 pub use serving::{
     RequestMetrics, ServingConfig, ServingOutcome, ServingSim, SloTargets, StepEvent,
 };
-pub use sharding::{
-    pipeline_schedule, split_evenly, ClusterSpec, KvShardPlan, PipelineTiming, ShardPlan,
-    ShardedBackend, ShardedIteration,
-};
+pub use sharding::{ClusterSpec, ShardedBackend, ShardedIteration};
 pub use system::{System, SystemSpec};

@@ -62,7 +62,6 @@
 //!     cfg,
 //!     Box::new(SubBatchInterleaved::new(512)),
 //! );
-//! assert_eq!(sim.scheduler_name(), "interleaved");
 //! sim.submit(0, 256, 4, 0).unwrap();
 //! let out = sim.run().unwrap();
 //! assert_eq!(out.completed, 1);

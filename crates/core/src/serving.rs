@@ -73,7 +73,6 @@
 //! };
 //! // Default scheduler (lump prefill) ...
 //! let mut sim = ServingSim::new(Device::table2().unwrap(), LlmConfig::gpt3_7b(), cfg.clone());
-//! assert_eq!(sim.scheduler_name(), "lump");
 //! sim.submit(0, 128, 4, 0).unwrap();
 //! let out = sim.run().unwrap();
 //! assert_eq!(out.completed, 1);
@@ -689,12 +688,6 @@ impl<B: Backend> ServingSim<B> {
     /// The simulated backend.
     pub fn backend(&self) -> &B {
         &self.backend
-    }
-
-    /// The scheduler policy's name (e.g. `"lump"`, `"chunked"`,
-    /// `"interleaved"`).
-    pub fn scheduler_name(&self) -> &'static str {
-        self.scheduler.name()
     }
 
     /// Selects the MHA cost model the scheduler prices PIM GEMV phases

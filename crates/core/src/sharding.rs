@@ -1,21 +1,21 @@
 //! First-class multi-chip sharding: tensor-parallel head/column splits,
-//! pipeline stages with explicit bubble accounting, and collectives
-//! priced by a pluggable [`Interconnect`].
+//! pipeline stages with their fill/drain bubble, and collectives priced
+//! by a pluggable [`Interconnect`].
 //!
 //! [`ShardedBackend`] wraps any [`Backend`] and deploys it as a
 //! `(TP, PP)` [`ClusterSpec`]:
 //!
 //! * **Tensor parallelism** — attention heads and FFN columns split
-//!   across `tp` chips ([`ShardPlan`]). The wrapped backend prices the
+//!   across `tp` chips. The wrapped backend prices the
 //!   per-chip compute; the two per-layer all-reduces are lifted out of
 //!   the inner breakdown (`allreduce_cycles`) and re-priced on the
 //!   configured fabric, so swapping `--interconnect` changes exactly the
 //!   collective term and nothing else.
 //! * **Pipeline parallelism** — layers split into `pp` stages; the batch
 //!   flows through as micro-batches. Steady-state throughput comes from
-//!   the pipeline beat (slowest stage vs. inter-stage activation hop),
-//!   and [`pipeline_schedule`] exposes the fill/drain bubble, which is
-//!   `(stages - 1) * microbatch_cost` under uniform stages.
+//!   the pipeline beat (slowest stage vs. inter-stage activation hop).
+//!   Stages are uniform, so one pipeline round costs `pp` beats: one of
+//!   streaming and a fill/drain bubble of `(pp - 1)` beats.
 //!
 //! The paper's Figure 14 model is one deployment of this wrapper:
 //! `ClusterSpec::new(1, pp)` over
@@ -31,8 +31,6 @@
 //! frozen in `tests/parity_sharding.rs` and `tests/integration_cluster.rs`.
 
 use neupims_types::{Cycle, LlmConfig, SimError};
-
-pub use neupims_kvcache::shard::{split_evenly, KvShardPlan};
 
 use crate::backend::{Backend, BackendCaps, BackendError, IterationResult};
 use crate::interconnect::{Interconnect, ALLREDUCES_PER_LAYER};
@@ -62,84 +60,6 @@ impl ClusterSpec {
     }
 }
 
-/// Timing of one fill-run-drain pass of a pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipelineTiming {
-    /// The pipeline beat: the slowest stage's cost.
-    pub beat: Cycle,
-    /// Makespan of pushing all micro-batches through every stage.
-    pub total_cycles: Cycle,
-    /// Cycles the pipeline spends filling and draining rather than
-    /// streaming: `total - microbatches * beat`. Equals
-    /// `(stages - 1) * cost` when every stage costs the same.
-    pub bubble_cycles: Cycle,
-}
-
-/// Prices a pipeline of `stage_costs` processing `microbatches`
-/// micro-batches: the first micro-batch walks every stage (fill), then
-/// one completes per beat.
-pub fn pipeline_schedule(stage_costs: &[Cycle], microbatches: u64) -> PipelineTiming {
-    if stage_costs.is_empty() || microbatches == 0 {
-        return PipelineTiming {
-            beat: 0,
-            total_cycles: 0,
-            bubble_cycles: 0,
-        };
-    }
-    let beat = stage_costs.iter().copied().max().unwrap_or(0);
-    let fill: Cycle = stage_costs.iter().sum();
-    let total = fill + (microbatches - 1) * beat;
-    PipelineTiming {
-        beat,
-        total_cycles: total,
-        bubble_cycles: total - microbatches * beat,
-    }
-}
-
-/// How one model's weights split across the chips of a [`ClusterSpec`]:
-/// attention heads and FFN columns over the TP ranks, layers over the PP
-/// stages. Splits are balanced within one unit and conserve totals.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardPlan {
-    /// Attention heads held by each tensor-parallel rank.
-    pub heads_per_chip: Vec<u32>,
-    /// FFN columns (the `4 * d_model` expansion) held by each rank.
-    pub ffn_cols_per_chip: Vec<u32>,
-    /// Decoder layers held by each pipeline stage.
-    pub layers_per_stage: Vec<u32>,
-}
-
-impl ShardPlan {
-    /// Plans `model` over `spec`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] for zero degrees, `tp` above
-    /// the head count, or `pp` above the layer count.
-    pub fn new(model: &LlmConfig, spec: ClusterSpec) -> Result<Self, SimError> {
-        if spec.tp == 0 || spec.pp == 0 {
-            return Err(SimError::InvalidConfig("zero parallel degree".into()));
-        }
-        if spec.tp > model.num_heads {
-            return Err(SimError::InvalidConfig(format!(
-                "TP={} exceeds {} attention heads",
-                spec.tp, model.num_heads
-            )));
-        }
-        if spec.pp > model.num_layers {
-            return Err(SimError::InvalidConfig(format!(
-                "PP={} exceeds {} layers",
-                spec.pp, model.num_layers
-            )));
-        }
-        Ok(Self {
-            heads_per_chip: split_evenly(model.num_heads, spec.tp),
-            ffn_cols_per_chip: split_evenly(4 * model.d_model, spec.tp),
-            layers_per_stage: split_evenly(model.num_layers, spec.pp),
-        })
-    }
-}
-
 /// The priced anatomy of one sharded decode beat — what
 /// [`ShardedBackend::decode_detail`] reports and the scaling analyses
 /// plot.
@@ -155,8 +75,6 @@ pub struct ShardedIteration {
     pub pp_transfer_cycles: Cycle,
     /// The pipeline beat: `max(stage compute + collectives, transfer)`.
     pub beat: Cycle,
-    /// Fill/drain bubble of one pipeline round: `(pp - 1) * beat`.
-    pub bubble_cycles: Cycle,
     /// Tokens the full batch produces per pipeline round.
     pub tokens: u64,
 }
@@ -220,40 +138,37 @@ impl<B: Backend> ShardedBackend<B> {
         })
     }
 
-    /// The wrapped single-chip backend.
-    pub fn inner(&self) -> &B {
-        &self.inner
-    }
-
-    /// The deployment shape.
-    pub fn spec(&self) -> ClusterSpec {
-        self.spec
-    }
-
-    /// The fabric pricing the collectives.
-    pub fn fabric(&self) -> &dyn Interconnect {
-        &*self.interconnect
-    }
-
-    /// The weight split this deployment implies for `model`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ShardPlan::new`] validation.
-    pub fn plan(&self, model: &LlmConfig) -> Result<ShardPlan, SimError> {
-        ShardPlan::new(model, self.spec)
+    /// The TP degree each inner device prices at: the caller's
+    /// device-internal `tp` times the spec's. Checks that `layers` split
+    /// into `pp` stages and that every device holds at least one
+    /// attention head.
+    fn inner_tp(&self, model: &LlmConfig, tp: u32, layers: u32) -> Result<u32, BackendError> {
+        let pp = self.spec.pp;
+        let invalid = |msg| Err(BackendError::sim(&self.label, SimError::InvalidConfig(msg)));
+        if layers == 0 || !layers.is_multiple_of(pp) {
+            return invalid(format!("{layers} layers not divisible by PP={pp}"));
+        }
+        let inner_tp = tp.max(1).saturating_mul(self.spec.tp);
+        if inner_tp > model.num_heads {
+            return invalid(format!(
+                "TP={inner_tp} exceeds the {} attention heads of {}",
+                model.num_heads, model.name
+            ));
+        }
+        Ok(inner_tp)
     }
 
     /// Prices one sharded decode beat in full detail: per-stage compute,
-    /// re-priced collectives, the inter-stage hop, and the bubble.
+    /// re-priced collectives and the inter-stage hop.
     ///
     /// `tp` and `layers` are the *caller's* view (device-internal TP and
     /// total resident layers); the sharding spec composes on top.
     ///
     /// # Errors
     ///
-    /// Rejects empty batches and layer counts not divisible by `pp`;
-    /// propagates inner backend errors.
+    /// Rejects empty batches, layer counts not divisible by `pp` and a
+    /// composed TP above the model's attention heads; propagates inner
+    /// backend errors.
     pub fn decode_detail(
         &self,
         model: &LlmConfig,
@@ -262,19 +177,13 @@ impl<B: Backend> ShardedBackend<B> {
         seq_lens: &[u64],
     ) -> Result<(ShardedIteration, IterationResult), BackendError> {
         let pp = self.spec.pp;
-        if layers == 0 || !layers.is_multiple_of(pp) {
-            return Err(BackendError::sim(
-                &self.label,
-                SimError::InvalidConfig(format!("{layers} layers not divisible by PP={pp}")),
-            ));
-        }
+        let inner_tp = self.inner_tp(model, tp, layers)?;
         if seq_lens.is_empty() {
             return Err(BackendError::sim(
                 &self.label,
                 SimError::InvalidShape("empty batch".into()),
             ));
         }
-        let inner_tp = tp.max(1).saturating_mul(self.spec.tp);
         let layers_per_stage = layers / pp;
         let micro = seq_lens.len().div_ceil(pp as usize).max(1);
         let mb = &seq_lens[..micro.min(seq_lens.len())];
@@ -313,7 +222,6 @@ impl<B: Backend> ShardedBackend<B> {
             collective_cycles: collectives,
             pp_transfer_cycles: pp_transfer,
             beat,
-            bubble_cycles: (pp as u64 - 1) * beat,
             tokens: seq_lens.len() as u64,
         };
         Ok((det, inner))
@@ -405,13 +313,7 @@ impl<B: Backend> Backend for ShardedBackend<B> {
         prompt_lens: &[u64],
     ) -> Result<Cycle, BackendError> {
         let pp = self.spec.pp;
-        if layers == 0 || !layers.is_multiple_of(pp) {
-            return Err(BackendError::sim(
-                &self.label,
-                SimError::InvalidConfig(format!("{layers} layers not divisible by PP={pp}")),
-            ));
-        }
-        let inner_tp = tp.max(1).saturating_mul(self.spec.tp);
+        let inner_tp = self.inner_tp(model, tp, layers)?;
         let stage = self
             .inner
             .prefill_cycles(model, inner_tp, layers / pp, prompt_lens)?;
@@ -478,40 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_bubble_closed_form() {
-        // Uniform stages: bubble = (stages - 1) * cost.
-        for (stages, cost, mb) in [(4u64, 100u64, 8u64), (1, 50, 4), (6, 7, 1)] {
-            let t = pipeline_schedule(&vec![cost; stages as usize], mb);
-            assert_eq!(t.beat, cost);
-            assert_eq!(t.bubble_cycles, (stages - 1) * cost, "{stages} stages");
-            assert_eq!(t.total_cycles, stages * cost + (mb - 1) * cost);
-        }
-        // Non-uniform: the slowest stage sets the beat; faster stages
-        // contribute their shortfall to the bubble.
-        let t = pipeline_schedule(&[10, 30, 20], 5);
-        assert_eq!(t.beat, 30);
-        assert_eq!(t.total_cycles, 60 + 4 * 30);
-        assert_eq!(t.bubble_cycles, 60 + 4 * 30 - 5 * 30);
-        // Degenerate inputs are all-zero, not panics.
-        assert_eq!(pipeline_schedule(&[], 3).total_cycles, 0);
-        assert_eq!(pipeline_schedule(&[5], 0).total_cycles, 0);
-    }
-
-    #[test]
-    fn shard_plan_conserves_and_balances() {
-        let model = LlmConfig::gpt3_30b(); // 56 heads, 48 layers
-        let plan = ShardPlan::new(&model, ClusterSpec::new(8, 4)).unwrap();
-        assert_eq!(plan.heads_per_chip.iter().sum::<u32>(), model.num_heads);
-        assert_eq!(
-            plan.ffn_cols_per_chip.iter().sum::<u32>(),
-            4 * model.d_model
-        );
-        assert_eq!(plan.layers_per_stage.iter().sum::<u32>(), model.num_layers);
-        assert!(ShardPlan::new(&model, ClusterSpec::new(0, 1)).is_err());
-        assert!(ShardPlan::new(&model, ClusterSpec::new(57, 1)).is_err());
-    }
-
-    #[test]
     fn ideal_fabric_collapses_to_inner_pricing() {
         let b = backend();
         let model = LlmConfig::gpt3_7b();
@@ -561,7 +429,6 @@ mod tests {
             det.beat,
             (det.stage_compute_cycles + det.collective_cycles).max(det.pp_transfer_cycles)
         );
-        assert_eq!(det.bubble_cycles, det.beat); // (pp-1) * beat with pp=2
         assert_eq!(det.tokens, 64);
     }
 
@@ -600,6 +467,30 @@ mod tests {
             .unwrap()
             .decode_iteration(&model, 1, model.num_layers, &[])
             .is_err());
+    }
+
+    #[test]
+    fn tp_above_the_head_count_is_rejected() {
+        let b = backend();
+        let model = LlmConfig::gpt3_7b(); // 32 heads
+        let mk =
+            |tp| ShardedBackend::new(&b, ClusterSpec::new(tp, 1), Box::new(IdealLink)).unwrap();
+        let layers = model.num_layers;
+        let err = mk(33)
+            .decode_iteration(&model, 1, layers, &[100; 4])
+            .unwrap_err();
+        assert!(err.to_string().contains("TP=33"), "{err}");
+        let err = mk(33).prefill_cycles(&model, 1, layers, &[64]).unwrap_err();
+        assert!(err.to_string().contains("TP=33"), "{err}");
+        // The caller's device TP composes with the spec's: 8 x 8 > 32.
+        assert!(mk(8)
+            .decode_iteration(&model, 8, layers, &[100; 4])
+            .is_err());
+        // One head per device still prices.
+        assert!(mk(32)
+            .decode_iteration(&model, 1, layers, &[100; 4])
+            .is_ok());
+        assert!(mk(32).prefill_cycles(&model, 1, layers, &[64]).is_ok());
     }
 
     #[test]
@@ -679,7 +570,7 @@ mod tests {
         let s = ShardedBackend::new(&b, ClusterSpec::new(4, 2), Box::new(IdealLink)).unwrap();
         assert!(s.label().contains("tp4 pp2"), "{}", s.label());
         assert!(s.label().contains("NeuPIMs"), "{}", s.label());
-        assert_eq!(s.spec().devices(), 8);
-        assert_eq!(s.fabric().name(), "ideal");
+        assert!(s.label().contains("x8 "), "{}", s.label());
+        assert!(s.label().ends_with("ideal)"), "{}", s.label());
     }
 }

@@ -168,6 +168,33 @@ impl SystemSpec {
         self.autoscale.is_some() || self.router.is_some() || self.min_replicas.is_some()
     }
 
+    /// The orchestrator's autoscale floor: `min_replicas`, or by default
+    /// the whole table under static scale and one slot otherwise.
+    ///
+    /// # Errors
+    ///
+    /// A `min_replicas` outside `1..=replicas`, named by its suite key
+    /// (`min-replicas`): the floor is never clamped.
+    pub fn autoscale_floor(&self) -> Result<usize, String> {
+        match self.min_replicas {
+            Some(min) if min == 0 || min > self.replicas => Err(format!(
+                "\"min-replicas\" = {min} is outside 1..={} (\"replicas\")",
+                self.replicas
+            )),
+            Some(min) => Ok(min),
+            // Static scale holds the whole table on (the fleet-parity
+            // configuration); the scalers start from a floor of one and
+            // grow on demand.
+            None if self.autoscale_name().eq_ignore_ascii_case("static") => Ok(self.replicas),
+            None => Ok(1),
+        }
+    }
+
+    /// The autoscale policy name, `static` when unset.
+    fn autoscale_name(&self) -> &str {
+        self.autoscale.as_deref().unwrap_or("static")
+    }
+
     /// The spec-level latency targets.
     pub fn slo(&self) -> SloTargets {
         SloTargets::from_ms(self.slo_ttft_ms, self.slo_tpot_ms)
@@ -335,13 +362,14 @@ impl SystemSpec {
     /// # Errors
     ///
     /// Calibration failures, unknown policy, backend or fabric names,
-    /// invalid sharding, and a replica table the fleet or orchestrator
-    /// rejects.
+    /// invalid sharding, an invalid [`Self::autoscale_floor`], and a
+    /// replica table the fleet or orchestrator rejects.
     pub fn build(
         &self,
         memo: Option<&TraceMemo>,
         jobs: Option<usize>,
     ) -> Result<System, Box<dyn Error>> {
+        let floor = self.autoscale_floor()?;
         let replicas = (0..self.replicas)
             .map(|i| self.replica(i, memo))
             .collect::<Result<Vec<_>, _>>()?;
@@ -352,17 +380,8 @@ impl SystemSpec {
             return Ok(System::Fleet(fleet.with_jobs(jobs)));
         }
 
-        let autoscale = self.autoscale.as_deref().unwrap_or("static");
-        // Static scale holds the whole table on (the fleet-parity
-        // configuration); the scalers start from a floor of one and grow
-        // on demand.
-        let floor = if autoscale.eq_ignore_ascii_case("static") {
-            self.replicas
-        } else {
-            1
-        };
         let mut orch_cfg = OrchestratorConfig::default_for(self.replicas);
-        orch_cfg.min_replicas = self.min_replicas.unwrap_or(floor).clamp(1, self.replicas);
+        orch_cfg.min_replicas = floor;
         let tenants = if self.tenants.is_empty() {
             vec![TenantClass::new(
                 "default",
@@ -377,7 +396,7 @@ impl SystemSpec {
             replicas,
             tenants,
             router_from_name(self.router.as_deref().unwrap_or("load"))?,
-            autoscale_from_name(autoscale)?,
+            autoscale_from_name(self.autoscale_name())?,
             orch_cfg,
         )?;
         Ok(System::Orchestrator(Box::new(orch.with_jobs(jobs))))
@@ -454,6 +473,25 @@ mod tests {
         let mut bad = spec.clone();
         bad.model.d_model = 0;
         assert!(run(&bad, 1, 1).is_err());
+    }
+
+    #[test]
+    fn autoscale_floor_is_never_clamped() {
+        let spec = |min_replicas, autoscale: Option<&str>| SystemSpec {
+            backend: "gpu".into(),
+            replicas: 2,
+            min_replicas,
+            autoscale: autoscale.map(str::to_owned),
+            ..SystemSpec::default()
+        };
+        for min in [0, 3, 9] {
+            let err = spec(Some(min), None).build(None, Some(1)).unwrap_err();
+            assert!(err.to_string().contains("\"min-replicas\""), "{err}");
+        }
+        assert_eq!(spec(Some(2), None).autoscale_floor(), Ok(2));
+        assert_eq!(spec(None, None).autoscale_floor(), Ok(2));
+        assert_eq!(spec(None, Some("reactive")).autoscale_floor(), Ok(1));
+        assert!(spec(Some(1), Some("reactive")).build(None, Some(1)).is_ok());
     }
 
     #[test]

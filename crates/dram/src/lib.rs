@@ -35,7 +35,6 @@
 
 #![warn(missing_docs)]
 
-pub mod address;
 pub mod bank;
 pub mod channel;
 pub mod command;
@@ -44,7 +43,6 @@ pub mod stats;
 pub mod storage;
 pub mod trace;
 
-pub use address::AddressMap;
 pub use bank::{BankState, RowSlot, Slot};
 pub use channel::DramChannel;
 pub use command::{DramCommand, IssueInfo};

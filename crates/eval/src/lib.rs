@@ -37,13 +37,11 @@ pub mod suites;
 pub mod toml;
 
 pub use report::{render_metrics, EvalReport};
-pub use runner::{
-    run_suite, run_suite_with_opts, run_system, EvalError, EvalOverrides, Metrics, ScenarioRun,
-};
+pub use runner::{run_suite_with_opts, run_system, EvalError, EvalOverrides, Metrics, ScenarioRun};
 pub use scorer::{score_suite, verdict, CheckResult, CheckStatus};
 pub use spec::{
     Bound, CompareSpec, Expectation, ScenarioKind, ScenarioSpec, Settings, Severity, SpecError,
-    SuiteSpec, SystemSpec, WorkloadSpec, SHARED_KEYS,
+    SuiteSpec, SystemSpec, WorkloadSpec, ORCHESTRATION_KEYS, SHARED_KEYS,
 };
 pub use store::{resolve_rev, store_report, unix_seconds};
 pub use suites::{builtin_description, builtin_suite, load_suite, SUITE_NAMES};

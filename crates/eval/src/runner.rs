@@ -109,32 +109,12 @@ impl ScenarioRun {
     }
 }
 
-/// Executes every scenario of a suite, in file order.
+/// Executes every scenario of a suite, in file order, under `opts`
+/// (seed, worker count, cost model, persistent replay cache).
 ///
-/// `seed_override` (the CLI's `--seed`) replaces each scenario's spec'd
+/// `opts.seed` (the CLI's `--seed`) replaces each scenario's spec'd
 /// workload/sampling seed, keeping everything else fixed — two runs with
 /// the same override are bit-identical.
-///
-/// # Errors
-///
-/// Returns [`EvalError`] when calibration, backend construction, or a
-/// simulation run fails. A scenario that *runs* but misses its golden
-/// expectations is not an error here — that's the scorer's verdict.
-pub fn run_suite(
-    suite: &SuiteSpec,
-    seed_override: Option<u64>,
-) -> Result<Vec<ScenarioRun>, EvalError> {
-    run_suite_with_opts(
-        suite,
-        &EvalOverrides {
-            seed: seed_override,
-            ..Default::default()
-        },
-    )
-}
-
-/// [`run_suite`] with the full set of [`EvalOverrides`] (seed, worker
-/// count, cost model, persistent replay cache).
 ///
 /// `opts.jobs` bounds how many replica streams each serving scenario's
 /// [`FleetSim`](neupims_core::fleet::FleetSim) advances concurrently
@@ -145,7 +125,9 @@ pub fn run_suite(
 ///
 /// # Errors
 ///
-/// See [`run_suite`].
+/// Returns [`EvalError`] when calibration, backend construction, or a
+/// simulation run fails. A scenario that *runs* but misses its golden
+/// expectations is not an error here — that's the scorer's verdict.
 pub fn run_suite_with_opts(
     suite: &SuiteSpec,
     opts: &EvalOverrides,
@@ -370,6 +352,15 @@ fn serving_metrics(out: &FleetOutcome) -> Metrics {
 mod tests {
     use super::*;
     use crate::spec::SuiteSpec;
+
+    /// Runs `suite` under the default overrides, or the seed `seed`.
+    fn run_suite(suite: &SuiteSpec, seed: Option<u64>) -> Result<Vec<ScenarioRun>, EvalError> {
+        let opts = EvalOverrides {
+            seed,
+            ..Default::default()
+        };
+        run_suite_with_opts(suite, &opts)
+    }
 
     const TINY: &str = r#"
 [suite]

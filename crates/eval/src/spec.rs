@@ -481,6 +481,11 @@ pub const SHARED_KEYS: [&str; 25] = [
     "seed",
 ];
 
+/// The [`SHARED_KEYS`] that run the meta-orchestrator instead of a bare
+/// fleet. The orchestrator routes by `router`, so `policy` (the fleet's
+/// dispatch policy) beside any of them is an error, not ignored.
+pub const ORCHESTRATION_KEYS: [&str; 3] = ["autoscale", "router", "min-replicas"];
+
 const MODEL_NAMES: [&str; 4] = ["gpt3-7b", "gpt3-13b", "gpt3-30b", "gpt3-175b"];
 const DATASET_NAMES: [&str; 2] = ["sharegpt", "alpaca"];
 
@@ -644,6 +649,14 @@ fn parse_scenario(t: &Table) -> Result<ScenarioSpec, SpecError> {
     if let Some(key) = t.keys().find(|key| never_reads(kind, key)) {
         return serr(format!("a {} scenario never reads {key:?}", kind.name()));
     }
+    if let Some(key) = ORCHESTRATION_KEYS.iter().find(|key| t.contains_key(**key)) {
+        if t.contains_key("policy") {
+            return serr(format!(
+                "\"policy\" does not apply beside {key:?}: the orchestrator routes by \"router\""
+            ));
+        }
+    }
+    shared.system.autoscale_floor().map_err(SpecError)?;
     let backend = &shared.system.backend;
     if kind == ScenarioKind::Throughput && backend.contains(',') {
         return serr(format!(
@@ -1253,6 +1266,8 @@ output = ["fixed", 8]
             ("tp", "0"),
             ("pp", "0"),
             ("min-replicas", "0"),
+            // Above the one replica: an autoscale floor is never clamped.
+            ("min-replicas", "2"),
             ("bakend", "\"gpu\""),
         ] {
             let e = SuiteSpec::parse(&format!("{minimal}{key} = {value}\n")).unwrap_err();
@@ -1477,6 +1492,24 @@ output = ["lognormal", 60.0, 0.5]
             let e = SuiteSpec::parse(&format!("{throughput}{line}\n")).unwrap_err();
             assert!(e.0.contains(&format!("{key:?}")), "{line}: {e}");
             assert!(e.0.contains("throughput"), "{line}: {e}");
+        }
+    }
+
+    /// The orchestrator routes by `router`: a fleet `policy` beside any
+    /// key that runs it is an error naming `policy`.
+    #[test]
+    fn policy_beside_orchestration_keys_is_rejected() {
+        let minimal = "[suite]\nname = \"m\"\n[[scenario]]\nname = \"s\"\n";
+        SuiteSpec::parse(&format!("{minimal}policy = \"kv-aware\"\n")).unwrap();
+        for line in [
+            "autoscale = \"static\"",
+            "router = \"capability\"",
+            "min-replicas = 1",
+        ] {
+            SuiteSpec::parse(&format!("{minimal}{line}\n")).unwrap();
+            let text = format!("{minimal}policy = \"kv-aware\"\n{line}\n");
+            let e = SuiteSpec::parse(&text).unwrap_err();
+            assert!(e.0.contains("\"policy\""), "{line}: {e}");
         }
     }
 

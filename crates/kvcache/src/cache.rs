@@ -243,7 +243,7 @@ impl PagedKvCache {
     /// use neupims_types::{ChannelId, LlmConfig, MemConfig};
     ///
     /// let mem = MemConfig::table2();
-    /// let geo = KvGeometry::for_model(&LlmConfig::gpt3_7b(), &mem);
+    /// let geo = KvGeometry::with_tp(&LlmConfig::gpt3_7b(), &mem, 4);
     /// let mut kv = PagedKvCache::new(&mem, geo, 32);
     /// let ch = ChannelId::new(0);
     ///
@@ -306,7 +306,7 @@ mod tests {
     fn cache() -> PagedKvCache {
         let mem = MemConfig::table2();
         let model = LlmConfig::gpt3_7b();
-        let geo = KvGeometry::for_model(&model, &mem);
+        let geo = KvGeometry::with_tp(&model, &mem, model.parallelism.tp);
         // 8 resident layers keeps page numbers readable.
         PagedKvCache::new(&mem, geo, 8)
     }
@@ -317,7 +317,7 @@ mod tests {
             capacity_per_channel: 64 << 10,
             ..MemConfig::table2()
         };
-        let geo = KvGeometry::for_model(&LlmConfig::gpt3_7b(), &mem);
+        let geo = KvGeometry::with_tp(&LlmConfig::gpt3_7b(), &mem, 4);
         PagedKvCache::new(&mem, geo, 8)
     }
 
@@ -392,7 +392,7 @@ mod tests {
             capacity_per_channel: 4 << 20, // 4096 pages
             ..MemConfig::table2()
         };
-        let geo = KvGeometry::for_model(&LlmConfig::gpt3_7b(), &mem);
+        let geo = KvGeometry::with_tp(&LlmConfig::gpt3_7b(), &mem, 4);
         let mut kv = PagedKvCache::new(&mem, geo, 8);
         let c = ChannelId::new(0);
         // The longest context the channel holds: its next token needs a

@@ -38,13 +38,8 @@ pub struct KvGeometry {
 }
 
 impl KvGeometry {
-    /// Builds the geometry for `model` sharded at its Table 3 tensor
-    /// parallelism, on `mem`.
-    pub fn for_model(model: &LlmConfig, mem: &MemConfig) -> Self {
-        Self::with_tp(model, mem, model.parallelism.tp)
-    }
-
-    /// Builds the geometry for an explicit tensor-parallel degree.
+    /// Builds the geometry for `model` on `mem` at tensor-parallel degree
+    /// `tp` (heads split evenly, at least one per device).
     pub fn with_tp(model: &LlmConfig, mem: &MemConfig, tp: u32) -> Self {
         let heads = (model.num_heads / tp).max(1) as u64;
         let d_head = (model.d_model / model.num_heads) as u64;
@@ -216,7 +211,7 @@ mod tests {
 
     fn geo() -> KvGeometry {
         // GPT3-7B at TP=4: 8 heads x 128 = 1024 embed per device.
-        KvGeometry::for_model(&LlmConfig::gpt3_7b(), &MemConfig::table2())
+        KvGeometry::with_tp(&LlmConfig::gpt3_7b(), &MemConfig::table2(), 4)
     }
 
     #[test]

@@ -7,15 +7,10 @@
 //! * [`geometry::KvGeometry`] — the Section 6.3 memory layout: how K rows
 //!   and transposed V runs map onto banks and pages, and the exact tile /
 //!   GWRITE counts Algorithm 1's latency estimator consumes;
-//! * [`pool::PagePool`] — an exact page-granular allocator with physical
-//!   `(bank, row)` placement, used by functional paths and tests;
 //! * [`cache::PagedKvCache`] — count-based per-channel accounting used by
-//!   the system simulator at scale (admission, per-token growth, release,
+//!   the system simulator (admission, per-token growth, release,
 //!   out-of-memory signaling, and the vLLM preempt/restore lifecycle —
-//!   see [`cache::PagedKvCache::preempt`]);
-//! * [`shard::KvShardPlan`] — multi-chip KV sharding: balanced head and
-//!   layer splits with per-rank geometries, so a 70B-class model's cache
-//!   spans tensor/pipeline-parallel devices.
+//!   see [`cache::PagedKvCache::preempt`]).
 //!
 //! # Example
 //!
@@ -24,7 +19,7 @@
 //! use neupims_types::{ChannelId, LlmConfig, MemConfig};
 //!
 //! let model = LlmConfig::gpt3_7b();
-//! let geo = KvGeometry::for_model(&model, &MemConfig::table2());
+//! let geo = KvGeometry::with_tp(&model, &MemConfig::table2(), model.parallelism.tp);
 //! let mut kv = PagedKvCache::new(&MemConfig::table2(), geo, model.num_layers);
 //! let mut alloc = kv.admit(ChannelId::new(3), 80).unwrap();
 //! kv.append_token(&mut alloc).unwrap();
@@ -35,10 +30,6 @@
 
 pub mod cache;
 pub mod geometry;
-pub mod pool;
-pub mod shard;
 
 pub use cache::{KvAlloc, PagedKvCache, PreemptedKv};
 pub use geometry::{KvCounts, KvGeometry};
-pub use pool::{PageId, PagePool};
-pub use shard::{split_evenly, KvShardPlan};

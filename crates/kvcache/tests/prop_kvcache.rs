@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use neupims_kvcache::{KvAlloc, KvGeometry, PagePool, PagedKvCache, PreemptedKv};
+use neupims_kvcache::{KvAlloc, KvGeometry, PagedKvCache, PreemptedKv};
 use neupims_types::{ChannelId, LlmConfig, MemConfig, SimError};
 
 const CHANNELS: u32 = 4;
@@ -56,7 +56,7 @@ proptest! {
     #[test]
     fn cache_accounting_is_exact(ops in prop::collection::vec(op_strategy(), 1..160)) {
         let mem = small_mem();
-        let geo = KvGeometry::for_model(&LlmConfig::gpt3_7b(), &mem);
+        let geo = KvGeometry::with_tp(&LlmConfig::gpt3_7b(), &mem, 4);
         let mut kv = PagedKvCache::new(&mem, geo, 4);
         let mut live: Vec<KvAlloc> = Vec::new();
         let mut parked: Vec<PreemptedKv> = Vec::new();
@@ -137,40 +137,11 @@ proptest! {
         prop_assert_eq!(kv.used_pages(), 0);
     }
 
-    /// Pool alloc/free round-trips: no page handed out twice, all pages
-    /// recoverable.
-    #[test]
-    fn pool_never_double_allocates(sizes in prop::collection::vec(1u64..64, 1..40)) {
-        let mem = small_mem();
-        let mut pool = PagePool::new(ChannelId::new(0), mem);
-        let mut held: Vec<Vec<_>> = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        for (i, n) in sizes.iter().enumerate() {
-            if let Ok(pages) = pool.alloc(*n) {
-                for p in &pages {
-                    prop_assert!(seen.insert(*p), "page {:?} handed out twice", p);
-                }
-                held.push(pages);
-            }
-            // Occasionally free the oldest allocation.
-            if i % 3 == 2 {
-                if let Some(pages) = held.pop() {
-                    for p in &pages {
-                        seen.remove(p);
-                    }
-                    pool.free(pages);
-                }
-            }
-        }
-        let outstanding: u64 = held.iter().map(|v| v.len() as u64).sum();
-        prop_assert_eq!(pool.free_pages(), pool.total_pages() - outstanding);
-    }
-
     /// Geometry arithmetic: tiles and pages are monotone in sequence
     /// length and exactly additive across the paper's two GEMV kinds.
     #[test]
     fn geometry_monotonicity(seq_a in 1u64..8192, delta in 1u64..512) {
-        let geo = KvGeometry::for_model(&LlmConfig::gpt3_13b(), &MemConfig::table2());
+        let geo = KvGeometry::with_tp(&LlmConfig::gpt3_13b(), &MemConfig::table2(), 4);
         let seq_b = seq_a + delta;
         prop_assert!(geo.mha_tiles(seq_b) >= geo.mha_tiles(seq_a));
         prop_assert!(geo.kv_pages_per_layer(seq_b) >= geo.kv_pages_per_layer(seq_a));

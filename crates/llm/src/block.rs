@@ -12,51 +12,17 @@
 //!
 //! In the generation phase `m` equals the number of batched requests (one
 //! token each); in summarization `m` is the total prompt tokens. MHA
-//! operates per request at its context length either way.
+//! operates per request at its context length either way, so the IR holds
+//! every operator but MHA, and the pricers cost MHA per request.
 
-use neupims_types::{LlmConfig, Phase};
+use neupims_types::LlmConfig;
 
 use crate::ops::{Op, OpKind};
 
-/// Builds the operator list of one decoder block.
-///
-/// `tp` is the tensor-parallel degree actually deployed (may differ from
-/// the model's Table 3 default); `seq_lens` carries each batched request's
-/// current context length. For [`Phase::Summarization`] the GEMM row count
-/// is the sum of prompt lengths; for [`Phase::Generation`] it is the number
-/// of requests.
-pub fn decoder_block_ops(model: &LlmConfig, tp: u32, seq_lens: &[u64], phase: Phase) -> Vec<Op> {
-    let m: u64 = match phase {
-        Phase::Summarization => seq_lens.iter().sum(),
-        Phase::Generation => seq_lens.len() as u64,
-    };
-    let [ln_attn, qkv_gen, rest @ ..] = batch_ops(model, tp, m);
-    let mut ops = Vec::with_capacity(13);
-    ops.extend([
-        ln_attn,
-        qkv_gen,
-        Op {
-            name: "mha",
-            kind: OpKind::MhaGemv {
-                seq_lens: seq_lens.to_vec(),
-            },
-        },
-        Op {
-            name: "softmax",
-            kind: OpKind::Softmax {
-                seq_lens: seq_lens.to_vec(),
-                heads: heads_per_device(model, tp),
-            },
-        },
-    ]);
-    ops.extend(rest);
-    ops
-}
-
 /// The operators of one decoder block whose shapes depend only on the GEMM
 /// row count `m` (clamped to at least 1), in execution order: every
-/// operator except the per-request MHA GEMVs and softmax, which
-/// [`decoder_block_ops`] inserts after `qkv_gen`. Builds no `Vec`.
+/// operator except the per-request MHA GEMVs and softmax, which run after
+/// `qkv_gen`. Builds no `Vec`.
 pub(crate) fn batch_ops(model: &LlmConfig, tp: u32, m: u64) -> [Op; 11] {
     let d = model.d_model as u64;
     let d_ff = model.d_ff as u64;
@@ -124,12 +90,11 @@ pub fn weight_bytes_per_layer_dev(model: &LlmConfig, tp: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::Engine;
 
     #[test]
-    fn generation_rows_equal_batch() {
+    fn gemm_rows_equal_the_row_count() {
         let model = LlmConfig::gpt3_7b();
-        let ops = decoder_block_ops(&model, 4, &[100, 200, 300], Phase::Generation);
+        let ops = batch_ops(&model, 4, 3);
         let qkv = ops.iter().find(|o| o.name == "qkv_gen").unwrap();
         match qkv.kind {
             OpKind::Gemm { m, k, n } => {
@@ -142,29 +107,16 @@ mod tests {
     }
 
     #[test]
-    fn summarization_rows_equal_total_tokens() {
-        let model = LlmConfig::gpt3_7b();
-        let ops = decoder_block_ops(&model, 4, &[100, 200, 300], Phase::Summarization);
-        let qkv = ops.iter().find(|o| o.name == "qkv_gen").unwrap();
-        match qkv.kind {
-            OpKind::Gemm { m, .. } => assert_eq!(m, 600),
-            _ => panic!(),
-        }
-    }
-
-    #[test]
-    fn block_has_every_stage() {
+    fn block_has_every_batch_stage() {
         let model = LlmConfig::gpt3_13b();
-        let ops = decoder_block_ops(&model, 4, &[64; 8], Phase::Generation);
+        let ops = batch_ops(&model, 4, 8);
         let names: Vec<&str> = ops.iter().map(|o| o.name).collect();
-        // Every stage, in execution order.
+        // Every stage but the per-request MHA, in execution order.
         assert_eq!(
             names,
             [
                 "ln_attn",
                 "qkv_gen",
-                "mha",
-                "softmax",
                 "attn_proj",
                 "allreduce_attn",
                 "add_attn",
@@ -176,10 +128,10 @@ mod tests {
                 "add_ffn",
             ]
         );
-        // Exactly three GEMMs... QKV, projection, FFN1, FFN2 = four.
+        // QKV, projection, FFN1, FFN2.
         let gemms = ops
             .iter()
-            .filter(|o| o.engine() == Engine::NpuSystolic)
+            .filter(|o| matches!(o.kind, OpKind::Gemm { .. }))
             .count();
         assert_eq!(gemms, 4);
     }
@@ -200,7 +152,7 @@ mod tests {
     #[test]
     fn empty_batch_degenerates_to_unit_rows() {
         let model = LlmConfig::gpt3_7b();
-        let ops = decoder_block_ops(&model, 4, &[], Phase::Generation);
+        let ops = batch_ops(&model, 4, 0);
         let qkv = ops.iter().find(|o| o.name == "qkv_gen").unwrap();
         match qkv.kind {
             OpKind::Gemm { m, .. } => assert_eq!(m, 1),

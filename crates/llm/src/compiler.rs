@@ -81,8 +81,6 @@ pub fn lower_batch(
                     allreduces += 1;
                 }
             }
-            // Per-request MHA is priced by the caller.
-            OpKind::MhaGemv { .. } | OpKind::Softmax { .. } => {}
         }
     }
 

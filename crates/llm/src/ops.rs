@@ -1,25 +1,13 @@
 //! Operator IR of one LLM decoder block.
 //!
 //! Each [`Op`] names one logical operator with enough shape information to
-//! cost it on the NPU (GEMMs, vector ops), the PIM (per-request GEMVs), or
-//! the interconnect (all-reduces). The IR deliberately stays at operator
-//! granularity: lowering to tiles and command streams happens in
-//! [`crate::compiler`].
+//! cost it on the NPU (GEMMs, vector ops) or the interconnect
+//! (all-reduces). The per-request MHA GEMVs and softmax are not in the IR:
+//! their shapes are the requests' context lengths, and the pricers cost
+//! them per request. The IR deliberately stays at operator granularity:
+//! lowering to tiles and command streams happens in [`crate::compiler`].
 
 use neupims_types::Bytes;
-
-/// Which engine an operator naturally belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Engine {
-    /// Systolic-array cluster (GEMMs).
-    NpuSystolic,
-    /// Vector units (softmax, layernorm, GeLU, adds).
-    NpuVector,
-    /// In-memory GEMV units (MHA logit/attend).
-    Pim,
-    /// Inter-device links (tensor-parallel reductions).
-    Interconnect,
-}
 
 /// One operator of the decoder block.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,19 +29,6 @@ pub enum OpKind {
         k: u64,
         /// Output dim.
         n: u64,
-    },
-    /// Per-request MHA GEMV pair (logit `Kᵀq` then attend `LV`); one entry
-    /// per request, carrying its current context length.
-    MhaGemv {
-        /// Context (sequence) lengths of each request in the batch.
-        seq_lens: Vec<u64>,
-    },
-    /// Row-wise softmax over per-request logits.
-    Softmax {
-        /// Context lengths of each request (row lengths).
-        seq_lens: Vec<u64>,
-        /// Heads per device (row count multiplier).
-        heads: u64,
     },
     /// Layer normalization over `rows` rows of `width` elements.
     LayerNorm {
@@ -77,80 +52,4 @@ pub enum OpKind {
         /// Payload bytes per device.
         bytes: Bytes,
     },
-}
-
-impl Op {
-    /// The engine this operator executes on in the NeuPIMs mapping.
-    pub fn engine(&self) -> Engine {
-        match self.kind {
-            OpKind::Gemm { .. } => Engine::NpuSystolic,
-            OpKind::MhaGemv { .. } => Engine::Pim,
-            OpKind::Softmax { .. }
-            | OpKind::LayerNorm { .. }
-            | OpKind::Gelu { .. }
-            | OpKind::Add { .. } => Engine::NpuVector,
-            OpKind::AllReduce { .. } => Engine::Interconnect,
-        }
-    }
-
-    /// Useful FLOPs of the operator (2 per MAC; vector ops count one FLOP
-    /// per element per pass at pass counts matching the vector cost model).
-    pub fn flops(&self) -> u64 {
-        match &self.kind {
-            OpKind::Gemm { m, k, n } => 2 * m * k * n,
-            OpKind::MhaGemv { seq_lens } => {
-                // logit: 2*seq*E MACs... counted per element below at the
-                // caller's embed width; here we only know seq. The compiler
-                // multiplies by the device embed width; keep per-seq token
-                // count so `flops` stays shape-local.
-                seq_lens.iter().sum::<u64>() * 4
-            }
-            OpKind::Softmax { seq_lens, heads } => seq_lens.iter().sum::<u64>() * heads * 3,
-            OpKind::LayerNorm { rows, width } => rows * width * 3,
-            OpKind::Gelu { elems } => *elems,
-            OpKind::Add { elems } => *elems,
-            OpKind::AllReduce { .. } => 0,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn engine_mapping_matches_paper() {
-        let gemm = Op {
-            name: "qkv",
-            kind: OpKind::Gemm { m: 1, k: 1, n: 1 },
-        };
-        assert_eq!(gemm.engine(), Engine::NpuSystolic);
-        let mha = Op {
-            name: "mha",
-            kind: OpKind::MhaGemv { seq_lens: vec![1] },
-        };
-        assert_eq!(mha.engine(), Engine::Pim);
-        let sm = Op {
-            name: "softmax",
-            kind: OpKind::Softmax {
-                seq_lens: vec![1],
-                heads: 2,
-            },
-        };
-        assert_eq!(sm.engine(), Engine::NpuVector);
-        let ar = Op {
-            name: "allreduce",
-            kind: OpKind::AllReduce { bytes: 8 },
-        };
-        assert_eq!(ar.engine(), Engine::Interconnect);
-    }
-
-    #[test]
-    fn gemm_flops() {
-        let op = Op {
-            name: "ffn1",
-            kind: OpKind::Gemm { m: 8, k: 16, n: 32 },
-        };
-        assert_eq!(op.flops(), 2 * 8 * 16 * 32);
-    }
 }

@@ -3,49 +3,14 @@
 //! The MHA latency of an iteration is set by the most loaded channel, so
 //! the scheduler balances the estimated per-channel loads: requests are
 //! sorted by descending context length and each goes to the currently
-//! least-loaded channel (longest-processing-time-first scheduling). The
-//! round-robin policy of the naive NPU+PIM baseline is provided for the
-//! ablation.
+//! least-loaded channel (longest-processing-time-first scheduling).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use neupims_types::ChannelId;
 
-use crate::cost::MhaCostModel;
-
-/// Assigns each request (by context length) to a channel, greedily
-/// minimizing the maximum estimated channel load (Algorithm 2).
-///
-/// `costs[i]` is request `i`'s estimated MHA latency — from any
-/// [`MhaCostModel`], so the balance target can be the Algorithm 1 closed
-/// form or the trace-driven cycle model. Callers price each request once
-/// and share the costs with whatever else consumes them (the device's
-/// per-channel PIM loads, both sub-batch interleaving arms).
-///
-/// Requests go in descending context length (ties in input order), each
-/// to the least-loaded channel, the lowest index among equal loads. A
-/// min-heap keyed by (load, channel index) finds that channel in
-/// O(log channels). When every cost is positive the first round needs no
-/// heap: all loads start equal, so the `channels` longest requests fill
-/// channels `0, 1, 2, …` in order. [`MinLoadPacker`] runs the same pass
-/// over reusable buffers.
-///
-/// Returns one [`ChannelId`] per input request, index-aligned.
-///
-/// # Panics
-///
-/// Panics if `channels == 0`, if `costs` and `seq_lens` differ in length,
-/// or if any cost is not finite (NaN or ±infinity): a cost model that
-/// prices a request so has failed, and balancing on it would be silently
-/// wrong. Every finite cost is accepted, negatives and `-0.0` included.
-pub fn assign_min_load(seq_lens: &[u64], costs: &[f64], channels: u32) -> Vec<ChannelId> {
-    let mut assignment = Vec::new();
-    MinLoadPacker::new().assign(seq_lens, costs, channels, &mut assignment);
-    assignment
-}
-
-/// [`assign_min_load`] over buffers kept between calls, so a decode loop
+/// Algorithm 2 over buffers kept between calls, so a decode loop
 /// balances every iteration without allocating once the buffers have
 /// grown to its batch and channel counts.
 #[derive(Debug, Clone, Default)]
@@ -76,12 +41,32 @@ impl MinLoadPacker {
         }
     }
 
-    /// Writes [`assign_min_load`]'s assignment into `out` (cleared first).
+    /// Assigns each request (by context length) to a channel, greedily
+    /// minimizing the maximum estimated channel load (Algorithm 2), and
+    /// writes one [`ChannelId`] per input request, index-aligned, into
+    /// `out` (cleared first).
+    ///
+    /// `costs[i]` is request `i`'s estimated MHA latency — from any
+    /// [`MhaCostModel`](crate::MhaCostModel), so the balance target can be
+    /// the Algorithm 1 closed form or the trace-driven cycle model.
+    /// Callers price each request once and share the costs with whatever
+    /// else consumes them (the device's per-channel PIM loads, both
+    /// sub-batch interleaving arms).
+    ///
+    /// Requests go in descending context length (ties in input order),
+    /// each to the least-loaded channel, the lowest index among equal
+    /// loads. A min-heap keyed by (load, channel index) finds that channel
+    /// in O(log channels). When every cost is positive the first round
+    /// needs no heap: all loads start equal, so the `channels` longest
+    /// requests fill channels `0, 1, 2, …` in order.
     ///
     /// # Panics
     ///
-    /// As [`assign_min_load`], and if a batch holds more than `u32::MAX`
-    /// requests.
+    /// Panics if `channels == 0`, if `costs` and `seq_lens` differ in
+    /// length, if any cost is not finite (NaN or ±infinity): a cost model
+    /// that prices a request so has failed, and balancing on it would be
+    /// silently wrong; or if a batch holds more than `u32::MAX` requests.
+    /// Every finite cost is accepted, negatives and `-0.0` included.
     pub fn assign(
         &mut self,
         seq_lens: &[u64],
@@ -182,32 +167,6 @@ pub fn total_order_bits(x: f64) -> u64 {
     }
 }
 
-/// Round-robin channel assignment (the naive NPU+PIM baseline policy).
-///
-/// # Panics
-///
-/// Panics if `channels == 0`.
-pub fn assign_round_robin(seq_lens: &[u64], channels: u32) -> Vec<ChannelId> {
-    assert!(channels > 0, "at least one channel required");
-    (0..seq_lens.len())
-        .map(|i| ChannelId::new((i as u32) % channels))
-        .collect()
-}
-
-/// Estimated per-channel loads induced by an assignment.
-pub fn channel_loads<C: MhaCostModel + ?Sized>(
-    seq_lens: &[u64],
-    assignment: &[ChannelId],
-    channels: u32,
-    estimator: &C,
-) -> Vec<f64> {
-    let mut loads = vec![0.0f64; channels as usize];
-    for (&seq, &ch) in seq_lens.iter().zip(assignment) {
-        loads[ch.index()] += estimator.estimate(seq);
-    }
-    loads
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,7 +175,7 @@ mod tests {
     use neupims_types::{LlmConfig, MemConfig};
 
     fn estimator() -> MhaLatencyEstimator {
-        let geo = KvGeometry::for_model(&LlmConfig::gpt3_7b(), &MemConfig::table2());
+        let geo = KvGeometry::with_tp(&LlmConfig::gpt3_7b(), &MemConfig::table2(), 4);
         MhaLatencyEstimator::new(geo, 280.0, 50.0)
     }
 
@@ -224,8 +183,29 @@ mod tests {
         seqs.iter().map(|&s| estimator().estimate(s)).collect()
     }
 
+    fn assign_min_load(seqs: &[u64], costs: &[f64], chans: u32) -> Vec<ChannelId> {
+        let mut out = Vec::new();
+        MinLoadPacker::new().assign(seqs, costs, chans, &mut out);
+        out
+    }
+
+    /// The naive NPU+PIM baseline's placement.
+    fn assign_round_robin(seqs: &[u64], chans: u32) -> Vec<ChannelId> {
+        (0..seqs.len() as u32)
+            .map(|i| ChannelId::new(i % chans))
+            .collect()
+    }
+
+    fn channel_loads(seqs: &[u64], assign: &[ChannelId], chans: u32) -> Vec<f64> {
+        let mut loads = vec![0.0; chans as usize];
+        for (&seq, ch) in seqs.iter().zip(assign) {
+            loads[ch.index()] += estimator().estimate(seq);
+        }
+        loads
+    }
+
     fn max_load(seqs: &[u64], assign: &[ChannelId], chans: u32) -> f64 {
-        channel_loads(seqs, assign, chans, &estimator())
+        channel_loads(seqs, assign, chans)
             .into_iter()
             .fold(0.0, f64::max)
     }
@@ -281,20 +261,12 @@ mod tests {
     #[test]
     fn greedy_is_near_optimal_on_uniform_input() {
         let seqs = vec![128u64; 64];
-        let e = estimator();
         let a = assign_min_load(&seqs, &costs(&seqs), 8);
-        let loads = channel_loads(&seqs, &a, 8, &e);
+        let loads = channel_loads(&seqs, &a, 8);
         let (min, max) = loads
             .iter()
             .fold((f64::MAX, 0.0f64), |(lo, hi), &x| (lo.min(x), hi.max(x)));
         assert!((max - min) < 1e-9, "uniform input must balance exactly");
-    }
-
-    #[test]
-    fn round_robin_cycles_channels() {
-        let a = assign_round_robin(&[1, 2, 3, 4, 5], 2);
-        let raw: Vec<u32> = a.iter().map(|c| c.0).collect();
-        assert_eq!(raw, vec![0, 1, 0, 1, 0]);
     }
 
     #[test]
@@ -336,6 +308,5 @@ mod tests {
     #[test]
     fn empty_input_is_fine() {
         assert!(assign_min_load(&[], &[], 4).is_empty());
-        assert!(assign_round_robin(&[], 4).is_empty());
     }
 }

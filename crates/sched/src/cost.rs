@@ -134,7 +134,7 @@ impl TraceSnapshot {
 ///
 /// This is the cost function of every scheduling decision downstream:
 /// Algorithm 2 balances per-channel loads with it
-/// ([`assign_min_load`](crate::assign_min_load)), Algorithm 3 sub-batch
+/// ([`MinLoadPacker`](crate::MinLoadPacker)), Algorithm 3 sub-batch
 /// phases are paced by it, and the serving loop's NPU/PIM overlap credit
 /// derives from it. Implementations must be deterministic — identical
 /// inputs produce identical estimates (memoization and the parity tests
@@ -1025,7 +1025,7 @@ mod tests {
     use neupims_types::LlmConfig;
 
     fn geometry() -> KvGeometry {
-        KvGeometry::for_model(&LlmConfig::gpt3_7b(), &MemConfig::table2())
+        KvGeometry::with_tp(&LlmConfig::gpt3_7b(), &MemConfig::table2(), 4)
     }
 
     fn analytic() -> MhaLatencyEstimator {

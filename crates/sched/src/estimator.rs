@@ -79,7 +79,7 @@ mod tests {
     use neupims_types::{LlmConfig, MemConfig};
 
     fn estimator() -> MhaLatencyEstimator {
-        let geo = KvGeometry::for_model(&LlmConfig::gpt3_7b(), &MemConfig::table2());
+        let geo = KvGeometry::with_tp(&LlmConfig::gpt3_7b(), &MemConfig::table2(), 4);
         MhaLatencyEstimator::new(geo, 280.0, 50.0)
     }
 

@@ -11,11 +11,11 @@
 //!   GEMV command streams through `neupims-dram`, plus the
 //!   [`calibration_drift`] check between them;
 //! * [`binpack`] — **Algorithm 2**: greedy min-load bin packing of requests
-//!   onto PIM channels, balancing the per-channel MHA latency (the paper's
-//!   GMLBP ablation knob), plus the round-robin baseline policy;
+//!   onto PIM channels ([`MinLoadPacker`]), balancing the per-channel MHA
+//!   latency (the paper's GMLBP ablation knob);
 //! * [`partition`] — **Algorithm 3**: splitting each channel's requests
 //!   into two sub-batches of near-equal size for interleaved execution,
-//!   from per-channel lists or, in one pass, from per-channel counts;
+//!   in one pass from per-channel counts ([`SubBatchSides`]);
 //! * [`pool::RequestPool`] — the request pool table of Figure 7 with
 //!   Orca-style iteration-level scheduling: requests join and leave the
 //!   running batch only at iteration boundaries, each with the caller's
@@ -25,14 +25,15 @@
 //!
 //! ```
 //! use neupims_kvcache::KvGeometry;
-//! use neupims_sched::{assign_min_load, MhaLatencyEstimator};
+//! use neupims_sched::{MhaLatencyEstimator, MinLoadPacker};
 //! use neupims_types::{LlmConfig, MemConfig};
 //!
-//! let geo = KvGeometry::for_model(&LlmConfig::gpt3_7b(), &MemConfig::table2());
+//! let geo = KvGeometry::with_tp(&LlmConfig::gpt3_7b(), &MemConfig::table2(), 4);
 //! let est = MhaLatencyEstimator::new(geo, 280.0, 50.0);
 //! let seqs = vec![900, 40, 700, 100, 50, 300];
 //! let costs: Vec<f64> = seqs.iter().map(|&s| est.estimate(s)).collect();
-//! let assignment = assign_min_load(&seqs, &costs, 4);
+//! let mut assignment = Vec::new();
+//! MinLoadPacker::new().assign(&seqs, &costs, 4, &mut assignment);
 //! assert_eq!(assignment.len(), seqs.len());
 //! ```
 
@@ -44,13 +45,11 @@ pub mod estimator;
 pub mod partition;
 pub mod pool;
 
-pub use binpack::{
-    assign_min_load, assign_round_robin, channel_loads, total_order_bits, MinLoadPacker,
-};
+pub use binpack::{total_order_bits, MinLoadPacker};
 pub use cost::{
     calibration_drift, CostModelKind, DriftPoint, DriftReport, MhaCostModel, TraceDrivenCostModel,
     TraceHardware, TraceMemo, TraceSnapshot, COST_MODEL_NAMES, DEFAULT_DRIFT_TOLERANCE,
 };
 pub use estimator::MhaLatencyEstimator;
-pub use partition::{partition_sub_batches, SubBatchSides, SubBatches};
+pub use partition::SubBatchSides;
 pub use pool::RequestPool;

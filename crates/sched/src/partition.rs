@@ -7,33 +7,11 @@
 //! halves each channel's request list, alternating which sub-batch receives
 //! the odd element (`turn` flips per odd-sized channel).
 //!
-//! The split depends only on each channel's request count, so pricers that
-//! walk a batch once use [`SubBatchSides`] (counts in, one side per request
-//! out) instead of materializing per-channel lists; both paths share the
-//! one alternation rule.
+//! The split depends only on each channel's request count, so
+//! [`SubBatchSides`] takes counts in and gives one side per request out,
+//! without materializing per-channel lists.
 
-use neupims_types::{ChannelId, RequestId};
-
-/// The two sub-batches produced by Algorithm 3 (request ids per sub-batch).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct SubBatches {
-    /// First sub-batch.
-    pub sb1: Vec<RequestId>,
-    /// Second sub-batch.
-    pub sb2: Vec<RequestId>,
-}
-
-impl SubBatches {
-    /// Total requests across both sub-batches.
-    pub fn len(&self) -> usize {
-        self.sb1.len() + self.sb2.len()
-    }
-
-    /// True when both sub-batches are empty.
-    pub fn is_empty(&self) -> bool {
-        self.sb1.is_empty() && self.sb2.is_empty()
-    }
-}
+use neupims_types::ChannelId;
 
 /// Algorithm 3's split of one channel's `len` requests: how many of them
 /// (the first, in channel order) join the first sub-batch. Channels are
@@ -49,27 +27,12 @@ fn first_len(len: usize, turn: &mut bool) -> usize {
     first
 }
 
-/// Splits each channel's request list into two near-equal halves
-/// (Algorithm 3). `per_channel` holds the request ids resident on each
-/// channel, in any order.
-pub fn partition_sub_batches(per_channel: &[Vec<RequestId>]) -> SubBatches {
-    let mut turn = true;
-    let mut out = SubBatches::default();
-    for chnl in per_channel {
-        let bsize = first_len(chnl.len(), &mut turn);
-        out.sb1.extend_from_slice(&chnl[..bsize]);
-        out.sb2.extend_from_slice(&chnl[bsize..]);
-    }
-    out
-}
-
 /// Algorithm 3 from per-channel counts: assigns each request of a batch
 /// to a sub-batch in one walk, with no per-channel lists.
 ///
-/// Built from the batch's home channels in batch order, it reproduces
-/// [`partition_sub_batches`] on the per-channel lists that order induces:
-/// each channel's first requests fill its first-sub-batch quota, the rest
-/// form the second sub-batch.
+/// Built from the batch's home channels in batch order, it halves the
+/// per-channel lists that order induces: each channel's first requests
+/// fill its first-sub-batch quota, the rest form the second sub-batch.
 ///
 /// ```
 /// use neupims_sched::SubBatchSides;
@@ -129,80 +92,5 @@ impl SubBatchSides {
         let first = *quota > 0;
         *quota -= usize::from(first);
         first
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn ids(range: std::ops::Range<u32>) -> Vec<RequestId> {
-        range.map(RequestId::new).collect()
-    }
-
-    #[test]
-    fn even_channels_split_exactly() {
-        let chans = vec![ids(0..4), ids(4..10)];
-        let sb = partition_sub_batches(&chans);
-        assert_eq!(sb.sb1.len(), 2 + 3);
-        assert_eq!(sb.sb2.len(), 2 + 3);
-    }
-
-    #[test]
-    fn odd_channels_alternate_the_extra() {
-        // Four channels of 3 requests: the extra one alternates, keeping
-        // the global split exactly even.
-        let chans = vec![ids(0..3), ids(3..6), ids(6..9), ids(9..12)];
-        let sb = partition_sub_batches(&chans);
-        assert_eq!(sb.sb1.len(), 6);
-        assert_eq!(sb.sb2.len(), 6);
-        // Per channel, sizes differ by at most one.
-        // (channel 0 gives 2+1, channel 1 gives 1+2, ...)
-    }
-
-    #[test]
-    fn per_channel_difference_at_most_one() {
-        let chans = vec![ids(0..7), ids(7..8), ids(8..13)];
-        let sb = partition_sub_batches(&chans);
-        // Reconstruct per-channel counts.
-        for (start, len) in [(0u32, 7usize), (7, 1), (8, 5)] {
-            let in1 = sb
-                .sb1
-                .iter()
-                .filter(|r| r.0 >= start && r.0 < start + len as u32)
-                .count();
-            let in2 = len - in1;
-            assert!(in1.abs_diff(in2) <= 1, "channel at {start}: {in1} vs {in2}");
-        }
-    }
-
-    #[test]
-    fn no_request_lost_or_duplicated() {
-        let chans = vec![ids(0..5), ids(5..5), ids(5..14), ids(14..15)];
-        let sb = partition_sub_batches(&chans);
-        let mut all: Vec<u32> = sb.sb1.iter().chain(&sb.sb2).map(|r| r.0).collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..15).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn empty_input() {
-        let sb = partition_sub_batches(&[]);
-        assert!(sb.is_empty());
-        assert_eq!(sb.len(), 0);
-    }
-
-    #[test]
-    fn global_balance_within_one_for_random_shapes() {
-        // Many odd channels: alternation keeps |SB1| - |SB2| <= 1.
-        let mut chans = Vec::new();
-        let mut next = 0u32;
-        for len in [3u32, 5, 1, 7, 9, 1, 3, 5] {
-            chans.push(ids(next..next + len));
-            next += len;
-        }
-        let sb = partition_sub_batches(&chans);
-        assert!(sb.sb1.len().abs_diff(sb.sb2.len()) <= 1);
-        assert_eq!(sb.len() as u32, next);
     }
 }

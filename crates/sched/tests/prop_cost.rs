@@ -24,7 +24,7 @@ fn model_with_banks(banks: u64) -> TraceDrivenCostModel {
     let cfg = NeuPimsConfig::table2();
     let geo = KvGeometry {
         banks,
-        ..KvGeometry::for_model(&LlmConfig::gpt3_7b(), &cfg.mem)
+        ..KvGeometry::with_tp(&LlmConfig::gpt3_7b(), &cfg.mem, 4)
     };
     TraceDrivenCostModel::new(&cfg, geo, true)
 }
@@ -99,7 +99,7 @@ fn model_pairs() -> &'static Vec<(String, MhaLatencyEstimator, TraceDrivenCostMo
         LlmConfig::table3()
             .into_iter()
             .map(|model| {
-                let geo = KvGeometry::for_model(&model, &cfg.mem);
+                let geo = KvGeometry::with_tp(&model, &cfg.mem, model.parallelism.tp);
                 let analytic = MhaLatencyEstimator::new(geo, cal.l_tile, cal.l_gwrite);
                 let trace = TraceDrivenCostModel::new(&cfg, geo, true);
                 (model.name.clone(), analytic, trace)
@@ -112,7 +112,7 @@ fn model_pairs() -> &'static Vec<(String, MhaLatencyEstimator, TraceDrivenCostMo
 /// different command styles.
 fn family_models(memo: &TraceMemo) -> [TraceDrivenCostModel; 2] {
     let cfg = NeuPimsConfig::table2();
-    let geo = |model: &LlmConfig| KvGeometry::for_model(model, &cfg.mem);
+    let geo = |model: &LlmConfig| KvGeometry::with_tp(model, &cfg.mem, model.parallelism.tp);
     [
         TraceDrivenCostModel::with_memo(&cfg, geo(&LlmConfig::gpt3_7b()), true, memo.clone()),
         TraceDrivenCostModel::with_memo(&cfg, geo(&LlmConfig::gpt3_13b()), false, memo.clone()),
@@ -448,7 +448,7 @@ fn shared_memo_is_bit_identical_under_16_thread_hammering() {
     // cold misses on the *same* bucket race constantly.
     let seqs: Vec<u64> = (0..192u64).map(|i| 1 + (i * 131) % 6_000).collect();
     let cfg = NeuPimsConfig::table2();
-    let geo = KvGeometry::for_model(&LlmConfig::gpt3_7b(), &cfg.mem);
+    let geo = KvGeometry::with_tp(&LlmConfig::gpt3_7b(), &cfg.mem, 4);
 
     // Serial reference on a private memo.
     let serial = TraceDrivenCostModel::new(&cfg, geo, true);

@@ -6,14 +6,11 @@
 use proptest::prelude::*;
 
 use neupims_kvcache::KvGeometry;
-use neupims_sched::{
-    assign_min_load, assign_round_robin, channel_loads, partition_sub_batches, MhaLatencyEstimator,
-    RequestPool, SubBatchSides,
-};
+use neupims_sched::{MhaLatencyEstimator, MinLoadPacker, RequestPool, SubBatchSides};
 use neupims_types::{ChannelId, LlmConfig, MemConfig, Request, RequestId};
 
 fn estimator() -> MhaLatencyEstimator {
-    let geo = KvGeometry::for_model(&LlmConfig::gpt3_7b(), &MemConfig::table2());
+    let geo = KvGeometry::with_tp(&LlmConfig::gpt3_7b(), &MemConfig::table2(), 4);
     MhaLatencyEstimator::new(geo, 280.0, 50.0)
 }
 
@@ -40,6 +37,20 @@ fn positive_pairs(len: std::ops::Range<usize>) -> impl Strategy<Value = (Vec<u64
         len,
     )
     .prop_map(|pairs| pairs.into_iter().unzip())
+}
+
+/// Algorithm 2: the GMLBP packer's assignment.
+fn assign_min_load(seq_lens: &[u64], costs: &[f64], channels: u32) -> Vec<ChannelId> {
+    let mut out = Vec::new();
+    MinLoadPacker::new().assign(seq_lens, costs, channels, &mut out);
+    out
+}
+
+/// The naive NPU+PIM baseline's placement.
+fn assign_round_robin(seq_lens: &[u64], channels: u32) -> Vec<ChannelId> {
+    (0..seq_lens.len() as u32)
+        .map(|i| ChannelId::new(i % channels))
+        .collect()
 }
 
 /// Algorithm 2 as a plain linear scan: LPT order (stable, by descending
@@ -80,6 +91,26 @@ fn partition_reference(per_channel: &[Vec<RequestId>]) -> (Vec<RequestId>, Vec<R
     (sb1, sb2)
 }
 
+/// Algorithm 3 by [`SubBatchSides`]: each channel's list, in channel
+/// order, split between the two sub-batches.
+fn sides_partition(per_channel: &[Vec<RequestId>]) -> (Vec<RequestId>, Vec<RequestId>) {
+    let homes: Vec<ChannelId> = per_channel
+        .iter()
+        .zip(0..)
+        .flat_map(|(ids, c)| std::iter::repeat_n(ChannelId::new(c), ids.len()))
+        .collect();
+    let mut sides = SubBatchSides::new(&homes);
+    let (mut sb1, mut sb2) = (Vec::new(), Vec::new());
+    for (&home, &id) in homes.iter().zip(per_channel.iter().flatten()) {
+        if sides.next_is_first(home) {
+            sb1.push(id);
+        } else {
+            sb2.push(id);
+        }
+    }
+    (sb1, sb2)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -95,10 +126,12 @@ proptest! {
         let costs: Vec<f64> = seqs.iter().map(|&s| e.estimate(s)).collect();
         let greedy = assign_min_load(&seqs, &costs, channels);
         let rr = assign_round_robin(&seqs, channels);
-        let max = |a: &[neupims_types::ChannelId]| {
-            channel_loads(&seqs, a, channels, &e)
-                .into_iter()
-                .fold(0.0f64, f64::max)
+        let max = |a: &[ChannelId]| {
+            let mut loads = vec![0.0f64; channels as usize];
+            for (&seq, ch) in seqs.iter().zip(a) {
+                loads[ch.index()] += e.estimate(seq);
+            }
+            loads.into_iter().fold(0.0f64, f64::max)
         };
         let g = max(&greedy);
         let r = max(&rr);
@@ -247,10 +280,9 @@ proptest! {
         );
     }
 
-    /// The count-based split puts every request on the side
-    /// `partition_sub_batches` (and the paper's per-list rule) puts it,
-    /// for per-channel lists induced by random homes in batch order, also
-    /// when its buffer is reused from another batch.
+    /// The count-based split puts every request on the side the paper's
+    /// per-list rule puts it, for per-channel lists induced by random homes
+    /// in batch order, also when its buffer is reused from another batch.
     #[test]
     fn count_based_sides_match_the_list_partition(
         homes in prop::collection::vec(0u32..40, 0..200),
@@ -260,10 +292,7 @@ proptest! {
         for (i, home) in homes.iter().enumerate() {
             per_channel[home.index()].push(RequestId::new(i as u32));
         }
-        let sb = partition_sub_batches(&per_channel);
         let (ref1, ref2) = partition_reference(&per_channel);
-        prop_assert_eq!(&sb.sb1, &ref1);
-        prop_assert_eq!(&sb.sb2, &ref2);
 
         // A split reused from another, part-walked batch over more
         // channels splits like a fresh one once reset.
@@ -278,7 +307,7 @@ proptest! {
             side.push((home, RequestId::new(i as u32)));
         }
         // Channel-major, batch order within a channel: the lists' order.
-        for (side, expected) in [(first, &sb.sb1), (second, &sb.sb2)] {
+        for (side, expected) in [(first, &ref1), (second, &ref2)] {
             let mut side = side;
             side.sort_by_key(|&(home, id)| (home, id));
             let ids: Vec<RequestId> = side.into_iter().map(|(_, id)| id).collect();
@@ -312,18 +341,18 @@ proptest! {
             next += *len as u32;
             chans.push(ids);
         }
-        let sb = partition_sub_batches(&chans);
+        let sb = sides_partition(&chans);
         // Conservation.
-        let mut all: Vec<u32> = sb.sb1.iter().chain(&sb.sb2).map(|r| r.0).collect();
+        let mut all: Vec<u32> = sb.0.iter().chain(&sb.1).map(|r| r.0).collect();
         all.sort_unstable();
         prop_assert_eq!(all, (0..next).collect::<Vec<_>>());
         // Global balance.
-        prop_assert!(sb.sb1.len().abs_diff(sb.sb2.len()) <= 1);
+        prop_assert!(sb.0.len().abs_diff(sb.1.len()) <= 1);
         // Per-channel balance.
         let mut start = 0u32;
         for len in &sizes {
             let end = start + *len as u32;
-            let in1 = sb.sb1.iter().filter(|r| r.0 >= start && r.0 < end).count();
+            let in1 = sb.0.iter().filter(|r| r.0 >= start && r.0 < end).count();
             let in2 = *len - in1;
             prop_assert!(in1.abs_diff(in2) <= 1, "channel [{start},{end}): {in1}/{in2}");
             start = end;
@@ -359,13 +388,13 @@ proptest! {
                     .collect()
             })
             .collect();
-        let sb = partition_sub_batches(&per_channel);
-        prop_assert_eq!(sb.len() as u32, next, "no request lost or duplicated");
+        let sb = sides_partition(&per_channel);
+        prop_assert_eq!((sb.0.len() + sb.1.len()) as u32, next, "no request lost or duplicated");
         let load = |ids: &[RequestId]| -> f64 {
             ids.iter().map(|id| e.estimate(seq_of[id])).sum()
         };
         let total: f64 = chans.iter().flatten().map(|&s| e.estimate(s)).sum();
-        let split = load(&sb.sb1) + load(&sb.sb2);
+        let split = load(&sb.0) + load(&sb.1);
         prop_assert!(
             (split - total).abs() <= total.abs() * 1e-12 + 1e-6,
             "load conservation: {split} vs {total}"
@@ -391,9 +420,9 @@ proptest! {
                 ids
             })
             .collect();
-        let sb = partition_sub_batches(&per_channel);
+        let sb = sides_partition(&per_channel);
         let one = e.estimate(seq);
-        let (l1, l2) = (sb.sb1.len() as f64 * one, sb.sb2.len() as f64 * one);
+        let (l1, l2) = (sb.0.len() as f64 * one, sb.1.len() as f64 * one);
         prop_assert!(
             (l1 - l2).abs() <= one + 1e-9,
             "|{l1} - {l2}| exceeds one request's estimate {one}"

@@ -122,11 +122,6 @@ impl MemConfig {
         self.capacity_per_channel / (self.banks_per_channel as u64 * self.page_bytes)
     }
 
-    /// Total device capacity across all channels, in bytes.
-    pub const fn total_capacity(&self) -> Bytes {
-        self.capacity_per_channel * self.channels as u64
-    }
-
     /// Peak external (host-side) bandwidth of the whole device in bytes per
     /// cycle (all channels combined).
     pub const fn peak_bw_bytes_per_cycle(&self) -> u64 {
@@ -185,11 +180,6 @@ impl NpuConfig {
     /// Peak FLOP throughput per cycle (1 MAC = 2 FLOPs).
     pub const fn peak_flops_per_cycle(&self) -> u64 {
         2 * self.peak_macs_per_cycle()
-    }
-
-    /// Peak vector throughput in elements per cycle (all vector units).
-    pub const fn peak_vector_elems_per_cycle(&self) -> u64 {
-        self.vector_units as u64 * self.vu_lanes as u64
     }
 }
 
@@ -590,7 +580,6 @@ mod tests {
         assert_eq!(m.capacity_per_channel, 1 << 30);
         assert_eq!(m.page_bytes, 1024);
         assert_eq!(m.rows_per_bank(), 32 * 1024);
-        assert_eq!(m.total_capacity(), 32 << 30);
 
         let n = NpuConfig::table2();
         assert_eq!(n.systolic_arrays, 8);

@@ -23,7 +23,7 @@ use neupims_core::fleet::{policy_from_name, FleetRequest, FleetSim};
 use neupims_core::scheduler::scheduler_from_name;
 use neupims_core::serving::{ServingConfig, ServingSim, SloTargets, StepEvent};
 use neupims_pim::calibrate;
-use neupims_sched::{assign_min_load, CostModelKind, MinLoadPacker};
+use neupims_sched::{CostModelKind, MinLoadPacker};
 use neupims_types::{LlmConfig, NeuPimsConfig};
 use neupims_workload::{ArrivalProcess, Dataset, ScenarioWorkload, TenantMix};
 
@@ -155,11 +155,16 @@ fn warm_analytic_decode_iteration_allocates_only_its_outputs() {
 fn assign_min_load_allocates_its_buffers_once() {
     let seqs = batch();
     let costs: Vec<f64> = seqs.iter().map(|&s| 100.0 + s as f64).collect();
+    let assign_min_load = |seqs: &[u64], costs: &[f64]| {
+        let mut out = Vec::new();
+        MinLoadPacker::new().assign(seqs, costs, 32, &mut out);
+        out
+    };
     // The LPT order, the channel loads, the heap and the assignment.
-    let (_, n) = allocations(|| assign_min_load(&seqs, &costs, 32));
+    let (_, n) = allocations(|| assign_min_load(&seqs, &costs));
     assert_eq!(n, 4);
     // Within one round of positive costs there is no heap to build.
-    let (_, n) = allocations(|| assign_min_load(&seqs[..20], &costs[..20], 32));
+    let (_, n) = allocations(|| assign_min_load(&seqs[..20], &costs[..20]));
     assert_eq!(n, 3);
     // A packer reused at the same batch and channel counts allocates
     // nothing.

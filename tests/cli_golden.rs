@@ -259,10 +259,13 @@ fn serve_rejects_name_lists() {
 }
 
 /// Non-finite or non-positive `--tenants` weights and SLO targets,
-/// zero counts, non-finite rates and bandwidths, and shared flags the
-/// command would ignore exit with an error naming the field before
-/// anything runs: a zero is never clamped to 1. Tenant fields are named by their
-/// `[[scenario.tenant]]` keys, whose rules they share.
+/// zero counts, non-finite rates and bandwidths, shared flags the
+/// command would ignore, and settings the system cannot honour (an
+/// autoscale floor above the replica table, a TP degree above the
+/// model's attention heads, a `--policy` the orchestrator would not
+/// read) exit with an error naming the field before any report: a zero
+/// is never clamped to 1, nor a floor to the table. Tenant fields are
+/// named by their `[[scenario.tenant]]` keys, whose rules they share.
 #[test]
 fn hostile_tenants_are_rejected_by_field() {
     let tenants = |spec| vec!["fleet", "--requests", "4", "--tenants", spec];
@@ -305,6 +308,34 @@ fn hostile_tenants_are_rejected_by_field() {
         (vec!["sweep", "--policy", "jsq"], "--policy"),
         (vec!["serve", "--batch", "64"], "--batch"),
         (vec!["fleet", "--samples", "3"], "--samples"),
+        (
+            vec![
+                "fleet",
+                "--backend",
+                "gpu",
+                "--replicas",
+                "2",
+                "--min-replicas",
+                "9",
+            ],
+            "\"min-replicas\"",
+        ),
+        (
+            vec![
+                "serve",
+                "--backend",
+                "neupims",
+                "--tp",
+                "1000",
+                "--requests",
+                "4",
+            ],
+            "TP=1000",
+        ),
+        (
+            vec!["fleet", "--policy", "kv-aware", "--router", "capability"],
+            "--policy",
+        ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_neupims-sim"))
             .args(&args)

@@ -265,7 +265,7 @@ fn simulation_builder_and_fleet_thread_the_knob() {
     assert_eq!(out.completed, 6);
     assert!(out.pim_trace.is_some());
 
-    // Fleet: the knob maps over every replica and the outcome merges the
+    // Fleet: the knob set on every replica, and the outcome merges the
     // per-replica channel stats.
     // Interleaved replicas: the cost model actually prices PIM phases
     // (under lump prefill it would sit unqueried and report zero replays).
@@ -277,11 +277,10 @@ fn simulation_builder_and_fleet_thread_the_knob() {
                 serving_cfg(8),
                 Box::new(SubBatchInterleaved::new(128)),
             )
+            .with_cost_model(CostModelKind::TraceDriven)
         })
         .collect();
-    let mut fleet = FleetSim::new(replicas, Box::new(JoinShortestQueue))
-        .unwrap()
-        .with_cost_model(CostModelKind::TraceDriven);
+    let mut fleet = FleetSim::new(replicas, Box::new(JoinShortestQueue)).unwrap();
     for i in 0..8u32 {
         fleet
             .submit(FleetRequest {

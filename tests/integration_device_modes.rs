@@ -7,6 +7,7 @@ use rand::SeedableRng;
 
 use neupims_core::device::{Device, DeviceMode, SbiPolicy};
 use neupims_pim::calibrate;
+use neupims_sched::CostModelKind;
 use neupims_types::{LlmConfig, NeuPimsConfig};
 use neupims_workload::{warm_seq_lens, Dataset};
 
@@ -96,7 +97,7 @@ fn scheduler_estimator_matches_device_accounting() {
     let (cfg, cal) = setup();
     let model = LlmConfig::gpt3_7b();
     let d = Device::new(cfg, cal, DeviceMode::neupims());
-    let est = d.estimator(&model, 4);
+    let est = d.cost_model(&model, 4, CostModelKind::Analytic).unwrap();
     let seqs = sharegpt_batch(32, 7);
     let b = d
         .decode_iteration(&model, 4, model.num_layers, &seqs)

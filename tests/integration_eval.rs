@@ -5,8 +5,8 @@
 //! the spec'd JSON shape.
 
 use neupims_eval::{
-    load_suite, run_eval_with_opts, run_suite, score_suite, store_report, verdict, CheckStatus,
-    EvalOverrides, EvalReport, SuiteSpec, SUITE_NAMES,
+    load_suite, run_eval_with_opts, run_suite_with_opts, score_suite, store_report, verdict,
+    CheckStatus, EvalOverrides, EvalReport, ScenarioRun, SuiteSpec, SUITE_NAMES,
 };
 
 /// Runs `suite` under the default overrides, or the seed `seed`.
@@ -19,6 +19,19 @@ fn eval_report(
         ..Default::default()
     };
     run_eval_with_opts(suite, &opts)
+}
+
+/// Runs `suite`'s scenarios under the default overrides, or the seed
+/// `seed`.
+fn run_suite(
+    suite: &SuiteSpec,
+    seed: Option<u64>,
+) -> Result<Vec<ScenarioRun>, neupims_eval::EvalError> {
+    let opts = EvalOverrides {
+        seed,
+        ..Default::default()
+    };
+    run_suite_with_opts(suite, &opts)
 }
 
 /// The CI gate: the shipped smoke suite passes every golden check.

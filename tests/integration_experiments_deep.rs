@@ -1,12 +1,11 @@
 //! Deep cross-crate checks: functional correctness flowing through the
-//! same structures the performance model schedules (layout, allocator,
-//! PIM math), plus failure-injection paths.
+//! same structures the performance model schedules (layout, PIM math),
+//! plus failure-injection paths.
 
 use neupims_dram::DramChannel;
-use neupims_kvcache::PagePool;
 use neupims_npu::functional::{matmul_ref, matmul_tiled, softmax_ref};
 use neupims_pim::{attend_job, logit_job, CommandMode, GemvEngine};
-use neupims_types::{config::PimConfig, ChannelId, HbmTiming, MemConfig, NpuConfig, SimError};
+use neupims_types::{config::PimConfig, HbmTiming, MemConfig, NpuConfig, SimError};
 
 /// One decoder-attention head computed functionally end to end: QK^T
 /// logits on the PIM path, softmax on the (reference) vector path, attend
@@ -72,24 +71,6 @@ fn tiled_gemm_agrees_with_reference_on_odd_shapes() {
             assert!((x - y).abs() < 1e-2, "{x} vs {y}");
         }
     }
-}
-
-#[test]
-fn allocator_failure_injection() {
-    // Exhaust a pool, verify clean errors, free, verify recovery.
-    let mem = MemConfig {
-        capacity_per_channel: 16 << 10, // 16 pages
-        ..MemConfig::table2()
-    };
-    let mut pool = PagePool::new(ChannelId::new(0), mem);
-    let all = pool.alloc(16).unwrap();
-    match pool.alloc(1) {
-        Err(SimError::OutOfMemory { free_pages, .. }) => assert_eq!(free_pages, 0),
-        other => panic!("expected OOM, got {other:?}"),
-    }
-    pool.free(all);
-    assert_eq!(pool.free_pages(), 16);
-    assert!(pool.alloc(16).is_ok());
 }
 
 #[test]

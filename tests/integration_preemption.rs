@@ -229,10 +229,11 @@ fn simulation_builder_threads_the_preemption_policy() {
 
 #[test]
 fn fleet_aggregates_preemption_stats_across_replicas() {
-    let replicas = vec![tight_replica(), tight_replica()];
-    let mut fleet = FleetSim::new(replicas, Box::new(JoinShortestQueue))
-        .unwrap()
-        .with_preemption(Box::new(RecomputeLastAdmitted));
+    let replicas = vec![tight_replica(), tight_replica()]
+        .into_iter()
+        .map(|r| r.with_preemption(Box::new(RecomputeLastAdmitted)))
+        .collect();
+    let mut fleet = FleetSim::new(replicas, Box::new(JoinShortestQueue)).unwrap();
     let mut rng = StdRng::seed_from_u64(0xF1EE7);
     // Double the default burst so both replicas see pressure.
     let spec = PressureSpec {

@@ -224,20 +224,22 @@ fn simulation_builder_threads_the_scheduler() {
         for i in 0..8u32 {
             serving.submit(i, 1024, 4, 0).unwrap();
         }
-        (serving.scheduler_name(), {
-            let out = serving.run().unwrap();
-            (out.completed, out.prefill_cycles_on_device)
-        })
+        let out = serving.run().unwrap();
+        (
+            out.completed,
+            out.prefill_cycles_on_device,
+            out.overlap_hidden_cycles,
+        )
     };
-    let (name, (completed, on_device)) = run("lump");
-    assert_eq!(name, "lump");
+    let (completed, on_device, hidden) = run("lump");
     assert_eq!(completed, 8);
     assert_eq!(on_device, 0);
+    assert_eq!(hidden, 0, "lump prefill hides nothing");
 
-    let (name, (completed, on_device)) = run("interleaved");
-    assert_eq!(name, "interleaved");
+    let (completed, on_device, hidden) = run("interleaved");
     assert_eq!(completed, 8);
     assert!(on_device > 0, "chunked policies encode prompts on-device");
+    assert!(hidden > 0, "only interleaving hides prefill under decode");
 }
 
 #[test]
@@ -257,8 +259,6 @@ fn fleet_supports_per_replica_schedulers() {
             Box::new(SubBatchInterleaved::new(512)),
         ),
     ];
-    assert_eq!(replicas[0].scheduler_name(), "lump");
-    assert_eq!(replicas[1].scheduler_name(), "interleaved");
     let mut fleet = FleetSim::new(replicas, Box::new(JoinShortestQueue)).unwrap();
     for i in 0..16u32 {
         fleet

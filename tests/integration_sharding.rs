@@ -9,8 +9,8 @@ use neupims_core::backend::Backend;
 use neupims_core::device::Device;
 use neupims_core::interconnect::{IdealLink, Interconnect, PcieLink};
 use neupims_core::serving::{ServingConfig, ServingSim};
-use neupims_core::sharding::{ClusterSpec, KvShardPlan, ShardedBackend};
-use neupims_types::{LlmConfig, MemConfig};
+use neupims_core::sharding::{ClusterSpec, ShardedBackend};
+use neupims_types::LlmConfig;
 
 const TP_SWEEP: [u32; 4] = [1, 2, 4, 8];
 
@@ -100,10 +100,11 @@ fn pp_deployment_prices_bubbles_and_hops() {
         .decode_detail(&model, 1, model.num_layers, &seqs)
         .unwrap();
     assert!(det.pp_transfer_cycles > 0, "PP must pay the stage hop");
-    assert_eq!(det.bubble_cycles, det.beat, "(pp-1)*beat at pp=2");
-    // The KV plan of the same deployment spans all 8 chips.
-    let plan = KvShardPlan::new(&model, &MemConfig::table2(), 4, 2).unwrap();
-    assert_eq!(plan.devices(), 8);
+    // A round is one streaming beat plus the (pp-1)*beat bubble at pp=2.
+    let round = sharded
+        .decode_iteration(&model, 1, model.num_layers, &seqs)
+        .unwrap();
+    assert_eq!(round.total_cycles(), 2 * det.beat);
 }
 
 #[test]

@@ -47,11 +47,17 @@ fn tight_fleet(
     preemption: &str,
     dispatch: &str,
 ) -> FleetSim<Device> {
+    let sims = tight_replicas(replicas, scheduler, preemption);
+    FleetSim::new(sims, policy_from_name(dispatch).unwrap()).unwrap()
+}
+
+/// The replicas of [`tight_fleet`].
+fn tight_replicas(replicas: usize, scheduler: &str, preemption: &str) -> Vec<ServingSim<Device>> {
     let mut hw = NeuPimsConfig::table2();
     hw.mem.channels = 4;
     hw.mem.capacity_per_channel = 80 << 20;
     let cal = calibrate(&hw).unwrap();
-    let sims: Vec<ServingSim<Device>> = (0..replicas)
+    (0..replicas)
         .map(|_| {
             ServingSim::with_scheduler(
                 Device::new(hw, cal, DeviceMode::neupims()),
@@ -59,12 +65,10 @@ fn tight_fleet(
                 serving_cfg(8),
                 scheduler_from_name(scheduler, 128).unwrap(),
             )
+            .with_preemption(preemption_from_name(preemption).unwrap())
+            .with_swap(SwapConfig { gb_per_sec: 32.0 })
         })
-        .collect();
-    FleetSim::new(sims, policy_from_name(dispatch).unwrap())
-        .unwrap()
-        .with_preemption(preemption_from_name(preemption).unwrap())
-        .with_swap(SwapConfig { gb_per_sec: 32.0 })
+        .collect()
 }
 
 /// A compact KV-pressure burst: small enough for a 27-combination grid,
@@ -204,8 +208,11 @@ fn finished_replica_is_never_re_stepped() {
 /// A trace-priced tight fleet: every replica prices MHA by command-stream
 /// replay, so memo sharing and warmup are actually on the critical path.
 fn trace_fleet(replicas: usize) -> FleetSim<Device> {
-    tight_fleet(replicas, "interleaved", "swap", "jsq")
-        .with_cost_model(neupims_sched::CostModelKind::TraceDriven)
+    let sims = tight_replicas(replicas, "interleaved", "swap")
+        .into_iter()
+        .map(|r| r.with_cost_model(neupims_sched::CostModelKind::TraceDriven))
+        .collect();
+    FleetSim::new(sims, policy_from_name("jsq").unwrap()).unwrap()
 }
 
 /// Memo ids are `Arc` pointers, unique per memo instance — zero them (on

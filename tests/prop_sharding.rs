@@ -1,11 +1,13 @@
 //! Property tests on the sharding layer: collective-cost monotonicity for
-//! every `Interconnect` implementation, head-split conservation/balance,
-//! and the closed-form pipeline bubble.
+//! every `Interconnect` implementation, and the closed-form pipeline
+//! bubble of a sharded round.
 
 use proptest::prelude::*;
 
+use neupims_core::backend::{Backend, GpuRooflineBackend};
 use neupims_core::interconnect::{interconnect_from_name, INTERCONNECT_NAMES};
-use neupims_core::sharding::{pipeline_schedule, split_evenly};
+use neupims_core::sharding::{ClusterSpec, ShardedBackend};
+use neupims_types::LlmConfig;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -55,55 +57,36 @@ proptest! {
         }
     }
 
-    /// The TP head split conserves the total head count and balances
-    /// within one head, whatever the (heads, chips) combination.
-    #[test]
-    fn head_split_conserves_and_balances(
-        heads in 1u32..512,
-        chips in 1u32..65,
-    ) {
-        let split = split_evenly(heads, chips);
-        prop_assert_eq!(split.len(), chips as usize);
-        prop_assert_eq!(split.iter().sum::<u32>(), heads);
-        let min = *split.iter().min().unwrap();
-        let max = *split.iter().max().unwrap();
-        prop_assert!(max - min <= 1, "{heads} heads over {chips}: {split:?}");
-        // Deterministic layout: the larger shards come first.
-        prop_assert!(split.windows(2).all(|w| w[0] >= w[1]));
-    }
-
-    /// Under uniform stage costs the pipeline bubble equals the closed
-    /// form `(stages - 1) * microbatch_cost`, independent of how many
-    /// micro-batches stream through.
+    /// Stages are uniform, so one sharded round is one streaming beat
+    /// plus the closed-form fill/drain bubble `(pp - 1) * beat`, on every
+    /// fabric and at every batch size, and the beat is the slower of a
+    /// stage's compute with its collectives and the inter-stage hop.
     #[test]
     fn uniform_pipeline_bubble_closed_form(
-        stages in 1usize..12,
-        cost in 1u64..1_000_000,
-        microbatches in 1u64..64,
+        pp_log2 in 0u32..4,
+        tp in 1u32..5,
+        seqs in prop::collection::vec(1u64..2048, 1..64),
     ) {
-        let t = pipeline_schedule(&vec![cost; stages], microbatches);
-        prop_assert_eq!(t.beat, cost);
-        prop_assert_eq!(t.bubble_cycles, (stages as u64 - 1) * cost);
-        prop_assert_eq!(
-            t.total_cycles,
-            stages as u64 * cost + (microbatches - 1) * cost
-        );
-    }
-
-    /// Non-uniform stages: the bubble is exactly the faster stages' idle
-    /// shortfall against the beat during fill/drain.
-    #[test]
-    fn skewed_pipeline_bubble_is_the_shortfall(
-        costs in prop::collection::vec(1u64..100_000, 1..10),
-        microbatches in 1u64..32,
-    ) {
-        let t = pipeline_schedule(&costs, microbatches);
-        let beat = *costs.iter().max().unwrap();
-        let fill: u64 = costs.iter().sum();
-        prop_assert_eq!(t.beat, beat);
-        prop_assert_eq!(t.total_cycles, fill + (microbatches - 1) * beat);
-        prop_assert_eq!(t.bubble_cycles, fill + (microbatches - 1) * beat - microbatches * beat);
-        // The bubble never exceeds (stages - 1) * beat.
-        prop_assert!(t.bubble_cycles <= (costs.len() as u64 - 1) * beat);
+        let model = LlmConfig::gpt3_7b();
+        let pp = 1 << pp_log2;
+        for name in INTERCONNECT_NAMES {
+            let sharded = ShardedBackend::new(
+                GpuRooflineBackend::a100(),
+                ClusterSpec::new(tp, pp),
+                interconnect_from_name(name, None).unwrap(),
+            )
+            .unwrap();
+            let (det, _) = sharded.decode_detail(&model, 1, model.num_layers, &seqs).unwrap();
+            let round = sharded
+                .decode_iteration(&model, 1, model.num_layers, &seqs)
+                .unwrap();
+            prop_assert_eq!(
+                det.beat,
+                (det.stage_compute_cycles + det.collective_cycles)
+                    .max(det.pp_transfer_cycles)
+                    .max(1)
+            );
+            prop_assert_eq!(round.total_cycles(), det.beat + (u64::from(pp) - 1) * det.beat);
+        }
     }
 }
