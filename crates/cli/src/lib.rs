@@ -106,7 +106,7 @@ use neupims_core::orchestrator::TenantClass;
 use neupims_core::system::{System, SystemSpec};
 use neupims_eval::spec::{set_shares, tenant_class};
 use neupims_eval::toml::{parse_scalar, Table};
-use neupims_eval::{Settings, ORCHESTRATION_KEYS, SHARED_KEYS};
+use neupims_eval::{ScenarioKind, Settings, ORCHESTRATION_KEYS, SHARED_KEYS};
 use neupims_kvcache::KvGeometry;
 use neupims_pim::calibrate;
 use neupims_sched::{
@@ -254,53 +254,37 @@ const OPTION_KEYS: [&str; 7] = [
     "tolerance",
 ];
 
-/// The shared keys and [`OPTION_KEYS`] `command` reads.
+/// The shared keys and [`OPTION_KEYS`] `command` reads, each in the
+/// order of its list.
 fn keys_read(command: &str) -> Vec<&'static str> {
-    let reads: fn(&str) -> bool = match command {
-        "eval" => |key| {
-            matches!(
-                key,
-                "cost-model" | "seed" | "list" | "jobs" | "memo-cache" | "reports-dir"
-            )
-        },
-        "fig6" | "fig12" | "fig13" | "fig15" | "table4" | "all" => |key| {
-            matches!(
-                key,
-                "cost-model" | "seed" | "jobs" | "memo-cache" | "reports-dir"
-            )
-        },
-        // The keys of its warm batches.
-        "sweep" => |key| {
-            matches!(
-                key,
-                "backend"
-                    | "cost-model"
-                    | "model"
-                    | "tp"
-                    | "pp"
-                    | "interconnect"
-                    | "link-gbps"
-                    | "dataset"
-                    | "batch"
-                    | "samples"
-                    | "quick"
-            )
-        },
-        "serve" | "fleet" => |key| {
-            !matches!(
-                key,
-                "batch" | "samples" | "quick" | "list" | "reports-dir" | "tolerance"
-            )
-        },
-        "drift" => |key| matches!(key, "model" | "tolerance"),
-        "calibrate" | "fig4" | "fig5" | "fig14" | "table5" | "area" => |_| false,
+    let (shared, options): (fn(&str) -> bool, &[&str]) = match command {
+        "eval" => (
+            |key| matches!(key, "cost-model" | "seed"),
+            &["list", "jobs", "memo-cache", "reports-dir"],
+        ),
+        "fig6" | "fig12" | "fig13" | "fig15" | "table4" | "all" => (
+            |key| matches!(key, "cost-model" | "seed"),
+            &["jobs", "memo-cache", "reports-dir"],
+        ),
+        // The keys of a throughput scenario's warm batches, which sweep
+        // draws from `DEFAULT_SEED`.
+        "sweep" => (
+            |key| key != "seed" && ScenarioKind::Throughput.reads(key),
+            &["quick"],
+        ),
+        "serve" | "fleet" => (
+            |key| ScenarioKind::Serving.reads(key),
+            &["jobs", "memo-cache", "tenants"],
+        ),
+        "drift" => (|key| key == "model", &["tolerance"]),
+        "calibrate" | "fig4" | "fig5" | "fig14" | "table5" | "area" => (|_| false, &[]),
         // An unknown command is an error of its own.
-        _ => |_| true,
+        _ => (|_| true, &OPTION_KEYS),
     };
     SHARED_KEYS
         .into_iter()
-        .chain(OPTION_KEYS)
-        .filter(|key| reads(key))
+        .filter(|key| shared(key))
+        .chain(options.iter().copied())
         .collect()
 }
 

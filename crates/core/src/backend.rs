@@ -309,9 +309,11 @@ pub trait Backend: Send + Sync {
     }
 
     /// The MHA cost model for the PIM-resident GEMV share of decode MHA,
-    /// when this backend has one (NPU+PIM systems). Iteration-level
-    /// schedulers use it to price NPU/PIM phase overlap
-    /// ([`SubBatchInterleaved`](crate::scheduler::SubBatchInterleaved));
+    /// when this backend has one (NPU+PIM systems). The serving loop builds
+    /// it once per run and hands it to the scheduler as
+    /// [`IterationDemand::cost_model`](crate::scheduler::IterationDemand::cost_model),
+    /// which prices NPU/PIM phase overlap with it
+    /// ([`PrefillScheduler::Interleaved`](crate::scheduler::PrefillScheduler::Interleaved));
     /// `None` marks a single-engine system, which overlaps nothing.
     ///
     /// `kind` selects the pricing fidelity: the Algorithm 1 closed form,

@@ -31,10 +31,11 @@
 //!   of typed [`SimEvent`]s (arrival, iteration-complete,
 //!   restore-complete, replica-idle) that lets the serving loop jump its
 //!   clock and the fleet merge per-replica event streams;
-//! * [`scheduler`] — iteration-level serving schedulers behind one
-//!   [`SchedulerPolicy`] trait: lump prefill (standalone-NPU delegation),
-//!   Orca/vLLM-style chunked prefill, and NeuPIMs-style NPU/PIM sub-batch
-//!   interleaving (Algorithms 1 and 3 in the serving path);
+//! * [`scheduler`] — the iteration-level serving scheduler behind the
+//!   [`SchedulerPolicy`] trait: one [`PrefillScheduler`] whose three modes
+//!   are lump prefill (standalone-NPU delegation), Orca/vLLM-style chunked
+//!   prefill, and NeuPIMs-style NPU/PIM sub-batch interleaving
+//!   (Algorithms 1 and 3 in the serving path);
 //! * [`preempt`] — preemption-aware KV memory management behind one
 //!   [`PreemptionPolicy`] trait: drop-only (the historical baseline),
 //!   vLLM-style recompute of the newest admissions, and LRU swap over a
@@ -136,8 +137,7 @@ pub use preempt::{
     SwapConfig, SwapLru, VictimCandidate, PREEMPTION_NAMES,
 };
 pub use scheduler::{
-    scheduler_from_name, ChunkedPrefill, IterationOccupancy, LumpPrefill, SchedulerPolicy,
-    SubBatchInterleaved, SCHEDULER_NAMES,
+    scheduler_from_name, IterationOccupancy, PrefillScheduler, SchedulerPolicy, SCHEDULER_NAMES,
 };
 pub use serving::{
     RequestMetrics, ServingConfig, ServingOutcome, ServingSim, SloTargets, StepEvent,

@@ -7,34 +7,23 @@
 //! module makes that a serving-layer policy decision: a
 //! [`SchedulerPolicy`] decides, at every iteration boundary of a
 //! [`ServingSim`](crate::serving::ServingSim), how admitted prompts are
-//! encoded and what one iteration costs. Three policies ship:
+//! encoded and what one iteration costs. One policy ships,
+//! [`PrefillScheduler`], whose three modes run one plan:
 //!
-//! * [`LumpPrefill`] — the prompt is priced in one lump at admission
-//!   ([`Backend::prefill_cycles`]) and modeled as running on standalone
-//!   NPUs: the request joins decode iterations only after that delay, and
-//!   prefill never occupies the simulated device. This is the historical
-//!   `ServingSim` behavior, kept bit-for-bit for parity.
-//! * [`ChunkedPrefill`] — Orca/vLLM-style: prompts are encoded on-device
-//!   in token chunks that share iterations with decode. Each iteration
-//!   spends up to a configurable token budget on the FIFO-oldest
-//!   unfinished prompts, priced incrementally (the chunk costs
-//!   `prefill(done + chunk) − prefill(done)`, so the whole prompt
-//!   telescopes to exactly its lump cost) and *serialized* with the decode
-//!   batch.
-//! * [`SubBatchInterleaved`] — NeuPIMs-style: the decode-ready batch is
-//!   split per home channel by Algorithm 3
-//!   ([`SubBatchSides`]) and each sub-batch's PIM GEMV phase is
-//!   estimated by Algorithm 1's cost function behind the
-//!   [`MhaCostModel`] trait (via
-//!   [`Backend::mha_cost_model`] — analytic by default, or trace-driven
-//!   replay through the cycle-level DRAM model under the serving layer's
-//!   cost-model knob). Prefill chunks stream on the NPU *under*
-//!   those PIM phases, so up to `min(phase, chunk_cost / 2)` cycles per
-//!   phase are hidden and the iteration costs
-//!   `decode + prefill − hidden`. When the backend lacks one of the two
-//!   engines, dual row buffers (the naive integration blocks MEM traffic
-//!   during PIM compute), or a cost model, the policy degrades to the
-//!   serial [`ChunkedPrefill`] cost.
+//! * [`PrefillScheduler::Lump`] — prompts priced in one lump at admission
+//!   and run on standalone NPUs (the historical `ServingSim` behavior,
+//!   kept bit-for-bit for parity);
+//! * [`PrefillScheduler::Chunked`] — Orca/vLLM-style on-device chunks,
+//!   serialized with the decode batch;
+//! * [`PrefillScheduler::Interleaved`] — the same chunks streamed on the
+//!   NPU under the decode batch's PIM GEMV phases, split by Algorithm 3
+//!   ([`SubBatchSides`]) and priced by Algorithm 1 behind the
+//!   [`MhaCostModel`] trait ([`IterationDemand::cost_model`]: analytic by
+//!   default, or trace-driven replay through the cycle-level DRAM model
+//!   under the serving layer's cost-model knob).
+//!
+//! Every mode costs an iteration `decode + prefill − hidden`: lump has no
+//! on-device prefill, and only interleaving hides any.
 //!
 //! The serving loop reports the consequences per iteration
 //! ([`IterationOccupancy`]) and in aggregate
@@ -44,8 +33,10 @@
 //! # Example
 //!
 //! ```
+//! use std::num::NonZeroU32;
+//!
 //! use neupims_core::device::Device;
-//! use neupims_core::scheduler::{scheduler_from_name, SchedulerPolicy, SubBatchInterleaved};
+//! use neupims_core::scheduler::{scheduler_from_name, PrefillScheduler, SchedulerPolicy};
 //! use neupims_core::serving::{ServingConfig, ServingSim};
 //! use neupims_types::LlmConfig;
 //!
@@ -60,18 +51,19 @@
 //!     Device::table2().unwrap(),
 //!     LlmConfig::gpt3_7b(),
 //!     cfg,
-//!     Box::new(SubBatchInterleaved::new(512)),
+//!     Box::new(PrefillScheduler::Interleaved(NonZeroU32::new(512).unwrap())),
 //! );
 //! sim.submit(0, 256, 4, 0).unwrap();
 //! let out = sim.run().unwrap();
 //! assert_eq!(out.completed, 1);
-//! // The registry builds the same policies from their CLI names.
-//! assert_eq!(scheduler_from_name("lump", 256).unwrap().name(), "lump");
+//! // The registry builds the same modes from their CLI names.
+//! assert_eq!(scheduler_from_name("sbi", 512).unwrap().name(), "interleaved");
 //! ```
 
 use std::cell::Cell;
+use std::num::NonZeroU32;
 
-use neupims_sched::{CostModelKind, MhaCostModel, SubBatchSides};
+use neupims_sched::{MhaCostModel, SubBatchSides};
 use neupims_types::{ChannelId, Cycle, LlmConfig, RequestId};
 
 use crate::backend::{Backend, BackendError};
@@ -163,9 +155,10 @@ pub struct IterationDemand<'a> {
     pub homes: &'a [ChannelId],
     /// The MHA cost model pricing PIM GEMV phases, when the serving loop
     /// carries one (built once per run via [`Backend::mha_cost_model`], so
-    /// trace-driven replay memos persist across iterations). `None` makes
-    /// overlap-aware policies fall back to
-    /// [`Backend::mha_cost_model`] with the analytic kind.
+    /// trace-driven replay memos persist across iterations). `None` means
+    /// the backend has no PIM to price, so the plan hides nothing under
+    /// it; a caller planning outside a serving loop passes the backend's
+    /// model itself.
     pub cost_model: Option<&'a dyn MhaCostModel>,
 }
 
@@ -326,15 +319,58 @@ fn price_decode(
     ))
 }
 
-/// The historical lump-prefill policy: prompts are priced in one piece at
-/// admission and run on standalone NPUs, so decode iterations are pure
-/// decode (PR-2 `ServingSim` behavior, kept for parity).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LumpPrefill;
+/// The one shipped [`SchedulerPolicy`]: the same iteration in three
+/// modes, which differ only in where prompts encode and whether their
+/// NPU work hides under the decode batch's PIM GEMV phases.
+///
+/// Every mode plans alike: the prefill chunks within the mode's token
+/// budget (none under lump, whose prefill queue is always empty), then the
+/// backend-priced decode batch, then the NPU/PIM overlap (`hidden`,
+/// interleaved only), and the iteration costs `decode + prefill − hidden`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PrefillScheduler {
+    /// Each prompt is priced in one lump at admission
+    /// ([`Backend::prefill_cycles`]) and runs on standalone NPUs, as in
+    /// the paper's §4 deployment: the request joins decode iterations after
+    /// that delay, and prefill never occupies the simulated device.
+    Lump,
+    /// Orca/vLLM-style: prompts encode on-device in chunks of at most this
+    /// many tokens per iteration (FIFO across unfinished prompts),
+    /// serialized with the decode batch. A chunk taking a prompt from
+    /// `done` to `done + take` tokens costs `prefill(done + take) −
+    /// prefill(done)`, so a fully chunked prompt telescopes to exactly its
+    /// lump cost.
+    Chunked(NonZeroU32),
+    /// NeuPIMs-style: the chunks of [`Self::Chunked`], streamed on the NPU
+    /// *under* the decode batch's PIM GEMV phases. Algorithm 3 splits the
+    /// batch per home channel into two sub-batches; a sub-batch's phase is
+    /// its slowest channel's load under [`IterationDemand::cost_model`],
+    /// the two capped at the backend-priced decode iteration. Half the
+    /// chunks' cost hides under each phase, at most the phase itself. A
+    /// backend without both engines *and dual row buffers* (the naive
+    /// NPU+PIM integration blocks all MEM traffic while PIM computes), or a
+    /// demand without a cost model, hides nothing: the serial
+    /// [`Self::Chunked`] cost.
+    Interleaved(NonZeroU32),
+}
 
-impl SchedulerPolicy for LumpPrefill {
+impl PrefillScheduler {
+    /// The per-iteration prefill token budget (0 under lump).
+    fn budget(self) -> u64 {
+        match self {
+            Self::Lump => 0,
+            Self::Chunked(b) | Self::Interleaved(b) => u64::from(b.get()),
+        }
+    }
+}
+
+impl SchedulerPolicy for PrefillScheduler {
     fn name(&self) -> &'static str {
-        "lump"
+        match self {
+            Self::Lump => "lump",
+            Self::Chunked(_) => "chunked",
+            Self::Interleaved(_) => "interleaved",
+        }
     }
 
     fn clone_box(&self) -> Box<dyn SchedulerPolicy> {
@@ -349,9 +385,12 @@ impl SchedulerPolicy for LumpPrefill {
         layers: u32,
         prompt_len: u64,
     ) -> Result<PrefillCharge, BackendError> {
-        backend
-            .prefill_cycles(model, tp, layers, &[prompt_len])
-            .map(PrefillCharge::Delay)
+        match self {
+            Self::Lump => backend
+                .prefill_cycles(model, tp, layers, &[prompt_len])
+                .map(PrefillCharge::Delay),
+            Self::Chunked(_) | Self::Interleaved(_) => Ok(PrefillCharge::Chunked),
+        }
     }
 
     fn plan(
@@ -362,171 +401,8 @@ impl SchedulerPolicy for LumpPrefill {
         layers: u32,
         demand: &IterationDemand<'_>,
     ) -> Result<IterationPlan, BackendError> {
-        let mut scratch = Lent::take(&PLAN_SCRATCH);
-        let breakdown = price_decode(backend, model, tp, layers, demand, &mut scratch.seqs)?
-            .expect("lump-prefill demand always has a decode batch");
-        Ok(IterationPlan {
-            prefill: Vec::new(),
-            decode_cycles: breakdown.total_cycles,
-            prefill_cycles: 0,
-            hidden_cycles: 0,
-            breakdown,
-        })
-    }
-}
-
-/// Orca/vLLM-style chunked prefill: prompts are encoded on-device in
-/// chunks of at most `chunk_tokens` tokens per iteration (FIFO across
-/// unfinished prompts), serialized with the decode batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkedPrefill {
-    chunk_tokens: u32,
-}
-
-impl ChunkedPrefill {
-    /// Builds the policy with a per-iteration prefill token budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_tokens` is zero (a zero budget would stall every
-    /// prompt forever).
-    pub fn new(chunk_tokens: u32) -> Self {
-        assert!(chunk_tokens > 0, "chunk_tokens must be positive");
-        Self { chunk_tokens }
-    }
-
-    /// The per-iteration prefill token budget.
-    pub fn chunk_tokens(&self) -> u32 {
-        self.chunk_tokens
-    }
-}
-
-impl SchedulerPolicy for ChunkedPrefill {
-    fn name(&self) -> &'static str {
-        "chunked"
-    }
-
-    fn clone_box(&self) -> Box<dyn SchedulerPolicy> {
-        Box::new(*self)
-    }
-
-    fn admission_charge(
-        &self,
-        _backend: &dyn Backend,
-        _model: &LlmConfig,
-        _tp: u32,
-        _layers: u32,
-        _prompt_len: u64,
-    ) -> Result<PrefillCharge, BackendError> {
-        Ok(PrefillCharge::Chunked)
-    }
-
-    fn plan(
-        &mut self,
-        backend: &dyn Backend,
-        model: &LlmConfig,
-        tp: u32,
-        layers: u32,
-        demand: &IterationDemand<'_>,
-    ) -> Result<IterationPlan, BackendError> {
-        let (chunks, prefill_cycles) = take_chunks(
-            backend,
-            model,
-            tp,
-            layers,
-            demand.prefill,
-            self.chunk_tokens as u64,
-        )?;
-        let mut scratch = Lent::take(&PLAN_SCRATCH);
-        let mut breakdown = price_decode(backend, model, tp, layers, demand, &mut scratch.seqs)?
-            .unwrap_or_default();
-        let decode_cycles = breakdown.total_cycles;
-        breakdown.total_cycles += prefill_cycles;
-        breakdown.npu_busy += prefill_cycles; // prefill GEMMs run on the NPU
-        Ok(IterationPlan {
-            prefill: chunks,
-            breakdown,
-            decode_cycles,
-            prefill_cycles,
-            hidden_cycles: 0,
-        })
-    }
-}
-
-/// NeuPIMs-style sub-batch interleaving: chunked prefill whose NPU GEMM
-/// work streams *under* the decode batch's PIM GEMV phases.
-///
-/// Per iteration the decode-ready requests are split per home channel by
-/// Algorithm 3 ([`SubBatchSides`]) into two sub-batches; each
-/// sub-batch's GEMV phase length is the slowest channel's load under the
-/// active [`MhaCostModel`] (the serving loop's configured model via
-/// [`IterationDemand::cost_model`], else the backend's analytic one),
-/// capped so the two phases never exceed the backend-priced decode
-/// iteration. Half the prefill chunk budget overlaps each phase, so the
-/// iteration costs `decode + prefill − Σ min(phase, prefill / 2)`.
-/// Backends without both engines *and dual row buffers* (the naive
-/// NPU+PIM integration blocks all MEM traffic while PIM computes, so
-/// nothing can overlap), or without a cost model, fall back to the serial
-/// [`ChunkedPrefill`] cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SubBatchInterleaved {
-    chunk_tokens: u32,
-}
-
-impl SubBatchInterleaved {
-    /// Builds the policy with a per-iteration prefill token budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_tokens` is zero (a zero budget would stall every
-    /// prompt forever).
-    pub fn new(chunk_tokens: u32) -> Self {
-        assert!(chunk_tokens > 0, "chunk_tokens must be positive");
-        Self { chunk_tokens }
-    }
-
-    /// The per-iteration prefill token budget.
-    pub fn chunk_tokens(&self) -> u32 {
-        self.chunk_tokens
-    }
-}
-
-impl SchedulerPolicy for SubBatchInterleaved {
-    fn name(&self) -> &'static str {
-        "interleaved"
-    }
-
-    fn clone_box(&self) -> Box<dyn SchedulerPolicy> {
-        Box::new(*self)
-    }
-
-    fn admission_charge(
-        &self,
-        _backend: &dyn Backend,
-        _model: &LlmConfig,
-        _tp: u32,
-        _layers: u32,
-        _prompt_len: u64,
-    ) -> Result<PrefillCharge, BackendError> {
-        Ok(PrefillCharge::Chunked)
-    }
-
-    fn plan(
-        &mut self,
-        backend: &dyn Backend,
-        model: &LlmConfig,
-        tp: u32,
-        layers: u32,
-        demand: &IterationDemand<'_>,
-    ) -> Result<IterationPlan, BackendError> {
-        let (chunks, prefill_cycles) = take_chunks(
-            backend,
-            model,
-            tp,
-            layers,
-            demand.prefill,
-            self.chunk_tokens as u64,
-        )?;
+        let (chunks, prefill_cycles) =
+            take_chunks(backend, model, tp, layers, demand.prefill, self.budget())?;
         let mut scratch = Lent::take(&PLAN_SCRATCH);
         let PlanScratch {
             seqs,
@@ -543,26 +419,13 @@ impl SchedulerPolicy for SubBatchInterleaved {
         // NPU+PIM integration) the channel serves no MEM traffic while PIM
         // computes, so the NPU cannot stream prefill weights during GEMV
         // and nothing overlaps. Also requires an MHA cost model and
-        // prefill work to hide under a decode batch. The model comes from
-        // the serving loop when it carries one (so trace-driven memos
-        // persist across iterations); standalone use falls back to the
-        // backend's analytic model.
-        let caps = backend.caps();
-        let fallback;
-        let cost_model: Option<&dyn MhaCostModel> = match demand.cost_model {
-            Some(m) => Some(m),
-            None => {
-                fallback = backend.mha_cost_model(model, tp, CostModelKind::Analytic);
-                fallback.as_deref()
-            }
-        };
-        let hidden_cycles = match cost_model {
-            Some(est)
-                if caps.uses_npu
-                    && caps.uses_pim
-                    && caps.dual_row_buffer
-                    && prefill_cycles > 0
-                    && !demand.decode.is_empty() =>
+        // prefill work to hide under a decode batch.
+        let hidden_cycles = match (*self, demand.cost_model) {
+            (Self::Interleaved(_), Some(est))
+                if prefill_cycles > 0 && !demand.decode.is_empty() && {
+                    let caps = backend.caps();
+                    caps.uses_npu && caps.uses_pim && caps.dual_row_buffer
+                } =>
             {
                 // Algorithm 3 over the ready requests' home channels: one
                 // estimate per request (priced as one batch), added to its
@@ -610,39 +473,41 @@ impl SchedulerPolicy for SubBatchInterleaved {
 /// CLI's `--scheduler` flag).
 pub const SCHEDULER_NAMES: [&str; 3] = ["lump", "chunked", "interleaved"];
 
-/// Builds a boxed scheduler policy from its CLI name (case-insensitive;
-/// `lump-prefill`, `chunked-prefill`, `sbi`, and `sub-batch-interleaved`
-/// are accepted aliases). `chunk_tokens` is the per-iteration prefill
-/// token budget of the chunked policies (ignored by `lump`).
+/// Builds a boxed [`PrefillScheduler`] from its CLI name
+/// (case-insensitive; `lump-prefill`, `chunked-prefill`, `sbi`,
+/// `sub-batch`, and `sub-batch-interleaved` are accepted aliases).
+/// `chunk_tokens` is the per-iteration prefill token budget of the
+/// chunked and interleaved modes (ignored by `lump`).
 ///
 /// # Errors
 ///
 /// Returns [`BackendError::InvalidSimulation`] for unrecognized names, or
-/// a zero `chunk_tokens` with a chunked policy.
+/// a zero `chunk_tokens` with a chunked mode.
 pub fn scheduler_from_name(
     name: &str,
     chunk_tokens: u32,
 ) -> Result<Box<dyn SchedulerPolicy>, BackendError> {
-    let chunked = |make: fn(u32) -> Box<dyn SchedulerPolicy>| {
-        if chunk_tokens == 0 {
-            Err(BackendError::InvalidSimulation(
+    let budget = || {
+        NonZeroU32::new(chunk_tokens).ok_or_else(|| {
+            BackendError::InvalidSimulation(
                 "chunk_tokens must be positive for chunked schedulers".into(),
-            ))
-        } else {
-            Ok(make(chunk_tokens))
+            )
+        })
+    };
+    let scheduler = match name.to_ascii_lowercase().as_str() {
+        "lump" | "lump-prefill" => PrefillScheduler::Lump,
+        "chunked" | "chunked-prefill" => PrefillScheduler::Chunked(budget()?),
+        "interleaved" | "sbi" | "sub-batch" | "sub-batch-interleaved" => {
+            PrefillScheduler::Interleaved(budget()?)
+        }
+        other => {
+            return Err(BackendError::InvalidSimulation(format!(
+                "unknown scheduler {other:?} (expected one of: {})",
+                SCHEDULER_NAMES.join(", ")
+            )))
         }
     };
-    match name.to_ascii_lowercase().as_str() {
-        "lump" | "lump-prefill" => Ok(Box::new(LumpPrefill)),
-        "chunked" | "chunked-prefill" => chunked(|c| Box::new(ChunkedPrefill::new(c))),
-        "interleaved" | "sbi" | "sub-batch" | "sub-batch-interleaved" => {
-            chunked(|c| Box::new(SubBatchInterleaved::new(c)))
-        }
-        other => Err(BackendError::InvalidSimulation(format!(
-            "unknown scheduler {other:?} (expected one of: {})",
-            SCHEDULER_NAMES.join(", ")
-        ))),
-    }
+    Ok(Box::new(scheduler))
 }
 
 #[cfg(test)]
@@ -651,6 +516,9 @@ mod tests {
     use crate::backend::GpuRooflineBackend;
     use crate::device::DeviceMode;
     use crate::testsupport::table2_device;
+    use neupims_sched::CostModelKind;
+
+    const BUDGET: NonZeroU32 = NonZeroU32::new(256).unwrap();
 
     type DemandFixtures = (Vec<(RequestId, u64)>, Vec<PrefillProgress>, Vec<ChannelId>);
 
@@ -692,13 +560,8 @@ mod tests {
             "lump ignores the chunk budget"
         );
         assert!(scheduler_from_name("chunked", 0).is_err());
+        assert!(scheduler_from_name("interleaved", 0).is_err());
         assert!(scheduler_from_name("magic", 256).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk_tokens must be positive")]
-    fn zero_chunk_budget_panics() {
-        ChunkedPrefill::new(0);
     }
 
     #[test]
@@ -746,16 +609,17 @@ mod tests {
         let backend = table2_device(DeviceMode::neupims());
         let model = LlmConfig::gpt3_7b();
         let (decode, prefill, homes) = demand_fixtures();
+        let analytic = backend.cost_model(&model, 4, CostModelKind::Analytic);
         let demand = IterationDemand {
             decode: &decode,
             prefill: &prefill,
             homes: &homes,
-            cost_model: None,
+            cost_model: analytic.as_deref(),
         };
-        let chunked = ChunkedPrefill::new(256)
+        let chunked = PrefillScheduler::Chunked(BUDGET)
             .plan(&backend, &model, 4, 32, &demand)
             .unwrap();
-        let sbi = SubBatchInterleaved::new(256)
+        let sbi = PrefillScheduler::Interleaved(BUDGET)
             .plan(&backend, &model, 4, 32, &demand)
             .unwrap();
         assert_eq!(chunked.hidden_cycles, 0);
@@ -780,10 +644,10 @@ mod tests {
             homes: &homes,
             cost_model: None,
         };
-        let sbi = SubBatchInterleaved::new(256)
+        let sbi = PrefillScheduler::Interleaved(BUDGET)
             .plan(&backend, &model, 4, 32, &demand)
             .unwrap();
-        let chunked = ChunkedPrefill::new(256)
+        let chunked = PrefillScheduler::Chunked(BUDGET)
             .plan(&backend, &model, 4, 32, &demand)
             .unwrap();
         assert_eq!(sbi.hidden_cycles, 0, "no PIM engine, nothing to overlap");
@@ -801,20 +665,49 @@ mod tests {
         assert!(!backend.caps().dual_row_buffer);
         let model = LlmConfig::gpt3_7b();
         let (decode, prefill, homes) = demand_fixtures();
+        let analytic = backend.cost_model(&model, 4, CostModelKind::Analytic);
+        assert!(
+            analytic.is_some(),
+            "blocked-mode PIM still has a cost model"
+        );
+        let demand = IterationDemand {
+            decode: &decode,
+            prefill: &prefill,
+            homes: &homes,
+            cost_model: analytic.as_deref(),
+        };
+        let sbi = PrefillScheduler::Interleaved(BUDGET)
+            .plan(&backend, &model, 4, 32, &demand)
+            .unwrap();
+        assert_eq!(sbi.hidden_cycles, 0, "blocked-mode PIM cannot overlap");
+        let chunked = PrefillScheduler::Chunked(BUDGET)
+            .plan(&backend, &model, 4, 32, &demand)
+            .unwrap();
+        assert_eq!(sbi.breakdown.total_cycles, chunked.breakdown.total_cycles);
+    }
+
+    #[test]
+    fn interleaved_without_a_cost_model_hides_nothing() {
+        // Both engines and dual row buffers, but no model to price the PIM
+        // phases with: the serial chunked cost, with no fallback model.
+        let backend = table2_device(DeviceMode::neupims());
+        let model = LlmConfig::gpt3_7b();
+        let (decode, prefill, homes) = demand_fixtures();
         let demand = IterationDemand {
             decode: &decode,
             prefill: &prefill,
             homes: &homes,
             cost_model: None,
         };
-        let sbi = SubBatchInterleaved::new(256)
+        let sbi = PrefillScheduler::Interleaved(BUDGET)
             .plan(&backend, &model, 4, 32, &demand)
             .unwrap();
-        assert_eq!(sbi.hidden_cycles, 0, "blocked-mode PIM cannot overlap");
-        let chunked = ChunkedPrefill::new(256)
+        let chunked = PrefillScheduler::Chunked(BUDGET)
             .plan(&backend, &model, 4, 32, &demand)
             .unwrap();
-        assert_eq!(sbi.breakdown.total_cycles, chunked.breakdown.total_cycles);
+        assert_eq!(sbi.hidden_cycles, 0);
+        assert!(sbi.prefill_cycles > 0 && sbi.decode_cycles > 0);
+        assert_eq!(sbi.breakdown, chunked.breakdown);
     }
 
     #[test]
@@ -829,8 +722,8 @@ mod tests {
             cost_model: None,
         };
         for mut policy in [
-            Box::new(ChunkedPrefill::new(256)) as Box<dyn SchedulerPolicy>,
-            Box::new(SubBatchInterleaved::new(256)),
+            PrefillScheduler::Chunked(BUDGET),
+            PrefillScheduler::Interleaved(BUDGET),
         ] {
             let plan = policy.plan(&backend, &model, 4, 32, &demand).unwrap();
             assert_eq!(plan.decode_cycles, 0);
@@ -888,7 +781,7 @@ mod tests {
             homes: &homes,
             cost_model: Some(&counting),
         };
-        let plan = SubBatchInterleaved::new(256)
+        let plan = PrefillScheduler::Interleaved(BUDGET)
             .plan(&backend, &model, 4, 32, &demand)
             .unwrap();
         assert!(plan.hidden_cycles > 0, "the sub-batch phases were priced");
@@ -900,7 +793,7 @@ mod tests {
 
     #[test]
     fn boxed_policies_clone() {
-        let b: Box<dyn SchedulerPolicy> = Box::new(SubBatchInterleaved::new(512));
+        let b: Box<dyn SchedulerPolicy> = Box::new(PrefillScheduler::Interleaved(BUDGET));
         let c = b.clone();
         assert_eq!(c.name(), "interleaved");
     }

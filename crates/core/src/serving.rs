@@ -8,12 +8,11 @@
 //! and finished requests release their pages.
 //!
 //! How summarization (prefill) is charged is the scheduler's call. Under
-//! the default [`LumpPrefill`] policy it is
+//! the default [`PrefillScheduler::Lump`] mode it is
 //! delegated to standalone NPUs as in the paper: admission prices each
 //! prompt with [`Backend::prefill_cycles`] and the request only joins
 //! decode iterations once that delay has elapsed. Under
-//! [`ChunkedPrefill`](crate::scheduler::ChunkedPrefill) and
-//! [`SubBatchInterleaved`](crate::scheduler::SubBatchInterleaved) the
+//! [`PrefillScheduler::Chunked`] and [`PrefillScheduler::Interleaved`] the
 //! prompt is encoded on-device in token chunks that share iterations with
 //! decode — serially for the former, overlapped with the decode batch's
 //! PIM GEMV phases for the latter (the paper's NPU/PIM interleaving). In
@@ -59,8 +58,10 @@
 //! # Example
 //!
 //! ```
+//! use std::num::NonZeroU32;
+//!
 //! use neupims_core::device::Device;
-//! use neupims_core::scheduler::SubBatchInterleaved;
+//! use neupims_core::scheduler::PrefillScheduler;
 //! use neupims_core::serving::{ServingConfig, ServingSim};
 //! use neupims_types::LlmConfig;
 //!
@@ -83,7 +84,7 @@
 //!     Device::table2().unwrap(),
 //!     LlmConfig::gpt3_7b(),
 //!     cfg,
-//!     Box::new(SubBatchInterleaved::new(256)),
+//!     Box::new(PrefillScheduler::Interleaved(NonZeroU32::new(256).unwrap())),
 //! );
 //! sim.submit(0, 128, 4, 0).unwrap();
 //! assert_eq!(sim.run().unwrap().completed, 1);
@@ -104,7 +105,7 @@ use crate::fleet::FleetRequest;
 use crate::metrics::IterationBreakdown;
 use crate::preempt::{DropOnly, PreemptionPolicy, RestoreMode, SwapConfig, VictimCandidate};
 use crate::scheduler::{
-    IterationDemand, IterationOccupancy, LumpPrefill, PrefillCharge, PrefillProgress,
+    IterationDemand, IterationOccupancy, PrefillCharge, PrefillProgress, PrefillScheduler,
     SchedulerPolicy,
 };
 use crate::scratch::Lent;
@@ -382,11 +383,11 @@ impl ServingOutcome {
     /// cycles hidden under decode PIM GEMV phases,
     /// `overlap_hidden_cycles / prefill_cycles_on_device` in `[0, 1]`.
     ///
-    /// 0 for schedulers that never put prefill on-device
-    /// ([`LumpPrefill`]) or never overlap it
-    /// ([`ChunkedPrefill`](crate::scheduler::ChunkedPrefill)); approaches 1
-    /// when [`SubBatchInterleaved`](crate::scheduler::SubBatchInterleaved)
-    /// hides the whole prefill stream under decode.
+    /// 0 for scheduler modes that never put prefill on-device
+    /// ([`PrefillScheduler::Lump`]) or never overlap it
+    /// ([`PrefillScheduler::Chunked`]); approaches 1 when
+    /// [`PrefillScheduler::Interleaved`] hides the whole prefill stream
+    /// under decode.
     pub fn overlap_efficiency(&self) -> f64 {
         if self.prefill_cycles_on_device == 0 {
             0.0
@@ -462,6 +463,37 @@ impl InFlight {
             last_decoded: 0,
             grew_in: 0,
             preemptions: 0,
+        }
+    }
+
+    /// Gates its decoding on `charge` at `now`: a delay readies it that
+    /// many cycles later, when `ready(id)` fires; on-device encoding marks
+    /// it prefilling and returns the progress of its `prompt` tokens, for
+    /// the caller to queue in [`ServingSim::prefilling`].
+    fn gate(
+        &mut self,
+        id: RequestId,
+        charge: PrefillCharge,
+        prompt: u64,
+        now: Cycle,
+        ready: fn(RequestId) -> SimEvent,
+        events: &mut EventQueue,
+    ) -> Option<PrefillProgress> {
+        match charge {
+            PrefillCharge::Delay(d) => {
+                self.ready_at = now + d;
+                events.push_after(now, self.ready_at, ready(id));
+                None
+            }
+            PrefillCharge::Chunked => {
+                self.prefilling = true;
+                Some(PrefillProgress {
+                    id,
+                    done: 0,
+                    total: prompt,
+                    charged: 0,
+                })
+            }
         }
     }
 
@@ -598,16 +630,17 @@ pub struct ServingSim<B: Backend = Device> {
 
 impl<B: Backend> ServingSim<B> {
     /// Builds a serving simulation over any backend with the default
-    /// [`LumpPrefill`] scheduler. The KV cache is paged across the
-    /// backend's memory organization ([`Backend::mem_config`]).
+    /// [`PrefillScheduler::Lump`] scheduler. The KV cache is paged across
+    /// the backend's memory organization ([`Backend::mem_config`]).
     pub fn new(backend: B, model: LlmConfig, cfg: ServingConfig) -> Self {
-        Self::with_scheduler(backend, model, cfg, Box::new(LumpPrefill))
+        Self::with_scheduler(backend, model, cfg, Box::new(PrefillScheduler::Lump))
     }
 
     /// Builds a serving simulation driven by an explicit
     /// [`SchedulerPolicy`] (see [`crate::scheduler`] for the shipped
-    /// policies and [`scheduler_from_name`](crate::scheduler::scheduler_from_name)
-    /// for name-based construction).
+    /// [`PrefillScheduler`] modes and
+    /// [`scheduler_from_name`](crate::scheduler::scheduler_from_name) for
+    /// name-based construction).
     pub fn with_scheduler(
         backend: B,
         model: LlmConfig,
@@ -1034,57 +1067,36 @@ impl<B: Backend> ServingSim<B> {
                 .preemption
                 .restore_mode()
                 .expect("parked requests only exist under preempting policies");
-            match mode {
+            let prompt = seq.max(1);
+            let charge = match mode {
                 RestoreMode::Recompute => {
-                    let prompt = seq.max(1);
+                    let (backend, model) = (&self.backend, &self.model);
+                    let (tp, layers) = (self.cfg.tp, self.cfg.layers);
                     let charge = self
                         .scheduler
-                        .admission_charge(
-                            &self.backend,
-                            &self.model,
-                            self.cfg.tp,
-                            self.cfg.layers,
-                            prompt,
-                        )
-                        .map_err(SimError::from)?;
-                    match charge {
-                        PrefillCharge::Delay(d) => {
-                            rec.ready_at = self.now + d;
-                            self.events.push_after(
-                                self.now,
-                                rec.ready_at,
-                                SimEvent::RestoreComplete(id),
-                            );
-                            self.restore_overhead += d;
-                        }
+                        .admission_charge(backend, model, tp, layers, prompt)?;
+                    self.restore_overhead += match charge {
+                        PrefillCharge::Delay(d) => d,
                         PrefillCharge::Chunked => {
-                            rec.prefilling = true;
-                            self.prefilling.push(PrefillProgress {
-                                id,
-                                done: 0,
-                                total: prompt,
-                                charged: 0,
-                            });
-                            self.restore_overhead += self
-                                .backend
-                                .prefill_cycles(
-                                    &self.model,
-                                    self.cfg.tp,
-                                    self.cfg.layers,
-                                    &[prompt],
-                                )
-                                .map_err(SimError::from)?;
+                            backend.prefill_cycles(model, tp, layers, &[prompt])?
                         }
-                    }
+                    };
+                    charge
                 }
                 RestoreMode::Swap => {
                     let d = self.swap.transfer_cycles(bytes);
-                    rec.ready_at = self.now + d;
-                    self.events
-                        .push_after(self.now, rec.ready_at, SimEvent::RestoreComplete(id));
                     self.restore_overhead += d;
+                    PrefillCharge::Delay(d)
                 }
-            }
+            };
+            self.prefilling.extend(rec.gate(
+                id,
+                charge,
+                prompt,
+                self.now,
+                SimEvent::RestoreComplete,
+                &mut self.events,
+            ));
             self.pool
                 .resume((req, rec))
                 .expect("batch cap was checked before restoring");
@@ -1221,25 +1233,14 @@ impl<B: Backend> ServingSim<B> {
                         *next_channel += 1;
                         let mut rec = InFlight::admitted(alloc, *admit_counter);
                         *admit_counter += 1;
-                        match charge {
-                            PrefillCharge::Delay(prefill) => {
-                                rec.ready_at = now + prefill;
-                                events.push_after(
-                                    now,
-                                    rec.ready_at,
-                                    SimEvent::IterationComplete(req.id),
-                                );
-                            }
-                            PrefillCharge::Chunked => {
-                                rec.prefilling = true;
-                                prefilling.push(PrefillProgress {
-                                    id: req.id,
-                                    done: 0,
-                                    total: prompt,
-                                    charged: 0,
-                                });
-                            }
-                        }
+                        prefilling.extend(rec.gate(
+                            req.id,
+                            charge,
+                            prompt,
+                            now,
+                            SimEvent::IterationComplete,
+                            events,
+                        ));
                         *queued_pages -= kv.pages_for(req.input_len as u64);
                         Some(rec)
                     }
@@ -1665,7 +1666,7 @@ mod tests {
             table2_device(DeviceMode::neupims()),
             LlmConfig::gpt3_7b(),
             cfg(4),
-            Box::new(crate::scheduler::ChunkedPrefill::new(64)),
+            crate::scheduler::scheduler_from_name("chunked", 64).unwrap(),
         );
         for i in 0..10 {
             s.submit(i, 100 + 30 * i, 3, u64::from(i) * 100_000)

@@ -167,6 +167,36 @@ impl ScenarioKind {
             ScenarioKind::Throughput => "throughput",
         }
     }
+
+    /// Whether a scenario of this kind reads `key`, one of the
+    /// [`SHARED_KEYS`] or a `[[scenario]]` key: warm batches have no
+    /// arrivals, tenants, serving loop or fleet, and serving has no warm
+    /// batches.
+    pub fn reads(self, key: &str) -> bool {
+        match self {
+            ScenarioKind::Throughput => !matches!(
+                key,
+                "scheduler"
+                    | "chunk-tokens"
+                    | "preemption"
+                    | "swap-gbps"
+                    | "replicas"
+                    | "policy"
+                    | "max-batch"
+                    | "slo-ttft-ms"
+                    | "slo-tpot-ms"
+                    | "autoscale"
+                    | "router"
+                    | "min-replicas"
+                    | "requests"
+                    | "rate"
+                    | "output-cap"
+                    | "arrival"
+                    | "tenant"
+            ),
+            ScenarioKind::Serving => !matches!(key, "batch" | "samples"),
+        }
+    }
 }
 
 /// The workload half of a serving scenario.
@@ -596,35 +626,6 @@ const SCENARIO_KEYS: [&str; 8] = [
     "expect",
 ];
 
-/// Whether a scenario of `kind` never reads `key`: warm batches have no
-/// arrivals, tenants, serving loop or fleet, and serving has no warm
-/// batches.
-fn never_reads(kind: ScenarioKind, key: &str) -> bool {
-    match kind {
-        ScenarioKind::Throughput => matches!(
-            key,
-            "scheduler"
-                | "chunk-tokens"
-                | "preemption"
-                | "swap-gbps"
-                | "replicas"
-                | "policy"
-                | "max-batch"
-                | "slo-ttft-ms"
-                | "slo-tpot-ms"
-                | "autoscale"
-                | "router"
-                | "min-replicas"
-                | "requests"
-                | "rate"
-                | "output-cap"
-                | "arrival"
-                | "tenant"
-        ),
-        ScenarioKind::Serving => matches!(key, "batch" | "samples"),
-    }
-}
-
 fn parse_scenario(t: &Table) -> Result<ScenarioSpec, SpecError> {
     let mut shared = Settings {
         system: SystemSpec::default(),
@@ -646,7 +647,7 @@ fn parse_scenario(t: &Table) -> Result<ScenarioSpec, SpecError> {
         Some("throughput") => ScenarioKind::Throughput,
         Some(other) => return serr(format!("unknown kind {other:?}")),
     };
-    if let Some(key) = t.keys().find(|key| never_reads(kind, key)) {
+    if let Some(key) = t.keys().find(|key| !kind.reads(key)) {
         return serr(format!("a {} scenario never reads {key:?}", kind.name()));
     }
     if let Some(key) = ORCHESTRATION_KEYS.iter().find(|key| t.contains_key(**key)) {

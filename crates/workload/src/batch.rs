@@ -11,7 +11,7 @@
 
 use rand::{Rng, RngExt};
 
-use neupims_types::{Cycle, SimError};
+use neupims_types::SimError;
 
 use crate::dataset::Dataset;
 
@@ -75,28 +75,6 @@ pub fn warm_seq_lens<R: Rng + ?Sized>(
         .collect()
 }
 
-/// Samples Poisson arrival times: exponential inter-arrival gaps at
-/// `rate_per_mcycle` requests per million cycles, until `horizon`.
-pub fn poisson_arrivals<R: Rng + ?Sized>(
-    rng: &mut R,
-    rate_per_mcycle: f64,
-    horizon: Cycle,
-) -> Vec<Cycle> {
-    assert!(rate_per_mcycle > 0.0, "arrival rate must be positive");
-    let mean_gap = 1.0e6 / rate_per_mcycle;
-    let mut t = 0.0f64;
-    let mut out = Vec::new();
-    loop {
-        let u: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
-        t += -mean_gap * u.ln();
-        if t as Cycle >= horizon {
-            break;
-        }
-        out.push(t as Cycle);
-    }
-    out
-}
-
 /// An empty buffer with room for exactly `requests` entries: the
 /// storage of one per-request array of a generated workload.
 ///
@@ -119,6 +97,7 @@ pub fn request_buffer<T>(requests: usize) -> Result<Vec<T>, SimError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use neupims_types::Cycle;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -149,17 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn poisson_arrivals_are_sorted_and_bounded() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let arr = poisson_arrivals(&mut rng, 50.0, 10_000_000);
-        assert!(!arr.is_empty());
-        assert!(arr.windows(2).all(|w| w[0] <= w[1]));
-        assert!(arr.iter().all(|&t| t < 10_000_000));
-        // Rate check: ~50 per Mcycle over 10 Mcycles = ~500 arrivals.
-        assert!((arr.len() as f64 - 500.0).abs() < 150.0, "{}", arr.len());
-    }
-
-    #[test]
     fn unreservable_request_counts_are_errors_naming_requests() {
         // Sizes past `isize::MAX` bytes fail before the allocator is asked.
         let too_many = usize::MAX / 4;
@@ -170,12 +138,5 @@ mod tests {
             "{err}"
         );
         assert_eq!(request_buffer::<Cycle>(3).unwrap().capacity(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "arrival rate must be positive")]
-    fn zero_rate_panics() {
-        let mut rng = StdRng::seed_from_u64(0);
-        poisson_arrivals(&mut rng, 0.0, 100);
     }
 }

@@ -13,14 +13,12 @@
 //! * [`batch::warm_batch`] — the warm-batch sampler, and
 //!   [`batch::warm_seq_lens`] its context lengths (the experiments seed it
 //!   from [`DEFAULT_SEED`]);
-//! * [`batch::poisson_arrivals`] — Poisson arrivals up to a time horizon
-//!   (a fixed request count is [`scenario::arrival_times`] of
-//!   [`ArrivalProcess::Poisson`]);
 //! * [`pressure::kv_pressure_burst`] — KV-pressure burst traces (modest
 //!   prompts, long decode tails, bursty arrivals) that oversubscribe the
 //!   paged KV cache and exercise the preemption policies;
 //! * [`scenario`] — declarative scenario generators (Poisson / bursty /
-//!   diurnal / heavy-tailed arrival processes, per-tenant length
+//!   diurnal / heavy-tailed arrival processes, sampled as a fixed request
+//!   count by [`scenario::arrival_times`], and per-tenant length
 //!   distributions) behind the eval harness's TOML suite specs.
 
 #![warn(missing_docs)]
@@ -30,9 +28,7 @@ pub mod dataset;
 pub mod pressure;
 pub mod scenario;
 
-pub use batch::{
-    poisson_arrivals, request_buffer, warm_batch, warm_seq_lens, WarmRequest, DEFAULT_SEED,
-};
+pub use batch::{request_buffer, warm_batch, warm_seq_lens, WarmRequest, DEFAULT_SEED};
 pub use dataset::Dataset;
 pub use pressure::{kv_pressure_burst, PressureRequest, PressureSpec};
 pub use scenario::{

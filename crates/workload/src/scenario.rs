@@ -531,6 +531,13 @@ mod tests {
         let _ = arrival_times(&mut StdRng::seed_from_u64(0), &p, 4);
     }
 
+    #[test]
+    #[should_panic(expected = "arrival rate must be positive")]
+    fn zero_rate_panics() {
+        let p = ArrivalProcess::Poisson { rate: 0.0 };
+        let _ = arrival_times(&mut StdRng::seed_from_u64(0), &p, 100);
+    }
+
     // ------------------------------------------------------ property tests
 
     use proptest::prelude::*;

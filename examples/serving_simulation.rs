@@ -14,13 +14,13 @@ use rand::SeedableRng;
 use neupims_core::backend::Backend;
 use neupims_core::system::SystemSpec;
 use neupims_types::request_id;
-use neupims_workload::{poisson_arrivals, Dataset};
+use neupims_workload::{arrival_times, ArrivalProcess, Dataset};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 60 requests arriving at ~3 per million cycles (3000 req/s at 1 GHz),
     // lengths drawn from the ShareGPT distributions.
     let mut rng = StdRng::seed_from_u64(1234);
-    let arrivals = poisson_arrivals(&mut rng, 3.0, 20_000_000);
+    let arrivals = arrival_times(&mut rng, &ArrivalProcess::Poisson { rate: 3.0 }, 60)?;
     let dataset = Dataset::ShareGpt;
 
     // The same serving loop drives every system: swap the backend name
@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
         let mut serving = spec.replica(0, None)?;
         let mut rng = StdRng::seed_from_u64(99);
-        for (i, &at) in arrivals.iter().take(60).enumerate() {
+        for (i, &at) in arrivals.iter().enumerate() {
             let input = dataset.sample_input(&mut rng);
             let output = dataset.sample_output(&mut rng).min(64); // cap for demo
             serving.submit(request_id(i)?, input, output, at)?;

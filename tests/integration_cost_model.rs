@@ -5,7 +5,7 @@
 use neupims_core::backend::{backend_from_name_with_cost, Backend};
 use neupims_core::device::Device;
 use neupims_core::fleet::{FleetRequest, FleetSim, JoinShortestQueue};
-use neupims_core::scheduler::SubBatchInterleaved;
+use neupims_core::scheduler::scheduler_from_name;
 use neupims_core::serving::{ServingConfig, ServingSim};
 use neupims_core::system::SystemSpec;
 use neupims_pim::calibrate;
@@ -27,7 +27,7 @@ fn run_serving(kind: CostModelKind) -> neupims_core::serving::ServingOutcome {
         Device::table2().unwrap().with_cost_model(kind),
         LlmConfig::gpt3_7b(),
         serving_cfg(16),
-        Box::new(SubBatchInterleaved::new(256)),
+        scheduler_from_name("interleaved", 256).unwrap(),
     )
     .with_cost_model(kind);
     for i in 0..24u32 {
@@ -73,7 +73,7 @@ fn analytic_serving_reports_no_trace_and_stays_default() {
         Device::table2().unwrap(),
         LlmConfig::gpt3_7b(),
         serving_cfg(16),
-        Box::new(SubBatchInterleaved::new(256)),
+        scheduler_from_name("interleaved", 256).unwrap(),
     );
     assert_eq!(plain.cost_model_kind(), CostModelKind::Analytic);
     for i in 0..24u32 {
@@ -148,7 +148,7 @@ fn backend_configured_kind_is_the_serving_default() {
             .with_cost_model(CostModelKind::TraceDriven),
         LlmConfig::gpt3_7b(),
         serving_cfg(8),
-        Box::new(SubBatchInterleaved::new(128)),
+        scheduler_from_name("interleaved", 128).unwrap(),
     );
     assert_eq!(sim.cost_model_kind(), CostModelKind::TraceDriven);
     for i in 0..4 {
@@ -203,7 +203,7 @@ fn fleet_dedupes_shared_memo_snapshots() {
                 shared.clone(),
                 LlmConfig::gpt3_7b(),
                 serving_cfg(8),
-                Box::new(SubBatchInterleaved::new(128)),
+                scheduler_from_name("interleaved", 128).unwrap(),
             )
         })
         .collect();
@@ -275,7 +275,7 @@ fn simulation_builder_and_fleet_thread_the_knob() {
                 Device::table2().unwrap(),
                 LlmConfig::gpt3_7b(),
                 serving_cfg(8),
-                Box::new(SubBatchInterleaved::new(128)),
+                scheduler_from_name("interleaved", 128).unwrap(),
             )
             .with_cost_model(CostModelKind::TraceDriven)
         })

@@ -8,8 +8,7 @@ use neupims_core::backend::backend_from_name;
 use neupims_core::device::Device;
 use neupims_core::fleet::{FleetRequest, FleetSim, JoinShortestQueue};
 use neupims_core::scheduler::{
-    scheduler_from_name, ChunkedPrefill, LumpPrefill, SchedulerPolicy, SubBatchInterleaved,
-    SCHEDULER_NAMES,
+    scheduler_from_name, PrefillScheduler, SchedulerPolicy, SCHEDULER_NAMES,
 };
 use neupims_core::serving::{ServingConfig, ServingSim, StepEvent};
 use neupims_core::system::SystemSpec;
@@ -47,7 +46,7 @@ fn golden_trace(sim: &mut ServingSim<Device>) {
 #[test]
 fn lump_prefill_reproduces_pr2_numbers_exactly() {
     // Golden numbers captured from the PR-2 serving path (commit 25113d8)
-    // before the scheduler refactor. The default LumpPrefill policy must
+    // before the scheduler refactor. The default lump-prefill mode must
     // reproduce them bit-for-bit.
     let mut sim = ServingSim::new(Device::table2().unwrap(), LlmConfig::gpt3_7b(), cfg(16));
     golden_trace(&mut sim);
@@ -72,16 +71,16 @@ fn lump_prefill_reproduces_pr2_numbers_exactly() {
 fn default_scheduler_equals_explicit_lump() {
     let mut default_sim = ServingSim::new(Device::table2().unwrap(), LlmConfig::gpt3_7b(), cfg(16));
     golden_trace(&mut default_sim);
-    let mut lump_sim = neupims_sim(16, Box::new(LumpPrefill));
+    let mut lump_sim = neupims_sim(16, Box::new(PrefillScheduler::Lump));
     golden_trace(&mut lump_sim);
     assert_eq!(default_sim.run().unwrap(), lump_sim.run().unwrap());
 }
 
 /// The paper's interleaving claim at the serving layer: on a mixed
 /// prefill+decode trace (each huge prompt's chunked encoding overlaps the
-/// previous requests' decode tails), SubBatchInterleaved hides prefill
+/// previous requests' decode tails), the interleaved mode hides prefill
 /// GEMM work under decode PIM GEMV phases and finishes strictly sooner
-/// than LumpPrefill — even though the lump model runs prompts on free
+/// than lump prefill — even though the lump model runs prompts on free
 /// standalone NPUs. Every hidden cycle is wall clock removed from the
 /// serving makespan.
 #[test]
@@ -91,11 +90,11 @@ fn interleaved_beats_lump_on_mixed_prefill_decode_trace() {
             sim.submit(i, 8192, 64, i as u64 * 200_000_000).unwrap();
         }
     };
-    let mut lump = neupims_sim(32, Box::new(LumpPrefill));
+    let mut lump = neupims_sim(32, Box::new(PrefillScheduler::Lump));
     submit(&mut lump);
     let lump_out = lump.run().unwrap();
 
-    let mut sbi = neupims_sim(32, Box::new(SubBatchInterleaved::new(4096)));
+    let mut sbi = neupims_sim(32, scheduler_from_name("interleaved", 4096).unwrap());
     submit(&mut sbi);
     let sbi_out = sbi.run().unwrap();
 
@@ -108,7 +107,7 @@ fn interleaved_beats_lump_on_mixed_prefill_decode_trace() {
     );
     assert!(
         sbi_out.tokens_per_sec() > lump_out.tokens_per_sec(),
-        "SubBatchInterleaved ({:.1} tokens/s, {} cycles) must beat LumpPrefill \
+        "interleaved ({:.1} tokens/s, {} cycles) must beat lump \
          ({:.1} tokens/s, {} cycles)",
         sbi_out.tokens_per_sec(),
         sbi_out.total_cycles,
@@ -118,7 +117,7 @@ fn interleaved_beats_lump_on_mixed_prefill_decode_trace() {
 
     // And it must strictly beat serial chunked prefill on the same trace:
     // identical chunk schedule, minus the overlap.
-    let mut chunked = neupims_sim(32, Box::new(ChunkedPrefill::new(4096)));
+    let mut chunked = neupims_sim(32, scheduler_from_name("chunked", 4096).unwrap());
     submit(&mut chunked);
     let chunked_out = chunked.run().unwrap();
     assert_eq!(chunked_out.overlap_hidden_cycles, 0);
@@ -201,7 +200,7 @@ fn chunked_ttft_includes_the_whole_prompt_encoding() {
     let backend = Device::table2().unwrap();
     let model = LlmConfig::gpt3_7b();
     let lump_prefill = backend.prefill_cycles(&model, 4, 32, &[2000]).unwrap();
-    let mut sim = neupims_sim(8, Box::new(ChunkedPrefill::new(256)));
+    let mut sim = neupims_sim(8, scheduler_from_name("chunked", 256).unwrap());
     sim.submit(0, 2000, 4, 0).unwrap();
     let out = sim.run().unwrap();
     assert_eq!(out.completed, 1);
@@ -250,13 +249,13 @@ fn fleet_supports_per_replica_schedulers() {
             Device::table2().unwrap(),
             model.clone(),
             cfg(8),
-            Box::new(LumpPrefill),
+            Box::new(PrefillScheduler::Lump),
         ),
         ServingSim::with_scheduler(
             Device::table2().unwrap(),
             model.clone(),
             cfg(8),
-            Box::new(SubBatchInterleaved::new(512)),
+            scheduler_from_name("interleaved", 512).unwrap(),
         ),
     ];
     let mut fleet = FleetSim::new(replicas, Box::new(JoinShortestQueue)).unwrap();
@@ -293,13 +292,13 @@ fn overlap_metrics_are_ordered_across_policies() {
             sim.submit(i, 3000, 24, i as u64 * 30_000_000).unwrap();
         }
     };
-    let mut lump = neupims_sim(16, Box::new(LumpPrefill));
+    let mut lump = neupims_sim(16, Box::new(PrefillScheduler::Lump));
     submit(&mut lump);
     let lump_out = lump.run().unwrap();
-    let mut chunked = neupims_sim(16, Box::new(ChunkedPrefill::new(1024)));
+    let mut chunked = neupims_sim(16, scheduler_from_name("chunked", 1024).unwrap());
     submit(&mut chunked);
     let chunked_out = chunked.run().unwrap();
-    let mut sbi = neupims_sim(16, Box::new(SubBatchInterleaved::new(1024)));
+    let mut sbi = neupims_sim(16, scheduler_from_name("interleaved", 1024).unwrap());
     submit(&mut sbi);
     let sbi_out = sbi.run().unwrap();
 

@@ -8,7 +8,7 @@ use neupims_core::device::{Device, DeviceMode};
 use neupims_core::serving::{ServingConfig, ServingSim};
 use neupims_pim::calibrate;
 use neupims_types::{LlmConfig, NeuPimsConfig};
-use neupims_workload::{poisson_arrivals, Dataset};
+use neupims_workload::{arrival_times, ArrivalProcess, Dataset};
 
 fn make_sim(mode: DeviceMode, max_batch: usize) -> ServingSim {
     let cfg = NeuPimsConfig::table2();
@@ -31,10 +31,10 @@ fn make_sim(mode: DeviceMode, max_batch: usize) -> ServingSim {
 fn streaming_workload_drains_completely() {
     let mut sim = make_sim(DeviceMode::neupims(), 32);
     let mut rng = StdRng::seed_from_u64(11);
-    let arrivals = poisson_arrivals(&mut rng, 5.0, 10_000_000);
-    let n = arrivals.len().min(48);
+    let n = 48;
+    let arrivals = arrival_times(&mut rng, &ArrivalProcess::Poisson { rate: 5.0 }, n).unwrap();
     let mut expected_tokens = 0u64;
-    for (i, &at) in arrivals.iter().take(n).enumerate() {
+    for (i, &at) in arrivals.iter().enumerate() {
         let input = Dataset::ShareGpt.sample_input(&mut rng);
         let output = Dataset::ShareGpt.sample_output(&mut rng).min(32);
         expected_tokens += output as u64;
