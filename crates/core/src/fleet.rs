@@ -358,8 +358,8 @@ pub struct FleetOutcome {
 impl FleetOutcome {
     pub(crate) fn aggregate(submitted: u64, replicas: Vec<ServingOutcome>) -> Self {
         // Each fleet-wide sample vector is allocated once, at its length,
-        // and filled straight from the replicas' records.
-        let samples: usize = replicas.iter().map(|r| r.records.len()).sum();
+        // and filled straight from the replicas' sample columns.
+        let samples: usize = replicas.iter().map(|r| r.samples.latencies.len()).sum();
         let mut out = FleetOutcome {
             submitted,
             latencies: Vec::with_capacity(samples),
@@ -372,11 +372,9 @@ impl FleetOutcome {
             out.dropped += r.dropped;
             out.tokens += r.tokens;
             out.makespan = out.makespan.max(r.total_cycles);
-            for rec in r.records.iter() {
-                out.latencies.push(rec.latency);
-                out.ttfts.push(rec.ttft);
-                out.tpots.push(rec.tpot());
-            }
+            out.latencies.extend_from_slice(&r.samples.latencies);
+            out.ttfts.extend_from_slice(&r.samples.ttfts);
+            out.tpots.extend_from_slice(&r.samples.tpots);
             out.slo_attained += r.slo_attained;
             out.goodput_tokens += r.goodput_tokens;
             out.preemptions += r.preemptions;
@@ -735,7 +733,7 @@ impl<B: Backend> FleetSim<B> {
         if choice >= snaps.len() {
             return Err(out_of_range(engine.route.name(), choice, snaps.len()));
         }
-        engine.slots[choice].dispatch(req, 0);
+        engine.slots[choice].dispatch(req, 0, 0);
         engine.dispatched += 1;
         Ok(())
     }

@@ -140,7 +140,7 @@ pub use scheduler::{
     scheduler_from_name, IterationOccupancy, PrefillScheduler, SchedulerPolicy, SCHEDULER_NAMES,
 };
 pub use serving::{
-    RequestMetrics, ServingConfig, ServingOutcome, ServingSim, SloTargets, StepEvent,
+    RequestMetrics, Samples, ServingConfig, ServingOutcome, ServingSim, SloTargets, StepEvent,
 };
 pub use sharding::{ClusterSpec, ShardedBackend, ShardedIteration};
 pub use system::{System, SystemSpec};

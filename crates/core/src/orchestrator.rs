@@ -784,11 +784,25 @@ pub(crate) fn out_of_range(name: &str, choice: usize, offered: usize) -> SimErro
 /// [`EventQueue`] holding them all would pop: at equal times the
 /// originally pending requests go first, since they were queued first.
 struct Arrivals {
-    sorted: std::vec::IntoIter<OrchRequest>,
+    /// The pending requests, latest first: the next one is popped from
+    /// the back, and the buffer shrinks as it drains.
+    sorted: Vec<OrchRequest>,
     requeued: EventQueue<OrchRequest>,
 }
 
 impl Arrivals {
+    /// The arrivals of `pending`, ordered by `(arrival, id)`. The key is
+    /// unique, since [`Orchestrator::submit`] rejects duplicate ids, so an
+    /// unstable sort, which needs no scratch buffer, orders them as a
+    /// stable one would.
+    fn new(mut pending: Vec<OrchRequest>) -> Self {
+        pending.sort_unstable_by_key(|r| std::cmp::Reverse((r.req.arrival, r.req.id)));
+        Self {
+            sorted: pending,
+            requeued: EventQueue::new(),
+        }
+    }
+
     /// Re-queues `r` to arrive at `at`.
     fn defer(&mut self, mut r: OrchRequest, at: Cycle) {
         r.req.arrival = at;
@@ -796,10 +810,18 @@ impl Arrivals {
     }
 
     fn pop(&mut self) -> Option<(Cycle, OrchRequest)> {
-        let next = self.sorted.as_slice().first().map(|r| r.req.arrival);
+        let next = self.sorted.last().map(|r| r.req.arrival);
         match (next, self.requeued.peek()) {
             (Some(t), Some((at, _))) if at < t => self.requeued.pop(),
-            (Some(t), _) => self.sorted.next().map(|r| (t, r)),
+            (Some(t), _) => {
+                let r = self.sorted.pop().expect("peeked");
+                // Halve the buffer once it is half empty: each request is
+                // moved O(1) times over the drain.
+                if self.sorted.len() <= self.sorted.capacity() / 2 {
+                    self.sorted.shrink_to_fit();
+                }
+                Some((t, r))
+            }
             (None, _) => self.requeued.pop(),
         }
     }
@@ -991,13 +1013,16 @@ pub struct Orchestrator<B: Backend> {
     pub(crate) pending: Vec<OrchRequest>,
     /// Every id submitted here or held by a slot when the engine was
     /// built: the fleet-wide duplicate check. Each request's tenant
-    /// travels with it, into its [`RequestMetrics`](crate::serving::RequestMetrics).
+    /// travels with it, into its slot's [`Samples`](crate::serving::Samples).
     ids: IdRuns,
     submitted: Vec<u64>,
     admitted: Vec<u64>,
     deferred: Vec<u64>,
     shed: Vec<u64>,
     pub(crate) dispatched: u64,
+    /// Cycles each deferred request not yet dispatched has been held past
+    /// its submitted arrival. The entry leaves at dispatch, and the delay
+    /// travels with the request to its slot.
     defer_delay: IdMap<RequestId, Cycle>,
     warmups: u64,
     scale_ups: u64,
@@ -1368,12 +1393,7 @@ impl<B: Backend> Orchestrator<B> {
     /// pending request, drains every slot, and aggregates the fleet
     /// outcome over the requests dispatched so far.
     pub(crate) fn serve(&mut self) -> Result<FleetOutcome, SimError> {
-        let mut pending = std::mem::take(&mut self.pending);
-        pending.sort_by_key(|r| (r.req.arrival, r.req.id));
-        let mut arrivals = Arrivals {
-            sorted: pending.into_iter(),
-            requeued: EventQueue::new(),
-        };
+        let mut arrivals = Arrivals::new(std::mem::take(&mut self.pending));
 
         // A busy slot is keyed in the merge at its wake when a capped wait
         // left one (nothing happens on it before then), else at its clock.
@@ -1648,7 +1668,14 @@ impl<B: Backend> Orchestrator<B> {
                 ..oreq.req
             };
             let tenant = u32::try_from(oreq.tenant).expect("submit checked the tenant index");
-            slot.dispatch(req, tenant);
+            let held = if bumped {
+                self.defer_delay
+                    .remove(&id)
+                    .expect("a bumped request was held")
+            } else {
+                0
+            };
+            slot.dispatch(req, tenant, held);
             self.dispatched += 1;
             self.stats[g].served += 1;
             if !bumped {
@@ -1660,9 +1687,8 @@ impl<B: Backend> Orchestrator<B> {
             }
         }
 
-        // Every arrival is dispatched: free the sorted buffer before the
-        // drain phase and the aggregation, which both outlive it.
-        drop(arrivals);
+        // Every arrival is dispatched: the sorted buffer shrank to nothing
+        // as it drained, before the drain phase and the aggregation.
 
         // Drain phase: no more barriers, so every remaining stream runs
         // to completion — fully parallel.
@@ -1693,20 +1719,20 @@ impl<B: Backend> Orchestrator<B> {
         }
     }
 
-    /// Each tenant's outcome, from the records its requests completed
-    /// with. Records of requests submitted straight to a slot carry no
-    /// tenant and count for none.
+    /// Each tenant's outcome, folded from the samples its requests
+    /// completed with on every slot. Requests submitted straight to a slot
+    /// carry no tenant and count for none.
     fn tenant_outcomes(&self, fleet: &FleetOutcome) -> Vec<TenantOutcome> {
-        let records = || {
+        let labelled = || {
             (fleet.replicas.iter())
-                .flat_map(|r| r.records.iter())
-                .filter(|rec| rec.tenant != Request::NO_TENANT)
+                .flat_map(|r| r.samples.tenants.iter())
+                .filter(|s| s.tenant != Request::NO_TENANT)
         };
         // Count first, so each tenant's samples are allocated at their
         // exact length.
         let mut completed = vec![0; self.tenants.len()];
-        for rec in records() {
-            completed[rec.tenant as usize] += 1;
+        for s in labelled() {
+            completed[s.tenant as usize] += 1;
         }
         let mut outs: Vec<TenantOutcome> = (self.tenants.iter().zip(completed).enumerate())
             .map(|(i, (t, n))| TenantOutcome {
@@ -1722,22 +1748,29 @@ impl<B: Backend> Orchestrator<B> {
                 ..Default::default()
             })
             .collect();
-        for rec in records() {
-            let tenant = rec.tenant as usize;
-            let delay = self.defer_delay.get(&rec.id).copied().unwrap_or(0);
-            let ttft = rec.ttft + delay;
-            let latency = rec.latency + delay;
-            let tpot = rec.tpot();
-            let t = &mut outs[tenant];
-            t.completed += 1;
-            t.tokens += u64::from(rec.tokens);
-            t.ttfts.push(ttft);
-            t.tpots.push(tpot);
-            t.latencies.push(latency);
-            let slo = &self.tenants[tenant].slo;
-            if ttft <= slo.ttft && tpot <= slo.tpot {
-                t.slo_attained += 1;
-                t.goodput_tokens += u64::from(rec.tokens);
+        for r in &fleet.replicas {
+            let s = &*r.samples;
+            let mut held = s.held.iter().peekable();
+            for (i, label) in s.tenants.iter().enumerate() {
+                let delay = held.next_if(|(at, _)| *at == i).map_or(0, |&(_, d)| d);
+                if label.tenant == Request::NO_TENANT {
+                    continue;
+                }
+                let tenant = label.tenant as usize;
+                let ttft = s.ttfts[i] + delay;
+                let latency = s.latencies[i] + delay;
+                let tpot = s.tpots[i];
+                let t = &mut outs[tenant];
+                t.completed += 1;
+                t.tokens += u64::from(label.tokens);
+                t.ttfts.push(ttft);
+                t.tpots.push(tpot);
+                t.latencies.push(latency);
+                let slo = &self.tenants[tenant].slo;
+                if ttft <= slo.ttft && tpot <= slo.tpot {
+                    t.slo_attained += 1;
+                    t.goodput_tokens += u64::from(label.tokens);
+                }
             }
         }
         for t in &mut outs {
@@ -1886,18 +1919,45 @@ mod tests {
 
     #[test]
     fn arrivals_pop_in_one_event_queue_order() {
+        // Equal arrival times break by id, whatever the submission order.
         // At equal times the originally pending request goes first, then
-        // the re-queued ones in the order they were deferred.
-        let sorted = vec![shaped(0, 10, 4), shaped(1, 20, 4)].into_iter();
-        let requeued = EventQueue::new();
-        let mut a = Arrivals { sorted, requeued };
+        // the re-queued ones in the order they were deferred, including
+        // those deferred between two sorted arrivals mid-drain.
+        let pending = vec![
+            shaped(1, 20, 4),
+            shaped(0, 10, 4),
+            shaped(5, 10, 4),
+            shaped(6, 30, 4),
+        ];
+        let mut a = Arrivals::new(pending);
         for (id, at) in [(2, 10), (3, 5), (4, 10)] {
             a.defer(shaped(id, 0, 4), at);
         }
-        let order: Vec<u32> = std::iter::from_fn(|| a.pop())
-            .map(|(_, r)| r.req.id)
-            .collect();
-        assert_eq!(order, [3, 0, 2, 4, 1]);
+        let mut order = Vec::new();
+        let mut capacity = vec![a.sorted.capacity()];
+        while let Some((t, r)) = a.pop() {
+            order.push((t, r.req.id));
+            capacity.push(a.sorted.capacity());
+            if r.req.id == 1 {
+                a.defer(shaped(7, 0, 4), 25);
+                a.defer(shaped(8, 0, 4), 30);
+            }
+        }
+        let expected = [
+            (5, 3),
+            (10, 0),
+            (10, 5),
+            (10, 2),
+            (10, 4),
+            (20, 1),
+            (25, 7),
+            (30, 6),
+            (30, 8),
+        ];
+        assert_eq!(order, expected);
+        // The sorted buffer gives back what it has dispatched.
+        assert!(capacity.windows(2).all(|w| w[1] <= w[0]), "{capacity:?}");
+        assert_eq!((capacity[0], capacity.last()), (4, Some(&0)));
     }
 
     #[test]
@@ -2061,12 +2121,13 @@ mod tests {
         let route = Box::new(LoadOnly::new(Box::new(JoinShortestQueue)));
         let scale = Box::new(StaticScale::full());
         let mut o = Orchestrator::new(gpu_replicas(2), tenants, route, scale, cfg).unwrap();
+        let submitted_at = |id: u32| u64::from(id) * 20_000;
         for i in 0..30u32 {
             let req = FleetRequest {
                 id: i,
                 input_len: 512,
                 output_len: 16,
-                arrival: u64::from(i) * 20_000,
+                arrival: submitted_at(i),
             };
             o.submit(OrchRequest {
                 req,
@@ -2087,7 +2148,9 @@ mod tests {
             // Request `id` was submitted for tenant `id % 2`.
             let mine: Vec<_> = records.iter().filter(|r| r.tenant as usize == i).collect();
             assert!(mine.iter().all(|r| r.id.0 % 2 == i as u32));
-            let delay = |r: &RequestMetrics| o.defer_delay.get(&r.id).copied().unwrap_or(0);
+            // A record's arrival is its dispatch: the delay is how long
+            // the orchestrator held the request past its submission.
+            let delay = |r: &RequestMetrics| r.arrival - submitted_at(r.id.0);
             delayed += mine.iter().filter(|r| delay(r) > 0).count();
             let mut ttfts: Vec<Cycle> = mine.iter().map(|r| r.ttft + delay(r)).collect();
             let mut latencies: Vec<Cycle> = mine.iter().map(|r| r.latency + delay(r)).collect();
@@ -2105,6 +2168,83 @@ mod tests {
             assert_eq!(bits(&t.tpots), bits(&tpots), "{}", t.name);
         }
         assert!(delayed > 0, "a deferred request completed");
+    }
+
+    #[test]
+    fn deferral_delays_travel_with_their_dispatch() {
+        // A cold start makes the first arrivals wait out the warmup, and
+        // admission defers the batch tenant once KV pressure builds; both
+        // tenants' SLOs sit inside their spread of TTFTs and TPOTs.
+        let mut cfg = OrchestratorConfig::default_for(2);
+        cfg.warm_start = false;
+        cfg.admission = AdmissionConfig {
+            priority_floor: 100,
+            defer_pressure: 0.0001,
+            shed_pressure: 2.0,
+            defer_cycles: 1_000,
+        };
+        let slo = SloTargets::from_ms(10.0, 2.7);
+        let tenants = vec![
+            TenantClass::new("premium", slo, 200, 0.5),
+            TenantClass::new("batch", slo, 10, 0.5),
+        ];
+        let route = Box::new(LoadOnly::new(Box::new(JoinShortestQueue)));
+        let scale = Box::new(StaticScale::full());
+        let slots = (0..2)
+            .map(|_| ServingSim::new(GpuRooflineBackend::a100(), LlmConfig::gpt3_7b(), cfg_of(8)))
+            .collect();
+        let mut o = Orchestrator::new(slots, tenants, route, scale, cfg).unwrap();
+        for i in 0..30u32 {
+            let req = FleetRequest {
+                id: i,
+                input_len: 512,
+                output_len: 16,
+                arrival: u64::from(i) * 200_000,
+            };
+            o.submit(OrchRequest {
+                req,
+                tenant: (i % 2) as usize,
+            })
+            .unwrap();
+        }
+        let out = o.run().unwrap();
+        assert!(
+            o.defer_delay.is_empty(),
+            "a dispatched request left a delay"
+        );
+        // Each tenant's deferrals, SLO attainment and goodput, and an
+        // FNV-1a digest of its sorted TTFTs, latencies and TPOT bits, as
+        // the engine computed them when it kept every delay for the whole
+        // run.
+        let digest = |v: &mut dyn Iterator<Item = u64>| {
+            v.fold(0xCBF2_9CE4_8422_2325u64, |h, x| {
+                (h ^ x).wrapping_mul(0x0000_0100_0000_01B3)
+            })
+        };
+        let pinned = [
+            (
+                5,
+                7,
+                112,
+                [0xcdec3d214797e18c, 0x59672689820edecf, 0xd0c68a638e5b45f1],
+            ),
+            (
+                15,
+                7,
+                112,
+                [0xe9b49bb4905f336a, 0x5ab162da9895827e, 0x46d6b9a95a82adb3],
+            ),
+        ];
+        for (t, want) in out.tenants.iter().zip(pinned) {
+            assert_eq!(t.completed, 15, "{}", t.name);
+            let digests = [
+                digest(&mut t.ttfts.iter().copied()),
+                digest(&mut t.latencies.iter().copied()),
+                digest(&mut t.tpots.iter().map(|x| x.to_bits())),
+            ];
+            let got = (t.deferred, t.slo_attained, t.goodput_tokens, digests);
+            assert_eq!(got, want, "{}", t.name);
+        }
     }
 
     #[test]

@@ -39,8 +39,9 @@
 //! prefill over their grown context (recompute) or a PCIe-style transfer
 //! of their saved pages ([`SwapConfig`]).
 //! [`ServingOutcome`] counts the traffic (`preemptions`, `restores`,
-//! `preemption_stall_cycles`, `restore_overhead_cycles`) and each
-//! completed request's [`RequestMetrics::preemptions`].
+//! `preemption_stall_cycles`, `restore_overhead_cycles`), and a run built
+//! [`ServingSim::with_records`] each completed request's
+//! [`RequestMetrics::preemptions`].
 //!
 //! Requests whose context can never fit the KV cache (they would not fit
 //! even an empty channel) are *dropped* and counted in
@@ -96,7 +97,7 @@ use std::sync::Arc;
 
 use neupims_kvcache::{KvAlloc, KvGeometry, PagedKvCache};
 use neupims_sched::{CostModelKind, MhaCostModel, RequestPool, TraceMemo, TraceSnapshot};
-use neupims_types::{ChannelId, Cycle, IdRuns, LlmConfig, Request, RequestId, SimError};
+use neupims_types::{ChannelId, Cycle, IdMap, IdRuns, LlmConfig, Request, RequestId, SimError};
 
 use crate::backend::Backend;
 use crate::device::Device;
@@ -148,7 +149,8 @@ pub struct ServingConfig {
     pub slo: Option<SloTargets>,
 }
 
-/// Per-request timing record of one completed request.
+/// Per-request timing record of one completed request, kept only by a
+/// simulation built [`ServingSim::with_records`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestMetrics {
     /// The request.
@@ -170,8 +172,7 @@ pub struct RequestMetrics {
     /// [`Orchestrator`](crate::orchestrator::Orchestrator)'s tenant table
     /// (0 in a [`FleetSim`](crate::fleet::FleetSim)), or
     /// [`Request::NO_TENANT`] for a request submitted straight to its
-    /// [`ServingSim`]. Tenant outcomes read it, so a run keeps no
-    /// id-to-tenant table.
+    /// [`ServingSim`].
     pub tenant: u32,
 }
 
@@ -179,23 +180,57 @@ impl RequestMetrics {
     /// Time-per-output-token: mean decode gap over the tokens after the
     /// first one; 0 for single-token requests.
     pub fn tpot(&self) -> f64 {
-        if self.tokens > 1 {
-            (self.latency - self.ttft) as f64 / (self.tokens - 1) as f64
-        } else {
-            0.0
-        }
+        tpot(self.ttft, self.latency, self.tokens)
     }
+}
 
-    /// Whether this request met both latency targets.
-    fn meets(&self, slo: &SloTargets) -> bool {
-        self.ttft <= slo.ttft && self.tpot() <= slo.tpot
+/// Time-per-output-token of a request that generated `tokens` tokens:
+/// its mean decode gap after the first token, 0 for a single token.
+fn tpot(ttft: Cycle, latency: Cycle, tokens: u32) -> f64 {
+    if tokens > 1 {
+        (latency - ttft) as f64 / (tokens - 1) as f64
+    } else {
+        0.0
     }
+}
+
+/// What a replica keeps of its completed requests: one entry per request
+/// in each sample column, in completion order. The latency, TTFT and TPOT
+/// statistics of [`ServingOutcome`] and
+/// [`FleetOutcome`](crate::fleet::FleetOutcome) are computed from it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Samples {
+    /// End-to-end latencies (arrival to completion), cycles.
+    pub latencies: Vec<Cycle>,
+    /// Times to first token, cycles.
+    pub ttfts: Vec<Cycle>,
+    /// Times per output token, cycles per token (see
+    /// [`RequestMetrics::tpot`]).
+    pub tpots: Vec<f64>,
+    /// Each request's tenant and tokens, aligned with the columns above:
+    /// what an [`Orchestrator`](crate::orchestrator::Orchestrator)'s
+    /// tenant outcomes are folded from.
+    pub(crate) tenants: Vec<TenantSample>,
+    /// `(position, cycles)` of each request an orchestrator held before
+    /// dispatching it (admission deferral or a warmup wait), by ascending
+    /// position; empty when none was held. Its tenant's TTFT and latency
+    /// count those cycles; the replica's do not.
+    pub(crate) held: Vec<(usize, Cycle)>,
+}
+
+/// The tenant and generated tokens of one completed request.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TenantSample {
+    /// As [`RequestMetrics::tenant`].
+    pub(crate) tenant: u32,
+    /// As [`RequestMetrics::tokens`].
+    pub(crate) tokens: u32,
 }
 
 /// Outcome statistics of a serving run.
 ///
 /// The per-request statistics ([`Self::mean_latency`] and the latency,
-/// TTFT and TPOT percentiles) are computed from [`Self::records`] on each
+/// TTFT and TPOT percentiles) are computed from [`Self::samples`] on each
 /// call, so an outcome holds no second, sorted copy of its samples.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServingOutcome {
@@ -237,11 +272,15 @@ pub struct ServingOutcome {
     /// Iterations executed (decode iterations, plus prefill-only
     /// iterations under chunked schedulers).
     pub iterations: u64,
-    /// Per-request records in completion order, shared with the
-    /// simulation that produced them: taking an outcome copies no record,
-    /// and the simulation copies the list only if it completes another
-    /// request while this outcome still holds it (copy-on-write), so an
-    /// outcome keeps exactly the records completed when it was taken.
+    /// The completed requests' samples in completion order, shared with
+    /// the simulation that produced them: taking an outcome copies no
+    /// sample, and the simulation copies them only if it completes another
+    /// request while this outcome still holds them (copy-on-write), so an
+    /// outcome keeps exactly the samples completed when it was taken.
+    pub samples: Arc<Samples>,
+    /// Per-request records in completion order, shared like
+    /// [`Self::samples`]. Empty unless the simulation was built
+    /// [`ServingSim::with_records`].
     pub records: Arc<Vec<RequestMetrics>>,
     /// Aggregated iteration counters. Under the chunked schedulers,
     /// on-device prefill contributes to `total_cycles` and `npu_busy` but
@@ -339,23 +378,19 @@ impl ServingOutcome {
     /// Mean request latency (arrival to completion) in cycles; 0 when no
     /// request completed.
     pub fn mean_latency(&self) -> f64 {
-        let sum: u64 = self.records.iter().map(|r| r.latency).sum();
-        sum as f64 / self.records.len().max(1) as f64
+        let latencies = &self.samples.latencies;
+        latencies.iter().sum::<u64>() as f64 / latencies.len().max(1) as f64
     }
 
     /// End-to-end latency at percentile `p` (in `[0, 100]`), cycles; 0
-    /// when no request completed. Uses nearest-rank over the records'
-    /// latencies.
+    /// when no request completed. Uses nearest-rank over the latency
+    /// samples.
     ///
     /// # Panics
     ///
     /// Panics if `p` is outside `[0, 100]`.
     pub fn latency_percentile(&self, p: f64) -> Cycle {
-        percentile_of(
-            self.records.iter().map(|r| r.latency).collect(),
-            p,
-            Ord::cmp,
-        )
+        percentile_of(self.samples.latencies.clone(), p, Ord::cmp)
     }
 
     /// Time-to-first-token at percentile `p`, cycles; 0 when no request
@@ -365,7 +400,7 @@ impl ServingOutcome {
     ///
     /// Panics if `p` is outside `[0, 100]`.
     pub fn ttft_percentile(&self, p: f64) -> Cycle {
-        percentile_of(self.records.iter().map(|r| r.ttft).collect(), p, Ord::cmp)
+        percentile_of(self.samples.ttfts.clone(), p, Ord::cmp)
     }
 
     /// Time-per-output-token at percentile `p`, cycles per token; 0 when
@@ -375,8 +410,7 @@ impl ServingOutcome {
     ///
     /// Panics if `p` is outside `[0, 100]`.
     pub fn tpot_percentile(&self, p: f64) -> f64 {
-        let tpots = self.records.iter().map(RequestMetrics::tpot).collect();
-        percentile_of(tpots, p, f64::total_cmp)
+        percentile_of(self.samples.tpots.clone(), p, f64::total_cmp)
     }
 
     /// NPU/PIM overlap efficiency: the fraction of on-device prefill
@@ -553,6 +587,11 @@ struct Parked {
 /// pool, and paged KV cache drive the NeuPIMs device (the default type
 /// parameter, preserving the original API), the GPU roofline, TransPIM, or
 /// any future accelerator model.
+///
+/// A completed request is folded into the replica's latency, TTFT and
+/// TPOT [`Samples`] and its SLO attainment and goodput counters; its
+/// [`RequestMetrics`] record is kept only when the simulation is built
+/// [`Self::with_records`].
 #[derive(Debug)]
 pub struct ServingSim<B: Backend = Device> {
     backend: B,
@@ -577,9 +616,20 @@ pub struct ServingSim<B: Backend = Device> {
     /// dispatches skip it: the orchestrator keeps the fleet-wide set.
     seen: IdRuns,
     now: Cycle,
-    /// Completed requests' metrics in completion order, shared with the
-    /// outcomes taken so far (see [`ServingOutcome::records`]).
+    /// Completed requests' samples, shared with the outcomes taken so far
+    /// (see [`ServingOutcome::samples`]).
+    samples: Arc<Samples>,
+    /// Completed requests meeting [`ServingConfig::slo`], and their tokens.
+    slo_attained: u64,
+    goodput_tokens: u64,
+    /// Cycles the orchestrator held each live request it deferred before
+    /// dispatching it; an entry leaves when its request completes or is
+    /// dropped.
+    held: IdMap<RequestId, Cycle>,
+    /// Completed requests' records, shared like [`Self::samples`]; filled
+    /// only when `keep_records` is set ([`Self::with_records`]).
     records: Arc<Vec<RequestMetrics>>,
+    keep_records: bool,
     totals: IterationBreakdown,
     iterations: u64,
     last_iteration: Option<IterationOccupancy>,
@@ -663,7 +713,12 @@ impl<B: Backend> ServingSim<B> {
             prefilling: Vec::new(),
             seen: IdRuns::default(),
             now: 0,
+            samples: Arc::default(),
+            slo_attained: 0,
+            goodput_tokens: 0,
+            held: IdMap::default(),
             records: Arc::default(),
+            keep_records: false,
             totals: IterationBreakdown::default(),
             iterations: 0,
             last_iteration: None,
@@ -710,6 +765,15 @@ impl<B: Backend> ServingSim<B> {
     /// policies). Defaults to [`SwapConfig::default`].
     pub fn with_swap(mut self, swap: SwapConfig) -> Self {
         self.swap = swap;
+        self
+    }
+
+    /// Keeps a [`RequestMetrics`] record of every completed request in
+    /// [`ServingOutcome::records`]. Off by default: a run keeps only the
+    /// samples its statistics are computed from, 32 bytes per completed
+    /// request where a record takes 40.
+    pub fn with_records(mut self) -> Self {
+        self.keep_records = true;
         self
     }
 
@@ -913,10 +977,11 @@ impl<B: Backend> ServingSim<B> {
         &self.seen
     }
 
-    /// Queues a request an orchestrator dispatched for `tenant`. The
+    /// Queues a request an orchestrator dispatched for `tenant` after
+    /// holding it `held` cycles past its submitted arrival. The
     /// orchestrator has already rejected fleet-wide duplicates and zero
     /// output lengths, so the id is not recorded here.
-    pub(crate) fn dispatch(&mut self, req: FleetRequest, tenant: u32) {
+    pub(crate) fn dispatch(&mut self, req: FleetRequest, tenant: u32, held: Cycle) {
         debug_assert!(
             req.output_len > 0,
             "the orchestrator admits no empty request"
@@ -928,6 +993,9 @@ impl<B: Backend> ServingSim<B> {
             req.arrival,
         );
         r.tenant = tenant;
+        if held > 0 {
+            self.held.insert(r.id, held);
+        }
         self.enqueue(r);
     }
 
@@ -1020,8 +1088,14 @@ impl<B: Backend> ServingSim<B> {
         if prefilling {
             self.prefilling.retain(|p| p.id != id);
         }
-        self.dropped += 1;
+        self.count_drop(id);
         Ok(())
+    }
+
+    /// Counts request `id` dropped.
+    fn count_drop(&mut self, id: RequestId) {
+        self.dropped += 1;
+        self.held.remove(&id);
     }
 
     /// Restores parked requests FIFO while pages and batch slots allow,
@@ -1042,7 +1116,7 @@ impl<B: Backend> ServingSim<B> {
                 self.parked.pop_front().expect("peeked");
                 self.parked_pages -= pages;
                 self.parked_remaining -= remaining;
-                self.dropped += 1;
+                self.count_drop(id);
                 return Ok(Some(StepEvent::Dropped(id)));
             }
             if self.pool.running().len() >= self.cfg.max_batch {
@@ -1370,7 +1444,7 @@ impl<B: Backend> ServingSim<B> {
                     .drop_head_waiting()
                     .expect("non-empty waiting queue");
                 self.queued_pages -= self.kv.pages_for(req.input_len as u64);
-                self.dropped += 1;
+                self.count_drop(req.id);
                 return Ok(StepEvent::Dropped(req.id));
             }
             // The head hasn't arrived yet: jump to the next arrival
@@ -1551,15 +1625,35 @@ impl<B: Backend> ServingSim<B> {
             let first = rec
                 .first_token
                 .expect("completed request produced a first token");
-            Arc::make_mut(&mut self.records).push(RequestMetrics {
-                id: done.id,
-                arrival: done.arrival,
-                ttft: first.saturating_sub(done.arrival),
-                latency: now.saturating_sub(done.arrival),
-                tokens: done.output_len,
-                preemptions: rec.preemptions,
-                tenant: done.tenant,
-            });
+            let ttft = first.saturating_sub(done.arrival);
+            let latency = now.saturating_sub(done.arrival);
+            let tokens = done.output_len;
+            let tpot = tpot(ttft, latency, tokens);
+            if (self.cfg.slo.as_ref()).is_none_or(|slo| ttft <= slo.ttft && tpot <= slo.tpot) {
+                self.slo_attained += 1;
+                self.goodput_tokens += u64::from(tokens);
+            }
+            let held = self.held.remove(&done.id).unwrap_or(0);
+            let s = Arc::make_mut(&mut self.samples);
+            if held > 0 {
+                s.held.push((s.latencies.len(), held));
+            }
+            let tenant = done.tenant;
+            s.tenants.push(TenantSample { tenant, tokens });
+            s.latencies.push(latency);
+            s.ttfts.push(ttft);
+            s.tpots.push(tpot);
+            if self.keep_records {
+                Arc::make_mut(&mut self.records).push(RequestMetrics {
+                    id: done.id,
+                    arrival: done.arrival,
+                    ttft,
+                    latency,
+                    tokens,
+                    preemptions: rec.preemptions,
+                    tenant: done.tenant,
+                });
+            }
         }
         Ok(StepEvent::Iteration)
     }
@@ -1568,11 +1662,6 @@ impl<B: Backend> ServingSim<B> {
     /// reports [`StepEvent::Finished`], which is what [`Self::run`]
     /// returns).
     pub fn outcome(&self) -> ServingOutcome {
-        let (slo_attained, goodput_tokens) = self
-            .records
-            .iter()
-            .filter(|r| self.cfg.slo.as_ref().is_none_or(|slo| r.meets(slo)))
-            .fold((0u64, 0u64), |(n, t), r| (n + 1, t + u64::from(r.tokens)));
         ServingOutcome {
             total_cycles: self.now,
             submitted: self.submitted,
@@ -1584,11 +1673,12 @@ impl<B: Backend> ServingSim<B> {
             restore_overhead_cycles: self.restore_overhead,
             tokens: self.pool.tokens_generated(),
             iterations: self.iterations,
+            samples: Arc::clone(&self.samples),
             records: Arc::clone(&self.records),
             totals: self.totals.clone(),
             peak_kv_utilization: self.peak_kv,
-            slo_attained,
-            goodput_tokens,
+            slo_attained: self.slo_attained,
+            goodput_tokens: self.goodput_tokens,
             decode_batch_sum: self.decode_batch_sum,
             prefill_cycles_on_device: self.prefill_cycles_on_device,
             overlap_hidden_cycles: self.overlap_hidden_cycles,
@@ -1627,8 +1717,10 @@ mod tests {
         }
     }
 
+    /// A simulation that keeps its records, so tests can find a request
+    /// by id.
     fn sim(mode: DeviceMode, max_batch: usize) -> ServingSim {
-        ServingSim::new(table2_device(mode), LlmConfig::gpt3_7b(), cfg(max_batch))
+        ServingSim::new(table2_device(mode), LlmConfig::gpt3_7b(), cfg(max_batch)).with_records()
     }
 
     /// The exit-path invariant: a drained replica holds no per-request
@@ -1785,6 +1877,35 @@ mod tests {
     }
 
     #[test]
+    fn records_are_kept_only_on_request() {
+        let run = |mut s: ServingSim| {
+            for i in 0..6 {
+                s.submit(i, 64, 3 + i, u64::from(i) * 100_000).unwrap();
+            }
+            s.run().unwrap()
+        };
+        let device = table2_device(DeviceMode::neupims());
+        let bare = run(ServingSim::new(device, LlmConfig::gpt3_7b(), cfg(8)));
+        let recorded = run(sim(DeviceMode::neupims(), 8));
+        assert!(bare.records.is_empty());
+        assert_eq!(recorded.records.len(), 6);
+        // The records change nothing else, and the samples are theirs.
+        let samples = &recorded.samples;
+        for (i, r) in recorded.records.iter().enumerate() {
+            assert_eq!(
+                (samples.latencies[i], samples.ttfts[i]),
+                (r.latency, r.ttft)
+            );
+            assert_eq!(samples.tpots[i].to_bits(), r.tpot().to_bits());
+        }
+        let unrecorded = ServingOutcome {
+            records: Arc::default(),
+            ..recorded
+        };
+        assert_eq!(unrecorded, bare);
+    }
+
+    #[test]
     #[should_panic(expected = "percentile out of range")]
     fn bad_percentile_panics() {
         let out = super::ServingOutcome::default();
@@ -1851,6 +1972,7 @@ mod tests {
                 slo: None,
             },
         )
+        .with_records()
     }
 
     #[test]
@@ -2118,6 +2240,7 @@ mod tests {
                     slo: None,
                 },
             )
+            .with_records()
         };
         let submit = |s: &mut ServingSim| {
             s.submit(0, 400, 60, 0).unwrap();

@@ -38,9 +38,12 @@ pub(crate) fn cfg_of(max_batch: usize) -> ServingConfig {
 }
 
 /// `n` gpt3-7b A100-roofline replicas at `max_batch` 8, for fleet and
-/// orchestrator tests.
+/// orchestrator tests. They keep their records, so a test can check what
+/// each one served.
 pub(crate) fn gpu_replicas(n: usize) -> Vec<ServingSim<GpuRooflineBackend>> {
-    let gpu = || ServingSim::new(GpuRooflineBackend::a100(), LlmConfig::gpt3_7b(), cfg_of(8));
+    let gpu = || {
+        ServingSim::new(GpuRooflineBackend::a100(), LlmConfig::gpt3_7b(), cfg_of(8)).with_records()
+    };
     (0..n).map(|_| gpu()).collect()
 }
 

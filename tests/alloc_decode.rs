@@ -277,14 +277,14 @@ enum Baseline {
     BeforeRun,
 }
 
-/// Peak live heap bytes per request of a fixed fleet run, measured from
-/// `baseline`: 32 GPU-roofline replicas with lump prefill behind JSQ on
-/// the calling thread, 4,000 seeded Poisson requests with ShareGPT
-/// lengths and outputs capped at 128 (the benchmark's `fleet-jsq-256`
-/// per-replica load).
-fn fleet_peak_live_bytes_per_request(baseline: Baseline) -> f64 {
+/// Peak live heap bytes of a fixed fleet run of `requests` requests,
+/// measured from `baseline`: 32 GPU-roofline replicas with lump prefill
+/// behind JSQ on the calling thread, seeded Poisson arrivals with
+/// ShareGPT lengths and outputs capped at 128 (the benchmark's
+/// `fleet-jsq-256` per-replica load, so more requests make a longer run,
+/// not a busier one).
+fn fleet_peak_live_bytes(requests: usize, baseline: Baseline) -> i64 {
     const REPLICAS: usize = 32;
-    const REQUESTS: usize = 4_000;
     let hw = NeuPimsConfig::table2();
     let cal = calibrate(&hw).unwrap();
     let model = LlmConfig::gpt3_7b();
@@ -312,12 +312,12 @@ fn fleet_peak_live_bytes_per_request(baseline: Baseline) -> f64 {
             rate: 12.0 * REPLICAS as f64 / 256.0,
         },
         tenants: TenantMix::single(Dataset::ShareGpt),
-        requests: REQUESTS,
+        requests,
     };
-    let requests = workload.generate(&mut StdRng::seed_from_u64(7));
+    let trace = workload.generate(&mut StdRng::seed_from_u64(7));
     let mut base = live_bytes();
     PEAK_LIVE_BYTES.with(|p| p.set(base));
-    for (i, r) in requests.iter().enumerate() {
+    for (i, r) in trace.iter().enumerate() {
         fleet
             .submit(FleetRequest {
                 id: u32::try_from(i).unwrap(),
@@ -328,29 +328,36 @@ fn fleet_peak_live_bytes_per_request(baseline: Baseline) -> f64 {
             .unwrap();
     }
     if baseline == Baseline::BeforeRun {
-        drop(requests);
+        drop(trace);
         base = live_bytes();
         PEAK_LIVE_BYTES.with(|p| p.set(base));
     }
     let out = fleet.run().unwrap();
     let peak = PEAK_LIVE_BYTES.with(Cell::get);
-    assert_eq!(out.submitted, REQUESTS as u64);
+    assert_eq!(out.submitted, requests as u64);
     assert_eq!(out.completed + out.dropped, out.submitted);
-    (peak - base) as f64 / REQUESTS as f64
+    peak - base
+}
+
+/// [`fleet_peak_live_bytes`] per request, at 4,000 requests.
+fn fleet_peak_live_bytes_per_request(baseline: Baseline) -> f64 {
+    const REQUESTS: usize = 4_000;
+    fleet_peak_live_bytes(REQUESTS, baseline) as f64 / REQUESTS as f64
 }
 
 #[test]
 fn fleet_run_peaks_below_its_live_bytes_per_request() {
-    // At the peak the run holds each completed request's record (shared
-    // with its replica's outcome, not copied) and the fleet-wide sorted
-    // latency, TTFT and TPOT samples, filled from the records at their
-    // exact length, plus per-replica state sized by the live requests,
-    // not by the run's length: each event queue holds only future
-    // transitions, and the sorted arrival buffer is freed before the
-    // drain. Lower the ceiling when a change lowers the peak.
+    // At the peak, in the aggregation, the run holds each completed
+    // request's latency, TTFT, TPOT, tenant and tokens in its replica
+    // (shared with the replica's outcome, not copied) and the fleet-wide
+    // sorted copies, filled from them at their exact length, plus per-replica
+    // state sized by the live requests, not by the run's length: each
+    // event queue holds only future transitions, and the sorted arrival
+    // buffer has shrunk to nothing as it drained. No per-request record
+    // is kept. Lower the ceiling when a change lowers the peak.
     let per_request = fleet_peak_live_bytes_per_request(Baseline::BeforeRun);
     assert!(
-        per_request <= 110.0,
+        per_request <= 97.0,
         "the fleet run peaked at {per_request:.1} live bytes per request"
     );
 }
@@ -362,7 +369,25 @@ fn fleet_peaks_below_its_live_bytes_per_request_from_its_first_submit() {
     // request.
     let per_request = fleet_peak_live_bytes_per_request(Baseline::BeforeSubmit);
     assert!(
-        per_request <= 142.0,
+        per_request <= 130.0,
         "the fleet peaked at {per_request:.1} live bytes per request from its first submit"
+    );
+}
+
+#[test]
+fn fleet_run_peak_grows_at_most_linearly_with_its_requests() {
+    // Ten times the requests over ten times the simulated time: what
+    // each completed request leaves grows linearly, and the per-replica
+    // state of the live requests stays put, so the peak grows by less
+    // than the request count. A site that grows faster than the
+    // requests (a per-iteration log, a buffer kept whole past its use)
+    // fails here on any machine.
+    let small = fleet_peak_live_bytes(4_000, Baseline::BeforeRun);
+    let large = fleet_peak_live_bytes(40_000, Baseline::BeforeRun);
+    let ratio = large as f64 / small as f64;
+    assert!(
+        ratio <= 10.5,
+        "the fleet run peaked at {large} live bytes over 40,000 requests, \
+         {ratio:.2}x its {small} over 4,000"
     );
 }

@@ -21,6 +21,12 @@ const ALLOWED: &[(&str, &str, &str)] = &[
         "the lockstep reference the parity tests hold `FleetSim::run` to",
     ),
     (
+        "crates/core/src/serving.rs",
+        "with_records",
+        "the per-request records the tests compare the sample columns against, \
+         and `golden_serving`'s record digest",
+    ),
+    (
         "crates/llm/src/compiler.rs",
         "lower_batch",
         "the whole-block lowering the tests hold the per-layer op counts to",

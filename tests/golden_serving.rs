@@ -103,7 +103,8 @@ fn run<B: Backend>(backend: B, scheduler: &str, preemption: &str) -> ServingOutc
         cfg,
         scheduler_from_name(scheduler, 64).unwrap(),
     )
-    .with_preemption(preemption_from_name(preemption).unwrap());
+    .with_preemption(preemption_from_name(preemption).unwrap())
+    .with_records();
     submit_trace(&mut sim);
     sim.run().unwrap()
 }

@@ -12,7 +12,7 @@ use neupims_core::fleet::{
     policy_from_name, FleetOutcome, FleetRequest, FleetSim, JoinShortestQueue, RoundRobin,
     POLICY_NAMES,
 };
-use neupims_core::serving::{ServingConfig, ServingSim, SloTargets};
+use neupims_core::serving::{Samples, ServingConfig, ServingSim, SloTargets};
 use neupims_pim::calibrate;
 use neupims_types::{LlmConfig, NeuPimsConfig};
 use neupims_workload::{arrival_times, ArrivalProcess, Dataset};
@@ -212,10 +212,11 @@ fn fleet_aggregates_drops() {
 
 #[test]
 fn an_outcome_keeps_its_records_across_a_later_round() {
-    // Outcomes share their replicas' record lists copy-on-write: taking
-    // one copies no record, and an outcome taken after one round reads
-    // exactly its own records and percentiles after a second round has
-    // completed more requests on the same replicas.
+    // Outcomes share their replicas' samples and record lists
+    // copy-on-write: taking one copies neither, and an outcome taken after
+    // one round reads exactly its own samples, records and percentiles
+    // after a second round has completed more requests on the same
+    // replicas, whose next outcome aggregates both rounds.
     let cfg = NeuPimsConfig::table2();
     let cal = calibrate(&cfg).unwrap();
     let model = LlmConfig::gpt3_7b();
@@ -226,6 +227,7 @@ fn an_outcome_keeps_its_records_across_a_later_round() {
                 model.clone(),
                 serving_cfg(8),
             )
+            .with_records()
         })
         .collect();
     let mut fleet = FleetSim::new(replicas, policy_from_name("jsq").unwrap()).unwrap();
@@ -237,12 +239,18 @@ fn an_outcome_keeps_its_records_across_a_later_round() {
     let out = fleet.run().unwrap();
     assert_eq!(out.completed, 12);
     for (replica, taken) in fleet.replicas().iter().zip(&out.replicas) {
+        let now = replica.outcome();
         assert!(
-            Arc::ptr_eq(&replica.outcome().records, &taken.records),
+            Arc::ptr_eq(&now.samples, &taken.samples),
+            "an outcome shares its replica's samples"
+        );
+        assert!(
+            Arc::ptr_eq(&now.records, &taken.records),
             "an outcome shares its replica's records"
         );
     }
     let records: Vec<Vec<_>> = out.replicas.iter().map(|r| r.records.to_vec()).collect();
+    let samples: Vec<Samples> = out.replicas.iter().map(|r| (*r.samples).clone()).collect();
     let percentiles = |o: &FleetOutcome| {
         (
             o.latency_percentile(50.0),
@@ -267,6 +275,18 @@ fn an_outcome_keeps_its_records_across_a_later_round() {
         assert_eq!(&**taken.records, kept, "the first outcome's records moved");
         assert_eq!(&grown.records[..kept.len()], &kept[..]);
     }
+    for ((kept, taken), grown) in samples.iter().zip(&out.replicas).zip(&again.replicas) {
+        assert_eq!(&*taken.samples, kept, "the first outcome's samples moved");
+        let n = kept.latencies.len();
+        assert_eq!(grown.samples.latencies[..n], kept.latencies[..]);
+        assert_eq!(grown.samples.ttfts[..n], kept.ttfts[..]);
+    }
+    let both_rounds: usize = again
+        .replicas
+        .iter()
+        .map(|r| r.samples.latencies.len())
+        .sum();
+    assert_eq!((again.latencies.len(), both_rounds), (24, 24));
     assert_eq!(percentiles(&out), before);
     assert_ne!(
         percentiles(&again),

@@ -69,7 +69,8 @@ fn drop_only_reproduces_the_golden_numbers_exactly() {
     // serving numbers — preemption support must not move a single cycle
     // of the no-pressure path.
     for explicit in [false, true] {
-        let mut sim = ServingSim::new(Device::table2().unwrap(), LlmConfig::gpt3_7b(), cfg(16));
+        let mut sim = ServingSim::new(Device::table2().unwrap(), LlmConfig::gpt3_7b(), cfg(16))
+            .with_records();
         if explicit {
             let policy = Box::new(DropOnly);
             assert_eq!(policy.name(), "drop");
@@ -134,7 +135,8 @@ fn recompute_completes_strictly_more_than_drop_on_the_pressure_trace() {
 #[test]
 fn conservation_holds_through_preempt_restore_cycles_for_every_policy() {
     for name in PREEMPTION_NAMES {
-        let mut sim = tight_replica().with_preemption(preemption_from_name(name).unwrap());
+        let mut sim =
+            (tight_replica().with_records()).with_preemption(preemption_from_name(name).unwrap());
         let submitted = submit_burst(&mut sim, 0xCAFE);
         let out = sim.run().unwrap();
         assert_eq!(

@@ -184,9 +184,14 @@ fn every_scheduler_conserves_requests_on_every_backend() {
             assert_eq!(out.completed, 12, "{backend_name}/{sched_name}");
             let expected: u64 = (0..12u32).map(|i| (2 + i % 5) as u64).sum();
             assert_eq!(out.tokens, expected, "{backend_name}/{sched_name}");
-            for r in out.records.iter() {
-                assert!(r.ttft > 0, "{backend_name}/{sched_name}: {r:?}");
-                assert!(r.ttft <= r.latency, "{backend_name}/{sched_name}: {r:?}");
+            let samples = &out.samples;
+            assert_eq!(samples.ttfts.len(), 12);
+            for (&ttft, &latency) in samples.ttfts.iter().zip(&samples.latencies) {
+                assert!(ttft > 0, "{backend_name}/{sched_name}: {ttft}");
+                assert!(
+                    ttft <= latency,
+                    "{backend_name}/{sched_name}: {ttft} {latency}"
+                );
             }
         }
     }
@@ -205,7 +210,7 @@ fn chunked_ttft_includes_the_whole_prompt_encoding() {
     let out = sim.run().unwrap();
     assert_eq!(out.completed, 1);
     assert_eq!(out.prefill_cycles_on_device, lump_prefill);
-    assert!(out.records[0].ttft >= lump_prefill);
+    assert!(out.samples.ttfts[0] >= lump_prefill);
     assert_eq!(out.overlap_hidden_cycles, 0, "nothing to hide when idle");
 }
 

@@ -48,11 +48,12 @@ fn streaming_workload_drains_completely() {
     assert!(out.mean_latency() > 0.0);
     assert!(out.iterations > 0);
     assert!(out.peak_kv_utilization > 0.0 && out.peak_kv_utilization <= 1.0);
-    // Prefill is charged: every record's first token arrives strictly
+    // Prefill is charged: every request's first token arrives strictly
     // after arrival, no later than completion.
-    assert_eq!(out.records.len(), n);
-    for r in out.records.iter() {
-        assert!(r.ttft > 0 && r.ttft <= r.latency, "{r:?}");
+    let samples = &out.samples;
+    assert_eq!(samples.ttfts.len(), n);
+    for (&ttft, &latency) in samples.ttfts.iter().zip(&samples.latencies) {
+        assert!(ttft > 0 && ttft <= latency, "{ttft} {latency}");
     }
 }
 

@@ -67,6 +67,7 @@ fn tight_replicas(replicas: usize, scheduler: &str, preemption: &str) -> Vec<Ser
             )
             .with_preemption(preemption_from_name(preemption).unwrap())
             .with_swap(SwapConfig { gb_per_sec: 32.0 })
+            .with_records()
         })
         .collect()
 }
@@ -139,7 +140,10 @@ fn jobs_count_is_bit_deterministic() {
         .collect();
     let build = || {
         let sims: Vec<ServingSim<GpuRooflineBackend>> = (0..16)
-            .map(|_| ServingSim::new(GpuRooflineBackend::a100(), model.clone(), serving_cfg(4)))
+            .map(|_| {
+                ServingSim::new(GpuRooflineBackend::a100(), model.clone(), serving_cfg(4))
+                    .with_records()
+            })
             .collect();
         let mut fleet = FleetSim::new(sims, policy_from_name("round-robin").unwrap()).unwrap();
         for &req in &requests {
@@ -179,7 +183,10 @@ fn finished_replica_is_never_re_stepped() {
     // must finish the run without a single `step()` call.
     let model = LlmConfig::gpt3_7b();
     let sims: Vec<ServingSim<GpuRooflineBackend>> = (0..2)
-        .map(|_| ServingSim::new(GpuRooflineBackend::a100(), model.clone(), serving_cfg(4)))
+        .map(|_| {
+            ServingSim::new(GpuRooflineBackend::a100(), model.clone(), serving_cfg(4))
+                .with_records()
+        })
         .collect();
     let mut fleet = FleetSim::new(sims, Box::new(PinToZero)).unwrap();
     for i in 0..12u32 {
@@ -377,7 +384,7 @@ proptest! {
         let model = LlmConfig::gpt3_7b();
         let build = || {
             let sims: Vec<ServingSim<GpuRooflineBackend>> = (0..replicas)
-                .map(|_| ServingSim::new(GpuRooflineBackend::a100(), model.clone(), serving_cfg(4)))
+                .map(|_| ServingSim::new(GpuRooflineBackend::a100(), model.clone(), serving_cfg(4)).with_records())
                 .collect();
             let policy = policy_from_name(POLICY_NAMES[policy_idx]).unwrap();
             let mut fleet = FleetSim::new(sims, policy).unwrap();

@@ -56,6 +56,7 @@ fn tight_replicas(replicas: usize, scheduler: &str, preemption: &str) -> Vec<Ser
             )
             .with_preemption(preemption_from_name(preemption).unwrap())
             .with_swap(SwapConfig { gb_per_sec: 32.0 })
+            .with_records()
         })
         .collect()
 }

@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use neupims_core::fleet::{policy_from_name, FleetRequest, FleetSim};
-use neupims_core::serving::ServingOutcome;
+use neupims_core::serving::{Samples, ServingOutcome};
 use neupims_core::system::SystemSpec;
 use neupims_sched::CostModelKind;
 use neupims_types::{NeuPimsConfig, Request};
@@ -39,6 +39,18 @@ fn untenanted(mut out: ServingOutcome) -> ServingOutcome {
         assert_eq!(r.tenant, 0, "a fleet serves its one tenant");
         r.tenant = Request::NO_TENANT;
     }
+    public_samples(out)
+}
+
+/// `out` with its samples cut to their public columns. The tenant column
+/// the samples also keep differs as the records' tenants do; the records
+/// still compare each request's tenant and tokens.
+fn public_samples(mut out: ServingOutcome) -> ServingOutcome {
+    let mut samples = Samples::default();
+    samples.latencies = out.samples.latencies.clone();
+    samples.ttfts = out.samples.ttfts.clone();
+    samples.tpots = out.samples.tpots.clone();
+    out.samples = Arc::new(samples);
     out
 }
 
@@ -97,14 +109,14 @@ proptest! {
             .collect();
 
         let memo = spec.trace_memo(None).unwrap();
-        let mut direct = spec.replica(0, memo.as_ref()).unwrap();
+        let mut direct = spec.replica(0, memo.as_ref()).unwrap().with_records();
         for r in &requests {
             direct.submit(r.id, r.input_len, r.output_len, r.arrival).unwrap();
         }
-        let want = without_memo_id(direct.run().unwrap());
+        let want = public_samples(without_memo_id(direct.run().unwrap()));
 
         let memo = spec.trace_memo(None).unwrap();
-        let replica = spec.replica(0, memo.as_ref()).unwrap();
+        let replica = spec.replica(0, memo.as_ref()).unwrap().with_records();
         let mut fleet = FleetSim::new(vec![replica], policy_from_name("jsq").unwrap())
             .unwrap()
             .with_jobs(1);

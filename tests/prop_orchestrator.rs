@@ -26,6 +26,8 @@ use neupims_core::serving::{ServingConfig, ServingSim, SloTargets};
 use neupims_types::{Cycle, LlmConfig};
 use neupims_workload::{ArrivalProcess, Dataset, ScenarioWorkload, TenantMix};
 
+/// `n` GPU slots that keep their records, so a test can read the instant
+/// each request was dispatched at.
 fn slots(n: usize, max_batch: usize) -> Vec<ServingSim<GpuRooflineBackend>> {
     let model = LlmConfig::gpt3_7b();
     let cfg = ServingConfig {
@@ -36,7 +38,9 @@ fn slots(n: usize, max_batch: usize) -> Vec<ServingSim<GpuRooflineBackend>> {
         slo: None,
     };
     (0..n)
-        .map(|_| ServingSim::new(GpuRooflineBackend::a100(), model.clone(), cfg.clone()))
+        .map(|_| {
+            ServingSim::new(GpuRooflineBackend::a100(), model.clone(), cfg.clone()).with_records()
+        })
         .collect()
 }
 

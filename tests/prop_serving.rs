@@ -39,7 +39,7 @@ proptest! {
         requests in prop::collection::vec((1u32..300, 1u32..10, 0u64..5_000_000), 1..24),
         max_batch in 1usize..9,
     ) {
-        let mut sim = gpu_sim(max_batch);
+        let mut sim = gpu_sim(max_batch).with_records();
         let mut expected_tokens = 0u64;
         for (i, &(input, output, arrival)) in requests.iter().enumerate() {
             expected_tokens += output as u64;
@@ -51,8 +51,8 @@ proptest! {
         prop_assert_eq!(out.dropped, 0, "ample memory: nothing may drop");
         prop_assert_eq!(out.tokens, expected_tokens);
         prop_assert_eq!(out.records.len() as u64, out.completed);
-        // Percentiles read the records: nearest rank over their sorted
-        // latencies, monotone in `p`.
+        // Percentiles read the samples: nearest rank over the records'
+        // sorted latencies, monotone in `p`.
         let mut latencies: Vec<u64> = out.records.iter().map(|r| r.latency).collect();
         latencies.sort_unstable();
         let mut last = 0;
